@@ -1,13 +1,14 @@
 package saql
 
-// Allocation-regression gate for the partitioned ingest path. The broadcast
-// router cost ~9 allocations per event (a channel send and hit-set copy per
-// shard); partitioned routing with pooled batch slabs must stay at or below
-// two allocations per event on a steady-state mixed workload, and this test
-// fails if it ever creeps back up.
+// Allocation-regression gate for the ingest path. Broadcasting every event
+// to every shard cost ~9 allocations per event (a channel send and hit-set
+// copy per shard); partitioned routing with pooled batch slabs must stay at
+// or below two allocations per event on a steady-state mixed workload, at
+// one shard as at four, and this test fails if it ever creeps back up.
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 )
@@ -16,8 +17,13 @@ func TestIngestAllocsPerEventGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation gate needs full runs")
 	}
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { ingestAllocsGate(t, shards) })
+	}
+}
 
-	eng := New(WithShards(4), WithIngestQueue(64))
+func ingestAllocsGate(t *testing.T, shards int) {
+	eng := New(WithShards(shards), WithIngestQueue(64))
 	// One by-group stateful query; ~5% of events hit it. Non-matching events
 	// must allocate nothing beyond the shared evaluation pass, and matching
 	// events pay the fold on exactly one owning shard.

@@ -390,11 +390,14 @@ return p, e.amount`,
 // shared-evaluation router: one deterministic random script of Pause /
 // Resume / Update operations (thresholds tweaked, carry and fresh-state
 // swaps mixed) interleaved with event blocks, applied identically to a
-// never-started serial engine and to sharded engines at 1, 2, and 8
+// never-started serial engine and to sharded engines at 1, 2, 8, and 96
 // shards. Every configuration must emit exactly the same alerts: control
 // operations ride the ingest queue in total order, so they land at the
 // same stream point everywhere, and the router's pre-evaluated hit sets
 // must stay consistent across every layout change the script provokes.
+// Each query's events-offered counter must agree too, at every shard count:
+// a paused span counts for nothing, a fresh-state Update restarts it and a
+// state-carrying one keeps it.
 //
 // Sharded engines receive each block in randomly sized sub-batches (from
 // single events up to a few dozen), so the partitioned router's per-shard
@@ -474,7 +477,7 @@ return ss.total`, 5000000+k*10000)
 		}
 	}
 
-	run := func(t *testing.T, shards int, interpret bool) []string {
+	run := func(t *testing.T, shards int, interpret bool) ([]string, map[string]int64) {
 		t.Helper()
 		// Sub-batch chopping is deterministic per configuration; it changes
 		// envelope boundaries (and so ring-buffer fill at each flush), never
@@ -555,6 +558,14 @@ return ss.total`, 5000000+k*10000)
 				}
 			}
 		}
+		offered := map[string]int64{}
+		for _, name := range names {
+			qs, ok := eng.QueryStats(name)
+			if !ok {
+				t.Fatalf("QueryStats(%s) missing", name)
+			}
+			offered[name] = qs.Events
+		}
 		if shards == 0 {
 			got = append(got, eng.Flush()...)
 		} else {
@@ -568,17 +579,22 @@ return ss.total`, 5000000+k*10000)
 			ids = append(ids, alertIdentity(a))
 		}
 		sort.Strings(ids)
-		return ids
+		return ids, offered
 	}
 
-	want := run(t, 0, false)
+	want, wantOffered := run(t, 0, false)
 	if len(want) == 0 {
 		t.Fatal("serial hammer run produced no alerts")
 	}
-	for _, shards := range []int{1, 2, 8} {
+	for _, shards := range []int{1, 2, 8, 96} { // 96: past one word of the router's shard bitset
 		shards := shards
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			got := run(t, shards, false)
+			got, offered := run(t, shards, false)
+			for _, name := range names {
+				if offered[name] != wantOffered[name] {
+					t.Errorf("%s: events offered: sharded=%d serial=%d", name, offered[name], wantOffered[name])
+				}
+			}
 			if len(got) != len(want) {
 				t.Errorf("alert count: sharded=%d serial=%d", len(got), len(want))
 			}
@@ -597,7 +613,7 @@ return ss.total`, 5000000+k*10000)
 	for _, shards := range []int{0, 1, 8} {
 		shards := shards
 		t.Run(fmt.Sprintf("interpreted-shards=%d", shards), func(t *testing.T) {
-			got := run(t, shards, true)
+			got, _ := run(t, shards, true)
 			if len(got) != len(want) {
 				t.Errorf("alert count: interpreted=%d compiled=%d", len(got), len(want))
 			}
@@ -670,13 +686,11 @@ return p, ss.amt`, 1000000+i*1000)
 	}
 }
 
-// TestSingleShardMatchesMultiShard pins the single-shard runtime to the same
-// compiled programs and accounting as the partitioned router. A 1-shard
-// engine skips the pre-evaluation plane and instead feeds whole batches
-// through the scheduler's columnar ProcessBatch; it must reuse the queries
-// compiled at Register time (no second compile, no interpreter divergence)
-// and therefore report exactly the PatternEvals and alerts of an 8-shard
-// engine — and of the serial baseline — over the same workload.
+// TestSingleShardMatchesMultiShard pins the shard count out of the results:
+// a 1-shard engine runs the same router — shared evaluation, ownership
+// routing, routed fold — as an 8-shard one, so it must report exactly the
+// PatternEvals and alerts of the 8-shard engine, and of the serial
+// reference, over the same workload.
 func TestSingleShardMatchesMultiShard(t *testing.T) {
 	events := concurrencyWorkload(60, 20)
 	queries := make([]struct{ name, src string }, 12)
@@ -748,7 +762,9 @@ return p, ss.amt`, 1000000+i*1000)
 // count) and the script re-driven from the checkpoint position. The
 // pre-checkpoint alerts plus the restored engine's output must equal,
 // alert for alert, a serial engine that ran the whole script uninterrupted
-// — no lost, duplicated, or reordered detections — at 1, 2, and 8 shards.
+// — no lost, duplicated, or reordered detections — at 1, 2, and 8 shards,
+// and every query's events-offered counter must read what the uninterrupted
+// run's does: a restored engine resumes counting, it does not restart.
 //
 // The script, checkpoint block, and kill block derive from one seed, logged
 // on every run; set SAQL_CONFORMANCE_SEED to reproduce a failure.
@@ -952,6 +968,11 @@ return i.dstip, ss.amt`, 100000+k*5000)
 		t.Fatal("reference run produced no alerts")
 	}
 	wantIDs := sortedIdentities(want)
+	wantOffered := map[string]int64{}
+	for _, name := range names {
+		qs, _ := ref.QueryStats(name)
+		wantOffered[name] = qs.Events
+	}
 
 	// The same uninterrupted script with bytecode compilation force-disabled
 	// must produce the identical alert set: compilation may never change
@@ -1022,6 +1043,12 @@ return i.dstip, ss.amt`, 100000+k*5000)
 				t.Errorf("restore offset = %d, want %d", rinfo.Offset, cpEvents)
 			}
 			drive(t, e2, cpStep, len(script), false)
+			for _, name := range names {
+				if qs, ok := e2.QueryStats(name); !ok || qs.Events != wantOffered[name] {
+					t.Errorf("seed %d shards %d: %s: events offered after restore = %d (found %v), uninterrupted = %d",
+						seed, shards, name, qs.Events, ok, wantOffered[name])
+				}
+			}
 			if err := e2.Close(); err != nil {
 				t.Fatal(err)
 			}

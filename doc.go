@@ -100,17 +100,21 @@
 // # Shard placement
 //
 // The running engine partitions query state across WithShards(n) workers
-// (default GOMAXPROCS). Every shard observes the whole event stream in one
-// total order — so watermarks and window boundaries agree everywhere and
-// sharded execution stays alert-for-alert equivalent to serial — while the
-// expensive state folding is owned by exactly one shard:
+// (default GOMAXPROCS). Every started engine, at every shard count, runs
+// one event path: a router establishes one total event order, evaluates
+// each event's pattern hits once, and delivers the event only to the shards
+// owning state for it, stamped with the stream watermark — so watermarks
+// and window boundaries agree everywhere and sharded execution stays
+// alert-for-alert equivalent to serial — while the expensive state folding
+// is owned by exactly one shard:
 //
 //   - stateful queries with a group-by clause (time-series, invariant, and
 //     plain aggregations) partition by group-by key: each key's windows,
 //     history, and invariants live on the shard that hashes to it
 //     (PlaceByGroup);
 //   - stateless single-pattern rule queries partition by subject entity:
-//     each event is evaluated on one shard (PlaceByEvent);
+//     each event is folded on the one shard the router names its owner
+//     (PlaceByEvent);
 //   - queries whose semantics require the total event order in one place —
 //     multievent rule queries (matches join events across entities),
 //     outlier queries (clustering compares all groups of a window),
@@ -123,8 +127,8 @@
 // Concurrent queries are scheduled with the master–dependent-query scheme:
 // semantically compatible queries share one copy of the stream, with the
 // weakest query (the master) performing pattern matching and dependents
-// refining its intermediate results. On a multi-shard engine the scheme
-// runs once, in the router, before fan-out: each event's pattern hits are
+// refining its intermediate results. On a started engine the scheme runs
+// once, in the router, before delivery: each event's pattern hits are
 // pre-evaluated into a hit set shipped alongside the event, so shards skip
 // pattern matching entirely and per-event matching work stays O(patterns)
 // rather than O(shards × patterns).

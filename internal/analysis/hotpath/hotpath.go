@@ -1,7 +1,12 @@
 // Package hotpath statically backs the ingest allocation budget
 // (TestIngestAllocsPerEventGate: ≤2 allocs/event): functions annotated
-// //saql:hotpath — router delivery, scheduler.EvaluateBatch/IngestRouted,
-// the wire.Reader decode loop, window assignment, the history ring — are
+// //saql:hotpath — the one event path of a started engine (the runtime
+// partitioner's routeEvent/flushShard/flushAll/processBatch and batch pool,
+// scheduler.EvaluateBatch's columnar core and the routed fold
+// IngestRouted/TouchRouted/AdvanceAll), the serial reference's
+// evaluateLocked/ingestLocked, engine.MatchBatch/HitGroupKeys, the compiled
+// predicate programs, the codec intern table, the wire.Reader decode loop,
+// window assignment, the history ring — are
 // rejected if they contain the allocation shapes that have historically
 // crept into those paths:
 //

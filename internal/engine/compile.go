@@ -102,9 +102,9 @@ type Query struct {
 	returnC  *ast.ReturnClause
 	distinct map[string]struct{}
 
-	// Shard ownership filters (nil outside the sharded runtime).
+	// Shard ownership filter for by-group replicas (nil outside the sharded
+	// runtime).
 	groupFilter func(string) bool
-	eventFilter func(*event.Event) bool
 
 	// paused gates event ingestion (see SetPaused). It is mutated only at
 	// consistent stream points, under the owning scheduler's lock.

@@ -120,7 +120,7 @@ func compileFastItem(g ast.Expr, p *ast.EventPattern) itemFn {
 // extractor (some group-by item needs full expression evaluation, whose
 // errors must surface through the shard replicas) — the partitioned router
 // then falls back to delivering the event to every shard, where each replica
-// evaluates the key itself, exactly as the broadcast router did.
+// evaluates the key itself.
 //
 //saql:hotpath
 func (q *Query) HitGroupKeys(dst []string, ev *event.Event, hits []int) (keys []string, ok bool) {

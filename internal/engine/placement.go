@@ -1,14 +1,15 @@
 package engine
 
-import "saql/internal/event"
-
 // Placement classifies how a query's runtime state may be distributed
-// across parallel scheduler shards. The sharded runtime establishes one
-// total event order and routes each event to the shards owning state for
-// it, with watermark-bearing touch entries and batch stamps keeping window
-// boundaries identical everywhere; placement decides which shard(s)
-// actually fold an event into query state — and therefore which shards the
-// router must deliver it to.
+// across parallel scheduler shards. The runtime's router establishes one
+// total event order and delivers each event only to the shards owning state
+// for it, with watermark-bearing touch entries and batch stamps keeping
+// window boundaries identical everywhere; placement decides which shard(s)
+// fold an event into query state — and therefore where the router delivers
+// it. The router is the only place event ownership is decided: a by-event
+// replica folds exactly what it is told it owns, a pinned replica whatever
+// reaches its home shard; only by-group replicas also carry a filter
+// (SetGroupFilter), because one event can fold into several groups.
 type Placement uint8
 
 const (
@@ -73,6 +74,9 @@ func (q *Query) Placement() Placement {
 // every group (the serial engine's behaviour).
 func (q *Query) SetGroupFilter(f func(groupKey string) bool) { q.groupFilter = f }
 
-// SetEventFilter restricts a by-event replica to the events it owns. Pass
-// nil to own every event.
-func (q *Query) SetEventFilter(f func(*event.Event) bool) { q.eventFilter = f }
+// SetEventsOffered overwrites the events-offered counter. A shard replica
+// under the routed runtime is offered only the events its shard owns, so the
+// runtime derives the true count from router stream offsets and stamps it
+// here before the replica's state is captured: a checkpoint then carries the
+// counter the serial engine would.
+func (q *Query) SetEventsOffered(n int64) { q.stats.Events = n }

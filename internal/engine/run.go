@@ -101,10 +101,6 @@ func (q *Query) ingestRule(ev *event.Event, hits []int, report func(error)) []*A
 	if len(hits) == 0 {
 		return nil
 	}
-	if q.eventFilter != nil && !q.eventFilter(ev) {
-		// By-event sharding: another shard owns this event.
-		return nil
-	}
 	q.stats.PatternHits += int64(len(hits))
 	matches := q.seq.ObserveHits(ev, hits)
 	if len(matches) == 0 {

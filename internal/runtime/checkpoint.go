@@ -28,7 +28,10 @@ type CheckpointState struct {
 func (r *Runtime) Checkpoint() (*CheckpointState, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	c := &control{kind: ctlCheckpoint}
+	c := &control{kind: ctlCheckpoint, offered: make(map[string]offered, len(r.queries))}
+	for name, qi := range r.queries {
+		c.offered[name] = qi.offered
+	}
 	results, err := r.control(c)
 	if err != nil {
 		return nil, err
@@ -65,13 +68,19 @@ func (r *Runtime) RestoreStates(states map[string][][]byte) error {
 			}
 		}
 	}
-	results, err := r.control(&control{kind: ctlRestore, restore: states, statsShard: statsShard})
+	c := &control{kind: ctlRestore, restore: states, statsShard: statsShard}
+	results, err := r.control(c)
 	if err != nil {
 		return err
 	}
 	for _, res := range results {
 		if res.err != nil {
 			return res.err
+		}
+		// A restored query resumes its events-offered counter where the
+		// capturing engine's stood, not from zero at the restore point.
+		for name, n := range res.events {
+			r.queries[name].offered.raise(c.offset, n)
 		}
 	}
 	return nil

@@ -1,13 +1,15 @@
 package runtime
 
-// Partitioned envelope routing. The broadcast router shipped every
-// (event, hit-set) envelope to every shard; this file implements its
-// replacement: each event is delivered only to the shards that own state for
-// it, derived from the same 32-bit FNV ownership hashing that checkpoint
-// re-split and the distributed cluster's Config.Owns already define —
+// Partitioned envelope routing: the one delivery path between the router's
+// shared evaluation and the shards' state folding, at every shard count.
+// Each evaluated event is delivered only to the shards that own state for it,
+// derived from the same 32-bit FNV ownership hashing that checkpoint re-split
+// and the distributed cluster's Config.Owns already define —
 //
 //   - pinned queries: the home shard holding the query;
-//   - by-event queries: hash of the event's subject entity;
+//   - by-event queries: hash of the event's subject entity — the entry for
+//     that shard is marked as the event's owner, and only there do by-event
+//     replicas fold it;
 //   - by-group queries: hash of each hit pattern's group-by key, extracted
 //     with the engine's compiled fast-key path (queries whose keys need full
 //     expression evaluation fall back to delivery on every shard, so key
@@ -17,10 +19,10 @@ package runtime
 // ring buffers (reusable slabs recycled through a sync.Pool) flushed on a
 // size threshold, when the ingest queue goes idle, and always before a
 // control envelope, so control operations — including checkpoint barriers —
-// still cut the stream at one consistent point even though shards now see
-// disjoint event subsets.
+// cut the stream at one consistent point even though shards see disjoint
+// event subsets.
 //
-// Two lightweight mechanisms replace what broadcast provided implicitly:
+// Two lightweight mechanisms give every shard what seeing every event would:
 //
 //   - Touch entries: a stateful by-group query's replicas live on every
 //     shard, and window existence/close cadence must stay identical on all
@@ -35,11 +37,8 @@ package runtime
 //     reproduce the serial engine's per-query watermark at every fold point
 //     and close windows promptly on shards that received no events.
 //
-// For streams with out-of-order timestamps, one deliberate divergence from
-// serial remains: a query resumed from pause advances to the global stream
-// watermark, where the serial engine's watermark would exclude events offered
-// while it was paused. In-order streams (and all conformance workloads)
-// behave identically; the trade buys O(owners) instead of O(shards) delivery.
+// docs/architecture.md records the one deliberate divergence from the serial
+// reference (a query resumed from pause on an out-of-order stream).
 
 import (
 	"math/bits"
@@ -56,21 +55,24 @@ import (
 // and buffer memory under sustained load.
 const flushThreshold = 256
 
-// maxPartitionedShards bounds the shard bitmask width. Runtimes wider than
-// 64 shards keep the broadcast path (they are far past the point where
-// per-event mask routing is the bottleneck).
-const maxPartitionedShards = 64
-
 // routedEntry is one buffered delivery for one shard: a full (event,
 // hit-set) delivery when ev is non-nil, a touch-only entry otherwise. wm is
-// the stream watermark the router had observed before this event.
+// the stream watermark the router had observed before this event; owner
+// marks the one shard whose by-event replicas fold the event.
 type routedEntry struct {
 	ev    *event.Event
 	at    time.Time // event time (touch-only entries)
 	hits  *scheduler.HitSet
 	wm    time.Time
 	hasWM bool
+	owner bool
 }
+
+// shardSet is a bitset over shard ids, one word per 64 shards.
+type shardSet []uint64
+
+//saql:hotpath
+func (s shardSet) add(i int) { s[i>>6] |= 1 << (i & 63) }
 
 // shardBatch is one flushed slab of routed entries. wm is the router's
 // running stream watermark at flush time; the receiving shard applies it to
@@ -109,8 +111,10 @@ type partitioner struct {
 	streamWM time.Time
 	hasWM    bool
 
-	keys []string // HitGroupKeys scratch
-	pool sync.Pool
+	keys    []string // HitGroupKeys scratch
+	deliver shardSet // routeEvent scratch: shards the current event folds on
+	all     shardSet // every shard
+	pool    sync.Pool
 }
 
 func newPartitioner(r *Runtime) *partitioner {
@@ -121,6 +125,11 @@ func newPartitioner(r *Runtime) *partitioner {
 		routes: map[string]*routeInfo{},
 		bufs:   make([]*shardBatch, len(r.shards)),
 		lastWM: make([]time.Time, len(r.shards)),
+	}
+	words := (p.n + 63) / 64
+	p.deliver, p.all = make(shardSet, words), make(shardSet, words)
+	for i := 0; i < p.n; i++ {
+		p.all.add(i)
 	}
 	p.pool.New = func() any {
 		return &shardBatch{entries: make([]routedEntry, 0, flushThreshold)}
@@ -151,10 +160,6 @@ func (p *partitioner) put(b *shardBatch) {
 func (p *partitioner) applyCtl(c *control) {
 	switch c.kind {
 	case ctlAdd, ctlSwap:
-		if c.eval == nil {
-			delete(p.routes, c.name)
-			break
-		}
 		ri := &routeInfo{placement: c.eval.Placement(), home: -1, evalQ: c.eval}
 		if ri.placement == engine.PlacePinned {
 			for i, q := range c.replicas {
@@ -183,14 +188,6 @@ func (p *partitioner) resolveSlots(layout *scheduler.Layout) {
 	p.slotsFor = layout
 }
 
-//saql:hotpath
-func (p *partitioner) allMask() uint64 {
-	if p.n == 64 {
-		return ^uint64(0)
-	}
-	return (uint64(1) << p.n) - 1
-}
-
 // routeEvent buffers one evaluated event into the per-shard slabs it needs
 // to reach. Events that matched nothing buffer nowhere: the next flush's
 // batch watermark is all any shard needs from them.
@@ -206,8 +203,9 @@ func (p *partitioner) routeEvent(ev *event.Event, hs *scheduler.HitSet) {
 		return
 	}
 	p.resolveSlots(hs.Layout)
-	all := p.allMask()
-	var deliver uint64
+	deliver := p.deliver
+	clear(deliver)
+	eventOwner := -1 // shard owning the event for by-event queries
 	groupTouch := false
 	for slot, h := range hs.Hits {
 		if len(h) == 0 {
@@ -220,12 +218,13 @@ func (p *partitioner) routeEvent(ev *event.Event, hs *scheduler.HitSet) {
 		switch ri.placement {
 		case engine.PlacePinned:
 			if ri.home >= 0 {
-				deliver |= uint64(1) << ri.home
+				deliver.add(ri.home)
 			}
 		case engine.PlaceByEvent:
 			h32 := hashSubject(ev)
 			if p.owns == nil || p.owns(h32) {
-				deliver |= uint64(1) << (h32 % uint32(p.n))
+				eventOwner = int(h32 % uint32(p.n))
+				deliver.add(eventOwner)
 			}
 		case engine.PlaceByGroup:
 			// Replicas live on every shard: non-owners still need a touch so
@@ -236,36 +235,38 @@ func (p *partitioner) routeEvent(ev *event.Event, hs *scheduler.HitSet) {
 			if !ok {
 				// No fast key extractor: deliver everywhere so each replica
 				// evaluates (and error-reports) the key itself.
-				deliver = all
+				copy(deliver, p.all)
 				continue
 			}
 			for _, k := range keys {
 				h32 := hashString(k)
 				if p.owns == nil || p.owns(h32) {
-					deliver |= uint64(1) << (h32 % uint32(p.n))
+					deliver.add(int(h32 % uint32(p.n)))
 				}
 			}
 			p.keys = keys[:0]
 		}
 	}
-	var touch uint64
-	if groupTouch {
-		touch = all &^ deliver
-	}
-	rem := deliver | touch
-	for rem != 0 {
-		i := bits.TrailingZeros64(rem)
-		rem &^= uint64(1) << i
-		e := routedEntry{hits: hs, wm: wm, hasWM: hasWM}
-		if deliver&(uint64(1)<<i) != 0 {
-			e.ev = ev
-		} else {
-			e.at = ev.Time
+	for w, owners := range deliver {
+		rem := owners
+		if groupTouch {
+			rem = p.all[w] // non-owners get a touch-only entry
 		}
-		b := p.bufs[i]
-		b.entries = append(b.entries, e)
-		if len(b.entries) >= flushThreshold {
-			p.flushShard(i)
+		for rem != 0 {
+			bit := rem & -rem
+			rem &^= bit
+			i := w<<6 | bits.TrailingZeros64(bit)
+			e := routedEntry{hits: hs, wm: wm, hasWM: hasWM}
+			if owners&bit != 0 {
+				e.ev, e.owner = ev, i == eventOwner
+			} else {
+				e.at = ev.Time
+			}
+			b := p.bufs[i]
+			b.entries = append(b.entries, e)
+			if len(b.entries) >= flushThreshold {
+				p.flushShard(i)
+			}
 		}
 	}
 }
@@ -313,7 +314,7 @@ func (r *Runtime) processBatch(s *shard, b *shardBatch) {
 		}
 		var alerts []*engine.Alert
 		if e.ev != nil {
-			alerts = s.sched.IngestRouted(e.ev, e.hits, e.wm, e.hasWM)
+			alerts = s.sched.IngestRouted(e.ev, e.hits, e.wm, e.hasWM, e.owner)
 		} else {
 			alerts = s.sched.TouchRouted(e.at, e.hits, e.wm, e.hasWM)
 		}

@@ -1,8 +1,9 @@
 package runtime
 
 // Ownership-routing property battery: for random event streams and shard
-// counts 1/2/4/8, every event must reach exactly the shards the placement
-// rules say own it — no over-delivery (the point of partitioned routing) and
+// counts 1/2/4/8/96 (one shard, and past one bitset word, run the same router
+// as everything between), every event must reach exactly the shards the
+// placement rules say own it — no over-delivery (the point of partitioned routing) and
 // no under-delivery (the correctness bar). The reference owner sets are
 // computed independently from the placement rules and the exported ownership
 // hashes; the runtime's actual deliveries are captured with the testObserve
@@ -10,8 +11,8 @@ package runtime
 
 import (
 	"fmt"
-	"math/bits"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -52,6 +53,7 @@ return ss.amt`},
 type obsRecord struct {
 	ev       *event.Event
 	deliver  []int // shards that received the event itself
+	owner    []int // shards told they own the event for by-event queries
 	touch    []int // shards that received a touch-only entry
 	touchAt  []time.Time
 	deliverN map[int]int // delivery multiplicity per shard
@@ -74,6 +76,9 @@ func (o *observer) hook(shard int, e *routedEntry) {
 		rec.ev = e.ev
 		rec.deliver = append(rec.deliver, shard)
 		rec.deliverN[shard]++
+		if e.owner {
+			rec.owner = append(rec.owner, shard)
+		}
 	} else {
 		rec.touch = append(rec.touch, shard)
 		rec.touchAt = append(rec.touchAt, e.at)
@@ -123,35 +128,39 @@ func routingWorkload(rng *rand.Rand, n int) []*event.Event {
 	return evs
 }
 
-// expectedMasks computes the reference owner sets for one event from the
-// placement rules alone: which shards must receive the event, and which must
-// receive a touch-only entry.
-func expectedMasks(ev *event.Event, n int, homes map[string]int) (deliver, touch uint64) {
-	all := uint64(1)<<n - 1
+// expectedSets computes the reference owner sets for one event from the
+// placement rules alone: which shards must receive the event, which must
+// receive a touch-only entry (both sorted), and which (at most one) owns it
+// for by-event queries.
+func expectedSets(ev *event.Event, n int, homes map[string]int) (deliver, touch, owner []int) {
+	set := map[int]bool{}
 	switch ev.Op {
 	case event.OpWrite:
 		// grp-fast: owner of the subject's group key.
-		deliver |= 1 << (HashKey(ev.Subject.ExeName) % uint32(n))
+		set[int(HashKey(ev.Subject.ExeName)%uint32(n))] = true
 		// by-event: owner of the subject entity hash.
-		deliver |= 1 << (HashEventKey(ev) % uint32(n))
+		owner = []int{int(HashEventKey(ev) % uint32(n))}
+		set[owner[0]] = true
 		// pinned queries: their home shards.
-		deliver |= 1 << homes["pinned-global"]
-		deliver |= 1 << homes["pinned-distinct"]
-		// A by-group query hit, so all non-delivered shards must be touched.
-		touch = all &^ deliver
+		set[homes["pinned-global"]] = true
+		set[homes["pinned-distinct"]] = true
 	case event.OpRead:
-		// grp-slow has no fast key extractor: broadcast fallback.
-		deliver = all
+		// grp-slow has no fast key extractor: deliver-everywhere fallback.
+		for i := 0; i < n; i++ {
+			set[i] = true
+		}
+	default:
+		return nil, nil, nil
 	}
-	return deliver, touch
-}
-
-func maskOf(shards []int) uint64 {
-	var m uint64
-	for _, s := range shards {
-		m |= 1 << s
+	for i := 0; i < n; i++ {
+		if set[i] {
+			deliver = append(deliver, i)
+		} else {
+			// A by-group query hit, so every other shard must be touched.
+			touch = append(touch, i)
+		}
 	}
-	return m
+	return deliver, touch, owner
 }
 
 func runRoutingCase(t *testing.T, seed int64, shards int) {
@@ -218,15 +227,6 @@ func runRoutingCase(t *testing.T, seed int64, shards int) {
 	}
 	r.Close()
 
-	if shards == 1 {
-		// Single shard runs the unpartitioned path: nothing observed, and the
-		// stats assertions above already pin full delivery to the one shard.
-		if len(obs.recs) != 0 {
-			t.Fatalf("seed %d: 1-shard runtime produced routed batches", seed)
-		}
-		return
-	}
-
 	// Index observations by event; an event whose HitSet was never buffered
 	// anywhere (no-hit events) must simply be absent.
 	byEvent := map[*event.Event]*obsRecord{}
@@ -235,20 +235,26 @@ func runRoutingCase(t *testing.T, seed int64, shards int) {
 			byEvent[rec.ev] = rec
 		}
 	}
+	var delivered, broadcast int
 	for _, ev := range evs {
-		wantDeliver, wantTouch := expectedMasks(ev, shards, homes)
+		wantDeliver, wantTouch, wantOwner := expectedSets(ev, shards, homes)
 		rec := byEvent[ev]
 		if rec == nil {
-			if wantDeliver != 0 {
-				t.Fatalf("seed %d shards %d: event %v op=%v delivered nowhere, want shard mask %b", seed, shards, ev.Time, ev.Op, wantDeliver)
+			if len(wantDeliver) != 0 {
+				t.Fatalf("seed %d shards %d: event %v op=%v delivered nowhere, want shards %v", seed, shards, ev.Time, ev.Op, wantDeliver)
 			}
 			continue
 		}
-		if got := maskOf(rec.deliver); got != wantDeliver {
-			t.Fatalf("seed %d shards %d: event %v op=%v delivered to mask %b, want %b", seed, shards, ev.Time, ev.Op, got, wantDeliver)
+		slices.Sort(rec.deliver)
+		if !slices.Equal(rec.deliver, wantDeliver) {
+			t.Fatalf("seed %d shards %d: event %v op=%v delivered to shards %v, want %v", seed, shards, ev.Time, ev.Op, rec.deliver, wantDeliver)
 		}
-		if got := maskOf(rec.touch); got != wantTouch {
-			t.Fatalf("seed %d shards %d: event %v op=%v touched mask %b, want %b", seed, shards, ev.Time, ev.Op, got, wantTouch)
+		slices.Sort(rec.touch)
+		if !slices.Equal(rec.touch, wantTouch) {
+			t.Fatalf("seed %d shards %d: event %v op=%v touched shards %v, want %v", seed, shards, ev.Time, ev.Op, rec.touch, wantTouch)
+		}
+		if !slices.Equal(rec.owner, wantOwner) {
+			t.Fatalf("seed %d shards %d: event %v op=%v by-event owners %v, want %v", seed, shards, ev.Time, ev.Op, rec.owner, wantOwner)
 		}
 		for shard, cnt := range rec.deliverN {
 			if cnt != 1 {
@@ -260,24 +266,14 @@ func runRoutingCase(t *testing.T, seed int64, shards int) {
 				t.Fatalf("seed %d shards %d: touch entry stamped %v, want event time %v", seed, shards, rec.touchAt[i], ev.Time)
 			}
 		}
-		if wantDeliver != 0 && bits.OnesCount64(wantDeliver|wantTouch) > shards {
-			t.Fatalf("seed %d shards %d: mask wider than shard count", seed, shards)
-		}
+		broadcast += shards
+		delivered += len(wantDeliver)
 	}
 
-	// Touch entries must never outnumber shards-1 per event, and total
-	// delivery volume must be strictly below broadcast for mixed workloads
-	// (the point of the exercise).
-	var delivered, broadcast int
-	for _, ev := range evs {
-		wantDeliver, _ := expectedMasks(ev, shards, homes)
-		if wantDeliver != 0 {
-			broadcast += shards
-			delivered += bits.OnesCount64(wantDeliver)
-		}
-	}
-	// At 2 shards the two pinned homes alone already span every shard, so the
-	// reduction only has room to appear at wider configurations.
+	// Total delivery volume must be strictly below broadcast for mixed
+	// workloads (the point of the exercise). At 2 shards the two pinned homes
+	// alone already span every shard, so the reduction only has room to
+	// appear at wider configurations.
 	if shards >= 4 && delivered >= broadcast {
 		t.Fatalf("seed %d shards %d: partitioned routing delivered %d event copies, broadcast would be %d", seed, shards, delivered, broadcast)
 	}
@@ -292,7 +288,7 @@ func TestRoutingOwnershipProperty(t *testing.T) {
 		cfg.MaxCount = 2
 	}
 	property := func(seed int64) bool {
-		for _, shards := range []int{1, 2, 4, 8} {
+		for _, shards := range []int{1, 2, 4, 8, 96} {
 			ok := t.Run(fmt.Sprintf("seed=%d/shards=%d", seed, shards), func(t *testing.T) {
 				runRoutingCase(t, seed, shards)
 			})

@@ -3,7 +3,10 @@
 // configurable backpressure policy, a router establishing one total event
 // order and pre-evaluating pattern hits once per event, N shard workers
 // each owning a private scheduler, and an alert fan-out merging every
-// shard's detections into subscriptions.
+// shard's detections into subscriptions. Every started engine runs this one
+// pipeline — evaluate, route by ownership, fold — at every shard count; the
+// only other event path in the repo is the serial reference
+// (scheduler.Process) that conformance tests compare against.
 //
 // # Shared evaluation
 //
@@ -147,14 +150,8 @@ type Runtime struct {
 	// router, then Close's final drain) as control envelopes pass through
 	// it. Its own mutex makes concurrent Stats/Groups snapshots safe.
 	evalSched *scheduler.Scheduler
-	// preEval gates the shared-evaluation stage. With a single shard there
-	// is no redundant work to share — the one shard runs the full
-	// scheduler, and skipping the extra router hop keeps the degenerate
-	// configuration as fast as the serial engine.
-	preEval bool
-	// part is the partitioned-routing state (nil when preEval is off, or
-	// beyond the 64-shard mask width, where envelopes broadcast instead).
-	// Confined to the routing goroutine.
+	// part is the partitioned-routing state (router.go), confined to the
+	// routing goroutine.
 	part *partitioner
 
 	// testObserve, when set before any event flows, observes every routed
@@ -169,16 +166,13 @@ type shard struct {
 	sched *scheduler.Scheduler
 }
 
-// envelope is one queue item: an event batch or a control operation. For
-// event batches the router fills hits (parallel to evs) with the
-// pre-evaluated pattern-hit sets before broadcasting; a nil entry means the
-// event matched no query. HitSets are immutable and shared read-only by
-// every shard.
+// envelope is one queue item. The ingest queue carries submitted event
+// batches (evs) and control operations; shard channels carry control
+// operations and the router's routed batches (router.go) — never raw events.
 type envelope struct {
 	evs   []*event.Event
-	hits  []*scheduler.HitSet
 	ctl   *control
-	batch *shardBatch // partitioned delivery (router.go); nil otherwise
+	batch *shardBatch
 }
 
 type ctlKind uint8
@@ -205,10 +199,15 @@ type control struct {
 	// The router stamps the stream offset (events routed before this
 	// control) here before broadcasting; the coordinator reads it after
 	// collecting the acks, so the write happens-before the read. For
-	// ctlCheckpoint it is the barrier's journal position; for ctlAdd and
-	// ctlStats it anchors the events-offered counter under partitioned
-	// routing, where no single replica observes every event.
+	// ctlCheckpoint it is the barrier's journal position; for every kind
+	// that starts, pauses or reads a query's events-offered counter it is
+	// the stream point that counter is derived from (see offered).
 	offset int64
+	// ctlCheckpoint: every query's events-offered accounting as of this
+	// control. Shards stamp offered.at(offset) onto their replicas before
+	// encoding them, so a snapshot carries the count the serial engine's
+	// per-query counter would hold at the barrier.
+	offered map[string]offered
 	// ctlRestore: per-query state blobs (in capture-shard order) and the
 	// shard id granted each query's single-owner state.
 	restore    map[string][][]byte
@@ -225,16 +224,60 @@ type ctlResult struct {
 	stats   engine.QueryStats
 	found   bool
 	states  map[string][]byte // ctlCheckpoint: this shard's per-query state
+	// ctlRestore: the events-offered counter each restored query now
+	// carries, reported by the shard granted its single-owner state.
+	events map[string]int64
 }
 
 type queryInfo struct {
 	name      string
 	placement engine.Placement
 	replicas  []*engine.Query // indexed by shard; nil where absent
-	// addedAt is the stream offset at which the query's add control passed
-	// the router: QueryStats derives events-offered from it, since under
-	// partitioned routing no replica is offered every event.
-	addedAt int64
+	offered   offered
+}
+
+// offered derives a query's events-offered counter from router stream
+// offsets. No replica is offered every event — each shard receives only what
+// it owns — but every control envelope is stamped with the offset at which
+// it passed the router, so the counter is the events routed since the query
+// was installed, minus the spans it spent paused, plus whatever it had
+// already counted before (a serial warm-up, a restored snapshot): exactly
+// what the serial engine's per-query counter reads at the same stream point.
+// Guarded by Runtime.mu.
+type offered struct {
+	anchor   int64 // events offered = offset − anchor while active
+	pausedAt int64 // offset of the pause control; meaningful while paused
+	paused   bool
+}
+
+// at reports the counter at a stream offset.
+func (o offered) at(offset int64) int64 {
+	if o.paused {
+		offset = o.pausedAt
+	}
+	return offset - o.anchor
+}
+
+// setPaused records a pause or resume control that passed the router at
+// offset: a paused span contributes nothing to the counter.
+func (o *offered) setPaused(paused bool, offset int64) {
+	switch {
+	case paused == o.paused:
+		return
+	case paused:
+		o.pausedAt = offset
+	default:
+		o.anchor += offset - o.pausedAt
+	}
+	o.paused = paused
+}
+
+// raise lifts the counter to n at offset if it reads lower: restored
+// counters merge by max, like every shared counter in engine.RestoreState.
+func (o *offered) raise(offset, n int64) {
+	if d := n - o.at(offset); d > 0 {
+		o.anchor -= d
+	}
 }
 
 // Start spins up the runtime: one router plus cfg.Shards workers.
@@ -261,7 +304,6 @@ func Start(cfg Config) *Runtime {
 		routerDone: make(chan struct{}),
 		queries:    map[string]*queryInfo{},
 		evalSched:  scheduler.New(cfg.Reporter, cfg.Sharing),
-		preEval:    cfg.Shards > 1,
 	}
 	for i := 0; i < cfg.Shards; i++ {
 		s := &shard{
@@ -271,9 +313,7 @@ func Start(cfg Config) *Runtime {
 		}
 		r.shards = append(r.shards, s)
 	}
-	if r.preEval && cfg.Shards <= maxPartitionedShards {
-		r.part = newPartitioner(r)
-	}
+	r.part = newPartitioner(r)
 	for _, s := range r.shards {
 		r.workersDone.Add(1)
 		go r.worker(s)
@@ -410,9 +450,7 @@ func (r *Runtime) router() {
 					break drain
 				}
 			}
-			if r.part != nil {
-				r.part.flushAll()
-			}
+			r.part.flushAll()
 		}
 	}
 }
@@ -424,37 +462,24 @@ func (r *Runtime) router() {
 // router, then Close's final drain.
 func (r *Runtime) route(env envelope) {
 	if env.ctl != nil {
-		if r.part != nil {
-			// Flush buffered deliveries first: the control must broadcast
-			// behind everything routed before it (FIFO per shard channel),
-			// so it keeps cutting the stream at one consistent point even
-			// though shards see disjoint event subsets.
-			r.part.flushAll()
-		}
+		// Flush buffered deliveries first: the control must broadcast
+		// behind everything routed before it (FIFO per shard channel), so
+		// it cuts the stream at one consistent point even though shards
+		// see disjoint event subsets.
+		r.part.flushAll()
 		// The control's stream offset: for checkpoints, the barrier
 		// position (every event routed before this envelope, and only
-		// those, is covered by the snapshot); for add/stats, the anchor of
-		// the events-offered counter.
+		// those, is covered by the snapshot); for the rest, the point the
+		// events-offered counters are read or re-anchored at.
 		env.ctl.offset = r.cfg.BaseOffset + r.routed
 		r.applyEval(env.ctl)
 		r.broadcast(env)
 		return
 	}
 	r.routed += int64(len(env.evs))
-	if !r.preEval {
-		r.broadcast(env)
-		return
-	}
-	if len(env.evs) > 0 {
-		env.hits = r.evalSched.EvaluateBatch(env.evs)
-	}
-	if r.part == nil {
-		// Beyond the partitioned mask width: broadcast like before.
-		r.broadcast(env)
-		return
-	}
+	hits := r.evalSched.EvaluateBatch(env.evs)
 	for i, ev := range env.evs {
-		r.part.routeEvent(ev, env.hits[i])
+		r.part.routeEvent(ev, hits[i])
 	}
 }
 
@@ -463,27 +488,15 @@ func (r *Runtime) route(env envelope) {
 // checked under r.mu before the envelope was enqueued, so errors here are
 // unreachable; the results that matter flow back through the shard acks.
 func (r *Runtime) applyEval(c *control) {
-	if !r.preEval {
-		// Single shard: no evaluation scheduler to maintain.
-		return
-	}
-	if r.part != nil {
-		r.part.applyCtl(c)
-	}
+	r.part.applyCtl(c)
 	switch c.kind {
 	case ctlAdd:
-		if c.eval != nil {
-			_ = r.evalSched.Add(c.eval)
-		}
+		_ = r.evalSched.Add(c.eval)
 	case ctlRemove:
 		r.evalSched.Remove(c.name)
 	case ctlSwap:
-		if c.eval != nil {
-			// Evaluation replicas hold no window state: never carry.
-			_ = r.evalSched.Swap(c.name, c.eval, false)
-		} else {
-			r.evalSched.Remove(c.name)
-		}
+		// Evaluation replicas hold no window state: never carry.
+		_ = r.evalSched.Swap(c.name, c.eval, false)
 	case ctlPause:
 		// Pause must reach the evaluation scheduler too: a fully paused
 		// group stops being evaluated (and counted) at the same stream
@@ -492,8 +505,8 @@ func (r *Runtime) applyEval(c *control) {
 	}
 }
 
-// broadcast forwards one envelope to every shard in shard order, so all
-// shards observe the identical total order.
+// broadcast forwards one control envelope to every shard in shard order,
+// so all shards observe it at the identical point of the total order.
 //
 //saql:ctlpath
 func (r *Runtime) broadcast(env envelope) {
@@ -509,26 +522,7 @@ func (r *Runtime) worker(s *shard) {
 			s.apply(env.ctl, r.cfg.Fan)
 			continue
 		}
-		if env.batch != nil {
-			r.processBatch(s, env.batch)
-			continue
-		}
-		if env.hits == nil {
-			// Pre-evaluation bypassed (single shard): run the full
-			// scheduler here, batch-columnar over the shard's own compiled
-			// queries — the same programs and evaluation order the pre-eval
-			// stage would use, with no second compile and no divergence onto
-			// the per-event interpreter path.
-			if alerts := s.sched.ProcessBatch(env.evs); len(alerts) > 0 {
-				r.cfg.Fan.Publish(alerts)
-			}
-			continue
-		}
-		for i, ev := range env.evs {
-			if alerts := s.sched.ProcessWithHits(ev, env.hits[i]); len(alerts) > 0 {
-				r.cfg.Fan.Publish(alerts)
-			}
-		}
+		r.processBatch(s, env.batch)
 	}
 	// Shutdown: close all open windows.
 	r.cfg.Fan.Publish(s.sched.Flush())
@@ -572,14 +566,21 @@ func (s *shard) apply(c *control, fan *AlertFanout) {
 			res.found = true
 		}
 	case ctlCheckpoint:
-		// The barrier: every event broadcast before this envelope has been
+		// The barrier: every event routed before this envelope has been
 		// fully folded into this shard's state, nothing after it has been
 		// touched. Encoding is the deep copy — the shard resumes mutating
 		// its state the moment the ack is sent.
+		for name, o := range c.offered {
+			if q, ok := s.sched.Query(name); ok {
+				q.SetEventsOffered(o.at(c.offset))
+			}
+		}
 		res.states, _, res.err = s.sched.CaptureStates()
 	case ctlRestore:
+		res.events = map[string]int64{}
 		for _, name := range sortedNames(c.restore) {
-			if _, ok := s.sched.Query(name); !ok {
+			q, ok := s.sched.Query(name)
+			if !ok {
 				continue // query not placed on this shard
 			}
 			disjoint := c.statsShard[name] == s.id
@@ -591,6 +592,9 @@ func (s *shard) apply(c *control, fan *AlertFanout) {
 			}
 			if res.err != nil {
 				break
+			}
+			if disjoint {
+				res.events[name] = q.Stats().Events
 			}
 		}
 	}
@@ -648,12 +652,6 @@ func (r *Runtime) buildReplicas(primary *engine.Query, clone func() (*engine.Que
 	placement := primary.Placement()
 	replicas := make([]*engine.Query, n)
 	owns := r.cfg.Owns
-	if n == 1 && owns == nil {
-		// Single shard owning the whole key space: every placement
-		// degenerates to the serial engine.
-		replicas[0] = primary
-		return replicas, nil
-	}
 	switch placement {
 	case engine.PlacePinned:
 		if owns != nil && !owns(hashString(primary.Name)) {
@@ -677,11 +675,14 @@ func (r *Runtime) buildReplicas(primary *engine.Query, clone func() (*engine.Que
 					return nil, err
 				}
 			}
-			own := composeOwner(ownerFilter(i, n), owns)
 			if placement == engine.PlaceByGroup {
+				// The router delivers an event to every shard owning one of
+				// its group keys; the filter keeps a replica from folding
+				// the keys of a multi-key event it does not own, and
+				// re-splits restored state. By-event replicas need none:
+				// the router alone names each event's owner.
+				own := composeOwner(ownerFilter(i, n), owns)
 				q.SetGroupFilter(func(key string) bool { return own(hashString(key)) })
-			} else {
-				q.SetEventFilter(func(ev *event.Event) bool { return own(hashSubject(ev)) })
 			}
 			replicas[i] = q
 		}
@@ -700,42 +701,15 @@ func composeOwner(shard, owns func(uint32) bool) func(uint32) bool {
 
 // Add registers a compiled query across the shards. primary becomes one of
 // the live replicas; clone compiles an identical fresh replica for each
-// additional shard a distributed placement needs.
+// additional shard a distributed placement needs, and one for the router's
+// evaluation scheduler.
 func (r *Runtime) Add(primary *engine.Query, clone func() (*engine.Query, error)) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	name := primary.Name
-	if _, dup := r.queries[name]; dup {
-		return fmt.Errorf("saql: duplicate query name %q", name)
+	if _, dup := r.queries[primary.Name]; dup {
+		return fmt.Errorf("saql: duplicate query name %q", primary.Name)
 	}
-	replicas, err := r.buildReplicas(primary, clone, -1)
-	if err != nil {
-		return err
-	}
-	// The router's evaluation scheduler needs its own unfiltered replica:
-	// shard replicas carry ownership filters and are worker-confined. A
-	// single-shard runtime skips the pre-eval stage and pays for none.
-	var evalQ *engine.Query
-	if r.preEval {
-		if evalQ, err = clone(); err != nil {
-			return err
-		}
-	}
-
-	c := &control{kind: ctlAdd, name: name, replicas: replicas, eval: evalQ}
-	results, err := r.control(c)
-	if err != nil {
-		return err
-	}
-	for _, res := range results {
-		if res.err != nil {
-			// Roll the partial registration back so shards stay consistent.
-			_, _ = r.control(&control{kind: ctlRemove, name: name})
-			return res.err
-		}
-	}
-	r.queries[name] = &queryInfo{name: name, placement: primary.Placement(), replicas: replicas, addedAt: c.offset}
-	return nil
+	return r.install(ctlAdd, primary, clone, -1, false)
 }
 
 // Swap atomically replaces the query registered under primary.Name with
@@ -745,14 +719,14 @@ func (r *Runtime) Add(primary *engine.Query, clone func() (*engine.Query, error)
 // replica adopts its predecessor's sliding-window state on that shard (the
 // caller has verified engine.Query.CanCarryStateFrom; per-shard group
 // ownership is deterministic, so carried state lands on the shard that owns
-// it).
+// it). The replacement's counters start fresh, exactly like a serial
+// remove+add, unless carry hands them over with the rest of the state.
 func (r *Runtime) Swap(primary *engine.Query, clone func() (*engine.Query, error), carry bool) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	name := primary.Name
-	qi, ok := r.queries[name]
+	qi, ok := r.queries[primary.Name]
 	if !ok {
-		return fmt.Errorf("saql: unknown query %q", name)
+		return fmt.Errorf("saql: unknown query %q", primary.Name)
 	}
 	pinnedHome := -1
 	if qi.placement == engine.PlacePinned && primary.Placement() == engine.PlacePinned {
@@ -762,36 +736,46 @@ func (r *Runtime) Swap(primary *engine.Query, clone func() (*engine.Query, error
 			}
 		}
 	}
+	return r.install(ctlSwap, primary, clone, pinnedHome, carry)
+}
+
+// install lays primary out across the shards, sends the add or swap control,
+// and records the replica set in the registry. The caller holds r.mu.
+func (r *Runtime) install(kind ctlKind, primary *engine.Query, clone func() (*engine.Query, error), pinnedHome int, carry bool) error {
+	name := primary.Name
+	// Read before the control hands primary to its shard worker. A primary
+	// that already counted events (a serial warm-up before Start) keeps them.
+	counted, paused := primary.Stats().Events, primary.Paused()
 	replicas, err := r.buildReplicas(primary, clone, pinnedHome)
 	if err != nil {
 		return err
 	}
-	var evalQ *engine.Query
-	if r.preEval {
-		if evalQ, err = clone(); err != nil {
-			return err
-		}
+	// The router's evaluation scheduler needs its own replica: shard
+	// replicas carry ownership filters and are worker-confined.
+	evalQ, err := clone()
+	if err != nil {
+		return err
 	}
-
-	c := &control{kind: ctlSwap, name: name, replicas: replicas, eval: evalQ, carry: carry}
+	c := &control{kind: kind, name: name, replicas: replicas, eval: evalQ, carry: carry}
 	results, err := r.control(c)
 	if err != nil {
 		return err
 	}
 	for _, res := range results {
 		if res.err != nil {
-			// A shard failed to install its replacement (practically
-			// unreachable: the old entry was just removed under the same
-			// control). Retire the name everywhere so shards stay
-			// consistent rather than half-swapped.
+			// A shard refused its replica (practically unreachable: names
+			// were checked under r.mu). Retire the name everywhere so
+			// shards stay consistent rather than half-installed.
 			_, _ = r.control(&control{kind: ctlRemove, name: name})
 			delete(r.queries, name)
 			return res.err
 		}
 	}
-	// The replacement's counters start fresh, exactly like a serial
-	// remove+add, so events-offered anchors at the swap point.
-	r.queries[name] = &queryInfo{name: name, placement: primary.Placement(), replicas: replicas, addedAt: c.offset}
+	o := offered{anchor: c.offset - counted, pausedAt: c.offset, paused: paused}
+	if old := r.queries[name]; old != nil && carry {
+		o = old.offered // engine.CarryStateFrom carries the counters too
+	}
+	r.queries[name] = &queryInfo{name: name, placement: primary.Placement(), replicas: replicas, offered: o}
 	return nil
 }
 
@@ -800,13 +784,16 @@ func (r *Runtime) Swap(primary *engine.Query, clone func() (*engine.Query, error
 func (r *Runtime) Pause(name string, paused bool) (bool, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.queries[name]; !ok {
+	qi, ok := r.queries[name]
+	if !ok {
 		return false, nil
 	}
-	results, err := r.control(&control{kind: ctlPause, name: name, paused: paused})
+	c := &control{kind: ctlPause, name: name, paused: paused}
+	results, err := r.control(c)
 	if err != nil {
 		return false, err
 	}
+	qi.offered.setPaused(paused, c.offset)
 	for _, res := range results {
 		if res.found {
 			return true, nil
@@ -848,11 +835,11 @@ func (r *Runtime) Placement(name string) (engine.Placement, bool) {
 
 // QueryStats aggregates a query's runtime counters across its replicas.
 // Windows closed aggregates by max (replicas observe identical window
-// cadence); disjoint counters (hits, matches, alerts) sum. Under partitioned
-// routing no replica is offered every event, so events-offered is derived
-// from the router's stream offsets (events routed while the query was
-// registered — pause periods included) rather than any replica's counter. It
-// keeps working after Close (counters freeze at their final values).
+// cadence); disjoint counters (hits, matches, alerts) sum. No replica is
+// offered every event, so events-offered is derived from the router's stream
+// offsets (events routed while the query was registered and not paused, see
+// offered) rather than any replica's counter. It keeps working after Close
+// (counters freeze at their final values).
 func (r *Runtime) QueryStats(name string) (engine.QueryStats, bool) {
 	r.mu.Lock()
 	qi, ok := r.queries[name]
@@ -862,8 +849,8 @@ func (r *Runtime) QueryStats(name string) (engine.QueryStats, bool) {
 	}
 	c := &control{kind: ctlStats, name: name}
 	results, err := r.control(c)
+	o, offset := qi.offered, c.offset
 	r.mu.Unlock()
-	offset := c.offset
 	if err != nil {
 		// Runtime closed: once the drain finishes the workers are gone,
 		// so the worker-confined replicas (and the routing goroutine's
@@ -887,9 +874,6 @@ func (r *Runtime) QueryStats(name string) (engine.QueryStats, bool) {
 		}
 		found = true
 		s := res.stats
-		if s.Events > out.Events {
-			out.Events = s.Events
-		}
 		if s.WindowsClosed > out.WindowsClosed {
 			out.WindowsClosed = s.WindowsClosed
 		}
@@ -900,8 +884,8 @@ func (r *Runtime) QueryStats(name string) (engine.QueryStats, bool) {
 		out.EvalErrors += s.EvalErrors
 		out.StateBytes += s.StateBytes
 	}
-	if r.part != nil && found {
-		out.Events = offset - qi.addedAt
+	if found {
+		out.Events = o.at(offset)
 	}
 	return out, found
 }
@@ -930,21 +914,6 @@ func (r *Runtime) Flush() ([]*engine.Alert, error) {
 // count. Alerts are raised on the shards (disjointly, by state ownership)
 // and summed.
 func (r *Runtime) SchedStats() scheduler.Stats {
-	if !r.preEval {
-		// Single shard, no shared-evaluation stage: the one shard's
-		// scheduler performed (and counted) all the work itself.
-		var out scheduler.Stats
-		for _, s := range r.shards {
-			st := s.sched.Stats()
-			out.Events += st.Events
-			out.StreamCopies += st.StreamCopies
-			out.NaiveCopies += st.NaiveCopies
-			out.PatternEvals += st.PatternEvals
-			out.NaivePatternEvals += st.NaivePatternEvals
-			out.Alerts += st.Alerts
-		}
-		return out
-	}
 	out := r.evalSched.Stats()
 	for _, s := range r.shards {
 		out.Alerts += s.sched.Stats().Alerts
@@ -954,23 +923,11 @@ func (r *Runtime) SchedStats() scheduler.Stats {
 
 // Groups reports the master–dependent grouping of the router's evaluation
 // scheduler, which holds an unfiltered replica of every registered query —
-// the same grouping a serial engine would compute. A single-shard runtime
-// has no evaluation scheduler; its one shard holds every query.
-func (r *Runtime) Groups() map[string][]string {
-	if !r.preEval {
-		return r.shards[0].sched.Groups()
-	}
-	return r.evalSched.Groups()
-}
+// the same grouping a serial engine would compute.
+func (r *Runtime) Groups() map[string][]string { return r.evalSched.Groups() }
 
-// GroupCount reports the evaluation scheduler's group count (the single
-// shard's on a one-shard runtime).
-func (r *Runtime) GroupCount() int {
-	if !r.preEval {
-		return r.shards[0].sched.GroupCount()
-	}
-	return r.evalSched.GroupCount()
-}
+// GroupCount reports the evaluation scheduler's group count.
+func (r *Runtime) GroupCount() int { return r.evalSched.GroupCount() }
 
 // ---------------------------------------------------------------------------
 // Shutdown
@@ -994,19 +951,15 @@ func (r *Runtime) Close() {
 		for {
 			select {
 			case env := <-r.ingest:
-				// route, not broadcast: drained events still need their
-				// hits computed (the router has already exited).
-				r.route(env)
+				r.route(env) // the router has exited; this goroutine routes now
 				continue
 			default:
 			}
 			break
 		}
-		if r.part != nil {
-			// Deliver whatever the drain (or the router, pre-quit) left
-			// buffered before the channels close.
-			r.part.flushAll()
-		}
+		// Deliver whatever the drain (or the router, pre-quit) left buffered
+		// before the channels close.
+		r.part.flushAll()
 		for _, s := range r.shards {
 			close(s.in)
 		}

@@ -76,10 +76,10 @@ func (l *Layout) slot(name string) int {
 }
 
 // HitSet carries one event's pattern-hit sets, computed once by an
-// evaluating scheduler (Evaluate) and consumed by any number of ingesting
-// schedulers (ProcessWithHits). Hits is indexed by Layout slot; a nil entry
-// means the query matched nothing. A HitSet is immutable after Evaluate
-// returns and safe to share across shards.
+// evaluating scheduler (EvaluateBatch) and consumed by any number of
+// ingesting schedulers (IngestRouted/TouchRouted). Hits is indexed by Layout
+// slot; a nil entry means the query matched nothing. A HitSet is immutable
+// once EvaluateBatch returns and safe to share across shards.
 type HitSet struct {
 	Layout *Layout
 	Hits   [][]int
@@ -118,16 +118,16 @@ type Scheduler struct {
 	// behaviour for experiments (every query becomes its own master).
 	sharing bool
 
-	// layout is this scheduler's own slot assignment (what Evaluate stamps
-	// onto HitSets); resolvedFor is the layout the group/dependent slot
-	// caches currently reflect — own layout when evaluating, the producer's
-	// layout when consuming foreign HitSets via ProcessWithHits.
+	// layout is this scheduler's own slot assignment (what EvaluateBatch
+	// stamps onto HitSets); resolvedFor is the layout the group/dependent
+	// slot caches currently reflect — own layout when evaluating, the
+	// producer's layout when consuming foreign HitSets.
 	layout      *Layout
 	resolvedFor *Layout
 	// bySlot inverts the resolved layout: slot index -> locally registered
 	// query (nil where the slot's query is not placed on this scheduler).
-	// The partitioned ingestion paths walk a HitSet's non-empty slots
-	// directly instead of iterating every group.
+	// The routed ingestion paths walk a HitSet's non-empty slots directly
+	// instead of iterating every group.
 	bySlot []*engine.Query
 	// procScratch is Process's reusable slot table: the serial path
 	// consumes the hits under the same lock hold, so the table never
@@ -378,8 +378,8 @@ func (s *Scheduler) GroupCount() int {
 }
 
 // Process feeds one event through every group and returns all alerts
-// raised: the serial path, equivalent to Evaluate followed by
-// ProcessWithHits under one lock hold.
+// raised: the serial reference path — evaluate, then fold into every active
+// query, under one lock hold — that the routed pipeline is tested against.
 func (s *Scheduler) Process(ev *event.Event) []*engine.Alert {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -398,25 +398,13 @@ func (s *Scheduler) Process(ev *event.Event) []*engine.Alert {
 	return alerts
 }
 
-// Evaluate computes the shard-agnostic half of Process: every group's
-// master pattern hits (once), refined into per-dependent residual hit sets.
-// It mutates no query state — only the sharing counters — so a single
-// evaluating scheduler can feed any number of ingesting schedulers that
-// hold replicas of the same queries. Returns nil when no query matched
-// (consumers treat a nil HitSet as all-empty).
-func (s *Scheduler) Evaluate(ev *event.Event) *HitSet {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.stats.Events++
-	var arena [][]int
-	if h := s.evaluateLocked(ev, &arena, 1); h != nil {
-		return &HitSet{Layout: s.layout, Hits: h}
-	}
-	return nil
-}
-
-// EvaluateBatch evaluates a whole submission batch under one lock hold,
-// returning one HitSet per event (nil entries where nothing matched). The
+// EvaluateBatch computes the shard-agnostic half of Process for a whole
+// submission batch under one lock hold: every group's master pattern hits
+// (once), refined into per-dependent residual hit sets. It mutates no query
+// state — only the sharing counters — so a single evaluating scheduler can
+// feed any number of ingesting schedulers that hold replicas of the same
+// queries. It returns one HitSet per event (nil entries where nothing
+// matched; consumers treat a nil HitSet as all-empty). The
 // HitSet headers and hit-slot slices are slab-allocated per batch, so the
 // pre-evaluation stage costs O(1) allocations per batch rather than per
 // event — it sits on the router's hot path in front of every shard.
@@ -432,39 +420,10 @@ func (s *Scheduler) EvaluateBatch(evs []*event.Event) []*HitSet {
 	return s.evaluateBatchLocked(evs)
 }
 
-// ProcessBatch is the serial (single-shard) counterpart of the pre-eval +
-// ProcessWithHits split: it evaluates the whole batch in the same columnar
-// order as EvaluateBatch — reusing this scheduler's own compiled programs —
-// then folds each event into query state in stream order. Alert-for-alert
-// and counter-for-counter it equals calling Process once per event: pattern
-// evaluation is stateless, and pause flags only flip under the scheduler
-// lock, which is held for the whole batch.
-func (s *Scheduler) ProcessBatch(evs []*event.Event) []*engine.Alert {
-	if len(evs) == 0 {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.stats.Events += int64(len(evs))
-	hsets := s.evaluateBatchLocked(evs)
-	var alerts []*engine.Alert
-	for i, ev := range evs {
-		var layout *Layout
-		var hits [][]int
-		if hsets[i] != nil {
-			layout = hsets[i].Layout
-			hits = hsets[i].Hits
-		}
-		alerts = append(alerts, s.ingestLocked(ev, layout, hits)...)
-	}
-	return alerts
-}
-
-// evaluateBatchLocked is the columnar core of EvaluateBatch/ProcessBatch.
-// For each group, the master's patterns sweep the entire batch first
-// (engine.MatchBatch writes per-event hit bitmasks, materialised into
-// arena-carved index slices), then each dependent refines the master's hits
-// across the batch. The hit sets, slot tables, and HitSet headers for the
+// evaluateBatchLocked is the columnar core of EvaluateBatch. For each group,
+// the master's patterns sweep the entire batch first (engine.MatchBatch
+// writes per-event hit bitmasks, materialised into arena-carved index
+// slices), then each dependent refines the master's hits across the batch. The hit sets, slot tables, and HitSet headers for the
 // whole batch come from three slab allocations. Counters are maintained
 // exactly as the event-major loop did — per-group constants multiplied by
 // the batch length, residual evaluations counted as they happen — so stats
@@ -604,8 +563,8 @@ func (s *Scheduler) evaluateBatchLocked(evs []*event.Event) []*HitSet {
 // every active query's state using hit sets computed elsewhere (by an
 // evaluating scheduler over replicas of the same queries, at the same point
 // of the same total event order). Queries absent from the HitSet's layout
-// ingest with no hits — for stateful queries that is exactly the watermark
-// Touch that keeps window cadence identical on every shard.
+// ingest with no hits. No engine path calls it: the repo benchmark's staged
+// replica (bench/staged.go) times the fold layer on its own through it.
 func (s *Scheduler) ProcessWithHits(ev *event.Event, hs *HitSet) []*engine.Alert {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -723,15 +682,17 @@ func (s *Scheduler) ingestLocked(ev *event.Event, layout *Layout, hits [][]int) 
 
 // IngestRouted folds one delivered event into exactly the queries its hit
 // set names: the partitioned router's ingestion path, where a shard receives
-// only the events whose state it owns. Each stateful target is first
-// advanced to wm — the stream watermark the router observed just before this
-// event — so windows close at the same stream points as in the serial
-// engine, where every event advances every query's watermark. Queries with
-// no hits are left alone here; AdvanceAll at the batch boundary brings them
-// to the stream watermark.
+// only the events whose state it owns. ownsEvent reports whether the router
+// named this shard the event's by-event owner; by-event replicas fold only
+// then (the event may have been delivered for another query's sake). Each
+// stateful target is first advanced to wm — the stream watermark the router
+// observed just before this event — so windows close at the same stream
+// points as in the serial engine, where every event advances every query's
+// watermark. Queries with no hits are left alone here; AdvanceAll at the
+// batch boundary brings them to the stream watermark.
 //
 //saql:hotpath
-func (s *Scheduler) IngestRouted(ev *event.Event, hs *HitSet, wm time.Time, hasWM bool) []*engine.Alert {
+func (s *Scheduler) IngestRouted(ev *event.Event, hs *HitSet, wm time.Time, hasWM, ownsEvent bool) []*engine.Alert {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.stats.Events++
@@ -743,6 +704,9 @@ func (s *Scheduler) IngestRouted(ev *event.Event, hs *HitSet, wm time.Time, hasW
 		}
 		q := s.bySlot[slot]
 		if q == nil || q.Paused() {
+			continue
+		}
+		if !ownsEvent && !q.Stateful() && q.Placement() == engine.PlaceByEvent {
 			continue
 		}
 		if hasWM {
@@ -757,9 +721,8 @@ func (s *Scheduler) IngestRouted(ev *event.Event, hs *HitSet, wm time.Time, hasW
 // TouchRouted opens (and later closes) windows for the stateful queries a
 // hit set names without folding any state: the partitioned router sends it
 // to the shards that hold a replica of a hit query but do not own the
-// event's group, replacing the full envelope the broadcast router shipped.
-// Window cadence — open instants, close counts, empty-snapshot backfill —
-// thereby stays identical on every replica.
+// event's group. Window cadence — open instants, close counts,
+// empty-snapshot backfill — thereby stays identical on every replica.
 //
 //saql:hotpath
 func (s *Scheduler) TouchRouted(at time.Time, hs *HitSet, wm time.Time, hasWM bool) []*engine.Alert {

@@ -254,10 +254,11 @@ func TestPausedMasterStillFeedsDependents(t *testing.T) {
 	}
 }
 
-// Evaluate + ProcessWithHits across replica schedulers must be
-// alert-for-alert identical to serial Process, with pattern evaluation
-// counted only on the evaluating side.
-func TestEvaluateProcessWithHitsEquivalence(t *testing.T) {
+// EvaluateBatch + IngestRouted across replica schedulers — the runtime's
+// evaluate→fold split — must be alert-for-alert identical to serial Process,
+// with pattern evaluation counted only on the evaluating side. The
+// benchmark-only ProcessWithHits fold is held to the same bar.
+func TestEvaluateBatchIngestRoutedEquivalence(t *testing.T) {
 	mk := func() *Scheduler {
 		s := New(nil, true)
 		_ = s.Add(compile(t, "weak", qAnyStart))
@@ -266,37 +267,83 @@ func TestEvaluateProcessWithHitsEquivalence(t *testing.T) {
 		_ = s.Add(compile(t, "other", qWriteIP))
 		return s
 	}
-	serial, evalSide, ingestSide := mk(), mk(), mk()
+	serial, evalSide, routedSide, hitsSide := mk(), mk(), mk(), mk()
 
-	got := map[string]int{}
-	want := map[string]int{}
-	for _, ev := range startEvents() {
+	evs := startEvents()
+	want, routed, withHits := map[string]int{}, map[string]int{}, map[string]int{}
+	for _, ev := range evs {
 		for _, a := range serial.Process(ev) {
 			want[a.Query]++
 		}
-		hs := evalSide.Evaluate(ev)
-		for _, a := range ingestSide.ProcessWithHits(ev, hs) {
-			got[a.Query]++
+	}
+	var wm time.Time
+	for i, hs := range evalSide.EvaluateBatch(evs) {
+		ev := evs[i]
+		if hs != nil { // the router buffers no entry for an event that hit nothing
+			for _, a := range routedSide.IngestRouted(ev, hs, wm, i > 0, true) {
+				routed[a.Query]++
+			}
 		}
+		for _, a := range hitsSide.ProcessWithHits(ev, hs) {
+			withHits[a.Query]++
+		}
+		if ev.Time.After(wm) {
+			wm = ev.Time
+		}
+	}
+	for _, a := range routedSide.AdvanceAll(wm) {
+		routed[a.Query]++
 	}
 	if len(want) == 0 {
 		t.Fatal("serial run produced no alerts")
 	}
 	for k := range want {
-		if got[k] != want[k] {
-			t.Errorf("query %s: split=%d serial=%d", k, got[k], want[k])
+		if routed[k] != want[k] || withHits[k] != want[k] {
+			t.Errorf("query %s: routed=%d with-hits=%d serial=%d", k, routed[k], withHits[k], want[k])
 		}
 	}
-	es, is := evalSide.Stats(), ingestSide.Stats()
-	if es.PatternEvals != serial.Stats().PatternEvals {
+	if es := evalSide.Stats(); es.PatternEvals != serial.Stats().PatternEvals {
 		t.Errorf("eval-side PatternEvals = %d, serial = %d", es.PatternEvals, serial.Stats().PatternEvals)
 	}
-	if is.PatternEvals != 0 {
-		t.Errorf("ingest-side PatternEvals = %d, want 0", is.PatternEvals)
+	for name, side := range map[string]*Scheduler{"routed": routedSide, "with-hits": hitsSide} {
+		if n := side.Stats().PatternEvals; n != 0 {
+			t.Errorf("%s-side PatternEvals = %d, want 0", name, n)
+		}
 	}
 }
 
-// A registry change between Evaluate and a later event re-stamps the
+// A by-event replica folds a delivered event only on the shard the router
+// named its owner: the same entry may reach other shards for other queries.
+func TestIngestRoutedByEventOwnership(t *testing.T) {
+	evalSide, ingestSide := New(nil, true), New(nil, true)
+	for _, s := range []*Scheduler{evalSide, ingestSide} {
+		_ = s.Add(compile(t, "by-event", qWriteIP))
+		_ = s.Add(compile(t, "pinned", `proc p write ip i as e return distinct p`))
+	}
+	ev := &event.Event{
+		Time: base, AgentID: "h", Subject: event.Process("x.exe", 1), Op: event.OpWrite,
+		Object: event.NetConn("1.1.1.1", 1, "2.2.2.2", 2), Amount: 10,
+	}
+	hs := evalSide.EvaluateBatch([]*event.Event{ev})[0]
+	if hs == nil {
+		t.Fatal("no hits for a matching event")
+	}
+	count := func(alerts []*engine.Alert) map[string]int {
+		out := map[string]int{}
+		for _, a := range alerts {
+			out[a.Query]++
+		}
+		return out
+	}
+	if got := count(ingestSide.IngestRouted(ev, hs, time.Time{}, false, false)); got["by-event"] != 0 || got["pinned"] != 1 {
+		t.Errorf("non-owner delivery alerts = %v, want only the pinned query", got)
+	}
+	if got := count(ingestSide.IngestRouted(ev, hs, time.Time{}, false, true)); got["by-event"] != 1 {
+		t.Errorf("owner delivery alerts = %v, want the by-event query to fire", got)
+	}
+}
+
+// A registry change between EvaluateBatch and a later event re-stamps the
 // layout; hit sets computed under the old layout must still resolve
 // correctly on a consumer that applied the same change.
 func TestHitSetLayoutVersioning(t *testing.T) {
@@ -307,7 +354,7 @@ func TestHitSetLayoutVersioning(t *testing.T) {
 		_ = s.Add(compile(t, "strict", qCmdOsql))
 	}
 	evs := startEvents()
-	hs1 := evalSide.Evaluate(evs[0])
+	hs1 := evalSide.EvaluateBatch(evs[:1])[0]
 	if hs1 == nil || hs1.Layout == nil {
 		t.Fatal("no hits for a matching event")
 	}
@@ -322,7 +369,7 @@ func TestHitSetLayoutVersioning(t *testing.T) {
 	if err := ingestSide.Swap("strict", repl2, false); err != nil {
 		t.Fatal(err)
 	}
-	hs2 := evalSide.Evaluate(evs[0])
+	hs2 := evalSide.EvaluateBatch(evs[:1])[0]
 	if hs2 == nil || hs2.Layout.Version <= v1 {
 		t.Fatalf("layout version not bumped by swap: %v -> %v", v1, hs2.Layout.Version)
 	}
@@ -330,7 +377,7 @@ func TestHitSetLayoutVersioning(t *testing.T) {
 		t.Fatal("swap must produce a fresh layout")
 	}
 	// The consumer resolves against whichever layout each HitSet carries.
-	if alerts := ingestSide.ProcessWithHits(evs[0], hs2); len(alerts) != 2 {
+	if alerts := ingestSide.IngestRouted(evs[0], hs2, time.Time{}, false, true); len(alerts) != 2 {
 		t.Errorf("alerts after swap = %d, want 2 (weak + swapped strict)", len(alerts))
 	}
 }
