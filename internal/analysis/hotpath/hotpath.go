@@ -5,8 +5,12 @@
 // scheduler.EvaluateBatch's columnar core and the routed fold
 // IngestRouted/TouchRouted/AdvanceAll), the serial reference's
 // evaluateLocked/ingestLocked, engine.MatchBatch/HitGroupKeys, the compiled
-// predicate programs, the codec intern table, the wire.Reader decode loop,
-// window assignment, the history ring — are
+// predicate programs, the codec intern table (string- and bytes-keyed
+// lookups, the per-line counter publish), the ndjson scanner's per-line
+// functions (scan/check/fill, the object/member walk, the value readers and
+// the RFC 3339 fast parser — backing TestNDJSONDecodeAllocsGate: ≤2
+// allocs/line), the wire.Reader decode loop, window assignment, the history
+// ring — are
 // rejected if they contain the allocation shapes that have historically
 // crept into those paths:
 //

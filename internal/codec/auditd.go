@@ -429,7 +429,11 @@ func parseAuditStamp(stamp string) (time.Time, string, error) {
 	if err != nil {
 		return time.Time{}, "", fmt.Errorf("auditd: bad audit timestamp %q", tsPart)
 	}
-	return unixFloat(secs), stamp, nil
+	t, err := unixFloat(secs)
+	if err != nil {
+		return time.Time{}, "", fmt.Errorf("auditd: bad audit timestamp %q: %w", tsPart, err)
+	}
+	return t, stamp, nil
 }
 
 // parseAuditFields splits a record body into key=value pairs. Values may be

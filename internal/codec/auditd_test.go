@@ -187,6 +187,12 @@ type=EOE msg=audit(1582794042.000:402):`
 		`type=SYSCALL msg=audit(couldbeanything): pid=1`,
 		`type=SYSCALL msg=audit(1582794050.000:500`,
 		`node=db-1`,
+		// Stamps no calendar holds (ParseFloat reads all of these): they
+		// used to become implementation-defined garbage instants.
+		`type=SYSCALL msg=audit(1e300:501): syscall=59 success=yes exit=0 pid=1 comm="a" exe="/a"`,
+		`type=SYSCALL msg=audit(9e18:502): syscall=59 success=yes exit=0 pid=1 comm="a" exe="/a"`,
+		`type=SYSCALL msg=audit(NaN:503): syscall=59 success=yes exit=0 pid=1 comm="a" exe="/a"`,
+		`type=SYSCALL msg=audit(-Inf:504): syscall=59 success=yes exit=0 pid=1 comm="a" exe="/a"`,
 	} {
 		if _, err := dec.Decode([]byte(line)); err == nil {
 			t.Errorf("Decode(%q) should fail", line)

@@ -48,6 +48,11 @@ type Decoder interface {
 	// a non-event record, a buffered partial group, or a valid record that
 	// maps to nothing in the event model. A non-nil error reports a
 	// malformed or undecodable line; the decoder remains usable.
+	//
+	// The returned slice is valid until the next Decode/Flush call (a
+	// decoder may hand back the same backing array every time); the events
+	// it points to are the caller's for good, and nothing in them aliases
+	// line, which the caller may overwrite as soon as Decode returns.
 	Decode(line []byte) ([]*event.Event, error)
 	// Flush emits the events of any buffered partial state (end of stream).
 	// Groups too incomplete to build an event are discarded.

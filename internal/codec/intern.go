@@ -41,6 +41,11 @@ type InternStats struct {
 type internTable struct {
 	m     map[string]internEntry
 	stats *InternStats // optional per-consumer counters (nil: globals only)
+
+	// Lookups since the last publish. The shared counters are atomics other
+	// goroutines read, so they are bumped once per decoded line, not once
+	// per attribute.
+	hits, misses int64
 }
 
 // internEntry is one cached value: the canonical string plus its global
@@ -64,21 +69,41 @@ func (t *internTable) val(s string) (string, uint32) {
 		return s, 0
 	}
 	if e, ok := t.m[s]; ok {
-		symtab.RecordHit()
-		if t.stats != nil {
-			t.stats.Hits.Add(1)
-		}
+		t.hits++
 		return e.s, e.sym
 	}
-	symtab.RecordMiss()
-	if t.stats != nil {
-		t.stats.Misses.Add(1)
+	return t.add(s)
+}
+
+// bytes is val for a value still sitting in the decoder's input: a repeat
+// resolves to the canonical string without b ever becoming one (the map
+// lookup converts in place), so only first-sight and over-long values are
+// copied.
+//
+//saql:hotpath
+func (t *internTable) bytes(b []byte) (string, uint32) {
+	if len(b) == 0 {
+		return "", 0
 	}
+	if len(b) > internMaxLen {
+		return string(b), 0
+	}
+	if e, ok := t.m[string(b)]; ok {
+		t.hits++
+		return e.s, e.sym
+	}
+	return t.add(string(b))
+}
+
+// add caches a first-sight value (unless the table is full) and returns it
+// with its symbol ID.
+func (t *internTable) add(s string) (string, uint32) {
+	t.misses++
 	if len(t.m) >= internMaxEntries {
 		return s, 0
 	}
 	if t.m == nil {
-		t.m = make(map[string]internEntry) //saql:coldpath one-time lazy init, amortized over the stream
+		t.m = make(map[string]internEntry)
 	}
 	e := internEntry{s: s, sym: symtab.Intern(s)}
 	t.m[s] = e
@@ -86,6 +111,25 @@ func (t *internTable) val(s string) (string, uint32) {
 		t.stats.Entries.Add(1)
 	}
 	return e.s, e.sym
+}
+
+// publish moves the lookups counted since the last call into the shared
+// counters: the process-global dictionary totals and this consumer's own.
+//
+//saql:hotpath
+func (t *internTable) publish() {
+	// Misses all but vanish once a stream's values have been seen, and a
+	// locked add of zero costs as much as any other: touch what moved.
+	symtab.RecordLookups(t.hits, t.misses)
+	if s := t.stats; s != nil {
+		if t.hits != 0 {
+			s.Hits.Add(t.hits)
+		}
+		if t.misses != 0 {
+			s.Misses.Add(t.misses)
+		}
+	}
+	t.hits, t.misses = 0, 0
 }
 
 // str returns the canonical copy of s, caching it on first sight.
@@ -115,4 +159,5 @@ func (t *internTable) intern(ev *event.Event) {
 	ev.AgentID, ev.AgentSym = t.val(ev.AgentID)
 	t.entity(&ev.Subject)
 	t.entity(&ev.Object)
+	t.publish()
 }

@@ -92,6 +92,86 @@ func TestNDJSONRoundTrip(t *testing.T) {
 	if conn.DstIP != "172.16.0.129" || conn.DstPort != 443 || conn.SrcPort != 49233 || conn.Protocol != "udp" {
 		t.Errorf("conn = %+v", conn)
 	}
+
+	// Every accepted line of the edge table decodes to one event, and the
+	// ones whose value is the point carry it.
+	checks := map[string]func(*event.Event) bool{
+		"escapes in exe and path": func(e *event.Event) bool {
+			return e.Subject.ExeName == "a\"b\\c/d\b\f\n\r\t.exe" && e.Object.Path == `C:\db\é世.dmp`
+		},
+		"surrogate pair":      func(e *event.Event) bool { return e.Subject.ExeName == "😀.exe" && e.Object.Path == "/😀" },
+		"lone high surrogate": func(e *event.Event) bool { return e.Subject.ExeName == "\ufffdx" },
+		"invalid UTF-8": func(e *event.Event) bool {
+			return e.AgentID == "h\ufffd\ufffd" && e.Subject.ExeName == "a\ufffd" && e.Object.Path == "/\ufffd\ufffd\ufffd"
+		},
+		"case-variant keys": func(e *event.Event) bool { return e.AgentID == "H" && e.Subject.PID == 3 && e.Amount == 2 },
+		"long-s folds onto s": func(e *event.Event) bool {
+			return e.Subject.User == "u" && e.Object.DstIP == "1.2.3.4" && e.Object.SrcPort == 9
+		},
+		"duplicate keys: last wins": func(e *event.Event) bool {
+			return e.AgentID == "b" && e.Op == event.OpRead && e.Amount == 2 && e.Time.Equal(time.Date(2020, 2, 27, 9, 0, 0, 0, time.UTC))
+		},
+		"repeated subject merges": func(e *event.Event) bool {
+			return e.Subject.ExeName == "a" && e.Subject.PID == 2 && e.Subject.User == "u"
+		},
+		"null then subject":          func(e *event.Event) bool { return e.Subject.ExeName == "b" && e.Subject.User == "" },
+		"null scalars are untouched": func(e *event.Event) bool { return e.AgentID == "h" && e.Subject.PID == 4 && e.Amount == 3 },
+		"empty agent falls to host":  func(e *event.Event) bool { return e.AgentID == "h1" },
+		"ts 12-digit fraction":       func(e *event.Event) bool { return e.Time.Nanosecond() == 123456789 },
+		"ts offset form":             func(e *event.Event) bool { return e.Time.Equal(time.Date(2020, 2, 27, 3, 30, 3, 0, time.UTC)) },
+		"ip aliases and default proto": func(e *event.Event) bool {
+			return e.Object.Type == event.EntityNetConn && e.Object.Protocol == "tcp" && e.Op == event.OpRead
+		},
+	}
+	seen := 0
+	for _, c := range ndjsonEdgeLines() {
+		if !c.ok {
+			continue
+		}
+		evs, errs := decodeAll(t, "ndjson", Options{DefaultAgent: "fallback-host"}, strings.ReplaceAll(c.line, "\n", " "))
+		if len(errs) != 0 || len(evs) != 1 {
+			t.Errorf("%s: %d events, errors %v", c.name, len(evs), errs)
+			continue
+		}
+		if check := checks[c.name]; check != nil {
+			if seen++; !check(evs[0]) {
+				t.Errorf("%s: decoded %+v", c.name, *evs[0])
+			}
+		}
+	}
+	if seen != len(checks) {
+		t.Errorf("checked %d named edge lines, want %d (a table entry was renamed?)", seen, len(checks))
+	}
+}
+
+// TestNDJSONDecodeOwnership pins the two halves of Decode's contract: the
+// returned slice is the decoder's and is overwritten by the next call, while
+// the events — and every string in them — are the caller's and alias neither
+// the input line nor the decoder's scratch.
+func TestNDJSONDecodeOwnership(t *testing.T) {
+	dec, _ := New("ndjson", Options{})
+	line := []byte(`{"ts":5,"agent":"h-one","subject":{"exe":"first.exe","pid":1,"cmdline":"a \"b\""},"op":"read","object":{"type":"file","path":"/p\u0031"}}`)
+	out1, err := dec.Decode(line)
+	if err != nil || len(out1) != 1 {
+		t.Fatalf("Decode: %d events, err %v", len(out1), err)
+	}
+	first := out1[0]
+	for i := range line {
+		line[i] = 'X'
+	}
+	out2, err := dec.Decode([]byte(`{"ts":6,"agent":"h-two","subject":{"exe":"second.exe","pid":2,"cmdline":"c \"d\""},"op":"read","object":{"type":"file","path":"/q\u0032"}}`))
+	if err != nil || len(out2) != 1 {
+		t.Fatalf("Decode: %d events, err %v", len(out2), err)
+	}
+	if out1[0] != out2[0] {
+		t.Errorf("the returned slice is documented to be reused across calls")
+	}
+	if first == out2[0] {
+		t.Fatalf("events were recycled")
+	}
+	if first.AgentID != "h-one" || first.Subject.ExeName != "first.exe" || first.Subject.CmdLine != `a "b"` || first.Object.Path != "/p1" {
+		t.Errorf("first event changed under a later Decode or a reused input buffer: %+v", *first)
+	}
 }
 
 func TestNDJSONMalformedLines(t *testing.T) {
@@ -117,6 +197,15 @@ func TestNDJSONMalformedLines(t *testing.T) {
 			t.Errorf("Decode(%q) emitted events alongside error", line)
 		}
 	}
+	for _, c := range ndjsonEdgeLines() {
+		if c.ok {
+			continue
+		}
+		evs, err := dec.Decode([]byte(c.line))
+		if err == nil || len(evs) != 0 {
+			t.Errorf("%s: Decode(%q) = %d events, err %v; want an error and none", c.name, c.line, len(evs), err)
+		}
+	}
 	// The decoder stays usable after errors; blank lines are skipped.
 	for _, line := range []string{"", "   ", "\t"} {
 		if evs, err := dec.Decode([]byte(line)); err != nil || len(evs) != 0 {
@@ -125,5 +214,57 @@ func TestNDJSONMalformedLines(t *testing.T) {
 	}
 	if evs, err := dec.Decode([]byte(`{"ts":1,"subject":{"exe":"a","pid":1},"op":"read","object":{"type":"file","path":"/x"},"amount":3}`)); err != nil || len(evs) != 1 {
 		t.Fatalf("decoder unusable after errors: evs=%d err=%v", len(evs), err)
+	}
+}
+
+// benchLines is one line per object kind, shaped like a collector's output:
+// every hot attribute repeats, path and cmdline do not.
+var benchLines = [][]byte{
+	[]byte(`{"ts":"2020-02-27T09:00:00.123456789Z","agent":"ws-07","subject":{"exe":"explorer.exe","pid":4120,"user":"alice"},"op":"start","object":{"type":"proc","exe":"cmd.exe","pid":4121,"cmdline":"cmd /c whoami"},"amount":0}`),
+	[]byte(`{"ts":"2020-02-27T09:00:00.223456789Z","agent":"db-01","subject":{"exe":"sqlservr.exe","pid":1680},"op":"write","object":{"type":"file","path":"C:\\db\\backup1.dmp"},"amount":52428800}`),
+	[]byte(`{"ts":"2020-02-27T09:00:00.323456789Z","agent":"web-03","subject":{"exe":"nginx","pid":811},"op":"send","object":{"type":"ip","src_ip":"10.10.0.5","src_port":49233,"dst_ip":"172.16.0.129","dst_port":443,"proto":"tcp"},"amount":1500}`),
+}
+
+// TestNDJSONDecodeAllocsGate holds steady-state decoding to the event itself
+// plus its un-interned path or cmdline: at most two allocations per line once
+// the intern table has seen the stream's hot values.
+func TestNDJSONDecodeAllocsGate(t *testing.T) {
+	dec, err := New("ndjson", Options{Intern: new(InternStats)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	decodeAll := func() {
+		for _, line := range benchLines {
+			if evs, err := dec.Decode(line); err != nil || len(evs) != 1 {
+				t.Fatalf("Decode(%s): %d events, err %v", line, len(evs), err)
+			}
+		}
+	}
+	decodeAll() // warm the intern table
+	perLine := testing.AllocsPerRun(100, decodeAll) / float64(len(benchLines))
+	t.Logf("ndjson decode: %.2f allocs/line", perLine)
+	if perLine > 2 {
+		t.Fatalf("ndjson decode allocates %.2f/line, gate is 2/line", perLine)
+	}
+}
+
+var benchSink []*event.Event
+
+func BenchmarkDecodeNDJSON(b *testing.B) {
+	dec, err := New("ndjson", Options{Intern: new(InternStats)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var size int
+	for _, line := range benchLines {
+		size += len(line)
+	}
+	b.SetBytes(int64(size / len(benchLines)))
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		benchSink, err = dec.Decode(benchLines[i%len(benchLines)])
+		if err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -101,27 +101,36 @@ func (o Op) String() string {
 
 // ParseOp maps a SAQL keyword to an operation.
 func ParseOp(s string) (Op, error) {
+	if op := LookupOp(s); op != OpInvalid {
+		return op, nil
+	}
+	return OpInvalid, fmt.Errorf("event: unknown operation %q", s)
+}
+
+// LookupOp is ParseOp without the error: OpInvalid for an unknown keyword.
+// s does not escape, so a decoder can pass string(bytes) without allocating.
+func LookupOp(s string) Op {
 	switch s {
 	case "read", "recv":
-		return OpRead, nil
+		return OpRead
 	case "write", "send":
-		return OpWrite, nil
+		return OpWrite
 	case "execute", "exec":
-		return OpExecute, nil
+		return OpExecute
 	case "start", "fork", "spawn":
-		return OpStart, nil
+		return OpStart
 	case "end", "exit", "terminate":
-		return OpEnd, nil
+		return OpEnd
 	case "delete", "unlink":
-		return OpDelete, nil
+		return OpDelete
 	case "rename":
-		return OpRename, nil
+		return OpRename
 	case "connect":
-		return OpConnect, nil
+		return OpConnect
 	case "accept":
-		return OpAccept, nil
+		return OpAccept
 	default:
-		return OpInvalid, fmt.Errorf("event: unknown operation %q", s)
+		return OpInvalid
 	}
 }
 

@@ -288,28 +288,37 @@ func (b *batcher) submit(batch []*event.Event) error {
 // ---------------------------------------------------------------------------
 
 // lineFeeder splits a byte stream into lines, decodes them, and feeds the
-// batcher. A line longer than maxLineBytes is discarded (counted as one
-// decode error) rather than terminating the source, honouring the contract
-// that bad input never stops ingestion.
+// batcher one read page at a time: the events of every line a page completes
+// reach the batcher in a single add. A line longer than maxLineBytes is
+// discarded (counted as one decode error) rather than terminating the
+// source, honouring the contract that bad input never stops ingestion.
 type lineFeeder struct {
 	dec       codec.Decoder
 	b         *batcher
 	ctr       *counters
 	onErr     func(error)
-	tail      []byte // partial line awaiting its newline
-	discardTo bool   // inside an over-long line, dropping until newline
+	tail      []byte         // partial line awaiting its newline
+	discardTo bool           // inside an over-long line, dropping until newline
+	evs       []*event.Event // events of the page being fed
+	lines     int64          // lines of the page being fed
 }
 
-// feedLine hands one complete line to the codec.
-func (lf *lineFeeder) feedLine(line []byte) error {
-	line = bytes.TrimSuffix(line, []byte("\r"))
-	lf.ctr.lines.Add(1)
-	evs, err := lf.dec.Decode(line)
+// line hands one complete line to the codec, collecting what it emits.
+func (lf *lineFeeder) line(line []byte) {
+	lf.lines++
+	if len(line) > maxLineBytes {
+		lf.decodeError(errLineTooLong)
+		return
+	}
+	evs, err := lf.dec.Decode(bytes.TrimSuffix(line, []byte("\r")))
 	if err != nil {
 		lf.decodeError(err)
 	}
-	return lf.b.add(evs)
+	// Decode's slice is only good until the next call; the events are ours.
+	lf.evs = append(lf.evs, evs...)
 }
+
+var errLineTooLong = fmt.Errorf("source: line exceeds %d bytes, discarded", maxLineBytes)
 
 func (lf *lineFeeder) decodeError(err error) {
 	lf.ctr.decodeErrors.Add(1)
@@ -318,46 +327,57 @@ func (lf *lineFeeder) decodeError(err error) {
 	}
 }
 
-// feed consumes one chunk of raw bytes, emitting every completed line.
-func (lf *lineFeeder) feed(chunk []byte) error {
-	lf.tail = append(lf.tail, chunk...)
+// submit passes the page's events and line count on.
+func (lf *lineFeeder) submit() error {
+	lf.ctr.lines.Add(lf.lines)
+	err := lf.b.add(lf.evs)
+	clear(lf.evs) // the batcher copied them; do not pin them until the next page
+	lf.evs, lf.lines = lf.evs[:0], 0
+	return err
+}
+
+// feed consumes one page of raw bytes, emitting every line it completes.
+// Lines are decoded where they sit in the page; only a line that straddles
+// pages is assembled in tail.
+func (lf *lineFeeder) feed(page []byte) error {
 	for {
-		i := bytes.IndexByte(lf.tail, '\n')
+		i := bytes.IndexByte(page, '\n')
 		if i < 0 {
 			break
 		}
-		line := lf.tail[:i]
-		rest := lf.tail[i+1:]
-		if lf.discardTo {
-			// End of an over-long line: drop it and resume normally.
-			lf.discardTo = false
-		} else if err := lf.feedLine(line); err != nil {
-			lf.tail = rest
-			return err
+		line := page[:i]
+		page = page[i+1:]
+		switch {
+		case lf.discardTo:
+			lf.discardTo = false // the over-long line this ends is already counted
+		case len(lf.tail) > 0:
+			lf.tail = append(lf.tail, line...)
+			lf.line(lf.tail)
+			lf.tail = lf.tail[:0]
+		default:
+			lf.line(line)
 		}
-		lf.tail = rest
 	}
-	// Keep only the partial tail; release the consumed prefix.
-	lf.tail = append([]byte(nil), lf.tail...)
-	if !lf.discardTo && len(lf.tail) > maxLineBytes {
-		lf.ctr.lines.Add(1)
-		lf.decodeError(fmt.Errorf("source: line exceeds %d bytes, discarded", maxLineBytes))
-		lf.discardTo = true
+	if !lf.discardTo {
+		lf.tail = append(lf.tail, page...)
+		if len(lf.tail) > maxLineBytes {
+			lf.lines++
+			lf.decodeError(errLineTooLong)
+			lf.discardTo = true
+			lf.tail = nil
+		}
 	}
-	if lf.discardTo {
-		lf.tail = lf.tail[:0]
-	}
-	return nil
+	return lf.submit()
 }
 
 // finish handles end of stream: a trailing unterminated line is decoded.
 func (lf *lineFeeder) finish() error {
-	if lf.discardTo || len(lf.tail) == 0 {
+	if len(lf.tail) == 0 {
 		return nil
 	}
-	err := lf.feedLine(lf.tail)
+	lf.line(lf.tail)
 	lf.tail = nil
-	return err
+	return lf.submit()
 }
 
 // pump reads r line by line through dec into b until EOF or ctx is done.

@@ -3,9 +3,11 @@ package source
 import (
 	"context"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -311,6 +313,202 @@ func TestOverlongLineIsSkippedNotFatal(t *testing.T) {
 	st := src.Stats()
 	if st.DecodeErrors != 1 {
 		t.Fatalf("decode errors = %d, want 1", st.DecodeErrors)
+	}
+}
+
+// chunkReader hands its data out at most n bytes per Read, so a test chooses
+// where the source's read pages fall.
+type chunkReader struct {
+	data []byte
+	n    int
+}
+
+func (r *chunkReader) Read(p []byte) (int, error) {
+	if len(r.data) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p[:min(len(p), r.n)], r.data)
+	r.data = r.data[n:]
+	return n, nil
+}
+
+// paddedLine is a decodable line of exactly n bytes: JSON whitespace before
+// the closing brace makes up the length.
+func paddedLine(t *testing.T, n int, path string) string {
+	t.Helper()
+	line := ndLine(1, "a", 1, path)
+	if len(line) > n {
+		t.Fatalf("cannot pad a %d-byte line down to %d", len(line), n)
+	}
+	return line[:len(line)-1] + strings.Repeat(" ", n-len(line)) + "}"
+}
+
+// TestMaxLineBytesBoundsCompleteLines: the bound holds for a line however
+// the reads deliver it — whole in one page with its newline (where it used
+// to slip through at up to maxLineBytes plus a page), or across pages. A
+// line of exactly maxLineBytes is decoded; one byte more is one decode error
+// and the stream goes on.
+func TestMaxLineBytesBoundsCompleteLines(t *testing.T) {
+	atBound := paddedLine(t, maxLineBytes, "/at-bound")
+	overBound := paddedLine(t, maxLineBytes+1, "/over-bound")
+	input := atBound + "\n" + overBound + "\n" + ndLine(2, "a", 1, "/after") + "\n"
+
+	// 64 KiB reads fill the source's page, so each long line crosses many
+	// pages and ends a few bytes into one; small odd reads move where.
+	for _, chunk := range []int{64 * 1024, 4093} {
+		t.Run(fmt.Sprintf("read=%d", chunk), func(t *testing.T) {
+			var errs []error
+			src, err := FromReader(&chunkReader{data: []byte(input), n: chunk}, Config{
+				Format: "ndjson", OnError: func(e error) { errs = append(errs, e) },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var dst sink
+			if err := src.Run(context.Background(), &dst); err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			checkBoundRun(t, dst.events(), src.Stats(), errs)
+		})
+	}
+
+	// The whole input as one page: every newline arrives with its line.
+	t.Run("one page", func(t *testing.T) {
+		var errs []error
+		src, err := FromReader(strings.NewReader(""), Config{Format: "ndjson"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec, err := src.newDecoder()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var dst sink
+		b := &batcher{cfg: src.cfg, ctr: &src.ctr, dst: &dst}
+		lf := &lineFeeder{dec: dec, b: b, ctr: &src.ctr, onErr: func(e error) { errs = append(errs, e) }}
+		if err := lf.feed([]byte(input)); err != nil {
+			t.Fatal(err)
+		}
+		if err := lf.finish(); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.flush(); err != nil {
+			t.Fatal(err)
+		}
+		checkBoundRun(t, dst.events(), src.Stats(), errs)
+	})
+}
+
+func checkBoundRun(t *testing.T, evs []*event.Event, st Stats, errs []error) {
+	t.Helper()
+	if len(evs) != 2 || evs[0].Object.Path != "/at-bound" || evs[1].Object.Path != "/after" {
+		t.Fatalf("decoded %d events %v, want /at-bound and /after", len(evs), evs)
+	}
+	if st.Lines != 3 || st.Events != 2 || st.DecodeErrors != 1 {
+		t.Fatalf("stats = %+v, want 3 lines, 2 events, 1 decode error", st)
+	}
+	if len(errs) != 1 || !strings.Contains(errs[0].Error(), "exceeds") {
+		t.Fatalf("OnError saw %v, want the one over-long line", errs)
+	}
+}
+
+// TestBatchesIndependentOfReadSize: what a single-stream source submits —
+// batch boundaries, contents, order, every counter — does not depend on how
+// the reader cuts the stream into reads, though events now reach the batcher
+// a page at a time.
+func TestBatchesIndependentOfReadSize(t *testing.T) {
+	var in strings.Builder
+	for i := 0; i < 2500; i++ {
+		switch {
+		case i%97 == 0:
+			in.WriteString("not json\r\n")
+		case i%89 == 0:
+			in.WriteString("\n")
+		default:
+			// Mostly ascending, with local disorder and the odd straggler
+			// that falls behind the watermark.
+			ts := float64(1000 + i)
+			if i%7 == 0 {
+				ts -= 3
+			}
+			if i%500 == 499 {
+				ts -= 400
+			}
+			in.WriteString(ndLine(ts, fmt.Sprintf("exe%d", i%13), i, fmt.Sprintf("/data/file-%d", i)))
+			in.WriteString("\n")
+		}
+	}
+	in.WriteString(ndLine(9999, "last", 1, "/unterminated")) // no trailing newline
+	if in.Len() < 3*64*1024 {
+		t.Fatalf("input is %d bytes; want several 64 KiB pages", in.Len())
+	}
+
+	type run struct {
+		batches [][]string
+		stats   Stats
+	}
+	feed := func(chunk int, strict bool) run {
+		src, err := FromReader(&chunkReader{data: []byte(in.String()), n: chunk}, Config{Format: "ndjson", BatchSize: 64, StrictOrder: strict})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var dst sink
+		if err := src.Run(context.Background(), &dst); err != nil {
+			t.Fatal(err)
+		}
+		r := run{stats: src.Stats()}
+		for _, b := range dst.batches {
+			var paths []string
+			for _, ev := range b {
+				paths = append(paths, ev.Object.Path)
+			}
+			r.batches = append(r.batches, paths)
+		}
+		return r
+	}
+	for _, strict := range []bool{false, true} {
+		want := feed(64*1024, strict)
+		if want.stats.Reordered == 0 || want.stats.DecodeErrors == 0 || want.stats.Late+want.stats.Dropped == 0 {
+			t.Fatalf("strict=%v: input exercises too little: %+v", strict, want.stats)
+		}
+		for _, chunk := range []int{1, 100} {
+			got := feed(chunk, strict)
+			if got.stats != want.stats {
+				t.Errorf("strict=%v read=%d: stats %+v, want %+v", strict, chunk, got.stats, want.stats)
+			}
+			if !reflect.DeepEqual(got.batches, want.batches) {
+				t.Errorf("strict=%v read=%d: submitted batches differ from the 64 KiB run (%d vs %d batches)", strict, chunk, len(got.batches), len(want.batches))
+			}
+		}
+	}
+}
+
+// TestAbsurdTimestampDoesNotPoisonWatermark: a line whose numeric ts is far
+// beyond any calendar used to decode to a garbage instant; a future one was
+// adopted as the watermark and every later event dropped as late. It is now
+// a decode error like any other malformed line.
+func TestAbsurdTimestampDoesNotPoisonWatermark(t *testing.T) {
+	for _, bad := range []string{"1e300", "9e18", "253402300800"} {
+		lines := []string{ndLine(10, "a", 1, "/f1"), ndLine(11, "a", 1, "/f2")}
+		lines = append(lines, strings.Replace(ndLine(12, "a", 1, "/poison"), `"ts":12`, `"ts":`+bad, 1))
+		for i := 0; i < 6; i++ {
+			lines = append(lines, ndLine(float64(13+i), "a", 1, fmt.Sprintf("/g%d", i)))
+		}
+		src, err := FromReader(strings.NewReader(strings.Join(lines, "\n")), Config{Format: "ndjson", BatchSize: 3, StrictOrder: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var dst sink
+		if err := src.Run(context.Background(), &dst); err != nil {
+			t.Fatal(err)
+		}
+		st := src.Stats()
+		if st.Dropped != 0 || st.Late != 0 || st.DecodeErrors != 1 || st.Events != 8 {
+			t.Errorf("ts %s: stats = %+v, want 8 events, 1 decode error, nothing dropped", bad, st)
+		}
+		if got := len(dst.events()); got != 8 {
+			t.Errorf("ts %s: submitted %d events, want 8", bad, got)
+		}
 	}
 }
 

@@ -86,13 +86,18 @@ func Lookup(s string) uint32 {
 	return id
 }
 
-// RecordHit counts one decoder intern-table cache hit (the string resolved
-// to its canonical copy and symbol without touching the global dictionary).
-func RecordHit() { hits.Add(1) }
-
-// RecordMiss counts one decoder intern-table cache miss (first sight of a
-// distinct string on that stream).
-func RecordMiss() { misses.Add(1) }
+// RecordLookups adds a decoder intern table's lookups since it last
+// reported: hits resolved to the canonical copy and symbol without touching
+// the global dictionary, misses were the first sight of a distinct string on
+// that stream. Decoders report once per line, not once per attribute.
+func RecordLookups(h, m int64) {
+	if h != 0 {
+		hits.Add(h)
+	}
+	if m != 0 {
+		misses.Add(m)
+	}
+}
 
 // Stats is a snapshot of the dictionary counters.
 type Stats struct {
