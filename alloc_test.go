@@ -9,6 +9,7 @@ package saql
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -99,5 +100,154 @@ return p, ss.amt`
 	}
 	if errs := eng.Errors(); len(errs) != 0 {
 		t.Fatalf("runtime reported errors: %v", errs)
+	}
+}
+
+type foldShape struct {
+	name, src string
+	op        Op
+	object    func(k int) Entity
+}
+
+// window returns n hits of the shape inside window w of its 10 s tumbling
+// sequence, spread over the given number of groups.
+func (sh foldShape) window(w, n, groups int) []*Event {
+	evs := make([]*Event, n)
+	for k := range evs {
+		evs[k] = &Event{
+			Time:    demoStart.Add(time.Duration(w)*10*time.Second + time.Duration(k)*time.Millisecond),
+			AgentID: "host-1",
+			Subject: Process(fmt.Sprintf("svc-%d.exe", k%groups), int32(100+k%groups)),
+			Op:      sh.op,
+			Object:  sh.object(k),
+			Amount:  float64(1000 + k),
+		}
+	}
+	return evs
+}
+
+// foldShapes are the four fleet-wide stateful query shapes of the repo
+// benchmark's qs-hot set (bench/queries.go), each with the event that hits
+// it: a time-series average, a DBSCAN outlier model, an invariant over a set,
+// and a count threshold.
+var foldShapes = []foldShape{
+	{"ts-avg", `proc p write ip i as evt #time(10 s)
+state[3] ss { avg_amount := avg(evt.amount) } group by p
+alert (ss[0].avg_amount > (ss[0].avg_amount + ss[1].avg_amount + ss[2].avg_amount) / 3) && (ss[0].avg_amount > 400000)
+return p, ss[0].avg_amount`, OpWrite, func(k int) Entity { return NetConn("10.0.0.2", 1433, fmt.Sprintf("10.1.0.%d", k%200), 443) }},
+	{"outlier-dst", `proc p read || write ip i as evt #time(10 s)
+state ss { amt := sum(evt.amount) } group by i.dstip
+cluster(points=all(ss.amt), distance="ed", method="DBSCAN(200000, 3)")
+alert cluster.outlier && ss.amt > 2000000
+return i.dstip, ss.amt`, OpWrite, func(k int) Entity { return NetConn("10.0.0.2", 1433, fmt.Sprintf("10.1.0.%d", k%200), 443) }},
+	{"inv-children", `proc p1 start proc p2 as evt #time(10 s)
+state ss { kids := set(p2.exe_name) } group by p1
+invariant[3][offline] {
+  a := empty_set
+  a = a union ss.kids
+}
+alert |ss.kids diff a| > 0
+return p1, ss.kids`, OpStart, func(k int) Entity { return Process(fmt.Sprintf("child-%d.exe", k%5), int32(9000+k%5)) }},
+	{"count-files", `proc p read || write file f as evt #time(10 s)
+state ss { n := count(evt) } group by p
+alert ss.n > 1000000
+return p, ss.n`, OpRead, func(k int) Entity { return File(fmt.Sprintf("/var/data/%d.db", k%50)) }},
+}
+
+// TestStatefulFoldAllocsGate holds the state maintainer to its allocation
+// budget on the serial Process path: folding a hit into a group that already
+// exists in an open window allocates nothing — not for the hit set, the
+// bindings, the aggregator arguments or the watermark advance — and closing
+// a window allocates in proportion to its groups, at most closeAllocsPerGroup
+// each plus a fixed part (snapshot and fields per group; an invariant's
+// update map and set; the clustering index; none of it per known-but-quiet
+// group or per event).
+func TestStatefulFoldAllocsGate(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation gate needs full runs")
+	}
+	const (
+		groups              = 200
+		eventsPerWindow     = 2000
+		closeAllocsPerGroup = 8
+		closeAllocsFixed    = 64
+	)
+	for _, sh := range foldShapes {
+		t.Run(sh.name, func(t *testing.T) {
+			eng := New()
+			if err := eng.AddQuery(sh.name, sh.src); err != nil {
+				t.Fatal(err)
+			}
+			window := func(w int) []*Event { return sh.window(w, eventsPerWindow, groups) }
+			// Windows 0–3 warm the group runtimes, histories and (for the
+			// invariant shape) finish training.
+			for w := 0; w < 4; w++ {
+				for _, ev := range window(w) {
+					eng.Process(ev)
+				}
+			}
+			open := window(4)
+			for _, ev := range open {
+				eng.Process(ev) // every group of window 4 now exists
+			}
+			fold := testing.AllocsPerRun(5, func() {
+				for _, ev := range open {
+					eng.Process(ev)
+				}
+			})
+			if st, _ := eng.QueryStats(sh.name); st.PatternHits != 10*eventsPerWindow+eventsPerWindow || st.LateHits != 0 {
+				t.Fatalf("stats %+v: the measured events did not all fold", st)
+			}
+			perEvent := fold / eventsPerWindow
+			t.Logf("fold: %.4f allocs/event", perEvent)
+			if perEvent != 0 {
+				t.Errorf("folding into existing groups allocates %.4f/event, gate is 0", perEvent)
+			}
+
+			// The first event of window 5 closes window 4.
+			next := window(5)[0]
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			eng.Process(next)
+			runtime.ReadMemStats(&after)
+			closed := after.Mallocs - before.Mallocs
+			if st, _ := eng.QueryStats(sh.name); st.WindowsClosed != 5 {
+				t.Fatalf("windows closed = %d, want 5", st.WindowsClosed)
+			}
+			budget := uint64(closeAllocsPerGroup*groups + closeAllocsFixed)
+			t.Logf("close: %d allocs for %d groups (budget %d)", closed, groups, budget)
+			if closed > budget {
+				t.Errorf("closing a %d-group window allocates %d, gate is %d·groups + %d = %d",
+					groups, closed, closeAllocsPerGroup, closeAllocsFixed, budget)
+			}
+			if errs := eng.Errors(); len(errs) != 0 {
+				t.Fatalf("runtime reported errors: %v", errs)
+			}
+		})
+	}
+}
+
+// BenchmarkStatefulFold times the serial Process path folding hits into
+// groups that already exist in an open window — key, group probe, bindings,
+// argument programs, aggregator Add, watermark advance — for each qs-hot
+// shape. Window closes are not in the loop; BenchmarkDBSCAN covers the part
+// of a close that grows with the window.
+func BenchmarkStatefulFold(b *testing.B) {
+	for _, sh := range foldShapes {
+		b.Run(sh.name, func(b *testing.B) {
+			eng := New()
+			if err := eng.AddQuery(sh.name, sh.src); err != nil {
+				b.Fatal(err)
+			}
+			events := sh.window(0, 2000, 200)
+			for _, ev := range events {
+				eng.Process(ev)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				eng.Process(events[i%len(events)])
+			}
+		})
 	}
 }

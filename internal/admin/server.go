@@ -102,7 +102,7 @@ func (s *Server) handleQ(w http.ResponseWriter, r *http.Request) {
 var queryFields = []string{
 	"id", "tenant", "paused", "kind", "labels", "source",
 	"events", "pattern_hits", "matches", "alerts", "suppressed",
-	"eval_errors", "state_bytes", "alerts_1h",
+	"eval_errors", "late_hits", "state_bytes", "alerts_1h",
 }
 
 var defaultQueryFields = []string{"id", "tenant", "paused", "alerts"}
@@ -166,6 +166,8 @@ func (s *Server) queryItem(h *saql.QueryHandle, fields []string) map[string]any 
 			item[f] = st.Suppressed
 		case "eval_errors":
 			item[f] = st.EvalErrors
+		case "late_hits":
+			item[f] = st.LateHits
 		case "state_bytes":
 			item[f] = st.StateBytes
 		case "alerts_1h":

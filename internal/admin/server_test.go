@@ -4,6 +4,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"saql"
 )
@@ -93,7 +94,7 @@ func TestServerList(t *testing.T) {
 }
 
 func TestServerGet(t *testing.T) {
-	_, addr := newTestServer(t)
+	eng, addr := newTestServer(t)
 	resp, err := Query(addr, `get(acme/exfil){id tenant kind}`, false, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -103,6 +104,31 @@ func TestServerGet(t *testing.T) {
 	}
 	if _, err := Query(addr, `get(nope)`, false, nil); err == nil {
 		t.Error("get of unknown query succeeded")
+	}
+
+	// A stateful query's hits behind a closed window show as late_hits.
+	const windowed = `proc p write ip i as e #time(10 s)
+state ss { n := count(e) } group by p
+alert ss.n > 100
+return p`
+	if _, err := eng.Register("acme/windowed", windowed); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Date(2020, 2, 27, 9, 0, 0, 0, time.UTC)
+	for _, sec := range []int{1, 25, 2} {
+		eng.Process(&saql.Event{
+			Time:    start.Add(time.Duration(sec) * time.Second),
+			Subject: saql.Process("a.exe", 1),
+			Op:      saql.OpWrite,
+			Object:  saql.NetConn("10.0.0.1", 1, "10.0.0.2", 2),
+		})
+	}
+	resp, err = Query(addr, `get(acme/windowed){pattern_hits late_hits}`, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Item["pattern_hits"] != float64(3) || resp.Item["late_hits"] != float64(1) {
+		t.Errorf("windowed item = %v, want pattern_hits 3 late_hits 1", resp.Item)
 	}
 	resp, err = Query(addr, `get(tenant=acme){name queries}`, false, nil)
 	if err != nil {

@@ -71,11 +71,21 @@ func IsAggregator(name string) bool {
 	return ok
 }
 
-// New creates an aggregator by name.
-func New(name string, params []value.Value) (Aggregator, error) {
+// FactoryFor resolves an aggregation function name once, for callers that
+// create many aggregators of one kind (one per group per window).
+func FactoryFor(name string) (Factory, error) {
 	f, ok := registry[name]
 	if !ok {
 		return nil, fmt.Errorf("agg: unknown aggregation function %q", name)
+	}
+	return f, nil
+}
+
+// New creates an aggregator by name.
+func New(name string, params []value.Value) (Aggregator, error) {
+	f, err := FactoryFor(name)
+	if err != nil {
+		return nil, err
 	}
 	return f(params)
 }

@@ -10,7 +10,11 @@
 // functions (scan/check/fill, the object/member walk, the value readers and
 // the RFC 3339 fast parser — backing TestNDJSONDecodeAllocsGate: ≤2
 // allocs/line), the wire.Reader decode loop, window assignment, the history
-// ring — are
+// ring, the stateful fold (engine.ingestStateful and the serial path's
+// AppendHits/ResidualHits; window.Manager's GroupFor/Touch/Advance and
+// open-window lookup — backing TestStatefulFoldAllocsGate: 0 allocs per hit
+// folded into an existing group), DBSCAN's labelling passes
+// (dbscanLine/dbscanScan) — are
 // rejected if they contain the allocation shapes that have historically
 // crept into those paths:
 //

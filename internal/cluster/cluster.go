@@ -6,8 +6,11 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"reflect"
+	"slices"
 )
 
 // Distance computes the distance between two points of equal dimension.
@@ -94,28 +97,38 @@ type Result struct {
 	Labels   []int
 	Outlier  []bool
 	Clusters int // number of clusters found (excluding noise)
+
+	sizes []int // points per cluster
+	noise int   // points labelled Noise
 }
 
-// Size returns the number of points in cluster label (0 for Noise queries
-// use the Outlier slice instead).
+// Size returns the number of points labelled label: a cluster's size, or for
+// Noise the number of noise points.
 func (r *Result) Size(label int) int {
-	n := 0
-	for _, l := range r.Labels {
-		if l == label {
-			n++
-		}
+	switch {
+	case label == Noise:
+		return r.noise
+	case label >= 0 && label < len(r.sizes):
+		return r.sizes[label]
 	}
-	return n
+	return 0
 }
 
 // DBSCAN clusters points with parameters eps (neighbourhood radius) and
 // minPts (minimum neighbourhood size, inclusive of the point itself, to
 // form a core point). Points labelled Noise are outliers.
 //
-// The implementation is the standard region-growing algorithm with an
-// O(n²) neighbourhood scan, which is appropriate for the per-window group
-// counts SAQL clusters (one point per group-by key, typically tens to a few
-// thousands).
+// The labelling is a function of the points' neighbour sets and input order
+// alone: the core points are those with at least minPts neighbours; clusters
+// are the density-connected components of core points, numbered by their
+// lowest-index core point; a non-core point within eps of a core point
+// belongs to the lowest-numbered cluster that has one there, and every other
+// point is Noise. How the neighbour sets are found depends on the input.
+// One-dimensional points under a metric that is |a−b| there (ed, md, cd)
+// with finite coordinates and radius are sorted once, which makes every
+// neighbourhood a contiguous run and every cluster an interval: O(n log n)
+// time, O(n) space. Anything else gets region growth over an O(n) scan per
+// point, O(n²) in all.
 func DBSCAN(points [][]float64, eps float64, minPts int, dist Distance) (*Result, error) {
 	if eps <= 0 {
 		return nil, fmt.Errorf("cluster: DBSCAN eps must be positive, got %g", eps)
@@ -129,59 +142,197 @@ func DBSCAN(points [][]float64, eps float64, minPts int, dist Distance) (*Result
 	if err := checkDims(points); err != nil {
 		return nil, err
 	}
-	n := len(points)
+	labels := make([]int, len(points))
+	var clusters int
+	if eps < math.Inf(1) && orderedOnLine(dist) && finiteLine(points) {
+		clusters = dbscanLine(points, eps, minPts, dist, labels)
+	} else {
+		clusters = dbscanScan(points, eps, minPts, dist, labels)
+	}
+	return newResult(labels, clusters), nil
+}
+
+// finiteLine reports whether points are one-dimensional with no NaN or ±Inf
+// among them. Only then is every point its own neighbour and distance
+// monotone along the line: a metric meets NaN as it pleases (cd is at
+// distance 0 from it), and ∞−∞ is NaN again.
+func finiteLine(points [][]float64) bool {
+	for _, p := range points {
+		if len(p) != 1 || math.IsNaN(p[0]) || math.IsInf(p[0], 0) {
+			return false
+		}
+	}
+	return true
+}
+
+// orderedOnLine reports whether dist is one of the built-in metrics that
+// reduce to |a−b| on one-dimensional points, so that dist(a, b) never
+// decreases as b moves away from a along the line. Function values compare
+// by code pointer: a caller's own metric, even one wrapping a built-in, is
+// not assumed ordered.
+func orderedOnLine(dist Distance) bool {
+	p := reflect.ValueOf(dist).Pointer()
+	return p == reflect.ValueOf(Euclidean).Pointer() ||
+		p == reflect.ValueOf(Manhattan).Pointer() ||
+		p == reflect.ValueOf(Chebyshev).Pointer()
+}
+
+// dbscanLine labels finite one-dimensional points under a metric ordered on
+// the line and a finite eps, and returns the cluster count. It calls dist itself
+// rather than subtracting coordinates, so overflow and underflow inside the
+// metric decide neighbourhoods exactly as they do for the scan.
+//
+//saql:hotpath
+func dbscanLine(points [][]float64, eps float64, minPts int, dist Distance, labels []int) int {
+	order := make([]int, len(points))
+	for i := range order {
+		order[i] = i
+		labels[i] = Noise
+	}
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(points[a][0], points[b][0]) })
+	m := len(order)
+	near := func(a, b int) bool { return dist(points[order[a]], points[order[b]]) <= eps }
+
+	// Neighbourhood of the k-th point in sorted order: positions [lo[k],
+	// hi[k]). dist is monotone along the line, so both ends only move right
+	// as k does, and k itself is always inside.
+	span := make([]int, 2*m)
+	lo, hi := span[:m], span[m:]
+	for k, l, h := 0, 0, 0; k < m; k++ {
+		for !near(k, l) {
+			l++
+		}
+		h = max(h, k+1)
+		for h < m && near(k, h) {
+			h++
+		}
+		lo[k], hi[k] = l, h
+	}
+
+	// Core points, left to right: a core point within eps of the previous
+	// core point continues its cluster, any other starts one. Clusters are
+	// numbered provisionally in coordinate order.
+	runs := 0
+	for k, last := 0, -1; k < m; k++ {
+		if hi[k]-lo[k] < minPts {
+			continue
+		}
+		if last < lo[k] {
+			runs++
+		}
+		labels[order[k]] = runs - 1
+		last = k
+	}
+	if runs == 0 {
+		return 0
+	}
+	// Renumber by lowest-index core point (only core points are labelled).
+	number := make([]int, runs)
+	for i := range number {
+		number[i] = Noise
+	}
+	clusters := 0
+	for i, l := range labels {
+		if l == Noise {
+			continue
+		}
+		if number[l] == Noise {
+			number[l] = clusters
+			clusters++
+		}
+		labels[i] = number[l]
+	}
+	// Border points: all core points within eps on one side belong to one
+	// cluster, so the nearest core point on each side stands for them; the
+	// lower-numbered of the two owns the point.
+	for k, last := 0, -1; k < m; k++ {
+		if hi[k]-lo[k] >= minPts {
+			last = k
+		} else if last >= lo[k] {
+			labels[order[k]] = labels[order[last]]
+		}
+	}
+	for k, next := m-1, m; k >= 0; k-- {
+		if hi[k]-lo[k] >= minPts {
+			next = k
+		} else if next < hi[k] {
+			if c, l := labels[order[next]], labels[order[k]]; l == Noise || c < l {
+				labels[order[k]] = c
+			}
+		}
+	}
+	return clusters
+}
+
+// dbscanScan labels points of any dimension under any metric by region
+// growth and returns the cluster count. A point enters the queue once, when
+// it first joins a cluster, so the queue and the neighbour scratch are O(n).
+//
+//saql:hotpath
+func dbscanScan(points [][]float64, eps float64, minPts int, dist Distance, labels []int) int {
 	const unvisited = -2
-	labels := make([]int, n)
 	for i := range labels {
 		labels[i] = unvisited
 	}
-
+	var nb, queue []int
 	neighbours := func(i int) []int {
-		var out []int
-		for j := 0; j < n; j++ {
+		nb = nb[:0]
+		for j := range points {
 			if dist(points[i], points[j]) <= eps {
-				out = append(out, j)
+				nb = append(nb, j)
 			}
 		}
-		return out
+		return nb
 	}
-
-	cluster := 0
-	for i := 0; i < n; i++ {
+	clusters := 0
+	// claim gives the neighbours of a core point to the cluster being grown.
+	// An unvisited one may be core itself and is queued for expansion; one
+	// marked Noise is known not to be, and only becomes a border point.
+	claim := func(nb []int) {
+		for _, j := range nb {
+			switch labels[j] {
+			case unvisited:
+				labels[j] = clusters
+				queue = append(queue, j)
+			case Noise:
+				labels[j] = clusters
+			}
+		}
+	}
+	for i := range points {
 		if labels[i] != unvisited {
 			continue
 		}
-		nb := neighbours(i)
-		if len(nb) < minPts {
+		seed := neighbours(i)
+		if len(seed) < minPts {
 			labels[i] = Noise
 			continue
 		}
-		// Start a new cluster and grow it.
-		labels[i] = cluster
-		queue := append([]int(nil), nb...)
-		for len(queue) > 0 {
-			j := queue[0]
-			queue = queue[1:]
-			if labels[j] == Noise {
-				labels[j] = cluster // border point
-			}
-			if labels[j] != unvisited {
-				continue
-			}
-			labels[j] = cluster
-			jnb := neighbours(j)
-			if len(jnb) >= minPts {
-				queue = append(queue, jnb...)
+		labels[i] = clusters
+		queue = queue[:0]
+		claim(seed)
+		for head := 0; head < len(queue); head++ {
+			if grown := neighbours(queue[head]); len(grown) >= minPts {
+				claim(grown)
 			}
 		}
-		cluster++
+		clusters++
 	}
+	return clusters
+}
 
-	out := &Result{Labels: labels, Outlier: make([]bool, n), Clusters: cluster}
+// newResult wraps final labels, counting each cluster's points once.
+func newResult(labels []int, clusters int) *Result {
+	r := &Result{Labels: labels, Outlier: make([]bool, len(labels)), Clusters: clusters, sizes: make([]int, clusters)}
 	for i, l := range labels {
-		out.Outlier[i] = l == Noise
+		if l == Noise {
+			r.Outlier[i] = true
+			r.noise++
+		} else {
+			r.sizes[l]++
+		}
 	}
-	return out, nil
+	return r
 }
 
 // KMeans clusters points into k clusters using Lloyd's algorithm with
@@ -283,7 +434,7 @@ func KMeans(points [][]float64, k int, dist Distance) (*Result, error) {
 	variance /= float64(n)
 	sd := math.Sqrt(variance)
 
-	out := &Result{Labels: labels, Outlier: make([]bool, n), Clusters: k}
+	out := newResult(labels, k)
 	for i, d := range dists {
 		out.Outlier[i] = sd > 0 && d > mean+3*sd
 	}

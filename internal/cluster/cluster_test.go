@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -242,5 +243,32 @@ func TestDistanceProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// BenchmarkDBSCAN clusters the shape Query 4 produces — one point per
+// destination, most in one dense cluster of ordinary transfer volumes, a few
+// percent scattered far above it — at window sizes from a small site to a
+// large one. The dense cluster is the worst case for neighbour-list growth:
+// nearly every point is within eps of nearly every other.
+func BenchmarkDBSCAN(b *testing.B) {
+	for _, n := range []int{100, 1000, 10000} {
+		rng := rand.New(rand.NewSource(4))
+		points := make([][]float64, n)
+		for i := range points {
+			v := 50000 + rng.NormFloat64()*20000
+			if rng.Intn(20) == 0 {
+				v = rng.Float64() * 5e7
+			}
+			points[i] = []float64{v}
+		}
+		b.Run(map[int]string{100: "100", 1000: "1k", 10000: "10k"}[n], func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := DBSCAN(points, 100000, 3, Euclidean); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -80,7 +80,10 @@ type Query struct {
 	// tree-walker for all fields (all-or-nothing per pattern). Only built
 	// when fastKeys exists, so the hot ingest path can skip environment
 	// construction entirely.
-	fastArgs   [][]*pcode.Prog
+	fastArgs [][]*pcode.Prog
+	// slots[pattern] are the window manager's binding slots a hit of that
+	// pattern writes into its group (see assignSlots).
+	slots      []patternSlots
 	historyLen int
 	idleLimit  int
 	groups     map[string]*groupRuntime
@@ -101,6 +104,10 @@ type Query struct {
 	alerts   []ast.Expr
 	returnC  *ast.ReturnClause
 	distinct map[string]struct{}
+	// Whether the invariant updates / alert conditions / return items read
+	// any entity variable or event alias: a window close materialises a
+	// group's name-keyed bindings only for the clauses that do.
+	invReadsBindings, alertReadsBindings, returnReadsBindings bool
 
 	// Shard ownership filter for by-group replicas (nil outside the sharded
 	// runtime).
@@ -124,17 +131,27 @@ type QueryStats struct {
 	Suppressed    int64 // alerts dropped by `return distinct`
 	EvalErrors    int64
 	StateBytes    int64 // serialized live-state estimate (see Query.StateBytes)
+	// LateHits counts pattern hits that folded into nothing because a
+	// window containing them had already closed: the stream's disorder
+	// exceeded what the window tolerates, and that state is lost.
+	LateHits int64
 }
 
 // groupRuntime is the persistent per-group state across windows.
 type groupRuntime struct {
-	key     string
-	history *window.History
-	inv     *invariant.State
-	// Latest non-empty bindings, used to evaluate alert/return expressions
-	// for windows in which the group had activity.
+	key         string
+	history     *window.History
+	inv         *invariant.State
 	idleWindows int
+	// closedSeq is the query's WindowsClosed count at the last close this
+	// group was present in: how a close tells present groups from quiet ones
+	// without a lookup per known group.
+	closedSeq int64
 }
+
+// patternSlots names the binding slots one pattern's hits write; -1 where
+// the pattern leaves the subject, object or event unnamed.
+type patternSlots struct{ subj, obj, alias int }
 
 // Compile parses, checks, and compiles SAQL source into an executable query.
 func Compile(name, src string, opts CompileOptions) (*Query, error) {
@@ -220,6 +237,7 @@ func CompileAST(name string, q *ast.Query, opts CompileOptions) (*Query, error) 
 		return nil, err
 	}
 	cq.winMgr = mgr
+	cq.assignSlots()
 	cq.groupBy = q.State.GroupBy
 	cq.fastKeys = compileFastGroupKeys(q)
 	if !opts.Interpret && cq.fastKeys != nil {
@@ -261,6 +279,20 @@ func CompileAST(name string, q *ast.Query, opts CompileOptions) (*Query, error) 
 		cq.pointsExpr = q.Cluster.Points
 	}
 
+	if q.Invariant != nil {
+		for _, st := range q.Invariant.Updates {
+			cq.invReadsBindings = cq.invReadsBindings || readsBindings(st.Expr, info)
+		}
+	}
+	for _, a := range q.Alerts {
+		cq.alertReadsBindings = cq.alertReadsBindings || readsBindings(a, info)
+	}
+	if q.Return != nil {
+		for _, item := range q.Return.Items {
+			cq.returnReadsBindings = cq.returnReadsBindings || readsBindings(item.Expr, info)
+		}
+	}
+
 	cq.idleLimit = opts.GroupIdleWindows
 	if cq.idleLimit <= 0 {
 		cq.idleLimit = cq.historyLen + 8
@@ -280,6 +312,40 @@ func CompileAST(name string, q *ast.Query, opts CompileOptions) (*Query, error) 
 		cq.Kind = KindStateful
 	}
 	return cq, nil
+}
+
+// assignSlots resolves every pattern's variable names to the window
+// manager's binding slots, so the fold path indexes a group's bindings
+// instead of probing them by name. Patterns sharing a name share its slot.
+func (q *Query) assignSlots() {
+	q.slots = make([]patternSlots, len(q.patterns))
+	for i, p := range q.patterns {
+		s := patternSlots{subj: -1, obj: -1, alias: -1}
+		if p.SubjVar != "" {
+			s.subj = q.winMgr.EntitySlot(p.SubjVar)
+		}
+		if p.ObjVar != "" {
+			s.obj = q.winMgr.EntitySlot(p.ObjVar)
+		}
+		if p.Alias != "" {
+			s.alias = q.winMgr.EventSlot(p.Alias)
+		}
+		q.slots[i] = s
+	}
+}
+
+// readsBindings reports whether e mentions an entity variable or an event
+// alias, i.e. whether evaluating it can consult expr.Env's binding maps.
+func readsBindings(e ast.Expr, info *sema.Info) bool {
+	reads := false
+	ast.Walk(e, func(n ast.Expr) {
+		if id, ok := n.(*ast.Ident); ok {
+			_, isVar := info.EntityVars[id.Name]
+			_, isAlias := info.Aliases[id.Name]
+			reads = reads || isVar || isAlias
+		}
+	})
+	return reads
 }
 
 // compileFastArgs compiles each aggregation argument against each pattern's
@@ -328,7 +394,13 @@ func rewriteBareAlias(e ast.Expr, info *sema.Info) ast.Expr {
 }
 
 // Stats returns a snapshot of the query's runtime counters.
-func (q *Query) Stats() QueryStats { return q.stats }
+func (q *Query) Stats() QueryStats {
+	st := q.stats
+	if q.stateful {
+		st.LateHits = q.winMgr.LateEvents
+	}
+	return st
+}
 
 // Patterns exposes the compiled event patterns (used by the scheduler to
 // build dependent-query residual filters).

@@ -19,35 +19,43 @@ import (
 // Hits returns the indices of the query's patterns that ev satisfies,
 // including the query's global constraints. It is the expensive matching
 // phase that the master–dependent-query scheme executes once per group.
-func (q *Query) Hits(ev *event.Event) []int {
+func (q *Query) Hits(ev *event.Event) []int { return q.AppendHits(nil, ev) }
+
+// AppendHits is Hits appending to dst, for callers that consume the hits
+// before their next call and so can reuse one buffer.
+//
+//saql:hotpath
+func (q *Query) AppendHits(dst []int, ev *event.Event) []int {
 	if !q.global(ev) {
-		return nil
+		return dst
 	}
-	var hits []int
 	for i, p := range q.patterns {
 		if p.Matches(ev) {
-			hits = append(hits, i)
+			dst = append(dst, i)
 		}
 	}
-	return hits
+	return dst
 }
 
 // ResidualHits refines a master query's hit set down to the patterns this
-// (stricter) query itself matches: the dependent-side half of the
-// master–dependent scheme, decoupled from ingestion so it can run once in a
-// shared pre-evaluation stage rather than on every shard. evals reports how
-// many pattern predicates were actually evaluated (for sharing accounting).
-func (q *Query) ResidualHits(ev *event.Event, masterHits []int) (hits []int, evals int) {
+// (stricter) query itself matches, appending them to dst: the dependent-side
+// half of the master–dependent scheme, decoupled from ingestion so it can run
+// once in a shared pre-evaluation stage rather than on every shard. evals
+// reports how many pattern predicates were actually evaluated (for sharing
+// accounting).
+//
+//saql:hotpath
+func (q *Query) ResidualHits(dst []int, ev *event.Event, masterHits []int) (hits []int, evals int) {
 	if len(masterHits) == 0 || !q.global(ev) {
-		return nil, 0
+		return dst, 0
 	}
 	for _, hi := range masterHits {
 		evals++
 		if q.patterns[hi].Matches(ev) {
-			hits = append(hits, hi)
+			dst = append(dst, hi)
 		}
 	}
-	return hits, evals
+	return dst, evals
 }
 
 // MatchBatch evaluates the query's patterns across a whole batch in
@@ -121,8 +129,7 @@ func (q *Query) ingestRule(ev *event.Event, hits []int, report func(error)) []*A
 		for _, a := range q.alerts {
 			ok, err := expr.EvalBool(a, env)
 			if err != nil {
-				q.stats.EvalErrors++
-				report(&QueryError{Query: q.Name, Err: err})
+				q.fail(report, err)
 				continue
 			}
 			if ok {
@@ -152,6 +159,12 @@ func (q *Query) ingestRule(ev *event.Event, hits []int, report func(error)) []*A
 // Stateful execution
 // ---------------------------------------------------------------------------
 
+// ingestStateful folds ev's hits into their groups — per hit one key, one
+// group probe per containing window, slot-indexed first-writer bindings, the
+// compiled argument programs, one Add per field — then advances the
+// watermark, which below the manager's deadline is two compares.
+//
+//saql:hotpath
 func (q *Query) ingestStateful(ev *event.Event, hits []int, report func(error)) []*Alert {
 	touched := false
 	for _, hi := range hits {
@@ -175,15 +188,13 @@ func (q *Query) ingestStateful(ev *event.Event, hits []int, report func(error)) 
 				env = q.bindEnv(p, ev)
 			}
 			// With compiled argument programs the environment is not built
-			// at all: the programs read the event directly, and the group's
-			// representative bindings are written by bindGroupRep below.
+			// at all: the programs read the event directly.
 		} else {
 			env = q.bindEnv(p, ev)
 			var err error
 			key, err = q.groupKey(env)
 			if err != nil {
-				q.stats.EvalErrors++
-				report(&QueryError{Query: q.Name, Err: err})
+				q.fail(report, err)
 				continue
 			}
 			if q.groupFilter != nil && !q.groupFilter(key) {
@@ -193,22 +204,21 @@ func (q *Query) ingestStateful(ev *event.Event, hits []int, report func(error)) 
 		}
 		q.stats.PatternHits++
 
+		slots := q.slots[hi]
 		for _, g := range q.winMgr.GroupFor(ev.Time, key) {
 			g.Count++
-			// Remember representative bindings for alert/return output.
-			if env == nil {
-				q.bindGroupRep(p, ev, g)
-			} else {
-				for k, v := range env.Entities {
-					if _, ok := g.Entities[k]; !ok {
-						g.Entities[k] = v
-					}
-				}
-				for k, v := range env.Events {
-					if _, ok := g.Events[k]; !ok {
-						g.Events[k] = v
-					}
-				}
+			// Remember representative bindings for alert/return output: the
+			// first event to bind a slot keeps it, and the object is offered
+			// first because it shadows a subject of the same name (bindEnv
+			// writes it last).
+			if slots.obj >= 0 && g.Entities[slots.obj] == nil {
+				g.Entities[slots.obj] = &ev.Object
+			}
+			if slots.subj >= 0 && g.Entities[slots.subj] == nil {
+				g.Entities[slots.subj] = &ev.Subject
+			}
+			if slots.alias >= 0 && g.Events[slots.alias] == nil {
+				g.Events[slots.alias] = ev
 			}
 			for i, arg := range q.fieldArgs {
 				var v value.Value
@@ -229,13 +239,11 @@ func (q *Query) ingestStateful(ev *event.Event, hits []int, report func(error)) 
 					v, err = expr.Eval(arg, env)
 				}
 				if err != nil {
-					q.stats.EvalErrors++
-					report(&QueryError{Query: q.Name, Err: err})
+					q.fail(report, err)
 					continue
 				}
 				if err := g.Aggs[i].Add(v); err != nil {
-					q.stats.EvalErrors++
-					report(&QueryError{Query: q.Name, Err: err})
+					q.fail(report, err)
 				}
 			}
 		}
@@ -251,35 +259,16 @@ func (q *Query) ingestStateful(ev *event.Event, hits []int, report func(error)) 
 
 	// Advance the watermark and close any finished windows. This happens
 	// even for events that match no pattern: time always flows.
-	var alerts []*Alert
-	for _, closed := range q.winMgr.Advance(ev.Time) {
-		alerts = append(alerts, q.closeWindow(closed, report)...)
-	}
-	return alerts
+	return q.closeAll(q.winMgr.Advance(ev.Time), report)
 }
 
-// bindGroupRep records the group's representative bindings straight from the
-// event, reproducing exactly what copying bindEnv's maps would store: the
-// object binding wins when subject and object share a variable name (bindEnv
-// writes the subject first and the object over it).
-func (q *Query) bindGroupRep(p *matcher.Pattern, ev *event.Event, g *window.Group) {
-	if p.ObjVar != "" {
-		if _, ok := g.Entities[p.ObjVar]; !ok {
-			o := ev.Object
-			g.Entities[p.ObjVar] = &o
-		}
+// closeAll runs closeWindow over the windows one Advance or Flush closed.
+func (q *Query) closeAll(closed []window.Closed, report func(error)) []*Alert {
+	var alerts []*Alert
+	for _, c := range closed {
+		alerts = append(alerts, q.closeWindow(c, report)...)
 	}
-	if p.SubjVar != "" && p.SubjVar != p.ObjVar {
-		if _, ok := g.Entities[p.SubjVar]; !ok {
-			s := ev.Subject
-			g.Entities[p.SubjVar] = &s
-		}
-	}
-	if p.Alias != "" {
-		if _, ok := g.Events[p.Alias]; !ok {
-			g.Events[p.Alias] = ev
-		}
-	}
+	return alerts
 }
 
 // bindEnv builds the expression environment for one pattern's bindings.
@@ -314,11 +303,7 @@ func (q *Query) AdvanceWatermark(t time.Time, report func(error)) []*Alert {
 	if report == nil {
 		report = func(error) {}
 	}
-	var alerts []*Alert
-	for _, closed := range q.winMgr.Advance(t) {
-		alerts = append(alerts, q.closeWindow(closed, report)...)
-	}
-	return alerts
+	return q.closeAll(q.winMgr.Advance(t), report)
 }
 
 // TouchAt opens the windows containing t without folding any state, then
@@ -343,11 +328,7 @@ func (q *Query) Flush(report func(error)) []*Alert {
 	if !q.stateful {
 		return nil
 	}
-	var alerts []*Alert
-	for _, closed := range q.winMgr.Flush() {
-		alerts = append(alerts, q.closeWindow(closed, report)...)
-	}
-	return alerts
+	return q.closeAll(q.winMgr.Flush(), report)
 }
 
 func (q *Query) groupKey(env *expr.Env) (string, error) {
@@ -401,18 +382,33 @@ func (c *clusterView) ClusterField(field string) (value.Value, bool) {
 	return value.Null, false
 }
 
+// closing is one present group's share of a window close, parallel to the
+// closed window's (key-ordered) groups.
+type closing struct {
+	rt   *groupRuntime
+	snap *window.Snapshot
+	view clusterView
+}
+
+// closeWindow snapshots the closed window's groups into their histories,
+// clusters them, and evaluates invariants and alerts group by group in
+// ascending key order. Its cost is O(n log n) in the window's groups (the
+// manager's key sort and the clustering index) plus one pass over the known
+// groups, and it allocates in proportion to them.
 func (q *Query) closeWindow(closed window.Closed, report func(error)) []*Alert {
 	q.stats.WindowsClosed++
+	seq := q.stats.WindowsClosed
 
-	// 1. Snapshot groups present in this window; push empty snapshots for
-	// known-but-quiet groups so ss[k] history stays contiguous.
-	present := map[string]*window.Snapshot{}
-	for key, g := range closed.Groups {
+	// 1. Snapshot groups present in this window; push the window's one
+	// shared empty snapshot for known-but-quiet groups so ss[k] history
+	// stays contiguous.
+	present := make([]closing, len(closed.Groups))
+	var empty *window.Snapshot
+	for i, g := range closed.Groups {
 		snap := q.winMgr.SnapshotGroup(closed.ID, g)
-		present[key] = snap
-		rt, ok := q.groups[key]
+		rt, ok := q.groups[g.Key]
 		if !ok {
-			rt = &groupRuntime{key: key, history: window.NewHistory(q.historyLen)}
+			rt = &groupRuntime{key: g.Key, history: q.winMgr.NewHistory(q.historyLen)}
 			if q.hasInv {
 				rt.inv = invariant.NewState(q.invSpec, q.invInits)
 			}
@@ -423,142 +419,178 @@ func (q *Query) closeWindow(closed window.Closed, report func(error)) []*Alert {
 			// spikes against a zero moving average (how the paper's
 			// time-series query catches the fresh exfiltration process),
 			// while windows before the stream began stay null.
-			backfill := int(q.stats.WindowsClosed - 1)
+			backfill := int(seq - 1)
 			if backfill > q.historyLen-1 {
 				backfill = q.historyLen - 1
 			}
-			for i := 0; i < backfill; i++ {
-				rt.history.Push(q.winMgr.EmptySnapshot(closed.ID))
+			for k := 0; k < backfill; k++ {
+				if empty == nil {
+					empty = q.winMgr.EmptySnapshot(closed.ID)
+				}
+				rt.history.Push(empty)
 			}
-			q.groups[key] = rt
+			q.groups[g.Key] = rt
 		}
 		rt.history.Push(snap)
 		rt.idleWindows = 0
+		rt.closedSeq = seq
+		present[i] = closing{rt: rt, snap: snap}
 	}
-	for key, rt := range q.groups {
-		if _, ok := present[key]; ok {
-			continue
-		}
-		rt.history.Push(q.winMgr.EmptySnapshot(closed.ID))
-		rt.idleWindows++
-		if rt.idleWindows > q.idleLimit {
-			delete(q.groups, key)
+	if len(q.groups) > len(present) {
+		for key, rt := range q.groups {
+			if rt.closedSeq == seq {
+				continue
+			}
+			if empty == nil {
+				empty = q.winMgr.EmptySnapshot(closed.ID)
+			}
+			rt.history.Push(empty)
+			rt.idleWindows++
+			if rt.idleWindows > q.idleLimit {
+				delete(q.groups, key)
+			}
 		}
 	}
 
-	// 2. Clustering over the groups present in this window.
-	views := map[string]*clusterView{}
+	// One environment serves every evaluation of this close.
+	env := &expr.Env{StateName: q.AST.State.Name}
+
+	// 2. Clustering over the groups present in this window, in key order.
 	if q.hasCluster && len(present) > 0 {
-		keys := make([]string, 0, len(present))
-		points := make([][]float64, 0, len(present))
-		for key := range present {
-			rt := q.groups[key]
-			env := &expr.Env{StateName: q.AST.State.Name, State: rt.history}
-			v, err := expr.Eval(q.pointsExpr, env)
-			if err != nil {
-				q.stats.EvalErrors++
-				report(&QueryError{Query: q.Name, Err: err})
-				continue
-			}
-			f, ok := v.AsFloat()
-			if !ok {
-				q.stats.EvalErrors++
-				report(&QueryError{Query: q.Name, Err: fmt.Errorf("cluster point for group %q is %s, not numeric", key, v.Kind())})
-				continue
-			}
-			keys = append(keys, key)
-			points = append(points, []float64{f})
-		}
-		if len(points) > 0 {
-			res, err := cluster.Run(q.clusterName, q.clusterArgs, points, q.clusterDist)
-			if err != nil {
-				q.stats.EvalErrors++
-				report(&QueryError{Query: q.Name, Err: err})
-			} else {
-				for i, key := range keys {
-					views[key] = &clusterView{
-						outlier: res.Outlier[i],
-						label:   res.Labels[i],
-						size:    res.Size(res.Labels[i]),
-						valid:   true,
-					}
-				}
-			}
-		}
+		q.clusterGroups(env, closed.Groups, present, report)
 	}
 
 	// 3. Per present group: invariant update, then alert evaluation.
 	var alerts []*Alert
-	for key, snap := range present {
-		rt := q.groups[key]
-		env := &expr.Env{
-			Entities:  snap.Entities,
-			Events:    snap.Events,
-			StateName: q.AST.State.Name,
-			State:     rt.history,
+	for i, g := range closed.Groups {
+		c := &present[i]
+		*env = expr.Env{StateName: env.StateName, State: c.rt.history}
+		if q.hasCluster {
+			env.Cluster = &c.view
 		}
-		if cv, ok := views[key]; ok {
-			env.Cluster = cv
-		} else if q.hasCluster {
-			env.Cluster = &clusterView{}
+		if al := q.detect(env, c, g.Key, closed.End, report); al != nil {
+			alerts = append(alerts, al)
 		}
+	}
+	return alerts
+}
 
-		detecting := true
-		if q.hasInv {
-			// The alert must see the invariant as it stood BEFORE this
-			// window is folded in: an unseen process alerts even though
-			// the (online) update would absorb it. Snapshot the
-			// variables, then apply updates to the live state.
-			pre := make(map[string]value.Value, len(rt.inv.Vars()))
-			for k, v := range rt.inv.Vars() {
-				pre[k] = v
-			}
-			env.Vars = pre
-			var newVars map[string]value.Value
-			if rt.inv.ShouldUpdate() {
-				newVars = map[string]value.Value{}
-				for _, st := range q.AST.Invariant.Updates {
-					v, err := expr.Eval(st.Expr, env)
-					if err != nil {
-						q.stats.EvalErrors++
-						report(&QueryError{Query: q.Name, Err: err})
-						continue
-					}
-					newVars[st.Var] = v
-				}
-			}
-			detecting = !rt.inv.Training()
-			rt.inv.Observe(newVars)
-		}
-		if !detecting {
+// clusterGroups evaluates one clustering point per present group and records
+// each group's outcome in its view. Points go to the algorithm in the
+// groups' key order: cluster numbering follows input order, and key order is
+// the one order every run, shard and restore agrees on.
+func (q *Query) clusterGroups(env *expr.Env, groups []*window.Group, present []closing, report func(error)) {
+	coords := make([]float64, 0, len(present)) // one backing array for all points
+	points := make([][]float64, 0, len(present))
+	owner := make([]int, 0, len(present)) // point -> index into present
+	for i := range present {
+		env.State = present[i].rt.history
+		v, err := expr.Eval(q.pointsExpr, env)
+		if err != nil {
+			q.fail(report, err)
 			continue
 		}
+		f, ok := v.AsFloat()
+		if !ok {
+			q.fail(report, fmt.Errorf("cluster point for group %q is %s, not numeric", groups[i].Key, v.Kind()))
+			continue
+		}
+		coords = append(coords, f)
+		points = append(points, coords[len(coords)-1:len(coords):len(coords)])
+		owner = append(owner, i)
+	}
+	if len(points) == 0 {
+		return
+	}
+	res, err := cluster.Run(q.clusterName, q.clusterArgs, points, q.clusterDist)
+	if err != nil {
+		q.fail(report, err)
+		return
+	}
+	for k, i := range owner {
+		present[i].view = clusterView{
+			outlier: res.Outlier[k],
+			label:   res.Labels[k],
+			size:    res.Size(res.Labels[k]),
+			valid:   true,
+		}
+	}
+}
 
+// detect runs one present group's invariant update and alert evaluation for
+// a closing window and returns the alert raised, if any. env arrives with the
+// group's state and cluster views; the name-keyed binding maps are
+// materialised from the snapshot's slots only when an expression about to be
+// evaluated reads an entity or event variable.
+func (q *Query) detect(env *expr.Env, c *closing, key string, end time.Time, report func(error)) *Alert {
+	bound := false
+	bind := func(reads bool) {
+		if reads && !bound {
+			env.Entities, env.Events = q.winMgr.Bindings(c.snap)
+			bound = true
+		}
+	}
+
+	detecting := true
+	var newVars map[string]value.Value
+	if q.hasInv {
+		// The alert must see the invariant as it stood BEFORE this window is
+		// folded in: an unseen process alerts even though the (online)
+		// update would absorb it. So the updates are evaluated here, against
+		// the live variables, and applied (Observe) only after the alert.
+		env.Vars = c.rt.inv.Vars()
+		if c.rt.inv.ShouldUpdate() {
+			bind(q.invReadsBindings)
+			newVars = make(map[string]value.Value, len(q.AST.Invariant.Updates))
+			for _, st := range q.AST.Invariant.Updates {
+				v, err := expr.Eval(st.Expr, env)
+				if err != nil {
+					q.fail(report, err)
+					continue
+				}
+				newVars[st.Var] = v
+			}
+		}
+		detecting = !c.rt.inv.Training()
+	}
+
+	var alert *Alert
+	if detecting {
+		bind(q.alertReadsBindings)
 		for _, a := range q.alerts {
 			ok, err := expr.EvalBool(a, env)
 			if err != nil {
-				q.stats.EvalErrors++
-				report(&QueryError{Query: q.Name, Err: err})
+				q.fail(report, err)
 				continue
 			}
 			if !ok {
 				continue
 			}
+			bind(q.returnReadsBindings)
 			al := &Alert{
 				Query:     q.Name,
 				Kind:      q.Kind,
-				EventTime: closed.End,
+				EventTime: end,
 				Detected:  q.now(),
 				GroupKey:  key,
 			}
 			al.Values = q.evalReturn(env, report)
 			if q.admit(al) {
-				alerts = append(alerts, al)
+				alert = al
 			}
 			break // one alert per group per window
 		}
 	}
-	return alerts
+	if q.hasInv {
+		c.rt.inv.Observe(newVars)
+	}
+	return alert
+}
+
+// fail counts and reports one runtime evaluation error.
+func (q *Query) fail(report func(error), err error) {
+	q.stats.EvalErrors++
+	report(&QueryError{Query: q.Name, Err: err})
 }
 
 // evalReturn evaluates the return clause in env.
@@ -574,8 +606,7 @@ func (q *Query) evalReturn(env *expr.Env, report func(error)) []NamedValue {
 		}
 		v, err := expr.Eval(item.Expr, env)
 		if err != nil {
-			q.stats.EvalErrors++
-			report(&QueryError{Query: q.Name, Err: err})
+			q.fail(report, err)
 			v = value.Null
 		}
 		out = append(out, NamedValue{Name: name, Val: v})

@@ -29,7 +29,6 @@ import (
 	"sort"
 
 	"saql/internal/invariant"
-	"saql/internal/window"
 	"saql/internal/wire"
 )
 
@@ -176,7 +175,7 @@ func (q *Query) RestoreState(blob []byte, disjoint bool) error {
 	for i := 0; i < nGroups && r.Err() == nil; i++ {
 		key := r.String()
 		idle := int(r.Varint())
-		hist := window.NewHistory(q.historyLen)
+		hist := q.winMgr.NewHistory(q.historyLen)
 		if err := hist.ReadState(r); err != nil {
 			return fmt.Errorf("engine: query %q group %q: %w", q.Name, key, err)
 		}

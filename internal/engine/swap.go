@@ -60,6 +60,10 @@ func (q *Query) CanCarryStateFrom(old *Query) bool {
 // where neither query is ingesting events.
 func (q *Query) CarryStateFrom(old *Query) {
 	q.winMgr = old.winMgr
+	// The carried manager keeps the slots its open groups and histories were
+	// written under; this query's patterns re-resolve against it (names the
+	// old query did not bind get fresh slots).
+	q.assignSlots()
 	q.groups = old.groups
 	q.stats = old.stats
 	if q.distinct != nil && old.distinct != nil &&

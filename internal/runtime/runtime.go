@@ -882,6 +882,7 @@ func (r *Runtime) QueryStats(name string) (engine.QueryStats, bool) {
 		out.Alerts += s.Alerts
 		out.Suppressed += s.Suppressed
 		out.EvalErrors += s.EvalErrors
+		out.LateHits += s.LateHits
 		out.StateBytes += s.StateBytes
 	}
 	if found {

@@ -133,6 +133,11 @@ type Scheduler struct {
 	// consumes the hits under the same lock hold, so the table never
 	// escapes and one zeroed buffer serves every event.
 	procScratch [][]int
+	// hitScratch backs the hit sets procScratch points at, likewise reused.
+	hitScratch []int
+	// lastCarved is how many events of the previous EvaluateBatch had hits:
+	// the size of the next batch's first hit-table chunk.
+	lastCarved int
 	// report adapts the error reporter once at construction so the per-event
 	// paths don't allocate a closure per call.
 	report func(error)
@@ -405,9 +410,10 @@ func (s *Scheduler) Process(ev *event.Event) []*engine.Alert {
 // feed any number of ingesting schedulers that hold replicas of the same
 // queries. It returns one HitSet per event (nil entries where nothing
 // matched; consumers treat a nil HitSet as all-empty). The
-// HitSet headers and hit-slot slices are slab-allocated per batch, so the
-// pre-evaluation stage costs O(1) allocations per batch rather than per
-// event — it sits on the router's hot path in front of every shard.
+// HitSet headers and hit-slot slices are allocated in chunks, for the events
+// with hits only, so the pre-evaluation stage costs a few allocations per
+// batch rather than one per event — it sits on the router's hot path in
+// front of every shard.
 //
 // Evaluation runs in pattern-major (columnar) order: each group's master
 // sweeps its compiled patterns across the whole batch before the next group
@@ -420,11 +426,16 @@ func (s *Scheduler) EvaluateBatch(evs []*event.Event) []*HitSet {
 	return s.evaluateBatchLocked(evs)
 }
 
+// hitTableChunk is how many events-with-hits one allocation of HitSet headers
+// and slot tables serves in evaluateBatchLocked, beyond the first chunk.
+const hitTableChunk = 32
+
 // evaluateBatchLocked is the columnar core of EvaluateBatch. For each group,
 // the master's patterns sweep the entire batch first (engine.MatchBatch
 // writes per-event hit bitmasks, materialised into arena-carved index
-// slices), then each dependent refines the master's hits across the batch. The hit sets, slot tables, and HitSet headers for the
-// whole batch come from three slab allocations. Counters are maintained
+// slices), then each dependent refines the master's hits across the batch.
+// Hit sets come from one allocation per group with hits; HitSet headers and
+// slot tables from one pair per hitTableChunk events with hits. Counters are maintained
 // exactly as the event-major loop did — per-group constants multiplied by
 // the batch length, residual evaluations counted as they happen — so stats
 // are bit-identical to processing the batch event by event. The caller
@@ -442,21 +453,34 @@ func (s *Scheduler) evaluateBatchLocked(evs []*event.Event) []*HitSet {
 		nSlots = len(s.layout.Slots)
 	}
 	out := make([]*HitSet, n)
-	var slab []HitSet    // one header per event with hits, carved on demand
-	var tblArena [][]int // per-event slot tables
+	// Headers and slot tables exist only for events with hits, carved from
+	// chunks allocated as such events turn up: most events of a fleet-wide
+	// stream match no host-pinned query, and a table per event would be
+	// zeroed for nothing.
+	var slab []HitSet    // current chunk of headers
+	var tblArena [][]int // current chunk of slot tables
+	carved := 0          // events given a table so far
 	put := func(i, slot int, h []int) {
 		if len(h) == 0 || slot < 0 {
 			return
 		}
 		if out[i] == nil {
-			if slab == nil {
-				slab = make([]HitSet, 0, n)
-				tblArena = make([][]int, n*nSlots)
+			if len(slab) == cap(slab) {
+				c := hitTableChunk
+				if slab == nil {
+					// The first chunk covers what the previous batch needed:
+					// a steady stream gets its tables in one allocation.
+					c = max(c, s.lastCarved)
+				}
+				c = min(c, n-carved)
+				slab = make([]HitSet, 0, c)
+				tblArena = make([][]int, c*nSlots)
 			}
 			tbl := tblArena[:nSlots:nSlots]
 			tblArena = tblArena[nSlots:]
 			slab = append(slab, HitSet{Layout: s.layout, Hits: tbl})
 			out[i] = &slab[len(slab)-1]
+			carved++
 		}
 		out[i].Hits[slot] = h
 	}
@@ -550,12 +574,13 @@ func (s *Scheduler) evaluateBatchLocked(evs []*event.Event) []*HitSet {
 				if len(mh) == 0 {
 					continue
 				}
-				dh, evals := d.q.ResidualHits(evs[i], mh)
+				dh, evals := d.q.ResidualHits(nil, evs[i], mh)
 				s.stats.PatternEvals += int64(evals)
 				put(i, d.slot, dh)
 			}
 		}
 	}
+	s.lastCarved = carved
 	return out
 }
 
@@ -586,6 +611,9 @@ func (s *Scheduler) ProcessWithHits(ev *event.Event, hs *HitSet) []*engine.Alert
 //saql:hotpath
 func (s *Scheduler) evaluateLocked(ev *event.Event, arena *[][]int, remaining int) [][]int {
 	s.resolveSlotsLocked(s.layout)
+	// The hit sets themselves live in one buffer kept across events: the
+	// serial path consumes them under this lock hold.
+	buf := s.hitScratch[:0]
 	var hits [][]int // carved from the arena on the first non-empty hit set
 	put := func(slot int, h []int) {
 		if len(h) == 0 || slot < 0 {
@@ -623,7 +651,9 @@ func (s *Scheduler) evaluateLocked(ev *event.Event, arena *[][]int, remaining in
 			s.stats.NaivePatternEvals += nPat
 		}
 
-		mh := g.master.Hits(ev)
+		start := len(buf)
+		buf = g.master.AppendHits(buf, ev)
+		mh := buf[start:len(buf):len(buf)]
 		put(g.slot, mh)
 
 		for _, d := range g.dependents {
@@ -640,11 +670,13 @@ func (s *Scheduler) evaluateLocked(ev *event.Event, arena *[][]int, remaining in
 				put(d.slot, mh)
 				continue
 			}
-			dh, evals := d.q.ResidualHits(ev, mh)
+			start, evals := len(buf), 0
+			buf, evals = d.q.ResidualHits(buf, ev, mh)
 			s.stats.PatternEvals += int64(evals)
-			put(d.slot, dh)
+			put(d.slot, buf[start:len(buf):len(buf)])
 		}
 	}
+	s.hitScratch = buf
 	return hits
 }
 

@@ -12,8 +12,6 @@ package window
 
 import (
 	"fmt"
-	"sort"
-	"time"
 
 	"saql/internal/agg"
 	"saql/internal/event"
@@ -28,30 +26,19 @@ import (
 func (m *Manager) AppendState(b []byte) ([]byte, error) {
 	b = wire.AppendBool(b, m.hasWM)
 	if m.hasWM {
-		b = wire.AppendTime(b, m.watermark)
+		b = wire.AppendVarint(b, m.watermark)
 	} else {
 		b = wire.AppendVarint(b, 0)
 	}
 	b = wire.AppendVarint(b, m.LateEvents)
 
-	ids := make([]ID, 0, len(m.open))
-	for id := range m.open {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	b = wire.AppendUvarint(b, uint64(len(ids)))
-	for _, id := range ids {
-		w := m.open[id]
-		b = wire.AppendVarint(b, int64(id))
-		keys := make([]string, 0, len(w.groups))
-		for k := range w.groups {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		b = wire.AppendUvarint(b, uint64(len(keys)))
-		for _, key := range keys {
+	b = wire.AppendUvarint(b, uint64(len(m.open)))
+	for _, w := range m.open {
+		b = wire.AppendVarint(b, int64(w.id))
+		b = wire.AppendUvarint(b, uint64(len(w.groups)))
+		for _, g := range sortedGroups(w.groups) {
 			var err error
-			if b, err = m.appendGroup(b, w.groups[key]); err != nil {
+			if b, err = m.appendGroup(b, g); err != nil {
 				return b, err
 			}
 		}
@@ -62,8 +49,8 @@ func (m *Manager) AppendState(b []byte) ([]byte, error) {
 func (m *Manager) appendGroup(b []byte, g *Group) ([]byte, error) {
 	b = wire.AppendString(b, g.Key)
 	b = wire.AppendVarint(b, int64(g.Count))
-	b = appendEntities(b, g.Entities)
-	b = appendEvents(b, g.Events)
+	b = m.appendEntities(b, g.Entities)
+	b = m.appendEvents(b, g.Events)
 	b = wire.AppendUvarint(b, uint64(len(g.Aggs)))
 	for _, a := range g.Aggs {
 		var err error
@@ -81,29 +68,21 @@ func (m *Manager) appendGroup(b []byte, g *Group) ([]byte, error) {
 // cadence stays identical across shards after a restore.
 func (m *Manager) ReadState(r *wire.Reader, keep func(string) bool, disjoint bool) error {
 	hasWM := r.Bool()
-	wmNanos := r.Varint()
+	wm := r.Varint()
 	late := r.Varint()
 	if r.Err() != nil {
 		return r.Err()
 	}
-	if hasWM {
-		wm := time.Unix(0, wmNanos)
-		if !m.hasWM || wm.After(m.watermark) {
-			m.watermark = wm
-			m.hasWM = true
-		}
+	if hasWM && (!m.hasWM || wm > m.watermark) {
+		m.watermark = wm
+		m.hasWM = true
 	}
 	if disjoint {
 		m.LateEvents += late
 	}
 	nWin := r.Count(2)
 	for i := 0; i < nWin && r.Err() == nil; i++ {
-		id := ID(r.Varint())
-		w, ok := m.open[id]
-		if !ok {
-			w = &openWindow{id: id, groups: map[string]*Group{}}
-			m.open[id] = w
-		}
+		w := m.window(ID(r.Varint()))
 		nGroups := r.Count(2)
 		for j := 0; j < nGroups && r.Err() == nil; j++ {
 			g, err := m.readGroup(r)
@@ -122,14 +101,16 @@ func (m *Manager) readGroup(r *wire.Reader) (*Group, error) {
 	g := &Group{
 		Key:      r.String(),
 		Count:    int(r.Varint()),
-		Entities: readEntities(r),
-		Events:   readEvents(r),
+		Entities: m.readEntities(r),
+		Events:   m.readEvents(r),
 	}
-	if g.Entities == nil {
-		g.Entities = map[string]*event.Entity{}
+	// Groups are always as wide as the slot tables (the fold path indexes
+	// them unchecked); the decoders return only as many slots as were bound.
+	for len(g.Entities) < len(m.entities.names) {
+		g.Entities = append(g.Entities, nil)
 	}
-	if g.Events == nil {
-		g.Events = map[string]*event.Event{}
+	for len(g.Events) < len(m.events.names) {
+		g.Events = append(g.Events, nil)
 	}
 	nAggs := r.Count(1)
 	if r.Err() != nil {
@@ -140,9 +121,9 @@ func (m *Manager) readGroup(r *wire.Reader) (*Group, error) {
 	}
 	g.Aggs = make([]agg.Aggregator, nAggs)
 	for i, f := range m.fields {
-		a, err := agg.New(f.AggName, f.AggParams)
+		a, err := m.factories[i](f.AggParams)
 		if err != nil {
-			return nil, err // validated in NewManager; unreachable
+			return nil, err // tried in NewManager; unreachable
 		}
 		if err := agg.ReadState(r, a); err != nil {
 			return nil, err
@@ -156,41 +137,53 @@ func (m *Manager) readGroup(r *wire.Reader) (*Group, error) {
 // Snapshot and history codec
 // ---------------------------------------------------------------------------
 
-// AppendSnapshot appends one frozen group snapshot.
-func AppendSnapshot(b []byte, s *Snapshot) []byte {
+// appendSnapshot appends one frozen group snapshot: fields and bindings by
+// name, in ascending name order.
+func (m *Manager) appendSnapshot(b []byte, s *Snapshot) []byte {
 	b = wire.AppendVarint(b, int64(s.WindowID))
 	b = wire.AppendVarint(b, int64(s.Count))
-	names := make([]string, 0, len(s.Fields))
-	for n := range s.Fields {
-		names = append(names, n)
+	order := m.fieldOrder
+	if s.Fields == nil {
+		order = nil // a snapshot decoded from no fields encodes none
 	}
-	sort.Strings(names)
-	b = wire.AppendUvarint(b, uint64(len(names)))
-	for _, n := range names {
-		b = wire.AppendString(b, n)
-		b = wire.AppendValue(b, s.Fields[n])
+	b = wire.AppendUvarint(b, uint64(len(order)))
+	for _, i := range order {
+		b = wire.AppendString(b, m.fields[i].Name)
+		b = wire.AppendValue(b, s.Fields[i])
 	}
-	b = appendEntities(b, s.Entities)
-	b = appendEvents(b, s.Events)
+	b = m.appendEntities(b, s.Entities)
+	b = m.appendEvents(b, s.Events)
 	return b
 }
 
-// ReadSnapshot decodes one group snapshot.
-func ReadSnapshot(r *wire.Reader) *Snapshot {
+// readSnapshot decodes one group snapshot. A field the manager does not
+// declare fails the read: the blob was taken under another state block.
+func (m *Manager) readSnapshot(r *wire.Reader) *Snapshot {
 	s := &Snapshot{
 		WindowID: ID(r.Varint()),
 		Count:    int(r.Varint()),
 	}
 	nFields := r.Count(2)
 	if nFields > 0 {
-		s.Fields = make(map[string]value.Value, nFields)
+		s.Fields = make([]value.Value, len(m.fields))
 	}
 	for i := 0; i < nFields && r.Err() == nil; i++ {
-		n := r.String()
-		s.Fields[n] = r.ReadValue()
+		name := r.String()
+		v := r.ReadValue()
+		slot := -1
+		for j, f := range m.fields {
+			if f.Name == name {
+				slot = j
+			}
+		}
+		if slot < 0 {
+			r.Fail("snapshot field %q is not a state field of this query", name)
+			break
+		}
+		s.Fields[slot] = v
 	}
-	s.Entities = readEntities(r)
-	s.Events = readEvents(r)
+	s.Entities = m.readEntities(r)
+	s.Events = m.readEvents(r)
 	return s
 }
 
@@ -201,7 +194,7 @@ func (h *History) AppendState(b []byte) []byte {
 	b = wire.AppendVarint(b, int64(h.total))
 	b = wire.AppendUvarint(b, uint64(h.n))
 	for k := h.n - 1; k >= 0; k-- {
-		b = AppendSnapshot(b, h.At(k))
+		b = h.m.appendSnapshot(b, h.At(k))
 	}
 	return b
 }
@@ -220,7 +213,7 @@ func (h *History) ReadState(r *wire.Reader) error {
 	}
 	n := r.Count(4)
 	for i := 0; i < n && r.Err() == nil; i++ {
-		h.Push(ReadSnapshot(r))
+		h.Push(h.m.readSnapshot(r))
 	}
 	if r.Err() == nil {
 		// Total drives invariant/backfill counters; it may exceed the
@@ -231,60 +224,69 @@ func (h *History) ReadState(r *wire.Reader) error {
 }
 
 // ---------------------------------------------------------------------------
-// Binding maps
+// Bindings: slots in memory, names on the wire
 // ---------------------------------------------------------------------------
 
-func appendEntities(b []byte, m map[string]*event.Entity) []byte {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	b = wire.AppendUvarint(b, uint64(len(keys)))
-	for _, k := range keys {
-		b = wire.AppendString(b, k)
-		b = wire.AppendEntity(b, m[k])
+func (m *Manager) appendEntities(b []byte, ents []*event.Entity) []byte {
+	m.slotScratch = boundSlots(m.slotScratch[:0], m.entities.order, ents)
+	b = wire.AppendUvarint(b, uint64(len(m.slotScratch)))
+	for _, slot := range m.slotScratch {
+		b = wire.AppendString(b, m.entities.names[slot])
+		b = wire.AppendEntity(b, ents[slot])
 	}
 	return b
 }
 
-func readEntities(r *wire.Reader) map[string]*event.Entity {
-	n := r.Count(2)
-	if n == 0 {
-		return nil
+// boundSlots appends to dst the slots of order (ascending name) that vals
+// binds.
+func boundSlots[T any](dst, order []int, vals []*T) []int {
+	for _, slot := range order {
+		if slot < len(vals) && vals[slot] != nil {
+			dst = append(dst, slot)
+		}
 	}
-	m := make(map[string]*event.Entity, n)
+	return dst
+}
+
+// readEntities decodes name-keyed entity bindings into slots, assigning a
+// slot to any name the compiled query has not declared, so that such a
+// binding survives to the next encode. It returns nil for no bindings,
+// otherwise a slice covering the highest slot bound.
+func (m *Manager) readEntities(r *wire.Reader) []*event.Entity {
+	n := r.Count(2)
+	var out []*event.Entity
 	for i := 0; i < n && r.Err() == nil; i++ {
-		k := r.String()
+		slot := m.EntitySlot(r.String())
 		e := r.ReadEntity()
-		m[k] = &e
+		for len(out) <= slot {
+			out = append(out, nil)
+		}
+		out[slot] = &e
 	}
-	return m
+	return out
 }
 
-func appendEvents(b []byte, m map[string]*event.Event) []byte {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	b = wire.AppendUvarint(b, uint64(len(keys)))
-	for _, k := range keys {
-		b = wire.AppendString(b, k)
-		b = wire.AppendEvent(b, m[k])
+func (m *Manager) appendEvents(b []byte, evs []*event.Event) []byte {
+	m.slotScratch = boundSlots(m.slotScratch[:0], m.events.order, evs)
+	b = wire.AppendUvarint(b, uint64(len(m.slotScratch)))
+	for _, slot := range m.slotScratch {
+		b = wire.AppendString(b, m.events.names[slot])
+		b = wire.AppendEvent(b, evs[slot])
 	}
 	return b
 }
 
-func readEvents(r *wire.Reader) map[string]*event.Event {
+// readEvents is readEntities for event aliases.
+func (m *Manager) readEvents(r *wire.Reader) []*event.Event {
 	n := r.Count(2)
-	if n == 0 {
-		return nil
-	}
-	m := make(map[string]*event.Event, n)
+	var out []*event.Event
 	for i := 0; i < n && r.Err() == nil; i++ {
-		k := r.String()
-		m[k] = r.ReadEvent()
+		slot := m.EventSlot(r.String())
+		ev := r.ReadEvent()
+		for len(out) <= slot {
+			out = append(out, nil)
+		}
+		out[slot] = ev
 	}
-	return m
+	return out
 }

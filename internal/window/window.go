@@ -6,7 +6,10 @@ package window
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"saql/internal/agg"
@@ -33,19 +36,6 @@ func (s Spec) EffectiveHop() time.Duration {
 		return s.Hop
 	}
 	return s.Length
-}
-
-// eachWindow calls f with the ID of every window containing the instant ts
-// (unix nanoseconds), newest first. It is the allocation-free core shared
-// by AssignTo and Manager.Touch.
-func (s Spec) eachWindow(ts int64, f func(ID)) {
-	hop := s.EffectiveHop().Nanoseconds()
-	length := s.Length.Nanoseconds()
-	// Latest window start <= ts, aligned to hop.
-	latest := ts - mod(ts, hop)
-	for start := latest; start > ts-length; start -= hop {
-		f(ID(start))
-	}
 }
 
 // AssignTo returns the IDs of all windows containing t, in ascending start
@@ -108,33 +98,43 @@ type FieldSpec struct {
 // return expressions for the group (SAQL returns the attributes of the
 // group's matched events, e.g. `return p, ss[0].avg_amount`).
 type Group struct {
-	Key      string
-	Aggs     []agg.Aggregator
-	Entities map[string]*event.Entity
-	Events   map[string]*event.Event
-	Count    int // events folded into this group this window
+	Key   string
+	Aggs  []agg.Aggregator
+	Count int // events folded into this group this window
+	// Entities and Events hold the bindings by slot (Manager.EntitySlot,
+	// Manager.EventSlot); a nil slot is unbound, and the first writer wins.
+	// Entities point into the events that bound them: retained, never
+	// written.
+	Entities []*event.Entity
+	Events   []*event.Event
 }
 
 // Snapshot is the frozen state of one group for one closed window.
 type Snapshot struct {
 	WindowID ID
-	Fields   map[string]value.Value
-	Entities map[string]*event.Entity
-	Events   map[string]*event.Event
+	// Fields holds the state fields' results in declaration order.
+	Fields []value.Value
+	// Entities and Events are the group's slot-indexed bindings (shared with
+	// the closed Group); both are nil for a window the group sat out, and
+	// either may be shorter than the manager's slot table.
+	Entities []*event.Entity
+	Events   []*event.Event
 	Count    int
 }
 
 // openWindow is one in-flight window.
 type openWindow struct {
 	id     ID
+	end    int64 // exclusive end, unix nanoseconds
 	groups map[string]*Group
 }
 
 // Closed describes one closed window delivered by Advance.
 type Closed struct {
-	ID     ID
-	End    time.Time
-	Groups map[string]*Group
+	ID  ID
+	End time.Time
+	// Groups lists the window's groups in ascending key order.
+	Groups []*Group
 }
 
 // Manager assigns events to windows and closes windows as the watermark
@@ -142,8 +142,26 @@ type Closed struct {
 type Manager struct {
 	spec      Spec
 	fields    []FieldSpec
-	open      map[ID]*openWindow
-	watermark time.Time
+	factories []agg.Factory // fields' aggregator factories, resolved once
+	// emptyFields is every field's result over no input: the Fields of all
+	// empty snapshots, never written after NewManager.
+	emptyFields []value.Value
+	// fieldOrder lists field indices by ascending name: the order snapshots
+	// are encoded in.
+	fieldOrder []int
+
+	// Binding slot tables for Group.Entities and Group.Events.
+	entities, events slotTable
+
+	// open holds the in-flight windows in ascending ID order — which, all
+	// windows sharing one length, is also ascending end order. There are
+	// ⌈Length/Hop⌉ of them plus stragglers, so lookup is a short scan from
+	// the newest end and closing pops a prefix.
+	open []*openWindow
+	// deadline is the earliest end among the open windows (math.MaxInt64
+	// with none open): Advance below it closes nothing.
+	deadline  int64
+	watermark int64 // unix nanoseconds; meaningful once hasWM
 	hasWM     bool
 
 	// idScratch and groupScratch are reused across GroupFor calls so
@@ -151,6 +169,7 @@ type Manager struct {
 	// Manager is single-goroutine-confined).
 	idScratch    []ID
 	groupScratch []*Group
+	slotScratch  []int // the encoder's bound-slot list
 
 	// Stats.
 	LateEvents int64 // events older than an already-closed window
@@ -161,55 +180,140 @@ func NewManager(spec Spec, fields []FieldSpec) (*Manager, error) {
 	if spec.Length <= 0 {
 		return nil, fmt.Errorf("window: non-positive window length %v", spec.Length)
 	}
-	for _, f := range fields {
-		// Validate the aggregator factory eagerly so a bad query fails
-		// at compile time, not at the first event.
-		if _, err := agg.New(f.AggName, f.AggParams); err != nil {
+	m := &Manager{spec: spec, fields: fields, deadline: math.MaxInt64}
+	names := make([]string, len(fields))
+	for i, f := range fields {
+		// Resolve and try the aggregator factory eagerly so a bad query
+		// fails at compile time, not at the first event.
+		factory, err := agg.FactoryFor(f.AggName)
+		if err != nil {
 			return nil, err
 		}
+		a, err := factory(f.AggParams)
+		if err != nil {
+			return nil, err
+		}
+		m.factories = append(m.factories, factory)
+		m.emptyFields = append(m.emptyFields, a.Result())
+		names[i] = f.Name
 	}
-	return &Manager{spec: spec, fields: fields, open: map[ID]*openWindow{}}, nil
+	m.fieldOrder = sortedOrder(names)
+	return m, nil
+}
+
+// sortedOrder returns the indices of names in ascending name order.
+func sortedOrder(names []string) []int {
+	order := make([]int, len(names))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(i, j int) bool { return names[order[i]] < names[order[j]] })
+	return order
 }
 
 // Spec returns the manager's window spec.
 func (m *Manager) Spec() Spec { return m.spec }
+
+// slotTable names one kind of binding slot: slot -> variable name, and for
+// the encoder the slots by ascending name.
+type slotTable struct {
+	names []string
+	order []int
+}
+
+// slot returns name's slot, assigning the next free one at first sight.
+func (t *slotTable) slot(name string) (slot int, added bool) {
+	for i, n := range t.names {
+		if n == name {
+			return i, false
+		}
+	}
+	t.names = append(t.names, name)
+	t.order = sortedOrder(t.names)
+	return len(t.names) - 1, true
+}
+
+// EntitySlot returns the binding slot of the entity variable name — its index
+// in Group.Entities — assigning the next free slot at first sight. Slots are
+// for the compiler and the state decoder, not the per-event path: a new slot
+// widens every open group.
+func (m *Manager) EntitySlot(name string) int {
+	slot, added := m.entities.slot(name)
+	if added {
+		for _, w := range m.open {
+			for _, g := range w.groups {
+				g.Entities = append(g.Entities, nil)
+			}
+		}
+	}
+	return slot
+}
+
+// EventSlot is EntitySlot for event aliases and Group.Events.
+func (m *Manager) EventSlot(name string) int {
+	slot, added := m.events.slot(name)
+	if added {
+		for _, w := range m.open {
+			for _, g := range w.groups {
+				g.Events = append(g.Events, nil)
+			}
+		}
+	}
+	return slot
+}
+
+// window returns the open window id, opening it if needed.
+//
+//saql:hotpath
+func (m *Manager) window(id ID) *openWindow {
+	// Newest first: in-order streams hit the last window.
+	i := len(m.open)
+	for i > 0 && m.open[i-1].id > id {
+		i--
+	}
+	if i > 0 && m.open[i-1].id == id {
+		return m.open[i-1]
+	}
+	return m.openAt(i, id)
+}
+
+// openAt inserts a new window for id at position i of the ID-ordered open
+// list.
+func (m *Manager) openAt(i int, id ID) *openWindow {
+	w := &openWindow{id: id, end: int64(id) + m.spec.Length.Nanoseconds(), groups: map[string]*Group{}}
+	m.open = append(m.open, nil)
+	copy(m.open[i+1:], m.open[i:])
+	m.open[i] = w
+	if w.end < m.deadline {
+		m.deadline = w.end
+	}
+	return w
+}
+
+// passed reports whether the watermark has reached end (unix nanoseconds): a
+// window ending there has been closed, or will be by the next Advance.
+func (m *Manager) passed(end int64) bool { return m.hasWM && end <= m.watermark }
 
 // GroupFor returns (creating if needed) the group accumulator for groupKey in
 // every window containing t. It returns nil if the event is late (belongs
 // only to windows that already closed). The returned slice is reused by the
 // next GroupFor call: iterate it immediately, do not retain it (the *Group
 // elements themselves are stable).
+//
+//saql:hotpath
 func (m *Manager) GroupFor(t time.Time, groupKey string) []*Group {
 	m.idScratch = m.spec.AssignAppend(m.idScratch[:0], t)
-	ids := m.idScratch
 	out := m.groupScratch[:0]
-	for _, id := range ids {
-		if m.hasWM && !m.spec.End(id).After(m.watermark) {
-			// Window already closed; count as late.
+	length := m.spec.Length.Nanoseconds()
+	for _, id := range m.idScratch {
+		if m.passed(int64(id) + length) {
 			m.LateEvents++
 			continue
 		}
-		w, ok := m.open[id]
-		if !ok {
-			w = &openWindow{id: id, groups: map[string]*Group{}}
-			m.open[id] = w
-		}
+		w := m.window(id)
 		g, ok := w.groups[groupKey]
 		if !ok {
-			g = &Group{
-				Key:      groupKey,
-				Aggs:     make([]agg.Aggregator, len(m.fields)),
-				Entities: map[string]*event.Entity{},
-				Events:   map[string]*event.Event{},
-			}
-			for i, f := range m.fields {
-				a, err := agg.New(f.AggName, f.AggParams)
-				if err != nil {
-					// Validated in NewManager; unreachable.
-					panic(err)
-				}
-				g.Aggs[i] = a
-			}
+			g = m.newGroup(groupKey)
 			w.groups[groupKey] = g
 		}
 		out = append(out, g)
@@ -221,53 +325,96 @@ func (m *Manager) GroupFor(t time.Time, groupKey string) []*Group {
 	return out
 }
 
+// newGroup creates an empty accumulator for key.
+func (m *Manager) newGroup(key string) *Group {
+	g := &Group{
+		Key:      key,
+		Aggs:     make([]agg.Aggregator, len(m.fields)),
+		Entities: make([]*event.Entity, len(m.entities.names)),
+		Events:   make([]*event.Event, len(m.events.names)),
+	}
+	for i, f := range m.fields {
+		a, err := m.factories[i](f.AggParams)
+		if err != nil {
+			panic(err) // tried in NewManager; unreachable
+		}
+		g.Aggs[i] = a
+	}
+	return g
+}
+
 // Touch opens the windows containing t without folding any group state.
 // Sharded query replicas use it for events owned by another shard: the
 // window must still exist (and later close) here so that window-close
 // counts and empty-snapshot cadence stay identical on every shard, but no
 // group accumulates the event.
+//
+//saql:hotpath
 func (m *Manager) Touch(t time.Time) {
-	// eachWindow keeps this allocation-free: Touch sits on the sharded
-	// hot path for every non-owned pattern hit.
-	m.spec.eachWindow(t.UnixNano(), func(id ID) {
-		if m.hasWM && !m.spec.End(id).After(m.watermark) {
-			// Closed here too (the owning shard counts it as late).
-			return
+	m.idScratch = m.spec.AssignAppend(m.idScratch[:0], t)
+	length := m.spec.Length.Nanoseconds()
+	for _, id := range m.idScratch {
+		// A window closed here is closed on the owning shard too, which
+		// counts the event as late.
+		if !m.passed(int64(id) + length) {
+			m.window(id)
 		}
-		if _, ok := m.open[id]; !ok {
-			m.open[id] = &openWindow{id: id, groups: map[string]*Group{}}
-		}
-	})
+	}
 }
 
 // Advance moves the watermark to t and returns all windows whose end has
-// passed, in ascending end order.
+// passed, in ascending end order. Below the earliest open window's end —
+// nearly every call — it is two compares.
+//
+//saql:hotpath
 func (m *Manager) Advance(t time.Time) []Closed {
-	if m.hasWM && !t.After(m.watermark) {
+	ts := t.UnixNano()
+	if m.hasWM && ts <= m.watermark {
 		return nil
 	}
-	m.watermark = t
+	m.watermark = ts
 	m.hasWM = true
-	var closed []Closed
-	for id, w := range m.open {
-		if !m.spec.End(id).After(t) {
-			closed = append(closed, Closed{ID: id, End: m.spec.End(id), Groups: w.groups})
-			delete(m.open, id)
-		}
+	if ts < m.deadline {
+		return nil
 	}
-	sort.Slice(closed, func(i, j int) bool { return closed[i].ID < closed[j].ID })
-	return closed
+	n := 0
+	for n < len(m.open) && m.open[n].end <= ts {
+		n++
+	}
+	return m.closeFirst(n)
 }
 
 // Flush closes all remaining open windows (end of stream), in order.
-func (m *Manager) Flush() []Closed {
-	var closed []Closed
-	for id, w := range m.open {
-		closed = append(closed, Closed{ID: id, End: m.spec.End(id), Groups: w.groups})
-		delete(m.open, id)
+func (m *Manager) Flush() []Closed { return m.closeFirst(len(m.open)) }
+
+// closeFirst removes the n oldest open windows and returns them closed.
+func (m *Manager) closeFirst(n int) []Closed {
+	if n == 0 {
+		return nil
 	}
-	sort.Slice(closed, func(i, j int) bool { return closed[i].ID < closed[j].ID })
+	closed := make([]Closed, n)
+	for i, w := range m.open[:n] {
+		closed[i] = Closed{ID: w.id, End: time.Unix(0, w.end), Groups: sortedGroups(w.groups)}
+	}
+	rest := copy(m.open, m.open[n:])
+	clear(m.open[rest:])
+	m.open = m.open[:rest]
+	m.deadline = math.MaxInt64
+	if rest > 0 {
+		m.deadline = m.open[0].end
+	}
 	return closed
+}
+
+// sortedGroups lists a window's groups in ascending key order: the one order
+// that is the same on every run, every shard and after every restore.
+func sortedGroups(groups map[string]*Group) []*Group {
+	out := make([]*Group, 0, len(groups))
+	for _, g := range groups {
+		out = append(out, g)
+	}
+	slices.SortFunc(out, func(a, b *Group) int { return strings.Compare(a.Key, b.Key) })
+	return out
 }
 
 // OpenWindows reports how many windows are currently open.
@@ -275,26 +422,38 @@ func (m *Manager) OpenWindows() int { return len(m.open) }
 
 // SnapshotGroup freezes g's aggregates for closed window id.
 func (m *Manager) SnapshotGroup(id ID, g *Group) *Snapshot {
-	fields := make(map[string]value.Value, len(m.fields))
-	for i, f := range m.fields {
-		fields[f.Name] = g.Aggs[i].Result()
+	fields := make([]value.Value, len(g.Aggs))
+	for i, a := range g.Aggs {
+		fields[i] = a.Result()
 	}
 	return &Snapshot{WindowID: id, Fields: fields, Entities: g.Entities, Events: g.Events, Count: g.Count}
 }
 
-// EmptySnapshot produces the snapshot a group would have for a window with
-// no matched events (avg/sum 0, empty set, ...): used to keep state history
-// contiguous for groups that temporarily go quiet.
+// EmptySnapshot produces the snapshot a group has for a window with no
+// matched events (avg/sum 0, empty set, ...): used to keep state history
+// contiguous for groups that temporarily go quiet. Its Fields are shared
+// with every other empty snapshot and must not be written; one EmptySnapshot
+// per closed window serves all of that window's quiet groups.
 func (m *Manager) EmptySnapshot(id ID) *Snapshot {
-	fields := make(map[string]value.Value, len(m.fields))
-	for _, f := range m.fields {
-		a, err := agg.New(f.AggName, f.AggParams)
-		if err != nil {
-			panic(err) // validated in NewManager
+	return &Snapshot{WindowID: id, Fields: m.emptyFields}
+}
+
+// Bindings materialises s's bindings as the name-keyed maps expression
+// evaluation reads.
+func (m *Manager) Bindings(s *Snapshot) (map[string]*event.Entity, map[string]*event.Event) {
+	entities := make(map[string]*event.Entity, len(s.Entities))
+	for slot, e := range s.Entities {
+		if e != nil {
+			entities[m.entities.names[slot]] = e
 		}
-		fields[f.Name] = a.Result()
 	}
-	return &Snapshot{WindowID: id, Fields: fields}
+	events := make(map[string]*event.Event, len(s.Events))
+	for slot, ev := range s.Events {
+		if ev != nil {
+			events[m.events.names[slot]] = ev
+		}
+	}
+	return entities, events
 }
 
 // History is a fixed-depth ring of a group's most recent snapshots.
@@ -302,6 +461,7 @@ func (m *Manager) EmptySnapshot(id ID) *Snapshot {
 // allocations after the ring storage exists: one window close per group
 // per window makes this a hot path at high group cardinality.
 type History struct {
+	m     *Manager // names the snapshots' fields and binding slots
 	depth int
 	buf   []*Snapshot // ring storage, allocated on first Push
 	head  int         // index of the newest snapshot in buf
@@ -309,12 +469,13 @@ type History struct {
 	total int         // total snapshots ever pushed (training counters)
 }
 
-// NewHistory creates a history ring with the given depth (>= 1).
-func NewHistory(depth int) *History {
+// NewHistory creates a history ring of the manager's snapshots with the
+// given depth (>= 1).
+func (m *Manager) NewHistory(depth int) *History {
 	if depth < 1 {
 		depth = 1
 	}
-	return &History{depth: depth}
+	return &History{m: m, depth: depth}
 }
 
 // Push adds the newest snapshot, evicting the oldest beyond depth.
@@ -357,16 +518,17 @@ func (h *History) Total() int { return h.total }
 // Depth returns the ring capacity.
 func (h *History) Depth() int { return h.depth }
 
-// StateField implements expr.StateView over the history ring.
+// StateField implements expr.StateView over the history ring. Missing
+// history and unknown fields resolve to null (tolerant semantics).
 func (h *History) StateField(histIndex int, field string) (value.Value, bool) {
 	s := h.At(histIndex)
 	if s == nil {
-		// Tolerant semantics: missing history resolves to null.
 		return value.Null, true
 	}
-	v, ok := s.Fields[field]
-	if !ok {
-		return value.Null, true
+	for i, f := range h.m.fields {
+		if f.Name == field && i < len(s.Fields) {
+			return s.Fields[i], true
+		}
 	}
-	return v, true
+	return value.Null, true
 }

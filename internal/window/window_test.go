@@ -102,12 +102,15 @@ func TestManagerLifecycle(t *testing.T) {
 	if len(closed) != 1 {
 		t.Fatalf("closed = %d, want 1", len(closed))
 	}
-	snap := m.SnapshotGroup(closed[0].ID, closed[0].Groups["g1"])
-	if got, _ := snap.Fields["total"].AsFloat(); got != 100 {
-		t.Errorf("total = %v", snap.Fields["total"])
+	if len(closed[0].Groups) != 1 || closed[0].Groups[0].Key != "g1" {
+		t.Fatalf("closed groups = %v, want [g1]", closed[0].Groups)
 	}
-	if snap.Fields["n"].IntVal() != 1 {
-		t.Errorf("n = %v", snap.Fields["n"])
+	snap := m.SnapshotGroup(closed[0].ID, closed[0].Groups[0])
+	if got, _ := snap.Fields[0].AsFloat(); got != 100 {
+		t.Errorf("total = %v", snap.Fields[0])
+	}
+	if snap.Fields[1].IntVal() != 1 {
+		t.Errorf("n = %v", snap.Fields[1])
 	}
 	if m.OpenWindows() != 0 {
 		t.Errorf("open windows = %d", m.OpenWindows())
@@ -175,11 +178,11 @@ func TestEmptySnapshot(t *testing.T) {
 		{Name: "st", AggName: "set"},
 	})
 	snap := m.EmptySnapshot(ID(base.UnixNano()))
-	if got, _ := snap.Fields["s"].AsFloat(); got != 0 {
-		t.Errorf("empty sum = %v", snap.Fields["s"])
+	if got, _ := snap.Fields[0].AsFloat(); got != 0 {
+		t.Errorf("empty sum = %v", snap.Fields[0])
 	}
-	if snap.Fields["st"].SetLen() != 0 {
-		t.Errorf("empty set = %v", snap.Fields["st"])
+	if snap.Fields[1].SetLen() != 0 {
+		t.Errorf("empty set = %v", snap.Fields[1])
 	}
 }
 
@@ -193,9 +196,13 @@ func TestNewManagerValidation(t *testing.T) {
 }
 
 func TestHistoryRing(t *testing.T) {
-	h := NewHistory(3)
+	m, err := NewManager(Spec{Length: time.Minute}, []FieldSpec{{Name: "x", AggName: "sum"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := m.NewHistory(3)
 	for i := 1; i <= 5; i++ {
-		h.Push(&Snapshot{Fields: map[string]value.Value{"x": value.Int(int64(i))}})
+		h.Push(&Snapshot{Fields: []value.Value{value.Int(int64(i))}})
 	}
 	if h.Len() != 3 || h.Total() != 5 || h.Depth() != 3 {
 		t.Errorf("len/total/depth = %d/%d/%d", h.Len(), h.Total(), h.Depth())
@@ -220,7 +227,8 @@ func TestHistoryRing(t *testing.T) {
 }
 
 func TestHistoryDepthClamp(t *testing.T) {
-	h := NewHistory(0)
+	m, _ := NewManager(Spec{Length: time.Minute}, nil)
+	h := m.NewHistory(0)
 	h.Push(&Snapshot{})
 	if h.Depth() != 1 || h.Len() != 1 {
 		t.Errorf("depth/len = %d/%d", h.Depth(), h.Len())
@@ -262,17 +270,17 @@ func TestAssignToGappedHop(t *testing.T) {
 // The ring must not allocate once its storage exists, and window
 // assignment through the manager's scratch buffer must not allocate at all.
 func TestHotPathAllocations(t *testing.T) {
-	h := NewHistory(8)
+	m, err := NewManager(Spec{Length: time.Minute}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := m.NewHistory(8)
 	snap := &Snapshot{}
 	h.Push(snap) // first push allocates the ring storage
 	if allocs := testing.AllocsPerRun(100, func() { h.Push(snap) }); allocs != 0 {
 		t.Errorf("History.Push allocates %.1f objects/op, want 0", allocs)
 	}
 
-	m, err := NewManager(Spec{Length: time.Minute}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	at := base.Add(10 * time.Second)
 	m.GroupFor(at, "g") // warm: opens the window, sizes the scratch buffer
 	if allocs := testing.AllocsPerRun(100, func() { m.GroupFor(at, "g") }); allocs != 0 {
@@ -290,7 +298,8 @@ func TestHotPathAllocations(t *testing.T) {
 }
 
 func BenchmarkHistoryPush(b *testing.B) {
-	h := NewHistory(8)
+	m, _ := NewManager(Spec{Length: time.Minute}, nil)
+	h := m.NewHistory(8)
 	snap := &Snapshot{}
 	b.ReportAllocs()
 	b.ResetTimer()
