@@ -128,8 +128,10 @@ func (sh foldShape) window(w, n, groups int) []*Event {
 
 // foldShapes are the four fleet-wide stateful query shapes of the repo
 // benchmark's qs-hot set (bench/queries.go), each with the event that hits
-// it: a time-series average, a DBSCAN outlier model, an invariant over a set,
-// and a count threshold.
+// it — a time-series average, a DBSCAN outlier model, an invariant over a set,
+// and a count threshold — plus the two shapes that built an environment per
+// hit while the compiled fold was partial: a query with no group-by, and an
+// aggregation argument that calls a scalar function.
 var foldShapes = []foldShape{
 	{"ts-avg", `proc p write ip i as evt #time(10 s)
 state[3] ss { avg_amount := avg(evt.amount) } group by p
@@ -152,6 +154,14 @@ return p1, ss.kids`, OpStart, func(k int) Entity { return Process(fmt.Sprintf("c
 state ss { n := count(evt) } group by p
 alert ss.n > 1000000
 return p, ss.n`, OpRead, func(k int) Entity { return File(fmt.Sprintf("/var/data/%d.db", k%50)) }},
+	{"global-sum", `proc p write ip i as evt #time(10 s)
+state ss { total := sum(evt.amount) }
+alert ss.total > 1000000000000
+return ss.total`, OpWrite, func(k int) Entity { return NetConn("10.0.0.2", 1433, fmt.Sprintf("10.1.0.%d", k%200), 443) }},
+	{"abs-arg", `proc p write ip i as evt #time(10 s)
+state ss { amt := sum(abs(evt.amount)) } group by p
+alert ss.amt > 1000000000000
+return p, ss.amt`, OpWrite, func(k int) Entity { return NetConn("10.0.0.2", 1433, fmt.Sprintf("10.1.0.%d", k%200), 443) }},
 }
 
 // TestStatefulFoldAllocsGate holds the state maintainer to its allocation

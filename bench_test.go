@@ -1,9 +1,10 @@
 package saql
 
-// Benchmarks regenerating the paper's experiments E1–E8 (see DESIGN.md §4
-// and EXPERIMENTS.md). Each benchmark corresponds to one table/figure-
-// equivalent; cmd/saql-bench prints the same measurements as paper-style
-// tables.
+// Benchmarks regenerating the paper's experiments E1–E8, one per
+// table/figure-equivalent (cmd/saql-bench prints the same measurements as
+// paper-style tables), plus BenchmarkE9_ParallelIngestion, a smoke run of the
+// sharded runtime. For local iteration only: performance claims are made with
+// the repository benchmark (bench/).
 
 import (
 	"context"

@@ -35,10 +35,10 @@ func TestGoldenMidWindowCheckpoint(t *testing.T) {
 			// Rule queries hold no window state. k-means seeds from its first
 			// input point, which the reference commit fed in map order, so
 			// that query's alert counter is not reproducible there.
-			if c.kind == KindRule || c.name == "kmeans-outlier" {
+			if c.Kind == KindRule.String() || c.Name == "kmeans-outlier" {
 				continue
 			}
-			if err := e.AddQuery(c.name, c.src); err != nil {
+			if err := e.AddQuery(c.Name, c.Src); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -621,8 +621,8 @@ func TestQueryStateReencodeIdempotent(t *testing.T) {
 	events, _ := buildDemoStream(t, 3*time.Minute, time.Minute)
 	for _, c := range conformanceCorpus {
 		c := c
-		t.Run(c.name, func(t *testing.T) {
-			q, err := CompileQuery(c.name, c.src)
+		t.Run(c.Name, func(t *testing.T) {
+			q, err := CompileQuery(c.Name, c.Src)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -633,7 +633,7 @@ func TestQueryStateReencodeIdempotent(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fresh, err := CompileQuery(c.name, c.src)
+			fresh, err := CompileQuery(c.Name, c.Src)
 			if err != nil {
 				t.Fatal(err)
 			}

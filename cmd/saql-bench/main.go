@@ -1,8 +1,10 @@
-// Command saql-bench regenerates the paper's experiments E1–E8 (see
-// DESIGN.md §4) and prints paper-style tables. The absolute numbers depend
-// on the machine; the shapes — every attack step detected, advanced models
-// detected without attack knowledge, sharing flattening the per-query cost
-// curve — are the reproduction targets recorded in EXPERIMENTS.md.
+// Command saql-bench regenerates the paper's experiments E1–E8 and prints
+// paper-style tables. The absolute numbers depend on the machine; the shapes
+// — every attack step detected, advanced models detected without attack
+// knowledge, sharing flattening the per-query cost curve — are the
+// reproduction targets, and each experiment prints the shape it checks.
+// Performance claims are made with the repository benchmark (bench/), not
+// here.
 //
 // Usage:
 //
@@ -13,11 +15,9 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -26,17 +26,11 @@ import (
 )
 
 var (
-	expFlag  = flag.String("exp", "all", "experiment to run: e1..e9 or all")
+	expFlag  = flag.String("exp", "all", "experiment to run: e1..e8 or all")
 	duration = flag.Duration("duration", 30*time.Minute, "background stream duration")
 	seed     = flag.Int64("seed", 42, "workload seed")
 	window   = flag.Duration("window", 30*time.Second, "window length for demo queries")
 	train    = flag.Int("train", 5, "invariant training windows")
-
-	// E9 machine-readable output and CI regression gate.
-	jsonOut    = flag.String("json", "", "e9: write the measurements as JSON to this path")
-	baseline   = flag.String("baseline", "", "e9: compare events/s against this checked-in baseline JSON")
-	mcBaseline = flag.String("mc-baseline", "", "e9: compare the multi-core (mc-) configs against this baseline JSON")
-	maxRegress = flag.Float64("max-regress", 0.20, "e9: tolerated events/s regression vs the baseline (0.20 = 20%)")
 )
 
 var streamStart = time.Date(2020, 2, 27, 9, 0, 0, 0, time.UTC)
@@ -45,10 +39,10 @@ func main() {
 	flag.Parse()
 	exps := map[string]func(){
 		"e1": e1, "e2": e2, "e3": e3, "e4": e4,
-		"e5": e5, "e6": e6, "e7": e7, "e8": e8, "e9": e9,
+		"e5": e5, "e6": e6, "e7": e7, "e8": e8,
 	}
 	if *expFlag == "all" {
-		for _, name := range []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9"} {
+		for _, name := range []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8"} {
 			exps[name]()
 		}
 		return
@@ -343,7 +337,7 @@ func e5() {
 	for _, speed := range []float64{10, 100, 1000, 0} {
 		opts := sel
 		opts.Speed = speed
-		stats, err := rep.Replay(benchContext(), opts, func(*saql.Event) error { return nil })
+		stats, err := rep.Replay(context.Background(), opts, func(*saql.Event) error { return nil })
 		if err != nil {
 			panic(err)
 		}
@@ -513,311 +507,3 @@ func e8() {
 	fmt.Printf("compile : %8.0f queries/s\n", compileRate)
 	fmt.Println("shape check: thousands of queries/s — far beyond interactive needs.")
 }
-
-// --- E9 ---------------------------------------------------------------------
-
-// e9Config is one measured configuration of the E9 experiment; e9Report is
-// the BENCH_e9.json schema CI records (and gates against) per commit.
-type e9Config struct {
-	Name                 string  `json:"name"`
-	Shards               int     `json:"shards"` // 0 = serial Process path
-	EventsPerSec         float64 `json:"events_per_sec"`
-	Alerts               int64   `json:"alerts"`
-	PatternEvalsPerEvent float64 `json:"pattern_evals_per_event"`
-	AllocsPerEvent       float64 `json:"allocs_per_event"`
-	// NsPerEvent is wall time per event; NsPerPatternEval divides it by the
-	// nominal pattern evaluations per event — the per-pattern ns/event that
-	// the compiled-vs-interpreted A/B gate compares.
-	NsPerEvent       float64 `json:"ns_per_event"`
-	NsPerPatternEval float64 `json:"ns_per_pattern_eval"`
-}
-
-type e9Report struct {
-	Events     int `json:"events"`
-	Queries    int `json:"queries"`
-	GoMaxProcs int `json:"gomaxprocs"`
-	// GoMaxProcsMC is the width of the multi-core pass (the mc- configs):
-	// the machine's full core count, independent of how CI pinned the
-	// single-core pass.
-	GoMaxProcsMC int        `json:"gomaxprocs_multicore"`
-	Configs      []e9Config `json:"configs"`
-}
-
-func (r *e9Report) config(name string) *e9Config {
-	for i := range r.Configs {
-		if r.Configs[i].Name == name {
-			return &r.Configs[i]
-		}
-	}
-	return nil
-}
-
-func e9() {
-	header("E9  Concurrent ingestion: sharded runtime vs serial Process")
-	events, scenario, _ := buildStream()
-	base := scenario.DemoQueries(*window, *train)[6] // sharable time-series family
-	queries := make([]saql.NamedQuery, 16)
-	for i := range queries {
-		queries[i] = base
-		queries[i].Name = fmt.Sprintf("v%d", i)
-		queries[i].SAQL = base.SAQL + fmt.Sprintf("\nalert ss[0].avg_amount > %d", 1000000+i*1000)
-	}
-	report := e9Report{Events: len(events), Queries: len(queries), GoMaxProcs: runtime.GOMAXPROCS(0)}
-
-	fmt.Printf("%d sharable queries (placement=by-group), %d events, GOMAXPROCS=%d\n\n",
-		len(queries), len(events), runtime.GOMAXPROCS(0))
-	e9Pass(&report, "", queries, events)
-
-	// Multi-core pass: the same measurement at the machine's full width,
-	// recorded as mc- configs in the same report. CI pins the primary pass
-	// to GOMAXPROCS=1 for stable single-core numbers; this pass answers the
-	// scaling question on whatever cores the box actually has.
-	ncpu := runtime.NumCPU()
-	report.GoMaxProcsMC = ncpu
-	prev := runtime.GOMAXPROCS(ncpu)
-	fmt.Printf("\nmulti-core pass: GOMAXPROCS=%d\n\n", ncpu)
-	e9Pass(&report, "mc-", queries, events)
-	runtime.GOMAXPROCS(prev)
-
-	fmt.Println("\nshape check: identical alert counts in every configuration; shared")
-	fmt.Println("evaluation keeps patevals/ev flat as shards grow; with GOMAXPROCS >=")
-	fmt.Println("shards, sharded throughput exceeds serial.")
-
-	if *jsonOut != "" {
-		buf, err := json.MarshalIndent(&report, "", "  ")
-		if err != nil {
-			panic(err)
-		}
-		if err := os.WriteFile(*jsonOut, append(buf, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "e9: write %s: %v\n", *jsonOut, err)
-			os.Exit(1)
-		}
-		fmt.Printf("\nwrote %s\n", *jsonOut)
-	}
-	if err := e9Gate(&report); err != nil {
-		fmt.Fprintf(os.Stderr, "\nE9 REGRESSION GATE FAILED: %v\n", err)
-		os.Exit(1)
-	}
-}
-
-// e9Pass measures the serial path and every shard width once, recording
-// each configuration into report under prefix ("" for the pinned primary
-// pass, "mc-" for the full-width multi-core pass).
-func e9Pass(report *e9Report, prefix string, queries []saql.NamedQuery, events []*saql.Event) {
-	fmt.Printf("%14s | %14s | %10s | %12s | %10s | %10s\n",
-		"configuration", "events/s", "alerts", "patevals/ev", "allocs/ev", "speedup")
-
-	mkEngine := func(opts ...saql.Option) *saql.Engine {
-		eng := saql.New(opts...)
-		for _, nq := range queries {
-			if _, err := eng.Register(nq.Name, nq.SAQL); err != nil {
-				panic(err)
-			}
-		}
-		return eng
-	}
-	mallocs := func() uint64 {
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return ms.Mallocs
-	}
-	record := func(name string, shards int, rate float64, allocs uint64, st saql.Stats) e9Config {
-		cfg := e9Config{
-			Name:           prefix + name,
-			Shards:         shards,
-			EventsPerSec:   rate,
-			Alerts:         st.Alerts,
-			AllocsPerEvent: float64(allocs) / float64(len(events)),
-		}
-		if st.Events > 0 {
-			cfg.PatternEvalsPerEvent = float64(st.PatternEvals) / float64(st.Events)
-		}
-		if rate > 0 {
-			cfg.NsPerEvent = 1e9 / rate
-			if cfg.PatternEvalsPerEvent > 0 {
-				cfg.NsPerPatternEval = cfg.NsPerEvent / cfg.PatternEvalsPerEvent
-			}
-		}
-		report.Configs = append(report.Configs, cfg)
-		return cfg
-	}
-
-	serial := mkEngine()
-	m0 := mallocs()
-	t0 := time.Now()
-	for _, ev := range events {
-		serial.Process(ev)
-	}
-	serial.Flush()
-	serialRate := float64(len(events)) / time.Since(t0).Seconds()
-	sc := record("serial", 0, serialRate, mallocs()-m0, serial.Stats())
-	fmt.Printf("%14s | %14.0f | %10d | %12.2f | %10.1f | %10s\n",
-		prefix+"serial", serialRate, sc.Alerts, sc.PatternEvalsPerEvent, sc.AllocsPerEvent, "1.0x")
-
-	// Interpreted A/B leg: the identical serial run with bytecode compilation
-	// force-disabled, isolating what the pcode compiler buys per pattern
-	// evaluation. The gate requires compiled <= interpreted on per-pattern
-	// ns/event and identical alerts.
-	interp := mkEngine(saql.WithCompileOptions(saql.CompileOptions{Interpret: true}))
-	m0 = mallocs()
-	t0 = time.Now()
-	for _, ev := range events {
-		interp.Process(ev)
-	}
-	interp.Flush()
-	interpRate := float64(len(events)) / time.Since(t0).Seconds()
-	ic := record("interpreted", 0, interpRate, mallocs()-m0, interp.Stats())
-	fmt.Printf("%14s | %14.0f | %10d | %12.2f | %10.1f | %9.1fx\n",
-		prefix+"interp", interpRate, ic.Alerts, ic.PatternEvalsPerEvent, ic.AllocsPerEvent, interpRate/serialRate)
-	if ic.NsPerPatternEval > 0 && sc.NsPerPatternEval > 0 {
-		fmt.Printf("%14s   compiled %.0f ns vs interpreted %.0f ns per pattern-eval (%.0f%% faster)\n",
-			"", sc.NsPerPatternEval, ic.NsPerPatternEval, 100*(1-sc.NsPerPatternEval/ic.NsPerPatternEval))
-	}
-
-	for _, shards := range []int{1, 2, 4, 8} {
-		eng := mkEngine(saql.WithShards(shards), saql.WithIngestQueue(64))
-		if err := eng.Start(benchContext()); err != nil {
-			panic(err)
-		}
-		const batch = 512
-		m0 := mallocs()
-		t0 := time.Now()
-		for i := 0; i < len(events); i += batch {
-			end := i + batch
-			if end > len(events) {
-				end = len(events)
-			}
-			if err := eng.SubmitBatch(events[i:end]); err != nil {
-				panic(err)
-			}
-		}
-		if err := eng.Close(); err != nil {
-			panic(err)
-		}
-		rate := float64(len(events)) / time.Since(t0).Seconds()
-		cfg := record(fmt.Sprintf("shards=%d", shards), shards, rate, mallocs()-m0, eng.Stats())
-		fmt.Printf("%14s | %14.0f | %10d | %12.2f | %10.1f | %9.1fx\n",
-			fmt.Sprintf("%s%dsh", prefix, shards), rate, cfg.Alerts, cfg.PatternEvalsPerEvent, cfg.AllocsPerEvent, rate/serialRate)
-	}
-}
-
-// e9Gate enforces the perf trajectory: the structural invariant (shared
-// evaluation keeps per-event pattern work flat in the shard count) always,
-// and events/s against the checked-in baseline when -baseline is given.
-func e9Gate(cur *e9Report) error {
-	// Structural gate, machine-independent, for both passes: at the widest
-	// configuration the scheduler must not re-evaluate patterns per shard.
-	for _, prefix := range []string{"", "mc-"} {
-		serial, widest := cur.config(prefix+"serial"), cur.config(prefix+"shards=8")
-		if serial != nil && widest != nil && serial.PatternEvalsPerEvent > 0 {
-			if widest.PatternEvalsPerEvent > 1.2*serial.PatternEvalsPerEvent {
-				return fmt.Errorf("%sshards=8 pattern evals/event %.2f exceeds 1.2x serial %.2f",
-					prefix, widest.PatternEvalsPerEvent, serial.PatternEvalsPerEvent)
-			}
-		}
-	}
-	// Compiled-vs-interpreted gate, machine-independent: the bytecode path
-	// must never be slower than the tree-walking evaluators it replaces, and
-	// must raise the identical alerts.
-	for _, prefix := range []string{"", "mc-"} {
-		comp, interp := cur.config(prefix+"serial"), cur.config(prefix+"interpreted")
-		if comp == nil || interp == nil {
-			continue
-		}
-		if comp.Alerts != interp.Alerts {
-			return fmt.Errorf("%sinterpreted raised %d alerts, compiled %d (must be identical)",
-				prefix, interp.Alerts, comp.Alerts)
-		}
-		if interp.NsPerPatternEval > 0 && comp.NsPerPatternEval > interp.NsPerPatternEval {
-			return fmt.Errorf("%scompiled per-pattern ns/event %.0f exceeds interpreted %.0f",
-				prefix, comp.NsPerPatternEval, interp.NsPerPatternEval)
-		}
-	}
-	// Multi-core scaling gate, machine-independent: partitioned routing must
-	// make shards pay off. On a box wide enough to actually run the workers
-	// in parallel, the mc- pass must be monotonically non-decreasing from
-	// serial through 8 shards (10% noise tolerance per step) and 8 shards
-	// must reach at least 3x serial. A narrower machine skips visibly: the
-	// numbers would measure scheduling overhead, not scaling.
-	if cur.GoMaxProcsMC >= 8 {
-		order := []string{"mc-serial", "mc-shards=1", "mc-shards=2", "mc-shards=4", "mc-shards=8"}
-		var prev *e9Config
-		for _, name := range order {
-			c := cur.config(name)
-			if c == nil {
-				continue
-			}
-			if prev != nil && c.EventsPerSec < prev.EventsPerSec*0.9 {
-				return fmt.Errorf("multi-core scaling: %s at %.0f events/s falls below %s at %.0f (want monotonically non-decreasing, 10%% tolerance)",
-					c.Name, c.EventsPerSec, prev.Name, prev.EventsPerSec)
-			}
-			prev = c
-		}
-		serial, widest := cur.config("mc-serial"), cur.config("mc-shards=8")
-		if serial != nil && widest != nil && serial.EventsPerSec > 0 {
-			if widest.EventsPerSec < 3*serial.EventsPerSec {
-				return fmt.Errorf("multi-core scaling: 8 shards at %.0f events/s is under 3x serial %.0f (%.1fx)",
-					widest.EventsPerSec, serial.EventsPerSec, widest.EventsPerSec/serial.EventsPerSec)
-			}
-			fmt.Printf("multi-core scaling gate passed: 8 shards at %.1fx serial on %d cores\n",
-				widest.EventsPerSec/serial.EventsPerSec, cur.GoMaxProcsMC)
-		}
-	} else {
-		fmt.Printf("multi-core scaling gate skipped: needs >= 8 cores to run 8 shard workers in parallel, this machine has %d\n",
-			cur.GoMaxProcsMC)
-	}
-	if err := e9BaselineGate(cur, *baseline, ""); err != nil {
-		return err
-	}
-	return e9BaselineGate(cur, *mcBaseline, "mc-")
-}
-
-// e9BaselineGate compares one pass's configs (selected by prefix) against a
-// checked-in baseline. Absolute events/s only compares like with like, so a
-// GOMAXPROCS mismatch — for the mc- pass, a different core count — skips
-// the comparison visibly instead of failing every commit on new hardware.
-func e9BaselineGate(cur *e9Report, path, prefix string) error {
-	if path == "" {
-		return nil
-	}
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("read baseline: %w", err)
-	}
-	var base e9Report
-	if err := json.Unmarshal(buf, &base); err != nil {
-		return fmt.Errorf("parse baseline %s: %w", path, err)
-	}
-	baseProcs, curProcs := base.GoMaxProcs, cur.GoMaxProcs
-	if prefix == "mc-" {
-		baseProcs, curProcs = base.GoMaxProcsMC, cur.GoMaxProcsMC
-	}
-	if baseProcs != curProcs {
-		if prefix == "mc-" {
-			fmt.Printf("multi-core baseline gate skipped: %s recorded gomaxprocs_multicore=%d, this machine runs the mc- pass on %d cores — refresh it on this hardware class\n",
-				path, baseProcs, curProcs)
-		} else {
-			fmt.Printf("baseline gate skipped: baseline recorded GOMAXPROCS=%d, this run has GOMAXPROCS=%d — refresh %s on this hardware class\n",
-				baseProcs, curProcs, path)
-		}
-		return nil
-	}
-	for _, bc := range base.Configs {
-		if strings.HasPrefix(bc.Name, "mc-") != (prefix == "mc-") {
-			continue
-		}
-		cc := cur.config(bc.Name)
-		if cc == nil || bc.EventsPerSec <= 0 {
-			continue
-		}
-		floor := bc.EventsPerSec * (1 - *maxRegress)
-		if cc.EventsPerSec < floor {
-			return fmt.Errorf("%s: %.0f events/s is below %.0f (baseline %.0f - %.0f%% tolerance)",
-				bc.Name, cc.EventsPerSec, floor, bc.EventsPerSec, *maxRegress*100)
-		}
-	}
-	fmt.Printf("baseline gate passed (tolerance %.0f%%, %s)\n", *maxRegress*100, path)
-	return nil
-}
-
-func benchContext() context.Context { return context.Background() }

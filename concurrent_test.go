@@ -454,6 +454,84 @@ func TestShardedKillChainMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestGroupKeyErrorCountMatchesSerial pins how a failing group key is
+// accounted for: once per hit, whatever the shard count. The key is the one
+// thing the router evaluates on a replica's behalf, so a failure must be
+// routed to exactly one replica (the owner of the empty key) rather than
+// surface on every shard holding one — and the windows the failing hits
+// open must close as often as on the serial reference.
+func TestGroupKeyErrorCountMatchesSerial(t *testing.T) {
+	const hits = 10
+	events := make([]*Event, hits)
+	for i := range events {
+		events[i] = &Event{
+			Time:    demoStart.Add(time.Duration(i) * 700 * time.Millisecond),
+			AgentID: "host-1",
+			Subject: Process(fmt.Sprintf("svc-%d.exe", i%3), int32(100+i)),
+			Op:      OpWrite,
+			Object:  NetConn("10.0.0.2", 1433, "10.1.0.9", 443),
+			Amount:  100,
+		}
+	}
+	for _, key := range []string{"p.pid / 0", "e"} {
+		src := fmt.Sprintf(`proc p write ip i as e #time(2 s)
+state ss { amt := sum(e.amount) } group by %s
+alert ss.amt > 0
+return ss.amt`, key)
+		var serialClosed int64
+		for _, shards := range []int{0, 1, 2, 4, 8} {
+			t.Run(fmt.Sprintf("group by %s/shards=%d", key, shards), func(t *testing.T) {
+				var mu sync.Mutex
+				var reported []*QueryError
+				opts := []Option{WithErrorHandler(func(qe *QueryError) {
+					mu.Lock()
+					reported = append(reported, qe)
+					mu.Unlock()
+				})}
+				if shards > 0 {
+					opts = append(opts, WithShards(shards))
+				}
+				eng := New(opts...)
+				if err := eng.AddQuery("bad-key", src); err != nil {
+					t.Fatal(err)
+				}
+				if shards == 0 {
+					for _, ev := range events {
+						eng.Process(ev)
+					}
+					eng.Flush()
+				} else {
+					if err := eng.Start(context.Background()); err != nil {
+						t.Fatal(err)
+					}
+					if err := eng.SubmitBatch(events); err != nil {
+						t.Fatal(err)
+					}
+					if err := eng.Close(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				st, ok := eng.QueryStats("bad-key")
+				if !ok {
+					t.Fatal("query stats missing")
+				}
+				if st.EvalErrors != hits || len(reported) != hits || eng.ErrorCount() != hits {
+					t.Errorf("%d hits with a failing key: EvalErrors=%d, %d errors handled, ErrorCount=%d; want %d each",
+						hits, st.EvalErrors, len(reported), eng.ErrorCount(), hits)
+				}
+				if st.PatternHits != 0 || st.Alerts != 0 {
+					t.Errorf("failing hits folded: %+v", st)
+				}
+				if shards == 0 {
+					serialClosed = st.WindowsClosed
+				} else if st.WindowsClosed != serialClosed {
+					t.Errorf("windows closed = %d, serial closed %d", st.WindowsClosed, serialClosed)
+				}
+			})
+		}
+	}
+}
+
 // TestHandleLifecycleRace hammers the control plane — Register, Pause,
 // Resume, Update (with and without state carry), per-query Subscribe,
 // Close, and Apply — from many goroutines while submitters keep the event

@@ -16,193 +16,24 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"saql/internal/conformance"
 )
 
-type conformanceCase struct {
-	name string
-	src  string
-	kind ModelKind
-}
-
-var conformanceCorpus = []conformanceCase{
-	// --- rule-based ----------------------------------------------------
-	{"single-pattern", `proc p read file f return p, f`, KindRule},
-	{"anonymous-entities", `proc["%cmd.exe"] start proc as e return e.agentid`, KindRule},
-	{"op-alternation", `proc p read || write || execute file f return p`, KindRule},
-	{"process-events", `proc p start proc c as e return p, c`, KindRule},
-	{"network-events", `proc p connect ip i[dstip="10.0.0.1", dport=443] return p, i`, KindRule},
-	{"global-constraint", `agentid = "db-1"
-proc p delete file f["%log%"] return p, f`, KindRule},
-	{"two-globals", `agentid != "ws-1"
-host != "ws-2"
-proc p rename file f return p`, KindRule},
-	{"numeric-constraints", `proc p[pid > 1000, pid <= 30000] read file f return p.pid`, KindRule},
-	{"temporal-pair", `proc p write file f as e1
-proc q2 read file f as e2
-with e1 -> e2
-return p, q2, f`, KindRule},
-	{"temporal-full-chain", `proc a start proc b as e1
-proc b write file f as e2
-proc c read file f as e3
-proc c write ip i as e4
-with e1 -> e2 -> e3 -> e4
-return a, b, c, f, i`, KindRule},
-	{"unordered-conjunction", `proc p write file f1["%a%"] as e1
-proc p write file f2["%b%"] as e2
-return p, f1, f2`, KindRule},
-	{"explicit-alert-on-rule", `proc p write ip i as e
-alert e.amount > 1000000 && i.dstip != "10.0.0.1"
-return p, i, e.amount`, KindRule},
-	{"rule-with-horizon-window", `proc p start proc c as e #time(5 min) return p, c`, KindRule},
-	{"accept-op", `proc p accept ip i return p, i.srcip, i.sport`, KindRule},
-	{"return-aliases", `proc p read file f return p as process, f.basename as file`, KindRule},
-	{"distinct-return", `proc p execute file f return distinct p, f`, KindRule},
-	{"event-attrs", `proc p write ip i as e return e.amount, e.agentid, e.optype, e.id`, KindRule},
-
-	// --- stateful (aggregation only) ------------------------------------
-	{"count-stateful", `proc p start proc c as e #time(1 min)
-state ss { n := count(e) } group by p
-alert ss.n > 10
-return p, ss.n`, KindStateful},
-	{"all-aggregators", `proc p write ip i as e #time(1 min)
-state ss {
-  a := avg(e.amount)
-  s := sum(e.amount)
-  n := count(e)
-  lo := min(e.amount)
-  hi := max(e.amount)
-  sd := stddev(e.amount)
-  vr := variance(e.amount)
-  md := median(e.amount)
-  p9 := percentile(e.amount, 99)
-  st := set(i.dstip)
-  dc := distinct(i.dstip)
-  fs := first(i.dstip)
-  ls := last(i.dstip)
-} group by p
-alert ss.hi > 1000000 && ss.n > 5
-return p, ss.a, ss.dc`, KindStateful},
-	{"group-by-multiple", `proc p write ip i as e #time(30 s)
-state ss { amt := sum(e.amount) } group by p, i.dstip
-alert ss.amt > 1000
-return p, i.dstip, ss.amt`, KindStateful},
-	{"no-group-by", `proc p write ip i as e #time(30 s)
-state ss { total := sum(e.amount) }
-alert ss.total > 100000000
-return ss.total`, KindStateful},
-	{"hopping-window", `proc p write ip i as e #time(10 min, 1 min)
-state ss { amt := sum(e.amount) } group by p
-alert ss.amt > 1000000
-return p, ss.amt`, KindStateful},
-
-	// --- time-series -----------------------------------------------------
-	{"paper-query-2", `proc p write ip i as evt #time(10 min)
-state[3] ss { avg_amount := avg(evt.amount) } group by p
-alert (ss[0].avg_amount > (ss[0].avg_amount + ss[1].avg_amount + ss[2].avg_amount) / 3) && (ss[0].avg_amount > 10000)
-return p, ss[0].avg_amount, ss[1].avg_amount, ss[2].avg_amount`, KindTimeSeries},
-	{"deep-history", `proc p write ip i as e #time(1 min)
-state[8] ss { amt := sum(e.amount) } group by p
-alert ss[0].amt > 2 * ss[7].amt && ss[7].amt > 0
-return p, ss[0].amt, ss[7].amt`, KindTimeSeries},
-	{"history-arith", `proc p read file f as e #time(30 s)
-state[2] ss { n := count(e) } group by p
-alert abs(ss[0].n - ss[1].n) > 100
-return p, ss[0].n`, KindTimeSeries},
-
-	// --- invariant ---------------------------------------------------------
-	{"paper-query-3", `proc p1["%apache.exe"] start proc p2 as evt #time(10 s)
-state ss { set_proc := set(p2.exe_name) } group by p1
-invariant[10][offline] {
-  a := empty_set
-  a = a union ss.set_proc
-}
-alert |ss.set_proc diff a| > 0
-return p1, ss.set_proc`, KindInvariant},
-	{"online-invariant", `proc p write file f as e #time(1 min)
-state ss { files := set(f.name) } group by p
-invariant[20][online] {
-  seen := empty_set
-  seen = seen union ss.files
-}
-alert |ss.files diff seen| > 3
-return p, ss.files`, KindInvariant},
-	{"invariant-intersect", `proc p connect ip i as e #time(1 min)
-state ss { dsts := set(i.dstip) } group by p
-invariant[5] {
-  known := empty_set
-  known = known union ss.dsts
-}
-alert |ss.dsts diff known| > 0 && |ss.dsts intersect known| = 0
-return p, ss.dsts`, KindInvariant},
-
-	// --- outlier -------------------------------------------------------------
-	{"paper-query-4", `agentid = "db-1"
-proc p["%sqlservr.exe"] read || write ip i as evt #time(10 min)
-state ss { amt := sum(evt.amount) } group by i.dstip
-cluster(points=all(ss.amt), distance="ed", method="DBSCAN(100000, 5)")
-alert cluster.outlier && ss.amt > 1000000
-return i.dstip, ss.amt`, KindOutlier},
-	{"kmeans-outlier", `proc p write ip i as e #time(1 min)
-state ss { amt := sum(e.amount) } group by i.dstip
-cluster(points=all(ss.amt), distance="md", method="KMEANS(4)")
-alert cluster.outlier
-return i.dstip, ss.amt, cluster.cluster_id`, KindOutlier},
-	{"cluster-fields", `proc p write ip i as e #time(1 min)
-state ss { n := count(e) } group by i.dstip
-cluster(points=all(ss.n), distance="cd", method="DBSCAN(5, 2)")
-alert cluster.outlier || cluster.size < 2
-return i.dstip, cluster.cluster_id, cluster.size`, KindOutlier},
-	{"cosine-distance", `proc p write ip i as e #time(1 min)
-state ss { amt := sum(e.amount) } group by i.dstip
-cluster(points=all(ss.amt), distance="cos", method="DBSCAN(0.5, 2)")
-alert cluster.outlier
-return i.dstip`, KindOutlier},
-
-	// --- expression surface ---------------------------------------------------
-	{"scalar-functions", `proc p write ip i as e #time(1 min)
-state ss { amt := sum(e.amount) } group by p
-alert sqrt(ss.amt) > 1000 && floor(ss.amt) >= ceil(ss.amt) - 1 && pow(2, 10) = 1024
-return p, abs(ss.amt), len(p.exe_name)`, KindStateful},
-	{"in-operator", `proc p start proc c as e #time(1 min)
-state ss { kids := set(c.exe_name) } group by p
-alert "cmd.exe" in ss.kids
-return p, ss.kids`, KindStateful},
-	{"contains-function", `proc p write file f as e #time(1 min)
-state ss { files := set(f.name) } group by p
-alert contains(ss.files, "backup1.dmp")
-return p`, KindStateful},
-	{"wildcard-alert", `proc p write file f as e
-alert f.name == "%.dmp" && p.exe_name != "%sql%"
-return p, f`, KindRule},
-	{"not-operator", `proc p write ip i as e #time(1 min)
-state ss { amt := sum(e.amount) } group by p
-alert !(ss.amt < 1000000)
-return p`, KindStateful},
-	{"multiple-alerts", `proc p write ip i as e #time(1 min)
-state ss { amt := sum(e.amount) } group by p
-alert ss.amt > 100000000
-alert ss.amt > 10000000 && p.exe_name == "%sql%"
-return p, ss.amt`, KindStateful},
-	{"comments-everywhere", `// leading comment
-agentid = "db-1" // SQL database server (obfuscated)
-proc p write ip i as evt #time(10 min) // pattern
-state ss { amt := sum(evt.amount) } group by p // state
-alert ss.amt > 10 // alert
-return p // done`, KindStateful},
-}
+var conformanceCorpus = conformance.Corpus
 
 func TestConformanceCorpus(t *testing.T) {
 	for _, c := range conformanceCorpus {
-		t.Run(c.name, func(t *testing.T) {
-			if err := Validate(c.src); err != nil {
+		t.Run(c.Name, func(t *testing.T) {
+			if err := Validate(c.Src); err != nil {
 				t.Fatalf("validate: %v", err)
 			}
-			q, err := CompileQuery(c.name, c.src)
+			q, err := CompileQuery(c.Name, c.Src)
 			if err != nil {
 				t.Fatalf("compile: %v", err)
 			}
-			if q.Kind != c.kind {
-				t.Errorf("kind = %v, want %v", q.Kind, c.kind)
+			if q.Kind.String() != c.Kind {
+				t.Errorf("kind = %v, want %v", q.Kind, c.Kind)
 			}
 		})
 	}
@@ -477,21 +308,17 @@ return ss.total`, 5000000+k*10000)
 		}
 	}
 
-	run := func(t *testing.T, shards int, interpret bool) ([]string, map[string]int64) {
+	run := func(t *testing.T, shards int) ([]string, map[string]int64) {
 		t.Helper()
 		// Sub-batch chopping is deterministic per configuration; it changes
 		// envelope boundaries (and so ring-buffer fill at each flush), never
 		// the event order, so alert equality must be unaffected.
 		chop := rand.New(rand.NewSource(seed + int64(shards)*1000003))
-		var eopts []Option
-		if interpret {
-			eopts = append(eopts, WithCompileOptions(CompileOptions{Interpret: true}))
-		}
 		var eng *Engine
 		if shards == 0 {
-			eng = New(eopts...)
+			eng = New()
 		} else {
-			eng = New(append(eopts, WithShards(shards), WithIngestQueue(64))...)
+			eng = New(WithShards(shards), WithIngestQueue(64))
 		}
 		handles := map[string]*QueryHandle{}
 		for _, name := range names {
@@ -582,14 +409,14 @@ return ss.total`, 5000000+k*10000)
 		return ids, offered
 	}
 
-	want, wantOffered := run(t, 0, false)
+	want, wantOffered := run(t, 0)
 	if len(want) == 0 {
 		t.Fatal("serial hammer run produced no alerts")
 	}
 	for _, shards := range []int{1, 2, 8, 96} { // 96: past one word of the router's shard bitset
 		shards := shards
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			got, offered := run(t, shards, false)
+			got, offered := run(t, shards)
 			for _, name := range names {
 				if offered[name] != wantOffered[name] {
 					t.Errorf("%s: events offered: sharded=%d serial=%d", name, offered[name], wantOffered[name])
@@ -601,25 +428,6 @@ return ss.total`, 5000000+k*10000)
 			for i := 0; i < len(want) && i < len(got); i++ {
 				if got[i] != want[i] {
 					t.Fatalf("alert sets diverge at #%d:\n  sharded: %s\n  serial:  %s", i, got[i], want[i])
-				}
-			}
-		})
-	}
-	// Bytecode compilation must be detection-invariant: the same script with
-	// compilation force-disabled (Interpret) must raise the identical alert
-	// set, serially and through the sharded router. Combined with the
-	// compiled shards=1/2/8 legs above, this proves compiled == interpreted
-	// alert for alert at every shard count.
-	for _, shards := range []int{0, 1, 8} {
-		shards := shards
-		t.Run(fmt.Sprintf("interpreted-shards=%d", shards), func(t *testing.T) {
-			got, _ := run(t, shards, true)
-			if len(got) != len(want) {
-				t.Errorf("alert count: interpreted=%d compiled=%d", len(got), len(want))
-			}
-			for i := 0; i < len(want) && i < len(got); i++ {
-				if got[i] != want[i] {
-					t.Fatalf("alert sets diverge at #%d:\n  interpreted: %s\n  compiled:    %s", i, got[i], want[i])
 				}
 			}
 		})
@@ -974,16 +782,6 @@ return i.dstip, ss.amt`, 100000+k*5000)
 		wantOffered[name] = qs.Events
 	}
 
-	// The same uninterrupted script with bytecode compilation force-disabled
-	// must produce the identical alert set: compilation may never change
-	// detections, so every recovery leg below is simultaneously checked
-	// against the interpreted semantics.
-	refInterp := New(WithCompileOptions(CompileOptions{Interpret: true}))
-	register(t, refInterp)
-	interp := drive(t, refInterp, 0, len(script), true)
-	interp = append(interp, refInterp.Flush()...)
-	diffAlertSets(t, fmt.Sprintf("seed %d interpreted-vs-compiled", seed), wantIDs, sortedIdentities(interp))
-
 	for _, shards := range []int{1, 2, 8} {
 		shards := shards
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -1068,8 +866,8 @@ func TestConformanceCorpusExecutes(t *testing.T) {
 	events, _ := buildDemoStream(t, 5*time.Minute, 2*time.Minute)
 	for _, c := range conformanceCorpus {
 		c := c
-		t.Run(c.name, func(t *testing.T) {
-			q, err := CompileQuery(c.name, c.src)
+		t.Run(c.Name, func(t *testing.T) {
+			q, err := CompileQuery(c.Name, c.Src)
 			if err != nil {
 				t.Fatal(err)
 			}

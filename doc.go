@@ -133,6 +133,14 @@
 // pattern matching entirely and per-event matching work stays O(patterns)
 // rather than O(shards × patterns).
 //
+// Everything evaluated per event — pattern and global predicates, group-by
+// keys, aggregation arguments — is a compiled bytecode program
+// (internal/pcode), and every query compiles to them: there is no
+// interpreting fallback and no option selecting one. The AST evaluator
+// (internal/expr) runs where window state is in scope: alert conditions,
+// return items, invariant updates and clustering points at a window close,
+// and the conditions of a completed multievent match.
+//
 // # Durable state
 //
 // The engine survives crashes and restarts without losing state or alerts.

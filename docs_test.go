@@ -6,36 +6,18 @@ package saql
 
 import (
 	"os"
-	"strings"
 	"testing"
 
+	"saql/internal/conformance"
 	"saql/internal/parser"
 )
 
 // fencedBlocks extracts the ```<lang> fenced code blocks from markdown.
 func fencedBlocks(t *testing.T, path, lang string) []string {
 	t.Helper()
-	data, err := os.ReadFile(path)
+	blocks, err := conformance.FencedBlocks(path, lang)
 	if err != nil {
 		t.Fatal(err)
-	}
-	var blocks []string
-	var cur []string
-	in := false
-	for _, line := range strings.Split(string(data), "\n") {
-		switch {
-		case !in && strings.TrimSpace(line) == "```"+lang:
-			in = true
-			cur = cur[:0]
-		case in && strings.TrimSpace(line) == "```":
-			in = false
-			blocks = append(blocks, strings.Join(cur, "\n"))
-		case in:
-			cur = append(cur, line)
-		}
-	}
-	if in {
-		t.Fatalf("%s: unterminated ```%s block", path, lang)
 	}
 	return blocks
 }

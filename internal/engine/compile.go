@@ -30,12 +30,6 @@ type CompileOptions struct {
 	// state survives before it is evicted. Zero derives it from the
 	// query's history/training depth.
 	GroupIdleWindows int
-	// Interpret disables bytecode compilation (internal/pcode) entirely,
-	// pinning every predicate and aggregation argument to the tree-walking
-	// evaluators. It exists for the interpreted-vs-compiled benchmark
-	// baseline and the differential correctness suites; production paths
-	// leave it false.
-	Interpret bool
 	// Fallbacks, when non-nil, receives this query's string-fallback
 	// comparison counts instead of the process-wide pcode counter, so each
 	// engine attributes fallbacks to its own queries. Engine-internal
@@ -66,21 +60,20 @@ type Query struct {
 
 	// Pattern matching.
 	patterns []*matcher.Pattern
-	global   matcher.GlobalPred
+	global   *pcode.EventProg
 	seq      *matcher.SeqMatcher // nil for stateful queries
 
 	// Stateful execution.
-	stateful  bool
-	winMgr    *window.Manager
-	fieldArgs []ast.Expr // aggregation argument per state field
-	groupBy   []ast.Expr
-	fastKeys  []keyFn // per-pattern fast group-key extractor (may be nil)
-	// fastArgs[pattern][field] is the compiled aggregation-argument program
-	// for one pattern's bindings; a nil row means that pattern keeps the
-	// tree-walker for all fields (all-or-nothing per pattern). Only built
-	// when fastKeys exists, so the hot ingest path can skip environment
-	// construction entirely.
-	fastArgs [][]*pcode.Prog
+	stateful bool
+	winMgr   *window.Manager
+	groupBy  []ast.Expr
+	// keyProgs[pattern][item] and argProgs[pattern][field] are the group-by
+	// items and aggregation arguments compiled against one pattern's
+	// bindings: a hit reads its key and its arguments straight off the event.
+	// They all run on progStack, sized for the deepest of them.
+	keyProgs  [][]*pcode.Prog
+	argProgs  [][]*pcode.Prog
+	progStack []value.Value
 	// slots[pattern] are the window manager's binding slots a hit of that
 	// pattern writes into its group (see assignSlots).
 	slots      []patternSlots
@@ -176,7 +169,7 @@ func CompileAST(name string, q *ast.Query, opts CompileOptions) (*Query, error) 
 		AST:     q,
 		Info:    info,
 		opts:    opts,
-		global:  matcher.CompileGlobalsWith(q.Globals, opts.Interpret, opts.Fallbacks),
+		global:  pcode.CompileGlobals(q.Globals, opts.Fallbacks),
 		alerts:  q.Alerts,
 		returnC: q.Return,
 		now:     time.Now, //saql:wallclock injectable clock default; feeds Alert.Detected only, never evaluation
@@ -188,11 +181,7 @@ func CompileAST(name string, q *ast.Query, opts CompileOptions) (*Query, error) 
 
 	// Compile patterns.
 	for i, p := range q.Patterns {
-		cp, err := matcher.CompileWith(i, p, opts.Interpret, opts.Fallbacks)
-		if err != nil {
-			return nil, err
-		}
-		cq.patterns = append(cq.patterns, cp)
+		cq.patterns = append(cq.patterns, matcher.Compile(i, p, opts.Fallbacks))
 	}
 
 	cq.stateful = q.State != nil
@@ -230,7 +219,6 @@ func CompileAST(name string, q *ast.Query, opts CompileOptions) (*Query, error) 
 			fs.AggParams = append(fs.AggParams, extra.(*ast.Literal).Val)
 		}
 		fields = append(fields, fs)
-		cq.fieldArgs = append(cq.fieldArgs, rewriteBareAlias(call.Args[0], info))
 	}
 	mgr, err := window.NewManager(spec, fields)
 	if err != nil {
@@ -239,10 +227,8 @@ func CompileAST(name string, q *ast.Query, opts CompileOptions) (*Query, error) 
 	cq.winMgr = mgr
 	cq.assignSlots()
 	cq.groupBy = q.State.GroupBy
-	cq.fastKeys = compileFastGroupKeys(q)
-	if !opts.Interpret && cq.fastKeys != nil {
-		cq.fastArgs = compileFastArgs(q, cq.fieldArgs)
-	}
+	cq.keyProgs = cq.compilePerPattern(cq.groupBy)
+	cq.argProgs = cq.compilePerPattern(aggArgs(q, info))
 
 	cq.historyLen = q.State.History
 	if cq.historyLen < info.MaxStateIndex+1 {
@@ -348,14 +334,20 @@ func readsBindings(e ast.Expr, info *sema.Info) bool {
 	return reads
 }
 
-// compileFastArgs compiles each aggregation argument against each pattern's
-// bindings. A pattern's row is kept only if every field compiles, so one hit
-// evaluates either all-compiled or all-interpreted (simplifying the per-hit
-// error accounting). Returns nil when no pattern compiled.
-func compileFastArgs(q *ast.Query, args []ast.Expr) [][]*pcode.Prog {
-	out := make([][]*pcode.Prog, len(q.Patterns))
-	any := false
-	for pi, p := range q.Patterns {
+// aggArgs returns the aggregation argument of each state field.
+func aggArgs(q *ast.Query, info *sema.Info) []ast.Expr {
+	args := make([]ast.Expr, len(q.State.Fields))
+	for i, f := range q.State.Fields {
+		args[i] = rewriteBareAlias(f.Expr.(*ast.CallExpr).Args[0], info) // a call with arguments: sema
+	}
+	return args
+}
+
+// compilePerPattern compiles each expression against each pattern's bindings
+// — out[pattern][expression] — and grows progStack to fit the programs.
+func (q *Query) compilePerPattern(exprs []ast.Expr) [][]*pcode.Prog {
+	out := make([][]*pcode.Prog, len(q.AST.Patterns))
+	for pi, p := range q.AST.Patterns {
 		b := pcode.Binding{
 			SubjVar:  p.Subject.Var,
 			ObjVar:   p.Object.Var,
@@ -363,21 +355,14 @@ func compileFastArgs(q *ast.Query, args []ast.Expr) [][]*pcode.Prog {
 			SubjType: p.Subject.Type,
 			ObjType:  p.Object.Type,
 		}
-		progs := make([]*pcode.Prog, len(args))
-		ok := true
-		for ai, a := range args {
-			if progs[ai] = pcode.CompileExpr(a, b); progs[ai] == nil {
-				ok = false
-				break
+		out[pi] = make([]*pcode.Prog, len(exprs))
+		for i, e := range exprs {
+			prog := pcode.CompileExpr(e, b)
+			if prog.Depth() > len(q.progStack) {
+				q.progStack = make([]value.Value, prog.Depth())
 			}
+			out[pi][i] = prog
 		}
-		if ok {
-			out[pi] = progs
-			any = true
-		}
-	}
-	if !any {
-		return nil
 	}
 	return out
 }
@@ -407,7 +392,7 @@ func (q *Query) Stats() QueryStats {
 func (q *Query) Patterns() []*matcher.Pattern { return q.patterns }
 
 // GlobalMatches reports whether ev satisfies the query's global constraints.
-func (q *Query) GlobalMatches(ev *event.Event) bool { return q.global(ev) }
+func (q *Query) GlobalMatches(ev *event.Event) bool { return q.global.Match(ev) }
 
 // Stateful reports whether the query folds windowed state (as opposed to a
 // rule query completing matches per event).

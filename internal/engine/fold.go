@@ -1,0 +1,265 @@
+package engine
+
+// The per-event half of query execution: pattern matching and the folding of
+// hits into multievent partial matches and window state. Everything here that
+// evaluates an expression runs an internal/pcode program against the event;
+// close.go holds the other half — what a completed match or a closed window
+// evaluates — and is the only file of the package on the tree-walker.
+
+import (
+	"strings"
+	"time"
+
+	"saql/internal/event"
+)
+
+// Hits returns the indices of the query's patterns that ev satisfies,
+// including the query's global constraints. It is the expensive matching
+// phase that the master–dependent-query scheme executes once per group.
+func (q *Query) Hits(ev *event.Event) []int { return q.AppendHits(nil, ev) }
+
+// AppendHits is Hits appending to dst, for callers that consume the hits
+// before their next call and so can reuse one buffer.
+//
+//saql:hotpath
+func (q *Query) AppendHits(dst []int, ev *event.Event) []int {
+	if !q.global.Match(ev) {
+		return dst
+	}
+	for i, p := range q.patterns {
+		if p.Matches(ev) {
+			dst = append(dst, i)
+		}
+	}
+	return dst
+}
+
+// ResidualHits refines a master query's hit set down to the patterns this
+// (stricter) query itself matches, appending them to dst: the dependent-side
+// half of the master–dependent scheme, decoupled from ingestion so it can run
+// once in a shared pre-evaluation stage rather than on every shard. evals
+// reports how many pattern predicates were actually evaluated (for sharing
+// accounting).
+//
+//saql:hotpath
+func (q *Query) ResidualHits(dst []int, ev *event.Event, masterHits []int) (hits []int, evals int) {
+	if len(masterHits) == 0 || !q.global.Match(ev) {
+		return dst, 0
+	}
+	for _, hi := range masterHits {
+		evals++
+		if q.patterns[hi].Matches(ev) {
+			dst = append(dst, hi)
+		}
+	}
+	return dst, evals
+}
+
+// MatchBatch evaluates the query's patterns across a whole batch in
+// pattern-major (columnar) order: one compiled pattern sweeps all events
+// before the next pattern runs, keeping its programs hot in cache. Bit p of
+// masks[i] is set iff pattern p matches evs[i] (and the event passed the
+// global constraints). masks and globalOK are caller-owned scratch of
+// len(evs); masks must arrive zeroed. Requires at most 64 patterns — the
+// scheduler falls back to per-event Hits beyond that.
+//
+//saql:hotpath
+func (q *Query) MatchBatch(evs []*event.Event, masks []uint64, globalOK []bool) {
+	for i, ev := range evs {
+		globalOK[i] = q.global.Match(ev)
+	}
+	for pi, p := range q.patterns {
+		bit := uint64(1) << uint(pi)
+		for i, ev := range evs {
+			if globalOK[i] && p.Matches(ev) {
+				masks[i] |= bit
+			}
+		}
+	}
+}
+
+// Process feeds one event through the full pipeline (matching + ingestion)
+// and returns any alerts raised.
+func (q *Query) Process(ev *event.Event, report func(error)) []*Alert {
+	return q.Ingest(ev, q.Hits(ev), report)
+}
+
+// Ingest advances the query with an event whose pattern hits were already
+// computed (by this query or by its master in a scheduler group). report
+// receives runtime evaluation errors; it may be nil.
+func (q *Query) Ingest(ev *event.Event, hits []int, report func(error)) []*Alert {
+	q.stats.Events++
+	if report == nil {
+		report = func(error) {}
+	}
+	if q.stateful {
+		return q.ingestStateful(ev, hits, report)
+	}
+	return q.ingestRule(ev, hits, report)
+}
+
+// ingestRule feeds ev's hits to the multievent matcher and turns the matches
+// they complete into alerts.
+func (q *Query) ingestRule(ev *event.Event, hits []int, report func(error)) []*Alert {
+	if len(hits) == 0 {
+		return nil
+	}
+	q.stats.PatternHits += int64(len(hits))
+	var alerts []*Alert
+	for _, m := range q.seq.ObserveHits(ev, hits) {
+		q.stats.Matches++
+		if al := q.alertMatch(m, report); al != nil {
+			alerts = append(alerts, al)
+		}
+	}
+	return alerts
+}
+
+// ingestStateful folds ev's hits into their groups — per hit one key, one
+// group probe per containing window, slot-indexed first-writer bindings, the
+// compiled argument programs, one Add per field — then advances the
+// watermark, which below the manager's deadline is two compares.
+//
+//saql:hotpath
+func (q *Query) ingestStateful(ev *event.Event, hits []int, report func(error)) []*Alert {
+	touched := false
+	for _, hi := range hits {
+		// The key comes first, so shard replicas reject non-owned groups
+		// before paying for anything else. A key that fails to evaluate is
+		// the empty key to the ownership test, as it was to the router, so
+		// exactly one replica reports the failure; the hit folds nowhere but
+		// still opens its windows, on that replica as on the others.
+		key, kerr := q.hitKey(hi, ev)
+		owned := q.groupFilter == nil || q.groupFilter(key)
+		if kerr != nil && owned {
+			q.fail(report, kerr)
+		}
+		if kerr != nil || !owned {
+			touched = true
+			continue
+		}
+		q.stats.PatternHits++
+
+		slots, args := q.slots[hi], q.argProgs[hi]
+		for _, g := range q.winMgr.GroupFor(ev.Time, key) {
+			g.Count++
+			// Remember representative bindings for alert/return output: the
+			// first event to bind a slot keeps it, and the object is offered
+			// first because it shadows a subject of the same name.
+			if slots.obj >= 0 && g.Entities[slots.obj] == nil {
+				g.Entities[slots.obj] = &ev.Object
+			}
+			if slots.subj >= 0 && g.Entities[slots.subj] == nil {
+				g.Entities[slots.subj] = &ev.Subject
+			}
+			if slots.alias >= 0 && g.Events[slots.alias] == nil {
+				g.Events[slots.alias] = ev
+			}
+			for i, arg := range args {
+				err := arg.Run(ev, q.progStack)
+				if err == nil {
+					err = g.Aggs[i].Add(q.progStack[0])
+				}
+				if err != nil {
+					q.fail(report, err)
+				}
+			}
+		}
+	}
+
+	if touched {
+		// Some hit folded nothing here — another shard owns its group, or
+		// its key failed — but the window must still exist (and later
+		// close) so close counts and empty-snapshot cadence are the same on
+		// every shard and on the serial engine.
+		q.winMgr.Touch(ev.Time)
+	}
+
+	// Advance the watermark and close any finished windows. This happens
+	// even for events that match no pattern: time always flows.
+	return q.closeAll(q.winMgr.Advance(ev.Time), report)
+}
+
+// hitKey evaluates the group-by key ev yields as a hit of pattern hi: the
+// items' values, rendered, joined by \x1f — the empty key without a group-by.
+// A failed key is reported as the empty key and the error.
+//
+//saql:hotpath
+func (q *Query) hitKey(hi int, ev *event.Event) (string, error) {
+	items := q.keyProgs[hi]
+	if len(items) == 1 {
+		if err := items[0].Run(ev, q.progStack); err != nil {
+			return "", err
+		}
+		return q.progStack[0].Text(), nil
+	}
+	var sb strings.Builder
+	for i, item := range items {
+		if err := item.Run(ev, q.progStack); err != nil {
+			return "", err
+		}
+		if i > 0 {
+			sb.WriteByte('\x1f')
+		}
+		sb.WriteString(q.progStack[0].Text())
+	}
+	return sb.String(), nil
+}
+
+// HitGroupKeys appends to dst the group key ev yields for each hit pattern —
+// what the partitioned router hashes to find the shards owning the event's
+// groups. A key that fails to evaluate is appended as the empty key: the
+// replica owning that key re-evaluates it and reports the failure, once, as
+// the serial engine does.
+//
+//saql:hotpath
+func (q *Query) HitGroupKeys(dst []string, ev *event.Event, hits []int) []string {
+	for _, hi := range hits {
+		key, _ := q.hitKey(hi, ev) // the owning replica reports the error
+		dst = append(dst, key)
+	}
+	return dst
+}
+
+// AdvanceWatermark advances a stateful query's watermark to t, closing any
+// windows that end at or before it, without folding or touching state. The
+// partitioned router uses it to keep replicas' window-close cadence aligned
+// with the serial engine now that a replica no longer observes every event:
+// before folding a delivered event the replica first advances to the stream
+// watermark the router saw just before that event, and at every batch
+// boundary it advances to the router's running watermark. No-op for rule
+// queries and for t at or behind the current watermark.
+func (q *Query) AdvanceWatermark(t time.Time, report func(error)) []*Alert {
+	if !q.stateful {
+		return nil
+	}
+	if report == nil {
+		report = func(error) {}
+	}
+	return q.closeAll(q.winMgr.Advance(t), report)
+}
+
+// TouchAt opens the windows containing t without folding any state, then
+// advances the watermark to t: the non-owning replica's half of stateful
+// ingestion, applied when the event itself was delivered only to the shards
+// owning its group state. Window existence, close counts, and empty-snapshot
+// cadence therefore stay identical on every replica — which alert history
+// (ss[k]) backfill and checkpoint re-splitting both depend on.
+func (q *Query) TouchAt(t time.Time, report func(error)) []*Alert {
+	if !q.stateful {
+		return nil
+	}
+	q.winMgr.Touch(t)
+	return q.AdvanceWatermark(t, report)
+}
+
+// Flush closes all open windows (end of stream) and returns final alerts.
+func (q *Query) Flush(report func(error)) []*Alert {
+	if report == nil {
+		report = func(error) {}
+	}
+	if !q.stateful {
+		return nil
+	}
+	return q.closeAll(q.winMgr.Flush(), report)
+}

@@ -22,7 +22,11 @@ const (
 	PlacePinned Placement = iota
 	// PlaceByGroup marks stateful queries whose per-group state is
 	// independent across groups: every shard holds a replica, and each
-	// group-by key is owned by exactly one shard.
+	// group-by key is owned by exactly one shard. The router finds a hit's
+	// owner by evaluating the key itself (HitGroupKeys, the same compiled key
+	// programs the replicas fold with), whatever the group-by expression; a
+	// key that fails to evaluate counts as the empty key on both sides, so
+	// its one owner reports the failure.
 	PlaceByGroup
 	// PlaceByEvent marks stateless single-pattern rule queries: each event
 	// produces alerts independently, so events are split across shards by

@@ -366,7 +366,7 @@ func evalBinary(x *ast.BinaryExpr, env *Env) (value.Value, error) {
 
 	switch x.Op {
 	case ast.OpEq, ast.OpNe:
-		eq := equalWithWildcards(lv, rv)
+		eq := value.EqualFold(lv, rv)
 		if x.Op == ast.OpNe {
 			eq = !eq
 		}
@@ -413,26 +413,25 @@ func evalBinary(x *ast.BinaryExpr, env *Env) (value.Value, error) {
 		}
 		return lv.Arith(op, rv)
 
-	case ast.OpUnion:
-		return setOp(lv, rv, "union")
-	case ast.OpDiff:
-		return setOp(lv, rv, "diff")
-	case ast.OpIntersect:
-		return setOp(lv, rv, "intersect")
-
-	case ast.OpIn:
-		if rv.Kind() == value.KindSet {
-			return value.Bool(rv.SetContains(lv.String())), nil
-		}
-		if rv.IsNull() {
-			return value.Bool(false), nil
-		}
-		return value.Null, fmt.Errorf("expr: 'in' requires a set on the right, got %s", rv.Kind())
+	case ast.OpUnion, ast.OpDiff, ast.OpIntersect, ast.OpIn:
+		return SetOp(x.Op, lv, rv)
 	}
 	return value.Null, fmt.Errorf("expr: unsupported binary operator %s", x.Op)
 }
 
-func setOp(l, r value.Value, op string) (value.Value, error) {
+// SetOp applies a set operator (union, diff, intersect) or the membership
+// test `in` to two evaluated operands. Exported, like CallScalar, for the
+// per-event evaluator (internal/pcode), which shares these semantics.
+func SetOp(op ast.BinOp, l, r value.Value) (value.Value, error) {
+	if op == ast.OpIn {
+		if r.Kind() == value.KindSet {
+			return value.Bool(r.SetContains(l.String())), nil
+		}
+		if r.IsNull() {
+			return value.Bool(false), nil
+		}
+		return value.Null, fmt.Errorf("expr: 'in' requires a set on the right, got %s", r.Kind())
+	}
 	// Null-tolerance: treat null as the empty set so invariant updates work
 	// on the first window.
 	if l.IsNull() {
@@ -442,35 +441,11 @@ func setOp(l, r value.Value, op string) (value.Value, error) {
 		r = value.EmptySet()
 	}
 	switch op {
-	case "union":
+	case ast.OpUnion:
 		return l.Union(r)
-	case "diff":
+	case ast.OpDiff:
 		return l.Diff(r)
 	default:
 		return l.Intersect(r)
 	}
-}
-
-// EqualValues reports SAQL equality between two values — the semantics of
-// the == and != expression operators. Exported for the compiled evaluator
-// (internal/pcode), which must reproduce interpretation bit for bit.
-func EqualValues(l, r value.Value) bool { return equalWithWildcards(l, r) }
-
-// equalWithWildcards implements SAQL equality: exact for non-strings, and
-// SQL-LIKE '%' wildcards when either string operand contains '%' (the
-// paper's constraints and alert conditions use "%osql.exe" patterns).
-func equalWithWildcards(l, r value.Value) bool {
-	if l.Kind() == value.KindString && r.Kind() == value.KindString {
-		ls, rs := l.Str(), r.Str()
-		lw, rw := strings.Contains(ls, "%"), strings.Contains(rs, "%")
-		switch {
-		case rw && !lw:
-			return value.WildcardMatch(rs, ls)
-		case lw && !rw:
-			return value.WildcardMatch(ls, rs)
-		default:
-			return strings.EqualFold(ls, rs)
-		}
-	}
-	return l.Equal(r)
 }

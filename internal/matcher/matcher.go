@@ -1,9 +1,9 @@
 // Package matcher implements the multievent matcher of the SAQL engine: it
-// compiles event patterns into fast predicates and matches the event stream
-// against multi-pattern rule queries, enforcing per-pattern attribute
-// constraints, global constraints, cross-pattern entity joins (the same
-// variable bound in several patterns must denote the same entity), and the
-// temporal order required by the `with evt1 -> evt2` clause.
+// pairs each event pattern with its compiled predicates (internal/pcode) and
+// matches the event stream against multi-pattern rule queries, enforcing
+// cross-pattern entity joins (the same variable bound in several patterns
+// must denote the same entity) and the temporal order required by the
+// `with evt1 -> evt2` clause.
 package matcher
 
 import (
@@ -14,189 +14,36 @@ import (
 	"saql/internal/ast"
 	"saql/internal/event"
 	"saql/internal/pcode"
-	"saql/internal/value"
 )
 
-// EntityPred is a compiled predicate over an entity.
-type EntityPred func(*event.Entity) bool
-
-// CompileEntityPattern compiles an entity pattern (type + constraints) into
-// a predicate.
-func CompileEntityPattern(p *ast.EntityPattern) (EntityPred, error) {
-	typ := p.Type
-	type check struct {
-		attr string // "" = default attribute
-		op   ast.CompareOp
-		val  value.Value
-	}
-	checks := make([]check, 0, len(p.Constraints))
-	for _, c := range p.Constraints {
-		checks = append(checks, check{attr: c.Attr, op: c.Op, val: c.Val.Val})
-	}
-	return func(e *event.Entity) bool {
-		if e.Type != typ {
-			return false
-		}
-		for _, c := range checks {
-			var got value.Value
-			if c.attr == "" {
-				got = value.String(e.DefaultAttr())
-			} else {
-				v, ok := e.Attr(c.attr)
-				if !ok {
-					return false
-				}
-				got = v
-			}
-			if !compare(got, c.op, c.val) {
-				return false
-			}
-		}
-		return true
-	}, nil
-}
-
-// compare applies a constraint comparison, with % wildcards on string
-// equality (SQL-LIKE semantics, as in ["%osql.exe"]).
-func compare(got value.Value, op ast.CompareOp, want value.Value) bool {
-	switch op {
-	case ast.CmpEq, ast.CmpNe:
-		var eq bool
-		if got.Kind() == value.KindString && want.Kind() == value.KindString {
-			eq = value.WildcardMatch(want.Str(), got.Str())
-		} else {
-			eq = got.Equal(want)
-		}
-		if op == ast.CmpNe {
-			return !eq
-		}
-		return eq
-	default:
-		c, err := got.Compare(want)
-		if err != nil {
-			return false
-		}
-		switch op {
-		case ast.CmpLt:
-			return c < 0
-		case ast.CmpLe:
-			return c <= 0
-		case ast.CmpGt:
-			return c > 0
-		case ast.CmpGe:
-			return c >= 0
-		}
-		return false
-	}
-}
-
-// GlobalPred is a compiled predicate over a whole event (global constraints
-// such as agentid = "db-1").
-type GlobalPred func(*event.Event) bool
-
-// CompileGlobalsWith compiles the query's global constraints, preferring a
-// pcode program over the interpreting closure unless interpret forces the
-// tree-walking path (the A/B baseline and differential tests). fb receives
-// string-fallback counts; nil selects the process-wide counter.
-func CompileGlobalsWith(globals []*ast.Constraint, interpret bool, fb *atomic.Int64) GlobalPred {
-	if !interpret && len(globals) > 0 {
-		if prog := pcode.CompileGlobals(globals, fb); prog != nil {
-			return prog.Match
-		}
-	}
-	return CompileGlobals(globals)
-}
-
-// CompileGlobals compiles the query's global constraints.
-func CompileGlobals(globals []*ast.Constraint) GlobalPred {
-	if len(globals) == 0 {
-		return func(*event.Event) bool { return true }
-	}
-	type check struct {
-		attr string
-		op   ast.CompareOp
-		val  value.Value
-	}
-	checks := make([]check, 0, len(globals))
-	for _, g := range globals {
-		checks = append(checks, check{attr: g.Attr, op: g.Op, val: g.Val.Val})
-	}
-	return func(ev *event.Event) bool {
-		for _, c := range checks {
-			got, ok := ev.Attr(c.attr)
-			if !ok {
-				return false
-			}
-			if !compare(got, c.op, c.val) {
-				return false
-			}
-		}
-		return true
-	}
-}
-
-// Pattern is a compiled event pattern.
+// Pattern is a compiled event pattern: an operation set and the two entity
+// predicates, all evaluated by internal/pcode programs.
 type Pattern struct {
-	Index    int
-	Alias    string
-	SubjVar  string
-	ObjVar   string
-	ops      map[event.Op]bool
-	subjPred EntityPred
-	objPred  EntityPred
-
-	// Compiled fast path: when opsMask is non-zero the operation check is a
-	// bit test, and the pcode programs (when compilable) replace the
-	// interpreting closures. All nil/zero under CompileOptions.Interpret,
-	// which pins the pre-compilation evaluation path.
-	opsMask  uint32
-	fastSubj *pcode.EntityProg
-	fastObj  *pcode.EntityProg
+	Index   int
+	Alias   string
+	SubjVar string
+	ObjVar  string
+	opsMask uint32 // bit per event.Op
+	subj    *pcode.EntityProg
+	obj     *pcode.EntityProg
 }
 
-// Compile compiles an AST event pattern to the interpreting predicates.
-func Compile(idx int, p *ast.EventPattern) (*Pattern, error) {
-	sp, err := CompileEntityPattern(p.Subject)
-	if err != nil {
-		return nil, err
-	}
-	op, err := CompileEntityPattern(p.Object)
-	if err != nil {
-		return nil, err
-	}
-	ops := make(map[event.Op]bool, len(p.Ops))
-	for _, o := range p.Ops {
-		ops[o] = true
-	}
-	return &Pattern{
-		Index:    idx,
-		Alias:    p.Alias,
-		SubjVar:  p.Subject.Var,
-		ObjVar:   p.Object.Var,
-		ops:      ops,
-		subjPred: sp,
-		objPred:  op,
-	}, nil
-}
-
-// CompileWith compiles an AST event pattern, additionally attaching the
-// pcode fast path unless interpret is set. The interpreting closures are
-// always built too: they are the fallback for constraint shapes pcode
-// declines, and the reference path for differential testing. fb receives
-// string-fallback counts; nil selects the process-wide counter.
-func CompileWith(idx int, p *ast.EventPattern, interpret bool, fb *atomic.Int64) (*Pattern, error) {
-	cp, err := Compile(idx, p)
-	if err != nil || interpret {
-		return cp, err
-	}
+// Compile compiles an AST event pattern. fb receives string-fallback counts;
+// nil selects the process-wide counter.
+func Compile(idx int, p *ast.EventPattern, fb *atomic.Int64) *Pattern {
 	var mask uint32
 	for _, o := range p.Ops {
 		mask |= 1 << uint(o)
 	}
-	cp.opsMask = mask
-	cp.fastSubj = pcode.CompileEntity(p.Subject, fb)
-	cp.fastObj = pcode.CompileEntity(p.Object, fb)
-	return cp, nil
+	return &Pattern{
+		Index:   idx,
+		Alias:   p.Alias,
+		SubjVar: p.Subject.Var,
+		ObjVar:  p.Object.Var,
+		opsMask: mask,
+		subj:    pcode.CompileEntity(p.Subject, fb),
+		obj:     pcode.CompileEntity(p.Object, fb),
+	}
 }
 
 // Matches reports whether ev satisfies the pattern's operation set and both
@@ -204,26 +51,7 @@ func CompileWith(idx int, p *ast.EventPattern, interpret bool, fb *atomic.Int64)
 //
 //saql:hotpath
 func (p *Pattern) Matches(ev *event.Event) bool {
-	if p.opsMask != 0 {
-		if p.opsMask&(1<<uint(ev.Op)) == 0 {
-			return false
-		}
-		if p.fastSubj != nil {
-			if !p.fastSubj.Match(&ev.Subject) {
-				return false
-			}
-		} else if !p.subjPred(&ev.Subject) {
-			return false
-		}
-		if p.fastObj != nil {
-			return p.fastObj.Match(&ev.Object)
-		}
-		return p.objPred(&ev.Object)
-	}
-	if !p.ops[ev.Op] {
-		return false
-	}
-	return p.subjPred(&ev.Subject) && p.objPred(&ev.Object)
+	return p.opsMask&(1<<uint(ev.Op)) != 0 && p.subj.Match(&ev.Subject) && p.obj.Match(&ev.Object)
 }
 
 // Match is a completed multi-pattern match: one event per pattern plus the
@@ -248,7 +76,7 @@ type partial struct {
 // ordering over a subset of them, maintaining a bounded partial-match table.
 type SeqMatcher struct {
 	patterns []*Pattern
-	global   GlobalPred
+	global   *pcode.EventProg // nil: no global constraints
 	// orderPos[i] = position of pattern i in the temporal order, or -1.
 	orderPos []int
 	nOrdered int
@@ -273,7 +101,7 @@ type Config struct {
 // NewSeqMatcher builds a sequence matcher for the compiled patterns.
 // temporalOrder lists pattern indices that must occur in time order (may be
 // empty for an unordered conjunctive match).
-func NewSeqMatcher(patterns []*Pattern, global GlobalPred, temporalOrder []int, cfg Config) (*SeqMatcher, error) {
+func NewSeqMatcher(patterns []*Pattern, global *pcode.EventProg, temporalOrder []int, cfg Config) (*SeqMatcher, error) {
 	if len(patterns) == 0 {
 		return nil, fmt.Errorf("matcher: no patterns")
 	}
@@ -299,9 +127,6 @@ func NewSeqMatcher(patterns []*Pattern, global GlobalPred, temporalOrder []int, 
 		}
 		orderPos[idx] = pos
 	}
-	if global == nil {
-		global = func(*event.Event) bool { return true }
-	}
 	return &SeqMatcher{
 		patterns: patterns,
 		global:   global,
@@ -320,7 +145,7 @@ func (m *SeqMatcher) PartialCount() int { return len(m.partials) }
 
 // Observe feeds one event and returns any completed matches.
 func (m *SeqMatcher) Observe(ev *event.Event) []*Match {
-	if !m.global(ev) {
+	if m.global != nil && !m.global.Match(ev) {
 		return nil
 	}
 

@@ -8,6 +8,7 @@ import (
 	"saql/internal/ast"
 	"saql/internal/event"
 	"saql/internal/parser"
+	"saql/internal/pcode"
 )
 
 var base = time.Date(2020, 2, 27, 9, 0, 0, 0, time.UTC)
@@ -21,11 +22,7 @@ func patternsOf(t *testing.T, src string) ([]*Pattern, *ast.Query) {
 	}
 	var out []*Pattern
 	for i, p := range q.Patterns {
-		cp, err := Compile(i, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, cp)
+		out = append(out, Compile(i, p, nil))
 	}
 	return out, q
 }
@@ -88,14 +85,14 @@ proc p start proc q2 return p`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred := CompileGlobals(q.Globals)
-	if !pred(&event.Event{AgentID: "db-1"}) {
+	pred := pcode.CompileGlobals(q.Globals, nil)
+	if !pred.Match(&event.Event{AgentID: "db-1"}) {
 		t.Error("matching agent rejected")
 	}
-	if pred(&event.Event{AgentID: "db-2"}) {
+	if pred.Match(&event.Event{AgentID: "db-2"}) {
 		t.Error("wrong agent accepted")
 	}
-	if !CompileGlobals(nil)(&event.Event{}) {
+	if !pcode.CompileGlobals(nil, nil).Match(&event.Event{}) {
 		t.Error("empty globals should always match")
 	}
 }
@@ -115,7 +112,7 @@ func seqOf(t *testing.T, src string, cfg Config) *SeqMatcher {
 			order = append(order, aliases[a])
 		}
 	}
-	m, err := NewSeqMatcher(pats, CompileGlobals(q.Globals), order, cfg)
+	m, err := NewSeqMatcher(pats, pcode.CompileGlobals(q.Globals, nil), order, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,14 @@
 package pcode_test
 
 // Differential correctness harness for the compiled evaluators: every
-// randomized case is executed by both the pcode program and the original
-// tree-walking path, and the results — value AND error — must agree exactly.
-// Three surfaces are covered: entity-pattern predicates, global-constraint
-// predicates, and aggregation-argument expression programs. The same
-// generators drive a testing/quick property and a fuzz target whose seed
-// corpus runs in CI as part of `go test`.
+// randomized case is executed by both the pcode program and its oracle — the
+// interpreting predicate closures (pred_ref_test.go) or expr.Eval over a
+// per-hit environment — and the results, value AND error string, must agree
+// exactly. Compilation is total, so a nil program is itself a failure. Three
+// surfaces are covered: entity-pattern predicates, global-constraint
+// predicates, and per-event expression programs (aggregation arguments and
+// group-by items). The same generators drive a testing/quick property and a
+// fuzz target whose seed corpus runs in CI as part of `go test`.
 
 import (
 	"fmt"
@@ -18,7 +20,7 @@ import (
 	"saql/internal/ast"
 	"saql/internal/event"
 	"saql/internal/expr"
-	"saql/internal/matcher"
+	"saql/internal/parser"
 	"saql/internal/pcode"
 	"saql/internal/symtab"
 	"saql/internal/value"
@@ -39,7 +41,7 @@ func pick[T any](r *rand.Rand, xs []T) T { return xs[r.Intn(len(xs))] }
 
 func genLiteral(r *rand.Rand) *ast.Literal {
 	var v value.Value
-	switch r.Intn(6) {
+	switch r.Intn(7) {
 	case 0, 1:
 		v = value.String(pick(r, stringPool))
 	case 2:
@@ -48,6 +50,8 @@ func genLiteral(r *rand.Rand) *ast.Literal {
 		v = value.Float([]float64{-1.5, 0, 0.5, 3.25, 4096}[r.Intn(5)])
 	case 4:
 		v = value.Bool(r.Intn(2) == 0)
+	case 5:
+		v = []value.Value{value.EmptySet(), value.SetOf("cmd.exe", "x"), value.SetOf("3")}[r.Intn(3)]
 	default:
 		v = value.Null
 	}
@@ -140,18 +144,15 @@ func genEvent(r *rand.Rand, objType event.EntityType) *event.Event {
 	return ev
 }
 
-// diffEntity checks one random entity pattern against one random entity.
+// diffEntity checks one random entity pattern against random entities.
 func diffEntity(r *rand.Rand) error {
 	typ := pick(r, entityTypes)
 	p := genEntityPattern(r, typ, "x")
 	prog := pcode.CompileEntity(p, nil)
 	if prog == nil {
-		return nil // shape outside the compiled subset: closure retained
+		return fmt.Errorf("entity pattern %s did not compile", p)
 	}
-	pred, err := matcher.CompileEntityPattern(p)
-	if err != nil {
-		return fmt.Errorf("interpreter rejected pattern %s: %v", p, err)
-	}
+	pred := refEntityPred(p)
 	// Test against entities of the pattern's type and of others.
 	for i := 0; i < 4; i++ {
 		e := genEntity(r, pick(r, entityTypes))
@@ -175,9 +176,9 @@ func diffGlobals(r *rand.Rand) error {
 	}
 	prog := pcode.CompileGlobals(cs, nil)
 	if prog == nil {
-		return nil
+		return fmt.Errorf("globals %v did not compile", cs)
 	}
-	pred := matcher.CompileGlobals(cs)
+	pred := refGlobalPred(cs)
 	for i := 0; i < 4; i++ {
 		ev := genEvent(r, pick(r, entityTypes))
 		want, got := pred(ev), prog.Match(ev)
@@ -188,48 +189,90 @@ func diffGlobals(r *rand.Rand) error {
 	return nil
 }
 
-// genExpr builds a random expression over the binding's variables: entity
-// idents and fields (valid and invalid attributes), event-alias fields,
-// unbound names, cluster fields, literals, and all compiled operators.
+// callNames are the scalar builtins, aggregator names (rejected outside a
+// state block) and an unknown function.
+var callNames = []string{
+	"abs", "sqrt", "log", "floor", "ceil", "pow", "len", "size", "contains",
+	"sum", "count", "percentile", "nosuchfn",
+}
+
+// genLeaf builds an expression without operands: entity idents and fields
+// (valid and invalid attributes), event-alias fields and the bare alias,
+// unbound names, cluster fields, state references (which name no state
+// variable per event), and literals.
+func genLeaf(r *rand.Rand, b pcode.Binding) ast.Expr {
+	switch r.Intn(13) {
+	case 0:
+		return &ast.Ident{Name: b.SubjVar}
+	case 1:
+		return &ast.Ident{Name: b.ObjVar}
+	case 2:
+		return &ast.Ident{Name: pick(r, []string{"unbound", "ss", ""})}
+	case 3:
+		return &ast.FieldExpr{Base: &ast.Ident{Name: b.SubjVar}, Field: pick(r, attrsFor(b.SubjType))}
+	case 4:
+		return &ast.FieldExpr{Base: &ast.Ident{Name: b.ObjVar}, Field: pick(r, attrsFor(b.ObjType))}
+	case 5:
+		return &ast.FieldExpr{Base: &ast.Ident{Name: b.Alias}, Field: pick(r, evAttrs)}
+	case 6:
+		return &ast.FieldExpr{Base: &ast.Ident{Name: pick(r, []string{"cluster", "ss", "unbound", ""})}, Field: "outlier"}
+	case 7:
+		return &ast.Ident{Name: b.Alias}
+	case 8:
+		return &ast.FieldExpr{Base: &ast.IndexExpr{Base: &ast.Ident{Name: pick(r, []string{"ss", "", b.SubjVar})}, Index: 2}, Field: "f"}
+	case 9:
+		return pick(r, []ast.Expr{
+			&ast.IndexExpr{Base: &ast.Ident{Name: "ss"}, Index: 1},
+			&ast.FieldExpr{Base: &ast.IndexExpr{Base: genLiteral(r), Index: 0}, Field: "f"},
+			&ast.FieldExpr{Base: genLiteral(r), Field: "f"},
+		})
+	default:
+		return genLiteral(r)
+	}
+}
+
+// genExpr builds a random expression over the binding's variables: every
+// leaf shape, every operator the grammar has (and ones it does not), scalar
+// calls at right and wrong arities, and right-leaning chains deeper than the
+// machine's in-frame operand stack.
 func genExpr(r *rand.Rand, b pcode.Binding, depth int) ast.Expr {
 	if depth <= 0 || r.Intn(4) == 0 {
-		switch r.Intn(8) {
-		case 0:
-			return &ast.Ident{Name: b.SubjVar}
-		case 1:
-			return &ast.Ident{Name: b.ObjVar}
-		case 2:
-			return &ast.Ident{Name: "unbound"}
-		case 3:
-			return &ast.FieldExpr{Base: &ast.Ident{Name: b.SubjVar}, Field: pick(r, attrsFor(b.SubjType)[1:])}
-		case 4:
-			return &ast.FieldExpr{Base: &ast.Ident{Name: b.ObjVar}, Field: pick(r, attrsFor(b.ObjType)[1:])}
-		case 5:
-			return &ast.FieldExpr{Base: &ast.Ident{Name: b.Alias}, Field: pick(r, evAttrs)}
-		case 6:
-			return &ast.FieldExpr{Base: &ast.Ident{Name: "cluster"}, Field: "outlier"}
-		default:
-			return genLiteral(r)
-		}
+		return genLeaf(r, b)
 	}
-	switch r.Intn(10) {
+	switch r.Intn(14) {
 	case 0:
-		return &ast.UnaryExpr{Op: '!', X: genExpr(r, b, depth-1)}
+		return &ast.UnaryExpr{Op: pick(r, []byte{'!', '-', '~'}), X: genExpr(r, b, depth-1)}
 	case 1:
 		return &ast.UnaryExpr{Op: '-', X: genExpr(r, b, depth-1)}
 	case 2:
 		return &ast.CardExpr{X: genExpr(r, b, depth-1)}
+	case 3, 4:
+		call := &ast.CallExpr{Func: pick(r, callNames)}
+		for n := r.Intn(4); n > 0; n-- {
+			call.Args = append(call.Args, genExpr(r, b, depth-1))
+		}
+		return call
+	case 5:
+		// Right-leaning chain: operand-stack depth grows with its length.
+		op := pick(r, []ast.BinOp{ast.OpAdd, ast.OpAnd, ast.OpOr, ast.OpUnion, ast.OpEq})
+		e := genLeaf(r, b)
+		for n := 17 + r.Intn(24); n > 0; n-- {
+			e = &ast.BinaryExpr{Op: op, Left: genLeaf(r, b), Right: e}
+		}
+		return e
 	default:
 		ops := []ast.BinOp{
 			ast.OpAnd, ast.OpOr, ast.OpEq, ast.OpNe, ast.OpLt, ast.OpLe,
 			ast.OpGt, ast.OpGe, ast.OpAdd, ast.OpSub, ast.OpMul, ast.OpDiv, ast.OpMod,
+			ast.OpUnion, ast.OpDiff, ast.OpIntersect, ast.OpIn, ast.OpInvalid,
 		}
 		return &ast.BinaryExpr{Op: pick(r, ops), Left: genExpr(r, b, depth-1), Right: genExpr(r, b, depth-1)}
 	}
 }
 
-// bindEnvLike reproduces engine.bindEnv for the binding: subject entity
-// written first, object second (shadowing a shared name), alias bound last.
+// bindEnvLike builds the per-hit environment the tree-walker evaluated
+// per-event expressions in: subject entity written first, object second
+// (shadowing a shared name), alias bound last; no state, no variables.
 func bindEnvLike(b pcode.Binding, ev *event.Event) *expr.Env {
 	env := &expr.Env{Entities: map[string]*event.Entity{}, Events: map[string]*event.Event{}}
 	if b.SubjVar != "" {
@@ -251,7 +294,8 @@ func sameValue(a, b value.Value) bool {
 }
 
 // diffExpr checks one random expression program against the tree-walker on
-// several events, comparing value and error.
+// several events matching the binding's types, comparing value and error
+// string.
 func diffExpr(r *rand.Rand) error {
 	b := pcode.Binding{
 		SubjVar:  "p1",
@@ -263,23 +307,13 @@ func diffExpr(r *rand.Rand) error {
 	e := genExpr(r, b, 3)
 	prog := pcode.CompileExpr(e, b)
 	if prog == nil {
-		return nil // tree-walker retained: nothing to diverge
+		return fmt.Errorf("expr %s did not compile", e)
 	}
 	for i := 0; i < 4; i++ {
-		// Mostly well-typed events; occasionally a mismatched object type to
-		// exercise the binding guard.
-		objType := b.ObjType
-		if r.Intn(8) == 0 {
-			objType = pick(r, entityTypes)
-		}
-		ev := genEvent(r, objType)
-		gotV, gotErr := prog.Run(ev)
-		if gotErr == pcode.ErrBindingMismatch {
-			if ev.Object.Type == b.ObjType && ev.Subject.Type == b.SubjType {
-				return fmt.Errorf("expr %s: spurious binding mismatch on %s", e, ev)
-			}
-			continue // engine falls back to the tree-walker for such hits
-		}
+		ev := genEvent(r, b.ObjType)
+		stack := make([]value.Value, prog.Depth())
+		gotErr := prog.Run(ev, stack)
+		gotV := stack[0]
 		wantV, wantErr := expr.Eval(e, bindEnvLike(b, ev))
 		if (wantErr == nil) != (gotErr == nil) {
 			return fmt.Errorf("expr %s on %s: interpreted err=%v compiled err=%v", e, ev, wantErr, gotErr)
@@ -339,7 +373,7 @@ func TestQuickCompiledEval(t *testing.T) {
 // corpus below runs under plain `go test` in CI, and `go test -fuzz` expands
 // it indefinitely.
 func FuzzCompiledEval(f *testing.F) {
-	for seed := int64(0); seed < 32; seed++ {
+	for seed := int64(0); seed < 256; seed++ {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
@@ -347,4 +381,39 @@ func FuzzCompiledEval(f *testing.F) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// TestBoolAndNullConstraintConstants pins the constants the parser produces
+// that are neither string nor number: `true`/`false` in constraint position.
+// A field never equals and is never ordered against one, so `=` and the
+// ordered operators compile to a program no entity or event satisfies, and
+// `!=` to one every entity (of the type) and every event satisfies.
+func TestBoolAndNullConstraintConstants(t *testing.T) {
+	for _, c := range []struct {
+		src  string
+		want bool
+	}{
+		{`proc p[pid = true] read file f return p`, false},
+		{`proc p[pid >= false] read file f return p`, false},
+		{`proc p[exe_name != false] read file f return p`, true},
+		{`agentid = true
+proc p read file f return p`, false},
+		{`agentid != true
+proc p read file f return p`, true},
+	} {
+		q, err := parser.Parse(c.src)
+		if err != nil {
+			t.Fatalf("%s: %v", c.src, err)
+		}
+		subj, globals := pcode.CompileEntity(q.Patterns[0].Subject, nil), pcode.CompileGlobals(q.Globals, nil)
+		r := rand.New(rand.NewSource(3))
+		for i := 0; i < 32; i++ {
+			ev := genEvent(r, event.EntityFile)
+			got := subj.Match(&ev.Subject) && globals.Match(ev)
+			ref := refEntityPred(q.Patterns[0].Subject)(&ev.Subject) && refGlobalPred(q.Globals)(ev)
+			if got != c.want || ref != c.want {
+				t.Fatalf("%s on %s: compiled=%v interpreted=%v, want %v", c.src, ev, got, ref, c.want)
+			}
+		}
+	}
 }

@@ -1,6 +1,8 @@
-// Package pcode compiles SAQL pattern predicates and aggregate-argument
-// expressions to flat bytecode executed by small dispatch loops, replacing
-// per-event AST interpretation on the engine's hot path.
+// Package pcode compiles everything the engine evaluates per event — pattern
+// predicates, global constraints, aggregation arguments and group-by keys — to
+// flat bytecode executed by small dispatch loops. It is the only per-event
+// evaluator: internal/expr's tree-walker runs at window close and on completed
+// rule matches, never on the ingest path.
 //
 // Three program shapes exist:
 //
@@ -12,15 +14,16 @@
 //     both sides carry one, with a case-folding string fallback otherwise.
 //   - EventProg: the same for a query's global constraints (agentid, amount,
 //     optype, ...), compiled over whole events.
-//   - Prog (prog.go): a stack machine for general expressions — the
-//     aggregation arguments of stateful queries — compiled against one
-//     pattern's variable bindings.
+//   - Prog (prog.go): a stack machine for general expressions — aggregation
+//     arguments and group-by items — compiled against one pattern's variable
+//     bindings.
 //
-// Compilation is conservative: any shape the compiler does not fully
-// understand yields a nil program and the caller keeps the existing
-// tree-walking path, so error semantics and results are always preserved.
-// The differential suite in this package pins compiled == interpreted on
-// randomized inputs.
+// Compilation is total: every constraint and every expression yields a
+// program. What cannot match compiles to a predicate that never does, and
+// what cannot evaluate compiles to an instruction raising the evaluation
+// error where it would surface. The differential suite in this package pins
+// the programs — result and error string — to the tree-walker and to the
+// interpreting predicate closures they replaced (pred_ref_test.go).
 package pcode
 
 import (
@@ -86,9 +89,9 @@ const (
 // resolveEntityAttr maps a SAQL attribute name to a field selector for one
 // entity type, mirroring event.Entity.Attr exactly. str reports whether the
 // field reads as a string (false: numeric). ok is false when the attribute
-// does not exist for the type — in the interpreter that read fails, so
-// constraint compilation turns the predicate constant-false and expression
-// compilation falls back (the tree-walker owns the error).
+// does not exist for the type — that read fails, so constraint compilation
+// turns the predicate constant-false and expression compilation raises the
+// error.
 func resolveEntityAttr(t event.EntityType, name string) (f fld, str bool, ok bool) {
 	switch t {
 	case event.EntityProcess:
@@ -225,8 +228,7 @@ type eInstr struct {
 
 // EntityProg is a compiled entity predicate: type check plus a flat conjunct
 // list. never marks predicates that are statically unsatisfiable (invalid
-// attribute, impossible type mix) — the interpreter returns false for those
-// on every event, so the program does too, without executing anything.
+// attribute, impossible kind mix): no entity matches, and nothing executes.
 type EntityProg struct {
 	typ   event.EntityType
 	never bool
@@ -234,52 +236,30 @@ type EntityProg struct {
 	fb    *atomic.Int64 // fallback counter (never nil)
 }
 
-// CompileEntity compiles an entity pattern's constraints, or returns nil for
-// shapes that must keep the interpreted closure (non-scalar constants).
-// String-compare fallbacks at Match time are counted into fb (nil selects
-// the process-wide counter), so engines can attribute fallbacks per query.
+// CompileEntity compiles an entity pattern's constraints. String-compare
+// fallbacks at Match time are counted into fb (nil selects the process-wide
+// counter), so engines can attribute fallbacks per query.
 func CompileEntity(p *ast.EntityPattern, fb *atomic.Int64) *EntityProg {
 	prog := &EntityProg{typ: p.Type, fb: sinkOrGlobal(fb)}
 	for _, c := range p.Constraints {
-		if prog.never {
-			break // already unsatisfiable; no need to compile the rest
-		}
+		// An attribute invalid for the type fails every entity of the type.
 		f, isStr, ok := resolveEntityAttr(p.Type, c.Attr)
-		if !ok {
-			// Attribute invalid for this type: the interpreted closure fails
-			// the check on every entity of this type.
+		if !ok || compileCheck(&prog.ins, f, isStr, c.Op, c.Val.Val) {
 			prog.never = true
 			break
-		}
-		in, never, drop := compileCheck(f, isStr, c.Op, c.Val.Val)
-		switch {
-		case in == nil && !never && !drop:
-			return nil // unsupported constant kind: keep the closure
-		case never:
-			prog.never = true
-		case drop:
-			// Statically always-true (e.g. != across kinds): no instruction.
-		default:
-			prog.ins = append(prog.ins, *in)
 		}
 	}
 	return prog
 }
 
-// compileCheck compiles one constraint against a resolved field. Exactly one
-// of the results is meaningful: an instruction, never (statically false),
-// drop (statically true), or all-zero (unsupported; caller bails).
-func compileCheck(f fld, isStr bool, cmp ast.CompareOp, want value.Value) (in *eInstr, never, drop bool) {
-	switch want.Kind() {
-	case value.KindString:
+// compileCheck compiles one constraint against a resolved field, appending
+// its instruction to ins — nothing for a statically true constraint — and
+// reporting whether the constraint is statically false.
+func compileCheck(ins *[]eInstr, f fld, isStr bool, cmp ast.CompareOp, want value.Value) (never bool) {
+	switch k := want.Kind(); {
+	case k == value.KindString && isStr:
 		raw := want.Str()
-		if !isStr {
-			// Numeric field against a string constant: value.Equal is false
-			// across kinds and value.Compare errors (compare() maps errors
-			// to false), so only != passes.
-			return nil, cmp != ast.CmpNe, cmp == ast.CmpNe
-		}
-		in := &eInstr{fld: f, cmp: cmp, raw: raw}
+		in := eInstr{fld: f, cmp: cmp, raw: raw}
 		if isASCII(raw) {
 			in.fold = true
 			in.low = strings.ToLower(raw)
@@ -301,21 +281,20 @@ func compileCheck(f fld, isStr bool, cmp ast.CompareOp, want value.Value) (in *e
 		default:
 			in.op = eStrOrd
 		}
-		return in, false, false
+		*ins = append(*ins, in)
+		return false
 
-	case value.KindInt, value.KindFloat:
-		if isStr {
-			// String field against a numeric constant: mirror image of the
-			// mixed case above.
-			return nil, cmp != ast.CmpNe, cmp == ast.CmpNe
-		}
+	case want.IsNumeric() && !isStr:
 		num, _ := want.AsFloat()
-		return &eInstr{op: eNumCmp, fld: f, cmp: cmp, num: num}, false, false
+		*ins = append(*ins, eInstr{op: eNumCmp, fld: f, cmp: cmp, num: num})
+		return false
 
 	default:
-		// Bool/set/null constants never appear in parsed constraints; keep
-		// the interpreted closure for safety.
-		return nil, false, false
+		// The field's kind and the constant's differ — a string against a
+		// number, or anything against a bool, null or set constant (`pid =
+		// true` parses). Values of different kinds are never equal and never
+		// ordered, so only != holds, and it holds always.
+		return cmp != ast.CmpNe
 	}
 }
 
@@ -377,29 +356,17 @@ type EventProg struct {
 	fb    *atomic.Int64 // fallback counter (never nil)
 }
 
-// CompileGlobals compiles a query's global constraints, or returns nil when
-// a constant kind is unsupported (caller keeps the interpreted closure).
-// fb receives string-fallback counts; nil selects the process-wide counter.
+// CompileGlobals compiles a query's global constraints; none match every
+// event. fb receives string-fallback counts; nil selects the process-wide
+// counter.
 func CompileGlobals(globals []*ast.Constraint, fb *atomic.Int64) *EventProg {
 	prog := &EventProg{fb: sinkOrGlobal(fb)}
 	for _, g := range globals {
-		if prog.never {
-			break
-		}
+		// An unknown event attribute fails every event.
 		f, isStr, ok := resolveEventAttr(g.Attr)
-		if !ok {
-			prog.never = true // unknown event attribute fails every event
-			break
-		}
-		in, never, drop := compileCheck(f, isStr, g.Op, g.Val.Val)
-		switch {
-		case in == nil && !never && !drop:
-			return nil
-		case never:
+		if !ok || compileCheck(&prog.ins, f, isStr, g.Op, g.Val.Val) {
 			prog.never = true
-		case drop:
-		default:
-			prog.ins = append(prog.ins, *in)
+			break
 		}
 	}
 	return prog
@@ -484,7 +451,7 @@ func (p *EventProg) Match(ev *event.Event) bool {
 }
 
 // cmpOK applies an ordered comparison operator to a three-way compare
-// result, exactly as matcher.compare does (Eq/Ne never reach here).
+// result (Eq/Ne never reach here).
 func cmpOK(c int, op ast.CompareOp) bool {
 	switch op {
 	case ast.CmpLt:

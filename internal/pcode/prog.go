@@ -1,7 +1,6 @@
 package pcode
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -11,23 +10,12 @@ import (
 	"saql/internal/value"
 )
 
-// ErrBindingMismatch is returned by Prog.Run when the event's entities do not
-// have the types the program was compiled against. The engine falls back to
-// the tree-walking path for that hit; under normal operation this cannot
-// happen (an event only reaches a pattern's programs after matching the
-// pattern's typed entity predicates).
-var ErrBindingMismatch = errors.New("pcode: entity type does not match compiled binding")
-
-// progMaxStack bounds the operand stack. Expressions deeper than this are
-// rare (aggregation arguments are typically one or two operators) and keep
-// the tree-walker.
-const progMaxStack = 16
-
-// Binding names the variables one pattern makes visible to its aggregation
-// arguments: the subject/object entity variables with their static types,
-// and the event alias. It mirrors engine.bindEnv — in particular the object
-// binding shadows the subject when both use one variable name, and entity
-// variables shadow the event alias.
+// Binding names the variables one pattern makes visible to its per-event
+// expressions: the subject/object entity variables with their static types,
+// and the event alias. The object binding shadows the subject when both use
+// one variable name, and entity variables shadow the event alias. An event
+// reaches a pattern's programs only after matching the pattern's typed entity
+// predicates, so the static types are the event's.
 type Binding struct {
 	SubjVar  string
 	ObjVar   string
@@ -63,62 +51,53 @@ const (
 	xAndJump                // pop b; false: push false, jump in.idx
 	xOrJump                 // pop b; true: push true, jump in.idx
 	xBool                   // pop v; push Bool(v) (error on non-boolean)
+	xCall                   // pop in.idx args; push in.s(args...)
+	xSetOp                  // pop r, l; push l <union|diff|intersect|in> r, in.ab the ast.BinOp
+	xRaise                  // fail with in.err: a statically erroneous subexpression was reached
 )
 
 // xInstr is one stack-machine instruction.
 type xInstr struct {
 	op  xOp
 	fld fld         // attribute selector for load ops
-	ab  byte        // arithmetic operator for xArith ('+','-','*','/','%')
-	idx int32       // jump target for xAndJump/xOrJump
+	ab  byte        // arithmetic operator for xArith ('+','-','*','/','%'); ast.BinOp for xSetOp
+	idx int32       // jump target for xAndJump/xOrJump; operand count for xCall/xSetOp
 	val value.Value // constant for xConst
-	s   string      // operator text for xAndJump/xOrJump/xBool error messages
+	s   string      // operator text for xAndJump/xOrJump/xBool errors; function name for xCall
+	err error       // what xRaise returns
 }
 
-// Prog is a compiled expression: a flat instruction sequence over a fixed
-// operand stack, evaluating one pattern's aggregation argument against a
-// matched event without building an environment. Values are a tagged struct,
-// so the stack lives in the frame and nothing boxes or allocates.
+// Prog is a compiled expression: a flat instruction sequence over an operand
+// stack whose depth is known at compile time, evaluating one pattern's
+// aggregation argument or group-by item against a matched event without
+// building an environment. Values are a tagged struct, so nothing boxes or
+// allocates.
 type Prog struct {
-	ins      []xInstr
-	needSubj bool
-	needObj  bool
-	subjType event.EntityType
-	objType  event.EntityType
+	ins   []xInstr
+	depth int // operand-stack high-water mark
 }
 
-// CompileExpr compiles e against one pattern's bindings. It returns nil for
-// any shape outside the compiled subset — calls, state/cluster/set
-// operations, statically erroneous expressions, over-deep stacks — in which
-// case the caller keeps the tree-walking evaluator (which owns all error
-// semantics for those shapes).
+// CompileExpr compiles e against one pattern's bindings. Every expression
+// compiles: a shape that can only fail (a bare event alias, an attribute the
+// bound type lacks, state indexing outside a window close, an erroring
+// constant subtree) becomes an xRaise at the point in evaluation order where
+// the failure would surface, so short-circuits that skip it still do.
 func CompileExpr(e ast.Expr, b Binding) *Prog {
 	c := &compiler{b: b}
-	if !c.expr(e) || c.maxDepth > progMaxStack {
-		return nil
-	}
-	return &Prog{
-		ins:      c.ins,
-		needSubj: c.usedSubj,
-		needObj:  c.usedObj,
-		subjType: b.SubjType,
-		objType:  b.ObjType,
-	}
+	c.expr(e)
+	return &Prog{ins: c.ins, depth: c.maxDepth}
 }
 
-// Run evaluates the program against one matched event. Errors are exactly
-// the tree-walker's (same strings, raised under the same conditions); the
-// returned value on error is always Null, which callers ignore.
+// Depth is how many operand-stack slots Run needs.
+func (p *Prog) Depth() int { return p.depth }
+
+// Run evaluates the program against one matched event on the caller's
+// operand stack — at least Depth slots, the caller's so that a query runs all
+// its programs on one — and leaves the value in stack[0]. After an error the
+// stack holds nothing meaningful.
 //
 //saql:hotpath
-func (p *Prog) Run(ev *event.Event) (value.Value, error) {
-	if p.needSubj && ev.Subject.Type != p.subjType {
-		return value.Null, ErrBindingMismatch
-	}
-	if p.needObj && ev.Object.Type != p.objType {
-		return value.Null, ErrBindingMismatch
-	}
-	var stack [progMaxStack]value.Value
+func (p *Prog) Run(ev *event.Event, stack []value.Value) error {
 	sp := 0
 	ins := p.ins
 	for i := 0; i < len(ins); i++ {
@@ -160,7 +139,7 @@ func (p *Prog) Run(ev *event.Event) (value.Value, error) {
 		case xNot:
 			b, ok := stack[sp-1].AsBool()
 			if !ok {
-				return value.Null, errNotBool(stack[sp-1].Kind())
+				return errNotBool(stack[sp-1].Kind())
 			}
 			stack[sp-1] = value.Bool(!b)
 		case xNeg:
@@ -171,20 +150,20 @@ func (p *Prog) Run(ev *event.Event) (value.Value, error) {
 			}
 			nv, err := v.Neg()
 			if err != nil {
-				return value.Null, err
+				return err
 			}
 			stack[sp-1] = nv
 		case xCard:
 			nv, err := card(stack[sp-1])
 			if err != nil {
-				return value.Null, err
+				return err
 			}
 			stack[sp-1] = nv
 		case xEq:
-			stack[sp-2] = value.Bool(expr.EqualValues(stack[sp-2], stack[sp-1]))
+			stack[sp-2] = value.Bool(value.EqualFold(stack[sp-2], stack[sp-1]))
 			sp--
 		case xNe:
-			stack[sp-2] = value.Bool(!expr.EqualValues(stack[sp-2], stack[sp-1]))
+			stack[sp-2] = value.Bool(!value.EqualFold(stack[sp-2], stack[sp-1]))
 			sp--
 		case xLt, xLe, xGt, xGe:
 			l, r := stack[sp-2], stack[sp-1]
@@ -195,7 +174,7 @@ func (p *Prog) Run(ev *event.Event) (value.Value, error) {
 			}
 			c, err := l.Compare(r)
 			if err != nil {
-				return value.Null, err
+				return err
 			}
 			var b bool
 			switch in.op {
@@ -218,13 +197,13 @@ func (p *Prog) Run(ev *event.Event) (value.Value, error) {
 			}
 			nv, err := l.Arith(in.ab, r)
 			if err != nil {
-				return value.Null, err
+				return err
 			}
 			stack[sp-1] = nv
 		case xAndJump:
 			b, ok := stack[sp-1].AsBool()
 			if !ok {
-				return value.Null, errBoolOperand(in.s, stack[sp-1].Kind())
+				return errBoolOperand(in.s, stack[sp-1].Kind())
 			}
 			sp--
 			if !b {
@@ -235,7 +214,7 @@ func (p *Prog) Run(ev *event.Event) (value.Value, error) {
 		case xOrJump:
 			b, ok := stack[sp-1].AsBool()
 			if !ok {
-				return value.Null, errBoolOperand(in.s, stack[sp-1].Kind())
+				return errBoolOperand(in.s, stack[sp-1].Kind())
 			}
 			sp--
 			if b {
@@ -246,12 +225,32 @@ func (p *Prog) Run(ev *event.Event) (value.Value, error) {
 		case xBool:
 			b, ok := stack[sp-1].AsBool()
 			if !ok {
-				return value.Null, errBoolOperand(in.s, stack[sp-1].Kind())
+				return errBoolOperand(in.s, stack[sp-1].Kind())
 			}
 			stack[sp-1] = value.Bool(b)
+		case xCall, xSetOp:
+			n := int(in.idx)
+			v, err := builtin(in, stack[sp-n:sp])
+			if err != nil {
+				return err
+			}
+			sp -= n - 1
+			stack[sp-1] = v
+		case xRaise:
+			return in.err
 		}
 	}
-	return stack[0], nil
+	return nil
+}
+
+// builtin applies a scalar function, or a set operator or `in`, to its
+// operands: the library close-time evaluation uses, called from outside the
+// hot-path dispatch loop.
+func builtin(in *xInstr, args []value.Value) (value.Value, error) {
+	if in.op == xCall {
+		return expr.CallScalar(in.s, args)
+	}
+	return expr.SetOp(ast.BinOp(in.ab), args[0], args[1])
 }
 
 // intField reads a numeric entity field at its native integer width,
@@ -315,6 +314,10 @@ func errBoolOperand(op string, k value.Kind) error {
 	return fmt.Errorf("expr: %s requires boolean operands, got %s", op, k)
 }
 
+func errUnaryOp(op byte) error {
+	return fmt.Errorf("expr: unknown unary operator %q", string(op))
+}
+
 func errCard(k value.Kind) error {
 	return fmt.Errorf("expr: |...| requires a set or number, got %s", k)
 }
@@ -325,8 +328,6 @@ type compiler struct {
 	ins      []xInstr
 	depth    int
 	maxDepth int
-	usedSubj bool
-	usedObj  bool
 }
 
 func (c *compiler) emit(in xInstr, stackDelta int) {
@@ -337,234 +338,198 @@ func (c *compiler) emit(in xInstr, stackDelta int) {
 	}
 }
 
-// expr compiles one node, reporting false to bail out to the tree-walker.
-func (c *compiler) expr(e ast.Expr) bool {
-	// Constant subtrees fold to a single push. A constant subtree that
-	// evaluates with an error is NOT folded or compiled: the interpreter
-	// raises that error per event, so the tree-walker keeps the expression.
+// raise emits the failure of a statically erroneous node. stackDelta is what
+// the node would have done to the stack, keeping the depth bookkeeping of the
+// instructions after it (reachable past a short-circuit) consistent.
+func (c *compiler) raise(err error, stackDelta int) {
+	c.emit(xInstr{op: xRaise, err: err}, stackDelta)
+}
+
+// binInstr maps the eager binary operators to their instruction; && and ||
+// compile to jumps (logical).
+var binInstr = map[ast.BinOp]xInstr{
+	ast.OpEq: {op: xEq}, ast.OpNe: {op: xNe},
+	ast.OpLt: {op: xLt}, ast.OpLe: {op: xLe}, ast.OpGt: {op: xGt}, ast.OpGe: {op: xGe},
+	ast.OpAdd: {op: xArith, ab: '+'}, ast.OpSub: {op: xArith, ab: '-'}, ast.OpMul: {op: xArith, ab: '*'},
+	ast.OpDiv: {op: xArith, ab: '/'}, ast.OpMod: {op: xArith, ab: '%'},
+	ast.OpUnion: {op: xSetOp, ab: byte(ast.OpUnion), idx: 2}, ast.OpDiff: {op: xSetOp, ab: byte(ast.OpDiff), idx: 2},
+	ast.OpIntersect: {op: xSetOp, ab: byte(ast.OpIntersect), idx: 2}, ast.OpIn: {op: xSetOp, ab: byte(ast.OpIn), idx: 2},
+}
+
+// expr compiles one node; the node's value ends up on top of the stack.
+func (c *compiler) expr(e ast.Expr) {
+	// Constant subtrees fold to a single push — or, when folding fails, to
+	// the failure the tree-walker would raise on every evaluation.
 	if v, isConst, err := constEval(e); isConst {
 		if err != nil {
-			return false
+			c.raise(err, 1)
+		} else {
+			c.emit(xInstr{op: xConst, val: v}, 1)
 		}
-		c.emit(xInstr{op: xConst, val: v}, 1)
-		return true
+		return
 	}
 
 	switch x := e.(type) {
 	case *ast.Ident:
-		return c.ident(x.Name)
-
+		c.ident(x.Name)
 	case *ast.FieldExpr:
-		return c.field(x)
-
-	case *ast.UnaryExpr:
-		if !c.expr(x.X) {
-			return false
+		c.field(x)
+	case *ast.IndexExpr:
+		c.raise(fmt.Errorf("expr: state index %s must be followed by a field access", x), 1)
+	case *ast.CallExpr:
+		for _, a := range x.Args {
+			c.expr(a)
 		}
+		c.emit(xInstr{op: xCall, s: x.Func, idx: int32(len(x.Args))}, 1-len(x.Args))
+	case *ast.UnaryExpr:
+		c.expr(x.X)
 		switch x.Op {
 		case '!':
 			c.emit(xInstr{op: xNot}, 0)
 		case '-':
 			c.emit(xInstr{op: xNeg}, 0)
 		default:
-			return false
+			c.raise(errUnaryOp(x.Op), 0)
 		}
-		return true
-
 	case *ast.CardExpr:
-		if !c.expr(x.X) {
-			return false
-		}
+		c.expr(x.X)
 		c.emit(xInstr{op: xCard}, 0)
-		return true
-
 	case *ast.BinaryExpr:
-		return c.binary(x)
-	}
-	// Calls, state indexing, and anything else stay interpreted.
-	return false
-}
-
-func (c *compiler) binary(x *ast.BinaryExpr) bool {
-	switch x.Op {
-	case ast.OpAnd, ast.OpOr:
-		return c.logical(x)
-
-	case ast.OpEq, ast.OpNe, ast.OpLt, ast.OpLe, ast.OpGt, ast.OpGe,
-		ast.OpAdd, ast.OpSub, ast.OpMul, ast.OpDiv, ast.OpMod:
-		if !c.expr(x.Left) || !c.expr(x.Right) {
-			return false
+		if x.Op == ast.OpAnd || x.Op == ast.OpOr {
+			c.logical(x)
+			return
 		}
-		switch x.Op {
-		case ast.OpEq:
-			c.emit(xInstr{op: xEq}, -1)
-		case ast.OpNe:
-			c.emit(xInstr{op: xNe}, -1)
-		case ast.OpLt:
-			c.emit(xInstr{op: xLt}, -1)
-		case ast.OpLe:
-			c.emit(xInstr{op: xLe}, -1)
-		case ast.OpGt:
-			c.emit(xInstr{op: xGt}, -1)
-		case ast.OpGe:
-			c.emit(xInstr{op: xGe}, -1)
-		case ast.OpAdd:
-			c.emit(xInstr{op: xArith, ab: '+'}, -1)
-		case ast.OpSub:
-			c.emit(xInstr{op: xArith, ab: '-'}, -1)
-		case ast.OpMul:
-			c.emit(xInstr{op: xArith, ab: '*'}, -1)
-		case ast.OpDiv:
-			c.emit(xInstr{op: xArith, ab: '/'}, -1)
-		default:
-			c.emit(xInstr{op: xArith, ab: '%'}, -1)
+		c.expr(x.Left)
+		c.expr(x.Right)
+		if in, ok := binInstr[x.Op]; ok {
+			c.emit(in, -1)
+		} else {
+			c.raise(fmt.Errorf("expr: unsupported binary operator %s", x.Op), -1)
 		}
-		return true
+	default:
+		c.raise(fmt.Errorf("expr: unsupported expression %T", e), 1)
 	}
-	// Set operators and 'in' work over window state, not per-event values.
-	return false
 }
 
 // logical compiles && / || with short-circuit jump threading. A constant
-// left side is resolved at compile time: the deciding value folds the whole
-// node (done by constEval upstream), the pass-through value reduces the node
-// to the right operand plus a boolean coercion — exactly the instruction the
-// interpreter's final AsBool performs.
-func (c *compiler) logical(x *ast.BinaryExpr) bool {
+// left side reaching here is the pass-through value (constEval folded the
+// deciding value, a non-boolean and an error upstream), which reduces the
+// node to the right operand plus a boolean coercion — exactly the
+// tree-walker's final AsBool.
+func (c *compiler) logical(x *ast.BinaryExpr) {
 	opstr := x.Op.String()
-	if lv, lc, lerr := constEval(x.Left); lc {
-		if lerr != nil {
-			return false
-		}
-		lb, ok := lv.AsBool()
-		if !ok {
-			return false // interpreter errors on every event; keep it
-		}
-		// (false && R) and (true || R) were folded by constEval before we
-		// got here, so the left side must be the pass-through value.
-		_ = lb
-		if !c.expr(x.Right) {
-			return false
-		}
+	if _, lc, _ := constEval(x.Left); lc {
+		c.expr(x.Right)
 		c.emit(xInstr{op: xBool, s: opstr}, 0)
-		return true
+		return
 	}
-
-	if !c.expr(x.Left) {
-		return false
-	}
+	c.expr(x.Left)
 	jmp := len(c.ins)
 	op := xAndJump
 	if x.Op == ast.OpOr {
 		op = xOrJump
 	}
 	c.emit(xInstr{op: op, s: opstr}, -1)
-	if !c.expr(x.Right) {
-		return false
-	}
+	c.expr(x.Right)
 	c.emit(xInstr{op: xBool, s: opstr}, 0)
 	c.ins[jmp].idx = int32(len(c.ins))
-	return true
 }
 
-// ident compiles a bare identifier, mirroring expr.evalIdent against the
-// engine's per-hit environments (no invariant vars, no state).
-func (c *compiler) ident(name string) bool {
-	// Object binding shadows subject (bindEnv writes subject first, object
-	// second into one map); entity variables shadow the event alias.
-	if name != "" && name == c.b.ObjVar {
-		c.usedObj = true
+// ident compiles a bare identifier. Per-event expressions see no invariant
+// variables and no state; the object binding shadows the subject, entity
+// variables shadow the event alias, and an unbound name is null.
+func (c *compiler) ident(name string) {
+	switch {
+	case name == "":
+		// The per-event scope's state variable is the empty name.
+		c.raise(fmt.Errorf("expr: state %q is not a value; access a field like %s.field", name, name), 1)
+	case name == c.b.ObjVar:
 		c.emit(xInstr{op: xObjDefault}, 1)
-		return true
-	}
-	if name != "" && name == c.b.SubjVar {
-		c.usedSubj = true
+	case name == c.b.SubjVar:
 		c.emit(xInstr{op: xSubjDefault}, 1)
-		return true
-	}
-	if name != "" && name == c.b.Alias {
-		return false // "event alias is not a value" — interpreter's error
-	}
-	// Unbound identifiers tolerate to null.
-	c.emit(xInstr{op: xConst, val: value.Null}, 1)
-	return true
-}
-
-// field compiles base.attr accesses, mirroring expr.evalField's resolution
-// order: cluster, entity variables (object shadowing subject), event alias,
-// then null for unbound bases.
-func (c *compiler) field(x *ast.FieldExpr) bool {
-	base, ok := x.Base.(*ast.Ident)
-	if !ok {
-		return false // state indexing and stranger bases stay interpreted
-	}
-	name := base.Name
-	if name == "cluster" {
-		// Per-hit environments carry no cluster view; nil resolves to null.
+	case name == c.b.Alias:
+		c.raise(fmt.Errorf("expr: event alias %q is not a value; access an attribute like %s.amount", name, name), 1)
+	default:
 		c.emit(xInstr{op: xConst, val: value.Null}, 1)
-		return true
 	}
-	if name != "" && name == c.b.ObjVar {
-		return c.entityAttr(false, c.b.ObjType, x.Field)
-	}
-	if name != "" && name == c.b.SubjVar {
-		return c.entityAttr(true, c.b.SubjType, x.Field)
-	}
-	if name != "" && name == c.b.Alias {
-		return c.eventAttr(x.Field)
-	}
-	c.emit(xInstr{op: xConst, val: value.Null}, 1)
-	return true
 }
 
-// entityAttr compiles a typed attribute load. Attributes invalid for the
-// bound type raise an error in the interpreter, so those bail out.
-func (c *compiler) entityAttr(subj bool, typ event.EntityType, attr string) bool {
-	f, isStr, ok := resolveEntityAttr(typ, attr)
-	if !ok {
-		return false
+// field compiles base.attr accesses in the tree-walker's resolution order:
+// cluster (no clustering per event: null), entity variables (object shadowing
+// subject), event alias, then null for unbound bases. ss[k].f names no state
+// variable outside a window close.
+func (c *compiler) field(x *ast.FieldExpr) {
+	switch base := x.Base.(type) {
+	case *ast.Ident:
+		name := base.Name
+		switch {
+		case name == "cluster" || name == "":
+			c.emit(xInstr{op: xConst, val: value.Null}, 1)
+		case name == c.b.ObjVar:
+			c.entityAttr(false, name, c.b.ObjType, x.Field)
+		case name == c.b.SubjVar:
+			c.entityAttr(true, name, c.b.SubjType, x.Field)
+		case name == c.b.Alias:
+			c.eventAttr(name, x.Field)
+		default:
+			c.emit(xInstr{op: xConst, val: value.Null}, 1)
+		}
+	case *ast.IndexExpr:
+		id, ok := base.Base.(*ast.Ident)
+		switch {
+		case !ok:
+			c.raise(fmt.Errorf("expr: cannot index %s", base.Base), 1)
+		case id.Name != "":
+			c.raise(fmt.Errorf("expr: %q is not the state variable (%q)", id.Name, ""), 1)
+		default:
+			c.emit(xInstr{op: xConst, val: value.Null}, 1)
+		}
+	default:
+		c.raise(fmt.Errorf("expr: unsupported field base %T", x.Base), 1)
 	}
-	var in xInstr
+}
+
+// entityAttr compiles a typed attribute load, or the failure of reading an
+// attribute the bound type does not have.
+func (c *compiler) entityAttr(subj bool, name string, typ event.EntityType, attr string) {
+	f, isStr, ok := resolveEntityAttr(typ, attr)
+	if !ok || attr == "" { // "" is the constraint default, not an attribute
+		c.raise(fmt.Errorf("expr: entity %q (%s) has no attribute %q", name, typ, attr), 1)
+		return
+	}
+	var op xOp
 	switch {
 	case subj && isStr:
-		in = xInstr{op: xSubjStr, fld: f}
+		op = xSubjStr
 	case subj:
-		in = xInstr{op: xSubjInt, fld: f}
+		op = xSubjInt
 	case isStr:
-		in = xInstr{op: xObjStr, fld: f}
+		op = xObjStr
 	default:
-		in = xInstr{op: xObjInt, fld: f}
+		op = xObjInt
 	}
-	if subj {
-		c.usedSubj = true
-	} else {
-		c.usedObj = true
-	}
-	c.emit(in, 1)
-	return true
+	c.emit(xInstr{op: op, fld: f}, 1)
 }
 
 // eventAttr compiles an event-attribute load off the alias.
-func (c *compiler) eventAttr(attr string) bool {
+func (c *compiler) eventAttr(name, attr string) {
 	f, _, ok := resolveEventAttr(attr)
-	if !ok {
-		return false
-	}
-	switch f {
-	case fldAmount:
+	switch {
+	case !ok:
+		c.raise(fmt.Errorf("expr: event %q has no attribute %q", name, attr), 1)
+	case f == fldAmount:
 		c.emit(xInstr{op: xEvtFloat, fld: f}, 1)
-	case fldAgent, fldOp:
+	case f == fldAgent || f == fldOp:
 		c.emit(xInstr{op: xEvtStr, fld: f}, 1)
 	default: // time, id
 		c.emit(xInstr{op: xEvtInt, fld: f}, 1)
 	}
-	return true
 }
 
 // constEval evaluates statically constant subtrees with the interpreter's
 // exact semantics. isConst=false means the subtree reads runtime state; an
 // error with isConst=true means the interpreter would raise that error on
-// every evaluation (the caller then declines to compile).
+// every evaluation (the caller compiles it to that failure).
 func constEval(e ast.Expr) (v value.Value, isConst bool, err error) {
 	switch x := e.(type) {
 	case *ast.Literal:
@@ -592,7 +557,7 @@ func constEval(e ast.Expr) (v value.Value, isConst bool, err error) {
 			nv, err := xv.Neg()
 			return nv, true, err
 		default:
-			return value.Null, true, fmt.Errorf("expr: unknown unary operator %q", string(x.Op))
+			return value.Null, true, errUnaryOp(x.Op)
 		}
 
 	case *ast.CardExpr:
@@ -665,7 +630,7 @@ func constBinary(x *ast.BinaryExpr) (v value.Value, isConst bool, err error) {
 
 	switch x.Op {
 	case ast.OpEq, ast.OpNe:
-		eq := expr.EqualValues(lv, rv)
+		eq := value.EqualFold(lv, rv)
 		if x.Op == ast.OpNe {
 			eq = !eq
 		}
@@ -696,22 +661,9 @@ func constBinary(x *ast.BinaryExpr) (v value.Value, isConst bool, err error) {
 		if lv.IsNull() || rv.IsNull() {
 			return value.Null, true, nil
 		}
-		var op byte
-		switch x.Op {
-		case ast.OpAdd:
-			op = '+'
-		case ast.OpSub:
-			op = '-'
-		case ast.OpMul:
-			op = '*'
-		case ast.OpDiv:
-			op = '/'
-		default:
-			op = '%'
-		}
-		nv, err := lv.Arith(op, rv)
+		nv, err := lv.Arith(binInstr[x.Op].ab, rv)
 		return nv, true, err
 	}
-	// Set operators / 'in' never fold (the compiler bails on them anyway).
+	// Set operators, 'in' and unknown operators are left to run time.
 	return value.Null, false, nil
 }

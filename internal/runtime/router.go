@@ -10,10 +10,9 @@ package runtime
 //   - by-event queries: hash of the event's subject entity — the entry for
 //     that shard is marked as the event's owner, and only there do by-event
 //     replicas fold it;
-//   - by-group queries: hash of each hit pattern's group-by key, extracted
-//     with the engine's compiled fast-key path (queries whose keys need full
-//     expression evaluation fall back to delivery on every shard, so key
-//     evaluation errors keep surfacing through the replicas);
+//   - by-group queries: hash of each hit pattern's group-by key, evaluated by
+//     the query's compiled key programs (a key that fails to evaluate routes
+//     as the empty key, so one replica reports the failure, once);
 //
 // and instead of a channel send per event, entries accumulate into per-shard
 // ring buffers (reusable slabs recycled through a sync.Pool) flushed on a
@@ -113,7 +112,7 @@ type partitioner struct {
 
 	keys    []string // HitGroupKeys scratch
 	deliver shardSet // routeEvent scratch: shards the current event folds on
-	all     shardSet // every shard
+	all     shardSet // every shard: who gets a touch when a by-group query is hit
 	pool    sync.Pool
 }
 
@@ -231,13 +230,7 @@ func (p *partitioner) routeEvent(ev *event.Event, hs *scheduler.HitSet) {
 			// their window cadence matches, even when the cluster-level Owns
 			// filter keeps every local shard from folding the group.
 			groupTouch = true
-			keys, ok := ri.evalQ.HitGroupKeys(p.keys[:0], ev, h)
-			if !ok {
-				// No fast key extractor: deliver everywhere so each replica
-				// evaluates (and error-reports) the key itself.
-				copy(deliver, p.all)
-				continue
-			}
+			keys := ri.evalQ.HitGroupKeys(p.keys[:0], ev, h)
 			for _, k := range keys {
 				h32 := hashString(k)
 				if p.owns == nil || p.owns(h32) {

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strconv"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -23,10 +24,11 @@ import (
 	"saql/internal/scheduler"
 )
 
-// routingQueries covers every placement mode plus the slow-path broadcast
-// fallback. Write events hit the first four (by-group fast-key, by-event,
-// two pinned); read events hit only the slow-key by-group query, whose
-// group-by expression defeats the fast-key compiler.
+// routingQueries covers every placement mode and every kind of group key.
+// Write events hit the first four (by-group on a bare variable, by-event,
+// two pinned); read events hit the two by-group queries whose keys are
+// computed — one by arithmetic, one that fails on every hit and so routes
+// as the empty key.
 var routingQueries = []struct{ name, src string }{
 	{"grp-fast", `proc p write ip i as e #time(1 h)
 state ss { amt := sum(e.amount) } group by p
@@ -42,8 +44,12 @@ return ss.total`},
 	{"pinned-distinct", `proc p write ip i as e
 alert e.amount > 1000000000000
 return distinct p`},
-	{"grp-slow", `proc p read file f as e #time(1 h)
+	{"grp-expr", `proc p read file f as e #time(1 h)
 state ss { amt := sum(e.amount) } group by p.pid + 0
+alert ss.amt > 1000000000000
+return ss.amt`},
+	{"grp-err", `proc p read file f as e #time(1 h)
+state ss { amt := sum(e.amount) } group by p.pid / 0
 alert ss.amt > 1000000000000
 return ss.amt`},
 }
@@ -95,8 +101,8 @@ func compileRouting(t *testing.T, name, src string) (*engine.Query, func() (*eng
 }
 
 // routingWorkload builds a random stream: mostly write events (hit the four
-// write queries), some read events (hit only the slow-path query), and some
-// connect events that hit nothing at all.
+// write queries), some read events (hit the two computed-key queries), and
+// some connect events that hit nothing at all.
 func routingWorkload(rng *rand.Rand, n int) []*event.Event {
 	base := time.Date(2026, 3, 1, 0, 0, 0, 0, time.UTC)
 	exes := []string{"nginx", "sshd", "osql.exe", "cmd.exe", "postgres", "redis-server", "curl"}
@@ -113,7 +119,7 @@ func routingWorkload(rng *rand.Rand, n int) []*event.Event {
 			Amount: float64(rng.Intn(5000)),
 		}
 		switch rng.Intn(10) {
-		case 0, 1: // read file: slow-path query only
+		case 0, 1: // read file: the computed-key queries only
 			ev.Op = event.OpRead
 			ev.Object = event.Entity{Type: event.EntityFile, Path: "/var/log/syslog"}
 		case 2: // connect: matches no registered query
@@ -145,10 +151,10 @@ func expectedSets(ev *event.Event, n int, homes map[string]int) (deliver, touch,
 		set[homes["pinned-global"]] = true
 		set[homes["pinned-distinct"]] = true
 	case event.OpRead:
-		// grp-slow has no fast key extractor: deliver-everywhere fallback.
-		for i := 0; i < n; i++ {
-			set[i] = true
-		}
+		// grp-expr: owner of the rendered pid. grp-err: its key fails to
+		// evaluate, so the event goes to the owner of the empty key.
+		set[int(HashKey(strconv.Itoa(int(ev.Subject.PID)))%uint32(n))] = true
+		set[int(HashKey("")%uint32(n))] = true
 	default:
 		return nil, nil, nil
 	}
@@ -187,19 +193,6 @@ func runRoutingCase(t *testing.T, seed int64, shards int) {
 			}
 		}
 	}
-	// Sanity: the slow-path query really has no fast key extractor.
-	if slow := r.queries["grp-slow"].replicas; true {
-		for _, q := range slow {
-			if q == nil {
-				continue
-			}
-			if _, ok := q.HitGroupKeys(nil, evs[0], []int{0}); ok {
-				t.Fatalf("grp-slow unexpectedly compiled a fast group key; the broadcast-fallback path is untested")
-			}
-			break
-		}
-	}
-
 	// Random submission batch sizes keep the per-shard ring buffers in
 	// assorted fill states across flushes.
 	for i := 0; i < len(evs); {
@@ -221,8 +214,17 @@ func runRoutingCase(t *testing.T, seed int64, shards int) {
 		if st.Events != total {
 			t.Errorf("seed %d shards %d: %s: events offered = %d, want %d", seed, shards, qs.name, st.Events, total)
 		}
-		if st.EvalErrors != 0 {
-			t.Errorf("seed %d shards %d: %s: %d eval errors", seed, shards, qs.name, st.EvalErrors)
+		// grp-err fails once per hit — on one replica, whatever the width.
+		var wantErrs int64
+		if qs.name == "grp-err" {
+			for _, ev := range evs {
+				if ev.Op == event.OpRead {
+					wantErrs++
+				}
+			}
+		}
+		if st.EvalErrors != wantErrs {
+			t.Errorf("seed %d shards %d: %s: %d eval errors, want %d", seed, shards, qs.name, st.EvalErrors, wantErrs)
 		}
 	}
 	r.Close()

