@@ -3,7 +3,7 @@ package saql
 // Benchmarks regenerating the paper's experiments E1–E8, one per
 // table/figure-equivalent (cmd/saql-bench prints the same measurements as
 // paper-style tables), plus BenchmarkE9_ParallelIngestion, a smoke run of the
-// sharded runtime. For local iteration only: performance claims are made with
+// sharded runtime, and BenchmarkRestoreTail, a restore over a journal. For local iteration only: performance claims are made with
 // the repository benchmark (bench/).
 
 import (
@@ -295,6 +295,54 @@ func BenchmarkE5_Replayer(b *testing.B) {
 			done += int(stats.Events)
 		}
 	})
+}
+
+// BenchmarkRestoreTail is a restore's journal work end to end: a journaled
+// run of the demo queries checkpoints at 95% of the stream and dies at the
+// end of it, and each iteration is one Restore — snapshot load, journal
+// recovery, the seek past 95% of a sealed journal and the replay of the last
+// 5%. ns/record divides by every journaled record, skipped or replayed.
+func BenchmarkRestoreTail(b *testing.B) {
+	events, scenario := benchStream(b)
+	dir := b.TempDir()
+	store, err := OpenStore(dir, StoreOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng := New(WithJournal(store))
+	for _, nq := range scenario.DemoQueries(30*time.Second, 5) {
+		if err := eng.AddQuery(nq.Name, nq.SAQL); err != nil {
+			b.Fatal(err)
+		}
+	}
+	barrier := len(events) * 95 / 100
+	for _, ev := range events[:barrier] {
+		eng.Process(ev)
+	}
+	if _, err := eng.Checkpoint(dir); err != nil {
+		b.Fatal(err)
+	}
+	for _, ev := range events[barrier:] {
+		eng.Process(ev)
+	}
+	if err := eng.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		restored, info, err := Restore(dir, WithoutStart())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if info.Replayed != int64(len(events)-barrier) {
+			b.Fatalf("replayed %d of a %d-record tail", info.Replayed, len(events)-barrier)
+		}
+		if err := restored.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(events)), "ns/record")
 }
 
 // --- E6: window state maintenance --------------------------------------------

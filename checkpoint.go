@@ -38,6 +38,12 @@ type SnapshotVersionError = snapshot.VersionError
 // (bad magic, truncation, CRC mismatch, malformed fields).
 type SnapshotCorruptError = snapshot.CorruptError
 
+// JournalCorruptError reports journal bytes no append could have left
+// behind — a bad record anywhere but a crash's torn tail (which recovery
+// trims), or a segment whose record count disagrees with its index. It
+// names the segment file and the byte offset.
+type JournalCorruptError = storage.CorruptError
+
 // WithJournal attaches a durable event journal: every event the engine
 // ingests (Submit, SubmitBatch, the serial Process path, and attached log
 // sources) is appended to store before it is processed, in exactly the
@@ -98,17 +104,12 @@ func (e *Engine) Checkpoint(dir string) (*CheckpointInfo, error) {
 
 	// Make the journal durable up to (at least) the barrier offset before
 	// installing the snapshot that names it: a snapshot must never point
-	// past what the journal can replay after a power loss.
+	// past what the journal can replay after a power loss. Every record the
+	// barrier covers was appended before the capture returned, which is all
+	// Store.Sync needs — the fsync runs beside ingest, off the journal-order
+	// lock submitters queue on.
 	if store := e.cfg.journal; store != nil {
-		var err error
-		if rt := e.rt.Load(); rt != nil {
-			err = rt.WithJournalLock(store.Sync)
-		} else {
-			e.jmu.Lock()
-			err = store.Sync()
-			e.jmu.Unlock()
-		}
-		if err != nil {
+		if err := store.Sync(); err != nil {
 			return nil, err
 		}
 	}
@@ -314,26 +315,21 @@ func Restore(dir string, opts ...RestoreOption) (*Engine, *RestoreInfo, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	// A power loss may leave the journal's final, unsealed segment ending
-	// in a torn record (appends past the checkpoint were not yet synced).
-	// Trim it so recovery proceeds from the durable prefix; corruption in a
-	// sealed segment still fails below.
-	if _, err := store.Repair(); err != nil {
-		_ = store.Close()
-		return nil, nil, err
-	}
-	// The journal must reach at least the snapshot's offset, or the tail
-	// the snapshot's state depends on is gone (truncated journal, wrong
-	// directory): replaying nothing and continuing would silently lose
-	// events, so fail loudly instead.
-	if cnt, err := store.Count(); err != nil {
-		_ = store.Close()
-		return nil, nil, err
-	} else if cnt < snap.Offset {
-		_ = store.Close()
-		return nil, nil, &snapshot.CorruptError{
-			Reason: fmt.Sprintf("journal holds %d records but the snapshot names offset %d (journal truncated or mismatched directory)", cnt, snap.Offset),
+	// Recover the journal — a power loss may leave its final, unsealed
+	// segment ending in a torn record, which is trimmed — and locate the
+	// tail past the snapshot's offset, still encoded. The journal must reach
+	// at least that offset, or the tail the snapshot's state depends on is
+	// gone (truncated journal, wrong directory): replaying nothing and
+	// continuing would silently lose events, so fail loudly instead.
+	tail, err := store.Tail(snap.Offset)
+	if err == nil && tail.Count < snap.Offset {
+		err = &snapshot.CorruptError{
+			Reason: fmt.Sprintf("journal holds %d records but the snapshot names offset %d (journal truncated or mismatched directory)", tail.Count, snap.Offset),
 		}
+	}
+	if err != nil {
+		_ = store.Close()
+		return nil, nil, err
 	}
 	// On any failure past this point, close the engine (which seals the
 	// journal store) so a retrying supervisor does not leak a store handle
@@ -434,11 +430,9 @@ func Restore(dir string, opts ...RestoreOption) (*Engine, *RestoreInfo, error) {
 
 	info := &RestoreInfo{TakenAt: snap.TakenAt, Offset: snap.Offset, Queries: len(snap.Queries)}
 	if cfg.replay {
-		n, err := eng.ReplayJournal(snap.Offset)
-		if err != nil {
+		if info.Replayed, err = eng.replayTail(tail); err != nil {
 			return fail(eng, err)
 		}
-		info.Replayed = n
 	}
 	return eng, info, nil
 }
@@ -464,6 +458,16 @@ func (e *Engine) ReplayJournal(from int64) (int64, error) {
 			return 0, err
 		}
 	}
+	tail, err := store.Tail(from)
+	if err != nil {
+		return 0, err
+	}
+	return e.replayTail(tail)
+}
+
+// replayTail decodes a journal tail and feeds it through the engine in
+// journal order, 512 events per submission.
+func (e *Engine) replayTail(tail *storage.Tail) (int64, error) {
 	var n int64
 	var batch []*Event
 	flush := func() error {
@@ -480,7 +484,7 @@ func (e *Engine) ReplayJournal(from int64) (int64, error) {
 		}
 		return nil
 	}
-	err := store.ScanFrom(from, storage.Selection{}, func(ev *Event) error {
+	err := tail.Each(func(ev *Event) error {
 		batch = append(batch, ev)
 		n++
 		if len(batch) >= 512 {

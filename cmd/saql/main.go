@@ -231,7 +231,7 @@ func run(args []string, out io.Writer) error {
 	// loudly — silently starting from zero would discard trained state.
 	var eng *saql.Engine
 	restored := false
-	var orphaned int64 // journaled events from a run that died before any checkpoint
+	orphans := false // the journal has no snapshot: whatever it holds is replayed from record 0
 	if *ckptDir != "" {
 		ropts := []saql.RestoreOption{saql.WithRestoreEngineOptions(engOpts...)}
 		if !sharded {
@@ -248,15 +248,8 @@ func run(args []string, out io.Writer) error {
 			if serr != nil {
 				return serr
 			}
-			// A crashed run may have left a torn tail record; trim it before
-			// counting and replaying the orphaned journal.
-			if _, serr = store.Repair(); serr != nil {
-				return serr
-			}
-			if orphaned, serr = store.Count(); serr != nil {
-				return serr
-			}
 			engOpts = append(engOpts, saql.WithJournal(store))
+			orphans = true
 		default:
 			return err
 		}
@@ -286,13 +279,15 @@ func run(args []string, out io.Writer) error {
 		outMu.Unlock()
 	}
 
-	// A journal with no snapshot means the previous run died before its
-	// first checkpoint: rebuild state by replaying every orphaned record.
-	// The offset origin is pinned at 0 before Start (the replay itself
-	// advances the engine to the journal's head) and the replay runs after
-	// Start, through the sharded runtime, so recovered group state lands on
-	// the shards that own it — ahead of the live feed in the total order.
-	if orphaned > 0 {
+	// A journal with records but no snapshot means the previous run died
+	// before its first checkpoint: rebuild state by replaying every orphaned
+	// record (ReplayJournal recovers the journal first, trimming a torn tail
+	// record the crash may have left). The offset origin is pinned at 0
+	// before Start (the replay itself advances the engine to the journal's
+	// head) and the replay runs after Start, through the sharded runtime, so
+	// recovered group state lands on the shards that own it — ahead of the
+	// live feed in the total order. On a fresh directory it replays nothing.
+	if orphans {
 		if err := eng.PinJournalOffset(0); err != nil {
 			return err
 		}
@@ -312,12 +307,14 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 
-	if orphaned > 0 {
+	if orphans {
 		n, err := eng.ReplayJournal(0)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "replayed %d journaled events from a run with no checkpoint\n", n)
+		if n > 0 {
+			fmt.Fprintf(out, "replayed %d journaled events from a run with no checkpoint\n", n)
+		}
 	}
 
 	// Periodic checkpoints ride alongside ingestion; the final checkpoint

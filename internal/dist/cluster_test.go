@@ -13,6 +13,7 @@ import (
 	"math/rand"
 	"net"
 	"os"
+	"path/filepath"
 	"sort"
 	"strconv"
 	"sync"
@@ -678,4 +679,103 @@ func TestWorkerShutdownJoinsGoroutines(t *testing.T) {
 	if n == 0 {
 		t.Error("no alerts delivered")
 	}
+}
+
+// TestWorkerRejoinsOverTornOrphanJournal: a worker that dies mid-append
+// before its first barrier leaves a journal with no snapshot whose last
+// record is torn. Its replacement must trim that record, replay the rest,
+// report the durable position and take the re-sent remainder — not fail the
+// handshake on the torn bytes.
+func TestWorkerRejoinsOverTornOrphanJournal(t *testing.T) {
+	leakcheck.Check(t)
+	events := clusterWorkload(21, 8)
+	cut := len(events) / 2
+	src := clusterVariant(t, "grouped-sum", 0)
+
+	// The query arrives after the first half of the stream, so that half
+	// (journaled, orphaned, replayed into an engine with no queries) raises
+	// nothing and the reference sees only the rest.
+	ref := saql.New()
+	if _, err := ref.Register("grouped-sum", src); err != nil {
+		t.Fatal(err)
+	}
+	var want []*saql.Alert
+	for _, ev := range events[cut:] {
+		want = append(want, ref.Process(ev)...)
+	}
+	want = append(want, ref.Flush()...)
+
+	dir := t.TempDir()
+	inproc := dist.NewInProc()
+	inproc.Register("a", dist.WorkerConfig{Dir: dir, Shards: 2})
+	var gmu sync.Mutex
+	var got []*saql.Alert
+	coord := dist.NewCoordinator(dist.Config{
+		OnAlert: func(a *saql.Alert) { gmu.Lock(); got = append(got, a); gmu.Unlock() },
+	})
+	conn, err := inproc.Dial("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := coord.AddWorker("a", conn, dist.SplitRanges(1)[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := coord.SubmitBatch(events[:cut]); err != nil {
+		t.Fatal(err)
+	}
+	// One submission is one journal write: once the segment has bytes, the
+	// whole batch is in it.
+	seg := filepath.Join(dir, "events-000001.seg")
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if fi, err := os.Stat(seg); err == nil && fi.Size() > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("worker never journaled the batch")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	inproc.Worker("a").Kill()
+	for len(coord.DeadWorkers()) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("kill never observed")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	// Kill closes the engine cleanly; a death mid-append does not. Unseal
+	// the segment and cut its last record short.
+	if err := os.Remove(filepath.Join(dir, "events-000001.idx")); err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(seg, fi.Size()-3); err != nil {
+		t.Fatal(err)
+	}
+
+	if conn, err = inproc.Dial("a"); err != nil {
+		t.Fatal(err)
+	}
+	if err := coord.ReplaceWorker("a", conn); err != nil {
+		t.Fatalf("replacement over a torn orphan journal: %v", err)
+	}
+	if err := coord.Register("grouped-sum", src); err != nil {
+		t.Fatal(err)
+	}
+	if err := coord.SubmitBatch(events[cut:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := coord.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if off := inproc.Worker("a").Offset(); off != int64(len(events)) {
+		t.Errorf("worker ended at offset %d, want %d", off, len(events))
+	}
+	gmu.Lock()
+	gotIDs := sortedClusterIdentities(got)
+	gmu.Unlock()
+	diffIdentitySets(t, "torn orphan journal", sortedClusterIdentities(want), gotIDs)
 }

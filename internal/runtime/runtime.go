@@ -403,16 +403,6 @@ func (r *Runtime) submitBatch(evs []*event.Event, journal bool) error {
 	}
 }
 
-// WithJournalLock runs f while holding the journal-order lock, so callers
-// can fsync the journal at a moment no append is in flight (the checkpoint
-// path: records covered by a barrier offset must be durable before the
-// snapshot naming that offset is installed).
-func (r *Runtime) WithJournalLock(f func() error) error {
-	r.jmu.Lock()
-	defer r.jmu.Unlock()
-	return f()
-}
-
 // Events reports how many events have been accepted into the queue.
 func (r *Runtime) Events() int64 { return r.events.Load() }
 

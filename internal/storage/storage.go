@@ -1,9 +1,24 @@
-// Package storage implements the event store behind the stream replayer.
-// The paper stores collected monitoring data in databases so attack traces
-// can be replayed on demand; this package provides the equivalent embedded
-// store: append-only segment files holding length-prefixed, CRC-checked
-// binary event records, with per-segment time/host metadata so range scans
+// Package storage implements the event store behind the stream replayer and
+// the engine's write-ahead journal. The paper stores collected monitoring
+// data in databases so attack traces can be replayed on demand; this package
+// provides the equivalent embedded store: append-only segment files of
+// framed records, with a per-segment sidecar index (record count, time range,
+// hosts) written when a segment is sealed, so offset seeks and range scans
 // touch only relevant segments.
+//
+// A record is uvarint len | payload | crc32(payload), the payload being one
+// event in the shared wire encoding. Appends frame records into buffers the
+// Store owns, so steady-state journaling allocates nothing. Every read goes
+// through one walker (walk): it steps a segment record by record, checks
+// the length and CRC of every record it steps over, and decodes the payload
+// only of records it yields — seeking to an offset inside a segment costs a
+// CRC per skipped record, not a decode. A record that fails its length or
+// CRC check is what a torn write leaves: at the end of the final, unsealed
+// segment Tail and Repair trim it; anywhere else it is a *CorruptError. A
+// record whose CRC holds but whose payload does not decode was never written
+// by Append: it is a *CorruptError when yielded and is never trimmed. A
+// sidecar's record count is trusted for segments a read skips and verified
+// for every segment it walks.
 package storage
 
 import (
@@ -13,10 +28,13 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"saql/internal/event"
@@ -34,6 +52,29 @@ const (
 // opened an active segment for appending.
 var ErrActiveStore = errors.New("storage: repair requires a store with no active segment")
 
+// CorruptError reports journal bytes no append could have left behind: a
+// record failing its length or CRC check anywhere but the tail of the final
+// unsealed segment, a CRC-valid record whose payload does not decode, or a
+// segment whose record count disagrees with its sidecar index.
+type CorruptError struct {
+	// Segment is the segment file's name; empty for a bare DecodeEvent.
+	Segment string
+	// Offset is the byte offset of the faulty record in the segment, or -1
+	// when the fault is the segment's record count.
+	Offset int64
+	Reason string
+}
+
+func (e *CorruptError) Error() string {
+	switch {
+	case e.Segment == "":
+		return "storage: record: " + e.Reason
+	case e.Offset < 0:
+		return fmt.Sprintf("storage: segment %s: %s", e.Segment, e.Reason)
+	}
+	return fmt.Sprintf("storage: segment %s offset %d: %s", e.Segment, e.Offset, e.Reason)
+}
+
 // segMeta is the sidecar index of a sealed segment.
 type segMeta struct {
 	MinTime int64           `json:"min_time"`
@@ -42,21 +83,33 @@ type segMeta struct {
 	Hosts   map[string]bool `json:"hosts"`
 }
 
-// Store is an append-only event store rooted at a directory.
+// Store is an append-only event store rooted at a directory. Appends and
+// reads belong to one goroutine at a time (the engine serialises them behind
+// its journal-order lock); Sync alone may run beside them.
 type Store struct {
 	dir        string
 	maxSegSize int64
 
-	active     *os.File
+	// active is stored by the appending goroutine and loaded by Sync.
+	active     atomic.Pointer[os.File]
 	activeName string
 	activeSize int64
 	activeMeta segMeta
 	nextSeg    int
 
+	// Reused encode buffers: one event's wire payload, and the framed
+	// records awaiting a single file write (at most a segment's worth).
+	payload []byte
+	batch   []byte
+
 	// failed latches the store after a torn write that could not be rolled
 	// back: appending past torn bytes would poison every later scan, so the
 	// store refuses further appends instead.
 	failed error
+
+	// segReads and decoded count segment files read whole and record
+	// payloads decoded: the tests' proof that a seek decodes only its tail.
+	segReads, decoded int64
 }
 
 // Options configure a store.
@@ -92,17 +145,22 @@ func Open(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
+// ---------------------------------------------------------------------------
+// Append
+// ---------------------------------------------------------------------------
+
 // Append writes one event to the active segment, rotating as needed.
 func (s *Store) Append(ev *event.Event) error {
 	if s.failed != nil {
 		return s.failed
 	}
-	if s.active == nil {
+	if s.active.Load() == nil {
 		if err := s.openSegment(); err != nil {
 			return err
 		}
 	}
-	if err := s.writeRecords(encodeEvent(ev)); err != nil {
+	s.batch, s.payload = appendRecord(s.batch[:0], s.payload, ev)
+	if err := s.writeRecords(s.batch); err != nil {
 		return err
 	}
 	s.foldMeta(ev)
@@ -112,13 +170,77 @@ func (s *Store) Append(ev *event.Event) error {
 	return nil
 }
 
+// AppendAll appends a batch of events with one file write per segment
+// rather than per event: it sits on the engine's journaling hot path, where
+// every submitter serialises behind the append, so records are framed into
+// the store's batch buffer and flushed in bulk (and at rotation boundaries).
+// The sidecar metadata for buffered events is folded in only after their
+// bytes hit the file, so a failed write can never leave the index claiming
+// records the segment does not hold.
+func (s *Store) AppendAll(evs []*event.Event) error {
+	if s.failed != nil {
+		return s.failed
+	}
+	s.batch = s.batch[:0]
+	staged := 0 // evs[staged:i+1] are framed in s.batch, metadata pending
+	for i, ev := range evs {
+		if s.active.Load() == nil {
+			if err := s.openSegment(); err != nil {
+				return err
+			}
+		}
+		s.batch, s.payload = appendRecord(s.batch, s.payload, ev)
+		if s.activeSize+int64(len(s.batch)) >= s.maxSegSize {
+			if err := s.flush(evs[staged : i+1]); err != nil {
+				return err
+			}
+			staged = i + 1
+			if err := s.seal(); err != nil {
+				return err
+			}
+		}
+	}
+	return s.flush(evs[staged:])
+}
+
+// flush writes the batch buffer, which holds exactly staged's records, and
+// then folds staged into the sidecar metadata.
+func (s *Store) flush(staged []*event.Event) error {
+	if len(staged) == 0 {
+		return nil
+	}
+	err := s.writeRecords(s.batch)
+	s.batch = s.batch[:0]
+	if err != nil {
+		return err
+	}
+	for _, ev := range staged {
+		s.foldMeta(ev)
+	}
+	return nil
+}
+
+// appendRecord frames one store record onto dst: uvarint payloadLen |
+// payload | crc32(payload), with the payload encoded by the shared wire
+// codec into scratch (returned for reuse).
+//
+//saql:codecpair-ignore the decode half is walk's yield branch, whose name is no codec's; the round trip is held by TestAppendBytesMatchReference and FuzzSegmentWalk
+func appendRecord(dst, scratch []byte, ev *event.Event) (rec, payload []byte) {
+	payload = wire.AppendEvent(scratch[:0], ev)
+	dst = binary.AppendUvarint(dst, uint64(len(payload)))
+	dst = append(dst, payload...)
+	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
+	return dst, payload
+}
+
 // writeRecords appends encoded record bytes to the active segment. A failed
 // or short write is rolled back by truncating the file to its pre-write
 // size, so torn bytes never sit in front of later records; if the rollback
 // itself fails the store latches failed (scans stay valid, appends stop).
 func (s *Store) writeRecords(buf []byte) error {
+	f := s.active.Load()
 	start := s.activeSize
-	n, err := s.active.Write(buf)
+	n, err := f.Write(buf)
 	if err == nil && n == len(buf) {
 		s.activeSize += int64(n)
 		return nil
@@ -126,61 +248,11 @@ func (s *Store) writeRecords(buf []byte) error {
 	if err == nil {
 		err = io.ErrShortWrite
 	}
-	if terr := s.active.Truncate(start); terr != nil {
+	if terr := f.Truncate(start); terr != nil {
 		s.failed = fmt.Errorf("storage: segment %s poisoned: write: %v; rollback: %v", s.activeName, err, terr)
 		return s.failed
 	}
 	return fmt.Errorf("storage: append: %w", err)
-}
-
-// AppendAll appends a batch of events with one file write per segment
-// rather than per event: it sits on the engine's journaling hot path, where
-// every submitter serialises behind the append, so record encoding is
-// buffered and flushed in bulk (and at rotation boundaries). The sidecar
-// metadata for buffered events is folded in only after their bytes hit the
-// file, so a failed write can never leave the index claiming records the
-// segment does not hold — a torn tail record then fails its CRC on read
-// (fail-stop), it is never silently skipped over.
-func (s *Store) AppendAll(evs []*event.Event) error {
-	if s.failed != nil {
-		return s.failed
-	}
-	var buf []byte
-	var staged []*event.Event // events encoded into buf, metadata pending
-	flush := func() error {
-		if len(buf) == 0 {
-			return nil
-		}
-		err := s.writeRecords(buf)
-		buf = buf[:0]
-		if err != nil {
-			staged = staged[:0]
-			return err
-		}
-		for _, ev := range staged {
-			s.foldMeta(ev)
-		}
-		staged = staged[:0]
-		return nil
-	}
-	for _, ev := range evs {
-		if s.active == nil {
-			if err := s.openSegment(); err != nil {
-				return err
-			}
-		}
-		buf = append(buf, encodeEvent(ev)...)
-		staged = append(staged, ev)
-		if s.activeSize+int64(len(buf)) >= s.maxSegSize {
-			if err := flush(); err != nil {
-				return err
-			}
-			if err := s.seal(); err != nil {
-				return err
-			}
-		}
-	}
-	return flush()
 }
 
 // foldMeta records one durably written event in the active segment's
@@ -204,88 +276,52 @@ func (s *Store) openSegment() error {
 	if err != nil {
 		return fmt.Errorf("storage: open segment: %w", err)
 	}
-	s.active = f
+	s.active.Store(f)
 	s.activeName = name
 	s.activeSize = 0
 	s.activeMeta = segMeta{Hosts: map[string]bool{}}
 	return nil
 }
 
-// seal closes the active segment and writes its sidecar index.
+// seal fsyncs and closes the active segment and then writes its sidecar
+// index: a sidecar, however incomplete, implies its segment is durable.
 func (s *Store) seal() error {
-	if s.active == nil {
+	f := s.active.Load()
+	if f == nil {
 		return nil
 	}
-	if err := s.active.Sync(); err != nil {
+	if err := f.Sync(); err != nil {
 		return fmt.Errorf("storage: sync: %w", err)
 	}
-	if err := s.active.Close(); err != nil {
+	if err := f.Close(); err != nil {
 		return fmt.Errorf("storage: close: %w", err)
 	}
 	meta, err := json.Marshal(s.activeMeta)
 	if err != nil {
 		return fmt.Errorf("storage: meta: %w", err)
 	}
-	metaPath := filepath.Join(s.dir, strings.TrimSuffix(s.activeName, segmentSuffix)+metaSuffix)
-	if err := os.WriteFile(metaPath, meta, 0o644); err != nil {
+	if err := os.WriteFile(s.metaPath(s.activeName), meta, 0o644); err != nil {
 		return fmt.Errorf("storage: meta: %w", err)
 	}
-	s.active = nil
+	s.active.Store(nil)
 	s.activeName = ""
 	return nil
 }
 
-// Repair truncates a torn tail record from the final, unsealed segment —
-// the shape an unsynced append leaves behind after a power loss — and
-// reports how many bytes were dropped (0 when the journal is clean). Only
-// the last segment without a sidecar index is eligible: a decode failure in
-// a sealed segment (whose records were fsynced and counted at seal time) is
-// genuine corruption and reported as an error, never trimmed. Call it once
-// on a journal recovered from a crash, before scanning or appending.
-func (s *Store) Repair() (int64, error) {
-	if s.active != nil {
-		return 0, fmt.Errorf("%w (call before appending)", ErrActiveStore)
-	}
-	segs, err := s.listSegments()
-	if err != nil {
-		return 0, err
-	}
-	if len(segs) == 0 {
-		return 0, nil
-	}
-	last := segs[len(segs)-1]
-	path := filepath.Join(s.dir, last)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return 0, fmt.Errorf("storage: repair: %w", err)
-	}
-	off := 0
-	for off < len(data) {
-		_, n, err := decodeEvent(data[off:])
-		if err != nil {
-			if s.readMeta(last) != nil {
-				return 0, fmt.Errorf("storage: sealed segment %s corrupt at offset %d: %w", last, off, err)
-			}
-			dropped := int64(len(data) - off)
-			if err := os.Truncate(path, int64(off)); err != nil {
-				return 0, fmt.Errorf("storage: repair: %w", err)
-			}
-			return dropped, nil
-		}
-		off += n
-	}
-	return 0, nil
-}
-
 // Sync flushes the active segment's appended records to stable storage
-// without sealing it. The checkpoint path calls it (under the journal
-// lock) before installing a snapshot, so every record a snapshot's offset
-// covers is durable before the snapshot that names it.
+// without sealing it, and is safe to call while another goroutine appends:
+// it fsyncs whichever segment file is active when it is called. Records in
+// earlier segments were fsynced when those were sealed, and a file a
+// concurrent rotation closes under the fsync was synced by that rotation,
+// so on return every record whose append had returned before the call is
+// durable. The checkpoint path relies on exactly that, without holding the
+// journal-order lock across the fsync.
 func (s *Store) Sync() error {
-	if s.active == nil {
+	f := s.active.Load()
+	if f == nil {
 		return nil
 	}
-	if err := s.active.Sync(); err != nil {
+	if err := f.Sync(); err != nil && !errors.Is(err, os.ErrClosed) {
 		return fmt.Errorf("storage: sync: %w", err)
 	}
 	return nil
@@ -293,6 +329,10 @@ func (s *Store) Sync() error {
 
 // Close seals the active segment and closes the store.
 func (s *Store) Close() error { return s.seal() }
+
+// ---------------------------------------------------------------------------
+// Segments on disk
+// ---------------------------------------------------------------------------
 
 func (s *Store) listSegments() ([]string, error) {
 	entries, err := os.ReadDir(s.dir)
@@ -318,6 +358,160 @@ func segNumber(name string) (int, error) {
 	}
 	return n, nil
 }
+
+func (s *Store) metaPath(seg string) string {
+	return filepath.Join(s.dir, strings.TrimSuffix(seg, segmentSuffix)+metaSuffix)
+}
+
+// readMeta loads a segment's sidecar index. sealed reports that a sidecar
+// file exists at all — the segment was fsynced and closed, so it is never
+// eligible for repair; meta is nil when the file is missing or does not
+// parse, and the segment's records are then counted by walking it.
+func (s *Store) readMeta(seg string) (meta *segMeta, sealed bool) {
+	data, err := os.ReadFile(s.metaPath(seg))
+	if err != nil {
+		return nil, !errors.Is(err, fs.ErrNotExist)
+	}
+	var m segMeta
+	if err := json.Unmarshal(data, &m); err != nil || m.Count < 0 {
+		return nil, true
+	}
+	return &m, true
+}
+
+// readSegment reads a segment file whole, in one read sized by its stat.
+func (s *Store) readSegment(seg string) ([]byte, error) {
+	data, err := os.ReadFile(filepath.Join(s.dir, seg))
+	if err != nil {
+		return nil, fmt.Errorf("storage: read %s: %w", seg, err)
+	}
+	s.segReads++
+	return data, nil
+}
+
+// ---------------------------------------------------------------------------
+// The walker
+// ---------------------------------------------------------------------------
+
+// walked is what one pass over a segment's bytes established.
+type walked struct {
+	n       int64 // records that passed their length and CRC checks
+	tail    int   // byte offset of record number skip (end, when n <= skip)
+	end     int   // byte offset just past the last such record
+	decoded int64 // payloads handed to the wire decoder
+}
+
+// walk is the journal's one reader. It steps data record by record,
+// checking each record's length and CRC; the first skip records are only
+// stepped over, and each later one is decoded and passed to yield. A nil
+// yield decodes nothing: the walk then only counts, verifies and locates
+// record number skip. It stops at the first record failing its frame checks
+// (a *CorruptError at w.end — the only error of a walk that yields nothing,
+// and the caller decides whether it is a repairable tail), the first payload
+// that does not decode (a *CorruptError at that record, which w.n counts) or
+// the first yield error, with w describing the records before it.
+func walk(seg string, data []byte, skip int64, yield func(*event.Event) error) (w walked, err error) {
+	for off := 0; off < len(data); {
+		plen, k := binary.Uvarint(data[off:])
+		// No event encodes to an empty payload, while a run of zero bytes —
+		// what a crash can leave past the last completed write — would
+		// otherwise frame as empty records with a valid CRC of 0.
+		if k <= 0 || plen == 0 {
+			return w, corruptAt(seg, off, "bad record length")
+		}
+		rest := len(data) - off - k
+		if plen > uint64(rest) || rest-int(plen) < 4 {
+			return w, corruptAt(seg, off, fmt.Sprintf("truncated record (%d bytes left, length prefix %d)", rest, plen))
+		}
+		payload := data[off+k : off+k+int(plen)]
+		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(data[off+k+int(plen):]) {
+			return w, corruptAt(seg, off, "crc mismatch")
+		}
+		start := off
+		off += k + int(plen) + 4
+		w.n, w.end = w.n+1, off
+		if w.n <= skip {
+			w.tail = off
+			continue
+		}
+		if yield == nil {
+			continue
+		}
+		r := wire.NewReader(payload)
+		ev := r.ReadEvent()
+		w.decoded++
+		if err := r.Err(); err != nil {
+			return w, corruptAt(seg, start, err.Error())
+		}
+		if r.Len() != 0 {
+			return w, corruptAt(seg, start, "trailing garbage in record payload")
+		}
+		if err := yield(ev); err != nil {
+			return w, err
+		}
+	}
+	return w, nil
+}
+
+func corruptAt(seg string, off int, reason string) error {
+	return &CorruptError{Segment: seg, Offset: int64(off), Reason: reason}
+}
+
+// load reads a segment and walks it without decoding: how a segment with no
+// usable sidecar is counted. When the walk stops at a torn record and trim
+// is set, the file is truncated to its last whole record and dropped reports
+// the bytes removed; otherwise the tear is returned as the error it is.
+func (s *Store) load(seg string, skip int64, trim bool) (data []byte, w walked, dropped int64, err error) {
+	if data, err = s.readSegment(seg); err != nil {
+		return nil, w, 0, err
+	}
+	if w, err = walk(seg, data, skip, nil); err == nil {
+		return data, w, 0, nil
+	}
+	if !trim {
+		return nil, w, 0, err
+	}
+	if err := os.Truncate(filepath.Join(s.dir, seg), int64(w.end)); err != nil {
+		return nil, w, 0, fmt.Errorf("storage: repair: %w", err)
+	}
+	return data[:w.end], w, int64(len(data) - w.end), nil
+}
+
+// countMismatch is the error for a segment whose walk disagrees with its
+// sidecar: every later offset would silently shift by the difference.
+func countMismatch(seg string, meta *segMeta, w walked) error {
+	return &CorruptError{Segment: seg, Offset: -1,
+		Reason: fmt.Sprintf("sidecar index counts %d records, segment holds %d", meta.Count, w.n)}
+}
+
+// Repair truncates a torn tail record from the final, unsealed segment —
+// the shape an unsynced append leaves behind after a power loss — and
+// reports how many bytes were dropped (0 when the journal is clean). Only
+// the last segment without a sidecar index is eligible: a frame failure in
+// a sealed segment (whose records were fsynced at seal time) is genuine
+// corruption and reported as an error, never trimmed, as is a sealed final
+// segment whose record count disagrees with its sidecar. Tail does the same
+// repair on the way to reading; Repair is for callers that only mend.
+func (s *Store) Repair() (int64, error) {
+	if s.active.Load() != nil {
+		return 0, fmt.Errorf("%w (call before appending)", ErrActiveStore)
+	}
+	segs, err := s.listSegments()
+	if err != nil || len(segs) == 0 {
+		return 0, err
+	}
+	last := segs[len(segs)-1]
+	meta, sealed := s.readMeta(last)
+	_, w, dropped, err := s.load(last, 0, !sealed)
+	if err == nil && meta != nil && w.n != meta.Count {
+		err = countMismatch(last, meta, w)
+	}
+	return dropped, err
+}
+
+// ---------------------------------------------------------------------------
+// Reading
+// ---------------------------------------------------------------------------
 
 // Selection filters a scan.
 type Selection struct {
@@ -380,6 +574,112 @@ func (sel *Selection) segmentOverlaps(meta *segMeta) bool {
 	return true
 }
 
+// Tail is the journal from a global record offset onward: located and
+// counted, not yet decoded. Each decodes it.
+type Tail struct {
+	// Count is how many records the whole journal holds: the offset the
+	// next append lands at.
+	Count int64
+
+	store *Store
+	segs  []tailSeg // the segments holding records at or past the offset
+}
+
+type tailSeg struct {
+	name string
+	meta *segMeta // nil without a usable sidecar: data is then set
+	skip int64    // records of this segment that precede the offset
+	// data holds a segment Tail had to read to count it, already verified
+	// and cut to start at the offset; nil means Each reads the file.
+	data []byte
+}
+
+// Tail is the recover-then-read entry to a journal that may have been left
+// by a crash. It seals this handle's own active segment, trims a torn tail
+// from the final unsealed segment (see Repair), counts the journal — from
+// the sidecar of every sealed segment, by a decode-free walk of the others —
+// and returns the part from the global record offset onward, still encoded.
+// Record 0 is the first event ever appended, and offsets count every record
+// in storage order. An offset past Count yields an empty tail; whether that
+// is an error is the caller's call. Sealed segments are not read here at
+// all: Each reads the one holding the offset, once.
+func (s *Store) Tail(offset int64) (*Tail, error) { return s.tail(offset, true) }
+
+// tail builds a Tail, repairing the final segment only when repair is set.
+func (s *Store) tail(offset int64, repair bool) (*Tail, error) {
+	// Seal the active segment so its data is visible to the read.
+	if err := s.seal(); err != nil {
+		return nil, err
+	}
+	names, err := s.listSegments()
+	if err != nil {
+		return nil, err
+	}
+	t := &Tail{store: s}
+	for i, name := range names {
+		seg := tailSeg{name: name, skip: max(offset-t.Count, 0)}
+		var n int64
+		var sealed bool
+		if seg.meta, sealed = s.readMeta(name); seg.meta != nil {
+			n = seg.meta.Count
+		} else {
+			data, w, _, err := s.load(name, seg.skip, repair && !sealed && i == len(names)-1)
+			if err != nil {
+				return nil, err
+			}
+			n = w.n
+			seg.data, seg.skip = data[w.tail:w.end], 0
+		}
+		t.Count += n
+		if t.Count > offset {
+			t.segs = append(t.segs, seg)
+		}
+	}
+	return t, nil
+}
+
+// Each decodes the tail's events in storage order, invoking yield for each;
+// a yield error aborts it. Every record of a segment it reads is CRC-checked
+// whether or not it precedes the offset, and a sealed segment's record count
+// is checked against its sidecar. Each consumes the tail: call it once.
+func (t *Tail) Each(yield func(*event.Event) error) error {
+	return t.each(Selection{}, yield)
+}
+
+func (t *Tail) each(sel Selection, yield func(*event.Event) error) error {
+	s, segs := t.store, t.segs
+	t.segs = nil
+	hosts := sel.hostSet()
+	filtered := func(ev *event.Event) error {
+		if !sel.matches(ev, hosts) {
+			return nil
+		}
+		return yield(ev)
+	}
+	for _, seg := range segs {
+		if !sel.segmentOverlaps(seg.meta) {
+			// The sidecar index proves no record matches the selection.
+			continue
+		}
+		data := seg.data
+		if seg.meta != nil {
+			var err error
+			if data, err = s.readSegment(seg.name); err != nil {
+				return err
+			}
+		}
+		w, err := walk(seg.name, data, seg.skip, filtered)
+		s.decoded += w.decoded
+		if err != nil {
+			return err
+		}
+		if seg.meta != nil && w.n != seg.meta.Count {
+			return countMismatch(seg.name, seg.meta, w)
+		}
+	}
+	return nil
+}
+
 // Scan reads all stored events matching sel, in storage order (which is
 // append order; collection agents append in time order), invoking yield for
 // each. A yield error aborts the scan.
@@ -388,72 +688,28 @@ func (s *Store) Scan(sel Selection, yield func(*event.Event) error) error {
 }
 
 // ScanFrom reads stored events starting at the global record offset — the
-// cursor coordinate the engine's checkpoints record: record 0 is the first
-// event ever appended, and offsets count every record in storage order
-// regardless of sel. Sealed segments whose sidecar index shows they end
-// before the offset are skipped without being read; sel then filters the
-// yielded tail. A yield error aborts the scan.
+// cursor coordinate the engine's checkpoints record (see Tail). Sealed
+// segments whose sidecar index shows they end before the offset, or hold
+// nothing sel matches, are skipped without being read; sel then filters the
+// yielded tail. Unlike Tail it repairs nothing: a torn record is an error.
+// A yield error aborts the scan.
 func (s *Store) ScanFrom(offset int64, sel Selection, yield func(*event.Event) error) error {
-	// Seal the active segment so its data is visible to the scan.
-	if err := s.seal(); err != nil {
-		return err
-	}
-	segs, err := s.listSegments()
+	t, err := s.tail(offset, false)
 	if err != nil {
 		return err
 	}
-	hosts := sel.hostSet()
-	var pos int64 // records before the current segment
-	for _, seg := range segs {
-		meta := s.readMeta(seg)
-		if meta != nil && pos+meta.Count <= offset {
-			// Whole segment precedes the cursor: skip without reading.
-			pos += meta.Count
-			continue
-		}
-		if meta != nil && !sel.segmentOverlaps(meta) {
-			// The sidecar index proves no record matches the selection; the
-			// count still advances the offset cursor.
-			pos += meta.Count
-			continue
-		}
-		skip := offset - pos
-		if skip < 0 {
-			skip = 0
-		}
-		n, err := s.scanSegment(seg, sel, hosts, skip, yield)
-		pos += n
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return t.each(sel, yield)
 }
 
 // Count reports how many event records the store holds (the offset the next
 // append lands at). Sealed segments are counted from their sidecar index;
-// an unsealed or index-less segment is scanned.
+// an unsealed or index-less segment is walked, without decoding.
 func (s *Store) Count() (int64, error) {
-	if err := s.seal(); err != nil {
-		return 0, err
-	}
-	segs, err := s.listSegments()
+	t, err := s.tail(math.MaxInt64, false)
 	if err != nil {
 		return 0, err
 	}
-	var total int64
-	for _, seg := range segs {
-		if meta := s.readMeta(seg); meta != nil {
-			total += meta.Count
-			continue
-		}
-		n, err := s.scanSegment(seg, Selection{}, nil, 0, func(*event.Event) error { return nil })
-		if err != nil {
-			return 0, err
-		}
-		total += n
-	}
-	return total, nil
+	return t.Count, nil
 }
 
 // ReadFrom collects all events from the global record offset onward that
@@ -469,105 +725,37 @@ func (s *Store) ReadFrom(offset int64, sel Selection) ([]*event.Event, error) {
 
 // ReadAll collects all events matching sel.
 func (s *Store) ReadAll(sel Selection) ([]*event.Event, error) {
-	var out []*event.Event
-	err := s.Scan(sel, func(ev *event.Event) error {
-		out = append(out, ev)
-		return nil
-	})
-	return out, err
-}
-
-func (s *Store) readMeta(seg string) *segMeta {
-	metaPath := filepath.Join(s.dir, strings.TrimSuffix(seg, segmentSuffix)+metaSuffix)
-	data, err := os.ReadFile(metaPath)
-	if err != nil {
-		return nil
-	}
-	var m segMeta
-	if err := json.Unmarshal(data, &m); err != nil {
-		return nil
-	}
-	return &m
-}
-
-// scanSegment yields the segment's events past the first skip records,
-// reporting how many records the segment holds in total.
-func (s *Store) scanSegment(seg string, sel Selection, hosts map[string]bool, skip int64, yield func(*event.Event) error) (int64, error) {
-	f, err := os.Open(filepath.Join(s.dir, seg))
-	if err != nil {
-		return 0, fmt.Errorf("storage: %w", err)
-	}
-	defer f.Close()
-	data, err := io.ReadAll(f)
-	if err != nil {
-		return 0, fmt.Errorf("storage: read %s: %w", seg, err)
-	}
-	off := 0
-	var count int64
-	for off < len(data) {
-		ev, n, err := decodeEvent(data[off:])
-		if err != nil {
-			return count, fmt.Errorf("storage: segment %s offset %d: %w", seg, off, err)
-		}
-		off += n
-		count++
-		if count <= skip {
-			continue
-		}
-		if sel.matches(ev, hosts) {
-			if err := yield(ev); err != nil {
-				return count, err
-			}
-		}
-	}
-	return count, nil
+	return s.ReadFrom(0, sel)
 }
 
 // ---------------------------------------------------------------------------
-// Binary codec
+// Single records
 // ---------------------------------------------------------------------------
 
 // EncodeEvent produces one store record: uvarint payloadLen | payload |
 // crc32(payload), with the payload encoded by the shared wire codec.
 func EncodeEvent(ev *event.Event) []byte {
-	payload := wire.AppendEvent(make([]byte, 0, 128), ev)
-	rec := binary.AppendUvarint(nil, uint64(len(payload)))
-	rec = append(rec, payload...)
-	rec = binary.LittleEndian.AppendUint32(rec, crc32.ChecksumIEEE(payload))
+	rec, _ := appendRecord(nil, nil, ev)
 	return rec
 }
+
+// errFirst stops DecodeEvent's walk after one record.
+var errFirst = errors.New("storage: first record decoded")
 
 // DecodeEvent decodes one store record from the front of data, returning the
 // event and the record's total length. Truncated records and CRC mismatches
 // are rejected before any payload field is interpreted.
 func DecodeEvent(data []byte) (*event.Event, int, error) {
-	plen, n := binary.Uvarint(data)
-	if n <= 0 {
-		return nil, 0, fmt.Errorf("bad record length")
+	var first *event.Event
+	w, err := walk("", data, 0, func(ev *event.Event) error {
+		first = ev
+		return errFirst
+	})
+	switch {
+	case errors.Is(err, errFirst):
+		return first, w.end, nil
+	case err == nil: // empty input: the walk had nothing to reject
+		err = corruptAt("", 0, "bad record length")
 	}
-	if plen > uint64(len(data)) {
-		return nil, 0, fmt.Errorf("truncated record (%d < %d)", len(data), plen)
-	}
-	total := n + int(plen) + 4
-	if len(data) < total {
-		return nil, 0, fmt.Errorf("truncated record (%d < %d)", len(data), total)
-	}
-	payload := data[n : n+int(plen)]
-	wantCRC := binary.LittleEndian.Uint32(data[n+int(plen):])
-	if crc32.ChecksumIEEE(payload) != wantCRC {
-		return nil, 0, fmt.Errorf("crc mismatch")
-	}
-	r := wire.NewReader(payload)
-	ev := r.ReadEvent()
-	if r.Err() != nil {
-		return nil, 0, r.Err()
-	}
-	if r.Len() != 0 {
-		return nil, 0, fmt.Errorf("trailing garbage in record payload")
-	}
-	return ev, total, nil
+	return nil, 0, err
 }
-
-func encodeEvent(ev *event.Event) []byte { return EncodeEvent(ev) }
-
-func decodeEvent(data []byte) (*event.Event, int, error) { return DecodeEvent(data) }

@@ -220,8 +220,8 @@ func TestCodecProperty(t *testing.T) {
 			Object:  event.File(path),
 			Amount:  amount,
 		}
-		rec := encodeEvent(ev)
-		got, n, err := decodeEvent(rec)
+		rec := EncodeEvent(ev)
+		got, n, err := DecodeEvent(rec)
 		if err != nil || n != len(rec) {
 			return false
 		}

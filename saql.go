@@ -267,18 +267,14 @@ func (e *Engine) journalBase() (int64, error) {
 		e.baseResolved = true
 		return e.cfg.baseOffset, nil
 	}
-	// A crash may have left the journal's unsealed tail ending in a torn
-	// record; trim it before counting so first use of a recovered journal
-	// just works. A store that already has an active segment (the caller
-	// appended through the same handle) is left alone; sealed-segment
-	// corruption still fails below, in Count.
-	if _, err := e.cfg.journal.Repair(); err != nil && !errors.Is(err, storage.ErrActiveStore) {
-		return 0, err
-	}
-	n, err := e.cfg.journal.Count()
+	// Only the count is wanted, but through the recovering entry: a crashed
+	// run's torn tail record is trimmed first, so first use of its journal
+	// just works.
+	tail, err := e.cfg.journal.Tail(0)
 	if err != nil {
 		return 0, err
 	}
+	n := tail.Count
 	e.cfg.baseOffset = n
 	e.baseResolved = true
 	return n, nil
