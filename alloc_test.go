@@ -237,6 +237,66 @@ func TestStatefulFoldAllocsGate(t *testing.T) {
 	}
 }
 
+// TestWindowCloseAllocsGate holds a window close to allocating for state and
+// alerts only, never for evaluation: over 2 000 groups, a quiet alert that
+// reads an entity binding allocates no more per group than one that reads
+// only window state (the snapshot and its fields), and a firing group adds
+// the alert's own two allocations (the Alert, its Values) — the compiled
+// programs read the snapshot's slots where they lie. internal/engine's
+// BenchmarkWindowClose times the same three shapes.
+func TestWindowCloseAllocsGate(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation gate needs full runs")
+	}
+	const groups = 2000
+	perGroup := map[string]float64{}
+	for _, c := range []struct {
+		name, alert string
+		alerts      int
+	}{
+		{"state-only-quiet", `ss.amt > 1000000000000`, 0},
+		{"binding-quiet", `p.exe_name == "never.exe" && ss.amt > 1000000000000`, 0},
+		{"firing", `ss.amt > 0`, groups},
+	} {
+		sh := foldShape{c.name, `proc p write ip i as e #time(10 s)
+state ss { amt := sum(e.amount) } group by p
+alert ` + c.alert + `
+return p, i.dstip, ss[0].amt`, OpWrite, func(int) Entity { return NetConn("10.0.0.2", 1433, "10.1.0.9", 443) }}
+		eng := New()
+		if err := eng.AddQuery(sh.name, sh.src); err != nil {
+			t.Fatal(err)
+		}
+		// Windows 0 and 1 create the group runtimes and fill the histories;
+		// window 2 is the one whose close is measured.
+		for w := 0; w < 3; w++ {
+			for _, ev := range sh.window(w, groups, groups) {
+				eng.Process(ev)
+			}
+		}
+		next := sh.window(3, 1, groups)[0]
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		alerts := eng.Process(next)
+		runtime.ReadMemStats(&after)
+		if len(alerts) != c.alerts {
+			t.Fatalf("%s: closing the window raised %d alerts, want %d", c.name, len(alerts), c.alerts)
+		}
+		if errs := eng.Errors(); len(errs) != 0 {
+			t.Fatalf("%s: runtime reported errors: %v", c.name, errs)
+		}
+		perGroup[c.name] = float64(after.Mallocs-before.Mallocs) / groups
+		t.Logf("%s: %.3f allocs per group", c.name, perGroup[c.name])
+	}
+	const slack = 0.05 // the close's fixed part and the fan-out's slices, spread over the groups
+	if perGroup["binding-quiet"] > perGroup["state-only-quiet"]+slack {
+		t.Errorf("reading a binding costs %.3f allocs per group over a state-only alert's %.3f, gate is 0",
+			perGroup["binding-quiet"]-perGroup["state-only-quiet"], perGroup["state-only-quiet"])
+	}
+	if extra := perGroup["firing"] - perGroup["state-only-quiet"]; extra > 2+slack {
+		t.Errorf("a firing group allocates %.3f over a quiet one, gate is the alert's own 2", extra)
+	}
+}
+
 // BenchmarkStatefulFold times the serial Process path folding hits into
 // groups that already exist in an open window — key, group probe, bindings,
 // argument programs, aggregator Add, watermark advance — for each qs-hot

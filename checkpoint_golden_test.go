@@ -34,8 +34,9 @@ func TestGoldenMidWindowCheckpoint(t *testing.T) {
 		for _, c := range conformanceCorpus {
 			// Rule queries hold no window state. k-means seeds from its first
 			// input point, which the reference commit fed in map order, so
-			// that query's alert counter is not reproducible there.
-			if c.Kind == KindRule.String() || c.Name == "kmeans-outlier" {
+			// that query's alert counter is not reproducible there. The
+			// golden file predates history-scalars.
+			if c.Kind == KindRule.String() || c.Name == "kmeans-outlier" || c.Name == "history-scalars" {
 				continue
 			}
 			if err := e.AddQuery(c.Name, c.Src); err != nil {

@@ -133,13 +133,15 @@
 // pattern matching entirely and per-event matching work stays O(patterns)
 // rather than O(shards × patterns).
 //
-// Everything evaluated per event — pattern and global predicates, group-by
-// keys, aggregation arguments — is a compiled bytecode program
+// Everything a query evaluates is a compiled bytecode program
 // (internal/pcode), and every query compiles to them: there is no
-// interpreting fallback and no option selecting one. The AST evaluator
-// (internal/expr) runs where window state is in scope: alert conditions,
-// return items, invariant updates and clustering points at a window close,
-// and the conditions of a completed multievent match.
+// interpreting fallback and no option selecting one. Pattern and global
+// predicates, group-by keys and aggregation arguments run per event against
+// the matched event; alert conditions, return items, invariant updates and
+// clustering points run at a window close or on a completed multievent
+// match, the same programs compiled in a scope where binding slots, window
+// state, invariant variables and clustering outcomes live. The AST
+// evaluator they replaced (internal/expr) is a test-only oracle.
 //
 // # Durable state
 //

@@ -5,13 +5,15 @@
 // scheduler.EvaluateBatch's columnar core and the routed fold
 // IngestRouted/TouchRouted/AdvanceAll), the serial reference's
 // evaluateLocked/ingestLocked, engine.MatchBatch/HitGroupKeys/hitKey, the
-// compiled predicate and expression programs (pcode's Match and Run), the
+// compiled predicate and expression programs (pcode's Match and Run, with the
+// frame's slot accessors; the close-time runners engine.alertHolds/evalReturn
+// and window.History.Field — backing TestWindowCloseAllocsGate), the
 // codec intern table (string- and bytes-keyed
 // lookups, the per-line counter publish), the ndjson scanner's per-line
 // functions (scan/check/fill, the object/member walk, the value readers and
 // the RFC 3339 fast parser — backing TestNDJSONDecodeAllocsGate: ≤2
 // allocs/line), the wire.Reader decode loop, window assignment, the history
-// ring, the stateful fold (engine.ingestStateful and the serial path's
+// ring, the stateful fold (engine.foldHits and the serial path's
 // AppendHits/ResidualHits; window.Manager's GroupFor/Touch/Advance and
 // open-window lookup — backing TestStatefulFoldAllocsGate: 0 allocs per hit
 // folded into an existing group), DBSCAN's labelling passes
@@ -26,11 +28,7 @@
 //   - non-constant string concatenation;
 //   - interface boxing of concrete non-pointer-shaped values (passing an
 //     int or struct to an interface parameter allocates; passing a pointer,
-//     map, chan or func does not);
-//   - calls into saql/internal/expr: the per-event path evaluates pcode
-//     programs, and the tree-walker with its name-keyed environments belongs
-//     to window close (engine/close.go). This is the per-event/close-time
-//     seam, checked.
+//     map, chan or func does not).
 //
 // Value composite literals and slice make() are deliberately allowed: the
 // hot paths amortize per-batch slice growth by design and value literals
@@ -56,7 +54,7 @@ import (
 // Analyzer is the hotpath pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "hotpath",
-	Doc:  "forbid allocation shapes and tree-walker calls in //saql:hotpath functions backing the ≤2 allocs/event ingest gate",
+	Doc:  "forbid allocation shapes in //saql:hotpath functions backing the ≤2 allocs/event ingest gate",
 	Run:  run,
 }
 
@@ -283,12 +281,8 @@ func (w *walker) call(call *ast.CallExpr) {
 	}
 
 	if fn := calleeFunc(w.pass, call); fn != nil && fn.Pkg() != nil {
-		switch fn.Pkg().Path() {
-		case "fmt":
+		if fn.Pkg().Path() == "fmt" {
 			w.report(call.Pos(), "fmt.%s call", fn.Name())
-			return
-		case "saql/internal/expr":
-			w.report(call.Pos(), "call into the close-time evaluator (expr.%s)", fn.Name())
 			return
 		}
 	}

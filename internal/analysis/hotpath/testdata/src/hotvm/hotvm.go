@@ -2,15 +2,8 @@
 // on: a fixed-size value stack, opcode switch dispatch, jump threading via
 // index rewrites, and typed operand loads must all pass the analyzer clean
 // — while boxing or map traffic smuggled into the same loop is still
-// reported at the offending instruction, and so is any call into the
-// close-time tree-walker (saql/internal/expr).
+// reported at the offending instruction.
 package hotvm
-
-import (
-	"saql/internal/ast"
-	"saql/internal/expr"
-	"saql/internal/value"
-)
 
 type instr struct {
 	op  byte
@@ -88,23 +81,3 @@ func (p *prog) runLeaky() float64 {
 	_ = seen
 	return stack[0]
 }
-
-// runWalking seeds the seam violation: a dispatch loop that hands a node it
-// cannot run to the tree-walker, or borrows its scalar library directly.
-// Both are reported; the same calls from an unannotated helper are the
-// helper's business.
-//
-//saql:hotpath
-func (p *prog) runWalking(e ast.Expr, env *expr.Env, stack []value.Value) (value.Value, error) {
-	for i := range p.ins {
-		if p.ins[i].op == 9 {
-			stack[0], _ = expr.Eval(e, env) // want `call into the close-time evaluator \(expr.Eval\)`
-		}
-	}
-	if v, err := expr.CallScalar("abs", stack[:1]); err == nil { // want `call into the close-time evaluator \(expr.CallScalar\)`
-		stack[0] = v
-	}
-	return builtin(stack[:1])
-}
-
-func builtin(args []value.Value) (value.Value, error) { return expr.CallScalar("abs", args) }

@@ -106,6 +106,11 @@ state[2] ss { n := count(e) } group by p
 alert abs(ss[0].n - ss[1].n) > 100
 return p, ss[0].n`, "time-series"},
 
+	{"history-scalars", `proc p write ip i as e #time(1 min)
+state[3] ss { amt := sum(e.amount) } group by p
+alert pow(ss[2].amt, 2) > 100 && sqrt(ss[1].amt) >= 0 && abs(ss[0].amt - ss[2].amt) >= 0
+return p, ss[0].amt, pow(ss[2].amt, 2)`, "time-series"},
+
 	// --- invariant ---------------------------------------------------------
 	{"paper-query-3", `proc p1["%apache.exe"] start proc p2 as evt #time(10 s)
 state ss { set_proc := set(p2.exe_name) } group by p1

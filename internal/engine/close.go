@@ -2,20 +2,23 @@ package engine
 
 // The close-time half of query execution: what a completed multievent match
 // or a closed window evaluates — alert conditions, return items, invariant
-// updates, clustering points — through internal/expr over name-keyed
-// environments. fold.go's per-event half never comes here except to hand
-// over a completed match or the windows an event closed.
+// updates, clustering points. Like fold.go's per-event half it runs
+// internal/pcode programs, compiled in the close scope (compileClose), against
+// the query's frame: the slot-indexed bindings of the match or of the group's
+// snapshot, the group's history ring, invariant variables and clustering
+// outcome are handed over as they are; nothing is materialised or looked up
+// by name. fold.go comes here only to hand over a completed match or the
+// windows an event closed.
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
-	"saql/internal/ast"
 	"saql/internal/cluster"
-	"saql/internal/event"
-	"saql/internal/expr"
 	"saql/internal/invariant"
 	"saql/internal/matcher"
+	"saql/internal/pcode"
 	"saql/internal/value"
 	"saql/internal/window"
 )
@@ -23,27 +26,10 @@ import (
 // alertMatch evaluates one completed multievent match and returns the alert
 // it raises, if any.
 func (q *Query) alertMatch(m *matcher.Match, report func(error)) *Alert {
-	env := &expr.Env{Entities: m.Entities, Events: map[string]*event.Event{}}
-	for alias, idx := range q.Info.Aliases {
-		if m.Events[idx] != nil {
-			env.Events[alias] = m.Events[idx]
-		}
-	}
+	q.frame.Entities, q.frame.Events = m.Entities, m.Events
 	// A rule query with no explicit alert clause alerts on every
 	// completed match (Query 1); explicit clauses filter matches.
-	fire := len(q.alerts) == 0
-	for _, a := range q.alerts {
-		ok, err := expr.EvalBool(a, env)
-		if err != nil {
-			q.fail(report, err)
-			continue
-		}
-		if ok {
-			fire = true
-			break
-		}
-	}
-	if !fire {
+	if len(q.alertProgs) > 0 && !q.alertHolds(report) {
 		return nil
 	}
 	al := &Alert{
@@ -52,12 +38,40 @@ func (q *Query) alertMatch(m *matcher.Match, report func(error)) *Alert {
 		EventTime: m.At,
 		Detected:  q.now(),
 		Events:    m.Events,
+		Values:    q.evalReturn(report),
 	}
-	al.Values = q.evalReturn(env, report)
 	if !q.admit(al) {
 		return nil
 	}
 	return al
+}
+
+// alertHolds reports whether any alert condition holds in the query's frame;
+// a condition that fails to evaluate is reported and does not hold.
+//
+//saql:hotpath
+func (q *Query) alertHolds(report func(error)) bool {
+	for i, a := range q.alertProgs {
+		err := a.Run(&q.frame, q.progStack)
+		if err == nil {
+			holds, isBool := q.progStack[0].AsBool()
+			if holds {
+				return true
+			}
+			if isBool {
+				continue
+			}
+			err = q.notBoolean(i)
+		}
+		q.fail(report, err)
+	}
+	return false
+}
+
+// notBoolean is the failure of alert condition i having evaluated to a value
+// that is no condition.
+func (q *Query) notBoolean(i int) error {
+	return fmt.Errorf("expr: condition %s is %s, not boolean", q.AST.Alerts[i], q.progStack[0].Kind())
 }
 
 // closeAll runs closeWindow over the windows one Advance or Flush closed.
@@ -69,45 +83,16 @@ func (q *Query) closeAll(closed []window.Closed, report func(error)) []*Alert {
 	return alerts
 }
 
-// clusterView exposes one group's clustering outcome to expressions.
-type clusterView struct {
-	outlier bool
-	label   int
-	size    int
-	valid   bool
-}
-
-// ClusterField implements expr.ClusterView.
-func (c *clusterView) ClusterField(field string) (value.Value, bool) {
-	if !c.valid {
-		// Group not clustered this window (e.g. too few points).
-		switch field {
-		case "outlier":
-			return value.Bool(false), true
-		case "cluster_id":
-			return value.Int(-1), true
-		case "size":
-			return value.Int(0), true
-		}
-		return value.Null, false
-	}
-	switch field {
-	case "outlier":
-		return value.Bool(c.outlier), true
-	case "cluster_id":
-		return value.Int(int64(c.label)), true
-	case "size":
-		return value.Int(int64(c.size)), true
-	}
-	return value.Null, false
-}
+// notClustered is the outcome of a group the window did not cluster (no
+// clustering point, or too few of them).
+var notClustered = pcode.Cluster{ID: -1}
 
 // closing is one present group's share of a window close, parallel to the
 // closed window's (key-ordered) groups.
 type closing struct {
 	rt   *groupRuntime
 	snap *window.Snapshot
-	view clusterView
+	view pcode.Cluster
 }
 
 // closeWindow snapshots the closed window's groups into their histories,
@@ -116,10 +101,33 @@ type closing struct {
 // manager's key sort and the clustering index) plus one pass over the known
 // groups, and it allocates in proportion to them.
 func (q *Query) closeWindow(closed window.Closed, report func(error)) []*Alert {
+	present := q.pushSnapshots(closed)
+
+	// 2. Clustering over the groups present in this window, in key order.
+	if q.hasCluster && len(present) > 0 {
+		q.clusterGroups(closed.Groups, present, report)
+	}
+
+	// 3. Per present group: invariant update, then alert evaluation.
+	var alerts []*Alert
+	for i, g := range closed.Groups {
+		if al := q.detect(&present[i], g.Key, closed.End, report); al != nil {
+			alerts = append(alerts, al)
+		}
+	}
+	return alerts
+}
+
+// pushSnapshots is step 1 of a close: it counts the window, freezes every
+// present group into its history — creating the runtime of a group seen for
+// the first time — and pushes the window's one shared empty snapshot onto
+// every known group the window did not see, evicting those idle too long. It
+// returns the present groups' shares, parallel to closed.Groups.
+func (q *Query) pushSnapshots(closed window.Closed) []closing {
 	q.stats.WindowsClosed++
 	seq := q.stats.WindowsClosed
 
-	// 1. Snapshot groups present in this window; push the window's one
+	// Snapshot groups present in this window; push the window's one
 	// shared empty snapshot for known-but-quiet groups so ss[k] history
 	// stays contiguous.
 	present := make([]closing, len(closed.Groups))
@@ -154,7 +162,7 @@ func (q *Query) closeWindow(closed window.Closed, report func(error)) []*Alert {
 		rt.history.Push(snap)
 		rt.idleWindows = 0
 		rt.closedSeq = seq
-		present[i] = closing{rt: rt, snap: snap}
+		present[i] = closing{rt: rt, snap: snap, view: notClustered}
 	}
 	if len(q.groups) > len(present) {
 		for key, rt := range q.groups {
@@ -172,44 +180,24 @@ func (q *Query) closeWindow(closed window.Closed, report func(error)) []*Alert {
 		}
 	}
 
-	// One environment serves every evaluation of this close.
-	env := &expr.Env{StateName: q.AST.State.Name}
-
-	// 2. Clustering over the groups present in this window, in key order.
-	if q.hasCluster && len(present) > 0 {
-		q.clusterGroups(env, closed.Groups, present, report)
-	}
-
-	// 3. Per present group: invariant update, then alert evaluation.
-	var alerts []*Alert
-	for i, g := range closed.Groups {
-		c := &present[i]
-		*env = expr.Env{StateName: env.StateName, State: c.rt.history}
-		if q.hasCluster {
-			env.Cluster = &c.view
-		}
-		if al := q.detect(env, c, g.Key, closed.End, report); al != nil {
-			alerts = append(alerts, al)
-		}
-	}
-	return alerts
+	return present
 }
 
 // clusterGroups evaluates one clustering point per present group and records
 // each group's outcome in its view. Points go to the algorithm in the
 // groups' key order: cluster numbering follows input order, and key order is
 // the one order every run, shard and restore agrees on.
-func (q *Query) clusterGroups(env *expr.Env, groups []*window.Group, present []closing, report func(error)) {
+func (q *Query) clusterGroups(groups []*window.Group, present []closing, report func(error)) {
 	coords := make([]float64, 0, len(present)) // one backing array for all points
 	points := make([][]float64, 0, len(present))
 	owner := make([]int, 0, len(present)) // point -> index into present
 	for i := range present {
-		env.State = present[i].rt.history
-		v, err := expr.Eval(q.pointsExpr, env)
-		if err != nil {
+		q.frame = pcode.Frame{History: present[i].rt.history} // a point reads state only
+		if err := q.pointProg.Run(&q.frame, q.progStack); err != nil {
 			q.fail(report, err)
 			continue
 		}
+		v := q.progStack[0]
 		f, ok := v.AsFloat()
 		if !ok {
 			q.fail(report, fmt.Errorf("cluster point for group %q is %s, not numeric", groups[i].Key, v.Kind()))
@@ -228,77 +216,54 @@ func (q *Query) clusterGroups(env *expr.Env, groups []*window.Group, present []c
 		return
 	}
 	for k, i := range owner {
-		present[i].view = clusterView{
-			outlier: res.Outlier[k],
-			label:   res.Labels[k],
-			size:    res.Size(res.Labels[k]),
-			valid:   true,
+		present[i].view = pcode.Cluster{
+			Outlier: res.Outlier[k],
+			ID:      res.Labels[k],
+			Size:    res.Size(res.Labels[k]),
 		}
 	}
 }
 
 // detect runs one present group's invariant update and alert evaluation for
-// a closing window and returns the alert raised, if any. env arrives with the
-// group's state and cluster views; the name-keyed binding maps are
-// materialised from the snapshot's slots only when an expression about to be
-// evaluated reads an entity or event variable.
-func (q *Query) detect(env *expr.Env, c *closing, key string, end time.Time, report func(error)) *Alert {
-	bound := false
-	bind := func(reads bool) {
-		if reads && !bound {
-			env.Entities, env.Events = q.winMgr.Bindings(c.snap)
-			bound = true
-		}
-	}
+// a closing window and returns the alert raised, if any.
+func (q *Query) detect(c *closing, key string, end time.Time, report func(error)) *Alert {
+	f := &q.frame
+	f.Entities, f.Events, f.History, f.Cluster = c.snap.Entities, c.snap.Events, c.rt.history, c.view
 
 	detecting := true
-	var newVars map[string]value.Value
+	var newVars []value.Value
 	if q.hasInv {
 		// The alert must see the invariant as it stood BEFORE this window is
 		// folded in: an unseen process alerts even though the (online)
 		// update would absorb it. So the updates are evaluated here, against
 		// the live variables, and applied (Observe) only after the alert.
-		env.Vars = c.rt.inv.Vars()
+		f.Vars = c.rt.inv.Vars()
 		if c.rt.inv.ShouldUpdate() {
-			bind(q.invReadsBindings)
-			newVars = make(map[string]value.Value, len(q.AST.Invariant.Updates))
-			for _, st := range q.AST.Invariant.Updates {
-				v, err := expr.Eval(st.Expr, env)
-				if err != nil {
+			newVars = slices.Clone(f.Vars)
+			for _, u := range q.invUpdates {
+				if err := u.prog.Run(f, q.progStack); err != nil {
 					q.fail(report, err)
 					continue
 				}
-				newVars[st.Var] = v
+				newVars[u.slot] = q.progStack[0]
 			}
 		}
 		detecting = !c.rt.inv.Training()
 	}
 
 	var alert *Alert
-	if detecting {
-		bind(q.alertReadsBindings)
-		for _, a := range q.alerts {
-			ok, err := expr.EvalBool(a, env)
-			if err != nil {
-				q.fail(report, err)
-				continue
-			}
-			if !ok {
-				continue
-			}
-			bind(q.returnReadsBindings)
-			al := &Alert{
-				Query:     q.Name,
-				Kind:      q.Kind,
-				EventTime: end,
-				Detected:  q.now(),
-				GroupKey:  key,
-			}
-			al.Values = q.evalReturn(env, report)
-			if q.admit(al) {
-				alert = al
-			}
-			break // one alert per group per window
+	if detecting && q.alertHolds(report) {
+		// One alert per group per window, whichever condition held.
+		al := &Alert{
+			Query:     q.Name,
+			Kind:      q.Kind,
+			EventTime: end,
+			Detected:  q.now(),
+			GroupKey:  key,
+			Values:    q.evalReturn(report),
+		}
+		if q.admit(al) {
+			alert = al
 		}
 	}
 	if q.hasInv {
@@ -313,31 +278,24 @@ func (q *Query) fail(report func(error), err error) {
 	report(&QueryError{Query: q.Name, Err: err})
 }
 
-// evalReturn evaluates the return clause in env.
-func (q *Query) evalReturn(env *expr.Env, report func(error)) []NamedValue {
-	if q.returnC == nil {
+// evalReturn evaluates the return clause in the query's frame.
+//
+//saql:hotpath
+func (q *Query) evalReturn(report func(error)) []NamedValue {
+	if q.returns == nil {
 		return nil
 	}
-	out := make([]NamedValue, 0, len(q.returnC.Items))
-	for _, item := range q.returnC.Items {
-		name := item.Alias
-		if name == "" {
-			name = returnName(item.Expr)
-		}
-		v, err := expr.Eval(item.Expr, env)
-		if err != nil {
+	out := make([]NamedValue, len(q.returns))
+	for i, item := range q.returns {
+		out[i].Name = item.name
+		if err := item.prog.Run(&q.frame, q.progStack); err != nil {
 			q.fail(report, err)
-			v = value.Null
+			continue
 		}
-		out = append(out, NamedValue{Name: name, Val: v})
+		out[i].Val = q.progStack[0]
 	}
 	return out
 }
-
-// returnName derives the display name of an unaliased return item, applying
-// the paper's context-aware shortcut naming (p1 -> p1.exe_name is displayed
-// as "p1").
-func returnName(e ast.Expr) string { return e.String() }
 
 // admit applies `return distinct` suppression and counts the alert.
 func (q *Query) admit(a *Alert) bool {

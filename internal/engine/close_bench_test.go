@@ -1,0 +1,73 @@
+package engine
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"saql/internal/event"
+)
+
+// closeShapes are one stateful query under three alerts: one that reads only
+// window state and never fires, one that also reads an entity binding and
+// never fires, and one that fires for every group and so evaluates the return
+// clause (a bare entity, an attribute, a state field).
+var closeShapes = []struct{ name, alert string }{
+	{"state-only-quiet", `ss.amt > 1000000000000`},
+	{"binding-quiet", `p.exe_name == "never.exe" && ss.amt > 1000000000000`},
+	{"firing", `ss.amt > 0`},
+}
+
+func closeShapeSrc(alert string) string {
+	return `proc p write ip i as e #time(10 s)
+state ss { amt := sum(e.amount) } group by p
+alert ` + alert + `
+return p, i.dstip, ss[0].amt`
+}
+
+// closeWindowEvents is one event per group inside window w of closeShapeSrc.
+func closeWindowEvents(w, groups int) []*event.Event {
+	at := t0.Add(time.Duration(w) * 10 * time.Second)
+	conn := event.NetConn("10.0.0.2", 1433, "10.1.0.9", 443)
+	evs := make([]*event.Event, groups)
+	for g := range evs {
+		evs[g] = ev(at.Add(time.Duration(g)*time.Millisecond), "db-1",
+			event.Process(fmt.Sprintf("svc-%04d.exe", g), int32(1000+g)), event.OpWrite, conn, 100)
+	}
+	return evs
+}
+
+// BenchmarkWindowClose times one window close over 2 000 present groups —
+// snapshot, history push, alert evaluation and, where the alert fires, the
+// return clause — with the fold that fills the window outside the timer.
+func BenchmarkWindowClose(b *testing.B) {
+	const groups = 2000
+	for _, sh := range closeShapes {
+		b.Run(sh.name, func(b *testing.B) {
+			q, err := Compile(sh.name, closeShapeSrc(sh.alert), CompileOptions{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			report := func(err error) { b.Fatal(err) }
+			alerts := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for w := 0; w < b.N; w++ {
+				b.StopTimer()
+				for _, e := range closeWindowEvents(w, groups) {
+					q.Process(e, report)
+				}
+				b.StartTimer()
+				alerts += len(q.AdvanceWatermark(t0.Add(time.Duration(w+1)*10*time.Second), report))
+			}
+			b.StopTimer()
+			want := 0
+			if sh.name == "firing" {
+				want = groups * b.N
+			}
+			if alerts != want {
+				b.Fatalf("%d alerts, want %d", alerts, want)
+			}
+		})
+	}
+}

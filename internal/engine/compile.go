@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -70,9 +71,11 @@ type Query struct {
 	// keyProgs[pattern][item] and argProgs[pattern][field] are the group-by
 	// items and aggregation arguments compiled against one pattern's
 	// bindings: a hit reads its key and its arguments straight off the event.
-	// They all run on progStack, sized for the deepest of them.
-	keyProgs  [][]*pcode.Prog
-	argProgs  [][]*pcode.Prog
+	keyProgs [][]*pcode.Prog
+	argProgs [][]*pcode.Prog
+	// Every program of the query — those above and the close-time ones below
+	// — runs against frame on progStack, sized for the deepest of them.
+	frame     pcode.Frame
 	progStack []value.Value
 	// slots[pattern] are the window manager's binding slots a hit of that
 	// pattern writes into its group (see assignSlots).
@@ -81,26 +84,25 @@ type Query struct {
 	idleLimit  int
 	groups     map[string]*groupRuntime
 
-	// Invariant model.
-	invSpec  invariant.Spec
-	invInits map[string]value.Value
-	hasInv   bool
+	// Invariant model: the variables' initial values by declaration index,
+	// and the update statements compiled with the variable each assigns.
+	invSpec    invariant.Spec
+	invInits   []value.Value
+	invUpdates []invUpdate
+	hasInv     bool
 
 	// Outlier model.
 	hasCluster  bool
 	clusterDist cluster.Distance
 	clusterName string
 	clusterArgs []float64
-	pointsExpr  ast.Expr
+	pointProg   *pcode.Prog
 
-	// Output.
-	alerts   []ast.Expr
-	returnC  *ast.ReturnClause
-	distinct map[string]struct{}
-	// Whether the invariant updates / alert conditions / return items read
-	// any entity variable or event alias: a window close materialises a
-	// group's name-keyed bindings only for the clauses that do.
-	invReadsBindings, alertReadsBindings, returnReadsBindings bool
+	// Output: what a completed match or a closed window's group evaluates
+	// (close.go), compiled in the close scope.
+	alertProgs []*pcode.Prog
+	returns    []returnItem
+	distinct   map[string]struct{}
 
 	// Shard ownership filter for by-group replicas (nil outside the sharded
 	// runtime).
@@ -142,6 +144,21 @@ type groupRuntime struct {
 	closedSeq int64
 }
 
+// The close-time clauses that carry more than a program: an invariant update
+// with the declaration index of the variable it assigns, and a return item
+// with its display name — the alias, or the item as written (the paper's
+// context-aware shortcut: p1, short for p1.exe_name, is displayed as "p1").
+type (
+	invUpdate struct {
+		slot int
+		prog *pcode.Prog
+	}
+	returnItem struct {
+		name string
+		prog *pcode.Prog
+	}
+)
+
 // patternSlots names the binding slots one pattern's hits write; -1 where
 // the pattern leaves the subject, object or event unnamed.
 type patternSlots struct{ subj, obj, alias int }
@@ -165,15 +182,13 @@ func CompileAST(name string, q *ast.Query, opts CompileOptions) (*Query, error) 
 	opts = opts.withDefaults()
 
 	cq := &Query{
-		Name:    name,
-		AST:     q,
-		Info:    info,
-		opts:    opts,
-		global:  pcode.CompileGlobals(q.Globals, opts.Fallbacks),
-		alerts:  q.Alerts,
-		returnC: q.Return,
-		now:     time.Now, //saql:wallclock injectable clock default; feeds Alert.Detected only, never evaluation
-		groups:  map[string]*groupRuntime{},
+		Name:   name,
+		AST:    q,
+		Info:   info,
+		opts:   opts,
+		global: pcode.CompileGlobals(q.Globals, opts.Fallbacks),
+		now:    time.Now, //saql:wallclock injectable clock default; feeds Alert.Detected only, never evaluation
+		groups: map[string]*groupRuntime{},
 	}
 	if q.Return != nil && q.Return.Distinct {
 		cq.distinct = map[string]struct{}{}
@@ -206,6 +221,11 @@ func CompileAST(name string, q *ast.Query, opts CompileOptions) (*Query, error) 
 		}
 		cq.seq = seq
 		cq.Kind = KindRule
+		// A completed match binds entity variables at the matcher's slots and
+		// each alias's event at its pattern's index.
+		cq.compileClose(
+			func(name string) int { return slices.Index(seq.Vars(), name) },
+			func(alias string) int { return info.Aliases[alias] })
 		return cq, nil
 	}
 
@@ -227,8 +247,12 @@ func CompileAST(name string, q *ast.Query, opts CompileOptions) (*Query, error) 
 	cq.winMgr = mgr
 	cq.assignSlots()
 	cq.groupBy = q.State.GroupBy
-	cq.keyProgs = cq.compilePerPattern(cq.groupBy)
-	cq.argProgs = cq.compilePerPattern(aggArgs(q, info))
+	// One scope per pattern serves its group-by items and its arguments.
+	nkeys := len(cq.groupBy)
+	for _, progs := range cq.compilePerPattern(slices.Concat(cq.groupBy, aggArgs(q, info))) {
+		cq.keyProgs = append(cq.keyProgs, progs[:nkeys:nkeys])
+		cq.argProgs = append(cq.argProgs, progs[nkeys:])
+	}
 
 	cq.historyLen = q.State.History
 	if cq.historyLen < info.MaxStateIndex+1 {
@@ -241,15 +265,14 @@ func CompileAST(name string, q *ast.Query, opts CompileOptions) (*Query, error) 
 		if !q.Invariant.Offline {
 			mode = invariant.Online
 		}
-		cq.invSpec = invariant.Spec{TrainWindows: q.Invariant.TrainWindows, Mode: mode}
-		// Initial values are constant expressions; evaluate once.
-		cq.invInits = map[string]value.Value{}
+		cq.invSpec = invariant.Spec{TrainWindows: q.Invariant.TrainWindows, Mode: mode, Vars: info.InvariantVars}
+		// Initial values are literals, in the declaration order sema recorded.
 		for _, st := range q.Invariant.Inits {
 			lit, ok := st.Expr.(*ast.Literal)
 			if !ok {
 				return nil, fmt.Errorf("engine: invariant init %q must be a literal (e.g. empty_set)", st.Var)
 			}
-			cq.invInits[st.Var] = lit.Val
+			cq.invInits = append(cq.invInits, lit.Val)
 		}
 	}
 
@@ -262,22 +285,9 @@ func CompileAST(name string, q *ast.Query, opts CompileOptions) (*Query, error) 
 		cq.clusterDist = dist
 		cq.clusterName = info.ClusterMethod
 		cq.clusterArgs = info.ClusterParams
-		cq.pointsExpr = q.Cluster.Points
 	}
 
-	if q.Invariant != nil {
-		for _, st := range q.Invariant.Updates {
-			cq.invReadsBindings = cq.invReadsBindings || readsBindings(st.Expr, info)
-		}
-	}
-	for _, a := range q.Alerts {
-		cq.alertReadsBindings = cq.alertReadsBindings || readsBindings(a, info)
-	}
-	if q.Return != nil {
-		for _, item := range q.Return.Items {
-			cq.returnReadsBindings = cq.returnReadsBindings || readsBindings(item.Expr, info)
-		}
-	}
+	cq.compileClose(mgr.EntitySlot, mgr.EventSlot)
 
 	cq.idleLimit = opts.GroupIdleWindows
 	if cq.idleLimit <= 0 {
@@ -320,18 +330,51 @@ func (q *Query) assignSlots() {
 	}
 }
 
-// readsBindings reports whether e mentions an entity variable or an event
-// alias, i.e. whether evaluating it can consult expr.Env's binding maps.
-func readsBindings(e ast.Expr, info *sema.Info) bool {
-	reads := false
-	ast.Walk(e, func(n ast.Expr) {
-		if id, ok := n.(*ast.Ident); ok {
-			_, isVar := info.EntityVars[id.Name]
-			_, isAlias := info.Aliases[id.Name]
-			reads = reads || isVar || isAlias
+// compileClose compiles what a completed match or a closed window evaluates
+// (close.go) in the close scope: entity variables and event aliases at the
+// binding slots the matcher or the window manager gives them and, for a
+// stateful query, window state, invariant variables and the clustering outcome.
+func (q *Query) compileClose(entitySlot, eventSlot func(string) int) {
+	scope := &pcode.Scope{Vars: q.Info.InvariantVars, Cluster: q.hasCluster}
+	for name, typ := range q.Info.EntityVars {
+		scope.Entities = append(scope.Entities, pcode.EntityVar{Name: name, Type: typ, Slot: entitySlot(name)})
+	}
+	for alias := range q.Info.Aliases {
+		scope.Events = append(scope.Events, pcode.EventVar{Name: alias, Slot: eventSlot(alias)})
+	}
+	if q.stateful {
+		scope.State, scope.Fields = q.AST.State.Name, q.Info.StateFields
+	}
+	for _, a := range q.AST.Alerts {
+		q.alertProgs = append(q.alertProgs, q.compile(a, scope))
+	}
+	if q.AST.Return != nil {
+		for _, item := range q.AST.Return.Items {
+			name := item.Alias
+			if name == "" {
+				name = item.Expr.String()
+			}
+			q.returns = append(q.returns, returnItem{name: name, prog: q.compile(item.Expr, scope)})
 		}
-	})
-	return reads
+	}
+	if q.hasCluster {
+		q.pointProg = q.compile(q.AST.Cluster.Points, scope)
+	}
+	if q.hasInv {
+		for _, st := range q.AST.Invariant.Updates {
+			slot := slices.Index(q.Info.InvariantVars, st.Var) // declared: sema
+			q.invUpdates = append(q.invUpdates, invUpdate{slot: slot, prog: q.compile(st.Expr, scope)})
+		}
+	}
+}
+
+// compile compiles e in scope and grows progStack to fit the program.
+func (q *Query) compile(e ast.Expr, scope *pcode.Scope) *pcode.Prog {
+	prog := pcode.CompileExpr(e, scope)
+	if prog.Depth() > len(q.progStack) {
+		q.progStack = make([]value.Value, prog.Depth())
+	}
+	return prog
 }
 
 // aggArgs returns the aggregation argument of each state field.
@@ -343,25 +386,21 @@ func aggArgs(q *ast.Query, info *sema.Info) []ast.Expr {
 	return args
 }
 
-// compilePerPattern compiles each expression against each pattern's bindings
-// — out[pattern][expression] — and grows progStack to fit the programs.
+// compilePerPattern compiles each expression in each pattern's per-event
+// scope: out[pattern][expression].
 func (q *Query) compilePerPattern(exprs []ast.Expr) [][]*pcode.Prog {
 	out := make([][]*pcode.Prog, len(q.AST.Patterns))
 	for pi, p := range q.AST.Patterns {
-		b := pcode.Binding{
+		scope := pcode.Binding{
 			SubjVar:  p.Subject.Var,
 			ObjVar:   p.Object.Var,
 			Alias:    p.Alias,
 			SubjType: p.Subject.Type,
 			ObjType:  p.Object.Type,
-		}
+		}.Scope()
 		out[pi] = make([]*pcode.Prog, len(exprs))
 		for i, e := range exprs {
-			prog := pcode.CompileExpr(e, b)
-			if prog.Depth() > len(q.progStack) {
-				q.progStack = make([]value.Value, prog.Depth())
-			}
-			out[pi][i] = prog
+			out[pi][i] = q.compile(e, scope)
 		}
 	}
 	return out

@@ -2,9 +2,10 @@ package engine
 
 // The per-event half of query execution: pattern matching and the folding of
 // hits into multievent partial matches and window state. Everything here that
-// evaluates an expression runs an internal/pcode program against the event;
-// close.go holds the other half — what a completed match or a closed window
-// evaluates — and is the only file of the package on the tree-walker.
+// evaluates an expression runs an internal/pcode program against the event
+// (the query's frame, holding the matched event); close.go holds the other
+// half — what a completed match or a closed window evaluates, through programs
+// of the same kind compiled in the close scope.
 
 import (
 	"strings"
@@ -92,10 +93,16 @@ func (q *Query) Ingest(ev *event.Event, hits []int, report func(error)) []*Alert
 	if report == nil {
 		report = func(error) {}
 	}
-	if q.stateful {
-		return q.ingestStateful(ev, hits, report)
+	if !q.stateful {
+		return q.ingestRule(ev, hits, report)
 	}
-	return q.ingestRule(ev, hits, report)
+	if len(hits) > 0 {
+		q.foldHits(ev, hits, report)
+	}
+	// Advance the watermark — below the manager's deadline, two compares —
+	// and close any finished windows. This happens even for events that
+	// match no pattern (on the serial path, most calls): time always flows.
+	return q.closeAll(q.winMgr.Advance(ev.Time), report)
 }
 
 // ingestRule feeds ev's hits to the multievent matcher and turns the matches
@@ -115,13 +122,12 @@ func (q *Query) ingestRule(ev *event.Event, hits []int, report func(error)) []*A
 	return alerts
 }
 
-// ingestStateful folds ev's hits into their groups — per hit one key, one
-// group probe per containing window, slot-indexed first-writer bindings, the
-// compiled argument programs, one Add per field — then advances the
-// watermark, which below the manager's deadline is two compares.
+// foldHits folds ev's hits into their groups: per hit one key, one group
+// probe per containing window, slot-indexed first-writer bindings, the
+// compiled argument programs, one Add per field.
 //
 //saql:hotpath
-func (q *Query) ingestStateful(ev *event.Event, hits []int, report func(error)) []*Alert {
+func (q *Query) foldHits(ev *event.Event, hits []int, report func(error)) {
 	touched := false
 	for _, hi := range hits {
 		// The key comes first, so shard replicas reject non-owned groups
@@ -140,7 +146,7 @@ func (q *Query) ingestStateful(ev *event.Event, hits []int, report func(error)) 
 		}
 		q.stats.PatternHits++
 
-		slots, args := q.slots[hi], q.argProgs[hi]
+		slots, args := q.slots[hi], q.argProgs[hi] // hitKey has put ev in the frame
 		for _, g := range q.winMgr.GroupFor(ev.Time, key) {
 			g.Count++
 			// Remember representative bindings for alert/return output: the
@@ -156,7 +162,7 @@ func (q *Query) ingestStateful(ev *event.Event, hits []int, report func(error)) 
 				g.Events[slots.alias] = ev
 			}
 			for i, arg := range args {
-				err := arg.Run(ev, q.progStack)
+				err := arg.Run(&q.frame, q.progStack)
 				if err == nil {
 					err = g.Aggs[i].Add(q.progStack[0])
 				}
@@ -174,10 +180,6 @@ func (q *Query) ingestStateful(ev *event.Event, hits []int, report func(error)) 
 		// every shard and on the serial engine.
 		q.winMgr.Touch(ev.Time)
 	}
-
-	// Advance the watermark and close any finished windows. This happens
-	// even for events that match no pattern: time always flows.
-	return q.closeAll(q.winMgr.Advance(ev.Time), report)
 }
 
 // hitKey evaluates the group-by key ev yields as a hit of pattern hi: the
@@ -187,15 +189,16 @@ func (q *Query) ingestStateful(ev *event.Event, hits []int, report func(error)) 
 //saql:hotpath
 func (q *Query) hitKey(hi int, ev *event.Event) (string, error) {
 	items := q.keyProgs[hi]
+	q.frame.Event = ev
 	if len(items) == 1 {
-		if err := items[0].Run(ev, q.progStack); err != nil {
+		if err := items[0].Run(&q.frame, q.progStack); err != nil {
 			return "", err
 		}
 		return q.progStack[0].Text(), nil
 	}
 	var sb strings.Builder
 	for i, item := range items {
-		if err := item.Run(ev, q.progStack); err != nil {
+		if err := item.Run(&q.frame, q.progStack); err != nil {
 			return "", err
 		}
 		if i > 0 {

@@ -24,7 +24,10 @@ import (
 // demoStream is the five-host background workload with the APT kill chain
 // planted two minutes in — the stream the root package's conformance suites
 // run the corpus over.
-func demoStream(t *testing.T) []*event.Event {
+func demoStream(t *testing.T) []*event.Event { return demoStreamSeeded(t, 42) }
+
+// demoStreamSeeded is demoStream with the background workload drawn from seed.
+func demoStreamSeeded(t *testing.T, seed int64) []*event.Event {
 	t.Helper()
 	gen, err := collector.New(collector.Config{
 		Hosts: []collector.Host{
@@ -36,7 +39,7 @@ func demoStream(t *testing.T) []*event.Event {
 		},
 		Start:    t0,
 		Duration: 5 * time.Minute,
-		Seed:     42,
+		Seed:     seed,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +150,7 @@ func TestFoldMatchesOracle(t *testing.T) {
 					}
 					for i, arg := range args {
 						want, wantErr := expr.Eval(arg, env)
-						gotErr := prod.argProgs[hi][i].Run(ev, prod.progStack)
+						gotErr := prod.argProgs[hi][i].Run(&pcode.Frame{Event: ev}, prod.progStack)
 						got := prod.progStack[0]
 						if !same(gotErr, wantErr) || (wantErr == nil && (got.Kind() != want.Kind() || got.String() != want.String())) {
 							t.Fatalf("%s: argument %s = %s(%s) (%v), oracle %s(%s) (%v)",

@@ -9,8 +9,6 @@ package event
 import (
 	"fmt"
 	"time"
-
-	"saql/internal/value"
 )
 
 // EntityType identifies the kind of a system entity.
@@ -241,56 +239,6 @@ func (e *Entity) DefaultAttr() string {
 	}
 }
 
-// Attr resolves a SAQL attribute name on the entity. The second result
-// reports whether the attribute exists for this entity type. Attribute names
-// follow the paper (exe_name, pid, name, path, srcip, dstip, sport, dport)
-// with common aliases accepted.
-func (e *Entity) Attr(name string) (value.Value, bool) {
-	switch e.Type {
-	case EntityProcess:
-		switch name {
-		case "exe_name", "exename", "exe", "name":
-			return value.String(e.ExeName), true
-		case "pid":
-			return value.Int(int64(e.PID)), true
-		case "user", "username":
-			return value.String(e.User), true
-		case "cmdline", "cmd", "args":
-			return value.String(e.CmdLine), true
-		}
-	case EntityFile:
-		switch name {
-		case "name", "path", "filename", "file_name":
-			return value.String(e.Path), true
-		case "basename":
-			return value.String(baseName(e.Path)), true
-		}
-	case EntityNetConn:
-		switch name {
-		case "srcip", "src_ip", "sip":
-			return value.String(e.SrcIP), true
-		case "dstip", "dst_ip", "dip":
-			return value.String(e.DstIP), true
-		case "sport", "src_port", "srcport":
-			return value.Int(int64(e.SrcPort)), true
-		case "dport", "dst_port", "dstport":
-			return value.Int(int64(e.DstPort)), true
-		case "protocol", "proto":
-			return value.String(e.Protocol), true
-		}
-	}
-	return value.Null, false
-}
-
-func baseName(p string) string {
-	for i := len(p) - 1; i >= 0; i-- {
-		if p[i] == '/' || p[i] == '\\' {
-			return p[i+1:]
-		}
-	}
-	return p
-}
-
 // String renders the entity compactly for alert output.
 func (e *Entity) String() string {
 	switch e.Type {
@@ -334,25 +282,6 @@ func (ev *Event) EventType() Type {
 	default:
 		return TypeInvalid
 	}
-}
-
-// Attr resolves event-level attributes: amount, agentid, time (unix nanos),
-// and id. Entity attributes are resolved through the bound entity variables,
-// not through the event.
-func (ev *Event) Attr(name string) (value.Value, bool) {
-	switch name {
-	case "amount", "amt", "bytes":
-		return value.Float(ev.Amount), true
-	case "agentid", "agent_id", "host":
-		return value.String(ev.AgentID), true
-	case "time", "ts", "timestamp":
-		return value.Int(ev.Time.UnixNano()), true
-	case "id":
-		return value.Int(int64(ev.ID)), true
-	case "optype", "op", "operation":
-		return value.String(ev.Op.String()), true
-	}
-	return value.Null, false
 }
 
 // String renders the event as a single human-readable line, the format the

@@ -3,8 +3,6 @@ package event
 import (
 	"testing"
 	"time"
-
-	"saql/internal/value"
 )
 
 func TestParseEntityType(t *testing.T) {
@@ -58,55 +56,6 @@ func TestOpRoundTrip(t *testing.T) {
 	}
 }
 
-func TestEntityAttrProcess(t *testing.T) {
-	p := Process("osql.exe", 1234)
-	p.User = "dbadmin"
-	p.CmdLine = "osql.exe -E"
-
-	if v, ok := p.Attr("exe_name"); !ok || v.Str() != "osql.exe" {
-		t.Errorf("exe_name = %v, %v", v, ok)
-	}
-	if v, ok := p.Attr("pid"); !ok || v.IntVal() != 1234 {
-		t.Errorf("pid = %v, %v", v, ok)
-	}
-	if v, ok := p.Attr("user"); !ok || v.Str() != "dbadmin" {
-		t.Errorf("user = %v, %v", v, ok)
-	}
-	if _, ok := p.Attr("dstip"); ok {
-		t.Error("process should not have dstip")
-	}
-}
-
-func TestEntityAttrFile(t *testing.T) {
-	f := File(`C:\db\backup1.dmp`)
-	if v, ok := f.Attr("name"); !ok || v.Str() != `C:\db\backup1.dmp` {
-		t.Errorf("name = %v, %v", v, ok)
-	}
-	if v, ok := f.Attr("basename"); !ok || v.Str() != "backup1.dmp" {
-		t.Errorf("basename = %v, %v", v, ok)
-	}
-	u := File("/var/log/syslog")
-	if v, ok := u.Attr("basename"); !ok || v.Str() != "syslog" {
-		t.Errorf("unix basename = %v, %v", v, ok)
-	}
-}
-
-func TestEntityAttrNetConn(t *testing.T) {
-	n := NetConn("10.0.0.5", 49152, "172.16.0.129", 443)
-	if v, ok := n.Attr("dstip"); !ok || v.Str() != "172.16.0.129" {
-		t.Errorf("dstip = %v, %v", v, ok)
-	}
-	if v, ok := n.Attr("srcip"); !ok || v.Str() != "10.0.0.5" {
-		t.Errorf("srcip = %v, %v", v, ok)
-	}
-	if v, ok := n.Attr("dport"); !ok || v.IntVal() != 443 {
-		t.Errorf("dport = %v, %v", v, ok)
-	}
-	if v, ok := n.Attr("protocol"); !ok || v.Str() != "tcp" {
-		t.Errorf("protocol = %v, %v", v, ok)
-	}
-}
-
 func TestDefaultAttr(t *testing.T) {
 	p := Process("cmd.exe", 1)
 	f := File("/tmp/x")
@@ -153,36 +102,6 @@ func TestEventType(t *testing.T) {
 	}
 	if ne.EventType() != TypeNetwork {
 		t.Errorf("network event type = %v", ne.EventType())
-	}
-}
-
-func TestEventAttr(t *testing.T) {
-	ev := Event{
-		ID:      7,
-		Time:    time.Unix(100, 0),
-		AgentID: "db-server-1",
-		Subject: Process("sqlservr.exe", 99),
-		Op:      OpWrite,
-		Object:  NetConn("10.0.0.2", 5000, "172.16.0.129", 8080),
-		Amount:  1 << 20,
-	}
-	if v, ok := ev.Attr("amount"); !ok || v.FloatVal() != 1<<20 {
-		t.Errorf("amount = %v, %v", v, ok)
-	}
-	if v, ok := ev.Attr("agentid"); !ok || v.Str() != "db-server-1" {
-		t.Errorf("agentid = %v, %v", v, ok)
-	}
-	if v, ok := ev.Attr("time"); !ok || v.IntVal() != time.Unix(100, 0).UnixNano() {
-		t.Errorf("time = %v, %v", v, ok)
-	}
-	if v, ok := ev.Attr("optype"); !ok || v.Str() != "write" {
-		t.Errorf("optype = %v, %v", v, ok)
-	}
-	if _, ok := ev.Attr("nope"); ok {
-		t.Error("unknown event attribute should fail")
-	}
-	if v, _ := ev.Attr("amount"); v.Kind() != value.KindFloat {
-		t.Error("amount should be a float value")
 	}
 }
 

@@ -1,22 +1,26 @@
-// Package expr evaluates SAQL expressions against an environment of bound
-// entity variables, event aliases, sliding-window states, invariant
-// variables, and clustering results. The engine uses it for alert
-// conditions, return items, group-by keys, aggregation arguments, and
-// invariant updates.
+// Package expr is the AST tree-walker the engine evaluated expressions with
+// before internal/pcode compiled them all: it evaluates a SAQL expression
+// against a name-keyed environment of bound entity variables, event aliases,
+// sliding-window states, invariant variables, and clustering results. It is
+// the oracle the compiled programs are held to — value and error string —
+// by the differential suites of internal/pcode and internal/engine. Only
+// tests import it; CI checks that no shipped binary depends on it.
 //
 // Null propagation follows SAQL's tolerant semantics: comparing against a
 // missing value (e.g. ss[2] before three windows have closed) is false
 // rather than an error, and arithmetic over null yields null, so alert
-// conditions simply do not fire until enough state exists.
+// conditions simply do not fire until enough state exists. The scalar
+// library (calls, set operators) is the evaluator's own, pcode.CallScalar and
+// pcode.SetOp; everything else is written here a second time, on purpose.
 package expr
 
 import (
 	"fmt"
 	"math"
-	"strings"
 
 	"saql/internal/ast"
 	"saql/internal/event"
+	"saql/internal/pcode"
 	"saql/internal/value"
 )
 
@@ -171,7 +175,7 @@ func evalField(x *ast.FieldExpr, env *Env) (value.Value, error) {
 		}
 		if env.Entities != nil {
 			if ent, ok := env.Entities[name]; ok {
-				if v, ok := ent.Attr(x.Field); ok {
+				if v, ok := EntityAttr(ent, x.Field); ok {
 					return v, nil
 				}
 				return value.Null, fmt.Errorf("expr: entity %q (%s) has no attribute %q", name, ent.Type, x.Field)
@@ -179,7 +183,7 @@ func evalField(x *ast.FieldExpr, env *Env) (value.Value, error) {
 		}
 		if env.Events != nil {
 			if ev, ok := env.Events[name]; ok {
-				if v, ok := ev.Attr(x.Field); ok {
+				if v, ok := EventAttr(ev, x.Field); ok {
 					return v, nil
 				}
 				return value.Null, fmt.Errorf("expr: event %q has no attribute %q", name, x.Field)
@@ -218,112 +222,7 @@ func evalCall(x *ast.CallExpr, env *Env) (value.Value, error) {
 		}
 		args[i] = v
 	}
-	return CallScalar(x.Func, args)
-}
-
-// CallScalar invokes a built-in scalar function. Aggregation functions are
-// rejected here; they are only valid inside state blocks, where the engine
-// intercepts them.
-func CallScalar(name string, args []value.Value) (value.Value, error) {
-	num1 := func() (float64, error) {
-		if len(args) != 1 {
-			return 0, fmt.Errorf("expr: %s takes 1 argument, got %d", name, len(args))
-		}
-		if args[0].IsNull() {
-			return math.NaN(), nil
-		}
-		f, ok := args[0].AsFloat()
-		if !ok {
-			return 0, fmt.Errorf("expr: %s requires a number, got %s", name, args[0].Kind())
-		}
-		return f, nil
-	}
-	wrap := func(f float64) (value.Value, error) {
-		if math.IsNaN(f) {
-			return value.Null, nil
-		}
-		return value.Float(f), nil
-	}
-	switch name {
-	case "abs":
-		f, err := num1()
-		if err != nil {
-			return value.Null, err
-		}
-		return wrap(math.Abs(f))
-	case "sqrt":
-		f, err := num1()
-		if err != nil {
-			return value.Null, err
-		}
-		if f < 0 {
-			return value.Null, fmt.Errorf("expr: sqrt of negative number %g", f)
-		}
-		return wrap(math.Sqrt(f))
-	case "log":
-		f, err := num1()
-		if err != nil {
-			return value.Null, err
-		}
-		if f <= 0 {
-			return value.Null, fmt.Errorf("expr: log of non-positive number %g", f)
-		}
-		return wrap(math.Log(f))
-	case "floor":
-		f, err := num1()
-		if err != nil {
-			return value.Null, err
-		}
-		return wrap(math.Floor(f))
-	case "ceil":
-		f, err := num1()
-		if err != nil {
-			return value.Null, err
-		}
-		return wrap(math.Ceil(f))
-	case "pow":
-		if len(args) != 2 {
-			return value.Null, fmt.Errorf("expr: pow takes 2 arguments, got %d", len(args))
-		}
-		a, ok1 := args[0].AsFloat()
-		b, ok2 := args[1].AsFloat()
-		if !ok1 || !ok2 {
-			return value.Null, fmt.Errorf("expr: pow requires numbers")
-		}
-		return value.Float(math.Pow(a, b)), nil
-	case "len", "size":
-		if len(args) != 1 {
-			return value.Null, fmt.Errorf("expr: %s takes 1 argument, got %d", name, len(args))
-		}
-		switch args[0].Kind() {
-		case value.KindSet:
-			return value.Int(int64(args[0].SetLen())), nil
-		case value.KindString:
-			return value.Int(int64(len(args[0].Str()))), nil
-		case value.KindNull:
-			return value.Int(0), nil
-		default:
-			return value.Null, fmt.Errorf("expr: %s requires a set or string", name)
-		}
-	case "contains":
-		if len(args) != 2 {
-			return value.Null, fmt.Errorf("expr: contains takes 2 arguments, got %d", len(args))
-		}
-		switch args[0].Kind() {
-		case value.KindSet:
-			return value.Bool(args[0].SetContains(args[1].String())), nil
-		case value.KindString:
-			return value.Bool(strings.Contains(strings.ToLower(args[0].Str()), strings.ToLower(args[1].String()))), nil
-		case value.KindNull:
-			return value.Bool(false), nil
-		default:
-			return value.Null, fmt.Errorf("expr: contains requires a set or string")
-		}
-	case "avg", "sum", "count", "min", "max", "set", "distinct", "stddev",
-		"variance", "median", "percentile", "first", "last", "mean":
-		return value.Null, fmt.Errorf("expr: aggregation function %q is only valid inside a state block", name)
-	}
-	return value.Null, fmt.Errorf("expr: unknown function %q", name)
+	return pcode.CallScalar(x.Func, args)
 }
 
 func evalBinary(x *ast.BinaryExpr, env *Env) (value.Value, error) {
@@ -414,38 +313,76 @@ func evalBinary(x *ast.BinaryExpr, env *Env) (value.Value, error) {
 		return lv.Arith(op, rv)
 
 	case ast.OpUnion, ast.OpDiff, ast.OpIntersect, ast.OpIn:
-		return SetOp(x.Op, lv, rv)
+		return pcode.SetOp(x.Op, lv, rv)
 	}
 	return value.Null, fmt.Errorf("expr: unsupported binary operator %s", x.Op)
 }
 
-// SetOp applies a set operator (union, diff, intersect) or the membership
-// test `in` to two evaluated operands. Exported, like CallScalar, for the
-// per-event evaluator (internal/pcode), which shares these semantics.
-func SetOp(op ast.BinOp, l, r value.Value) (value.Value, error) {
-	if op == ast.OpIn {
-		if r.Kind() == value.KindSet {
-			return value.Bool(r.SetContains(l.String())), nil
+// EntityAttr resolves a SAQL attribute name on the entity by name at run time
+// — the oracle's own copy of the attribute table, which the production
+// resolver (pcode) is checked against. The second result reports whether the
+// attribute exists for this entity type.
+func EntityAttr(e *event.Entity, name string) (value.Value, bool) {
+	switch e.Type {
+	case event.EntityProcess:
+		switch name {
+		case "exe_name", "exename", "exe", "name":
+			return value.String(e.ExeName), true
+		case "pid":
+			return value.Int(int64(e.PID)), true
+		case "user", "username":
+			return value.String(e.User), true
+		case "cmdline", "cmd", "args":
+			return value.String(e.CmdLine), true
 		}
-		if r.IsNull() {
-			return value.Bool(false), nil
+	case event.EntityFile:
+		switch name {
+		case "name", "path", "filename", "file_name":
+			return value.String(e.Path), true
+		case "basename":
+			return value.String(baseName(e.Path)), true
 		}
-		return value.Null, fmt.Errorf("expr: 'in' requires a set on the right, got %s", r.Kind())
+	case event.EntityNetConn:
+		switch name {
+		case "srcip", "src_ip", "sip":
+			return value.String(e.SrcIP), true
+		case "dstip", "dst_ip", "dip":
+			return value.String(e.DstIP), true
+		case "sport", "src_port", "srcport":
+			return value.Int(int64(e.SrcPort)), true
+		case "dport", "dst_port", "dstport":
+			return value.Int(int64(e.DstPort)), true
+		case "protocol", "proto":
+			return value.String(e.Protocol), true
+		}
 	}
-	// Null-tolerance: treat null as the empty set so invariant updates work
-	// on the first window.
-	if l.IsNull() {
-		l = value.EmptySet()
+	return value.Null, false
+}
+
+func baseName(p string) string {
+	for i := len(p) - 1; i >= 0; i-- {
+		if p[i] == '/' || p[i] == '\\' {
+			return p[i+1:]
+		}
 	}
-	if r.IsNull() {
-		r = value.EmptySet()
+	return p
+}
+
+// EventAttr resolves event-level attributes: amount, agentid, time (unix
+// nanos), id and optype. Entity attributes are resolved through the bound
+// entity variables, not through the event.
+func EventAttr(ev *event.Event, name string) (value.Value, bool) {
+	switch name {
+	case "amount", "amt", "bytes":
+		return value.Float(ev.Amount), true
+	case "agentid", "agent_id", "host":
+		return value.String(ev.AgentID), true
+	case "time", "ts", "timestamp":
+		return value.Int(ev.Time.UnixNano()), true
+	case "id":
+		return value.Int(int64(ev.ID)), true
+	case "optype", "op", "operation":
+		return value.String(ev.Op.String()), true
 	}
-	switch op {
-	case ast.OpUnion:
-		return l.Union(r)
-	case ast.OpDiff:
-		return l.Diff(r)
-	default:
-		return l.Intersect(r)
-	}
+	return value.Null, false
 }

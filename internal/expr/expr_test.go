@@ -132,6 +132,23 @@ func TestStateAccess(t *testing.T) {
 	}
 }
 
+// TestNumericScalarsPropagateNull: a numeric function of state that does not
+// exist yet is null — so the condition around it is quiet, not an error —
+// for every function of the library, pow included.
+func TestNumericScalarsPropagateNull(t *testing.T) {
+	for _, src := range []string{
+		`abs(ss[2].amt)`, `sqrt(ss[2].amt)`, `log(ss[2].amt)`, `floor(ss[2].amt)`, `ceil(ss[2].amt)`,
+		`pow(ss[2].amt, 2)`, `pow(2, ss[2].amt)`, `pow(ss[2].amt, ss[2].amt)`,
+	} {
+		if got := evalStr(t, src); !got.IsNull() {
+			t.Errorf("%s = %v, want null", src, got)
+		}
+		if got := evalStr(t, src+` > 100`); got.BoolVal() {
+			t.Errorf("%s > 100 should be false", src)
+		}
+	}
+}
+
 func TestClusterAccess(t *testing.T) {
 	if got := evalStr(t, `cluster.outlier`); !got.BoolVal() {
 		t.Error("cluster.outlier should be true")
@@ -218,6 +235,8 @@ func TestEvalErrors(t *testing.T) {
 		`log(0)`,
 		`"x" + 1`,
 		`|true|`,
+		`pow("x", 2)`,
+		`pow(ss[2].amt, "x")`, // a null operand does not excuse a non-number
 	}
 	for _, src := range bad {
 		if _, err := Eval(exprOf(t, src), env()); err == nil {

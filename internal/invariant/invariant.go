@@ -6,6 +6,8 @@
 package invariant
 
 import (
+	"slices"
+
 	"saql/internal/value"
 )
 
@@ -32,28 +34,29 @@ func (m Mode) String() string {
 type Spec struct {
 	TrainWindows int  // number of training windows per group
 	Mode         Mode // offline or online
+	// Vars names the invariant variables in declaration order. A variable is
+	// addressed by its index here everywhere but in the checkpoint, which
+	// keeps names.
+	Vars []string
 }
 
 // State is one group's invariant state.
 type State struct {
 	spec    Spec
-	vars    map[string]value.Value
-	windows int // closed windows observed so far
+	vars    []value.Value // by declaration index
+	windows int           // closed windows observed so far
 }
 
 // NewState creates a group invariant with initial variable values (the
-// evaluated `a := empty_set` statements).
-func NewState(spec Spec, inits map[string]value.Value) *State {
-	vars := make(map[string]value.Value, len(inits))
-	for k, v := range inits {
-		vars[k] = v
-	}
-	return &State{spec: spec, vars: vars}
+// evaluated `a := empty_set` statements), one per spec.Vars.
+func NewState(spec Spec, inits []value.Value) *State {
+	return &State{spec: spec, vars: slices.Clone(inits)}
 }
 
-// Vars exposes the invariant variables for expression evaluation. The
-// returned map must not be mutated by callers; updates go through Update.
-func (s *State) Vars() map[string]value.Value { return s.vars }
+// Vars exposes the invariant variables, by declaration index, for expression
+// evaluation. The returned slice must not be mutated by callers; updates go
+// through Observe.
+func (s *State) Vars() []value.Value { return s.vars }
 
 // Training reports whether the group is still within its training phase:
 // updates are applied and detection (alerting) is suppressed.
@@ -66,15 +69,14 @@ func (s *State) ShouldUpdate() bool {
 }
 
 // Observe records one closed window. newVars, if non-nil, replaces the
-// variable values (the result of evaluating the update statements); pass nil
-// when ShouldUpdate() was false. It returns true if detection is active for
-// this window (i.e. training had already completed before this window).
-func (s *State) Observe(newVars map[string]value.Value) (detecting bool) {
+// variable values (the result of evaluating the update statements over a copy
+// of Vars) and is owned by the state from here on; pass nil when
+// ShouldUpdate() was false. It returns true if detection is active for this
+// window (i.e. training had already completed before this window).
+func (s *State) Observe(newVars []value.Value) (detecting bool) {
 	detecting = !s.Training()
 	if newVars != nil {
-		for k, v := range newVars {
-			s.vars[k] = v
-		}
+		s.vars = newVars
 	}
 	s.windows++
 	return detecting

@@ -7,7 +7,7 @@ import (
 )
 
 func TestOfflineLifecycle(t *testing.T) {
-	s := NewState(Spec{TrainWindows: 3, Mode: Offline}, map[string]value.Value{"a": value.EmptySet()})
+	s := NewState(Spec{TrainWindows: 3, Mode: Offline, Vars: []string{"a"}}, []value.Value{value.EmptySet()})
 
 	// Training phase: 3 windows, updates applied, detection off.
 	for i := 0; i < 3; i++ {
@@ -17,8 +17,8 @@ func TestOfflineLifecycle(t *testing.T) {
 		if !s.ShouldUpdate() {
 			t.Fatalf("window %d: should update during training", i)
 		}
-		set, _ := s.Vars()["a"].Union(value.SetOf("p" + string(rune('0'+i))))
-		if detecting := s.Observe(map[string]value.Value{"a": set}); detecting {
+		set, _ := s.Vars()[0].Union(value.SetOf("p" + string(rune('0'+i))))
+		if detecting := s.Observe([]value.Value{set}); detecting {
 			t.Fatalf("window %d: detection during training", i)
 		}
 	}
@@ -33,8 +33,8 @@ func TestOfflineLifecycle(t *testing.T) {
 	if !s.Observe(nil) {
 		t.Error("detection should be active")
 	}
-	if s.Vars()["a"].SetLen() != 3 {
-		t.Errorf("invariant = %v, want 3 members", s.Vars()["a"])
+	if s.Vars()[0].SetLen() != 3 {
+		t.Errorf("invariant = %v, want 3 members", s.Vars()[0])
 	}
 	if s.WindowsSeen() != 4 {
 		t.Errorf("windows seen = %d", s.WindowsSeen())
@@ -42,16 +42,16 @@ func TestOfflineLifecycle(t *testing.T) {
 }
 
 func TestOnlineKeepsUpdating(t *testing.T) {
-	s := NewState(Spec{TrainWindows: 1, Mode: Online}, map[string]value.Value{"a": value.EmptySet()})
-	s.Observe(map[string]value.Value{"a": value.SetOf("x")})
+	s := NewState(Spec{TrainWindows: 1, Mode: Online, Vars: []string{"a"}}, []value.Value{value.EmptySet()})
+	s.Observe([]value.Value{value.SetOf("x")})
 	if !s.ShouldUpdate() {
 		t.Error("online invariant should keep updating after training")
 	}
-	if !s.Observe(map[string]value.Value{"a": value.SetOf("x", "y")}) {
+	if !s.Observe([]value.Value{value.SetOf("x", "y")}) {
 		t.Error("detection should be active after training window")
 	}
-	if s.Vars()["a"].SetLen() != 2 {
-		t.Errorf("invariant = %v", s.Vars()["a"])
+	if s.Vars()[0].SetLen() != 2 {
+		t.Errorf("invariant = %v", s.Vars()[0])
 	}
 }
 
@@ -62,11 +62,11 @@ func TestModeString(t *testing.T) {
 }
 
 func TestInitsAreCopied(t *testing.T) {
-	inits := map[string]value.Value{"a": value.SetOf("seed")}
-	s := NewState(Spec{TrainWindows: 1, Mode: Offline}, inits)
-	// Mutating the caller's map must not affect the state.
-	inits["a"] = value.EmptySet()
-	if s.Vars()["a"].SetLen() != 1 {
+	inits := []value.Value{value.SetOf("seed")}
+	s := NewState(Spec{TrainWindows: 1, Mode: Offline, Vars: []string{"a"}}, inits)
+	// Mutating the caller's slice must not affect the state.
+	inits[0] = value.EmptySet()
+	if s.Vars()[0].SetLen() != 1 {
 		t.Error("initial values not copied")
 	}
 }

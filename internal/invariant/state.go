@@ -6,6 +6,7 @@ package invariant
 // left them.
 
 import (
+	"slices"
 	"sort"
 
 	"saql/internal/wire"
@@ -17,27 +18,34 @@ import (
 // of the compiled query the state is restored into.
 func (s *State) AppendState(b []byte) []byte {
 	b = wire.AppendVarint(b, int64(s.windows))
-	names := make([]string, 0, len(s.vars))
-	for n := range s.vars {
-		names = append(names, n)
+	order := make([]int, len(s.vars))
+	for i := range order {
+		order[i] = i
 	}
-	sort.Strings(names)
-	b = wire.AppendUvarint(b, uint64(len(names)))
-	for _, n := range names {
-		b = wire.AppendString(b, n)
-		b = wire.AppendValue(b, s.vars[n])
+	sort.Slice(order, func(i, j int) bool { return s.spec.Vars[order[i]] < s.spec.Vars[order[j]] })
+	b = wire.AppendUvarint(b, uint64(len(order)))
+	for _, i := range order {
+		b = wire.AppendString(b, s.spec.Vars[i])
+		b = wire.AppendValue(b, s.vars[i])
 	}
 	return b
 }
 
 // ReadState restores the invariant's runtime state from r, replacing the
-// variables the constructor initialised.
+// variables the constructor initialised. A variable the spec does not declare
+// fails the read: the blob was taken under another invariant block.
 func (s *State) ReadState(r *wire.Reader) error {
 	s.windows = int(r.Varint())
 	n := r.Count(2)
 	for i := 0; i < n && r.Err() == nil; i++ {
 		name := r.String()
-		s.vars[name] = r.ReadValue()
+		v := r.ReadValue()
+		slot := slices.Index(s.spec.Vars, name)
+		if slot < 0 {
+			r.Fail("invariant variable %q is not declared by this query", name)
+			break
+		}
+		s.vars[slot] = v
 	}
 	return r.Err()
 }

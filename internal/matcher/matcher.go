@@ -8,6 +8,7 @@ package matcher
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -55,11 +56,12 @@ func (p *Pattern) Matches(ev *event.Event) bool {
 }
 
 // Match is a completed multi-pattern match: one event per pattern plus the
-// consistent entity bindings.
+// consistent entity bindings. Entities point into the matched events:
+// retained, never written.
 type Match struct {
-	Events   []*event.Event           // indexed by pattern index
-	Entities map[string]*event.Entity // var -> entity
-	At       time.Time                // time of the completing event
+	Events   []*event.Event  // indexed by pattern index
+	Entities []*event.Entity // indexed by variable slot (SeqMatcher.Vars)
+	At       time.Time       // time of the completing event
 }
 
 // partial is an in-flight multi-pattern match.
@@ -77,6 +79,11 @@ type partial struct {
 type SeqMatcher struct {
 	patterns []*Pattern
 	global   *pcode.EventProg // nil: no global constraints
+	// vars are the entity variables in order of first appearance, a
+	// variable's index its slot in Match.Entities; slots[i] are pattern i's
+	// subject and object slots, -1 where unnamed.
+	vars  []string
+	slots [][2]int
 	// orderPos[i] = position of pattern i in the temporal order, or -1.
 	orderPos []int
 	nOrdered int
@@ -127,15 +134,35 @@ func NewSeqMatcher(patterns []*Pattern, global *pcode.EventProg, temporalOrder [
 		}
 		orderPos[idx] = pos
 	}
-	return &SeqMatcher{
+	m := &SeqMatcher{
 		patterns: patterns,
 		global:   global,
+		slots:    make([][2]int, len(patterns)),
 		orderPos: orderPos,
 		nOrdered: len(temporalOrder),
 		horizon:  cfg.Horizon,
 		maxPart:  cfg.MaxPartials,
-	}, nil
+	}
+	for i, p := range patterns {
+		m.slots[i] = [2]int{m.slot(p.SubjVar), m.slot(p.ObjVar)}
+	}
+	return m, nil
 }
+
+// slot returns name's slot, assigning the next free one at first sight.
+func (m *SeqMatcher) slot(name string) int {
+	if name == "" {
+		return -1
+	}
+	if i := slices.Index(m.vars, name); i >= 0 {
+		return i
+	}
+	m.vars = append(m.vars, name)
+	return len(m.vars) - 1
+}
+
+// Vars lists the entity variables by their slot in Match.Entities.
+func (m *SeqMatcher) Vars() []string { return m.vars }
 
 // Patterns returns the compiled patterns.
 func (m *SeqMatcher) Patterns() []*Pattern { return m.patterns }
@@ -169,9 +196,8 @@ func (m *SeqMatcher) ObserveHits(ev *event.Event, hits []int) []*Match {
 
 	// Single-pattern queries complete immediately.
 	if len(m.patterns) == 1 {
-		p := m.patterns[0]
-		match := &Match{Events: []*event.Event{ev}, Entities: map[string]*event.Entity{}, At: ev.Time}
-		bindEntities(match.Entities, p, ev)
+		match := &Match{Events: []*event.Event{ev}, Entities: make([]*event.Entity, len(m.vars)), At: ev.Time}
+		m.bind(match.Entities, 0, ev)
 		return []*Match{match}
 	}
 
@@ -266,26 +292,26 @@ func (m *SeqMatcher) extend(pt *partial, idx int, ev *event.Event) *partial {
 func (m *SeqMatcher) finish(pt *partial) *Match {
 	match := &Match{
 		Events:   pt.events,
-		Entities: map[string]*event.Entity{},
+		Entities: make([]*event.Entity, len(m.vars)),
 		At:       pt.lastTime,
 	}
 	for i, ev := range pt.events {
 		if ev == nil {
 			continue
 		}
-		bindEntities(match.Entities, m.patterns[i], ev)
+		m.bind(match.Entities, i, ev)
 	}
 	return match
 }
 
-func bindEntities(dst map[string]*event.Entity, p *Pattern, ev *event.Event) {
-	if p.SubjVar != "" {
-		s := ev.Subject
-		dst[p.SubjVar] = &s
+// bind writes the entities ev binds as pattern i's match into their slots:
+// later patterns overwrite earlier ones, the object shadows the subject.
+func (m *SeqMatcher) bind(dst []*event.Entity, i int, ev *event.Event) {
+	if s := m.slots[i][0]; s >= 0 {
+		dst[s] = &ev.Subject
 	}
-	if p.ObjVar != "" {
-		o := ev.Object
-		dst[p.ObjVar] = &o
+	if s := m.slots[i][1]; s >= 0 {
+		dst[s] = &ev.Object
 	}
 }
 

@@ -2,6 +2,7 @@ package matcher
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -145,8 +146,8 @@ func TestSequenceJoinOnSubject(t *testing.T) {
 	if len(got) != 1 {
 		t.Fatalf("matches = %d, want 1", len(got))
 	}
-	if got[0].Entities["p2"].ExeName != "evil.exe" {
-		t.Errorf("p2 binding = %v", got[0].Entities["p2"])
+	if p2 := got[0].Entities[slices.Index(m.Vars(), "p2")]; p2.ExeName != "evil.exe" {
+		t.Errorf("p2 binding = %v", p2)
 	}
 	if got[0].At != base.Add(2*time.Second) {
 		t.Errorf("match time = %v", got[0].At)
@@ -224,7 +225,7 @@ func TestSinglePatternImmediate(t *testing.T) {
 	if len(got) != 1 {
 		t.Fatalf("single-pattern match = %d", len(got))
 	}
-	if got[0].Entities["p"].ExeName != "gsecdump.exe" {
+	if got[0].Entities[slices.Index(m.Vars(), "p")].ExeName != "gsecdump.exe" {
 		t.Error("binding missing")
 	}
 }

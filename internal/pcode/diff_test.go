@@ -4,11 +4,14 @@ package pcode_test
 // randomized case is executed by both the pcode program and its oracle — the
 // interpreting predicate closures (pred_ref_test.go) or expr.Eval over a
 // per-hit environment — and the results, value AND error string, must agree
-// exactly. Compilation is total, so a nil program is itself a failure. Three
+// exactly. Compilation is total, so a nil program is itself a failure. Four
 // surfaces are covered: entity-pattern predicates, global-constraint
-// predicates, and per-event expression programs (aggregation arguments and
-// group-by items). The same generators drive a testing/quick property and a
-// fuzz target whose seed corpus runs in CI as part of `go test`.
+// predicates, per-event expression programs (aggregation arguments and
+// group-by items), and close-time expression programs (alert conditions,
+// return items, invariant updates, clustering points) over random close
+// frames (close_diff_test.go). The same generators drive a testing/quick
+// property and a fuzz target whose seed corpus runs in CI as part of
+// `go test`.
 
 import (
 	"fmt"
@@ -231,33 +234,33 @@ func genLeaf(r *rand.Rand, b pcode.Binding) ast.Expr {
 	}
 }
 
-// genExpr builds a random expression over the binding's variables: every
-// leaf shape, every operator the grammar has (and ones it does not), scalar
+// genExpr builds a random expression over leaf's variables: every leaf
+// shape, every operator the grammar has (and ones it does not), scalar
 // calls at right and wrong arities, and right-leaning chains deeper than the
 // machine's in-frame operand stack.
-func genExpr(r *rand.Rand, b pcode.Binding, depth int) ast.Expr {
+func genExpr(r *rand.Rand, leaf func(*rand.Rand) ast.Expr, depth int) ast.Expr {
 	if depth <= 0 || r.Intn(4) == 0 {
-		return genLeaf(r, b)
+		return leaf(r)
 	}
 	switch r.Intn(14) {
 	case 0:
-		return &ast.UnaryExpr{Op: pick(r, []byte{'!', '-', '~'}), X: genExpr(r, b, depth-1)}
+		return &ast.UnaryExpr{Op: pick(r, []byte{'!', '-', '~'}), X: genExpr(r, leaf, depth-1)}
 	case 1:
-		return &ast.UnaryExpr{Op: '-', X: genExpr(r, b, depth-1)}
+		return &ast.UnaryExpr{Op: '-', X: genExpr(r, leaf, depth-1)}
 	case 2:
-		return &ast.CardExpr{X: genExpr(r, b, depth-1)}
+		return &ast.CardExpr{X: genExpr(r, leaf, depth-1)}
 	case 3, 4:
 		call := &ast.CallExpr{Func: pick(r, callNames)}
 		for n := r.Intn(4); n > 0; n-- {
-			call.Args = append(call.Args, genExpr(r, b, depth-1))
+			call.Args = append(call.Args, genExpr(r, leaf, depth-1))
 		}
 		return call
 	case 5:
 		// Right-leaning chain: operand-stack depth grows with its length.
 		op := pick(r, []ast.BinOp{ast.OpAdd, ast.OpAnd, ast.OpOr, ast.OpUnion, ast.OpEq})
-		e := genLeaf(r, b)
+		e := leaf(r)
 		for n := 17 + r.Intn(24); n > 0; n-- {
-			e = &ast.BinaryExpr{Op: op, Left: genLeaf(r, b), Right: e}
+			e = &ast.BinaryExpr{Op: op, Left: leaf(r), Right: e}
 		}
 		return e
 	default:
@@ -266,7 +269,7 @@ func genExpr(r *rand.Rand, b pcode.Binding, depth int) ast.Expr {
 			ast.OpGt, ast.OpGe, ast.OpAdd, ast.OpSub, ast.OpMul, ast.OpDiv, ast.OpMod,
 			ast.OpUnion, ast.OpDiff, ast.OpIntersect, ast.OpIn, ast.OpInvalid,
 		}
-		return &ast.BinaryExpr{Op: pick(r, ops), Left: genExpr(r, b, depth-1), Right: genExpr(r, b, depth-1)}
+		return &ast.BinaryExpr{Op: pick(r, ops), Left: genExpr(r, leaf, depth-1), Right: genExpr(r, leaf, depth-1)}
 	}
 }
 
@@ -304,30 +307,38 @@ func diffExpr(r *rand.Rand) error {
 		SubjType: event.EntityProcess,
 		ObjType:  pick(r, entityTypes),
 	}
-	e := genExpr(r, b, 3)
-	prog := pcode.CompileExpr(e, b)
+	e := genExpr(r, func(r *rand.Rand) ast.Expr { return genLeaf(r, b) }, 3)
+	prog := pcode.CompileExpr(e, b.Scope())
 	if prog == nil {
 		return fmt.Errorf("expr %s did not compile", e)
 	}
 	for i := 0; i < 4; i++ {
 		ev := genEvent(r, b.ObjType)
 		stack := make([]value.Value, prog.Depth())
-		gotErr := prog.Run(ev, stack)
+		gotErr := prog.Run(&pcode.Frame{Event: ev}, stack)
 		gotV := stack[0]
 		wantV, wantErr := expr.Eval(e, bindEnvLike(b, ev))
-		if (wantErr == nil) != (gotErr == nil) {
-			return fmt.Errorf("expr %s on %s: interpreted err=%v compiled err=%v", e, ev, wantErr, gotErr)
+		if err := sameOutcome(wantV, wantErr, gotV, gotErr); err != nil {
+			return fmt.Errorf("expr %s on %s: %v", e, ev, err)
 		}
-		if wantErr != nil {
-			if wantErr.Error() != gotErr.Error() {
-				return fmt.Errorf("expr %s on %s: error text diverged:\n  interpreted: %v\n  compiled:    %v", e, ev, wantErr, gotErr)
-			}
-			continue
+	}
+	return nil
+}
+
+// sameOutcome holds a program's outcome to the tree-walker's: the same value,
+// kind included, or the same error string.
+func sameOutcome(wantV value.Value, wantErr error, gotV value.Value, gotErr error) error {
+	if (wantErr == nil) != (gotErr == nil) {
+		return fmt.Errorf("interpreted err=%v compiled err=%v", wantErr, gotErr)
+	}
+	if wantErr != nil {
+		if wantErr.Error() != gotErr.Error() {
+			return fmt.Errorf("error text diverged:\n  interpreted: %v\n  compiled:    %v", wantErr, gotErr)
 		}
-		if !sameValue(wantV, gotV) {
-			return fmt.Errorf("expr %s on %s: interpreted=%s(%s) compiled=%s(%s)",
-				e, ev, wantV.Kind(), wantV, gotV.Kind(), gotV)
-		}
+		return nil
+	}
+	if !sameValue(wantV, gotV) {
+		return fmt.Errorf("interpreted=%s(%s) compiled=%s(%s)", wantV.Kind(), wantV, gotV.Kind(), gotV)
 	}
 	return nil
 }
@@ -339,10 +350,13 @@ func diffOnce(r *rand.Rand) error {
 	if err := diffGlobals(r); err != nil {
 		return err
 	}
-	return diffExpr(r)
+	if err := diffExpr(r); err != nil {
+		return err
+	}
+	return diffClose(r)
 }
 
-// TestCompiledEvalDifferential hammers all three compiled surfaces with a
+// TestCompiledEvalDifferential hammers all four compiled surfaces with a
 // fixed-seed randomized sweep.
 func TestCompiledEvalDifferential(t *testing.T) {
 	r := rand.New(rand.NewSource(9))

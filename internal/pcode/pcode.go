@@ -1,8 +1,8 @@
-// Package pcode compiles everything the engine evaluates per event — pattern
-// predicates, global constraints, aggregation arguments and group-by keys — to
-// flat bytecode executed by small dispatch loops. It is the only per-event
-// evaluator: internal/expr's tree-walker runs at window close and on completed
-// rule matches, never on the ingest path.
+// Package pcode is the engine's one evaluator: it compiles everything a query
+// evaluates — pattern predicates and global constraints, aggregation arguments
+// and group-by keys per event; alert conditions, return items, invariant
+// updates and clustering points at window close and on completed matches — to
+// flat bytecode executed by small dispatch loops.
 //
 // Three program shapes exist:
 //
@@ -14,16 +14,23 @@
 //     both sides carry one, with a case-folding string fallback otherwise.
 //   - EventProg: the same for a query's global constraints (agentid, amount,
 //     optype, ...), compiled over whole events.
-//   - Prog (prog.go): a stack machine for general expressions — aggregation
-//     arguments and group-by items — compiled against one pattern's variable
-//     bindings.
+//   - Prog (prog.go): a stack machine for general expressions, compiled in a
+//     Scope — one pattern's per-event bindings, or the close scope — that
+//     resolves every name to a load off the Frame the program runs against.
+//     The operator semantics (null propagation, typed comparison,
+//     short-circuit, |x|) are written once, in Prog.Run: the compiler folds a
+//     constant subtree by running the instructions it has just emitted.
 //
 // Compilation is total: every constraint and every expression yields a
 // program. What cannot match compiles to a predicate that never does, and
 // what cannot evaluate compiles to an instruction raising the evaluation
-// error where it would surface. The differential suite in this package pins
-// the programs — result and error string — to the tree-walker and to the
-// interpreting predicate closures they replaced (pred_ref_test.go).
+// error where it would surface. The attribute table (resolveEntityAttr,
+// resolveEventAttr) is the language's only one: semantic analysis validates
+// through it. The differential suite in this package pins the programs —
+// result and error string — to their test-only oracles: the interpreting
+// predicate closures (pred_ref_test.go), the recursive constant folder
+// (fold_ref_test.go) and the AST tree-walker internal/expr, which no shipped
+// binary links.
 package pcode
 
 import (
@@ -84,11 +91,30 @@ const (
 	fldTime
 	fldID
 	fldOp
+	// Clustering outcome fields (Prog only).
+	fldOutlier
+	fldClusterID
+	fldClusterSize
 )
 
+// HasEntityAttr reports whether name is an attribute of entity type t: what
+// semantic analysis accepts is what the compilers below can load.
+func HasEntityAttr(t event.EntityType, name string) bool {
+	_, _, ok := resolveEntityAttr(t, name)
+	return ok && name != ""
+}
+
+// HasEventAttr reports whether name is an event-level attribute.
+func HasEventAttr(name string) bool {
+	_, _, ok := resolveEventAttr(name)
+	return ok
+}
+
 // resolveEntityAttr maps a SAQL attribute name to a field selector for one
-// entity type, mirroring event.Entity.Attr exactly. str reports whether the
-// field reads as a string (false: numeric). ok is false when the attribute
+// entity type: the attribute table, with resolveEventAttr, of the language
+// (attribute names follow the paper, common aliases accepted). "" is the
+// default attribute a bare constraint matches against. str reports whether
+// the field reads as a string (false: numeric). ok is false when the attribute
 // does not exist for the type — that read fails, so constraint compilation
 // turns the predicate constant-false and expression compilation raises the
 // error.
@@ -131,8 +157,9 @@ func resolveEntityAttr(t event.EntityType, name string) (f fld, str bool, ok boo
 	return fldNone, false, false
 }
 
-// resolveEventAttr maps an event-level attribute name to a selector,
-// mirroring event.Event.Attr. str reports string-valued selectors.
+// resolveEventAttr maps an event-level attribute name to a selector: amount,
+// agentid, time (unix nanoseconds), id and optype, with their aliases. str
+// reports string-valued selectors.
 func resolveEventAttr(name string) (f fld, str bool, ok bool) {
 	switch name {
 	case "amount", "amt", "bytes":

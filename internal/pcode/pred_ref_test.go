@@ -4,12 +4,13 @@ package pcode_test
 // global constraints with before EntityProg/EventProg became total, kept as
 // the test-only oracle of the differential suite (the role ndjson_ref,
 // dbscan_ref and manager_ref play in their packages). They read attributes
-// through event.Entity.Attr / event.Event.Attr and compare value.Values; the
+// through the oracle's expr.EntityAttr / expr.EventAttr and compare value.Values; the
 // compiled programs must agree with them on every entity and event.
 
 import (
 	"saql/internal/ast"
 	"saql/internal/event"
+	"saql/internal/expr"
 	"saql/internal/value"
 )
 
@@ -24,7 +25,7 @@ func refEntityPred(p *ast.EntityPattern) func(*event.Entity) bool {
 			if c.Attr == "" {
 				got = value.String(e.DefaultAttr())
 			} else {
-				v, ok := e.Attr(c.Attr)
+				v, ok := expr.EntityAttr(e, c.Attr)
 				if !ok {
 					return false
 				}
@@ -42,7 +43,7 @@ func refEntityPred(p *ast.EntityPattern) func(*event.Entity) bool {
 func refGlobalPred(globals []*ast.Constraint) func(*event.Event) bool {
 	return func(ev *event.Event) bool {
 		for _, g := range globals {
-			got, ok := ev.Attr(g.Attr)
+			got, ok := expr.EventAttr(ev, g.Attr)
 			if !ok || !refCompare(got, g.Op, g.Val.Val) {
 				return false
 			}

@@ -3,11 +3,70 @@ package pcode
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"saql/internal/ast"
 	"saql/internal/event"
-	"saql/internal/expr"
 	"saql/internal/value"
+	"saql/internal/window"
+)
+
+// Scope says where the names an expression mentions live, so the compiler can
+// turn each into a load. There are two: the per-event scope of one pattern
+// (Binding.Scope) and the close scope the engine builds for alert conditions,
+// return items, invariant updates and the clustering point. Both resolve names
+// in one order: an invariant variable wins a bare identifier, then an entity
+// variable, then an event alias; a field base is `cluster`, then the state
+// variable, then an entity variable, then an event alias. A name nothing
+// declares is null.
+type Scope struct {
+	Vars     []string    // invariant variables by declaration index (Frame.Vars)
+	State    string      // window state variable; "": no state in scope
+	Fields   []string    // its fields by index (History.Field)
+	Cluster  bool        // cluster.* reads Frame.Cluster rather than null
+	Entities []EntityVar // entity variables; of two with one name the later shadows
+	Events   []EventVar  // event aliases
+}
+
+// EntityVar is one entity variable: its static type — sema gives a variable
+// exactly one — and its slot in Frame.Entities, or SubjectSlot/ObjectSlot.
+type EntityVar struct {
+	Name string
+	Type event.EntityType
+	Slot int
+}
+
+// EventVar is one event alias and its slot in Frame.Events, or MatchedEvent.
+type EventVar struct {
+	Name string
+	Slot int
+}
+
+// entity finds the entity variable name.
+func (s *Scope) entity(name string) (EntityVar, bool) {
+	for i := len(s.Entities) - 1; i >= 0; i-- {
+		if s.Entities[i].Name == name {
+			return s.Entities[i], true
+		}
+	}
+	return EntityVar{}, false
+}
+
+// event finds the slot of the event alias name.
+func (s *Scope) event(name string) (int, bool) {
+	for _, v := range s.Events {
+		if v.Name == name {
+			return v.Slot, true
+		}
+	}
+	return 0, false
+}
+
+// The per-event scope's slots: the frame's matched event and its two entities.
+const (
+	MatchedEvent = -1
+	SubjectSlot  = -1
+	ObjectSlot   = -2
 )
 
 // Binding names the variables one pattern makes visible to its per-event
@@ -24,117 +83,207 @@ type Binding struct {
 	ObjType  event.EntityType
 }
 
+// Scope is the per-event scope of the pattern: no invariant variables, no
+// window state, no clustering.
+func (b Binding) Scope() *Scope {
+	s := &Scope{}
+	if b.SubjVar != "" {
+		s.Entities = append(s.Entities, EntityVar{Name: b.SubjVar, Type: b.SubjType, Slot: SubjectSlot})
+	}
+	if b.ObjVar != "" {
+		s.Entities = append(s.Entities, EntityVar{Name: b.ObjVar, Type: b.ObjType, Slot: ObjectSlot})
+	}
+	if b.Alias != "" {
+		s.Events = append(s.Events, EventVar{Name: b.Alias, Slot: MatchedEvent})
+	}
+	return s
+}
+
+// Frame is what a program's loads read; the query that runs the programs owns
+// one. Per event it holds the matched event. At close it holds the
+// slot-indexed bindings of a closed window's group (window.Snapshot) or of a
+// completed match (matcher.Match) — a nil or missing slot is a variable the
+// group did not bind and reads as null — with the group's state history,
+// invariant variables and clustering outcome.
+type Frame struct {
+	Event    *event.Event
+	Entities []*event.Entity
+	Events   []*event.Event
+	History  *window.History
+	Vars     []value.Value
+	Cluster  Cluster
+}
+
+// Cluster is one group's clustering outcome: cluster.outlier, .cluster_id
+// and .size.
+type Cluster struct {
+	Outlier  bool
+	ID, Size int
+}
+
+// entity returns the entity in slot i, nil if unbound.
+//
+//saql:hotpath
+func (f *Frame) entity(i int32) *event.Entity {
+	switch {
+	case i == SubjectSlot:
+		return &f.Event.Subject
+	case i == ObjectSlot:
+		return &f.Event.Object
+	case int(i) < len(f.Entities):
+		return f.Entities[i]
+	}
+	return nil
+}
+
+// event returns the event in slot i, nil if unbound.
+//
+//saql:hotpath
+func (f *Frame) event(i int32) *event.Event {
+	switch {
+	case i == MatchedEvent:
+		return f.Event
+	case int(i) < len(f.Events):
+		return f.Events[i]
+	}
+	return nil
+}
+
 // xOp is a stack-machine opcode.
 type xOp uint8
 
 const (
-	xConst       xOp = iota // push in.val
-	xSubjDefault            // push String(subject.DefaultAttr())
-	xObjDefault             // push String(object.DefaultAttr())
-	xSubjStr                // push String(subject.<fld>)
-	xObjStr                 // push String(object.<fld>)
-	xSubjInt                // push Int(subject.<fld>)
-	xObjInt                 // push Int(object.<fld>)
-	xEvtStr                 // push String(event.<fld>)
-	xEvtInt                 // push Int(event.<fld>)
-	xEvtFloat               // push Float(event.amount)
-	xNot                    // pop b; push !b (error on non-boolean)
-	xNeg                    // pop v; push -v (null stays null)
-	xCard                   // pop v; push |v|
-	xEq                     // pop r, l; push l == r (wildcard-aware)
-	xNe                     // pop r, l; push l != r
-	xLt                     // pop r, l; ordered comparisons (null -> false)
-	xLe                     //
-	xGt                     //
-	xGe                     //
-	xArith                  // pop r, l; push l <in.ab> r (null propagates)
-	xAndJump                // pop b; false: push false, jump in.idx
-	xOrJump                 // pop b; true: push true, jump in.idx
-	xBool                   // pop v; push Bool(v) (error on non-boolean)
-	xCall                   // pop in.idx args; push in.s(args...)
-	xSetOp                  // pop r, l; push l <union|diff|intersect|in> r, in.ab the ast.BinOp
-	xRaise                  // fail with in.err: a statically erroneous subexpression was reached
+	xConst xOp = iota // push consts[in.idx]
+
+	// Loads, the instructions that read the frame: a subtree compiled without
+	// one is constant. An unbound slot pushes null.
+	xEntStr     // push String(entity in.idx's <fld>)
+	xEntInt     // push Int(entity in.idx's <fld>)
+	xEvt        // push event in.idx's <fld>
+	xVar        // push Vars[in.idx]
+	xState      // push History.Field(in.k, in.idx): ss[k].f
+	xCluster    // push Cluster.<fld>
+	xRaiseBound // fail with in.err if entity (in.ab 0) or event (1) slot in.idx is bound, else push null
+
+	xNot     // pop b; push !b (error on non-boolean)
+	xNeg     // pop v; push -v (null stays null)
+	xCard    // pop v; push |v|
+	xEq      // pop r, l; push l == r (wildcard-aware)
+	xNe      // pop r, l; push l != r
+	xLt      // pop r, l; ordered comparisons (null -> false)
+	xLe      //
+	xGt      //
+	xGe      //
+	xArith   // pop r, l; push l <in.ab> r (null propagates)
+	xAndJump // pop b; false: push false, skip in.idx instructions
+	xOrJump  // pop b; true: push true, skip in.idx instructions
+	xBool    // pop v; push Bool(v) (error on non-boolean)
+	xCall    // pop in.idx args; push in.s(args...)
+	xSetOp   // pop r, l; push l <union|diff|intersect|in> r, in.ab the ast.BinOp
+	xRaise   // fail with in.err: a statically erroneous subexpression was reached
 )
+
+// reads reports whether the instruction reads the frame.
+func (op xOp) reads() bool { return op >= xEntStr && op <= xRaiseBound }
 
 // xInstr is one stack-machine instruction.
 type xInstr struct {
 	op  xOp
-	fld fld         // attribute selector for load ops
-	ab  byte        // arithmetic operator for xArith ('+','-','*','/','%'); ast.BinOp for xSetOp
-	idx int32       // jump target for xAndJump/xOrJump; operand count for xCall/xSetOp
-	val value.Value // constant for xConst
-	s   string      // operator text for xAndJump/xOrJump/xBool errors; function name for xCall
-	err error       // what xRaise returns
+	fld fld    // attribute selector for load ops
+	ab  byte   // arithmetic operator for xArith ('+','-','*','/','%'); ast.BinOp for xSetOp; slot kind for xRaiseBound
+	idx int32  // constant, slot, variable or field index for loads; instructions skipped by xAndJump/xOrJump; operand count for xCall/xSetOp
+	k   int32  // history index for xState
+	s   string // operator text for xAndJump/xOrJump/xBool errors; function name for xCall
+	err error  // what xRaise and xRaiseBound return
 }
 
 // Prog is a compiled expression: a flat instruction sequence over an operand
-// stack whose depth is known at compile time, evaluating one pattern's
-// aggregation argument or group-by item against a matched event without
-// building an environment. Values are a tagged struct, so nothing boxes or
-// allocates.
+// stack whose depth is known at compile time, evaluated against a frame
+// without building an environment. Values are a tagged struct, so nothing
+// boxes or allocates.
 type Prog struct {
-	ins   []xInstr
-	depth int // operand-stack high-water mark
+	ins    []xInstr
+	consts []value.Value // what xConst pushes: out of line, so instructions stay small
+	depth  int           // operand-stack high-water mark
 }
 
-// CompileExpr compiles e against one pattern's bindings. Every expression
-// compiles: a shape that can only fail (a bare event alias, an attribute the
-// bound type lacks, state indexing outside a window close, an erroring
-// constant subtree) becomes an xRaise at the point in evaluation order where
-// the failure would surface, so short-circuits that skip it still do.
-func CompileExpr(e ast.Expr, b Binding) *Prog {
-	c := &compiler{b: b}
+// CompileExpr compiles e in scope s. Every expression compiles: a shape that
+// can only fail (a bare event alias, an attribute the bound type lacks, an
+// erroring constant subtree) becomes a raise at the point in evaluation order
+// where the failure would surface, so short-circuits that skip it still do.
+func CompileExpr(e ast.Expr, s *Scope) *Prog {
+	c := compiler{s: s}
 	c.expr(e)
-	return &Prog{ins: c.ins, depth: c.maxDepth}
+	return &Prog{ins: c.ins, consts: c.consts, depth: c.maxDepth}
 }
 
 // Depth is how many operand-stack slots Run needs.
 func (p *Prog) Depth() int { return p.depth }
 
-// Run evaluates the program against one matched event on the caller's
-// operand stack — at least Depth slots, the caller's so that a query runs all
-// its programs on one — and leaves the value in stack[0]. After an error the
-// stack holds nothing meaningful.
+// Run evaluates the program against a frame on the caller's operand stack —
+// at least Depth slots, the caller's so that a query runs all its programs on
+// one — and leaves the value in stack[0]. After an error the stack holds
+// nothing meaningful. It is the one place expression opcodes are interpreted:
+// per event, at window close, on completed matches, and by the compiler
+// itself to fold constants.
 //
 //saql:hotpath
-func (p *Prog) Run(ev *event.Event, stack []value.Value) error {
+func (p *Prog) Run(f *Frame, stack []value.Value) error {
 	sp := 0
 	ins := p.ins
 	for i := 0; i < len(ins); i++ {
 		in := &ins[i]
 		switch in.op {
 		case xConst:
-			stack[sp] = in.val
+			stack[sp] = p.consts[in.idx]
 			sp++
-		case xSubjDefault:
-			stack[sp] = value.String(ev.Subject.DefaultAttr())
+		case xEntStr, xEntInt:
+			e := f.entity(in.idx)
+			switch {
+			case e == nil:
+				stack[sp] = value.Null
+			case in.op == xEntStr:
+				s, _ := strField(e, in.fld)
+				stack[sp] = value.String(s)
+			default:
+				stack[sp] = value.Int(intField(e, in.fld))
+			}
 			sp++
-		case xObjDefault:
-			stack[sp] = value.String(ev.Object.DefaultAttr())
+		case xEvt:
+			ev := f.event(in.idx)
+			switch {
+			case ev == nil:
+				stack[sp] = value.Null
+			case in.fld == fldAmount:
+				stack[sp] = value.Float(ev.Amount)
+			case in.fld == fldAgent || in.fld == fldOp:
+				s, _ := evtStrField(ev, in.fld)
+				stack[sp] = value.String(s)
+			default: // time, id
+				stack[sp] = value.Int(evtIntField(ev, in.fld))
+			}
 			sp++
-		case xSubjStr:
-			s, _ := strField(&ev.Subject, in.fld)
-			stack[sp] = value.String(s)
+		case xVar:
+			stack[sp] = f.Vars[in.idx]
 			sp++
-		case xObjStr:
-			s, _ := strField(&ev.Object, in.fld)
-			stack[sp] = value.String(s)
+		case xState:
+			stack[sp] = f.History.Field(int(in.k), int(in.idx))
 			sp++
-		case xSubjInt:
-			stack[sp] = value.Int(intField(&ev.Subject, in.fld))
+		case xCluster:
+			switch in.fld {
+			case fldOutlier:
+				stack[sp] = value.Bool(f.Cluster.Outlier)
+			case fldClusterID:
+				stack[sp] = value.Int(int64(f.Cluster.ID))
+			default:
+				stack[sp] = value.Int(int64(f.Cluster.Size))
+			}
 			sp++
-		case xObjInt:
-			stack[sp] = value.Int(intField(&ev.Object, in.fld))
-			sp++
-		case xEvtStr:
-			s, _ := evtStrField(ev, in.fld)
-			stack[sp] = value.String(s)
-			sp++
-		case xEvtInt:
-			stack[sp] = value.Int(evtIntField(ev, in.fld))
-			sp++
-		case xEvtFloat:
-			stack[sp] = value.Float(ev.Amount)
+		case xRaiseBound:
+			if in.ab == boundEntity && f.entity(in.idx) != nil || in.ab == boundEvent && f.event(in.idx) != nil {
+				return in.err
+			}
+			stack[sp] = value.Null
 			sp++
 		case xNot:
 			b, ok := stack[sp-1].AsBool()
@@ -209,7 +358,7 @@ func (p *Prog) Run(ev *event.Event, stack []value.Value) error {
 			if !b {
 				stack[sp] = value.Bool(false)
 				sp++
-				i = int(in.idx) - 1
+				i += int(in.idx)
 			}
 		case xOrJump:
 			b, ok := stack[sp-1].AsBool()
@@ -220,7 +369,7 @@ func (p *Prog) Run(ev *event.Event, stack []value.Value) error {
 			if b {
 				stack[sp] = value.Bool(true)
 				sp++
-				i = int(in.idx) - 1
+				i += int(in.idx)
 			}
 		case xBool:
 			b, ok := stack[sp-1].AsBool()
@@ -244,18 +393,17 @@ func (p *Prog) Run(ev *event.Event, stack []value.Value) error {
 }
 
 // builtin applies a scalar function, or a set operator or `in`, to its
-// operands: the library close-time evaluation uses, called from outside the
-// hot-path dispatch loop.
+// operands, called from outside the hot-path dispatch loop.
 func builtin(in *xInstr, args []value.Value) (value.Value, error) {
 	if in.op == xCall {
-		return expr.CallScalar(in.s, args)
+		return CallScalar(in.s, args)
 	}
-	return expr.SetOp(ast.BinOp(in.ab), args[0], args[1])
+	return SetOp(ast.BinOp(in.ab), args[0], args[1])
 }
 
 // intField reads a numeric entity field at its native integer width,
-// preserving the Int value kind the interpreter produces (Int/Int arithmetic
-// differs from Float: '+' stays integral, '/' promotes).
+// preserving the Int value kind (Int/Int arithmetic differs from Float: '+'
+// stays integral, '/' promotes).
 //
 //saql:hotpath
 func intField(e *event.Entity, f fld) int64 {
@@ -283,7 +431,7 @@ func evtIntField(ev *event.Event, f fld) int64 {
 	return 0
 }
 
-// card implements the |...| operator exactly as the interpreter does.
+// card implements the |...| operator.
 func card(v value.Value) (value.Value, error) {
 	switch v.Kind() {
 	case value.KindSet:
@@ -324,8 +472,9 @@ func errCard(k value.Kind) error {
 
 // compiler accumulates instructions and tracks operand-stack depth.
 type compiler struct {
-	b        Binding
+	s        *Scope
 	ins      []xInstr
+	consts   []value.Value
 	depth    int
 	maxDepth int
 }
@@ -338,11 +487,32 @@ func (c *compiler) emit(in xInstr, stackDelta int) {
 	}
 }
 
+// push emits the push of a constant.
+func (c *compiler) push(v value.Value) {
+	c.consts = append(c.consts, v)
+	c.emit(xInstr{op: xConst, idx: int32(len(c.consts) - 1)}, 1)
+}
+
+func (c *compiler) null() { c.push(value.Null) }
+
 // raise emits the failure of a statically erroneous node. stackDelta is what
 // the node would have done to the stack, keeping the depth bookkeeping of the
 // instructions after it (reachable past a short-circuit) consistent.
 func (c *compiler) raise(err error, stackDelta int) {
 	c.emit(xInstr{op: xRaise, err: err}, stackDelta)
+}
+
+// Slot kinds of xRaiseBound.
+const (
+	boundEntity byte = iota
+	boundEvent
+)
+
+// raiseBound emits the failure of reading a variable in a way its value does
+// not allow. It surfaces only where the variable is bound: a slot a group did
+// not bind reads as null whatever is asked of it.
+func (c *compiler) raiseBound(kind byte, slot int, err error) {
+	c.emit(xInstr{op: xRaiseBound, ab: kind, idx: int32(slot), err: err}, 1)
 }
 
 // binInstr maps the eager binary operators to their instruction; && and ||
@@ -356,20 +526,43 @@ var binInstr = map[ast.BinOp]xInstr{
 	ast.OpIntersect: {op: xSetOp, ab: byte(ast.OpIntersect), idx: 2}, ast.OpIn: {op: xSetOp, ab: byte(ast.OpIn), idx: 2},
 }
 
-// expr compiles one node; the node's value ends up on top of the stack.
+// expr compiles one node — its value ends up on top of the stack — and folds
+// what it emitted if that turns out to be constant.
 func (c *compiler) expr(e ast.Expr) {
-	// Constant subtrees fold to a single push — or, when folding fails, to
-	// the failure the tree-walker would raise on every evaluation.
-	if v, isConst, err := constEval(e); isConst {
-		if err != nil {
-			c.raise(err, 1)
-		} else {
-			c.emit(xInstr{op: xConst, val: v}, 1)
-		}
-		return
-	}
+	start, depth := len(c.ins), c.depth
+	c.node(e)
+	c.fold(start, depth)
+}
 
+// fold reduces the instructions of the node compiled from start on (at
+// operand depth depth) when none of them reads the frame: the node is
+// constant, so it is evaluated here, by running those instructions, and
+// becomes a single push of its value — or, when evaluation fails, the raise
+// of the failure every evaluation would meet. A node whose first instruction
+// is a raise fails before anything else can happen and is that raise, whatever
+// follows.
+func (c *compiler) fold(start, depth int) {
+	code := c.ins[start:]
+	if code[0].op != xRaise {
+		if len(code) == 1 || slices.ContainsFunc(code, func(in xInstr) bool { return in.op.reads() }) {
+			return
+		}
+		stack := make([]value.Value, c.maxDepth-depth)
+		if err := (&Prog{ins: code, consts: c.consts}).Run(&Frame{}, stack); err != nil {
+			code[0] = xInstr{op: xRaise, err: err}
+		} else {
+			c.consts = append(c.consts, stack[0])
+			code[0] = xInstr{op: xConst, idx: int32(len(c.consts) - 1)}
+		}
+	}
+	c.ins = c.ins[:start+1]
+	c.depth = depth + 1
+}
+
+func (c *compiler) node(e ast.Expr) {
 	switch x := e.(type) {
+	case *ast.Literal:
+		c.push(x.Val)
 	case *ast.Ident:
 		c.ident(x.Name)
 	case *ast.FieldExpr:
@@ -411,19 +604,33 @@ func (c *compiler) expr(e ast.Expr) {
 	}
 }
 
-// logical compiles && / || with short-circuit jump threading. A constant
-// left side reaching here is the pass-through value (constEval folded the
-// deciding value, a non-boolean and an error upstream), which reduces the
-// node to the right operand plus a boolean coercion — exactly the
-// tree-walker's final AsBool.
+// logical compiles && / || with short-circuit jump threading. A left side
+// that folded to a constant is decided here: a non-boolean fails, the
+// deciding value (false for &&, true for ||) is the node's value and the
+// right side is never compiled, and the other value reduces the node to its
+// right operand plus a boolean coercion.
 func (c *compiler) logical(x *ast.BinaryExpr) {
 	opstr := x.Op.String()
-	if _, lc, _ := constEval(x.Left); lc {
-		c.expr(x.Right)
-		c.emit(xInstr{op: xBool, s: opstr}, 0)
+	start := len(c.ins)
+	c.expr(x.Left)
+	if left := &c.ins[start]; len(c.ins) == start+1 && left.op == xRaise {
+		return // the node fails where its left side does
+	} else if len(c.ins) == start+1 && left.op == xConst {
+		val := &c.consts[left.idx]
+		b, ok := val.AsBool()
+		switch {
+		case !ok:
+			*left = xInstr{op: xRaise, err: errBoolOperand(opstr, val.Kind())}
+		case b == (x.Op == ast.OpOr):
+			*val = value.Bool(b)
+		default:
+			c.ins = c.ins[:start]
+			c.depth--
+			c.expr(x.Right)
+			c.emit(xInstr{op: xBool, s: opstr}, 0)
+		}
 		return
 	}
-	c.expr(x.Left)
 	jmp := len(c.ins)
 	op := xAndJump
 	if x.Op == ast.OpOr {
@@ -432,238 +639,112 @@ func (c *compiler) logical(x *ast.BinaryExpr) {
 	c.emit(xInstr{op: op, s: opstr}, -1)
 	c.expr(x.Right)
 	c.emit(xInstr{op: xBool, s: opstr}, 0)
-	c.ins[jmp].idx = int32(len(c.ins))
+	c.ins[jmp].idx = int32(len(c.ins) - jmp - 1)
 }
 
-// ident compiles a bare identifier. Per-event expressions see no invariant
-// variables and no state; the object binding shadows the subject, entity
-// variables shadow the event alias, and an unbound name is null.
+// ident compiles a bare identifier: an invariant variable, an entity
+// variable's default attribute, or the failure of using an event alias or the
+// state variable as a value.
 func (c *compiler) ident(name string) {
-	switch {
-	case name == "":
-		// The per-event scope's state variable is the empty name.
+	s := c.s
+	if i := slices.Index(s.Vars, name); i >= 0 {
+		c.emit(xInstr{op: xVar, idx: int32(i)}, 1)
+	} else if v, ok := s.entity(name); ok {
+		f, _, _ := resolveEntityAttr(v.Type, "") // the type's default attribute
+		c.emit(xInstr{op: xEntStr, fld: f, idx: int32(v.Slot)}, 1)
+	} else if at, ok := s.event(name); ok {
+		c.raiseBound(boundEvent, at, fmt.Errorf("expr: event alias %q is not a value; access an attribute like %s.amount", name, name))
+	} else if name == s.State {
 		c.raise(fmt.Errorf("expr: state %q is not a value; access a field like %s.field", name, name), 1)
-	case name == c.b.ObjVar:
-		c.emit(xInstr{op: xObjDefault}, 1)
-	case name == c.b.SubjVar:
-		c.emit(xInstr{op: xSubjDefault}, 1)
-	case name == c.b.Alias:
-		c.raise(fmt.Errorf("expr: event alias %q is not a value; access an attribute like %s.amount", name, name), 1)
-	default:
-		c.emit(xInstr{op: xConst, val: value.Null}, 1)
+	} else {
+		c.null()
 	}
 }
 
-// field compiles base.attr accesses in the tree-walker's resolution order:
-// cluster (no clustering per event: null), entity variables (object shadowing
-// subject), event alias, then null for unbound bases. ss[k].f names no state
-// variable outside a window close.
+// field compiles base.attr and ss[k].attr accesses.
 func (c *compiler) field(x *ast.FieldExpr) {
+	s := c.s
 	switch base := x.Base.(type) {
 	case *ast.Ident:
 		name := base.Name
-		switch {
-		case name == "cluster" || name == "":
-			c.emit(xInstr{op: xConst, val: value.Null}, 1)
-		case name == c.b.ObjVar:
-			c.entityAttr(false, name, c.b.ObjType, x.Field)
-		case name == c.b.SubjVar:
-			c.entityAttr(true, name, c.b.SubjType, x.Field)
-		case name == c.b.Alias:
-			c.eventAttr(name, x.Field)
-		default:
-			c.emit(xInstr{op: xConst, val: value.Null}, 1)
+		if name == "cluster" {
+			c.clusterField(x.Field)
+		} else if s.State != "" && name == s.State {
+			c.stateField(0, x.Field)
+		} else if v, ok := s.entity(name); ok {
+			c.entityAttr(name, v, x.Field)
+		} else if at, ok := s.event(name); ok {
+			c.eventAttr(name, at, x.Field)
+		} else {
+			c.null()
 		}
 	case *ast.IndexExpr:
 		id, ok := base.Base.(*ast.Ident)
 		switch {
 		case !ok:
 			c.raise(fmt.Errorf("expr: cannot index %s", base.Base), 1)
-		case id.Name != "":
-			c.raise(fmt.Errorf("expr: %q is not the state variable (%q)", id.Name, ""), 1)
+		case id.Name != s.State:
+			c.raise(fmt.Errorf("expr: %q is not the state variable (%q)", id.Name, s.State), 1)
+		case s.State == "":
+			c.null()
 		default:
-			c.emit(xInstr{op: xConst, val: value.Null}, 1)
+			c.stateField(base.Index, x.Field)
 		}
 	default:
 		c.raise(fmt.Errorf("expr: unsupported field base %T", x.Base), 1)
 	}
 }
 
-// entityAttr compiles a typed attribute load, or the failure of reading an
-// attribute the bound type does not have.
-func (c *compiler) entityAttr(subj bool, name string, typ event.EntityType, attr string) {
-	f, isStr, ok := resolveEntityAttr(typ, attr)
-	if !ok || attr == "" { // "" is the constraint default, not an attribute
-		c.raise(fmt.Errorf("expr: entity %q (%s) has no attribute %q", name, typ, attr), 1)
-		return
+// clusterField compiles cluster.<field>: null where nothing clusters.
+func (c *compiler) clusterField(field string) {
+	sel := fldNone
+	switch field {
+	case "outlier":
+		sel = fldOutlier
+	case "cluster_id":
+		sel = fldClusterID
+	case "size":
+		sel = fldClusterSize
 	}
-	var op xOp
 	switch {
-	case subj && isStr:
-		op = xSubjStr
-	case subj:
-		op = xSubjInt
-	case isStr:
-		op = xObjStr
+	case !c.s.Cluster:
+		c.null()
+	case sel == fldNone:
+		c.raise(fmt.Errorf("expr: unknown cluster field %q", field), 1)
 	default:
-		op = xObjInt
+		c.emit(xInstr{op: xCluster, fld: sel}, 1)
 	}
-	c.emit(xInstr{op: op, fld: f}, 1)
+}
+
+// stateField compiles ss[k].<field>; a field the state does not declare is
+// null, like history that does not exist yet.
+func (c *compiler) stateField(k int, field string) {
+	if i := slices.Index(c.s.Fields, field); i >= 0 {
+		c.emit(xInstr{op: xState, k: int32(k), idx: int32(i)}, 1)
+	} else {
+		c.null()
+	}
+}
+
+// entityAttr compiles a typed attribute load, or the failure of reading an
+// attribute the variable's type does not have.
+func (c *compiler) entityAttr(name string, v EntityVar, attr string) {
+	f, isStr, ok := resolveEntityAttr(v.Type, attr)
+	switch {
+	case !ok || attr == "": // "" is the constraint default, not an attribute
+		c.raiseBound(boundEntity, v.Slot, fmt.Errorf("expr: entity %q (%s) has no attribute %q", name, v.Type, attr))
+	case isStr:
+		c.emit(xInstr{op: xEntStr, fld: f, idx: int32(v.Slot)}, 1)
+	default:
+		c.emit(xInstr{op: xEntInt, fld: f, idx: int32(v.Slot)}, 1)
+	}
 }
 
 // eventAttr compiles an event-attribute load off the alias.
-func (c *compiler) eventAttr(name, attr string) {
-	f, _, ok := resolveEventAttr(attr)
-	switch {
-	case !ok:
-		c.raise(fmt.Errorf("expr: event %q has no attribute %q", name, attr), 1)
-	case f == fldAmount:
-		c.emit(xInstr{op: xEvtFloat, fld: f}, 1)
-	case f == fldAgent || f == fldOp:
-		c.emit(xInstr{op: xEvtStr, fld: f}, 1)
-	default: // time, id
-		c.emit(xInstr{op: xEvtInt, fld: f}, 1)
+func (c *compiler) eventAttr(name string, at int, attr string) {
+	if f, _, ok := resolveEventAttr(attr); ok {
+		c.emit(xInstr{op: xEvt, fld: f, idx: int32(at)}, 1)
+	} else {
+		c.raiseBound(boundEvent, at, fmt.Errorf("expr: event %q has no attribute %q", name, attr))
 	}
-}
-
-// constEval evaluates statically constant subtrees with the interpreter's
-// exact semantics. isConst=false means the subtree reads runtime state; an
-// error with isConst=true means the interpreter would raise that error on
-// every evaluation (the caller compiles it to that failure).
-func constEval(e ast.Expr) (v value.Value, isConst bool, err error) {
-	switch x := e.(type) {
-	case *ast.Literal:
-		return x.Val, true, nil
-
-	case *ast.UnaryExpr:
-		xv, xc, xerr := constEval(x.X)
-		if !xc {
-			return value.Null, false, nil
-		}
-		if xerr != nil {
-			return value.Null, true, xerr
-		}
-		switch x.Op {
-		case '!':
-			b, ok := xv.AsBool()
-			if !ok {
-				return value.Null, true, errNotBool(xv.Kind())
-			}
-			return value.Bool(!b), true, nil
-		case '-':
-			if xv.IsNull() {
-				return value.Null, true, nil
-			}
-			nv, err := xv.Neg()
-			return nv, true, err
-		default:
-			return value.Null, true, errUnaryOp(x.Op)
-		}
-
-	case *ast.CardExpr:
-		xv, xc, xerr := constEval(x.X)
-		if !xc {
-			return value.Null, false, nil
-		}
-		if xerr != nil {
-			return value.Null, true, xerr
-		}
-		nv, err := card(xv)
-		return nv, true, err
-
-	case *ast.BinaryExpr:
-		return constBinary(x)
-	}
-	return value.Null, false, nil
-}
-
-func constBinary(x *ast.BinaryExpr) (v value.Value, isConst bool, err error) {
-	if x.Op == ast.OpAnd || x.Op == ast.OpOr {
-		lv, lc, lerr := constEval(x.Left)
-		if !lc {
-			return value.Null, false, nil
-		}
-		if lerr != nil {
-			return value.Null, true, lerr
-		}
-		lb, ok := lv.AsBool()
-		if !ok {
-			return value.Null, true, errBoolOperand(x.Op.String(), lv.Kind())
-		}
-		// Short-circuit decides without the right side — exactly like the
-		// interpreter, which never evaluates it (so a non-constant or even
-		// erroneous right side does not matter here).
-		if x.Op == ast.OpAnd && !lb {
-			return value.Bool(false), true, nil
-		}
-		if x.Op == ast.OpOr && lb {
-			return value.Bool(true), true, nil
-		}
-		rv, rc, rerr := constEval(x.Right)
-		if !rc {
-			return value.Null, false, nil
-		}
-		if rerr != nil {
-			return value.Null, true, rerr
-		}
-		rb, ok := rv.AsBool()
-		if !ok {
-			return value.Null, true, errBoolOperand(x.Op.String(), rv.Kind())
-		}
-		return value.Bool(rb), true, nil
-	}
-
-	lv, lc, lerr := constEval(x.Left)
-	if !lc {
-		return value.Null, false, nil
-	}
-	if lerr != nil {
-		return value.Null, true, lerr
-	}
-	rv, rc, rerr := constEval(x.Right)
-	if !rc {
-		return value.Null, false, nil
-	}
-	if rerr != nil {
-		return value.Null, true, rerr
-	}
-
-	switch x.Op {
-	case ast.OpEq, ast.OpNe:
-		eq := value.EqualFold(lv, rv)
-		if x.Op == ast.OpNe {
-			eq = !eq
-		}
-		return value.Bool(eq), true, nil
-
-	case ast.OpLt, ast.OpLe, ast.OpGt, ast.OpGe:
-		if lv.IsNull() || rv.IsNull() {
-			return value.Bool(false), true, nil
-		}
-		c, err := lv.Compare(rv)
-		if err != nil {
-			return value.Null, true, err
-		}
-		var b bool
-		switch x.Op {
-		case ast.OpLt:
-			b = c < 0
-		case ast.OpLe:
-			b = c <= 0
-		case ast.OpGt:
-			b = c > 0
-		default:
-			b = c >= 0
-		}
-		return value.Bool(b), true, nil
-
-	case ast.OpAdd, ast.OpSub, ast.OpMul, ast.OpDiv, ast.OpMod:
-		if lv.IsNull() || rv.IsNull() {
-			return value.Null, true, nil
-		}
-		nv, err := lv.Arith(binInstr[x.Op].ab, rv)
-		return nv, true, err
-	}
-	// Set operators, 'in' and unknown operators are left to run time.
-	return value.Null, false, nil
 }

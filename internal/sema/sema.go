@@ -15,6 +15,7 @@ import (
 	"saql/internal/ast"
 	"saql/internal/event"
 	"saql/internal/lexer"
+	"saql/internal/pcode"
 )
 
 // Error is a semantic error with source position.
@@ -111,28 +112,6 @@ func checkGlobals(q *ast.Query) error {
 	return nil
 }
 
-// entityAttrs lists valid attribute names per entity type (aliases included).
-var entityAttrs = map[event.EntityType]map[string]bool{
-	event.EntityProcess: {
-		"exe_name": true, "exename": true, "exe": true, "name": true,
-		"pid": true, "user": true, "username": true, "cmdline": true, "cmd": true, "args": true,
-	},
-	event.EntityFile: {
-		"name": true, "path": true, "filename": true, "file_name": true, "basename": true,
-	},
-	event.EntityNetConn: {
-		"srcip": true, "src_ip": true, "sip": true, "dstip": true, "dst_ip": true, "dip": true,
-		"sport": true, "src_port": true, "srcport": true, "dport": true, "dst_port": true, "dstport": true,
-		"protocol": true, "proto": true,
-	},
-}
-
-var eventAttrs = map[string]bool{
-	"amount": true, "amt": true, "bytes": true, "agentid": true, "agent_id": true,
-	"host": true, "time": true, "ts": true, "timestamp": true, "id": true,
-	"optype": true, "op": true, "operation": true,
-}
-
 func collectPatterns(q *ast.Query, info *Info) error {
 	for i, p := range q.Patterns {
 		if p.Subject.Type != event.EntityProcess {
@@ -152,7 +131,7 @@ func collectPatterns(q *ast.Query, info *Info) error {
 				if c.Attr == "" {
 					continue // default-attribute wildcard
 				}
-				if !entityAttrs[ep.Type][c.Attr] {
+				if !pcode.HasEntityAttr(ep.Type, c.Attr) {
 					return errf(ep.Pos(), "%s entity has no attribute %q", ep.Type, c.Attr)
 				}
 			}
@@ -515,13 +494,13 @@ func checkFieldRef(x *ast.FieldExpr, q *ast.Query, info *Info, perEvent bool) er
 			return nil
 		}
 		if et, ok := info.EntityVars[name]; ok {
-			if !entityAttrs[et][x.Field] {
+			if !pcode.HasEntityAttr(et, x.Field) {
 				return errf(x.Pos(), "%s entity %q has no attribute %q", et, name, x.Field)
 			}
 			return nil
 		}
 		if _, ok := info.Aliases[name]; ok {
-			if !eventAttrs[x.Field] {
+			if !pcode.HasEventAttr(x.Field) {
 				return errf(x.Pos(), "event %q has no attribute %q", name, x.Field)
 			}
 			return nil

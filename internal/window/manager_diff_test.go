@@ -188,7 +188,7 @@ func (p *diffPair) sameClosed(op string, got []Closed, want []refClosed) {
 			for fi, f := range diffFields {
 				fields[f.Name] = snap.Fields[fi]
 			}
-			ents, evs := p.got.Bindings(snap)
+			ents, evs := bindingsByName(p.got, snap)
 			refSnap := p.want.SnapshotGroup(w.ID, ref)
 			a := renderGroup(grp.Key, snap.Count, fields, ents, evs)
 			b := renderGroup(ref.Key, refSnap.Count, refSnap.Fields, refSnap.Entities, refSnap.Events)
@@ -197,6 +197,24 @@ func (p *diffPair) sameClosed(op string, got []Closed, want []refClosed) {
 			}
 		}
 	}
+}
+
+// bindingsByName renders s's slot-indexed bindings the way the reference keeps
+// them: keyed by variable name, unbound slots absent.
+func bindingsByName(m *Manager, s *Snapshot) (map[string]*event.Entity, map[string]*event.Event) {
+	entities := map[string]*event.Entity{}
+	for slot, e := range s.Entities {
+		if e != nil {
+			entities[m.entities.names[slot]] = e
+		}
+	}
+	events := map[string]*event.Event{}
+	for slot, ev := range s.Events {
+		if ev != nil {
+			events[m.events.names[slot]] = ev
+		}
+	}
+	return entities, events
 }
 
 // sameState compares the counters and the checkpoint bytes, returning them.

@@ -438,24 +438,6 @@ func (m *Manager) EmptySnapshot(id ID) *Snapshot {
 	return &Snapshot{WindowID: id, Fields: m.emptyFields}
 }
 
-// Bindings materialises s's bindings as the name-keyed maps expression
-// evaluation reads.
-func (m *Manager) Bindings(s *Snapshot) (map[string]*event.Entity, map[string]*event.Event) {
-	entities := make(map[string]*event.Entity, len(s.Entities))
-	for slot, e := range s.Entities {
-		if e != nil {
-			entities[m.entities.names[slot]] = e
-		}
-	}
-	events := make(map[string]*event.Event, len(s.Events))
-	for slot, ev := range s.Events {
-		if ev != nil {
-			events[m.events.names[slot]] = ev
-		}
-	}
-	return entities, events
-}
-
 // History is a fixed-depth ring of a group's most recent snapshots.
 // Index 0 is the most recently closed window. Push runs in O(1) with zero
 // allocations after the ring storage exists: one window close per group
@@ -518,17 +500,15 @@ func (h *History) Total() int { return h.total }
 // Depth returns the ring capacity.
 func (h *History) Depth() int { return h.depth }
 
-// StateField implements expr.StateView over the history ring. Missing
-// history and unknown fields resolve to null (tolerant semantics).
-func (h *History) StateField(histIndex int, field string) (value.Value, bool) {
-	s := h.At(histIndex)
-	if s == nil {
-		return value.Null, true
+// Field returns state field i (declaration order) of the k-th most recent
+// snapshot — what ss[k].f reads. History that does not exist yet is null, and
+// so is a field a decoded snapshot does not carry.
+//
+//saql:hotpath
+func (h *History) Field(k, i int) value.Value {
+	s := h.At(k)
+	if s == nil || i >= len(s.Fields) {
+		return value.Null
 	}
-	for i, f := range h.m.fields {
-		if f.Name == field && i < len(s.Fields) {
-			return s.Fields[i], true
-		}
-	}
-	return value.Null, true
+	return s.Fields[i]
 }

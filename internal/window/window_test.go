@@ -209,8 +209,7 @@ func TestHistoryRing(t *testing.T) {
 	}
 	// Index 0 is newest.
 	for k, want := range map[int]int64{0: 5, 1: 4, 2: 3} {
-		v, ok := h.StateField(k, "x")
-		if !ok || v.IntVal() != want {
+		if v := h.Field(k, 0); v.IntVal() != want {
 			t.Errorf("ss[%d].x = %v, want %d", k, v, want)
 		}
 	}
@@ -218,11 +217,11 @@ func TestHistoryRing(t *testing.T) {
 		t.Error("out-of-range At should be nil")
 	}
 	// Missing index and missing field resolve to null (tolerant).
-	if v, ok := h.StateField(9, "x"); !ok || !v.IsNull() {
-		t.Errorf("missing index = %v, %v", v, ok)
+	if v := h.Field(9, 0); !v.IsNull() {
+		t.Errorf("missing index = %v", v)
 	}
-	if v, ok := h.StateField(0, "nope"); !ok || !v.IsNull() {
-		t.Errorf("missing field = %v, %v", v, ok)
+	if v := h.Field(0, 1); !v.IsNull() {
+		t.Errorf("missing field = %v", v)
 	}
 }
 

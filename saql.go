@@ -227,8 +227,10 @@ type Engine struct {
 
 	// final, once non-nil, is the immutable runtime-counter snapshot taken
 	// by Close; Stats and QueryStats serve it afterwards so post-run
-	// summaries stay truthful (see captureFinal).
-	final atomic.Pointer[finalStats]
+	// summaries stay truthful (see captureFinal). finalMu admits one closer
+	// at a time to the capture.
+	final   atomic.Pointer[finalStats]
+	finalMu sync.Mutex
 
 	// Tenant control plane (tenant.go): per-tenant quota and accounting
 	// state, plus the stream-time high-water mark of alert event times.
@@ -802,8 +804,11 @@ type finalStats struct {
 // captureFinal snapshots engine and per-query runtime counters after the
 // sharded runtime has drained, so Stats/QueryStats keep reporting the final
 // values once the workers are gone. First closer wins; concurrent Close
-// calls race benignly on identical data.
+// calls wait for it, because the capture encodes every query's state to size
+// it (QueryStats.StateBytes) on the queries' own scratch buffers.
 func (e *Engine) captureFinal(rt *runtime.Runtime) {
+	e.finalMu.Lock()
+	defer e.finalMu.Unlock()
 	if e.final.Load() != nil {
 		return
 	}
