@@ -7,12 +7,14 @@ package saql
 // partial multievent matches, distinct-suppression tables) — at a runtime
 // control-queue barrier, so the cut rides the same total order as events,
 // pause, and hot-swap. The snapshot is written atomically next to the event
-// journal's segments; Restore rebuilds an equivalent engine from it and
-// replays the journaled tail from the recorded stream offset, making
-// recovery alert-for-alert identical to a run that was never interrupted.
+// journal's segments; Open (and Restore, which insists on a snapshot)
+// rebuilds an equivalent engine from it and replays the journaled tail from
+// the recorded stream offset, making recovery alert-for-alert identical to a
+// run that was never interrupted.
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -53,15 +55,12 @@ type JournalCorruptError = storage.CorruptError
 // reprocess events the original run skipped. Engine.Close seals the store.
 //
 // Use the same directory for the journal store and for Checkpoint, and the
-// directory becomes a self-contained recovery unit. A torn tail record
-// left by a crash mid-append is trimmed automatically on first use.
-// Attaching a journal that already holds records (a previous run died
-// before its first checkpoint) leaves two sound choices: rebuild state
-// from the orphaned records (PinJournalOffset(0), Start, ReplayJournal(0)
-// — see PinJournalOffset), or ingest fresh — the engine then counts the
-// existing records into its offset base so later checkpoints still index
-// true journal positions (the orphans' alerts are forfeited, never
-// replayed into mismatched state).
+// directory becomes a self-contained recovery unit — one that Open enters
+// whatever state it is in, which is the way to get a durable engine.
+// WithJournal itself never replays: attached to a journal that already holds
+// records it ingests fresh, counting the existing records into its offset
+// base so later checkpoints still index true journal positions (a torn tail
+// record left by a crash mid-append is trimmed on first use).
 func WithJournal(store *Store) Option {
 	return func(c *config) { c.journal = store }
 }
@@ -211,30 +210,7 @@ func (e *Engine) captureSnapshot() (*snapshot.Snapshot, error) {
 	return snap, nil
 }
 
-// PinJournalOffset fixes a journaled engine's stream-offset origin before
-// Start: the recovery pattern for a journal with no snapshot (a run that
-// died before its first checkpoint) on a sharded engine is
-//
-//	eng.PinJournalOffset(0)   // the replay will advance the engine itself
-//	eng.Start(ctx)
-//	eng.ReplayJournal(0)      // records flow through the sharded runtime,
-//	                          // so state lands on its owning shards
-//
-// Without the pin, Start would count the journal's existing records into
-// the offset base AND the replay would advance past them — double-counting
-// every record. Pinning after Start, or to a second conflicting value,
-// returns an error.
-func (e *Engine) PinJournalOffset(offset int64) error {
-	if e.cfg.journal == nil {
-		return fmt.Errorf("saql: no journal attached (WithJournal)")
-	}
-	if engineState(e.state.Load()) != stateNew {
-		return fmt.Errorf("saql: PinJournalOffset must be called before Start")
-	}
-	return e.pinBaseOffset(offset)
-}
-
-// RestoreOption configures Restore.
+// RestoreOption configures Open and Restore.
 type RestoreOption func(*restoreConfig)
 
 type restoreConfig struct {
@@ -271,9 +247,10 @@ func WithoutReplay() RestoreOption {
 	return func(c *restoreConfig) { c.replay = false }
 }
 
-// RestoreInfo describes one completed restore.
+// RestoreInfo describes one completed Open or Restore.
 type RestoreInfo struct {
-	// TakenAt is the wall-clock time the snapshot was captured.
+	// TakenAt is the wall-clock time the snapshot was captured; zero when
+	// the directory held no snapshot.
 	TakenAt time.Time
 	// Offset is the snapshot's stream offset: the engine's state reflects
 	// exactly the first Offset journaled events.
@@ -285,29 +262,48 @@ type RestoreInfo struct {
 	Queries int
 }
 
-// Restore rebuilds an engine from the checkpoint in dir: the snapshot's
+// Open is the one way into a durable directory: it rebuilds the engine dir
+// describes and leaves it journaling new events there, so the next
+// Checkpoint is incremental in the same coordinate space. The snapshot's
 // queries are re-registered — each with its recorded source, compile
 // options, labels, pause flag, and management flag, under a fresh,
 // pointer-stable QueryHandle — their captured runtime state is folded back
 // in at a pre-stream barrier, and the journaled event tail past the
 // snapshot's offset is replayed, so the engine resumes alert-for-alert
-// exactly where an uninterrupted run would be. The restored engine journals
-// new events to the same directory, making the next Checkpoint incremental
-// in the same coordinate space.
+// exactly where an uninterrupted run would be.
+//
+// A directory without a snapshot is a snapshot at offset 0 holding no
+// queries, through the same code: an empty directory yields a fresh engine,
+// and a journal orphaned by a run that died before its first checkpoint
+// (torn final record trimmed) is replayed from record 0 — by Open itself,
+// into an engine with no queries, or, under WithoutReplay, by the caller's
+// ReplayJournal(info.Offset) once it has registered its queries.
 //
 // By default the engine is started (with any WithRestoreEngineOptions
-// applied) and the tail replayed before Restore returns; alerts raised
-// during replay flow to the WithAlertHandler callback, so pass one in the
-// engine options to observe them (subscriptions attach only after Restore
-// returns). A directory with no snapshot fails with ErrNoCheckpoint; an
-// unreadable snapshot fails with *SnapshotVersionError or
+// applied) and the tail replayed before Open returns; alerts raised during
+// replay flow to the WithAlertHandler callback, so pass one in the engine
+// options to observe them (subscriptions attach only after Open returns).
+// An unreadable snapshot fails with *SnapshotVersionError or
 // *SnapshotCorruptError and touches nothing.
+func Open(dir string, opts ...RestoreOption) (*Engine, *RestoreInfo, error) {
+	return open(dir, false, opts)
+}
+
+// Restore is Open for a directory that must hold a checkpoint: without a
+// snapshot it fails with ErrNoCheckpoint instead of starting from nothing.
 func Restore(dir string, opts ...RestoreOption) (*Engine, *RestoreInfo, error) {
+	return open(dir, true, opts)
+}
+
+func open(dir string, needSnapshot bool, opts []RestoreOption) (*Engine, *RestoreInfo, error) {
 	cfg := restoreConfig{start: true, replay: true}
 	for _, o := range opts {
 		o(&cfg)
 	}
 	snap, err := snapshot.Read(dir)
+	if !needSnapshot && errors.Is(err, ErrNoCheckpoint) {
+		snap, err = &snapshot.Snapshot{}, nil
+	}
 	if err != nil {
 		return nil, nil, err
 	}
@@ -439,21 +435,20 @@ func Restore(dir string, opts ...RestoreOption) (*Engine, *RestoreInfo, error) {
 
 // ReplayJournal feeds the attached journal's events from the global record
 // offset `from` back through the engine, without re-journaling them, and
-// reports how many were replayed. Restore uses it for the checkpoint tail;
-// call it directly after Restore(..., WithoutReplay()) once subscriptions
-// are attached. Replay preserves journal order; run it to completion before
-// attaching live sources, or new submissions may interleave.
+// reports how many were replayed. Open uses it for the checkpoint tail;
+// call it directly after Open(..., WithoutReplay()) once queries and
+// subscriptions are attached. Replay preserves journal order; run it to
+// completion before attaching live sources, or new submissions may
+// interleave.
 func (e *Engine) ReplayJournal(from int64) (int64, error) {
 	store := e.cfg.journal
 	if store == nil {
 		return 0, fmt.Errorf("saql: no journal attached (WithJournal)")
 	}
 	if engineState(e.state.Load()) == stateNew {
-		// Pre-Start replay (including recovery of a journal whose run died
-		// before any checkpoint: ReplayJournal(0) on a fresh engine): pin
-		// the offset origin at `from` — the replayed records themselves
-		// advance the engine to the journal's head, so counting them into
-		// the base too would double them.
+		// Pre-Start replay: pin the offset origin at `from` — the replayed
+		// records themselves advance the engine to the journal's head, so
+		// counting them into the base too would double them.
 		if err := e.pinBaseOffset(from); err != nil {
 			return 0, err
 		}

@@ -527,89 +527,6 @@ func TestJournalReuseAfterCheckpointlessCrash(t *testing.T) {
 	}
 }
 
-// TestOrphanJournalShardedRecovery pins the snapshot-less recovery flow on
-// a multi-shard engine: PinJournalOffset(0) + Start + ReplayJournal(0)
-// replays the orphaned records through the sharded runtime, so recovered
-// group state lands on its owning shards and the rest of the stream
-// produces exactly the uninterrupted reference alerts.
-func TestOrphanJournalShardedRecovery(t *testing.T) {
-	events := concurrencyWorkload(48, 20)
-	cut := len(events) / 2
-
-	ref := New()
-	for _, q := range concurrencyQueries {
-		if err := ref.AddQuery(q.name, q.src); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var want []*Alert
-	for _, ev := range events {
-		want = append(want, ref.Process(ev)...)
-	}
-	want = append(want, ref.Flush()...)
-
-	// Run 1 journals the prefix and dies with no checkpoint ever written.
-	dir := t.TempDir()
-	store1, err := OpenStore(dir, StoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e1 := New(WithJournal(store1))
-	if err := e1.AddQuery("sink", concurrencyQueries[0].src); err != nil {
-		t.Fatal(err)
-	}
-	for _, ev := range events[:cut] {
-		e1.Process(ev)
-	}
-
-	// Recovery: fresh 4-shard engine over the orphaned journal.
-	store2, err := OpenStore(dir, StoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
-	var got []*Alert
-	e2 := New(WithShards(4), WithJournal(store2), WithAlertHandler(func(a *Alert) {
-		mu.Lock()
-		got = append(got, a)
-		mu.Unlock()
-	}))
-	for _, q := range concurrencyQueries {
-		if err := e2.AddQuery(q.name, q.src); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := e2.PinJournalOffset(0); err != nil {
-		t.Fatal(err)
-	}
-	if err := e2.Start(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	n, err := e2.ReplayJournal(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != int64(cut) {
-		t.Fatalf("replayed %d orphaned events, want %d", n, cut)
-	}
-	if err := e2.SubmitBatch(events[cut:]); err != nil {
-		t.Fatal(err)
-	}
-	// Offsets stayed in journal coordinates: prefix replayed (not
-	// re-appended) + tail journaled live.
-	info, err := e2.Checkpoint(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Offset != int64(len(events)) {
-		t.Errorf("checkpoint offset = %d, want %d", info.Offset, len(events))
-	}
-	if err := e2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	diffAlertSets(t, "orphan sharded recovery", sortedIdentities(want), sortedIdentities(got))
-}
-
 // TestQueryStateReencodeIdempotent drives every conformance-corpus query
 // over the demo stream, snapshots its state, restores it into a freshly
 // compiled copy, and re-encodes: the blobs must be byte-identical. This is

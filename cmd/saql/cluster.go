@@ -3,18 +3,14 @@ package main
 // Cluster coordinator mode: -cluster "host1:7443,host2:7443" turns this
 // process into the coordinator of a distributed SAQL deployment. Each
 // address is a running saql-worker owning a contiguous slice of the
-// group-key hash space; the coordinator broadcasts the event stream and the
-// queryset to every worker and prints the alerts they stream back — the
-// union is alert-for-alert what a single serial engine would have raised.
+// group-key hash space; the coordinator is the destination the run's source
+// is driven into: it broadcasts the event stream and the queryset to every
+// worker and prints the alerts they stream back — the union is
+// alert-for-alert what a single serial engine would have raised.
 
 import (
-	"context"
 	"fmt"
-	"io"
 	"os"
-	"os/signal"
-	"sync"
-	"syscall"
 	"time"
 
 	"saql"
@@ -24,40 +20,23 @@ import (
 type clusterParams struct {
 	addrs     []string
 	set       *saql.QuerySet
-	scenario  *saql.AttackScenario
-	storeDir  string
-	hosts     []string
-	from, to  string
-	speed     float64
-	simulate  bool
-	duration  time.Duration
-	seed      int64
-	batch     int
 	quiet     bool
 	ckptEvery time.Duration
+	src       *saql.Source
+	drive     func(dst saql.Submitter) error // runs src into dst until it ends or a signal stops it
+	say       func(format string, a ...any)  // serialised printing
 }
 
-func runCluster(out io.Writer, p clusterParams) error {
-	if p.storeDir == "" && !p.simulate {
-		return fmt.Errorf("-cluster needs -store or -simulate as the event source")
-	}
-
-	var outMu sync.Mutex
+func runCluster(p clusterParams) error {
 	var alertCount int64
 	coord := dist.NewCoordinator(dist.Config{
 		OnAlert: func(a *saql.Alert) {
 			alertCount++
 			if !p.quiet {
-				outMu.Lock()
-				fmt.Fprintln(out, a)
-				outMu.Unlock()
+				p.say("%s\n", a)
 			}
 		},
-		Logf: func(format string, a ...any) {
-			outMu.Lock()
-			fmt.Fprintf(out, format+"\n", a...)
-			outMu.Unlock()
-		},
+		Logf: func(format string, a ...any) { p.say(format+"\n", a...) },
 	})
 
 	// Dial every worker and hand each an even slice of the hash space. The
@@ -74,9 +53,7 @@ func runCluster(out io.Writer, p clusterParams) error {
 		}
 	}
 	for id, rs := range coord.Workers() {
-		outMu.Lock()
-		fmt.Fprintf(out, "worker %-24s ranges=%v\n", id, rs)
-		outMu.Unlock()
+		p.say("worker %-24s ranges=%v\n", id, rs)
 	}
 	for _, name := range p.set.Names() {
 		src, _ := p.set.Source(name)
@@ -84,15 +61,7 @@ func runCluster(out io.Writer, p clusterParams) error {
 			return fmt.Errorf("register %s: %w", name, err)
 		}
 	}
-	outMu.Lock()
-	fmt.Fprintf(out, "registered %d queries on %d workers\n", p.set.Len(), len(p.addrs))
-	outMu.Unlock()
-
-	// SIGTERM/SIGINT stops the feed; the coordinator then closes cleanly,
-	// which flushes every worker's open windows, checkpoints each state
-	// directory, and drains the last alerts.
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
+	p.say("registered %d queries on %d workers\n", p.set.Len(), len(p.addrs))
 
 	// Heartbeats keep worker leases fresh during idle stretches; periodic
 	// cluster-wide checkpoint barriers bound every worker's replay tail.
@@ -125,77 +94,12 @@ func runCluster(out io.Writer, p clusterParams) error {
 	}()
 	stopTicker := func() { close(tickStop); <-tickDone }
 
+	// SIGTERM/SIGINT stops the feed; the coordinator then closes cleanly,
+	// which flushes every worker's open windows, checkpoints each state
+	// directory, and drains the last alerts.
 	started := time.Now()
-	var events int64
-	feedErr := func() error {
-		if p.simulate {
-			all, err := simulationEvents(p.scenario, p.duration, p.seed)
-			if err != nil {
-				return err
-			}
-			for i := 0; i < len(all); i += p.batch {
-				if ctx.Err() != nil {
-					return nil
-				}
-				end := min(i+p.batch, len(all))
-				if err := coord.SubmitBatch(all[i:end]); err != nil {
-					return err
-				}
-				events += int64(end - i)
-			}
-			return nil
-		}
-		store, err := saql.OpenStore(p.storeDir, saql.StoreOptions{})
-		if err != nil {
-			return err
-		}
-		opts := saql.ReplayOptions{Hosts: p.hosts, Speed: p.speed}
-		if p.from != "" {
-			t, err := time.Parse(time.RFC3339, p.from)
-			if err != nil {
-				return fmt.Errorf("bad -from: %w", err)
-			}
-			opts.From = t
-		}
-		if p.to != "" {
-			t, err := time.Parse(time.RFC3339, p.to)
-			if err != nil {
-				return fmt.Errorf("bad -to: %w", err)
-			}
-			opts.To = t
-		}
-		rep := saql.NewReplayer(store)
-		ch, wait := rep.ReplayChan(ctx, opts, p.batch)
-		buf := make([]*saql.Event, 0, p.batch)
-		flush := func() error {
-			if len(buf) == 0 {
-				return nil
-			}
-			if err := coord.SubmitBatch(buf); err != nil {
-				return err
-			}
-			events += int64(len(buf))
-			buf = buf[:0]
-			return nil
-		}
-		for ev := range ch {
-			buf = append(buf, ev)
-			if len(buf) == p.batch {
-				if err := flush(); err != nil {
-					return err
-				}
-			}
-		}
-		if err := flush(); err != nil {
-			return err
-		}
-		if _, err := wait(); err != nil && ctx.Err() == nil {
-			return err
-		}
-		return nil
-	}()
+	feedErr := p.drive(coord)
 	stopTicker()
-	stopSignals()
 	if feedErr != nil {
 		coord.Close()
 		return feedErr
@@ -208,9 +112,10 @@ func runCluster(out io.Writer, p clusterParams) error {
 		return fmt.Errorf("cluster shutdown: %w", err)
 	}
 	wall := time.Since(started)
-	fmt.Fprintf(out, "\n--- summary ---\n")
-	fmt.Fprintf(out, "events fanned out: %d to %d workers (%.0f events/s)\n",
+	events := p.src.Stats().Events
+	p.say("\n--- summary ---\n")
+	p.say("events fanned out: %d to %d workers (%.0f events/s)\n",
 		events, len(p.addrs), float64(events)/wall.Seconds())
-	fmt.Fprintf(out, "alerts raised    : %d\n", alertCount)
+	p.say("alerts raised    : %d\n", alertCount)
 	return nil
 }

@@ -155,11 +155,25 @@ func TestRunClusterSimulate(t *testing.T) {
 	}
 }
 
-// TestRunClusterNeedsSource pins the flag validation.
-func TestRunClusterNeedsSource(t *testing.T) {
-	var out syncWriter
-	err := run([]string{"-cluster", "localhost:1", "-e", plainRule}, &out)
-	if err == nil || !strings.Contains(err.Error(), "-store or -simulate") {
-		t.Errorf("err = %v, want source requirement", err)
+// TestRunClusterInput: a log source drives the cluster like any other
+// feed — the sample's multievent rule fires once through two workers.
+func TestRunClusterInput(t *testing.T) {
+	addr1 := startTestWorker(t, t.TempDir())
+	addr2 := startTestWorker(t, t.TempDir())
+
+	out := &syncWriter{}
+	err := run([]string{
+		"-cluster", addr1 + "," + addr2,
+		"-input", samplePath, "-format", "auditd", "-agent", "db-1",
+		"-e", sampleRule,
+	}, out)
+	if err != nil {
+		t.Fatalf("run: %v\noutput:\n%s", err, out.String())
+	}
+	got := out.String()
+	for _, want := range []string{"ALERT [rule] query=inline-1", "alerts raised    : 1", "to 2 workers"} {
+		if !strings.Contains(got, want) {
+			t.Errorf("missing %q in output:\n%s", want, got)
+		}
 	}
 }

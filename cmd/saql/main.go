@@ -6,8 +6,11 @@
 // (-input with -format auditd|sysmon|ndjson), a stored dataset replayed
 // through the stream replayer (-store, with -hosts/-from/-to/-speed
 // selection), or a live simulation of the enterprise plus the APT attack
-// (-simulate). Events are ingested through the engine's concurrent
-// Submit/SubmitBatch API on the sharded runtime (use -shards to size it).
+// (-simulate). Whichever it is, it is one saql.Source — batched (-batch),
+// time-sorted within a batch, metered (-tenant) and counted the same way —
+// run into one destination: the engine's sharded runtime (use -shards to
+// size it), the serial reference path (-shards 0), or a cluster of
+// saql-worker processes (-cluster).
 //
 // Queries come from -q files, -e inline text, the built-in demo set
 // (-demo-queries), or a rule directory (-queries DIR): every *.saql file in
@@ -106,15 +109,15 @@ func run(args []string, out io.Writer) error {
 		window      = fs.Duration("window", 30*time.Second, "window length for demo queries")
 		train       = fs.Int("train", 5, "invariant training windows for demo queries")
 		noShare     = fs.Bool("no-share", false, "disable the master-dependent-query scheme")
-		shards      = fs.Int("shards", -1, "shard workers for the concurrent runtime (-1 = GOMAXPROCS, 0 = legacy serial path)")
-		batch       = fs.Int("batch", 256, "SubmitBatch size")
+		shards      = fs.Int("shards", -1, "shard workers for the concurrent runtime (-1 = GOMAXPROCS, 0 = serial reference path)")
+		batch       = fs.Int("batch", 256, "events per submitted batch (also the reordering window)")
 		validate    = fs.Bool("validate", false, "validate queries and exit")
 		quiet       = fs.Bool("quiet", false, "suppress per-alert output, print only the summary")
 		ckptDir     = fs.String("checkpoint-dir", "", "durable state directory: journal every event there, restore from its snapshot on start, checkpoint into it")
 		ckptEvery   = fs.Duration("checkpoint-every", 0, "with -checkpoint-dir: also checkpoint periodically at this interval (0 = only at exit)")
 		cluster     = fs.String("cluster", "", "comma-separated saql-worker addresses: run as the cluster coordinator instead of a local engine")
 		adminAddr   = fs.String("admin-addr", "", "serve the admin API (saqlctl) on this address, e.g. 127.0.0.1:8471 (':0' picks a port)")
-		srcTenant   = fs.String("tenant", "", "attribute -input events to this tenant (enables its ingest-rate quota)")
+		srcTenant   = fs.String("tenant", "", "attribute the feed's events to this tenant (enables its ingest-rate quota)")
 	)
 	fs.Var(&queryFiles, "q", "SAQL query file (repeatable)")
 	fs.Var(&inline, "e", "inline SAQL query text (repeatable)")
@@ -179,90 +182,142 @@ func run(args []string, out io.Writer) error {
 		return nil
 	}
 
+	sharded := *shards != 0
+	if *srcTenant != "" && (*cluster != "" || !sharded) {
+		return fmt.Errorf("-tenant is metered by a started local engine (drop -cluster / -shards 0)")
+	}
+
+	// One feed: whichever flag names it, the event stream is one source.
+	srcOpts := []saql.SourceOption{saql.WithBatchSize(*batch)}
+	if *srcTenant != "" {
+		srcOpts = append(srcOpts, saql.WithSourceTenant(*srcTenant))
+	}
+	var src *saql.Source
+	switch {
+	case *input != "":
+		src, err = openInput(*input, *format, *agent, *follow, *strictOrder, srcOpts)
+	case *storeDir != "":
+		src, err = openReplay(*storeDir, hosts, *from, *to, *speed, srcOpts)
+	case *simulate:
+		src, err = openSimulation(scenario, *duration, *seed, srcOpts)
+	default:
+		err = fmt.Errorf("no event source: use -input, -store, or -simulate")
+	}
+	if err != nil {
+		return err
+	}
+
+	// Alert printing runs on runtime goroutines, concurrently with this
+	// one's progress lines, the SIGHUP reload goroutine's reports and a
+	// coordinator's log, so writes to out share a mutex while an engine or a
+	// coordinator is live.
+	var outMu sync.Mutex
+	say := func(format string, a ...any) {
+		outMu.Lock()
+		defer outMu.Unlock()
+		fmt.Fprintf(out, format, a...)
+	}
+	// drive runs the feed into the run's one destination. Live feeds
+	// (-follow, tcp://, a paced replay) run until interrupted; SIGTERM/SIGINT
+	// ends the source cleanly, so everything already ingested still drains,
+	// flushes its open windows and lands in the final checkpoint.
+	drive := func(dst saql.Submitter) error {
+		if a := src.Addr(); a != nil {
+			say("listening on %s (%s)\n", a, *format)
+		}
+		ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+		defer stopSignals()
+		err := src.Run(ctx, dst)
+		if ctx.Err() != nil {
+			say("interrupted: stopping %s after %d events\n", src, src.Stats().Events)
+			return nil
+		}
+		return err
+	}
+
 	if *cluster != "" {
-		return runCluster(out, clusterParams{
+		return runCluster(clusterParams{
 			addrs:     strings.Split(*cluster, ","),
 			set:       set,
-			scenario:  scenario,
-			storeDir:  *storeDir,
-			hosts:     hosts,
-			from:      *from,
-			to:        *to,
-			speed:     *speed,
-			simulate:  *simulate,
-			duration:  *duration,
-			seed:      *seed,
-			batch:     *batch,
 			quiet:     *quiet,
 			ckptEvery: *ckptEvery,
+			src:       src,
+			drive:     drive,
+			say:       say,
 		})
 	}
 
 	// The alert handler is invoked serially in both the sharded runtime and
-	// the legacy serial path, so the counter needs no synchronisation — but
-	// alert printing runs concurrently with the SIGHUP reload goroutine's
-	// report printing, so writes to out share a mutex.
-	var outMu sync.Mutex
+	// the serial path, so the counter needs no synchronisation.
 	var alertCount int
 	engOpts := []saql.Option{
 		saql.WithSharing(!*noShare),
 		saql.WithAlertHandler(func(a *saql.Alert) {
 			alertCount++
 			if !*quiet {
-				outMu.Lock()
-				fmt.Fprintln(out, a)
-				outMu.Unlock()
+				say("%s\n", a)
 			}
 		}),
 	}
 	if *shards > 0 {
 		engOpts = append(engOpts, saql.WithShards(*shards))
 	}
-	sharded := *shards != 0
-	if *input != "" && !sharded {
-		return fmt.Errorf("-input needs the concurrent runtime (drop -shards 0)")
-	}
 
-	// Durable state: restore from -checkpoint-dir's snapshot when one
-	// exists (replaying the journaled tail so no alert is lost or
-	// duplicated), otherwise start fresh with the directory as the event
-	// journal. Either way the engine checkpoints back into the same
-	// directory. Unreadable snapshots (version mismatch, corruption) fail
-	// loudly — silently starting from zero would discard trained state.
+	// Durable state: -checkpoint-dir is entered through saql.Open whatever
+	// it holds — a snapshot is restored, a fresh directory becomes the event
+	// journal, a journal without a snapshot (the previous run died before
+	// its first checkpoint) is kept for replay. Either way the engine
+	// journals and checkpoints back into the same directory. Unreadable
+	// snapshots (version mismatch, corruption) fail loudly — silently
+	// starting from zero would discard trained state.
 	var eng *saql.Engine
-	restored := false
-	orphans := false // the journal has no snapshot: whatever it holds is replayed from record 0
+	var opened *saql.RestoreInfo
 	if *ckptDir != "" {
-		ropts := []saql.RestoreOption{saql.WithRestoreEngineOptions(engOpts...)}
+		ropts := []saql.RestoreOption{saql.WithRestoreEngineOptions(engOpts...), saql.WithoutReplay()}
 		if !sharded {
 			ropts = append(ropts, saql.WithoutStart())
 		}
-		e, info, err := saql.Restore(*ckptDir, ropts...)
-		switch {
-		case err == nil:
-			eng, restored = e, true
-			fmt.Fprintf(out, "restored %d queries from %s (offset %d, %d journaled events replayed)\n",
-				info.Queries, *ckptDir, info.Offset, info.Replayed)
-		case errors.Is(err, saql.ErrNoCheckpoint):
-			store, serr := saql.OpenStore(*ckptDir, saql.StoreOptions{})
-			if serr != nil {
-				return serr
-			}
-			engOpts = append(engOpts, saql.WithJournal(store))
-			orphans = true
-		default:
+		if eng, opened, err = saql.Open(*ckptDir, ropts...); err != nil {
 			return err
 		}
-	}
-	if eng == nil {
+	} else {
 		eng = saql.New(engOpts...)
+		if sharded {
+			if err := eng.Start(context.Background()); err != nil {
+				return err
+			}
+		}
 	}
 	if rep, err := eng.Apply(context.Background(), set); err != nil {
 		return err
 	} else if !rep.Empty() {
-		fmt.Fprintf(out, "applied query set: %s\n", rep)
+		say("applied query set: %s\n", rep)
 	}
-	fmt.Fprintf(out, "registered %d queries in %d scheduler groups\n", eng.Stats().Queries, eng.Stats().QueryGroups)
+	say("registered %d queries in %d scheduler groups\n", eng.Stats().Queries, eng.Stats().QueryGroups)
+	if sharded {
+		say("concurrent runtime: %d shards\n", eng.Shards())
+		for _, name := range set.Names() {
+			if p, ok := eng.QueryPlacement(name); ok {
+				say("  %-40s placement=%s\n", name, p)
+			}
+		}
+	}
+
+	// The journaled tail past the snapshot (every record, when there is no
+	// snapshot) is replayed under the applied query set and ahead of the
+	// live feed in the total order, so no alert is lost or duplicated.
+	if opened != nil {
+		n, err := eng.ReplayJournal(opened.Offset)
+		if err != nil {
+			return err
+		}
+		if !opened.TakenAt.IsZero() {
+			say("restored %d queries from %s (offset %d, %d journaled events replayed)\n",
+				opened.Queries, *ckptDir, opened.Offset, n)
+		} else if n > 0 {
+			say("replayed %d journaled events from a run with no checkpoint\n", n)
+		}
+	}
 
 	// The admin API serves the saqlctl DSL (list/get/pause/resume/update/
 	// apply/quota) against this engine for the lifetime of the run.
@@ -274,47 +329,7 @@ func run(args []string, out io.Writer) error {
 		adminSrv := &http.Server{Handler: admin.NewServer(eng).Handler()}
 		go func() { _ = adminSrv.Serve(ln) }()
 		defer adminSrv.Close()
-		outMu.Lock()
-		fmt.Fprintf(out, "admin API listening on %s\n", ln.Addr())
-		outMu.Unlock()
-	}
-
-	// A journal with records but no snapshot means the previous run died
-	// before its first checkpoint: rebuild state by replaying every orphaned
-	// record (ReplayJournal recovers the journal first, trimming a torn tail
-	// record the crash may have left). The offset origin is pinned at 0
-	// before Start (the replay itself advances the engine to the journal's
-	// head) and the replay runs after Start, through the sharded runtime, so
-	// recovered group state lands on the shards that own it — ahead of the
-	// live feed in the total order. On a fresh directory it replays nothing.
-	if orphans {
-		if err := eng.PinJournalOffset(0); err != nil {
-			return err
-		}
-	}
-
-	if sharded {
-		if !restored {
-			if err := eng.Start(context.Background()); err != nil {
-				return err
-			}
-		}
-		fmt.Fprintf(out, "concurrent runtime: %d shards\n", eng.Shards())
-		for _, name := range set.Names() {
-			if p, ok := eng.QueryPlacement(name); ok {
-				fmt.Fprintf(out, "  %-40s placement=%s\n", name, p)
-			}
-		}
-	}
-
-	if orphans {
-		n, err := eng.ReplayJournal(0)
-		if err != nil {
-			return err
-		}
-		if n > 0 {
-			fmt.Fprintf(out, "replayed %d journaled events from a run with no checkpoint\n", n)
-		}
+		say("admin API listening on %s\n", ln.Addr())
 	}
 
 	// Periodic checkpoints ride alongside ingestion; the final checkpoint
@@ -378,9 +393,7 @@ func run(args []string, out io.Writer) error {
 				fmt.Fprintln(os.Stderr, "saql: re-apply:", err)
 				continue
 			}
-			outMu.Lock()
-			fmt.Fprintf(out, "reloaded queries: %s\n", rep)
-			outMu.Unlock()
+			say("reloaded queries: %s\n", rep)
 		}
 	}()
 	var reloadStopOnce sync.Once
@@ -392,116 +405,17 @@ func run(args []string, out io.Writer) error {
 		})
 	}
 	defer stopReloader()
-	// feed delivers one event through whichever ingestion path is active.
-	feed := func(ev *saql.Event) {
-		if sharded {
-			if err := eng.Submit(ev); err != nil {
-				fmt.Fprintln(os.Stderr, "saql: submit:", err)
-			}
-			return
-		}
-		eng.Process(ev)
-	}
 
 	started := time.Now()
-	var events int64
-	var logStats saql.SourceStats
-	switch {
-	case *input != "":
-		src, err := openInput(*input, *format, *agent, *srcTenant, *follow, *strictOrder, *batch)
-		if err != nil {
-			return err
-		}
-		if a := src.Addr(); a != nil {
-			outMu.Lock()
-			fmt.Fprintf(out, "listening on %s (%s)\n", a, *format)
-			outMu.Unlock()
-		}
-		// Live modes (-follow, tcp://) run until interrupted; Ctrl-C ends
-		// the source cleanly so open windows still flush and the summary
-		// prints.
-		ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		err = src.Run(ctx, eng)
-		stopSignals()
-		if err != nil && !errors.Is(err, context.Canceled) {
-			return err
-		}
-		logStats = src.Stats()
-		events = logStats.Events
-
-	case *storeDir != "":
-		store, err := saql.OpenStore(*storeDir, saql.StoreOptions{})
-		if err != nil {
-			return err
-		}
-		opts := saql.ReplayOptions{Hosts: hosts, Speed: *speed}
-		if *from != "" {
-			t, err := time.Parse(time.RFC3339, *from)
-			if err != nil {
-				return fmt.Errorf("bad -from: %w", err)
-			}
-			opts.From = t
-		}
-		if *to != "" {
-			t, err := time.Parse(time.RFC3339, *to)
-			if err != nil {
-				return fmt.Errorf("bad -to: %w", err)
-			}
-			opts.To = t
-		}
-		// SIGTERM/SIGINT cancels the replay mid-stream; everything already
-		// ingested still drains, flushes its open windows, and lands in the
-		// final checkpoint below before the process exits.
-		ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		rep := saql.NewReplayer(store)
-		ch, wait := rep.ReplayChan(ctx, opts, 256)
-		for ev := range ch {
-			feed(ev)
-			events++
-		}
-		_, werr := wait()
-		interrupted := ctx.Err() != nil
-		stopSignals()
-		if werr != nil && !interrupted {
-			return werr
-		}
-		if interrupted {
-			outMu.Lock()
-			fmt.Fprintf(out, "interrupted: stopping replay after %d events\n", events)
-			outMu.Unlock()
-		}
-
-	case *simulate:
-		all, err := simulationEvents(scenario, *duration, *seed)
-		if err != nil {
-			return err
-		}
-		ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		for i := 0; i < len(all) && ctx.Err() == nil; i += *batch {
-			end := min(i+*batch, len(all))
-			if sharded {
-				if err := eng.SubmitBatch(all[i:end]); err != nil {
-					stopSignals()
-					return err
-				}
-			} else {
-				for _, ev := range all[i:end] {
-					eng.Process(ev)
-				}
-			}
-			events += int64(end - i)
-		}
-		interrupted := ctx.Err() != nil
-		stopSignals()
-		if interrupted {
-			outMu.Lock()
-			fmt.Fprintf(out, "interrupted: stopping simulation after %d events\n", events)
-			outMu.Unlock()
-		}
-
-	default:
-		return fmt.Errorf("no event source: use -input, -store, or -simulate")
+	var dst saql.Submitter = eng
+	if !sharded {
+		dst = serialEngine{eng}
 	}
+	if err := drive(dst); err != nil {
+		return err
+	}
+	logStats := src.Stats()
+	events := logStats.Events
 
 	// Ingestion is over: join the reloader and the periodic checkpointer,
 	// take the final checkpoint, then close the engine and print the
@@ -517,9 +431,7 @@ func run(args []string, out io.Writer) error {
 		if info, err := eng.Checkpoint(*ckptDir); err != nil {
 			fmt.Fprintln(os.Stderr, "saql: final checkpoint:", err)
 		} else {
-			outMu.Lock()
-			fmt.Fprintf(out, "checkpoint written: %s (offset %d, %d queries)\n", info.Path, info.Offset, info.Queries)
-			outMu.Unlock()
+			say("checkpoint written: %s (offset %d, %d queries)\n", info.Path, info.Offset, info.Queries)
 		}
 	}
 	// Close on both paths: it drains the (already empty) queue, ends
@@ -532,7 +444,7 @@ func run(args []string, out io.Writer) error {
 	wall := time.Since(started)
 	st := eng.Stats()
 	fmt.Fprintf(out, "\n--- summary ---\n")
-	fmt.Fprintf(out, "events processed : %d (%.0f events/s)\n", events, float64(events)/wall.Seconds())
+	fmt.Fprintf(out, "events processed : %d in %d batches (%.0f events/s)\n", events, logStats.Batches, float64(events)/wall.Seconds())
 	fmt.Fprintf(out, "alerts raised    : %d\n", alertCount)
 	fmt.Fprintf(out, "stream copies    : %d (naive per-query: %d, sharing ratio %.2fx)\n",
 		st.StreamCopies, st.NaiveCopies, st.SharingRatio)
@@ -544,6 +456,9 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "log lines read   : %d (%d undecodable, %d reordered, %d dropped out-of-order)\n",
 			logStats.Lines, logStats.DecodeErrors, logStats.Reordered, logStats.Dropped)
 	}
+	if ts, ok := eng.TenantStats(*srcTenant); ok && ts.EventsThrottled > 0 {
+		fmt.Fprintf(out, "events throttled : %d (tenant %s ingest-rate quota)\n", ts.EventsThrottled, ts.Name)
+	}
 	if st.Dropped > 0 {
 		fmt.Fprintf(out, "events dropped   : %d (ingest overflow)\n", st.Dropped)
 	}
@@ -551,6 +466,62 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "runtime errors   : %d (last: %v)\n", n, eng.Errors()[len(eng.Errors())-1])
 	}
 	return nil
+}
+
+// serialEngine is the -shards 0 destination: a never-started engine driven
+// on the source's goroutine, the serial reference every other path is held
+// to.
+type serialEngine struct{ eng *saql.Engine }
+
+func (s serialEngine) SubmitBatch(evs []*saql.Event) error {
+	for _, ev := range evs {
+		s.eng.Process(ev)
+	}
+	return nil
+}
+
+// openSimulation builds the -simulate source over the generated dataset.
+func openSimulation(scenario *saql.AttackScenario, duration time.Duration, seed int64, opts []saql.SourceOption) (*saql.Source, error) {
+	all, err := simulationEvents(scenario, duration, seed)
+	if err != nil {
+		return nil, err
+	}
+	return saql.NewEventSource("simulation", func(_ context.Context, emit func(*saql.Event) error) error {
+		for _, ev := range all {
+			if err := emit(ev); err != nil {
+				return err
+			}
+		}
+		return nil
+	}, opts...), nil
+}
+
+// openReplay builds the -store source: the stream replayer over the store's
+// selected hosts and time range, paced by -speed.
+func openReplay(dir string, hosts []string, from, to string, speed float64, opts []saql.SourceOption) (*saql.Source, error) {
+	sel := saql.ReplayOptions{Hosts: hosts, Speed: speed}
+	var err error
+	if sel.From, err = parseBound("-from", from); err != nil {
+		return nil, err
+	}
+	if sel.To, err = parseBound("-to", to); err != nil {
+		return nil, err
+	}
+	store, err := saql.OpenStore(dir, saql.StoreOptions{})
+	if err != nil {
+		return nil, err
+	}
+	return saql.NewReplaySource(saql.NewReplayer(store), sel, opts...), nil
+}
+
+// parseBound parses a replay time bound; empty means unbounded.
+func parseBound(flag, val string) (t time.Time, err error) {
+	if val != "" {
+		if t, err = time.Parse(time.RFC3339, val); err != nil {
+			err = fmt.Errorf("bad %s: %w", flag, err)
+		}
+	}
+	return t, err
 }
 
 // simulationEvents generates the -simulate dataset: the enterprise
@@ -621,16 +592,10 @@ func loadQueryDir(dir string) (*saql.QuerySet, error) {
 
 // openInput builds the log source for -input: "-" reads stdin, a tcp://
 // address listens for connections, anything else opens a file.
-func openInput(input, format, agent, tenant string, follow, strictOrder bool, batch int) (*saql.Source, error) {
-	opts := []saql.SourceOption{
-		saql.WithFormat(format),
-		saql.WithBatchSize(batch),
-	}
+func openInput(input, format, agent string, follow, strictOrder bool, opts []saql.SourceOption) (*saql.Source, error) {
+	opts = append(opts, saql.WithFormat(format))
 	if agent != "" {
 		opts = append(opts, saql.WithSourceAgent(agent))
-	}
-	if tenant != "" {
-		opts = append(opts, saql.WithSourceTenant(tenant))
 	}
 	if strictOrder {
 		opts = append(opts, saql.WithStrictOrder())

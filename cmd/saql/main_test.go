@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"saql"
 	"saql/internal/admin"
 )
 
@@ -25,13 +26,7 @@ func TestRunInputAuditdSample(t *testing.T) {
 		"-input", samplePath,
 		"-format", "auditd",
 		"-agent", "db-1",
-		"-e", `
-agentid = "db-1"
-proc p1["%mysqldump"] write file f1["%dump.sql"] as evt1
-proc p2["%curl"] read file f1 as evt2
-proc p2 connect ip i1[dstip="172.16.0.129"] as evt3
-with evt1 -> evt2 -> evt3
-return distinct p1, f1, p2, i1`,
+		"-e", sampleRule,
 	}, &out)
 	if err != nil {
 		t.Fatalf("run: %v\noutput:\n%s", err, out.String())
@@ -50,11 +45,168 @@ return distinct p1, f1, p2, i1`,
 	}
 }
 
-func TestRunInputRejectsSerialPath(t *testing.T) {
+// sampleRule is the multievent exfiltration rule the auditd sample trips
+// exactly once.
+const sampleRule = `
+agentid = "db-1"
+proc p1["%mysqldump"] write file f1["%dump.sql"] as evt1
+proc p2["%curl"] read file f1 as evt2
+proc p2 connect ip i1[dstip="172.16.0.129"] as evt3
+with evt1 -> evt2 -> evt3
+return distinct p1, f1, p2, i1`
+
+// Every feed reaches every destination: the log source that used to need
+// the concurrent runtime also drives the serial reference path.
+func TestRunInputSerialPath(t *testing.T) {
 	var out strings.Builder
-	err := run([]string{"-shards", "0", "-input", samplePath, "-format", "auditd", "-e", "proc p start proc q return p, q"}, &out)
-	if err == nil || !strings.Contains(err.Error(), "concurrent runtime") {
-		t.Fatalf("err = %v, want concurrent-runtime error", err)
+	err := run([]string{"-shards", "0", "-input", samplePath, "-format", "auditd", "-agent", "db-1", "-e", sampleRule}, &out)
+	if err != nil {
+		t.Fatalf("run: %v\noutput:\n%s", err, out.String())
+	}
+	got := out.String()
+	if !strings.Contains(got, "ALERT [rule] query=inline-1") || !strings.Contains(got, "alerts raised    : 1") {
+		t.Errorf("serial path did not raise the sample's alert:\n%s", got)
+	}
+	if strings.Contains(got, "concurrent runtime:") {
+		t.Errorf("-shards 0 started the runtime:\n%s", got)
+	}
+}
+
+// feedEvents is a small stream every feed can carry: 40 big writes, four
+// per second of stream time, as events and as the NDJSON lines that decode
+// to them.
+func feedEvents(t *testing.T) (evs []*saql.Event, ndjson string) {
+	t.Helper()
+	base := time.Date(2020, 2, 27, 9, 0, 0, 0, time.UTC)
+	var sb strings.Builder
+	for i := 0; i < 40; i++ {
+		at := base.Add(time.Duration(i) * 250 * time.Millisecond)
+		evs = append(evs, &saql.Event{
+			Time: at, AgentID: "db-1",
+			Subject: saql.Process("sqlservr.exe", 2001),
+			Op:      saql.OpWrite,
+			Object:  saql.NetConn("10.0.0.2", 1433, "10.1.0.3", 443),
+			Amount:  2000000, // every event trips plainRule
+		})
+		fmt.Fprintf(&sb, `{"ts":%q,"agent":"db-1","subject":{"type":"proc","exe":"sqlservr.exe","pid":2001},"op":"write","object":{"type":"ip","src_ip":"10.0.0.2","src_port":1433,"dst_ip":"10.1.0.3","dst_port":443},"amount":2000000}`+"\n",
+			at.Format(time.RFC3339Nano))
+	}
+	return evs, sb.String()
+}
+
+// writeStore persists evs as a replayable store.
+func writeStore(t *testing.T, evs []*saql.Event) string {
+	t.Helper()
+	dir := t.TempDir()
+	store, err := saql.OpenStore(dir, saql.StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.AppendAll(evs); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// A store replay is batched by the source like any other feed: it used to
+// enqueue one ingest-queue submission per event.
+func TestRunStoreBatches(t *testing.T) {
+	evs, _ := feedEvents(t)
+	var out strings.Builder
+	if err := run([]string{"-store", writeStore(t, evs), "-batch", "8", "-quiet", "-e", plainRule}, &out); err != nil {
+		t.Fatalf("run: %v\noutput:\n%s", err, out.String())
+	}
+	var events, batches int
+	for _, line := range strings.Split(out.String(), "\n") {
+		if _, err := fmt.Sscanf(line, "events processed : %d in %d batches", &events, &batches); err == nil {
+			break
+		}
+	}
+	// 40 ÷ 8, plus at most a partial batch or two cut by the flush timer.
+	if events != 40 || batches < 5 || batches > 7 {
+		t.Errorf("replayed %d events in %d batches, want 40 in ≈5:\n%s", events, batches, out.String())
+	}
+	if !strings.Contains(out.String(), "alerts raised    : 40") {
+		t.Errorf("replay lost alerts:\n%s", out.String())
+	}
+}
+
+// -tenant meters whatever feed the run has, not only -input: under an
+// ingest-rate quota of one event per second of stream time, the same 40
+// events (four per second) lose 30 to the throttle as a log file and as a
+// store replay, and the simulation loses exactly its over-rate events.
+func TestRunTenantThrottlesEveryFeed(t *testing.T) {
+	// The quota reaches the run the way an operator's does: it is part of
+	// the durable directory's checkpoint.
+	quotaDir := func(rate int64) string {
+		dir := t.TempDir()
+		eng, _, err := saql.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.SetTenantQuotas("acme", saql.TenantQuotas{IngestRate: rate})
+		if _, err := eng.Checkpoint(dir); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	evs, ndjson := feedEvents(t)
+	logf := filepath.Join(t.TempDir(), "events.ndjson")
+	if err := os.WriteFile(logf, []byte(ndjson), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, feed := range [][]string{{"-input", logf}, {"-store", writeStore(t, evs)}} {
+		var out strings.Builder
+		args := append(feed, "-tenant", "acme", "-checkpoint-dir", quotaDir(1), "-quiet", "-e", plainRule)
+		if err := run(args, &out); err != nil {
+			t.Fatalf("%s: %v\noutput:\n%s", feed[0], err, out.String())
+		}
+		for _, want := range []string{"events throttled : 30 (tenant acme", "alerts raised    : 10"} {
+			if !strings.Contains(out.String(), want) {
+				t.Errorf("%s: missing %q:\n%s", feed[0], want, out.String())
+			}
+		}
+	}
+
+	// The simulation: what a rate of 5/s must drop, counted per second of
+	// stream time from the same generator.
+	const rate = 5
+	sim, err := simulationEvents(&saql.AttackScenario{
+		Workstation: "ws-victim", MailServer: "mail-1", DBServer: "db-1", AttackerIP: "172.16.0.129",
+	}, time.Minute, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perSecond := map[int64]int{}
+	for _, ev := range sim {
+		perSecond[ev.Time.Unix()]++
+	}
+	over := 0
+	for _, n := range perSecond {
+		over += max(0, n-rate)
+	}
+	if over == 0 {
+		t.Fatal("simulation never exceeds the rate; the test needs a tighter quota")
+	}
+	var out strings.Builder
+	err = run([]string{"-simulate", "-duration", "1m", "-seed", "42", "-tenant", "acme",
+		"-checkpoint-dir", quotaDir(rate), "-quiet", "-e", plainRule}, &out)
+	if err != nil {
+		t.Fatalf("-simulate: %v\noutput:\n%s", err, out.String())
+	}
+	if want := fmt.Sprintf("events throttled : %d (tenant acme", over); !strings.Contains(out.String(), want) {
+		t.Errorf("-simulate: missing %q:\n%s", want, out.String())
+	}
+
+	// A quota needs a started local engine to enforce it.
+	if err := run([]string{"-simulate", "-shards", "0", "-tenant", "acme", "-e", plainRule}, &out); err == nil || !strings.Contains(err.Error(), "-tenant") {
+		t.Errorf("-tenant with -shards 0: err = %v, want a refusal", err)
 	}
 }
 

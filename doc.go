@@ -62,31 +62,35 @@
 // hot-swapped, absent managed ones retired — returning a ChangeReport.
 // See docs/queries.md for the grammar and reconciliation rules.
 //
-// # Ingesting real logs
+// # Ingesting event streams
 //
-// Raw monitoring logs stream into a running engine through sources: a log
-// file (optionally followed like tail -f), standard input, an arbitrary
-// io.Reader, or a TCP listener. Each source decodes its input with a codec
-// — "auditd" (Linux kernel audit records, with multi-record event
+// Every event stream enters a running engine through a Source. Raw
+// monitoring logs come from a log file (optionally followed like tail -f),
+// standard input, an arbitrary io.Reader, or a TCP listener, decoded with a
+// codec — "auditd" (Linux kernel audit records, with multi-record event
 // reassembly), "sysmon" (Sysmon/ECS JSON lines), or "ndjson" (the native
-// event schema) — and submits the events in time-ordered batches:
+// event schema); events that already exist come from a producer
+// (NewEventSource) or from a store through the stream replayer
+// (NewReplaySource). Whatever its kind, a source submits its events in
+// time-ordered batches:
 //
 //	src, err := saql.OpenLogFile("audit.log",
 //	    saql.WithFormat("auditd"), saql.WithSourceAgent("db-1"), saql.WithFollow())
 //	if err != nil { ... }
 //	err = src.Run(ctx, eng) // decode → batch → SubmitBatch, until ctx ends
 //
-// Per-source counters (lines, events, decode errors, out-of-order
-// accounting) are available from Source.Stats and aggregated into
+// Run accepts any Submitter, not only an *Engine. Per-source counters
+// (lines, events, decode errors, out-of-order accounting) are available
+// from Source.Stats and, for an engine destination, aggregated into
 // Engine.Stats. See docs/architecture.md for the pipeline design and
 // docs/language.md for the query-language reference.
 //
 // # Engine lifecycle
 //
 // An Engine moves through three states. It is created in the serial state,
-// where the synchronous Process/Flush/Run methods evaluate queries on the
+// where the synchronous Process/Flush methods evaluate queries on the
 // caller's goroutine and return alerts directly (the original blocking API;
-// Process, Run, Flush, AddQuery, and RemoveQuery are all deprecated in
+// Process, Flush, AddQuery, and RemoveQuery are all deprecated in
 // favour of Start/Submit/Subscribe and the Register handle API, but remain
 // fully supported). Start moves it to the running state: ingestion happens
 // through the non-blocking Submit/SubmitBatch, whose backpressure on a full
@@ -152,12 +156,15 @@
 // query's runtime state (open windows, aggregators, history rings,
 // invariant training, partial multievent matches, distinct-suppression
 // tables) — at a runtime control-queue barrier, riding the same total order
-// as events and hot-swaps; and Restore(dir) rebuilds an equivalent engine
-// (on any shard count) and replays the journaled tail from the snapshot's
-// stream offset, so recovery is alert-for-alert identical to a run that was
-// never interrupted. Unreadable snapshots fail with typed errors
-// (ErrNoCheckpoint, *SnapshotVersionError, *SnapshotCorruptError), never
-// with silently corrupted state. See docs/architecture.md, "Durable state".
+// as events and hot-swaps; and Open(dir) — the one way into a durable
+// directory, whether it is empty, holds a journal whose run died before its
+// first checkpoint, or holds a snapshot and a tail — rebuilds an equivalent
+// engine (on any shard count) and replays the journaled tail from the
+// snapshot's stream offset, so recovery is alert-for-alert identical to a
+// run that was never interrupted. Restore(dir) is Open that insists on a
+// snapshot (ErrNoCheckpoint without one). Unreadable snapshots fail with
+// typed errors (*SnapshotVersionError, *SnapshotCorruptError), never with
+// silently corrupted state. See docs/architecture.md, "Durable state".
 //
 // # Distributed operation
 //

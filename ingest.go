@@ -11,28 +11,41 @@ import (
 	"saql/internal/source"
 )
 
-// This file is the public face of the real-log ingestion layer: sources
-// stream raw monitoring logs (auditd, Sysmon/ECS JSON, native NDJSON) into a
-// running engine through SubmitBatch, with time-ordered batching and
-// per-source accounting. See docs/architecture.md, "Ingestion pipeline".
+// This file is the public face of the ingestion layer. Every event stream
+// enters through a Source: raw monitoring logs (auditd, Sysmon/ECS JSON,
+// native NDJSON) decoded from a file, reader or TCP listener, or events a
+// producer already holds (a store replay, a simulation), with time-ordered
+// batching and per-source accounting either way. See docs/architecture.md,
+// "Ingestion pipeline".
 
 // SourceStats are per-source ingestion counters (lines read, events
 // decoded, decode errors, reordering/drop accounting, batches submitted).
 type SourceStats = source.Stats
 
-// Source streams one raw log input — a file, an io.Reader, or a TCP
-// listener — into an Engine. Create one with NewSource, OpenLogFile, or
-// ListenTCP; drive it with Run.
+// Source streams one input — a log file, an io.Reader, a TCP listener, or
+// an event producer — into a Submitter. Create one with NewSource,
+// OpenLogFile, ListenTCP, NewEventSource or NewReplaySource; drive it with
+// Run.
 type Source struct {
 	inner *source.Source
 	ran   atomic.Bool // Run is one-shot: attach/detach must pair exactly once
 }
 
+// Submitter is what a Source runs into: *Engine, or anything else that
+// accepts time-ordered event batches.
+type Submitter = source.Submitter
+
+// Producer generates the events of a NewEventSource: it calls emit once per
+// event, in stream order, stops at the first error emit returns (emit fails
+// once the run's context is cancelled) and returns it.
+type Producer = source.Producer
+
 // SourceOption configures a Source.
 type SourceOption func(*source.Config)
 
 // WithFormat selects the log format by codec name: "auditd", "sysmon", or
-// "ndjson" (the default). Formats lists what is available.
+// "ndjson" (the default). Formats lists what is available. Event sources
+// decode nothing and ignore it.
 func WithFormat(name string) SourceOption {
 	return func(c *source.Config) { c.Format = name }
 }
@@ -121,26 +134,54 @@ func ListenTCP(addr string, opts ...SourceOption) (*Source, error) {
 	return &Source{inner: s}, nil
 }
 
-// Run streams the source into the engine until the input is exhausted (or
-// ctx is cancelled for follow/TCP sources). The engine must be running
-// (Start), since sources ingest through SubmitBatch. The source registers
-// itself with the engine for the duration of the run, so its counters
-// aggregate into Stats; when Run returns the source is detached and its
-// final counters are folded into the engine's cumulative totals, so they
-// survive the detach. Run is one-shot: a second call fails. Run returns nil
-// on a clean end of input and ctx.Err() on cancellation.
-func (s *Source) Run(ctx context.Context, eng *Engine) error {
-	if _, err := eng.running(); err != nil {
+// NewEventSource builds a source over events that already exist: produce
+// calls emit once per event and returns when the stream ends (see Producer).
+// The events are batched, time-sorted within a batch, metered and counted
+// exactly like decoded log lines; a partial batch never waits longer than
+// the flush interval, so a producer may pace itself. name is what String
+// reports.
+func NewEventSource(name string, produce Producer, opts ...SourceOption) *Source {
+	return &Source{inner: source.FromProducer(name, produce, sourceConfig(opts))}
+}
+
+// NewReplaySource builds a source that replays rep's store — the selected
+// hosts and time range at the selected speed — as a live stream.
+func NewReplaySource(rep *Replayer, sel ReplayOptions, opts ...SourceOption) *Source {
+	return NewEventSource("replay", func(ctx context.Context, emit func(*Event) error) error {
+		_, err := rep.Replay(ctx, sel, emit)
 		return err
+	}, opts...)
+}
+
+// Run streams the source into dst until the input is exhausted or ctx is
+// cancelled. Run is one-shot: a second call fails. It returns nil on a clean
+// end of input, ctx.Err() on cancellation, and the first submission or I/O
+// error otherwise.
+//
+// An *Engine destination must be running (Start), since sources ingest
+// through SubmitBatch. The source registers itself with the engine for the
+// duration of the run, so its counters aggregate into Stats; when Run
+// returns the source is detached and its final counters are folded into the
+// engine's cumulative totals, so they survive the detach. The tenant a
+// source names (WithSourceTenant) is metered against that engine's quotas.
+// Any other Submitter — a cluster coordinator, a serial adapter — just
+// receives the batches.
+func (s *Source) Run(ctx context.Context, dst Submitter) error {
+	eng, _ := dst.(*Engine)
+	if eng != nil {
+		if _, err := eng.running(); err != nil {
+			return err
+		}
 	}
 	if !s.ran.CompareAndSwap(false, true) {
 		return fmt.Errorf("saql: source already run (sources are one-shot)")
 	}
-	eng.attachSource(s.inner)
-	defer eng.detachSource(s.inner)
-	var dst source.Submitter = eng
-	if ten := s.inner.Tenant(); ten != "" {
-		dst = &tenantSubmitter{eng: eng, tenant: ten}
+	if eng != nil {
+		eng.attachSource(s.inner)
+		defer eng.detachSource(s.inner)
+		if ten := s.inner.Tenant(); ten != "" {
+			dst = &tenantSubmitter{eng: eng, tenant: ten}
+		}
 	}
 	return s.inner.Run(ctx, dst)
 }
@@ -163,6 +204,9 @@ func (t *tenantSubmitter) SubmitBatch(evs []*Event) error {
 
 // Stats snapshots the source's counters; safe while Run is in flight.
 func (s *Source) Stats() SourceStats { return s.inner.Stats() }
+
+// String names the source for logs: its kind and file, address or name.
+func (s *Source) String() string { return s.inner.String() }
 
 // Addr reports the bound listener address of a ListenTCP source and nil for
 // other source kinds.

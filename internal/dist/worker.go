@@ -15,7 +15,6 @@ package dist
 // locally, lifted to the wire.
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -203,11 +202,13 @@ func (w *Worker) engineOpts(ranges []saql.KeyRange) []saql.Option {
 	return opts
 }
 
-// handleHello builds the worker's engine: restore from the directory's
-// checkpoint when one exists (replacement), otherwise start fresh on the
-// directory's journal, replaying any orphaned records a run that died
-// before its first checkpoint left behind. Either way the worker answers
-// with its stream position, and any replay alerts are flushed first so the
+// handleHello builds the worker's engine from whatever its directory holds
+// (saql.Open): a checkpoint is restored and its journal tail replayed
+// (replacement), an empty directory starts fresh, and a journal whose run
+// died before any barrier completed is replayed from record 0 into an engine
+// with no queries — exactly right, because no control op completed either
+// (every control op is followed by a barrier). The worker answers with its
+// stream position, and any replay alerts are flushed first so the
 // coordinator's suppression window dedups them before the ack commits the
 // position.
 func (w *Worker) handleHello(p []byte) error {
@@ -224,42 +225,14 @@ func (w *Worker) handleHello(p []byte) error {
 		return fmt.Errorf("hello assigns no key ranges to worker %q", w.id)
 	}
 
-	eng, rinfo, err := saql.Restore(w.cfg.Dir,
+	eng, info, err := saql.Open(w.cfg.Dir,
 		saql.WithRestoreEngineOptions(w.engineOpts(ranges)...))
-	var off int64
-	switch {
-	case err == nil:
-		off = rinfo.Offset + rinfo.Replayed
-		w.cfg.Logf("worker %s: restored %d queries at offset %d, replayed %d",
-			w.id, rinfo.Queries, rinfo.Offset, rinfo.Replayed)
-	case errors.Is(err, saql.ErrNoCheckpoint):
-		// Fresh directory, or a journal whose run died before any barrier
-		// completed — in which case no control op completed either (every
-		// control op is followed by a barrier), so replaying the orphaned
-		// records through an engine with no queries is exactly right.
-		store, serr := saql.OpenStore(w.cfg.Dir, saql.StoreOptions{})
-		if serr != nil {
-			return serr
-		}
-		eng = saql.New(append(w.engineOpts(ranges), saql.WithJournal(store))...)
-		if err := eng.PinJournalOffset(0); err != nil {
-			_ = eng.Close()
-			return err
-		}
-		if err := eng.Start(context.Background()); err != nil {
-			_ = eng.Close()
-			return err
-		}
-		n, rerr := eng.ReplayJournal(0)
-		if rerr != nil {
-			_ = eng.Close()
-			return rerr
-		}
-		off = n
-		w.cfg.Logf("worker %s: fresh engine, replayed %d orphaned records", w.id, n)
-	default:
+	if err != nil {
 		return err
 	}
+	off := info.Offset + info.Replayed
+	w.cfg.Logf("worker %s: opened %s: %d queries at offset %d, replayed %d",
+		w.id, w.cfg.Dir, info.Queries, info.Offset, info.Replayed)
 
 	w.engMu.Lock()
 	w.eng = eng

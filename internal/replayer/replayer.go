@@ -54,22 +54,43 @@ func (s Stats) Speedup() float64 {
 // Replayer replays events from a store.
 type Replayer struct {
 	store *storage.Store
-	// sleep is injectable for tests.
+	// sleep, when set, replaces the cancellable pacing wait (tests).
 	sleep func(time.Duration)
 }
 
 // New creates a replayer over store.
 func New(store *storage.Store) *Replayer {
-	return &Replayer{store: store, sleep: time.Sleep}
+	return &Replayer{store: store}
 }
 
-// SetSleep overrides the pacing sleep (tests).
+// SetSleep overrides the pacing wait (tests).
 func (r *Replayer) SetSleep(f func(time.Duration)) { r.sleep = f }
 
+// wait paces the replay by d, returning early with ctx's error when it is
+// cancelled mid-gap.
+func (r *Replayer) wait(ctx context.Context, d time.Duration) error {
+	if r.sleep != nil {
+		r.sleep(d)
+		return ctx.Err()
+	}
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-t.C:
+		return nil
+	}
+}
+
 // Replay streams the selected events in event-time order to emit, pacing
-// them by the speed multiplier. It returns replay statistics.
+// them by the speed multiplier, until the selection is exhausted, emit fails
+// or ctx is cancelled. It returns replay statistics.
 func (r *Replayer) Replay(ctx context.Context, opts Options, emit func(*event.Event) error) (Stats, error) {
 	var stats Stats
+	if opts.Speed < 0 {
+		return stats, fmt.Errorf("replayer: negative speed %g", opts.Speed)
+	}
 	evs, err := r.store.ReadAll(storage.Selection{Hosts: opts.Hosts, From: opts.From, To: opts.To})
 	if err != nil {
 		return stats, err
@@ -80,28 +101,23 @@ func (r *Replayer) Replay(ctx context.Context, opts Options, emit func(*event.Ev
 	if len(evs) == 0 {
 		return stats, nil
 	}
-	if opts.Speed < 0 {
-		return stats, fmt.Errorf("replayer: negative speed %g", opts.Speed)
-	}
 
 	start := time.Now()
 	base := evs[0].Time
 	for _, ev := range evs {
-		select {
-		case <-ctx.Done():
-			stats.Wall = time.Since(start)
-			return stats, ctx.Err()
-		default:
-		}
-		if opts.Speed > 0 {
+		err := ctx.Err()
+		if err == nil && opts.Speed > 0 {
 			// Pace: the event is due after (eventTime-base)/speed of
 			// wall time.
 			due := time.Duration(float64(ev.Time.Sub(base)) / opts.Speed)
 			if ahead := due - time.Since(start); ahead > 0 {
-				r.sleep(ahead)
+				err = r.wait(ctx, ahead)
 			}
 		}
-		if err := emit(ev); err != nil {
+		if err == nil {
+			err = emit(ev)
+		}
+		if err != nil {
 			stats.Wall = time.Since(start)
 			return stats, err
 		}
@@ -113,34 +129,4 @@ func (r *Replayer) Replay(ctx context.Context, opts Options, emit func(*event.Ev
 	}
 	stats.Wall = time.Since(start)
 	return stats, nil
-}
-
-// ReplayChan is Replay with a channel interface: it returns the event
-// channel and a function that blocks until replay completes.
-func (r *Replayer) ReplayChan(ctx context.Context, opts Options, buf int) (<-chan *event.Event, func() (Stats, error)) {
-	if buf < 1 {
-		buf = 64
-	}
-	ch := make(chan *event.Event, buf)
-	type result struct {
-		stats Stats
-		err   error
-	}
-	done := make(chan result, 1)
-	go func() {
-		defer close(ch)
-		stats, err := r.Replay(ctx, opts, func(ev *event.Event) error {
-			select {
-			case ch <- ev:
-				return nil
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-		})
-		done <- result{stats, err}
-	}()
-	return ch, func() (Stats, error) {
-		res := <-done
-		return res.stats, res.err
-	}
 }

@@ -155,19 +155,26 @@ func TestReplayCancellation(t *testing.T) {
 	}
 }
 
-func TestReplayChan(t *testing.T) {
-	r := New(storeWith(t, events(25)))
-	ch, wait := r.ReplayChan(context.Background(), Options{}, 8)
+// TestReplayCancelMidGap: a paced replay parked in the gap before its next
+// event answers cancellation at once, not when the gap is over.
+func TestReplayCancelMidGap(t *testing.T) {
+	// Two events one second apart at speed 0.01: a 100 s gap.
+	r := New(storeWith(t, events(2)))
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var cancelled time.Time
 	n := 0
-	for range ch {
+	_, err := r.Replay(ctx, Options{Speed: 0.01}, func(*event.Event) error {
 		n++
+		time.AfterFunc(20*time.Millisecond, func() { cancelled = time.Now(); cancel() })
+		return nil
+	})
+	took := time.Since(cancelled)
+	if !errors.Is(err, context.Canceled) || n != 1 {
+		t.Fatalf("replay = %v after %d events, want context.Canceled after 1", err, n)
 	}
-	stats, err := wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 25 || stats.Events != 25 {
-		t.Errorf("chan replay = %d/%d", n, stats.Events)
+	if took > 100*time.Millisecond {
+		t.Errorf("replay returned %v after cancellation, want < 100ms", took)
 	}
 }
 

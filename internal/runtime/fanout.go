@@ -5,12 +5,24 @@ import (
 	"sync/atomic"
 
 	"saql/internal/engine"
-	"saql/internal/stream"
+)
+
+// OverflowPolicy selects what a producer does when a bounded buffer is full:
+// the ingest queue (Config.Overflow) and alert subscriptions.
+type OverflowPolicy uint8
+
+// Overflow policies.
+const (
+	// Block applies backpressure: the producer waits for capacity. The
+	// default, for consumers that must not observe gaps.
+	Block OverflowPolicy = iota
+	// DropNewest discards the incoming item (counted by whoever drops it).
+	DropNewest
 )
 
 // AlertSubscription is one consumer's live feed of alerts. Alerts arrive on
 // C in delivery order; C is closed when the subscription or the engine
-// closes. A subscriber using stream.Block must keep draining C until it
+// closes. A subscriber using Block must keep draining C until it
 // closes, or it backpressures the whole runtime.
 type AlertSubscription struct {
 	// C delivers alerts. Closed when the subscription or engine closes.
@@ -18,7 +30,7 @@ type AlertSubscription struct {
 
 	ch      chan *engine.Alert
 	done    chan struct{} // closed on unsubscribe, releases blocked senders
-	policy  stream.OverflowPolicy
+	policy  OverflowPolicy
 	filter  func(*engine.Alert) bool // nil = every alert
 	id      int
 	dropped atomic.Int64
@@ -28,7 +40,7 @@ type AlertSubscription struct {
 }
 
 // Dropped reports how many alerts overflow discarded for this subscriber
-// (stream.DropNewest policy only).
+// (DropNewest policy only).
 func (s *AlertSubscription) Dropped() int64 { return s.dropped.Load() }
 
 // Err reports why the subscription's channel was closed by its producer:
@@ -57,7 +69,7 @@ func (s *AlertSubscription) Ended() bool {
 }
 
 // AlertFanout fans alerts out to any number of subscribers plus an optional
-// serialized callback. It is the alert-side counterpart of stream.Broker.
+// serialized callback.
 type AlertFanout struct {
 	onAlert func(*engine.Alert)
 
@@ -87,14 +99,14 @@ func NewAlertFanout(onAlert func(*engine.Alert)) *AlertFanout {
 // Subscribe registers a consumer with the given buffer size and overflow
 // policy. Subscribing to a closed fan-out returns a subscription whose
 // channel is already closed and whose Err reports ErrClosed.
-func (f *AlertFanout) Subscribe(buf int, policy stream.OverflowPolicy) *AlertSubscription {
+func (f *AlertFanout) Subscribe(buf int, policy OverflowPolicy) *AlertSubscription {
 	return f.SubscribeFunc(buf, policy, nil)
 }
 
 // SubscribeFunc registers a consumer that receives only the alerts filter
 // accepts (nil means all). Filters run inside Publish and must be fast and
 // side-effect free; per-query subscriptions are filters on Alert.Query.
-func (f *AlertFanout) SubscribeFunc(buf int, policy stream.OverflowPolicy, filter func(*engine.Alert) bool) *AlertSubscription {
+func (f *AlertFanout) SubscribeFunc(buf int, policy OverflowPolicy, filter func(*engine.Alert) bool) *AlertSubscription {
 	if buf < 1 {
 		buf = 1
 	}
@@ -179,12 +191,12 @@ func (f *AlertFanout) Publish(alerts []*engine.Alert) {
 				continue
 			}
 			switch s.policy {
-			case stream.Block:
+			case Block:
 				select {
 				case s.ch <- a:
 				case <-s.done: // subscriber cancelled mid-delivery
 				}
-			case stream.DropNewest:
+			case DropNewest:
 				select {
 				case s.ch <- a:
 				default:

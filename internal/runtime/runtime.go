@@ -61,7 +61,6 @@ import (
 	"saql/internal/engine"
 	"saql/internal/event"
 	"saql/internal/scheduler"
-	"saql/internal/stream"
 )
 
 // ErrClosed is returned by operations on a runtime that has been closed.
@@ -74,8 +73,8 @@ type Config struct {
 	// QueueSize bounds the ingest queue (in submissions, not events).
 	QueueSize int
 	// Overflow selects Submit's behaviour when the queue is full:
-	// stream.Block applies backpressure, stream.DropNewest discards.
-	Overflow stream.OverflowPolicy
+	// Block applies backpressure, DropNewest discards.
+	Overflow OverflowPolicy
 	// Sharing enables the master–dependent-query scheme on each shard.
 	Sharing bool
 	// Reporter receives runtime query errors (may be nil).
@@ -294,7 +293,7 @@ func Start(cfg Config) *Runtime {
 	if cfg.Journal != nil {
 		// A journaled event must be processed: dropping it would desync the
 		// journal from the stream offsets checkpoints record.
-		cfg.Overflow = stream.Block
+		cfg.Overflow = Block
 	}
 	r := &Runtime{
 		cfg:        cfg,
@@ -329,8 +328,8 @@ func (r *Runtime) Shards() int { return len(r.shards) }
 // Ingestion
 // ---------------------------------------------------------------------------
 
-// Submit enqueues one event. Under stream.Block it waits for queue space;
-// under stream.DropNewest it discards the event when the queue is full
+// Submit enqueues one event. Under Block it waits for queue space;
+// under DropNewest it discards the event when the queue is full
 // (counted by Dropped). The engine owns the event after Submit returns.
 func (r *Runtime) Submit(ev *event.Event) error {
 	return r.SubmitBatch([]*event.Event{ev})
@@ -377,7 +376,7 @@ func (r *Runtime) submitBatch(evs []*event.Event, journal bool) error {
 		journaled = true
 	}
 	env := envelope{evs: evs}
-	if r.cfg.Overflow == stream.DropNewest {
+	if r.cfg.Overflow == DropNewest {
 		select {
 		case r.ingest <- env:
 			r.events.Add(int64(len(evs)))

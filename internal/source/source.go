@@ -1,8 +1,9 @@
-// Package source streams raw monitoring logs into the engine: it reads lines
-// from a file (optionally following appends, tail -f style), an arbitrary
-// io.Reader (stdin), or a TCP listener, decodes them with an internal/codec
-// Decoder, and submits the resulting events to a Submitter (the engine's
-// SubmitBatch) in time-ordered batches.
+// Package source is the one way an event stream enters the engine. A Source
+// reads lines from a file (optionally following appends, tail -f style), an
+// arbitrary io.Reader (stdin), or a TCP listener and decodes them with an
+// internal/codec Decoder — or takes ready-made events from a Producer (a
+// store replay, a simulation) — and submits them to a Submitter (the
+// engine's SubmitBatch) in time-ordered batches.
 //
 // # Ordering
 //
@@ -47,10 +48,16 @@ type Submitter interface {
 	SubmitBatch(evs []*event.Event) error
 }
 
+// Producer generates a source's events itself instead of decoding them from
+// lines: it calls emit once per event, in the order the events should enter
+// the batcher, stops at the first error emit returns (emit fails once ctx is
+// cancelled) and returns it.
+type Producer func(ctx context.Context, emit func(*event.Event) error) error
+
 // Config configures a Source.
 type Config struct {
 	// Format names the internal/codec decoder ("auditd", "sysmon",
-	// "ndjson"). Required.
+	// "ndjson"). Required by every source that decodes lines.
 	Format string
 	// Agent is the default AgentID for formats/lines without a host field.
 	Agent string
@@ -58,7 +65,8 @@ type Config struct {
 	// also the reordering window: events are sorted by time within it.
 	BatchSize int
 	// FlushInterval bounds how long a partial batch may sit before being
-	// submitted when the input is live (follow mode, TCP). Default 200ms.
+	// submitted when the input is live (follow mode, TCP, producers).
+	// Default 200ms.
 	FlushInterval time.Duration
 	// StrictOrder drops events older than the submission watermark instead
 	// of submitting them late (counted either way in Stats).
@@ -135,8 +143,9 @@ func (c *counters) snapshot() Stats {
 	}
 }
 
-// Source drives one input (reader, file, or TCP listener) into a Submitter.
-// Run may be called once; Stats is safe from any goroutine at any time.
+// Source drives one input (reader, file, TCP listener, or producer) into a
+// Submitter. Run may be called once; Stats is safe from any goroutine at any
+// time.
 type Source struct {
 	cfg  Config
 	ctr  counters
@@ -144,6 +153,10 @@ type Source struct {
 	run  func(ctx context.Context, b *batcher) error
 	desc string
 	addr net.Addr // bound address for TCP sources
+	// live marks an input whose events arrive on their own schedule (TCP
+	// senders, a paced producer): Run then also flushes partial batches every
+	// FlushInterval, so a due event never waits for its batch to fill.
+	live bool
 
 	started atomic.Bool
 }
@@ -174,6 +187,9 @@ func (s *Source) Run(ctx context.Context, dst Submitter) error {
 		return fmt.Errorf("source: %s already running", s.desc)
 	}
 	b := &batcher{cfg: s.cfg, ctr: &s.ctr, dst: dst}
+	if s.live {
+		defer b.flushEvery(s.cfg.FlushInterval)()
+	}
 	err := s.run(ctx, b)
 	if ferr := b.flush(); err == nil {
 		err = ferr
@@ -209,6 +225,7 @@ type batcher struct {
 	mu        sync.Mutex
 	pending   []*event.Event
 	watermark time.Time
+	err       error // first submission error; every later submit returns it
 }
 
 // add folds decoded events in, submitting full batches as they form.
@@ -237,16 +254,40 @@ func (b *batcher) flush() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if len(b.pending) == 0 {
-		return nil
+		return b.err
 	}
 	batch := b.pending
 	b.pending = nil
 	return b.submit(batch)
 }
 
+// flushEvery flushes partial batches on a wall-clock cadence until the
+// returned stop function is called (which waits for the flusher to exit). A
+// failed flush surfaces through the next add or flush.
+func (b *batcher) flushEvery(d time.Duration) (stop func()) {
+	quit, exited := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(exited)
+		ticker := time.NewTicker(d) //saql:wallclock batch-flush latency bound, not stream time
+		defer ticker.Stop()
+		for {
+			select {
+			case <-quit:
+				return
+			case <-ticker.C:
+				_ = b.flush() // kept in b.err
+			}
+		}
+	}()
+	return func() { close(quit); <-exited }
+}
+
 // submit time-sorts one batch, applies the watermark policy, and hands the
 // result to the Submitter. Caller holds b.mu.
 func (b *batcher) submit(batch []*event.Event) error {
+	if b.err != nil {
+		return b.err
+	}
 	if !sort.SliceIsSorted(batch, func(i, j int) bool { return batch[i].Time.Before(batch[j].Time) }) {
 		before := make([]*event.Event, len(batch))
 		copy(before, batch)
@@ -280,7 +321,8 @@ func (b *batcher) submit(batch []*event.Event) error {
 		b.watermark = last
 	}
 	b.ctr.batches.Add(1)
-	return b.dst.SubmitBatch(batch)
+	b.err = b.dst.SubmitBatch(batch)
+	return b.err
 }
 
 // ---------------------------------------------------------------------------
@@ -428,4 +470,26 @@ func FromReader(r io.Reader, cfg Config) (*Source, error) {
 		return drain(dec, b)
 	}
 	return s, nil
+}
+
+// ---------------------------------------------------------------------------
+// Producer source
+// ---------------------------------------------------------------------------
+
+// FromProducer builds a source over events that already exist — a store
+// replay, a simulation — named desc in logs. They take the same path as
+// decoded lines: batching, the in-batch time sort, the watermark policy and
+// the counters (Stats.Lines and the symbol counters stay zero; cfg.Format is
+// not used). Run ends when produce returns.
+func FromProducer(desc string, produce Producer, cfg Config) *Source {
+	s := &Source{cfg: cfg.withDefaults(), desc: desc, live: true}
+	s.run = func(ctx context.Context, b *batcher) error {
+		return produce(ctx, func(ev *event.Event) error {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			return b.add([]*event.Event{ev})
+		})
+	}
+	return s
 }

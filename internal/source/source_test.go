@@ -546,6 +546,51 @@ func TestTCPSourceCancelWithIdleConnection(t *testing.T) {
 	}
 }
 
+// TestProducerSourceFlushesDueEventsAndCancels: a producer that paces
+// itself (a replay waiting out the gap to its next event) does not hold the
+// events it already emitted hostage to a full batch — they are submitted
+// within FlushInterval — and cancellation ends the run with ctx's error at
+// the next emit, after which a submission error is what Run reports.
+func TestProducerSourceFlushesDueEventsAndCancels(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var dst sink
+	release := make(chan struct{})
+	src := FromProducer("paced", func(ctx context.Context, emit func(*event.Event) error) error {
+		for i := 0; i < 3; i++ {
+			if err := emit(&event.Event{Time: time.Unix(int64(i), 0)}); err != nil {
+				return err
+			}
+		}
+		<-release // the gap: nothing more is due
+		return emit(&event.Event{Time: time.Unix(3, 0)})
+	}, Config{BatchSize: 100, FlushInterval: 10 * time.Millisecond})
+	done := make(chan error, 1)
+	go func() { done <- src.Run(ctx, &dst) }()
+
+	waitFor(t, func() bool { return len(dst.events()) == 3 }, "the partial batch to flush mid-gap")
+	cancel()
+	close(release)
+	if err := <-done; err != context.Canceled {
+		t.Fatalf("Run = %v, want context.Canceled", err)
+	}
+	if st := src.Stats(); st.Events != 3 || st.Batches != 1 || st.Lines != 0 {
+		t.Errorf("stats = %+v, want 3 events in 1 batch", st)
+	}
+
+	boom := fmt.Errorf("queue closed")
+	failing := FromProducer("failing", func(_ context.Context, emit func(*event.Event) error) error {
+		for i := 0; ; i++ {
+			if err := emit(&event.Event{Time: time.Unix(int64(i), 0)}); err != nil {
+				return err
+			}
+		}
+	}, Config{BatchSize: 2})
+	if err := failing.Run(context.Background(), submitFn(func([]*event.Event) error { return boom })); err != boom {
+		t.Fatalf("Run = %v, want the submission error", err)
+	}
+}
+
 func TestSourceRejectsUnknownFormat(t *testing.T) {
 	if _, err := FromReader(strings.NewReader(""), Config{Format: "syslog"}); err == nil {
 		t.Fatal("unknown format should fail at construction")

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"net"
 	"sync"
-	"time"
 )
 
 // Listen builds a source that accepts TCP connections on addr and decodes
@@ -27,6 +26,7 @@ func Listen(addr string, cfg Config) (*Source, error) {
 	}
 	s.desc = "tcp:" + ln.Addr().String()
 	s.addr = ln.Addr()
+	s.live = true // low-rate senders see latency bounded by FlushInterval
 	s.run = func(ctx context.Context, b *batcher) error {
 		return s.serve(ctx, ln, b)
 	}
@@ -84,27 +84,6 @@ func (s *Source) serve(ctx context.Context, ln net.Listener, b *batcher) error {
 		connMu.Unlock()
 	}()
 
-	// Periodically flush partial batches so low-rate senders see bounded
-	// latency.
-	flusher := time.NewTicker(s.cfg.FlushInterval) //saql:wallclock batch-flush latency bound, not stream time
-	defer flusher.Stop()
-	flushDone := make(chan struct{})
-	go func() {
-		defer close(flushDone)
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-stop: // serve is exiting on an accept error, not ctx
-				return
-			case <-flusher.C:
-				if err := b.flush(); err != nil {
-					fail(err)
-				}
-			}
-		}
-	}()
-
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
@@ -140,7 +119,6 @@ func (s *Source) serve(ctx context.Context, ln net.Listener, b *batcher) error {
 	}
 	close(stop)
 	conns.Wait()
-	<-flushDone
 	if firstErr != nil {
 		return firstErr
 	}

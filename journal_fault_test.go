@@ -9,7 +9,6 @@ package saql
 // gap or a double alert.
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"os"
@@ -316,14 +315,17 @@ func TestRestoreDiskFaults(t *testing.T) {
 	}
 }
 
-// TestOrphanJournalTornTailRecovers is the recovery PinJournalOffset
-// documents — a journal with no snapshot, replayed from record 0 — over a
-// journal whose run died mid-append: the torn final record is trimmed by
-// the replay itself, the rest of the stream follows, and the alerts equal
-// the uninterrupted run's. Serial and sharded.
-func TestOrphanJournalTornTailRecovers(t *testing.T) {
+// TestOpenDirectoryStates enters a durable directory in each state a run
+// can leave it in — never used, a journal with no snapshot whose last append
+// was torn (the run died before its first checkpoint), a snapshot with a
+// journaled tail past it (also torn) — through Open, at 1 and 4 shards and
+// unstarted, and finishes the stream: in every case the alerts equal the
+// uninterrupted serial run's, and offsets stay journal positions. Queries a
+// snapshot does not bring are registered between Open(WithoutReplay) and
+// ReplayJournal; with a snapshot, Open replays the tail itself.
+func TestOpenDirectoryStates(t *testing.T) {
 	events := concurrencyWorkload(48, 20)
-	cut := len(events) / 2
+	cut, kill := len(events)/3, 2*len(events)/3
 
 	ref := New()
 	for _, q := range concurrencyQueries {
@@ -337,81 +339,109 @@ func TestOrphanJournalTornTailRecovers(t *testing.T) {
 	}
 	want = append(want, ref.Flush()...)
 
-	for _, shards := range []int{0, 4} {
-		name := "serial"
-		if shards > 0 {
-			name = "sharded"
+	// tornRun is crashedRun with its final append cut three bytes short, so
+	// the journal holds kill-1 whole records.
+	tornRun := func(t *testing.T) (string, []*Alert) {
+		dir, kept := crashedRun(t, events, cut, kill)
+		segs := journalSegments(t, dir)
+		last := segs[len(segs)-1].path
+		fi, err := os.Stat(last)
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			// Run 1 journals the prefix and dies, never checkpointed, its last
-			// append cut three bytes short.
-			dir := t.TempDir()
-			store1, err := OpenStore(dir, StoreOptions{})
-			if err != nil {
+		if err := os.Truncate(last, fi.Size()-3); err != nil {
+			t.Fatal(err)
+		}
+		return dir, kept
+	}
+	states := []struct {
+		name string
+		// prepare returns the directory, the alerts its checkpoint already
+		// accounts for, the offset Open must report and the records the
+		// journal holds.
+		prepare func(t *testing.T) (dir string, kept []*Alert, offset, journaled int)
+	}{
+		{"empty", func(t *testing.T) (string, []*Alert, int, int) { return t.TempDir(), nil, 0, 0 }},
+		{"orphaned journal, torn tail", func(t *testing.T) (string, []*Alert, int, int) {
+			dir, _ := tornRun(t)
+			if err := os.Remove(snapshot.Path(dir)); err != nil {
 				t.Fatal(err)
 			}
-			e1 := New(WithJournal(store1))
-			for _, ev := range events[:cut] {
-				e1.Process(ev)
-			}
-			seg := filepath.Join(dir, "events-000001.seg")
-			fi, err := os.Stat(seg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.Truncate(seg, fi.Size()-3); err != nil {
-				t.Fatal(err)
-			}
+			return dir, nil, 0, kill - 1
+		}},
+		{"snapshot and torn tail", func(t *testing.T) (string, []*Alert, int, int) {
+			dir, kept := tornRun(t)
+			return dir, kept, cut, kill - 1
+		}},
+	}
+	modes := []struct {
+		name string
+		opts []RestoreOption
+	}{
+		{"1 shard", []RestoreOption{WithRestoreEngineOptions(WithShards(1))}},
+		{"4 shards", []RestoreOption{WithRestoreEngineOptions(WithShards(4))}},
+		{"unstarted", []RestoreOption{WithoutStart()}},
+	}
 
-			store2, err := OpenStore(dir, StoreOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var mu sync.Mutex
-			var got []*Alert
-			e2 := New(WithShards(shards), WithJournal(store2), WithAlertHandler(func(a *Alert) {
+	for _, st := range states {
+		for _, mode := range modes {
+			t.Run(st.name+"/"+mode.name, func(t *testing.T) {
+				dir, kept, offset, journaled := st.prepare(t)
+				var mu sync.Mutex
+				got := append([]*Alert{}, kept...)
+				opts := append([]RestoreOption{WithRestoreEngineOptions(WithAlertHandler(func(a *Alert) {
+					mu.Lock()
+					got = append(got, a)
+					mu.Unlock()
+				}))}, mode.opts...)
+				hasSnapshot := offset > 0
+				if !hasSnapshot {
+					opts = append(opts, WithoutReplay())
+				}
+				eng, info, err := Open(dir, opts...)
+				if err != nil {
+					t.Fatalf("Open: %v", err)
+				}
+				if info.Offset != int64(offset) || info.TakenAt.IsZero() == hasSnapshot {
+					t.Fatalf("Open = %+v, want offset %d, snapshot %v", info, offset, hasSnapshot)
+				}
+				replayed := info.Replayed
+				if !hasSnapshot {
+					for _, q := range concurrencyQueries {
+						if err := eng.AddQuery(q.name, q.src); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if replayed, err = eng.ReplayJournal(info.Offset); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if replayed != int64(journaled-offset) {
+					t.Fatalf("replayed %d journaled events, want the %d whole records past offset %d", replayed, journaled-offset, offset)
+				}
+				if eng.Shards() > 0 {
+					err = eng.SubmitBatch(events[journaled:])
+				} else {
+					for _, ev := range events[journaled:] {
+						eng.Process(ev)
+					}
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if info, err := eng.Checkpoint(dir); err != nil || info.Offset != int64(len(events)) {
+					t.Fatalf("checkpoint = %+v, %v; want offset %d", info, err, len(events))
+				}
+				if eng.Shards() == 0 {
+					eng.Flush() // Close flushes a started engine
+				}
+				if err := eng.Close(); err != nil {
+					t.Fatal(err)
+				}
 				mu.Lock()
-				got = append(got, a)
-				mu.Unlock()
-			}))
-			for _, q := range concurrencyQueries {
-				if err := e2.AddQuery(q.name, q.src); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := e2.PinJournalOffset(0); err != nil {
-				t.Fatal(err)
-			}
-			if shards > 0 {
-				if err := e2.Start(context.Background()); err != nil {
-					t.Fatal(err)
-				}
-			}
-			n, err := e2.ReplayJournal(0)
-			if err != nil || n != int64(cut-1) {
-				t.Fatalf("ReplayJournal(0) = %d, %v; want the %d whole records", n, err, cut-1)
-			}
-			if shards > 0 {
-				if err := e2.SubmitBatch(events[cut-1:]); err != nil {
-					t.Fatal(err)
-				}
-			} else {
-				for _, ev := range events[cut-1:] {
-					e2.Process(ev)
-				}
-			}
-			if info, err := e2.Checkpoint(dir); err != nil || info.Offset != int64(len(events)) {
-				t.Fatalf("checkpoint = %+v, %v; want offset %d", info, err, len(events))
-			}
-			if shards == 0 {
-				e2.Flush()
-			}
-			if err := e2.Close(); err != nil {
-				t.Fatal(err)
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			diffAlertSets(t, "orphan torn-tail recovery", sortedIdentities(want), sortedIdentities(got))
-		})
+				defer mu.Unlock()
+				diffAlertSets(t, st.name, sortedIdentities(want), sortedIdentities(got))
+			})
+		}
 	}
 }

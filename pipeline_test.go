@@ -1,25 +1,24 @@
 package saql
 
-// End-to-end pipeline tests: per-host collection feeds → ordered merge →
-// broker → engine, running concurrently the way a deployment would; plus a
-// soak test asserting the engine's state stays bounded on long streams.
+// End-to-end pipeline tests: per-host collection feeds → one aggregated
+// source → started engine, the way a deployment runs; plus a soak test
+// asserting the engine's state stays bounded on long streams.
 
 import (
 	"context"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 )
 
-// TestStreamingPipeline wires three per-host generators into the ordered
-// merge, publishes through the broker, and consumes with an engine running
-// in its own goroutine — verifying the concurrent path delivers the same
-// alerts as the synchronous one.
+// TestStreamingPipeline is the deployment's shape end to end: three
+// per-host generators and the attack trace, each time-ordered, merge into
+// the one aggregated feed — a single event source — which runs into a
+// started engine; the stream raises the one exfiltration alert.
 func TestStreamingPipeline(t *testing.T) {
 	start := time.Date(2020, 2, 27, 9, 0, 0, 0, time.UTC)
 
-	mkHostChan := func(agent string, kind HostKind, seed int64) <-chan *Event {
+	hostFeed := func(agent string, kind HostKind, seed int64) func() (*Event, bool) {
 		wl, err := NewWorkload(WorkloadConfig{
 			Hosts:    []Host{{AgentID: agent, Kind: kind}},
 			Start:    start,
@@ -29,89 +28,76 @@ func TestStreamingPipeline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ch := make(chan *Event, 64)
-		go func() {
-			defer close(ch)
-			for {
-				ev, ok := wl.Next()
-				if !ok {
-					return
-				}
-				ch <- ev
-			}
-		}()
-		return ch
+		return wl.Next
 	}
-
 	// The attack trace is its own "host feed" (already time-ordered).
 	scenario := &AttackScenario{
 		Workstation: "ws-victim", MailServer: "mail-1", DBServer: "db-1",
 		Start: start.Add(1 * time.Minute), StepGap: 20 * time.Second,
 	}
-	attackCh := make(chan *Event, 64)
-	go func() {
-		defer close(attackCh)
-		for _, ev := range AttackEventsOnly(scenario.Events()) {
-			attackCh <- ev
+	attack := AttackEventsOnly(scenario.Events())
+	feeds := []func() (*Event, bool){
+		hostFeed("ws-victim", Workstation, 1),
+		hostFeed("db-1", DBServer, 2),
+		hostFeed("web-1", WebServer, 3),
+		func() (*Event, bool) {
+			if len(attack) == 0 {
+				return nil, false
+			}
+			ev := attack[0]
+			attack = attack[1:]
+			return ev, true
+		},
+	}
+
+	// The aggregation point: always emit the earliest pending head.
+	src := NewEventSource("hosts", func(_ context.Context, emit func(*Event) error) error {
+		heads := make([]*Event, len(feeds))
+		for i, next := range feeds {
+			heads[i], _ = next()
 		}
-	}()
+		for {
+			min := -1
+			for i, ev := range heads {
+				if ev != nil && (min < 0 || ev.Time.Before(heads[min].Time)) {
+					min = i
+				}
+			}
+			if min < 0 {
+				return nil
+			}
+			if err := emit(heads[min]); err != nil {
+				return err
+			}
+			heads[min], _ = feeds[min]()
+		}
+	})
 
-	merged := MergeStreams(
-		mkHostChan("ws-victim", Workstation, 1),
-		mkHostChan("db-1", DBServer, 2),
-		mkHostChan("web-1", WebServer, 3),
-		attackCh,
-	)
-
-	// Broker fan-out: the engine consumes one subscription; an audit
-	// counter consumes another.
-	broker := NewBroker()
-	engSub := broker.Subscribe(256, Block)
-	auditSub := broker.Subscribe(256, Block)
-
-	eng := New()
+	var alerts []*Alert
+	eng := New(WithAlertHandler(func(a *Alert) { alerts = append(alerts, a) }))
 	exfil := scenario.DemoQueries(30*time.Second, 3)[4] // rule-c5
 	if err := eng.AddQuery(exfil.Name, exfil.SAQL); err != nil {
 		t.Fatal(err)
 	}
-
-	var wg sync.WaitGroup
-	var alerts []*Alert
-	var audited int64
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		got, err := eng.Run(context.Background(), engSub.C)
-		if err != nil {
-			t.Errorf("engine run: %v", err)
-		}
-		alerts = got
-	}()
-	go func() {
-		defer wg.Done()
-		for range auditSub.C {
-			audited++
-		}
-	}()
-
-	var published int64
-	var lastTime time.Time
-	for ev := range merged {
-		if published > 0 && ev.Time.Before(lastTime) {
-			t.Fatalf("merge violated ordering at event %d", published)
-		}
-		lastTime = ev.Time
-		broker.Publish(ev)
-		published++
+	if err := eng.Start(context.Background()); err != nil {
+		t.Fatal(err)
 	}
-	broker.Close()
-	wg.Wait()
+	if err := src.Run(context.Background(), eng); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
 
-	if published == 0 {
+	st := src.Stats()
+	if st.Events == 0 {
 		t.Fatal("pipeline delivered no events")
 	}
-	if audited != published {
-		t.Errorf("audit subscriber saw %d of %d events", audited, published)
+	if st.Reordered != 0 || st.Late != 0 {
+		t.Errorf("merged feed reached the source out of order: %+v", st)
+	}
+	if got := eng.Stats().Events; got != st.Events {
+		t.Errorf("engine processed %d of %d events", got, st.Events)
 	}
 	if len(alerts) != 1 {
 		t.Errorf("exfiltration alerts = %d, want 1", len(alerts))

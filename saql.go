@@ -52,6 +52,19 @@ type CompileOptions = engine.CompileOptions
 // AlertSubscription is a push-based alert stream returned by Subscribe.
 type AlertSubscription = runtime.AlertSubscription
 
+// OverflowPolicy selects backpressure behaviour on full bounded buffers:
+// the engine's ingest queue (WithBackpressure) and alert subscriptions
+// (Engine.Subscribe).
+type OverflowPolicy = runtime.OverflowPolicy
+
+// Overflow policies.
+const (
+	// Block applies backpressure: the producer waits for capacity.
+	Block = runtime.Block
+	// DropNewest discards the incoming item when the buffer is full.
+	DropNewest = runtime.DropNewest
+)
+
 // Placement classifies how a query's state is distributed across shards.
 type Placement = engine.Placement
 
@@ -66,7 +79,7 @@ const (
 var (
 	// ErrNotRunning is returned by Submit/SubmitBatch before Start.
 	ErrNotRunning = errors.New("saql: engine not started")
-	// ErrAlreadyRunning is returned by Start/Run on a started engine.
+	// ErrAlreadyRunning is returned by Start on a started engine.
 	ErrAlreadyRunning = errors.New("saql: engine already started")
 	// ErrClosed is returned by operations on a closed engine.
 	ErrClosed = runtime.ErrClosed
@@ -132,7 +145,7 @@ type config struct {
 	// journal, when set, durably records every ingested event (see
 	// WithJournal); baseOffset seeds the stream-offset counter so a
 	// restored engine's checkpoints index the same journal coordinates.
-	// Restore pins baseOffset explicitly (baseOffsetSet); otherwise it is
+	// Open pins baseOffset explicitly (baseOffsetSet); otherwise it is
 	// resolved lazily from the journal's existing record count, so a
 	// journal left by a run that crashed before its first checkpoint is
 	// never re-indexed from zero.
@@ -194,7 +207,7 @@ const (
 // concurrent use.
 //
 // An Engine starts in the serial state, where the synchronous Process /
-// Flush / Run methods drive all queries on the caller's goroutine. Calling
+// Flush methods drive all queries on the caller's goroutine. Calling
 // Start moves it to the running state: events enter through the
 // non-blocking Submit / SubmitBatch ingestion API, are fanned across shard
 // workers, and alerts are delivered through Subscribe streams and the
@@ -257,7 +270,7 @@ type Engine struct {
 }
 
 // journalBase resolves the stream-offset origin for a journaled engine:
-// the value Restore pinned, the value an early ReplayJournal pinned, or —
+// the value Open pinned, the value an early ReplayJournal pinned, or —
 // for a fresh engine attached to a journal directory whose records it will
 // not replay — the journal's existing record count. Either way, stream
 // offsets always equal journal record positions, even when a previous run
@@ -290,7 +303,7 @@ func (e *Engine) journalBase() (int64, error) {
 func (e *Engine) pinBaseOffset(off int64) error {
 	e.baseMu.Lock()
 	defer e.baseMu.Unlock()
-	// An explicitly pinned origin (Restore) counts as resolved even before
+	// An explicitly pinned origin (Open) counts as resolved even before
 	// journalBase runs: replaying from any other offset into restored state
 	// would fold prefix events in twice.
 	if (e.baseResolved || e.cfg.baseOffsetSet) && e.cfg.baseOffset != off {
@@ -647,36 +660,6 @@ func (e *Engine) Flush() []*Alert {
 	alerts := e.sched.Flush()
 	e.fan.Publish(alerts)
 	return alerts
-}
-
-// Run consumes events from ch until it closes or ctx is cancelled, then
-// flushes. All alerts are delivered through the WithAlertHandler callback
-// and subscriptions, and also returned.
-//
-// Deprecated: Run is the legacy serial loop; prefer Start + Submit +
-// Subscribe. It only operates on a never-started engine and returns
-// ErrAlreadyRunning / ErrClosed otherwise.
-func (e *Engine) Run(ctx context.Context, ch <-chan *Event) ([]*Alert, error) {
-	switch engineState(e.state.Load()) {
-	case stateRunning:
-		return nil, ErrAlreadyRunning
-	case stateClosed:
-		return nil, ErrClosed
-	}
-	var all []*Alert
-	for {
-		select {
-		case <-ctx.Done():
-			all = append(all, e.Flush()...)
-			return all, ctx.Err()
-		case ev, ok := <-ch:
-			if !ok {
-				all = append(all, e.Flush()...)
-				return all, nil
-			}
-			all = append(all, e.Process(ev)...)
-		}
-	}
 }
 
 // ---------------------------------------------------------------------------

@@ -199,9 +199,8 @@ func TestStoreReplayDetection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := NewReplayer(store2)
-
-	eng := New()
+	var alerts []*Alert
+	eng := New(WithAlertHandler(func(a *Alert) { alerts = append(alerts, a) }))
 	var exfilQuery NamedQuery
 	for _, nq := range scenario.DemoQueries(30*time.Second, 5) {
 		if nq.Step == StepDataExfiltration {
@@ -211,20 +210,21 @@ func TestStoreReplayDetection(t *testing.T) {
 	if err := eng.AddQuery(exfilQuery.Name, exfilQuery.SAQL); err != nil {
 		t.Fatal(err)
 	}
+	if err := eng.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 
-	ch, wait := rep.ReplayChan(context.Background(), ReplayOptions{
+	src := NewReplaySource(NewReplayer(store2), ReplayOptions{
 		Hosts: []string{"db-1"},
 		Speed: 0, // max speed
-	}, 128)
-	alerts, err := eng.Run(context.Background(), ch)
-	if err != nil {
+	})
+	if err := src.Run(context.Background(), eng); err != nil {
 		t.Fatal(err)
 	}
-	stats, err := wait()
-	if err != nil {
+	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if stats.Events == 0 {
+	if src.Stats().Events == 0 {
 		t.Fatal("replay delivered no events")
 	}
 	if len(alerts) == 0 {

@@ -6,13 +6,12 @@ import (
 	"saql/internal/collector"
 	"saql/internal/replayer"
 	"saql/internal/storage"
-	"saql/internal/stream"
 )
 
 // This file re-exports the demonstration substrates so downstream users can
 // drive the full paper scenario through the public API: the simulated data
 // collection agents, the APT kill chain, the event store, the stream
-// replayer, the broker, and the per-query-copy CEP baseline.
+// replayer, and the per-query-copy CEP baseline.
 
 // ---------------------------------------------------------------------------
 // Data collection (simulated agents)
@@ -106,36 +105,6 @@ type ReplayStats = replayer.Stats
 
 // NewReplayer creates a replayer over store.
 func NewReplayer(store *Store) *Replayer { return replayer.New(store) }
-
-// ---------------------------------------------------------------------------
-// Stream infrastructure
-// ---------------------------------------------------------------------------
-
-// Broker fans the aggregated event feed out to consumers.
-type Broker = stream.Broker
-
-// Subscription is one consumer's view of the stream.
-type Subscription = stream.Subscription
-
-// OverflowPolicy selects backpressure behaviour on full bounded buffers:
-// the event broker's subscriber buffers, the engine's ingest queue
-// (WithBackpressure), and alert subscriptions (Engine.Subscribe).
-type OverflowPolicy = stream.OverflowPolicy
-
-// Overflow policies.
-const (
-	// Block applies backpressure: the producer waits for capacity.
-	Block = stream.Block
-	// DropNewest discards the incoming item when the buffer is full.
-	DropNewest = stream.DropNewest
-)
-
-// NewBroker creates an event broker.
-func NewBroker() *Broker { return stream.NewBroker() }
-
-// MergeStreams merges per-host time-ordered event channels into one totally
-// ordered stream.
-func MergeStreams(inputs ...<-chan *Event) <-chan *Event { return stream.Merge(inputs...) }
 
 // ---------------------------------------------------------------------------
 // Generic-CEP baseline (comparison experiments)
