@@ -9,6 +9,7 @@ package saql
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -152,11 +153,16 @@ func BenchmarkE3_ConcurrentQueries(b *testing.B) {
 //
 // The router pre-evaluates pattern hits once per event (shared
 // evaluation), so the patevals/ev metric must stay flat as shards grow —
-// it equals the serial count at every shard width. Events are then
-// partition-routed rather than broadcast: each shard receives batched
-// (event, hit-set) entries only for the group/event/pinned state it owns,
-// plus watermark-bearing touch entries that keep window cadence aligned,
-// so per-shard folding work shrinks as shards grow. Wall-clock speedup
+// it equals the serial count at every shard width — and resolves each hit's
+// group key once for the whole key class (keyevals/ev: one per hit event for the 16
+// variants, where the serial path evaluates 16). Hits are then
+// partition-routed rather than broadcast: each shard is handed batched
+// fold ops only for the group/event/pinned state it owns, plus
+// watermark-bearing touch ops that keep window cadence aligned, so
+// per-shard folding work shrinks as shards grow. B/ev is what the whole
+// engine allocates per event: window closes, alerts, the slabs the pool
+// has to make and this loop's own batch slices (8 B) — no hit tables.
+// Wall-clock speedup
 // over serial follows wherever GOMAXPROCS >= shards. On a single-core
 // machine ns/op instead reports the summed cost across shards.
 func BenchmarkE9_ParallelIngestion(b *testing.B) {
@@ -173,28 +179,35 @@ func BenchmarkE9_ParallelIngestion(b *testing.B) {
 		return eng
 	}
 
-	// patEvalsPerEvent reports how much pattern-matching work the engine
-	// performed per event: the tentpole acceptance metric (flat in the
-	// shard count under shared evaluation).
-	patEvalsPerEvent := func(b *testing.B, eng *Engine) {
+	// perEvent reports how much matching and keying work the engine performed
+	// per event — the shared-evaluation acceptance metrics, both flat in the
+	// shard count — and, from a heap reading taken when the timer started, the
+	// bytes the whole engine allocated per event over the timed region.
+	perEvent := func(b *testing.B, eng *Engine, start *runtime.MemStats) {
 		b.Helper()
+		var end runtime.MemStats
+		runtime.ReadMemStats(&end)
 		st := eng.Stats()
 		if st.Events > 0 {
 			b.ReportMetric(float64(st.PatternEvals)/float64(st.Events), "patevals/ev")
+			b.ReportMetric(float64(st.KeyEvals)/float64(st.Events), "keyevals/ev")
+			b.ReportMetric(float64(end.TotalAlloc-start.TotalAlloc)/float64(st.Events), "B/ev")
 		}
 	}
 
 	b.Run("serial", func(b *testing.B) {
 		events, _ := benchStream(b)
 		eng := newEngine(b)
+		var start runtime.MemStats
+		runtime.ReadMemStats(&start)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			eng.Process(events[i%len(events)])
 		}
 		b.StopTimer()
+		perEvent(b, eng, &start)
 		eng.Flush()
-		patEvalsPerEvent(b, eng)
 	})
 
 	for _, shards := range []int{1, 2, 4, 8} {
@@ -205,6 +218,8 @@ func BenchmarkE9_ParallelIngestion(b *testing.B) {
 				b.Fatal(err)
 			}
 			const batch = 512
+			var start runtime.MemStats
+			runtime.ReadMemStats(&start)
 			b.ReportAllocs()
 			b.ResetTimer()
 			buf := make([]*Event, 0, batch)
@@ -226,7 +241,7 @@ func BenchmarkE9_ParallelIngestion(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.StopTimer()
-			patEvalsPerEvent(b, eng)
+			perEvent(b, eng, &start)
 		})
 	}
 }

@@ -413,7 +413,7 @@ return ss.total`, 5000000+k*10000)
 	if len(want) == 0 {
 		t.Fatal("serial hammer run produced no alerts")
 	}
-	for _, shards := range []int{1, 2, 8, 96} { // 96: past one word of the router's shard bitset
+	for _, shards := range []int{1, 2, 8, 96} {
 		shards := shards
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			got, offered := run(t, shards)
@@ -491,6 +491,165 @@ return p, ss.amt`, 1000000+i*1000)
 	}
 	if ss.Alerts == 0 {
 		t.Error("workload produced no alerts")
+	}
+}
+
+// TestSharedKeyEvaluation pins group-key sharing the way
+// TestSharedEvaluationPatternEvals pins pattern sharing, with an exact
+// counter: on a set shaped like the benchmark's qs-hot — four stateful shapes,
+// each at eight window lengths — the router evaluates one key per event per
+// hit pattern per *key class* (queries whose group-by compiles to the same
+// programs), so KeyEvals does not depend on the shard count and does not grow
+// with the number of variants per shape. Three of the four shapes key by their
+// subject process and are one class; the outlier shape keys by destination
+// address. The serial path evaluates a key per hit per query: eight variants
+// cost it eight times one variant.
+func TestSharedKeyEvaluation(t *testing.T) {
+	shapes := foldShapes[:4] // ts-avg, outlier-dst, inv-children, count-files
+	const n = 6000           // a minute of stream: several closes of every 10–17 s window
+	events := make([]*Event, n)
+	var want int64
+	for k := range events {
+		sh := shapes[k%len(shapes)]
+		ev := &Event{
+			Time:    demoStart.Add(time.Duration(k) * 10 * time.Millisecond),
+			AgentID: "host-1",
+			Subject: Process(fmt.Sprintf("svc-%d.exe", k%20), int32(100+k%20)),
+			Op:      sh.op,
+			Object:  sh.object(k),
+			Amount:  float64(500000 + 100*k), // rising: ts-avg's moving average alerts
+		}
+		switch sh.name {
+		case "ts-avg":
+			want += 2 // a write to an ip hits ts-avg (subject key) and outlier-dst (destination key)
+		case "outlier-dst":
+			ev.Op = OpRead // a read from an ip hits outlier-dst alone
+			want++
+		default:
+			want++ // start proc: inv-children; read file: count-files — the subject class, once
+		}
+		events[k] = ev
+	}
+	run := func(shards, variants int) Stats {
+		t.Helper()
+		var eng *Engine
+		if shards == 0 {
+			eng = New()
+		} else {
+			eng = New(WithShards(shards), WithIngestQueue(64))
+		}
+		for _, sh := range shapes {
+			for w := 10; w < 10+variants; w++ {
+				src := strings.Replace(sh.src, "#time(10 s)", fmt.Sprintf("#time(%d s)", w), 1)
+				if err := eng.AddQuery(fmt.Sprintf("%s-%ds", sh.name, w), src); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if shards == 0 {
+			for _, ev := range events {
+				eng.Process(ev)
+			}
+			eng.Flush()
+		} else {
+			if err := eng.Start(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < len(events); i += 300 {
+				if err := eng.SubmitBatch(events[i:min(i+300, len(events))]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := eng.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if errs := eng.Errors(); len(errs) != 0 {
+			t.Fatalf("runtime reported errors: %v", errs)
+		}
+		return eng.Stats()
+	}
+	serial1, serial8 := run(0, 1), run(0, 8)
+	if serial1.KeyEvals != want || serial8.KeyEvals != 8*want {
+		t.Errorf("serial KeyEvals: %d with one variant per shape, %d with eight; want %d and %d (a key per hit per query)",
+			serial1.KeyEvals, serial8.KeyEvals, want, 8*want)
+	}
+	for _, shards := range []int{1, 2, 4, 8} {
+		for _, variants := range []int{1, 8} {
+			st := run(shards, variants)
+			if st.KeyEvals != want {
+				t.Errorf("shards=%d variants=%d: KeyEvals = %d, want %d (one per event per hit pattern per key class)",
+					shards, variants, st.KeyEvals, want)
+			}
+			if ser := map[int]Stats{1: serial1, 8: serial8}[variants]; st.Alerts != ser.Alerts || st.PatternEvals != ser.PatternEvals {
+				t.Errorf("shards=%d variants=%d: alerts %d, pattern evals %d; serial %d, %d",
+					shards, variants, st.Alerts, st.PatternEvals, ser.Alerts, ser.PatternEvals)
+			}
+		}
+	}
+	if serial8.Alerts == 0 {
+		t.Error("workload produced no alerts")
+	}
+}
+
+// TestWidestQueryMatchesSerial runs a query with as many event patterns as the
+// language allows — 63, one bit each of the pattern set that carries a hit
+// from the evaluator through the router's ops to the matcher — through 1 and
+// 4 shards: the conjunction completes exactly when the event for the last
+// pattern (bit 62) arrives, as on the serial path. One pattern more is a
+// compile error (internal/sema TestMaxPatterns).
+func TestWidestQueryMatchesSerial(t *testing.T) {
+	const n = 63
+	var src strings.Builder
+	events := make([]*Event, n)
+	for i := range events {
+		fmt.Fprintf(&src, "proc p%d[\"step-%d.exe\"] read file f%d as e%d\n", i, i, i, i)
+		events[i] = &Event{
+			Time:    demoStart.Add(time.Duration(i) * time.Second),
+			AgentID: "host-1",
+			Subject: Process(fmt.Sprintf("step-%d.exe", i), int32(100+i)),
+			Op:      OpRead,
+			Object:  File(fmt.Sprintf("/data/%d", i)),
+		}
+	}
+	// In time order, or the matcher would track every subset of 63 patterns.
+	src.WriteString("with e0")
+	for i := 1; i < n; i++ {
+		fmt.Fprintf(&src, " -> e%d", i)
+	}
+	src.WriteString("\nreturn p0, p62")
+	if err := New().AddQuery("too-wide", "proc q start proc c as extra\n"+src.String()); err == nil || !strings.Contains(err.Error(), "at most 63") {
+		t.Fatalf("64 patterns: AddQuery error %v, want the pattern bound", err)
+	}
+	for _, shards := range []int{0, 1, 4} {
+		alerts, collect := collectAlerts()
+		opts := []Option{collect}
+		if shards > 0 {
+			opts = append(opts, WithShards(shards))
+		}
+		eng := New(opts...)
+		if err := eng.AddQuery("widest", src.String()); err != nil {
+			t.Fatal(err)
+		}
+		if shards == 0 {
+			for _, ev := range events {
+				eng.Process(ev)
+			}
+			eng.Flush()
+		} else {
+			if err := eng.Start(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.SubmitBatch(events); err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if st, _ := eng.QueryStats("widest"); len(*alerts) != 1 || st.PatternHits != n || st.Matches != 1 {
+			t.Errorf("shards=%d: %d alerts, stats %+v; want 1 alert from %d pattern hits", shards, len(*alerts), st, n)
+		}
 	}
 }
 

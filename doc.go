@@ -133,9 +133,12 @@
 // weakest query (the master) performing pattern matching and dependents
 // refining its intermediate results. On a started engine the scheme runs
 // once, in the router, before delivery: each event's pattern hits are
-// pre-evaluated into a hit set shipped alongside the event, so shards skip
-// pattern matching entirely and per-event matching work stays O(patterns)
-// rather than O(shards × patterns).
+// pre-evaluated, each hit's group-by key is evaluated once for all the
+// queries whose key compiles to the same programs, and every shard is handed
+// exactly the folds it owns — so shards skip pattern matching and key
+// evaluation entirely and per-event matching work stays O(patterns) rather
+// than O(shards × patterns). Stats.PatternEvals and Stats.KeyEvals count both
+// exactly; neither depends on the shard count.
 //
 // Everything a query evaluates is a compiled bytecode program
 // (internal/pcode), and every query compiles to them: there is no

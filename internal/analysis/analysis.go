@@ -1,6 +1,6 @@
 // Package analysis is a self-contained static-analysis framework for the
 // SAQL engine's hand-maintained invariants — the conventions the headline
-// guarantees rest on (recovery equivalence, sharded==serial, ≤2 allocs/event
+// guarantees rest on (recovery equivalence, sharded==serial, ≤0.1 allocs/event
 // ingest) but that, before this package, only runtime hammers enforced.
 //
 // It deliberately mirrors the golang.org/x/tools/go/analysis surface

@@ -1,10 +1,12 @@
 // Package hotpath statically backs the ingest allocation budget
-// (TestIngestAllocsPerEventGate: ≤2 allocs/event): functions annotated
+// (TestIngestAllocsPerEventGate: ≤0.1 allocs/event;
+// TestIngestBytesPerEventGate: ≤16 B/event): functions annotated
 // //saql:hotpath — the one event path of a started engine (the runtime
-// partitioner's routeEvent/flushShard/flushAll/processBatch and batch pool,
-// scheduler.EvaluateBatch's columnar core and the routed fold
-// IngestRouted/TouchRouted/AdvanceAll), the serial reference's
-// evaluateLocked/ingestLocked, engine.MatchBatch/HitGroupKeys/hitKey, the
+// partitioner's routeEvent with its key/emit/foldOp/hitsOp helpers,
+// flushShard/flushAll/processBatch and batch pool, scheduler.EvaluateBatch's
+// columnar core, HitSet.AssertLive and the routed fold Apply/AdvanceAll), the
+// serial reference's evaluateLocked/ingestLocked,
+// engine.MatchBatch/HitKey/FoldKeyed, the
 // compiled predicate and expression programs (pcode's Match and Run, with the
 // frame's slot accessors; the close-time runners engine.alertHolds/evalReturn
 // and window.History.Field — backing TestWindowCloseAllocsGate), the
@@ -54,7 +56,7 @@ import (
 // Analyzer is the hotpath pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "hotpath",
-	Doc:  "forbid allocation shapes in //saql:hotpath functions backing the ≤2 allocs/event ingest gate",
+	Doc:  "forbid allocation shapes in //saql:hotpath functions backing the ≤0.1 allocs/event ingest gate",
 	Run:  run,
 }
 

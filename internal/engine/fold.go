@@ -8,10 +8,12 @@ package engine
 // of the same kind compiled in the close scope.
 
 import (
+	"slices"
 	"strings"
 	"time"
 
 	"saql/internal/event"
+	"saql/internal/pcode"
 )
 
 // Hits returns the indices of the query's patterns that ev satisfies,
@@ -61,8 +63,8 @@ func (q *Query) ResidualHits(dst []int, ev *event.Event, masterHits []int) (hits
 // before the next pattern runs, keeping its programs hot in cache. Bit p of
 // masks[i] is set iff pattern p matches evs[i] (and the event passed the
 // global constraints). masks and globalOK are caller-owned scratch of
-// len(evs); masks must arrive zeroed. Requires at most 64 patterns — the
-// scheduler falls back to per-event Hits beyond that.
+// len(evs); masks must arrive zeroed. A query has at most sema.MaxPatterns
+// (63) patterns, one mask bit each.
 //
 //saql:hotpath
 func (q *Query) MatchBatch(evs []*event.Event, masks []uint64, globalOK []bool) {
@@ -122,72 +124,71 @@ func (q *Query) ingestRule(ev *event.Event, hits []int, report func(error)) []*A
 	return alerts
 }
 
-// foldHits folds ev's hits into their groups: per hit one key, one group
-// probe per containing window, slot-indexed first-writer bindings, the
-// compiled argument programs, one Add per field.
+// foldHits is the serial engine's fold: per hit it evaluates the group key
+// and folds the hit into it (FoldKeyed). A key that fails to evaluate is
+// reported, folds nothing and is not counted in PatternHits, but its windows
+// still open, so close counts and empty-snapshot cadence do not depend on it.
 //
 //saql:hotpath
 func (q *Query) foldHits(ev *event.Event, hits []int, report func(error)) {
-	touched := false
 	for _, hi := range hits {
-		// The key comes first, so shard replicas reject non-owned groups
-		// before paying for anything else. A key that fails to evaluate is
-		// the empty key to the ownership test, as it was to the router, so
-		// exactly one replica reports the failure; the hit folds nowhere but
-		// still opens its windows, on that replica as on the others.
-		key, kerr := q.hitKey(hi, ev)
-		owned := q.groupFilter == nil || q.groupFilter(key)
-		if kerr != nil && owned {
-			q.fail(report, kerr)
-		}
-		if kerr != nil || !owned {
-			touched = true
+		key, err := q.HitKey(hi, ev)
+		if err != nil {
+			q.fail(report, err)
+			q.winMgr.Touch(ev.Time)
 			continue
 		}
-		q.stats.PatternHits++
-
-		slots, args := q.slots[hi], q.argProgs[hi] // hitKey has put ev in the frame
-		for _, g := range q.winMgr.GroupFor(ev.Time, key) {
-			g.Count++
-			// Remember representative bindings for alert/return output: the
-			// first event to bind a slot keeps it, and the object is offered
-			// first because it shadows a subject of the same name.
-			if slots.obj >= 0 && g.Entities[slots.obj] == nil {
-				g.Entities[slots.obj] = &ev.Object
-			}
-			if slots.subj >= 0 && g.Entities[slots.subj] == nil {
-				g.Entities[slots.subj] = &ev.Subject
-			}
-			if slots.alias >= 0 && g.Events[slots.alias] == nil {
-				g.Events[slots.alias] = ev
-			}
-			for i, arg := range args {
-				err := arg.Run(&q.frame, q.progStack)
-				if err == nil {
-					err = g.Aggs[i].Add(q.progStack[0])
-				}
-				if err != nil {
-					q.fail(report, err)
-				}
-			}
-		}
-	}
-
-	if touched {
-		// Some hit folded nothing here — another shard owns its group, or
-		// its key failed — but the window must still exist (and later
-		// close) so close counts and empty-snapshot cadence are the same on
-		// every shard and on the serial engine.
-		q.winMgr.Touch(ev.Time)
+		q.FoldKeyed(ev, hi, key, report)
 	}
 }
 
-// hitKey evaluates the group-by key ev yields as a hit of pattern hi: the
-// items' values, rendered, joined by \x1f — the empty key without a group-by.
-// A failed key is reported as the empty key and the error.
+// FoldKeyed folds ev, a hit of pattern hi, into the group key names: one group
+// probe per containing window, slot-indexed first-writer bindings, the
+// compiled argument programs, one Add per field. It runs no key program and
+// asks no ownership question — on the routed data plane the router resolved
+// both (HitKey, once per event per key class) and handed this replica exactly
+// the folds it owns. It neither advances the watermark nor closes windows: the
+// caller brackets an event's folds with AdvanceWatermark.
 //
 //saql:hotpath
-func (q *Query) hitKey(hi int, ev *event.Event) (string, error) {
+func (q *Query) FoldKeyed(ev *event.Event, hi int, key string, report func(error)) {
+	q.stats.PatternHits++
+	q.frame.Event = ev
+	slots, args := q.slots[hi], q.argProgs[hi]
+	for _, g := range q.winMgr.GroupFor(ev.Time, key) {
+		g.Count++
+		// Remember representative bindings for alert/return output: the
+		// first event to bind a slot keeps it, and the object is offered
+		// first because it shadows a subject of the same name.
+		if slots.obj >= 0 && g.Entities[slots.obj] == nil {
+			g.Entities[slots.obj] = &ev.Object
+		}
+		if slots.subj >= 0 && g.Entities[slots.subj] == nil {
+			g.Entities[slots.subj] = &ev.Subject
+		}
+		if slots.alias >= 0 && g.Events[slots.alias] == nil {
+			g.Events[slots.alias] = ev
+		}
+		for i, arg := range args {
+			err := arg.Run(&q.frame, q.progStack)
+			if err == nil {
+				err = g.Aggs[i].Add(q.progStack[0])
+			}
+			if err != nil {
+				q.fail(report, err)
+			}
+		}
+	}
+}
+
+// HitKey evaluates the group-by key ev yields as a hit of pattern hi: the
+// items' values, rendered, joined by \x1f — the empty key without a group-by.
+// A failed key is reported as the empty key and the error. The serial fold
+// calls it per hit; the router calls it on its evaluation replicas, once per
+// event for all the queries whose key programs are the same (SameKeyPrograms).
+//
+//saql:hotpath
+func (q *Query) HitKey(hi int, ev *event.Event) (string, error) {
 	items := q.keyProgs[hi]
 	q.frame.Event = ev
 	if len(items) == 1 {
@@ -209,28 +210,35 @@ func (q *Query) hitKey(hi int, ev *event.Event) (string, error) {
 	return sb.String(), nil
 }
 
-// HitGroupKeys appends to dst the group key ev yields for each hit pattern —
-// what the partitioned router hashes to find the shards owning the event's
-// groups. A key that fails to evaluate is appended as the empty key: the
-// replica owning that key re-evaluates it and reports the failure, once, as
-// the serial engine does.
-//
-//saql:hotpath
-func (q *Query) HitGroupKeys(dst []string, ev *event.Event, hits []int) []string {
-	for _, hi := range hits {
-		key, _ := q.hitKey(hi, ev) // the owning replica reports the error
-		dst = append(dst, key)
+// SameKeyPrograms reports whether q and o compile every pattern's group-by
+// items to identical programs. Programs are pure functions of the event, so
+// two such queries yield byte-equal keys for every hit of every event: the
+// router evaluates the key once for all of them.
+func (q *Query) SameKeyPrograms(o *Query) bool {
+	return slices.EqualFunc(q.keyProgs, o.keyProgs, func(a, b []*pcode.Prog) bool {
+		return slices.EqualFunc(a, b, (*pcode.Prog).Equal)
+	})
+}
+
+// FailKey is the routed counterpart of foldHits' failure branch: the router
+// found that pattern hi's group key does not evaluate on ev and named this
+// replica — the owner of the empty key — to say so. The key is evaluated again
+// here for its error (a pure function of the event: it fails the same way),
+// which is reported under this query's name; nothing folds, the windows open.
+func (q *Query) FailKey(ev *event.Event, hi int, report func(error)) {
+	if _, err := q.HitKey(hi, ev); err != nil {
+		q.fail(report, err)
 	}
-	return dst
+	q.winMgr.Touch(ev.Time)
 }
 
 // AdvanceWatermark advances a stateful query's watermark to t, closing any
-// windows that end at or before it, without folding or touching state. The
-// partitioned router uses it to keep replicas' window-close cadence aligned
-// with the serial engine now that a replica no longer observes every event:
-// before folding a delivered event the replica first advances to the stream
-// watermark the router saw just before that event, and at every batch
-// boundary it advances to the router's running watermark. No-op for rule
+// windows that end at or before it, without folding or touching state. A
+// replica under the partitioned router does not observe every event, so the
+// scheduler's apply path brackets each routed entry with it — to the stream
+// watermark the router saw just before the event, then, after the entry's
+// folds, to the event's own time, which is where Ingest closes — and every
+// batch boundary advances to the router's running watermark. No-op for rule
 // queries and for t at or behind the current watermark.
 func (q *Query) AdvanceWatermark(t time.Time, report func(error)) []*Alert {
 	if !q.stateful {
@@ -242,18 +250,15 @@ func (q *Query) AdvanceWatermark(t time.Time, report func(error)) []*Alert {
 	return q.closeAll(q.winMgr.Advance(t), report)
 }
 
-// TouchAt opens the windows containing t without folding any state, then
-// advances the watermark to t: the non-owning replica's half of stateful
-// ingestion, applied when the event itself was delivered only to the shards
-// owning its group state. Window existence, close counts, and empty-snapshot
-// cadence therefore stay identical on every replica — which alert history
-// (ss[k]) backfill and checkpoint re-splitting both depend on.
-func (q *Query) TouchAt(t time.Time, report func(error)) []*Alert {
-	if !q.stateful {
-		return nil
+// Touch opens the windows containing t without folding any state: all a
+// replica that owns none of an event's groups needs of it. Window existence,
+// close counts and empty-snapshot cadence therefore stay identical on every
+// replica — which alert history (ss[k]) backfill and checkpoint re-splitting
+// both depend on. No-op for rule queries.
+func (q *Query) Touch(t time.Time) {
+	if q.stateful {
+		q.winMgr.Touch(t)
 	}
-	q.winMgr.Touch(t)
-	return q.AdvanceWatermark(t, report)
 }
 
 // Flush closes all open windows (end of stream) and returns final alerts.

@@ -144,7 +144,7 @@ func TestFoldMatchesOracle(t *testing.T) {
 				for _, hi := range hits {
 					env := refBindEnv(prod.patterns[hi], ev)
 					wantKey, wantErr := refGroupKey(prod.groupBy, env)
-					gotKey, gotErr := prod.hitKey(hi, ev)
+					gotKey, gotErr := prod.HitKey(hi, ev)
 					if gotKey != wantKey || !same(gotErr, wantErr) {
 						t.Fatalf("%s: key %q (%v), oracle %q (%v)", ev, gotKey, gotErr, wantKey, wantErr)
 					}

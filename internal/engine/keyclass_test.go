@@ -1,0 +1,127 @@
+package engine
+
+// The router evaluates a hit's group key once for every query in the same key
+// class — SameKeyPrograms — on one member's programs. A wrong merge would fold
+// state under another query's key, silently; these tests hold the class
+// relation to what it promises (byte-equal keys, and the same failures, for
+// every event any member's pattern matches) and pin a few merges that must,
+// and must not, happen.
+
+import (
+	"strings"
+	"testing"
+)
+
+// TestKeyClassMembersAgreeOnEveryHit: over the conformance corpus and the
+// failing shapes, any two stateful queries SameKeyPrograms puts together yield
+// the same key — or fail with the same text — for every event that hits either
+// of them, pattern by pattern: the class's evaluating member may be asked for
+// the key of an event only the other one matched.
+func TestKeyClassMembersAgreeOnEveryHit(t *testing.T) {
+	events := demoStream(t)
+	var queries []*Query
+	for _, c := range foldCases() {
+		if q := compile(t, c.Name, c.Src); q.stateful {
+			queries = append(queries, q)
+		}
+	}
+	text := func(err error) string {
+		if err == nil {
+			return ""
+		}
+		return err.Error()
+	}
+	classes, merged, compared := 0, 0, 0
+	for i, a := range queries {
+		if !a.SameKeyPrograms(a) {
+			t.Fatalf("%s is not in its own key class", a.Name)
+		}
+		first := true
+		for _, b := range queries[:i] {
+			if a.SameKeyPrograms(b) != b.SameKeyPrograms(a) {
+				t.Fatalf("SameKeyPrograms(%s, %s) is not symmetric", a.Name, b.Name)
+			}
+			if !a.SameKeyPrograms(b) {
+				continue
+			}
+			first = false
+			merged++
+			for _, ev := range events {
+				hit := map[int]bool{}
+				for _, hi := range a.Hits(ev) {
+					hit[hi] = true
+				}
+				for _, hi := range b.Hits(ev) {
+					hit[hi] = true
+				}
+				for hi := range hit {
+					ka, ea := a.HitKey(hi, ev)
+					kb, eb := b.HitKey(hi, ev)
+					if ka != kb || text(ea) != text(eb) {
+						t.Fatalf("%s and %s share a key class but on %s pattern %d keys are %q (%v) and %q (%v)",
+							a.Name, b.Name, ev, hi, ka, ea, kb, eb)
+					}
+					compared++
+				}
+			}
+		}
+		if first {
+			classes++
+		}
+	}
+	t.Logf("%d stateful queries in %d key classes; %d merged pairs agreed on %d keys", len(queries), classes, merged, compared)
+	if merged == 0 || compared == 0 {
+		t.Fatal("the corpus put no two queries in one class: the property was not exercised")
+	}
+}
+
+// TestKeyClassMerges pins the relation on hand-picked pairs: what decides is
+// the compiled key programs — the role and attribute a key reads — not the
+// spelling of the query around them.
+func TestKeyClassMerges(t *testing.T) {
+	const base = `proc p write ip i as e #time(10 s)
+state ss { amt := sum(e.amount) } group by p
+alert ss.amt > 10
+return p`
+	withKey := func(key string) string { return strings.Replace(base, "group by p", "group by "+key, 1) }
+	for _, c := range []struct {
+		name, src string
+		same      bool
+		against   string // base unless set
+	}{
+		{"another window, threshold and aggregate", `proc p write ip i as e #time(17 s)
+state[3] ss { n := count(e) } group by p
+alert ss[0].n > 3
+return p`, true, ""},
+		{"renamed variables", `proc x write ip y as z #time(10 s)
+state ss { amt := sum(z.amount) } group by x
+alert ss.amt > 10
+return x`, true, ""},
+		{"the default attribute spelled out", withKey("p.exe_name"), true, ""},
+		{"stricter pattern constraints, another object type", `proc p["%sql%"] read || write file f as e #time(10 s)
+state ss { amt := sum(e.amount) } group by p
+alert ss.amt > 10
+return p`, true, ""},
+		{"another attribute", withKey("p.pid"), false, ""},
+		{"the object instead of the subject", withKey("i"), false, ""},
+		{"one more item", withKey("p, i.dstip"), false, ""},
+		{"no group-by", `proc p write ip i as e #time(10 s)
+state ss { amt := sum(e.amount) }
+alert ss.amt > 10
+return ss.amt`, false, ""},
+		{"an integer constant where the other has the equal float", withKey("p.pid + 1.0"), false, withKey("p.pid + 1")},
+		{"one more pattern", `proc p write ip i as e #time(10 s)
+proc q read file f as e2
+state ss { amt := sum(e.amount) } group by p
+alert ss.amt > 10
+return p`, false, ""},
+	} {
+		if c.against == "" {
+			c.against = base
+		}
+		a, b := compile(t, "base", c.against), compile(t, c.name, c.src)
+		if got := a.SameKeyPrograms(b); got != c.same {
+			t.Errorf("%s: SameKeyPrograms = %v, want %v", c.name, got, c.same)
+		}
+	}
+}

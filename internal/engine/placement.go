@@ -2,14 +2,15 @@ package engine
 
 // Placement classifies how a query's runtime state may be distributed
 // across parallel scheduler shards. The runtime's router establishes one
-// total event order and delivers each event only to the shards owning state
-// for it, with watermark-bearing touch entries and batch stamps keeping
-// window boundaries identical everywhere; placement decides which shard(s)
-// fold an event into query state — and therefore where the router delivers
-// it. The router is the only place event ownership is decided: a by-event
-// replica folds exactly what it is told it owns, a pinned replica whatever
-// reaches its home shard; only by-group replicas also carry a filter
-// (SetGroupFilter), because one event can fold into several groups.
+// total event order, resolves every hit — whose state, which group key,
+// which shard — and hands each shard exactly the folds it owns, with touch
+// ops and watermark stamps keeping window boundaries identical everywhere;
+// placement decides which shard folds a hit into query state. The router is
+// the only place ownership is decided: a replica folds exactly what it is
+// handed (FoldKeyed for a stateful query's hit under the key the router
+// evaluated, Ingest for a rule query's hit set) and asks no question of its
+// own. By-group replicas still carry a filter (SetGroupFilter), for the one
+// job that is not the router's: re-splitting restored state.
 type Placement uint8
 
 const (
@@ -23,10 +24,11 @@ const (
 	// PlaceByGroup marks stateful queries whose per-group state is
 	// independent across groups: every shard holds a replica, and each
 	// group-by key is owned by exactly one shard. The router finds a hit's
-	// owner by evaluating the key itself (HitGroupKeys, the same compiled key
-	// programs the replicas fold with), whatever the group-by expression; a
-	// key that fails to evaluate counts as the empty key on both sides, so
-	// its one owner reports the failure.
+	// owner by evaluating the key itself (HitKey, on its evaluation replica,
+	// once for every query with the same key programs), whatever the group-by
+	// expression, and hands the owner the key with the fold; a key that fails
+	// to evaluate counts as the empty key, so its one owner reports the
+	// failure (FailKey).
 	PlaceByGroup
 	// PlaceByEvent marks stateless single-pattern rule queries: each event
 	// produces alerts independently, so events are split across shards by
@@ -72,10 +74,11 @@ func (q *Query) Placement() Placement {
 	return PlacePinned
 }
 
-// SetGroupFilter restricts a by-group replica to the group-by keys it owns:
-// events whose group key is rejected are still observed (the watermark must
-// advance identically on every shard) but fold no state. Pass nil to own
-// every group (the serial engine's behaviour).
+// SetGroupFilter restricts a by-group replica to the group-by keys it owns
+// when state is restored into it (RestoreState keeps only the groups the
+// filter accepts: a checkpoint re-splits across any shard count). Folding
+// does not consult it — the router hands a replica only the folds it owns.
+// Pass nil to own every group (the serial engine's behaviour).
 func (q *Query) SetGroupFilter(f func(groupKey string) bool) { q.groupFilter = f }
 
 // SetEventsOffered overwrites the events-offered counter. A shard replica

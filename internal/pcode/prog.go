@@ -220,6 +220,29 @@ func CompileExpr(e ast.Expr, s *Scope) *Prog {
 // Depth is how many operand-stack slots Run needs.
 func (p *Prog) Depth() int { return p.depth }
 
+// Equal reports whether p and o are the same program: the same instructions
+// over the same constants. Run is a pure function of the frame, so equal
+// programs give equal results — value or error text — on every frame. (The
+// converse does not hold: equivalent expressions written differently compile
+// differently, and Equal says no.)
+func (p *Prog) Equal(o *Prog) bool {
+	return slices.EqualFunc(p.ins, o.ins, func(a, b xInstr) bool {
+		ae, be := a.err, b.err
+		a.err, b.err = nil, nil
+		return a == b && (ae == nil) == (be == nil) && (ae == nil || ae.Error() == be.Error())
+	}) && slices.EqualFunc(p.consts, o.consts, func(a, b value.Value) bool {
+		switch {
+		case a.Kind() != b.Kind():
+			return false
+		case a.Kind() == value.KindInt: // value.Equal compares numbers as floats
+			return a.IntVal() == b.IntVal()
+		case a.Kind() == value.KindFloat: // bitwise: NaN is itself, 0 is not -0
+			return math.Float64bits(a.FloatVal()) == math.Float64bits(b.FloatVal())
+		}
+		return a.Equal(b)
+	})
+}
+
 // Run evaluates the program against a frame on the caller's operand stack —
 // at least Depth slots, the caller's so that a query runs all its programs on
 // one — and leaves the value in stack[0]. After an error the stack holds

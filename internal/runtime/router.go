@@ -1,47 +1,52 @@
 package runtime
 
-// Partitioned envelope routing: the one delivery path between the router's
-// shared evaluation and the shards' state folding, at every shard count.
-// Each evaluated event is delivered only to the shards that own state for it,
-// derived from the same 32-bit FNV ownership hashing that checkpoint re-split
-// and the distributed cluster's Config.Owns already define —
+// Partitioned routing: the one delivery path between the router's shared
+// evaluation and the shards' state folding, at every shard count. The router
+// is the only place a hit is *resolved* — whose state it touches, under which
+// group key, on which shard — and a shard the only place it is *folded*. An
+// evaluated event's hit set never leaves the routing goroutine: routeEvent
+// turns it into ops (scheduler.Op) appended to the slabs of exactly the shards
+// that have something to do, by the same 32-bit FNV ownership hashing that
+// checkpoint re-split and the distributed cluster's Config.Owns already
+// define —
 //
-//   - pinned queries: the home shard holding the query;
-//   - by-event queries: hash of the event's subject entity — the entry for
-//     that shard is marked as the event's owner, and only there do by-event
-//     replicas fold it;
-//   - by-group queries: hash of each hit pattern's group-by key, evaluated by
-//     the query's compiled key programs (a key that fails to evaluate routes
-//     as the empty key, so one replica reports the failure, once);
+//   - a stateful query's hit becomes fold(slot, pattern, key) on the one shard
+//     that owns the key — hash(key) mod shards for a by-group query, the home
+//     shard for a pinned one. The key is evaluated by the query's compiled key
+//     programs on the router's evaluation replica, once per event per hit
+//     pattern per *key class* (queries whose key programs are identical: the
+//     window-length variants an analyst keeps of one detection are one class)
+//     and hashed once. A key that fails to evaluate routes as the empty key,
+//     as keyErr(slot, pattern): its one owner reports the failure, once.
+//   - every other shard holding a replica of a hit by-group query gets
+//     touch(slot): window existence and close cadence must be identical on
+//     all replicas (alert history backfill and checkpoint re-split depend on
+//     it), and a replica that folds nothing would otherwise never open the
+//     window.
+//   - a rule query's hits become hits(slot, pattern set) on its home shard
+//     (pinned) or on the shard owning the event's subject entity (by-event).
 //
-// and instead of a channel send per event, entries accumulate into per-shard
-// ring buffers (reusable slabs recycled through a sync.Pool) flushed on a
-// size threshold, when the ingest queue goes idle, and always before a
-// control envelope, so control operations — including checkpoint barriers —
-// cut the stream at one consistent point even though shards see disjoint
-// event subsets.
+// Instead of a channel send per event, entries accumulate into per-shard
+// slabs (entries plus their ops, recycled through a sync.Pool) flushed on a
+// size threshold, when the ingest queue goes idle, and always before a control
+// envelope, so control operations — including checkpoint barriers — cut the
+// stream at one consistent point even though shards see disjoint event
+// subsets.
 //
-// Two lightweight mechanisms give every shard what seeing every event would:
-//
-//   - Touch entries: a stateful by-group query's replicas live on every
-//     shard, and window existence/close cadence must stay identical on all
-//     of them (alert history backfill and checkpoint re-split depend on it).
-//     Shards holding replicas of a hit query but not owning the event's
-//     group receive a touch-only entry — time plus shared hit set, no fold.
-//
-//   - Watermark stamps: every entry carries the stream watermark the router
-//     observed before its event, applied to the target query before folding;
-//     every flushed batch carries the router's running watermark, applied to
-//     all active queries at the batch boundary (AdvanceAll). Together these
-//     reproduce the serial engine's per-query watermark at every fold point
-//     and close windows promptly on shards that received no events.
+// Watermark stamps give every shard what seeing every event would: each entry
+// carries the stream watermark the router observed before its event, applied
+// to the target query before its ops; every flushed batch carries the router's
+// running watermark, applied to all active queries at the batch boundary
+// (AdvanceAll). Together these reproduce the serial engine's per-query
+// watermark at every fold point and close windows promptly on shards that
+// received no events.
 //
 // docs/architecture.md records the one deliberate divergence from the serial
 // reference (a query resumed from pause on an out-of-order stream).
 
 import (
-	"math/bits"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"saql/internal/engine"
@@ -49,48 +54,78 @@ import (
 	"saql/internal/scheduler"
 )
 
-// flushThreshold caps how many entries a per-shard buffer accumulates before
-// it is flushed regardless of queue pressure, bounding both batch latency
-// and buffer memory under sustained load.
-const flushThreshold = 256
+// flushThreshold and opsThreshold cap how many entries and ops a per-shard
+// buffer accumulates before it is flushed regardless of queue pressure,
+// bounding both batch latency and buffer memory under sustained load.
+const (
+	flushThreshold = 256
+	opsThreshold   = 4 * flushThreshold
+)
 
-// routedEntry is one buffered delivery for one shard: a full (event,
-// hit-set) delivery when ev is non-nil, a touch-only entry otherwise. wm is
-// the stream watermark the router had observed before this event; owner
-// marks the one shard whose by-event replicas fold the event.
+// routedEntry is one event's work for one shard: ops[first:first+n] of the
+// slab that holds it. wm is the stream watermark the router had observed
+// before this event.
 type routedEntry struct {
-	ev    *event.Event
-	at    time.Time // event time (touch-only entries)
-	hits  *scheduler.HitSet
-	wm    time.Time
-	hasWM bool
-	owner bool
+	ev       *event.Event
+	wm       time.Time
+	hasWM    bool
+	first, n int32
 }
 
-// shardSet is a bitset over shard ids, one word per 64 shards.
-type shardSet []uint64
-
-//saql:hotpath
-func (s shardSet) add(i int) { s[i>>6] |= 1 << (i & 63) }
-
-// shardBatch is one flushed slab of routed entries. wm is the router's
-// running stream watermark at flush time; the receiving shard applies it to
-// every active query after the entries (scheduler.AdvanceAll), which is the
-// partitioned replacement for "every shard sees every event's time".
+// shardBatch is one flushed slab of routed entries and their ops, resolved
+// against layout (registry changes flush first, so a slab never spans two).
+// wm is the router's running stream watermark at flush time; the receiving
+// shard applies it to every active query after the entries
+// (scheduler.AdvanceAll), which is the partitioned replacement for "every
+// shard sees every event's time".
 type shardBatch struct {
 	entries []routedEntry
+	ops     []scheduler.Op
+	layout  *scheduler.Layout
 	wm      time.Time
 	hasWM   bool
+	// openSeq is the partitioner's event sequence number of the last entry:
+	// while it is current, that entry is still taking ops.
+	openSeq uint64
 }
 
-// routeInfo is the router's per-query placement record, maintained by the
-// routing goroutine as control envelopes pass through it — the same stream
-// point at which the evaluation scheduler's layout changes, so the slot
-// cache below can never pair a stale placement with a fresh hit set.
+// routeKind is what the router does with a hit of one query.
+type routeKind uint8
+
+const (
+	routeNowhere   routeKind = iota // pinned, and another cluster worker holds the replica
+	routeGroupFold                  // stateful by-group: fold on the key's owner, touch elsewhere
+	routeHomeFold                   // stateful pinned: fold on the home shard
+	routeHomeHits                   // pinned rule query: hits to the home shard
+	routeEventHits                  // by-event rule query: hits to the event's owner
+)
+
+// routeInfo is the router's per-query record, maintained by the routing
+// goroutine as control envelopes pass through it — the same stream point at
+// which the evaluation scheduler's layout changes, so the slot cache below can
+// never pair a stale placement with a fresh hit set.
 type routeInfo struct {
-	placement engine.Placement
-	home      int // pinned home shard; -1 when no local replica exists
-	evalQ     *engine.Query
+	kind  routeKind
+	home  int // routeHome*: the shard holding the one replica
+	evalQ *engine.Query
+	class *keyClass // routeGroupFold, routeHomeFold; assigned by resolveSlots
+}
+
+// keyClass is a set of stateful queries whose group-by items compile to the
+// same programs for every pattern (engine.SameKeyPrograms), so one evaluation
+// gives the key of all of them. q is the member whose programs run; memo holds
+// the current event's keys by pattern.
+type keyClass struct {
+	q    *engine.Query
+	memo []resolvedKey
+}
+
+// resolvedKey is one pattern's group key for the event numbered seq.
+type resolvedKey struct {
+	seq    uint64
+	key    string
+	hash   uint32
+	failed bool
 }
 
 // partitioner holds the routing goroutine's confined state. Only the router
@@ -110,10 +145,13 @@ type partitioner struct {
 	streamWM time.Time
 	hasWM    bool
 
-	keys    []string // HitGroupKeys scratch
-	deliver shardSet // routeEvent scratch: shards the current event folds on
-	all     shardSet // every shard: who gets a touch when a by-group query is hit
-	pool    sync.Pool
+	seq    uint64   // events routed with hits: stamps open entries and key memos
+	mark   uint64   // by-group slots routed: stamps folded
+	folded []uint64 // folded[i] == mark: shard i folds for the slot being routed
+	// keyEvals counts key-program evaluations (keyClass memo misses); read by
+	// SchedStats from other goroutines.
+	keyEvals atomic.Int64
+	pool     sync.Pool
 }
 
 func newPartitioner(r *Runtime) *partitioner {
@@ -124,14 +162,16 @@ func newPartitioner(r *Runtime) *partitioner {
 		routes: map[string]*routeInfo{},
 		bufs:   make([]*shardBatch, len(r.shards)),
 		lastWM: make([]time.Time, len(r.shards)),
-	}
-	words := (p.n + 63) / 64
-	p.deliver, p.all = make(shardSet, words), make(shardSet, words)
-	for i := 0; i < p.n; i++ {
-		p.all.add(i)
+		folded: make([]uint64, len(r.shards)),
 	}
 	p.pool.New = func() any {
-		return &shardBatch{entries: make([]routedEntry, 0, flushThreshold)}
+		return &shardBatch{
+			entries: make([]routedEntry, 0, flushThreshold),
+			// Room for an op per entry: a stream of sparse hits never grows
+			// it, a dense one grows it once, towards opsThreshold, and the
+			// pool keeps it grown.
+			ops: make([]scheduler.Op, 0, flushThreshold),
+		}
 	}
 	for i := range p.bufs {
 		p.bufs[i] = p.get()
@@ -143,13 +183,14 @@ func newPartitioner(r *Runtime) *partitioner {
 func (p *partitioner) get() *shardBatch { return p.pool.Get().(*shardBatch) }
 
 // put recycles a processed batch. Called by shard workers, hence the pool:
-// entries are cleared so the slab retains no event or hit-set references.
+// entries and ops are cleared so the slab retains no event, key string or
+// layout.
 //
 //saql:hotpath
 func (p *partitioner) put(b *shardBatch) {
 	clear(b.entries)
-	b.entries = b.entries[:0]
-	b.wm, b.hasWM = time.Time{}, false
+	clear(b.ops)
+	*b = shardBatch{entries: b.entries[:0], ops: b.ops[:0]}
 	p.pool.Put(b)
 }
 
@@ -159,11 +200,20 @@ func (p *partitioner) put(b *shardBatch) {
 func (p *partitioner) applyCtl(c *control) {
 	switch c.kind {
 	case ctlAdd, ctlSwap:
-		ri := &routeInfo{placement: c.eval.Placement(), home: -1, evalQ: c.eval}
-		if ri.placement == engine.PlacePinned {
+		ri := &routeInfo{evalQ: c.eval}
+		switch placement, stateful := c.eval.Placement(), c.eval.Stateful(); {
+		case placement == engine.PlaceByGroup:
+			ri.kind = routeGroupFold
+		case placement == engine.PlaceByEvent:
+			ri.kind = routeEventHits
+		default:
 			for i, q := range c.replicas {
 				if q != nil {
 					ri.home = i
+					ri.kind = routeHomeHits
+					if stateful {
+						ri.kind = routeHomeFold
+					}
 				}
 			}
 		}
@@ -174,8 +224,9 @@ func (p *partitioner) applyCtl(c *control) {
 	p.slotsFor = nil // registry changed: re-resolve against the next layout
 }
 
-// resolveSlots refreshes the slot -> routeInfo cache for a hit-set layout.
-// Layouts change only on registry mutations, so this is never per-event work.
+// resolveSlots refreshes the slot -> routeInfo cache for a hit-set layout and
+// sorts the stateful queries into key classes. Layouts change only on
+// registry mutations, so this is never per-event work.
 func (p *partitioner) resolveSlots(layout *scheduler.Layout) {
 	if p.slotsFor == layout {
 		return
@@ -184,11 +235,84 @@ func (p *partitioner) resolveSlots(layout *scheduler.Layout) {
 	for name, slot := range layout.Slots {
 		p.slots[slot] = p.routes[name]
 	}
+	var classes []*keyClass
+	for _, ri := range p.slots { // in slot order: the class's evaluating member is deterministic
+		if ri == nil || (ri.kind != routeGroupFold && ri.kind != routeHomeFold) {
+			continue
+		}
+		ri.class = nil
+		for _, c := range classes {
+			if c.q.SameKeyPrograms(ri.evalQ) {
+				ri.class = c
+				break
+			}
+		}
+		if ri.class == nil {
+			ri.class = &keyClass{q: ri.evalQ, memo: make([]resolvedKey, len(ri.evalQ.Patterns()))}
+			classes = append(classes, ri.class)
+		}
+	}
 	p.slotsFor = layout
 }
 
-// routeEvent buffers one evaluated event into the per-shard slabs it needs
-// to reach. Events that matched nothing buffer nowhere: the next flush's
+// key returns the group key ev yields as a hit of pattern hi for the queries
+// of class c, evaluating and hashing it the first time the current event asks.
+//
+//saql:hotpath
+func (p *partitioner) key(c *keyClass, hi int, ev *event.Event) *resolvedKey {
+	k := &c.memo[hi]
+	if k.seq != p.seq {
+		key, err := c.q.HitKey(hi, ev)
+		*k = resolvedKey{seq: p.seq, key: key, hash: hashString(key), failed: err != nil}
+		p.keyEvals.Add(1)
+	}
+	return k
+}
+
+// emit appends op to shard i's entry for the current event, opening the entry
+// with the event's first op there — in a fresh slab if the previous events
+// filled this one (an entry never straddles two).
+//
+//saql:hotpath
+func (p *partitioner) emit(i int, ev *event.Event, wm time.Time, hasWM bool, op scheduler.Op) {
+	b := p.bufs[i]
+	if b.openSeq != p.seq {
+		if len(b.entries) >= flushThreshold || len(b.ops) >= opsThreshold {
+			p.flushShard(i)
+			b = p.bufs[i]
+		}
+		b.openSeq = p.seq
+		b.layout = p.slotsFor
+		b.entries = append(b.entries, routedEntry{ev: ev, wm: wm, hasWM: hasWM, first: int32(len(b.ops))})
+	}
+	b.ops = append(b.ops, op)
+	b.entries[len(b.entries)-1].n++
+}
+
+// foldOp is the op a stateful query's hit of pattern hi becomes on the shard
+// owning its key k.
+//
+//saql:hotpath
+func foldOp(slot, hi int, k *resolvedKey) scheduler.Op {
+	if k.failed {
+		return scheduler.Op{Kind: scheduler.OpKeyErr, Slot: int32(slot), Pat: uint8(hi)}
+	}
+	return scheduler.Op{Kind: scheduler.OpFold, Slot: int32(slot), Pat: uint8(hi), Key: k.key}
+}
+
+// hitsOp is the op a rule query's hit set h becomes.
+//
+//saql:hotpath
+func hitsOp(slot int, h []int) scheduler.Op {
+	op := scheduler.Op{Kind: scheduler.OpHits, Slot: int32(slot)}
+	for _, hi := range h {
+		op.Pats |= 1 << uint(hi)
+	}
+	return op
+}
+
+// routeEvent resolves one evaluated event into ops on the per-shard slabs it
+// needs to reach. Events that matched nothing buffer nowhere: the next flush's
 // batch watermark is all any shard needs from them.
 //
 //saql:hotpath
@@ -201,11 +325,10 @@ func (p *partitioner) routeEvent(ev *event.Event, hs *scheduler.HitSet) {
 	if hs == nil {
 		return
 	}
+	hs.AssertLive()
 	p.resolveSlots(hs.Layout)
-	deliver := p.deliver
-	clear(deliver)
-	eventOwner := -1 // shard owning the event for by-event queries
-	groupTouch := false
+	p.seq++
+	eventOwner := -2 // by-event owner shard: -2 not yet hashed, -1 another worker's
 	for slot, h := range hs.Hits {
 		if len(h) == 0 {
 			continue
@@ -214,51 +337,38 @@ func (p *partitioner) routeEvent(ev *event.Event, hs *scheduler.HitSet) {
 		if ri == nil {
 			continue
 		}
-		switch ri.placement {
-		case engine.PlacePinned:
-			if ri.home >= 0 {
-				deliver.add(ri.home)
-			}
-		case engine.PlaceByEvent:
-			h32 := hashSubject(ev)
-			if p.owns == nil || p.owns(h32) {
-				eventOwner = int(h32 % uint32(p.n))
-				deliver.add(eventOwner)
-			}
-		case engine.PlaceByGroup:
-			// Replicas live on every shard: non-owners still need a touch so
-			// their window cadence matches, even when the cluster-level Owns
-			// filter keeps every local shard from folding the group.
-			groupTouch = true
-			keys := ri.evalQ.HitGroupKeys(p.keys[:0], ev, h)
-			for _, k := range keys {
-				h32 := hashString(k)
-				if p.owns == nil || p.owns(h32) {
-					deliver.add(int(h32 % uint32(p.n)))
+		switch ri.kind {
+		case routeGroupFold:
+			p.mark++
+			for _, hi := range h {
+				// A key the cluster-level Owns filter gives to another worker
+				// folds on no local shard; the local replicas still touch.
+				if k := p.key(ri.class, hi, ev); p.owns == nil || p.owns(k.hash) {
+					i := int(k.hash % uint32(p.n))
+					p.emit(i, ev, wm, hasWM, foldOp(slot, hi, k))
+					p.folded[i] = p.mark
 				}
 			}
-			p.keys = keys[:0]
-		}
-	}
-	for w, owners := range deliver {
-		rem := owners
-		if groupTouch {
-			rem = p.all[w] // non-owners get a touch-only entry
-		}
-		for rem != 0 {
-			bit := rem & -rem
-			rem &^= bit
-			i := w<<6 | bits.TrailingZeros64(bit)
-			e := routedEntry{hits: hs, wm: wm, hasWM: hasWM}
-			if owners&bit != 0 {
-				e.ev, e.owner = ev, i == eventOwner
-			} else {
-				e.at = ev.Time
+			for i := range p.folded {
+				if p.folded[i] != p.mark {
+					p.emit(i, ev, wm, hasWM, scheduler.Op{Kind: scheduler.OpTouch, Slot: int32(slot)})
+				}
 			}
-			b := p.bufs[i]
-			b.entries = append(b.entries, e)
-			if len(b.entries) >= flushThreshold {
-				p.flushShard(i)
+		case routeHomeFold:
+			for _, hi := range h {
+				p.emit(ri.home, ev, wm, hasWM, foldOp(slot, hi, p.key(ri.class, hi, ev)))
+			}
+		case routeHomeHits:
+			p.emit(ri.home, ev, wm, hasWM, hitsOp(slot, h))
+		case routeEventHits:
+			if eventOwner == -2 {
+				eventOwner = -1
+				if h32 := hashSubject(ev); p.owns == nil || p.owns(h32) {
+					eventOwner = int(h32 % uint32(p.n))
+				}
+			}
+			if eventOwner >= 0 {
+				p.emit(eventOwner, ev, wm, hasWM, hitsOp(slot, h))
 			}
 		}
 	}
@@ -294,24 +404,18 @@ func (p *partitioner) flushAll() {
 	}
 }
 
-// processBatch applies one routed batch to a shard: deliveries fold, touch
-// entries open windows, and the batch watermark advances every active query.
-// Runs on the shard's worker goroutine.
+// processBatch applies one routed batch to a shard: each entry's ops run
+// against the shard's replicas, and the batch watermark advances every active
+// query. Runs on the shard's worker goroutine.
 //
 //saql:hotpath
 func (r *Runtime) processBatch(s *shard, b *shardBatch) {
 	for i := range b.entries {
 		e := &b.entries[i]
 		if r.testObserve != nil {
-			r.testObserve(s.id, e)
+			r.testObserve(s.id, b, e)
 		}
-		var alerts []*engine.Alert
-		if e.ev != nil {
-			alerts = s.sched.IngestRouted(e.ev, e.hits, e.wm, e.hasWM, e.owner)
-		} else {
-			alerts = s.sched.TouchRouted(e.at, e.hits, e.wm, e.hasWM)
-		}
-		if len(alerts) > 0 {
+		if alerts := s.sched.Apply(b.layout, e.ev, e.wm, e.hasWM, b.ops[e.first:e.first+e.n]); len(alerts) > 0 {
 			r.cfg.Fan.Publish(alerts)
 		}
 	}

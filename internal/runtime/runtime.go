@@ -8,23 +8,30 @@
 // only other event path in the repo is the serial reference
 // (scheduler.Process) that conformance tests compare against.
 //
-// # Shared evaluation
+// # Shared evaluation: the router resolves, the shards fold
 //
 // The router owns an evaluation-only scheduler holding an unfiltered
 // replica of every registered query. Before routing an event it runs
 // the shard-agnostic half of the master–dependent scheme exactly once —
 // each group's master pattern predicates, refined into per-dependent
-// residual hit sets — and attaches the resulting immutable HitSet to every
-// delivery of that event. Shards never evaluate pattern predicates: they go
-// straight to owned-state folding via scheduler.IngestRouted, with the
-// entry's watermark stamp advancing each query before the fold so windows
+// residual hit sets — into scratch that scheduler owns: a HitSet is valid
+// until the next batch is evaluated and never leaves the routing goroutine.
+// The router resolves it on the spot into ops (scheduler.Op) — for a
+// stateful query's hit, fold(slot, pattern, key) on the shard owning the
+// key, the key evaluated once per event for all the queries whose key
+// programs are the same; touch(slot) on the other shards holding a replica;
+// for a rule query, hits(slot, pattern set) — and a shard is handed exactly
+// the ops it owns. Shards never evaluate a pattern predicate, a group key or
+// an ownership hash: scheduler.Apply executes an entry's ops, with the
+// entry's watermark stamp advancing each target query first so windows
 // close at the same instants everywhere. Per-event pattern work is
-// therefore O(patterns), not O(shards × patterns). Control operations
-// (add/swap/remove/pause) are applied to the evaluation scheduler by the
-// router at the moment their envelope passes through it — before any later
-// event — and every HitSet is stamped with the layout it was computed
-// under, so hot-swap stays consistent: a shard resolves hit-set slots
-// against exactly the registry state the router evaluated with.
+// therefore O(patterns) and key work O(key classes), not O(shards ×
+// queries). Control operations (add/swap/remove/pause) are applied to the
+// evaluation scheduler by the router at the moment their envelope passes
+// through it — after every buffered slab is flushed, before any later event
+// — and every slab is stamped with the layout its ops were resolved under,
+// so hot-swap stays consistent: a shard resolves op slots against exactly
+// the registry state the router evaluated with.
 //
 // # Shard placement and partitioned routing
 //
@@ -35,7 +42,7 @@
 //   - by-group queries (stateful, group-by, no clustering, no distinct)
 //     replicate onto every shard, and each group-by key is owned by exactly
 //     one shard (FNV hash of the key); non-owning replicas receive
-//     lightweight touch entries so window cadence stays identical;
+//     one-word touch ops so window cadence stays identical;
 //   - by-event queries (stateless single-pattern rules) replicate onto
 //     every shard, and each event is owned by exactly one shard (hash of
 //     the subject entity);
@@ -99,7 +106,7 @@ type Config struct {
 	// router delivers unowned keys nowhere locally), and a pinned query
 	// materialises only when the runtime owns the hash of its name. Every
 	// runtime in a cluster still observes every event in the same order, and
-	// within a runtime watermark stamps and touch entries advance every
+	// within a runtime watermark stamps and touch ops advance every
 	// replica, so watermarks and window boundaries stay identical across a
 	// cluster.
 	Owns func(uint32) bool
@@ -154,9 +161,10 @@ type Runtime struct {
 	part *partitioner
 
 	// testObserve, when set before any event flows, observes every routed
-	// entry a shard receives (tests pin the ownership-routing invariants
-	// with it). Never set in production.
-	testObserve func(shard int, e *routedEntry)
+	// entry a shard receives, and the slab it arrived in, just before the
+	// shard applies it (tests pin the ownership-routing invariants with it).
+	// Never set in production.
+	testObserve func(shard int, b *shardBatch, e *routedEntry)
 }
 
 type shard struct {
@@ -466,6 +474,8 @@ func (r *Runtime) route(env envelope) {
 		return
 	}
 	r.routed += int64(len(env.evs))
+	// The hit sets live in the evaluation scheduler's scratch until its next
+	// batch: they are resolved into ops here and go no further.
 	hits := r.evalSched.EvaluateBatch(env.evs)
 	for i, ev := range env.evs {
 		r.part.routeEvent(ev, hits[i])
@@ -900,11 +910,13 @@ func (r *Runtime) Flush() ([]*engine.Alert, error) {
 // SchedStats reports the scheduler counters. Pattern evaluation and
 // stream-copy work happens exactly once per event in the router's shared
 // evaluation stage, so those counters come straight from the evaluation
-// scheduler — they reflect total work performed, independent of the shard
-// count. Alerts are raised on the shards (disjointly, by state ownership)
-// and summed.
+// scheduler, and group keys are evaluated only where the router resolves hits
+// into ops (KeyEvals: once per event per hit pattern per key class) — all of
+// them total work performed, independent of the shard count. Alerts are raised
+// on the shards (disjointly, by state ownership) and summed.
 func (r *Runtime) SchedStats() scheduler.Stats {
 	out := r.evalSched.Stats()
+	out.KeyEvals = r.part.keyEvals.Load()
 	for _, s := range r.shards {
 		out.Alerts += s.sched.Stats().Alerts
 	}

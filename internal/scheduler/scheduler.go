@@ -16,6 +16,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"saql/internal/ast"
@@ -42,7 +43,14 @@ type Stats struct {
 	// performed (every active query evaluates every pattern on every
 	// event).
 	NaivePatternEvals int64
-	Alerts            int64
+	// KeyEvals counts group-by key evaluations. The serial path (Process)
+	// evaluates one per hit per stateful query, inside the fold. A started
+	// engine resolves keys in the router — once per event per hit pattern per
+	// key class, however many queries share the class — and its shards
+	// evaluate none; a scheduler fed by EvaluateBatch alone counts none (the
+	// runtime adds the router's count, see Runtime.SchedStats).
+	KeyEvals int64
+	Alerts   int64
 }
 
 // SharingRatio reports NaiveCopies / StreamCopies (≥ 1; higher is better).
@@ -75,14 +83,66 @@ func (l *Layout) slot(name string) int {
 	return -1
 }
 
-// HitSet carries one event's pattern-hit sets, computed once by an
-// evaluating scheduler (EvaluateBatch) and consumed by any number of
-// ingesting schedulers (IngestRouted/TouchRouted). Hits is indexed by Layout
-// slot; a nil entry means the query matched nothing. A HitSet is immutable
-// once EvaluateBatch returns and safe to share across shards.
+// HitSet carries one event's pattern-hit sets, computed by an evaluating
+// scheduler (EvaluateBatch). Hits is indexed by Layout slot; an empty entry
+// means the query matched nothing. It lives in scratch the evaluating
+// scheduler owns and is valid only until that scheduler's next EvaluateBatch:
+// whoever resolves it — the runtime's router into ops, the benchmark's staged
+// fold through ProcessWithHits — does so before evaluating the next batch, on
+// the evaluating goroutine. Each HitSet is stamped with its batch's
+// generation, and consuming one that outlived its batch panics (AssertLive)
+// rather than folding whatever the scratch holds by then.
 type HitSet struct {
 	Layout *Layout
 	Hits   [][]int
+
+	gen uint64
+	cur *atomic.Uint64 // the evaluating scheduler's current generation
+}
+
+// AssertLive panics if the evaluating scheduler has started another batch
+// since h was computed: h's tables have been reused and name other events'
+// hits. Only a bug in the caller — holding a HitSet across EvaluateBatch calls
+// — gets here.
+//
+//saql:hotpath
+func (h *HitSet) AssertLive() {
+	if h.cur != nil && h.cur.Load() != h.gen {
+		panic(fmt.Sprintf("scheduler: stale HitSet: computed by batch %d, consumed during batch %d (a HitSet is valid only until the next EvaluateBatch)", h.gen, h.cur.Load()))
+	}
+}
+
+// OpKind says what one routed Op asks of a replica.
+type OpKind uint8
+
+const (
+	// OpFold folds the entry's event, a hit of pattern Op.Pat, into the group
+	// Op.Key of a stateful query: state this replica owns.
+	OpFold OpKind = iota
+	// OpKeyErr: pattern Op.Pat's group key does not evaluate on the entry's
+	// event and this replica, the owner of the empty key, is the one to
+	// report it. Nothing folds; the windows open.
+	OpKeyErr
+	// OpTouch: a stateful query was hit but this replica owns none of the
+	// hit's groups. Nothing folds; the windows open, so that window cadence is
+	// the same on every replica.
+	OpTouch
+	// OpHits feeds the hit patterns in Op.Pats (bit p = pattern p) to a rule
+	// query's matcher: the pinned replica, or the by-event replica on the
+	// shard owning the event.
+	OpHits
+)
+
+// Op is one instruction of a routed entry: what the replica in layout slot
+// Slot does with the entry's event. The router resolves every hit into ops —
+// whose state, which key, which shard — and a shard only executes them
+// (Scheduler.Apply). An entry's ops are ordered by slot.
+type Op struct {
+	Key  string // OpFold: the group key
+	Pats uint64 // OpHits: the hit patterns as a bitset
+	Slot int32
+	Pat  uint8 // OpFold, OpKeyErr: the hit pattern (sema.MaxPatterns bounds it)
+	Kind OpKind
 }
 
 // dependent is a query executing against its master's intermediate results.
@@ -126,18 +186,18 @@ type Scheduler struct {
 	resolvedFor *Layout
 	// bySlot inverts the resolved layout: slot index -> locally registered
 	// query (nil where the slot's query is not placed on this scheduler).
-	// The routed ingestion paths walk a HitSet's non-empty slots directly
-	// instead of iterating every group.
+	// Apply indexes it by each op's slot instead of iterating every group.
 	bySlot []*engine.Query
 	// procScratch is Process's reusable slot table: the serial path
 	// consumes the hits under the same lock hold, so the table never
 	// escapes and one zeroed buffer serves every event.
 	procScratch [][]int
-	// hitScratch backs the hit sets procScratch points at, likewise reused.
+	// hitScratch backs the hit sets procScratch points at, likewise reused;
+	// Apply expands an OpHits pattern set into it.
 	hitScratch []int
-	// lastCarved is how many events of the previous EvaluateBatch had hits:
-	// the size of the next batch's first hit-table chunk.
-	lastCarved int
+	// batch is EvaluateBatch's scratch: what it returns lives here until the
+	// next call.
+	batch batchScratch
 	// report adapts the error reporter once at construction so the per-event
 	// paths don't allocate a closure per call.
 	report func(error)
@@ -403,17 +463,39 @@ func (s *Scheduler) Process(ev *event.Event) []*engine.Alert {
 	return alerts
 }
 
+// batchScratch is the memory one EvaluateBatch result lives in, reused by the
+// next: a steady stream evaluates without allocating.
+type batchScratch struct {
+	gen atomic.Uint64 // generation of the batch the scratch currently holds
+	// The result slice and the HitSet headers alternate between two buffers,
+	// so what the previous batch handed out is not overwritten by this one and
+	// still carries the old generation: a HitSet (or result slice) consumed one
+	// batch late is always caught. Older ones alias live headers eventually.
+	res [2]struct {
+		out  []*HitSet // per event; nil where nothing matched
+		sets []HitSet  // headers of the events with hits
+	}
+	tbl  [][]int // the slot tables, carved len(layout.Slots) at a time
+	hits []int   // every hit set of the batch, back to back
+
+	master   [][]int  // the current group's master hits per event
+	masks    []uint64 // its per-event pattern bitmasks
+	globalOK []bool
+}
+
 // EvaluateBatch computes the shard-agnostic half of Process for a whole
 // submission batch under one lock hold: every group's master pattern hits
 // (once), refined into per-dependent residual hit sets. It mutates no query
-// state — only the sharing counters — so a single evaluating scheduler can
-// feed any number of ingesting schedulers that hold replicas of the same
-// queries. It returns one HitSet per event (nil entries where nothing
-// matched; consumers treat a nil HitSet as all-empty). The
-// HitSet headers and hit-slot slices are allocated in chunks, for the events
-// with hits only, so the pre-evaluation stage costs a few allocations per
-// batch rather than one per event — it sits on the router's hot path in
-// front of every shard.
+// state — only the sharing counters. It returns one HitSet per event, nil
+// where nothing matched (consumers treat a nil HitSet as all-empty).
+//
+// Lifetime: the returned slice, the HitSets and every hit slice in them live
+// in scratch this scheduler owns and are valid until its next EvaluateBatch —
+// the contract Process already has with itself for one event. The caller
+// resolves them (into routed ops, or through ProcessWithHits) before
+// evaluating again and keeps no reference; a HitSet consumed late panics
+// (HitSet.AssertLive). In return the stage allocates nothing in steady state:
+// it sits on the router's hot path in front of every shard.
 //
 // Evaluation runs in pattern-major (columnar) order: each group's master
 // sweeps its compiled patterns across the whole batch before the next group
@@ -426,20 +508,31 @@ func (s *Scheduler) EvaluateBatch(evs []*event.Event) []*HitSet {
 	return s.evaluateBatchLocked(evs)
 }
 
-// hitTableChunk is how many events-with-hits one allocation of HitSet headers
-// and slot tables serves in evaluateBatchLocked, beyond the first chunk.
+// hitTableChunk is how many events' slot tables the first allocation of
+// batchScratch.tbl holds; it doubles from there to the stream's high-water
+// mark of events with hits per batch.
 const hitTableChunk = 32
+
+// grown returns buf with length n, reallocated only when its capacity is
+// short; the contents are unspecified.
+func grown[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
 
 // evaluateBatchLocked is the columnar core of EvaluateBatch. For each group,
 // the master's patterns sweep the entire batch first (engine.MatchBatch
-// writes per-event hit bitmasks, materialised into arena-carved index
-// slices), then each dependent refines the master's hits across the batch.
-// Hit sets come from one allocation per group with hits; HitSet headers and
-// slot tables from one pair per hitTableChunk events with hits. Counters are maintained
-// exactly as the event-major loop did — per-group constants multiplied by
-// the batch length, residual evaluations counted as they happen — so stats
-// are bit-identical to processing the batch event by event. The caller
-// holds s.mu and has already counted Events.
+// writes per-event hit bitmasks, materialised into index slices in the
+// batch's hit buffer), then each dependent refines the master's hits across
+// the batch. Headers and slot tables exist only for events with hits — most
+// events of a fleet-wide stream match no host-pinned query — and all of it is
+// carved from s.batch. Counters are maintained exactly as the event-major
+// loop did — per-group constants multiplied by the batch length, residual
+// evaluations counted as they happen — so stats are bit-identical to
+// processing the batch event by event. The caller holds s.mu and has already
+// counted Events.
 //
 //saql:hotpath
 func (s *Scheduler) evaluateBatchLocked(evs []*event.Event) []*HitSet {
@@ -452,42 +545,35 @@ func (s *Scheduler) evaluateBatchLocked(evs []*event.Event) []*HitSet {
 	if s.layout != nil {
 		nSlots = len(s.layout.Slots)
 	}
-	out := make([]*HitSet, n)
-	// Headers and slot tables exist only for events with hits, carved from
-	// chunks allocated as such events turn up: most events of a fleet-wide
-	// stream match no host-pinned query, and a table per event would be
-	// zeroed for nothing.
-	var slab []HitSet    // current chunk of headers
-	var tblArena [][]int // current chunk of slot tables
-	carved := 0          // events given a table so far
+	b := &s.batch
+	gen := b.gen.Add(1) // whatever the previous batch handed out is stale from here
+	res := &b.res[gen&1]
+	res.out = grown(res.out, n)
+	clear(res.out)
+	res.sets = grown(res.sets, n)[:0]
+	b.master = grown(b.master, n)
+	b.masks = grown(b.masks, n)
+	b.globalOK = grown(b.globalOK, n)
+	out, tbl, buf := res.out, b.tbl, b.hits[:0]
 	put := func(i, slot int, h []int) {
 		if len(h) == 0 || slot < 0 {
 			return
 		}
 		if out[i] == nil {
-			if len(slab) == cap(slab) {
-				c := hitTableChunk
-				if slab == nil {
-					// The first chunk covers what the previous batch needed:
-					// a steady stream gets its tables in one allocation.
-					c = max(c, s.lastCarved)
-				}
-				c = min(c, n-carved)
-				slab = make([]HitSet, 0, c)
-				tblArena = make([][]int, c*nSlots)
+			if len(tbl) < nSlots {
+				// Tables already carved keep the old array alive for this
+				// batch; the next batch carves from the larger one.
+				tbl = make([][]int, max(2*len(b.tbl), hitTableChunk*nSlots))
+				b.tbl = tbl
 			}
-			tbl := tblArena[:nSlots:nSlots]
-			tblArena = tblArena[nSlots:]
-			slab = append(slab, HitSet{Layout: s.layout, Hits: tbl})
-			out[i] = &slab[len(slab)-1]
-			carved++
+			t := tbl[:nSlots:nSlots]
+			tbl = tbl[nSlots:]
+			clear(t) // the previous batch's hits
+			res.sets = append(res.sets, HitSet{Layout: s.layout, Hits: t, gen: gen, cur: &b.gen})
+			out[i] = &res.sets[len(res.sets)-1]
 		}
 		out[i].Hits[slot] = h
 	}
-
-	masterHits := make([][]int, n) // this group's master hits per event
-	var masks []uint64             // per-event pattern bitmasks (≤64 patterns)
-	var globalOK []bool
 
 	for _, g := range s.groups {
 		masterActive := !g.master.Paused()
@@ -513,45 +599,18 @@ func (s *Scheduler) evaluateBatchLocked(evs []*event.Event) []*HitSet {
 			s.stats.NaivePatternEvals += int64(nPat) * int64(n)
 		}
 
-		if nPat <= 64 {
-			// Columnar sweep: one pattern across all events before the next.
-			if masks == nil {
-				masks = make([]uint64, n)
-				globalOK = make([]bool, n)
-			} else {
-				for i := range masks {
-					masks[i] = 0
-				}
+		// Columnar sweep: one pattern across all events before the next. A
+		// query has at most sema.MaxPatterns (63) of them, one mask bit each.
+		clear(b.masks)
+		g.master.MatchBatch(evs, b.masks, b.globalOK)
+		for i, m := range b.masks {
+			start := len(buf)
+			for ; m != 0; m &= m - 1 {
+				buf = append(buf, bits.TrailingZeros64(m))
 			}
-			g.master.MatchBatch(evs, masks, globalOK)
-			total := 0
-			for _, m := range masks {
-				total += bits.OnesCount64(m)
-			}
-			var buf []int
-			if total > 0 {
-				buf = make([]int, 0, total)
-			}
-			for i, m := range masks {
-				if m == 0 {
-					masterHits[i] = nil
-					continue
-				}
-				start := len(buf)
-				for m != 0 {
-					buf = append(buf, bits.TrailingZeros64(m))
-					m &= m - 1
-				}
-				mh := buf[start:len(buf):len(buf)]
-				masterHits[i] = mh
-				put(i, g.slot, mh)
-			}
-		} else {
-			for i, ev := range evs {
-				mh := g.master.Hits(ev)
-				masterHits[i] = mh
-				put(i, g.slot, mh)
-			}
+			mh := buf[start:len(buf):len(buf)]
+			b.master[i] = mh
+			put(i, g.slot, mh)
 		}
 
 		for _, d := range g.dependents {
@@ -562,25 +621,23 @@ func (s *Scheduler) evaluateBatchLocked(evs []*event.Event) []*HitSet {
 			if d.equal {
 				// Equal constraint sets: the master's hits are exactly this
 				// dependent's, no residual re-examination needed.
-				for i, mh := range masterHits {
-					if len(mh) == 0 {
-						continue
-					}
+				for i, mh := range b.master {
 					put(i, d.slot, mh)
 				}
 				continue
 			}
-			for i, mh := range masterHits {
+			for i, mh := range b.master {
 				if len(mh) == 0 {
 					continue
 				}
-				dh, evals := d.q.ResidualHits(nil, evs[i], mh)
+				start, evals := len(buf), 0
+				buf, evals = d.q.ResidualHits(buf, evs[i], mh)
 				s.stats.PatternEvals += int64(evals)
-				put(i, d.slot, dh)
+				put(i, d.slot, buf[start:len(buf):len(buf)])
 			}
 		}
 	}
-	s.lastCarved = carved
+	b.hits = buf
 	return out
 }
 
@@ -588,8 +645,10 @@ func (s *Scheduler) evaluateBatchLocked(evs []*event.Event) []*HitSet {
 // every active query's state using hit sets computed elsewhere (by an
 // evaluating scheduler over replicas of the same queries, at the same point
 // of the same total event order). Queries absent from the HitSet's layout
-// ingest with no hits. No engine path calls it: the repo benchmark's staged
-// replica (bench/staged.go) times the fold layer on its own through it.
+// ingest with no hits. hs must still be live — consumed before the evaluating
+// scheduler's next EvaluateBatch — or the call panics. No engine path calls
+// it: the repo benchmark's staged replica (bench/staged.go) times the fold
+// layer on its own through it.
 func (s *Scheduler) ProcessWithHits(ev *event.Event, hs *HitSet) []*engine.Alert {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -597,6 +656,7 @@ func (s *Scheduler) ProcessWithHits(ev *event.Event, hs *HitSet) []*engine.Alert
 	if hs == nil {
 		return s.ingestLocked(ev, nil, nil)
 	}
+	hs.AssertLive()
 	return s.ingestLocked(ev, hs.Layout, hs.Hits)
 }
 
@@ -699,81 +759,80 @@ func (s *Scheduler) ingestLocked(ev *event.Event, layout *Layout, hits [][]int) 
 	var alerts []*engine.Alert
 	for _, g := range s.groups {
 		if !g.master.Paused() {
-			alerts = append(alerts, g.master.Ingest(ev, get(g.slot), s.report)...)
+			h := get(g.slot)
+			s.countKeys(g.master, h)
+			alerts = append(alerts, g.master.Ingest(ev, h, s.report)...)
 		}
 		for _, d := range g.dependents {
 			if d.q.Paused() {
 				continue
 			}
-			alerts = append(alerts, d.q.Ingest(ev, get(d.slot), s.report)...)
+			h := get(d.slot)
+			s.countKeys(d.q, h)
+			alerts = append(alerts, d.q.Ingest(ev, h, s.report)...)
 		}
 	}
 	s.stats.Alerts += int64(len(alerts))
 	return alerts
 }
 
-// IngestRouted folds one delivered event into exactly the queries its hit
-// set names: the partitioned router's ingestion path, where a shard receives
-// only the events whose state it owns. ownsEvent reports whether the router
-// named this shard the event's by-event owner; by-event replicas fold only
-// then (the event may have been delivered for another query's sake). Each
-// stateful target is first advanced to wm — the stream watermark the router
-// observed just before this event — so windows close at the same stream
-// points as in the serial engine, where every event advances every query's
-// watermark. Queries with no hits are left alone here; AdvanceAll at the
-// batch boundary brings them to the stream watermark.
+// countKeys counts the group keys q's fold is about to evaluate: one per hit
+// of a stateful query.
 //
 //saql:hotpath
-func (s *Scheduler) IngestRouted(ev *event.Event, hs *HitSet, wm time.Time, hasWM, ownsEvent bool) []*engine.Alert {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.stats.Events++
-	s.resolveSlotsLocked(hs.Layout)
-	var alerts []*engine.Alert
-	for slot, h := range hs.Hits {
-		if len(h) == 0 {
-			continue
-		}
-		q := s.bySlot[slot]
-		if q == nil || q.Paused() {
-			continue
-		}
-		if !ownsEvent && !q.Stateful() && q.Placement() == engine.PlaceByEvent {
-			continue
-		}
-		if hasWM {
-			alerts = append(alerts, q.AdvanceWatermark(wm, s.report)...)
-		}
-		alerts = append(alerts, q.Ingest(ev, h, s.report)...)
+func (s *Scheduler) countKeys(q *engine.Query, hits []int) {
+	if len(hits) > 0 && q.Stateful() {
+		s.stats.KeyEvals += int64(len(hits))
 	}
-	s.stats.Alerts += int64(len(alerts))
-	return alerts
 }
 
-// TouchRouted opens (and later closes) windows for the stateful queries a
-// hit set names without folding any state: the partitioned router sends it
-// to the shards that hold a replica of a hit query but do not own the
-// event's group. Window cadence — open instants, close counts,
-// empty-snapshot backfill — thereby stays identical on every replica.
+// Apply executes one routed entry: the ops the router resolved for ev on this
+// shard, grouped by layout slot. Each target is first advanced to wm — the
+// stream watermark the router observed just before this event — so windows
+// close at the same stream points as in the serial engine, where every event
+// advances every query's watermark; then its ops run (see OpKind); then a
+// stateful target advances to the event's own time and closes what that
+// finishes, as Ingest does. Nothing here evaluates a pattern or a key or asks
+// who owns what: a replica folds exactly what it is handed. Queries the entry
+// does not name are left alone; AdvanceAll at the batch boundary brings them
+// to the stream watermark.
 //
 //saql:hotpath
-func (s *Scheduler) TouchRouted(at time.Time, hs *HitSet, wm time.Time, hasWM bool) []*engine.Alert {
+func (s *Scheduler) Apply(layout *Layout, ev *event.Event, wm time.Time, hasWM bool, ops []Op) []*engine.Alert {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.resolveSlotsLocked(hs.Layout)
+	s.resolveSlotsLocked(layout)
 	var alerts []*engine.Alert
-	for slot, h := range hs.Hits {
-		if len(h) == 0 {
-			continue
+	for i := 0; i < len(ops); {
+		slot := ops[i].Slot
+		j := i + 1
+		for j < len(ops) && ops[j].Slot == slot {
+			j++
 		}
-		q := s.bySlot[slot]
-		if q == nil || q.Paused() || !q.Stateful() {
-			continue
+		if q := s.bySlot[slot]; q != nil && !q.Paused() {
+			if hasWM {
+				alerts = append(alerts, q.AdvanceWatermark(wm, s.report)...)
+			}
+			for k := i; k < j; k++ {
+				switch op := &ops[k]; op.Kind {
+				case OpFold:
+					q.FoldKeyed(ev, int(op.Pat), op.Key, s.report)
+				case OpKeyErr:
+					q.FailKey(ev, int(op.Pat), s.report)
+				case OpTouch:
+					q.Touch(ev.Time)
+				case OpHits:
+					h := s.hitScratch[:0]
+					for m := op.Pats; m != 0; m &= m - 1 {
+						h = append(h, bits.TrailingZeros64(m))
+					}
+					s.hitScratch = h
+					alerts = append(alerts, q.Ingest(ev, h, s.report)...)
+				}
+			}
+			alerts = append(alerts, q.AdvanceWatermark(ev.Time, s.report)...)
 		}
-		if hasWM {
-			alerts = append(alerts, q.AdvanceWatermark(wm, s.report)...)
-		}
-		alerts = append(alerts, q.TouchAt(at, s.report)...)
+		i = j
 	}
 	s.stats.Alerts += int64(len(alerts))
 	return alerts

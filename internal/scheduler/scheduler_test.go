@@ -2,6 +2,7 @@ package scheduler
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -254,17 +255,64 @@ func TestPausedMasterStillFeedsDependents(t *testing.T) {
 	}
 }
 
-// EvaluateBatch + IngestRouted across replica schedulers — the runtime's
-// evaluate→fold split — must be alert-for-alert identical to serial Process,
-// with pattern evaluation counted only on the evaluating side. The
-// benchmark-only ProcessWithHits fold is held to the same bar.
-func TestEvaluateBatchIngestRoutedEquivalence(t *testing.T) {
+// resolve turns one event's hit set into the ops a one-shard router would
+// hand that shard: every stateful hit a fold under the key the evaluating
+// replica's key programs give (a failing key a keyErr), every rule query's
+// hits one hits op — in slot order, like partitioner.routeEvent.
+func resolve(t *testing.T, evalSide *Scheduler, ev *event.Event, hs *HitSet) []Op {
+	t.Helper()
+	names := make([]string, len(hs.Layout.Slots))
+	for name, slot := range hs.Layout.Slots {
+		names[slot] = name
+	}
+	var ops []Op
+	for slot, h := range hs.Hits {
+		if len(h) == 0 {
+			continue
+		}
+		q, ok := evalSide.Query(names[slot])
+		if !ok {
+			t.Fatalf("slot %d (%s) not registered on the evaluating side", slot, names[slot])
+		}
+		if !q.Stateful() {
+			op := Op{Kind: OpHits, Slot: int32(slot)}
+			for _, hi := range h {
+				op.Pats |= 1 << uint(hi)
+			}
+			ops = append(ops, op)
+			continue
+		}
+		for _, hi := range h {
+			op := Op{Kind: OpFold, Slot: int32(slot), Pat: uint8(hi)}
+			var err error
+			if op.Key, err = q.HitKey(hi, ev); err != nil {
+				op.Kind = OpKeyErr
+			}
+			ops = append(ops, op)
+		}
+	}
+	return ops
+}
+
+const qSumByProc = `proc p start proc c as e #time(2 s)
+state ss { n := count(e) } group by p
+alert ss.n > 0
+return p, ss.n`
+
+// EvaluateBatch + Apply across replica schedulers — the runtime's
+// resolve→fold split — must be alert-for-alert identical to serial Process,
+// with pattern evaluation counted only on the evaluating side and no key
+// evaluated on the folding side. The benchmark-only ProcessWithHits fold is
+// held to the same bar. Both consume each hit set within its batch: that is
+// the lifetime EvaluateBatch promises.
+func TestEvaluateBatchApplyEquivalence(t *testing.T) {
 	mk := func() *Scheduler {
 		s := New(nil, true)
 		_ = s.Add(compile(t, "weak", qAnyStart))
 		_ = s.Add(compile(t, "mid", qCmdStart))
 		_ = s.Add(compile(t, "strict", qCmdOsql))
 		_ = s.Add(compile(t, "other", qWriteIP))
+		_ = s.Add(compile(t, "counted", qSumByProc))
 		return s
 	}
 	serial, evalSide, routedSide, hitsSide := mk(), mk(), mk(), mk()
@@ -280,7 +328,7 @@ func TestEvaluateBatchIngestRoutedEquivalence(t *testing.T) {
 	for i, hs := range evalSide.EvaluateBatch(evs) {
 		ev := evs[i]
 		if hs != nil { // the router buffers no entry for an event that hit nothing
-			for _, a := range routedSide.IngestRouted(ev, hs, wm, i > 0, true) {
+			for _, a := range routedSide.Apply(hs.Layout, ev, wm, i > 0, resolve(t, evalSide, ev, hs)) {
 				routed[a.Query]++
 			}
 		}
@@ -294,8 +342,8 @@ func TestEvaluateBatchIngestRoutedEquivalence(t *testing.T) {
 	for _, a := range routedSide.AdvanceAll(wm) {
 		routed[a.Query]++
 	}
-	if len(want) == 0 {
-		t.Fatal("serial run produced no alerts")
+	if want["counted"] == 0 || want["strict"] == 0 {
+		t.Fatalf("serial run must alert on the stateful and the rule queries: %v", want)
 	}
 	for k := range want {
 		if routed[k] != want[k] || withHits[k] != want[k] {
@@ -310,13 +358,19 @@ func TestEvaluateBatchIngestRoutedEquivalence(t *testing.T) {
 			t.Errorf("%s-side PatternEvals = %d, want 0", name, n)
 		}
 	}
+	if n := routedSide.Stats().KeyEvals; n != 0 {
+		t.Errorf("routed-side KeyEvals = %d, want 0: a shard folds under the key it is handed", n)
+	}
+	if n, hits := serial.Stats().KeyEvals, int64(len(evs)); n != hits {
+		t.Errorf("serial KeyEvals = %d, want %d (one per hit of the one stateful query)", n, hits)
+	}
 }
 
-// A by-event replica folds a delivered event only on the shard the router
-// named its owner: the same entry may reach other shards for other queries.
-func TestIngestRoutedByEventOwnership(t *testing.T) {
-	evalSide, ingestSide := New(nil, true), New(nil, true)
-	for _, s := range []*Scheduler{evalSide, ingestSide} {
+// A replica runs exactly the ops an entry names: the same event reaches a
+// shard for one query's sake without the shard's other replicas folding it.
+func TestApplyRunsOnlyNamedOps(t *testing.T) {
+	evalSide, shard := New(nil, true), New(nil, true)
+	for _, s := range []*Scheduler{evalSide, shard} {
 		_ = s.Add(compile(t, "by-event", qWriteIP))
 		_ = s.Add(compile(t, "pinned", `proc p write ip i as e return distinct p`))
 	}
@@ -328,6 +382,10 @@ func TestIngestRoutedByEventOwnership(t *testing.T) {
 	if hs == nil {
 		t.Fatal("no hits for a matching event")
 	}
+	ops := resolve(t, evalSide, ev, hs)
+	if len(ops) != 2 {
+		t.Fatalf("ops = %+v, want one hits op per query", ops)
+	}
 	count := func(alerts []*engine.Alert) map[string]int {
 		out := map[string]int{}
 		for _, a := range alerts {
@@ -335,21 +393,25 @@ func TestIngestRoutedByEventOwnership(t *testing.T) {
 		}
 		return out
 	}
-	if got := count(ingestSide.IngestRouted(ev, hs, time.Time{}, false, false)); got["by-event"] != 0 || got["pinned"] != 1 {
-		t.Errorf("non-owner delivery alerts = %v, want only the pinned query", got)
+	pinnedOnly := ops[:1]
+	if int(pinnedOnly[0].Slot) != hs.Layout.Slots["pinned"] {
+		pinnedOnly = ops[1:]
 	}
-	if got := count(ingestSide.IngestRouted(ev, hs, time.Time{}, false, true)); got["by-event"] != 1 {
-		t.Errorf("owner delivery alerts = %v, want the by-event query to fire", got)
+	if got := count(shard.Apply(hs.Layout, ev, time.Time{}, false, pinnedOnly)); got["by-event"] != 0 || got["pinned"] != 1 {
+		t.Errorf("entry naming only the pinned query raised %v", got)
+	}
+	if got := count(shard.Apply(hs.Layout, ev, time.Time{}, false, ops)); got["by-event"] != 1 {
+		t.Errorf("entry naming both queries raised %v, want the by-event query to fire", got)
 	}
 }
 
-// A registry change between EvaluateBatch and a later event re-stamps the
-// layout; hit sets computed under the old layout must still resolve
-// correctly on a consumer that applied the same change.
+// A registry change between two batches re-stamps the layout; ops resolved
+// under the new layout must land on the right replicas of a consumer that
+// applied the same change.
 func TestHitSetLayoutVersioning(t *testing.T) {
 	evalSide := New(nil, true)
-	ingestSide := New(nil, true)
-	for _, s := range []*Scheduler{evalSide, ingestSide} {
+	shard := New(nil, true)
+	for _, s := range []*Scheduler{evalSide, shard} {
 		_ = s.Add(compile(t, "weak", qAnyStart))
 		_ = s.Add(compile(t, "strict", qCmdOsql))
 	}
@@ -358,7 +420,7 @@ func TestHitSetLayoutVersioning(t *testing.T) {
 	if hs1 == nil || hs1.Layout == nil {
 		t.Fatal("no hits for a matching event")
 	}
-	v1 := hs1.Layout.Version
+	l1 := hs1.Layout // a HitSet is not read past its batch; its layout is immutable and may be kept
 
 	// Swap strict for a different residual constraint on both sides.
 	repl := compile(t, "strict", qCmdStart)
@@ -366,20 +428,55 @@ func TestHitSetLayoutVersioning(t *testing.T) {
 		t.Fatal(err)
 	}
 	repl2 := compile(t, "strict", qCmdStart)
-	if err := ingestSide.Swap("strict", repl2, false); err != nil {
+	if err := shard.Swap("strict", repl2, false); err != nil {
 		t.Fatal(err)
 	}
 	hs2 := evalSide.EvaluateBatch(evs[:1])[0]
-	if hs2 == nil || hs2.Layout.Version <= v1 {
-		t.Fatalf("layout version not bumped by swap: %v -> %v", v1, hs2.Layout.Version)
+	if hs2 == nil || hs2.Layout.Version <= l1.Version {
+		t.Fatalf("layout version not bumped by swap: %v -> %v", l1.Version, hs2.Layout.Version)
 	}
-	if hs2.Layout == hs1.Layout {
+	if hs2.Layout == l1 {
 		t.Fatal("swap must produce a fresh layout")
 	}
-	// The consumer resolves against whichever layout each HitSet carries.
-	if alerts := ingestSide.IngestRouted(evs[0], hs2, time.Time{}, false, true); len(alerts) != 2 {
+	// The consumer resolves slots against whichever layout the entry carries.
+	if alerts := shard.Apply(hs2.Layout, evs[0], time.Time{}, false, resolve(t, evalSide, evs[0], hs2)); len(alerts) != 2 {
 		t.Errorf("alerts after swap = %d, want 2 (weak + swapped strict)", len(alerts))
 	}
+}
+
+// EvaluateBatch's results live in scratch: they are good until the next call
+// and no longer. A consumer one batch behind must be told so — a panic, not a
+// fold of whatever event's hits the scratch holds by then.
+func TestStaleHitSetPanics(t *testing.T) {
+	evalSide, foldSide := New(nil, true), New(nil, true)
+	for _, s := range []*Scheduler{evalSide, foldSide} {
+		_ = s.Add(compile(t, "weak", qAnyStart))
+	}
+	evs := startEvents()
+	held := evalSide.EvaluateBatch(evs[:2])
+	hs := held[0]
+	foldSide.ProcessWithHits(evs[0], hs) // live: fine
+	if alerts := foldSide.ProcessWithHits(evs[1], nil); len(alerts) != 0 {
+		t.Errorf("nil hit set raised %d alerts", len(alerts))
+	}
+	fresh := evalSide.EvaluateBatch(evs[2:4])
+	if fresh[0] == hs {
+		t.Fatal("consecutive batches must not hand out the same header: a stale pointer would read as live")
+	}
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if r := recover(); r == nil {
+				t.Errorf("%s did not panic", what)
+			} else if msg := fmt.Sprint(r); !strings.Contains(msg, "stale HitSet") {
+				t.Errorf("%s panicked with %q", what, msg)
+			}
+		}()
+		f()
+	}
+	mustPanic("ProcessWithHits on a HitSet held across a batch", func() { foldSide.ProcessWithHits(evs[0], hs) })
+	mustPanic("a HitSet read out of a held result slice", func() { held[1].AssertLive() })
+	fresh[0].AssertLive()
 }
 
 func TestNoSharingMode(t *testing.T) {

@@ -112,7 +112,18 @@ func checkGlobals(q *ast.Query) error {
 	return nil
 }
 
+// MaxPatterns is the most event patterns one query may declare. A query's
+// hits on one event travel through the engine as one 64-bit pattern set — the
+// columnar evaluator's per-event mask, the router's ops, the multievent
+// matcher's matched-set (which keeps the top bit to itself) — so the bound is
+// a property of the language, checked here, rather than a second, unmasked
+// code path behind it.
+const MaxPatterns = 63
+
 func collectPatterns(q *ast.Query, info *Info) error {
+	if len(q.Patterns) > MaxPatterns {
+		return errf(q.Patterns[MaxPatterns].Pos(), "query declares %d event patterns; at most %d are supported", len(q.Patterns), MaxPatterns)
+	}
 	for i, p := range q.Patterns {
 		if p.Subject.Type != event.EntityProcess {
 			return errf(p.Pos(), "event subject must be a process, got %s", p.Subject.Type)

@@ -1,6 +1,8 @@
 package sema
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -198,5 +200,23 @@ func TestErrorPositions(t *testing.T) {
 	}
 	if se.Pos.Line != 2 {
 		t.Errorf("error line = %d, want 2", se.Pos.Line)
+	}
+}
+
+// A query's hits travel as one 64-bit pattern set: MaxPatterns patterns check,
+// one more is a positioned semantic error.
+func TestMaxPatterns(t *testing.T) {
+	query := func(n int) string {
+		var sb strings.Builder
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&sb, "proc p%d read file f%d as e%d\n", i, i, i)
+		}
+		return sb.String() + "return p0"
+	}
+	mustCheck(t, query(MaxPatterns))
+	_, err := check(t, query(MaxPatterns+1))
+	var serr *Error
+	if !errors.As(err, &serr) || !strings.Contains(serr.Msg, "at most 63") || serr.Pos.Line != MaxPatterns+1 {
+		t.Fatalf("one pattern too many: error %v, want a *sema.Error on line %d naming the bound", err, MaxPatterns+1)
 	}
 }

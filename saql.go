@@ -102,6 +102,11 @@ type Stats struct {
 	// NaivePatternEvals what per-query execution would have performed.
 	PatternEvals      int64
 	NaivePatternEvals int64
+	// KeyEvals counts group-by key evaluations performed. A never-started
+	// engine evaluates one per hit per stateful query; a running engine's
+	// router evaluates one per event per hit pattern for all the queries
+	// whose group-by compiles to the same key programs, at any shard count.
+	KeyEvals int64
 	// Dropped counts events discarded by DropNewest ingest overflow.
 	Dropped int64
 
@@ -738,6 +743,7 @@ func (e *Engine) Stats() Stats {
 			SharingRatio:      ss.SharingRatio(),
 			PatternEvals:      ss.PatternEvals,
 			NaivePatternEvals: ss.NaivePatternEvals,
+			KeyEvals:          ss.KeyEvals,
 			Dropped:           rt.Dropped(),
 		}
 	} else {
@@ -752,6 +758,7 @@ func (e *Engine) Stats() Stats {
 			SharingRatio:      s.SharingRatio(),
 			PatternEvals:      s.PatternEvals,
 			NaivePatternEvals: s.NaivePatternEvals,
+			KeyEvals:          s.KeyEvals,
 		}
 	}
 	// Symbol and source counters are engine-scoped and live even after
@@ -806,6 +813,7 @@ func (e *Engine) captureFinal(rt *runtime.Runtime) {
 			SharingRatio:      ss.SharingRatio(),
 			PatternEvals:      ss.PatternEvals,
 			NaivePatternEvals: ss.NaivePatternEvals,
+			KeyEvals:          ss.KeyEvals,
 			Dropped:           rt.Dropped(),
 		},
 		queries: map[string]QueryStats{},
