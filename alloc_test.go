@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -29,8 +30,9 @@ func ingestCost(t *testing.T, shards, variants, hitEvery int) (allocs, bytes flo
 	t.Helper()
 	eng := New(WithShards(shards), WithIngestQueue(64))
 	// Non-matching events must allocate nothing beyond the shared evaluation
-	// pass; a matching event pays one fold per variant on the one shard owning
-	// its group and a touch on the others. Nothing alerts, no window closes.
+	// pass; a matching event pays one fold op for the variant set — one
+	// directory probe, then a fold per variant — on the one shard owning its
+	// group and a touch on the others. Nothing alerts, no window closes.
 	for v := 0; v < variants; v++ {
 		src := fmt.Sprintf(`proc p write ip i as e #time(%d h)
 state ss { amt := sum(e.amount) } group by p
@@ -339,6 +341,110 @@ return p, i.dstip, ss[0].amt`, OpWrite, func(int) Entity { return NetConn("10.0.
 	}
 	if extra := perGroup["firing"] - perGroup["state-only-quiet"]; extra > 2+slack {
 		t.Errorf("a firing group allocates %.3f over a quiet one, gate is the alert's own 2", extra)
+	}
+}
+
+// hotShapedStream is n events of a qs-hot-shaped stream: the four fleet-wide
+// stateful shapes of foldShapes in turn, over 200 subject processes, 5 ms
+// apart — so each of the 10–17 s windows closes a few times in a minute.
+func hotShapedStream(n int) []*Event {
+	shapes := foldShapes[:4]
+	evs := make([]*Event, n)
+	for k := range evs {
+		sh := shapes[k%len(shapes)]
+		evs[k] = &Event{
+			Time:    demoStart.Add(time.Duration(k) * 5 * time.Millisecond),
+			AgentID: "host-1",
+			Subject: Process(fmt.Sprintf("svc-%d.exe", k%200), int32(100+k%200)),
+			Op:      sh.op,
+			Object:  sh.object(k),
+			Amount:  float64(1000 + k%5000),
+		}
+	}
+	return evs
+}
+
+// coldIngestBytes registers the four qs-hot shapes at eight window lengths each
+// on a fresh engine, starts it, and reports the bytes the whole engine
+// allocates per event while it ingests evs and drains them — what one
+// benchmark rep pays, slab pool warm-up included.
+func coldIngestBytes(t *testing.T, shards int, evs []*Event) float64 {
+	t.Helper()
+	opts := []Option{WithShards(shards), WithIngestQueue(64)}
+	if shards == 0 {
+		opts = nil
+	}
+	eng := New(opts...)
+	for _, sh := range foldShapes[:4] {
+		for w := 10; w < 18; w++ {
+			src := strings.Replace(sh.src, "#time(10 s)", fmt.Sprintf("#time(%d s)", w), 1)
+			if err := eng.AddQuery(fmt.Sprintf("%s-%ds", sh.name, w), src); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if shards == 0 {
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, ev := range evs {
+			eng.Process(ev)
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / float64(len(evs))
+	}
+	if err := eng.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < len(evs); i += 512 {
+		if err := eng.SubmitBatch(evs[i:min(i+512, len(evs))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, ok := eng.QueryStats("ts-avg-10s"); !ok { // a barrier behind every batch
+		t.Fatal("query stats missing")
+	}
+	runtime.ReadMemStats(&after)
+	if errs := eng.Errors(); len(errs) != 0 {
+		t.Fatalf("runtime reported errors: %v", errs)
+	}
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(len(evs))
+}
+
+// TestColdIngestBytesGate: every benchmark rep is a fresh engine, and the
+// warm-state gates (TestIngestBytesPerEventGate) never see what a fresh one
+// pays to fill its slab pool — up to a channel's worth of slabs per shard
+// while the router runs ahead, each grown by append when it was made too
+// small: ≈ 880, 1,390, 1,980 and 3,120 B/event over the serial engine's own
+// fold and close allocations on this stream at 1, 2, 4 and 8 shards, before
+// slabs carried one op per variant set and were made at the size they are
+// flushed at (since: ≈ 140, 200–230, 350–380 and 630–700). What a started engine allocates beyond
+// the serial engine on the first events of a qs-hot-shaped stream is held to
+// 128 B/event plus 96 B/event per shard: each shard keeps its own copy of
+// every by-group window, and the router may run a channel's worth of slabs
+// ahead of it.
+func TestColdIngestBytesGate(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation gate needs full runs")
+	}
+	if raceEnabled {
+		t.Skip("under the race detector sync.Pool drops a quarter of what it is handed: every pass makes slabs")
+	}
+	evs := hotShapedStream(20000)
+	serial := coldIngestBytes(t, 0, evs)
+	for _, shards := range []int{1, 2, 4, 8} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			started := coldIngestBytes(t, shards, evs)
+			t.Logf("cold ingest: %.0f B/event started, %.0f B/event serial", started, serial)
+			gate := float64(128 + 96*shards)
+			if over := started - serial; over > gate {
+				t.Fatalf("a fresh started engine allocates %.0f B/event over the serial engine, gate is %.0f B/event", over, gate)
+			}
+		})
 	}
 }
 

@@ -154,12 +154,14 @@ func BenchmarkE3_ConcurrentQueries(b *testing.B) {
 // The router pre-evaluates pattern hits once per event (shared
 // evaluation), so the patevals/ev metric must stay flat as shards grow —
 // it equals the serial count at every shard width — and resolves each hit's
-// group key once for the whole key class (keyevals/ev: one per hit event for the 16
-// variants, where the serial path evaluates 16). Hits are then
-// partition-routed rather than broadcast: each shard is handed batched
-// fold ops only for the group/event/pinned state it owns, plus
-// watermark-bearing touch ops that keep window cadence aligned, so
-// per-shard folding work shrinks as shards grow. B/ev is what the whole
+// group key once for the whole key class (keyevals/ev: one per hit event for
+// the 16 variants, serial path included). Each key then costs one directory
+// probe (probes/ev: equal to keyevals/ev here, the class being by-group)
+// before all 16 variants fold by group id. Hits are then partition-routed
+// rather than broadcast: each shard is handed batched fold ops — one per
+// variant set, not per query — only for the group/event/pinned state it
+// owns, plus watermark-bearing touch ops that keep window cadence aligned,
+// so per-shard folding work shrinks as shards grow. B/ev is what the whole
 // engine allocates per event: window closes, alerts, the slabs the pool
 // has to make and this loop's own batch slices (8 B) — no hit tables.
 // Wall-clock speedup
@@ -191,6 +193,7 @@ func BenchmarkE9_ParallelIngestion(b *testing.B) {
 		if st.Events > 0 {
 			b.ReportMetric(float64(st.PatternEvals)/float64(st.Events), "patevals/ev")
 			b.ReportMetric(float64(st.KeyEvals)/float64(st.Events), "keyevals/ev")
+			b.ReportMetric(float64(st.GroupProbes)/float64(st.Events), "probes/ev")
 			b.ReportMetric(float64(end.TotalAlloc-start.TotalAlloc)/float64(st.Events), "B/ev")
 		}
 	}

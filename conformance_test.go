@@ -495,15 +495,18 @@ return p, ss.amt`, 1000000+i*1000)
 }
 
 // TestSharedKeyEvaluation pins group-key sharing the way
-// TestSharedEvaluationPatternEvals pins pattern sharing, with an exact
-// counter: on a set shaped like the benchmark's qs-hot — four stateful shapes,
-// each at eight window lengths — the router evaluates one key per event per
-// hit pattern per *key class* (queries whose group-by compiles to the same
-// programs), so KeyEvals does not depend on the shard count and does not grow
-// with the number of variants per shape. Three of the four shapes key by their
-// subject process and are one class; the outlier shape keys by destination
-// address. The serial path evaluates a key per hit per query: eight variants
-// cost it eight times one variant.
+// TestSharedEvaluationPatternEvals pins pattern sharing, with exact counters:
+// on a set shaped like the benchmark's qs-hot — four stateful shapes, each at
+// eight window lengths — one key is evaluated per event per hit pattern per
+// *key class* (queries whose group-by compiles to the same programs), in the
+// serial fold and in a started engine's router alike, so KeyEvals is the same
+// at every shard count, serial included, and does not grow with the number of
+// variants per shape. Three of the four shapes key by their subject process
+// and are one class; the outlier shape keys by destination address. Each key
+// is then resolved to a group id by one directory probe (GroupProbes): on the
+// serial path exactly one per key evaluated, on a started engine one on each
+// shard that folds it — the key's owner for a by-group class, each home shard
+// of a pinned one — never one per query.
 func TestSharedKeyEvaluation(t *testing.T) {
 	shapes := foldShapes[:4] // ts-avg, outlier-dst, inv-children, count-files
 	const n = 6000           // a minute of stream: several closes of every 10–17 s window
@@ -570,9 +573,11 @@ func TestSharedKeyEvaluation(t *testing.T) {
 		return eng.Stats()
 	}
 	serial1, serial8 := run(0, 1), run(0, 8)
-	if serial1.KeyEvals != want || serial8.KeyEvals != 8*want {
-		t.Errorf("serial KeyEvals: %d with one variant per shape, %d with eight; want %d and %d (a key per hit per query)",
-			serial1.KeyEvals, serial8.KeyEvals, want, 8*want)
+	for variants, st := range map[int]Stats{1: serial1, 8: serial8} {
+		if st.KeyEvals != want || st.GroupProbes != want {
+			t.Errorf("serial, variants=%d: KeyEvals %d, GroupProbes %d; want %d of each (one key and one probe per event per hit pattern per key class)",
+				variants, st.KeyEvals, st.GroupProbes, want)
+		}
 	}
 	for _, shards := range []int{1, 2, 4, 8} {
 		for _, variants := range []int{1, 8} {
@@ -580,6 +585,12 @@ func TestSharedKeyEvaluation(t *testing.T) {
 			if st.KeyEvals != want {
 				t.Errorf("shards=%d variants=%d: KeyEvals = %d, want %d (one per event per hit pattern per key class)",
 					shards, variants, st.KeyEvals, want)
+			}
+			// Every key is probed on the shards that fold it: at least once, at
+			// most once per shard, exactly once on one shard.
+			if st.GroupProbes < want || st.GroupProbes > int64(shards)*want || (shards == 1 && st.GroupProbes != want) {
+				t.Errorf("shards=%d variants=%d: GroupProbes = %d, want between %d and %d (at most one per event per hit pattern per key class per shard)",
+					shards, variants, st.GroupProbes, want, int64(shards)*want)
 			}
 			if ser := map[int]Stats{1: serial1, 8: serial8}[variants]; st.Alerts != ser.Alerts || st.PatternEvals != ser.PatternEvals {
 				t.Errorf("shards=%d variants=%d: alerts %d, pattern evals %d; serial %d, %d",

@@ -134,11 +134,15 @@
 // refining its intermediate results. On a started engine the scheme runs
 // once, in the router, before delivery: each event's pattern hits are
 // pre-evaluated, each hit's group-by key is evaluated once for all the
-// queries whose key compiles to the same programs, and every shard is handed
-// exactly the folds it owns — so shards skip pattern matching and key
-// evaluation entirely and per-event matching work stays O(patterns) rather
-// than O(shards × patterns). Stats.PatternEvals and Stats.KeyEvals count both
-// exactly; neither depends on the shard count.
+// queries whose key compiles to the same programs (a key class), and every
+// shard is handed exactly the folds it owns, one per variant set of such
+// queries — so shards skip pattern matching and key evaluation entirely and
+// per-event matching work stays O(patterns) rather than O(shards ×
+// patterns). A never-started engine shares keys the same way. A key then
+// names its group by a dense integer id, resolved once per key class
+// (Stats.GroupProbes) and indexed by every member. Stats.PatternEvals and
+// Stats.KeyEvals count evaluations exactly; neither depends on the shard
+// count.
 //
 // Everything a query evaluates is a compiled bytecode program
 // (internal/pcode), and every query compiles to them: there is no

@@ -290,25 +290,33 @@ func (c *Coordinator) requireAllAliveLocked(op string) error {
 func (c *Coordinator) awaitAck(ws *workerState, want FrameType) (Frame, error) {
 	timer := time.NewTimer(c.cfg.AckTimeout) //saql:wallclock network ack timeout, not stream time
 	defer timer.Stop()
+	var f Frame
 	select {
-	case f := <-ws.acks:
-		if f.Type != want {
-			err := fmt.Errorf("dist: worker %q answered %s, wanted %s", ws.id, f.Type, want)
-			c.markDead(ws, err)
-			return Frame{}, err
-		}
-		return f, nil
+	case f = <-ws.acks:
 	case <-ws.readerDone:
-		err, _ := ws.failure.Load().(error)
-		if err == nil {
-			err = errors.New("connection closed")
+		// The reader queues an ack before it can exit: a worker that acked
+		// and then hung up (a clean shutdown) has answered, however the
+		// select above happened to pick between the two.
+		select {
+		case f = <-ws.acks:
+		default:
+			err, _ := ws.failure.Load().(error)
+			if err == nil {
+				err = errors.New("connection closed")
+			}
+			return Frame{}, fmt.Errorf("dist: worker %q lost awaiting %s: %w", ws.id, want, err)
 		}
-		return Frame{}, fmt.Errorf("dist: worker %q lost awaiting %s: %w", ws.id, want, err)
 	case <-timer.C:
 		err := fmt.Errorf("dist: worker %q: no %s within %s", ws.id, want, c.cfg.AckTimeout)
 		c.markDead(ws, err)
 		return Frame{}, err
 	}
+	if f.Type != want {
+		err := fmt.Errorf("dist: worker %q answered %s, wanted %s", ws.id, f.Type, want)
+		c.markDead(ws, err)
+		return Frame{}, err
+	}
+	return f, nil
 }
 
 // sendLocked writes one frame to a worker; a write failure marks it dead.

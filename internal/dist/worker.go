@@ -406,6 +406,12 @@ func (w *Worker) handleReconfigure(p []byte) error {
 		if err := eng.RestoreStateBlobs(rc.States); err != nil {
 			return err
 		}
+		// The barrier's snapshot predates the migrated-in state: re-take it
+		// at the same offset, or a replacement restoring this directory
+		// would own the migrated ranges without their open windows.
+		if _, err := eng.Checkpoint(w.cfg.Dir); err != nil {
+			return err
+		}
 	}
 	w.amu.Lock()
 	w.muted = false

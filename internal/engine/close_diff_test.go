@@ -91,9 +91,18 @@ alert cluster.size >= 0
 return i.dstip, ss.amt, cluster.outlier, cluster.cluster_id, cluster.size`},
 }
 
-// closeSeeds are the demo stream's own seed and one more, fresh per run unless
-// SAQL_CONFORMANCE_SEED pins it.
-func closeSeeds(t *testing.T) []int64 {
+// closeSeed is one background workload the differential runs over, named
+// for its subtests.
+type closeSeed struct {
+	label string
+	seed  int64
+}
+
+// closeSeeds are the demo stream's own seed, a pinned second one, and one
+// fresh per run unless SAQL_CONFORMANCE_SEED pins it. The fresh seed's
+// subtests are labelled "seed=fresh", so the suite's test names do not
+// change from run to run.
+func closeSeeds(t *testing.T) []closeSeed {
 	seed := time.Now().UnixNano() % 1_000_000
 	if s := os.Getenv("SAQL_CONFORMANCE_SEED"); s != "" {
 		v, err := strconv.ParseInt(s, 10, 64)
@@ -102,8 +111,8 @@ func closeSeeds(t *testing.T) []int64 {
 		}
 		seed = v
 	}
-	t.Logf("close differential seed = %d (set SAQL_CONFORMANCE_SEED=%d to reproduce)", seed, seed)
-	return []int64{42, seed}
+	t.Logf("close differential fresh seed = %d (set SAQL_CONFORMANCE_SEED=%d to reproduce)", seed, seed)
+	return []closeSeed{{"seed=42", 42}, {"seed=540010", 540010}, {"seed=fresh", seed}}
 }
 
 // renderAlert spells out every field the two sides must agree on: the return
@@ -135,10 +144,10 @@ func renderAlerts(alerts []*Alert) string {
 func TestCloseMatchesOracle(t *testing.T) {
 	clock := func() time.Time { return t0 }
 	cases := append(foldCases(), closeDiffShapes...)
-	for _, seed := range closeSeeds(t) {
-		events := demoStreamSeeded(t, seed)
+	for _, s := range closeSeeds(t) {
+		events := demoStreamSeeded(t, s.seed)
 		for _, c := range cases {
-			t.Run(fmt.Sprintf("%s/seed=%d", c.Name, seed), func(t *testing.T) {
+			t.Run(c.Name+"/"+s.label, func(t *testing.T) {
 				// A small partial-match table keeps the multievent joins of the
 				// corpus cheap; what a completed match evaluates is the same.
 				opts := CompileOptions{MaxPartials: 64}

@@ -290,7 +290,8 @@ func (q *Query) refCloseIngest(ev *event.Event, hits []int, report func(error)) 
 		}
 		return alerts
 	}
-	q.foldHits(ev, hits, report)
+	q.ownSeq++
+	q.foldHits(ev, hits, q.ownClass(), q.ownSeq, report)
 	return q.refCloseAll(q.winMgr.Advance(ev.Time), report)
 }
 

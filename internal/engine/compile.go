@@ -83,6 +83,10 @@ type Query struct {
 	historyLen int
 	idleLimit  int
 	groups     map[string]*groupRuntime
+	// own keys the folds of Ingest — a query used on its own, outside any
+	// scheduler's key classes — and ownSeq numbers its events.
+	own    *KeyClass
+	ownSeq uint64
 
 	// Invariant model: the variables' initial values by declaration index,
 	// and the update statements compiled with the variable each assigns.

@@ -14,6 +14,7 @@ import (
 
 	"saql/internal/event"
 	"saql/internal/pcode"
+	"saql/internal/window"
 )
 
 // Hits returns the indices of the query's patterns that ev satisfies,
@@ -88,9 +89,30 @@ func (q *Query) Process(ev *event.Event, report func(error)) []*Alert {
 }
 
 // Ingest advances the query with an event whose pattern hits were already
-// computed (by this query or by its master in a scheduler group). report
-// receives runtime evaluation errors; it may be nil.
+// computed (by this query or by its master in a scheduler group), keying a
+// stateful query's hits through a key class of its own. report receives
+// runtime evaluation errors; it may be nil.
 func (q *Query) Ingest(ev *event.Event, hits []int, report func(error)) []*Alert {
+	q.ownSeq++
+	return q.IngestKeyed(ev, hits, q.ownClass(), q.ownSeq, report)
+}
+
+// ownClass is the key class Ingest folds a stateful query through: the query
+// alone.
+func (q *Query) ownClass() *KeyClass {
+	if q.stateful && q.own == nil {
+		q.own = NewKeyClass()
+		q.own.SetMembers([]*Query{q})
+	}
+	return q.own
+}
+
+// IngestKeyed is Ingest with a stateful query's group keys resolved through
+// kc, the key class the query belongs to in its scheduler: the first member
+// the event numbered seq reaches evaluates a pattern's key and resolves it in
+// the class's directory, and every member after it folds under the same id
+// (foldHits). A rule query ignores kc.
+func (q *Query) IngestKeyed(ev *event.Event, hits []int, kc *KeyClass, seq uint64, report func(error)) []*Alert {
 	q.stats.Events++
 	if report == nil {
 		report = func(error) {}
@@ -99,7 +121,7 @@ func (q *Query) Ingest(ev *event.Event, hits []int, report func(error)) []*Alert
 		return q.ingestRule(ev, hits, report)
 	}
 	if len(hits) > 0 {
-		q.foldHits(ev, hits, report)
+		q.foldHits(ev, hits, kc, seq, report)
 	}
 	// Advance the watermark — below the manager's deadline, two compares —
 	// and close any finished windows. This happens even for events that
@@ -124,38 +146,40 @@ func (q *Query) ingestRule(ev *event.Event, hits []int, report func(error)) []*A
 	return alerts
 }
 
-// foldHits is the serial engine's fold: per hit it evaluates the group key
-// and folds the hit into it (FoldKeyed). A key that fails to evaluate is
-// reported, folds nothing and is not counted in PatternHits, but its windows
-// still open, so close counts and empty-snapshot cadence do not depend on it.
+// foldHits is the serial engine's fold: per hit it takes the group id of the
+// hit's key from the class memo (KeyClass.Key: evaluated and resolved once
+// per event per pattern for the whole class) and folds the hit into that
+// group (FoldGroup). A key that fails to evaluate is reported, folds nothing
+// and is not counted in PatternHits, but its windows still open, so close
+// counts and empty-snapshot cadence do not depend on it.
 //
 //saql:hotpath
-func (q *Query) foldHits(ev *event.Event, hits []int, report func(error)) {
+func (q *Query) foldHits(ev *event.Event, hits []int, kc *KeyClass, seq uint64, report func(error)) {
 	for _, hi := range hits {
-		key, err := q.HitKey(hi, ev)
+		id, err := kc.Key(seq, q, hi, ev)
 		if err != nil {
-			q.fail(report, err)
-			q.winMgr.Touch(ev.Time)
+			q.KeyFailed(ev.Time, err, report)
 			continue
 		}
-		q.FoldKeyed(ev, hi, key, report)
+		q.FoldGroup(ev, hi, &kc.dir, id, report)
 	}
 }
 
-// FoldKeyed folds ev, a hit of pattern hi, into the group key names: one group
-// probe per containing window, slot-indexed first-writer bindings, the
-// compiled argument programs, one Add per field. It runs no key program and
-// asks no ownership question — on the routed data plane the router resolved
-// both (HitKey, once per event per key class) and handed this replica exactly
-// the folds it owns. It neither advances the watermark nor closes windows: the
-// caller brackets an event's folds with AdvanceWatermark.
+// FoldGroup folds ev, a hit of pattern hi, into the group whose key holds id
+// in directory d: one index of each containing window's id index, slot-indexed
+// first-writer bindings, the compiled argument programs, one Add per field. It
+// evaluates no key and asks no ownership question — the caller resolved the
+// key once for the key class (the serial fold through KeyClass.Key, a shard
+// through KeyClass.Routed under the key the router evaluated) and hands this
+// replica exactly the folds it owns. It neither advances the watermark nor
+// closes windows: the caller brackets an event's folds with AdvanceWatermark.
 //
 //saql:hotpath
-func (q *Query) FoldKeyed(ev *event.Event, hi int, key string, report func(error)) {
+func (q *Query) FoldGroup(ev *event.Event, hi int, d *window.Directory, id int32, report func(error)) {
 	q.stats.PatternHits++
 	q.frame.Event = ev
 	slots, args := q.slots[hi], q.argProgs[hi]
-	for _, g := range q.winMgr.GroupFor(ev.Time, key) {
+	for _, g := range q.winMgr.GroupFor(ev.Time, d, id) {
 		g.Count++
 		// Remember representative bindings for alert/return output: the
 		// first event to bind a slot keeps it, and the object is offered
@@ -183,9 +207,9 @@ func (q *Query) FoldKeyed(ev *event.Event, hi int, key string, report func(error
 
 // HitKey evaluates the group-by key ev yields as a hit of pattern hi: the
 // items' values, rendered, joined by \x1f — the empty key without a group-by.
-// A failed key is reported as the empty key and the error. The serial fold
-// calls it per hit; the router calls it on its evaluation replicas, once per
-// event for all the queries whose key programs are the same (SameKeyPrograms).
+// A failed key is reported as the empty key and the error. A key class calls
+// it on one member for all of them (SameKeyPrograms): the serial fold once per
+// event per pattern per class, the router likewise on its evaluation replicas.
 //
 //saql:hotpath
 func (q *Query) HitKey(hi int, ev *event.Event) (string, error) {
@@ -212,24 +236,20 @@ func (q *Query) HitKey(hi int, ev *event.Event) (string, error) {
 
 // SameKeyPrograms reports whether q and o compile every pattern's group-by
 // items to identical programs. Programs are pure functions of the event, so
-// two such queries yield byte-equal keys for every hit of every event: the
-// router evaluates the key once for all of them.
+// two such queries yield byte-equal keys for every hit of every event: they
+// are one key class, evaluated once for all of them.
 func (q *Query) SameKeyPrograms(o *Query) bool {
 	return slices.EqualFunc(q.keyProgs, o.keyProgs, func(a, b []*pcode.Prog) bool {
 		return slices.EqualFunc(a, b, (*pcode.Prog).Equal)
 	})
 }
 
-// FailKey is the routed counterpart of foldHits' failure branch: the router
-// found that pattern hi's group key does not evaluate on ev and named this
-// replica — the owner of the empty key — to say so. The key is evaluated again
-// here for its error (a pure function of the event: it fails the same way),
-// which is reported under this query's name; nothing folds, the windows open.
-func (q *Query) FailKey(ev *event.Event, hi int, report func(error)) {
-	if _, err := q.HitKey(hi, ev); err != nil {
-		q.fail(report, err)
-	}
-	q.winMgr.Touch(ev.Time)
+// KeyFailed is a hit whose group key did not evaluate: err, the failure, is
+// reported under this query's name; nothing folds, and the windows containing
+// t open.
+func (q *Query) KeyFailed(t time.Time, err error, report func(error)) {
+	q.fail(report, err)
+	q.winMgr.Touch(t)
 }
 
 // AdvanceWatermark advances a stateful query's watermark to t, closing any

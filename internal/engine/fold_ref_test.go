@@ -14,6 +14,7 @@ import (
 	"saql/internal/event"
 	"saql/internal/expr"
 	"saql/internal/matcher"
+	"saql/internal/window"
 )
 
 // refBindEnv builds the expression environment for one pattern's bindings:
@@ -72,7 +73,8 @@ func (q *Query) refIngest(ev *event.Event, hits []int, report func(error)) []*Al
 		q.stats.PatternHits++
 
 		slots := q.slots[hi]
-		for _, g := range q.winMgr.GroupFor(ev.Time, key) {
+		d := q.ownClass().Directory()
+		for _, g := range q.winMgr.GroupFor(ev.Time, d, d.Resolve(window.HashKey(key), key)) {
 			g.Count++
 			if slots.obj >= 0 && g.Entities[slots.obj] == nil {
 				g.Entities[slots.obj] = &ev.Object

@@ -1,0 +1,136 @@
+package engine
+
+// Key classes: the stateful queries of one scheduler whose group-by items
+// compile to the same programs (SameKeyPrograms) yield byte-equal keys for
+// every hit, so they share one evaluation of a hit's key per event and one
+// directory giving those keys dense group ids. A KeyClass is that shared
+// state as one scheduler keeps it: the serial fold evaluates a key through it
+// once per event per pattern (Key); a shard, handed keys the router already
+// evaluated and hashed, resolves each once per event per pattern (Routed).
+// Either way every member then folds by id (FoldGroup).
+
+import (
+	"saql/internal/event"
+	"saql/internal/window"
+)
+
+// minDirectoryLimit is the directory size below which a key class never
+// checks whether its keys are still live.
+const minDirectoryLimit = 256
+
+// KeyClass is one key class's per-scheduler state. It is confined to its
+// scheduler's lock, like the queries it serves.
+type KeyClass struct {
+	dir window.Directory
+	// memo holds, per pattern, the key of the event the class last saw.
+	memo []classKey
+	seq  uint64 // the event the class last saw
+	// members are the queries folding through the class: the live groups
+	// the directory is bounded against.
+	members []*Query
+	limit   int // directory size at which boundDirectory next runs
+
+	// KeyEvals counts the key evaluations the class performed and Probes its
+	// directory probes: both exact, and at most one per event per pattern.
+	KeyEvals, Probes int64
+}
+
+// classKey is one pattern's key for the event numbered seq: its id, or the
+// error it failed with.
+type classKey struct {
+	seq uint64
+	id  int32
+	err error
+}
+
+// NewKeyClass returns an empty key class.
+func NewKeyClass() *KeyClass { return &KeyClass{limit: minDirectoryLimit} }
+
+// SetMembers names the queries folding through the class.
+func (c *KeyClass) SetMembers(qs []*Query) { c.members = qs }
+
+// Directory is the class's key → group id directory.
+func (c *KeyClass) Directory() *window.Directory { return &c.dir }
+
+// at returns pattern hi's memo entry, starting the event numbered seq if it
+// is new to the class: the one point between events where the directory may
+// be reset, because no id of the event has been handed out yet.
+//
+//saql:hotpath
+func (c *KeyClass) at(seq uint64, hi int) *classKey {
+	if seq != c.seq {
+		c.seq = seq
+		if c.dir.Len() >= c.limit {
+			c.boundDirectory()
+		}
+	}
+	if hi >= len(c.memo) {
+		c.memo = append(c.memo, make([]classKey, hi+1-len(c.memo))...)
+	}
+	return &c.memo[hi]
+}
+
+// Key returns the group id ev's key has as a hit of pattern hi — or the
+// error it fails with — for every member, evaluating it with q's programs and
+// resolving it in the directory only the first time the event numbered seq
+// asks: one evaluation and at most one probe per event per pattern.
+//
+//saql:hotpath
+func (c *KeyClass) Key(seq uint64, q *Query, hi int, ev *event.Event) (int32, error) {
+	k := c.at(seq, hi)
+	if k.seq != seq {
+		key, err := q.HitKey(hi, ev)
+		c.KeyEvals++
+		*k = classKey{seq: seq, id: -1, err: err}
+		if err == nil {
+			k.id = c.dir.Resolve(window.HashKey(key), key)
+			c.Probes++
+		}
+	}
+	return k.id, k.err
+}
+
+// Routed returns the group id of key — evaluated and hashed by the router —
+// as the key of pattern hi for the event numbered seq, probing the directory
+// only the first time the event asks.
+//
+//saql:hotpath
+func (c *KeyClass) Routed(seq uint64, hi int, hash uint32, key string) int32 {
+	k := c.at(seq, hi)
+	if k.seq != seq {
+		*k = classKey{seq: seq, id: c.dir.Resolve(hash, key)}
+		c.Probes++
+	}
+	return k.id
+}
+
+// Failed returns the error pattern hi's key fails with on ev, the event
+// numbered seq, which the router found not to evaluate: re-derived with q's
+// programs (a pure function of the event: it fails the same way) once per
+// event per pattern, for the owner of the empty key to report.
+func (c *KeyClass) Failed(seq uint64, q *Query, hi int, ev *event.Event) error {
+	k := c.at(seq, hi)
+	if k.seq != seq {
+		_, err := q.HitKey(hi, ev)
+		c.KeyEvals++
+		*k = classKey{seq: seq, id: -1, err: err}
+	}
+	return k.err
+}
+
+// boundDirectory keeps the directory within a constant factor of the live
+// state: when it holds more keys than the members' open windows hold groups,
+// some keys are certainly dead, and it starts over — the members' id indexes
+// rebuild from their key tables as hits arrive. The next check comes once the
+// directory reaches twice the live groups, so the checks and resets are
+// amortised over at least as many new keys as there are live groups.
+func (c *KeyClass) boundDirectory() {
+	live := 0
+	for _, q := range c.members {
+		live += q.winMgr.OpenGroups()
+	}
+	if c.dir.Len() > live {
+		c.dir.Reset()
+	}
+	c.limit = max(minDirectoryLimit, 2*live)
+}

@@ -8,8 +8,13 @@ package engine
 // and must not, happen.
 
 import (
+	"fmt"
+	"maps"
 	"strings"
 	"testing"
+	"time"
+
+	"saql/internal/event"
 )
 
 // TestKeyClassMembersAgreeOnEveryHit: over the conformance corpus and the
@@ -123,5 +128,76 @@ return p`, false, ""},
 		if got := a.SameKeyPrograms(b); got != c.same {
 			t.Errorf("%s: SameKeyPrograms = %v, want %v", c.name, got, c.same)
 		}
+	}
+}
+
+// TestKeyClassDirectoryBoundedUnderChurn: a stream whose every window brings
+// fresh keys — 200 windows of 100 processes never seen before — must not grow
+// a key class's directory with the keys it has ever seen: it stays within a
+// constant factor of the groups its members' open windows hold (twice their
+// peak, plus the directory's minimum size), while the members, folding by id
+// through directory resets, raise exactly the alerts the same queries raise
+// keyed on their own.
+func TestKeyClassDirectoryBoundedUnderChurn(t *testing.T) {
+	const (
+		windows       = 200
+		keysPerWindow = 100
+		variants      = 8
+	)
+	kc := NewKeyClass()
+	var members, twins []*Query
+	for v := 0; v < variants; v++ {
+		src := fmt.Sprintf(`proc p write ip i as e #time(%d s)
+state ss { n := count(e) } group by p
+alert ss.n > 1
+return p, ss.n`, 10+v)
+		members = append(members, compile(t, fmt.Sprintf("m%d", v), src))
+		twins = append(twins, compile(t, fmt.Sprintf("m%d", v), src))
+	}
+	kc.SetMembers(members)
+	base := time.Date(2026, 3, 1, 0, 0, 0, 0, time.UTC)
+	got, want := map[string]int{}, map[string]int{}
+	count := func(into map[string]int, alerts []*Alert) {
+		for _, a := range alerts {
+			into[fmt.Sprintf("%s %v %s", a.Query, a.EventTime.UnixNano(), a.GroupKey)]++
+		}
+	}
+	maxDir, maxLive, seq := 0, 0, uint64(0)
+	for w := 0; w < windows; w++ {
+		for k := 0; k < 2*keysPerWindow; k++ { // each key twice: every group alerts
+			ev := &event.Event{
+				Time:    base.Add(time.Duration(w)*10*time.Second + time.Duration(k)*time.Millisecond),
+				AgentID: "h",
+				Subject: event.Process(fmt.Sprintf("w%d-k%d.exe", w, k%keysPerWindow), int32(k%keysPerWindow)),
+				Op:      event.OpWrite,
+				Object:  event.NetConn("10.0.0.2", 1, "10.0.0.9", 443),
+				Amount:  1,
+			}
+			seq++
+			for i, q := range members {
+				count(got, q.IngestKeyed(ev, q.Hits(ev), kc, seq, nil))
+				count(want, twins[i].Process(ev, nil))
+			}
+			live := 0
+			for _, q := range members {
+				live += q.winMgr.OpenGroups()
+			}
+			maxLive, maxDir = max(maxLive, live), max(maxDir, kc.Directory().Len())
+		}
+	}
+	for i, q := range members {
+		count(got, q.Flush(nil))
+		count(want, twins[i].Flush(nil))
+	}
+	t.Logf("%d keys seen; directory peaked at %d for at most %d live groups (%d resets)",
+		windows*keysPerWindow, maxDir, maxLive, kc.Directory().Epoch())
+	if maxDir > 2*maxLive+minDirectoryLimit {
+		t.Errorf("directory peaked at %d keys for at most %d live groups, bound %d", maxDir, maxLive, 2*maxLive+minDirectoryLimit)
+	}
+	if maxDir >= windows*keysPerWindow/4 || kc.Directory().Epoch() == 0 {
+		t.Errorf("directory peaked at %d of %d keys after %d resets: it is not bounded", maxDir, windows*keysPerWindow, kc.Directory().Epoch())
+	}
+	if len(want) == 0 || !maps.Equal(got, want) {
+		t.Errorf("class-keyed members raised %d distinct alerts, self-keyed twins %d: they must agree", len(got), len(want))
 	}
 }

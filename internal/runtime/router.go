@@ -8,43 +8,49 @@ package runtime
 // turns it into ops (scheduler.Op) appended to the slabs of exactly the shards
 // that have something to do, by the same 32-bit FNV ownership hashing that
 // checkpoint re-split and the distributed cluster's Config.Owns already
-// define —
+// define. The unit it routes is the variant set (scheduler.Layout.Sets): a
+// scheduler group's master and its equal dependents of one key class and
+// placement, whose hit sets are one slice by construction — the window-length
+// variants an analyst keeps of one detection. One op per set reaches a shard,
+// and the shard expands it to the set's local members (Scheduler.Apply):
 //
-//   - a stateful query's hit becomes fold(slot, pattern, key) on the one shard
-//     that owns the key — hash(key) mod shards for a by-group query, the home
-//     shard for a pinned one. The key is evaluated by the query's compiled key
-//     programs on the router's evaluation replica, once per event per hit
-//     pattern per *key class* (queries whose key programs are identical: the
-//     window-length variants an analyst keeps of one detection are one class)
-//     and hashed once. A key that fails to evaluate routes as the empty key,
-//     as keyErr(slot, pattern): its one owner reports the failure, once.
-//   - every other shard holding a replica of a hit by-group query gets
-//     touch(slot): window existence and close cadence must be identical on
-//     all replicas (alert history backfill and checkpoint re-split depend on
-//     it), and a replica that folds nothing would otherwise never open the
-//     window.
-//   - a rule query's hits become hits(slot, pattern set) on its home shard
-//     (pinned) or on the shard owning the event's subject entity (by-event).
+//   - a stateful set's hit becomes fold(set, pattern, key) on the one shard
+//     that owns the key — hash(key) mod shards for a by-group set — or on each
+//     home shard holding a member of a pinned one. The key is evaluated by a
+//     member's compiled key programs on the router's evaluation replica, once
+//     per event per hit pattern per *key class* (the scheduler's: queries whose
+//     key programs are identical), and hashed once; the op carries the hash,
+//     which the shard's class directory probes with to find the group id every
+//     member folds by. A key that fails to evaluate routes as the empty key, as
+//     keyErr(set, pattern): its one owner reports the failure, once per member.
+//   - every other shard holding the replicas of a hit by-group set gets
+//     touch(set): window existence and close cadence must be identical on all
+//     replicas (alert history backfill and checkpoint re-split depend on it),
+//     and a replica that folds nothing would otherwise never open the window.
+//   - a rule set's hits become hits(set, pattern set) on each home shard
+//     holding a member (pinned) or on the shard owning the event's subject
+//     entity (by-event).
 //
 // Instead of a channel send per event, entries accumulate into per-shard
-// slabs (entries plus their ops, recycled through a sync.Pool) flushed on a
-// size threshold, when the ingest queue goes idle, and always before a control
-// envelope, so control operations — including checkpoint barriers — cut the
-// stream at one consistent point even though shards see disjoint event
-// subsets.
+// slabs (entries plus their ops, recycled through a sync.Pool and made at the
+// size they are flushed at) flushed on a size threshold, when the ingest queue
+// goes idle, and always before a control envelope, so control operations —
+// including checkpoint barriers — cut the stream at one consistent point even
+// though shards see disjoint event subsets.
 //
 // Watermark stamps give every shard what seeing every event would: each entry
 // carries the stream watermark the router observed before its event, applied
-// to the target query before its ops; every flushed batch carries the router's
-// running watermark, applied to all active queries at the batch boundary
-// (AdvanceAll). Together these reproduce the serial engine's per-query
-// watermark at every fold point and close windows promptly on shards that
-// received no events.
+// to every member a set op reaches before its ops; every flushed batch carries
+// the router's running watermark, applied to all active queries at the batch
+// boundary (AdvanceAll). Together these reproduce the serial engine's
+// per-query watermark at every fold point and close windows promptly on shards
+// that received no events.
 //
 // docs/architecture.md records the one deliberate divergence from the serial
 // reference (a query resumed from pause on an out-of-order stream).
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -56,20 +62,23 @@ import (
 
 // flushThreshold and opsThreshold cap how many entries and ops a per-shard
 // buffer accumulates before it is flushed regardless of queue pressure,
-// bounding both batch latency and buffer memory under sustained load.
+// bounding both batch latency and buffer memory under sustained load. With
+// one op per variant set, an entry carries one or two ops (a qs-hot slab
+// flushes full at 256 entries and ≈ 320 ops), so a slab is made with room for
+// opsThreshold and almost never grows.
 const (
 	flushThreshold = 256
-	opsThreshold   = 4 * flushThreshold
+	opsThreshold   = 3 * flushThreshold / 2
 )
 
 // routedEntry is one event's work for one shard: ops[first:first+n] of the
 // slab that holds it. wm is the stream watermark the router had observed
-// before this event.
+// before this event, in unix nanoseconds (32 bytes an entry, not 48).
 type routedEntry struct {
 	ev       *event.Event
-	wm       time.Time
-	hasWM    bool
+	wm       int64
 	first, n int32
+	hasWM    bool
 }
 
 // shardBatch is one flushed slab of routed entries and their ops, resolved
@@ -102,22 +111,30 @@ const (
 
 // routeInfo is the router's per-query record, maintained by the routing
 // goroutine as control envelopes pass through it — the same stream point at
-// which the evaluation scheduler's layout changes, so the slot cache below can
+// which the evaluation scheduler's layout changes, so the set cache below can
 // never pair a stale placement with a fresh hit set.
 type routeInfo struct {
 	kind  routeKind
 	home  int // routeHome*: the shard holding the one replica
 	evalQ *engine.Query
-	class *keyClass // routeGroupFold, routeHomeFold; assigned by resolveSlots
 }
 
-// keyClass is a set of stateful queries whose group-by items compile to the
-// same programs for every pattern (engine.SameKeyPrograms), so one evaluation
-// gives the key of all of them. q is the member whose programs run; memo holds
-// the current event's keys by pattern.
-type keyClass struct {
-	q    *engine.Query
+// routeSet is one variant set of the current layout as the router routes it:
+// how, where its pinned members live, and its members' slots and evaluation
+// replicas — any member's hits are the set's, and any member's key programs
+// its key class's.
+type routeSet struct {
+	kind    routeKind
+	homes   []int // routeHome*: the shards holding a member, ascending
+	members []routeMember
+	// memo is the key class's current-event keys by pattern, one backing
+	// array per class: every set of a class reads and writes the same one.
 	memo []resolvedKey
+}
+
+type routeMember struct {
+	slot int
+	q    *engine.Query // the evaluation replica
 }
 
 // resolvedKey is one pattern's group key for the event numbered seq.
@@ -135,9 +152,12 @@ type partitioner struct {
 	n    int
 	owns func(uint32) bool
 
-	routes   map[string]*routeInfo
-	slots    []*routeInfo // slot index -> routeInfo, cached per layout
-	slotsFor *scheduler.Layout
+	routes  map[string]*routeInfo
+	sets    []routeSet // layout set index -> how to route it, cached per layout
+	setOf   []int      // layout slot -> its set's index
+	routed  []uint64   // routed[set] == seq: the set is routed for the current event
+	setsFor *scheduler.Layout
+	memos   map[int32][]resolvedKey // key class id -> its memo
 
 	bufs   []*shardBatch
 	lastWM []time.Time // watermark last flushed to each shard
@@ -146,9 +166,9 @@ type partitioner struct {
 	hasWM    bool
 
 	seq    uint64   // events routed with hits: stamps open entries and key memos
-	mark   uint64   // by-group slots routed: stamps folded
-	folded []uint64 // folded[i] == mark: shard i folds for the slot being routed
-	// keyEvals counts key-program evaluations (keyClass memo misses); read by
+	mark   uint64   // by-group sets routed: stamps folded
+	folded []uint64 // folded[i] == mark: shard i folds for the set being routed
+	// keyEvals counts key-program evaluations (memo misses); read by
 	// SchedStats from other goroutines.
 	keyEvals atomic.Int64
 	pool     sync.Pool
@@ -160,17 +180,18 @@ func newPartitioner(r *Runtime) *partitioner {
 		n:      len(r.shards),
 		owns:   r.cfg.Owns,
 		routes: map[string]*routeInfo{},
+		memos:  map[int32][]resolvedKey{},
 		bufs:   make([]*shardBatch, len(r.shards)),
 		lastWM: make([]time.Time, len(r.shards)),
 		folded: make([]uint64, len(r.shards)),
 	}
 	p.pool.New = func() any {
+		// Made once at the size it is flushed at: emit flushes a slab before
+		// an entry would start past either threshold, so only an entry that
+		// itself straddles opsThreshold ever grows ops.
 		return &shardBatch{
 			entries: make([]routedEntry, 0, flushThreshold),
-			// Room for an op per entry: a stream of sparse hits never grows
-			// it, a dense one grows it once, towards opsThreshold, and the
-			// pool keeps it grown.
-			ops: make([]scheduler.Op, 0, flushThreshold),
+			ops:     make([]scheduler.Op, 0, opsThreshold),
 		}
 	}
 	for i := range p.bufs {
@@ -221,48 +242,68 @@ func (p *partitioner) applyCtl(c *control) {
 	case ctlRemove:
 		delete(p.routes, c.name)
 	}
-	p.slotsFor = nil // registry changed: re-resolve against the next layout
+	p.setsFor = nil // registry changed: re-resolve against the next layout
 }
 
-// resolveSlots refreshes the slot -> routeInfo cache for a hit-set layout and
-// sorts the stateful queries into key classes. Layouts change only on
-// registry mutations, so this is never per-event work.
-func (p *partitioner) resolveSlots(layout *scheduler.Layout) {
-	if p.slotsFor == layout {
+// resolveSets refreshes the set cache for a hit-set layout. The variant sets
+// and key classes are the evaluation scheduler's (scheduler.Layout.Sets); the
+// router only pairs them with placements and gives each class a memo, kept
+// across layouts while the class lives. Layouts change only on registry
+// mutations, so this is never per-event work.
+func (p *partitioner) resolveSets(layout *scheduler.Layout) {
+	if p.setsFor == layout {
 		return
 	}
-	p.slots = make([]*routeInfo, len(layout.Slots))
+	names := make([]string, len(layout.Slots))
 	for name, slot := range layout.Slots {
-		p.slots[slot] = p.routes[name]
+		names[slot] = name
 	}
-	var classes []*keyClass
-	for _, ri := range p.slots { // in slot order: the class's evaluating member is deterministic
-		if ri == nil || (ri.kind != routeGroupFold && ri.kind != routeHomeFold) {
-			continue
-		}
-		ri.class = nil
-		for _, c := range classes {
-			if c.q.SameKeyPrograms(ri.evalQ) {
-				ri.class = c
-				break
+	memos := map[int32][]resolvedKey{}
+	p.sets = make([]routeSet, len(layout.Sets))
+	p.setOf = make([]int, len(layout.Slots))
+	p.routed = make([]uint64, len(layout.Sets))
+	for i, vs := range layout.Sets {
+		rs := &p.sets[i]
+		for _, slot := range vs.Slots {
+			p.setOf[slot] = i
+			ri := p.routes[names[slot]]
+			rs.members = append(rs.members, routeMember{slot: slot, q: ri.evalQ})
+			switch ri.kind {
+			case routeHomeFold, routeHomeHits:
+				if !slices.Contains(rs.homes, ri.home) {
+					rs.homes = append(rs.homes, ri.home)
+				}
+				rs.kind = ri.kind
+			case routeNowhere:
+			default:
+				rs.kind = ri.kind // by-group and by-event sets: every member alike
 			}
 		}
-		if ri.class == nil {
-			ri.class = &keyClass{q: ri.evalQ, memo: make([]resolvedKey, len(ri.evalQ.Patterns()))}
-			classes = append(classes, ri.class)
+		slices.Sort(rs.homes)
+		if vs.Class >= 0 {
+			memo, ok := memos[vs.Class]
+			if !ok {
+				if memo, ok = p.memos[vs.Class]; !ok {
+					memo = make([]resolvedKey, len(rs.members[0].q.Patterns()))
+				}
+				memos[vs.Class] = memo
+			}
+			rs.memo = memo
 		}
 	}
-	p.slotsFor = layout
+	p.memos = memos
+	p.setsFor = layout
 }
 
-// key returns the group key ev yields as a hit of pattern hi for the queries
-// of class c, evaluating and hashing it the first time the current event asks.
+// key returns the group key ev yields as a hit of pattern hi for the members
+// of set rs and every other set of its key class, evaluating and hashing it
+// the first time the current event asks.
 //
 //saql:hotpath
-func (p *partitioner) key(c *keyClass, hi int, ev *event.Event) *resolvedKey {
-	k := &c.memo[hi]
+func (p *partitioner) key(rs *routeSet, hi int, ev *event.Event) *resolvedKey {
+	k := &rs.memo[hi]
 	if k.seq != p.seq {
-		key, err := c.q.HitKey(hi, ev)
+		key, err := rs.members[0].q.HitKey(hi, ev)
 		*k = resolvedKey{seq: p.seq, key: key, hash: hashString(key), failed: err != nil}
 		p.keyEvals.Add(1)
 	}
@@ -274,7 +315,7 @@ func (p *partitioner) key(c *keyClass, hi int, ev *event.Event) *resolvedKey {
 // filled this one (an entry never straddles two).
 //
 //saql:hotpath
-func (p *partitioner) emit(i int, ev *event.Event, wm time.Time, hasWM bool, op scheduler.Op) {
+func (p *partitioner) emit(i int, ev *event.Event, wm int64, hasWM bool, op scheduler.Op) {
 	b := p.bufs[i]
 	if b.openSeq != p.seq {
 		if len(b.entries) >= flushThreshold || len(b.ops) >= opsThreshold {
@@ -282,42 +323,59 @@ func (p *partitioner) emit(i int, ev *event.Event, wm time.Time, hasWM bool, op 
 			b = p.bufs[i]
 		}
 		b.openSeq = p.seq
-		b.layout = p.slotsFor
+		b.layout = p.setsFor
 		b.entries = append(b.entries, routedEntry{ev: ev, wm: wm, hasWM: hasWM, first: int32(len(b.ops))})
 	}
 	b.ops = append(b.ops, op)
 	b.entries[len(b.entries)-1].n++
 }
 
-// foldOp is the op a stateful query's hit of pattern hi becomes on the shard
-// owning its key k.
+// foldOp is the op a hit of pattern hi becomes for a stateful set on the
+// shard owning its key k.
 //
 //saql:hotpath
-func foldOp(slot, hi int, k *resolvedKey) scheduler.Op {
+func foldOp(set, hi int, k *resolvedKey) scheduler.Op {
 	if k.failed {
-		return scheduler.Op{Kind: scheduler.OpKeyErr, Slot: int32(slot), Pat: uint8(hi)}
+		return scheduler.Op{Kind: scheduler.OpKeyErr, Set: int32(set), Pat: uint8(hi)}
 	}
-	return scheduler.Op{Kind: scheduler.OpFold, Slot: int32(slot), Pat: uint8(hi), Key: k.key}
+	return scheduler.Op{Kind: scheduler.OpFold, Set: int32(set), Pat: uint8(hi), Key: k.key, Arg: uint64(k.hash)}
 }
 
-// hitsOp is the op a rule query's hit set h becomes.
+// hitsOp is the op a rule set's hit set h becomes.
 //
 //saql:hotpath
-func hitsOp(slot int, h []int) scheduler.Op {
-	op := scheduler.Op{Kind: scheduler.OpHits, Slot: int32(slot)}
+func hitsOp(set int, h []int) scheduler.Op {
+	op := scheduler.Op{Kind: scheduler.OpHits, Set: int32(set)}
 	for _, hi := range h {
-		op.Pats |= 1 << uint(hi)
+		op.Arg |= 1 << uint(hi)
 	}
 	return op
 }
 
+// hits returns the hit set of rs: that of its first active member that has
+// one. The members' hit sets are the same slice by construction, except that
+// the evaluation leaves a paused dependent's empty; a set with no active
+// member is not routed.
+//
+//saql:hotpath
+func (rs *routeSet) hits(hs *scheduler.HitSet) []int {
+	for _, m := range rs.members {
+		if h := hs.Hits[m.slot]; len(h) > 0 && !m.q.Paused() {
+			return h
+		}
+	}
+	return nil
+}
+
 // routeEvent resolves one evaluated event into ops on the per-shard slabs it
-// needs to reach. Events that matched nothing buffer nowhere: the next flush's
-// batch watermark is all any shard needs from them.
+// needs to reach, once per variant set: at the first of the set's slots that
+// holds hits, so an entry's ops come grouped by set. Events that matched
+// nothing buffer nowhere: the next flush's batch watermark is all any shard
+// needs from them.
 //
 //saql:hotpath
 func (p *partitioner) routeEvent(ev *event.Event, hs *scheduler.HitSet) {
-	wm, hasWM := p.streamWM, p.hasWM
+	wm, hasWM := p.streamWM.UnixNano(), p.hasWM
 	if !p.hasWM || ev.Time.After(p.streamWM) {
 		p.streamWM = ev.Time
 		p.hasWM = true
@@ -326,40 +384,53 @@ func (p *partitioner) routeEvent(ev *event.Event, hs *scheduler.HitSet) {
 		return
 	}
 	hs.AssertLive()
-	p.resolveSlots(hs.Layout)
+	p.resolveSets(hs.Layout)
 	p.seq++
 	eventOwner := -2 // by-event owner shard: -2 not yet hashed, -1 another worker's
 	for slot, h := range hs.Hits {
 		if len(h) == 0 {
 			continue
 		}
-		ri := p.slots[slot]
-		if ri == nil {
+		si := p.setOf[slot]
+		if p.routed[si] == p.seq {
+			continue // routed at an earlier member's slot
+		}
+		p.routed[si] = p.seq
+		rs := &p.sets[si]
+		if rs.kind == routeNowhere {
 			continue
 		}
-		switch ri.kind {
+		if h = rs.hits(hs); len(h) == 0 {
+			continue
+		}
+		switch rs.kind {
 		case routeGroupFold:
 			p.mark++
 			for _, hi := range h {
 				// A key the cluster-level Owns filter gives to another worker
 				// folds on no local shard; the local replicas still touch.
-				if k := p.key(ri.class, hi, ev); p.owns == nil || p.owns(k.hash) {
+				if k := p.key(rs, hi, ev); p.owns == nil || p.owns(k.hash) {
 					i := int(k.hash % uint32(p.n))
-					p.emit(i, ev, wm, hasWM, foldOp(slot, hi, k))
+					p.emit(i, ev, wm, hasWM, foldOp(si, hi, k))
 					p.folded[i] = p.mark
 				}
 			}
 			for i := range p.folded {
 				if p.folded[i] != p.mark {
-					p.emit(i, ev, wm, hasWM, scheduler.Op{Kind: scheduler.OpTouch, Slot: int32(slot)})
+					p.emit(i, ev, wm, hasWM, scheduler.Op{Kind: scheduler.OpTouch, Set: int32(si)})
 				}
 			}
 		case routeHomeFold:
 			for _, hi := range h {
-				p.emit(ri.home, ev, wm, hasWM, foldOp(slot, hi, p.key(ri.class, hi, ev)))
+				k := p.key(rs, hi, ev)
+				for _, home := range rs.homes {
+					p.emit(home, ev, wm, hasWM, foldOp(si, hi, k))
+				}
 			}
 		case routeHomeHits:
-			p.emit(ri.home, ev, wm, hasWM, hitsOp(slot, h))
+			for _, home := range rs.homes {
+				p.emit(home, ev, wm, hasWM, hitsOp(si, h))
+			}
 		case routeEventHits:
 			if eventOwner == -2 {
 				eventOwner = -1
@@ -368,7 +439,7 @@ func (p *partitioner) routeEvent(ev *event.Event, hs *scheduler.HitSet) {
 				}
 			}
 			if eventOwner >= 0 {
-				p.emit(eventOwner, ev, wm, hasWM, hitsOp(slot, h))
+				p.emit(eventOwner, ev, wm, hasWM, hitsOp(si, h))
 			}
 		}
 	}
@@ -415,7 +486,7 @@ func (r *Runtime) processBatch(s *shard, b *shardBatch) {
 		if r.testObserve != nil {
 			r.testObserve(s.id, b, e)
 		}
-		if alerts := s.sched.Apply(b.layout, e.ev, e.wm, e.hasWM, b.ops[e.first:e.first+e.n]); len(alerts) > 0 {
+		if alerts := s.sched.Apply(b.layout, e.ev, time.Unix(0, e.wm), e.hasWM, b.ops[e.first:e.first+e.n]); len(alerts) > 0 {
 			r.cfg.Fan.Publish(alerts)
 		}
 	}

@@ -16,17 +16,19 @@
 // each group's master pattern predicates, refined into per-dependent
 // residual hit sets — into scratch that scheduler owns: a HitSet is valid
 // until the next batch is evaluated and never leaves the routing goroutine.
-// The router resolves it on the spot into ops (scheduler.Op) — for a
-// stateful query's hit, fold(slot, pattern, key) on the shard owning the
-// key, the key evaluated once per event for all the queries whose key
-// programs are the same; touch(slot) on the other shards holding a replica;
-// for a rule query, hits(slot, pattern set) — and a shard is handed exactly
-// the ops it owns. Shards never evaluate a pattern predicate, a group key or
-// an ownership hash: scheduler.Apply executes an entry's ops, with the
-// entry's watermark stamp advancing each target query first so windows
-// close at the same instants everywhere. Per-event pattern work is
-// therefore O(patterns) and key work O(key classes), not O(shards ×
-// queries). Control operations (add/swap/remove/pause) are applied to the
+// The router resolves it on the spot into ops (scheduler.Op), one per
+// variant set (a group's master and its equal dependents of one key class and
+// placement) — for a stateful set's hit, fold(set, pattern, key) on the shard
+// owning the key, the key evaluated once per event for all the queries whose
+// key programs are the same; touch(set) on the other shards holding its
+// replicas; for a rule set, hits(set, pattern set) — and a shard is handed
+// exactly the ops it owns. Shards never evaluate a pattern predicate, a group
+// key or an ownership hash: scheduler.Apply executes an entry's ops on each
+// local member of the set, resolving a fold's key to a group id once for all
+// of them, with the entry's watermark stamp advancing each member first so
+// windows close at the same instants everywhere. Per-event pattern work is
+// therefore O(patterns), key work O(key classes) and routing work O(variant
+// sets), not O(shards × queries). Control operations (add/swap/remove/pause) are applied to the
 // evaluation scheduler by the router at the moment their envelope passes
 // through it — after every buffered slab is flushed, before any later event
 // — and every slab is stamped with the layout its ops were resolved under,
@@ -68,6 +70,7 @@ import (
 	"saql/internal/engine"
 	"saql/internal/event"
 	"saql/internal/scheduler"
+	"saql/internal/window"
 )
 
 // ErrClosed is returned by operations on a runtime that has been closed.
@@ -910,15 +913,21 @@ func (r *Runtime) Flush() ([]*engine.Alert, error) {
 // SchedStats reports the scheduler counters. Pattern evaluation and
 // stream-copy work happens exactly once per event in the router's shared
 // evaluation stage, so those counters come straight from the evaluation
-// scheduler, and group keys are evaluated only where the router resolves hits
-// into ops (KeyEvals: once per event per hit pattern per key class) — all of
-// them total work performed, independent of the shard count. Alerts are raised
-// on the shards (disjointly, by state ownership) and summed.
+// scheduler, and group keys are evaluated where the router resolves hits into
+// ops (KeyEvals: once per event per hit pattern per key class — plus, on the
+// shard that reports a key that failed, the re-derivation of its error) — all
+// of them total work performed, independent of the shard count. Directory
+// probes (GroupProbes) happen on the shards that fold, at most one per event
+// per hit pattern per key class each, and alerts are raised on the shards
+// (disjointly, by state ownership); both are summed.
 func (r *Runtime) SchedStats() scheduler.Stats {
 	out := r.evalSched.Stats()
-	out.KeyEvals = r.part.keyEvals.Load()
+	out.KeyEvals += r.part.keyEvals.Load()
 	for _, s := range r.shards {
-		out.Alerts += s.sched.Stats().Alerts
+		st := s.sched.Stats()
+		out.KeyEvals += st.KeyEvals
+		out.GroupProbes += st.GroupProbes
+		out.Alerts += st.Alerts
 	}
 	return out
 }
@@ -992,15 +1001,9 @@ func HashKey(s string) uint32 { return hashString(s) }
 // the value Config.Owns predicates observe for by-event placements.
 func HashEventKey(ev *event.Event) uint32 { return hashSubject(ev) }
 
-// hashString is 32-bit FNV-1a.
-func hashString(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
-}
+// hashString is 32-bit FNV-1a: window.HashKey, the hash key class
+// directories probe with, so a key routed by its hash is never hashed again.
+func hashString(s string) uint32 { return window.HashKey(s) }
 
 // hashSubject hashes the subject entity identity without allocating.
 func hashSubject(ev *event.Event) uint32 {

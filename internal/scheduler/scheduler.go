@@ -43,14 +43,19 @@ type Stats struct {
 	// performed (every active query evaluates every pattern on every
 	// event).
 	NaivePatternEvals int64
-	// KeyEvals counts group-by key evaluations. The serial path (Process)
-	// evaluates one per hit per stateful query, inside the fold. A started
-	// engine resolves keys in the router — once per event per hit pattern per
-	// key class, however many queries share the class — and its shards
-	// evaluate none; a scheduler fed by EvaluateBatch alone counts none (the
-	// runtime adds the router's count, see Runtime.SchedStats).
+	// KeyEvals counts group-by key evaluations performed: once per event per
+	// hit pattern per key class, however many of the class's queries the hit
+	// reaches. The serial path (Process, ProcessWithHits) evaluates them in
+	// the fold, through the class's memo; a started engine in the router,
+	// while its shards evaluate only the error of a key the router found to
+	// fail (the runtime adds the router's count, see Runtime.SchedStats).
 	KeyEvals int64
-	Alerts   int64
+	// GroupProbes counts key class directory probes: the one lookup per
+	// event per hit pattern per key class — per shard that folds it, on a
+	// started engine — that turns a key into the group id every member folds
+	// by. On the serial path it equals the successful KeyEvals.
+	GroupProbes int64
+	Alerts      int64
 }
 
 // SharingRatio reports NaiveCopies / StreamCopies (≥ 1; higher is better).
@@ -62,14 +67,30 @@ func (s Stats) SharingRatio() float64 {
 }
 
 // Layout is the immutable slot assignment of a HitSet: every registered
-// query name maps to one index of HitSet.Hits. A scheduler rebuilds (and
-// versions) its layout on every Add/Remove/Swap, so a HitSet produced
-// before a registry change can never be misread against the registry that
-// follows it — consumers re-resolve their slot caches whenever the layout
-// pointer changes.
+// query name maps to one index of HitSet.Hits, and every slot to one variant
+// set. A scheduler builds (and versions) a new layout after every
+// Add/Remove/Swap, so a HitSet produced before a registry change can never be
+// misread against the registry that follows it — consumers re-resolve their
+// slot caches whenever the layout pointer changes.
 type Layout struct {
 	Version int64
 	Slots   map[string]int
+	// Sets partitions the slots into variant sets, in order of their first
+	// slot: the unit the router routes and a shard applies (Op.Set).
+	Sets []VariantSet
+}
+
+// VariantSet is a scheduler group's master and its equal dependents — the
+// queries whose hit sets are the master's by construction — that also share
+// their key class and placement: the window-length variants an analyst keeps
+// of one detection. Every other query is a set of its own. The router
+// resolves a hit once per set, not once per member.
+type VariantSet struct {
+	Slots []int // the members' slots, ascending
+	// Class is the members' key class: an id the scheduler assigned at Add,
+	// never reused, shared with every consumer of the layout; -1 for rule
+	// queries.
+	Class int32
 }
 
 // slot reports name's index in l, or -1 when absent.
@@ -112,35 +133,39 @@ func (h *HitSet) AssertLive() {
 	}
 }
 
-// OpKind says what one routed Op asks of a replica.
+// OpKind says what one routed Op asks of the local members of a variant set.
 type OpKind uint8
 
 const (
 	// OpFold folds the entry's event, a hit of pattern Op.Pat, into the group
-	// Op.Key of a stateful query: state this replica owns.
+	// Op.Key of every member: state this replica owns.
 	OpFold OpKind = iota
 	// OpKeyErr: pattern Op.Pat's group key does not evaluate on the entry's
 	// event and this replica, the owner of the empty key, is the one to
 	// report it. Nothing folds; the windows open.
 	OpKeyErr
-	// OpTouch: a stateful query was hit but this replica owns none of the
-	// hit's groups. Nothing folds; the windows open, so that window cadence is
-	// the same on every replica.
+	// OpTouch: the set was hit but this replica owns none of the hit's
+	// groups. Nothing folds; the windows open, so that window cadence is the
+	// same on every replica.
 	OpTouch
-	// OpHits feeds the hit patterns in Op.Pats (bit p = pattern p) to a rule
-	// query's matcher: the pinned replica, or the by-event replica on the
+	// OpHits feeds the hit patterns in Op.Arg (bit p = pattern p) to the
+	// members' matchers: the pinned replicas, or the by-event replicas on the
 	// shard owning the event.
 	OpHits
 )
 
-// Op is one instruction of a routed entry: what the replica in layout slot
-// Slot does with the entry's event. The router resolves every hit into ops —
-// whose state, which key, which shard — and a shard only executes them
-// (Scheduler.Apply). An entry's ops are ordered by slot.
+// Op is one instruction of a routed entry: what the local members of variant
+// set Set (Layout.Sets) do with the entry's event. The router resolves every
+// hit into ops — whose state, which key, which shard — once per set, and a
+// shard only executes them (Scheduler.Apply), once per local member. An
+// entry's ops are grouped by set. 32 bytes.
 type Op struct {
-	Key  string // OpFold: the group key
-	Pats uint64 // OpHits: the hit patterns as a bitset
-	Slot int32
+	Key string // OpFold: the group key
+	// Arg is OpHits' hit patterns as a bitset (bit p = pattern p), and
+	// OpFold's key hash (window.HashKey(Key)): the router hashed the key to
+	// find its owner, and the owner's directory probes with the same hash.
+	Arg  uint64
+	Set  int32
 	Pat  uint8 // OpFold, OpKeyErr: the hit pattern (sema.MaxPatterns bounds it)
 	Kind OpKind
 }
@@ -167,6 +192,22 @@ type group struct {
 	slot int
 }
 
+// class is one key class as its scheduler assigns it: a representative
+// member to compare newcomers with (engine.SameKeyPrograms) and how many
+// registered queries it holds.
+type class struct {
+	id  int32
+	rep *engine.Query
+	n   int
+}
+
+// localSet is one variant set of the resolved layout as this scheduler holds
+// it: its members placed here, and the state of their key class.
+type localSet struct {
+	members []*engine.Query
+	kc      *engine.KeyClass // nil for rule queries
+}
+
 // Scheduler routes events to query groups.
 type Scheduler struct {
 	mu       sync.Mutex
@@ -174,20 +215,41 @@ type Scheduler struct {
 	queries  map[string]*engine.Query
 	reporter *engine.ErrorReporter
 	stats    Stats
+
+	// classes are the live key classes, in creation order; classOf names each
+	// stateful query's. Both change only at Add, Remove and Swap.
+	classes   []*class
+	classOf   map[string]int32
+	nextClass int32
 	// Sharing can be disabled to obtain the per-query-copy baseline
 	// behaviour for experiments (every query becomes its own master).
 	sharing bool
 
 	// layout is this scheduler's own slot assignment (what EvaluateBatch
-	// stamps onto HitSets); resolvedFor is the layout the group/dependent
-	// slot caches currently reflect — own layout when evaluating, the
-	// producer's layout when consuming foreign HitSets.
-	layout      *Layout
-	resolvedFor *Layout
+	// stamps onto HitSets), nil from a registry change until layoutLocked
+	// builds the next one, under version layoutVersion; resolvedFor is the
+	// layout the group/dependent slot caches currently reflect — own layout
+	// when evaluating, the producer's layout when consuming foreign HitSets.
+	layout        *Layout
+	layoutVersion int64
+	resolvedFor   *Layout
 	// bySlot inverts the resolved layout: slot index -> locally registered
 	// query (nil where the slot's query is not placed on this scheduler).
-	// Apply indexes it by each op's slot instead of iterating every group.
 	bySlot []*engine.Query
+	// sets are the resolved layout's variant sets as placed here (Apply
+	// indexes them by op), and slotClass each slot's key class state (the
+	// serial fold's). keyed holds the key class state by class id for the
+	// classes the resolved layout names; retired accumulates the counters of
+	// the classes it dropped.
+	sets      []localSet
+	slotClass []*engine.KeyClass
+	keyed     map[int32]*engine.KeyClass
+	retired   Stats
+	// seq numbers the events this scheduler folds: a key class memo is
+	// current for the event whose number it holds.
+	seq uint64
+	// idScratch holds Apply's per-set group ids.
+	idScratch []int32
 	// procScratch is Process's reusable slot table: the serial path
 	// consumes the hits under the same lock hold, so the table never
 	// escapes and one zeroed buffer serves every event.
@@ -209,6 +271,8 @@ type Scheduler struct {
 func New(reporter *engine.ErrorReporter, sharing bool) *Scheduler {
 	s := &Scheduler{
 		queries:  map[string]*engine.Query{},
+		classOf:  map[string]int32{},
+		keyed:    map[int32]*engine.KeyClass{},
 		reporter: reporter,
 		sharing:  sharing,
 	}
@@ -225,9 +289,67 @@ func (s *Scheduler) Add(q *engine.Query) error {
 		return fmt.Errorf("scheduler: duplicate query name %q", q.Name)
 	}
 	s.queries[q.Name] = q
+	s.classifyLocked(q)
 	s.addLocked(q)
-	s.rebuildLayoutLocked()
+	s.invalidateLayoutLocked()
 	return nil
+}
+
+// classifyLocked assigns a stateful query its key class: the first live class
+// whose representative compiles the same key programs, or a new one. One
+// comparison per class, at registration only; without sharing every query is
+// a class of its own.
+func (s *Scheduler) classifyLocked(q *engine.Query) {
+	if !q.Stateful() {
+		return
+	}
+	for _, c := range s.classes {
+		if s.sharing && c.rep.SameKeyPrograms(q) {
+			c.n++
+			s.classOf[q.Name] = c.id
+			return
+		}
+	}
+	c := &class{id: s.nextClass, rep: q, n: 1}
+	s.nextClass++
+	s.classes = append(s.classes, c)
+	s.classOf[q.Name] = c.id
+}
+
+// declassifyLocked releases name's key class membership, dropping a class
+// left empty (its id is never reused).
+func (s *Scheduler) declassifyLocked(name string) {
+	id, ok := s.classOf[name]
+	if !ok {
+		return
+	}
+	delete(s.classOf, name)
+	for i, c := range s.classes {
+		if c.id == id {
+			if c.n--; c.n == 0 {
+				s.classes = append(s.classes[:i], s.classes[i+1:]...)
+			} else if c.rep.Name == name {
+				c.rep = s.memberOfLocked(id, name)
+			}
+			return
+		}
+	}
+}
+
+// memberOfLocked returns a registered member of class id other than name:
+// the first in group order.
+func (s *Scheduler) memberOfLocked(id int32, name string) *engine.Query {
+	for _, g := range s.groups {
+		if cid, ok := s.classOf[g.master.Name]; ok && cid == id && g.master.Name != name {
+			return g.master
+		}
+		for _, d := range g.dependents {
+			if cid, ok := s.classOf[d.q.Name]; ok && cid == id && d.q.Name != name {
+				return d.q
+			}
+		}
+	}
+	return nil // unreachable: the class has members left
 }
 
 // Remove unregisters a query by name. Removing a master promotes its first
@@ -237,7 +359,7 @@ func (s *Scheduler) Remove(name string) bool {
 	defer s.mu.Unlock()
 	ok := s.removeLocked(name)
 	if ok {
-		s.rebuildLayoutLocked()
+		s.invalidateLayoutLocked()
 	}
 	return ok
 }
@@ -247,6 +369,7 @@ func (s *Scheduler) removeLocked(name string) bool {
 		return false
 	}
 	delete(s.queries, name)
+	s.declassifyLocked(name)
 	for gi, g := range s.groups {
 		if g.master.Name == name {
 			if len(g.dependents) == 0 {
@@ -335,44 +458,82 @@ func (s *Scheduler) Swap(name string, q *engine.Query, carry bool) error {
 		q.CarryStateFrom(old)
 	}
 	s.queries[q.Name] = q
+	s.classifyLocked(q)
 	s.addLocked(q)
-	s.rebuildLayoutLocked()
+	s.invalidateLayoutLocked()
 	return nil
 }
 
-// rebuildLayoutLocked re-derives the slot assignment after a registry
-// change, bumping the version so in-flight HitSets stamped with the old
-// layout are never resolved against the new registry. The caller holds
-// s.mu.
-func (s *Scheduler) rebuildLayoutLocked() {
-	ver := int64(1)
-	if s.layout != nil {
-		ver = s.layout.Version + 1
-	}
-	slots := make(map[string]int, len(s.queries))
-	n := 0
-	for _, g := range s.groups {
-		slots[g.master.Name] = n
-		n++
-		for _, d := range g.dependents {
-			slots[d.q.Name] = n
-			n++
-		}
-	}
-	s.layout = &Layout{Version: ver, Slots: slots}
+// invalidateLayoutLocked retires the layout after a registry change: the next
+// evaluation builds a new one (layoutLocked), under a higher version, so
+// in-flight HitSets stamped with the old layout are never resolved against
+// the new registry — and a burst of registrations builds it once, not once
+// per query. The caller holds s.mu.
+func (s *Scheduler) invalidateLayoutLocked() {
+	s.layout = nil
 	s.resolvedFor = nil
 }
 
-// resolveSlotsLocked refreshes the per-group slot caches against target.
-// It is a no-op when the caches already reflect target, so the map lookups
-// happen once per layout change, never per event.
+// layoutLocked returns the layout of the current registry, deriving the slot
+// assignment and the variant sets at the first call after a change. Sets come
+// from what Add already decided — group membership, the equal flags, the key
+// classes — so this is a pass over the slots, with no program compared. The
+// caller holds s.mu.
+func (s *Scheduler) layoutLocked() *Layout {
+	if s.layout != nil {
+		return s.layout
+	}
+	s.layoutVersion++
+	slots := make(map[string]int, len(s.queries))
+	var sets []VariantSet
+	n := 0
+	for _, g := range s.groups {
+		// The master and its equal dependents share one hit set; among them,
+		// the members of one key class and placement are one variant set.
+		// shared lists those sets of this group, founders their first members.
+		var shared []int
+		var founders []*engine.Query
+		place := func(q *engine.Query, equal bool) {
+			slot := n
+			n++
+			slots[q.Name] = slot
+			class, ok := s.classOf[q.Name]
+			if !ok {
+				class = -1
+			}
+			if equal {
+				for k, i := range shared {
+					if sets[i].Class == class && founders[k].Placement() == q.Placement() {
+						sets[i].Slots = append(sets[i].Slots, slot)
+						return
+					}
+				}
+				shared, founders = append(shared, len(sets)), append(founders, q)
+			}
+			sets = append(sets, VariantSet{Slots: []int{slot}, Class: class})
+		}
+		place(g.master, true)
+		for _, d := range g.dependents {
+			place(d.q, d.equal)
+		}
+	}
+	s.layout = &Layout{Version: s.layoutVersion, Slots: slots, Sets: sets}
+	return s.layout
+}
+
+// resolveSlotsLocked refreshes the per-group slot caches, the local variant
+// sets and the key class states against target. It is a no-op when the
+// caches already reflect target, so this happens once per layout change,
+// never per event. A class the new layout still names keeps its state — its
+// directory, and with it every member's id index — across the change.
 func (s *Scheduler) resolveSlotsLocked(target *Layout) {
 	if s.resolvedFor == target {
 		return
 	}
-	n := 0
+	var n int
+	var sets []VariantSet
 	if target != nil {
-		n = len(target.Slots)
+		n, sets = len(target.Slots), target.Sets
 	}
 	s.bySlot = make([]*engine.Query, n)
 	for _, g := range s.groups {
@@ -387,6 +548,45 @@ func (s *Scheduler) resolveSlotsLocked(target *Layout) {
 			}
 		}
 	}
+	s.sets = make([]localSet, len(sets))
+	s.slotClass = make([]*engine.KeyClass, n)
+	keyed := map[int32]*engine.KeyClass{}
+	var order []int32 // classes in first-set order, for SetMembers
+	members := map[int32][]*engine.Query{}
+	for i, vs := range sets {
+		ls := &s.sets[i]
+		for _, slot := range vs.Slots {
+			if q := s.bySlot[slot]; q != nil {
+				ls.members = append(ls.members, q)
+			}
+		}
+		if vs.Class < 0 || len(ls.members) == 0 {
+			continue
+		}
+		kc := keyed[vs.Class]
+		if kc == nil {
+			if kc = s.keyed[vs.Class]; kc == nil {
+				kc = engine.NewKeyClass()
+			}
+			keyed[vs.Class] = kc
+			order = append(order, vs.Class)
+		}
+		members[vs.Class] = append(members[vs.Class], ls.members...)
+		ls.kc = kc
+		for _, slot := range vs.Slots {
+			s.slotClass[slot] = kc
+		}
+	}
+	for _, id := range order {
+		keyed[id].SetMembers(members[id])
+	}
+	for id, kc := range s.keyed {
+		if keyed[id] == nil { // counters are sums: the order does not matter
+			s.retired.KeyEvals += kc.KeyEvals
+			s.retired.GroupProbes += kc.Probes
+		}
+	}
+	s.keyed = keyed
 	s.resolvedFor = target
 }
 
@@ -451,7 +651,7 @@ func (s *Scheduler) Process(ev *event.Event) []*engine.Alert {
 	s.stats.Events++
 	arena := s.procScratch
 	h := s.evaluateLocked(ev, &arena, 1)
-	alerts := s.ingestLocked(ev, s.layout, h)
+	alerts := s.ingestLocked(ev, s.layout, h) // evaluateLocked built it
 	if h != nil {
 		// The carved table was consumed above; zero it and keep it as the
 		// scratch for the next event (it grows with the layout on demand).
@@ -540,11 +740,8 @@ func (s *Scheduler) evaluateBatchLocked(evs []*event.Event) []*HitSet {
 	if n == 0 {
 		return nil
 	}
-	s.resolveSlotsLocked(s.layout)
-	nSlots := 0
-	if s.layout != nil {
-		nSlots = len(s.layout.Slots)
-	}
+	s.resolveSlotsLocked(s.layoutLocked())
+	nSlots := len(s.layout.Slots)
 	b := &s.batch
 	gen := b.gen.Add(1) // whatever the previous batch handed out is stale from here
 	res := &b.res[gen&1]
@@ -670,7 +867,7 @@ func (s *Scheduler) ProcessWithHits(ev *event.Event, hs *HitSet) []*engine.Alert
 //
 //saql:hotpath
 func (s *Scheduler) evaluateLocked(ev *event.Event, arena *[][]int, remaining int) [][]int {
-	s.resolveSlotsLocked(s.layout)
+	s.resolveSlotsLocked(s.layoutLocked())
 	// The hit sets themselves live in one buffer kept across events: the
 	// serial path consumes them under this lock hold.
 	buf := s.hitScratch[:0]
@@ -741,57 +938,56 @@ func (s *Scheduler) evaluateLocked(ev *event.Event, arena *[][]int, remaining in
 }
 
 // ingestLocked folds ev into every active query using the per-slot hit
-// sets (hits may be nil: no query matched). Every active query ingests
-// even with no hits — stateful queries must observe the watermark so
-// windows close on time. The caller holds s.mu.
+// sets (hits may be nil: no query matched). Every active query ingests even
+// with no hits — stateful queries must observe the watermark so windows close
+// on time. A stateful query's hits are keyed through its key class
+// (engine.Query.IngestKeyed): the first member a pattern's hit reaches
+// evaluates the key and resolves its group id, the others fold by that id.
+// The caller holds s.mu.
 //
 //saql:hotpath
 func (s *Scheduler) ingestLocked(ev *event.Event, layout *Layout, hits [][]int) []*engine.Alert {
 	if hits != nil {
 		s.resolveSlotsLocked(layout)
 	}
-	get := func(slot int) []int {
-		if slot < 0 || slot >= len(hits) {
-			return nil
-		}
-		return hits[slot]
-	}
+	s.seq++
 	var alerts []*engine.Alert
 	for _, g := range s.groups {
 		if !g.master.Paused() {
-			h := get(g.slot)
-			s.countKeys(g.master, h)
-			alerts = append(alerts, g.master.Ingest(ev, h, s.report)...)
+			h, kc := s.slotHits(hits, g.slot)
+			alerts = append(alerts, g.master.IngestKeyed(ev, h, kc, s.seq, s.report)...)
 		}
 		for _, d := range g.dependents {
-			if d.q.Paused() {
-				continue
+			if !d.q.Paused() {
+				h, kc := s.slotHits(hits, d.slot)
+				alerts = append(alerts, d.q.IngestKeyed(ev, h, kc, s.seq, s.report)...)
 			}
-			h := get(d.slot)
-			s.countKeys(d.q, h)
-			alerts = append(alerts, d.q.Ingest(ev, h, s.report)...)
 		}
 	}
 	s.stats.Alerts += int64(len(alerts))
 	return alerts
 }
 
-// countKeys counts the group keys q's fold is about to evaluate: one per hit
-// of a stateful query.
+// slotHits returns slot's hit set in hits and its key class state: none for
+// a slot hits does not cover.
 //
 //saql:hotpath
-func (s *Scheduler) countKeys(q *engine.Query, hits []int) {
-	if len(hits) > 0 && q.Stateful() {
-		s.stats.KeyEvals += int64(len(hits))
+func (s *Scheduler) slotHits(hits [][]int, slot int) ([]int, *engine.KeyClass) {
+	if slot < 0 || slot >= len(hits) {
+		return nil, nil
 	}
+	return hits[slot], s.slotClass[slot]
 }
 
 // Apply executes one routed entry: the ops the router resolved for ev on this
-// shard, grouped by layout slot. Each target is first advanced to wm — the
-// stream watermark the router observed just before this event — so windows
+// shard, grouped by variant set. A fold's key is resolved to its group id
+// once for the set — one directory probe per event per pattern per key class
+// (engine.KeyClass.Routed), under the hash the router computed — and then the
+// op runs on every local member that is not paused: each first advanced to wm,
+// the stream watermark the router observed just before this event, so windows
 // close at the same stream points as in the serial engine, where every event
-// advances every query's watermark; then its ops run (see OpKind); then a
-// stateful target advances to the event's own time and closes what that
+// advances every query's watermark; then the set's ops (see OpKind); then, for
+// a stateful member, an advance to the event's own time that closes what it
 // finishes, as Ingest does. Nothing here evaluates a pattern or a key or asks
 // who owns what: a replica folds exactly what it is handed. Queries the entry
 // does not name are left alone; AdvanceAll at the batch boundary brings them
@@ -802,40 +998,80 @@ func (s *Scheduler) Apply(layout *Layout, ev *event.Event, wm time.Time, hasWM b
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.resolveSlotsLocked(layout)
+	s.seq++
 	var alerts []*engine.Alert
 	for i := 0; i < len(ops); {
-		slot := ops[i].Slot
+		set := ops[i].Set
 		j := i + 1
-		for j < len(ops) && ops[j].Slot == slot {
+		for j < len(ops) && ops[j].Set == set {
 			j++
 		}
-		if q := s.bySlot[slot]; q != nil && !q.Paused() {
-			if hasWM {
-				alerts = append(alerts, q.AdvanceWatermark(wm, s.report)...)
-			}
-			for k := i; k < j; k++ {
-				switch op := &ops[k]; op.Kind {
-				case OpFold:
-					q.FoldKeyed(ev, int(op.Pat), op.Key, s.report)
-				case OpKeyErr:
-					q.FailKey(ev, int(op.Pat), s.report)
-				case OpTouch:
-					q.Touch(ev.Time)
-				case OpHits:
-					h := s.hitScratch[:0]
-					for m := op.Pats; m != 0; m &= m - 1 {
-						h = append(h, bits.TrailingZeros64(m))
-					}
-					s.hitScratch = h
-					alerts = append(alerts, q.Ingest(ev, h, s.report)...)
-				}
-			}
-			alerts = append(alerts, q.AdvanceWatermark(ev.Time, s.report)...)
-		}
+		alerts = s.applySet(&s.sets[set], ev, wm, hasWM, ops[i:j], alerts)
 		i = j
 	}
 	s.stats.Alerts += int64(len(alerts))
 	return alerts
+}
+
+// applySet runs one variant set's ops of an entry on its local active
+// members, appending the alerts raised to alerts.
+//
+//saql:hotpath
+func (s *Scheduler) applySet(ls *localSet, ev *event.Event, wm time.Time, hasWM bool, ops []Op, alerts []*engine.Alert) []*engine.Alert {
+	resolved := false
+	for _, q := range ls.members {
+		if q.Paused() {
+			continue
+		}
+		if !resolved {
+			// The first active member: decode the set's ops once for all of
+			// them — each fold's group id, a hits op's patterns.
+			s.resolveOpsLocked(ls, ops)
+			resolved = true
+		}
+		if hasWM {
+			alerts = append(alerts, q.AdvanceWatermark(wm, s.report)...)
+		}
+		for k := range ops {
+			switch op := &ops[k]; op.Kind {
+			case OpFold:
+				q.FoldGroup(ev, int(op.Pat), ls.kc.Directory(), s.idScratch[k], s.report)
+			case OpKeyErr:
+				q.KeyFailed(ev.Time, ls.kc.Failed(s.seq, q, int(op.Pat), ev), s.report)
+			case OpTouch:
+				q.Touch(ev.Time)
+			case OpHits:
+				alerts = append(alerts, q.Ingest(ev, s.hitScratch, s.report)...)
+			}
+		}
+		alerts = append(alerts, q.AdvanceWatermark(ev.Time, s.report)...)
+	}
+	return alerts
+}
+
+// resolveOpsLocked decodes one set's ops of an entry for its members:
+// idScratch[k] is op k's group id — the set's key class resolves a fold's key
+// once, under the hash the router computed — and hitScratch a hits op's
+// patterns.
+//
+//saql:hotpath
+func (s *Scheduler) resolveOpsLocked(ls *localSet, ops []Op) {
+	ids := s.idScratch[:0]
+	for k := range ops {
+		id := int32(-1)
+		switch op := &ops[k]; op.Kind {
+		case OpFold:
+			id = ls.kc.Routed(s.seq, int(op.Pat), uint32(op.Arg), op.Key)
+		case OpHits:
+			h := s.hitScratch[:0]
+			for m := op.Arg; m != 0; m &= m - 1 {
+				h = append(h, bits.TrailingZeros64(m))
+			}
+			s.hitScratch = h
+		}
+		ids = append(ids, id)
+	}
+	s.idScratch = ids
 }
 
 // AdvanceAll advances every active query's watermark to wm, closing finished
@@ -895,7 +1131,13 @@ func (s *Scheduler) reportFn() func(error) {
 func (s *Scheduler) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.stats
+	out := s.stats
+	out.KeyEvals, out.GroupProbes = s.retired.KeyEvals, s.retired.GroupProbes
+	for _, kc := range s.keyed {
+		out.KeyEvals += kc.KeyEvals
+		out.GroupProbes += kc.Probes
+	}
+	return out
 }
 
 // ---------------------------------------------------------------------------

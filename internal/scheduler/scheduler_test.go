@@ -2,12 +2,14 @@ package scheduler
 
 import (
 	"fmt"
+	"maps"
 	"strings"
 	"testing"
 	"time"
 
 	"saql/internal/engine"
 	"saql/internal/event"
+	"saql/internal/window"
 )
 
 var base = time.Date(2020, 2, 27, 9, 0, 0, 0, time.UTC)
@@ -256,9 +258,10 @@ func TestPausedMasterStillFeedsDependents(t *testing.T) {
 }
 
 // resolve turns one event's hit set into the ops a one-shard router would
-// hand that shard: every stateful hit a fold under the key the evaluating
-// replica's key programs give (a failing key a keyErr), every rule query's
-// hits one hits op — in slot order, like partitioner.routeEvent.
+// hand that shard: per variant set, every stateful hit a fold under the key
+// (and hash) the evaluating replica's key programs give — a failing key a
+// keyErr — and a rule set's hits one hits op, in set order, like
+// partitioner.routeEvent.
 func resolve(t *testing.T, evalSide *Scheduler, ev *event.Event, hs *HitSet) []Op {
 	t.Helper()
 	names := make([]string, len(hs.Layout.Slots))
@@ -266,28 +269,37 @@ func resolve(t *testing.T, evalSide *Scheduler, ev *event.Event, hs *HitSet) []O
 		names[slot] = name
 	}
 	var ops []Op
-	for slot, h := range hs.Hits {
+	for si, vs := range hs.Layout.Sets {
+		var h []int
+		var q *engine.Query
+		for _, slot := range vs.Slots {
+			if len(hs.Hits[slot]) > 0 {
+				h = hs.Hits[slot]
+				var ok bool
+				if q, ok = evalSide.Query(names[slot]); !ok {
+					t.Fatalf("slot %d (%s) not registered on the evaluating side", slot, names[slot])
+				}
+				break
+			}
+		}
 		if len(h) == 0 {
 			continue
 		}
-		q, ok := evalSide.Query(names[slot])
-		if !ok {
-			t.Fatalf("slot %d (%s) not registered on the evaluating side", slot, names[slot])
-		}
 		if !q.Stateful() {
-			op := Op{Kind: OpHits, Slot: int32(slot)}
+			op := Op{Kind: OpHits, Set: int32(si)}
 			for _, hi := range h {
-				op.Pats |= 1 << uint(hi)
+				op.Arg |= 1 << uint(hi)
 			}
 			ops = append(ops, op)
 			continue
 		}
 		for _, hi := range h {
-			op := Op{Kind: OpFold, Slot: int32(slot), Pat: uint8(hi)}
+			op := Op{Kind: OpFold, Set: int32(si), Pat: uint8(hi)}
 			var err error
 			if op.Key, err = q.HitKey(hi, ev); err != nil {
 				op.Kind = OpKeyErr
 			}
+			op.Arg = uint64(window.HashKey(op.Key))
 			ops = append(ops, op)
 		}
 	}
@@ -364,6 +376,96 @@ func TestEvaluateBatchApplyEquivalence(t *testing.T) {
 	if n, hits := serial.Stats().KeyEvals, int64(len(evs)); n != hits {
 		t.Errorf("serial KeyEvals = %d, want %d (one per hit of the one stateful query)", n, hits)
 	}
+	// Every key resolved is probed once, on whichever side folds it.
+	for name, side := range map[string]*Scheduler{"serial": serial, "routed": routedSide, "with-hits": hitsSide} {
+		if n := side.Stats().GroupProbes; n != int64(len(evs)) {
+			t.Errorf("%s-side GroupProbes = %d, want %d (one per hit of the one stateful query)", name, n, len(evs))
+		}
+	}
+}
+
+// A variant set is one op: a scheduler group's master and its equal
+// dependents of one key class and placement share a set, so one fold op folds
+// all of them, each under its own window length — and a member in another key
+// class, or not equal to the master, is a set of its own.
+func TestVariantSetsFoldAsOne(t *testing.T) {
+	sum := func(w int, key string) string {
+		return fmt.Sprintf(`proc p start proc c as e #time(%d s)
+state ss { n := count(e) } group by %s
+alert ss.n > 0
+return ss.n`, w, key)
+	}
+	mk := func() *Scheduler {
+		s := New(nil, true)
+		for _, q := range []struct{ name, src string }{
+			{"v2", sum(2, "p")}, {"v3", sum(3, "p")}, {"v5", sum(5, "p")},
+			{"by-child", sum(2, "c")}, // same group, another key class
+			{"strict", `proc p["%cmd.exe"] start proc c as e #time(2 s)
+state ss { n := count(e) } group by p
+alert ss.n > 0
+return ss.n`}, // same class, stricter: not equal
+		} {
+			if err := s.Add(compile(t, q.name, q.src)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return s
+	}
+	serial, evalSide, shard := mk(), mk(), mk()
+	layout := evalSide.layoutLocked()
+	setOf := map[string]int{}
+	for i, vs := range layout.Sets {
+		for _, slot := range vs.Slots {
+			for name, sl := range layout.Slots {
+				if sl == slot {
+					setOf[name] = i
+				}
+			}
+		}
+	}
+	if len(layout.Sets) != 3 || setOf["v2"] != setOf["v3"] || setOf["v3"] != setOf["v5"] ||
+		setOf["by-child"] == setOf["v2"] || setOf["strict"] == setOf["v2"] || setOf["strict"] == setOf["by-child"] {
+		t.Fatalf("sets %+v (by query: %v): want {v2 v3 v5} {by-child} {strict}", layout.Sets, setOf)
+	}
+	if c := layout.Sets[setOf["v2"]].Class; c != layout.Sets[setOf["strict"]].Class || c == layout.Sets[setOf["by-child"]].Class {
+		t.Errorf("classes %+v: the subject-keyed queries must share one, the child-keyed one have its own", layout.Sets)
+	}
+	want, got := map[string]int{}, map[string]int{}
+	evs := startEvents()
+	var wm time.Time
+	for i, hs := range evalSide.EvaluateBatch(evs) {
+		ev := evs[i]
+		for _, a := range serial.Process(ev) {
+			want[a.Query]++
+		}
+		ops := resolve(t, evalSide, ev, hs)
+		folds := 0
+		for _, op := range ops {
+			if op.Kind == OpFold && int(op.Set) == setOf["v2"] {
+				folds++
+			}
+		}
+		if folds != 1 {
+			t.Fatalf("event %d: %d fold ops for the variant set, want 1: %+v", i, folds, ops)
+		}
+		for _, a := range shard.Apply(hs.Layout, ev, wm, i > 0, ops) {
+			got[a.Query]++
+		}
+		wm = ev.Time
+	}
+	for _, a := range serial.Flush() {
+		want[a.Query]++
+	}
+	for _, a := range shard.Flush() {
+		got[a.Query]++
+	}
+	if !maps.Equal(got, want) || want["v5"] == 0 || want["strict"] == 0 {
+		t.Errorf("applied %v, serial %v", got, want)
+	}
+	st := shard.Stats()
+	if ss := serial.Stats(); st.GroupProbes > ss.GroupProbes || ss.GroupProbes != ss.KeyEvals {
+		t.Errorf("probes: %d applying, serial %d for %d keys evaluated", st.GroupProbes, ss.GroupProbes, ss.KeyEvals)
+	}
 }
 
 // A replica runs exactly the ops an entry names: the same event reaches a
@@ -394,7 +496,7 @@ func TestApplyRunsOnlyNamedOps(t *testing.T) {
 		return out
 	}
 	pinnedOnly := ops[:1]
-	if int(pinnedOnly[0].Slot) != hs.Layout.Slots["pinned"] {
+	if hs.Layout.Sets[pinnedOnly[0].Set].Slots[0] != hs.Layout.Slots["pinned"] {
 		pinnedOnly = ops[1:]
 	}
 	if got := count(shard.Apply(hs.Layout, ev, time.Time{}, false, pinnedOnly)); got["by-event"] != 0 || got["pinned"] != 1 {

@@ -4,6 +4,8 @@ package window
 // verbatim (type names aside) as the oracle for manager_diff_test.go: open
 // windows in a map walked by every Advance, groups binding entities and
 // events by variable name, aggregator factories resolved by name per group.
+// Beside it, the deadline-driven Manager's own string-keyed fold from before
+// group ids (groupForKey).
 
 import (
 	"fmt"
@@ -15,6 +17,34 @@ import (
 	"saql/internal/value"
 	"saql/internal/wire"
 )
+
+// groupForKey is the deadline-driven Manager's fold as it stood before group
+// ids: one string-keyed probe of each containing window's key table per call.
+// manager_diff_test.go drives it beside the id fold (GroupFor) and the
+// map-walking reference, so a dropped id index must leave all three agreeing.
+func (m *Manager) groupForKey(t time.Time, groupKey string) []*Group {
+	m.idScratch = m.spec.AssignAppend(m.idScratch[:0], t)
+	out := m.groupScratch[:0]
+	length := m.spec.Length.Nanoseconds()
+	for _, id := range m.idScratch {
+		if m.passed(int64(id) + length) {
+			m.LateEvents++
+			continue
+		}
+		w := m.window(id)
+		g, ok := w.groups[groupKey]
+		if !ok {
+			g = m.newGroup(groupKey)
+			w.groups[groupKey] = g
+		}
+		out = append(out, g)
+	}
+	m.groupScratch = out
+	if len(out) == 0 {
+		return nil
+	}
+	return out
+}
 
 // eachWindow calls f with the ID of every window containing the instant ts
 // (unix nanoseconds), newest first.

@@ -80,6 +80,9 @@ func (m *Manager) ReadState(r *wire.Reader, keep func(string) bool, disjoint boo
 	if disjoint {
 		m.LateEvents += late
 	}
+	// Decoded groups enter (or replace groups in) the key tables only: the id
+	// indexes may name replaced groups, so the next fold rebuilds them.
+	m.index = nil
 	nWin := r.Count(2)
 	for i := 0; i < nWin && r.Err() == nil; i++ {
 		w := m.window(ID(r.Varint()))

@@ -2,6 +2,12 @@
 // engine: event-time window assignment (tumbling and hopping windows),
 // per-group aggregation within each window, watermark-driven window closing,
 // and the per-group state-history rings that back the ss[k] syntax.
+//
+// A fold names its group by id, not by key: the caller resolves the key once
+// per event in the Directory of its key class (directory.go) and every
+// member's Manager finds the group in each containing window by indexing that
+// window's id index. The index is a cache over the window's key-string table,
+// which alone decides first touch, close order and the checkpoint bytes.
 package window
 
 import (
@@ -122,11 +128,15 @@ type Snapshot struct {
 	Count    int
 }
 
-// openWindow is one in-flight window.
+// openWindow is one in-flight window. groups, by key, is the window's group
+// table; byID indexes the same groups by the directory id of their key
+// (Manager.index names the directory), nil where the window has not yet seen
+// the id since the index was last dropped.
 type openWindow struct {
 	id     ID
 	end    int64 // exclusive end, unix nanoseconds
 	groups map[string]*Group
+	byID   []*Group
 }
 
 // Closed describes one closed window delivered by Advance.
@@ -163,6 +173,14 @@ type Manager struct {
 	deadline  int64
 	watermark int64 // unix nanoseconds; meaningful once hasWM
 	hasWM     bool
+
+	// index and indexEpoch name the directory assignment the open windows'
+	// byID slices were built against; a fold under any other drops them all
+	// (see GroupFor). spareIDs holds closed windows' cleared byID slices for
+	// the next windows to open.
+	index      *Directory
+	indexEpoch uint32
+	spareIDs   [][]*Group
 
 	// idScratch and groupScratch are reused across GroupFor calls so
 	// per-event window assignment never allocates on the hot path (a
@@ -281,6 +299,9 @@ func (m *Manager) window(id ID) *openWindow {
 // list.
 func (m *Manager) openAt(i int, id ID) *openWindow {
 	w := &openWindow{id: id, end: int64(id) + m.spec.Length.Nanoseconds(), groups: map[string]*Group{}}
+	if n := len(m.spareIDs); n > 0 {
+		w.byID, m.spareIDs = m.spareIDs[n-1], m.spareIDs[:n-1]
+	}
 	m.open = append(m.open, nil)
 	copy(m.open[i+1:], m.open[i:])
 	m.open[i] = w
@@ -294,27 +315,33 @@ func (m *Manager) openAt(i int, id ID) *openWindow {
 // window ending there has been closed, or will be by the next Advance.
 func (m *Manager) passed(end int64) bool { return m.hasWM && end <= m.watermark }
 
-// GroupFor returns (creating if needed) the group accumulator for groupKey in
-// every window containing t. It returns nil if the event is late (belongs
-// only to windows that already closed). The returned slice is reused by the
-// next GroupFor call: iterate it immediately, do not retain it (the *Group
-// elements themselves are stable).
+// GroupFor returns (creating if needed) the group accumulator of key id of
+// directory d in every window containing t: in each window one slice index,
+// or, the first time the window meets the id, one probe of its key table. It
+// returns nil if the event is late (belongs only to windows that already
+// closed). The returned slice is reused by the next GroupFor call: iterate it
+// immediately, do not retain it (the *Group elements themselves are stable).
 //
 //saql:hotpath
-func (m *Manager) GroupFor(t time.Time, groupKey string) []*Group {
+func (m *Manager) GroupFor(t time.Time, d *Directory, id int32) []*Group {
+	if m.index != d || m.indexEpoch != d.epoch {
+		m.reindex(d)
+	}
 	m.idScratch = m.spec.AssignAppend(m.idScratch[:0], t)
 	out := m.groupScratch[:0]
 	length := m.spec.Length.Nanoseconds()
-	for _, id := range m.idScratch {
-		if m.passed(int64(id) + length) {
+	for _, wid := range m.idScratch {
+		if m.passed(int64(wid) + length) {
 			m.LateEvents++
 			continue
 		}
-		w := m.window(id)
-		g, ok := w.groups[groupKey]
-		if !ok {
-			g = m.newGroup(groupKey)
-			w.groups[groupKey] = g
+		w := m.window(wid)
+		var g *Group
+		if int(id) < len(w.byID) {
+			g = w.byID[id]
+		}
+		if g == nil {
+			g = m.firstTouch(w, d, id)
 		}
 		out = append(out, g)
 	}
@@ -323,6 +350,48 @@ func (m *Manager) GroupFor(t time.Time, groupKey string) []*Group {
 		return nil
 	}
 	return out
+}
+
+// firstTouch finds (creating if needed) the group of key id in w's key table
+// and indexes it under id.
+func (m *Manager) firstTouch(w *openWindow, d *Directory, id int32) *Group {
+	key := d.keys[id]
+	g, ok := w.groups[key]
+	if !ok {
+		g = m.newGroup(key)
+		w.groups[key] = g
+	}
+	if n := int(id) + 1; n > len(w.byID) {
+		if n > cap(w.byID) {
+			grown := make([]*Group, n, max(n, 2*cap(w.byID), d.Len()))
+			copy(grown, w.byID)
+			w.byID = grown
+		} else {
+			w.byID = w.byID[:n] // past len the array is always cleared
+		}
+	}
+	w.byID[id] = g
+	return g
+}
+
+// reindex drops every open window's id index: the next folds arrive under
+// d's current assignment and rebuild it from the key tables.
+func (m *Manager) reindex(d *Directory) {
+	for _, w := range m.open {
+		clear(w.byID)
+		w.byID = w.byID[:0]
+	}
+	m.index, m.indexEpoch = d, d.epoch
+}
+
+// OpenGroups reports how many groups the open windows hold, summed over the
+// windows: the live state a key class's directory is bounded against.
+func (m *Manager) OpenGroups() int {
+	n := 0
+	for _, w := range m.open {
+		n += len(w.groups)
+	}
+	return n
 }
 
 // newGroup creates an empty accumulator for key.
@@ -395,6 +464,8 @@ func (m *Manager) closeFirst(n int) []Closed {
 	closed := make([]Closed, n)
 	for i, w := range m.open[:n] {
 		closed[i] = Closed{ID: w.id, End: time.Unix(0, w.end), Groups: sortedGroups(w.groups)}
+		clear(w.byID)
+		m.spareIDs = append(m.spareIDs, w.byID[:0])
 	}
 	rest := copy(m.open, m.open[n:])
 	clear(m.open[rest:])

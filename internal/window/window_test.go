@@ -1,6 +1,8 @@
 package window
 
 import (
+	"fmt"
+	"hash/fnv"
 	"testing"
 	"testing/quick"
 	"time"
@@ -82,12 +84,94 @@ func TestAssignToProperty(t *testing.T) {
 	}
 }
 
+// testDir keys the tests' folds: one directory serves every manager here, as
+// one key class's directory serves all its members.
+var testDir Directory
+
+// keyed is GroupFor under key: one probe of testDir, then the id fold.
+func keyed(m *Manager, at time.Time, key string) []*Group {
+	return m.GroupFor(at, &testDir, testDir.Resolve(HashKey(key), key))
+}
+
+// A directory hands out dense ids in first-seen order, finds every key again
+// however its table grew and however the hashes collide in their low bits
+// (ownership routing hands a shard only keys of one residue), and forgets them
+// all on Reset under a new epoch.
+func TestDirectoryResolve(t *testing.T) {
+	var d Directory
+	const n = 5000
+	for round := 0; round < 2; round++ {
+		for i := 0; i < n; i++ {
+			key := fmt.Sprintf("svc-%d.exe", i)
+			hash := HashKey(key)
+			if round == 1 {
+				hash = uint32(i%7) << 29 // forced collisions in the low bits
+				hash |= 8                // and a shared residue
+			}
+			if id := d.Resolve(hash, key); int(id) != i || d.keys[id] != key {
+				t.Fatalf("round %d: Resolve(%q) = %d (key %q), want %d", round, key, id, d.keys[id], i)
+			}
+		}
+		for i := 0; i < n; i++ {
+			key := fmt.Sprintf("svc-%d.exe", i)
+			hash := HashKey(key)
+			if round == 1 {
+				hash = uint32(i%7)<<29 | 8
+			}
+			if id := d.Resolve(hash, key); int(id) != i {
+				t.Fatalf("round %d: second Resolve(%q) = %d, want %d", round, key, id, i)
+			}
+		}
+		if d.Len() != n {
+			t.Fatalf("round %d: Len = %d, want %d", round, d.Len(), n)
+		}
+		epoch := d.Epoch()
+		d.Reset()
+		if d.Len() != 0 || d.Epoch() == epoch {
+			t.Fatalf("Reset: Len %d, epoch %d -> %d", d.Len(), epoch, d.Epoch())
+		}
+	}
+	for _, key := range []string{"", "nginx", "p\x1f10.0.0.9"} {
+		f := fnv.New32a()
+		f.Write([]byte(key))
+		if HashKey(key) != f.Sum32() {
+			t.Errorf("HashKey(%q) = %#x, FNV-1a says %#x", key, HashKey(key), f.Sum32())
+		}
+	}
+}
+
+// Folding by id allocates nothing once the directory and the window's index
+// know the key, and a directory reset between two folds lands the second in
+// the same group through the key table.
+func TestGroupForByIDAcrossReset(t *testing.T) {
+	m, err := NewManager(Spec{Length: time.Minute}, specFields())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var d Directory
+	at := base.Add(time.Second)
+	g1 := m.GroupFor(at, &d, d.Resolve(HashKey("a"), "a"))[0]
+	d.Resolve(HashKey("b"), "b")
+	d.Reset()
+	idB := d.Resolve(HashKey("b"), "b") // "b" now holds the id "a" had
+	idA := d.Resolve(HashKey("a"), "a")
+	if gb := m.GroupFor(at, &d, idB)[0]; gb == g1 || gb.Key != "b" {
+		t.Fatalf("after a reset id %d reached group %q", idB, gb.Key)
+	}
+	if ga := m.GroupFor(at, &d, idA)[0]; ga != g1 {
+		t.Fatalf("after a reset key a reached a new group")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { m.GroupFor(at, &d, idA) }); allocs != 0 {
+		t.Errorf("GroupFor by id allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
 func TestManagerLifecycle(t *testing.T) {
 	m, err := NewManager(Spec{Length: time.Minute}, specFields())
 	if err != nil {
 		t.Fatal(err)
 	}
-	groups := m.GroupFor(base.Add(10*time.Second), "g1")
+	groups := keyed(m, base.Add(10*time.Second), "g1")
 	if len(groups) != 1 {
 		t.Fatalf("groups = %d", len(groups))
 	}
@@ -122,10 +206,10 @@ func TestManagerLateEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.GroupFor(base.Add(10*time.Second), "g")
+	keyed(m, base.Add(10*time.Second), "g")
 	m.Advance(base.Add(2 * time.Minute))
 	// This event belongs to the already-closed first window.
-	if gs := m.GroupFor(base.Add(20*time.Second), "g"); len(gs) != 0 {
+	if gs := keyed(m, base.Add(20*time.Second), "g"); len(gs) != 0 {
 		t.Errorf("late event assigned to %d windows, want 0", len(gs))
 	}
 	if m.LateEvents != 1 {
@@ -138,7 +222,7 @@ func TestManagerMultipleGroupsAndWindows(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		at := base.Add(time.Duration(i*30) * time.Second)
 		for _, key := range []string{"a", "b"} {
-			for _, g := range m.GroupFor(at, key) {
+			for _, g := range keyed(m, at, key) {
 				_ = g.Aggs[0].Add(value.Float(1))
 			}
 		}
@@ -162,7 +246,7 @@ func TestManagerMultipleGroupsAndWindows(t *testing.T) {
 
 func TestManagerFlush(t *testing.T) {
 	m, _ := NewManager(Spec{Length: time.Hour}, specFields())
-	m.GroupFor(base, "g")
+	keyed(m, base, "g")
 	closed := m.Flush()
 	if len(closed) != 1 {
 		t.Fatalf("flush closed = %d", len(closed))
@@ -281,8 +365,8 @@ func TestHotPathAllocations(t *testing.T) {
 	}
 
 	at := base.Add(10 * time.Second)
-	m.GroupFor(at, "g") // warm: opens the window, sizes the scratch buffer
-	if allocs := testing.AllocsPerRun(100, func() { m.GroupFor(at, "g") }); allocs != 0 {
+	keyed(m, at, "g") // warm: opens the window, sizes the scratch buffer
+	if allocs := testing.AllocsPerRun(100, func() { keyed(m, at, "g") }); allocs != 0 {
 		t.Errorf("tumbling GroupFor allocates %.1f objects/op, want 0", allocs)
 	}
 
@@ -290,8 +374,8 @@ func TestHotPathAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hop.GroupFor(at, "g")
-	if allocs := testing.AllocsPerRun(100, func() { hop.GroupFor(at, "g") }); allocs != 0 {
+	keyed(hop, at, "g")
+	if allocs := testing.AllocsPerRun(100, func() { keyed(hop, at, "g") }); allocs != 0 {
 		t.Errorf("hopping GroupFor allocates %.1f objects/op, want 0", allocs)
 	}
 }

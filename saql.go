@@ -102,11 +102,16 @@ type Stats struct {
 	// NaivePatternEvals what per-query execution would have performed.
 	PatternEvals      int64
 	NaivePatternEvals int64
-	// KeyEvals counts group-by key evaluations performed. A never-started
-	// engine evaluates one per hit per stateful query; a running engine's
-	// router evaluates one per event per hit pattern for all the queries
-	// whose group-by compiles to the same key programs, at any shard count.
+	// KeyEvals counts group-by key evaluations performed: one per event per
+	// hit pattern for all the queries whose group-by compiles to the same key
+	// programs (a key class), at any shard count — in the fold of a
+	// never-started engine, in the router of a running one.
 	KeyEvals int64
+	// GroupProbes counts key class directory probes, each turning a key into
+	// the group id every member of the class folds by: one per successful key
+	// evaluation on a never-started engine, at most one per event per hit
+	// pattern per key class per shard on a running one.
+	GroupProbes int64
 	// Dropped counts events discarded by DropNewest ingest overflow.
 	Dropped int64
 
@@ -744,6 +749,7 @@ func (e *Engine) Stats() Stats {
 			PatternEvals:      ss.PatternEvals,
 			NaivePatternEvals: ss.NaivePatternEvals,
 			KeyEvals:          ss.KeyEvals,
+			GroupProbes:       ss.GroupProbes,
 			Dropped:           rt.Dropped(),
 		}
 	} else {
@@ -759,6 +765,7 @@ func (e *Engine) Stats() Stats {
 			PatternEvals:      s.PatternEvals,
 			NaivePatternEvals: s.NaivePatternEvals,
 			KeyEvals:          s.KeyEvals,
+			GroupProbes:       s.GroupProbes,
 		}
 	}
 	// Symbol and source counters are engine-scoped and live even after
@@ -814,6 +821,7 @@ func (e *Engine) captureFinal(rt *runtime.Runtime) {
 			PatternEvals:      ss.PatternEvals,
 			NaivePatternEvals: ss.NaivePatternEvals,
 			KeyEvals:          ss.KeyEvals,
+			GroupProbes:       ss.GroupProbes,
 			Dropped:           rt.Dropped(),
 		},
 		queries: map[string]QueryStats{},
