@@ -245,7 +245,12 @@ func TestStatefulFoldAllocsGate(t *testing.T) {
 			}
 			open := window(4)
 			for _, ev := range open {
-				eng.Process(ev) // every group of window 4 now exists
+				eng.Process(ev)
+			}
+			// A stats read seals the slice log: every group of window 4 now
+			// exists.
+			if _, ok := eng.QueryStats(sh.name); !ok {
+				t.Fatal("query stats missing")
 			}
 			fold := testing.AllocsPerRun(5, func() {
 				for _, ev := range open {
@@ -319,6 +324,11 @@ return p, i.dstip, ss[0].amt`, OpWrite, func(int) Entity { return NetConn("10.0.
 			for _, ev := range sh.window(w, groups, groups) {
 				eng.Process(ev)
 			}
+		}
+		// A stats read seals the slice log: the fold of window 2 is done
+		// before the measurement, which is of its close alone.
+		if _, ok := eng.QueryStats(sh.name); !ok {
+			t.Fatal("query stats missing")
 		}
 		next := sh.window(3, 1, groups)[0]
 		var before, after runtime.MemStats
@@ -449,26 +459,35 @@ func TestColdIngestBytesGate(t *testing.T) {
 }
 
 // BenchmarkStatefulFold times the serial Process path folding hits into
-// groups that already exist in an open window — key, group probe, bindings,
-// argument programs, aggregator Add, watermark advance — for each qs-hot
-// shape. Window closes are not in the loop; BenchmarkDBSCAN covers the part
-// of a close that grows with the window.
+// groups that already exist in an open window — key, group probe, the slice
+// log, bindings, argument programs, aggregator Add, watermark advance — for
+// each qs-hot shape, as a lone query and as a variant set of eight window
+// lengths (10–17 s, as qs-hot keeps them), where a hit is logged once and
+// folded into every member. Every event is one hit: ns/hit is the cost of a
+// hit to the whole set. Window closes are not in the loop; BenchmarkDBSCAN
+// covers the part of a close that grows with the window.
 func BenchmarkStatefulFold(b *testing.B) {
 	for _, sh := range foldShapes {
-		b.Run(sh.name, func(b *testing.B) {
-			eng := New()
-			if err := eng.AddQuery(sh.name, sh.src); err != nil {
-				b.Fatal(err)
-			}
-			events := sh.window(0, 2000, 200)
-			for _, ev := range events {
-				eng.Process(ev)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				eng.Process(events[i%len(events)])
-			}
-		})
+		for _, variants := range []int{1, 8} {
+			b.Run(fmt.Sprintf("%s/variants=%d", sh.name, variants), func(b *testing.B) {
+				eng := New()
+				for w := 10; w < 10+variants; w++ {
+					src := strings.Replace(sh.src, "#time(10 s)", fmt.Sprintf("#time(%d s)", w), 1)
+					if err := eng.AddQuery(fmt.Sprintf("%s-%ds", sh.name, w), src); err != nil {
+						b.Fatal(err)
+					}
+				}
+				events := sh.window(0, 2000, 200)
+				for _, ev := range events {
+					eng.Process(ev)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					eng.Process(events[i%len(events)])
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/hit")
+			})
+		}
 	}
 }

@@ -56,11 +56,18 @@ func TestHotSwapMatchesRestart(t *testing.T) {
 	// The final query set: three placements (by-group, by-event, pinned)
 	// plus two rules that only match late blocks of the stream, so
 	// mid-stream Update and Register land before their matching events.
+	// grouped-sum-2h is a second window length of grouped-sum: the two are one
+	// variant set, and grouped-sum's carrying swap lands inside its slice.
 	final := map[string]string{
 		"grouped-sum": `proc p write ip i as e #time(1 h)
 state ss { amt := sum(e.amount)
            n := count(e) } group by p
 alert ss.amt > 1000000
+return p, ss.amt, ss.n`,
+		"grouped-sum-2h": `proc p write ip i as e #time(2 h)
+state ss { amt := sum(e.amount)
+           n := count(e) } group by p
+alert ss.amt > 2000000
 return p, ss.amt, ss.n`,
 		"big-write": `proc p write ip i as e
 alert e.amount > 1000000
@@ -114,6 +121,7 @@ return p, e.amount`,
 		return h
 	}
 	register("grouped-sum", replace("grouped-sum", "> 1000000", "> 5000000"))
+	register("grouped-sum-2h", final["grouped-sum-2h"])
 	register("big-write", final["big-write"])
 	register("global-volume", replace("global-volume", "> 5000000", "> 5000000000"))
 	register("late-rule", strings.Replace(final["late-rule"], "worker-0119.exe", "worker-none.exe", 1))
@@ -764,11 +772,18 @@ func TestCheckpointRestoreMatchesUninterrupted(t *testing.T) {
 
 	// Six queries covering every stateful layer a checkpoint must carry:
 	// open-window aggregators across all three placements, history rings,
-	// invariant training, and window clustering. Update variants tune only
-	// thresholds, so carry stays legal where the script requests it.
-	names := []string{"grouped-sum", "big-write", "global-volume", "ts-history", "inv-dsts", "outlier-amt"}
+	// invariant training, and window clustering — plus a variant set of three
+	// sub-second window lengths, whose slice logs hold hits wherever a barrier
+	// lands. Update variants tune only thresholds, so carry stays legal where
+	// the script requests it.
+	names := []string{"grouped-sum", "big-write", "global-volume", "ts-history", "inv-dsts", "outlier-amt", "win-300", "win-400", "win-700"}
 	variant := func(name string, k int) string {
 		switch name {
+		case "win-300", "win-400", "win-700":
+			return fmt.Sprintf(`proc p write ip i as e #time(%s ms)
+state ss { amt := sum(e.amount) } group by p
+alert ss.amt > %d
+return p, ss.amt`, strings.TrimPrefix(name, "win-"), 2000+k*100)
 		case "grouped-sum":
 			return fmt.Sprintf(`proc p write ip i as e #time(1 h)
 state ss { amt := sum(e.amount)

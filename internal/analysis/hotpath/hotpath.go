@@ -6,7 +6,7 @@
 // flushShard/flushAll/processBatch and batch pool, scheduler.EvaluateBatch's
 // columnar core, HitSet.AssertLive and the routed fold Apply/AdvanceAll), the
 // serial reference's evaluateLocked/ingestLocked,
-// engine.MatchBatch/HitKey/FoldGroup and the key class memo, the
+// engine.MatchBatch/HitKey and the key class memo, the
 // compiled predicate and expression programs (pcode's Match and Run, with the
 // frame's slot accessors; the close-time runners engine.alertHolds/evalReturn
 // and window.History.Field — backing TestWindowCloseAllocsGate), the
@@ -15,8 +15,9 @@
 // functions (scan/check/fill, the object/member walk, the value readers and
 // the RFC 3339 fast parser — backing TestNDJSONDecodeAllocsGate: ≤2
 // allocs/line), the wire.Reader decode loop, window assignment, the history
-// ring, the stateful fold (engine.foldHits and the serial path's
-// AppendHits/ResidualHits; window.Directory.Resolve and window.Manager's
+// ring, the stateful fold (the slice log's Add/Touch/Offer/Advance, its
+// seal's bucketing pass and the per-member foldRun/foldInto, and the serial
+// path's AppendHits/ResidualHits; window.Directory.Resolve and window.Manager's
 // id-indexed GroupFor/Touch/Advance and open-window lookup — backing
 // TestStatefulFoldAllocsGate: 0 allocs per hit folded into an existing
 // group), DBSCAN's labelling passes

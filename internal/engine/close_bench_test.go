@@ -57,8 +57,9 @@ func BenchmarkWindowClose(b *testing.B) {
 				for _, e := range closeWindowEvents(w, groups) {
 					q.Process(e, report)
 				}
+				q.settle()
 				b.StartTimer()
-				alerts += len(q.AdvanceWatermark(t0.Add(time.Duration(w+1)*10*time.Second), report))
+				alerts += len(q.closeAll(q.winMgr.Advance(t0.Add(time.Duration(w+1)*10*time.Second)), report))
 			}
 			b.StopTimer()
 			want := 0

@@ -290,9 +290,20 @@ func (q *Query) refCloseIngest(ev *event.Event, hits []int, report func(error)) 
 		}
 		return alerts
 	}
-	q.ownSeq++
-	q.foldHits(ev, hits, q.ownClass(), q.ownSeq, report)
+	q.refFold(ev, hits, refDirectory(q), report)
 	return q.refCloseAll(q.winMgr.Advance(ev.Time), report)
+}
+
+// refDirs holds the directory each oracle query keys its groups in.
+var refDirs = map[*Query]*window.Directory{}
+
+func refDirectory(q *Query) *window.Directory {
+	d := refDirs[q]
+	if d == nil {
+		d = new(window.Directory)
+		refDirs[q] = d
+	}
+	return d
 }
 
 func (q *Query) refCloseAll(closed []window.Closed, report func(error)) []*Alert {

@@ -83,9 +83,9 @@ type Query struct {
 	historyLen int
 	idleLimit  int
 	groups     map[string]*groupRuntime
-	// own keys the folds of Ingest — a query used on its own, outside any
-	// scheduler's key classes — and ownSeq numbers its events.
-	own    *KeyClass
+	// own is the slice log Ingest folds through — a query used on its own,
+	// outside any scheduler's variant sets — and ownSeq numbers its events.
+	own    *SliceLog
 	ownSeq uint64
 
 	// Invariant model: the variables' initial values by declaration index,
@@ -423,6 +423,7 @@ func rewriteBareAlias(e ast.Expr, info *sema.Info) ast.Expr {
 
 // Stats returns a snapshot of the query's runtime counters.
 func (q *Query) Stats() QueryStats {
+	q.settle()
 	st := q.stats
 	if q.stateful {
 		st.LateHits = q.winMgr.LateEvents

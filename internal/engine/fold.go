@@ -10,7 +10,6 @@ package engine
 import (
 	"slices"
 	"strings"
-	"time"
 
 	"saql/internal/event"
 	"saql/internal/pcode"
@@ -89,44 +88,34 @@ func (q *Query) Process(ev *event.Event, report func(error)) []*Alert {
 }
 
 // Ingest advances the query with an event whose pattern hits were already
-// computed (by this query or by its master in a scheduler group), keying a
-// stateful query's hits through a key class of its own. report receives
-// runtime evaluation errors; it may be nil.
+// computed (by this query or by its master in a scheduler group). A rule query
+// feeds them to its matcher; a stateful one folds through a slice log of its
+// own (a variant set of one), so its counters and state are current whenever
+// Stats, EncodeState, RestoreState or Flush read them. report receives runtime
+// evaluation errors; it may be nil.
 func (q *Query) Ingest(ev *event.Event, hits []int, report func(error)) []*Alert {
-	q.ownSeq++
-	return q.IngestKeyed(ev, hits, q.ownClass(), q.ownSeq, report)
-}
-
-// ownClass is the key class Ingest folds a stateful query through: the query
-// alone.
-func (q *Query) ownClass() *KeyClass {
-	if q.stateful && q.own == nil {
-		q.own = NewKeyClass()
-		q.own.SetMembers([]*Query{q})
-	}
-	return q.own
-}
-
-// IngestKeyed is Ingest with a stateful query's group keys resolved through
-// kc, the key class the query belongs to in its scheduler: the first member
-// the event numbered seq reaches evaluates a pattern's key and resolves it in
-// the class's directory, and every member after it folds under the same id
-// (foldHits). A rule query ignores kc.
-func (q *Query) IngestKeyed(ev *event.Event, hits []int, kc *KeyClass, seq uint64, report func(error)) []*Alert {
-	q.stats.Events++
 	if report == nil {
 		report = func(error) {}
 	}
 	if !q.stateful {
+		q.stats.Events++
 		return q.ingestRule(ev, hits, report)
 	}
-	if len(hits) > 0 {
-		q.foldHits(ev, hits, kc, seq, report)
+	if q.own == nil {
+		kc := NewKeyClass()
+		q.own = NewSliceLog([]*Query{q}, kc, report)
+		kc.SetLogs([]*SliceLog{q.own})
 	}
-	// Advance the watermark — below the manager's deadline, two compares —
-	// and close any finished windows. This happens even for events that
-	// match no pattern (on the serial path, most calls): time always flows.
-	return q.closeAll(q.winMgr.Advance(ev.Time), report)
+	q.own.report = report
+	q.ownSeq++
+	return q.own.Offer(q.ownSeq, ev, hits)
+}
+
+// settle seals the query's own slice log, if Ingest made one.
+func (q *Query) settle() {
+	if q.own != nil {
+		q.own.Settle()
+	}
 }
 
 // ingestRule feeds ev's hits to the multievent matcher and turns the matches
@@ -146,40 +135,39 @@ func (q *Query) ingestRule(ev *event.Event, hits []int, report func(error)) []*A
 	return alerts
 }
 
-// foldHits is the serial engine's fold: per hit it takes the group id of the
-// hit's key from the class memo (KeyClass.Key: evaluated and resolved once
-// per event per pattern for the whole class) and folds the hit into that
-// group (FoldGroup). A key that fails to evaluate is reported, folds nothing
-// and is not counted in PatternHits, but its windows still open, so close
-// counts and empty-snapshot cadence do not depend on it.
+// foldRun folds a run of logged hits — hits[i] for each i of run: one
+// group's, whose key holds id in directory d, in arrival order — into the
+// query's windows, when a slice log seals. It evaluates no key and asks no ownership
+// question: the log's class resolved each key once for every member, and a
+// replica is handed exactly the folds it owns. The hits inside the slice
+// [start, end) share one window assignment, made once for the run; any other
+// hit takes its own, which also decides whether it is late.
 //
 //saql:hotpath
-func (q *Query) foldHits(ev *event.Event, hits []int, kc *KeyClass, seq uint64, report func(error)) {
-	for _, hi := range hits {
-		id, err := kc.Key(seq, q, hi, ev)
-		if err != nil {
-			q.KeyFailed(ev.Time, err, report)
-			continue
+func (q *Query) foldRun(hits []sliceHit, run []int32, d *window.Directory, id int32, start, end int64, report func(error)) {
+	var groups []*window.Group
+	shared := false
+	for _, i := range run {
+		h := &hits[i]
+		if t := h.ev.Time.UnixNano(); t < start || t >= end {
+			groups, shared = q.winMgr.GroupFor(h.ev.Time, d, id), false
+		} else if !shared {
+			groups, shared = q.winMgr.GroupFor(h.ev.Time, d, id), true
 		}
-		q.FoldGroup(ev, hi, &kc.dir, id, report)
+		q.foldInto(groups, h.ev, int(h.pat), report)
 	}
 }
 
-// FoldGroup folds ev, a hit of pattern hi, into the group whose key holds id
-// in directory d: one index of each containing window's id index, slot-indexed
-// first-writer bindings, the compiled argument programs, one Add per field. It
-// evaluates no key and asks no ownership question — the caller resolved the
-// key once for the key class (the serial fold through KeyClass.Key, a shard
-// through KeyClass.Routed under the key the router evaluated) and hands this
-// replica exactly the folds it owns. It neither advances the watermark nor
-// closes windows: the caller brackets an event's folds with AdvanceWatermark.
+// foldInto folds ev, a hit of pattern hi, into groups — its group in each
+// window containing it: slot-indexed first-writer bindings, the compiled
+// argument programs, one Add per field.
 //
 //saql:hotpath
-func (q *Query) FoldGroup(ev *event.Event, hi int, d *window.Directory, id int32, report func(error)) {
+func (q *Query) foldInto(groups []*window.Group, ev *event.Event, hi int, report func(error)) {
 	q.stats.PatternHits++
 	q.frame.Event = ev
 	slots, args := q.slots[hi], q.argProgs[hi]
-	for _, g := range q.winMgr.GroupFor(ev.Time, d, id) {
+	for _, g := range groups {
 		g.Count++
 		// Remember representative bindings for alert/return output: the
 		// first event to bind a slot keeps it, and the object is offered
@@ -244,43 +232,6 @@ func (q *Query) SameKeyPrograms(o *Query) bool {
 	})
 }
 
-// KeyFailed is a hit whose group key did not evaluate: err, the failure, is
-// reported under this query's name; nothing folds, and the windows containing
-// t open.
-func (q *Query) KeyFailed(t time.Time, err error, report func(error)) {
-	q.fail(report, err)
-	q.winMgr.Touch(t)
-}
-
-// AdvanceWatermark advances a stateful query's watermark to t, closing any
-// windows that end at or before it, without folding or touching state. A
-// replica under the partitioned router does not observe every event, so the
-// scheduler's apply path brackets each routed entry with it — to the stream
-// watermark the router saw just before the event, then, after the entry's
-// folds, to the event's own time, which is where Ingest closes — and every
-// batch boundary advances to the router's running watermark. No-op for rule
-// queries and for t at or behind the current watermark.
-func (q *Query) AdvanceWatermark(t time.Time, report func(error)) []*Alert {
-	if !q.stateful {
-		return nil
-	}
-	if report == nil {
-		report = func(error) {}
-	}
-	return q.closeAll(q.winMgr.Advance(t), report)
-}
-
-// Touch opens the windows containing t without folding any state: all a
-// replica that owns none of an event's groups needs of it. Window existence,
-// close counts and empty-snapshot cadence therefore stay identical on every
-// replica — which alert history (ss[k]) backfill and checkpoint re-splitting
-// both depend on. No-op for rule queries.
-func (q *Query) Touch(t time.Time) {
-	if q.stateful {
-		q.winMgr.Touch(t)
-	}
-}
-
 // Flush closes all open windows (end of stream) and returns final alerts.
 func (q *Query) Flush(report func(error)) []*Alert {
 	if report == nil {
@@ -289,5 +240,6 @@ func (q *Query) Flush(report func(error)) []*Alert {
 	if !q.stateful {
 		return nil
 	}
+	q.settle()
 	return q.closeAll(q.winMgr.Flush(), report)
 }

@@ -7,7 +7,8 @@ package engine
 // state as one scheduler keeps it: the serial fold evaluates a key through it
 // once per event per pattern (Key); a shard, handed keys the router already
 // evaluated and hashed, resolves each once per event per pattern (Routed).
-// Either way every member then folds by id (FoldGroup).
+// Either way the class's slice logs record the hit under its id, and every
+// member folds by id when a log seals (slicelog.go).
 
 import (
 	"saql/internal/event"
@@ -25,10 +26,19 @@ type KeyClass struct {
 	// memo holds, per pattern, the key of the event the class last saw.
 	memo []classKey
 	seq  uint64 // the event the class last saw
-	// members are the queries folding through the class: the live groups
-	// the directory is bounded against.
-	members []*Query
-	limit   int // directory size at which boundDirectory next runs
+	// logs are the slice logs of the class's variant sets: they hold ids of
+	// the directory's current assignment, and their members' open groups are
+	// the live state the directory is bounded against. rep evaluates keys and
+	// key errors for all of them.
+	logs  []*SliceLog
+	rep   *Query
+	limit int // directory size at which boundDirectory next runs
+
+	// A seal's bucketing scratch (bucket): run index + 1 by group id, the
+	// runs, and the hits' indexes in run order.
+	runOf []int32
+	runs  []hitRun
+	order []int32
 
 	// KeyEvals counts the key evaluations the class performed and Probes its
 	// directory probes: both exact, and at most one per event per pattern.
@@ -46,11 +56,11 @@ type classKey struct {
 // NewKeyClass returns an empty key class.
 func NewKeyClass() *KeyClass { return &KeyClass{limit: minDirectoryLimit} }
 
-// SetMembers names the queries folding through the class.
-func (c *KeyClass) SetMembers(qs []*Query) { c.members = qs }
-
-// Directory is the class's key → group id directory.
-func (c *KeyClass) Directory() *window.Directory { return &c.dir }
+// SetLogs names the slice logs folding through the class: at least one, with
+// at least one member.
+func (c *KeyClass) SetLogs(logs []*SliceLog) {
+	c.logs, c.rep = logs, logs[0].members[0]
+}
 
 // at returns pattern hi's memo entry, starting the event numbered seq if it
 // is new to the class: the one point between events where the directory may
@@ -71,15 +81,15 @@ func (c *KeyClass) at(seq uint64, hi int) *classKey {
 }
 
 // Key returns the group id ev's key has as a hit of pattern hi — or the
-// error it fails with — for every member, evaluating it with q's programs and
-// resolving it in the directory only the first time the event numbered seq
-// asks: one evaluation and at most one probe per event per pattern.
+// error it fails with — for every member, evaluating it and resolving it in
+// the directory only the first time the event numbered seq asks: one
+// evaluation and at most one probe per event per pattern.
 //
 //saql:hotpath
-func (c *KeyClass) Key(seq uint64, q *Query, hi int, ev *event.Event) (int32, error) {
+func (c *KeyClass) Key(seq uint64, hi int, ev *event.Event) (int32, error) {
 	k := c.at(seq, hi)
 	if k.seq != seq {
-		key, err := q.HitKey(hi, ev)
+		key, err := c.rep.HitKey(hi, ev)
 		c.KeyEvals++
 		*k = classKey{seq: seq, id: -1, err: err}
 		if err == nil {
@@ -105,13 +115,13 @@ func (c *KeyClass) Routed(seq uint64, hi int, hash uint32, key string) int32 {
 }
 
 // Failed returns the error pattern hi's key fails with on ev, the event
-// numbered seq, which the router found not to evaluate: re-derived with q's
-// programs (a pure function of the event: it fails the same way) once per
-// event per pattern, for the owner of the empty key to report.
-func (c *KeyClass) Failed(seq uint64, q *Query, hi int, ev *event.Event) error {
+// numbered seq, which the router found not to evaluate: re-derived (a pure
+// function of the event: it fails the same way) once per event per pattern,
+// for the owner of the empty key to report.
+func (c *KeyClass) Failed(seq uint64, hi int, ev *event.Event) error {
 	k := c.at(seq, hi)
 	if k.seq != seq {
-		_, err := q.HitKey(hi, ev)
+		_, err := c.rep.HitKey(hi, ev)
 		c.KeyEvals++
 		*k = classKey{seq: seq, id: -1, err: err}
 	}
@@ -121,13 +131,18 @@ func (c *KeyClass) Failed(seq uint64, q *Query, hi int, ev *event.Event) error {
 // boundDirectory keeps the directory within a constant factor of the live
 // state: when it holds more keys than the members' open windows hold groups,
 // some keys are certainly dead, and it starts over — the members' id indexes
-// rebuild from their key tables as hits arrive. The next check comes once the
-// directory reaches twice the live groups, so the checks and resets are
-// amortised over at least as many new keys as there are live groups.
+// rebuild from their key tables as hits arrive. The class's logs fold first:
+// they hold ids of the assignment a reset ends, and their hits are live
+// groups. The next check comes once the directory reaches twice the live
+// groups, so the checks and resets are amortised over at least as many new
+// keys as there are live groups.
 func (c *KeyClass) boundDirectory() {
 	live := 0
-	for _, q := range c.members {
-		live += q.winMgr.OpenGroups()
+	for _, l := range c.logs {
+		l.fold()
+		for _, q := range l.members {
+			live += q.winMgr.OpenGroups()
+		}
 	}
 	if c.dir.Len() > live {
 		c.dir.Reset()

@@ -136,8 +136,8 @@ return p`, false, ""},
 // a key class's directory with the keys it has ever seen: it stays within a
 // constant factor of the groups its members' open windows hold (twice their
 // peak, plus the directory's minimum size), while the members, folding by id
-// through directory resets, raise exactly the alerts the same queries raise
-// keyed on their own.
+// through one slice log that folds whatever it holds before a reset, raise
+// exactly the alerts the same queries raise folding hit by hit.
 func TestKeyClassDirectoryBoundedUnderChurn(t *testing.T) {
 	const (
 		windows       = 200
@@ -154,7 +154,8 @@ return p, ss.n`, 10+v)
 		members = append(members, compile(t, fmt.Sprintf("m%d", v), src))
 		twins = append(twins, compile(t, fmt.Sprintf("m%d", v), src))
 	}
-	kc.SetMembers(members)
+	log := NewSliceLog(members, kc, func(err error) { t.Fatal(err) })
+	kc.SetLogs([]*SliceLog{log})
 	base := time.Date(2026, 3, 1, 0, 0, 0, 0, time.UTC)
 	got, want := map[string]int{}, map[string]int{}
 	count := func(into map[string]int, alerts []*Alert) {
@@ -174,28 +175,31 @@ return p, ss.n`, 10+v)
 				Amount:  1,
 			}
 			seq++
-			for i, q := range members {
-				count(got, q.IngestKeyed(ev, q.Hits(ev), kc, seq, nil))
-				count(want, twins[i].Process(ev, nil))
+			count(got, log.Offer(seq, ev, members[0].Hits(ev)))
+			for _, q := range twins {
+				count(want, q.refIngestKeyed(ev, q.Hits(ev), refDirectory(q), func(err error) { t.Fatal(err) }))
 			}
+			// The live groups as hit by hit (the twins'): the members' lag
+			// them by the hits the log has not folded yet.
 			live := 0
-			for _, q := range members {
+			for _, q := range twins {
 				live += q.winMgr.OpenGroups()
 			}
-			maxLive, maxDir = max(maxLive, live), max(maxDir, kc.Directory().Len())
+			maxLive, maxDir = max(maxLive, live), max(maxDir, kc.dir.Len())
 		}
 	}
+	log.Settle()
 	for i, q := range members {
 		count(got, q.Flush(nil))
 		count(want, twins[i].Flush(nil))
 	}
 	t.Logf("%d keys seen; directory peaked at %d for at most %d live groups (%d resets)",
-		windows*keysPerWindow, maxDir, maxLive, kc.Directory().Epoch())
+		windows*keysPerWindow, maxDir, maxLive, kc.dir.Epoch())
 	if maxDir > 2*maxLive+minDirectoryLimit {
 		t.Errorf("directory peaked at %d keys for at most %d live groups, bound %d", maxDir, maxLive, 2*maxLive+minDirectoryLimit)
 	}
-	if maxDir >= windows*keysPerWindow/4 || kc.Directory().Epoch() == 0 {
-		t.Errorf("directory peaked at %d of %d keys after %d resets: it is not bounded", maxDir, windows*keysPerWindow, kc.Directory().Epoch())
+	if maxDir >= windows*keysPerWindow/4 || kc.dir.Epoch() == 0 {
+		t.Errorf("directory peaked at %d of %d keys after %d resets: it is not bounded", maxDir, windows*keysPerWindow, kc.dir.Epoch())
 	}
 	if len(want) == 0 || !maps.Equal(got, want) {
 		t.Errorf("class-keyed members raised %d distinct alerts, self-keyed twins %d: they must agree", len(got), len(want))

@@ -7,9 +7,9 @@ package engine
 // ops and watermark stamps keeping window boundaries identical everywhere;
 // placement decides which shard folds a hit into query state. The router is
 // the only place ownership is decided: a replica folds exactly what it is
-// handed (FoldGroup for a stateful query's hit, under the group id its shard
-// resolved the router's key to; Ingest for a rule query's hit set) and asks
-// no question of its own. By-group replicas still carry a filter (SetGroupFilter), for the one
+// handed (a stateful query's hit through its variant set's SliceLog, under the
+// group id its shard resolved the router's key to; Ingest for a rule query's
+// hit set) and asks no question of its own. By-group replicas still carry a filter (SetGroupFilter), for the one
 // job that is not the router's: re-splitting restored state.
 type Placement uint8
 
@@ -28,7 +28,7 @@ const (
 	// once for every query with the same key programs), whatever the group-by
 	// expression, and hands the owner the key with the fold; a key that fails
 	// to evaluate counts as the empty key, so its one owner reports the
-	// failure (KeyFailed).
+	// failure (SliceLog.KeyFailed).
 	PlaceByGroup
 	// PlaceByEvent marks stateless single-pattern rule queries: each event
 	// produces alerts independently, so events are split across shards by

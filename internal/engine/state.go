@@ -41,6 +41,7 @@ const stateBlobVersion = 1
 // It must run at a point where the query is not ingesting events (a
 // scheduler lock hold or a runtime control barrier).
 func (q *Query) EncodeState() ([]byte, error) {
+	q.settle()
 	b := []byte{stateBlobVersion}
 	b = wire.AppendBool(b, q.stateful)
 
@@ -104,6 +105,13 @@ func (q *Query) EncodeState() ([]byte, error) {
 // RestoreState may be called once per blob when a checkpoint captured
 // several shards' states; the merges compose.
 func (q *Query) RestoreState(blob []byte, disjoint bool) error {
+	q.settle()
+	err := q.restoreState(blob, disjoint)
+	q.settle() // the restored watermark and windows cut the next slice
+	return err
+}
+
+func (q *Query) restoreState(blob []byte, disjoint bool) error {
 	r := wire.NewReader(blob)
 	if v := r.Byte(); r.Err() == nil && v != stateBlobVersion {
 		return fmt.Errorf("engine: query %q: unknown state blob version %d", q.Name, v)

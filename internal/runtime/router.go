@@ -12,7 +12,8 @@ package runtime
 // scheduler group's master and its equal dependents of one key class and
 // placement, whose hit sets are one slice by construction — the window-length
 // variants an analyst keeps of one detection. One op per set reaches a shard,
-// and the shard expands it to the set's local members (Scheduler.Apply):
+// and the shard hands it to the set's local members (Scheduler.Apply): a
+// stateful set's op to the set's slice log, a rule set's to each member.
 //
 //   - a stateful set's hit becomes fold(set, pattern, key) on the one shard
 //     that owns the key — hash(key) mod shards for a by-group set — or on each
@@ -20,13 +21,17 @@ package runtime
 //     member's compiled key programs on the router's evaluation replica, once
 //     per event per hit pattern per *key class* (the scheduler's: queries whose
 //     key programs are identical), and hashed once; the op carries the hash,
-//     which the shard's class directory probes with to find the group id every
-//     member folds by. A key that fails to evaluate routes as the empty key, as
+//     which the shard's class directory probes with to find the group id the
+//     slice log records the hit under, and every member folds it by when the
+//     log seals. A key that fails to evaluate routes as the empty key, as
 //     keyErr(set, pattern): its one owner reports the failure, once per member.
 //   - every other shard holding the replicas of a hit by-group set gets
 //     touch(set): window existence and close cadence must be identical on all
 //     replicas (alert history backfill and checkpoint re-split depend on it),
 //     and a replica that folds nothing would otherwise never open the window.
+//     On the shard a touch is a flag on the set's slice: every instant of a
+//     slice opens the same windows, so the members open them once, at the
+//     seal.
 //   - a rule set's hits become hits(set, pattern set) on each home shard
 //     holding a member (pinned) or on the shard owning the event's subject
 //     entity (by-event).
@@ -39,12 +44,14 @@ package runtime
 // though shards see disjoint event subsets.
 //
 // Watermark stamps give every shard what seeing every event would: each entry
-// carries the stream watermark the router observed before its event, applied
-// to every member a set op reaches before its ops; every flushed batch carries
-// the router's running watermark, applied to all active queries at the batch
-// boundary (AdvanceAll). Together these reproduce the serial engine's
-// per-query watermark at every fold point and close windows promptly on shards
-// that received no events.
+// carries the stream watermark the router observed before its event, which
+// the slice log of every set the entry names observes before its ops; every
+// flushed batch carries the router's running watermark, which every stateful
+// set observes at the batch boundary (AdvanceAll). A log seals — folds its
+// hits into its members and advances them — the moment what it observes
+// reaches the end of its slice, so these reproduce the serial engine's
+// per-query watermark at every point a window closes or a hit is judged late,
+// and close windows promptly on shards that received no events.
 //
 // docs/architecture.md records the one deliberate divergence from the serial
 // reference (a query resumed from pause on an out-of-order stream).

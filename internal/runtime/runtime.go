@@ -23,10 +23,11 @@
 // key programs are the same; touch(set) on the other shards holding its
 // replicas; for a rule set, hits(set, pattern set) — and a shard is handed
 // exactly the ops it owns. Shards never evaluate a pattern predicate, a group
-// key or an ownership hash: scheduler.Apply executes an entry's ops on each
-// local member of the set, resolving a fold's key to a group id once for all
-// of them, with the entry's watermark stamp advancing each member first so
-// windows close at the same instants everywhere. Per-event pattern work is
+// key or an ownership hash: scheduler.Apply hands a stateful set's ops to its
+// slice log, resolving a fold's key to a group id once for all the set's
+// members, and the log folds them into every member when the watermark — the
+// entry's stamp, the event's time, the batch's — reaches the end of its
+// slice, so windows close at the same instants everywhere. Per-event pattern work is
 // therefore O(patterns), key work O(key classes) and routing work O(variant
 // sets), not O(shards × queries). Control operations (add/swap/remove/pause) are applied to the
 // evaluation scheduler by the router at the moment their envelope passes
@@ -562,11 +563,7 @@ func (s *shard) apply(c *control, fan *AlertFanout) {
 		// Query stats are worker-confined; snapshotting them here is what
 		// makes Runtime.QueryStats race-free. StateBytes is computed at the
 		// same consistent point (it serialises the replica's live state).
-		for _, q := range s.queriesByName(c.name) {
-			res.stats = q.Stats()
-			res.stats.StateBytes = q.StateBytes()
-			res.found = true
-		}
+		res.stats, res.found = s.sched.QueryStats(c.name)
 	case ctlCheckpoint:
 		// The barrier: every event routed before this envelope has been
 		// fully folded into this shard's state, nothing after it has been
@@ -610,14 +607,6 @@ func sortedNames(m map[string][][]byte) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-func (s *shard) queriesByName(name string) []*engine.Query {
-	// The scheduler owns the replicas; resolve through its registry.
-	if q, ok := s.sched.Query(name); ok {
-		return []*engine.Query{q}
-	}
-	return nil
 }
 
 // control enqueues a control envelope and waits for every shard's ack.

@@ -138,7 +138,8 @@ type OpKind uint8
 
 const (
 	// OpFold folds the entry's event, a hit of pattern Op.Pat, into the group
-	// Op.Key of every member: state this replica owns.
+	// Op.Key of every member: state this replica owns. The set's slice log
+	// records it, and every member folds it when the log seals.
 	OpFold OpKind = iota
 	// OpKeyErr: pattern Op.Pat's group key does not evaluate on the entry's
 	// event and this replica, the owner of the empty key, is the one to
@@ -146,7 +147,8 @@ const (
 	OpKeyErr
 	// OpTouch: the set was hit but this replica owns none of the hit's
 	// groups. Nothing folds; the windows open, so that window cadence is the
-	// same on every replica.
+	// same on every replica. A touch inside the set's slice is a flag on the
+	// slice: every instant of it opens the same windows.
 	OpTouch
 	// OpHits feeds the hit patterns in Op.Arg (bit p = pattern p) to the
 	// members' matchers: the pinned replicas, or the by-event replicas on the
@@ -157,8 +159,9 @@ const (
 // Op is one instruction of a routed entry: what the local members of variant
 // set Set (Layout.Sets) do with the entry's event. The router resolves every
 // hit into ops — whose state, which key, which shard — once per set, and a
-// shard only executes them (Scheduler.Apply), once per local member. An
-// entry's ops are grouped by set. 32 bytes.
+// shard only executes them (Scheduler.Apply): a stateful set's into its slice
+// log, a rule set's on each local member. An entry's ops are grouped by set.
+// 32 bytes.
 type Op struct {
 	Key string // OpFold: the group key
 	// Arg is OpHits' hit patterns as a bitset (bit p = pattern p), and
@@ -202,10 +205,13 @@ type class struct {
 }
 
 // localSet is one variant set of the resolved layout as this scheduler holds
-// it: its members placed here, and the state of their key class.
+// it: its members placed here with their slots, the state of their key class,
+// and the slice log they fold through.
 type localSet struct {
 	members []*engine.Query
+	slots   []int            // each member's slot; -1 for one the layout does not name
 	kc      *engine.KeyClass // nil for rule queries
+	log     *engine.SliceLog // nil for rule queries
 }
 
 // Scheduler routes events to query groups.
@@ -228,28 +234,29 @@ type Scheduler struct {
 	// layout is this scheduler's own slot assignment (what EvaluateBatch
 	// stamps onto HitSets), nil from a registry change until layoutLocked
 	// builds the next one, under version layoutVersion; resolvedFor is the
-	// layout the group/dependent slot caches currently reflect — own layout
-	// when evaluating, the producer's layout when consuming foreign HitSets.
+	// layout the group/dependent slot caches and the sets currently reflect —
+	// own layout when evaluating, the producer's layout when consuming foreign
+	// HitSets or ops — and resolved says they reflect the registry at all
+	// (false from a registry change until the next resolveSlotsLocked).
 	layout        *Layout
 	layoutVersion int64
 	resolvedFor   *Layout
+	resolved      bool
 	// bySlot inverts the resolved layout: slot index -> locally registered
 	// query (nil where the slot's query is not placed on this scheduler).
 	bySlot []*engine.Query
 	// sets are the resolved layout's variant sets as placed here (Apply
-	// indexes them by op), and slotClass each slot's key class state (the
-	// serial fold's). keyed holds the key class state by class id for the
-	// classes the resolved layout names; retired accumulates the counters of
-	// the classes it dropped.
-	sets      []localSet
-	slotClass []*engine.KeyClass
-	keyed     map[int32]*engine.KeyClass
-	retired   Stats
+	// indexes them by op), followed by a set of its own for every local query
+	// the layout does not name: together they hold every registered query
+	// once. keyed holds the key class state by class id for the classes the
+	// resolved layout names; retired accumulates the counters of the classes
+	// it dropped.
+	sets    []localSet
+	keyed   map[int32]*engine.KeyClass
+	retired Stats
 	// seq numbers the events this scheduler folds: a key class memo is
 	// current for the event whose number it holds.
 	seq uint64
-	// idScratch holds Apply's per-set group ids.
-	idScratch []int32
 	// procScratch is Process's reusable slot table: the serial path
 	// consumes the hits under the same lock hold, so the table never
 	// escapes and one zeroed buffer serves every event.
@@ -288,6 +295,7 @@ func (s *Scheduler) Add(q *engine.Query) error {
 	if _, dup := s.queries[q.Name]; dup {
 		return fmt.Errorf("scheduler: duplicate query name %q", q.Name)
 	}
+	s.settleLocked()
 	s.queries[q.Name] = q
 	s.classifyLocked(q)
 	s.addLocked(q)
@@ -357,6 +365,7 @@ func (s *Scheduler) memberOfLocked(id int32, name string) *engine.Query {
 func (s *Scheduler) Remove(name string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.settleLocked()
 	ok := s.removeLocked(name)
 	if ok {
 		s.invalidateLayoutLocked()
@@ -446,6 +455,7 @@ func (s *Scheduler) addLocked(q *engine.Query) {
 func (s *Scheduler) Swap(name string, q *engine.Query, carry bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.settleLocked()
 	old := s.queries[name]
 	if old != nil {
 		s.removeLocked(name)
@@ -468,10 +478,31 @@ func (s *Scheduler) Swap(name string, q *engine.Query, carry bool) error {
 // evaluation builds a new one (layoutLocked), under a higher version, so
 // in-flight HitSets stamped with the old layout are never resolved against
 // the new registry — and a burst of registrations builds it once, not once
-// per query. The caller holds s.mu.
+// per query. The caller holds s.mu and settled the slice logs before the
+// change.
 func (s *Scheduler) invalidateLayoutLocked() {
 	s.layout = nil
-	s.resolvedFor = nil
+	s.resolvedFor, s.resolved = nil, false
+}
+
+// settleLocked seals every slice log (engine.SliceLog.Settle): the registered
+// queries' state is then what folding hit by hit would have left. Every entry
+// point that reads, hands over or changes per-query state or membership
+// settles first; none of them raises an alert by it. The caller holds s.mu.
+func (s *Scheduler) settleLocked() {
+	for i := range s.sets {
+		if l := s.sets[i].log; l != nil {
+			l.Settle()
+		}
+	}
+}
+
+// Settle seals every slice log: call it before handing the registered queries
+// to another scheduler.
+func (s *Scheduler) Settle() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.settleLocked()
 }
 
 // layoutLocked returns the layout of the current registry, deriving the slot
@@ -522,42 +553,50 @@ func (s *Scheduler) layoutLocked() *Layout {
 }
 
 // resolveSlotsLocked refreshes the per-group slot caches, the local variant
-// sets and the key class states against target. It is a no-op when the
+// sets with their slice logs and the key class states against target (nil:
+// no layout, every local query a set of its own). It is a no-op when the
 // caches already reflect target, so this happens once per layout change,
-// never per event. A class the new layout still names keeps its state — its
-// directory, and with it every member's id index — across the change.
+// never per event. The old sets' logs are settled first: their hits are
+// folded and their members' watermarks brought up to what they observed. A
+// class the new layout still names keeps its state — its directory, and with
+// it every member's id index — across the change.
 func (s *Scheduler) resolveSlotsLocked(target *Layout) {
-	if s.resolvedFor == target {
+	if s.resolved && s.resolvedFor == target {
 		return
 	}
+	s.settleLocked()
 	var n int
 	var sets []VariantSet
 	if target != nil {
 		n, sets = len(target.Slots), target.Sets
 	}
 	s.bySlot = make([]*engine.Query, n)
+	var unnamed []*engine.Query // local queries target does not name
+	place := func(q *engine.Query, slot int) {
+		if slot < 0 {
+			unnamed = append(unnamed, q)
+			return
+		}
+		s.bySlot[slot] = q
+	}
 	for _, g := range s.groups {
 		g.slot = target.slot(g.master.Name)
-		if g.slot >= 0 {
-			s.bySlot[g.slot] = g.master
-		}
+		place(g.master, g.slot)
 		for _, d := range g.dependents {
 			d.slot = target.slot(d.q.Name)
-			if d.slot >= 0 {
-				s.bySlot[d.slot] = d.q
-			}
+			place(d.q, d.slot)
 		}
 	}
-	s.sets = make([]localSet, len(sets))
-	s.slotClass = make([]*engine.KeyClass, n)
+	s.sets = make([]localSet, len(sets), len(sets)+len(unnamed))
 	keyed := map[int32]*engine.KeyClass{}
-	var order []int32 // classes in first-set order, for SetMembers
-	members := map[int32][]*engine.Query{}
+	var order []int32 // classes in first-set order
+	logs := map[int32][]*engine.SliceLog{}
 	for i, vs := range sets {
 		ls := &s.sets[i]
 		for _, slot := range vs.Slots {
 			if q := s.bySlot[slot]; q != nil {
 				ls.members = append(ls.members, q)
+				ls.slots = append(ls.slots, slot)
 			}
 		}
 		if vs.Class < 0 || len(ls.members) == 0 {
@@ -571,14 +610,22 @@ func (s *Scheduler) resolveSlotsLocked(target *Layout) {
 			keyed[vs.Class] = kc
 			order = append(order, vs.Class)
 		}
-		members[vs.Class] = append(members[vs.Class], ls.members...)
-		ls.kc = kc
-		for _, slot := range vs.Slots {
-			s.slotClass[slot] = kc
-		}
+		ls.kc, ls.log = kc, engine.NewSliceLog(ls.members, kc, s.report)
+		logs[vs.Class] = append(logs[vs.Class], ls.log)
 	}
 	for _, id := range order {
-		keyed[id].SetMembers(members[id])
+		keyed[id].SetLogs(logs[id])
+	}
+	// An unnamed query is handed no hits (its slot is -1), only time: a key
+	// class of its own never sees a key.
+	for _, q := range unnamed {
+		ls := localSet{members: []*engine.Query{q}, slots: []int{-1}}
+		if q.Stateful() {
+			ls.kc = engine.NewKeyClass()
+			ls.log = engine.NewSliceLog(ls.members, ls.kc, s.report)
+			ls.kc.SetLogs([]*engine.SliceLog{ls.log})
+		}
+		s.sets = append(s.sets, ls)
 	}
 	for id, kc := range s.keyed {
 		if keyed[id] == nil { // counters are sums: the order does not matter
@@ -587,12 +634,14 @@ func (s *Scheduler) resolveSlotsLocked(target *Layout) {
 		}
 	}
 	s.keyed = keyed
-	s.resolvedFor = target
+	s.resolvedFor, s.resolved = target, true
 }
 
 // SetPaused marks a registered query paused or active, reporting whether the
 // name was found. The flag flips under the scheduler lock, so it takes
-// effect between events — never mid-ingest.
+// effect between events — never mid-ingest — and between two seals: the
+// slice logs fold for the members as they were, then start again from the
+// members as they are.
 func (s *Scheduler) SetPaused(name string, paused bool) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -600,7 +649,9 @@ func (s *Scheduler) SetPaused(name string, paused bool) bool {
 	if !ok {
 		return false
 	}
+	s.settleLocked()
 	q.SetPaused(paused)
+	s.settleLocked()
 	return true
 }
 
@@ -620,12 +671,30 @@ func (s *Scheduler) Groups() map[string][]string {
 	return out
 }
 
-// Query returns the registered query by name.
+// Query returns the registered query by name. Its state may lag what its
+// set's slice log holds: read counters or state through QueryStats,
+// CaptureStates or after Settle.
 func (s *Scheduler) Query(name string) (*engine.Query, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	q, ok := s.queries[name]
 	return q, ok
+}
+
+// QueryStats returns the registered query's counters, with its live state's
+// size (StateBytes), at a consistent point between two events: after every
+// slice log is settled, under one lock hold.
+func (s *Scheduler) QueryStats(name string) (engine.QueryStats, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	q, ok := s.queries[name]
+	if !ok {
+		return engine.QueryStats{}, false
+	}
+	s.settleLocked()
+	st := q.Stats()
+	st.StateBytes = q.StateBytes()
+	return st, true
 }
 
 // QueryCount reports the number of registered queries.
@@ -938,60 +1007,79 @@ func (s *Scheduler) evaluateLocked(ev *event.Event, arena *[][]int, remaining in
 }
 
 // ingestLocked folds ev into every active query using the per-slot hit
-// sets (hits may be nil: no query matched). Every active query ingests even
-// with no hits — stateful queries must observe the watermark so windows close
-// on time. A stateful query's hits are keyed through its key class
-// (engine.Query.IngestKeyed): the first member a pattern's hit reaches
-// evaluates the key and resolves its group id, the others fold by that id.
-// The caller holds s.mu.
+// sets (hits may be nil: no query matched), set by set. Every active query
+// observes the event even with no hits — stateful queries must observe the
+// watermark so windows close on time. A rule set's members each ingest their
+// hits; a stateful set offers the event to its slice log, which keys the hits
+// through the set's key class (one evaluation and one probe per event per
+// pattern per class), logs them, and seals when the event's time reaches the
+// end of the slice. The caller holds s.mu.
 //
 //saql:hotpath
 func (s *Scheduler) ingestLocked(ev *event.Event, layout *Layout, hits [][]int) []*engine.Alert {
-	if hits != nil {
+	if hits != nil || !s.resolved {
 		s.resolveSlotsLocked(layout)
 	}
 	s.seq++
 	var alerts []*engine.Alert
-	for _, g := range s.groups {
-		if !g.master.Paused() {
-			h, kc := s.slotHits(hits, g.slot)
-			alerts = append(alerts, g.master.IngestKeyed(ev, h, kc, s.seq, s.report)...)
-		}
-		for _, d := range g.dependents {
-			if !d.q.Paused() {
-				h, kc := s.slotHits(hits, d.slot)
-				alerts = append(alerts, d.q.IngestKeyed(ev, h, kc, s.seq, s.report)...)
+	for i := range s.sets {
+		ls := &s.sets[i]
+		if ls.log == nil {
+			for k, q := range ls.members {
+				if !q.Paused() {
+					alerts = append(alerts, q.Ingest(ev, slotHits(hits, ls.slots[k]), s.report)...)
+				}
 			}
+			continue
 		}
+		if ls.log.Idle() {
+			continue
+		}
+		alerts = append(alerts, ls.log.Offer(s.seq, ev, ls.hits(hits))...)
 	}
 	s.stats.Alerts += int64(len(alerts))
 	return alerts
 }
 
-// slotHits returns slot's hit set in hits and its key class state: none for
-// a slot hits does not cover.
+// hits returns a stateful set's hit set in hits: its first active member's.
+// The members' hit sets are one slice by construction, except that the
+// evaluation leaves a paused dependent's empty.
 //
 //saql:hotpath
-func (s *Scheduler) slotHits(hits [][]int, slot int) ([]int, *engine.KeyClass) {
-	if slot < 0 || slot >= len(hits) {
-		return nil, nil
+func (ls *localSet) hits(hits [][]int) []int {
+	for k, q := range ls.members {
+		if !q.Paused() {
+			return slotHits(hits, ls.slots[k])
+		}
 	}
-	return hits[slot], s.slotClass[slot]
+	return nil
+}
+
+// slotHits returns slot's hit set in hits: none for a slot hits does not
+// cover.
+//
+//saql:hotpath
+func slotHits(hits [][]int, slot int) []int {
+	if slot < 0 || slot >= len(hits) {
+		return nil
+	}
+	return hits[slot]
 }
 
 // Apply executes one routed entry: the ops the router resolved for ev on this
-// shard, grouped by variant set. A fold's key is resolved to its group id
-// once for the set — one directory probe per event per pattern per key class
-// (engine.KeyClass.Routed), under the hash the router computed — and then the
-// op runs on every local member that is not paused: each first advanced to wm,
-// the stream watermark the router observed just before this event, so windows
-// close at the same stream points as in the serial engine, where every event
-// advances every query's watermark; then the set's ops (see OpKind); then, for
-// a stateful member, an advance to the event's own time that closes what it
-// finishes, as Ingest does. Nothing here evaluates a pattern or a key or asks
-// who owns what: a replica folds exactly what it is handed. Queries the entry
-// does not name are left alone; AdvanceAll at the batch boundary brings them
-// to the stream watermark.
+// shard, grouped by variant set. A stateful set's log first observes wm, the
+// stream watermark the router saw just before this event — sealing, if it
+// reached the end of the slice, so windows close at the same stream points as
+// in the serial engine, where every event advances every query's watermark —
+// then takes the set's ops: a fold's key resolved to its group id once for the
+// set, one directory probe per event per pattern per key class
+// (engine.KeyClass.Routed) under the hash the router computed, and logged; a
+// touch flagged on the slice; a key failure reported. Then it observes the
+// event's own time, as the serial fold does. A rule set's hits op runs on each
+// local member that is not paused. Nothing here evaluates a pattern or a key
+// or asks who owns what: a replica folds exactly what it is handed. Sets the
+// entry does not name are left alone; AdvanceAll at the batch boundary brings
+// them to the stream watermark.
 //
 //saql:hotpath
 func (s *Scheduler) Apply(layout *Layout, ev *event.Event, wm time.Time, hasWM bool, ops []Op) []*engine.Alert {
@@ -1013,86 +1101,63 @@ func (s *Scheduler) Apply(layout *Layout, ev *event.Event, wm time.Time, hasWM b
 	return alerts
 }
 
-// applySet runs one variant set's ops of an entry on its local active
-// members, appending the alerts raised to alerts.
+// applySet runs one variant set's ops of an entry, appending the alerts
+// raised to alerts.
 //
 //saql:hotpath
 func (s *Scheduler) applySet(ls *localSet, ev *event.Event, wm time.Time, hasWM bool, ops []Op, alerts []*engine.Alert) []*engine.Alert {
-	resolved := false
-	for _, q := range ls.members {
-		if q.Paused() {
-			continue
-		}
-		if !resolved {
-			// The first active member: decode the set's ops once for all of
-			// them — each fold's group id, a hits op's patterns.
-			s.resolveOpsLocked(ls, ops)
-			resolved = true
-		}
-		if hasWM {
-			alerts = append(alerts, q.AdvanceWatermark(wm, s.report)...)
-		}
-		for k := range ops {
-			switch op := &ops[k]; op.Kind {
-			case OpFold:
-				q.FoldGroup(ev, int(op.Pat), ls.kc.Directory(), s.idScratch[k], s.report)
-			case OpKeyErr:
-				q.KeyFailed(ev.Time, ls.kc.Failed(s.seq, q, int(op.Pat), ev), s.report)
-			case OpTouch:
-				q.Touch(ev.Time)
-			case OpHits:
-				alerts = append(alerts, q.Ingest(ev, s.hitScratch, s.report)...)
-			}
-		}
-		alerts = append(alerts, q.AdvanceWatermark(ev.Time, s.report)...)
-	}
-	return alerts
-}
-
-// resolveOpsLocked decodes one set's ops of an entry for its members:
-// idScratch[k] is op k's group id — the set's key class resolves a fold's key
-// once, under the hash the router computed — and hitScratch a hits op's
-// patterns.
-//
-//saql:hotpath
-func (s *Scheduler) resolveOpsLocked(ls *localSet, ops []Op) {
-	ids := s.idScratch[:0]
-	for k := range ops {
-		id := int32(-1)
-		switch op := &ops[k]; op.Kind {
-		case OpFold:
-			id = ls.kc.Routed(s.seq, int(op.Pat), uint32(op.Arg), op.Key)
-		case OpHits:
+	l := ls.log
+	if l == nil {
+		for k := range ops { // a rule set's one hits op
 			h := s.hitScratch[:0]
-			for m := op.Arg; m != 0; m &= m - 1 {
+			for m := ops[k].Arg; m != 0; m &= m - 1 {
 				h = append(h, bits.TrailingZeros64(m))
 			}
 			s.hitScratch = h
+			for _, q := range ls.members {
+				if !q.Paused() {
+					alerts = append(alerts, q.Ingest(ev, h, s.report)...)
+				}
+			}
 		}
-		ids = append(ids, id)
+		return alerts
 	}
-	s.idScratch = ids
+	if l.Idle() {
+		return alerts
+	}
+	if hasWM {
+		alerts = append(alerts, l.Advance(wm)...)
+	}
+	for k := range ops {
+		switch op := &ops[k]; op.Kind {
+		case OpFold:
+			l.Add(ev, int(op.Pat), ls.kc.Routed(s.seq, int(op.Pat), uint32(op.Arg), op.Key))
+		case OpKeyErr:
+			l.KeyFailed(ev.Time, ls.kc.Failed(s.seq, int(op.Pat), ev))
+		case OpTouch:
+			l.Touch(ev.Time)
+		}
+	}
+	return append(alerts, l.Advance(ev.Time)...)
 }
 
-// AdvanceAll advances every active query's watermark to wm, closing finished
-// windows: the batch-boundary watermark broadcast of the partitioned router.
-// Paused queries are skipped — their watermarks freeze exactly as they do in
-// the serial engine, which stops offering them events entirely.
+// AdvanceAll has every stateful set observe wm, sealing the logs it brings to
+// the end of their slice and closing the windows their members then finish:
+// the batch-boundary watermark broadcast of the partitioned router. Sets whose
+// members are all paused are skipped — their watermarks freeze exactly as they
+// do in the serial engine, which stops offering them events entirely.
 //
 //saql:hotpath
 func (s *Scheduler) AdvanceAll(wm time.Time) []*engine.Alert {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if !s.resolved {
+		s.resolveSlotsLocked(nil)
+	}
 	var alerts []*engine.Alert
-	for _, g := range s.groups {
-		if !g.master.Paused() {
-			alerts = append(alerts, g.master.AdvanceWatermark(wm, s.report)...)
-		}
-		for _, d := range g.dependents {
-			if d.q.Paused() {
-				continue
-			}
-			alerts = append(alerts, d.q.AdvanceWatermark(wm, s.report)...)
+	for i := range s.sets {
+		if l := s.sets[i].log; l != nil && !l.Idle() {
+			alerts = append(alerts, l.Advance(wm)...)
 		}
 	}
 	s.stats.Alerts += int64(len(alerts))
@@ -1103,6 +1168,7 @@ func (s *Scheduler) AdvanceAll(wm time.Time) []*engine.Alert {
 func (s *Scheduler) Flush() []*engine.Alert {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.settleLocked()
 	var alerts []*engine.Alert
 	for _, g := range s.groups {
 		alerts = append(alerts, g.master.Flush(s.report)...)

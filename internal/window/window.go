@@ -8,6 +8,13 @@
 // member's Manager finds the group in each containing window by indexing that
 // window's id index. The index is a cache over the window's key-string table,
 // which alone decides first touch, close order and the checkpoint bytes.
+//
+// Time between two window edges — a window's start or end — is a slice
+// (Spec.SliceAt): every instant of a slice lies in the same windows, and no
+// window ends strictly inside it. The engine logs a variant set's hits per
+// slice of its members' specs and folds them into each member when the
+// watermark reaches the slice's end, so a member assigns windows once per
+// group and slice instead of once per hit.
 package window
 
 import (
@@ -90,6 +97,18 @@ func mod(a, b int64) int64 {
 
 // End returns the exclusive end instant of window id.
 func (s Spec) End(id ID) time.Time { return id.Start().Add(s.Length) }
+
+// SliceAt returns the slice of the spec's window edges that holds t, in unix
+// nanoseconds: start is the latest window start or end at or before t, end the
+// earliest after it. Every instant of [start, end) lies in the same windows,
+// tumbling, hopping or gapped; the slice of several specs is the intersection
+// of their slices.
+func (s Spec) SliceAt(t int64) (start, end int64) {
+	hop, length := s.EffectiveHop().Nanoseconds(), s.Length.Nanoseconds()
+	opened := t - mod(t, hop)        // window starts are the multiples of hop
+	closed := t - mod(t-length, hop) // window ends lie length past them
+	return max(opened, closed), min(opened, closed) + hop
+}
 
 // FieldSpec declares one state field: its name and an aggregator factory
 // invocation (name + literal params).
@@ -314,6 +333,16 @@ func (m *Manager) openAt(i int, id ID) *openWindow {
 // passed reports whether the watermark has reached end (unix nanoseconds): a
 // window ending there has been closed, or will be by the next Advance.
 func (m *Manager) passed(end int64) bool { return m.hasWM && end <= m.watermark }
+
+// Watermark reports the watermark in unix nanoseconds, and whether there is
+// one yet.
+func (m *Manager) Watermark() (int64, bool) { return m.watermark, m.hasWM }
+
+// Deadline reports the earliest end among the open windows (math.MaxInt64
+// with none open): an Advance past it closes a window. It lies at or before
+// the watermark only after a restore merged in windows that had already
+// closed, which the next Advance beyond the watermark closes.
+func (m *Manager) Deadline() int64 { return m.deadline }
 
 // GroupFor returns (creating if needed) the group accumulator of key id of
 // directory d in every window containing t: in each window one slice index,

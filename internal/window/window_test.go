@@ -49,6 +49,50 @@ func TestAssignToHopping(t *testing.T) {
 	}
 }
 
+// TestSliceAtBoundsWindowAssignment: for tumbling, hopping and gapped specs,
+// at instants before and after the epoch and on window edges, SliceAt's
+// bounds are window edges around t, every instant of the slice is assigned the
+// windows t is, and the instants just outside it are not.
+func TestSliceAtBoundsWindowAssignment(t *testing.T) {
+	specs := []Spec{
+		{Length: 10 * time.Second},
+		{Length: 10 * time.Second, Hop: 3 * time.Second},
+		{Length: 4 * time.Second, Hop: 11 * time.Second},
+		{Length: 17 * time.Second, Hop: 17 * time.Second},
+	}
+	isEdge := func(s Spec, ns int64) bool {
+		hop := s.EffectiveHop().Nanoseconds()
+		return mod(ns, hop) == 0 || mod(ns-s.Length.Nanoseconds(), hop) == 0
+	}
+	same := func(a, b []ID) bool { return fmt.Sprint(a) == fmt.Sprint(b) }
+	for _, s := range specs {
+		f := func(off int64) bool {
+			at := off%int64(time.Hour) - int64(30*time.Minute)
+			if off%5 == 0 { // land on an edge
+				at -= mod(at, s.EffectiveHop().Nanoseconds())
+			}
+			start, end := s.SliceAt(at)
+			if start > at || end <= at || !isEdge(s, start) || !isEdge(s, end) {
+				return false
+			}
+			want := s.AssignTo(time.Unix(0, at))
+			for _, x := range []int64{start, (start + end) / 2, end - 1, at} {
+				if !same(s.AssignTo(time.Unix(0, x)), want) {
+					return false
+				}
+			}
+			// No edge strictly inside: the slices of its ends are neighbours.
+			if _, e := s.SliceAt(start); e != end {
+				return false
+			}
+			return !same(s.AssignTo(time.Unix(0, start-1)), want) && !same(s.AssignTo(time.Unix(0, end)), want)
+		}
+		if err := quick.Check(f, nil); err != nil {
+			t.Errorf("%+v: %v", s, err)
+		}
+	}
+}
+
 // Property: every assigned window actually contains the event time, and
 // tumbling windows partition time (exactly one window per instant).
 func TestAssignToProperty(t *testing.T) {

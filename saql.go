@@ -410,6 +410,9 @@ func (e *Engine) Start(ctx context.Context) error {
 		rtCfg.BaseOffset = base + e.sched.Stats().Events
 	}
 	rt := runtime.Start(rtCfg)
+	// The serial path's slice logs fold what they hold before the queries
+	// move to the shards.
+	e.sched.Settle()
 	// Distribute the already-registered queries in name order so pinned
 	// home-shard assignment is deterministic. The primary replicas carry
 	// their pause flags; cloneFor stamps them onto the extra replicas.
@@ -697,13 +700,10 @@ func (e *Engine) QueryStats(name string) (QueryStats, bool) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	rec, ok := e.reg[name]
-	if !ok {
+	if _, ok := e.reg[name]; !ok {
 		return QueryStats{}, false
 	}
-	qs := rec.q.Stats()
-	qs.StateBytes = rec.q.StateBytes()
-	return qs, true
+	return e.sched.QueryStats(name)
 }
 
 // Groups reports the scheduler's master–dependent grouping (shard 0's view

@@ -183,8 +183,9 @@ func (e *Engine) queryStateBytesLocked(name string) int64 {
 		}
 		return 0
 	}
-	if rec := e.reg[name]; rec != nil {
-		return rec.q.StateBytes()
+	if e.reg[name] != nil {
+		qs, _ := e.sched.QueryStats(name)
+		return qs.StateBytes
 	}
 	return 0
 }
