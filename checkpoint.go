@@ -413,8 +413,9 @@ func open(dir string, needSnapshot bool, opts []RestoreOption) (*Engine, *Restor
 	} else {
 		eng.mu.Lock()
 		for _, qs := range snap.Queries {
+			rec := eng.reg[qs.Name]
 			for _, blob := range qs.States {
-				if err := eng.sched.RestoreQueryState(qs.Name, blob, true); err != nil {
+				if err := rec.q.RestoreState(blob, true); err != nil {
 					eng.mu.Unlock()
 					return fail(eng, fmt.Errorf("saql: restore: %w", err))
 				}

@@ -529,6 +529,44 @@ return ss.amt`, key)
 	}
 }
 
+// TestArgumentErrorsVisibleAfterProcess: an aggregation argument's error is
+// reported when the slice holding its hit folds — here, with an hour-long
+// window, not before Flush — but a never-started engine's Errors and
+// ErrorCount fold first, so they hold the error of every event Process has
+// returned from. An error handler calling them from inside the fold reads the
+// reporter as it is rather than waiting on the fold it runs in.
+func TestArgumentErrorsVisibleAfterProcess(t *testing.T) {
+	var eng *Engine
+	handled := 0
+	eng = New(WithErrorHandler(func(*QueryError) {
+		handled++
+		_, _ = eng.Errors(), eng.ErrorCount()
+	}))
+	if err := eng.AddQuery("root", `proc p write ip i as e #time(1 h)
+state ss { r := sum(sqrt(e.amount - 500)) } group by p
+alert ss.r > 1000000
+return ss.r`); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		eng.Process(&Event{
+			Time:    demoStart.Add(time.Duration(i) * time.Second),
+			AgentID: "host-1",
+			Subject: Process("svc.exe", 100),
+			Op:      OpWrite,
+			Object:  NetConn("10.0.0.2", 1433, "10.1.0.9", 443),
+			Amount:  float64(100 * i), // below 500 the square root fails
+		})
+		want := min(i+1, 5)
+		if n, errs := eng.ErrorCount(), eng.Errors(); n != int64(want) || len(errs) != want || handled != want {
+			t.Fatalf("after event %d: ErrorCount=%d, %d errors, %d handled; want %d each", i, n, len(errs), handled, want)
+		}
+	}
+	if st, _ := eng.QueryStats("root"); st.EvalErrors != 5 || st.PatternHits != 10 {
+		t.Errorf("stats %+v: want 5 errors over 10 hits", st)
+	}
+}
+
 // TestHandleLifecycleRace hammers the control plane — Register, Pause,
 // Resume, Update (with and without state carry), per-query Subscribe,
 // Close, and Apply — from many goroutines while submitters keep the event

@@ -83,8 +83,12 @@ type Query struct {
 	historyLen int
 	idleLimit  int
 	groups     map[string]*groupRuntime
-	// own is the slice log Ingest folds through — a query used on its own,
-	// outside any scheduler's variant sets — and ownSeq numbers its events.
+	// log is the slice log the query's hits wait in until they fold: its
+	// variant set's in the scheduler that holds it, or own. Everything that
+	// reads or hands over the query's state settles it first (settle). own is
+	// the log Ingest folds through — a query used on its own, outside any
+	// scheduler — and ownSeq numbers its events.
+	log    *SliceLog
 	own    *SliceLog
 	ownSeq uint64
 
@@ -421,7 +425,10 @@ func rewriteBareAlias(e ast.Expr, info *sema.Info) ast.Expr {
 	return e
 }
 
-// Stats returns a snapshot of the query's runtime counters.
+// Stats returns a snapshot of the query's runtime counters, once its slice log
+// has folded what it holds. Like every reader of the query's state it runs
+// where the query is not ingesting: under its scheduler's lock, or on the
+// shard that owns it.
 func (q *Query) Stats() QueryStats {
 	q.settle()
 	st := q.stats

@@ -90,9 +90,11 @@ func (q *Query) Process(ev *event.Event, report func(error)) []*Alert {
 // Ingest advances the query with an event whose pattern hits were already
 // computed (by this query or by its master in a scheduler group). A rule query
 // feeds them to its matcher; a stateful one folds through a slice log of its
-// own (a variant set of one), so its counters and state are current whenever
-// Stats, EncodeState, RestoreState or Flush read them. report receives runtime
-// evaluation errors; it may be nil.
+// own (a variant set of one). report receives runtime evaluation errors; it
+// may be nil. An error a hit's aggregation arguments raise is reported when
+// its slice seals, in hit order: to the report of the Ingest or Flush call
+// that seals it, or of the last Ingest when a state reader (Stats,
+// EncodeState) does.
 func (q *Query) Ingest(ev *event.Event, hits []int, report func(error)) []*Alert {
 	if report == nil {
 		report = func(error) {}
@@ -111,10 +113,13 @@ func (q *Query) Ingest(ev *event.Event, hits []int, report func(error)) []*Alert
 	return q.own.Offer(q.ownSeq, ev, hits)
 }
 
-// settle seals the query's own slice log, if Ingest made one.
+// settle seals the slice log the query folds through, if it has one: its
+// state is then what folding hit by hit would have left. Every reader of the
+// state calls it — Stats, EncodeState (and StateBytes), RestoreState,
+// CarryStateFrom, SetPaused, Flush — so no caller has to.
 func (q *Query) settle() {
-	if q.own != nil {
-		q.own.Settle()
+	if q.log != nil {
+		q.log.Settle()
 	}
 }
 
@@ -141,10 +146,12 @@ func (q *Query) ingestRule(ev *event.Event, hits []int, report func(error)) []*A
 // question: the log's class resolved each key once for every member, and a
 // replica is handed exactly the folds it owns. The hits inside the slice
 // [start, end) share one window assignment, made once for the run; any other
-// hit takes its own, which also decides whether it is late.
+// hit takes its own, which also decides whether it is late. The errors the
+// arguments raise go to errs, each with its hit's index, for the log to report
+// in arrival order.
 //
 //saql:hotpath
-func (q *Query) foldRun(hits []sliceHit, run []int32, d *window.Directory, id int32, start, end int64, report func(error)) {
+func (q *Query) foldRun(hits []sliceHit, run []int32, d *window.Directory, id int32, start, end int64, errs *[]foldErr) {
 	var groups []*window.Group
 	shared := false
 	for _, i := range run {
@@ -154,16 +161,16 @@ func (q *Query) foldRun(hits []sliceHit, run []int32, d *window.Directory, id in
 		} else if !shared {
 			groups, shared = q.winMgr.GroupFor(h.ev.Time, d, id), true
 		}
-		q.foldInto(groups, h.ev, int(h.pat), report)
+		q.foldInto(groups, h.ev, int(h.pat), i, errs)
 	}
 }
 
-// foldInto folds ev, a hit of pattern hi, into groups — its group in each
-// window containing it: slot-indexed first-writer bindings, the compiled
-// argument programs, one Add per field.
+// foldInto folds ev, the hit of pattern hi at index at of its log, into
+// groups — its group in each window containing it: slot-indexed first-writer
+// bindings, the compiled argument programs, one Add per field.
 //
 //saql:hotpath
-func (q *Query) foldInto(groups []*window.Group, ev *event.Event, hi int, report func(error)) {
+func (q *Query) foldInto(groups []*window.Group, ev *event.Event, hi int, at int32, errs *[]foldErr) {
 	q.stats.PatternHits++
 	q.frame.Event = ev
 	slots, args := q.slots[hi], q.argProgs[hi]
@@ -187,7 +194,7 @@ func (q *Query) foldInto(groups []*window.Group, ev *event.Event, hi int, report
 				err = g.Aggs[i].Add(q.progStack[0])
 			}
 			if err != nil {
-				q.fail(report, err)
+				*errs = append(*errs, foldErr{at: at, err: err})
 			}
 		}
 	}
@@ -232,13 +239,18 @@ func (q *Query) SameKeyPrograms(o *Query) bool {
 	})
 }
 
-// Flush closes all open windows (end of stream) and returns final alerts.
+// Flush closes all open windows (end of stream) and returns final alerts. A
+// query used on its own reports the errors of the final slice's fold to
+// report too.
 func (q *Query) Flush(report func(error)) []*Alert {
 	if report == nil {
 		report = func(error) {}
 	}
 	if !q.stateful {
 		return nil
+	}
+	if q.own != nil {
+		q.own.report = report
 	}
 	q.settle()
 	return q.closeAll(q.winMgr.Flush(), report)

@@ -17,11 +17,16 @@ package engine
 // decisions, because no member's watermark crosses a window edge inside the
 // log — the first observation at or past the set's due point (due) seals
 // first. So a seal is legal between any two events, which is what every
-// control point relies on: a checkpoint, a stats read, a pause or a registry
-// change seals before it looks, and a log never holds more than sliceLogCap
-// hits.
+// control point relies on: each member points to its log (Query.log), and
+// every reader of a member's state — stats, a checkpoint, a pause, a hand-over
+// — seals it before it looks; a log never holds more than sliceLogCap hits.
+//
+// What does move is when an aggregation argument's error is reported: at the
+// seal that folds its hit, not as the hit arrives. A member reports its errors
+// in the order of the hits that raised them, as hit by hit.
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"time"
@@ -50,6 +55,13 @@ type hitRun struct {
 	first, n int32
 }
 
+// foldErr is an error a member's fold raised on the hit at index at of the
+// log.
+type foldErr struct {
+	at  int32
+	err error
+}
+
 // SliceLog is one variant set's hits since its last seal, as one scheduler
 // holds them: the set's local members, the key class they fold through, and
 // the slice the log is cutting. It is confined to its scheduler's lock, like
@@ -76,14 +88,19 @@ type SliceLog struct {
 	// offered counts the events offered to the set since the last seal (the
 	// serial path's events-offered counter, added to each active member).
 	offered int64
+	// errs holds the fold errors of the member folding, until they are
+	// reported.
+	errs []foldErr
 }
 
 // NewSliceLog returns the empty log of a variant set whose members fold
-// through key class kc, reporting evaluation errors to report. The scheduler
-// hands kc every log of the class (KeyClass.SetLogs).
+// through key class kc, reporting evaluation errors to report, and makes it
+// the log each member settles (Query.settle). The scheduler hands kc every log
+// of the class (KeyClass.SetLogs).
 func NewSliceLog(members []*Query, kc *KeyClass, report func(error)) *SliceLog {
 	l := &SliceLog{members: members, kc: kc, report: report}
 	for _, q := range members {
+		q.log = l
 		if spec := q.winMgr.Spec(); !slices.Contains(l.specs, spec) {
 			l.specs = append(l.specs, spec)
 		}
@@ -210,9 +227,10 @@ func (l *SliceLog) Advance(t time.Time) []*Alert {
 }
 
 // Settle seals the log between two events: before anything reads, hands over
-// or changes its members' state or membership, and after a membership change,
-// to start the next slice from the members as they now are. It closes nothing
-// — the observed watermark is short of the due point, so no member's watermark
+// or changes its members' state (each member settles its own log, see
+// Query.settle) or the set's membership, and after a pause or a restore, to
+// start the next slice from the members as they now are. It closes nothing —
+// the observed watermark is short of the due point, so no member's watermark
 // passes a window end — and so raises no alert.
 func (l *SliceLog) Settle() { l.seal() }
 
@@ -243,7 +261,10 @@ func (l *SliceLog) fold() {
 		d := &l.kc.dir
 		for _, q := range l.active {
 			for _, r := range runs {
-				q.foldRun(l.hits, order[r.first:r.first+r.n], d, r.id, l.start, l.end, l.report)
+				q.foldRun(l.hits, order[r.first:r.first+r.n], d, r.id, l.start, l.end, &l.errs)
+			}
+			if len(l.errs) > 0 {
+				l.reportErrs(q)
 			}
 		}
 		clear(l.hits) // the events are the members' now, or nobody's
@@ -255,6 +276,18 @@ func (l *SliceLog) fold() {
 		}
 		l.touched = false
 	}
+}
+
+// reportErrs reports member q's fold errors in the order of the hits that
+// raised them — the order folding hit by hit reports them in; the runs left
+// them group by group — and forgets them.
+func (l *SliceLog) reportErrs(q *Query) {
+	slices.SortStableFunc(l.errs, func(a, b foldErr) int { return cmp.Compare(a.at, b.at) })
+	for _, e := range l.errs {
+		q.fail(l.report, e.err)
+	}
+	clear(l.errs)
+	l.errs = l.errs[:0]
 }
 
 // bucket orders hits by group id, stably, with one counting pass over the

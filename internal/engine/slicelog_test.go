@@ -5,15 +5,15 @@ package engine
 // specs — tumbling, hopping, gapped — folds a seeded random stream through one
 // log while twins of the same queries fold it hit by hit, and after every seal
 // the two sides agree on the alerts raised so far, on every QueryStats field
-// (LateHits is the managers' LateEvents) and on the state bytes.
+// (LateHits is the managers' LateEvents), on the state bytes and, member by
+// member and in order, on the errors reported.
 
 import (
 	"fmt"
 	"math/rand"
 	"os"
-	"sort"
+	"slices"
 	"strconv"
-	"strings"
 	"testing"
 	"time"
 
@@ -24,11 +24,14 @@ import (
 
 // sliceLogSrc is a member of the differential's variant sets: two patterns
 // (so a log carries more than one), a key that fails for one process in seven,
-// arguments that fail on the other pattern's hits, an alert on the count.
+// arguments that fail on the other pattern's hits, and one that fails on about
+// half of its own with an error naming the hit's amount (so that errors in the
+// wrong order show), an alert on the count.
 const sliceLogSrc = `proc p write ip i as e1
 proc p read file f as e2 #time(%d ms)
 state ss { n := count(e1)
            amt := sum(e1.amount)
+           root := sum(sqrt(e1.amount - 500))
            files := set(f.name) } group by p, 100 / (p.pid %% 7)
 alert ss.n > 2
 return p, ss.n, ss.amt`
@@ -82,6 +85,17 @@ func TestSliceLogMatchesPerEventFold(t *testing.T) {
 			})
 		}
 	}
+	t.Run("own-log/flush-report", testOwnLogFlushReport)
+}
+
+// errorsByQuery returns a report that files each error under its query, and
+// the errors filed so far.
+func errorsByQuery() (func(error), map[string][]string) {
+	by := map[string][]string{}
+	return func(err error) {
+		qe := err.(*QueryError)
+		by[qe.Query] = append(by[qe.Query], qe.Err.Error())
+	}, by
 }
 
 // runSliceLogScript drives one seed's set and stream. The serial path offers
@@ -111,9 +125,9 @@ func runSliceLogScript(t *testing.T, seed int64, routed bool) {
 		dirs = append(dirs, new(window.Directory))
 		specs = append(specs, fmt.Sprintf("%d/%d ms", length, hop))
 	}
-	var gotErrs, wantErrs []string
-	gotReport := func(err error) { gotErrs = append(gotErrs, err.Error()) }
-	wantReport := func(err error) { wantErrs = append(wantErrs, err.Error()) }
+	gotReport, gotErrs := errorsByQuery()
+	wantReport, wantErrs := errorsByQuery()
+	errsChecked := map[string]int{} // each member's errors compared so far
 	kc := NewKeyClass()
 	log := NewSliceLog(members, kc, gotReport)
 	kc.SetLogs([]*SliceLog{log})
@@ -146,6 +160,13 @@ func runSliceLogScript(t *testing.T, seed int64, routed bool) {
 			if string(gb) != string(wb) {
 				t.Fatalf("step %d (%s): %s state bytes diverge (%d vs %d bytes)", step, what, q.Name, len(gb), len(wb))
 			}
+			// Every error of the hits folded so far is in, in hit order.
+			g, w, from := gotErrs[q.Name], wantErrs[q.Name], errsChecked[q.Name]
+			if !slices.Equal(g[from:], w[from:]) {
+				t.Fatalf("step %d (%s): %s error reports diverge after %d:\n  log:       %d %.300v\n  per event: %d %.300v",
+					step, what, q.Name, from, len(g), g[from:], len(w), w[from:])
+			}
+			errsChecked[q.Name] = len(g)
 		}
 	}
 	record := func(into *[]string, alerts []*Alert) {
@@ -276,7 +297,6 @@ func runSliceLogScript(t *testing.T, seed int64, routed bool) {
 						t.Fatal(err)
 					}
 				}
-				log.Settle() // the scheduler's RestoreQueryState settles after the merge
 				merges++
 				check(step, "merge")
 			}
@@ -289,20 +309,71 @@ func runSliceLogScript(t *testing.T, seed int64, routed bool) {
 		record(&want, twins[i].Flush(wantReport))
 	}
 	check(-1, "flush")
-	sort.Strings(gotErrs)
-	sort.Strings(wantErrs)
-	if strings.Join(gotErrs, "\n") != strings.Join(wantErrs, "\n") {
-		t.Fatalf("error reports diverge: log %d, per event %d", len(gotErrs), len(wantErrs))
-	}
-	late := int64(0)
+	late, errs := int64(0), 0
 	for _, q := range members {
 		late += q.Stats().LateHits
+		errs += len(gotErrs[q.Name])
 	}
 	t.Logf("%d alerts, %d errors, %d late hits, %d seals checked, %d cap folds, %d merges, %d directory resets",
-		len(got), len(gotErrs), late, seals, capFolds, merges, kc.dir.Epoch())
-	if len(got) == 0 || seals < 10 || late == 0 || capFolds == 0 {
-		t.Fatalf("the script exercised too little: %d alerts, %d seals, %d late hits, %d cap folds", len(got), seals, late, capFolds)
+		len(got), errs, late, seals, capFolds, merges, kc.dir.Epoch())
+	if len(got) == 0 || seals < 10 || late == 0 || capFolds == 0 || errs == 0 {
+		t.Fatalf("the script exercised too little: %d alerts, %d seals, %d late hits, %d cap folds, %d errors", len(got), seals, late, capFolds, errs)
 	}
+}
+
+// testOwnLogFlushReport: a query used on its own folds its last slice at
+// Flush, so Flush's report — not the last Ingest's — receives the errors the
+// slice's arguments raise, and the two reports together hold the per-event
+// fold's errors in order.
+func testOwnLogFlushReport(t *testing.T) {
+	q, twin := sliceLogMember(t, "own", 2000, 0), sliceLogMember(t, "own", 2000, 0)
+	d := new(window.Directory)
+	var ingestErrs, flushErrs, want []string
+	ingestReport := func(err error) { ingestErrs = append(ingestErrs, err.Error()) }
+	flushReport := func(err error) { flushErrs = append(flushErrs, err.Error()) }
+	wantReport := func(err error) { want = append(want, err.Error()) }
+	var got, wantAlerts []string
+	record := func(into *[]string, alerts []*Alert) {
+		for _, a := range alerts {
+			*into = append(*into, renderAlert(a))
+		}
+	}
+	feed := func(at time.Time, k int, read bool) {
+		ev := &event.Event{Time: at, AgentID: "h", Subject: event.Process(fmt.Sprintf("p%d.exe", k), int32(k)), Amount: float64(10 * k)}
+		ev.Op, ev.Object = event.OpWrite, event.NetConn("10.0.0.1", 1, "10.0.0.9", 443)
+		if read { // count(e1) and sum(e1.amount) fail on an e2 hit
+			ev.Op, ev.Object = event.OpRead, event.File("/d/0")
+		}
+		hits := q.Hits(ev)
+		record(&got, q.Ingest(ev, hits, ingestReport))
+		record(&wantAlerts, twin.refIngestKeyed(ev, hits, d, wantReport))
+	}
+	now := t0
+	for k := 0; k < 300; k++ {
+		now = now.Add(37 * time.Millisecond)
+		feed(now, 1+k%5, k%3 == 0)
+	}
+	// The last reads share the last event's time: no seal follows them.
+	last := len(want)
+	for k := 1; k <= 3; k++ {
+		feed(now, k, true)
+	}
+	raised := slices.Clone(want[last:])
+	record(&got, q.Flush(flushReport))
+	record(&wantAlerts, twin.Flush(wantReport))
+	if fmt.Sprint(got) != fmt.Sprint(wantAlerts) {
+		t.Fatalf("alerts diverge:\n  log:       %v\n  per event: %v", got, wantAlerts)
+	}
+	if len(raised) == 0 || len(flushErrs) < len(raised) || !slices.Equal(flushErrs[len(flushErrs)-len(raised):], raised) {
+		t.Fatalf("Flush's report got %v, want it to end with the last slice's %v", flushErrs, raised)
+	}
+	if all := append(slices.Clone(ingestErrs), flushErrs...); !slices.Equal(all, want) {
+		t.Fatalf("error reports diverge:\n  log:       %d %.300v\n  per event: %d %.300v", len(all), all, len(want), want)
+	}
+	if g, w := q.Stats(), twin.Stats(); g != w {
+		t.Fatalf("stats diverge:\n  log:       %+v\n  per event: %+v", g, w)
+	}
+	t.Logf("%d errors at Ingest, %d at Flush, %d alerts", len(ingestErrs), len(flushErrs), len(got))
 }
 
 // TestSliceLogBoundedByCap: a lone query with an hour-long window, fed 100 000

@@ -37,9 +37,10 @@ import (
 // compiled under different semantics).
 const stateBlobVersion = 1
 
-// EncodeState serialises the query's complete runtime state into one blob.
-// It must run at a point where the query is not ingesting events (a
-// scheduler lock hold or a runtime control barrier).
+// EncodeState serialises the query's complete runtime state into one blob,
+// once its slice log has folded what it holds. It must run at a point where
+// the query is not ingesting events (a scheduler lock hold or a runtime
+// control barrier).
 func (q *Query) EncodeState() ([]byte, error) {
 	q.settle()
 	b := []byte{stateBlobVersion}

@@ -10,8 +10,14 @@ package engine
 // events — no pattern matching, no state folding, no watermark advance — but
 // keeps all accumulated state (open windows, histories, invariants, partial
 // matches), so Resume continues exactly where Pause left off. Flush still
-// closes a paused query's open windows.
-func (q *Query) SetPaused(p bool) { q.paused = p }
+// closes a paused query's open windows. The query's slice log folds what it
+// holds for the members as they were, then starts the next slice from the
+// members as they are.
+func (q *Query) SetPaused(p bool) {
+	q.settle()
+	q.paused = p
+	q.settle()
+}
 
 // Paused reports whether the query is paused.
 func (q *Query) Paused() bool { return q.paused }
@@ -59,6 +65,7 @@ func (q *Query) CanCarryStateFrom(old *Query) bool {
 // Callers must have established CanCarryStateFrom and must run at a point
 // where neither query is ingesting events.
 func (q *Query) CarryStateFrom(old *Query) {
+	old.settle()
 	q.winMgr = old.winMgr
 	// The carried manager keeps the slots its open groups and histories were
 	// written under; this query's patterns re-resolve against it (names the

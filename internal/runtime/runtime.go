@@ -735,7 +735,8 @@ func (r *Runtime) Swap(primary *engine.Query, clone func() (*engine.Query, error
 func (r *Runtime) install(kind ctlKind, primary *engine.Query, clone func() (*engine.Query, error), pinnedHome int, carry bool) error {
 	name := primary.Name
 	// Read before the control hands primary to its shard worker. A primary
-	// that already counted events (a serial warm-up before Start) keeps them.
+	// that already counted events (a serial warm-up before Start) keeps them,
+	// and reading them folds what its serial slice log still holds.
 	counted, paused := primary.Stats().Events, primary.Paused()
 	replicas, err := r.buildReplicas(primary, clone, pinnedHome)
 	if err != nil {

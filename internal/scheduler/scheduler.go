@@ -295,7 +295,6 @@ func (s *Scheduler) Add(q *engine.Query) error {
 	if _, dup := s.queries[q.Name]; dup {
 		return fmt.Errorf("scheduler: duplicate query name %q", q.Name)
 	}
-	s.settleLocked()
 	s.queries[q.Name] = q
 	s.classifyLocked(q)
 	s.addLocked(q)
@@ -365,7 +364,6 @@ func (s *Scheduler) memberOfLocked(id int32, name string) *engine.Query {
 func (s *Scheduler) Remove(name string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.settleLocked()
 	ok := s.removeLocked(name)
 	if ok {
 		s.invalidateLayoutLocked()
@@ -455,7 +453,6 @@ func (s *Scheduler) addLocked(q *engine.Query) {
 func (s *Scheduler) Swap(name string, q *engine.Query, carry bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.settleLocked()
 	old := s.queries[name]
 	if old != nil {
 		s.removeLocked(name)
@@ -478,17 +475,19 @@ func (s *Scheduler) Swap(name string, q *engine.Query, carry bool) error {
 // evaluation builds a new one (layoutLocked), under a higher version, so
 // in-flight HitSets stamped with the old layout are never resolved against
 // the new registry — and a burst of registrations builds it once, not once
-// per query. The caller holds s.mu and settled the slice logs before the
-// change.
+// per query. The caller holds s.mu. The slice logs keep their members until
+// resolveSlotsLocked settles them and builds the next ones.
 func (s *Scheduler) invalidateLayoutLocked() {
 	s.layout = nil
 	s.resolvedFor, s.resolved = nil, false
 }
 
 // settleLocked seals every slice log (engine.SliceLog.Settle): the registered
-// queries' state is then what folding hit by hit would have left. Every entry
-// point that reads, hands over or changes per-query state or membership
-// settles first; none of them raises an alert by it. The caller holds s.mu.
+// queries' state is then what folding hit by hit would have left, and every
+// fold error of the events seen so far is reported. It raises no alert. A
+// reader of one query's state needs none of this — the query settles its own
+// log — so only a change of the sets themselves calls it. The caller holds
+// s.mu.
 func (s *Scheduler) settleLocked() {
 	for i := range s.sets {
 		if l := s.sets[i].log; l != nil {
@@ -497,8 +496,9 @@ func (s *Scheduler) settleLocked() {
 	}
 }
 
-// Settle seals every slice log: call it before handing the registered queries
-// to another scheduler.
+// Settle seals every slice log, so that the error reporter holds the fold
+// errors of every event processed so far: a fold error is reported when its
+// slice seals.
 func (s *Scheduler) Settle() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -639,9 +639,8 @@ func (s *Scheduler) resolveSlotsLocked(target *Layout) {
 
 // SetPaused marks a registered query paused or active, reporting whether the
 // name was found. The flag flips under the scheduler lock, so it takes
-// effect between events — never mid-ingest — and between two seals: the
-// slice logs fold for the members as they were, then start again from the
-// members as they are.
+// effect between events — never mid-ingest — and between two seals of the
+// query's slice log (engine.Query.SetPaused).
 func (s *Scheduler) SetPaused(name string, paused bool) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -649,9 +648,7 @@ func (s *Scheduler) SetPaused(name string, paused bool) bool {
 	if !ok {
 		return false
 	}
-	s.settleLocked()
 	q.SetPaused(paused)
-	s.settleLocked()
 	return true
 }
 
@@ -671,9 +668,9 @@ func (s *Scheduler) Groups() map[string][]string {
 	return out
 }
 
-// Query returns the registered query by name. Its state may lag what its
-// set's slice log holds: read counters or state through QueryStats,
-// CaptureStates or after Settle.
+// Query returns the registered query by name. Read its state where it is not
+// ingesting — on the goroutine that drives this scheduler, or through
+// QueryStats.
 func (s *Scheduler) Query(name string) (*engine.Query, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -682,8 +679,8 @@ func (s *Scheduler) Query(name string) (*engine.Query, bool) {
 }
 
 // QueryStats returns the registered query's counters, with its live state's
-// size (StateBytes), at a consistent point between two events: after every
-// slice log is settled, under one lock hold.
+// size (StateBytes), under the scheduler lock: reading them folds what the
+// query's slice log holds, which must not interleave with Process.
 func (s *Scheduler) QueryStats(name string) (engine.QueryStats, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -691,7 +688,6 @@ func (s *Scheduler) QueryStats(name string) (engine.QueryStats, bool) {
 	if !ok {
 		return engine.QueryStats{}, false
 	}
-	s.settleLocked()
 	st := q.Stats()
 	st.StateBytes = q.StateBytes()
 	return st, true
@@ -1168,7 +1164,6 @@ func (s *Scheduler) AdvanceAll(wm time.Time) []*engine.Alert {
 func (s *Scheduler) Flush() []*engine.Alert {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.settleLocked()
 	var alerts []*engine.Alert
 	for _, g := range s.groups {
 		alerts = append(alerts, g.master.Flush(s.report)...)

@@ -11,14 +11,13 @@ import "fmt"
 
 // CaptureStates encodes the runtime state of every registered query, keyed
 // by query name, and reports how many events this scheduler had processed at
-// the cut. It runs under the scheduler lock, after every slice log is settled:
-// the capture is a consistent cut between two events, byte for byte what
-// folding hit by hit would have left, and the event count is exact for that
-// cut (the serial engine's stream offset).
+// the cut. It runs under the scheduler lock: the capture is a consistent cut
+// between two events — each query settles its slice log as it encodes, so it
+// is byte for byte what folding hit by hit would have left — and the event
+// count is exact for that cut (the serial engine's stream offset).
 func (s *Scheduler) CaptureStates() (map[string][]byte, int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.settleLocked()
 	out := make(map[string][]byte, len(s.queries))
 	for name, q := range s.queries {
 		blob, err := q.EncodeState()
@@ -35,8 +34,7 @@ func (s *Scheduler) CaptureStates() (map[string][]byte, int64, error) {
 // state (counters, distinct table, partial matches); group-keyed state is
 // filtered by the query replica's own shard ownership. Unknown names report
 // an error: restore plans are built from the same registry snapshot the
-// blobs were captured from. The slice logs settle before the merge, and again
-// after it, so the next slices start from the restored watermarks and windows.
+// blobs were captured from.
 func (s *Scheduler) RestoreQueryState(name string, blob []byte, disjoint bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -44,7 +42,5 @@ func (s *Scheduler) RestoreQueryState(name string, blob []byte, disjoint bool) e
 	if !ok {
 		return fmt.Errorf("scheduler: restore: unknown query %q", name)
 	}
-	s.settleLocked()
-	defer s.settleLocked()
 	return q.RestoreState(blob, disjoint)
 }

@@ -186,7 +186,14 @@ func WithCompileOptions(opts CompileOptions) Option {
 func WithAlertHandler(fn func(*Alert)) Option { return func(c *config) { c.onAlert = fn } }
 
 // WithErrorHandler installs a callback invoked for every runtime query
-// error. After Start it may be invoked from runtime goroutines.
+// error. After Start it may be invoked from runtime goroutines. Before Start
+// it runs inside the call that raised the error — Process, Flush, a stats
+// read — with the scheduler held: from there it may call Errors and
+// ErrorCount, not the engine's other methods. An error an aggregation
+// argument raises is reported when the slice holding its hit folds: once the
+// watermark reaches the query's next window edge, once the slice holds 4,096
+// hits, or at a control point (stats, checkpoint, pause, add/remove/swap,
+// Flush, Close). Each query reports those errors in the order of its hits.
 func WithErrorHandler(fn func(*QueryError)) Option { return func(c *config) { c.onError = fn } }
 
 // WithShards sets how many shard workers Start spins up (default
@@ -235,6 +242,9 @@ type Engine struct {
 
 	mu  sync.Mutex // guards reg and state transitions
 	reg map[string]*queryRecord
+
+	// handling counts error handler calls in progress (see settleErrors).
+	handling atomic.Int32
 
 	srcMu   sync.Mutex // guards ingests and srcTotals
 	ingests []*source.Source
@@ -350,16 +360,23 @@ func New(opts ...Option) *Engine {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	rep := engine.NewErrorReporter(cfg.errDepth, cfg.onError)
 	e := &Engine{
 		cfg:      cfg,
-		reporter: rep,
-		sched:    scheduler.New(rep, cfg.sharing),
 		fan:      runtime.NewAlertFanout(cfg.onAlert),
 		closedCh: make(chan struct{}),
 		reg:      map[string]*queryRecord{},
 		tenants:  map[string]*tenantState{},
 	}
+	onError := cfg.onError
+	if fn := cfg.onError; fn != nil {
+		onError = func(qe *QueryError) {
+			e.handling.Add(1)
+			defer e.handling.Add(-1)
+			fn(qe)
+		}
+	}
+	e.reporter = engine.NewErrorReporter(cfg.errDepth, onError)
+	e.sched = scheduler.New(e.reporter, cfg.sharing)
 	// Every query compiled through this engine's options charges its string
 	// fallbacks here, not to the process-global counter.
 	e.cfg.compile.Fallbacks = &e.fallbacks
@@ -410,9 +427,6 @@ func (e *Engine) Start(ctx context.Context) error {
 		rtCfg.BaseOffset = base + e.sched.Stats().Events
 	}
 	rt := runtime.Start(rtCfg)
-	// The serial path's slice logs fold what they hold before the queries
-	// move to the shards.
-	e.sched.Settle()
 	// Distribute the already-registered queries in name order so pinned
 	// home-shard assignment is deterministic. The primary replicas carry
 	// their pause flags; cloneFor stamps them onto the extra replicas.
@@ -679,13 +693,37 @@ func (e *Engine) Flush() []*Alert {
 // Introspection
 // ---------------------------------------------------------------------------
 
-// Errors returns recent runtime query errors (oldest first).
-func (e *Engine) Errors() []*QueryError { return e.reporter.Recent() }
+// Errors returns recent runtime query errors (oldest first). On a
+// never-started engine they include those of every event Process has returned
+// from; a running engine's shards report an aggregation argument's error when
+// its slice folds (see WithErrorHandler).
+func (e *Engine) Errors() []*QueryError {
+	e.settleErrors()
+	return e.reporter.Recent()
+}
 
-// ErrorCount returns the total number of runtime query errors. An error is
-// counted once, at any shard count: the replica owning the failing
-// evaluation reports it.
-func (e *Engine) ErrorCount() int64 { return e.reporter.Total() }
+// ErrorCount returns the total number of runtime query errors, as of Errors.
+// An error is counted once, at any shard count: the replica owning the
+// failing evaluation reports it.
+func (e *Engine) ErrorCount() int64 {
+	e.settleErrors()
+	return e.reporter.Total()
+}
+
+// settleErrors has a never-started engine's scheduler fold what its slice
+// logs hold, so the reporter holds the errors of every event processed. An
+// error handler calling in runs while the scheduler is folding, and reads the
+// reporter as it is.
+func (e *Engine) settleErrors() {
+	if engineState(e.state.Load()) != stateNew || e.handling.Load() > 0 {
+		return
+	}
+	e.mu.Lock() // Start hands the queries over under it
+	defer e.mu.Unlock()
+	if engineState(e.state.Load()) == stateNew {
+		e.sched.Settle()
+	}
+}
 
 // QueryStats returns the per-query runtime counters. On a running engine
 // the counters are aggregated across the query's shard replicas at a

@@ -53,7 +53,9 @@ type variantStep struct {
 	// submit | pause | resume | update | remove | register, or a control point
 	// that changes nothing: stats (QueryStats of every query, Tenants),
 	// checkpoint (a snapshot of a journaled engine, what a cluster exports on
-	// migration), flush (every open window closes mid-stream).
+	// migration), flush (every open window closes mid-stream), start (a
+	// sharded run processes the steps before it serially, then starts and
+	// hands its queries to the shards; without it, it starts first).
 	op       string
 	from, to int // submit: the event range
 	name     string
@@ -121,10 +123,14 @@ func runVariantScript(t *testing.T, shards int, queries [][2]string, script []va
 	}
 	var got []*Alert
 	var consumer sync.WaitGroup
+	started := false
 	if shards > 0 {
 		sub := eng.Subscribe(1<<16, Block)
-		if err := eng.Start(context.Background()); err != nil {
-			t.Fatal(err)
+		if !slices.ContainsFunc(script, func(st variantStep) bool { return st.op == "start" }) {
+			if err := eng.Start(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			started = true
 		}
 		consumer.Add(1)
 		go func() {
@@ -138,9 +144,11 @@ func runVariantScript(t *testing.T, shards int, queries [][2]string, script []va
 		var err error
 		switch st.op {
 		case "submit":
-			if shards == 0 {
+			if !started {
 				for _, ev := range evs[st.from:st.to] {
-					got = append(got, eng.Process(ev)...)
+					if alerts := eng.Process(ev); shards == 0 {
+						got = append(got, alerts...) // a sharded run's warm-up alerts reach its subscription
+					}
 				}
 				continue
 			}
@@ -170,6 +178,11 @@ func runVariantScript(t *testing.T, shards int, queries [][2]string, script []va
 		case "flush":
 			if flushed := eng.Flush(); shards == 0 {
 				got = append(got, flushed...) // a started engine delivers them to subscribers too
+			}
+		case "start":
+			if shards > 0 {
+				err = eng.Start(context.Background())
+				started = true
 			}
 		}
 		if err != nil {
@@ -372,7 +385,8 @@ func midSlice(evs []*Event, i int, lengths ...time.Duration) int {
 // or changes per-query state or membership — a stats read (QueryStats, the
 // tenants' state bytes), a checkpoint barrier (also what a cluster exports on
 // migration), pause and resume, an update with and without carried state,
-// registering and removing a member, a mid-stream flush — inside a slice of a
+// registering and removing a member, a mid-stream flush, the hand-over of a
+// serially warmed-up engine's queries to its shards at Start — inside a slice of a
 // set of eight window-length variants, where the set's slice log holds hits,
 // and holds a started engine at 1, 2 and 8 shards to the serial engine: the
 // same alerts, and the same counters at every stats step. A control point
@@ -410,6 +424,15 @@ alert ss.amt > 1500
 return p, ss.amt`, 1000+100*w)})
 	}
 
+	// Pinned variants (no group-by) for the hand-over at Start: a query
+	// warmed up serially keeps all its state on its primary replica, which
+	// Start homes on one shard, and a pinned query's state all belongs there.
+	// (A by-group query's warm groups do not move to their owners' shards.)
+	var pinned [][2]string
+	for w := 10; w < 18; w++ {
+		pinned = append(pinned, [2]string{fmt.Sprintf("t%d", w), variantSrc("total", w, 23*w)})
+	}
+
 	cases := []struct {
 		name     string
 		script   []variantStep
@@ -434,6 +457,7 @@ return p, ss.amt`, 1000+100*w)})
 		{name: "register", script: around(variantStep{op: "register", name: "v18", src: variantSrc("sum-by-p", 18, 1250*18)})},
 		{name: "remove-master", script: around(variantStep{op: "remove", name: "v10"})},
 		{name: "flush", script: around(variantStep{op: "flush"})},
+		{name: "start", script: around(variantStep{op: "start"}), readOnly: true, queries: pinned, evs: evs},
 		{name: "directory-reset", script: []variantStep{
 			{op: "submit", from: 0, to: len(churn) / 2},
 			{op: "stats"},
