@@ -1,10 +1,14 @@
 package saql
 
 // Benchmarks regenerating the paper's experiments E1–E8, one per
-// table/figure-equivalent (cmd/saql-bench prints the same measurements as
-// paper-style tables), plus BenchmarkE9_ParallelIngestion, a smoke run of the
-// sharded runtime, and BenchmarkRestoreTail, a restore over a journal. For local iteration only: performance claims are made with
-// the repository benchmark (bench/).
+// table/figure-equivalent — `go test -run '^$' -bench 'BenchmarkE[1-8]' .`
+// is how the paper's numbers are regenerated — plus
+// BenchmarkE9_ParallelIngestion, a smoke run of the sharded runtime, and
+// BenchmarkRestoreTail, a restore over a journal. The shapes the experiments
+// reproduce are asserted by tests: TestKillChainDetection (E1/E2),
+// TestConcurrentQueriesShareOneCopy (E3), TestOutlierEpsSensitivity (E7)
+// and internal/replayer's TestReplayPacing (E5). For local iteration only:
+// performance claims are made with the repository benchmark (bench/).
 
 import (
 	"context"
@@ -14,6 +18,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"saql/internal/baseline"
 )
 
 func benchCtx() context.Context { return context.Background() }
@@ -72,7 +78,9 @@ func runQueries(b *testing.B, queries []NamedQuery, sharing bool) {
 	}
 	b.StopTimer()
 	eng.Flush()
-	b.ReportMetric(float64(eng.Stats().Alerts), "alerts")
+	st := eng.Stats()
+	b.ReportMetric(float64(st.Alerts), "alerts")
+	b.ReportMetric(float64(st.StreamCopies)/float64(st.Events), "copies/ev")
 }
 
 // --- E1: the paper's Queries 1–4 -------------------------------------------
@@ -126,9 +134,9 @@ func BenchmarkE3_ConcurrentQueries(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("baseline_cep/queries=%d", n), func(b *testing.B) {
 			events, _ := benchStream(b)
-			eng := NewBaselineEngine()
+			eng := baseline.New(nil)
 			for _, nq := range queries {
-				q, err := CompileQuery(nq.Name, nq.SAQL)
+				q, err := compileQuery(nq.Name, nq.SAQL)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -263,7 +271,7 @@ func BenchmarkE4_ModelOverhead(b *testing.B) {
 	for name, nq := range models {
 		b.Run(name, func(b *testing.B) {
 			events, _ := benchStream(b)
-			q, err := CompileQuery(nq.Name, nq.SAQL)
+			q, err := compileQuery(nq.Name, nq.SAQL)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -366,22 +374,14 @@ func BenchmarkRestoreTail(b *testing.B) {
 // --- E6: window state maintenance --------------------------------------------
 
 func BenchmarkE6_Windows(b *testing.B) {
-	for _, win := range []string{"10 s", "1 min", "10 min"} {
+	// Window length, and hopping windows of one length with shorter hops:
+	// more closes per event.
+	for _, win := range []string{"10 s", "1 min", "10 min", "1 min, 30 s", "1 min, 10 s"} {
 		b.Run("len="+win, func(b *testing.B) {
-			events, _ := benchStream(b)
-			src := fmt.Sprintf(`proc p write ip i as evt #time(%s)
+			benchStateful(b, fmt.Sprintf(`proc p write ip i as evt #time(%s)
 state[3] ss { avg_amount := avg(evt.amount) } group by p
 alert ss[0].avg_amount > 1000000000
-return p`, win)
-			q, err := CompileQuery("win", src)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				q.Process(events[i%len(events)], nil)
-			}
+return p`, win))
 		})
 	}
 	// Group cardinality ablation: group by process vs by destination IP
@@ -392,22 +392,30 @@ return p`, win)
 		{"groups=proc_and_ip", "p, i.dstip"},
 	} {
 		b.Run(g.name, func(b *testing.B) {
-			events, _ := benchStream(b)
-			src := fmt.Sprintf(`proc p write ip i as evt #time(1 min)
+			benchStateful(b, fmt.Sprintf(`proc p write ip i as evt #time(1 min)
 state ss { amt := sum(evt.amount) } group by %s
 alert ss.amt > 1000000000
-return %s`, g.expr, "ss.amt")
-			q, err := CompileQuery("grp", src)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				q.Process(events[i%len(events)], nil)
-			}
+return ss.amt`, g.expr))
 		})
 	}
+}
+
+// benchStateful pumps b.N events of the stream through one stateful query
+// and reports the windows it closed, the last ones flushed.
+func benchStateful(b *testing.B, src string) {
+	events, _ := benchStream(b)
+	q, err := compileQuery("win", src)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q.Process(events[i%len(events)], nil)
+	}
+	b.StopTimer()
+	q.Flush(nil)
+	b.ReportMetric(float64(q.Stats().WindowsClosed), "windows")
 }
 
 // --- E7: clustering (outlier model) -------------------------------------------
@@ -420,31 +428,13 @@ func BenchmarkE7_Clustering(b *testing.B) {
 		for _, groups := range []int{16, 64, 256} {
 			name := fmt.Sprintf("%s/groups=%d", method[:6], groups)
 			b.Run(name, func(b *testing.B) {
-				src := fmt.Sprintf(`proc p write ip i as evt #time(10 s)
-state ss { amt := sum(evt.amount) } group by i.dstip
-cluster(points=all(ss.amt), distance="ed", method=%q)
-alert cluster.outlier && ss.amt > 1000000
-return i.dstip, ss.amt`, method)
-				q, err := CompileQuery("clu", src)
+				q, err := compileQuery("clu", outlierQuery(method))
 				if err != nil {
 					b.Fatal(err)
 				}
-				// Synthetic per-group traffic: one event per group per
-				// window.
-				start := time.Date(2020, 2, 27, 9, 0, 0, 0, time.UTC)
-				var evs []*Event
-				for w := 0; w < 64; w++ {
-					for g := 0; g < groups; g++ {
-						evs = append(evs, &Event{
-							Time:    start.Add(time.Duration(w)*10*time.Second + time.Duration(g)*time.Millisecond),
-							AgentID: "db-1",
-							Subject: Process("sqlservr.exe", 1680),
-							Op:      OpWrite,
-							Object:  NetConn("10.0.0.2", 1433, fmt.Sprintf("10.0.%d.%d", g/250, g%250), 49000),
-							Amount:  50000 + float64(g),
-						})
-					}
-				}
+				// One event per group per window, one group the planted
+				// peer (TestOutlierEpsSensitivity asserts what is flagged).
+				evs := outlierWindows(groups)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -472,7 +462,7 @@ func BenchmarkE8_Parser(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			nq := queries[i%len(queries)]
-			if _, err := CompileQuery(nq.Name, nq.SAQL); err != nil {
+			if _, err := compileQuery(nq.Name, nq.SAQL); err != nil {
 				b.Fatal(err)
 			}
 		}

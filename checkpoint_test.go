@@ -539,7 +539,7 @@ func TestQueryStateReencodeIdempotent(t *testing.T) {
 	for _, c := range conformanceCorpus {
 		c := c
 		t.Run(c.Name, func(t *testing.T) {
-			q, err := CompileQuery(c.Name, c.Src)
+			q, err := compileQuery(c.Name, c.Src)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -550,7 +550,7 @@ func TestQueryStateReencodeIdempotent(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fresh, err := CompileQuery(c.Name, c.Src)
+			fresh, err := compileQuery(c.Name, c.Src)
 			if err != nil {
 				t.Fatal(err)
 			}

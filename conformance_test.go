@@ -28,7 +28,7 @@ func TestConformanceCorpus(t *testing.T) {
 			if err := Validate(c.Src); err != nil {
 				t.Fatalf("validate: %v", err)
 			}
-			q, err := CompileQuery(c.Name, c.Src)
+			q, err := compileQuery(c.Name, c.Src)
 			if err != nil {
 				t.Fatalf("compile: %v", err)
 			}
@@ -1052,7 +1052,7 @@ func TestConformanceCorpusExecutes(t *testing.T) {
 	for _, c := range conformanceCorpus {
 		c := c
 		t.Run(c.Name, func(t *testing.T) {
-			q, err := CompileQuery(c.Name, c.Src)
+			q, err := compileQuery(c.Name, c.Src)
 			if err != nil {
 				t.Fatal(err)
 			}

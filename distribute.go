@@ -8,17 +8,12 @@ package saql
 // checkpoint state blobs into the target (RestoreStateBlobs), whose
 // ownership filters keep exactly the state it now owns.
 
-import (
-	"fmt"
-
-	"saql/internal/runtime"
-)
+import "fmt"
 
 // KeyRange is an inclusive range [Lo, Hi] of the 32-bit FNV-1a ownership
 // hash space — the same hashing the sharded runtime uses to split group-by
-// keys, event subjects, and pinned-query homes across shards (see
-// HashGroupKey and HashSubject). A cluster partitions [0, 1<<32) into
-// contiguous ranges, one set per worker.
+// keys, event subjects, and pinned-query homes across shards. A cluster
+// partitions [0, 1<<32) into contiguous ranges, one set per worker.
 type KeyRange struct {
 	Lo uint32
 	Hi uint32
@@ -29,16 +24,6 @@ func (r KeyRange) Contains(h uint32) bool { return h >= r.Lo && h <= r.Hi }
 
 // String renders the range in hex.
 func (r KeyRange) String() string { return fmt.Sprintf("[%08x,%08x]", r.Lo, r.Hi) }
-
-// HashGroupKey returns the ownership hash of a group-by key or query name —
-// the value key-range ownership is decided on for by-group state and pinned
-// query homes.
-func HashGroupKey(key string) uint32 { return runtime.HashKey(key) }
-
-// HashSubject returns the ownership hash of an event's subject entity — the
-// value key-range ownership is decided on for by-event (stateless rule)
-// queries.
-func HashSubject(ev *Event) uint32 { return runtime.HashEventKey(ev) }
 
 // WithKeyRanges restricts a started engine to the given slices of the
 // ownership hash space: by-group replicas fold only group keys hashing into

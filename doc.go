@@ -177,8 +177,8 @@
 //
 // The checkpoint substrate scales past one process. WithKeyRanges restricts
 // an engine to contiguous ranges of the 32-bit FNV-1a ownership hash space
-// (HashGroupKey, HashSubject expose the hashing; RestoreStateBlobs applies
-// migrated state), and internal/dist builds the cluster on top: a
+// (RestoreStateBlobs applies migrated state), and internal/dist builds the
+// cluster on top: a
 // coordinator owning the queryset and the stream, cmd/saql-worker nodes
 // each running a normal engine over their own journal/checkpoint directory,
 // and a framed wire protocol carrying events, control ops, alerts, and
@@ -191,6 +191,6 @@
 // The module also ships the full demonstration substrate of the paper: a
 // deterministic multi-host workload simulator (NewWorkload), the five-step
 // APT kill-chain generator (AttackScenario), an embedded event store and
-// stream replayer (OpenStore, NewReplayer), and a generic per-query-copy CEP
-// baseline for comparison experiments.
+// stream replayer (OpenStore, NewReplayer). The paper's experiments E1–E8
+// are the package's BenchmarkE1–E8 (go test -run '^$' -bench 'BenchmarkE[1-8]').
 package saql

@@ -38,7 +38,7 @@ func TestLanguageDocSnippetsValidate(t *testing.T) {
 			t.Errorf("docs/language.md block %d does not validate: %v\n%s", i+1, err, src)
 			continue
 		}
-		if _, err := CompileQuery("doc-snippet", src); err != nil {
+		if _, err := compileQuery("doc-snippet", src); err != nil {
 			t.Errorf("docs/language.md block %d does not compile: %v\n%s", i+1, err, src)
 		}
 	}
@@ -65,7 +65,7 @@ func TestQueriesDocSnippetsValidate(t *testing.T) {
 			t.Errorf("docs/queries.md block %d does not validate: %v\n%s", i+1, err, src)
 			continue
 		}
-		if _, err := CompileQuery("doc-snippet", src); err != nil {
+		if _, err := compileQuery("doc-snippet", src); err != nil {
 			t.Errorf("docs/queries.md block %d does not compile: %v\n%s", i+1, err, src)
 		}
 	}

@@ -10,8 +10,9 @@
 //   - an outlier query peer-comparing per-destination transfer volumes
 //     with DBSCAN.
 //
-// The example also cross-checks the SAQL SMA alert against the standalone
-// tsmodel.SMA detector to show they implement the same model.
+// The example also cross-checks the SAQL SMA alert against the same rule
+// computed by hand over the per-window means it collects, to show the query
+// is the model.
 package main
 
 import (
@@ -21,7 +22,6 @@ import (
 	"time"
 
 	"saql"
-	"saql/internal/tsmodel"
 )
 
 const windowLen = time.Minute
@@ -119,18 +119,18 @@ func main() {
 	}
 	<-printed
 
-	// Cross-check: the standalone SMA detector over sqlservr's series must
-	// stay silent, exactly as the SAQL query did for that process.
-	det, err := tsmodel.NewSMA(3, 100000)
-	if err != nil {
-		log.Fatal(err)
-	}
+	// Cross-check: the SMA query's rule applied by hand to sqlservr's series
+	// — a window is anomalous when its mean exceeds the mean of the last
+	// three windows, itself included, and exceeds 100000 — must stay silent,
+	// exactly as the SAQL query did for that process.
 	var smaAlerts int
-	for _, x := range perWindowAvg {
-		if _, anomalous := det.Observe(x); anomalous {
+	for i := 2; i < len(perWindowAvg); i++ {
+		x := perWindowAvg[i]
+		sma := (x + perWindowAvg[i-1] + perWindowAvg[i-2]) / 3
+		if x > sma && x > 100000 {
 			smaAlerts++
 		}
 	}
-	fmt.Printf("\ncross-check: tsmodel.SMA over sqlservr's series raised %d alerts "+
+	fmt.Printf("\ncross-check: the 3-window SMA rule over sqlservr's series raised %d alerts "+
 		"(the SAQL query raised alerts only for the bursting helper process)\n", smaAlerts)
 }

@@ -1,6 +1,6 @@
 // Package codecpair verifies the engine's encode/decode symmetry invariant:
 // for every wire-format codec (the EncodeState/DecodeState split across agg,
-// window, matcher, invariant, tsmodel and engine/state.go, the snapshot
+// window, matcher, invariant and engine/state.go, the snapshot
 // container payload, the dist frame payloads, and the wire value/entity/event
 // codecs themselves), the decode half must read exactly the wire-primitive
 // sequence the encode half writes, in the same order — and every codec must
@@ -123,7 +123,7 @@ var leafAppenders = map[string]bool{
 // always count.
 var codecPackages = map[string]bool{
 	"agg": true, "window": true, "matcher": true, "invariant": true,
-	"tsmodel": true, "engine": true, "snapshot": true, "storage": true,
+	"engine": true, "snapshot": true, "storage": true,
 	"dist": true, "wire": true, "scheduler": true,
 }
 

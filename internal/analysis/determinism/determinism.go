@@ -54,7 +54,6 @@ var conePackages = []string{
 	"saql/internal/snapshot",
 	"saql/internal/source",
 	"saql/internal/storage",
-	"saql/internal/tsmodel",
 	"saql/internal/window",
 	"saql/internal/wire",
 }

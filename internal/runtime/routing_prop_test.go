@@ -172,8 +172,8 @@ func (o *observer) hook(shard int, b *shardBatch, e *routedEntry) {
 		}
 	}
 	for _, op := range ops {
-		if op.Kind == scheduler.OpFold && uint32(op.Arg) != HashKey(op.Key) && o.wmErr == nil {
-			o.wmErr = fmt.Errorf("fold of %q carries hash %#x, want %#x", op.Key, op.Arg, HashKey(op.Key))
+		if op.Kind == scheduler.OpFold && uint32(op.Arg) != hashString(op.Key) && o.wmErr == nil {
+			o.wmErr = fmt.Errorf("fold of %q carries hash %#x, want %#x", op.Key, op.Arg, hashString(op.Key))
 		}
 		ob := obsOp{set: names[b.layout.Sets[op.Set].Slots[0]], kind: op.Kind, pat: op.Pat, key: op.Key}
 		if op.Kind == scheduler.OpHits {
@@ -242,7 +242,7 @@ func expectedOps(ev *event.Event, n int, owns func(uint32) bool, homes map[strin
 	byGroup := func(set string, hits ...hit) {
 		folds := map[int]bool{}
 		for _, h := range hits {
-			hash := HashKey(h.key)
+			hash := hashString(h.key)
 			if !owned(hash) {
 				continue // another worker's: folds on no local shard
 			}
@@ -264,7 +264,7 @@ func expectedOps(ev *event.Event, n int, owns func(uint32) bool, homes map[strin
 	case event.OpWrite:
 		byGroup("grp-fast", hit{pat: 0, key: ev.Subject.ExeName})
 		byGroup("grp-two", hit{pat: 0, key: ev.Subject.ExeName}, hit{pat: 1, key: "null"}) // p is unbound in the second pattern
-		if h := HashEventKey(ev); owned(h) {
+		if h := hashSubject(ev); owned(h) {
 			i := int(h % uint32(n))
 			out[i] = append(out[i], obsOp{set: "by-event", kind: scheduler.OpHits, pats: 1})
 		}

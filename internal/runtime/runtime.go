@@ -637,8 +637,9 @@ func (r *Runtime) control(c *control) ([]ctlResult, error) {
 
 // buildReplicas lays a query out across the shards: one home shard for
 // pinned placements (pinnedHome, or round-robin when negative), a filtered
-// replica per shard otherwise. The caller holds r.mu.
-func (r *Runtime) buildReplicas(primary *engine.Query, clone func() (*engine.Query, error), pinnedHome int) ([]*engine.Query, error) {
+// replica per shard otherwise. warm says the primary has counted events (a
+// serial warm-up before Start). The caller holds r.mu.
+func (r *Runtime) buildReplicas(primary *engine.Query, clone func() (*engine.Query, error), pinnedHome int, warm bool) ([]*engine.Query, error) {
 	n := len(r.shards)
 	placement := primary.Placement()
 	replicas := make([]*engine.Query, n)
@@ -658,9 +659,20 @@ func (r *Runtime) buildReplicas(primary *engine.Query, clone func() (*engine.Que
 		}
 		replicas[home] = primary
 	case engine.PlaceByGroup, engine.PlaceByEvent:
+		// A warm by-group primary holds groups every shard owns. They are
+		// handed over as a restore hands them: every replica is a fresh clone
+		// folding the primary's state through its own group filter, and the
+		// first one also takes the single-owner part.
+		var state []byte
+		if warm && placement == engine.PlaceByGroup {
+			var err error
+			if state, err = primary.EncodeState(); err != nil {
+				return nil, err
+			}
+		}
 		for i := 0; i < n; i++ {
 			q := primary
-			if i > 0 {
+			if i > 0 || state != nil {
 				var err error
 				if q, err = clone(); err != nil {
 					return nil, err
@@ -674,6 +686,11 @@ func (r *Runtime) buildReplicas(primary *engine.Query, clone func() (*engine.Que
 				// the router alone names each event's owner.
 				own := composeOwner(ownerFilter(i, n), owns)
 				q.SetGroupFilter(func(key string) bool { return own(hashString(key)) })
+				if state != nil {
+					if err := q.RestoreState(state, i == 0); err != nil {
+						return nil, err
+					}
+				}
 			}
 			replicas[i] = q
 		}
@@ -738,7 +755,7 @@ func (r *Runtime) install(kind ctlKind, primary *engine.Query, clone func() (*en
 	// that already counted events (a serial warm-up before Start) keeps them,
 	// and reading them folds what its serial slice log still holds.
 	counted, paused := primary.Stats().Events, primary.Paused()
-	replicas, err := r.buildReplicas(primary, clone, pinnedHome)
+	replicas, err := r.buildReplicas(primary, clone, pinnedHome, counted > 0)
 	if err != nil {
 		return err
 	}
@@ -981,21 +998,15 @@ func ownerFilter(i, n int) func(uint32) bool {
 	return func(h uint32) bool { return int(h%uint32(n)) == i }
 }
 
-// HashKey exposes the ownership hash (32-bit FNV-1a) of a group-by key or
+// hashString is the ownership hash (32-bit FNV-1a) of a group-by key or
 // query name — the value Config.Owns predicates observe for by-group and
-// pinned placements. The distributed layer splits this hash space into
-// worker key ranges.
-func HashKey(s string) uint32 { return hashString(s) }
-
-// HashEventKey exposes the ownership hash of an event's subject entity —
-// the value Config.Owns predicates observe for by-event placements.
-func HashEventKey(ev *event.Event) uint32 { return hashSubject(ev) }
-
-// hashString is 32-bit FNV-1a: window.HashKey, the hash key class
-// directories probe with, so a key routed by its hash is never hashed again.
+// pinned placements, and the value the distributed layer splits into worker
+// key ranges. It is window.HashKey, the hash key class directories probe
+// with, so a key routed by its hash is never hashed again.
 func hashString(s string) uint32 { return window.HashKey(s) }
 
-// hashSubject hashes the subject entity identity without allocating.
+// hashSubject hashes the subject entity identity without allocating: the
+// value Config.Owns predicates observe for by-event placements.
 func hashSubject(ev *event.Event) uint32 {
 	h := hashString(ev.Subject.ExeName)
 	pid := uint32(ev.Subject.PID)

@@ -710,6 +710,8 @@ func (s *Scheduler) GroupCount() int {
 // Process feeds one event through every group and returns all alerts
 // raised: the serial reference path — evaluate, then fold into every active
 // query, under one lock hold — that the routed pipeline is tested against.
+// It evaluates with the per-event evaluateLocked, not the router's columnar
+// evaluateBatchLocked; evaluateLocked says why.
 func (s *Scheduler) Process(ev *event.Event) []*engine.Alert {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -798,6 +800,11 @@ func grown[T any](buf []T, n int) []T {
 // evaluations counted as they happen — so stats are bit-identical to
 // processing the batch event by event. The caller holds s.mu and has already
 // counted Events.
+//
+// It serves EvaluateBatch: the router, once per submission batch, and the
+// repository benchmark's staged replica. The serial Process path keeps the
+// per-event evaluateLocked, which is faster on a batch of one (measured
+// there).
 //
 //saql:hotpath
 func (s *Scheduler) evaluateBatchLocked(evs []*event.Event) []*HitSet {
@@ -929,6 +936,18 @@ func (s *Scheduler) ProcessWithHits(ev *event.Event, hs *HitSet) []*engine.Alert
 // Hit-slot slices are carved out of *arena (grown to cover up to remaining
 // further events) so batch evaluation allocates once, not per event. The
 // caller holds s.mu.
+//
+// It serves Process, the serial path, one event at a time; the router
+// evaluates whole submission batches with evaluateBatchLocked. The two look
+// like a duplicate but each is the faster one at its batch size. Running
+// Process through evaluateBatchLocked on a batch of one was measured on the
+// repository benchmark (seed 13, 8 s runs, alternating pairs on a 2-core
+// box): serial_events_per_s fell to ×0.685 on raw-cold and ×0.746 on
+// durable, 0 of 6 pairs better. There every query is pinned to one host by a
+// global agentid constraint and 96% of events match no query: AppendHits
+// returns as soon as the global constraint fails, while MatchBatch still
+// visits every pattern (an early exit in MatchBatch won back only part of
+// it). Do not merge them without removing that per-event cost.
 //
 //saql:hotpath
 func (s *Scheduler) evaluateLocked(ev *event.Event, arena *[][]int, remaining int) [][]int {

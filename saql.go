@@ -907,15 +907,6 @@ func (e *Engine) detachSource(src *source.Source) {
 	}
 }
 
-// CompiledQuery is a compiled, executable SAQL query for direct use with a
-// BaselineEngine or standalone Process calls. Engine users never need it.
-type CompiledQuery = engine.Query
-
-// CompileQuery parses, checks, and compiles a SAQL query.
-func CompileQuery(name, src string) (*CompiledQuery, error) {
-	return engine.Compile(name, src, engine.CompileOptions{})
-}
-
 // Validate parses and semantically checks a SAQL query without registering
 // it, returning the first error found (nil if the query is well-formed).
 func Validate(src string) error {

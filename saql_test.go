@@ -2,14 +2,24 @@ package saql
 
 import (
 	"context"
+	"fmt"
 	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
 	"time"
+
+	"saql/internal/baseline"
+	"saql/internal/engine"
 )
 
 var demoStart = time.Date(2020, 2, 27, 9, 0, 0, 0, time.UTC)
+
+// compileQuery compiles a query for standalone Process/Flush calls, outside
+// any engine.
+func compileQuery(name, src string) (*engine.Query, error) {
+	return engine.Compile(name, src, engine.CompileOptions{})
+}
 
 // buildDemoStream mixes deterministic background activity from five hosts
 // with the APT kill chain, returning the time-ordered stream and scenario.
@@ -75,13 +85,26 @@ func TestKillChainDetection(t *testing.T) {
 		alertsByQuery[a.Query] = append(alertsByQuery[a.Query], a)
 	}
 
-	// Every rule query detects its step.
+	// Every rule query detects its step exactly once, at most one window
+	// (30 s) of event time after the step's first labelled event: the paper's
+	// Figure 3 timeline (experiments E1/E2).
+	stepStart := map[AttackStep]time.Time{}
+	for _, l := range scenario.Events() {
+		if _, ok := stepStart[l.Step]; !ok {
+			stepStart[l.Step] = l.Event.Time
+		}
+	}
 	for _, nq := range queries {
 		if nq.Model != "rule" {
 			continue
 		}
-		if len(alertsByQuery[nq.Name]) == 0 {
-			t.Errorf("step %s: rule query %q raised no alert", nq.Step, nq.Name)
+		alerts := alertsByQuery[nq.Name]
+		if len(alerts) != 1 {
+			t.Errorf("step %s: rule query %q raised %d alerts, want 1", nq.Step, nq.Name, len(alerts))
+			continue
+		}
+		if delay := alerts[0].EventTime.Sub(stepStart[nq.Step]); delay < 0 || delay > 30*time.Second {
+			t.Errorf("step %s: rule query %q detected it %v after its first event, want within 30s", nq.Step, nq.Name, delay)
 		}
 	}
 
@@ -257,9 +280,45 @@ func TestSharingVsBaselineAgreement(t *testing.T) {
 	tsVariant.SAQL = strings.Replace(ts.SAQL, "> 1000000)", "> 8000000)", 1)
 	queries = append(queries, tsVariant)
 
+	nShared, st := runSharedUnsharedBaseline(t, queries, events)
+	if nShared == 0 {
+		t.Error("expected alerts from the demo scenario")
+	}
+	// Sharing must reduce stream copies relative to the naive count.
+	if st.StreamCopies >= st.NaiveCopies {
+		t.Errorf("sharing produced no copy reduction: %d vs %d", st.StreamCopies, st.NaiveCopies)
+	}
+}
+
+// TestConcurrentQueriesShareOneCopy is experiment E3's shape: however many
+// compatible time-series variants run, the shared scheduler takes one copy
+// of the stream per event and shares it n ways (the baseline pays n copies),
+// and the alerts are the unshared and the baseline engines' alerts.
+func TestConcurrentQueriesShareOneCopy(t *testing.T) {
+	events, scenario := buildDemoStream(t, 10*time.Minute, 3*time.Minute)
+	for _, n := range []int{1, 4, 16, 64} {
+		alerts, st := runSharedUnsharedBaseline(t, e3Queries(scenario, n), events)
+		if alerts != n {
+			t.Errorf("queries=%d: %d alerts, want one per variant", n, alerts)
+		}
+		if st.StreamCopies != st.Events {
+			t.Errorf("queries=%d: %d stream copies for %d events, want one per event", n, st.StreamCopies, st.Events)
+		}
+		if st.SharingRatio != float64(n) {
+			t.Errorf("queries=%d: sharing ratio %v, want %d", n, st.SharingRatio, n)
+		}
+	}
+}
+
+// runSharedUnsharedBaseline runs queries over events through the shared
+// scheduler, the unshared scheduler and the generic-CEP baseline, requires
+// identical alert counts — sharing must be a pure optimisation — and returns
+// the count and the shared engine's stats.
+func runSharedUnsharedBaseline(t *testing.T, queries []NamedQuery, events []*Event) (int, Stats) {
+	t.Helper()
 	shared := New(WithSharing(true))
 	unshared := New(WithSharing(false))
-	base := NewBaselineEngine()
+	base := baseline.New(nil)
 	for _, nq := range queries {
 		if err := shared.AddQuery(nq.Name, nq.SAQL); err != nil {
 			t.Fatal(err)
@@ -267,13 +326,12 @@ func TestSharingVsBaselineAgreement(t *testing.T) {
 		if err := unshared.AddQuery(nq.Name, nq.SAQL); err != nil {
 			t.Fatal(err)
 		}
-		cq, err := CompileQuery(nq.Name, nq.SAQL)
+		cq, err := compileQuery(nq.Name, nq.SAQL)
 		if err != nil {
 			t.Fatal(err)
 		}
 		base.Add(cq)
 	}
-
 	var nShared, nUnshared, nBase int
 	for _, ev := range events {
 		nShared += len(shared.Process(ev))
@@ -283,18 +341,76 @@ func TestSharingVsBaselineAgreement(t *testing.T) {
 	nShared += len(shared.Flush())
 	nUnshared += len(unshared.Flush())
 	nBase += len(base.Flush())
-
 	if nShared != nUnshared || nShared != nBase {
-		t.Errorf("alert counts diverge: shared=%d unshared=%d baseline=%d", nShared, nUnshared, nBase)
+		t.Errorf("%d queries: alert counts diverge: shared=%d unshared=%d baseline=%d", len(queries), nShared, nUnshared, nBase)
 	}
-	if nShared == 0 {
-		t.Error("expected alerts from the demo scenario")
-	}
+	return nShared, shared.Stats()
+}
 
-	// Sharing must reduce stream copies relative to the naive count.
-	st := shared.Stats()
-	if st.StreamCopies >= st.NaiveCopies {
-		t.Errorf("sharing produced no copy reduction: %d vs %d", st.StreamCopies, st.NaiveCopies)
+// outlierWindows is experiment E7's stream: 32 ten-second windows in each of
+// which sqlservr writes once to each of groups destinations — about 50 kB to
+// every peer but the last, the exfiltration peer, which takes 50 MB.
+func outlierWindows(groups int) []*Event {
+	var out []*Event
+	for w := 0; w < 32; w++ {
+		at := demoStart.Add(time.Duration(w) * 10 * time.Second)
+		for g := 0; g < groups; g++ {
+			amt := 50000 + float64(g%7)*300
+			if g == groups-1 {
+				amt = 5e7
+			}
+			out = append(out, &Event{
+				Time:    at.Add(time.Duration(g) * time.Millisecond),
+				AgentID: "db-1",
+				Subject: Process("sqlservr.exe", 1680),
+				Op:      OpWrite,
+				Object:  NetConn("10.0.0.2", 1433, fmt.Sprintf("10.0.%d.%d", g/250, g%250), 49000),
+				Amount:  amt,
+			})
+		}
+	}
+	return out
+}
+
+// outlierQuery clusters each window's per-destination volumes with method
+// and alerts on a large outlier.
+func outlierQuery(method string) string {
+	return fmt.Sprintf(`proc p write ip i as evt #time(10 s)
+state ss { amt := sum(evt.amount) } group by i.dstip
+cluster(points=all(ss.amt), distance="ed", method=%q)
+alert cluster.outlier && ss.amt > 1000000
+return i.dstip, ss.amt`, method)
+}
+
+// TestOutlierEpsSensitivity is experiment E7's shape: DBSCAN flags the
+// planted peer in every window at every peer-group size, KMEANS (no notion
+// of an outlier) in none, and DBSCAN's eps can range over three orders of
+// magnitude before it is so large that the peer joins the cluster.
+func TestOutlierEpsSensitivity(t *testing.T) {
+	flagged := func(method string, groups int) int {
+		q, err := compileQuery("clu", outlierQuery(method))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for _, ev := range outlierWindows(groups) {
+			n += len(q.Process(ev, nil))
+		}
+		return n + len(q.Flush(nil))
+	}
+	for _, groups := range []int{16, 64, 256, 1024} {
+		if n := flagged("DBSCAN(100000, 3)", groups); n != 32 {
+			t.Errorf("DBSCAN(100000, 3), %d groups: peer flagged in %d of 32 windows, want 32", groups, n)
+		}
+		if n := flagged("KMEANS(3)", groups); n != 0 {
+			t.Errorf("KMEANS(3), %d groups: peer flagged in %d of 32 windows, want 0", groups, n)
+		}
+	}
+	for _, c := range []struct{ eps, want int }{{1e3, 32}, {1e4, 32}, {1e5, 32}, {1e6, 32}, {1e8, 0}} {
+		method := fmt.Sprintf("DBSCAN(%d, 3)", c.eps)
+		if n := flagged(method, 64); n != c.want {
+			t.Errorf("%s, 64 groups: peer flagged in %d of 32 windows, want %d", method, n, c.want)
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package saql
 
 import (
 	"saql/internal/attack"
-	"saql/internal/baseline"
 	"saql/internal/collector"
 	"saql/internal/replayer"
 	"saql/internal/storage"
@@ -10,8 +9,8 @@ import (
 
 // This file re-exports the demonstration substrates so downstream users can
 // drive the full paper scenario through the public API: the simulated data
-// collection agents, the APT kill chain, the event store, the stream
-// replayer, and the per-query-copy CEP baseline.
+// collection agents, the APT kill chain, the event store and the stream
+// replayer.
 
 // ---------------------------------------------------------------------------
 // Data collection (simulated agents)
@@ -105,15 +104,3 @@ type ReplayStats = replayer.Stats
 
 // NewReplayer creates a replayer over store.
 func NewReplayer(store *Store) *Replayer { return replayer.New(store) }
-
-// ---------------------------------------------------------------------------
-// Generic-CEP baseline (comparison experiments)
-// ---------------------------------------------------------------------------
-
-// BaselineEngine executes queries the generic-CEP way: one data copy per
-// query per event, no sharing. It exists for the paper's efficiency
-// comparisons; production deployments should use Engine.
-type BaselineEngine = baseline.Engine
-
-// NewBaselineEngine creates a baseline engine without error reporting.
-func NewBaselineEngine() *BaselineEngine { return baseline.New(nil) }

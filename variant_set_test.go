@@ -424,10 +424,10 @@ alert ss.amt > 1500
 return p, ss.amt`, 1000+100*w)})
 	}
 
-	// Pinned variants (no group-by) for the hand-over at Start: a query
+	// Pinned variants (no group-by) for the hand-over at Start: a pinned query
 	// warmed up serially keeps all its state on its primary replica, which
-	// Start homes on one shard, and a pinned query's state all belongs there.
-	// (A by-group query's warm groups do not move to their owners' shards.)
+	// Start homes on one shard. A by-group query's warm groups are handed to
+	// their owners' shards instead ("start-by-group").
 	var pinned [][2]string
 	for w := 10; w < 18; w++ {
 		pinned = append(pinned, [2]string{fmt.Sprintf("t%d", w), variantSrc("total", w, 23*w)})
@@ -458,6 +458,7 @@ return p, ss.amt`, 1000+100*w)})
 		{name: "remove-master", script: around(variantStep{op: "remove", name: "v10"})},
 		{name: "flush", script: around(variantStep{op: "flush"})},
 		{name: "start", script: around(variantStep{op: "start"}), readOnly: true, queries: pinned, evs: evs},
+		{name: "start-by-group", script: around(variantStep{op: "start"}), readOnly: true},
 		{name: "directory-reset", script: []variantStep{
 			{op: "submit", from: 0, to: len(churn) / 2},
 			{op: "stats"},
