@@ -38,7 +38,7 @@ func ingestCost(t *testing.T, shards, variants, hitEvery int) (allocs, bytes flo
 state ss { amt := sum(e.amount) } group by p
 alert ss.amt > 1000000000000
 return p, ss.amt`, 1+v)
-		if err := eng.AddQuery(fmt.Sprintf("grouped-sum-%d", v), src); err != nil {
+		if _, err := eng.Register(fmt.Sprintf("grouped-sum-%d", v), src); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -232,7 +232,7 @@ func TestStatefulFoldAllocsGate(t *testing.T) {
 	for _, sh := range foldShapes {
 		t.Run(sh.name, func(t *testing.T) {
 			eng := New()
-			if err := eng.AddQuery(sh.name, sh.src); err != nil {
+			if _, err := eng.Register(sh.name, sh.src); err != nil {
 				t.Fatal(err)
 			}
 			window := func(w int) []*Event { return sh.window(w, eventsPerWindow, groups) }
@@ -315,7 +315,7 @@ state ss { amt := sum(e.amount) } group by p
 alert ` + c.alert + `
 return p, i.dstip, ss[0].amt`, OpWrite, func(int) Entity { return NetConn("10.0.0.2", 1433, "10.1.0.9", 443) }}
 		eng := New()
-		if err := eng.AddQuery(sh.name, sh.src); err != nil {
+		if _, err := eng.Register(sh.name, sh.src); err != nil {
 			t.Fatal(err)
 		}
 		// Windows 0 and 1 create the group runtimes and fill the histories;
@@ -388,7 +388,7 @@ func coldIngestBytes(t *testing.T, shards int, evs []*Event) float64 {
 	for _, sh := range foldShapes[:4] {
 		for w := 10; w < 18; w++ {
 			src := strings.Replace(sh.src, "#time(10 s)", fmt.Sprintf("#time(%d s)", w), 1)
-			if err := eng.AddQuery(fmt.Sprintf("%s-%ds", sh.name, w), src); err != nil {
+			if _, err := eng.Register(fmt.Sprintf("%s-%ds", sh.name, w), src); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -473,7 +473,7 @@ func BenchmarkStatefulFold(b *testing.B) {
 				eng := New()
 				for w := 10; w < 10+variants; w++ {
 					src := strings.Replace(sh.src, "#time(10 s)", fmt.Sprintf("#time(%d s)", w), 1)
-					if err := eng.AddQuery(fmt.Sprintf("%s-%ds", sh.name, w), src); err != nil {
+					if _, err := eng.Register(fmt.Sprintf("%s-%ds", sh.name, w), src); err != nil {
 						b.Fatal(err)
 					}
 				}

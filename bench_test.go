@@ -67,7 +67,7 @@ func runQueries(b *testing.B, queries []NamedQuery, sharing bool) {
 	events, _ := benchStream(b)
 	eng := New(WithSharing(sharing))
 	for _, nq := range queries {
-		if err := eng.AddQuery(nq.Name, nq.SAQL); err != nil {
+		if _, err := eng.Register(nq.Name, nq.SAQL); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -182,7 +182,7 @@ func BenchmarkE9_ParallelIngestion(b *testing.B) {
 	newEngine := func(b *testing.B, opts ...Option) *Engine {
 		eng := New(opts...)
 		for _, nq := range queries {
-			if err := eng.AddQuery(nq.Name, nq.SAQL); err != nil {
+			if _, err := eng.Register(nq.Name, nq.SAQL); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -337,7 +337,7 @@ func BenchmarkRestoreTail(b *testing.B) {
 	}
 	eng := New(WithJournal(store))
 	for _, nq := range scenario.DemoQueries(30*time.Second, 5) {
-		if err := eng.AddQuery(nq.Name, nq.SAQL); err != nil {
+		if _, err := eng.Register(nq.Name, nq.SAQL); err != nil {
 			b.Fatal(err)
 		}
 	}

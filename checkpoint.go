@@ -228,8 +228,10 @@ func WithRestoreEngineOptions(opts ...Option) RestoreOption {
 }
 
 // WithoutStart leaves the restored engine in the serial state (no runtime,
-// Process-driven). The journal tail is still replayed — through the serial
-// path — unless WithoutReplay is also given.
+// Process-driven), its state already in the registered queries: a later
+// Start hands it to the shards exactly as Open would have. The journal tail
+// is still replayed — through the serial path — unless WithoutReplay is also
+// given.
 func WithoutStart() RestoreOption {
 	return func(c *restoreConfig) { c.start = false }
 }
@@ -268,9 +270,10 @@ type RestoreInfo struct {
 // queries are re-registered — each with its recorded source, compile
 // options, labels, pause flag, and management flag, under a fresh,
 // pointer-stable QueryHandle — their captured runtime state is folded back
-// in at a pre-stream barrier, and the journaled event tail past the
-// snapshot's offset is replayed, so the engine resumes alert-for-alert
-// exactly where an uninterrupted run would be.
+// in before any event flows (RestoreStateBlobs, then Start, which re-splits
+// it over the shards), and the journaled event tail past the snapshot's
+// offset is replayed, so the engine resumes alert-for-alert exactly where an
+// uninterrupted run would be.
 //
 // A directory without a snapshot is a snapshot at offset 0 holding no
 // queries, through the same code: an empty directory yields a fresh engine,
@@ -394,34 +397,19 @@ func open(dir string, needSnapshot bool, opts []RestoreOption) (*Engine, *Restor
 	}
 	eng.tenMu.Unlock()
 
-	// Fold the captured state back in at a pre-stream barrier.
+	// Fold the captured state into the registered queries; Start hands it to
+	// the shards as it hands over any warm query.
+	states := make(map[string][][]byte, len(snap.Queries))
+	for _, qs := range snap.Queries {
+		states[qs.Name] = qs.States
+	}
+	if err := eng.RestoreStateBlobs(states); err != nil {
+		return fail(eng, err)
+	}
 	if cfg.start {
 		if err := eng.Start(context.Background()); err != nil {
 			return fail(eng, err)
 		}
-		states := make(map[string][][]byte, len(snap.Queries))
-		for _, qs := range snap.Queries {
-			if len(qs.States) > 0 {
-				states[qs.Name] = qs.States
-			}
-		}
-		if rt := eng.rt.Load(); rt != nil && len(states) > 0 {
-			if err := rt.RestoreStates(states); err != nil {
-				return fail(eng, fmt.Errorf("saql: restore: %w", err))
-			}
-		}
-	} else {
-		eng.mu.Lock()
-		for _, qs := range snap.Queries {
-			rec := eng.reg[qs.Name]
-			for _, blob := range qs.States {
-				if err := rec.q.RestoreState(blob, true); err != nil {
-					eng.mu.Unlock()
-					return fail(eng, fmt.Errorf("saql: restore: %w", err))
-				}
-			}
-		}
-		eng.mu.Unlock()
 	}
 
 	info := &RestoreInfo{TakenAt: snap.TakenAt, Offset: snap.Offset, Queries: len(snap.Queries)}

@@ -39,7 +39,7 @@ func TestGoldenMidWindowCheckpoint(t *testing.T) {
 			if c.Kind == KindRule.String() || c.Name == "kmeans-outlier" || c.Name == "history-scalars" {
 				continue
 			}
-			if err := e.AddQuery(c.Name, c.Src); err != nil {
+			if _, err := e.Register(c.Name, c.Src); err != nil {
 				t.Fatal(err)
 			}
 		}

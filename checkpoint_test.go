@@ -10,13 +10,16 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strconv"
 	"sync"
 	"testing"
 	"time"
+	"weak"
 
 	"saql/internal/snapshot"
 )
@@ -62,7 +65,7 @@ func TestCheckpointRestoreSerialRoundTrip(t *testing.T) {
 	// Uninterrupted reference.
 	ref := New()
 	for _, q := range concurrencyQueries {
-		if err := ref.AddQuery(q.name, q.src); err != nil {
+		if _, err := ref.Register(q.name, q.src); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -82,7 +85,7 @@ func TestCheckpointRestoreSerialRoundTrip(t *testing.T) {
 	}
 	e1 := New(WithJournal(store))
 	for _, q := range concurrencyQueries {
-		if err := e1.AddQuery(q.name, q.src); err != nil {
+		if _, err := e1.Register(q.name, q.src); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -167,7 +170,7 @@ func TestCheckpointRestoreShardedReplay(t *testing.T) {
 
 	ref := New()
 	for _, q := range concurrencyQueries {
-		if err := ref.AddQuery(q.name, q.src); err != nil {
+		if _, err := ref.Register(q.name, q.src); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -191,7 +194,7 @@ func TestCheckpointRestoreShardedReplay(t *testing.T) {
 		mu.Unlock()
 	}))
 	for _, q := range concurrencyQueries {
-		if err := e1.AddQuery(q.name, q.src); err != nil {
+		if _, err := e1.Register(q.name, q.src); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -365,7 +368,7 @@ func TestRestoreErrorsTyped(t *testing.T) {
 			t.Fatal(err)
 		}
 		eng := New(WithJournal(store))
-		if err := eng.AddQuery("q", `proc p read file f return p`); err != nil {
+		if _, err := eng.Register("q", `proc p read file f return p`); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := eng.Checkpoint(dir); err != nil {
@@ -393,7 +396,7 @@ func TestRestoreErrorsTyped(t *testing.T) {
 			t.Fatal(err)
 		}
 		eng := New(WithJournal(store))
-		if err := eng.AddQuery("q", `proc p read file f return p`); err != nil {
+		if _, err := eng.Register("q", `proc p read file f return p`); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := eng.Checkpoint(dir); err != nil {
@@ -436,7 +439,7 @@ return distinct p1, f1, p2, i1`
 		t.Fatal(err)
 	}
 	e1 := New(WithJournal(store))
-	if err := e1.AddQuery("exfil", src); err != nil {
+	if _, err := e1.Register("exfil", src); err != nil {
 		t.Fatal(err)
 	}
 	// First two steps land before the crash; the partial match must ride
@@ -483,7 +486,7 @@ func TestJournalReuseAfterCheckpointlessCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	e1 := New(WithJournal(store1))
-	if err := e1.AddQuery("q", concurrencyQueries[0].src); err != nil {
+	if _, err := e1.Register("q", concurrencyQueries[0].src); err != nil {
 		t.Fatal(err)
 	}
 	for _, ev := range events[:40] {
@@ -498,7 +501,7 @@ func TestJournalReuseAfterCheckpointlessCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	e2 := New(WithJournal(store2))
-	if err := e2.AddQuery("q", concurrencyQueries[0].src); err != nil {
+	if _, err := e2.Register("q", concurrencyQueries[0].src); err != nil {
 		t.Fatal(err)
 	}
 	for _, ev := range events[40:60] {
@@ -588,7 +591,7 @@ func TestCheckpointWhileStreaming(t *testing.T) {
 	}
 	eng := New(WithShards(4), WithJournal(store))
 	for _, q := range concurrencyQueries {
-		if err := eng.AddQuery(q.name, q.src); err != nil {
+		if _, err := eng.Register(q.name, q.src); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -634,5 +637,158 @@ func TestCheckpointWhileStreaming(t *testing.T) {
 	// The final pre-close checkpoint is restorable.
 	if _, _, err := Restore(dir, WithoutStart(), WithoutReplay()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRestoreMatchesAcrossShardCounts opens one checkpoint directory, written
+// by a 4-shard engine mid-window with a paused span behind one query, at 1, 2
+// and 8 shards: started by Open, and opened WithoutStart, then started. State
+// reaches the shards one way — RestoreStateBlobs folds it into the registered
+// queries, Start hands it over — so after the journal tail replays every query
+// must report the counters of the run that was never interrupted (the
+// events-offered counter resuming where the capture left it, not at zero),
+// and the tail must raise the same alerts every way in. StateBytes sums each
+// replica's encoding, so it is compared between the two ways in at one shard
+// count.
+func TestRestoreMatchesAcrossShardCounts(t *testing.T) {
+	queries := append([]struct{ name, src string }{
+		{"ts-history", `proc p write ip i as e #time(500 ms)
+state[3] ss { amt := sum(e.amount) } group by p
+alert ss[0].amt > ss[1].amt + 50 && ss[0].amt > 100
+return p, ss[0].amt, ss[1].amt`},
+		{"inv-dsts", `proc p write ip i as e #time(600 ms)
+state ss { dsts := set(i.dstip) } group by e.agentid
+invariant[2] {
+  known := empty_set
+  known = known union ss.dsts
+}
+alert |ss.dsts diff known| >= 1
+return ss.dsts`},
+	}, concurrencyQueries...)
+	events := concurrencyWorkload(96, 25)
+	cut := len(events) / 2
+
+	dir := t.TempDir()
+	store, err := OpenStore(dir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(WithShards(4), WithJournal(store))
+	for _, q := range queries {
+		if _, err := e.Register(q.name, q.src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	h, _ := e.Query("ts-history")
+	for _, step := range []func() error{
+		func() error { return e.SubmitBatch(events[:cut/2]) },
+		h.Pause,
+		func() error { return e.SubmitBatch(events[cut/2 : 3*cut/4]) },
+		h.Resume,
+		func() error { return e.SubmitBatch(events[3*cut/4 : cut]) },
+		func() error { _, err := e.Checkpoint(dir); return err },
+		func() error { return e.SubmitBatch(events[cut:]) }, // the tail every open replays
+	} {
+		if err := step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := map[string]QueryStats{}
+	for _, q := range queries {
+		want[q.name], _ = e.QueryStats(q.name)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	type result struct {
+		stats  map[string]QueryStats
+		alerts []string
+	}
+	open := func(t *testing.T, shards int, startLater bool) result {
+		var mu sync.Mutex
+		var alerts []*Alert
+		opts := WithRestoreEngineOptions(WithShards(shards), WithAlertHandler(func(a *Alert) {
+			mu.Lock()
+			alerts = append(alerts, a)
+			mu.Unlock()
+		}))
+		var eng *Engine
+		var err error
+		if startLater {
+			var info *RestoreInfo
+			if eng, info, err = Open(dir, opts, WithoutStart(), WithoutReplay()); err != nil {
+				t.Fatal(err)
+			}
+			// The restored by-group primary hands its state to fresh replicas
+			// at Start: nothing may keep it (and a second copy of the state)
+			// alive.
+			primary := weak.Make(eng.reg["ts-history"].q)
+			if err := eng.Start(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			runtime.GC()
+			if primary.Value() != nil {
+				t.Error("the by-group primary that handed its state over is still reachable after Start")
+			}
+			if _, err := eng.ReplayJournal(info.Offset); err != nil {
+				t.Fatal(err)
+			}
+		} else if eng, _, err = Open(dir, opts); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.RestoreStateBlobs(nil); !errors.Is(err, ErrAlreadyRunning) {
+			t.Errorf("RestoreStateBlobs on a running engine = %v, want ErrAlreadyRunning", err)
+		}
+		res := result{stats: map[string]QueryStats{}}
+		for _, q := range queries {
+			res.stats[q.name], _ = eng.QueryStats(q.name)
+		}
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.RestoreStateBlobs(nil); !errors.Is(err, ErrClosed) {
+			t.Errorf("RestoreStateBlobs on a closed engine = %v, want ErrClosed", err)
+		}
+		mu.Lock()
+		res.alerts = sortedIdentities(alerts)
+		mu.Unlock()
+		return res
+	}
+
+	var ref []string
+	for _, shards := range []int{1, 2, 8} {
+		var opened result
+		for _, startLater := range []bool{false, true} {
+			name := fmt.Sprintf("shards=%d/open", shards)
+			if startLater {
+				name = fmt.Sprintf("shards=%d/without-start", shards)
+			}
+			t.Run(name, func(t *testing.T) {
+				got := open(t, shards, startLater)
+				if ref == nil {
+					if ref = got.alerts; len(ref) == 0 {
+						t.Fatal("the replayed tail raised no alerts")
+					}
+				}
+				if !startLater {
+					opened = got
+				}
+				for _, q := range queries {
+					g, w := got.stats[q.name], want[q.name]
+					if g.Events != w.Events || g.WindowsClosed != w.WindowsClosed ||
+						g.PatternHits != w.PatternHits || g.Alerts != w.Alerts {
+						t.Errorf("%s: stats %+v, want %+v as the uninterrupted run", q.name, g, w)
+					}
+					if sb := opened.stats[q.name].StateBytes; g.StateBytes != sb {
+						t.Errorf("%s: StateBytes %d, want %d as opened started", q.name, g.StateBytes, sb)
+					}
+				}
+				diffAlertSets(t, name, ref, got.alerts)
+			})
+		}
 	}
 }

@@ -43,7 +43,7 @@ return i.dstip, cluster.cluster_id, cluster.size`
 
 	serial := func() []string {
 		e := New()
-		if err := e.AddQuery("clusters", src); err != nil {
+		if _, err := e.Register("clusters", src); err != nil {
 			t.Fatal(err)
 		}
 		var alerts []*Alert
@@ -78,7 +78,7 @@ return i.dstip, cluster.cluster_id, cluster.size`
 		sharded = append(sharded, a)
 		mu.Unlock()
 	}))
-	if err := e.AddQuery("clusters", src); err != nil {
+	if _, err := e.Register("clusters", src); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Start(context.Background()); err != nil {

@@ -297,8 +297,8 @@ func run(args []string, out io.Writer) error {
 	if sharded {
 		say("concurrent runtime: %d shards\n", eng.Shards())
 		for _, name := range set.Names() {
-			if p, ok := eng.QueryPlacement(name); ok {
-				say("  %-40s placement=%s\n", name, p)
+			if h, ok := eng.Query(name); ok {
+				say("  %-40s placement=%s\n", name, h.Placement())
 			}
 		}
 	}

@@ -42,8 +42,8 @@ func TestLifecycleErrors(t *testing.T) {
 	if err := eng.Start(context.Background()); !errors.Is(err, ErrClosed) {
 		t.Errorf("Start after Close = %v, want ErrClosed", err)
 	}
-	if err := eng.AddQuery("late", `proc p read file f return p`); !errors.Is(err, ErrClosed) {
-		t.Errorf("AddQuery after Close = %v, want ErrClosed", err)
+	if _, err := eng.Register("late", `proc p read file f return p`); !errors.Is(err, ErrClosed) {
+		t.Errorf("Register after Close = %v, want ErrClosed", err)
 	}
 	// Subscribing to a closed engine yields an already-closed stream.
 	sub := eng.Subscribe(4, Block)
@@ -110,17 +110,17 @@ return p`, PlaceByGroup},
 	}
 	eng := New()
 	for _, c := range cases {
-		if err := eng.AddQuery(c.name, c.src); err != nil {
+		h, err := eng.Register(c.name, c.src)
+		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		got, ok := eng.QueryPlacement(c.name)
-		if !ok || got != c.want {
-			t.Errorf("%s: placement = %v (%v), want %v", c.name, got, ok, c.want)
+		if got := h.Placement(); got != c.want {
+			t.Errorf("%s: placement = %v, want %v", c.name, got, c.want)
 		}
 	}
 }
 
-// TestRemoveQueryConsistency is the regression test for the RemoveQuery
+// TestRemoveQueryConsistency is the regression test for the query-removal
 // state inconsistency: the registry entry must only disappear when the
 // scheduler-side removal succeeds, so the registry and scheduler never
 // disagree and removed names are always re-addable.
@@ -132,61 +132,61 @@ return p, ss.amt`
 	// Build one master–dependent group: the dependent adds a stricter
 	// alert threshold, so removing the master exercises the scheduler's
 	// promotion path.
-	if err := eng.AddQuery("master", base); err != nil {
+	master, err := eng.Register("master", base)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.AddQuery("dep", base+"\nalert ss.amt > 1000"); err != nil {
+	dep, err := eng.Register("dep", base+"\nalert ss.amt > 1000")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if eng.RemoveQuery("missing") {
-		t.Error("removing an unknown query reported success")
-	}
-	if !eng.RemoveQuery("master") {
-		t.Fatal("failed to remove master query")
+	if err := master.Close(); err != nil {
+		t.Fatalf("failed to remove master query: %v", err)
 	}
 	// After a successful removal both registry and scheduler must agree:
 	// the name is gone from every view and immediately re-addable.
-	if _, ok := eng.QueryKind("master"); ok {
+	if _, ok := eng.Query("master"); ok {
 		t.Error("removed query still in registry")
 	}
-	for m := range eng.Groups() {
+	for m := range eng.groups() {
 		if m == "master" {
 			t.Error("removed query still scheduled")
 		}
 	}
-	if err := eng.AddQuery("master", base); err != nil {
+	if _, err := eng.Register("master", base); err != nil {
 		t.Errorf("re-adding a removed query failed: %v", err)
 	}
 	if eng.Stats().Queries != 2 {
 		t.Errorf("query count = %d, want 2", eng.Stats().Queries)
 	}
-	// Double removal reports false and leaves the survivor intact.
-	if !eng.RemoveQuery("dep") || eng.RemoveQuery("dep") {
+	// Double removal is a no-op and leaves the survivor intact.
+	if err := dep.Close(); err != nil || dep.Close() != nil || !dep.Closed() {
 		t.Error("double removal inconsistency")
 	}
-	if _, ok := eng.QueryKind("master"); !ok {
+	if _, ok := eng.Query("master"); !ok {
 		t.Error("surviving query lost")
 	}
 }
 
 func TestRemoveQueryWhileRunning(t *testing.T) {
 	eng := New(WithShards(3))
-	if err := eng.AddQuery("q1", `proc p write ip i as e
+	h, err := eng.Register("q1", `proc p write ip i as e
 alert e.amount > 100
-return p`); err != nil {
+return p`)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.Start(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	if !eng.RemoveQuery("q1") {
-		t.Error("RemoveQuery while running failed")
+	if err := h.Close(); err != nil {
+		t.Errorf("removal while running failed: %v", err)
 	}
-	if eng.RemoveQuery("q1") {
-		t.Error("double remove while running succeeded")
+	if _, ok := eng.Query("q1"); ok {
+		t.Error("removed query still registered while running")
 	}
-	if err := eng.AddQuery("q1", `proc p write ip i as e
+	if _, err := eng.Register("q1", `proc p write ip i as e
 alert e.amount > 100
 return p`); err != nil {
 		t.Errorf("re-add while running: %v", err)
@@ -272,7 +272,7 @@ func TestConcurrentSubmitMatchesSerial(t *testing.T) {
 	// Serial baseline.
 	serial := New()
 	for _, q := range concurrencyQueries {
-		if err := serial.AddQuery(q.name, q.src); err != nil {
+		if _, err := serial.Register(q.name, q.src); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -288,7 +288,7 @@ func TestConcurrentSubmitMatchesSerial(t *testing.T) {
 	// Concurrent run: multiple submitters, two subscribers.
 	eng := New(WithShards(shards))
 	for _, q := range concurrencyQueries {
-		if err := eng.AddQuery(q.name, q.src); err != nil {
+		if _, err := eng.Register(q.name, q.src); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -384,7 +384,7 @@ func TestShardedKillChainMatchesSerial(t *testing.T) {
 
 	serial := New()
 	for _, nq := range queries {
-		if err := serial.AddQuery(nq.Name, nq.SAQL); err != nil {
+		if _, err := serial.Register(nq.Name, nq.SAQL); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -399,7 +399,7 @@ func TestShardedKillChainMatchesSerial(t *testing.T) {
 
 	eng := New(WithShards(4))
 	for _, nq := range queries {
-		if err := eng.AddQuery(nq.Name, nq.SAQL); err != nil {
+		if _, err := eng.Register(nq.Name, nq.SAQL); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -489,7 +489,7 @@ return ss.amt`, key)
 					opts = append(opts, WithShards(shards))
 				}
 				eng := New(opts...)
-				if err := eng.AddQuery("bad-key", src); err != nil {
+				if _, err := eng.Register("bad-key", src); err != nil {
 					t.Fatal(err)
 				}
 				if shards == 0 {
@@ -542,7 +542,7 @@ func TestArgumentErrorsVisibleAfterProcess(t *testing.T) {
 		handled++
 		_, _ = eng.Errors(), eng.ErrorCount()
 	}))
-	if err := eng.AddQuery("root", `proc p write ip i as e #time(1 h)
+	if _, err := eng.Register("root", `proc p write ip i as e #time(1 h)
 state ss { r := sum(sqrt(e.amount - 500)) } group by p
 alert ss.r > 1000000
 return ss.r`); err != nil {
@@ -718,7 +718,7 @@ return p, ss.amt`
 // tiny queue with no consumer pressure must never block Submit.
 func TestDropNewestBackpressure(t *testing.T) {
 	eng := New(WithShards(1), WithIngestQueue(1), WithBackpressure(DropNewest))
-	if err := eng.AddQuery("q", `proc p write ip i as e
+	if _, err := eng.Register("q", `proc p write ip i as e
 alert e.amount > 0
 return p`); err != nil {
 		t.Fatal(err)
@@ -747,7 +747,7 @@ return p`); err != nil {
 // before Flush is reflected in the returned alerts.
 func TestFlushWhileRunning(t *testing.T) {
 	eng := New(WithShards(3))
-	if err := eng.AddQuery("sum", `proc p write ip i as e #time(1 min)
+	if _, err := eng.Register("sum", `proc p write ip i as e #time(1 min)
 state ss { amt := sum(e.amount) } group by p
 alert ss.amt > 50
 return p, ss.amt`); err != nil {

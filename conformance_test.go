@@ -87,7 +87,7 @@ return p, e.amount`,
 	// Serial baseline: the final set over the whole stream.
 	serial := New()
 	for name, src := range final {
-		if err := serial.AddQuery(name, src); err != nil {
+		if _, err := serial.Register(name, src); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -460,7 +460,7 @@ return p, ss.amt`, 1000000+i*1000)
 	register := func(eng *Engine) {
 		t.Helper()
 		for _, q := range queries {
-			if err := eng.AddQuery(q.name, q.src); err != nil {
+			if _, err := eng.Register(q.name, q.src); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -552,7 +552,7 @@ func TestSharedKeyEvaluation(t *testing.T) {
 		for _, sh := range shapes {
 			for w := 10; w < 10+variants; w++ {
 				src := strings.Replace(sh.src, "#time(10 s)", fmt.Sprintf("#time(%d s)", w), 1)
-				if err := eng.AddQuery(fmt.Sprintf("%s-%ds", sh.name, w), src); err != nil {
+				if _, err := eng.Register(fmt.Sprintf("%s-%ds", sh.name, w), src); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -637,8 +637,8 @@ func TestWidestQueryMatchesSerial(t *testing.T) {
 		fmt.Fprintf(&src, " -> e%d", i)
 	}
 	src.WriteString("\nreturn p0, p62")
-	if err := New().AddQuery("too-wide", "proc q start proc c as extra\n"+src.String()); err == nil || !strings.Contains(err.Error(), "at most 63") {
-		t.Fatalf("64 patterns: AddQuery error %v, want the pattern bound", err)
+	if _, err := New().Register("too-wide", "proc q start proc c as extra\n"+src.String()); err == nil || !strings.Contains(err.Error(), "at most 63") {
+		t.Fatalf("64 patterns: Register error %v, want the pattern bound", err)
 	}
 	for _, shards := range []int{0, 1, 4} {
 		alerts, collect := collectAlerts()
@@ -647,7 +647,7 @@ func TestWidestQueryMatchesSerial(t *testing.T) {
 			opts = append(opts, WithShards(shards))
 		}
 		eng := New(opts...)
-		if err := eng.AddQuery("widest", src.String()); err != nil {
+		if _, err := eng.Register("widest", src.String()); err != nil {
 			t.Fatal(err)
 		}
 		if shards == 0 {
@@ -696,7 +696,7 @@ return p, ss.amt`, 1000000+i*1000)
 			eng = New(WithShards(shards), WithIngestQueue(64))
 		}
 		for _, q := range queries {
-			if err := eng.AddQuery(q.name, q.src); err != nil {
+			if _, err := eng.Register(q.name, q.src); err != nil {
 				t.Fatal(err)
 			}
 		}

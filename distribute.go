@@ -5,10 +5,15 @@ package saql
 // hooks the internal/dist coordinator/worker layer builds on — a worker is
 // a normal Engine restricted to the key ranges it owns (WithKeyRanges),
 // and a key range migrates between workers by folding the source's
-// checkpoint state blobs into the target (RestoreStateBlobs), whose
-// ownership filters keep exactly the state it now owns.
+// checkpoint state blobs into the restored, not yet started target
+// (RestoreStateBlobs); Start's hand-over then keeps exactly the state the
+// target's ownership filters accept.
 
-import "fmt"
+import (
+	"fmt"
+	"maps"
+	"slices"
+)
 
 // KeyRange is an inclusive range [Lo, Hi] of the 32-bit FNV-1a ownership
 // hash space — the same hashing the sharded runtime uses to split group-by
@@ -60,26 +65,40 @@ func (c *config) ownsFunc() func(uint32) bool {
 	}
 }
 
-// RestoreStateBlobs folds captured query-state blobs into a running engine
-// at a pre-stream control barrier — the state-transfer half of a key-range
-// migration. The blobs are a checkpoint's per-query States (one consistent
-// cut, taken at the same stream offset this engine was restored to); every
-// blob is offered to every shard, and the engine's ownership filters keep
-// exactly the state it owns: group-keyed state lands where the group hash
-// is owned, single-owner state (distinct tables, partial matches, pinned
-// windows) is granted to the lowest shard holding a replica, and shared
-// stream clocks merge by max/union — so re-folding state for unowned groups
-// is harmless, which is what lets a migration ship a source worker's whole
-// snapshot and let the target keep only the migrated range.
+// RestoreStateBlobs folds captured query-state blobs into the registered
+// queries of a never-started engine: Open's restore, and the state-transfer
+// half of a key-range migration. The blobs are checkpoint per-query States
+// (one consistent cut, taken at the stream offset this engine was restored
+// to). Every blob merges into its query: group-keyed state and disjoint
+// counters accumulate, and shared stream clocks merge by max/union. Start
+// then hands each query over as it hands over any warm query, re-splitting
+// its groups through every replica's ownership filter — so folding in state
+// for groups this engine does not own is harmless, which is what lets a
+// migration ship a source worker's whole snapshot and let the target keep
+// only the migrated range.
 //
-// Blobs for queries not registered on this engine are ignored.
+// Blobs for queries not registered on this engine are ignored. It must not
+// run concurrently with Process. On a running engine it returns
+// ErrAlreadyRunning.
 func (e *Engine) RestoreStateBlobs(states map[string][][]byte) error {
-	rt := e.rt.Load()
-	if rt == nil {
-		return ErrNotRunning
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	switch engineState(e.state.Load()) {
+	case stateRunning:
+		return ErrAlreadyRunning
+	case stateClosed:
+		return ErrClosed
 	}
-	if len(states) == 0 {
-		return nil
+	for _, name := range slices.Sorted(maps.Keys(states)) {
+		rec, ok := e.reg[name]
+		if !ok {
+			continue
+		}
+		for _, blob := range states[name] {
+			if err := rec.q.RestoreState(blob, true); err != nil {
+				return fmt.Errorf("saql: restore: %w", err)
+			}
+		}
 	}
-	return rt.RestoreStates(states)
+	return nil
 }

@@ -90,16 +90,15 @@
 // An Engine moves through three states. It is created in the serial state,
 // where the synchronous Process/Flush methods evaluate queries on the
 // caller's goroutine and return alerts directly (the original blocking API;
-// Process, Flush, AddQuery, and RemoveQuery are all deprecated in
-// favour of Start/Submit/Subscribe and the Register handle API, but remain
-// fully supported). Start moves it to the running state: ingestion happens
-// through the non-blocking Submit/SubmitBatch, whose backpressure on a full
-// queue is configurable with WithBackpressure (Block, or DropNewest counted
-// in Stats.Dropped). Close drains the queue, closes all windows, delivers
-// the final alerts, and ends every subscription (each subscription's Err
-// then reports ErrClosed). Misuse yields typed errors: ErrNotRunning,
-// ErrAlreadyRunning, ErrClosed, and — for operations on a retired query
-// handle — ErrQueryClosed.
+// Process and Flush are deprecated in favour of Start/Submit/Subscribe, but
+// remain fully supported). Start moves it to the running state: ingestion
+// happens through the non-blocking Submit/SubmitBatch, whose backpressure on
+// a full queue is configurable with WithBackpressure (Block, or DropNewest
+// counted in Stats.Dropped). Close drains the queue, closes all windows,
+// delivers the final alerts, and ends every subscription (each
+// subscription's Err then reports ErrClosed). Misuse yields typed errors:
+// ErrNotRunning, ErrAlreadyRunning, ErrClosed, and — for operations on a
+// retired query handle — ErrQueryClosed.
 //
 // # Shard placement
 //
@@ -126,7 +125,7 @@
 //     (one global suppression table) — are pinned to a single home shard,
 //     assigned round-robin (PlacePinned).
 //
-// QueryPlacement reports the decision per query.
+// QueryHandle.Placement reports the decision per query.
 //
 // Concurrent queries are scheduled with the master–dependent-query scheme:
 // semantically compatible queries share one copy of the stream, with the
@@ -177,16 +176,16 @@
 //
 // The checkpoint substrate scales past one process. WithKeyRanges restricts
 // an engine to contiguous ranges of the 32-bit FNV-1a ownership hash space
-// (RestoreStateBlobs applies migrated state), and internal/dist builds the
-// cluster on top: a
-// coordinator owning the queryset and the stream, cmd/saql-worker nodes
-// each running a normal engine over their own journal/checkpoint directory,
-// and a framed wire protocol carrying events, control ops, alerts, and
-// checkpoint barriers in one total order. Worker loss and live key-range
-// rebalance both reduce to checkpoint/restore, and the cluster's merged
-// alert stream stays alert-for-alert identical to one serial engine. Run a
-// cluster with cmd/saql's -cluster flag; see docs/architecture.md,
-// "Distributed operation".
+// (RestoreStateBlobs folds migrated state into a restored engine before it
+// starts), and internal/dist builds the cluster on top: a coordinator owning
+// the queryset and the stream, cmd/saql-worker nodes each running a normal
+// engine over their own journal/checkpoint directory, and a framed wire
+// protocol carrying events, control ops, alerts, and checkpoint barriers in
+// one total order. Worker loss and live key-range rebalance both reduce to
+// checkpoint/restore, and the cluster's merged alert stream stays
+// alert-for-alert identical to one serial engine. Run a cluster with
+// cmd/saql's -cluster flag; see docs/architecture.md, "Distributed
+// operation".
 //
 // The module also ships the full demonstration substrate of the paper: a
 // deterministic multi-host workload simulator (NewWorkload), the five-step

@@ -130,7 +130,7 @@ query big-write {
 // prefer Start + Submit + Subscribe (see ExampleEngine_Subscribe).
 func ExampleEngine_Process() {
 	eng := saql.New()
-	err := eng.AddQuery("dump-read", `
+	_, err := eng.Register("dump-read", `
 proc p1["%sqlservr.exe"] write file f1["%backup1.dmp"] as evt1
 proc p2 read file f1 as evt2
 with evt1 -> evt2
@@ -169,7 +169,7 @@ func ExampleValidate() {
 // network volume spikes above the 3-window moving average.
 func ExampleEngine_Flush() {
 	eng := saql.New()
-	_ = eng.AddQuery("sma", `
+	_, _ = eng.Register("sma", `
 proc p write ip i as evt #time(1 min)
 state[3] ss { avg_amount := avg(evt.amount) } group by p
 alert (ss[0].avg_amount > (ss[0].avg_amount + ss[1].avg_amount + ss[2].avg_amount) / 3) && (ss[0].avg_amount > 10000)

@@ -59,8 +59,8 @@ func main() {
 	// outlier query needs all peer groups of a window in one place, so the
 	// runtime pins it to a single shard.
 	for _, name := range []string{"net-sma", "net-outlier"} {
-		p, _ := eng.QueryPlacement(name)
-		fmt.Printf("%-12s placement=%s\n", name, p)
+		h, _ := eng.Query(name)
+		fmt.Printf("%-12s placement=%s\n", name, h.Placement())
 	}
 	if err := eng.Start(context.Background()); err != nil {
 		log.Fatal(err)

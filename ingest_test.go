@@ -125,7 +125,7 @@ func TestAuditdSampleAlertEquivalence(t *testing.T) {
 		var alerts []string
 		eng := New(WithShards(4), WithAlertHandler(func(a *Alert) { alerts = append(alerts, a.String()) }))
 		for name, src := range sampleQueries {
-			if err := eng.AddQuery(name, src); err != nil {
+			if _, err := eng.Register(name, src); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 		}
@@ -173,7 +173,7 @@ func TestAuditdSampleAlertEquivalence(t *testing.T) {
 // aggregate into Engine.Stats.
 func TestSourceStatsSurfaceInEngineStats(t *testing.T) {
 	eng := New(WithShards(1))
-	if err := eng.AddQuery("any", `proc p read file f return p, f`); err != nil {
+	if _, err := eng.Register("any", `proc p read file f return p, f`); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.Start(context.Background()); err != nil {

@@ -15,6 +15,7 @@ package dist
 // locally, lifted to the wire.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -373,8 +374,9 @@ func (w *Worker) handleStateRequest() error {
 
 // handleReconfigure re-restores the engine under a new range map: close
 // (muted — the close flush's end-of-stream alerts are an artifact of the
-// swap, not of the stream), restore from the worker's own checkpoint, fold
-// any migrated-in state blobs, unmute, ack. Sent only right after a
+// swap, not of the stream), restore from the worker's own checkpoint without
+// starting, fold any migrated-in state blobs into its queries, start (which
+// keeps what the new ranges own), unmute, ack. Sent only right after a
 // barrier, so the journal head equals the snapshot offset and the restore
 // replays nothing.
 func (w *Worker) handleReconfigure(p []byte) error {
@@ -390,7 +392,7 @@ func (w *Worker) handleReconfigure(p []byte) error {
 	if err := w.eng.Close(); err != nil {
 		return err
 	}
-	eng, rinfo, err := saql.Restore(w.cfg.Dir,
+	eng, rinfo, err := saql.Restore(w.cfg.Dir, saql.WithoutStart(),
 		saql.WithRestoreEngineOptions(w.engineOpts(rc.Ranges)...))
 	if err != nil {
 		return err
@@ -402,10 +404,13 @@ func (w *Worker) handleReconfigure(p []byte) error {
 	if rinfo.Offset != w.off {
 		return fmt.Errorf("reconfigure snapshot at offset %d, stream position %d", rinfo.Offset, w.off)
 	}
+	if err := eng.RestoreStateBlobs(rc.States); err != nil {
+		return err
+	}
+	if err := eng.Start(context.Background()); err != nil {
+		return err
+	}
 	if len(rc.States) > 0 {
-		if err := eng.RestoreStateBlobs(rc.States); err != nil {
-			return err
-		}
 		// The barrier's snapshot predates the migrated-in state: re-take it
 		// at the same offset, or a replacement restoring this directory
 		// would own the migrated ranges without their open windows.

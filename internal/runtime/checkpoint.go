@@ -5,10 +5,10 @@ package runtime
 // events, pause, and hot-swap, so the states the shards encode are one
 // consistent cut of the stream — every event before the barrier fully
 // folded, nothing after it touched — and the offset the router stamps on the
-// barrier indexes exactly that cut in the journal. Restore is the mirrored
-// control op, applied to a freshly started runtime before any event flows:
-// each shard folds the blobs through its replicas' own ownership filters, so
-// one logical state re-splits across whatever shard count the restored
+// barrier indexes exactly that cut in the journal. Restore needs no control
+// op: the blobs are folded into a never-started engine's queries, and
+// installing a warm query (buildReplicas) re-splits its state through every
+// replica's ownership filter, across whatever shard count the restored
 // engine runs with.
 
 // CheckpointState is one consistent cut of the runtime's query state.
@@ -46,42 +46,4 @@ func (r *Runtime) Checkpoint() (*CheckpointState, error) {
 		}
 	}
 	return out, nil
-}
-
-// RestoreStates folds captured state blobs into the registered queries, at a
-// control-queue barrier. Every blob is offered to every shard; group-keyed
-// state lands only where the replica's ownership filter accepts it, and each
-// query's single-owner state (counters, distinct table, partial matches) is
-// granted to its lowest-numbered shard holding a replica.
-func (r *Runtime) RestoreStates(states map[string][][]byte) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	statsShard := make(map[string]int, len(states))
-	for name := range states {
-		statsShard[name] = -1
-		if qi, ok := r.queries[name]; ok {
-			for i, q := range qi.replicas {
-				if q != nil {
-					statsShard[name] = i
-					break
-				}
-			}
-		}
-	}
-	c := &control{kind: ctlRestore, restore: states, statsShard: statsShard}
-	results, err := r.control(c)
-	if err != nil {
-		return err
-	}
-	for _, res := range results {
-		if res.err != nil {
-			return res.err
-		}
-		// A restored query resumes its events-offered counter where the
-		// capturing engine's stood, not from zero at the restore point.
-		for name, n := range res.events {
-			r.queries[name].offered.raise(c.offset, n)
-		}
-	}
-	return nil
 }

@@ -317,7 +317,7 @@ func runRoutingCase(t *testing.T, seed int64, shards int, owns func(uint32) bool
 	placed := map[string][]bool{} // query -> shard -> holds a replica
 	for _, qs := range routingQueries {
 		primary, clone := compileRouting(t, qs.name, qs.src)
-		if err := r.Add(primary, clone); err != nil {
+		if _, err := r.Add(primary, clone); err != nil {
 			t.Fatalf("add %s: %v", qs.name, err)
 		}
 		placed[qs.name] = make([]bool, shards)

@@ -196,7 +196,6 @@ const (
 	ctlPause
 	ctlSwap
 	ctlCheckpoint
-	ctlRestore
 )
 
 type control struct {
@@ -219,10 +218,6 @@ type control struct {
 	// encoding them, so a snapshot carries the count the serial engine's
 	// per-query counter would hold at the barrier.
 	offered map[string]offered
-	// ctlRestore: per-query state blobs (in capture-shard order) and the
-	// shard id granted each query's single-owner state.
-	restore    map[string][][]byte
-	statsShard map[string]int
 
 	ack chan ctlResult
 }
@@ -235,9 +230,6 @@ type ctlResult struct {
 	stats   engine.QueryStats
 	found   bool
 	states  map[string][]byte // ctlCheckpoint: this shard's per-query state
-	// ctlRestore: the events-offered counter each restored query now
-	// carries, reported by the shard granted its single-owner state.
-	events map[string]int64
 }
 
 type queryInfo struct {
@@ -281,14 +273,6 @@ func (o *offered) setPaused(paused bool, offset int64) {
 		o.anchor += offset - o.pausedAt
 	}
 	o.paused = paused
-}
-
-// raise lifts the counter to n at offset if it reads lower: restored
-// counters merge by max, like every shared counter in engine.RestoreState.
-func (o *offered) raise(offset, n int64) {
-	if d := n - o.at(offset); d > 0 {
-		o.anchor -= d
-	}
 }
 
 // Start spins up the runtime: one router plus cfg.Shards workers.
@@ -575,38 +559,8 @@ func (s *shard) apply(c *control, fan *AlertFanout) {
 			}
 		}
 		res.states, _, res.err = s.sched.CaptureStates()
-	case ctlRestore:
-		res.events = map[string]int64{}
-		for _, name := range sortedNames(c.restore) {
-			q, ok := s.sched.Query(name)
-			if !ok {
-				continue // query not placed on this shard
-			}
-			disjoint := c.statsShard[name] == s.id
-			for _, blob := range c.restore[name] {
-				if err := s.sched.RestoreQueryState(name, blob, disjoint); err != nil {
-					res.err = err
-					break
-				}
-			}
-			if res.err != nil {
-				break
-			}
-			if disjoint {
-				res.events[name] = q.Stats().Events
-			}
-		}
 	}
 	c.ack <- res
-}
-
-func sortedNames(m map[string][][]byte) []string {
-	out := make([]string, 0, len(m))
-	for name := range m {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // control enqueues a control envelope and waits for every shard's ack.
@@ -637,8 +591,10 @@ func (r *Runtime) control(c *control) ([]ctlResult, error) {
 
 // buildReplicas lays a query out across the shards: one home shard for
 // pinned placements (pinnedHome, or round-robin when negative), a filtered
-// replica per shard otherwise. warm says the primary has counted events (a
-// serial warm-up before Start). The caller holds r.mu.
+// replica per shard otherwise. warm says the primary has counted events: a
+// serial warm-up, or checkpoint state folded in before Start (a query holds
+// state only once events were offered to it, and its blob carries the
+// count). The caller holds r.mu.
 func (r *Runtime) buildReplicas(primary *engine.Query, clone func() (*engine.Query, error), pinnedHome int, warm bool) ([]*engine.Query, error) {
 	n := len(r.shards)
 	placement := primary.Placement()
@@ -659,12 +615,14 @@ func (r *Runtime) buildReplicas(primary *engine.Query, clone func() (*engine.Que
 		}
 		replicas[home] = primary
 	case engine.PlaceByGroup, engine.PlaceByEvent:
-		// A warm by-group primary holds groups every shard owns. They are
-		// handed over as a restore hands them: every replica is a fresh clone
-		// folding the primary's state through its own group filter, and the
-		// first one also takes the single-owner part.
+		// A warm primary's state is handed to every replica: the one way state
+		// reaches a shard. A by-group primary holds groups every shard owns,
+		// so every replica is a fresh clone folding the state through its own
+		// group filter, the first one also taking the single-owner part. A
+		// by-event primary stays the first replica, and the others take the
+		// shared counters.
 		var state []byte
-		if warm && placement == engine.PlaceByGroup {
+		if warm {
 			var err error
 			if state, err = primary.EncodeState(); err != nil {
 				return nil, err
@@ -672,7 +630,7 @@ func (r *Runtime) buildReplicas(primary *engine.Query, clone func() (*engine.Que
 		}
 		for i := 0; i < n; i++ {
 			q := primary
-			if i > 0 || state != nil {
+			if i > 0 || (state != nil && placement == engine.PlaceByGroup) {
 				var err error
 				if q, err = clone(); err != nil {
 					return nil, err
@@ -682,14 +640,14 @@ func (r *Runtime) buildReplicas(primary *engine.Query, clone func() (*engine.Que
 				// The router delivers an event to every shard owning one of
 				// its group keys; the filter keeps a replica from folding
 				// the keys of a multi-key event it does not own, and
-				// re-splits restored state. By-event replicas need none:
-				// the router alone names each event's owner.
+				// re-splits a warm primary's state. By-event replicas need
+				// none: the router alone names each event's owner.
 				own := composeOwner(ownerFilter(i, n), owns)
 				q.SetGroupFilter(func(key string) bool { return own(hashString(key)) })
-				if state != nil {
-					if err := q.RestoreState(state, i == 0); err != nil {
-						return nil, err
-					}
+			}
+			if state != nil && q != primary {
+				if err := q.RestoreState(state, i == 0); err != nil {
+					return nil, err
 				}
 			}
 			replicas[i] = q
@@ -707,17 +665,27 @@ func composeOwner(shard, owns func(uint32) bool) func(uint32) bool {
 	return func(h uint32) bool { return owns(h) && shard(h) }
 }
 
-// Add registers a compiled query across the shards. primary becomes one of
-// the live replicas; clone compiles an identical fresh replica for each
-// additional shard a distributed placement needs, and one for the router's
-// evaluation scheduler.
-func (r *Runtime) Add(primary *engine.Query, clone func() (*engine.Query, error)) error {
+// Add registers a compiled query across the shards. clone compiles an
+// identical fresh replica for each additional shard a distributed placement
+// needs, one for the router's evaluation scheduler, and one in primary's
+// place when primary hands warm state over (buildReplicas). Add returns the
+// query that stands for the registration: its first replica, primary unless
+// primary handed its state over, so the caller can let go of it.
+func (r *Runtime) Add(primary *engine.Query, clone func() (*engine.Query, error)) (*engine.Query, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, dup := r.queries[primary.Name]; dup {
-		return fmt.Errorf("saql: duplicate query name %q", primary.Name)
+		return nil, fmt.Errorf("saql: duplicate query name %q", primary.Name)
 	}
-	return r.install(ctlAdd, primary, clone, -1, false)
+	if err := r.install(ctlAdd, primary, clone, -1, false); err != nil {
+		return nil, err
+	}
+	for _, q := range r.queries[primary.Name].replicas {
+		if q != nil {
+			return q, nil
+		}
+	}
+	return primary, nil
 }
 
 // Swap atomically replaces the query registered under primary.Name with
@@ -752,8 +720,9 @@ func (r *Runtime) Swap(primary *engine.Query, clone func() (*engine.Query, error
 func (r *Runtime) install(kind ctlKind, primary *engine.Query, clone func() (*engine.Query, error), pinnedHome int, carry bool) error {
 	name := primary.Name
 	// Read before the control hands primary to its shard worker. A primary
-	// that already counted events (a serial warm-up before Start) keeps them,
-	// and reading them folds what its serial slice log still holds.
+	// that already counted events (a serial warm-up or a restored snapshot)
+	// keeps them — the events-offered counter is anchored so it resumes there
+	// — and reading them folds what its serial slice log still holds.
 	counted, paused := primary.Stats().Events, primary.Paused()
 	replicas, err := r.buildReplicas(primary, clone, pinnedHome, counted > 0)
 	if err != nil {

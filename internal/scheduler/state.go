@@ -1,11 +1,12 @@
 package scheduler
 
-// Checkpoint support: state capture and restore ride the scheduler lock, so
-// they happen between events — the same consistency point every other
-// control operation (add/remove/swap/pause) uses. On the sharded runtime a
-// checkpoint control envelope reaches each shard's scheduler through the
-// ingest queue's total order, so every shard captures at the identical
-// stream position.
+// Checkpoint support: state capture rides the scheduler lock, so it happens
+// between events — the same consistency point every other control operation
+// (add/remove/swap/pause) uses. On the sharded runtime a checkpoint control
+// envelope reaches each shard's scheduler through the ingest queue's total
+// order, so every shard captures at the identical stream position. Restore
+// folds blobs into the queries of a never-started engine, before Start
+// installs them on the shards.
 
 import "fmt"
 
@@ -27,20 +28,4 @@ func (s *Scheduler) CaptureStates() (map[string][]byte, int64, error) {
 		out[name] = blob
 	}
 	return out, s.stats.Events, nil
-}
-
-// RestoreQueryState folds one state blob into the registered query name.
-// disjoint marks this scheduler as the single owner of the blob's global
-// state (counters, distinct table, partial matches); group-keyed state is
-// filtered by the query replica's own shard ownership. Unknown names report
-// an error: restore plans are built from the same registry snapshot the
-// blobs were captured from.
-func (s *Scheduler) RestoreQueryState(name string, blob []byte, disjoint bool) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	q, ok := s.queries[name]
-	if !ok {
-		return fmt.Errorf("scheduler: restore: unknown query %q", name)
-	}
-	return q.RestoreState(blob, disjoint)
 }

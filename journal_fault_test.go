@@ -34,7 +34,7 @@ func crashedRun(t *testing.T, events []*Event, cut, kill int) (string, []*Alert)
 	}
 	eng := New(WithJournal(store))
 	for _, q := range concurrencyQueries {
-		if err := eng.AddQuery(q.name, q.src); err != nil {
+		if _, err := eng.Register(q.name, q.src); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -118,7 +118,7 @@ func TestRestoreDiskFaults(t *testing.T) {
 
 	ref := New()
 	for _, q := range concurrencyQueries {
-		if err := ref.AddQuery(q.name, q.src); err != nil {
+		if _, err := ref.Register(q.name, q.src); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -329,7 +329,7 @@ func TestOpenDirectoryStates(t *testing.T) {
 
 	ref := New()
 	for _, q := range concurrencyQueries {
-		if err := ref.AddQuery(q.name, q.src); err != nil {
+		if _, err := ref.Register(q.name, q.src); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -408,7 +408,7 @@ func TestOpenDirectoryStates(t *testing.T) {
 				replayed := info.Replayed
 				if !hasSnapshot {
 					for _, q := range concurrencyQueries {
-						if err := eng.AddQuery(q.name, q.src); err != nil {
+						if _, err := eng.Register(q.name, q.src); err != nil {
 							t.Fatal(err)
 						}
 					}

@@ -48,7 +48,7 @@ return p, ss.amt`
 		t.Fatal(err)
 	}
 	serial := New(WithJournal(store))
-	if err := serial.AddQuery("sum", src); err != nil {
+	if _, err := serial.Register("sum", src); err != nil {
 		t.Fatal(err)
 	}
 	for _, ev := range events {
@@ -67,7 +67,7 @@ return p, ss.amt`
 	check("restored", st, ok)
 
 	sharded := New(WithShards(2))
-	if err := sharded.AddQuery("sum", src); err != nil {
+	if _, err := sharded.Register("sum", src); err != nil {
 		t.Fatal(err)
 	}
 	if err := sharded.Start(context.Background()); err != nil {

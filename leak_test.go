@@ -18,7 +18,7 @@ import (
 func TestEngineStartCloseNoLeak(t *testing.T) {
 	leakcheck.Check(t)
 	eng := New(WithShards(4), WithIngestQueue(16))
-	if err := eng.AddQuery("big-write", "proc p write ip i as e\nalert e.amount > 1000000\nreturn p, e.amount"); err != nil {
+	if _, err := eng.Register("big-write", "proc p write ip i as e\nalert e.amount > 1000000\nreturn p, e.amount"); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.Start(context.Background()); err != nil {
@@ -62,7 +62,7 @@ func TestEngineRestartCycleNoLeak(t *testing.T) {
 func TestSourceRunNoLeak(t *testing.T) {
 	leakcheck.Check(t)
 	eng := New(WithShards(2))
-	if err := eng.AddQuery("any", `proc p read file f return p, f`); err != nil {
+	if _, err := eng.Register("any", `proc p read file f return p, f`); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.Start(context.Background()); err != nil {

@@ -76,7 +76,7 @@ func TestStreamingPipeline(t *testing.T) {
 	var alerts []*Alert
 	eng := New(WithAlertHandler(func(a *Alert) { alerts = append(alerts, a) }))
 	exfil := scenario.DemoQueries(30*time.Second, 3)[4] // rule-c5
-	if err := eng.AddQuery(exfil.Name, exfil.SAQL); err != nil {
+	if _, err := eng.Register(exfil.Name, exfil.SAQL); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.Start(context.Background()); err != nil {
@@ -123,7 +123,7 @@ with e1 -> e2
 return p1, p2, i`},
 	}
 	for _, q := range queries {
-		if err := eng.AddQuery(q.name, q.src); err != nil {
+		if _, err := eng.Register(q.name, q.src); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -171,7 +171,7 @@ return p1, p2, i`},
 // queries added/removed while another goroutine processes events.
 func TestEngineConcurrentAccess(t *testing.T) {
 	eng := New()
-	if err := eng.AddQuery("base", `proc p start proc c as e return p`); err != nil {
+	if _, err := eng.Register("base", `proc p start proc c as e return p`); err != nil {
 		t.Fatal(err)
 	}
 	start := time.Date(2020, 2, 27, 9, 0, 0, 0, time.UTC)
@@ -182,12 +182,13 @@ func TestEngineConcurrentAccess(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			name := fmt.Sprintf("q%d", i)
 			src := fmt.Sprintf(`proc p[pid > %d] start proc c as e return p`, i)
-			if err := eng.AddQuery(name, src); err != nil {
-				t.Errorf("AddQuery: %v", err)
+			h, err := eng.Register(name, src)
+			if err != nil {
+				t.Errorf("Register: %v", err)
 				return
 			}
 			if i%2 == 0 {
-				eng.RemoveQuery(name)
+				_ = h.Close()
 			}
 		}
 	}()

@@ -53,8 +53,9 @@ func WithLabel(key, value string) QueryOption {
 	}
 }
 
-// WithQueryCompileOptions overrides the engine-wide compile options for this
-// query only. Updates through the handle keep using these options.
+// WithQueryCompileOptions overrides the default compile options (resource
+// bounds) for this query. Updates through the handle keep using these
+// options, and a checkpoint records them.
 func WithQueryCompileOptions(opts CompileOptions) QueryOption {
 	return func(c *queryConfig) { c.compile = opts }
 }
@@ -96,9 +97,9 @@ func CarryWindowState() UpdateOption {
 // handles; control operations take effect at a consistent point of the
 // event stream, so a sharded engine behaves exactly like a serial one that
 // performed the operation between two events. A handle whose query has been
-// closed (by Close, RemoveQuery, or an Apply retirement) reports
-// ErrQueryClosed from its mutating methods; a name re-registered later
-// belongs to a new handle, never to a closed one.
+// closed (by Close or an Apply retirement) reports ErrQueryClosed from its
+// mutating methods; a name re-registered later belongs to a new handle, never
+// to a closed one.
 type QueryHandle struct {
 	eng    *Engine
 	name   string
@@ -241,7 +242,7 @@ func (h *QueryHandle) setPaused(p bool) error {
 // Update hot-swaps the query's source: the replacement is compiled with the
 // handle's compile options and atomically substituted on the owning
 // shard(s) at one consistent point of the event stream — alert-for-alert
-// equivalent to RemoveQuery+AddQuery executed between two events, with the
+// equivalent to Close then Register executed between two events, with the
 // name, handle, labels, and pause state preserved. A pinned query keeps its
 // home shard. By default the replacement starts with fresh state; pass
 // CarryWindowState to adopt the old query's sliding-window state when the
@@ -420,7 +421,7 @@ func (e *Engine) registerLocked(name, src string, q *engine.Query, qc queryConfi
 	rec := &queryRecord{name: name, src: src, compile: qc.compile, q: q, managed: managed}
 	rec.handle = &QueryHandle{eng: e, name: name, labels: qc.labels}
 	if rt := e.rt.Load(); rt != nil {
-		if err := rt.Add(q, cloneFor(rec)); err != nil {
+		if _, err := rt.Add(q, cloneFor(rec)); err != nil {
 			return nil, err
 		}
 	} else if err := e.sched.Add(q); err != nil {

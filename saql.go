@@ -144,7 +144,9 @@ type Stats struct {
 type Option func(*config)
 
 type config struct {
-	sharing   bool
+	sharing bool
+	// compile is what a query registered without WithQueryCompileOptions
+	// compiles under: the defaults, charging string fallbacks to this engine.
 	compile   engine.CompileOptions
 	onAlert   func(*Alert)
 	onError   func(*QueryError)
@@ -171,13 +173,6 @@ type config struct {
 // Disabling it executes every query independently, the configuration used
 // as the SAQL-side ablation in the concurrency experiments.
 func WithSharing(on bool) Option { return func(c *config) { c.sharing = on } }
-
-// WithCompileOptions overrides the default resource bounds applied to every
-// query the engine compiles (Register's WithQueryCompileOptions overrides
-// them per query).
-func WithCompileOptions(opts CompileOptions) Option {
-	return func(c *config) { c.compile = opts }
-}
 
 // WithAlertHandler installs a callback invoked serially for every alert, in
 // addition to alerts flowing to subscriptions (and, on the legacy serial
@@ -335,7 +330,7 @@ func (e *Engine) pinBaseOffset(off int64) error {
 }
 
 // queryRecord is the engine-side state behind one registered query: its
-// source, compile options, live compiled form (the primary replica on a
+// source, compile options, live compiled form (its first shard replica on a
 // running engine), owning handle, and control-plane flags.
 type queryRecord struct {
 	name    string
@@ -394,9 +389,10 @@ func New(opts ...Option) *Engine {
 // Start moves the engine to the running state: it spins up the sharded
 // runtime (WithShards workers behind a bounded ingest queue) and enables
 // Submit/SubmitBatch. Queries registered so far are distributed across the
-// shards; AddQuery/RemoveQuery keep working while running. Cancelling ctx
-// closes the engine (equivalent to Close). Start returns
-// ErrAlreadyRunning on a running engine and ErrClosed on a closed one.
+// shards, their state included; Register and QueryHandle.Close keep working
+// while running. Cancelling ctx closes the engine (equivalent to Close).
+// Start returns ErrAlreadyRunning on a running engine and ErrClosed on a
+// closed one.
 func (e *Engine) Start(ctx context.Context) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -435,13 +431,23 @@ func (e *Engine) Start(ctx context.Context) error {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	for _, name := range names {
+	installed := make([]*engine.Query, len(names))
+	for i, name := range names {
 		rec := e.reg[name]
-		if err := rt.Add(rec.q, cloneFor(rec)); err != nil {
+		q, err := rt.Add(rec.q, cloneFor(rec))
+		if err != nil {
 			rt.Close()
 			return err
 		}
+		installed[i] = q
 	}
+	// Every query lives on the shards now: the registry keeps each one's first
+	// replica and the serial scheduler goes, so a primary that handed its
+	// state over to fresh replicas is collected instead of staying a copy.
+	for i, name := range names {
+		e.reg[name].q = installed[i]
+	}
+	e.sched = scheduler.New(e.reporter, e.cfg.sharing)
 	e.rt.Store(rt)
 	e.state.Store(int32(stateRunning))
 	if ctx != nil && ctx.Done() != nil {
@@ -505,60 +511,6 @@ func cloneFor(rec *queryRecord) func() (*engine.Query, error) {
 		}
 		return q, err
 	}
-}
-
-// AddQuery parses, checks, compiles, and registers a SAQL query under name.
-//
-// Deprecated: AddQuery is a thin wrapper over Register that discards the
-// query's handle. Use Register, which returns a QueryHandle for pausing,
-// hot-swapping, per-query alert streams, and removal.
-func (e *Engine) AddQuery(name, src string) error {
-	_, err := e.Register(name, src)
-	return err
-}
-
-// RemoveQuery unregisters a query, reporting whether it was found and
-// removed. Lookup and removal happen under one lock hold, so of two
-// concurrent removers exactly one reports true.
-//
-// Deprecated: RemoveQuery is the pre-handle removal API. Hold the
-// *QueryHandle returned by Register and call Close on it.
-func (e *Engine) RemoveQuery(name string) bool {
-	e.mu.Lock()
-	rec := e.reg[name]
-	if rec == nil {
-		e.mu.Unlock()
-		return false
-	}
-	subs, err := e.closeLocked(rec)
-	e.mu.Unlock()
-	for _, sub := range subs {
-		e.fan.End(sub, ErrQueryClosed)
-	}
-	return err == nil
-}
-
-// QueryKind reports the anomaly model family of a registered query.
-func (e *Engine) QueryKind(name string) (ModelKind, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	rec, ok := e.reg[name]
-	if !ok {
-		return 0, false
-	}
-	return rec.q.Kind, true
-}
-
-// QueryPlacement reports how a registered query is (or would be)
-// distributed across shards: PlaceByGroup, PlaceByEvent, or PlacePinned.
-func (e *Engine) QueryPlacement(name string) (Placement, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	rec, ok := e.reg[name]
-	if !ok {
-		return 0, false
-	}
-	return rec.q.Placement(), true
 }
 
 // ---------------------------------------------------------------------------
@@ -744,9 +696,10 @@ func (e *Engine) QueryStats(name string) (QueryStats, bool) {
 	return e.sched.QueryStats(name)
 }
 
-// Groups reports the scheduler's master–dependent grouping (shard 0's view
-// on a running engine; each shard groups its replicas independently).
-func (e *Engine) Groups() map[string][]string {
+// groups reports the master–dependent grouping: the serial scheduler's, or on
+// a running engine the router's evaluation scheduler's, which holds an
+// unfiltered replica of every registered query.
+func (e *Engine) groups() map[string][]string {
 	if rt := e.rt.Load(); rt != nil {
 		return rt.Groups()
 	}
@@ -773,39 +726,12 @@ func (e *Engine) Stats() Stats {
 	var out Stats
 	if fin := e.final.Load(); fin != nil {
 		out = fin.stats
-		out.Queries = nQueries
 	} else if rt := e.rt.Load(); rt != nil {
-		ss := rt.SchedStats()
-		out = Stats{
-			Events:            rt.Events(),
-			Alerts:            ss.Alerts,
-			Queries:           nQueries,
-			QueryGroups:       rt.GroupCount(),
-			StreamCopies:      ss.StreamCopies,
-			NaiveCopies:       ss.NaiveCopies,
-			SharingRatio:      ss.SharingRatio(),
-			PatternEvals:      ss.PatternEvals,
-			NaivePatternEvals: ss.NaivePatternEvals,
-			KeyEvals:          ss.KeyEvals,
-			GroupProbes:       ss.GroupProbes,
-			Dropped:           rt.Dropped(),
-		}
+		out = runtimeStats(rt)
 	} else {
-		s := e.sched.Stats()
-		out = Stats{
-			Events:            s.Events,
-			Alerts:            s.Alerts,
-			Queries:           nQueries,
-			QueryGroups:       e.sched.GroupCount(),
-			StreamCopies:      s.StreamCopies,
-			NaiveCopies:       s.NaiveCopies,
-			SharingRatio:      s.SharingRatio(),
-			PatternEvals:      s.PatternEvals,
-			NaivePatternEvals: s.NaivePatternEvals,
-			KeyEvals:          s.KeyEvals,
-			GroupProbes:       s.GroupProbes,
-		}
+		out = statsOf(e.sched.Stats(), e.sched.GroupCount())
 	}
+	out.Queries = nQueries
 	// Symbol and source counters are engine-scoped and live even after
 	// Close: the fallbacks sink is this engine's own, and the symbol
 	// counters aggregate the intern tables of exactly the sources that fed
@@ -828,6 +754,32 @@ func (e *Engine) Stats() Stats {
 	return out
 }
 
+// statsOf builds the scheduler-derived fields of Stats from a scheduler's
+// counters and its group count.
+func statsOf(s scheduler.Stats, groups int) Stats {
+	return Stats{
+		Events:            s.Events,
+		Alerts:            s.Alerts,
+		QueryGroups:       groups,
+		StreamCopies:      s.StreamCopies,
+		NaiveCopies:       s.NaiveCopies,
+		SharingRatio:      s.SharingRatio(),
+		PatternEvals:      s.PatternEvals,
+		NaivePatternEvals: s.NaivePatternEvals,
+		KeyEvals:          s.KeyEvals,
+		GroupProbes:       s.GroupProbes,
+	}
+}
+
+// runtimeStats is statsOf for a started engine: the router's and shards'
+// counters (Runtime.SchedStats), with events counted as accepted into the
+// ingest queue and the queue's drops.
+func runtimeStats(rt *runtime.Runtime) Stats {
+	out := statsOf(rt.SchedStats(), rt.GroupCount())
+	out.Events, out.Dropped = rt.Events(), rt.Dropped()
+	return out
+}
+
 // finalStats is the immutable post-Close snapshot of runtime-derived
 // counters. Source/symbol/tenant counters are excluded: they live on the
 // Engine itself and stay readable after Close.
@@ -847,21 +799,8 @@ func (e *Engine) captureFinal(rt *runtime.Runtime) {
 	if e.final.Load() != nil {
 		return
 	}
-	ss := rt.SchedStats()
 	fin := &finalStats{
-		stats: Stats{
-			Events:            rt.Events(),
-			Alerts:            ss.Alerts,
-			QueryGroups:       rt.GroupCount(),
-			StreamCopies:      ss.StreamCopies,
-			NaiveCopies:       ss.NaiveCopies,
-			SharingRatio:      ss.SharingRatio(),
-			PatternEvals:      ss.PatternEvals,
-			NaivePatternEvals: ss.NaivePatternEvals,
-			KeyEvals:          ss.KeyEvals,
-			GroupProbes:       ss.GroupProbes,
-			Dropped:           rt.Dropped(),
-		},
+		stats:   runtimeStats(rt),
 		queries: map[string]QueryStats{},
 	}
 	e.mu.Lock()

@@ -70,8 +70,8 @@ func TestKillChainDetection(t *testing.T) {
 
 	eng := New()
 	for _, nq := range queries {
-		if err := eng.AddQuery(nq.Name, nq.SAQL); err != nil {
-			t.Fatalf("AddQuery(%s): %v", nq.Name, err)
+		if _, err := eng.Register(nq.Name, nq.SAQL); err != nil {
+			t.Fatalf("Register(%s): %v", nq.Name, err)
 		}
 	}
 
@@ -181,7 +181,7 @@ func TestRuleQueriesPrecision(t *testing.T) {
 		if nq.Model != "rule" {
 			continue
 		}
-		if err := eng.AddQuery(nq.Name, nq.SAQL); err != nil {
+		if _, err := eng.Register(nq.Name, nq.SAQL); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -230,7 +230,7 @@ func TestStoreReplayDetection(t *testing.T) {
 			exfilQuery = nq
 		}
 	}
-	if err := eng.AddQuery(exfilQuery.Name, exfilQuery.SAQL); err != nil {
+	if _, err := eng.Register(exfilQuery.Name, exfilQuery.SAQL); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.Start(context.Background()); err != nil {
@@ -320,10 +320,10 @@ func runSharedUnsharedBaseline(t *testing.T, queries []NamedQuery, events []*Eve
 	unshared := New(WithSharing(false))
 	base := baseline.New(nil)
 	for _, nq := range queries {
-		if err := shared.AddQuery(nq.Name, nq.SAQL); err != nil {
+		if _, err := shared.Register(nq.Name, nq.SAQL); err != nil {
 			t.Fatal(err)
 		}
-		if err := unshared.AddQuery(nq.Name, nq.SAQL); err != nil {
+		if _, err := unshared.Register(nq.Name, nq.SAQL); err != nil {
 			t.Fatal(err)
 		}
 		cq, err := compileQuery(nq.Name, nq.SAQL)
@@ -428,20 +428,21 @@ func TestValidate(t *testing.T) {
 
 func TestEngineManagement(t *testing.T) {
 	eng := New()
-	if err := eng.AddQuery("a", `proc p start proc q as e return p`); err != nil {
+	h, err := eng.Register("a", `proc p start proc q as e return p`)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.AddQuery("a", `proc p start proc q as e return p`); err == nil {
+	if _, err := eng.Register("a", `proc p start proc q as e return p`); err == nil {
 		t.Error("duplicate name accepted")
 	}
-	if k, ok := eng.QueryKind("a"); !ok || k != KindRule {
-		t.Errorf("QueryKind = %v, %v", k, ok)
+	if k := h.Kind(); k != KindRule {
+		t.Errorf("Kind = %v", k)
 	}
-	if !eng.RemoveQuery("a") {
-		t.Error("RemoveQuery failed")
+	if err := h.Close(); err != nil {
+		t.Errorf("Close: %v", err)
 	}
-	if eng.RemoveQuery("a") {
-		t.Error("double remove succeeded")
+	if _, ok := eng.Query("a"); ok {
+		t.Error("closed query still registered")
 	}
 	if _, ok := eng.QueryStats("a"); ok {
 		t.Error("stats for removed query")
@@ -451,7 +452,7 @@ func TestEngineManagement(t *testing.T) {
 func TestAlertHandlerOption(t *testing.T) {
 	var got []*Alert
 	eng := New(WithAlertHandler(func(a *Alert) { got = append(got, a) }))
-	if err := eng.AddQuery("starts", `proc p["%cmd.exe"] start proc q as e return p, q`); err != nil {
+	if _, err := eng.Register("starts", `proc p["%cmd.exe"] start proc q as e return p, q`); err != nil {
 		t.Fatal(err)
 	}
 	ev := &Event{Time: demoStart, AgentID: "h", Subject: Process("cmd.exe", 1), Op: OpStart, Object: Process("osql.exe", 2)}

@@ -352,7 +352,7 @@ func (e *Engine) Tenants() []TenantStats {
 			stream[ten] += float64(n) / float64(active)
 		}
 	}
-	for master, deps := range e.Groups() {
+	for master, deps := range e.groups() {
 		members := append([]string{master}, deps...)
 		for _, m := range members {
 			grouped[m] = true
