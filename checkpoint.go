@@ -50,9 +50,9 @@ type JournalCorruptError = storage.CorruptError
 // ingests (Submit, SubmitBatch, the serial Process path, and attached log
 // sources) is appended to store before it is processed, in exactly the
 // processing order, so a checkpoint's stream offset indexes the journal and
-// Restore can replay the tail. Journalling forces the Block backpressure
-// policy — a journaled event must never be dropped, or replay would
-// reprocess events the original run skipped. Engine.Close seals the store.
+// Restore can replay the tail. A journaled event is never dropped: Submit
+// waits for room in the ingest queue, so replay reprocesses exactly the
+// events the original run accepted. Engine.Close seals the store.
 //
 // Use the same directory for the journal store and for Checkpoint, and the
 // directory becomes a self-contained recovery unit — one that Open enters

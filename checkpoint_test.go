@@ -127,8 +127,8 @@ func TestCheckpointRestoreSerialRoundTrip(t *testing.T) {
 
 	// The journal now holds the full stream — run 1's prefix plus run 2's
 	// tail — in one offset coordinate space.
-	if n, err := store.Count(); err != nil || n != int64(len(events)) {
-		t.Errorf("journal count = %d, %v; want %d", n, err, len(events))
+	if tail, err := store.Tail(0); err != nil || tail.Count != int64(len(events)) {
+		t.Errorf("journal = %+v, %v; want %d records", tail, err, len(events))
 	}
 
 	// Restore the same mid-stream snapshot a second time, now onto 8
@@ -252,8 +252,8 @@ func TestCheckpointRestoreShardedReplay(t *testing.T) {
 
 	// The journal holds run 1's prefix plus run 2's live tail (replayed
 	// events are read back, never re-appended): one coordinate space.
-	if n, err := store.Count(); err != nil || n != int64(len(events)) {
-		t.Errorf("journal count = %d, %v; want %d", n, err, len(events))
+	if tail, err := store.Tail(0); err != nil || tail.Count != int64(len(events)) {
+		t.Errorf("journal = %+v, %v; want %d records", tail, err, len(events))
 	}
 }
 
@@ -557,7 +557,7 @@ func TestQueryStateReencodeIdempotent(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := fresh.RestoreState(blob, true); err != nil {
+			if err := fresh.RestoreState(blob, nil, true); err != nil {
 				t.Fatal(err)
 			}
 			again, err := fresh.EncodeState()

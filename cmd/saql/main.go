@@ -459,9 +459,6 @@ func run(args []string, out io.Writer) error {
 	if ts, ok := eng.TenantStats(*srcTenant); ok && ts.EventsThrottled > 0 {
 		fmt.Fprintf(out, "events throttled : %d (tenant %s ingest-rate quota)\n", ts.EventsThrottled, ts.Name)
 	}
-	if st.Dropped > 0 {
-		fmt.Fprintf(out, "events dropped   : %d (ingest overflow)\n", st.Dropped)
-	}
 	if n := eng.ErrorCount(); n > 0 {
 		fmt.Fprintf(out, "runtime errors   : %d (last: %v)\n", n, eng.Errors()[len(eng.Errors())-1])
 	}

@@ -12,6 +12,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -578,7 +579,7 @@ func TestHandleLifecycleRace(t *testing.T) {
 		operators = 4
 		rounds    = 20
 	)
-	eng := New(WithShards(4), WithBackpressure(DropNewest), WithIngestQueue(256))
+	eng := New(WithShards(4), WithIngestQueue(256))
 	if err := eng.Start(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -714,10 +715,19 @@ return p, ss.amt`
 	}
 }
 
-// TestDropNewestBackpressure checks the drop-counting overflow policy: a
-// tiny queue with no consumer pressure must never block Submit.
-func TestDropNewestBackpressure(t *testing.T) {
-	eng := New(WithShards(1), WithIngestQueue(1), WithBackpressure(DropNewest))
+// TestSubmitBlockedReturnsOnClose: Submit waits for room in a full ingest
+// queue, and Close releases it — the event is either accepted or refused with
+// ErrClosed, never dropped. The alert handler holds the only shard on the
+// first alert, so the router and then the one-slot queue back up behind it.
+func TestSubmitBlockedReturnsOnClose(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	var alerts atomic.Int64
+	eng := New(WithShards(1), WithIngestQueue(1), WithAlertHandler(func(*Alert) {
+		if alerts.Add(1) == 1 {
+			close(entered)
+			<-release
+		}
+	}))
 	if _, err := eng.Register("q", `proc p write ip i as e
 alert e.amount > 0
 return p`); err != nil {
@@ -726,20 +736,45 @@ return p`); err != nil {
 	if err := eng.Start(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 10000; i++ {
-		ev := &Event{Time: demoStart.Add(time.Duration(i) * time.Millisecond),
-			AgentID: "h", Subject: Process("a.exe", 1), Op: OpWrite,
-			Object: NetConn("10.0.0.1", 1, "10.0.0.2", 2), Amount: 1}
-		if err := eng.Submit(ev); err != nil {
-			t.Fatalf("Submit with DropNewest returned %v", err)
+	var accepted atomic.Int64
+	submitted := make(chan error, 1)
+	go func() {
+		for i := 0; ; i++ {
+			ev := &Event{Time: demoStart.Add(time.Duration(i) * time.Millisecond),
+				AgentID: "h", Subject: Process("a.exe", 1), Op: OpWrite,
+				Object: NetConn("10.0.0.1", 1, "10.0.0.2", 2), Amount: 1}
+			if err := eng.Submit(ev); err != nil {
+				submitted <- err
+				return
+			}
+			accepted.Add(1)
 		}
+	}()
+	<-entered
+	// The shard is held, so the submitter stops making progress once the
+	// pipeline is full: wait until it has.
+	for n := int64(-1); n != accepted.Load(); {
+		n = accepted.Load()
+		time.Sleep(20 * time.Millisecond)
 	}
-	if err := eng.Close(); err != nil {
+
+	closed := make(chan error, 1)
+	go func() { closed <- eng.Close() }()
+	select {
+	case err := <-submitted:
+		if !errors.Is(err, ErrClosed) {
+			t.Errorf("blocked Submit returned %v, want ErrClosed", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Submit still blocked after Close")
+	}
+	close(release)
+	if err := <-closed; err != nil {
 		t.Fatal(err)
 	}
-	st := eng.Stats()
-	if st.Events+st.Dropped != 10000 {
-		t.Errorf("accepted %d + dropped %d != 10000", st.Events, st.Dropped)
+	if st := eng.Stats(); st.Events != accepted.Load() || st.Dropped != 0 || alerts.Load() != st.Events {
+		t.Errorf("accepted %d, Stats.Events %d, Dropped %d, alerts %d: every accepted event must raise its alert",
+			accepted.Load(), st.Events, st.Dropped, alerts.Load())
 	}
 }
 

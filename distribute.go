@@ -95,7 +95,7 @@ func (e *Engine) RestoreStateBlobs(states map[string][][]byte) error {
 			continue
 		}
 		for _, blob := range states[name] {
-			if err := rec.q.RestoreState(blob, true); err != nil {
+			if err := rec.q.RestoreState(blob, nil, true); err != nil {
 				return fmt.Errorf("saql: restore: %w", err)
 			}
 		}

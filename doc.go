@@ -92,11 +92,13 @@
 // caller's goroutine and return alerts directly (the original blocking API;
 // Process and Flush are deprecated in favour of Start/Submit/Subscribe, but
 // remain fully supported). Start moves it to the running state: ingestion
-// happens through the non-blocking Submit/SubmitBatch, whose backpressure on
-// a full queue is configurable with WithBackpressure (Block, or DropNewest
-// counted in Stats.Dropped). Close drains the queue, closes all windows,
-// delivers the final alerts, and ends every subscription (each
-// subscription's Err then reports ErrClosed). Misuse yields typed errors:
+// happens through Submit/SubmitBatch, which wait for room when the bounded
+// ingest queue is full (WithIngestQueue) — an accepted event is never
+// dropped. The events the engine does refuse are those over a tenant's
+// ingest-rate quota, counted in Stats.Dropped. Close drains the queue,
+// closes all windows, delivers the final alerts, and ends every subscription
+// (each subscription's Err then reports ErrClosed); Stats, QueryStats and
+// Tenants keep reporting the final values. Misuse yields typed errors:
 // ErrNotRunning, ErrAlreadyRunning, ErrClosed, and — for operations on a
 // retired query handle — ErrQueryClosed.
 //

@@ -9,9 +9,9 @@ import (
 
 // InternStats counts one consumer's intern-table activity. The decoder
 // goroutine writes and any goroutine may read concurrently (engine stats
-// snapshots), hence the atomics. Hits and Misses mirror the process-global
-// symtab counters but are scoped to the streams that share this sink;
-// Entries counts distinct values cached across those streams.
+// snapshots), hence the atomics. Hits and Misses count the lookups of the
+// streams that share this sink; Entries counts distinct values cached across
+// those streams.
 type InternStats struct {
 	Hits    atomic.Int64
 	Misses  atomic.Int64
@@ -40,11 +40,11 @@ type InternStats struct {
 // while existing entries keep deduplicating.
 type internTable struct {
 	m     map[string]internEntry
-	stats *InternStats // optional per-consumer counters (nil: globals only)
+	stats *InternStats // optional per-consumer counters (nil: not counted)
 
-	// Lookups since the last publish. The shared counters are atomics other
-	// goroutines read, so they are bumped once per decoded line, not once
-	// per attribute.
+	// Lookups since the last publish. The consumer's counters are atomics
+	// other goroutines read, so they are bumped once per decoded line, not
+	// once per attribute.
 	hits, misses int64
 }
 
@@ -113,14 +113,13 @@ func (t *internTable) add(s string) (string, uint32) {
 	return e.s, e.sym
 }
 
-// publish moves the lookups counted since the last call into the shared
-// counters: the process-global dictionary totals and this consumer's own.
+// publish moves the lookups counted since the last call into the consumer's
+// counters.
 //
 //saql:hotpath
 func (t *internTable) publish() {
 	// Misses all but vanish once a stream's values have been seen, and a
 	// locked add of zero costs as much as any other: touch what moved.
-	symtab.RecordLookups(t.hits, t.misses)
 	if s := t.stats; s != nil {
 		if t.hits != 0 {
 			s.Hits.Add(t.hits)

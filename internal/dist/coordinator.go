@@ -758,17 +758,6 @@ func (c *Coordinator) Heartbeat() error {
 	return nil
 }
 
-// LastSeen reports when the worker last produced a frame.
-func (c *Coordinator) LastSeen(id string) (time.Time, bool) {
-	c.mu.Lock()
-	ws, ok := c.workers[id]
-	c.mu.Unlock()
-	if !ok {
-		return time.Time{}, false
-	}
-	return time.Unix(0, ws.lastSeen.Load()), true
-}
-
 // ExpireLeases declares workers silent past the configured lease dead and
 // returns their ids. Dead workers stay in the membership awaiting
 // ReplaceWorker. A zero lease disables expiry.

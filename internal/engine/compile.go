@@ -8,7 +8,6 @@ import (
 
 	"saql/internal/ast"
 	"saql/internal/cluster"
-	"saql/internal/event"
 	"saql/internal/invariant"
 	"saql/internal/matcher"
 	"saql/internal/parser"
@@ -32,8 +31,8 @@ type CompileOptions struct {
 	// query's history/training depth.
 	GroupIdleWindows int
 	// Fallbacks, when non-nil, receives this query's string-fallback
-	// comparison counts instead of the process-wide pcode counter, so each
-	// engine attributes fallbacks to its own queries. Engine-internal
+	// comparison counts, so each engine attributes fallbacks to its own
+	// queries (nil: the counts go nowhere anyone reads). Engine-internal
 	// plumbing: the snapshot codec serialises CompileOptions field by field
 	// and deliberately omits this pointer.
 	Fallbacks *atomic.Int64
@@ -111,10 +110,6 @@ type Query struct {
 	alertProgs []*pcode.Prog
 	returns    []returnItem
 	distinct   map[string]struct{}
-
-	// Shard ownership filter for by-group replicas (nil outside the sharded
-	// runtime).
-	groupFilter func(string) bool
 
 	// paused gates event ingestion (see SetPaused). It is mutated only at
 	// consistent stream points, under the owning scheduler's lock.
@@ -441,9 +436,6 @@ func (q *Query) Stats() QueryStats {
 // Patterns exposes the compiled event patterns (used by the scheduler to
 // build dependent-query residual filters).
 func (q *Query) Patterns() []*matcher.Pattern { return q.patterns }
-
-// GlobalMatches reports whether ev satisfies the query's global constraints.
-func (q *Query) GlobalMatches(ev *event.Event) bool { return q.global.Match(ev) }
 
 // Stateful reports whether the query folds windowed state (as opposed to a
 // rule query completing matches per event).

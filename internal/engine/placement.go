@@ -9,8 +9,9 @@ package engine
 // the only place ownership is decided: a replica folds exactly what it is
 // handed (a stateful query's hit through its variant set's SliceLog, under the
 // group id its shard resolved the router's key to; Ingest for a rule query's
-// hit set) and asks no question of its own. By-group replicas still carry a filter (SetGroupFilter), for the one
-// job that is not the router's: re-splitting restored state.
+// hit set) and asks no question of its own. The one job that is not the
+// router's, re-splitting warm state over the shards at Start, passes each
+// by-group replica its shard's keys (RestoreState's keep argument).
 type Placement uint8
 
 const (
@@ -73,13 +74,6 @@ func (q *Query) Placement() Placement {
 	}
 	return PlacePinned
 }
-
-// SetGroupFilter restricts a by-group replica to the group-by keys it owns
-// when state is restored into it (RestoreState keeps only the groups the
-// filter accepts: a checkpoint re-splits across any shard count). Folding
-// does not consult it — the router hands a replica only the folds it owns.
-// Pass nil to own every group (the serial engine's behaviour).
-func (q *Query) SetGroupFilter(f func(groupKey string) bool) { q.groupFilter = f }
 
 // SetEventsOffered overwrites the events-offered counter. A shard replica
 // under the routed runtime is offered only the events its shard owns, so the

@@ -290,10 +290,10 @@ func runSliceLogScript(t *testing.T, seed int64, routed bool) {
 				// shards' blobs into one replica does: its windows may lie
 				// behind the watermark, and close at the next advance.
 				for i, q := range members {
-					if err := q.RestoreState(stash[i], false); err != nil {
+					if err := q.RestoreState(stash[i], nil, false); err != nil {
 						t.Fatal(err)
 					}
-					if err := twins[i].RestoreState(stash[i], false); err != nil {
+					if err := twins[i].RestoreState(stash[i], nil, false); err != nil {
 						t.Fatal(err)
 					}
 				}

@@ -10,16 +10,15 @@ package engine
 // exactly the structures Ingest mutates, nothing the (stateless) evaluation
 // side reads. Blobs are captured per shard replica at a runtime barrier and
 // applied per replica on restore; RestoreState therefore uses merge
-// semantics, filtering group-keyed state through the replica's own shard
-// ownership filter so one logical state re-splits cleanly across a
-// different shard count:
+// semantics, keeping only the group-keyed state the replica's shard owns so
+// one logical state re-splits cleanly across a different shard count:
 //
 //   - shared state every replica observes identically (watermark, open
 //     window set, Events/WindowsClosed counters) merges by max/union on
 //     every replica — WindowsClosed drives history backfill for
 //     late-appearing groups, so it must be identical everywhere;
 //   - group-keyed state (window accumulators, history rings, invariants)
-//     folds only into a replica that owns the key under its group filter;
+//     folds only into a replica whose keep predicate accepts the key;
 //   - disjoint counters (hits, matches, alerts) and global tables (distinct
 //     suppression, partial matches) are restored where disjoint=true, which
 //     the restoring side grants to exactly one replica per query.
@@ -102,17 +101,19 @@ func (q *Query) EncodeState() ([]byte, error) {
 // the same source the blob was captured under). disjoint selects whether
 // this replica also absorbs the blob's single-owner state: the disjoint
 // counters, the distinct table, the partial-match table, and the late-event
-// count. Group-keyed state is filtered through q's shard ownership filter.
-// RestoreState may be called once per blob when a checkpoint captured
-// several shards' states; the merges compose.
-func (q *Query) RestoreState(blob []byte, disjoint bool) error {
+// count. Group-keyed state is kept only for the group-by keys keep accepts
+// (nil keeps every group, the serial engine's behaviour): a by-group shard
+// replica passes the keys its shard owns. RestoreState may be called once
+// per blob when a checkpoint captured several shards' states; the merges
+// compose.
+func (q *Query) RestoreState(blob []byte, keep func(groupKey string) bool, disjoint bool) error {
 	q.settle()
-	err := q.restoreState(blob, disjoint)
+	err := q.restoreState(blob, keep, disjoint)
 	q.settle() // the restored watermark and windows cut the next slice
 	return err
 }
 
-func (q *Query) restoreState(blob []byte, disjoint bool) error {
+func (q *Query) restoreState(blob []byte, keep func(string) bool, disjoint bool) error {
 	r := wire.NewReader(blob)
 	if v := r.Byte(); r.Err() == nil && v != stateBlobVersion {
 		return fmt.Errorf("engine: query %q: unknown state blob version %d", q.Name, v)
@@ -176,7 +177,7 @@ func (q *Query) restoreState(blob []byte, disjoint bool) error {
 		return nil
 	}
 
-	if err := q.winMgr.ReadState(r, q.groupFilter, disjoint); err != nil {
+	if err := q.winMgr.ReadState(r, keep, disjoint); err != nil {
 		return fmt.Errorf("engine: query %q: %w", q.Name, err)
 	}
 
@@ -200,7 +201,7 @@ func (q *Query) restoreState(blob []byte, disjoint bool) error {
 				return fmt.Errorf("engine: query %q group %q: %w", q.Name, key, err)
 			}
 		}
-		if q.groupFilter == nil || q.groupFilter(key) {
+		if keep == nil || keep(key) {
 			q.groups[key] = &groupRuntime{key: key, history: hist, inv: inv, idleWindows: idle}
 		}
 	}

@@ -43,26 +43,17 @@ import (
 	"saql/internal/value"
 )
 
-// strFallbacks counts compiled string comparisons that could not use symbol
-// IDs and fell back to a string compare (folded in place when both sides are
-// ASCII, or the allocating value.WildcardMatch otherwise). A high rate
-// relative to event volume means the stream's hot values are not reaching
-// the dictionary (programmatic submission, table overflow, non-ASCII data).
-// Programs compiled with an explicit sink (CompileEntity/CompileGlobals fb
-// argument) count there instead, so each engine attributes fallbacks to its
-// own queries; this process-wide counter is the default for standalone
-// compiles.
-var strFallbacks atomic.Int64
-
-// StringFallbacks reports the process-wide fallback-to-string comparison
-// count (programs compiled without an explicit sink).
-func StringFallbacks() int64 { return strFallbacks.Load() }
-
-// sinkOrGlobal resolves a fallback sink: nil selects the process-wide
-// counter.
-func sinkOrGlobal(fb *atomic.Int64) *atomic.Int64 {
+// fallbackSink resolves the counter a program charges its string fallbacks
+// to: compiled string comparisons that could not use symbol IDs and fell
+// back to a string compare (folded in place when both sides are ASCII, or
+// the allocating value.WildcardMatch otherwise). A high rate relative to
+// event volume means the stream's hot values are not reaching the dictionary
+// (programmatic submission, table overflow, non-ASCII data). An engine
+// passes its own sink so it attributes fallbacks to its own queries; a
+// program compiled with a nil sink counts into a counter of its own.
+func fallbackSink(fb *atomic.Int64) *atomic.Int64 {
 	if fb == nil {
-		return &strFallbacks
+		return new(atomic.Int64)
 	}
 	return fb
 }
@@ -264,10 +255,9 @@ type EntityProg struct {
 }
 
 // CompileEntity compiles an entity pattern's constraints. String-compare
-// fallbacks at Match time are counted into fb (nil selects the process-wide
-// counter), so engines can attribute fallbacks per query.
+// fallbacks at Match time are counted into fb (see fallbackSink).
 func CompileEntity(p *ast.EntityPattern, fb *atomic.Int64) *EntityProg {
-	prog := &EntityProg{typ: p.Type, fb: sinkOrGlobal(fb)}
+	prog := &EntityProg{typ: p.Type, fb: fallbackSink(fb)}
 	for _, c := range p.Constraints {
 		// An attribute invalid for the type fails every entity of the type.
 		f, isStr, ok := resolveEntityAttr(p.Type, c.Attr)
@@ -384,10 +374,9 @@ type EventProg struct {
 }
 
 // CompileGlobals compiles a query's global constraints; none match every
-// event. fb receives string-fallback counts; nil selects the process-wide
-// counter.
+// event. fb receives string-fallback counts (see fallbackSink).
 func CompileGlobals(globals []*ast.Constraint, fb *atomic.Int64) *EventProg {
-	prog := &EventProg{fb: sinkOrGlobal(fb)}
+	prog := &EventProg{fb: fallbackSink(fb)}
 	for _, g := range globals {
 		// An unknown event attribute fails every event.
 		f, isStr, ok := resolveEventAttr(g.Attr)

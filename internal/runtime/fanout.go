@@ -7,8 +7,8 @@ import (
 	"saql/internal/engine"
 )
 
-// OverflowPolicy selects what a producer does when a bounded buffer is full:
-// the ingest queue (Config.Overflow) and alert subscriptions.
+// OverflowPolicy selects what Publish does when an alert subscription's
+// buffer is full.
 type OverflowPolicy uint8
 
 // Overflow policies.
@@ -16,7 +16,8 @@ const (
 	// Block applies backpressure: the producer waits for capacity. The
 	// default, for consumers that must not observe gaps.
 	Block OverflowPolicy = iota
-	// DropNewest discards the incoming item (counted by whoever drops it).
+	// DropNewest discards the incoming alert, counted per subscription
+	// (AlertSubscription.Dropped).
 	DropNewest
 )
 
@@ -214,13 +215,6 @@ func (f *AlertFanout) SetGate(gate func(*engine.Alert) bool) { f.gate = gate }
 
 // Delivered reports how many alerts have been published.
 func (f *AlertFanout) Delivered() int64 { return f.delivered.Load() }
-
-// SubscriberCount reports the number of live subscriptions.
-func (f *AlertFanout) SubscriberCount() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.subs)
-}
 
 // Close closes the fan-out and every subscriber channel (each subscriber's
 // Err reports ErrClosed). Publish becomes a no-op afterwards.

@@ -1,6 +1,6 @@
 // Package runtime implements the concurrent sharded ingestion runtime
-// beneath the public saql.Engine API: a bounded ingest queue with a
-// configurable backpressure policy, a router establishing one total event
+// beneath the public saql.Engine API: a bounded ingest queue whose
+// submitters wait for room, a router establishing one total event
 // order and pre-evaluating pattern hits once per event, N shard workers
 // each owning a private scheduler, and an alert fan-out merging every
 // shard's detections into subscriptions. Every started engine runs this one
@@ -82,10 +82,8 @@ type Config struct {
 	// Shards is the number of shard workers (>= 1).
 	Shards int
 	// QueueSize bounds the ingest queue (in submissions, not events).
+	// Submitters wait for room: an accepted event is never dropped.
 	QueueSize int
-	// Overflow selects Submit's behaviour when the queue is full:
-	// Block applies backpressure, DropNewest discards.
-	Overflow OverflowPolicy
 	// Sharing enables the master–dependent-query scheme on each shard.
 	Sharing bool
 	// Reporter receives runtime query errors (may be nil).
@@ -95,9 +93,6 @@ type Config struct {
 	// Journal, when set, durably records every accepted event batch before
 	// it is enqueued, in exactly the order the router will process it — the
 	// append order is the replay order a checkpoint offset indexes into.
-	// Setting Journal forces the Block overflow policy: a journaled event
-	// must never be dropped, or replay would reprocess events the original
-	// run skipped.
 	Journal func([]*event.Event) error
 	// BaseOffset seeds the stream-offset counter: a restored runtime
 	// continues counting from the snapshot's offset, so its next checkpoint
@@ -136,8 +131,7 @@ type Runtime struct {
 	// so the final drain provably sees every accepted event.
 	submitMu sync.RWMutex
 
-	events  atomic.Int64 // events accepted into the queue
-	dropped atomic.Int64 // events discarded by DropNewest overflow
+	events atomic.Int64 // events accepted into the queue
 
 	// jmu serialises journal appends with queue insertion when Journal is
 	// set, pinning the journal order to the routing order.
@@ -286,11 +280,6 @@ func Start(cfg Config) *Runtime {
 	if cfg.Fan == nil {
 		cfg.Fan = NewAlertFanout(nil)
 	}
-	if cfg.Journal != nil {
-		// A journaled event must be processed: dropping it would desync the
-		// journal from the stream offsets checkpoints record.
-		cfg.Overflow = Block
-	}
 	r := &Runtime{
 		cfg:        cfg,
 		ingest:     make(chan envelope, cfg.QueueSize),
@@ -324,16 +313,16 @@ func (r *Runtime) Shards() int { return len(r.shards) }
 // Ingestion
 // ---------------------------------------------------------------------------
 
-// Submit enqueues one event. Under Block it waits for queue space;
-// under DropNewest it discards the event when the queue is full
-// (counted by Dropped). The engine owns the event after Submit returns.
+// Submit enqueues one event, waiting for queue space; it returns ErrClosed
+// if the runtime closes first. The engine owns the event after Submit
+// returns.
 func (r *Runtime) Submit(ev *event.Event) error {
 	return r.SubmitBatch([]*event.Event{ev})
 }
 
-// SubmitBatch enqueues a batch of events as one queue item: batching
-// amortises queue traffic for high-rate feeds. Under DropNewest overflow
-// the whole batch is discarded together.
+// SubmitBatch enqueues a batch of events as one queue item, waiting for
+// queue space as Submit does: batching amortises queue traffic for high-rate
+// feeds.
 func (r *Runtime) SubmitBatch(evs []*event.Event) error {
 	return r.submitBatch(evs, true)
 }
@@ -362,8 +351,7 @@ func (r *Runtime) submitBatch(evs []*event.Event, journal bool) error {
 	if journal && r.cfg.Journal != nil {
 		// Journal, then enqueue, under one lock hold: the journal's append
 		// order is exactly the queue order, so a checkpoint offset indexes
-		// the journal correctly. Journal mode forces Block overflow (see
-		// Start), so an appended event is always also accepted.
+		// the journal correctly.
 		r.jmu.Lock()
 		defer r.jmu.Unlock()
 		if err := r.cfg.Journal(evs); err != nil {
@@ -371,18 +359,8 @@ func (r *Runtime) submitBatch(evs []*event.Event, journal bool) error {
 		}
 		journaled = true
 	}
-	env := envelope{evs: evs}
-	if r.cfg.Overflow == DropNewest {
-		select {
-		case r.ingest <- env:
-			r.events.Add(int64(len(evs)))
-		default:
-			r.dropped.Add(int64(len(evs)))
-		}
-		return nil
-	}
 	select {
-	case r.ingest <- env:
+	case r.ingest <- envelope{evs: evs}:
 		r.events.Add(int64(len(evs)))
 		return nil
 	case <-r.quit:
@@ -400,9 +378,6 @@ func (r *Runtime) submitBatch(evs []*event.Event, journal bool) error {
 
 // Events reports how many events have been accepted into the queue.
 func (r *Runtime) Events() int64 { return r.events.Load() }
-
-// Dropped reports how many events DropNewest overflow discarded.
-func (r *Runtime) Dropped() int64 { return r.dropped.Load() }
 
 // ---------------------------------------------------------------------------
 // Router and workers
@@ -617,8 +592,8 @@ func (r *Runtime) buildReplicas(primary *engine.Query, clone func() (*engine.Que
 	case engine.PlaceByGroup, engine.PlaceByEvent:
 		// A warm primary's state is handed to every replica: the one way state
 		// reaches a shard. A by-group primary holds groups every shard owns,
-		// so every replica is a fresh clone folding the state through its own
-		// group filter, the first one also taking the single-owner part. A
+		// so every replica is a fresh clone keeping the groups its shard owns,
+		// the first one also taking the single-owner part. A
 		// by-event primary stays the first replica, and the others take the
 		// shared counters.
 		var state []byte
@@ -636,17 +611,14 @@ func (r *Runtime) buildReplicas(primary *engine.Query, clone func() (*engine.Que
 					return nil, err
 				}
 			}
-			if placement == engine.PlaceByGroup {
-				// The router delivers an event to every shard owning one of
-				// its group keys; the filter keeps a replica from folding
-				// the keys of a multi-key event it does not own, and
-				// re-splits a warm primary's state. By-event replicas need
-				// none: the router alone names each event's owner.
-				own := composeOwner(ownerFilter(i, n), owns)
-				q.SetGroupFilter(func(key string) bool { return own(hashString(key)) })
-			}
 			if state != nil && q != primary {
-				if err := q.RestoreState(state, i == 0); err != nil {
+				// By-event state has no groups to split.
+				var keep func(string) bool
+				if placement == engine.PlaceByGroup {
+					own := composeOwner(ownerFilter(i, n), owns)
+					keep = func(key string) bool { return own(hashString(key)) }
+				}
+				if err := q.RestoreState(state, keep, i == 0); err != nil {
 					return nil, err
 				}
 			}
@@ -830,10 +802,13 @@ func (r *Runtime) QueryStats(name string) (engine.QueryStats, bool) {
 	o, offset := qi.offered, c.offset
 	r.mu.Unlock()
 	if err != nil {
-		// Runtime closed: once the drain finishes the workers are gone,
-		// so the worker-confined replicas (and the routing goroutine's
-		// final offset) can be read directly.
+		// Runtime closed: once the drain finishes the workers are gone, so
+		// the worker-confined replicas (and the routing goroutine's final
+		// offset) can be read directly. Close takes r.mu, so the wait runs
+		// without it; the reads take it again, because reading a replica
+		// settles its slice log and concurrent readers must not share that.
 		<-r.done
+		r.mu.Lock()
 		offset = r.cfg.BaseOffset + r.routed
 		results = results[:0]
 		for i, q := range qi.replicas {
@@ -843,6 +818,7 @@ func (r *Runtime) QueryStats(name string) (engine.QueryStats, bool) {
 				results = append(results, ctlResult{shard: i, stats: st, found: true})
 			}
 		}
+		r.mu.Unlock()
 	}
 	var out engine.QueryStats
 	found := false

@@ -83,11 +83,13 @@ func TestUnparsableSidecarFallsBackToWalk(t *testing.T) {
 			if err := os.WriteFile(s.metaPath(last), []byte(content), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if cnt, err := s.Count(); err != nil || cnt != n {
-				t.Fatalf("Count = %d, %v; want %d", cnt, err, n)
+			tail, err := s.Tail(n - 5)
+			if err != nil || tail.Count != n {
+				t.Fatalf("Tail(%d) = %+v, %v; want %d records", n-5, tail, err, n)
 			}
-			if evs, err := s.ReadFrom(n-5, Selection{}); err != nil || len(evs) != 5 {
-				t.Fatalf("ReadFrom(%d) = %d events, %v; want 5", n-5, len(evs), err)
+			read := 0
+			if err := tail.Each(func(*event.Event) error { read++; return nil }); err != nil || read != 5 {
+				t.Fatalf("Tail(%d).Each = %d events, %v; want 5", n-5, read, err)
 			}
 
 			// Cut the segment's last record short. Were it unsealed that would
@@ -146,8 +148,8 @@ func TestCRCValidGarbageIsCorruptionNotTear(t *testing.T) {
 		t.Fatalf("the record past the garbage: yielded %d, %v", n, err)
 	}
 	var cerr *CorruptError
-	if _, err := s2.ReadFrom(0, Selection{}); !errors.As(err, &cerr) || cerr.Reason == "crc mismatch" {
-		t.Fatalf("ReadFrom(0) = %v, want the payload's decode failure as a *CorruptError", err)
+	if err := s2.ScanFrom(0, Selection{}, func(*event.Event) error { return nil }); !errors.As(err, &cerr) || cerr.Reason == "crc mismatch" {
+		t.Fatalf("ScanFrom(0) = %v, want the payload's decode failure as a *CorruptError", err)
 	}
 }
 
@@ -190,8 +192,8 @@ func TestSyncConcurrentWithAppendAcrossRotation(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if cnt, err := s.Count(); err != nil || cnt != rounds*int64(len(evs)) {
-		t.Fatalf("Count = %d, %v; want %d", cnt, err, rounds*len(evs))
+	if tail, err := s.Tail(0); err != nil || tail.Count != rounds*int64(len(evs)) {
+		t.Fatalf("Tail(0) = %+v, %v; want %d records", tail, err, rounds*len(evs))
 	}
 }
 

@@ -140,24 +140,24 @@ func TestScanFromOffsetsProperty(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if count, err := s.Count(); err != nil || count != n {
-		t.Fatalf("Count = %d, %v; want %d", count, err, n)
+	if tail, err := s.Tail(0); err != nil || tail.Count != n {
+		t.Fatalf("Tail(0) = %+v, %v; want %d records", tail, err, n)
 	}
 	for _, offset := range []int64{0, 1, 99, 150, 299, 300, 301} {
-		got, err := s.ReadFrom(offset, Selection{})
-		if err != nil {
-			t.Fatalf("ReadFrom(%d): %v", offset, err)
+		var got []uint64
+		if err := s.ScanFrom(offset, Selection{}, collectIDs(&got)); err != nil {
+			t.Fatalf("ScanFrom(%d): %v", offset, err)
 		}
 		want := 0
 		if offset < n {
 			want = n - int(offset)
 		}
 		if len(got) != want {
-			t.Fatalf("ReadFrom(%d) yielded %d events, want %d", offset, len(got), want)
+			t.Fatalf("ScanFrom(%d) yielded %d events, want %d", offset, len(got), want)
 		}
-		for i, ev := range got {
-			if ev.ID != uint64(int(offset)+i) {
-				t.Fatalf("ReadFrom(%d)[%d].ID = %d, want %d (order broken)", offset, i, ev.ID, int(offset)+i)
+		for i, id := range got {
+			if id != uint64(int(offset)+i) {
+				t.Fatalf("ScanFrom(%d)[%d].ID = %d, want %d (order broken)", offset, i, id, int(offset)+i)
 			}
 		}
 	}
@@ -201,9 +201,9 @@ func TestScanFromWithSelection(t *testing.T) {
 	}
 	hosts := sel.hostSet()
 	for _, offset := range []int64{0, 37, 100, 149, 199} {
-		got, err := s.ReadFrom(offset, sel)
-		if err != nil {
-			t.Fatalf("ReadFrom(%d): %v", offset, err)
+		var got []uint64
+		if err := s.ScanFrom(offset, sel, collectIDs(&got)); err != nil {
+			t.Fatalf("ScanFrom(%d): %v", offset, err)
 		}
 		var want []uint64
 		for i, ev := range all {
@@ -212,11 +212,11 @@ func TestScanFromWithSelection(t *testing.T) {
 			}
 		}
 		if len(got) != len(want) {
-			t.Fatalf("ReadFrom(%d) yielded %d events, want %d", offset, len(got), len(want))
+			t.Fatalf("ScanFrom(%d) yielded %d events, want %d", offset, len(got), len(want))
 		}
 		for i := range want {
-			if got[i].ID != want[i] {
-				t.Fatalf("ReadFrom(%d)[%d].ID = %d, want %d", offset, i, got[i].ID, want[i])
+			if got[i] != want[i] {
+				t.Fatalf("ScanFrom(%d)[%d].ID = %d, want %d", offset, i, got[i], want[i])
 			}
 		}
 	}
@@ -264,8 +264,8 @@ func TestRepairTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s2.Count(); err == nil {
-		t.Fatal("Count over a torn tail succeeded")
+	if err := s2.ScanFrom(0, Selection{}, func(*event.Event) error { return nil }); err == nil {
+		t.Fatal("ScanFrom over a torn tail succeeded")
 	}
 	dropped, err := s2.Repair()
 	if err != nil {
@@ -274,8 +274,8 @@ func TestRepairTornTail(t *testing.T) {
 	if dropped != int64(len(torn)) {
 		t.Errorf("Repair dropped %d bytes, want %d", dropped, len(torn))
 	}
-	if cnt, err := s2.Count(); err != nil || cnt != n {
-		t.Fatalf("Count after repair = %d, %v; want %d", cnt, err, n)
+	if tail, err := s2.Tail(0); err != nil || tail.Count != n {
+		t.Fatalf("Tail(0) after repair = %+v, %v; want %d records", tail, err, n)
 	}
 	// Idempotent on a clean journal.
 	if dropped, err := s2.Repair(); err != nil || dropped != 0 {

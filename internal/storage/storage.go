@@ -29,7 +29,6 @@ import (
 	"hash/crc32"
 	"io"
 	"io/fs"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -680,13 +679,6 @@ func (t *Tail) each(sel Selection, yield func(*event.Event) error) error {
 	return nil
 }
 
-// Scan reads all stored events matching sel, in storage order (which is
-// append order; collection agents append in time order), invoking yield for
-// each. A yield error aborts the scan.
-func (s *Store) Scan(sel Selection, yield func(*event.Event) error) error {
-	return s.ScanFrom(0, sel, yield)
-}
-
 // ScanFrom reads stored events starting at the global record offset — the
 // cursor coordinate the engine's checkpoints record (see Tail). Sealed
 // segments whose sidecar index shows they end before the offset, or hold
@@ -701,31 +693,15 @@ func (s *Store) ScanFrom(offset int64, sel Selection, yield func(*event.Event) e
 	return t.each(sel, yield)
 }
 
-// Count reports how many event records the store holds (the offset the next
-// append lands at). Sealed segments are counted from their sidecar index;
-// an unsealed or index-less segment is walked, without decoding.
-func (s *Store) Count() (int64, error) {
-	t, err := s.tail(math.MaxInt64, false)
-	if err != nil {
-		return 0, err
-	}
-	return t.Count, nil
-}
-
-// ReadFrom collects all events from the global record offset onward that
-// match sel: the checkpoint-replay tail.
-func (s *Store) ReadFrom(offset int64, sel Selection) ([]*event.Event, error) {
+// ReadAll collects all stored events matching sel, in storage order (which is
+// append order; collection agents append in time order).
+func (s *Store) ReadAll(sel Selection) ([]*event.Event, error) {
 	var out []*event.Event
-	err := s.ScanFrom(offset, sel, func(ev *event.Event) error {
+	err := s.ScanFrom(0, sel, func(ev *event.Event) error {
 		out = append(out, ev)
 		return nil
 	})
 	return out, err
-}
-
-// ReadAll collects all events matching sel.
-func (s *Store) ReadAll(sel Selection) ([]*event.Event, error) {
-	return s.ReadFrom(0, sel)
 }
 
 // ---------------------------------------------------------------------------

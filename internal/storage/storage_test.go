@@ -154,7 +154,7 @@ func TestScanAbort(t *testing.T) {
 	s, _ := Open(dir, Options{})
 	_ = s.AppendAll(sampleEvents(50))
 	n := 0
-	err := s.Scan(Selection{}, func(*event.Event) error {
+	err := s.ScanFrom(0, Selection{}, func(*event.Event) error {
 		n++
 		if n == 10 {
 			return os.ErrClosed

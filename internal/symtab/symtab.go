@@ -21,7 +21,6 @@ package symtab
 import (
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
 const (
@@ -36,13 +35,6 @@ const (
 var (
 	mu  sync.RWMutex
 	ids = map[string]uint32{} // lower-cased canonical form -> symbol (1-based)
-
-	// Dictionary effectiveness counters, reported through Engine.Stats.
-	// hits/misses are recorded by the codec intern tables (per decoded hot
-	// string); the compiled-evaluation string-fallback count lives in
-	// internal/pcode next to the code that takes the fallback.
-	hits   atomic.Int64
-	misses atomic.Int64
 )
 
 // Intern returns the symbol ID for s, assigning one on first sight. It
@@ -84,34 +76,6 @@ func Lookup(s string) uint32 {
 	id := ids[canon]
 	mu.RUnlock()
 	return id
-}
-
-// RecordLookups adds a decoder intern table's lookups since it last
-// reported: hits resolved to the canonical copy and symbol without touching
-// the global dictionary, misses were the first sight of a distinct string on
-// that stream. Decoders report once per line, not once per attribute.
-func RecordLookups(h, m int64) {
-	if h != 0 {
-		hits.Add(h)
-	}
-	if m != 0 {
-		misses.Add(m)
-	}
-}
-
-// Stats is a snapshot of the dictionary counters.
-type Stats struct {
-	Entries int   // distinct symbols assigned
-	Hits    int64 // decoder intern-table cache hits
-	Misses  int64 // decoder intern-table cache misses
-}
-
-// Snapshot returns the current dictionary statistics.
-func Snapshot() Stats {
-	mu.RLock()
-	n := len(ids)
-	mu.RUnlock()
-	return Stats{Entries: n, Hits: hits.Load(), Misses: misses.Load()}
 }
 
 // isASCII reports whether s contains only 7-bit bytes. Only such strings are

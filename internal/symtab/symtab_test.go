@@ -54,12 +54,19 @@ func caseFoldVariantsShareStableID(t *testing.T) {
 	}
 }
 
+// entries reports how many symbols the dictionary has assigned.
+func entries() int {
+	mu.RLock()
+	defer mu.RUnlock()
+	return len(ids)
+}
+
 func lookupNeverAssigns(t *testing.T) {
-	before := Snapshot().Entries
+	before := entries()
 	if id := Lookup("symtab-never-interned"); id != 0 {
 		t.Errorf("Lookup of an unseen string = %d, want 0", id)
 	}
-	if after := Snapshot().Entries; after != before {
+	if after := entries(); after != before {
 		t.Errorf("Lookup grew the table: %d -> %d entries", before, after)
 	}
 	if id := Lookup("symtab-never-interned"); id != 0 {
@@ -107,13 +114,13 @@ func concurrentInternOneIDPerCanonicalForm(t *testing.T) {
 
 func fullTableRefusesNewStrings(t *testing.T) {
 	kept := Intern("symtab-before-full")
-	for i := 0; Snapshot().Entries < MaxEntries; i++ {
+	for i := 0; entries() < MaxEntries; i++ {
 		Intern(fmt.Sprintf("symtab-fill-%d", i))
 	}
 	if id := Intern("symtab-after-full"); id != 0 {
 		t.Errorf("Intern of a new string on a full table = %d, want 0", id)
 	}
-	if n := Snapshot().Entries; n != MaxEntries {
+	if n := entries(); n != MaxEntries {
 		t.Errorf("entries = %d, want the %d-entry bound", n, MaxEntries)
 	}
 	if id := Intern("SYMTAB-BEFORE-FULL"); id != kept || kept == 0 {

@@ -51,15 +51,9 @@ func (s Spec) EffectiveHop() time.Duration {
 	return s.Length
 }
 
-// AssignTo returns the IDs of all windows containing t, in ascending start
-// order. For tumbling windows this is exactly one ID; for hopping windows,
-// ceil(Length/Hop) of them.
-func (s Spec) AssignTo(t time.Time) []ID {
-	return s.AssignAppend(nil, t)
-}
-
 // AssignAppend appends the IDs of all windows containing t to dst, in
-// ascending start order, and returns the extended slice. It sits on the
+// ascending start order, and returns the extended slice: exactly one ID for
+// tumbling windows, ceil(Length/Hop) for hopping ones. It sits on the
 // per-pattern-hit hot path: the tumbling case emits its single ID directly,
 // and the hopping case walks starts upward from the earliest containing
 // window, so neither path sorts or allocates beyond dst's growth.

@@ -21,7 +21,7 @@ func specFields() []FieldSpec {
 
 func TestAssignToTumbling(t *testing.T) {
 	s := Spec{Length: 10 * time.Minute}
-	ids := s.AssignTo(base.Add(3 * time.Minute))
+	ids := s.AssignAppend(nil, base.Add(3*time.Minute))
 	if len(ids) != 1 {
 		t.Fatalf("tumbling assignment = %d windows, want 1", len(ids))
 	}
@@ -32,7 +32,7 @@ func TestAssignToTumbling(t *testing.T) {
 		t.Errorf("window end = %v", s.End(ids[0]))
 	}
 	// Exactly on a boundary belongs to the window starting there.
-	ids = s.AssignTo(base.Add(10 * time.Minute))
+	ids = s.AssignAppend(nil, base.Add(10*time.Minute))
 	if len(ids) != 1 || !ids[0].Start().Equal(base.Add(10*time.Minute)) {
 		t.Errorf("boundary assignment = %v", ids)
 	}
@@ -40,7 +40,7 @@ func TestAssignToTumbling(t *testing.T) {
 
 func TestAssignToHopping(t *testing.T) {
 	s := Spec{Length: 10 * time.Minute, Hop: 5 * time.Minute}
-	ids := s.AssignTo(base.Add(7 * time.Minute))
+	ids := s.AssignAppend(nil, base.Add(7*time.Minute))
 	if len(ids) != 2 {
 		t.Fatalf("hopping assignment = %d windows, want 2", len(ids))
 	}
@@ -75,9 +75,9 @@ func TestSliceAtBoundsWindowAssignment(t *testing.T) {
 			if start > at || end <= at || !isEdge(s, start) || !isEdge(s, end) {
 				return false
 			}
-			want := s.AssignTo(time.Unix(0, at))
+			want := s.AssignAppend(nil, time.Unix(0, at))
 			for _, x := range []int64{start, (start + end) / 2, end - 1, at} {
-				if !same(s.AssignTo(time.Unix(0, x)), want) {
+				if !same(s.AssignAppend(nil, time.Unix(0, x)), want) {
 					return false
 				}
 			}
@@ -85,7 +85,7 @@ func TestSliceAtBoundsWindowAssignment(t *testing.T) {
 			if _, e := s.SliceAt(start); e != end {
 				return false
 			}
-			return !same(s.AssignTo(time.Unix(0, start-1)), want) && !same(s.AssignTo(time.Unix(0, end)), want)
+			return !same(s.AssignAppend(nil, time.Unix(0, start-1)), want) && !same(s.AssignAppend(nil, time.Unix(0, end)), want)
 		}
 		if err := quick.Check(f, nil); err != nil {
 			t.Errorf("%+v: %v", s, err)
@@ -99,7 +99,7 @@ func TestAssignToProperty(t *testing.T) {
 	s := Spec{Length: 10 * time.Minute}
 	f := func(offsetMs uint32) bool {
 		at := base.Add(time.Duration(offsetMs) * time.Millisecond)
-		ids := s.AssignTo(at)
+		ids := s.AssignAppend(nil, at)
 		if len(ids) != 1 {
 			return false
 		}
@@ -112,7 +112,7 @@ func TestAssignToProperty(t *testing.T) {
 	hop := Spec{Length: 10 * time.Minute, Hop: 2 * time.Minute}
 	g := func(offsetMs uint32) bool {
 		at := base.Add(time.Duration(offsetMs) * time.Millisecond)
-		ids := hop.AssignTo(at)
+		ids := hop.AssignAppend(nil, at)
 		if len(ids) != 5 { // Length/Hop windows contain each instant
 			return false
 		}
@@ -368,7 +368,7 @@ func TestAssignToHoppingAscendingNoSort(t *testing.T) {
 	s := Spec{Length: 10 * time.Minute, Hop: time.Minute}
 	for off := 0; off < 25; off++ {
 		at := base.Add(time.Duration(off) * 37 * time.Second)
-		ids := s.AssignTo(at)
+		ids := s.AssignAppend(nil, at)
 		if len(ids) != 10 {
 			t.Fatalf("at +%d: %d windows, want 10", off, len(ids))
 		}
@@ -386,10 +386,10 @@ func TestAssignToHoppingAscendingNoSort(t *testing.T) {
 func TestAssignToGappedHop(t *testing.T) {
 	// Hop larger than length leaves gaps: events in a gap belong nowhere.
 	s := Spec{Length: time.Minute, Hop: 5 * time.Minute}
-	if ids := s.AssignTo(base.Add(30 * time.Second)); len(ids) != 1 {
+	if ids := s.AssignAppend(nil, base.Add(30*time.Second)); len(ids) != 1 {
 		t.Errorf("in-window event assigned to %v", ids)
 	}
-	if ids := s.AssignTo(base.Add(3 * time.Minute)); len(ids) != 0 {
+	if ids := s.AssignAppend(nil, base.Add(3*time.Minute)); len(ids) != 0 {
 		t.Errorf("gap event assigned to %v", ids)
 	}
 }
@@ -459,7 +459,7 @@ func TestNegativeTimeAlignment(t *testing.T) {
 	// Events before the epoch must still align consistently.
 	s := Spec{Length: time.Minute}
 	at := time.Unix(-90, 0)
-	ids := s.AssignTo(at)
+	ids := s.AssignAppend(nil, at)
 	if len(ids) != 1 {
 		t.Fatalf("ids = %v", ids)
 	}

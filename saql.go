@@ -52,16 +52,17 @@ type CompileOptions = engine.CompileOptions
 // AlertSubscription is a push-based alert stream returned by Subscribe.
 type AlertSubscription = runtime.AlertSubscription
 
-// OverflowPolicy selects backpressure behaviour on full bounded buffers:
-// the engine's ingest queue (WithBackpressure) and alert subscriptions
-// (Engine.Subscribe).
+// OverflowPolicy selects what an alert subscription (Engine.Subscribe,
+// QueryHandle.Subscribe) does when its subscriber falls behind. The ingest
+// queue has one policy: Submit waits for room.
 type OverflowPolicy = runtime.OverflowPolicy
 
 // Overflow policies.
 const (
 	// Block applies backpressure: the producer waits for capacity.
 	Block = runtime.Block
-	// DropNewest discards the incoming item when the buffer is full.
+	// DropNewest discards the incoming alert when the subscription's buffer
+	// is full, counted by AlertSubscription.Dropped.
 	DropNewest = runtime.DropNewest
 )
 
@@ -112,7 +113,10 @@ type Stats struct {
 	// evaluation on a never-started engine, at most one per event per hit
 	// pattern per key class per shard on a running one.
 	GroupProbes int64
-	// Dropped counts events discarded by DropNewest ingest overflow.
+	// Dropped counts the events the engine refused: those its tenants'
+	// ingest-rate quotas throttled, summed over tenants
+	// (TenantStats.EventsThrottled). It is checkpointed with the tenants, so
+	// it survives Open.
 	Dropped int64
 
 	// Symbol-dictionary counters (the codec intern tables that stamp stable
@@ -122,7 +126,7 @@ type Stats struct {
 	// intern tables of sources that fed this engine (live and detached), and
 	// Fallbacks counts string comparisons that could not use symbols in this
 	// engine's compiled queries. Two engines in one process report disjoint
-	// values; symtab.Snapshot still has the process-wide dictionary totals.
+	// values.
 	SymbolEntries   int
 	SymbolHits      int64
 	SymbolMisses    int64
@@ -153,7 +157,6 @@ type config struct {
 	errDepth  int
 	shards    int
 	queueSize int
-	overflow  OverflowPolicy
 	// journal, when set, durably records every ingested event (see
 	// WithJournal); baseOffset seeds the stream-offset counter so a
 	// restored engine's checkpoints index the same journal coordinates.
@@ -197,12 +200,8 @@ func WithErrorHandler(fn func(*QueryError)) Option { return func(c *config) { c.
 func WithShards(n int) Option { return func(c *config) { c.shards = n } }
 
 // WithIngestQueue bounds the ingest queue (in submissions; default 1024).
+// Submit and SubmitBatch wait for room in it.
 func WithIngestQueue(size int) Option { return func(c *config) { c.queueSize = size } }
-
-// WithBackpressure selects Submit's behaviour when the ingest queue is
-// full: Block (default) waits for capacity, DropNewest discards the
-// submission and counts it in Stats.Dropped.
-func WithBackpressure(p OverflowPolicy) Option { return func(c *config) { c.overflow = p } }
 
 // engineState tracks the lifecycle: New (serial, accepting Process) ->
 // Running (concurrent, accepting Submit) -> Closed.
@@ -249,16 +248,8 @@ type Engine struct {
 	srcTotals source.Stats
 
 	// fallbacks receives the string-fallback counts of every query this
-	// engine compiles (CompileOptions.Fallbacks points here), keeping the
-	// counter per-engine rather than process-global.
+	// engine compiles (CompileOptions.Fallbacks points here).
 	fallbacks atomic.Int64
-
-	// final, once non-nil, is the immutable runtime-counter snapshot taken
-	// by Close; Stats and QueryStats serve it afterwards so post-run
-	// summaries stay truthful (see captureFinal). finalMu admits one closer
-	// at a time to the capture.
-	final   atomic.Pointer[finalStats]
-	finalMu sync.Mutex
 
 	// Tenant control plane (tenant.go): per-tenant quota and accounting
 	// state, plus the stream-time high-water mark of alert event times.
@@ -350,7 +341,6 @@ func New(opts ...Option) *Engine {
 		errDepth:  128,
 		shards:    goruntime.GOMAXPROCS(0),
 		queueSize: 1024,
-		overflow:  Block,
 	}
 	for _, o := range opts {
 		o(&cfg)
@@ -373,7 +363,7 @@ func New(opts ...Option) *Engine {
 	e.reporter = engine.NewErrorReporter(cfg.errDepth, onError)
 	e.sched = scheduler.New(e.reporter, cfg.sharing)
 	// Every query compiled through this engine's options charges its string
-	// fallbacks here, not to the process-global counter.
+	// fallbacks here.
 	e.cfg.compile.Fallbacks = &e.fallbacks
 	// Tenant alert budgets gate delivery at the single fan-out choke point,
 	// on both the serial and sharded paths. Installed before any publishing
@@ -405,7 +395,6 @@ func (e *Engine) Start(ctx context.Context) error {
 	rtCfg := runtime.Config{
 		Shards:    e.cfg.shards,
 		QueueSize: e.cfg.queueSize,
-		Overflow:  e.cfg.overflow,
 		Sharing:   e.cfg.sharing,
 		Reporter:  e.reporter,
 		Fan:       e.fan,
@@ -467,7 +456,8 @@ func (e *Engine) Start(ctx context.Context) error {
 // and the alert handler), all subscriptions end, and the workers exit.
 // Close is idempotent; concurrent calls wait for the first to finish. A
 // never-started engine closes immediately (subscriptions end, Process is
-// disabled).
+// disabled). Stats, QueryStats and Tenants keep answering with the final
+// values.
 func (e *Engine) Close() error {
 	e.mu.Lock()
 	prev := engineState(e.state.Load())
@@ -480,7 +470,6 @@ func (e *Engine) Close() error {
 
 	if rt != nil {
 		rt.Close() // idempotent; closes the fan-out
-		e.captureFinal(rt)
 	} else if prev != stateClosed {
 		e.fan.Close()
 	}
@@ -518,10 +507,10 @@ func cloneFor(rec *queryRecord) func() (*engine.Query, error) {
 // ---------------------------------------------------------------------------
 
 // Submit enqueues one event for processing. The engine must be running
-// (Start). Under the Block backpressure policy Submit waits for queue
-// space; under DropNewest it discards the event when the queue is full and
-// counts it in Stats.Dropped. The engine owns the event after Submit
-// returns; callers must not mutate it.
+// (Start). When the ingest queue is full Submit waits for room; if the
+// engine closes meanwhile it returns ErrClosed, unless WithJournal already
+// recorded the event (then a restore replays it). The engine owns the event
+// after Submit returns; callers must not mutate it.
 func (e *Engine) Submit(ev *Event) error {
 	rt, err := e.running()
 	if err != nil {
@@ -532,7 +521,7 @@ func (e *Engine) Submit(ev *Event) error {
 
 // SubmitBatch enqueues a batch of events as a single queue item, amortising
 // queue traffic for high-rate feeds. Events in a batch are processed in
-// order. Under DropNewest overflow the whole batch is discarded together.
+// order. It waits for room in the queue as Submit does.
 func (e *Engine) SubmitBatch(evs []*Event) error {
 	rt, err := e.running()
 	if err != nil {
@@ -679,12 +668,8 @@ func (e *Engine) settleErrors() {
 
 // QueryStats returns the per-query runtime counters. On a running engine
 // the counters are aggregated across the query's shard replicas at a
-// consistent point of the stream.
+// consistent point of the stream; after Close, at the end of the stream.
 func (e *Engine) QueryStats(name string) (QueryStats, bool) {
-	if fin := e.final.Load(); fin != nil {
-		qs, ok := fin.queries[name]
-		return qs, ok
-	}
 	if rt := e.rt.Load(); rt != nil {
 		return rt.QueryStats(name)
 	}
@@ -724,14 +709,18 @@ func (e *Engine) Stats() Stats {
 	nQueries := len(e.reg)
 	e.mu.Unlock()
 	var out Stats
-	if fin := e.final.Load(); fin != nil {
-		out = fin.stats
-	} else if rt := e.rt.Load(); rt != nil {
-		out = runtimeStats(rt)
+	if rt := e.rt.Load(); rt != nil {
+		out = statsOf(rt.SchedStats(), rt.GroupCount())
+		out.Events = rt.Events() // accepted into the ingest queue
 	} else {
 		out = statsOf(e.sched.Stats(), e.sched.GroupCount())
 	}
 	out.Queries = nQueries
+	e.tenMu.Lock()
+	for _, ts := range e.tenants {
+		out.Dropped += ts.throttled
+	}
+	e.tenMu.Unlock()
 	// Symbol and source counters are engine-scoped and live even after
 	// Close: the fallbacks sink is this engine's own, and the symbol
 	// counters aggregate the intern tables of exactly the sources that fed
@@ -769,52 +758,6 @@ func statsOf(s scheduler.Stats, groups int) Stats {
 		KeyEvals:          s.KeyEvals,
 		GroupProbes:       s.GroupProbes,
 	}
-}
-
-// runtimeStats is statsOf for a started engine: the router's and shards'
-// counters (Runtime.SchedStats), with events counted as accepted into the
-// ingest queue and the queue's drops.
-func runtimeStats(rt *runtime.Runtime) Stats {
-	out := statsOf(rt.SchedStats(), rt.GroupCount())
-	out.Events, out.Dropped = rt.Events(), rt.Dropped()
-	return out
-}
-
-// finalStats is the immutable post-Close snapshot of runtime-derived
-// counters. Source/symbol/tenant counters are excluded: they live on the
-// Engine itself and stay readable after Close.
-type finalStats struct {
-	stats   Stats
-	queries map[string]QueryStats
-}
-
-// captureFinal snapshots engine and per-query runtime counters after the
-// sharded runtime has drained, so Stats/QueryStats keep reporting the final
-// values once the workers are gone. First closer wins; concurrent Close
-// calls wait for it, because the capture encodes every query's state to size
-// it (QueryStats.StateBytes) on the queries' own scratch buffers.
-func (e *Engine) captureFinal(rt *runtime.Runtime) {
-	e.finalMu.Lock()
-	defer e.finalMu.Unlock()
-	if e.final.Load() != nil {
-		return
-	}
-	fin := &finalStats{
-		stats:   runtimeStats(rt),
-		queries: map[string]QueryStats{},
-	}
-	e.mu.Lock()
-	names := make([]string, 0, len(e.reg))
-	for name := range e.reg {
-		names = append(names, name)
-	}
-	e.mu.Unlock()
-	for _, name := range names {
-		if qs, ok := rt.QueryStats(name); ok {
-			fin.queries[name] = qs
-		}
-	}
-	e.final.CompareAndSwap(nil, fin)
 }
 
 // attachSource registers a log source with the engine so its counters

@@ -8,6 +8,7 @@ package saql
 
 import (
 	"context"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -125,12 +126,24 @@ func TestSourceDetachKeepsCounters(t *testing.T) {
 	}
 }
 
-// TestStatsStableAfterClose: Stats and QueryStats answered after Close must
-// equal the final pre-Close values instead of going stale or zero.
+// TestStatsStableAfterClose: Stats, QueryStats and Tenants answered after
+// Close must equal the final pre-Close values instead of going stale or zero,
+// read by several goroutines at once (run with -race: a closed engine serves
+// them from its runtime's replicas, and reading a replica settles its slice
+// log).
 func TestStatsStableAfterClose(t *testing.T) {
-	eng := New()
-	if _, err := eng.Register("final/writes", perWriteAlertSrc); err != nil {
-		t.Fatal(err)
+	queries := map[string]string{
+		"final/writes": perWriteAlertSrc,
+		"final/sum": `proc p write ip i as e #time(1 min)
+state ss { amt := sum(e.amount) } group by p
+alert ss.amt > 1000
+return p, ss.amt`,
+	}
+	eng := New(WithShards(2))
+	for name, src := range queries {
+		if _, err := eng.Register(name, src); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := eng.Start(context.Background()); err != nil {
 		t.Fatal(err)
@@ -145,34 +158,44 @@ func TestStatsStableAfterClose(t *testing.T) {
 	eng.Flush() // consistent point: all windows closed, all alerts out
 
 	pre := eng.Stats()
-	preQ, ok := eng.QueryStats("final/writes")
-	if !ok {
-		t.Fatal("QueryStats missing pre-Close")
+	preQ := map[string]QueryStats{}
+	for name := range queries {
+		qs, ok := eng.QueryStats(name)
+		if !ok || qs.Alerts == 0 {
+			t.Fatalf("pre-Close QueryStats(%s) implausible: %+v, %v", name, qs, ok)
+		}
+		preQ[name] = qs
 	}
-	if pre.Events != 10 || preQ.Alerts == 0 {
-		t.Fatalf("pre-Close stats implausible: %+v / %+v", pre, preQ)
+	preT := eng.Tenants()
+	if pre.Events != 10 || len(preT) != 1 {
+		t.Fatalf("pre-Close stats implausible: %+v / %+v", pre, preT)
 	}
 
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	post := eng.Stats()
-	if post.Events != pre.Events || post.Alerts != pre.Alerts ||
-		post.SymbolFallbacks != pre.SymbolFallbacks || post.Queries != pre.Queries {
-		t.Errorf("Stats changed across Close:\npre:  %+v\npost: %+v", pre, post)
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 3; i++ {
+				if post := eng.Stats(); post != pre {
+					t.Errorf("Stats changed across Close:\npre:  %+v\npost: %+v", pre, post)
+				}
+				for name, want := range preQ {
+					if got, ok := eng.QueryStats(name); !ok || got != want {
+						t.Errorf("QueryStats(%s) changed across Close:\npre:  %+v\npost: %+v", name, want, got)
+					}
+				}
+				if post := eng.Tenants(); !reflect.DeepEqual(post, preT) {
+					t.Errorf("Tenants changed across Close:\npre:  %+v\npost: %+v", preT, post)
+				}
+			}
+		}()
 	}
-	postQ, ok := eng.QueryStats("final/writes")
-	if !ok {
-		t.Fatal("QueryStats missing post-Close")
-	}
-	if postQ.Events != preQ.Events || postQ.Alerts != preQ.Alerts {
-		t.Errorf("QueryStats changed across Close:\npre:  %+v\npost: %+v", preQ, postQ)
-	}
-	// Repeated post-Close reads stay stable.
-	if again := eng.Stats(); again.Events != post.Events || again.Alerts != post.Alerts {
-		t.Errorf("post-Close Stats not stable: %+v then %+v", post, again)
-	}
+	wg.Wait()
 }
 
 // TestFallbackCounterPerEngine: string-fallback comparisons land on the

@@ -289,14 +289,17 @@ func TestNoisyTenantConformance(t *testing.T) {
 }
 
 // TestIngestRateQuota throttles a tenant-attributed source on stream time:
-// excess events are dropped before the engine sees them, and counted.
+// excess events are dropped before the engine sees them, and counted — per
+// tenant and, summed over tenants, as the engine's Stats.Dropped, which a
+// checkpoint carries across Open.
 func TestIngestRateQuota(t *testing.T) {
+	dir := t.TempDir()
 	got, opt := collectAlerts()
-	eng := New(opt)
-	defer eng.Close()
-	if err := eng.Start(context.Background()); err != nil {
+	eng, _, err := Open(dir, WithRestoreEngineOptions(opt))
+	if err != nil {
 		t.Fatal(err)
 	}
+	defer eng.Close()
 	if _, err := eng.Register("rl/writes", perWriteAlertSrc); err != nil {
 		t.Fatal(err)
 	}
@@ -315,6 +318,20 @@ func TestIngestRateQuota(t *testing.T) {
 	if err := src.Run(context.Background(), eng); err != nil {
 		t.Fatal(err)
 	}
+	dropped := func(stage string, e *Engine) {
+		t.Helper()
+		var throttled int64
+		for _, ts := range e.Tenants() {
+			throttled += ts.EventsThrottled
+		}
+		if d := e.Stats().Dropped; d != 8 || throttled != 8 {
+			t.Errorf("%s: Stats.Dropped = %d, tenants throttled %d; want 8 and 8", stage, d, throttled)
+		}
+	}
+	dropped("running", eng)
+	if _, err := eng.Checkpoint(dir); err != nil {
+		t.Fatal(err)
+	}
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -329,6 +346,14 @@ func TestIngestRateQuota(t *testing.T) {
 	if len(*got) != 2 {
 		t.Errorf("alerts = %d, want 2 (only admitted events evaluate)", len(*got))
 	}
+	dropped("closed", eng)
+
+	reopened, _, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	dropped("reopened", reopened)
 }
 
 // TestSourceRunOnce: sources are one-shot so attach/detach pair exactly
