@@ -458,6 +458,108 @@ func TestColdIngestBytesGate(t *testing.T) {
 	}
 }
 
+// registerPinned registers n rule queries, each pinned by a global agentid
+// constraint to one of hosts hosts (query k to host k mod hosts) as the
+// paper's demo queries are, over three pattern shapes.
+func registerPinned(tb testing.TB, eng *Engine, n, hosts int) {
+	tb.Helper()
+	shapes := []string{
+		`proc p["%cmd.exe"] start proc c as evt
+return p, c`,
+		`proc p write ip i[dstip="10.9.9.9"] as evt
+return p, i`,
+		`proc p read file f["%secret%"] as evt
+return p, f`,
+	}
+	for k := range n {
+		src := fmt.Sprintf("agentid = \"Host-%d\"\n%s", k%hosts, shapes[k%len(shapes)])
+		if _, err := eng.Register(fmt.Sprintf("pinned-%d", k), src); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// fleetStream is n events round-robin over the hosts in [from, to), the
+// agentids spelt in mixed case: process starts, connections and file reads
+// of which a few match registerPinned's shapes.
+func fleetStream(n, from, to int) []*Event {
+	evs := make([]*Event, n)
+	for k := range evs {
+		host := from + k%(to-from)
+		ev := &Event{
+			Time:    demoStart.Add(time.Duration(k) * time.Millisecond),
+			AgentID: []string{"host-%d", "HOST-%d", "Host-%d", "hOsT-%d"}[k%4],
+			Subject: Process([]string{"cmd.exe", "svchost.exe"}[k%2], int32(100+k%7)),
+			Amount:  float64(k % 1000),
+		}
+		ev.AgentID = fmt.Sprintf(ev.AgentID, host)
+		switch k % 3 {
+		case 0:
+			ev.Op, ev.Object = OpStart, Process("osql.exe", int32(200+k%7))
+		case 1:
+			ev.Op, ev.Object = OpWrite, NetConn("10.0.0.2", 1433, []string{"10.9.9.9", "10.1.1.1"}[k%2], 443)
+		default:
+			ev.Op, ev.Object = OpRead, File([]string{"/etc/secret.db", "/var/log/x"}[k%2])
+		}
+		evs[k] = ev
+	}
+	return evs
+}
+
+// TestPinnedDispatchAllocsGate: on the serial Process path an event from a
+// host no query is pinned to costs one agentid lookup, folded on the stack,
+// and no allocation — and runs no pinned master (PatternEvals stays put).
+func TestPinnedDispatchAllocsGate(t *testing.T) {
+	eng := New()
+	registerPinned(t, eng, 16, 4) // hosts 0–3
+	evs := fleetStream(2000, 4, 60)
+	for _, ev := range evs {
+		eng.Process(ev)
+	}
+	before := eng.Stats().PatternEvals
+	allocs := testing.AllocsPerRun(5, func() {
+		for _, ev := range evs {
+			eng.Process(ev)
+		}
+	})
+	perEvent := allocs / float64(len(evs))
+	t.Logf("unpinned hosts: %.4f allocs/event", perEvent)
+	if perEvent != 0 {
+		t.Errorf("an event from an unpinned host allocates %.4f/event, gate is 0", perEvent)
+	}
+	if after := eng.Stats().PatternEvals; after != before {
+		t.Errorf("PatternEvals rose %d → %d over events no master is pinned to", before, after)
+	}
+}
+
+// BenchmarkPinnedDispatch times serial Process over a 60-host fleet stream
+// with 1, 16 and 64 host-pinned queries: every event is looked up once in
+// the agentid index and runs only the masters pinned to its host, so ns/event
+// and patevals/ev grow with the queries per host, not with the queries.
+func BenchmarkPinnedDispatch(b *testing.B) {
+	const hosts = 60
+	for _, n := range []int{1, 16, 64} {
+		b.Run(fmt.Sprintf("queries=%d", n), func(b *testing.B) {
+			eng := New()
+			registerPinned(b, eng, n, hosts)
+			evs := fleetStream(6000, 0, hosts)
+			for _, ev := range evs {
+				eng.Process(ev)
+			}
+			before := eng.Stats()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				eng.Process(evs[i%len(evs)])
+			}
+			b.StopTimer()
+			st := eng.Stats()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/event")
+			b.ReportMetric(float64(st.PatternEvals-before.PatternEvals)/float64(st.Events-before.Events), "patevals/ev")
+		})
+	}
+}
+
 // BenchmarkStatefulFold times the serial Process path folding hits into
 // groups that already exist in an open window — key, group probe, the slice
 // log, bindings, argument programs, aggregator Add, watermark advance — for

@@ -141,9 +141,12 @@
 // per-event matching work stays O(patterns) rather than O(shards ×
 // patterns). A never-started engine shares keys the same way. A key then
 // names its group by a dense integer id, resolved once per key class
-// (Stats.GroupProbes) and indexed by every member. Stats.PatternEvals and
-// Stats.KeyEvals count evaluations exactly; neither depends on the shard
-// count.
+// (Stats.GroupProbes) and indexed by every member. A master whose global
+// constraints pin it to one agentid (`agentid = "db-1"`) runs only on that
+// host's events: each event's agentid is looked up once in an index of the
+// pinned masters. Stats.PatternEvals counts the predicates of the masters
+// actually run, Stats.KeyEvals the keys evaluated; neither depends on the
+// shard count.
 //
 // Everything a query evaluates is a compiled bytecode program
 // (internal/pcode), and every query compiles to them: there is no

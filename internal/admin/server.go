@@ -102,7 +102,8 @@ func (s *Server) handleQ(w http.ResponseWriter, r *http.Request) {
 var queryFields = []string{
 	"id", "tenant", "paused", "kind", "labels", "source",
 	"events", "pattern_hits", "matches", "alerts", "suppressed",
-	"eval_errors", "late_hits", "state_bytes", "alerts_1h",
+	"eval_errors", "late_hits", "partials_expired", "partials_dropped",
+	"state_bytes", "alerts_1h",
 }
 
 var defaultQueryFields = []string{"id", "tenant", "paused", "alerts"}
@@ -168,6 +169,10 @@ func (s *Server) queryItem(h *saql.QueryHandle, fields []string) map[string]any 
 			item[f] = st.EvalErrors
 		case "late_hits":
 			item[f] = st.LateHits
+		case "partials_expired":
+			item[f] = st.PartialsExpired
+		case "partials_dropped":
+			item[f] = st.PartialsDropped
 		case "state_bytes":
 			item[f] = st.StateBytes
 		case "alerts_1h":

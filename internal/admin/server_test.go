@@ -130,6 +130,30 @@ return p`
 	if resp.Item["pattern_hits"] != float64(3) || resp.Item["late_hits"] != float64(1) {
 		t.Errorf("windowed item = %v, want pattern_hits 3 late_hits 1", resp.Item)
 	}
+	// A chain's first step left waiting past the window shows as
+	// partials_expired.
+	const chain = `proc p start proc c as e1 #time(10 s)
+proc c write file f as e2
+with e1 -> e2
+return p, f`
+	if _, err := eng.Register("acme/chain", chain); err != nil {
+		t.Fatal(err)
+	}
+	for _, sec := range []int{1, 30} {
+		eng.Process(&saql.Event{
+			Time:    start.Add(time.Duration(sec) * time.Second),
+			Subject: saql.Process("a.exe", 1),
+			Op:      saql.OpStart,
+			Object:  saql.Process("b.exe", int32(sec)),
+		})
+	}
+	resp, err = Query(addr, `get(acme/chain){partials_expired partials_dropped}`, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Item["partials_expired"] != float64(1) || resp.Item["partials_dropped"] != float64(0) {
+		t.Errorf("chain item = %v, want partials_expired 1 partials_dropped 0", resp.Item)
+	}
 	resp, err = Query(addr, `get(tenant=acme){name queries}`, false, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -4,7 +4,8 @@
 // //saql:hotpath — the one event path of a started engine (the runtime
 // partitioner's routeEvent with its key/emit/foldOp/hitsOp helpers,
 // flushShard/flushAll/processBatch and batch pool, scheduler.EvaluateBatch's
-// columnar core, HitSet.AssertLive and the routed fold Apply/AdvanceAll), the
+// columnar core and the agentid dispatch both evaluators consult (agentKey,
+// the batch's bucket pass), HitSet.AssertLive and the routed fold Apply/AdvanceAll), the
 // serial reference's evaluateLocked/ingestLocked,
 // engine.MatchBatch/HitKey and the key class memo, the
 // compiled predicate and expression programs (pcode's Match and Run, with the

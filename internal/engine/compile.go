@@ -133,6 +133,12 @@ type QueryStats struct {
 	// window containing them had already closed: the stream's disorder
 	// exceeded what the window tolerates, and that state is lost.
 	LateHits int64
+	// PartialsExpired and PartialsDropped count a multievent rule query's
+	// partial matches lost before they completed: expired past the match
+	// horizon, and refused because MaxPartials were already live. Either
+	// loss can hide a detection.
+	PartialsExpired int64
+	PartialsDropped int64
 }
 
 // groupRuntime is the persistent per-group state across windows.
@@ -429,9 +435,16 @@ func (q *Query) Stats() QueryStats {
 	st := q.stats
 	if q.stateful {
 		st.LateHits = q.winMgr.LateEvents
+	} else {
+		st.PartialsExpired, st.PartialsDropped = q.seq.Expired, q.seq.Dropped
 	}
 	return st
 }
+
+// AgentEq reports the agentid, folded by strings.ToLower, that the query's
+// global constraints require of every event it matches (see
+// pcode.EventProg.AgentEq); ok is false when they require none.
+func (q *Query) AgentEq() (agent string, ok bool) { return q.global.AgentEq() }
 
 // Patterns exposes the compiled event patterns (used by the scheduler to
 // build dependent-query residual filters).

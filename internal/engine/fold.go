@@ -58,23 +58,39 @@ func (q *Query) ResidualHits(dst []int, ev *event.Event, masterHits []int) (hits
 	return dst, evals
 }
 
-// MatchBatch evaluates the query's patterns across a whole batch in
-// pattern-major (columnar) order: one compiled pattern sweeps all events
-// before the next pattern runs, keeping its programs hot in cache. Bit p of
+// MatchBatch evaluates the query's patterns across a batch in pattern-major
+// (columnar) order: one compiled pattern sweeps the events before the next
+// pattern runs, keeping its programs hot in cache. It sweeps the positions
+// of evs listed in at, ascending — the events a caller's index left the
+// query — or every event when at is nil. For each swept position i, bit p of
 // masks[i] is set iff pattern p matches evs[i] (and the event passed the
-// global constraints). masks and globalOK are caller-owned scratch of
-// len(evs); masks must arrive zeroed. A query has at most sema.MaxPatterns
+// global constraints); unswept positions are left alone. masks and globalOK
+// are caller-owned scratch of len(evs). A query has at most sema.MaxPatterns
 // (63) patterns, one mask bit each.
 //
 //saql:hotpath
-func (q *Query) MatchBatch(evs []*event.Event, masks []uint64, globalOK []bool) {
-	for i, ev := range evs {
-		globalOK[i] = q.global.Match(ev)
+func (q *Query) MatchBatch(evs []*event.Event, at []int32, masks []uint64, globalOK []bool) {
+	if at == nil {
+		for i, ev := range evs {
+			globalOK[i], masks[i] = q.global.Match(ev), 0
+		}
+		for pi, p := range q.patterns {
+			bit := uint64(1) << uint(pi)
+			for i, ev := range evs {
+				if globalOK[i] && p.Matches(ev) {
+					masks[i] |= bit
+				}
+			}
+		}
+		return
+	}
+	for _, i := range at {
+		globalOK[i], masks[i] = q.global.Match(evs[i]), 0
 	}
 	for pi, p := range q.patterns {
 		bit := uint64(1) << uint(pi)
-		for i, ev := range evs {
-			if globalOK[i] && p.Matches(ev) {
+		for _, i := range at {
+			if globalOK[i] && p.Matches(evs[i]) {
 				masks[i] |= bit
 			}
 		}

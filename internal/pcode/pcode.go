@@ -388,6 +388,25 @@ func CompileGlobals(globals []*ast.Constraint, fb *atomic.Int64) *EventProg {
 	return prog
 }
 
+// AgentEq reports the agentid the predicate pins an event to: the constant of
+// its first equality on the event's agentid (under any of the attribute's
+// names), folded by strings.ToLower. That is the form both compare paths
+// reduce to — symbol equality is equality under ToLower, and so is the
+// string fallback — so an event whose agentid folds to anything else fails
+// the predicate. ok is false for a predicate that never matches and for one
+// with no such equality: none on agentid, or only != and '%' patterns.
+func (p *EventProg) AgentEq() (agent string, ok bool) {
+	if p.never {
+		return "", false
+	}
+	for i := range p.ins {
+		if in := &p.ins[i]; in.op == eStrEq && in.fld == fldAgent {
+			return strings.ToLower(in.raw), true
+		}
+	}
+	return "", false
+}
+
 // evtStrField reads a string-valued event attribute and its symbol.
 //
 //saql:hotpath

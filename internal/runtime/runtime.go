@@ -837,6 +837,8 @@ func (r *Runtime) QueryStats(name string) (engine.QueryStats, bool) {
 		out.Suppressed += s.Suppressed
 		out.EvalErrors += s.EvalErrors
 		out.LateHits += s.LateHits
+		out.PartialsExpired += s.PartialsExpired
+		out.PartialsDropped += s.PartialsDropped
 		out.StateBytes += s.StateBytes
 	}
 	if found {

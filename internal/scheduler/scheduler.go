@@ -18,6 +18,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"saql/internal/ast"
 	"saql/internal/engine"
@@ -36,8 +37,10 @@ type Stats struct {
 	// NaiveCopies counts what a per-query engine would have used: one copy
 	// per active query per event.
 	NaiveCopies int64
-	// PatternEvals counts pattern-predicate evaluations actually performed
-	// (masters on all events; dependents only on master-matched events).
+	// PatternEvals counts the pattern predicates of the masters actually run
+	// — every master on every event, except that a master pinned to one
+	// agentid runs only on that agentid's events (see agentKey) — plus the
+	// dependents' re-examinations of master-matched events.
 	PatternEvals int64
 	// NaivePatternEvals counts what per-query execution would have
 	// performed (every active query evaluates every pattern on every
@@ -193,6 +196,27 @@ type group struct {
 	dependents []*dependent
 	// slot is the master's index in the last-resolved layout.
 	slot int
+	// pin is the key id (Scheduler.agents) of the one agentid the master's
+	// global constraints admit, -1 when they admit any; set with the layout.
+	pin int32
+}
+
+// active counts the group's unpaused queries and the pattern evaluations
+// running each of them on its own would cost per event: the naive baselines.
+//
+//saql:hotpath
+func (g *group) active() (n int, naivePatterns int64) {
+	if !g.master.Paused() {
+		n++
+		naivePatterns += int64(len(g.master.Patterns()))
+	}
+	for _, d := range g.dependents {
+		if !d.q.Paused() {
+			n++
+			naivePatterns += int64(len(d.q.Patterns()))
+		}
+	}
+	return n, naivePatterns
 }
 
 // class is one key class as its scheduler assigns it: a representative
@@ -242,6 +266,11 @@ type Scheduler struct {
 	layoutVersion int64
 	resolvedFor   *Layout
 	resolved      bool
+	// agents is the layout's agentid index, built with it: the folded
+	// agentid of every pinned master (group.pin) under a dense key id, in
+	// group order; empty when no master is pinned, and then no event is
+	// looked up.
+	agents map[string]int32
 	// bySlot inverts the resolved layout: slot index -> locally registered
 	// query (nil where the slot's query is not placed on this scheduler).
 	bySlot []*engine.Query
@@ -506,10 +535,11 @@ func (s *Scheduler) Settle() {
 }
 
 // layoutLocked returns the layout of the current registry, deriving the slot
-// assignment and the variant sets at the first call after a change. Sets come
-// from what Add already decided — group membership, the equal flags, the key
-// classes — so this is a pass over the slots, with no program compared. The
-// caller holds s.mu.
+// assignment, the variant sets and the agentid index at the first call after
+// a change. Sets come from what Add already decided — group membership, the
+// equal flags, the key classes — so this is a pass over the slots, with no
+// program compared; the index reads each master's compiled global
+// constraints. The caller holds s.mu.
 func (s *Scheduler) layoutLocked() *Layout {
 	if s.layout != nil {
 		return s.layout
@@ -518,7 +548,17 @@ func (s *Scheduler) layoutLocked() *Layout {
 	slots := make(map[string]int, len(s.queries))
 	var sets []VariantSet
 	n := 0
+	s.agents = map[string]int32{}
 	for _, g := range s.groups {
+		g.pin = -1
+		if agent, ok := g.master.AgentEq(); ok {
+			id, seen := s.agents[agent]
+			if !seen {
+				id = int32(len(s.agents))
+				s.agents[agent] = id
+			}
+			g.pin = id
+		}
 		// The master and its equal dependents share one hit set; among them,
 		// the members of one key class and placement are one variant set.
 		// shared lists those sets of this group, founders their first members.
@@ -748,6 +788,91 @@ type batchScratch struct {
 	master   [][]int  // the current group's master hits per event
 	masks    []uint64 // its per-event pattern bitmasks
 	globalOK []bool
+
+	// The batch's positions by agentid key (bucket): key k's events are
+	// at[from[k]:from[k+1]]. keys holds each event's key.
+	keys, from, at []int32
+}
+
+// bucket sorts the batch's positions by agentid key (agentKey): key k's
+// events are b.at[b.from[k]:b.from[k+1]], in batch order. An event of an
+// agentid no master is pinned to is in no bucket.
+//
+//saql:hotpath
+func (b *batchScratch) bucket(evs []*event.Event, agents map[string]int32) {
+	nk := len(agents)
+	keys := grown(b.keys, len(evs))
+	from := grown(b.from, nk+1)
+	clear(from)
+	for i, ev := range evs {
+		k := agentKey(agents, ev.AgentID)
+		keys[i] = k
+		if k >= 0 {
+			from[k]++
+		}
+	}
+	// Counts become each bucket's end, and filling backwards moves every end
+	// to its bucket's start, which is the previous bucket's end.
+	var total int32
+	for k, c := range from[:nk] {
+		total += c
+		from[k] = total
+	}
+	from[nk] = total
+	at := grown(b.at, int(total))
+	for i := len(evs) - 1; i >= 0; i-- {
+		if k := keys[i]; k >= 0 {
+			from[k]--
+			at[from[k]] = int32(i)
+		}
+	}
+	b.keys, b.from, b.at = keys, from, at
+}
+
+// agentFoldLen is the longest agentid an event folds on the stack to look
+// itself up; a longer one folds through strings.ToLower.
+const agentFoldLen = 64
+
+// agentKey returns the key id of an event's agentid in agents, the layout's
+// agentid index, or -1 when no master is pinned to it. The agentid is folded
+// the way pcode.EventProg.AgentEq folds a constant: ASCII byte by byte on
+// the stack, anything else by strings.ToLower.
+//
+//saql:hotpath
+func agentKey(agents map[string]int32, agent string) int32 {
+	var buf [agentFoldLen]byte
+	n := 0
+	if len(agent) <= len(buf) {
+		for ; n < len(agent) && agent[n] < utf8.RuneSelf; n++ {
+			c := agent[n]
+			if 'A' <= c && c <= 'Z' {
+				c += 'a' - 'A'
+			}
+			buf[n] = c
+		}
+	}
+	var k int32
+	var ok bool
+	if n == len(agent) {
+		k, ok = agents[string(buf[:n])]
+	} else {
+		k, ok = agents[strings.ToLower(agent)] //saql:coldpath a non-ASCII or over-long agentid
+	}
+	if !ok {
+		return -1
+	}
+	return k
+}
+
+// pos is the batch position of the k-th event a sweep visits: at[k], or k
+// when the sweep visits every event (at nil).
+//
+//saql:hotpath
+func pos(at []int32, k int) int {
+	if at == nil {
+		return k
+	}
+	return int(at[k])
 }
 
 // EvaluateBatch computes the shard-agnostic half of Process for a whole
@@ -801,6 +926,9 @@ func grown[T any](buf []T, n int) []T {
 // processing the batch event by event. The caller holds s.mu and has already
 // counted Events.
 //
+// A master pinned to one agentid sweeps only that agentid's bucket of the
+// batch (bucket); a query set with no pinned master looks nothing up.
+//
 // It serves EvaluateBatch: the router, once per submission batch, and the
 // repository benchmark's staged replica. The serial Process path keeps the
 // per-event evaluateLocked, which is faster on a batch of one (measured
@@ -844,17 +972,11 @@ func (s *Scheduler) evaluateBatchLocked(evs []*event.Event) []*HitSet {
 		out[i].Hits[slot] = h
 	}
 
+	if len(s.agents) > 0 {
+		b.bucket(evs, s.agents)
+	}
 	for _, g := range s.groups {
-		masterActive := !g.master.Paused()
-		active := 0
-		if masterActive {
-			active++
-		}
-		for _, d := range g.dependents {
-			if !d.q.Paused() {
-				active++
-			}
-		}
+		active, naive := g.active()
 		if active == 0 {
 			continue
 		}
@@ -862,23 +984,31 @@ func (s *Scheduler) evaluateBatchLocked(evs []*event.Event) []*HitSet {
 		// they depend on cannot change while the lock is held.
 		s.stats.StreamCopies += int64(n)
 		s.stats.NaiveCopies += int64(active) * int64(n)
-		nPat := len(g.master.Patterns())
-		s.stats.PatternEvals += int64(nPat) * int64(n)
-		if masterActive {
-			s.stats.NaivePatternEvals += int64(nPat) * int64(n)
+		s.stats.NaivePatternEvals += naive * int64(n)
+		// A pinned master sweeps only its agentid's events: on any other its
+		// global constraints fail, and so do its dependents', which include
+		// them.
+		at, swept := []int32(nil), n // at nil: every event
+		if g.pin >= 0 {
+			if at = b.at[b.from[g.pin]:b.from[g.pin+1]]; len(at) == 0 {
+				continue
+			}
+			swept = len(at)
 		}
+		s.stats.PatternEvals += int64(len(g.master.Patterns())) * int64(swept)
 
-		// Columnar sweep: one pattern across all events before the next. A
+		// Columnar sweep: one pattern across the events before the next. A
 		// query has at most sema.MaxPatterns (63) of them, one mask bit each.
-		clear(b.masks)
-		g.master.MatchBatch(evs, b.masks, b.globalOK)
-		for i, m := range b.masks {
+		g.master.MatchBatch(evs, at, b.masks, b.globalOK)
+		master := b.master[:swept] // by sweep index
+		for k := range master {
+			i := pos(at, k)
 			start := len(buf)
-			for ; m != 0; m &= m - 1 {
+			for m := b.masks[i]; m != 0; m &= m - 1 {
 				buf = append(buf, bits.TrailingZeros64(m))
 			}
 			mh := buf[start:len(buf):len(buf)]
-			b.master[i] = mh
+			master[k] = mh
 			put(i, g.slot, mh)
 		}
 
@@ -886,17 +1016,15 @@ func (s *Scheduler) evaluateBatchLocked(evs []*event.Event) []*HitSet {
 			if d.q.Paused() {
 				continue
 			}
-			s.stats.NaivePatternEvals += int64(len(d.q.Patterns())) * int64(n)
-			if d.equal {
-				// Equal constraint sets: the master's hits are exactly this
-				// dependent's, no residual re-examination needed.
-				for i, mh := range b.master {
-					put(i, d.slot, mh)
-				}
-				continue
-			}
-			for i, mh := range b.master {
+			for k, mh := range master {
 				if len(mh) == 0 {
+					continue
+				}
+				i := pos(at, k)
+				if d.equal {
+					// Equal constraint sets: the master's hits are exactly this
+					// dependent's, no residual re-examination needed.
+					put(i, d.slot, mh)
 					continue
 				}
 				start, evals := len(buf), 0
@@ -939,15 +1067,14 @@ func (s *Scheduler) ProcessWithHits(ev *event.Event, hs *HitSet) []*engine.Alert
 //
 // It serves Process, the serial path, one event at a time; the router
 // evaluates whole submission batches with evaluateBatchLocked. The two look
-// like a duplicate but each is the faster one at its batch size. Running
-// Process through evaluateBatchLocked on a batch of one was measured on the
-// repository benchmark (seed 13, 8 s runs, alternating pairs on a 2-core
-// box): serial_events_per_s fell to ×0.685 on raw-cold and ×0.746 on
-// durable, 0 of 6 pairs better. There every query is pinned to one host by a
-// global agentid constraint and 96% of events match no query: AppendHits
-// returns as soon as the global constraint fails, while MatchBatch still
-// visits every pattern (an early exit in MatchBatch won back only part of
-// it). Do not merge them without removing that per-event cost.
+// like a duplicate but each is the faster one at its batch size. With both
+// consulting the agentid index, running Process through evaluateBatchLocked
+// on a batch of one was measured on the repository benchmark (seed 13, 8 s
+// runs, 6 alternating pairs on a 2-core box): serial_events_per_s fell to
+// ×0.823 on raw-cold and ×0.813 on durable, 0 of 6 pairs better each — the
+// batch machinery (generation, header and slot-table carving, the bucket
+// pass) costs more per event than the masters it lets a batch of one skip.
+// Do not merge them without removing that per-event cost.
 //
 //saql:hotpath
 func (s *Scheduler) evaluateLocked(ev *event.Event, arena *[][]int, remaining int) [][]int {
@@ -970,39 +1097,33 @@ func (s *Scheduler) evaluateLocked(ev *event.Event, arena *[][]int, remaining in
 		}
 		hits[slot] = h
 	}
+	key := int32(-1)
+	if len(s.agents) > 0 {
+		key = agentKey(s.agents, ev.AgentID)
+	}
 	for _, g := range s.groups {
-		masterActive := !g.master.Paused()
-		active := 0
-		if masterActive {
-			active++
-		}
-		for _, d := range g.dependents {
-			if !d.q.Paused() {
-				active++
-			}
-		}
+		active, naive := g.active()
 		if active == 0 {
 			continue
 		}
 		s.stats.StreamCopies++
 		s.stats.NaiveCopies += int64(active)
-		nPat := int64(len(g.master.Patterns()))
-		s.stats.PatternEvals += nPat
-		if masterActive {
-			s.stats.NaivePatternEvals += nPat
+		s.stats.NaivePatternEvals += naive
+		if g.pin >= 0 && g.pin != key {
+			continue // another agentid's master: see evaluateBatchLocked
 		}
+		s.stats.PatternEvals += int64(len(g.master.Patterns()))
 
 		start := len(buf)
 		buf = g.master.AppendHits(buf, ev)
 		mh := buf[start:len(buf):len(buf)]
+		if len(mh) == 0 {
+			continue
+		}
 		put(g.slot, mh)
 
 		for _, d := range g.dependents {
 			if d.q.Paused() {
-				continue
-			}
-			s.stats.NaivePatternEvals += int64(len(d.q.Patterns()))
-			if len(mh) == 0 {
 				continue
 			}
 			if d.equal {

@@ -2,6 +2,7 @@ package saql
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 )
@@ -83,4 +84,83 @@ return p, ss.amt`
 	}
 	st, ok = sharded.QueryStats("sum")
 	check("2 shards, closed", st, ok)
+}
+
+// TestPartialLossesCounted: a multievent query loses partial matches two
+// ways — a first step whose chain does not complete within the window
+// expires, and one arriving while 4,096 partials are live is refused — and
+// both losses must show in QueryStats at every shard count and after a
+// checkpoint and Open.
+func TestPartialLossesCounted(t *testing.T) {
+	const src = `proc p start proc c as e1 #time(1 min)
+proc c write file f as e2
+with e1 -> e2
+return p, c, f`
+	const firsts = 5000 // past the 4,096-partial cap
+	start := func(at time.Duration, k int) *Event {
+		return &Event{
+			Time:    demoStart.Add(at),
+			AgentID: "ws-1",
+			Subject: Process("explorer.exe", 7),
+			Op:      OpStart,
+			Object:  Process("child.exe", int32(1000+k)),
+		}
+	}
+	var events []*Event
+	for k := range firsts {
+		events = append(events, start(time.Duration(k)*time.Millisecond, k))
+	}
+	// Two minutes on, every live partial is past the window.
+	events = append(events, start(2*time.Minute, firsts))
+	const wantExpired, wantDropped = 4096, firsts - 4096
+	check := func(label string, eng *Engine) {
+		t.Helper()
+		st, ok := eng.QueryStats("chain")
+		if !ok {
+			t.Fatalf("%s: query stats missing", label)
+		}
+		if st.PartialsExpired != wantExpired || st.PartialsDropped != wantDropped || st.Matches != 0 {
+			t.Errorf("%s: PartialsExpired %d PartialsDropped %d Matches %d, want %d, %d, 0",
+				label, st.PartialsExpired, st.PartialsDropped, st.Matches, wantExpired, wantDropped)
+		}
+	}
+
+	dir := t.TempDir()
+	store, err := OpenStore(dir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial := New(WithJournal(store))
+	if _, err := serial.Register("chain", src); err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range events {
+		serial.Process(ev)
+	}
+	check("serial", serial)
+	if _, err := serial.Checkpoint(dir); err != nil {
+		t.Fatal(err)
+	}
+	opened, _, err := Open(dir, WithoutStart())
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("opened", opened)
+
+	for _, shards := range []int{1, 2, 8} {
+		eng := New(WithShards(shards))
+		if _, err := eng.Register("chain", src); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Start(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.SubmitBatch(events); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("%d shards", shards), eng)
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
 }

@@ -99,8 +99,11 @@ type Stats struct {
 	StreamCopies int64
 	NaiveCopies  int64
 	SharingRatio float64
-	// PatternEvals counts pattern-predicate evaluations actually performed;
-	// NaivePatternEvals what per-query execution would have performed.
+	// PatternEvals counts the pattern predicates of the masters actually run
+	// — a master pinned by its global constraints to one agentid runs only
+	// on that agentid's events — plus the dependents' re-examinations of
+	// master hits; NaivePatternEvals what per-query execution would have
+	// performed (every active query's patterns on every event).
 	PatternEvals      int64
 	NaivePatternEvals int64
 	// KeyEvals counts group-by key evaluations performed: one per event per
