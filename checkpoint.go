@@ -370,7 +370,7 @@ func open(dir string, needSnapshot bool, opts []RestoreOption) (*Engine, *Restor
 		}
 		if qs.Paused {
 			eng.reg[qs.Name].paused = true
-			q.SetPaused(true)
+			eng.sched.SetPaused(qs.Name, true)
 		}
 	}
 	eng.mu.Unlock()

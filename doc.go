@@ -139,7 +139,8 @@
 // shard is handed exactly the folds it owns, one per variant set of such
 // queries — so shards skip pattern matching and key evaluation entirely and
 // per-event matching work stays O(patterns) rather than O(shards ×
-// patterns). A never-started engine shares keys the same way. A key then
+// patterns). A never-started engine shares keys the same way, and matches
+// patterns with the router's evaluator on a batch of one event. A key then
 // names its group by a dense integer id, resolved once per key class
 // (Stats.GroupProbes) and indexed by every member. A master whose global
 // constraints pin it to one agentid (`agentid = "db-1"`) runs only on that

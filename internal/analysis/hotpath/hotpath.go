@@ -3,10 +3,11 @@
 // TestIngestBytesPerEventGate: ≤16 B/event): functions annotated
 // //saql:hotpath — the one event path of a started engine (the runtime
 // partitioner's routeEvent with its key/emit/foldOp/hitsOp helpers,
-// flushShard/flushAll/processBatch and batch pool, scheduler.EvaluateBatch's
-// columnar core and the agentid dispatch both evaluators consult (agentKey,
-// the batch's bucket pass), HitSet.AssertLive and the routed fold Apply/AdvanceAll), the
-// serial reference's evaluateLocked/ingestLocked,
+// flushShard/flushAll/processBatch and batch pool, the scheduler's one
+// evaluator — EvaluateBatch and serial Process's evaluateBatchLocked with its
+// per-group sweep and the agentid dispatch (agentKey, the batch's bucket
+// pass) — HitSet.AssertLive and the routed fold Apply/AdvanceAll), the
+// serial reference's ingestLocked,
 // engine.MatchBatch/HitKey and the key class memo, the
 // compiled predicate and expression programs (pcode's Match and Run, with the
 // frame's slot accessors; the close-time runners engine.alertHolds/evalReturn
@@ -17,8 +18,8 @@
 // the RFC 3339 fast parser — backing TestNDJSONDecodeAllocsGate: ≤2
 // allocs/line), the wire.Reader decode loop, window assignment, the history
 // ring, the stateful fold (the slice log's Add/Touch/Offer/Advance, its
-// seal's bucketing pass and the per-member foldRun/foldInto, and the serial
-// path's AppendHits/ResidualHits; window.Directory.Resolve and window.Manager's
+// seal's bucketing pass and the per-member foldRun/foldInto, and the
+// evaluator's ResidualHits; window.Directory.Resolve and window.Manager's
 // id-indexed GroupFor/Touch/Advance and open-window lookup — backing
 // TestStatefulFoldAllocsGate: 0 allocs per hit folded into an existing
 // group), DBSCAN's labelling passes

@@ -8,6 +8,7 @@ package engine
 // of the same kind compiled in the close scope.
 
 import (
+	"math/bits"
 	"slices"
 	"strings"
 
@@ -17,24 +18,17 @@ import (
 )
 
 // Hits returns the indices of the query's patterns that ev satisfies,
-// including the query's global constraints. It is the expensive matching
-// phase that the master–dependent-query scheme executes once per group.
-func (q *Query) Hits(ev *event.Event) []int { return q.AppendHits(nil, ev) }
-
-// AppendHits is Hits appending to dst, for callers that consume the hits
-// before their next call and so can reuse one buffer.
-//
-//saql:hotpath
-func (q *Query) AppendHits(dst []int, ev *event.Event) []int {
-	if !q.global.Match(ev) {
-		return dst
+// including the query's global constraints, in ascending order: MatchBatch on
+// a batch of one, for a query used on its own.
+func (q *Query) Hits(ev *event.Event) []int {
+	var mask [1]uint64
+	var ok [1]bool
+	q.MatchBatch([]*event.Event{ev}, nil, mask[:], ok[:])
+	var hits []int
+	for m := mask[0]; m != 0; m &= m - 1 {
+		hits = append(hits, bits.TrailingZeros64(m))
 	}
-	for i, p := range q.patterns {
-		if p.Matches(ev) {
-			dst = append(dst, i)
-		}
-	}
-	return dst
+	return hits
 }
 
 // ResidualHits refines a master query's hit set down to the patterns this
@@ -66,13 +60,20 @@ func (q *Query) ResidualHits(dst []int, ev *event.Event, masterHits []int) (hits
 // masks[i] is set iff pattern p matches evs[i] (and the event passed the
 // global constraints); unswept positions are left alone. masks and globalOK
 // are caller-owned scratch of len(evs). A query has at most sema.MaxPatterns
-// (63) patterns, one mask bit each.
+// (63) patterns, one mask bit each. It is the one place a master's patterns
+// run: the scheduler's evaluator calls it on a router batch and on a serial
+// event alike, and Hits on a batch of one.
 //
 //saql:hotpath
 func (q *Query) MatchBatch(evs []*event.Event, at []int32, masks []uint64, globalOK []bool) {
+	passed := false // whether any swept event passed the global constraints
 	if at == nil {
 		for i, ev := range evs {
 			globalOK[i], masks[i] = q.global.Match(ev), 0
+			passed = passed || globalOK[i]
+		}
+		if !passed {
+			return
 		}
 		for pi, p := range q.patterns {
 			bit := uint64(1) << uint(pi)
@@ -86,6 +87,10 @@ func (q *Query) MatchBatch(evs []*event.Event, at []int32, masks []uint64, globa
 	}
 	for _, i := range at {
 		globalOK[i], masks[i] = q.global.Match(evs[i]), 0
+		passed = passed || globalOK[i]
+	}
+	if !passed {
+		return
 	}
 	for pi, p := range q.patterns {
 		bit := uint64(1) << uint(pi)

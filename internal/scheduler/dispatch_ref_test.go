@@ -1,11 +1,13 @@
 package scheduler
 
-// The agentid dispatch — the index layoutLocked derives, agentKey and the
-// batch buckets — decides which masters run on an event. This file keeps the
-// evaluation it replaced, every active master over every event and then each
-// dependent's residual re-examination of the master's hits, as the oracle
-// both evaluators are held to, and the randomised cases the engine-level half
-// of the fence (dispatch_engines_test.go) replays through started runtimes.
+// The evaluation plan — the agentid index layoutLocked derives, agentKey and
+// the batch buckets — decides which masters run on an event, and one
+// evaluator runs them for a router batch and for serial Process's batch of
+// one. This file keeps the evaluation both replaced, every active master over
+// every event one event at a time and then each dependent's residual
+// re-examination of the master's hits, as the oracle the evaluator is held to
+// on both paths, and the randomised cases the engine-level half of the fence
+// (dispatch_engines_test.go) replays through started runtimes.
 
 import (
 	"encoding/json"
@@ -24,9 +26,10 @@ import (
 	"saql/internal/event"
 )
 
-// refEvaluate is the un-indexed sweep: each query's hit set for ev by name
-// (paused queries included, as the evaluators hand them out), and the
-// counters that sweep counts.
+// refEvaluate is the un-indexed, per-event sweep: each query's hit set for ev
+// by name (paused queries included, as the evaluator hands them out), and the
+// counters that sweep counts. A master's hits are its residual hits over all
+// of its patterns, so the oracle never runs MatchBatch.
 func refEvaluate(s *Scheduler, ev *event.Event) (map[string][]int, Stats) {
 	hits := map[string][]int{}
 	var st Stats
@@ -51,7 +54,11 @@ func refEvaluate(s *Scheduler, ev *event.Event) (map[string][]int, Stats) {
 		if masterActive {
 			st.NaivePatternEvals += nPat
 		}
-		mh := g.master.AppendHits(nil, ev)
+		every := make([]int, nPat)
+		for p := range every {
+			every[p] = p
+		}
+		mh, _ := g.master.ResidualHits(nil, ev, every)
 		if len(mh) > 0 {
 			hits[g.master.Name] = mh
 		}
@@ -88,13 +95,13 @@ func byName(l *Layout, hits [][]int) map[string][]int {
 	return out
 }
 
-// processHits is Process, handing back the hit sets its evaluator computed.
+// processHits is Process, handing back the hit sets its batch of one
+// evaluated to.
 func processHits(s *Scheduler, ev *event.Event) map[string][]int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.stats.Events++
-	var arena [][]int
-	h := s.evaluateLocked(ev, &arena, 1)
+	h := s.evaluateBatchLocked([]*event.Event{ev})[0]
 	out := byName(s.layout, h)
 	s.ingestLocked(ev, s.layout, h)
 	return out
@@ -329,10 +336,10 @@ func (st DispatchStep) apply(t *testing.T, s *Scheduler) {
 	}
 }
 
-// TestPinnedDispatchMatchesSweep holds both evaluators to the un-indexed
-// sweep: on every event of a random case, each query's hit set is the same
-// from EvaluateBatch (over random batches), from Process and from the
-// oracle; the logical counters (StreamCopies, NaiveCopies,
+// TestPinnedDispatchMatchesSweep holds the evaluator to the un-indexed sweep
+// on both of its paths: on every event of a random case, each query's hit set
+// is the same from EvaluateBatch (over random batches), from Process (a batch
+// of one) and from the oracle; the logical counters (StreamCopies, NaiveCopies,
 // NaivePatternEvals) are the oracle's, and PatternEvals — the masters
 // actually run — is at most the oracle's and the same on both paths.
 func TestPinnedDispatchMatchesSweep(t *testing.T) {
@@ -405,6 +412,61 @@ func TestPinnedDispatchMatchesSweep(t *testing.T) {
 				t.Error("no pinned master was ever skipped: the case does not exercise the dispatch")
 			}
 		})
+	}
+}
+
+// TestBucketSpans: over random batches and key counts, bucket's spans
+// partition exactly the positions of indexed agentids, one span per key
+// present in order of its first event, positions ascending within a span, and
+// the per-key counts are all zero again after every call — including when the
+// index grows or shrinks between calls.
+func TestBucketSpans(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var b batchScratch
+	for round := range 200 {
+		nk := 1 + rng.Intn(40)
+		agents := map[string]int32{}
+		for k := range nk {
+			agents[fmt.Sprintf("h%d", k)] = int32(k)
+		}
+		evs := make([]*event.Event, rng.Intn(80))
+		for i := range evs {
+			evs[i] = &event.Event{AgentID: fmt.Sprintf("H%d", rng.Intn(nk+nk/2+1))}
+		}
+		b.bucket(evs, agents)
+		var firsts []int32
+		seen := map[int32]bool{}
+		for _, ev := range evs {
+			if k := agentKey(agents, ev.AgentID); k >= 0 && !seen[k] {
+				seen[k] = true
+				firsts = append(firsts, k)
+			}
+		}
+		if len(b.spans) != len(firsts) {
+			t.Fatalf("round %d: %d spans for %d keys present", round, len(b.spans), len(firsts))
+		}
+		var lo int32
+		for j, sp := range b.spans {
+			if sp.key != firsts[j] || sp.lo != lo {
+				t.Fatalf("round %d: span %d is %+v; want key %d from %d", round, j, sp, firsts[j], lo)
+			}
+			var want []int32
+			for i, ev := range evs {
+				if agentKey(agents, ev.AgentID) == sp.key {
+					want = append(want, int32(i))
+				}
+			}
+			if got := b.at[sp.lo:sp.hi]; !slices.Equal(got, want) {
+				t.Fatalf("round %d: key %d's positions %v, want %v", round, sp.key, got, want)
+			}
+			lo = sp.hi
+		}
+		if int(lo) != len(b.at) {
+			t.Fatalf("round %d: spans cover %d of %d bucketed positions", round, lo, len(b.at))
+		}
+		if slices.ContainsFunc(b.count, func(c int32) bool { return c != 0 }) {
+			t.Fatalf("round %d: counts left %v", round, b.count)
+		}
 	}
 }
 

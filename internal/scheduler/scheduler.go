@@ -110,7 +110,8 @@ func (l *Layout) slot(name string) int {
 // HitSet carries one event's pattern-hit sets, computed by an evaluating
 // scheduler (EvaluateBatch). Hits is indexed by Layout slot; an empty entry
 // means the query matched nothing. It lives in scratch the evaluating
-// scheduler owns and is valid only until that scheduler's next EvaluateBatch:
+// scheduler owns and is valid only until that scheduler's next evaluation
+// (EvaluateBatch, or Process):
 // whoever resolves it — the runtime's router into ops, the benchmark's staged
 // fold through ProcessWithHits — does so before evaluating the next batch, on
 // the evaluating goroutine. Each HitSet is stamped with its batch's
@@ -124,15 +125,15 @@ type HitSet struct {
 	cur *atomic.Uint64 // the evaluating scheduler's current generation
 }
 
-// AssertLive panics if the evaluating scheduler has started another batch
-// since h was computed: h's tables have been reused and name other events'
-// hits. Only a bug in the caller — holding a HitSet across EvaluateBatch calls
-// — gets here.
+// AssertLive panics if the evaluating scheduler has evaluated again since h
+// was computed: h's tables have been reused and name other events' hits.
+// Only a bug in the caller — holding a HitSet across evaluations — gets
+// here.
 //
 //saql:hotpath
 func (h *HitSet) AssertLive() {
 	if h.cur != nil && h.cur.Load() != h.gen {
-		panic(fmt.Sprintf("scheduler: stale HitSet: computed by batch %d, consumed during batch %d (a HitSet is valid only until the next EvaluateBatch)", h.gen, h.cur.Load()))
+		panic(fmt.Sprintf("scheduler: stale HitSet: computed by batch %d, consumed during batch %d (a HitSet is valid only until its scheduler's next evaluation)", h.gen, h.cur.Load()))
 	}
 }
 
@@ -219,6 +220,41 @@ func (g *group) active() (n int, naivePatterns int64) {
 	return n, naivePatterns
 }
 
+// evalPlan is what an evaluation visits, derived with the layout and again at
+// every SetPaused: the groups with an active query, split by their pin, and
+// the sharing counters they add per event.
+type evalPlan struct {
+	// Per event: one stream copy per such group, one naive copy per active
+	// query, and the patterns per-query execution would evaluate.
+	copies, naiveCopies, naiveEvals int64
+	free                            []*group   // no agentid pin, in group order
+	pinned                          [][]*group // by agentid key, in group order; nil when none
+}
+
+// planLocked derives s.plan from the groups, their pins and the paused flags.
+// The caller holds s.mu.
+func (s *Scheduler) planLocked() {
+	p := evalPlan{}
+	for _, g := range s.groups {
+		active, naive := g.active()
+		if active == 0 {
+			continue
+		}
+		p.copies++
+		p.naiveCopies += int64(active)
+		p.naiveEvals += naive
+		if g.pin < 0 {
+			p.free = append(p.free, g)
+			continue
+		}
+		if p.pinned == nil {
+			p.pinned = make([][]*group, len(s.agents))
+		}
+		p.pinned[g.pin] = append(p.pinned[g.pin], g)
+	}
+	s.plan = p
+}
+
 // class is one key class as its scheduler assigns it: a representative
 // member to compare newcomers with (engine.SameKeyPrograms) and how many
 // registered queries it holds.
@@ -271,6 +307,9 @@ type Scheduler struct {
 	// group order; empty when no master is pinned, and then no event is
 	// looked up.
 	agents map[string]int32
+	// plan is the groups an evaluation visits (evalPlan), current whenever
+	// layout is set.
+	plan evalPlan
 	// bySlot inverts the resolved layout: slot index -> locally registered
 	// query (nil where the slot's query is not placed on this scheduler).
 	bySlot []*engine.Query
@@ -286,15 +325,10 @@ type Scheduler struct {
 	// seq numbers the events this scheduler folds: a key class memo is
 	// current for the event whose number it holds.
 	seq uint64
-	// procScratch is Process's reusable slot table: the serial path
-	// consumes the hits under the same lock hold, so the table never
-	// escapes and one zeroed buffer serves every event.
-	procScratch [][]int
-	// hitScratch backs the hit sets procScratch points at, likewise reused;
-	// Apply expands an OpHits pattern set into it.
+	// hitScratch is where Apply expands an OpHits pattern set, reused.
 	hitScratch []int
-	// batch is EvaluateBatch's scratch: what it returns lives here until the
-	// next call.
+	// batch is the evaluator's scratch: what EvaluateBatch returns, and the
+	// slot table Process folds, live here until the next evaluation.
 	batch batchScratch
 	// report adapts the error reporter once at construction so the per-event
 	// paths don't allocate a closure per call.
@@ -589,6 +623,7 @@ func (s *Scheduler) layoutLocked() *Layout {
 		}
 	}
 	s.layout = &Layout{Version: s.layoutVersion, Slots: slots, Sets: sets}
+	s.planLocked()
 	return s.layout
 }
 
@@ -689,6 +724,9 @@ func (s *Scheduler) SetPaused(name string, paused bool) bool {
 		return false
 	}
 	q.SetPaused(paused)
+	if s.layout != nil {
+		s.planLocked()
+	}
 	return true
 }
 
@@ -750,83 +788,127 @@ func (s *Scheduler) GroupCount() int {
 // Process feeds one event through every group and returns all alerts
 // raised: the serial reference path — evaluate, then fold into every active
 // query, under one lock hold — that the routed pipeline is tested against.
-// It evaluates with the per-event evaluateLocked, not the router's columnar
-// evaluateBatchLocked; evaluateLocked says why.
+// It evaluates through the router's evaluator, evaluateBatchLocked, on a
+// batch of one, and folds the event's slot table before anything reuses it.
 func (s *Scheduler) Process(ev *event.Event) []*engine.Alert {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.stats.Events++
-	arena := s.procScratch
-	h := s.evaluateLocked(ev, &arena, 1)
-	alerts := s.ingestLocked(ev, s.layout, h) // evaluateLocked built it
-	if h != nil {
-		// The carved table was consumed above; zero it and keep it as the
-		// scratch for the next event (it grows with the layout on demand).
-		for i := range h {
-			h[i] = nil
-		}
-		s.procScratch = h
-	}
-	return alerts
+	hits := s.evaluateBatchLocked([]*event.Event{ev})[0]
+	return s.ingestLocked(ev, s.layout, hits)
 }
 
-// batchScratch is the memory one EvaluateBatch result lives in, reused by the
-// next: a steady stream evaluates without allocating.
+// batchScratch is the evaluator's memory, reused by the next evaluation: a
+// steady stream evaluates without allocating.
 type batchScratch struct {
-	gen atomic.Uint64 // generation of the batch the scratch currently holds
-	// The result slice and the HitSet headers alternate between two buffers,
-	// so what the previous batch handed out is not overwritten by this one and
-	// still carries the old generation: a HitSet (or result slice) consumed one
-	// batch late is always caught. Older ones alias live headers eventually.
+	gen atomic.Uint64 // generation of the evaluation the scratch currently holds
+	// handed says EvaluateBatch handed out HitSets of the current generation:
+	// the next evaluation overwrites them, so it starts the next one.
+	handed bool
+	// EvaluateBatch's result slice and HitSet headers alternate between two
+	// buffers, so what the previous batch handed out is not overwritten by
+	// this one and still carries the old generation: a HitSet (or result
+	// slice) consumed one batch late is always caught. Older ones alias live
+	// headers eventually.
 	res [2]struct {
 		out  []*HitSet // per event; nil where nothing matched
 		sets []HitSet  // headers of the events with hits
 	}
-	tbl  [][]int // the slot tables, carved len(layout.Slots) at a time
-	hits []int   // every hit set of the batch, back to back
+	tables [][][]int // per event: its slot table, nil where nothing matched
+	nSlots int       // the length of a slot table
+	tbl    [][]int   // the slot tables, carved nSlots at a time
+	free   [][]int   // what this evaluation has not carved of tbl
+	hits   []int     // every hit set of the batch, back to back
 
 	master   [][]int  // the current group's master hits per event
 	masks    []uint64 // its per-event pattern bitmasks
 	globalOK []bool
 
-	// The batch's positions by agentid key (bucket): key k's events are
-	// at[from[k]:from[k+1]]. keys holds each event's key.
-	keys, from, at []int32
+	// The batch's positions by agentid key (bucket): the events of key
+	// spans[j].key are at[spans[j].lo:spans[j].hi]. keys holds each event's
+	// key; count is all zero between calls.
+	keys, count, at []int32
+	spans           []span
 }
 
-// bucket sorts the batch's positions by agentid key (agentKey): key k's
-// events are b.at[b.from[k]:b.from[k+1]], in batch order. An event of an
-// agentid no master is pinned to is in no bucket.
+// span is one agentid key's bucket of a batch: its events' positions are
+// batchScratch.at[lo:hi].
+type span struct{ key, lo, hi int32 }
+
+// bucket sorts the batch's positions by agentid key (agentKey): one span per
+// key the batch holds, in order of the key's first event, positions ascending
+// within it. An event of an agentid no master is pinned to is in no span. It
+// costs the batch's length, not the index's: a key absent from the batch is
+// never touched.
 //
 //saql:hotpath
 func (b *batchScratch) bucket(evs []*event.Event, agents map[string]int32) {
-	nk := len(agents)
 	keys := grown(b.keys, len(evs))
-	from := grown(b.from, nk+1)
-	clear(from)
+	if len(b.count) < len(agents) {
+		b.count = make([]int32, len(agents))
+	}
+	count, spans := b.count, b.spans[:0]
 	for i, ev := range evs {
 		k := agentKey(agents, ev.AgentID)
 		keys[i] = k
 		if k >= 0 {
-			from[k]++
+			if count[k] == 0 {
+				spans = append(spans, span{key: k})
+			}
+			count[k]++
 		}
 	}
-	// Counts become each bucket's end, and filling backwards moves every end
-	// to its bucket's start, which is the previous bucket's end.
+	// Each key's count becomes its span's end, filling backwards moves it to
+	// the span's start, and the spans then zero what they counted.
 	var total int32
-	for k, c := range from[:nk] {
-		total += c
-		from[k] = total
+	for j := range spans {
+		sp := &spans[j]
+		sp.lo = total
+		total += count[sp.key]
+		sp.hi = total
+		count[sp.key] = total
 	}
-	from[nk] = total
 	at := grown(b.at, int(total))
 	for i := len(evs) - 1; i >= 0; i-- {
 		if k := keys[i]; k >= 0 {
-			from[k]--
-			at[from[k]] = int32(i)
+			count[k]--
+			at[count[k]] = int32(i)
 		}
 	}
-	b.keys, b.from, b.at = keys, from, at
+	for _, sp := range spans {
+		count[sp.key] = 0
+	}
+	b.keys, b.spans, b.at = keys, spans, at
+}
+
+// put records h, a non-empty hit set, as slot's of event i, carving the
+// event's slot table at its first hit. The evaluator's own layout names every
+// registered query, so slot is never -1 here.
+//
+//saql:hotpath
+func (b *batchScratch) put(i, slot int, h []int) {
+	t := b.tables[i]
+	if t == nil {
+		t = b.carve(i)
+	}
+	t[slot] = h
+}
+
+// carve hands event i a cleared slot table, from tbl's uncarved rest.
+//
+//saql:hotpath
+func (b *batchScratch) carve(i int) [][]int {
+	if len(b.free) < b.nSlots {
+		// Tables already carved keep the old array alive for this evaluation;
+		// the next one carves from the larger one.
+		b.tbl = make([][]int, max(2*len(b.tbl), hitTableChunk*b.nSlots))
+		b.free = b.tbl
+	}
+	t := b.free[:b.nSlots:b.nSlots]
+	b.free = b.free[b.nSlots:]
+	clear(t) // an earlier evaluation's hits
+	b.tables[i] = t
+	return t
 }
 
 // agentFoldLen is the longest agentid an event folds on the stack to look
@@ -882,7 +964,7 @@ func pos(at []int32, k int) int {
 // where nothing matched (consumers treat a nil HitSet as all-empty).
 //
 // Lifetime: the returned slice, the HitSets and every hit slice in them live
-// in scratch this scheduler owns and are valid until its next EvaluateBatch —
+// in scratch this scheduler owns and are valid until its next evaluation —
 // the contract Process already has with itself for one event. The caller
 // resolves them (into routed ops, or through ProcessWithHits) before
 // evaluating again and keeps no reference; a HitSet consumed late panics
@@ -893,11 +975,31 @@ func pos(at []int32, k int) int {
 // sweeps its compiled patterns across the whole batch before the next group
 // runs (see evaluateBatchLocked), rather than re-touching every group's
 // programs once per event.
+//
+//saql:hotpath
 func (s *Scheduler) EvaluateBatch(evs []*event.Event) []*HitSet {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.stats.Events += int64(len(evs))
-	return s.evaluateBatchLocked(evs)
+	tables := s.evaluateBatchLocked(evs)
+	if tables == nil {
+		return nil
+	}
+	b := &s.batch
+	gen := b.gen.Load()
+	b.handed = true
+	res := &b.res[gen&1]
+	out := grown(res.out, len(tables))
+	sets := grown(res.sets, len(tables))[:0]
+	for i, t := range tables {
+		out[i] = nil
+		if t != nil {
+			sets = append(sets, HitSet{Layout: s.layout, Hits: t, gen: gen, cur: &b.gen})
+			out[i] = &sets[len(sets)-1]
+		}
+	}
+	res.out, res.sets = out, sets
+	return out
 }
 
 // hitTableChunk is how many events' slot tables the first allocation of
@@ -914,128 +1016,122 @@ func grown[T any](buf []T, n int) []T {
 	return buf[:n]
 }
 
-// evaluateBatchLocked is the columnar core of EvaluateBatch. For each group,
-// the master's patterns sweep the entire batch first (engine.MatchBatch
-// writes per-event hit bitmasks, materialised into index slices in the
-// batch's hit buffer), then each dependent refines the master's hits across
-// the batch. Headers and slot tables exist only for events with hits — most
-// events of a fleet-wide stream match no host-pinned query — and all of it is
-// carved from s.batch. Counters are maintained exactly as the event-major
-// loop did — per-group constants multiplied by the batch length, residual
-// evaluations counted as they happen — so stats are bit-identical to
-// processing the batch event by event. The caller holds s.mu and has already
-// counted Events.
-//
-// A master pinned to one agentid sweeps only that agentid's bucket of the
-// batch (bucket); a query set with no pinned master looks nothing up.
-//
-// It serves EvaluateBatch: the router, once per submission batch, and the
-// repository benchmark's staged replica. The serial Process path keeps the
-// per-event evaluateLocked, which is faster on a batch of one (measured
-// there).
+// evaluateBatchLocked is the scheduler's one pattern evaluator: the router's
+// EvaluateBatch runs it once per submission batch, serial Process on a batch
+// of one. It returns each event's slot table — the hit set of every query by
+// Layout slot, nil where nothing matched — living in s.batch until the next
+// call. It visits only the groups of the evaluation plan (evalPlan): every
+// active group no agentid pins sweeps the whole batch, and a pinned one only
+// its agentid's bucket (bucket), so a query set with no pinned master looks
+// nothing up. Slot tables exist only for events with hits — most events of a
+// fleet-wide stream match no host-pinned query — and all of it is carved from
+// s.batch. The sharing counters are the plan's per-event constants multiplied
+// by the batch length, plus the predicates actually run, so stats are
+// bit-identical however a stream is cut into batches. The caller holds s.mu
+// and has already counted Events.
 //
 //saql:hotpath
-func (s *Scheduler) evaluateBatchLocked(evs []*event.Event) []*HitSet {
+func (s *Scheduler) evaluateBatchLocked(evs []*event.Event) [][][]int {
 	n := len(evs)
 	if n == 0 {
 		return nil
 	}
 	s.resolveSlotsLocked(s.layoutLocked())
-	nSlots := len(s.layout.Slots)
 	b := &s.batch
-	gen := b.gen.Add(1) // whatever the previous batch handed out is stale from here
-	res := &b.res[gen&1]
-	res.out = grown(res.out, n)
-	clear(res.out)
-	res.sets = grown(res.sets, n)[:0]
+	if b.handed {
+		b.gen.Add(1) // whatever EvaluateBatch handed out is stale from here
+		b.handed = false
+	}
+	b.tables = grown(b.tables, n)
+	clear(b.tables)
+	b.nSlots, b.free, b.hits = len(s.layout.Slots), b.tbl, b.hits[:0]
 	b.master = grown(b.master, n)
 	b.masks = grown(b.masks, n)
 	b.globalOK = grown(b.globalOK, n)
-	out, tbl, buf := res.out, b.tbl, b.hits[:0]
-	put := func(i, slot int, h []int) {
-		if len(h) == 0 || slot < 0 {
-			return
-		}
-		if out[i] == nil {
-			if len(tbl) < nSlots {
-				// Tables already carved keep the old array alive for this
-				// batch; the next batch carves from the larger one.
-				tbl = make([][]int, max(2*len(b.tbl), hitTableChunk*nSlots))
-				b.tbl = tbl
-			}
-			t := tbl[:nSlots:nSlots]
-			tbl = tbl[nSlots:]
-			clear(t) // the previous batch's hits
-			res.sets = append(res.sets, HitSet{Layout: s.layout, Hits: t, gen: gen, cur: &b.gen})
-			out[i] = &res.sets[len(res.sets)-1]
-		}
-		out[i].Hits[slot] = h
-	}
 
-	if len(s.agents) > 0 {
-		b.bucket(evs, s.agents)
+	p := &s.plan
+	s.stats.StreamCopies += p.copies * int64(n)
+	s.stats.NaiveCopies += p.naiveCopies * int64(n)
+	s.stats.NaivePatternEvals += p.naiveEvals * int64(n)
+	var evals int64
+	for _, g := range p.free {
+		evals += s.sweepLocked(g, evs, nil)
 	}
-	for _, g := range s.groups {
-		active, naive := g.active()
-		if active == 0 {
+	if p.pinned != nil {
+		b.bucket(evs, s.agents)
+		for _, sp := range b.spans {
+			at := b.at[sp.lo:sp.hi]
+			for _, g := range p.pinned[sp.key] {
+				evals += s.sweepLocked(g, evs, at)
+			}
+		}
+	}
+	s.stats.PatternEvals += evals
+	return b.tables
+}
+
+// sweepLocked runs group g over the batch positions at of evs, every event
+// when at is nil, and returns the pattern predicates it evaluated. The
+// master's patterns sweep the positions column by column (engine.MatchBatch
+// writes per-event hit bitmasks, materialised into index slices in the
+// batch's hit buffer), then each active dependent refines the master's hits.
+// A paused master still evaluates its patterns when an active dependent needs
+// the shared hits. The caller holds s.mu.
+//
+//saql:hotpath
+func (s *Scheduler) sweepLocked(g *group, evs []*event.Event, at []int32) int64 {
+	b := &s.batch
+	swept := len(evs)
+	if at != nil {
+		swept = len(at)
+	}
+	evals := int64(len(g.master.Patterns())) * int64(swept)
+	// A query has at most sema.MaxPatterns (63) patterns, one mask bit each.
+	g.master.MatchBatch(evs, at, b.masks, b.globalOK)
+	master, buf := b.master[:swept], b.hits // master by sweep index
+	hit := false
+	for k := range master {
+		i := pos(at, k)
+		start := len(buf)
+		for m := b.masks[i]; m != 0; m &= m - 1 {
+			buf = append(buf, bits.TrailingZeros64(m))
+		}
+		mh := buf[start:len(buf):len(buf)]
+		master[k] = mh
+		if len(mh) > 0 {
+			b.put(i, g.slot, mh)
+			hit = true
+		}
+	}
+	b.hits = buf
+	if !hit {
+		return evals // nothing for the dependents to refine
+	}
+	for _, d := range g.dependents {
+		if d.q.Paused() {
 			continue
 		}
-		// Per-event counter bumps fold into one multiplication: the flags
-		// they depend on cannot change while the lock is held.
-		s.stats.StreamCopies += int64(n)
-		s.stats.NaiveCopies += int64(active) * int64(n)
-		s.stats.NaivePatternEvals += naive * int64(n)
-		// A pinned master sweeps only its agentid's events: on any other its
-		// global constraints fail, and so do its dependents', which include
-		// them.
-		at, swept := []int32(nil), n // at nil: every event
-		if g.pin >= 0 {
-			if at = b.at[b.from[g.pin]:b.from[g.pin+1]]; len(at) == 0 {
+		for k, mh := range master {
+			if len(mh) == 0 {
 				continue
 			}
-			swept = len(at)
-		}
-		s.stats.PatternEvals += int64(len(g.master.Patterns())) * int64(swept)
-
-		// Columnar sweep: one pattern across the events before the next. A
-		// query has at most sema.MaxPatterns (63) of them, one mask bit each.
-		g.master.MatchBatch(evs, at, b.masks, b.globalOK)
-		master := b.master[:swept] // by sweep index
-		for k := range master {
 			i := pos(at, k)
-			start := len(buf)
-			for m := b.masks[i]; m != 0; m &= m - 1 {
-				buf = append(buf, bits.TrailingZeros64(m))
-			}
-			mh := buf[start:len(buf):len(buf)]
-			master[k] = mh
-			put(i, g.slot, mh)
-		}
-
-		for _, d := range g.dependents {
-			if d.q.Paused() {
+			if d.equal {
+				// Equal constraint sets: the master's hits are exactly this
+				// dependent's, no residual re-examination needed.
+				b.put(i, d.slot, mh)
 				continue
 			}
-			for k, mh := range master {
-				if len(mh) == 0 {
-					continue
-				}
-				i := pos(at, k)
-				if d.equal {
-					// Equal constraint sets: the master's hits are exactly this
-					// dependent's, no residual re-examination needed.
-					put(i, d.slot, mh)
-					continue
-				}
-				start, evals := len(buf), 0
-				buf, evals = d.q.ResidualHits(buf, evs[i], mh)
-				s.stats.PatternEvals += int64(evals)
-				put(i, d.slot, buf[start:len(buf):len(buf)])
+			start, e := len(buf), 0
+			buf, e = d.q.ResidualHits(buf, evs[i], mh)
+			evals += int64(e)
+			if len(buf) > start {
+				b.put(i, d.slot, buf[start:len(buf):len(buf)])
 			}
 		}
 	}
 	b.hits = buf
-	return out
+	return evals
 }
 
 // ProcessWithHits is the ingestion half of Process: it folds one event into
@@ -1055,91 +1151,6 @@ func (s *Scheduler) ProcessWithHits(ev *event.Event, hs *HitSet) []*engine.Alert
 	}
 	hs.AssertLive()
 	return s.ingestLocked(ev, hs.Layout, hs.Hits)
-}
-
-// evaluateLocked computes the per-slot hit sets for ev and maintains the
-// sharing counters. Only active queries count toward the naive baselines,
-// and a fully paused group is skipped outright (a paused master still
-// evaluates its patterns when an active dependent needs the shared hits).
-// Hit-slot slices are carved out of *arena (grown to cover up to remaining
-// further events) so batch evaluation allocates once, not per event. The
-// caller holds s.mu.
-//
-// It serves Process, the serial path, one event at a time; the router
-// evaluates whole submission batches with evaluateBatchLocked. The two look
-// like a duplicate but each is the faster one at its batch size. With both
-// consulting the agentid index, running Process through evaluateBatchLocked
-// on a batch of one was measured on the repository benchmark (seed 13, 8 s
-// runs, 6 alternating pairs on a 2-core box): serial_events_per_s fell to
-// ×0.823 on raw-cold and ×0.813 on durable, 0 of 6 pairs better each — the
-// batch machinery (generation, header and slot-table carving, the bucket
-// pass) costs more per event than the masters it lets a batch of one skip.
-// Do not merge them without removing that per-event cost.
-//
-//saql:hotpath
-func (s *Scheduler) evaluateLocked(ev *event.Event, arena *[][]int, remaining int) [][]int {
-	s.resolveSlotsLocked(s.layoutLocked())
-	// The hit sets themselves live in one buffer kept across events: the
-	// serial path consumes them under this lock hold.
-	buf := s.hitScratch[:0]
-	var hits [][]int // carved from the arena on the first non-empty hit set
-	put := func(slot int, h []int) {
-		if len(h) == 0 || slot < 0 {
-			return
-		}
-		if hits == nil {
-			n := len(s.layout.Slots)
-			if len(*arena) < n {
-				*arena = make([][]int, n*remaining)
-			}
-			hits = (*arena)[:n:n]
-			*arena = (*arena)[n:]
-		}
-		hits[slot] = h
-	}
-	key := int32(-1)
-	if len(s.agents) > 0 {
-		key = agentKey(s.agents, ev.AgentID)
-	}
-	for _, g := range s.groups {
-		active, naive := g.active()
-		if active == 0 {
-			continue
-		}
-		s.stats.StreamCopies++
-		s.stats.NaiveCopies += int64(active)
-		s.stats.NaivePatternEvals += naive
-		if g.pin >= 0 && g.pin != key {
-			continue // another agentid's master: see evaluateBatchLocked
-		}
-		s.stats.PatternEvals += int64(len(g.master.Patterns()))
-
-		start := len(buf)
-		buf = g.master.AppendHits(buf, ev)
-		mh := buf[start:len(buf):len(buf)]
-		if len(mh) == 0 {
-			continue
-		}
-		put(g.slot, mh)
-
-		for _, d := range g.dependents {
-			if d.q.Paused() {
-				continue
-			}
-			if d.equal {
-				// Equal constraint sets: the master's hits are exactly this
-				// dependent's, no residual re-examination needed.
-				put(d.slot, mh)
-				continue
-			}
-			start, evals := len(buf), 0
-			buf, evals = d.q.ResidualHits(buf, ev, mh)
-			s.stats.PatternEvals += int64(evals)
-			put(d.slot, buf[start:len(buf):len(buf)])
-		}
-	}
-	s.hitScratch = buf
-	return hits
 }
 
 // ingestLocked folds ev into every active query using the per-slot hit

@@ -546,8 +546,8 @@ func TestHitSetLayoutVersioning(t *testing.T) {
 	}
 }
 
-// EvaluateBatch's results live in scratch: they are good until the next call
-// and no longer. A consumer one batch behind must be told so — a panic, not a
+// EvaluateBatch's results live in scratch: they are good until the next
+// evaluation — EvaluateBatch or Process — and no longer. A consumer one batch behind must be told so — a panic, not a
 // fold of whatever event's hits the scratch holds by then.
 func TestStaleHitSetPanics(t *testing.T) {
 	evalSide, foldSide := New(nil, true), New(nil, true)
@@ -579,6 +579,10 @@ func TestStaleHitSetPanics(t *testing.T) {
 	mustPanic("ProcessWithHits on a HitSet held across a batch", func() { foldSide.ProcessWithHits(evs[0], hs) })
 	mustPanic("a HitSet read out of a held result slice", func() { held[1].AssertLive() })
 	fresh[0].AssertLive()
+	// Process evaluates its event in the same scratch: what the last batch
+	// handed out is stale after it too.
+	evalSide.Process(evs[0])
+	mustPanic("a HitSet held across a Process", func() { fresh[0].AssertLive() })
 }
 
 func TestNoSharingMode(t *testing.T) {
