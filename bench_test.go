@@ -275,10 +275,11 @@ func BenchmarkE4_ModelOverhead(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			s := soloScheduler(b, q, nil)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				q.Process(events[i%len(events)], nil)
+				s.Process(events[i%len(events)])
 			}
 		})
 	}
@@ -408,13 +409,14 @@ func benchStateful(b *testing.B, src string) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	s := soloScheduler(b, q, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q.Process(events[i%len(events)], nil)
+		s.Process(events[i%len(events)])
 	}
 	b.StopTimer()
-	q.Flush(nil)
+	s.Flush()
 	b.ReportMetric(float64(q.Stats().WindowsClosed), "windows")
 }
 
@@ -435,10 +437,11 @@ func BenchmarkE7_Clustering(b *testing.B) {
 				// One event per group per window, one group the planted
 				// peer (TestOutlierEpsSensitivity asserts what is flagged).
 				evs := outlierWindows(groups)
+				s := soloScheduler(b, q, nil)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					q.Process(evs[i%len(evs)], nil)
+					s.Process(evs[i%len(evs)])
 				}
 			})
 		}

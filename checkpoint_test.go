@@ -21,6 +21,7 @@ import (
 	"time"
 	"weak"
 
+	"saql/internal/engine"
 	"saql/internal/snapshot"
 )
 
@@ -546,13 +547,15 @@ func TestQueryStateReencodeIdempotent(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			s := soloScheduler(t, q, nil)
 			for _, ev := range events {
-				q.Process(ev, nil)
+				s.Process(ev)
 			}
-			blob, err := q.EncodeState()
+			states, _, err := s.CaptureStates()
 			if err != nil {
 				t.Fatal(err)
 			}
+			blob := states[c.Name]
 			fresh, err := compileQuery(c.Name, c.Src)
 			if err != nil {
 				t.Fatal(err)
@@ -569,13 +572,14 @@ func TestQueryStateReencodeIdempotent(t *testing.T) {
 			}
 			// And the restored query must keep processing: feed the stream
 			// once more and require no panics and no decode-induced errors.
-			var evalErrs int
+			reporter := engine.NewErrorReporter(16, nil)
+			rs := soloScheduler(t, fresh, reporter)
 			for _, ev := range events {
-				fresh.Process(ev, func(error) { evalErrs++ })
+				rs.Process(ev)
 			}
-			fresh.Flush(func(error) { evalErrs++ })
-			if evalErrs > 0 {
-				t.Errorf("%d runtime errors on the restored query", evalErrs)
+			rs.Flush()
+			if n := reporter.Total(); n > 0 {
+				t.Errorf("%d runtime errors on the restored query", n)
 			}
 		})
 	}

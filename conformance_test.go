@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -18,6 +19,7 @@ import (
 	"time"
 
 	"saql/internal/conformance"
+	"saql/internal/engine"
 )
 
 var conformanceCorpus = conformance.Corpus
@@ -505,21 +507,30 @@ return p, ss.amt`, 1000000+i*1000)
 // TestSharedKeyEvaluation pins group-key sharing the way
 // TestSharedEvaluationPatternEvals pins pattern sharing, with exact counters:
 // on a set shaped like the benchmark's qs-hot — four stateful shapes, each at
-// eight window lengths — one key is evaluated per event per hit pattern per
-// *key class* (queries whose group-by compiles to the same programs), in the
-// serial fold and in a started engine's router alike, so KeyEvals is the same
-// at every shard count, serial included, and does not grow with the number of
+// eight window lengths — plus a fifth shape whose key fails for one process
+// in three, one key is evaluated per event per hit pattern per *key class*
+// (queries whose group-by compiles to the same programs), in the evaluating
+// scheduler's resolve step, serial and started alike, and a key that fails is
+// evaluated once more by the fold that reports it; so KeyEvals is the same at
+// every shard count, serial included, and does not grow with the number of
 // variants per shape. Three of the four shapes key by their subject process
 // and are one class; the outlier shape keys by destination address. Each key
-// is then resolved to a group id by one directory probe (GroupProbes): on the
-// serial path exactly one per key evaluated, on a started engine one on each
-// shard that folds it — the key's owner for a by-group class, each home shard
-// of a pinned one — never one per query.
+// that evaluates is then resolved to a group id by one directory probe
+// (GroupProbes): on the serial path exactly one per such key, on a started
+// engine one on each shard that folds it — the key's owner for a by-group
+// class, each home shard of a pinned one — never one per query. A failing key
+// is probed nowhere and reported once per member.
 func TestSharedKeyEvaluation(t *testing.T) {
 	shapes := foldShapes[:4] // ts-avg, outlier-dst, inv-children, count-files
-	const n = 6000           // a minute of stream: several closes of every 10–17 s window
+	// failKey divides by the subject's pid modulo 3: a delete by one process
+	// in three fails to key.
+	const failKey = `proc p delete file f as evt #time(10 s)
+state ss { n := count(evt) } group by p, 1000 / (p.pid % 3)
+alert ss.n > 1000000
+return p, ss.n`
+	const n = 6000 // a minute of stream: several closes of every 10–17 s window
 	events := make([]*Event, n)
-	var want int64
+	var want, failed int64 // keys that evaluate; keys that fail
 	for k := range events {
 		sh := shapes[k%len(shapes)]
 		ev := &Event{
@@ -530,10 +541,19 @@ func TestSharedKeyEvaluation(t *testing.T) {
 			Object:  sh.object(k),
 			Amount:  float64(500000 + 100*k), // rising: ts-avg's moving average alerts
 		}
-		switch sh.name {
-		case "ts-avg":
+		switch {
+		case k%10 == 9: // a delete hits the failing-key shape alone
+			p := (k / 10) % 20
+			ev.Subject = Process(fmt.Sprintf("svc-%d.exe", p), int32(100+p))
+			ev.Op, ev.Object = OpDelete, File(fmt.Sprintf("/tmp/%d.tmp", k%7))
+			if (100+p)%3 == 0 {
+				failed++
+			} else {
+				want++
+			}
+		case sh.name == "ts-avg":
 			want += 2 // a write to an ip hits ts-avg (subject key) and outlier-dst (destination key)
-		case "outlier-dst":
+		case sh.name == "outlier-dst":
 			ev.Op = OpRead // a read from an ip hits outlier-dst alone
 			want++
 		default:
@@ -541,7 +561,11 @@ func TestSharedKeyEvaluation(t *testing.T) {
 		}
 		events[k] = ev
 	}
-	run := func(shards, variants int) Stats {
+	type result struct {
+		Stats
+		errors int64
+	}
+	run := func(shards, variants int) result {
 		t.Helper()
 		var eng *Engine
 		if shards == 0 {
@@ -549,7 +573,7 @@ func TestSharedKeyEvaluation(t *testing.T) {
 		} else {
 			eng = New(WithShards(shards), WithIngestQueue(64))
 		}
-		for _, sh := range shapes {
+		for _, sh := range append(slices.Clone(shapes), foldShape{name: "fail-key", src: failKey}) {
 			for w := 10; w < 10+variants; w++ {
 				src := strings.Replace(sh.src, "#time(10 s)", fmt.Sprintf("#time(%d s)", w), 1)
 				if _, err := eng.Register(fmt.Sprintf("%s-%ds", sh.name, w), src); err != nil {
@@ -575,39 +599,39 @@ func TestSharedKeyEvaluation(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if errs := eng.Errors(); len(errs) != 0 {
-			t.Fatalf("runtime reported errors: %v", errs)
-		}
-		return eng.Stats()
+		return result{eng.Stats(), eng.ErrorCount()}
 	}
 	serial1, serial8 := run(0, 1), run(0, 8)
-	for variants, st := range map[int]Stats{1: serial1, 8: serial8} {
-		if st.KeyEvals != want || st.GroupProbes != want {
-			t.Errorf("serial, variants=%d: KeyEvals %d, GroupProbes %d; want %d of each (one key and one probe per event per hit pattern per key class)",
-				variants, st.KeyEvals, st.GroupProbes, want)
+	for variants, r := range map[int]result{1: serial1, 8: serial8} {
+		if r.KeyEvals != want+2*failed || r.GroupProbes != want {
+			t.Errorf("serial, variants=%d: KeyEvals %d, GroupProbes %d; want %d and %d (one key per event per hit pattern per key class, a failing one twice; one probe per key that evaluates)",
+				variants, r.KeyEvals, r.GroupProbes, want+2*failed, want)
+		}
+		if r.errors != int64(variants)*failed {
+			t.Errorf("serial, variants=%d: %d errors, want %d (each failing key reported once per member)", variants, r.errors, int64(variants)*failed)
 		}
 	}
 	for _, shards := range []int{1, 2, 4, 8} {
 		for _, variants := range []int{1, 8} {
-			st := run(shards, variants)
-			if st.KeyEvals != want {
-				t.Errorf("shards=%d variants=%d: KeyEvals = %d, want %d (one per event per hit pattern per key class)",
-					shards, variants, st.KeyEvals, want)
+			r, ser := run(shards, variants), map[int]result{1: serial1, 8: serial8}[variants]
+			if r.KeyEvals != ser.KeyEvals {
+				t.Errorf("shards=%d variants=%d: KeyEvals = %d, serial %d (one per event per hit pattern per key class, a failing one twice)",
+					shards, variants, r.KeyEvals, ser.KeyEvals)
 			}
-			// Every key is probed on the shards that fold it: at least once, at
-			// most once per shard, exactly once on one shard.
-			if st.GroupProbes < want || st.GroupProbes > int64(shards)*want || (shards == 1 && st.GroupProbes != want) {
+			// Every key that evaluates is probed on the shards that fold it: at
+			// least once, at most once per shard, exactly once on one shard.
+			if r.GroupProbes < want || r.GroupProbes > int64(shards)*want || (shards == 1 && r.GroupProbes != ser.GroupProbes) {
 				t.Errorf("shards=%d variants=%d: GroupProbes = %d, want between %d and %d (at most one per event per hit pattern per key class per shard)",
-					shards, variants, st.GroupProbes, want, int64(shards)*want)
+					shards, variants, r.GroupProbes, want, int64(shards)*want)
 			}
-			if ser := map[int]Stats{1: serial1, 8: serial8}[variants]; st.Alerts != ser.Alerts || st.PatternEvals != ser.PatternEvals {
-				t.Errorf("shards=%d variants=%d: alerts %d, pattern evals %d; serial %d, %d",
-					shards, variants, st.Alerts, st.PatternEvals, ser.Alerts, ser.PatternEvals)
+			if r.Alerts != ser.Alerts || r.PatternEvals != ser.PatternEvals || r.errors != ser.errors {
+				t.Errorf("shards=%d variants=%d: alerts %d, pattern evals %d, errors %d; serial %d, %d, %d",
+					shards, variants, r.Alerts, r.PatternEvals, r.errors, ser.Alerts, ser.PatternEvals, ser.errors)
 			}
 		}
 	}
-	if serial8.Alerts == 0 {
-		t.Error("workload produced no alerts")
+	if serial8.Alerts == 0 || failed == 0 {
+		t.Errorf("the workload exercised too little: %d alerts, %d failing keys", serial8.Alerts, failed)
 	}
 }
 
@@ -1056,14 +1080,14 @@ func TestConformanceCorpusExecutes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var evalErrs int
-			report := func(error) { evalErrs++ }
+			reporter := engine.NewErrorReporter(16, nil)
+			s := soloScheduler(t, q, reporter)
 			for _, ev := range events {
-				q.Process(ev, report)
+				s.Process(ev)
 			}
-			q.Flush(report)
-			if evalErrs > 0 {
-				t.Errorf("%d runtime evaluation errors", evalErrs)
+			s.Flush()
+			if n := reporter.Total(); n > 0 {
+				t.Errorf("%d runtime evaluation errors", n)
 			}
 		})
 	}

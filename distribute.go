@@ -89,6 +89,11 @@ func (e *Engine) RestoreStateBlobs(states map[string][][]byte) error {
 	case stateClosed:
 		return ErrClosed
 	}
+	// A blob's events-offered counter merges by max with the query's own:
+	// bring that up to the stream first, and have the scheduler count on from
+	// the merged one after.
+	e.sched.EventsOffered()
+	defer e.sched.EventsOffered()
 	for _, name := range slices.Sorted(maps.Keys(states)) {
 		rec, ok := e.reg[name]
 		if !ok {

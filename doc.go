@@ -139,15 +139,17 @@
 // shard is handed exactly the folds it owns, one per variant set of such
 // queries — so shards skip pattern matching and key evaluation entirely and
 // per-event matching work stays O(patterns) rather than O(shards ×
-// patterns). A never-started engine shares keys the same way, and matches
-// patterns with the router's evaluator on a batch of one event. A key then
+// patterns). A never-started engine runs the same code as one shard that
+// owns all state: the router's evaluator on a batch of one event, its resolve
+// step, and a shard's fold. A key then
 // names its group by a dense integer id, resolved once per key class
 // (Stats.GroupProbes) and indexed by every member. A master whose global
 // constraints pin it to one agentid (`agentid = "db-1"`) runs only on that
 // host's events: each event's agentid is looked up once in an index of the
 // pinned masters. Stats.PatternEvals counts the predicates of the masters
-// actually run, Stats.KeyEvals the keys evaluated; neither depends on the
-// shard count.
+// actually run, Stats.KeyEvals the keys evaluated (a failing key's error is
+// derived once more, where it is reported); neither depends on the shard
+// count.
 //
 // Everything a query evaluates is a compiled bytecode program
 // (internal/pcode), and every query compiles to them: there is no

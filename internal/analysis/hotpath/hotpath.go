@@ -1,14 +1,14 @@
 // Package hotpath statically backs the ingest allocation budget
 // (TestIngestAllocsPerEventGate: ≤0.1 allocs/event;
 // TestIngestBytesPerEventGate: ≤16 B/event): functions annotated
-// //saql:hotpath — the one event path of a started engine (the runtime
-// partitioner's routeEvent with its key/emit/foldOp/hitsOp helpers,
-// flushShard/flushAll/processBatch and batch pool, the scheduler's one
-// evaluator — EvaluateBatch and serial Process's evaluateBatchLocked with its
-// per-group sweep and the agentid dispatch (agentKey, the batch's bucket
-// pass) — HitSet.AssertLive and the routed fold Apply/AdvanceAll), the
-// serial reference's ingestLocked,
-// engine.MatchBatch/HitKey and the key class memo, the
+// //saql:hotpath — the one event path of every engine (the runtime
+// partitioner's routeEvent with its emit helper, flushShard/flushAll/
+// processBatch and batch pool, the scheduler's one evaluator — EvaluateBatch
+// and serial Process's evaluateBatchLocked with its per-group sweep and the
+// agentid dispatch (agentKey, the batch's bucket pass) — the resolve step
+// resolveLocked and its ops (SetHits.FoldOp/HitsOp), HitSet.AssertLive and
+// the one fold: Apply/applySet, serial Process's foldLocked,
+// AdvanceAll/advanceLocked), engine.MatchBatch/HitKey and the key class memo, the
 // compiled predicate and expression programs (pcode's Match and Run, with the
 // frame's slot accessors; the close-time runners engine.alertHolds/evalReturn
 // and window.History.Field — backing TestWindowCloseAllocsGate), the
@@ -17,7 +17,7 @@
 // functions (scan/check/fill, the object/member walk, the value readers and
 // the RFC 3339 fast parser — backing TestNDJSONDecodeAllocsGate: ≤2
 // allocs/line), the wire.Reader decode loop, window assignment, the history
-// ring, the stateful fold (the slice log's Add/Touch/Offer/Advance, its
+// ring, the stateful fold (the slice log's Add/Touch/Advance, its
 // seal's bucketing pass and the per-member foldRun/foldInto, and the
 // evaluator's ResidualHits; window.Directory.Resolve and window.Manager's
 // id-indexed GroupFor/Touch/Advance and open-window lookup — backing

@@ -6,6 +6,7 @@ import (
 
 	"saql/internal/engine"
 	"saql/internal/event"
+	"saql/internal/scheduler"
 )
 
 var base = time.Date(2020, 2, 27, 9, 0, 0, 0, time.UTC)
@@ -142,11 +143,7 @@ func TestRuleQueriesDetectTheirSteps(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", nq.Name, err)
 		}
-		var alerts int
-		for _, ev := range evs {
-			alerts += len(q.Process(ev, nil))
-		}
-		if alerts == 0 {
+		if alerts := alertsOf(t, q, evs, false); alerts == 0 {
 			t.Errorf("query %s (step %s) did not fire on the attack trace", nq.Name, nq.Step)
 		}
 	}
@@ -158,4 +155,23 @@ func TestScenarioStepGap(t *testing.T) {
 	if !fast.End().Before(slow.End()) {
 		t.Error("step gap has no effect")
 	}
+}
+
+// alertsOf runs evs through q alone on a scheduler of its own — the serial
+// engine's fold — and counts the alerts, those of the final flush too when
+// flush is set.
+func alertsOf(t *testing.T, q *engine.Query, evs []*event.Event, flush bool) int {
+	t.Helper()
+	s := scheduler.New(nil, false)
+	if err := s.Add(q); err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, ev := range evs {
+		n += len(s.Process(ev))
+	}
+	if flush {
+		n += len(s.Flush())
+	}
+	return n
 }

@@ -84,10 +84,7 @@ func TestRansomwareDetection(t *testing.T) {
 
 	counts := map[string]int{}
 	for _, q := range compiled {
-		for _, ev := range evs {
-			counts[q.Name] += len(q.Process(ev, nil))
-		}
-		counts[q.Name] += len(q.Flush(nil))
+		counts[q.Name] += alertsOf(t, q, evs, true)
 	}
 	for _, nq := range queries {
 		if counts[nq.Name] == 0 {
@@ -116,12 +113,7 @@ func TestRansomwareBenignSilence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var alerts int
-		for _, ev := range evs {
-			alerts += len(q.Process(ev, nil))
-		}
-		alerts += len(q.Flush(nil))
-		if alerts != 0 {
+		if alerts := alertsOf(t, q, evs, true); alerts != 0 {
 			t.Errorf("query %s raised %d alerts on benign traffic", nq.Name, alerts)
 		}
 	}

@@ -11,6 +11,7 @@ package baseline
 import (
 	"saql/internal/engine"
 	"saql/internal/event"
+	"saql/internal/scheduler"
 	"saql/internal/value"
 )
 
@@ -47,9 +48,10 @@ func Materialize(ev *event.Event) Tuple {
 }
 
 // Engine executes queries the generic-CEP way: no sharing, one event copy
-// and one tuple materialisation per query per event.
+// and one tuple materialisation per query per event. Each query runs on an
+// unshared scheduler of its own.
 type Engine struct {
-	queries  []*engine.Query
+	scheds   []*scheduler.Scheduler
 	reporter *engine.ErrorReporter
 
 	// Stats.
@@ -63,19 +65,22 @@ func New(reporter *engine.ErrorReporter) *Engine {
 	return &Engine{reporter: reporter}
 }
 
-// Add registers a compiled query.
-func (e *Engine) Add(q *engine.Query) { e.queries = append(e.queries, q) }
+// Add registers a compiled query on a scheduler of its own.
+func (e *Engine) Add(q *engine.Query) {
+	s := scheduler.New(e.reporter, false)
+	_ = s.Add(q) // the scheduler's only query: no name to clash with
+	e.scheds = append(e.scheds, s)
+}
 
 // QueryCount reports the number of registered queries.
-func (e *Engine) QueryCount() int { return len(e.queries) }
+func (e *Engine) QueryCount() int { return len(e.scheds) }
 
 // Process delivers ev to every query, materialising a private copy for each
 // (struct copy + generic tuple), exactly as a per-query-stream engine would.
 func (e *Engine) Process(ev *event.Event) []*engine.Alert {
 	e.Events++
-	report := e.reportFn()
 	var alerts []*engine.Alert
-	for _, q := range e.queries {
+	for _, s := range e.scheds {
 		// The per-query data copy: a full struct copy plus the generic
 		// attribute-map materialisation that schema-agnostic engines
 		// perform so each query can bind its own attribute view.
@@ -83,7 +88,7 @@ func (e *Engine) Process(ev *event.Event) []*engine.Alert {
 		tuple := Materialize(&copyEv)
 		_ = tuple // retained for the duration of query evaluation
 		e.TupleCopies++
-		alerts = append(alerts, q.Process(&copyEv, report)...)
+		alerts = append(alerts, s.Process(&copyEv)...)
 	}
 	e.Alerts += int64(len(alerts))
 	return alerts
@@ -91,24 +96,10 @@ func (e *Engine) Process(ev *event.Event) []*engine.Alert {
 
 // Flush closes all open windows on every query.
 func (e *Engine) Flush() []*engine.Alert {
-	report := e.reportFn()
 	var alerts []*engine.Alert
-	for _, q := range e.queries {
-		alerts = append(alerts, q.Flush(report)...)
+	for _, s := range e.scheds {
+		alerts = append(alerts, s.Flush()...)
 	}
 	e.Alerts += int64(len(alerts))
 	return alerts
-}
-
-func (e *Engine) reportFn() func(error) {
-	if e.reporter == nil {
-		return func(error) {}
-	}
-	return func(err error) {
-		if qe, ok := err.(*engine.QueryError); ok {
-			e.reporter.Report(qe.Query, qe.Err)
-			return
-		}
-		e.reporter.Report("", err)
-	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"saql/internal/engine"
 	"saql/internal/event"
+	"saql/internal/scheduler"
 	"saql/internal/value"
 )
 
@@ -55,6 +56,10 @@ func TestBaselineMatchesEngineAlerts(t *testing.T) {
 	}
 	b := New(nil)
 	b.Add(viaBase)
+	serial := scheduler.New(nil, false)
+	if err := serial.Add(direct); err != nil {
+		t.Fatal(err)
+	}
 
 	var nDirect, nBase int
 	for i := 0; i < 10; i++ {
@@ -69,7 +74,7 @@ func TestBaselineMatchesEngineAlerts(t *testing.T) {
 			Op:      event.OpStart,
 			Object:  event.Process("child.exe", int32(100+i)),
 		}
-		nDirect += len(direct.Process(ev, nil))
+		nDirect += len(serial.Process(ev))
 		nBase += len(b.Process(ev))
 	}
 	if nDirect != nBase {

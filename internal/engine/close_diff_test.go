@@ -164,7 +164,7 @@ func TestCloseMatchesOracle(t *testing.T) {
 				alerts := 0
 				for _, ev := range events {
 					hits := prod.Hits(ev)
-					got, want := prod.Ingest(ev, hits, prodReport), ref.refCloseIngest(ev, hits, refReport)
+					got, want := prod.soloIngest(ev, hits, prodReport), ref.refCloseIngest(ev, hits, refReport)
 					if renderAlerts(got) != renderAlerts(want) {
 						t.Fatalf("%s: alerts diverge:\n  compiled: %s  oracle:   %s", ev, renderAlerts(got), renderAlerts(want))
 					}
@@ -172,7 +172,7 @@ func TestCloseMatchesOracle(t *testing.T) {
 				}
 				var got, want []*Alert
 				if prod.stateful {
-					got, want = prod.Flush(prodReport), ref.refCloseAll(ref.winMgr.Flush(), refReport)
+					got, want = prod.soloFlush(prodReport), ref.refCloseAll(ref.winMgr.Flush(), refReport)
 				}
 				if renderAlerts(got) != renderAlerts(want) {
 					t.Fatalf("flush: alerts diverge:\n  compiled: %s  oracle:   %s", renderAlerts(got), renderAlerts(want))

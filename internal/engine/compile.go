@@ -83,13 +83,9 @@ type Query struct {
 	idleLimit  int
 	groups     map[string]*groupRuntime
 	// log is the slice log the query's hits wait in until they fold: its
-	// variant set's in the scheduler that holds it, or own. Everything that
-	// reads or hands over the query's state settles it first (settle). own is
-	// the log Ingest folds through — a query used on its own, outside any
-	// scheduler — and ownSeq numbers its events.
-	log    *SliceLog
-	own    *SliceLog
-	ownSeq uint64
+	// variant set's in the scheduler that holds it. Everything that reads or
+	// hands over the query's state settles it first (settle).
+	log *SliceLog
 
 	// Invariant model: the variables' initial values by declaration index,
 	// and the update statements compiled with the variable each assigns.

@@ -8,7 +8,6 @@ package engine
 // of the same kind compiled in the close scope.
 
 import (
-	"math/bits"
 	"slices"
 	"strings"
 
@@ -16,20 +15,6 @@ import (
 	"saql/internal/pcode"
 	"saql/internal/window"
 )
-
-// Hits returns the indices of the query's patterns that ev satisfies,
-// including the query's global constraints, in ascending order: MatchBatch on
-// a batch of one, for a query used on its own.
-func (q *Query) Hits(ev *event.Event) []int {
-	var mask [1]uint64
-	var ok [1]bool
-	q.MatchBatch([]*event.Event{ev}, nil, mask[:], ok[:])
-	var hits []int
-	for m := mask[0]; m != 0; m &= m - 1 {
-		hits = append(hits, bits.TrailingZeros64(m))
-	}
-	return hits
-}
 
 // ResidualHits refines a master query's hit set down to the patterns this
 // (stricter) query itself matches, appending them to dst: the dependent-side
@@ -62,7 +47,7 @@ func (q *Query) ResidualHits(dst []int, ev *event.Event, masterHits []int) (hits
 // are caller-owned scratch of len(evs). A query has at most sema.MaxPatterns
 // (63) patterns, one mask bit each. It is the one place a master's patterns
 // run: the scheduler's evaluator calls it on a router batch and on a serial
-// event alike, and Hits on a batch of one.
+// event alike.
 //
 //saql:hotpath
 func (q *Query) MatchBatch(evs []*event.Event, at []int32, masks []uint64, globalOK []bool) {
@@ -102,51 +87,14 @@ func (q *Query) MatchBatch(evs []*event.Event, at []int32, masks []uint64, globa
 	}
 }
 
-// Process feeds one event through the full pipeline (matching + ingestion)
-// and returns any alerts raised.
-func (q *Query) Process(ev *event.Event, report func(error)) []*Alert {
-	return q.Ingest(ev, q.Hits(ev), report)
-}
-
-// Ingest advances the query with an event whose pattern hits were already
-// computed (by this query or by its master in a scheduler group). A rule query
-// feeds them to its matcher; a stateful one folds through a slice log of its
-// own (a variant set of one). report receives runtime evaluation errors; it
-// may be nil. An error a hit's aggregation arguments raise is reported when
-// its slice seals, in hit order: to the report of the Ingest or Flush call
-// that seals it, or of the last Ingest when a state reader (Stats,
-// EncodeState) does.
+// Ingest feeds a rule query the patterns ev hit — computed by its group's
+// master in the evaluating scheduler — and returns the alerts of the matches
+// they complete: the rule fold a scheduler runs on each member of a rule set
+// that is not paused, counting the event it is handed. report receives
+// runtime evaluation errors. A stateful query folds through its variant
+// set's slice log instead (SliceLog.Add).
 func (q *Query) Ingest(ev *event.Event, hits []int, report func(error)) []*Alert {
-	if report == nil {
-		report = func(error) {}
-	}
-	if !q.stateful {
-		q.stats.Events++
-		return q.ingestRule(ev, hits, report)
-	}
-	if q.own == nil {
-		kc := NewKeyClass()
-		q.own = NewSliceLog([]*Query{q}, kc, report)
-		kc.SetLogs([]*SliceLog{q.own})
-	}
-	q.own.report = report
-	q.ownSeq++
-	return q.own.Offer(q.ownSeq, ev, hits)
-}
-
-// settle seals the slice log the query folds through, if it has one: its
-// state is then what folding hit by hit would have left. Every reader of the
-// state calls it — Stats, EncodeState (and StateBytes), RestoreState,
-// CarryStateFrom, SetPaused, Flush — so no caller has to.
-func (q *Query) settle() {
-	if q.log != nil {
-		q.log.Settle()
-	}
-}
-
-// ingestRule feeds ev's hits to the multievent matcher and turns the matches
-// they complete into alerts.
-func (q *Query) ingestRule(ev *event.Event, hits []int, report func(error)) []*Alert {
+	q.stats.Events++
 	if len(hits) == 0 {
 		return nil
 	}
@@ -159,6 +107,16 @@ func (q *Query) ingestRule(ev *event.Event, hits []int, report func(error)) []*A
 		}
 	}
 	return alerts
+}
+
+// settle seals the slice log the query folds through, if it has one: its
+// state is then what folding hit by hit would have left. Every reader of the
+// state calls it — Stats, EncodeState (and StateBytes), RestoreState,
+// CarryStateFrom, SetPaused, Flush — so no caller has to.
+func (q *Query) settle() {
+	if q.log != nil {
+		q.log.Settle()
+	}
 }
 
 // foldRun folds a run of logged hits — hits[i] for each i of run: one
@@ -224,8 +182,8 @@ func (q *Query) foldInto(groups []*window.Group, ev *event.Event, hi int, at int
 // HitKey evaluates the group-by key ev yields as a hit of pattern hi: the
 // items' values, rendered, joined by \x1f — the empty key without a group-by.
 // A failed key is reported as the empty key and the error. A key class calls
-// it on one member for all of them (SameKeyPrograms): the serial fold once per
-// event per pattern per class, the router likewise on its evaluation replicas.
+// it on one member for all of them (SameKeyPrograms): the evaluating
+// scheduler's resolve step once per event per pattern per class.
 //
 //saql:hotpath
 func (q *Query) HitKey(hi int, ev *event.Event) (string, error) {
@@ -260,18 +218,14 @@ func (q *Query) SameKeyPrograms(o *Query) bool {
 	})
 }
 
-// Flush closes all open windows (end of stream) and returns final alerts. A
-// query used on its own reports the errors of the final slice's fold to
-// report too.
+// Flush closes all open windows (end of stream) and returns final alerts,
+// once the query's slice log has folded what it holds.
 func (q *Query) Flush(report func(error)) []*Alert {
 	if report == nil {
 		report = func(error) {}
 	}
 	if !q.stateful {
 		return nil
-	}
-	if q.own != nil {
-		q.own.report = report
 	}
 	q.settle()
 	return q.closeAll(q.winMgr.Flush(), report)

@@ -159,13 +159,13 @@ func TestFoldMatchesOracle(t *testing.T) {
 					}
 					folded++
 				}
-				got, want := prod.Ingest(ev, hits, prodReport), ref.refIngest(ev, hits, refReport)
+				got, want := prod.soloIngest(ev, hits, prodReport), ref.refIngest(ev, hits, refReport)
 				if render(got) != render(want) {
 					t.Fatalf("%s: alerts diverge:\n  compiled: %s  oracle:   %s", ev, render(got), render(want))
 				}
 				alerts += len(got)
 			}
-			got, want := prod.Flush(prodReport), ref.Flush(refReport)
+			got, want := prod.soloFlush(prodReport), ref.Flush(refReport)
 			if render(got) != render(want) {
 				t.Fatalf("flush: alerts diverge:\n  compiled: %s  oracle:   %s", render(got), render(want))
 			}

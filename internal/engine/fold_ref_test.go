@@ -29,10 +29,10 @@ import (
 // key is reported and opens its windows, every other hit folds at once
 // (refFoldGroup), and the watermark advances to the event's time.
 func (q *Query) refIngestKeyed(ev *event.Event, hits []int, d *window.Directory, report func(error)) []*Alert {
-	q.stats.Events++
 	if !q.stateful {
-		return q.ingestRule(ev, hits, report)
+		return q.Ingest(ev, hits, report) // counts the event
 	}
+	q.stats.Events++
 	q.refFold(ev, hits, d, report)
 	return q.refAdvance(ev.Time, report)
 }
@@ -132,10 +132,10 @@ func refGroupKey(groupBy []ast.Expr, env *expr.Env) (string, error) {
 // the oracle's way; matching, the window manager and everything from window
 // close on are the query's own.
 func (q *Query) refIngest(ev *event.Event, hits []int, report func(error)) []*Alert {
-	q.stats.Events++
 	if !q.stateful {
-		return q.ingestRule(ev, hits, report)
+		return q.Ingest(ev, hits, report) // counts the event
 	}
+	q.stats.Events++
 	args := aggArgs(q.AST, q.Info)
 	touched := false
 	for _, hi := range hits {

@@ -2,13 +2,13 @@ package engine
 
 // Key classes: the stateful queries of one scheduler whose group-by items
 // compile to the same programs (SameKeyPrograms) yield byte-equal keys for
-// every hit, so they share one evaluation of a hit's key per event and one
-// directory giving those keys dense group ids. A KeyClass is that shared
-// state as one scheduler keeps it: the serial fold evaluates a key through it
-// once per event per pattern (Key); a shard, handed keys the router already
-// evaluated and hashed, resolves each once per event per pattern (Routed).
-// Either way the class's slice logs record the hit under its id, and every
-// member folds by id when a log seals (slicelog.go).
+// every hit, so they share one evaluation of a hit's key per event — the
+// evaluating scheduler's resolve step — and one directory giving those keys
+// dense group ids. A KeyClass is the directory side as one scheduler keeps
+// it: every fold, a shard's or serial Process's, is handed keys the resolve
+// step already evaluated and hashed, and resolves each once per event per
+// pattern (Routed). The class's slice logs record the hit under its id, and
+// every member folds by id when a log seals (slicelog.go).
 
 import (
 	"saql/internal/event"
@@ -28,8 +28,8 @@ type KeyClass struct {
 	seq  uint64 // the event the class last saw
 	// logs are the slice logs of the class's variant sets: they hold ids of
 	// the directory's current assignment, and their members' open groups are
-	// the live state the directory is bounded against. rep evaluates keys and
-	// key errors for all of them.
+	// the live state the directory is bounded against. rep re-derives a failed
+	// key's error for all of them (Failed).
 	logs  []*SliceLog
 	rep   *Query
 	limit int // directory size at which boundDirectory next runs
@@ -40,7 +40,7 @@ type KeyClass struct {
 	runs  []hitRun
 	order []int32
 
-	// KeyEvals counts the key evaluations the class performed and Probes its
+	// KeyEvals counts the failed keys' re-derivations (Failed) and Probes the
 	// directory probes: both exact, and at most one per event per pattern.
 	KeyEvals, Probes int64
 }
@@ -80,29 +80,9 @@ func (c *KeyClass) at(seq uint64, hi int) *classKey {
 	return &c.memo[hi]
 }
 
-// Key returns the group id ev's key has as a hit of pattern hi — or the
-// error it fails with — for every member, evaluating it and resolving it in
-// the directory only the first time the event numbered seq asks: one
-// evaluation and at most one probe per event per pattern.
-//
-//saql:hotpath
-func (c *KeyClass) Key(seq uint64, hi int, ev *event.Event) (int32, error) {
-	k := c.at(seq, hi)
-	if k.seq != seq {
-		key, err := c.rep.HitKey(hi, ev)
-		c.KeyEvals++
-		*k = classKey{seq: seq, id: -1, err: err}
-		if err == nil {
-			k.id = c.dir.Resolve(window.HashKey(key), key)
-			c.Probes++
-		}
-	}
-	return k.id, k.err
-}
-
-// Routed returns the group id of key — evaluated and hashed by the router —
-// as the key of pattern hi for the event numbered seq, probing the directory
-// only the first time the event asks.
+// Routed returns the group id of key — evaluated and hashed by the resolve
+// step — as the key of pattern hi for the event numbered seq, probing the
+// directory only the first time the event asks.
 //
 //saql:hotpath
 func (c *KeyClass) Routed(seq uint64, hi int, hash uint32, key string) int32 {
@@ -115,7 +95,7 @@ func (c *KeyClass) Routed(seq uint64, hi int, hash uint32, key string) int32 {
 }
 
 // Failed returns the error pattern hi's key fails with on ev, the event
-// numbered seq, which the router found not to evaluate: re-derived (a pure
+// numbered seq, which the resolve step found not to evaluate: re-derived (a pure
 // function of the event: it fails the same way) once per event per pattern,
 // for the owner of the empty key to report.
 func (c *KeyClass) Failed(seq uint64, hi int, ev *event.Event) error {

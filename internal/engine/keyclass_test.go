@@ -1,6 +1,6 @@
 package engine
 
-// The router evaluates a hit's group key once for every query in the same key
+// The resolve step evaluates a hit's group key once for every query in the same key
 // class — SameKeyPrograms — on one member's programs. A wrong merge would fold
 // state under another query's key, silently; these tests hold the class
 // relation to what it promises (byte-equal keys, and the same failures, for
@@ -175,7 +175,7 @@ return p, ss.n`, 10+v)
 				Amount:  1,
 			}
 			seq++
-			count(got, log.Offer(seq, ev, members[0].Hits(ev)))
+			count(got, offer(log, seq, ev, members[0].Hits(ev)))
 			for _, q := range twins {
 				count(want, q.refIngestKeyed(ev, q.Hits(ev), refDirectory(q), func(err error) { t.Fatal(err) }))
 			}

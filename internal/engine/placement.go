@@ -8,7 +8,7 @@ package engine
 // placement decides which shard folds a hit into query state. The router is
 // the only place ownership is decided: a replica folds exactly what it is
 // handed (a stateful query's hit through its variant set's SliceLog, under the
-// group id its shard resolved the router's key to; Ingest for a rule query's
+// group id its shard resolved the handed key to; Ingest for a rule query's
 // hit set) and asks no question of its own. The one job that is not the
 // router's, re-splitting warm state over the shards at Start, passes each
 // by-group replica its shard's keys (RestoreState's keep argument).
@@ -25,9 +25,10 @@ const (
 	// PlaceByGroup marks stateful queries whose per-group state is
 	// independent across groups: every shard holds a replica, and each
 	// group-by key is owned by exactly one shard. The router finds a hit's
-	// owner by evaluating the key itself (HitKey, on its evaluation replica,
-	// once for every query with the same key programs), whatever the group-by
-	// expression, and hands the owner the key with the fold; a key that fails
+	// owner from the key the evaluation stage resolved (HitKey, on an
+	// evaluation replica, once for every query with the same key programs),
+	// whatever the group-by expression, and hands the owner the key with the
+	// fold; a key that fails
 	// to evaluate counts as the empty key, so its one owner reports the
 	// failure (SliceLog.KeyFailed).
 	PlaceByGroup
@@ -75,9 +76,10 @@ func (q *Query) Placement() Placement {
 	return PlacePinned
 }
 
-// SetEventsOffered overwrites the events-offered counter. A shard replica
-// under the routed runtime is offered only the events its shard owns, so the
-// runtime derives the true count from router stream offsets and stamps it
-// here before the replica's state is captured: a checkpoint then carries the
-// counter the serial engine would.
+// SetEventsOffered overwrites the events-offered counter. No fold counts the
+// events offered to a query — a shard replica sees only what its shard owns,
+// and a fold visits only the sets an event hits — so the scheduler that
+// evaluates derives the count and stamps it here, and a shard stamps its
+// replica with the count the router read at a checkpoint barrier: a
+// checkpoint then carries the counter the serial engine would.
 func (q *Query) SetEventsOffered(n int64) { q.stats.Events = n }

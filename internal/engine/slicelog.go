@@ -85,9 +85,6 @@ type SliceLog struct {
 	// instant of the slice opens the same windows.
 	touchAt time.Time
 	touched bool
-	// offered counts the events offered to the set since the last seal (the
-	// serial path's events-offered counter, added to each active member).
-	offered int64
 	// errs holds the fold errors of the member folding, until they are
 	// reported.
 	errs []foldErr
@@ -191,26 +188,6 @@ func (l *SliceLog) KeyFailed(t time.Time, err error) {
 	}
 }
 
-// Offer is the serial fold of one event, numbered seq, that hit the set's
-// patterns hits (none, on most events): each hit is keyed through the class —
-// one evaluation and one probe per event per pattern for every set of it — and
-// logged, and the event's time is observed, sealing the log when it reaches the
-// end of the slice.
-//
-//saql:hotpath
-func (l *SliceLog) Offer(seq uint64, ev *event.Event, hits []int) []*Alert {
-	for _, hi := range hits {
-		id, err := l.kc.Key(seq, hi, ev)
-		if err != nil {
-			l.KeyFailed(ev.Time, err)
-			continue
-		}
-		l.Add(ev, hi, id)
-	}
-	l.offered++
-	return l.Advance(ev.Time)
-}
-
 // Advance observes the watermark t — an event's time, or a stream watermark
 // the router stamped — and seals the log once the observed watermark reaches
 // the due point, returning the alerts of the windows the members then close.
@@ -242,11 +219,10 @@ func (l *SliceLog) seal() []*Alert {
 	if l.hasPend {
 		t := time.Unix(0, l.pend)
 		for _, q := range l.active {
-			q.stats.Events += l.offered
 			alerts = append(alerts, q.closeAll(q.winMgr.Advance(t), l.report)...)
 		}
 	}
-	l.hasPend, l.offered = false, 0
+	l.hasPend = false
 	l.reset()
 	return alerts
 }

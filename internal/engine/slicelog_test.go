@@ -99,7 +99,7 @@ func errorsByQuery() (func(error), map[string][]string) {
 }
 
 // runSliceLogScript drives one seed's set and stream. The serial path offers
-// every event to the log (SliceLog.Offer) and each twin folds it
+// every event to the log (offer, solo_test.go) and each twin folds it
 // (refIngestKeyed); the routed path replays what a shard is handed — the
 // stream watermark, then per hit a fold, a touch (another shard owns the key)
 // or a key failure, then the event's time, and now and then a batch watermark
@@ -214,7 +214,7 @@ func runSliceLogScript(t *testing.T, seed int64, routed bool) {
 		seq++
 		folded := len(log.hits)
 		if !routed {
-			record(&got, log.Offer(seq, ev, hits))
+			record(&got, offer(log, seq, ev, hits))
 			for i, q := range twins {
 				record(&want, q.refIngestKeyed(ev, hits, dirs[i], wantReport))
 			}
@@ -322,7 +322,7 @@ func runSliceLogScript(t *testing.T, seed int64, routed bool) {
 }
 
 // testOwnLogFlushReport: a query used on its own folds its last slice at
-// Flush, so Flush's report — not the last Ingest's — receives the errors the
+// Flush, so Flush's report — not the last soloIngest's — receives the errors the
 // slice's arguments raise, and the two reports together hold the per-event
 // fold's errors in order.
 func testOwnLogFlushReport(t *testing.T) {
@@ -345,7 +345,7 @@ func testOwnLogFlushReport(t *testing.T) {
 			ev.Op, ev.Object = event.OpRead, event.File("/d/0")
 		}
 		hits := q.Hits(ev)
-		record(&got, q.Ingest(ev, hits, ingestReport))
+		record(&got, q.soloIngest(ev, hits, ingestReport))
 		record(&wantAlerts, twin.refIngestKeyed(ev, hits, d, wantReport))
 	}
 	now := t0
@@ -359,7 +359,7 @@ func testOwnLogFlushReport(t *testing.T) {
 		feed(now, k, true)
 	}
 	raised := slices.Clone(want[last:])
-	record(&got, q.Flush(flushReport))
+	record(&got, q.soloFlush(flushReport))
 	record(&wantAlerts, twin.Flush(wantReport))
 	if fmt.Sprint(got) != fmt.Sprint(wantAlerts) {
 		t.Fatalf("alerts diverge:\n  log:       %v\n  per event: %v", got, wantAlerts)
@@ -393,7 +393,7 @@ return p, ss.amt`)
 		if alerts := q.Process(e, nil); len(alerts) != 0 {
 			t.Fatalf("event %d: %d alerts", k, len(alerts))
 		}
-		peak = max(peak, len(q.own.hits))
+		peak = max(peak, len(soloOf(q).log.hits))
 	}
 	if peak > sliceLogCap {
 		t.Errorf("the log held %d hits, cap %d", peak, sliceLogCap)

@@ -28,10 +28,7 @@ type CheckpointState struct {
 func (r *Runtime) Checkpoint() (*CheckpointState, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	c := &control{kind: ctlCheckpoint, offered: make(map[string]offered, len(r.queries))}
-	for name, qi := range r.queries {
-		c.offered[name] = qi.offered
-	}
+	c := &control{kind: ctlCheckpoint}
 	results, err := r.control(c)
 	if err != nil {
 		return nil, err

@@ -1,11 +1,14 @@
 package runtime
 
 // Partitioned routing: the one delivery path between the router's shared
-// evaluation and the shards' state folding, at every shard count. The router
-// is the only place a hit is *resolved* — whose state it touches, under which
-// group key, on which shard — and a shard the only place it is *folded*. An
-// evaluated event's hit set never leaves the routing goroutine: routeEvent
-// turns it into ops (scheduler.Op) appended to the slabs of exactly the shards
+// evaluation and the shards' state folding, at every shard count. The
+// evaluation scheduler *resolves* each hit once per variant set — the set's
+// hit list and, for a stateful set, each hit's group key, hash and failure
+// (scheduler.HitSet.Sets) — the router decides only *ownership*, which shard
+// a hit reaches, and a shard is the only place it is *folded*; serial Process
+// folds the same resolved sets through the same code, as one shard owning
+// everything. An evaluated event's hit set never leaves the routing
+// goroutine: routeEvent turns it into ops (scheduler.Op) appended to the slabs of exactly the shards
 // that have something to do, by the same 32-bit FNV ownership hashing that
 // checkpoint re-split and the distributed cluster's Config.Owns already
 // define. The unit it routes is the variant set (scheduler.Layout.Sets): a
@@ -17,10 +20,11 @@ package runtime
 //
 //   - a stateful set's hit becomes fold(set, pattern, key) on the one shard
 //     that owns the key — hash(key) mod shards for a by-group set — or on each
-//     home shard holding a member of a pinned one. The key is evaluated by a
-//     member's compiled key programs on the router's evaluation replica, once
-//     per event per hit pattern per *key class* (the scheduler's: queries whose
-//     key programs are identical), and hashed once; the op carries the hash,
+//     home shard holding a member of a pinned one. The key was evaluated by a
+//     member's compiled key programs in the evaluation scheduler's resolve
+//     step, once per event per hit pattern per *key class* (the scheduler's:
+//     queries whose key programs are identical), and hashed once; the op
+//     carries the hash,
 //     which the shard's class directory probes with to find the group id the
 //     slice log records the hit under, and every member folds it by when the
 //     log seals. A key that fails to evaluate routes as the empty key, as
@@ -59,7 +63,6 @@ package runtime
 import (
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"saql/internal/engine"
@@ -121,35 +124,15 @@ const (
 // which the evaluation scheduler's layout changes, so the set cache below can
 // never pair a stale placement with a fresh hit set.
 type routeInfo struct {
-	kind  routeKind
-	home  int // routeHome*: the shard holding the one replica
-	evalQ *engine.Query
+	kind routeKind
+	home int // routeHome*: the shard holding the one replica
 }
 
 // routeSet is one variant set of the current layout as the router routes it:
-// how, where its pinned members live, and its members' slots and evaluation
-// replicas — any member's hits are the set's, and any member's key programs
-// its key class's.
+// how, and where its pinned members live.
 type routeSet struct {
-	kind    routeKind
-	homes   []int // routeHome*: the shards holding a member, ascending
-	members []routeMember
-	// memo is the key class's current-event keys by pattern, one backing
-	// array per class: every set of a class reads and writes the same one.
-	memo []resolvedKey
-}
-
-type routeMember struct {
-	slot int
-	q    *engine.Query // the evaluation replica
-}
-
-// resolvedKey is one pattern's group key for the event numbered seq.
-type resolvedKey struct {
-	seq    uint64
-	key    string
-	hash   uint32
-	failed bool
+	kind  routeKind
+	homes []int // routeHome*: the shards holding a member, ascending
 }
 
 // partitioner holds the routing goroutine's confined state. Only the router
@@ -161,10 +144,7 @@ type partitioner struct {
 
 	routes  map[string]*routeInfo
 	sets    []routeSet // layout set index -> how to route it, cached per layout
-	setOf   []int      // layout slot -> its set's index
-	routed  []uint64   // routed[set] == seq: the set is routed for the current event
 	setsFor *scheduler.Layout
-	memos   map[int32][]resolvedKey // key class id -> its memo
 
 	bufs   []*shardBatch
 	lastWM []time.Time // watermark last flushed to each shard
@@ -172,13 +152,10 @@ type partitioner struct {
 	streamWM time.Time
 	hasWM    bool
 
-	seq    uint64   // events routed with hits: stamps open entries and key memos
+	seq    uint64   // events routed with hits: stamps open entries
 	mark   uint64   // by-group sets routed: stamps folded
 	folded []uint64 // folded[i] == mark: shard i folds for the set being routed
-	// keyEvals counts key-program evaluations (memo misses); read by
-	// SchedStats from other goroutines.
-	keyEvals atomic.Int64
-	pool     sync.Pool
+	pool   sync.Pool
 }
 
 func newPartitioner(r *Runtime) *partitioner {
@@ -187,7 +164,6 @@ func newPartitioner(r *Runtime) *partitioner {
 		n:      len(r.shards),
 		owns:   r.cfg.Owns,
 		routes: map[string]*routeInfo{},
-		memos:  map[int32][]resolvedKey{},
 		bufs:   make([]*shardBatch, len(r.shards)),
 		lastWM: make([]time.Time, len(r.shards)),
 		folded: make([]uint64, len(r.shards)),
@@ -228,7 +204,7 @@ func (p *partitioner) put(b *shardBatch) {
 func (p *partitioner) applyCtl(c *control) {
 	switch c.kind {
 	case ctlAdd, ctlSwap:
-		ri := &routeInfo{evalQ: c.eval}
+		ri := &routeInfo{}
 		switch placement, stateful := c.eval.Placement(), c.eval.Stateful(); {
 		case placement == engine.PlaceByGroup:
 			ri.kind = routeGroupFold
@@ -253,10 +229,9 @@ func (p *partitioner) applyCtl(c *control) {
 }
 
 // resolveSets refreshes the set cache for a hit-set layout. The variant sets
-// and key classes are the evaluation scheduler's (scheduler.Layout.Sets); the
-// router only pairs them with placements and gives each class a memo, kept
-// across layouts while the class lives. Layouts change only on registry
-// mutations, so this is never per-event work.
+// are the evaluation scheduler's (scheduler.Layout.Sets); the router only
+// pairs them with placements. Layouts change only on registry mutations, so
+// this is never per-event work.
 func (p *partitioner) resolveSets(layout *scheduler.Layout) {
 	if p.setsFor == layout {
 		return
@@ -265,16 +240,11 @@ func (p *partitioner) resolveSets(layout *scheduler.Layout) {
 	for name, slot := range layout.Slots {
 		names[slot] = name
 	}
-	memos := map[int32][]resolvedKey{}
 	p.sets = make([]routeSet, len(layout.Sets))
-	p.setOf = make([]int, len(layout.Slots))
-	p.routed = make([]uint64, len(layout.Sets))
 	for i, vs := range layout.Sets {
 		rs := &p.sets[i]
 		for _, slot := range vs.Slots {
-			p.setOf[slot] = i
 			ri := p.routes[names[slot]]
-			rs.members = append(rs.members, routeMember{slot: slot, q: ri.evalQ})
 			switch ri.kind {
 			case routeHomeFold, routeHomeHits:
 				if !slices.Contains(rs.homes, ri.home) {
@@ -287,34 +257,8 @@ func (p *partitioner) resolveSets(layout *scheduler.Layout) {
 			}
 		}
 		slices.Sort(rs.homes)
-		if vs.Class >= 0 {
-			memo, ok := memos[vs.Class]
-			if !ok {
-				if memo, ok = p.memos[vs.Class]; !ok {
-					memo = make([]resolvedKey, len(rs.members[0].q.Patterns()))
-				}
-				memos[vs.Class] = memo
-			}
-			rs.memo = memo
-		}
 	}
-	p.memos = memos
 	p.setsFor = layout
-}
-
-// key returns the group key ev yields as a hit of pattern hi for the members
-// of set rs and every other set of its key class, evaluating and hashing it
-// the first time the current event asks.
-//
-//saql:hotpath
-func (p *partitioner) key(rs *routeSet, hi int, ev *event.Event) *resolvedKey {
-	k := &rs.memo[hi]
-	if k.seq != p.seq {
-		key, err := rs.members[0].q.HitKey(hi, ev)
-		*k = resolvedKey{seq: p.seq, key: key, hash: hashString(key), failed: err != nil}
-		p.keyEvals.Add(1)
-	}
-	return k
 }
 
 // emit appends op to shard i's entry for the current event, opening the entry
@@ -337,48 +281,10 @@ func (p *partitioner) emit(i int, ev *event.Event, wm int64, hasWM bool, op sche
 	b.entries[len(b.entries)-1].n++
 }
 
-// foldOp is the op a hit of pattern hi becomes for a stateful set on the
-// shard owning its key k.
-//
-//saql:hotpath
-func foldOp(set, hi int, k *resolvedKey) scheduler.Op {
-	if k.failed {
-		return scheduler.Op{Kind: scheduler.OpKeyErr, Set: int32(set), Pat: uint8(hi)}
-	}
-	return scheduler.Op{Kind: scheduler.OpFold, Set: int32(set), Pat: uint8(hi), Key: k.key, Arg: uint64(k.hash)}
-}
-
-// hitsOp is the op a rule set's hit set h becomes.
-//
-//saql:hotpath
-func hitsOp(set int, h []int) scheduler.Op {
-	op := scheduler.Op{Kind: scheduler.OpHits, Set: int32(set)}
-	for _, hi := range h {
-		op.Arg |= 1 << uint(hi)
-	}
-	return op
-}
-
-// hits returns the hit set of rs: that of its first active member that has
-// one. The members' hit sets are the same slice by construction, except that
-// the evaluation leaves a paused dependent's empty; a set with no active
-// member is not routed.
-//
-//saql:hotpath
-func (rs *routeSet) hits(hs *scheduler.HitSet) []int {
-	for _, m := range rs.members {
-		if h := hs.Hits[m.slot]; len(h) > 0 && !m.q.Paused() {
-			return h
-		}
-	}
-	return nil
-}
-
-// routeEvent resolves one evaluated event into ops on the per-shard slabs it
-// needs to reach, once per variant set: at the first of the set's slots that
-// holds hits, so an entry's ops come grouped by set. Events that matched
-// nothing buffer nowhere: the next flush's batch watermark is all any shard
-// needs from them.
+// routeEvent routes one evaluated event's resolved sets (HitSet.Sets) into
+// ops on the per-shard slabs they need to reach, set by set, so an entry's
+// ops come grouped by set. Events that matched nothing buffer nowhere: the
+// next flush's batch watermark is all any shard needs from them.
 //
 //saql:hotpath
 func (p *partitioner) routeEvent(ev *event.Event, hs *scheduler.HitSet) {
@@ -394,49 +300,36 @@ func (p *partitioner) routeEvent(ev *event.Event, hs *scheduler.HitSet) {
 	p.resolveSets(hs.Layout)
 	p.seq++
 	eventOwner := -2 // by-event owner shard: -2 not yet hashed, -1 another worker's
-	for slot, h := range hs.Hits {
-		if len(h) == 0 {
-			continue
-		}
-		si := p.setOf[slot]
-		if p.routed[si] == p.seq {
-			continue // routed at an earlier member's slot
-		}
-		p.routed[si] = p.seq
-		rs := &p.sets[si]
-		if rs.kind == routeNowhere {
-			continue
-		}
-		if h = rs.hits(hs); len(h) == 0 {
-			continue
-		}
-		switch rs.kind {
+	for k := range hs.Sets {
+		sh := &hs.Sets[k]
+		switch rs := &p.sets[sh.Set]; rs.kind {
 		case routeGroupFold:
 			p.mark++
-			for _, hi := range h {
+			for j := range sh.Hits {
 				// A key the cluster-level Owns filter gives to another worker
 				// folds on no local shard; the local replicas still touch.
-				if k := p.key(rs, hi, ev); p.owns == nil || p.owns(k.hash) {
-					i := int(k.hash % uint32(p.n))
-					p.emit(i, ev, wm, hasWM, foldOp(si, hi, k))
+				if h := sh.Keys[j].Hash; p.owns == nil || p.owns(h) {
+					i := int(h % uint32(p.n))
+					p.emit(i, ev, wm, hasWM, sh.FoldOp(j))
 					p.folded[i] = p.mark
 				}
 			}
 			for i := range p.folded {
 				if p.folded[i] != p.mark {
-					p.emit(i, ev, wm, hasWM, scheduler.Op{Kind: scheduler.OpTouch, Set: int32(si)})
+					p.emit(i, ev, wm, hasWM, scheduler.Op{Kind: scheduler.OpTouch, Set: sh.Set})
 				}
 			}
 		case routeHomeFold:
-			for _, hi := range h {
-				k := p.key(rs, hi, ev)
+			for j := range sh.Hits {
+				op := sh.FoldOp(j)
 				for _, home := range rs.homes {
-					p.emit(home, ev, wm, hasWM, foldOp(si, hi, k))
+					p.emit(home, ev, wm, hasWM, op)
 				}
 			}
 		case routeHomeHits:
+			op := sh.HitsOp()
 			for _, home := range rs.homes {
-				p.emit(home, ev, wm, hasWM, hitsOp(si, h))
+				p.emit(home, ev, wm, hasWM, op)
 			}
 		case routeEventHits:
 			if eventOwner == -2 {
@@ -446,7 +339,7 @@ func (p *partitioner) routeEvent(ev *event.Event, hs *scheduler.HitSet) {
 				}
 			}
 			if eventOwner >= 0 {
-				p.emit(eventOwner, ev, wm, hasWM, hitsOp(si, h))
+				p.emit(eventOwner, ev, wm, hasWM, sh.HitsOp())
 			}
 		}
 	}

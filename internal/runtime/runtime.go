@@ -4,9 +4,10 @@
 // order and pre-evaluating pattern hits once per event, N shard workers
 // each owning a private scheduler, and an alert fan-out merging every
 // shard's detections into subscriptions. Every started engine runs this one
-// pipeline — evaluate, route by ownership, fold — at every shard count; the
-// only other event path in the repo is the serial reference
-// (scheduler.Process) that conformance tests compare against.
+// pipeline — evaluate and resolve, route by ownership, fold — at every shard
+// count, and the serial reference the conformance tests compare against
+// (scheduler.Process) runs the same evaluate, resolve and fold code as one
+// shard that owns every state.
 //
 // # Shared evaluation: the router resolves, the shards fold
 //
@@ -16,13 +17,14 @@
 // each group's master pattern predicates, refined into per-dependent
 // residual hit sets — into scratch that scheduler owns: a HitSet is valid
 // until the next batch is evaluated and never leaves the routing goroutine.
-// The router resolves it on the spot into ops (scheduler.Op), one per
-// variant set (a group's master and its equal dependents of one key class and
-// placement) — for a stateful set's hit, fold(set, pattern, key) on the shard
-// owning the key, the key evaluated once per event for all the queries whose
-// key programs are the same; touch(set) on the other shards holding its
-// replicas; for a rule set, hits(set, pattern set) — and a shard is handed
-// exactly the ops it owns. Shards never evaluate a pattern predicate, a group
+// The same stage resolves it, once per variant set (a group's master and its
+// equal dependents of one key class and placement): the set's hit list and,
+// for a stateful set, each hit's group key, evaluated once per event for all
+// the queries whose key programs are the same. The router turns that into ops
+// (scheduler.Op) by ownership alone — for a stateful set's hit, fold(set,
+// pattern, key) on the shard owning the key; touch(set) on the other shards
+// holding its replicas; for a rule set, hits(set, pattern set) — and a shard
+// is handed exactly the ops it owns. Shards never evaluate a pattern predicate, a group
 // key or an ownership hash: scheduler.Apply hands a stateful set's ops to its
 // slice log, resolving a fold's key to a group id once for all the set's
 // members, and the log folds them into every member when the watermark — the
@@ -203,15 +205,14 @@ type control struct {
 	// The router stamps the stream offset (events routed before this
 	// control) here before broadcasting; the coordinator reads it after
 	// collecting the acks, so the write happens-before the read. For
-	// ctlCheckpoint it is the barrier's journal position; for every kind
-	// that starts, pauses or reads a query's events-offered counter it is
-	// the stream point that counter is derived from (see offered).
+	// ctlCheckpoint it is the barrier's journal position.
 	offset int64
-	// ctlCheckpoint: every query's events-offered accounting as of this
-	// control. Shards stamp offered.at(offset) onto their replicas before
-	// encoding them, so a snapshot carries the count the serial engine's
-	// per-query counter would hold at the barrier.
-	offered map[string]offered
+	// ctlStats, ctlCheckpoint: every query's events-offered counter at this
+	// control, read off the evaluation scheduler by the router
+	// (scheduler.EventsOffered). At a checkpoint the shards stamp it onto
+	// their replicas before encoding them, so a snapshot carries the count the
+	// serial engine's per-query counter would hold at the barrier.
+	offered map[string]int64
 
 	ack chan ctlResult
 }
@@ -230,43 +231,6 @@ type queryInfo struct {
 	name      string
 	placement engine.Placement
 	replicas  []*engine.Query // indexed by shard; nil where absent
-	offered   offered
-}
-
-// offered derives a query's events-offered counter from router stream
-// offsets. No replica is offered every event — each shard receives only what
-// it owns — but every control envelope is stamped with the offset at which
-// it passed the router, so the counter is the events routed since the query
-// was installed, minus the spans it spent paused, plus whatever it had
-// already counted before (a serial warm-up, a restored snapshot): exactly
-// what the serial engine's per-query counter reads at the same stream point.
-// Guarded by Runtime.mu.
-type offered struct {
-	anchor   int64 // events offered = offset − anchor while active
-	pausedAt int64 // offset of the pause control; meaningful while paused
-	paused   bool
-}
-
-// at reports the counter at a stream offset.
-func (o offered) at(offset int64) int64 {
-	if o.paused {
-		offset = o.pausedAt
-	}
-	return offset - o.anchor
-}
-
-// setPaused records a pause or resume control that passed the router at
-// offset: a paused span contributes nothing to the counter.
-func (o *offered) setPaused(paused bool, offset int64) {
-	switch {
-	case paused == o.paused:
-		return
-	case paused:
-		o.pausedAt = offset
-	default:
-		o.anchor += offset - o.pausedAt
-	}
-	o.paused = paused
 }
 
 // Start spins up the runtime: one router plus cfg.Shards workers.
@@ -429,8 +393,7 @@ func (r *Runtime) route(env envelope) {
 		r.part.flushAll()
 		// The control's stream offset: for checkpoints, the barrier
 		// position (every event routed before this envelope, and only
-		// those, is covered by the snapshot); for the rest, the point the
-		// events-offered counters are read or re-anchored at.
+		// those, is covered by the snapshot).
 		env.ctl.offset = r.cfg.BaseOffset + r.routed
 		r.applyEval(env.ctl)
 		r.broadcast(env)
@@ -457,13 +420,18 @@ func (r *Runtime) applyEval(c *control) {
 	case ctlRemove:
 		r.evalSched.Remove(c.name)
 	case ctlSwap:
-		// Evaluation replicas hold no window state: never carry.
-		_ = r.evalSched.Swap(c.name, c.eval, false)
+		// An evaluation replica holds no window state; a carrying swap hands
+		// the old one's counters on, its events-offered count among them.
+		_ = r.evalSched.Swap(c.name, c.eval, c.carry)
 	case ctlPause:
 		// Pause must reach the evaluation scheduler too: a fully paused
 		// group stops being evaluated (and counted) at the same stream
 		// point where the shards stop ingesting it.
 		r.evalSched.SetPaused(c.name, c.paused)
+	case ctlStats, ctlCheckpoint:
+		// No replica is offered every event: the evaluation scheduler counts
+		// the events offered to each query, read at this stream point.
+		c.offered = r.evalSched.EventsOffered()
 	}
 }
 
@@ -528,9 +496,9 @@ func (s *shard) apply(c *control, fan *AlertFanout) {
 		// fully folded into this shard's state, nothing after it has been
 		// touched. Encoding is the deep copy — the shard resumes mutating
 		// its state the moment the ack is sent.
-		for name, o := range c.offered {
+		for name, n := range c.offered {
 			if q, ok := s.sched.Query(name); ok {
-				q.SetEventsOffered(o.at(c.offset))
+				q.SetEventsOffered(n)
 			}
 		}
 		res.states, _, res.err = s.sched.CaptureStates()
@@ -693,19 +661,21 @@ func (r *Runtime) install(kind ctlKind, primary *engine.Query, clone func() (*en
 	name := primary.Name
 	// Read before the control hands primary to its shard worker. A primary
 	// that already counted events (a serial warm-up or a restored snapshot)
-	// keeps them — the events-offered counter is anchored so it resumes there
-	// — and reading them folds what its serial slice log still holds.
-	counted, paused := primary.Stats().Events, primary.Paused()
+	// is warm, and its events-offered counter resumes there — reading them
+	// folds what its serial slice log still holds.
+	counted := primary.Stats().Events
 	replicas, err := r.buildReplicas(primary, clone, pinnedHome, counted > 0)
 	if err != nil {
 		return err
 	}
 	// The router's evaluation scheduler needs its own replica: shard
-	// replicas carry ownership filters and are worker-confined.
+	// replicas carry ownership filters and are worker-confined. It is the
+	// one that counts the events offered to the query, from counted on.
 	evalQ, err := clone()
 	if err != nil {
 		return err
 	}
+	evalQ.SetEventsOffered(counted)
 	c := &control{kind: kind, name: name, replicas: replicas, eval: evalQ, carry: carry}
 	results, err := r.control(c)
 	if err != nil {
@@ -721,11 +691,7 @@ func (r *Runtime) install(kind ctlKind, primary *engine.Query, clone func() (*en
 			return res.err
 		}
 	}
-	o := offered{anchor: c.offset - counted, pausedAt: c.offset, paused: paused}
-	if old := r.queries[name]; old != nil && carry {
-		o = old.offered // engine.CarryStateFrom carries the counters too
-	}
-	r.queries[name] = &queryInfo{name: name, placement: primary.Placement(), replicas: replicas, offered: o}
+	r.queries[name] = &queryInfo{name: name, placement: primary.Placement(), replicas: replicas}
 	return nil
 }
 
@@ -734,16 +700,13 @@ func (r *Runtime) install(kind ctlKind, primary *engine.Query, clone func() (*en
 func (r *Runtime) Pause(name string, paused bool) (bool, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	qi, ok := r.queries[name]
-	if !ok {
+	if _, ok := r.queries[name]; !ok {
 		return false, nil
 	}
-	c := &control{kind: ctlPause, name: name, paused: paused}
-	results, err := r.control(c)
+	results, err := r.control(&control{kind: ctlPause, name: name, paused: paused})
 	if err != nil {
 		return false, err
 	}
-	qi.offered.setPaused(paused, c.offset)
 	for _, res := range results {
 		if res.found {
 			return true, nil
@@ -786,10 +749,10 @@ func (r *Runtime) Placement(name string) (engine.Placement, bool) {
 // QueryStats aggregates a query's runtime counters across its replicas.
 // Windows closed aggregates by max (replicas observe identical window
 // cadence); disjoint counters (hits, matches, alerts) sum. No replica is
-// offered every event, so events-offered is derived from the router's stream
-// offsets (events routed while the query was registered and not paused, see
-// offered) rather than any replica's counter. It keeps working after Close
-// (counters freeze at their final values).
+// offered every event, so events-offered is the evaluation scheduler's count
+// at the same stream point (scheduler.EventsOffered) rather than any
+// replica's. It keeps working after Close (counters freeze at their final
+// values).
 func (r *Runtime) QueryStats(name string) (engine.QueryStats, bool) {
 	r.mu.Lock()
 	qi, ok := r.queries[name]
@@ -799,17 +762,18 @@ func (r *Runtime) QueryStats(name string) (engine.QueryStats, bool) {
 	}
 	c := &control{kind: ctlStats, name: name}
 	results, err := r.control(c)
-	o, offset := qi.offered, c.offset
+	offered := c.offered
 	r.mu.Unlock()
 	if err != nil {
-		// Runtime closed: once the drain finishes the workers are gone, so
-		// the worker-confined replicas (and the routing goroutine's final
-		// offset) can be read directly. Close takes r.mu, so the wait runs
-		// without it; the reads take it again, because reading a replica
-		// settles its slice log and concurrent readers must not share that.
+		// Runtime closed: once the drain finishes the workers and the
+		// routing goroutine are gone, so the worker-confined replicas and the
+		// evaluation scheduler can be read directly. Close takes r.mu, so the
+		// wait runs without it; the reads take it again, because reading a
+		// replica settles its slice log and concurrent readers must not share
+		// that.
 		<-r.done
 		r.mu.Lock()
-		offset = r.cfg.BaseOffset + r.routed
+		offered = r.evalSched.EventsOffered()
 		results = results[:0]
 		for i, q := range qi.replicas {
 			if q != nil {
@@ -842,7 +806,7 @@ func (r *Runtime) QueryStats(name string) (engine.QueryStats, bool) {
 		out.StateBytes += s.StateBytes
 	}
 	if found {
-		out.Events = o.at(offset)
+		out.Events = offered[name]
 	}
 	return out, found
 }
@@ -864,19 +828,18 @@ func (r *Runtime) Flush() ([]*engine.Alert, error) {
 	return alerts, nil
 }
 
-// SchedStats reports the scheduler counters. Pattern evaluation and
-// stream-copy work happens exactly once per event in the router's shared
-// evaluation stage, so those counters come straight from the evaluation
-// scheduler, and group keys are evaluated where the router resolves hits into
-// ops (KeyEvals: once per event per hit pattern per key class — plus, on the
-// shard that reports a key that failed, the re-derivation of its error) — all
-// of them total work performed, independent of the shard count. Directory
-// probes (GroupProbes) happen on the shards that fold, at most one per event
-// per hit pattern per key class each, and alerts are raised on the shards
-// (disjointly, by state ownership); both are summed.
+// SchedStats reports the scheduler counters. Pattern evaluation, key
+// evaluation and stream-copy work happens exactly once per event in the
+// router's shared evaluation stage, so those counters come straight from the
+// evaluation scheduler (KeyEvals: once per event per hit pattern per key
+// class — plus, on the shard that reports a key that failed, the
+// re-derivation of its error) — all of them total work performed,
+// independent of the shard count. Directory probes (GroupProbes) happen on
+// the shards that fold, at most one per event per hit pattern per key class
+// each, and alerts are raised on the shards (disjointly, by state
+// ownership); both are summed.
 func (r *Runtime) SchedStats() scheduler.Stats {
 	out := r.evalSched.Stats()
-	out.KeyEvals += r.part.keyEvals.Load()
 	for _, s := range r.shards {
 		st := s.sched.Stats()
 		out.KeyEvals += st.KeyEvals

@@ -103,7 +103,7 @@ func processHits(s *Scheduler, ev *event.Event) map[string][]int {
 	s.stats.Events++
 	h := s.evaluateBatchLocked([]*event.Event{ev})[0]
 	out := byName(s.layout, h)
-	s.ingestLocked(ev, s.layout, h)
+	s.foldLocked(ev, s.resolveLocked(ev, h))
 	return out
 }
 

@@ -23,6 +23,7 @@ import (
 	"saql/internal/ast"
 	"saql/internal/engine"
 	"saql/internal/event"
+	"saql/internal/window"
 )
 
 // Stats aggregates scheduler-level accounting across all events processed.
@@ -48,15 +49,16 @@ type Stats struct {
 	NaivePatternEvals int64
 	// KeyEvals counts group-by key evaluations performed: once per event per
 	// hit pattern per key class, however many of the class's queries the hit
-	// reaches. The serial path (Process, ProcessWithHits) evaluates them in
-	// the fold, through the class's memo; a started engine in the router,
-	// while its shards evaluate only the error of a key the router found to
-	// fail (the runtime adds the router's count, see Runtime.SchedStats).
+	// reaches, in the resolve step of the evaluating scheduler (resolveLocked:
+	// serial Process, or a started engine's router) — plus, for a key that
+	// fails, the one re-derivation of its error by the fold that reports it
+	// (engine.KeyClass.Failed). Both are the same at every shard count, serial
+	// included.
 	KeyEvals int64
 	// GroupProbes counts key class directory probes: the one lookup per
 	// event per hit pattern per key class — per shard that folds it, on a
 	// started engine — that turns a key into the group id every member folds
-	// by. On the serial path it equals the successful KeyEvals.
+	// by. On the serial path it equals the keys that evaluated.
 	GroupProbes int64
 	Alerts      int64
 }
@@ -86,8 +88,8 @@ type Layout struct {
 // VariantSet is a scheduler group's master and its equal dependents — the
 // queries whose hit sets are the master's by construction — that also share
 // their key class and placement: the window-length variants an analyst keeps
-// of one detection. Every other query is a set of its own. The router
-// resolves a hit once per set, not once per member.
+// of one detection. Every other query is a set of its own. The resolve step
+// (resolveLocked) resolves a hit once per set, not once per member.
 type VariantSet struct {
 	Slots []int // the members' slots, ascending
 	// Class is the members' key class: an id the scheduler assigned at Add,
@@ -108,21 +110,67 @@ func (l *Layout) slot(name string) int {
 }
 
 // HitSet carries one event's pattern-hit sets, computed by an evaluating
-// scheduler (EvaluateBatch). Hits is indexed by Layout slot; an empty entry
-// means the query matched nothing. It lives in scratch the evaluating
-// scheduler owns and is valid only until that scheduler's next evaluation
-// (EvaluateBatch, or Process):
-// whoever resolves it — the runtime's router into ops, the benchmark's staged
-// fold through ProcessWithHits — does so before evaluating the next batch, on
-// the evaluating goroutine. Each HitSet is stamped with its batch's
-// generation, and consuming one that outlived its batch panics (AssertLive)
-// rather than folding whatever the scratch holds by then.
+// scheduler (EvaluateBatch), and their resolution. Hits is indexed by Layout
+// slot; an empty entry means the query matched nothing. Sets is the resolve
+// step's product (resolveLocked): what each variant set with an active hit
+// does with the event, the one form every consumer folds or routes. It lives
+// in scratch the evaluating scheduler owns and is valid only until that
+// scheduler's next evaluation (EvaluateBatch, or Process): whoever consumes it
+// — the runtime's router into ops by ownership, the benchmark's staged fold
+// through ProcessWithHits — does so before evaluating the next batch, on the
+// evaluating goroutine. Each HitSet is stamped with its batch's generation,
+// and consuming one that outlived its batch panics (AssertLive) rather than
+// folding whatever the scratch holds by then.
 type HitSet struct {
 	Layout *Layout
 	Hits   [][]int
+	Sets   []SetHits
 
 	gen uint64
 	cur *atomic.Uint64 // the evaluating scheduler's current generation
+}
+
+// SetHits is one variant set's share of an evaluated event (Layout.Sets[Set]):
+// its hit patterns — its first active member's, which by construction are
+// every active member's — and, for a stateful set, Keys[k], the group key of
+// Hits[k].
+type SetHits struct {
+	Set  int32
+	Hits []int
+	Keys []Key // nil for a rule set
+}
+
+// Key is a hit's group key as its key class yields it: the key, its ownership
+// hash (window.HashKey, which the class directories probe with), and whether
+// it failed to evaluate — then it is the empty key, whose owner reports the
+// failure.
+type Key struct {
+	Key    string
+	Hash   uint32
+	Failed bool
+}
+
+// FoldOp is the op hit k of a stateful set becomes where it folds: a fold
+// under its key, or the key's failure.
+//
+//saql:hotpath
+func (sh *SetHits) FoldOp(k int) Op {
+	hi, key := sh.Hits[k], &sh.Keys[k]
+	if key.Failed {
+		return Op{Kind: OpKeyErr, Set: sh.Set, Pat: uint8(hi)}
+	}
+	return Op{Kind: OpFold, Set: sh.Set, Pat: uint8(hi), Key: key.Key, Arg: uint64(key.Hash)}
+}
+
+// HitsOp is the op a rule set's hits become: their pattern set.
+//
+//saql:hotpath
+func (sh *SetHits) HitsOp() Op {
+	op := Op{Kind: OpHits, Set: sh.Set}
+	for _, hi := range sh.Hits {
+		op.Arg |= 1 << uint(hi)
+	}
+	return op
 }
 
 // AssertLive panics if the evaluating scheduler has evaluated again since h
@@ -272,6 +320,15 @@ type localSet struct {
 	slots   []int            // each member's slot; -1 for one the layout does not name
 	kc      *engine.KeyClass // nil for rule queries
 	log     *engine.SliceLog // nil for rule queries
+	// memo is the key class's resolve memo (resolveLocked), one backing array
+	// per class: by pattern, the key of the event last resolved.
+	memo []memoKey
+}
+
+// memoKey is one pattern's key for the event the resolve step numbered seq.
+type memoKey struct {
+	seq uint64
+	key Key
 }
 
 // Scheduler routes events to query groups.
@@ -322,11 +379,22 @@ type Scheduler struct {
 	sets    []localSet
 	keyed   map[int32]*engine.KeyClass
 	retired Stats
+	// setOf maps a slot of the resolved layout to its set's index, and
+	// resolvedAt[set] is the resolve step's number of the last event it
+	// resolved the set for.
+	setOf      []int32
+	resolvedAt []uint64
 	// seq numbers the events this scheduler folds: a key class memo is
 	// current for the event whose number it holds.
 	seq uint64
-	// hitScratch is where Apply expands an OpHits pattern set, reused.
+	// offered holds each registered query's events-offered count as of the
+	// stream position (stats.Events) it was last brought up to
+	// (offeredLocked).
+	offered map[string]counted
+	// hitScratch is where applySet expands an OpHits pattern set, and ops
+	// where the serial fold builds a set's ops; both reused.
 	hitScratch []int
+	ops        []Op
 	// batch is the evaluator's scratch: what EvaluateBatch returns, and the
 	// slot table Process folds, live here until the next evaluation.
 	batch batchScratch
@@ -343,6 +411,7 @@ func New(reporter *engine.ErrorReporter, sharing bool) *Scheduler {
 		queries:  map[string]*engine.Query{},
 		classOf:  map[string]int32{},
 		keyed:    map[int32]*engine.KeyClass{},
+		offered:  map[string]counted{},
 		reporter: reporter,
 		sharing:  sharing,
 	}
@@ -351,18 +420,27 @@ func New(reporter *engine.ErrorReporter, sharing bool) *Scheduler {
 }
 
 // Add registers a compiled query, assigning it to a compatible group or
-// creating a new one.
+// creating a new one. Its events-offered counter goes on from what it has
+// counted (offeredLocked).
 func (s *Scheduler) Add(q *engine.Query) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, dup := s.queries[q.Name]; dup {
 		return fmt.Errorf("scheduler: duplicate query name %q", q.Name)
 	}
+	s.registerLocked(q)
+	return nil
+}
+
+// registerLocked enters q, a name not registered, into the registry, its key
+// class and a group, with its events-offered counter current. The caller
+// holds s.mu.
+func (s *Scheduler) registerLocked(q *engine.Query) {
 	s.queries[q.Name] = q
+	s.offered[q.Name] = counted{n: q.Stats().Events, at: s.stats.Events}
 	s.classifyLocked(q)
 	s.addLocked(q)
 	s.invalidateLayoutLocked()
-	return nil
 }
 
 // classifyLocked assigns a stateful query its key class: the first live class
@@ -439,6 +517,7 @@ func (s *Scheduler) removeLocked(name string) bool {
 		return false
 	}
 	delete(s.queries, name)
+	delete(s.offered, name)
 	s.declassifyLocked(name)
 	for gi, g := range s.groups {
 		if g.master.Name == name {
@@ -510,14 +589,18 @@ func (s *Scheduler) addLocked(q *engine.Query) {
 // must carry the same name): alert-for-alert it is Remove(name) followed by
 // Add(q), executed under one lock hold so no event can be processed between
 // the two halves. When carry is set and the old query exists, q adopts the
-// old query's sliding-window state first (the caller has verified
-// CanCarryStateFrom). Group membership is recomputed: the new query joins
-// whichever master–dependent group its constraints now place it in.
+// old query's sliding-window state and counters first, its events-offered
+// count brought up to the swap (the caller has verified CanCarryStateFrom).
+// Group membership is recomputed: the new query joins whichever
+// master–dependent group its constraints now place it in.
 func (s *Scheduler) Swap(name string, q *engine.Query, carry bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	old := s.queries[name]
 	if old != nil {
+		if carry {
+			s.offeredLocked(old)
+		}
 		s.removeLocked(name)
 	}
 	if _, dup := s.queries[q.Name]; dup {
@@ -527,10 +610,7 @@ func (s *Scheduler) Swap(name string, q *engine.Query, carry bool) error {
 	if carry && old != nil {
 		q.CarryStateFrom(old)
 	}
-	s.queries[q.Name] = q
-	s.classifyLocked(q)
-	s.addLocked(q)
-	s.invalidateLayoutLocked()
+	s.registerLocked(q)
 	return nil
 }
 
@@ -663,12 +743,15 @@ func (s *Scheduler) resolveSlotsLocked(target *Layout) {
 		}
 	}
 	s.sets = make([]localSet, len(sets), len(sets)+len(unnamed))
+	s.setOf, s.resolvedAt = make([]int32, n), make([]uint64, len(sets))
 	keyed := map[int32]*engine.KeyClass{}
 	var order []int32 // classes in first-set order
 	logs := map[int32][]*engine.SliceLog{}
+	memos := map[int32][]memoKey{}
 	for i, vs := range sets {
 		ls := &s.sets[i]
 		for _, slot := range vs.Slots {
+			s.setOf[slot] = int32(i)
 			if q := s.bySlot[slot]; q != nil {
 				ls.members = append(ls.members, q)
 				ls.slots = append(ls.slots, slot)
@@ -683,9 +766,10 @@ func (s *Scheduler) resolveSlotsLocked(target *Layout) {
 				kc = engine.NewKeyClass()
 			}
 			keyed[vs.Class] = kc
+			memos[vs.Class] = make([]memoKey, len(ls.members[0].Patterns()))
 			order = append(order, vs.Class)
 		}
-		ls.kc, ls.log = kc, engine.NewSliceLog(ls.members, kc, s.report)
+		ls.kc, ls.log, ls.memo = kc, engine.NewSliceLog(ls.members, kc, s.report), memos[vs.Class]
 		logs[vs.Class] = append(logs[vs.Class], ls.log)
 	}
 	for _, id := range order {
@@ -715,7 +799,8 @@ func (s *Scheduler) resolveSlotsLocked(target *Layout) {
 // SetPaused marks a registered query paused or active, reporting whether the
 // name was found. The flag flips under the scheduler lock, so it takes
 // effect between events — never mid-ingest — and between two seals of the
-// query's slice log (engine.Query.SetPaused).
+// query's slice log (engine.Query.SetPaused), once its events-offered counter
+// is brought up to the stream: a paused span counts nothing.
 func (s *Scheduler) SetPaused(name string, paused bool) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -723,6 +808,7 @@ func (s *Scheduler) SetPaused(name string, paused bool) bool {
 	if !ok {
 		return false
 	}
+	s.offeredLocked(q)
 	q.SetPaused(paused)
 	if s.layout != nil {
 		s.planLocked()
@@ -757,7 +843,8 @@ func (s *Scheduler) Query(name string) (*engine.Query, bool) {
 }
 
 // QueryStats returns the registered query's counters, with its live state's
-// size (StateBytes), under the scheduler lock: reading them folds what the
+// size (StateBytes) and its events-offered counter brought up to the stream
+// (offeredLocked), under the scheduler lock: reading them folds what the
 // query's slice log holds, which must not interleave with Process.
 func (s *Scheduler) QueryStats(name string) (engine.QueryStats, bool) {
 	s.mu.Lock()
@@ -766,9 +853,50 @@ func (s *Scheduler) QueryStats(name string) (engine.QueryStats, bool) {
 	if !ok {
 		return engine.QueryStats{}, false
 	}
+	s.offeredLocked(q)
 	st := q.Stats()
 	st.StateBytes = q.StateBytes()
 	return st, true
+}
+
+// EventsOffered brings every registered query's events-offered counter up to
+// the stream (offeredLocked) and reports them by name: where the events are
+// evaluated is the one place that sees them all, so a started engine reads
+// them off its router's scheduler at a control point, and a never-started
+// engine's queries carry them into Start.
+func (s *Scheduler) EventsOffered() map[string]int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make(map[string]int64, len(s.queries))
+	for name, q := range s.queries {
+		out[name] = s.offeredLocked(q)
+	}
+	return out
+}
+
+// counted is a query's events-offered count n as of stream position at.
+type counted struct{ n, at int64 }
+
+// offeredLocked brings q's events-offered counter (QueryStats.Events) up to
+// this scheduler's stream and returns it. No fold sees every event offered to
+// a query — a shard sees only what it owns, and a fold visits only the sets
+// an event hits — so the scheduler that evaluates derives it: every event it
+// evaluated since the count was last brought up was offered to q unless q was
+// paused, and a pause changes only through SetPaused, which brings the count
+// up first. The count starts from what the query had counted when it was
+// registered (a serial warm-up, a restored blob, a carrying Swap), and takes
+// the query's own counter where that is ahead — a blob merged into it by
+// RestoreState — since the rule fold counts only the events it is handed.
+// The caller holds s.mu.
+func (s *Scheduler) offeredLocked(q *engine.Query) int64 {
+	c := s.offered[q.Name]
+	if !q.Paused() {
+		c.n += s.stats.Events - c.at
+	}
+	c.n, c.at = max(c.n, q.Stats().Events), s.stats.Events
+	s.offered[q.Name] = c
+	q.SetEventsOffered(c.n)
+	return c.n
 }
 
 // QueryCount reports the number of registered queries.
@@ -786,16 +914,16 @@ func (s *Scheduler) GroupCount() int {
 }
 
 // Process feeds one event through every group and returns all alerts
-// raised: the serial reference path — evaluate, then fold into every active
-// query, under one lock hold — that the routed pipeline is tested against.
-// It evaluates through the router's evaluator, evaluateBatchLocked, on a
-// batch of one, and folds the event's slot table before anything reuses it.
+// raised: the serial reference — evaluate, resolve, fold, under one lock hold
+// — that every started engine is tested against. It is one shard that owns
+// all state and sees every event: the router's evaluator on a batch of one
+// (evaluateBatchLocked), the router's resolve step (resolveLocked), and the
+// shard's fold (foldLocked, through applySet).
 func (s *Scheduler) Process(ev *event.Event) []*engine.Alert {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.stats.Events++
-	hits := s.evaluateBatchLocked([]*event.Event{ev})[0]
-	return s.ingestLocked(ev, s.layout, hits)
+	return s.foldLocked(ev, s.resolveLocked(ev, s.evaluateBatchLocked([]*event.Event{ev})[0]))
 }
 
 // batchScratch is the evaluator's memory, reused by the next evaluation: a
@@ -819,6 +947,12 @@ type batchScratch struct {
 	tbl    [][]int   // the slot tables, carved nSlots at a time
 	free   [][]int   // what this evaluation has not carved of tbl
 	hits   []int     // every hit set of the batch, back to back
+	// The resolve step's product (resolveLocked): every event's resolved sets
+	// and their keys, back to back, and the number of the event the key
+	// memos were last stamped for.
+	sets    []SetHits
+	setKeys []Key
+	seq     uint64
 
 	master   [][]int  // the current group's master hits per event
 	masks    []uint64 // its per-event pattern bitmasks
@@ -959,9 +1093,11 @@ func pos(at []int32, k int) int {
 
 // EvaluateBatch computes the shard-agnostic half of Process for a whole
 // submission batch under one lock hold: every group's master pattern hits
-// (once), refined into per-dependent residual hit sets. It mutates no query
-// state — only the sharing counters. It returns one HitSet per event, nil
-// where nothing matched (consumers treat a nil HitSet as all-empty).
+// (once), refined into per-dependent residual hit sets, and resolved per
+// variant set with their group keys (resolveLocked). It mutates no query
+// state — only the scheduler's counters and key memos. It returns one HitSet
+// per event, nil where nothing matched (consumers treat a nil HitSet as
+// all-empty).
 //
 // Lifetime: the returned slice, the HitSets and every hit slice in them live
 // in scratch this scheduler owns and are valid until its next evaluation —
@@ -994,7 +1130,7 @@ func (s *Scheduler) EvaluateBatch(evs []*event.Event) []*HitSet {
 	for i, t := range tables {
 		out[i] = nil
 		if t != nil {
-			sets = append(sets, HitSet{Layout: s.layout, Hits: t, gen: gen, cur: &b.gen})
+			sets = append(sets, HitSet{Layout: s.layout, Hits: t, Sets: s.resolveLocked(evs[i], t), gen: gen, cur: &b.gen})
 			out[i] = &sets[len(sets)-1]
 		}
 	}
@@ -1045,6 +1181,7 @@ func (s *Scheduler) evaluateBatchLocked(evs []*event.Event) [][][]int {
 	b.tables = grown(b.tables, n)
 	clear(b.tables)
 	b.nSlots, b.free, b.hits = len(s.layout.Slots), b.tbl, b.hits[:0]
+	b.sets, b.setKeys = b.sets[:0], b.setKeys[:0]
 	b.master = grown(b.master, n)
 	b.masks = grown(b.masks, n)
 	b.globalOK = grown(b.globalOK, n)
@@ -1134,83 +1271,120 @@ func (s *Scheduler) sweepLocked(g *group, evs []*event.Event, at []int32) int64 
 	return evals
 }
 
-// ProcessWithHits is the ingestion half of Process: it folds one event into
-// every active query's state using hit sets computed elsewhere (by an
-// evaluating scheduler over replicas of the same queries, at the same point
-// of the same total event order). Queries absent from the HitSet's layout
-// ingest with no hits. hs must still be live — consumed before the evaluating
-// scheduler's next EvaluateBatch — or the call panics. No engine path calls
-// it: the repo benchmark's staged replica (bench/staged.go) times the fold
-// layer on its own through it.
+// ProcessWithHits is the fold half of Process: it folds one event into every
+// active query through the sets an evaluating scheduler resolved for it
+// (HitSet.Sets, over replicas of the same queries at the same point of the
+// same total event order), by the code Process and a shard fold with. Queries
+// absent from the HitSet's layout only observe the event's time. hs must
+// still be live — consumed before the evaluating scheduler's next
+// EvaluateBatch — or the call panics. No engine path calls it: the repo
+// benchmark's staged replica (bench/staged.go) times the fold layer on its
+// own through it.
 func (s *Scheduler) ProcessWithHits(ev *event.Event, hs *HitSet) []*engine.Alert {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.stats.Events++
 	if hs == nil {
-		return s.ingestLocked(ev, nil, nil)
+		if !s.resolved {
+			s.resolveSlotsLocked(nil)
+		}
+		return s.foldLocked(ev, nil)
 	}
 	hs.AssertLive()
-	return s.ingestLocked(ev, hs.Layout, hs.Hits)
+	s.resolveSlotsLocked(hs.Layout)
+	return s.foldLocked(ev, hs.Sets)
 }
 
-// ingestLocked folds ev into every active query using the per-slot hit
-// sets (hits may be nil: no query matched), set by set. Every active query
-// observes the event even with no hits — stateful queries must observe the
-// watermark so windows close on time. A rule set's members each ingest their
-// hits; a stateful set offers the event to its slice log, which keys the hits
-// through the set's key class (one evaluation and one probe per event per
-// pattern per class), logs them, and seals when the event's time reaches the
-// end of the slice. The caller holds s.mu.
+// resolveLocked is the resolve step of an evaluated event — t, its slot
+// table, nil where nothing matched — for every consumer alike: the router
+// routes what it returns by ownership, and serial Process and ProcessWithHits
+// fold it (foldLocked). For each variant set with an active hit, at the
+// first of its slots that holds hits, it gives the set's hit list — its
+// first active member's: the evaluation leaves a paused dependent's empty —
+// and, for a stateful set, each hit pattern's key, hash
+// and failure, evaluated once per event per pattern per key class on a
+// member's key programs, through the class's memo, and counted in KeyEvals.
+// The result is carved from s.batch like the slot table, and dies with it.
+// The caller holds s.mu and has evaluated under the current layout.
 //
 //saql:hotpath
-func (s *Scheduler) ingestLocked(ev *event.Event, layout *Layout, hits [][]int) []*engine.Alert {
-	if hits != nil || !s.resolved {
-		s.resolveSlotsLocked(layout)
-	}
-	s.seq++
-	var alerts []*engine.Alert
-	for i := range s.sets {
-		ls := &s.sets[i]
-		if ls.log == nil {
-			for k, q := range ls.members {
-				if !q.Paused() {
-					alerts = append(alerts, q.Ingest(ev, slotHits(hits, ls.slots[k]), s.report)...)
-				}
-			}
-			continue
-		}
-		if ls.log.Idle() {
-			continue
-		}
-		alerts = append(alerts, ls.log.Offer(s.seq, ev, ls.hits(hits))...)
-	}
-	s.stats.Alerts += int64(len(alerts))
-	return alerts
-}
-
-// hits returns a stateful set's hit set in hits: its first active member's.
-// The members' hit sets are one slice by construction, except that the
-// evaluation leaves a paused dependent's empty.
-//
-//saql:hotpath
-func (ls *localSet) hits(hits [][]int) []int {
-	for k, q := range ls.members {
-		if !q.Paused() {
-			return slotHits(hits, ls.slots[k])
-		}
-	}
-	return nil
-}
-
-// slotHits returns slot's hit set in hits: none for a slot hits does not
-// cover.
-//
-//saql:hotpath
-func slotHits(hits [][]int, slot int) []int {
-	if slot < 0 || slot >= len(hits) {
+func (s *Scheduler) resolveLocked(ev *event.Event, t [][]int) []SetHits {
+	if t == nil {
 		return nil
 	}
-	return hits[slot]
+	b := &s.batch
+	b.seq++
+	start := len(b.sets)
+	for slot, h := range t {
+		if len(h) == 0 {
+			continue
+		}
+		i := s.setOf[slot]
+		if s.resolvedAt[i] == b.seq {
+			continue // resolved at an earlier member's slot
+		}
+		s.resolvedAt[i] = b.seq
+		ls := &s.sets[i]
+		h = nil
+		for k, q := range ls.members {
+			if !q.Paused() {
+				h = t[ls.slots[k]]
+				break
+			}
+		}
+		if len(h) == 0 {
+			continue
+		}
+		sh := SetHits{Set: i, Hits: h}
+		if ls.memo != nil {
+			first := len(b.setKeys)
+			for _, hi := range h {
+				m := &ls.memo[hi]
+				if m.seq != b.seq {
+					key, err := ls.members[0].HitKey(hi, ev)
+					*m = memoKey{seq: b.seq, key: Key{Key: key, Hash: window.HashKey(key), Failed: err != nil}}
+					s.stats.KeyEvals++
+				}
+				b.setKeys = append(b.setKeys, m.key)
+			}
+			sh.Keys = b.setKeys[first:len(b.setKeys):len(b.setKeys)]
+		}
+		b.sets = append(b.sets, sh)
+	}
+	if len(b.sets) == start {
+		return nil
+	}
+	return b.sets[start:len(b.sets):len(b.sets)]
+}
+
+// foldLocked folds one event the way a shard folds what it owns, as the one
+// shard that owns everything: each resolved set's hits become the ops a
+// router would hand it — per hit of a stateful set a fold under its key or
+// the key's failure, a rule set's hits one hits op — run through applySet
+// with no stamped watermark; then every active stateful set observes the
+// event's own time, the serial engine's per-query watermark. The caller holds
+// s.mu and has resolved the slots against the sets' layout.
+//
+//saql:hotpath
+func (s *Scheduler) foldLocked(ev *event.Event, sets []SetHits) []*engine.Alert {
+	s.seq++
+	var alerts []*engine.Alert
+	for k := range sets {
+		sh := &sets[k]
+		ops := s.ops[:0]
+		if sh.Keys == nil {
+			ops = append(ops, sh.HitsOp())
+		} else {
+			for j := range sh.Hits {
+				ops = append(ops, sh.FoldOp(j))
+			}
+		}
+		s.ops = ops
+		alerts = s.applySet(&s.sets[sh.Set], ev, time.Time{}, false, ops, alerts)
+	}
+	alerts = s.advanceLocked(ev.Time, alerts)
+	s.stats.Alerts += int64(len(alerts))
+	return alerts
 }
 
 // Apply executes one routed entry: the ops the router resolved for ev on this
@@ -1301,13 +1475,21 @@ func (s *Scheduler) AdvanceAll(wm time.Time) []*engine.Alert {
 	if !s.resolved {
 		s.resolveSlotsLocked(nil)
 	}
-	var alerts []*engine.Alert
+	alerts := s.advanceLocked(wm, nil)
+	s.stats.Alerts += int64(len(alerts))
+	return alerts
+}
+
+// advanceLocked has every active stateful set observe t, appending the alerts
+// of the windows their members then close. The caller holds s.mu.
+//
+//saql:hotpath
+func (s *Scheduler) advanceLocked(t time.Time, alerts []*engine.Alert) []*engine.Alert {
 	for i := range s.sets {
 		if l := s.sets[i].log; l != nil && !l.Idle() {
-			alerts = append(alerts, l.Advance(wm)...)
+			alerts = append(alerts, l.Advance(t)...)
 		}
 	}
-	s.stats.Alerts += int64(len(alerts))
 	return alerts
 }
 
@@ -1344,7 +1526,8 @@ func (s *Scheduler) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := s.stats
-	out.KeyEvals, out.GroupProbes = s.retired.KeyEvals, s.retired.GroupProbes
+	out.KeyEvals += s.retired.KeyEvals
+	out.GroupProbes += s.retired.GroupProbes
 	for _, kc := range s.keyed {
 		out.KeyEvals += kc.KeyEvals
 		out.GroupProbes += kc.Probes

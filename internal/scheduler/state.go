@@ -14,13 +14,15 @@ import "fmt"
 // by query name, and reports how many events this scheduler had processed at
 // the cut. It runs under the scheduler lock: the capture is a consistent cut
 // between two events — each query settles its slice log as it encodes, so it
-// is byte for byte what folding hit by hit would have left — and the event
-// count is exact for that cut (the serial engine's stream offset).
+// is byte for byte what folding hit by hit would have left, and carries its
+// events-offered counter brought up to the cut — and the event count is exact
+// for that cut (the serial engine's stream offset).
 func (s *Scheduler) CaptureStates() (map[string][]byte, int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make(map[string][]byte, len(s.queries))
 	for name, q := range s.queries {
+		s.offeredLocked(q)
 		blob, err := q.EncodeState()
 		if err != nil {
 			return nil, 0, fmt.Errorf("scheduler: capture %q: %w", name, err)

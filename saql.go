@@ -108,12 +108,14 @@ type Stats struct {
 	NaivePatternEvals int64
 	// KeyEvals counts group-by key evaluations performed: one per event per
 	// hit pattern for all the queries whose group-by compiles to the same key
-	// programs (a key class), at any shard count — in the fold of a
-	// never-started engine, in the router of a running one.
+	// programs (a key class), at any shard count, in the resolve step of the
+	// evaluating scheduler (a never-started engine's, or a running one's
+	// router) — plus, for a key that fails, the one re-derivation of its
+	// error by the fold that reports it.
 	KeyEvals int64
 	// GroupProbes counts key class directory probes, each turning a key into
-	// the group id every member of the class folds by: one per successful key
-	// evaluation on a never-started engine, at most one per event per hit
+	// the group id every member of the class folds by: one per key that
+	// evaluated on a never-started engine, at most one per event per hit
 	// pattern per key class per shard on a running one.
 	GroupProbes int64
 	// Dropped counts the events the engine refused: those its tenants'
@@ -415,6 +417,9 @@ func (e *Engine) Start(ctx context.Context) error {
 		rtCfg.BaseOffset = base + e.sched.Stats().Events
 	}
 	rt := runtime.Start(rtCfg)
+	// Bring every serial query's events-offered counter up to the stream: a
+	// warm primary hands its count on to the runtime.
+	e.sched.EventsOffered()
 	// Distribute the already-registered queries in name order so pinned
 	// home-shard assignment is deterministic. The primary replicas carry
 	// their pause flags; cloneFor stamps them onto the extra replicas.

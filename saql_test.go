@@ -11,6 +11,7 @@ import (
 
 	"saql/internal/baseline"
 	"saql/internal/engine"
+	"saql/internal/scheduler"
 )
 
 var demoStart = time.Date(2020, 2, 27, 9, 0, 0, 0, time.UTC)
@@ -19,6 +20,18 @@ var demoStart = time.Date(2020, 2, 27, 9, 0, 0, 0, time.UTC)
 // any engine.
 func compileQuery(name, src string) (*engine.Query, error) {
 	return engine.Compile(name, src, engine.CompileOptions{})
+}
+
+// soloScheduler registers q alone on an unshared scheduler of its own — the
+// serial fold a never-started engine runs — reporting runtime errors to
+// reporter (nil: none).
+func soloScheduler(tb testing.TB, q *engine.Query, reporter *engine.ErrorReporter) *scheduler.Scheduler {
+	tb.Helper()
+	s := scheduler.New(reporter, false)
+	if err := s.Add(q); err != nil {
+		tb.Fatal(err)
+	}
+	return s
 }
 
 // buildDemoStream mixes deterministic background activity from five hosts
@@ -392,11 +405,11 @@ func TestOutlierEpsSensitivity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n := 0
+		s, n := soloScheduler(t, q, nil), 0
 		for _, ev := range outlierWindows(groups) {
-			n += len(q.Process(ev, nil))
+			n += len(s.Process(ev))
 		}
-		return n + len(q.Flush(nil))
+		return n + len(s.Flush())
 	}
 	for _, groups := range []int{16, 64, 256, 1024} {
 		if n := flagged("DBSCAN(100000, 3)", groups); n != 32 {
