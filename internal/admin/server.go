@@ -111,9 +111,9 @@ var defaultQueryFields = []string{"id", "tenant", "paused", "alerts"}
 // tenantFields are the selectable fields of a tenant item.
 var tenantFields = []string{
 	"name", "queries", "paused", "alerts", "suppressed",
-	"source_events", "events_throttled", "state_bytes", "sharing_ratio",
-	"degraded", "max_queries", "max_state_bytes", "alert_budget",
-	"alert_window", "ingest_rate",
+	"source_events", "events_throttled", "state_bytes", "partials_expired",
+	"partials_dropped", "sharing_ratio", "degraded", "max_queries",
+	"max_state_bytes", "alert_budget", "alert_window", "ingest_rate",
 }
 
 var defaultTenantFields = []string{"name", "queries", "alerts", "suppressed", "degraded"}
@@ -202,6 +202,10 @@ func tenantItem(ts saql.TenantStats, fields []string) map[string]any {
 			item[f] = ts.EventsThrottled
 		case "state_bytes":
 			item[f] = ts.StateBytes
+		case "partials_expired":
+			item[f] = ts.PartialsExpired
+		case "partials_dropped":
+			item[f] = ts.PartialsDropped
 		case "sharing_ratio":
 			item[f] = ts.SharingRatio
 		case "degraded":

@@ -154,12 +154,12 @@ return p, f`
 	if resp.Item["partials_expired"] != float64(1) || resp.Item["partials_dropped"] != float64(0) {
 		t.Errorf("chain item = %v, want partials_expired 1 partials_dropped 0", resp.Item)
 	}
-	resp, err = Query(addr, `get(tenant=acme){name queries}`, false, nil)
+	resp, err = Query(addr, `get(tenant=acme){name queries partials_expired partials_dropped}`, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Item["name"] != "acme" {
-		t.Errorf("tenant item = %v", resp.Item)
+	if resp.Item["name"] != "acme" || resp.Item["partials_expired"] != float64(1) || resp.Item["partials_dropped"] != float64(0) {
+		t.Errorf("tenant item = %v, want acme with partials_expired 1 partials_dropped 0", resp.Item)
 	}
 }
 

@@ -217,7 +217,7 @@ func CompileAST(name string, q *ast.Query, opts CompileOptions) (*Query, error) 
 		if horizon == 0 && q.Window != nil {
 			horizon = q.Window.Length
 		}
-		seq, err := matcher.NewSeqMatcher(cq.patterns, cq.global, order, matcher.Config{
+		seq, err := matcher.NewSeqMatcher(cq.patterns, order, matcher.Config{
 			Horizon:     horizon,
 			MaxPartials: opts.MaxPartials,
 		})

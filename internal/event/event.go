@@ -207,9 +207,30 @@ func NetConn(srcIP string, srcPort int32, dstIP string, dstPort int32) Entity {
 	return Entity{Type: EntityNetConn, SrcIP: srcIP, SrcPort: srcPort, DstIP: dstIP, DstPort: dstPort, Protocol: "tcp"}
 }
 
-// Key returns a stable identity string for the entity, used for joins on
-// shared entity variables across event patterns (e.g. the same f1 appearing
-// in two patterns of Query 1).
+// Same reports whether e and o are the same entity: the identity on which
+// the multievent matcher joins a variable shared by several event patterns
+// (e.g. the same f1 appearing in two patterns of Query 1). It compares the
+// fields Key renders — the type, exe and pid, path, or 4-tuple — and ignores
+// the rest (user, command line, protocol, symbol ids).
+func (e *Entity) Same(o *Entity) bool {
+	switch e.Type {
+	case EntityProcess:
+		return o.Type == EntityProcess && e.ExeName == o.ExeName && e.PID == o.PID
+	case EntityFile:
+		return o.Type == EntityFile && e.Path == o.Path
+	case EntityNetConn:
+		return o.Type == EntityNetConn && e.SrcIP == o.SrcIP && e.SrcPort == o.SrcPort &&
+			e.DstIP == o.DstIP && e.DstPort == o.DstPort
+	default:
+		return o.Type != EntityProcess && o.Type != EntityFile && o.Type != EntityNetConn
+	}
+}
+
+// Key renders the entity's identity (see Same) as a string: the binding key
+// a checkpointed partial match carries for each of its variables. It is not
+// the join identity — the matcher joins with Same — and two connections
+// whose addresses hold ':' or '>' can render alike while Same tells them
+// apart.
 func (e *Entity) Key() string {
 	switch e.Type {
 	case EntityProcess:

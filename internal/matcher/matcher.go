@@ -64,12 +64,12 @@ type Match struct {
 	At       time.Time       // time of the completing event
 }
 
-// partial is an in-flight multi-pattern match.
+// partial is an in-flight multi-pattern match: its events and its progress.
+// The entities it binds are derived from its events (SeqMatcher.bound).
 type partial struct {
-	events   []*event.Event
-	bindings map[string]string // var -> entity key
-	matched  int               // bitmask of matched pattern indices
-	nOrdered int               // how many of the ordered patterns are matched
+	events   []*event.Event // indexed by pattern index, nil where unmatched
+	matched  int            // bitmask of matched pattern indices
+	nOrdered int            // how many of the ordered patterns are matched
 	lastTime time.Time
 	created  time.Time
 }
@@ -78,7 +78,6 @@ type partial struct {
 // ordering over a subset of them, maintaining a bounded partial-match table.
 type SeqMatcher struct {
 	patterns []*Pattern
-	global   *pcode.EventProg // nil: no global constraints
 	// vars are the entity variables in order of first appearance, a
 	// variable's index its slot in Match.Entities; slots[i] are pattern i's
 	// subject and object slots, -1 where unnamed.
@@ -86,7 +85,6 @@ type SeqMatcher struct {
 	slots [][2]int
 	// orderPos[i] = position of pattern i in the temporal order, or -1.
 	orderPos []int
-	nOrdered int
 	horizon  time.Duration // partial matches older than this expire
 	maxPart  int           // cap on live partials
 
@@ -108,7 +106,7 @@ type Config struct {
 // NewSeqMatcher builds a sequence matcher for the compiled patterns.
 // temporalOrder lists pattern indices that must occur in time order (may be
 // empty for an unordered conjunctive match).
-func NewSeqMatcher(patterns []*Pattern, global *pcode.EventProg, temporalOrder []int, cfg Config) (*SeqMatcher, error) {
+func NewSeqMatcher(patterns []*Pattern, temporalOrder []int, cfg Config) (*SeqMatcher, error) {
 	if len(patterns) == 0 {
 		return nil, fmt.Errorf("matcher: no patterns")
 	}
@@ -136,10 +134,8 @@ func NewSeqMatcher(patterns []*Pattern, global *pcode.EventProg, temporalOrder [
 	}
 	m := &SeqMatcher{
 		patterns: patterns,
-		global:   global,
 		slots:    make([][2]int, len(patterns)),
 		orderPos: orderPos,
-		nOrdered: len(temporalOrder),
 		horizon:  cfg.Horizon,
 		maxPart:  cfg.MaxPartials,
 	}
@@ -164,31 +160,13 @@ func (m *SeqMatcher) slot(name string) int {
 // Vars lists the entity variables by their slot in Match.Entities.
 func (m *SeqMatcher) Vars() []string { return m.vars }
 
-// Patterns returns the compiled patterns.
-func (m *SeqMatcher) Patterns() []*Pattern { return m.patterns }
-
 // PartialCount reports the live partial-match table size.
 func (m *SeqMatcher) PartialCount() int { return len(m.partials) }
 
-// Observe feeds one event and returns any completed matches.
-func (m *SeqMatcher) Observe(ev *event.Event) []*Match {
-	if m.global != nil && !m.global.Match(ev) {
-		return nil
-	}
-
-	// Which patterns does this event satisfy?
-	var hits []int
-	for i, p := range m.patterns {
-		if p.Matches(ev) {
-			hits = append(hits, i)
-		}
-	}
-	return m.ObserveHits(ev, hits)
-}
-
-// ObserveHits is Observe with the pattern-hit set precomputed — the entry
-// point used by the master–dependent-query scheme, where the master query
-// evaluates the patterns once and dependents reuse the hit set.
+// ObserveHits feeds one event with the patterns it hit and returns any
+// completed matches. The matcher trusts the hits: the query's master
+// evaluates the patterns and the global constraints once
+// (engine.Query.MatchBatch) and its dependents reuse the hit set.
 func (m *SeqMatcher) ObserveHits(ev *event.Event, hits []int) []*Match {
 	if len(hits) == 0 {
 		return nil
@@ -196,13 +174,12 @@ func (m *SeqMatcher) ObserveHits(ev *event.Event, hits []int) []*Match {
 
 	// Single-pattern queries complete immediately.
 	if len(m.patterns) == 1 {
-		match := &Match{Events: []*event.Event{ev}, Entities: make([]*event.Entity, len(m.vars)), At: ev.Time}
-		m.bind(match.Entities, 0, ev)
-		return []*Match{match}
+		return []*Match{m.finish(&partial{events: []*event.Event{ev}, lastTime: ev.Time})}
 	}
 
 	m.expire(ev.Time)
 
+	full := 1<<uint(len(m.patterns)) - 1
 	var complete []*Match
 	var created []*partial
 	for _, hit := range hits {
@@ -212,14 +189,11 @@ func (m *SeqMatcher) ObserveHits(ev *event.Event, hits []int) []*Match {
 			if pt.matched&bit != 0 {
 				continue // pattern already matched in this partial
 			}
-			if !m.orderAllows(pt, hit) {
-				continue
-			}
-			if !bindingsCompatible(pt.bindings, m.patterns[hit], ev) {
+			if !m.orderAllows(pt, hit) || !m.joins(pt, hit, ev) {
 				continue
 			}
 			np := m.extend(pt, hit, ev)
-			if np.matched == (1<<uint(len(m.patterns)))-1 {
+			if np.matched == full {
 				complete = append(complete, m.finish(np))
 			} else {
 				created = append(created, np)
@@ -228,12 +202,8 @@ func (m *SeqMatcher) ObserveHits(ev *event.Event, hits []int) []*Match {
 		// Seed a fresh partial if this pattern can start one (unordered
 		// patterns always can; ordered ones only from position 0).
 		if m.orderPos[hit] <= 0 {
-			np := m.extend(&partial{
-				bindings: map[string]string{},
-				events:   make([]*event.Event, len(m.patterns)),
-				created:  ev.Time,
-			}, hit, ev)
-			if np.matched == (1<<uint(len(m.patterns)))-1 {
+			np := m.extend(&partial{created: ev.Time}, hit, ev)
+			if np.matched == full {
 				complete = append(complete, m.finish(np))
 			} else {
 				created = append(created, np)
@@ -262,73 +232,70 @@ func (m *SeqMatcher) orderAllows(pt *partial, idx int) bool {
 	return pos == pt.nOrdered // next required position
 }
 
+// bound returns the entity pt binds to variable slot v, nil if no matched
+// pattern names v: the last matched pattern naming v decides, with its
+// object if it names v there, otherwise its subject. Every other matched
+// pattern naming v was joined to that entity when it was matched, on each
+// side it names v.
+func (m *SeqMatcher) bound(pt *partial, v int) *event.Entity {
+	for i := len(pt.events) - 1; i >= 0; i-- {
+		ev := pt.events[i]
+		if ev == nil {
+			continue
+		}
+		if m.slots[i][1] == v {
+			return &ev.Object
+		}
+		if m.slots[i][0] == v {
+			return &ev.Subject
+		}
+	}
+	return nil
+}
+
+// joins reports whether ev, as pattern idx's match, names on each side the
+// entity pt already binds to that side's variable (the entity join).
+func (m *SeqMatcher) joins(pt *partial, idx int, ev *event.Event) bool {
+	if s := m.slots[idx][0]; s >= 0 {
+		if e := m.bound(pt, s); e != nil && !e.Same(&ev.Subject) {
+			return false
+		}
+	}
+	if s := m.slots[idx][1]; s >= 0 {
+		if e := m.bound(pt, s); e != nil && !e.Same(&ev.Object) {
+			return false
+		}
+	}
+	return true
+}
+
 func (m *SeqMatcher) extend(pt *partial, idx int, ev *event.Event) *partial {
 	np := &partial{
 		events:   make([]*event.Event, len(m.patterns)),
-		bindings: make(map[string]string, len(pt.bindings)+2),
 		matched:  pt.matched | 1<<uint(idx),
 		nOrdered: pt.nOrdered,
 		lastTime: ev.Time,
 		created:  pt.created,
 	}
 	copy(np.events, pt.events)
-	for k, v := range pt.bindings {
-		np.bindings[k] = v
-	}
 	np.events[idx] = ev
-	p := m.patterns[idx]
-	if p.SubjVar != "" {
-		np.bindings[p.SubjVar] = ev.Subject.Key()
-	}
-	if p.ObjVar != "" {
-		np.bindings[p.ObjVar] = ev.Object.Key()
-	}
 	if m.orderPos[idx] != -1 {
 		np.nOrdered++
 	}
 	return np
 }
 
+// finish turns a partial with every pattern matched into its Match.
 func (m *SeqMatcher) finish(pt *partial) *Match {
 	match := &Match{
 		Events:   pt.events,
 		Entities: make([]*event.Entity, len(m.vars)),
 		At:       pt.lastTime,
 	}
-	for i, ev := range pt.events {
-		if ev == nil {
-			continue
-		}
-		m.bind(match.Entities, i, ev)
+	for v := range match.Entities {
+		match.Entities[v] = m.bound(pt, v)
 	}
 	return match
-}
-
-// bind writes the entities ev binds as pattern i's match into their slots:
-// later patterns overwrite earlier ones, the object shadows the subject.
-func (m *SeqMatcher) bind(dst []*event.Entity, i int, ev *event.Event) {
-	if s := m.slots[i][0]; s >= 0 {
-		dst[s] = &ev.Subject
-	}
-	if s := m.slots[i][1]; s >= 0 {
-		dst[s] = &ev.Object
-	}
-}
-
-// bindingsCompatible verifies that binding the event's entities into the
-// partial would not conflict with existing bindings (entity join).
-func bindingsCompatible(bindings map[string]string, p *Pattern, ev *event.Event) bool {
-	if p.SubjVar != "" {
-		if key, ok := bindings[p.SubjVar]; ok && key != ev.Subject.Key() {
-			return false
-		}
-	}
-	if p.ObjVar != "" {
-		if key, ok := bindings[p.ObjVar]; ok && key != ev.Object.Key() {
-			return false
-		}
-	}
-	return true
 }
 
 // expire drops partials older than the horizon.

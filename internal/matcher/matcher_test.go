@@ -15,7 +15,7 @@ import (
 var base = time.Date(2020, 2, 27, 9, 0, 0, 0, time.UTC)
 
 // patternsOf compiles the patterns of a parsed query.
-func patternsOf(t *testing.T, src string) ([]*Pattern, *ast.Query) {
+func patternsOf(t testing.TB, src string) ([]*Pattern, *ast.Query) {
 	t.Helper()
 	q, err := parser.Parse(src)
 	if err != nil {
@@ -98,7 +98,33 @@ proc p start proc q2 return p`)
 	}
 }
 
-func seqOf(t *testing.T, src string, cfg Config) *SeqMatcher {
+// seq is a SeqMatcher fed the way the engine feeds it: observe evaluates the
+// query's global constraints and patterns, as its master does
+// (engine.Query.MatchBatch), and hands the hits to ObserveHits.
+type seq struct {
+	*SeqMatcher
+	global *pcode.EventProg
+}
+
+func (s seq) observe(ev *event.Event) []*Match {
+	return s.ObserveHits(ev, hitsOf(s.patterns, s.global, ev))
+}
+
+// hitsOf lists the patterns ev hits, none if it fails the global constraints.
+func hitsOf(pats []*Pattern, global *pcode.EventProg, ev *event.Event) []int {
+	if !global.Match(ev) {
+		return nil
+	}
+	var hits []int
+	for i, p := range pats {
+		if p.Matches(ev) {
+			hits = append(hits, i)
+		}
+	}
+	return hits
+}
+
+func seqOf(t *testing.T, src string, cfg Config) seq {
 	t.Helper()
 	pats, q := patternsOf(t, src)
 	var order []int
@@ -113,11 +139,11 @@ func seqOf(t *testing.T, src string, cfg Config) *SeqMatcher {
 			order = append(order, aliases[a])
 		}
 	}
-	m, err := NewSeqMatcher(pats, pcode.CompileGlobals(q.Globals, nil), order, cfg)
+	m, err := NewSeqMatcher(pats, order, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m
+	return seq{m, pcode.CompileGlobals(q.Globals, nil)}
 }
 
 const twoStep = `
@@ -134,15 +160,15 @@ func TestSequenceJoinOnSubject(t *testing.T) {
 	conn := event.NetConn("1.1.1.1", 1, "9.9.9.9", 443)
 
 	// e1: cmd starts child.
-	if got := m.Observe(&event.Event{Time: base, Subject: cmd, Op: event.OpStart, Object: child}); len(got) != 0 {
+	if got := m.observe(&event.Event{Time: base, Subject: cmd, Op: event.OpStart, Object: child}); len(got) != 0 {
 		t.Fatalf("premature match: %v", got)
 	}
 	// A DIFFERENT process writing must not complete (p2 join).
-	if got := m.Observe(&event.Event{Time: base.Add(time.Second), Subject: other, Op: event.OpWrite, Object: conn}); len(got) != 0 {
+	if got := m.observe(&event.Event{Time: base.Add(time.Second), Subject: other, Op: event.OpWrite, Object: conn}); len(got) != 0 {
 		t.Fatal("join violated")
 	}
 	// The child writing completes the sequence.
-	got := m.Observe(&event.Event{Time: base.Add(2 * time.Second), Subject: child, Op: event.OpWrite, Object: conn})
+	got := m.observe(&event.Event{Time: base.Add(2 * time.Second), Subject: child, Op: event.OpWrite, Object: conn})
 	if len(got) != 1 {
 		t.Fatalf("matches = %d, want 1", len(got))
 	}
@@ -160,14 +186,14 @@ func TestSequenceOrderEnforced(t *testing.T) {
 	child := event.Process("evil.exe", 11)
 	conn := event.NetConn("1.1.1.1", 1, "9.9.9.9", 443)
 	// e2 first: cannot seed (ordered position 1).
-	m.Observe(&event.Event{Time: base, Subject: child, Op: event.OpWrite, Object: conn})
+	m.observe(&event.Event{Time: base, Subject: child, Op: event.OpWrite, Object: conn})
 	// e1 next: seeds a partial.
-	m.Observe(&event.Event{Time: base.Add(time.Second), Subject: cmd, Op: event.OpStart, Object: child})
+	m.observe(&event.Event{Time: base.Add(time.Second), Subject: cmd, Op: event.OpStart, Object: child})
 	if m.PartialCount() != 1 {
 		t.Errorf("partials = %d, want 1", m.PartialCount())
 	}
 	// Now e2 again completes.
-	got := m.Observe(&event.Event{Time: base.Add(2 * time.Second), Subject: child, Op: event.OpWrite, Object: conn})
+	got := m.observe(&event.Event{Time: base.Add(2 * time.Second), Subject: child, Op: event.OpWrite, Object: conn})
 	if len(got) != 1 {
 		t.Errorf("matches = %d", len(got))
 	}
@@ -180,8 +206,8 @@ proc p1 write file g["%b.txt"] as e2
 return p1`, Config{})
 	p := event.Process("x.exe", 1)
 	// Reverse order still matches (no temporal clause).
-	m.Observe(&event.Event{Time: base, Subject: p, Op: event.OpWrite, Object: event.File("b.txt")})
-	got := m.Observe(&event.Event{Time: base.Add(time.Second), Subject: p, Op: event.OpWrite, Object: event.File("a.txt")})
+	m.observe(&event.Event{Time: base, Subject: p, Op: event.OpWrite, Object: event.File("b.txt")})
+	got := m.observe(&event.Event{Time: base.Add(time.Second), Subject: p, Op: event.OpWrite, Object: event.File("a.txt")})
 	if len(got) != 1 {
 		t.Errorf("unordered match = %d, want 1", len(got))
 	}
@@ -192,9 +218,9 @@ func TestHorizonExpiry(t *testing.T) {
 	cmd := event.Process("cmd.exe", 10)
 	child := event.Process("evil.exe", 11)
 	conn := event.NetConn("1.1.1.1", 1, "9.9.9.9", 443)
-	m.Observe(&event.Event{Time: base, Subject: cmd, Op: event.OpStart, Object: child})
+	m.observe(&event.Event{Time: base, Subject: cmd, Op: event.OpStart, Object: child})
 	// Two minutes later the partial has expired.
-	got := m.Observe(&event.Event{Time: base.Add(2 * time.Minute), Subject: child, Op: event.OpWrite, Object: conn})
+	got := m.observe(&event.Event{Time: base.Add(2 * time.Minute), Subject: child, Op: event.OpWrite, Object: conn})
 	if len(got) != 0 {
 		t.Error("expired partial completed")
 	}
@@ -209,7 +235,7 @@ func TestPartialCapacity(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		cmd := event.Process("cmd.exe", 10)
 		child := event.Process(fmt.Sprintf("c%d.exe", i), int32(100+i))
-		m.Observe(&event.Event{Time: base.Add(time.Duration(i) * time.Second), Subject: cmd, Op: event.OpStart, Object: child})
+		m.observe(&event.Event{Time: base.Add(time.Duration(i) * time.Second), Subject: cmd, Op: event.OpStart, Object: child})
 	}
 	if m.PartialCount() > 3 {
 		t.Errorf("partials = %d, cap 3", m.PartialCount())
@@ -221,7 +247,7 @@ func TestPartialCapacity(t *testing.T) {
 
 func TestSinglePatternImmediate(t *testing.T) {
 	m := seqOf(t, `proc p["%gsecdump.exe"] read file f return p`, Config{})
-	got := m.Observe(&event.Event{Time: base, Subject: event.Process("gsecdump.exe", 5), Op: event.OpRead, Object: event.File("SAM")})
+	got := m.observe(&event.Event{Time: base, Subject: event.Process("gsecdump.exe", 5), Op: event.OpRead, Object: event.File("SAM")})
 	if len(got) != 1 {
 		t.Fatalf("single-pattern match = %d", len(got))
 	}
@@ -245,13 +271,13 @@ func TestObserveHitsSkipsMatching(t *testing.T) {
 
 func TestNewSeqMatcherValidation(t *testing.T) {
 	pats, _ := patternsOf(t, `proc p read file f return p`)
-	if _, err := NewSeqMatcher(nil, nil, nil, Config{}); err == nil {
+	if _, err := NewSeqMatcher(nil, nil, Config{}); err == nil {
 		t.Error("no patterns should fail")
 	}
-	if _, err := NewSeqMatcher(pats, nil, []int{5}, Config{}); err == nil {
+	if _, err := NewSeqMatcher(pats, []int{5}, Config{}); err == nil {
 		t.Error("bad order index should fail")
 	}
-	if _, err := NewSeqMatcher(pats, nil, []int{0, 0}, Config{}); err == nil {
+	if _, err := NewSeqMatcher(pats, []int{0, 0}, Config{}); err == nil {
 		t.Error("duplicate order index should fail")
 	}
 }

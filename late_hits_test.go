@@ -89,8 +89,8 @@ return p, ss.amt`
 // TestPartialLossesCounted: a multievent query loses partial matches two
 // ways — a first step whose chain does not complete within the window
 // expires, and one arriving while 4,096 partials are live is refused — and
-// both losses must show in QueryStats at every shard count and after a
-// checkpoint and Open.
+// both losses must show in QueryStats and the tenant's TenantStats at every
+// shard count and after a checkpoint and Open.
 func TestPartialLossesCounted(t *testing.T) {
 	const src = `proc p start proc c as e1 #time(1 min)
 proc c write file f as e2
@@ -122,6 +122,11 @@ return p, c, f`
 		if st.PartialsExpired != wantExpired || st.PartialsDropped != wantDropped || st.Matches != 0 {
 			t.Errorf("%s: PartialsExpired %d PartialsDropped %d Matches %d, want %d, %d, 0",
 				label, st.PartialsExpired, st.PartialsDropped, st.Matches, wantExpired, wantDropped)
+		}
+		ts, ok := eng.TenantStats(DefaultTenant)
+		if !ok || ts.PartialsExpired != wantExpired || ts.PartialsDropped != wantDropped {
+			t.Errorf("%s: tenant PartialsExpired %d PartialsDropped %d (found %v), want %d, %d",
+				label, ts.PartialsExpired, ts.PartialsDropped, ok, wantExpired, wantDropped)
 		}
 	}
 

@@ -69,6 +69,11 @@ type TenantStats struct {
 	// StateBytes is the serialized live-state footprint of the tenant's
 	// queries.
 	StateBytes int64
+	// PartialsExpired and PartialsDropped sum QueryStats.PartialsExpired and
+	// PartialsDropped over the tenant's queries: partial multievent matches
+	// that aged past their window, and those refused at the partial cap.
+	PartialsExpired int64
+	PartialsDropped int64
 	// SharingRatio is naive-per-tenant over actual evaluation work: how many
 	// evaluation streams this tenant's active queries would need standalone,
 	// per stream they actually consume in their (possibly cross-tenant)
@@ -365,10 +370,12 @@ func (e *Engine) Tenants() []TenantStats {
 		}
 	}
 
-	stateBytes := map[string]int64{}
+	stateBytes, expired, dropped := map[string]int64{}, map[string]int64{}, map[string]int64{}
 	for name, qi := range queries {
 		if qs, ok := e.QueryStats(name); ok {
 			stateBytes[qi.tenant] += qs.StateBytes
+			expired[qi.tenant] += qs.PartialsExpired
+			dropped[qi.tenant] += qs.PartialsDropped
 		}
 	}
 
@@ -385,6 +392,8 @@ func (e *Engine) Tenants() []TenantStats {
 			SourceEvents:    ts.srcEvents,
 			EventsThrottled: ts.throttled,
 			StateBytes:      stateBytes[name],
+			PartialsExpired: expired[name],
+			PartialsDropped: dropped[name],
 			Quotas:          ts.quotas,
 		}
 		if stream[name] > 0 {
