@@ -19,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"saql/internal/attack"
 	"saql/internal/baseline"
 )
 
@@ -62,7 +63,7 @@ func benchStream(b *testing.B) ([]*Event, *AttackScenario) {
 }
 
 // runQueries pumps b.N events (cycling over the stream) through an engine.
-func runQueries(b *testing.B, queries []NamedQuery, sharing bool) {
+func runQueries(b *testing.B, queries []attack.NamedQuery, sharing bool) {
 	b.Helper()
 	events, _ := benchStream(b)
 	eng := New(WithSharing(sharing))
@@ -88,14 +89,14 @@ func runQueries(b *testing.B, queries []NamedQuery, sharing bool) {
 func BenchmarkE1_PaperQueries(b *testing.B) {
 	_, scenario := benchStream(b)
 	all := scenario.DemoQueries(30*time.Second, 5)
-	cases := map[string]NamedQuery{
+	cases := map[string]attack.NamedQuery{
 		"Q1_rule":       all[4], // the exfiltration rule (paper Query 1)
 		"Q2_timeseries": all[6],
 		"Q3_invariant":  all[5],
 		"Q4_outlier":    all[7],
 	}
 	for name, nq := range cases {
-		b.Run(name, func(b *testing.B) { runQueries(b, []NamedQuery{nq}, true) })
+		b.Run(name, func(b *testing.B) { runQueries(b, []attack.NamedQuery{nq}, true) })
 	}
 }
 
@@ -111,9 +112,9 @@ func BenchmarkE2_KillChain(b *testing.B) {
 // e3Queries builds n semantically compatible variants of the time-series
 // query (same patterns, different thresholds), the concurrent-analyst
 // situation the master–dependent-query scheme targets.
-func e3Queries(scenario *AttackScenario, n int) []NamedQuery {
+func e3Queries(scenario *AttackScenario, n int) []attack.NamedQuery {
 	base := scenario.DemoQueries(30*time.Second, 5)[6]
-	out := make([]NamedQuery, n)
+	out := make([]attack.NamedQuery, n)
 	for i := range out {
 		out[i] = base
 		out[i].Name = fmt.Sprintf("%s-v%d", base.Name, i)
@@ -262,7 +263,7 @@ func BenchmarkE9_ParallelIngestion(b *testing.B) {
 func BenchmarkE4_ModelOverhead(b *testing.B) {
 	_, scenario := benchStream(b)
 	all := scenario.DemoQueries(30*time.Second, 5)
-	models := map[string]NamedQuery{
+	models := map[string]attack.NamedQuery{
 		"rule":       all[4],
 		"timeseries": all[6],
 		"invariant":  all[5],
@@ -304,7 +305,7 @@ func BenchmarkE5_Replayer(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := s.Append(events[i%len(events)]); err != nil {
+			if err := s.AppendAll(events[i%len(events) : i%len(events)+1]); err != nil {
 				b.Fatal(err)
 			}
 		}

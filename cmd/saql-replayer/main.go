@@ -158,57 +158,57 @@ func doReplay(ctx context.Context, rep *saql.Replayer, req replayRequest) replay
 		opts.To = t
 	}
 
-	// Run the optional query through the concurrent ingestion API: the
-	// replay goroutine submits, a subscription collects the alert stream.
-	var alerts []string
-	var eng *saql.Engine
-	var sub *saql.AlertSubscription
-	collected := make(chan struct{})
-	if strings.TrimSpace(req.Query) != "" {
-		eng = saql.New()
-		if _, err := eng.Register("ui-query", req.Query); err != nil {
-			return replayResponse{Error: err.Error()}
+	// The replay is an event source: it feeds the optional query's started
+	// engine through one Source.Run, and a subscription collects the alert
+	// stream. Without a query the replay runs on its own, for its stats.
+	var resp replayResponse
+	produce := func(ctx context.Context, emit func(*saql.Event) error) error {
+		stats, err := rep.Replay(ctx, opts, emit)
+		resp = replayResponse{
+			Events:  stats.Events,
+			SpanSec: stats.EventSpan().Seconds(),
+			WallSec: stats.Wall.Seconds(),
+			Speedup: stats.Speedup(),
 		}
-		if err := eng.Start(ctx); err != nil {
-			return replayResponse{Error: err.Error()}
-		}
-		defer eng.Close()
-		sub = eng.Subscribe(256, saql.Block)
-		go func() {
-			defer close(collected)
-			for a := range sub.C {
-				if len(alerts) < 200 {
-					alerts = append(alerts, a.String())
-				}
-			}
-		}()
+		return err
 	}
-
-	stats, err := rep.Replay(ctx, opts, func(ev *saql.Event) error {
-		if eng != nil {
-			return eng.Submit(ev)
+	if strings.TrimSpace(req.Query) == "" {
+		if err := produce(ctx, func(*saql.Event) error { return nil }); err != nil {
+			return replayResponse{Error: err.Error()}
 		}
-		return nil
-	})
-	if err != nil {
+		return resp
+	}
+	eng := saql.New()
+	if _, err := eng.Register("ui-query", req.Query); err != nil {
 		return replayResponse{Error: err.Error()}
 	}
-	if eng != nil {
-		// Close drains, flushes, and ends the subscription; wait for the
-		// collector to finish before reading alerts.
-		if err := eng.Close(); err != nil {
-			return replayResponse{Error: err.Error()}
+	if err := eng.Start(ctx); err != nil {
+		return replayResponse{Error: err.Error()}
+	}
+	defer eng.Close()
+	sub := eng.Subscribe(256, saql.Block)
+	var alerts []string
+	collected := make(chan struct{})
+	go func() {
+		defer close(collected)
+		for a := range sub.C {
+			if len(alerts) < 200 {
+				alerts = append(alerts, a.String())
+			}
 		}
-		<-collected
+	}()
+	if err := saql.NewEventSource("replay", produce).Run(ctx, eng); err != nil {
+		return replayResponse{Error: err.Error()}
 	}
+	// Close drains, flushes, and ends the subscription; wait for the
+	// collector to finish before reading alerts.
+	if err := eng.Close(); err != nil {
+		return replayResponse{Error: err.Error()}
+	}
+	<-collected
 	sort.Strings(alerts)
-	return replayResponse{
-		Events:  stats.Events,
-		SpanSec: stats.EventSpan().Seconds(),
-		WallSec: stats.Wall.Seconds(),
-		Speedup: stats.Speedup(),
-		Alerts:  alerts,
-	}
+	resp.Alerts = alerts
+	return resp
 }
 
 const uiPage = `<!DOCTYPE html>

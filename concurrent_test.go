@@ -161,7 +161,7 @@ return p, ss.amt`
 		t.Errorf("query count = %d, want 2", eng.Stats().Queries)
 	}
 	// Double removal is a no-op and leaves the survivor intact.
-	if err := dep.Close(); err != nil || dep.Close() != nil || !dep.Closed() {
+	if err := dep.Close(); err != nil || dep.Close() != nil || !closed(dep) {
 		t.Error("double removal inconsistency")
 	}
 	if _, ok := eng.Query("master"); !ok {

@@ -24,8 +24,8 @@ type KeyRange struct {
 	Hi uint32
 }
 
-// Contains reports whether the range owns hash h.
-func (r KeyRange) Contains(h uint32) bool { return h >= r.Lo && h <= r.Hi }
+// contains reports whether the range owns hash h.
+func (r KeyRange) contains(h uint32) bool { return h >= r.Lo && h <= r.Hi }
 
 // String renders the range in hex.
 func (r KeyRange) String() string { return fmt.Sprintf("[%08x,%08x]", r.Lo, r.Hi) }
@@ -57,7 +57,7 @@ func (c *config) ownsFunc() func(uint32) bool {
 	rs := c.ranges
 	return func(h uint32) bool {
 		for _, r := range rs {
-			if r.Contains(h) {
+			if r.contains(h) {
 				return true
 			}
 		}

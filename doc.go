@@ -89,9 +89,9 @@
 //
 // An Engine moves through three states. It is created in the serial state,
 // where the synchronous Process/Flush methods evaluate queries on the
-// caller's goroutine and return alerts directly (the original blocking API;
-// Process and Flush are deprecated in favour of Start/Submit/Subscribe, but
-// remain fully supported). Start moves it to the running state: ingestion
+// caller's goroutine and return alerts directly (the serial reference: every
+// started engine raises the same alerts for the same stream, whatever its
+// shard count). Start moves it to the running state: ingestion
 // happens through Submit/SubmitBatch, which wait for room when the bounded
 // ingest queue is full (WithIngestQueue) — an accepted event is never
 // dropped. The events the engine does refuse are those over a tenant's

@@ -72,12 +72,11 @@ func TestAdminDocSnippetsValidate(t *testing.T) {
 			continue
 		}
 		sets++
-		set, err := saql.ParseQuerySet(src)
-		if err != nil {
+		if _, err := saql.ParseQuerySet(src); err != nil {
 			t.Errorf("docs/admin.md saql block %d is not a valid queryset: %v\n%s", i+1, err, src)
 			continue
 		}
-		if len(set.Quotas()) == 0 {
+		if doc, err := parser.ParseQuerySetDoc(src); err != nil || len(doc.Tenants) == 0 {
 			t.Errorf("docs/admin.md saql block %d declares no tenant quotas", i+1)
 		}
 	}

@@ -1,10 +1,10 @@
 package engine
 
-// Hot-swap support: pausing a query in place and carrying sliding-window
-// state from an old compiled query into its replacement. Both operations are
-// driven by the scheduler (serial engine) or a shard worker (sharded
-// runtime) at a consistent point of the event stream; neither is safe to
-// call concurrently with Ingest on the same query.
+// Hot-swap support: pausing a query in place and carrying sliding-window state
+// from an old compiled query into its replacement, as a state blob. Both
+// operations are driven by the scheduler (serial engine) or a shard worker
+// (sharded runtime) at a consistent point of the event stream; neither is safe
+// to call concurrently with Ingest on the same query.
 
 // SetPaused marks the query paused or active. A paused query ingests no
 // events — no pattern matching, no state folding, no watermark advance — but
@@ -56,25 +56,27 @@ func (q *Query) CanCarryStateFrom(old *Query) bool {
 	return true
 }
 
-// CarryStateFrom moves old's runtime state into q: the window manager (open
-// windows and watermark), every group's history ring and invariant state,
-// and the runtime counters (WindowsClosed drives history backfill for
-// late-appearing groups, so it must travel with the windows it counted).
-// The `return distinct` suppression table carries only when the return
-// clause is textually unchanged — different return items key differently.
-// Callers must have established CanCarryStateFrom and must run at a point
-// where neither query is ingesting events.
-func (q *Query) CarryStateFrom(old *Query) {
-	old.settle()
-	q.winMgr = old.winMgr
-	// The carried manager keeps the slots its open groups and histories were
-	// written under; this query's patterns re-resolve against it (names the
-	// old query did not bind get fresh slots).
-	q.assignSlots()
-	q.groups = old.groups
-	q.stats = old.stats
-	if q.distinct != nil && old.distinct != nil &&
-		q.AST.Return.String() == old.AST.Return.String() {
-		q.distinct = old.distinct
+// CarryStateFrom moves old's runtime state into q as a checkpoint does: old's
+// EncodeState blob folded into q by RestoreState, q taking every group and
+// every counter. The window manager (open windows and watermark), every
+// group's history ring and invariant state, and the runtime counters
+// (WindowsClosed drives history backfill for late-appearing groups, so it
+// must travel with the windows it counted) all travel in the blob. The one
+// rule the blob does not know is the `return distinct` suppression table: it
+// carries only when the return clause is textually unchanged — different
+// return items key differently. Callers must have established
+// CanCarryStateFrom and must run at a point where neither query is ingesting
+// events.
+func (q *Query) CarryStateFrom(old *Query) error {
+	blob, err := old.EncodeState()
+	if err != nil {
+		return err
 	}
+	if err := q.RestoreState(blob, nil, true); err != nil {
+		return err
+	}
+	if q.distinct != nil && old.distinct != nil && q.AST.Return.String() != old.AST.Return.String() {
+		clear(q.distinct)
+	}
+	return nil
 }

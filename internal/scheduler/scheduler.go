@@ -588,27 +588,27 @@ func (s *Scheduler) addLocked(q *engine.Query) {
 // Swap atomically replaces the query registered under name with q (which
 // must carry the same name): alert-for-alert it is Remove(name) followed by
 // Add(q), executed under one lock hold so no event can be processed between
-// the two halves. When carry is set and the old query exists, q adopts the
-// old query's sliding-window state and counters first, its events-offered
-// count brought up to the swap (the caller has verified CanCarryStateFrom).
-// Group membership is recomputed: the new query joins whichever
-// master–dependent group its constraints now place it in.
+// the two halves. When carry is set and the old query exists, q first takes
+// the old query's state blob — sliding-window state and counters, its
+// events-offered count brought up to the swap (the caller has verified
+// CanCarryStateFrom); if that fails, the old query stays registered and the
+// error is returned. Group membership is recomputed: the new query joins
+// whichever master–dependent group its constraints now place it in.
 func (s *Scheduler) Swap(name string, q *engine.Query, carry bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	old := s.queries[name]
-	if old != nil {
+	if old := s.queries[name]; old != nil {
 		if carry {
 			s.offeredLocked(old)
+			if err := q.CarryStateFrom(old); err != nil {
+				return err
+			}
 		}
 		s.removeLocked(name)
 	}
 	if _, dup := s.queries[q.Name]; dup {
 		// Unreachable when q.Name == name; guards misuse.
 		return fmt.Errorf("scheduler: duplicate query name %q", q.Name)
-	}
-	if carry && old != nil {
-		q.CarryStateFrom(old)
 	}
 	s.registerLocked(q)
 	return nil

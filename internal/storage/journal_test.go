@@ -103,9 +103,6 @@ func TestUnparsableSidecarFallsBackToWalk(t *testing.T) {
 				t.Fatal(err)
 			}
 			var cerr *CorruptError
-			if _, err := s.Repair(); !errors.As(err, &cerr) {
-				t.Fatalf("Repair = %v, want *CorruptError", err)
-			}
 			if _, err := s.Tail(0); !errors.As(err, &cerr) || cerr.Segment != last {
 				t.Fatalf("Tail = %v, want *CorruptError naming %s", err, last)
 			}
@@ -117,7 +114,7 @@ func TestUnparsableSidecarFallsBackToWalk(t *testing.T) {
 }
 
 // TestCRCValidGarbageIsCorruptionNotTear: a record whose frame holds but
-// whose payload does not decode was never written by Append. Repair leaves
+// whose payload does not decode was never written by AppendAll. Tail leaves
 // it alone, the count includes it, and it surfaces as a typed error only
 // when a read reaches it — a seek past it never decodes it.
 func TestCRCValidGarbageIsCorruptionNotTear(t *testing.T) {
@@ -130,15 +127,16 @@ func TestCRCValidGarbageIsCorruptionNotTear(t *testing.T) {
 	if _, err := f.Write(crcValidGarbage()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Write(EncodeEvent(sampleEvents(1)[0])); err != nil {
+	if _, err := f.Write(record(sampleEvents(1)[0])); err != nil {
+		t.Fatal(err)
+	}
+	fi, err := f.Stat()
+	if err != nil {
 		t.Fatal(err)
 	}
 	f.Close() // the crash: no seal
 
 	s2, _ := Open(dir, Options{})
-	if dropped, err := s2.Repair(); err != nil || dropped != 0 {
-		t.Fatalf("Repair = %d, %v; want nothing trimmed", dropped, err)
-	}
 	tail, err := s2.Tail(5)
 	if err != nil || tail.Count != 6 {
 		t.Fatalf("Tail(5) = %+v, %v; want 6 records", tail, err)
@@ -146,6 +144,9 @@ func TestCRCValidGarbageIsCorruptionNotTear(t *testing.T) {
 	n := 0
 	if err := tail.Each(func(*event.Event) error { n++; return nil }); err != nil || n != 1 {
 		t.Fatalf("the record past the garbage: yielded %d, %v", n, err)
+	}
+	if after, err := os.Stat(filepath.Join(dir, "events-000001.seg")); err != nil || after.Size() != fi.Size() {
+		t.Fatalf("Tail trimmed the segment to %d bytes, want all %d kept", after.Size(), fi.Size())
 	}
 	var cerr *CorruptError
 	if err := s2.ScanFrom(0, Selection{}, func(*event.Event) error { return nil }); !errors.As(err, &cerr) || cerr.Reason == "crc mismatch" {
@@ -200,7 +201,8 @@ func TestSyncConcurrentWithAppendAcrossRotation(t *testing.T) {
 // TestJournalAppendAllocsGate: steady-state journaling allocates nothing per
 // event. One AppendAll of 512 events is one file write out of the store's
 // own buffers; the gate leaves two allocations per batch of slack for the
-// runtime underneath the write, none of which may scale with the batch.
+// runtime underneath the write, none of which may scale with the batch. A
+// one-event AppendAll — serial Process's journal write — allocates nothing.
 func TestJournalAppendAllocsGate(t *testing.T) {
 	s, err := Open(t.TempDir(), Options{})
 	if err != nil {
@@ -217,16 +219,16 @@ func TestJournalAppendAllocsGate(t *testing.T) {
 		}
 	})
 	perAppend := testing.AllocsPerRun(200, func() {
-		if err := s.Append(evs[0]); err != nil {
+		if err := s.AppendAll(evs[:1]); err != nil {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("journal allocations: %.1f per 512-event AppendAll, %.1f per Append", perBatch, perAppend)
+	t.Logf("journal allocations: %.1f per 512-event AppendAll, %.1f per one-event AppendAll", perBatch, perAppend)
 	if perBatch > 2 {
 		t.Fatalf("AppendAll allocates %.1f per 512-event batch (%.3f/event), gate is 2 per batch", perBatch, perBatch/512)
 	}
 	if perAppend != 0 {
-		t.Fatalf("Append allocates %.1f per event, gate is 0", perAppend)
+		t.Fatalf("a one-event AppendAll allocates %.1f, gate is 0", perAppend)
 	}
 }
 

@@ -6,6 +6,8 @@ package storage
 // ScanFrom/Count agree with append order for every offset.
 
 import (
+	"bytes"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -72,22 +74,38 @@ func eventsEqual(a, b *event.Event) bool {
 		(a.Amount == b.Amount || (a.Amount != a.Amount && b.Amount != b.Amount)) // NaN-safe
 }
 
+// record frames one event the way AppendAll writes it.
+func record(ev *event.Event) []byte {
+	rec, _ := appendRecord(nil, nil, ev)
+	return rec
+}
+
+// readRecords walks data as a segment, collecting every event it yields.
+func readRecords(data []byte) ([]*event.Event, walked, error) {
+	var evs []*event.Event
+	w, err := walk("seg", data, 0, func(ev *event.Event) error {
+		evs = append(evs, ev)
+		return nil
+	})
+	return evs, w, err
+}
+
 func TestEventCodecRoundTripProperty(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		ev := randomEvent(rng)
-		rec := EncodeEvent(ev)
-		got, n, err := DecodeEvent(rec)
-		if err != nil {
-			t.Logf("seed %d: decode failed: %v", seed, err)
+		rec := record(ev)
+		got, w, err := readRecords(rec)
+		if err != nil || len(got) != 1 {
+			t.Logf("seed %d: walk yielded %d events: %v", seed, len(got), err)
 			return false
 		}
-		if n != len(rec) {
-			t.Logf("seed %d: consumed %d of %d bytes", seed, n, len(rec))
+		if w.end != len(rec) {
+			t.Logf("seed %d: consumed %d of %d bytes", seed, w.end, len(rec))
 			return false
 		}
-		if !eventsEqual(ev, got) {
-			t.Logf("seed %d: round trip drifted:\n  in:  %+v\n  out: %+v", seed, ev, got)
+		if !eventsEqual(ev, got[0]) {
+			t.Logf("seed %d: round trip drifted:\n  in:  %+v\n  out: %+v", seed, ev, got[0])
 			return false
 		}
 		return true
@@ -100,23 +118,19 @@ func TestEventCodecRoundTripProperty(t *testing.T) {
 func TestEventCodecRejectsCorruption(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 200; i++ {
-		rec := EncodeEvent(randomEvent(rng))
-		// Every truncation must fail cleanly.
-		cut := rng.Intn(len(rec))
-		if ev, _, err := DecodeEvent(rec[:cut]); err == nil && cut < len(rec) {
-			t.Fatalf("truncated record (%d of %d bytes) decoded to %+v", cut, len(rec), ev)
+		rec := record(randomEvent(rng))
+		// Every truncation must fail cleanly, yielding nothing.
+		cut := 1 + rng.Intn(len(rec)-1)
+		if evs, _, err := readRecords(rec[:cut]); err == nil || len(evs) != 0 {
+			t.Fatalf("truncated record (%d of %d bytes) yielded %d events, %v", cut, len(rec), len(evs), err)
 		}
-		// Any single-byte payload flip must be caught by the CRC (flips in
-		// the length prefix may legally surface as truncation errors
-		// instead; either way no event comes back).
+		// Any single-bit flip must be caught by the CRC (flips in the length
+		// prefix may legally surface as truncation errors instead; either
+		// way no event comes back).
 		flipped := append([]byte(nil), rec...)
 		flipped[rng.Intn(len(flipped))] ^= 1 << uint(rng.Intn(8))
-		if ev, _, err := DecodeEvent(flipped); err == nil {
-			// A flip in the trailing CRC of a record whose recomputed CRC
-			// still matches is impossible; a flip that leaves a valid
-			// shorter record is possible only if lengths collapsed, which
-			// the CRC again guards. Decoding "successfully" is a bug.
-			t.Fatalf("corrupted record decoded to %+v", ev)
+		if evs, _, err := readRecords(flipped); err == nil || len(evs) != 0 {
+			t.Fatalf("corrupted record yielded %d events, %v", len(evs), err)
 		}
 	}
 }
@@ -136,9 +150,9 @@ func TestScanFromOffsetsProperty(t *testing.T) {
 		ev := randomEvent(rng)
 		ev.ID = uint64(i) // make order observable
 		all = append(all, ev)
-		if err := s.Append(ev); err != nil {
-			t.Fatal(err)
-		}
+	}
+	if err := s.AppendAll(all); err != nil {
+		t.Fatal(err)
 	}
 	if tail, err := s.Tail(0); err != nil || tail.Count != n {
 		t.Fatalf("Tail(0) = %+v, %v; want %d records", tail, err, n)
@@ -190,9 +204,9 @@ func TestScanFromWithSelection(t *testing.T) {
 			Object:  event.File("/f"),
 		}
 		all = append(all, ev)
-		if err := s.Append(ev); err != nil {
-			t.Fatal(err)
-		}
+	}
+	if err := s.AppendAll(all); err != nil {
+		t.Fatal(err)
 	}
 	sel := Selection{
 		Hosts: []string{"b"},
@@ -224,9 +238,9 @@ func TestScanFromWithSelection(t *testing.T) {
 
 // TestRepairTornTail pins crash recovery of the journal file itself: a
 // torn record at the end of the unsealed final segment (what an unsynced
-// append leaves after a power loss) is trimmed by Repair, after which the
-// durable prefix scans cleanly; corruption inside a sealed, indexed
-// segment is never trimmed.
+// append leaves after a power loss) is trimmed by Tail, after which the
+// durable prefix scans cleanly; corruption inside a sealed, indexed segment
+// is never trimmed.
 func TestRepairTornTail(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{})
@@ -238,7 +252,7 @@ func TestRepairTornTail(t *testing.T) {
 	for i := 0; i < n; i++ {
 		ev := randomEvent(rng)
 		ev.ID = uint64(i)
-		if err := s.Append(ev); err != nil {
+		if err := s.AppendAll([]*event.Event{ev}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -248,7 +262,11 @@ func TestRepairTornTail(t *testing.T) {
 		t.Fatalf("segments = %v, %v", segs, err)
 	}
 	path := filepath.Join(dir, segs[0])
-	full := EncodeEvent(randomEvent(rng))
+	before, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := record(randomEvent(rng))
 	torn := full[:len(full)/2]
 	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
@@ -259,7 +277,7 @@ func TestRepairTornTail(t *testing.T) {
 	}
 	f.Close()
 
-	// Before repair, the torn tail is a hard error.
+	// Before the repair, the torn tail is a hard error to a reader.
 	s2, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -267,19 +285,18 @@ func TestRepairTornTail(t *testing.T) {
 	if err := s2.ScanFrom(0, Selection{}, func(*event.Event) error { return nil }); err == nil {
 		t.Fatal("ScanFrom over a torn tail succeeded")
 	}
-	dropped, err := s2.Repair()
-	if err != nil {
-		t.Fatalf("Repair: %v", err)
-	}
-	if dropped != int64(len(torn)) {
-		t.Errorf("Repair dropped %d bytes, want %d", dropped, len(torn))
-	}
-	if tail, err := s2.Tail(0); err != nil || tail.Count != n {
-		t.Fatalf("Tail(0) after repair = %+v, %v; want %d records", tail, err, n)
-	}
-	// Idempotent on a clean journal.
-	if dropped, err := s2.Repair(); err != nil || dropped != 0 {
-		t.Errorf("second Repair = %d, %v; want 0, nil", dropped, err)
+	for round := 0; round < 2; round++ { // the second Tail finds a clean journal
+		tail, err := s2.Tail(0)
+		if err != nil || tail.Count != n {
+			t.Fatalf("Tail(0), round %d = %+v, %v; want %d records", round, tail, err, n)
+		}
+		if after, err := os.Stat(path); err != nil || after.Size() != before.Size() {
+			t.Fatalf("round %d: segment is %d bytes, want the %d before the tear", round, after.Size(), before.Size())
+		}
+		got := 0
+		if err := tail.Each(func(*event.Event) error { got++; return nil }); err != nil || got != n {
+			t.Fatalf("round %d: Each yielded %d, %v; want %d", round, got, err, n)
+		}
 	}
 
 	// Corruption in a sealed (indexed) segment must not be trimmed:
@@ -290,10 +307,8 @@ func TestRepairTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
-		if err := sealed.Append(randomEvent(rng)); err != nil {
-			t.Fatal(err)
-		}
+	if err := sealed.AppendAll([]*event.Event{randomEvent(rng), randomEvent(rng), randomEvent(rng)}); err != nil {
+		t.Fatal(err)
 	}
 	segs2, err := sealed.listSegments()
 	if err != nil || len(segs2) != 3 {
@@ -312,7 +327,15 @@ func TestRepairTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s3.Repair(); err == nil {
-		t.Fatal("Repair trimmed a sealed corrupt segment")
+	tail, err := s3.Tail(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cerr *CorruptError
+	if err := tail.Each(func(*event.Event) error { return nil }); !errors.As(err, &cerr) || cerr.Segment != segs2[2] {
+		t.Fatalf("Each over a sealed corrupt segment = %v, want *CorruptError naming %s", err, segs2[2])
+	}
+	if after, err := os.ReadFile(lastPath); err != nil || !bytes.Equal(after, data) {
+		t.Fatal("Tail trimmed a sealed corrupt segment")
 	}
 }

@@ -14,9 +14,9 @@
 // only of records it yields — seeking to an offset inside a segment costs a
 // CRC per skipped record, not a decode. A record that fails its length or
 // CRC check is what a torn write leaves: at the end of the final, unsealed
-// segment Tail and Repair trim it; anywhere else it is a *CorruptError. A
-// record whose CRC holds but whose payload does not decode was never written
-// by Append: it is a *CorruptError when yielded and is never trimmed. A
+// segment Tail trims it; anywhere else it is a *CorruptError. A record whose
+// CRC holds but whose payload does not decode was never written by
+// AppendAll: it is a *CorruptError when yielded and is never trimmed. A
 // sidecar's record count is trusted for segments a read skips and verified
 // for every segment it walks.
 package storage
@@ -47,16 +47,12 @@ const (
 	defaultSegSize = 8 << 20 // rotate segments at 8 MiB
 )
 
-// ErrActiveStore reports a Repair attempted on a store that has already
-// opened an active segment for appending.
-var ErrActiveStore = errors.New("storage: repair requires a store with no active segment")
-
 // CorruptError reports journal bytes no append could have left behind: a
 // record failing its length or CRC check anywhere but the tail of the final
 // unsealed segment, a CRC-valid record whose payload does not decode, or a
 // segment whose record count disagrees with its sidecar index.
 type CorruptError struct {
-	// Segment is the segment file's name; empty for a bare DecodeEvent.
+	// Segment is the segment file's name.
 	Segment string
 	// Offset is the byte offset of the faulty record in the segment, or -1
 	// when the fault is the segment's record count.
@@ -65,10 +61,7 @@ type CorruptError struct {
 }
 
 func (e *CorruptError) Error() string {
-	switch {
-	case e.Segment == "":
-		return "storage: record: " + e.Reason
-	case e.Offset < 0:
+	if e.Offset < 0 {
 		return fmt.Sprintf("storage: segment %s: %s", e.Segment, e.Reason)
 	}
 	return fmt.Sprintf("storage: segment %s offset %d: %s", e.Segment, e.Offset, e.Reason)
@@ -147,27 +140,6 @@ func Open(dir string, opts Options) (*Store, error) {
 // ---------------------------------------------------------------------------
 // Append
 // ---------------------------------------------------------------------------
-
-// Append writes one event to the active segment, rotating as needed.
-func (s *Store) Append(ev *event.Event) error {
-	if s.failed != nil {
-		return s.failed
-	}
-	if s.active.Load() == nil {
-		if err := s.openSegment(); err != nil {
-			return err
-		}
-	}
-	s.batch, s.payload = appendRecord(s.batch[:0], s.payload, ev)
-	if err := s.writeRecords(s.batch); err != nil {
-		return err
-	}
-	s.foldMeta(ev)
-	if s.activeSize >= s.maxSegSize {
-		return s.seal()
-	}
-	return nil
-}
 
 // AppendAll appends a batch of events with one file write per segment
 // rather than per event: it sits on the engine's journaling hot path, where
@@ -483,31 +455,6 @@ func countMismatch(seg string, meta *segMeta, w walked) error {
 		Reason: fmt.Sprintf("sidecar index counts %d records, segment holds %d", meta.Count, w.n)}
 }
 
-// Repair truncates a torn tail record from the final, unsealed segment —
-// the shape an unsynced append leaves behind after a power loss — and
-// reports how many bytes were dropped (0 when the journal is clean). Only
-// the last segment without a sidecar index is eligible: a frame failure in
-// a sealed segment (whose records were fsynced at seal time) is genuine
-// corruption and reported as an error, never trimmed, as is a sealed final
-// segment whose record count disagrees with its sidecar. Tail does the same
-// repair on the way to reading; Repair is for callers that only mend.
-func (s *Store) Repair() (int64, error) {
-	if s.active.Load() != nil {
-		return 0, fmt.Errorf("%w (call before appending)", ErrActiveStore)
-	}
-	segs, err := s.listSegments()
-	if err != nil || len(segs) == 0 {
-		return 0, err
-	}
-	last := segs[len(segs)-1]
-	meta, sealed := s.readMeta(last)
-	_, w, dropped, err := s.load(last, 0, !sealed)
-	if err == nil && meta != nil && w.n != meta.Count {
-		err = countMismatch(last, meta, w)
-	}
-	return dropped, err
-}
-
 // ---------------------------------------------------------------------------
 // Reading
 // ---------------------------------------------------------------------------
@@ -595,13 +542,15 @@ type tailSeg struct {
 
 // Tail is the recover-then-read entry to a journal that may have been left
 // by a crash. It seals this handle's own active segment, trims a torn tail
-// from the final unsealed segment (see Repair), counts the journal — from
-// the sidecar of every sealed segment, by a decode-free walk of the others —
-// and returns the part from the global record offset onward, still encoded.
-// Record 0 is the first event ever appended, and offsets count every record
-// in storage order. An offset past Count yields an empty tail; whether that
-// is an error is the caller's call. Sealed segments are not read here at
-// all: Each reads the one holding the offset, once.
+// from the final unsealed segment (what an unsynced append leaves after a
+// power loss; a frame failure in a sealed segment, whose records were
+// fsynced at seal time, is a *CorruptError and is never trimmed), counts the
+// journal — from the sidecar of every sealed segment, by a decode-free walk
+// of the others — and returns the part from the global record offset onward,
+// still encoded. Record 0 is the first event ever appended, and offsets count
+// every record in storage order. An offset past Count yields an empty tail;
+// whether that is an error is the caller's call. Sealed segments are not
+// read here at all: Each reads the one holding the offset, once.
 func (s *Store) Tail(offset int64) (*Tail, error) { return s.tail(offset, true) }
 
 // tail builds a Tail, repairing the final segment only when repair is set.
@@ -702,36 +651,4 @@ func (s *Store) ReadAll(sel Selection) ([]*event.Event, error) {
 		return nil
 	})
 	return out, err
-}
-
-// ---------------------------------------------------------------------------
-// Single records
-// ---------------------------------------------------------------------------
-
-// EncodeEvent produces one store record: uvarint payloadLen | payload |
-// crc32(payload), with the payload encoded by the shared wire codec.
-func EncodeEvent(ev *event.Event) []byte {
-	rec, _ := appendRecord(nil, nil, ev)
-	return rec
-}
-
-// errFirst stops DecodeEvent's walk after one record.
-var errFirst = errors.New("storage: first record decoded")
-
-// DecodeEvent decodes one store record from the front of data, returning the
-// event and the record's total length. Truncated records and CRC mismatches
-// are rejected before any payload field is interpreted.
-func DecodeEvent(data []byte) (*event.Event, int, error) {
-	var first *event.Event
-	w, err := walk("", data, 0, func(ev *event.Event) error {
-		first = ev
-		return errFirst
-	})
-	switch {
-	case errors.Is(err, errFirst):
-		return first, w.end, nil
-	case err == nil: // empty input: the walk had nothing to reject
-		err = corruptAt("", 0, "bad record length")
-	}
-	return nil, 0, err
 }

@@ -220,11 +220,12 @@ func TestCodecProperty(t *testing.T) {
 			Object:  event.File(path),
 			Amount:  amount,
 		}
-		rec := EncodeEvent(ev)
-		got, n, err := DecodeEvent(rec)
-		if err != nil || n != len(rec) {
+		rec := record(ev)
+		evs, w, err := readRecords(rec)
+		if err != nil || len(evs) != 1 || w.end != len(rec) {
 			return false
 		}
+		got := evs[0]
 		return got.ID == ev.ID && got.Time.Equal(ev.Time) && got.AgentID == ev.AgentID &&
 			got.Subject == ev.Subject && got.Object == ev.Object &&
 			(got.Amount == ev.Amount || (got.Amount != got.Amount && ev.Amount != ev.Amount))

@@ -353,8 +353,8 @@ func segmentBytes(t *testing.T, dir string) []byte {
 }
 
 // TestAppendBytesMatchReference holds the buffer-reusing encoder to the
-// allocating one it replaced, record for record, across Append, AppendAll in
-// random batch sizes and segment rotation, and to a golden segment written
+// allocating one it replaced, record for record, across AppendAll in random
+// batch sizes (one-event batches among them) and segment rotation, and to a golden segment written
 // by the old encoder. SAQL_UPDATE_GOLDEN=1 rewrites the golden file and is
 // only for a deliberate record-format change.
 func TestAppendBytesMatchReference(t *testing.T) {
@@ -365,7 +365,7 @@ func TestAppendBytesMatchReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	evs := goldenEvents()
-	if err := s.Append(evs[0]); err != nil {
+	if err := s.AppendAll(evs[:1]); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.AppendAll(evs[1:]); err != nil {
@@ -406,16 +406,11 @@ func TestAppendBytesMatchReference(t *testing.T) {
 			for j := range batch {
 				batch[j] = journalEvent(rng, i+j)
 				want = append(want, refEncodeEvent(batch[j])...)
-				if rec := EncodeEvent(batch[j]); !bytes.Equal(rec, refEncodeEvent(batch[j])) {
-					t.Fatalf("EncodeEvent differs from the oracle for %+v", batch[j])
+				if rec := record(batch[j]); !bytes.Equal(rec, refEncodeEvent(batch[j])) {
+					t.Fatalf("appendRecord differs from the oracle for %+v", batch[j])
 				}
 			}
-			if k == 1 {
-				err = s.Append(batch[0])
-			} else {
-				err = s.AppendAll(batch)
-			}
-			if err != nil {
+			if err := s.AppendAll(batch); err != nil {
 				t.Fatal(err)
 			}
 			i += k
@@ -497,7 +492,7 @@ func TestRestoreReadsJournalOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec := EncodeEvent(sampleEvents(1)[0])
+		rec := record(sampleEvents(1)[0])
 		if _, err := f.Write(rec[:len(rec)-3]); err != nil {
 			t.Fatal(err)
 		}

@@ -128,14 +128,6 @@ func (h *QueryHandle) recLocked() (*queryRecord, error) {
 	return rec, nil
 }
 
-// Closed reports whether the handle's query has been retired.
-func (h *QueryHandle) Closed() bool {
-	h.eng.mu.Lock()
-	defer h.eng.mu.Unlock()
-	_, err := h.recLocked()
-	return err != nil
-}
-
 // Kind reports the query's anomaly model family (zero after Close).
 func (h *QueryHandle) Kind() ModelKind {
 	h.eng.mu.Lock()
@@ -478,9 +470,9 @@ type querySetEntry struct {
 	src  string
 }
 
-// SetQuotas declares quotas for a tenant, replacing any earlier declaration
+// setQuotas declares quotas for a tenant, replacing any earlier declaration
 // for the same tenant in this set.
-func (s *QuerySet) SetQuotas(tenant string, q TenantQuotas) {
+func (s *QuerySet) setQuotas(tenant string, q TenantQuotas) {
 	if tenant == "" {
 		tenant = DefaultTenant
 	}
@@ -488,15 +480,6 @@ func (s *QuerySet) SetQuotas(tenant string, q TenantQuotas) {
 		s.quotas = map[string]TenantQuotas{}
 	}
 	s.quotas[tenant] = q
-}
-
-// Quotas returns a copy of the set's tenant quota declarations.
-func (s *QuerySet) Quotas() map[string]TenantQuotas {
-	out := make(map[string]TenantQuotas, len(s.quotas))
-	for k, v := range s.quotas {
-		out[k] = v
-	}
-	return out
 }
 
 // NewQuerySet returns an empty queryset.
@@ -531,7 +514,7 @@ func ParseQuerySet(src string) (*QuerySet, error) {
 		qs.entries = append(qs.entries, querySetEntry{name: q.Name, src: q.Src})
 	}
 	for _, t := range doc.Tenants {
-		qs.SetQuotas(t.Name, TenantQuotas{
+		qs.setQuotas(t.Name, TenantQuotas{
 			MaxQueries:    t.Quotas.MaxQueries,
 			MaxStateBytes: t.Quotas.MaxStateKB * 1024,
 			AlertBudget:   t.Quotas.AlertBudget,
@@ -590,7 +573,7 @@ func (s *QuerySet) Merge(other *QuerySet) error {
 	}
 	s.entries = append(s.entries, other.entries...)
 	for ten, q := range other.quotas {
-		s.SetQuotas(ten, q)
+		s.setQuotas(ten, q)
 	}
 	return nil
 }

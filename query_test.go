@@ -18,6 +18,14 @@ state ss { amt := sum(e.amount) } group by p
 alert ss.amt > 100
 return p, ss.amt`
 
+// closed reports whether h's query has been retired.
+func closed(h *QueryHandle) bool {
+	h.eng.mu.Lock()
+	defer h.eng.mu.Unlock()
+	_, err := h.recLocked()
+	return err != nil
+}
+
 func writeEvent(at time.Duration, exe string, amount float64) *Event {
 	return &Event{
 		Time:    demoStart.Add(at),
@@ -50,7 +58,7 @@ func TestRegisterHandleBasics(t *testing.T) {
 	if l := h.Labels(); l["pack"] != "demo" || l["severity"] != "high" {
 		t.Errorf("Labels = %v", l)
 	}
-	if h.Paused() || h.Closed() {
+	if h.Paused() || closed(h) {
 		t.Error("fresh handle reports paused/closed")
 	}
 	// Engine lookup returns the same handle.
@@ -69,7 +77,7 @@ func TestRegisterHandleBasics(t *testing.T) {
 	if err := h.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if !h.Closed() {
+	if !closed(h) {
 		t.Error("handle not closed")
 	}
 	if err := h.Close(); err != nil {
@@ -96,7 +104,7 @@ func TestRegisterHandleBasics(t *testing.T) {
 	if h2 == h {
 		t.Error("re-registration reused the closed handle")
 	}
-	if !h.Closed() || h2.Closed() {
+	if !closed(h) || closed(h2) {
 		t.Error("handle identity confused after re-registration")
 	}
 }

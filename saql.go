@@ -183,8 +183,8 @@ type config struct {
 func WithSharing(on bool) Option { return func(c *config) { c.sharing = on } }
 
 // WithAlertHandler installs a callback invoked serially for every alert, in
-// addition to alerts flowing to subscriptions (and, on the legacy serial
-// path, being returned from Process). After Start the callback runs on
+// addition to alerts flowing to subscriptions (and, on the serial
+// reference, being returned from Process). After Start the callback runs on
 // runtime goroutines, never concurrently with itself.
 func WithAlertHandler(fn func(*Alert)) Option { return func(c *config) { c.onAlert = fn } }
 
@@ -549,7 +549,7 @@ func (e *Engine) running() (*runtime.Runtime, error) {
 }
 
 // Subscribe registers a push-based alert stream carrying every alert the
-// engine raises (from both the concurrent and the legacy serial path).
+// engine raises (from both the concurrent path and the serial reference).
 // Multiple subscribers each receive every alert. buf bounds the channel;
 // policy selects Block backpressure or DropNewest when the subscriber
 // falls behind (drops are counted per subscription). Subscribing to a
@@ -562,15 +562,12 @@ func (e *Engine) Subscribe(buf int, policy OverflowPolicy) *AlertSubscription {
 }
 
 // ---------------------------------------------------------------------------
-// Legacy serial API (pre-Start engines)
+// The serial reference (never-started engines)
 // ---------------------------------------------------------------------------
 
-// Process feeds one event through all queries and returns the alerts
-// raised.
-//
-// Deprecated: Process is the legacy serial ingestion path; prefer Start +
-// Submit/SubmitBatch + Subscribe. It remains fully supported on a
-// never-started engine. On a running engine it forwards the event to
+// Process feeds one event through all queries of a never-started engine and
+// returns the alerts raised: the serial reference every started engine is
+// held to, alert for alert. On a running engine it forwards the event to
 // Submit and returns nil (alerts flow to subscriptions and the alert
 // handler); on a closed engine it returns nil.
 func (e *Engine) Process(ev *Event) []*Alert {
@@ -594,7 +591,7 @@ func (e *Engine) Process(ev *Event) []*Alert {
 			return nil
 		}
 		e.jmu.Lock()
-		if err := store.Append(ev); err != nil {
+		if err := store.AppendAll([]*Event{ev}); err != nil {
 			// An unjournaled event must not be processed: counting it would
 			// desync checkpoint offsets from the journal's contents and make
 			// a later replay skip a real tail event. Same contract as the
@@ -613,15 +610,11 @@ func (e *Engine) Process(ev *Event) []*Alert {
 	return alerts
 }
 
-// Flush closes all open windows (end of stream) and returns final alerts.
-// On a running engine the flush happens at a consistent point of the
-// stream — after everything submitted before the call — and the alerts are
-// also delivered to subscriptions.
-//
-// Deprecated: Flush is part of the legacy serial API; Close flushes every
-// shard and delivers the final alerts to subscriptions. It remains
-// supported on both paths (on a running engine it is a mid-stream
-// checkpoint flush).
+// Flush closes all open windows (end of stream) and returns final alerts:
+// the serial reference's end of stream. On a running engine the flush
+// happens at a consistent point of the stream — after everything submitted
+// before the call — and the alerts are also delivered to subscriptions
+// (Close flushes every shard the same way).
 func (e *Engine) Flush() []*Alert {
 	switch engineState(e.state.Load()) {
 	case stateRunning:

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"saql/internal/attack"
 	"saql/internal/baseline"
 	"saql/internal/engine"
 	"saql/internal/scheduler"
@@ -101,7 +102,7 @@ func TestKillChainDetection(t *testing.T) {
 	// Every rule query detects its step exactly once, at most one window
 	// (30 s) of event time after the step's first labelled event: the paper's
 	// Figure 3 timeline (experiments E1/E2).
-	stepStart := map[AttackStep]time.Time{}
+	stepStart := map[attack.Step]time.Time{}
 	for _, l := range scenario.Events() {
 		if _, ok := stepStart[l.Step]; !ok {
 			stepStart[l.Step] = l.Event.Time
@@ -237,9 +238,9 @@ func TestStoreReplayDetection(t *testing.T) {
 	}
 	var alerts []*Alert
 	eng := New(WithAlertHandler(func(a *Alert) { alerts = append(alerts, a) }))
-	var exfilQuery NamedQuery
+	var exfilQuery attack.NamedQuery
 	for _, nq := range scenario.DemoQueries(30*time.Second, 5) {
-		if nq.Step == StepDataExfiltration {
+		if nq.Step == attack.StepDataExfiltration {
 			exfilQuery = nq
 		}
 	}
@@ -327,7 +328,7 @@ func TestConcurrentQueriesShareOneCopy(t *testing.T) {
 // scheduler, the unshared scheduler and the generic-CEP baseline, requires
 // identical alert counts — sharing must be a pure optimisation — and returns
 // the count and the shared engine's stats.
-func runSharedUnsharedBaseline(t *testing.T, queries []NamedQuery, events []*Event) (int, Stats) {
+func runSharedUnsharedBaseline(t *testing.T, queries []attack.NamedQuery, events []*Event) (int, Stats) {
 	t.Helper()
 	shared := New(WithSharing(true))
 	unshared := New(WithSharing(false))

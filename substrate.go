@@ -48,34 +48,11 @@ func NewWorkload(cfg WorkloadConfig) (*Workload, error) { return collector.New(c
 // AttackScenario generates the paper's five-step APT kill chain.
 type AttackScenario = attack.Scenario
 
-// AttackStep identifies one kill-chain stage (c1..c5).
-type AttackStep = attack.Step
-
-// Kill-chain steps.
-const (
-	StepInitialCompromise   = attack.StepInitialCompromise
-	StepMalwareInfection    = attack.StepMalwareInfection
-	StepPrivilegeEscalation = attack.StepPrivilegeEscalation
-	StepPenetration         = attack.StepPenetration
-	StepDataExfiltration    = attack.StepDataExfiltration
-)
-
-// AttackSteps lists all steps in order.
-var AttackSteps = attack.Steps
-
 // LabeledEvent is an attack event with its ground-truth step.
 type LabeledEvent = attack.Labeled
 
-// NamedQuery pairs a SAQL query with its name, target step, and model family.
-type NamedQuery = attack.NamedQuery
-
 // AttackEventsOnly strips ground-truth labels from attack events.
 func AttackEventsOnly(labeled []LabeledEvent) []*Event { return attack.EventsOnly(labeled) }
-
-// RansomwareScenario is a second built-in attack: a payload mass-encrypting
-// user documents, exercising the execute/delete operations and count-based
-// behavioural queries (see its DetectionQueries method).
-type RansomwareScenario = attack.RansomwareScenario
 
 // ---------------------------------------------------------------------------
 // Event store and stream replayer
@@ -87,9 +64,6 @@ type Store = storage.Store
 // StoreOptions configure a store.
 type StoreOptions = storage.Options
 
-// Selection filters a store scan or replay.
-type Selection = storage.Selection
-
 // OpenStore opens (creating if needed) an event store in dir.
 func OpenStore(dir string, opts StoreOptions) (*Store, error) { return storage.Open(dir, opts) }
 
@@ -98,9 +72,6 @@ type Replayer = replayer.Replayer
 
 // ReplayOptions select hosts, time range, and speed for a replay.
 type ReplayOptions = replayer.Options
-
-// ReplayStats summarise one replay run.
-type ReplayStats = replayer.Stats
 
 // NewReplayer creates a replayer over store.
 func NewReplayer(store *Store) *Replayer { return replayer.New(store) }

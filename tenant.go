@@ -114,7 +114,12 @@ func (r *alertRing) add(t time.Time) {
 	if i < 0 {
 		i += ringMinutes
 	}
-	if r.mins[i] != m {
+	switch {
+	case r.count[i] > 0 && r.mins[i] > m:
+		// A minute older than the one its bucket holds: more than the ring's
+		// span behind, outside every window sum answers.
+		return
+	case r.mins[i] != m:
 		r.mins[i] = m
 		r.count[i] = 0
 	}

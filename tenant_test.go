@@ -96,6 +96,27 @@ func TestAlertBudgetSuppression(t *testing.T) {
 	}
 }
 
+// TestAlertRingIgnoresStaleMinute: an alert more than the ring's span older
+// than the minute its bucket holds leaves that bucket alone — it once reset
+// it, and RecentAlerts (and the admin alerts_1h field) lost the whole minute.
+func TestAlertRingIgnoresStaleMinute(t *testing.T) {
+	var r alertRing
+	now := demoStart.Add(3 * time.Hour)
+	for i := 0; i < 3; i++ {
+		r.add(now)
+	}
+	r.add(now.Add(-ringMinutes * time.Minute))
+	if n := r.sum(now, time.Hour); n != 3 {
+		t.Fatalf("sum(now, 1h) = %d after a stale alert, want 3", n)
+	}
+	// A newer minute still takes the bucket over.
+	later := now.Add(ringMinutes * time.Minute)
+	r.add(later)
+	if n := r.sum(later, time.Hour); n != 1 {
+		t.Fatalf("sum(later, 1h) = %d, want 1", n)
+	}
+}
+
 // TestAlertBudgetRaisedHotApply exhausts a budget declared in a queryset
 // document, then re-Applies the document with a higher budget: the raise
 // takes effect immediately, inside the same accounting window.
