@@ -406,6 +406,9 @@ func open(dir string, needSnapshot bool, opts []RestoreOption) (*Engine, *Restor
 	if err := eng.RestoreStateBlobs(states); err != nil {
 		return fail(eng, err)
 	}
+	// The stream watermark the snapshot's prefix reached, which a query
+	// resumed or registered from here on starts at; Start hands it on.
+	eng.sched.Watermark(tail.Before)
 	if cfg.start {
 		if err := eng.Start(context.Background()); err != nil {
 			return fail(eng, err)

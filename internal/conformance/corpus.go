@@ -1,7 +1,8 @@
 // Package conformance holds the inputs shared by the conformance suites of
 // several packages (the root package's language and lifecycle suites, the
-// engine's compiled-versus-oracle differential): the language corpus and the
-// extraction of the docs' fenced query blocks. Only tests import it.
+// engine's compiled-versus-oracle differential, the cluster hammer): the
+// language corpus, the extraction of the docs' fenced query blocks and a
+// seed-driven disordered stream (Disorder). Only tests import it.
 package conformance
 
 import (

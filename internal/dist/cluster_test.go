@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"saql"
+	"saql/internal/conformance"
 	"saql/internal/dist"
 	"saql/internal/leakcheck"
 )
@@ -162,11 +163,26 @@ type clusterFault struct {
 // must equal the uninterrupted serial run's, alert for alert.
 func TestClusterMatchesSerial(t *testing.T) {
 	leakcheck.Check(t)
+	clusterMatchesSerial(t, conformanceSeed(t), clusterWorkload(96, 25), true)
+}
+
+// TestClusterMatchesSerialDisordered runs the same hammer — kills,
+// replacements, barriers and migrations included — over a disordered stream
+// (conformance.Disorder: late by up to three windows, one host's clock
+// jumping back), with no queryset control operations.
+func TestClusterMatchesSerialDisordered(t *testing.T) {
+	leakcheck.Check(t)
 	seed := conformanceSeed(t)
+	events := conformance.Disorder{Seed: seed, Start: clusterStart, Events: 2400, Window: time.Second, Late: 3, Jump: 4 * time.Second}.Stream()
+	clusterMatchesSerial(t, seed, events, false)
+}
+
+// clusterMatchesSerial is the hammer: events in 24 blocks, with queryset
+// control operations between them when controls is set.
+func clusterMatchesSerial(t *testing.T, seed int64, events []*saql.Event, controls bool) {
 	rng := rand.New(rand.NewSource(seed))
 
-	const workers, procs, perProc, blocks = 3, 96, 25, 24
-	events := clusterWorkload(procs, perProc)
+	const workers, blocks = 3, 24
 	blockSize := len(events) / blocks
 
 	// Shared script: event blocks interleaved with queryset control ops.
@@ -175,7 +191,7 @@ func TestClusterMatchesSerial(t *testing.T) {
 	version := map[string]int{}
 	for b := 0; b < blocks; b++ {
 		script = append(script, scriptStep{op: "submit", block: b})
-		for i := 0; i < 1+rng.Intn(2); i++ {
+		for i := 0; controls && i < 1+rng.Intn(2); i++ {
 			name := clusterQueryNames[rng.Intn(len(clusterQueryNames))]
 			switch rng.Intn(3) {
 			case 0:

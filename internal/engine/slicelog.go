@@ -188,8 +188,8 @@ func (l *SliceLog) KeyFailed(t time.Time, err error) {
 	}
 }
 
-// Advance observes the watermark t — an event's time, or a stream watermark
-// the router stamped — and seals the log once the observed watermark reaches
+// Advance observes the watermark t — the stream watermark an event was
+// stamped with, or a batch's — and seals the log once the observed watermark reaches
 // the due point, returning the alerts of the windows the members then close.
 //
 //saql:hotpath

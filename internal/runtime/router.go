@@ -48,17 +48,14 @@ package runtime
 // though shards see disjoint event subsets.
 //
 // Watermark stamps give every shard what seeing every event would: each entry
-// carries the stream watermark the router observed before its event, which
-// the slice log of every set the entry names observes before its ops; every
-// flushed batch carries the router's running watermark, which every stateful
-// set observes at the batch boundary (AdvanceAll). A log seals — folds its
-// hits into its members and advances them — the moment what it observes
-// reaches the end of its slice, so these reproduce the serial engine's
-// per-query watermark at every point a window closes or a hit is judged late,
-// and close windows promptly on shards that received no events.
-//
-// docs/architecture.md records the one deliberate divergence from the serial
-// reference (a query resumed from pause on an out-of-order stream).
+// carries the stream watermark through its event (event.Watermark, as serial
+// Process stamps it), which the slice log of every set the entry names
+// observes before its ops; every flushed batch carries the router's running
+// watermark, which every stateful set observes at the batch boundary
+// (AdvanceAll). A log seals the moment what it observes reaches the end of
+// its slice, so these reproduce the serial engine at every point a window
+// closes or a hit is judged late, and close windows promptly on shards that
+// received no events.
 
 import (
 	"slices"
@@ -82,18 +79,18 @@ const (
 )
 
 // routedEntry is one event's work for one shard: ops[first:first+n] of the
-// slab that holds it. wm is the stream watermark the router had observed
-// before this event, in unix nanoseconds (32 bytes an entry, not 48).
+// slab that holds it. wm is the stream watermark through this event, in unix
+// nanoseconds (24 bytes an entry).
 type routedEntry struct {
 	ev       *event.Event
 	wm       int64
 	first, n int32
-	hasWM    bool
 }
 
 // shardBatch is one flushed slab of routed entries and their ops, resolved
 // against layout (registry changes flush first, so a slab never spans two).
-// wm is the router's running stream watermark at flush time; the receiving
+// wm is the router's running stream watermark at flush time (every flush has
+// one: an entry or an empty flush needs a routed event); the receiving
 // shard applies it to every active query after the entries
 // (scheduler.AdvanceAll), which is the partitioned replacement for "every
 // shard sees every event's time".
@@ -102,7 +99,6 @@ type shardBatch struct {
 	ops     []scheduler.Op
 	layout  *scheduler.Layout
 	wm      time.Time
-	hasWM   bool
 	// openSeq is the partitioner's event sequence number of the last entry:
 	// while it is current, that entry is still taking ops.
 	openSeq uint64
@@ -149,8 +145,7 @@ type partitioner struct {
 	bufs   []*shardBatch
 	lastWM []time.Time // watermark last flushed to each shard
 
-	streamWM time.Time
-	hasWM    bool
+	wm event.Watermark // the stream watermark: every event routed so far
 
 	seq    uint64   // events routed with hits: stamps open entries
 	mark   uint64   // by-group sets routed: stamps folded
@@ -158,9 +153,10 @@ type partitioner struct {
 	pool   sync.Pool
 }
 
-func newPartitioner(r *Runtime) *partitioner {
+func newPartitioner(r *Runtime, wm event.Watermark) *partitioner {
 	p := &partitioner{
 		r:      r,
+		wm:     wm,
 		n:      len(r.shards),
 		owns:   r.cfg.Owns,
 		routes: map[string]*routeInfo{},
@@ -266,7 +262,7 @@ func (p *partitioner) resolveSets(layout *scheduler.Layout) {
 // filled this one (an entry never straddles two).
 //
 //saql:hotpath
-func (p *partitioner) emit(i int, ev *event.Event, wm int64, hasWM bool, op scheduler.Op) {
+func (p *partitioner) emit(i int, ev *event.Event, wm int64, op scheduler.Op) {
 	b := p.bufs[i]
 	if b.openSeq != p.seq {
 		if len(b.entries) >= flushThreshold || len(b.ops) >= opsThreshold {
@@ -275,7 +271,7 @@ func (p *partitioner) emit(i int, ev *event.Event, wm int64, hasWM bool, op sche
 		}
 		b.openSeq = p.seq
 		b.layout = p.setsFor
-		b.entries = append(b.entries, routedEntry{ev: ev, wm: wm, hasWM: hasWM, first: int32(len(b.ops))})
+		b.entries = append(b.entries, routedEntry{ev: ev, wm: wm, first: int32(len(b.ops))})
 	}
 	b.ops = append(b.ops, op)
 	b.entries[len(b.entries)-1].n++
@@ -288,11 +284,7 @@ func (p *partitioner) emit(i int, ev *event.Event, wm int64, hasWM bool, op sche
 //
 //saql:hotpath
 func (p *partitioner) routeEvent(ev *event.Event, hs *scheduler.HitSet) {
-	wm, hasWM := p.streamWM.UnixNano(), p.hasWM
-	if !p.hasWM || ev.Time.After(p.streamWM) {
-		p.streamWM = ev.Time
-		p.hasWM = true
-	}
+	wm := p.wm.Through(ev.Time).UnixNano()
 	if hs == nil {
 		return
 	}
@@ -310,26 +302,26 @@ func (p *partitioner) routeEvent(ev *event.Event, hs *scheduler.HitSet) {
 				// folds on no local shard; the local replicas still touch.
 				if h := sh.Keys[j].Hash; p.owns == nil || p.owns(h) {
 					i := int(h % uint32(p.n))
-					p.emit(i, ev, wm, hasWM, sh.FoldOp(j))
+					p.emit(i, ev, wm, sh.FoldOp(j))
 					p.folded[i] = p.mark
 				}
 			}
 			for i := range p.folded {
 				if p.folded[i] != p.mark {
-					p.emit(i, ev, wm, hasWM, scheduler.Op{Kind: scheduler.OpTouch, Set: sh.Set})
+					p.emit(i, ev, wm, scheduler.Op{Kind: scheduler.OpTouch, Set: sh.Set})
 				}
 			}
 		case routeHomeFold:
 			for j := range sh.Hits {
 				op := sh.FoldOp(j)
 				for _, home := range rs.homes {
-					p.emit(home, ev, wm, hasWM, op)
+					p.emit(home, ev, wm, op)
 				}
 			}
 		case routeHomeHits:
 			op := sh.HitsOp()
 			for _, home := range rs.homes {
-				p.emit(home, ev, wm, hasWM, op)
+				p.emit(home, ev, wm, op)
 			}
 		case routeEventHits:
 			if eventOwner == -2 {
@@ -339,7 +331,7 @@ func (p *partitioner) routeEvent(ev *event.Event, hs *scheduler.HitSet) {
 				}
 			}
 			if eventOwner >= 0 {
-				p.emit(eventOwner, ev, wm, hasWM, sh.HitsOp())
+				p.emit(eventOwner, ev, wm, sh.HitsOp())
 			}
 		}
 	}
@@ -352,9 +344,9 @@ func (p *partitioner) routeEvent(ev *event.Event, hs *scheduler.HitSet) {
 //saql:hotpath
 func (p *partitioner) flushShard(i int) {
 	b := p.bufs[i]
-	b.wm, b.hasWM = p.streamWM, p.hasWM
+	b.wm, _ = p.wm.Time()
 	p.bufs[i] = p.get()
-	p.lastWM[i] = p.streamWM
+	p.lastWM[i] = b.wm
 	p.r.shards[i].in <- envelope{batch: b}
 }
 
@@ -368,8 +360,9 @@ func (p *partitioner) flushShard(i int) {
 //
 //saql:hotpath
 func (p *partitioner) flushAll() {
+	wm, ok := p.wm.Time()
 	for i := range p.bufs {
-		if len(p.bufs[i].entries) > 0 || (p.hasWM && p.streamWM.After(p.lastWM[i])) {
+		if len(p.bufs[i].entries) > 0 || ok && wm.After(p.lastWM[i]) {
 			p.flushShard(i)
 		}
 	}
@@ -386,14 +379,12 @@ func (r *Runtime) processBatch(s *shard, b *shardBatch) {
 		if r.testObserve != nil {
 			r.testObserve(s.id, b, e)
 		}
-		if alerts := s.sched.Apply(b.layout, e.ev, time.Unix(0, e.wm), e.hasWM, b.ops[e.first:e.first+e.n]); len(alerts) > 0 {
+		if alerts := s.sched.Apply(b.layout, e.ev, time.Unix(0, e.wm), b.ops[e.first:e.first+e.n]); len(alerts) > 0 {
 			r.cfg.Fan.Publish(alerts)
 		}
 	}
-	if b.hasWM {
-		if alerts := s.sched.AdvanceAll(b.wm); len(alerts) > 0 {
-			r.cfg.Fan.Publish(alerts)
-		}
+	if alerts := s.sched.AdvanceAll(b.wm); len(alerts) > 0 {
+		r.cfg.Fan.Publish(alerts)
 	}
 	r.part.put(b)
 }

@@ -160,8 +160,8 @@ func (o *observer) hook(shard int, b *shardBatch, e *routedEntry) {
 		o.ops[e.ev], o.entries[e.ev] = map[int][]obsOp{}, map[int]int{}
 	}
 	o.entries[e.ev][shard]++
-	if e.hasWM && e.wm > e.ev.Time.UnixNano() && o.wmErr == nil {
-		o.wmErr = fmt.Errorf("entry for event at %v stamped with a later watermark %v on a monotone stream", e.ev.Time, e.wm)
+	if e.wm != e.ev.Time.UnixNano() && o.wmErr == nil {
+		o.wmErr = fmt.Errorf("entry for event at %v stamped with watermark %v, not its time, on a monotone stream", e.ev.Time, time.Unix(0, e.wm))
 	}
 	for i, seen := 1, map[int32]bool{}; i <= len(ops); i++ {
 		if i == len(ops) || ops[i].Set != ops[i-1].Set {
@@ -309,7 +309,7 @@ func runRoutingCase(t *testing.T, seed int64, shards int, owns func(uint32) bool
 	evs := routingWorkload(rng, 240+rng.Intn(120))
 
 	obs := &observer{ops: map[*event.Event]map[int][]obsOp{}, entries: map[*event.Event]map[int]int{}, slabs: map[*shardBatch]bool{}}
-	r := Start(Config{Shards: shards, Sharing: true, Owns: owns})
+	r := Start(Config{Shards: shards, Sharing: true, Owns: owns}, event.Watermark{})
 	r.testObserve = obs.hook
 	defer r.Close()
 
@@ -442,7 +442,7 @@ func runRoutingCase(t *testing.T, seed int64, shards int, owns func(uint32) bool
 	// Every slab a shard saw has been recycled by now: nothing may linger in
 	// it, used part or not.
 	for b := range obs.slabs {
-		if b.layout != nil || b.hasWM || len(b.entries) != 0 || len(b.ops) != 0 {
+		if b.layout != nil || !b.wm.IsZero() || len(b.entries) != 0 || len(b.ops) != 0 {
 			t.Fatalf("recycled slab keeps its header: %+v", b)
 		}
 		for _, e := range b.entries[:cap(b.entries)] {

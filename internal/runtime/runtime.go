@@ -28,8 +28,8 @@
 // key or an ownership hash: scheduler.Apply hands a stateful set's ops to its
 // slice log, resolving a fold's key to a group id once for all the set's
 // members, and the log folds them into every member when the watermark — the
-// entry's stamp, the event's time, the batch's — reaches the end of its
-// slice, so windows close at the same instants everywhere. Per-event pattern work is
+// entry's stamp or the batch's, the stream watermark either way — reaches the
+// end of its slice, so windows close at the same instants everywhere. Per-event pattern work is
 // therefore O(patterns), key work O(key classes) and routing work O(variant
 // sets), not O(shards × queries). Control operations (add/swap/remove/pause) are applied to the
 // evaluation scheduler by the router at the moment their envelope passes
@@ -233,8 +233,8 @@ type queryInfo struct {
 	replicas  []*engine.Query // indexed by shard; nil where absent
 }
 
-// Start spins up the runtime: one router plus cfg.Shards workers.
-func Start(cfg Config) *Runtime {
+// Start spins up the runtime: a router at stream watermark wm, and workers.
+func Start(cfg Config, wm event.Watermark) *Runtime {
 	if cfg.Shards < 1 {
 		cfg.Shards = 1
 	}
@@ -261,7 +261,7 @@ func Start(cfg Config) *Runtime {
 		}
 		r.shards = append(r.shards, s)
 	}
-	r.part = newPartitioner(r)
+	r.part = newPartitioner(r, wm)
 	for _, s := range r.shards {
 		r.workersDone.Add(1)
 		go r.worker(s)

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"saql/internal/engine"
+	"saql/internal/event"
 	"saql/internal/runtime"
 	"saql/internal/scheduler"
 )
@@ -75,7 +76,7 @@ func TestPinnedDispatchEnginesMatchProcess(t *testing.T) {
 					defer mu.Unlock()
 					got = append(got, a.String())
 				})
-				r := runtime.Start(runtime.Config{Shards: shards, Sharing: c.Sharing, Fan: fan})
+				r := runtime.Start(runtime.Config{Shards: shards, Sharing: c.Sharing, Fan: fan}, event.Watermark{})
 				for _, q := range c.Queries {
 					if _, err := r.Add(must(compile(q.Name, q.Src)()), compile(q.Name, q.Src)); err != nil {
 						t.Fatal(err)

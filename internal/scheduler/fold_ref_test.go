@@ -5,8 +5,9 @@ package scheduler
 // SliceLog.Offer and KeyClass.Key inlined over the exported calls they made
 // (HitKey, KeyClass.Routed, SliceLog.Add/KeyFailed/Advance). It visits every
 // variant set on every event: a rule set's active members ingest their hit
-// sets; a stateful set keys its hits through a memo per key class, logs them
-// and observes the event's time. It counts the events it offers each query
+// sets; a stateful set observes the stream watermark before the event, keys
+// its hits through a memo per key class, logs them and observes the stream
+// watermark through the event. It counts the events it offers each query
 // itself. The oracle drives a scheduler of its own through the one
 // evaluator, so the fold is all that differs from Process.
 
@@ -28,6 +29,8 @@ type refFold struct {
 	s *Scheduler
 	// memo holds the current event's keys: key class -> pattern -> key.
 	memo map[int32]map[int]refKey
+	// wm is the stream watermark of the events processed.
+	wm event.Watermark
 	// events counts the events offered to each query; keyEvals the keys
 	// evaluated, failedKeys those of them that failed.
 	events               map[string]int64
@@ -53,6 +56,8 @@ func (r *refFold) process(ev *event.Event) []*engine.Alert {
 	hits := s.evaluateBatchLocked([]*event.Event{ev})[0]
 	s.seq++
 	clear(r.memo)
+	before, seen := r.wm.Time()
+	through := r.wm.Through(ev.Time)
 	var alerts []*engine.Alert
 	for i := range s.sets {
 		ls := &s.sets[i]
@@ -67,6 +72,9 @@ func (r *refFold) process(ev *event.Event) []*engine.Alert {
 		}
 		if ls.log.Idle() {
 			continue
+		}
+		if seen {
+			alerts = append(alerts, ls.log.Advance(before)...)
 		}
 		var h []int // the set's hits: its first active member's
 		for k, q := range ls.members {
@@ -88,7 +96,7 @@ func (r *refFold) process(ev *event.Event) []*engine.Alert {
 				r.events[q.Name]++
 			}
 		}
-		alerts = append(alerts, ls.log.Advance(ev.Time)...)
+		alerts = append(alerts, ls.log.Advance(through)...)
 	}
 	s.stats.Alerts += int64(len(alerts))
 	return alerts
@@ -155,8 +163,8 @@ var foldRefQueries = []DispatchQuery{
 // remove script — gains the failing-key variant set above, paused and
 // resumed member by member three times, and a stream with a quarter of its
 // events moved up to three seconds back and the ten after each resume two to
-// four seconds back: a set's watermark is not every event's time, nor a
-// resumed member's the stream's.
+// four seconds back: a set's watermark is not every event's time, and a
+// resumed member's jumps to the stream's.
 // Serial Process, EvaluateBatch over random batches + ProcessWithHits, and
 // the oracle then raise the same alert multiset on every event. Process and
 // the oracle agree on Stats after every event, and the batch side after every

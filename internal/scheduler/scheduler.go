@@ -401,6 +401,8 @@ type Scheduler struct {
 	// report adapts the error reporter once at construction so the per-event
 	// paths don't allocate a closure per call.
 	report func(error)
+	// wm is the serial fold's stream watermark; a shard's come from the router.
+	wm event.Watermark
 }
 
 // New creates a scheduler. reporter may be nil. sharing enables the
@@ -1275,7 +1277,7 @@ func (s *Scheduler) sweepLocked(g *group, evs []*event.Event, at []int32) int64 
 // active query through the sets an evaluating scheduler resolved for it
 // (HitSet.Sets, over replicas of the same queries at the same point of the
 // same total event order), by the code Process and a shard fold with. Queries
-// absent from the HitSet's layout only observe the event's time. hs must
+// absent from the HitSet's layout only observe the stream watermark. hs must
 // still be live — consumed before the evaluating scheduler's next
 // EvaluateBatch — or the call panics. No engine path calls it: the repo
 // benchmark's staged replica (bench/staged.go) times the fold layer on its
@@ -1360,18 +1362,16 @@ func (s *Scheduler) resolveLocked(ev *event.Event, t [][]int) []SetHits {
 // foldLocked folds one event the way a shard folds what it owns, as the one
 // shard that owns everything: each resolved set's hits become the ops a
 // router would hand it — per hit of a stateful set a fold under its key or
-// the key's failure, a rule set's hits one hits op — run through applySet
-// with no stamped watermark; then every active stateful set observes the
-// event's own time, the serial engine's per-query watermark. The caller holds
-// s.mu and has resolved the slots against the sets' layout.
+// the key's failure, a rule set's hits one hits op — applied under the stamp
+// a router gives the event, the stream watermark through it, which every
+// other active stateful set then observes too. The caller holds s.mu and has
+// resolved the slots against the sets' layout.
 //
 //saql:hotpath
 func (s *Scheduler) foldLocked(ev *event.Event, sets []SetHits) []*engine.Alert {
-	s.seq++
-	var alerts []*engine.Alert
+	ops := s.ops[:0]
 	for k := range sets {
 		sh := &sets[k]
-		ops := s.ops[:0]
 		if sh.Keys == nil {
 			ops = append(ops, sh.HitsOp())
 		} else {
@@ -1379,34 +1379,32 @@ func (s *Scheduler) foldLocked(ev *event.Event, sets []SetHits) []*engine.Alert 
 				ops = append(ops, sh.FoldOp(j))
 			}
 		}
-		s.ops = ops
-		alerts = s.applySet(&s.sets[sh.Set], ev, time.Time{}, false, ops, alerts)
 	}
-	alerts = s.advanceLocked(ev.Time, alerts)
-	s.stats.Alerts += int64(len(alerts))
-	return alerts
+	s.ops = ops
+	stamp := s.wm.Through(ev.Time)
+	return s.advanceLocked(stamp, s.applyLocked(ev, stamp, ops))
 }
 
 // Apply executes one routed entry: the ops the router resolved for ev on this
-// shard, grouped by variant set. A stateful set's log first observes wm, the
-// stream watermark the router saw just before this event — sealing, if it
-// reached the end of the slice, so windows close at the same stream points as
-// in the serial engine, where every event advances every query's watermark —
-// then takes the set's ops: a fold's key resolved to its group id once for the
-// set, one directory probe per event per pattern per key class
-// (engine.KeyClass.Routed) under the hash the router computed, and logged; a
-// touch flagged on the slice; a key failure reported. Then it observes the
-// event's own time, as the serial fold does. A rule set's hits op runs on each
-// local member that is not paused. Nothing here evaluates a pattern or a key
-// or asks who owns what: a replica folds exactly what it is handed. Sets the
+// shard, grouped by variant set, under wm, the stream watermark through ev
+// the router stamped it with. Nothing here evaluates a pattern or a key or
+// asks who owns what: a replica folds exactly what it is handed. Sets the
 // entry does not name are left alone; AdvanceAll at the batch boundary brings
 // them to the stream watermark.
 //
 //saql:hotpath
-func (s *Scheduler) Apply(layout *Layout, ev *event.Event, wm time.Time, hasWM bool, ops []Op) []*engine.Alert {
+func (s *Scheduler) Apply(layout *Layout, ev *event.Event, wm time.Time, ops []Op) []*engine.Alert {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.resolveSlotsLocked(layout)
+	return s.applyLocked(ev, wm, ops)
+}
+
+// applyLocked runs an event's ops, stamped wm, set by set (applySet), and
+// counts the alerts raised. The caller holds s.mu.
+//
+//saql:hotpath
+func (s *Scheduler) applyLocked(ev *event.Event, wm time.Time, ops []Op) []*engine.Alert {
 	s.seq++
 	var alerts []*engine.Alert
 	for i := 0; i < len(ops); {
@@ -1415,18 +1413,22 @@ func (s *Scheduler) Apply(layout *Layout, ev *event.Event, wm time.Time, hasWM b
 		for j < len(ops) && ops[j].Set == set {
 			j++
 		}
-		alerts = s.applySet(&s.sets[set], ev, wm, hasWM, ops[i:j], alerts)
+		alerts = s.applySet(&s.sets[set], ev, wm, ops[i:j], alerts)
 		i = j
 	}
 	s.stats.Alerts += int64(len(alerts))
 	return alerts
 }
 
-// applySet runs one variant set's ops of an entry, appending the alerts
-// raised to alerts.
+// applySet runs one variant set's ops of an event stamped wm, appending the
+// alerts raised. A stateful set's log observes wm first — sealing if that
+// ends its slice, so windows close and hits are judged late at the same
+// stream points everywhere — then logs each fold under its group id (one
+// probe per event, pattern and key class: KeyClass.Routed), flags a touch,
+// reports a key failure. A rule set's hits op runs on each member not paused.
 //
 //saql:hotpath
-func (s *Scheduler) applySet(ls *localSet, ev *event.Event, wm time.Time, hasWM bool, ops []Op, alerts []*engine.Alert) []*engine.Alert {
+func (s *Scheduler) applySet(ls *localSet, ev *event.Event, wm time.Time, ops []Op, alerts []*engine.Alert) []*engine.Alert {
 	l := ls.log
 	if l == nil {
 		for k := range ops { // a rule set's one hits op
@@ -1446,9 +1448,7 @@ func (s *Scheduler) applySet(ls *localSet, ev *event.Event, wm time.Time, hasWM 
 	if l.Idle() {
 		return alerts
 	}
-	if hasWM {
-		alerts = append(alerts, l.Advance(wm)...)
-	}
+	alerts = append(alerts, l.Advance(wm)...)
 	for k := range ops {
 		switch op := &ops[k]; op.Kind {
 		case OpFold:
@@ -1459,7 +1459,7 @@ func (s *Scheduler) applySet(ls *localSet, ev *event.Event, wm time.Time, hasWM 
 			l.Touch(ev.Time)
 		}
 	}
-	return append(alerts, l.Advance(ev.Time)...)
+	return alerts
 }
 
 // AdvanceAll has every stateful set observe wm, sealing the logs it brings to
@@ -1475,21 +1475,31 @@ func (s *Scheduler) AdvanceAll(wm time.Time) []*engine.Alert {
 	if !s.resolved {
 		s.resolveSlotsLocked(nil)
 	}
-	alerts := s.advanceLocked(wm, nil)
-	s.stats.Alerts += int64(len(alerts))
-	return alerts
+	return s.advanceLocked(wm, nil)
 }
 
-// advanceLocked has every active stateful set observe t, appending the alerts
-// of the windows their members then close. The caller holds s.mu.
+// Watermark brings the serial fold's stream watermark to w's, and returns it.
+func (s *Scheduler) Watermark(w event.Watermark) event.Watermark {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if t, ok := w.Time(); ok {
+		s.wm.Through(t)
+	}
+	return s.wm
+}
+
+// advanceLocked has every active stateful set observe t, appending and counting
+// the alerts of the windows their members then close. The caller holds s.mu.
 //
 //saql:hotpath
 func (s *Scheduler) advanceLocked(t time.Time, alerts []*engine.Alert) []*engine.Alert {
+	n := len(alerts)
 	for i := range s.sets {
 		if l := s.sets[i].log; l != nil && !l.Idle() {
 			alerts = append(alerts, l.Advance(t)...)
 		}
 	}
+	s.stats.Alerts += int64(len(alerts) - n)
 	return alerts
 }
 

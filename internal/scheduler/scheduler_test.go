@@ -336,22 +336,21 @@ func TestEvaluateBatchApplyEquivalence(t *testing.T) {
 			want[a.Query]++
 		}
 	}
-	var wm time.Time
+	var wm event.Watermark
 	for i, hs := range evalSide.EvaluateBatch(evs) {
 		ev := evs[i]
+		stamp := wm.Through(ev.Time)
 		if hs != nil { // the router buffers no entry for an event that hit nothing
-			for _, a := range routedSide.Apply(hs.Layout, ev, wm, i > 0, resolve(t, evalSide, ev, hs)) {
+			for _, a := range routedSide.Apply(hs.Layout, ev, stamp, resolve(t, evalSide, ev, hs)) {
 				routed[a.Query]++
 			}
 		}
 		for _, a := range hitsSide.ProcessWithHits(ev, hs) {
 			withHits[a.Query]++
 		}
-		if ev.Time.After(wm) {
-			wm = ev.Time
-		}
 	}
-	for _, a := range routedSide.AdvanceAll(wm) {
+	last, _ := wm.Time()
+	for _, a := range routedSide.AdvanceAll(last) {
 		routed[a.Query]++
 	}
 	if want["counted"] == 0 || want["strict"] == 0 {
@@ -432,7 +431,7 @@ return ss.n`}, // same class, stricter: not equal
 	}
 	want, got := map[string]int{}, map[string]int{}
 	evs := startEvents()
-	var wm time.Time
+	var wm event.Watermark
 	for i, hs := range evalSide.EvaluateBatch(evs) {
 		ev := evs[i]
 		for _, a := range serial.Process(ev) {
@@ -448,10 +447,9 @@ return ss.n`}, // same class, stricter: not equal
 		if folds != 1 {
 			t.Fatalf("event %d: %d fold ops for the variant set, want 1: %+v", i, folds, ops)
 		}
-		for _, a := range shard.Apply(hs.Layout, ev, wm, i > 0, ops) {
+		for _, a := range shard.Apply(hs.Layout, ev, wm.Through(ev.Time), ops) {
 			got[a.Query]++
 		}
-		wm = ev.Time
 	}
 	for _, a := range serial.Flush() {
 		want[a.Query]++
@@ -499,10 +497,10 @@ func TestApplyRunsOnlyNamedOps(t *testing.T) {
 	if hs.Layout.Sets[pinnedOnly[0].Set].Slots[0] != hs.Layout.Slots["pinned"] {
 		pinnedOnly = ops[1:]
 	}
-	if got := count(shard.Apply(hs.Layout, ev, time.Time{}, false, pinnedOnly)); got["by-event"] != 0 || got["pinned"] != 1 {
+	if got := count(shard.Apply(hs.Layout, ev, ev.Time, pinnedOnly)); got["by-event"] != 0 || got["pinned"] != 1 {
 		t.Errorf("entry naming only the pinned query raised %v", got)
 	}
-	if got := count(shard.Apply(hs.Layout, ev, time.Time{}, false, ops)); got["by-event"] != 1 {
+	if got := count(shard.Apply(hs.Layout, ev, ev.Time, ops)); got["by-event"] != 1 {
 		t.Errorf("entry naming both queries raised %v, want the by-event query to fire", got)
 	}
 }
@@ -541,7 +539,7 @@ func TestHitSetLayoutVersioning(t *testing.T) {
 		t.Fatal("swap must produce a fresh layout")
 	}
 	// The consumer resolves slots against whichever layout the entry carries.
-	if alerts := shard.Apply(hs2.Layout, evs[0], time.Time{}, false, resolve(t, evalSide, evs[0], hs2)); len(alerts) != 2 {
+	if alerts := shard.Apply(hs2.Layout, evs[0], evs[0].Time, resolve(t, evalSide, evs[0], hs2)); len(alerts) != 2 {
 		t.Errorf("alerts after swap = %d, want 2 (weak + swapped strict)", len(alerts))
 	}
 }

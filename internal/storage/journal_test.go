@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"saql/internal/event"
 )
@@ -282,4 +283,60 @@ func BenchmarkJournalSeek(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*(skip+yield)), "ns/record")
+}
+
+// TestTailBefore: Tail.Before is the latest event time among the records
+// before the offset, wherever they sit — sealed segments answer from their
+// sidecar, the segment holding the offset and an unsealed one from their
+// records — on a journal whose times go back and forth.
+func TestTailBefore(t *testing.T) {
+	evs := sampleEvents(60)
+	for i, ev := range evs {
+		if i%4 == 3 {
+			ev.Time = ev.Time.Add(-30 * time.Second) // late
+		}
+	}
+	for _, crashed := range []bool{false, true} {
+		dir := t.TempDir()
+		s, err := Open(dir, Options{MaxSegmentSize: 1 << 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.AppendAll(evs); err != nil {
+			t.Fatal(err)
+		}
+		if !crashed {
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, offset := range []int{0, 1, 7, 23, 30, 59, 60, 61} {
+			s2, err := Open(dir, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tail, err := s2.Tail(int64(offset))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want event.Watermark
+			for _, ev := range evs[:min(offset, len(evs))] {
+				want.Through(ev.Time)
+			}
+			got, gotOK := tail.Before.Time()
+			if wantT, wantOK := want.Time(); gotOK != wantOK || !got.Equal(wantT) {
+				t.Errorf("crashed %v, offset %d: Before %v (%v), want %v (%v)", crashed, offset, got, gotOK, wantT, wantOK)
+			}
+			n := 0
+			if err := tail.Each(func(ev *event.Event) error {
+				if ev.ID != uint64(offset+n+1) {
+					t.Fatalf("offset %d: record %d has ID %d", offset, n, ev.ID)
+				}
+				n++
+				return nil
+			}); err != nil || n != max(len(evs)-offset, 0) {
+				t.Fatalf("crashed %v, offset %d: Each yielded %d, %v", crashed, offset, n, err)
+			}
+		}
+	}
 }

@@ -370,6 +370,11 @@ type walked struct {
 	tail    int   // byte offset of record number skip (end, when n <= skip)
 	end     int   // byte offset just past the last such record
 	decoded int64 // payloads handed to the wire decoder
+	// latest is the latest event time among the first skip records, in unix
+	// nanoseconds (when seen), read off their payloads without decoding
+	// them (wire.EventTime).
+	latest int64
+	seen   bool
 }
 
 // walk is the journal's one reader. It steps data record by record,
@@ -403,6 +408,9 @@ func walk(seg string, data []byte, skip int64, yield func(*event.Event) error) (
 		w.n, w.end = w.n+1, off
 		if w.n <= skip {
 			w.tail = off
+			if ns, ok := wire.EventTime(payload); ok && (!w.seen || ns > w.latest) {
+				w.latest, w.seen = ns, true
+			}
 			continue
 		}
 		if yield == nil {
@@ -429,9 +437,10 @@ func corruptAt(seg string, off int, reason string) error {
 }
 
 // load reads a segment and walks it without decoding: how a segment with no
-// usable sidecar is counted. When the walk stops at a torn record and trim
-// is set, the file is truncated to its last whole record and dropped reports
-// the bytes removed; otherwise the tear is returned as the error it is.
+// usable sidecar is counted, and the one holding a tail's offset located.
+// When the walk stops at a torn record and trim is set, the file is truncated
+// to its last whole record and dropped reports the bytes removed; otherwise
+// the tear is returned as the error it is.
 func (s *Store) load(seg string, skip int64, trim bool) (data []byte, w walked, dropped int64, err error) {
 	if data, err = s.readSegment(seg); err != nil {
 		return nil, w, 0, err
@@ -521,11 +530,16 @@ func (sel *Selection) segmentOverlaps(meta *segMeta) bool {
 }
 
 // Tail is the journal from a global record offset onward: located and
-// counted, not yet decoded. Each decodes it.
+// counted, not yet decoded, with the stream watermark of what precedes it.
+// Each decodes it.
 type Tail struct {
 	// Count is how many records the whole journal holds: the offset the
 	// next append lands at.
 	Count int64
+	// Before is the stream watermark of the records before the offset: the
+	// sidecar max_time of each sealed segment they fill, and the times of
+	// those in a segment Tail walks.
+	Before event.Watermark
 
 	store *Store
 	segs  []tailSeg // the segments holding records at or past the offset
@@ -533,10 +547,11 @@ type Tail struct {
 
 type tailSeg struct {
 	name string
-	meta *segMeta // nil without a usable sidecar: data is then set
+	meta *segMeta // nil where Tail walked the segment: data is then set
 	skip int64    // records of this segment that precede the offset
-	// data holds a segment Tail had to read to count it, already verified
-	// and cut to start at the offset; nil means Each reads the file.
+	// data holds a segment Tail walked — to count it, or to locate the
+	// offset inside it — already verified and cut to start at the offset;
+	// nil means Each reads the file.
 	data []byte
 }
 
@@ -549,8 +564,10 @@ type tailSeg struct {
 // of the others — and returns the part from the global record offset onward,
 // still encoded. Record 0 is the first event ever appended, and offsets count
 // every record in storage order. An offset past Count yields an empty tail;
-// whether that is an error is the caller's call. Sealed segments are not
-// read here at all: Each reads the one holding the offset, once.
+// whether that is an error is the caller's call. Of the sealed segments Tail
+// reads only the one holding the offset, once: the walk that locates the
+// offset reads the times of the records before it, and Each decodes the
+// rest from the bytes read.
 func (s *Store) Tail(offset int64) (*Tail, error) { return s.tail(offset, true) }
 
 // tail builds a Tail, repairing the final segment only when repair is set.
@@ -568,15 +585,26 @@ func (s *Store) tail(offset int64, repair bool) (*Tail, error) {
 		seg := tailSeg{name: name, skip: max(offset-t.Count, 0)}
 		var n int64
 		var sealed bool
-		if seg.meta, sealed = s.readMeta(name); seg.meta != nil {
+		switch seg.meta, sealed = s.readMeta(name); {
+		case seg.meta != nil && t.Count+seg.meta.Count <= offset:
+			if n = seg.meta.Count; n > 0 {
+				t.Before.Through(time.Unix(0, seg.meta.MaxTime))
+			}
+		case seg.meta != nil && seg.skip == 0:
 			n = seg.meta.Count
-		} else {
+		default: // no usable sidecar, or the offset inside the segment
 			data, w, _, err := s.load(name, seg.skip, repair && !sealed && i == len(names)-1)
 			if err != nil {
 				return nil, err
 			}
+			if seg.meta != nil && w.n != seg.meta.Count {
+				return nil, countMismatch(name, seg.meta, w)
+			}
+			if w.seen {
+				t.Before.Through(time.Unix(0, w.latest))
+			}
 			n = w.n
-			seg.data, seg.skip = data[w.tail:w.end], 0
+			seg.meta, seg.data, seg.skip = nil, data[w.tail:w.end], 0
 		}
 		t.Count += n
 		if t.Count > offset {

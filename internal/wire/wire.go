@@ -377,6 +377,18 @@ func AppendEvent(b []byte, ev *event.Event) []byte {
 	return b
 }
 
+// EventTime reads the time of an event payload, in unix nanoseconds, without
+// decoding the rest of it (AppendEvent writes the ID, then the time); false
+// where the payload does not start that way.
+func EventTime(payload []byte) (int64, bool) {
+	_, n := binary.Uvarint(payload)
+	if n <= 0 {
+		return 0, false
+	}
+	ns, m := binary.Varint(payload[n:])
+	return ns, m > 0
+}
+
 // ReadEvent decodes one event payload.
 func (r *Reader) ReadEvent() *event.Event {
 	ev := &event.Event{}

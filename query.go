@@ -196,14 +196,17 @@ func (h *QueryHandle) Stats() (QueryStats, error) {
 // matching, no state folding, no watermark advance — while all accumulated
 // state (open windows, histories, invariant training, partial matches) is
 // retained for Resume. Pausing a stateful query stretches its quiet period:
-// its watermark freezes, so windows spanning the pause close only after
-// Resume feeds it newer events (or at flush). Pause is idempotent; it takes
+// its watermark freezes, so windows spanning the pause close only at the
+// first event after Resume (or at flush). Pause is idempotent; it takes
 // effect at a consistent point of the stream on every shard.
 func (h *QueryHandle) Pause() error { return h.setPaused(true) }
 
 // Resume re-activates a paused query. Events submitted after Resume flow
-// into the state exactly as if the pause had been a gap in that query's
-// input.
+// into the state as if the pause had been a gap in that query's input, and
+// the query rejoins the stream at its watermark — the latest event time the
+// stream has shown, the events of the pause included: the first event after
+// Resume closes the windows the stream has passed, and a hit older than such
+// a window counts in QueryStats.LateHits.
 func (h *QueryHandle) Resume() error { return h.setPaused(false) }
 
 func (h *QueryHandle) setPaused(p bool) error {
@@ -240,7 +243,9 @@ func (h *QueryHandle) setPaused(p bool) error {
 // CarryWindowState to adopt the old query's sliding-window state when the
 // window/state layer is unchanged. Master–dependent scheduler groups are
 // recomputed: the replacement joins whichever group its constraints now
-// place it in. On a compile error the old query keeps running untouched.
+// place it in. On a compile error the old query keeps running untouched. A
+// fresh replacement starts at the stream watermark, as a query registered
+// mid-stream does (Engine.Register).
 func (h *QueryHandle) Update(src string, opts ...UpdateOption) error {
 	var uc updateConfig
 	for _, o := range opts {
@@ -368,7 +373,11 @@ func (e *Engine) closeLocked(rec *queryRecord) ([]*AlertSubscription, error) {
 // Register parses, checks, compiles, and registers a SAQL query under name,
 // returning the handle that owns its lifecycle. It may be called before
 // Start or while running; in the running state the query is installed at a
-// consistent point of the event stream and begins with the next event.
+// consistent point of the event stream and begins with the next event. A
+// query registered mid-stream starts at the stream watermark — the latest
+// event time the stream has shown, on a serial, started or restored engine
+// alike — so a hit older than a window the stream has already passed counts
+// in QueryStats.LateHits.
 func (e *Engine) Register(name, src string, opts ...QueryOption) (*QueryHandle, error) {
 	qc := queryConfig{compile: e.cfg.compile}
 	for _, o := range opts {

@@ -416,7 +416,7 @@ func (e *Engine) Start(ctx context.Context) error {
 		// the runtime's stream-offset coordinate space.
 		rtCfg.BaseOffset = base + e.sched.Stats().Events
 	}
-	rt := runtime.Start(rtCfg)
+	rt := runtime.Start(rtCfg, e.sched.Watermark(event.Watermark{}))
 	// Bring every serial query's events-offered counter up to the stream: a
 	// warm primary hands its count on to the runtime.
 	e.sched.EventsOffered()
