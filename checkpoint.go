@@ -436,7 +436,8 @@ func (e *Engine) ReplayJournal(from int64) (int64, error) {
 	if store == nil {
 		return 0, fmt.Errorf("saql: no journal attached (WithJournal)")
 	}
-	if engineState(e.state.Load()) == stateNew {
+	fresh := engineState(e.state.Load()) == stateNew
+	if fresh {
 		// Pre-Start replay: pin the offset origin at `from` — the replayed
 		// records themselves advance the engine to the journal's head, so
 		// counting them into the base too would double them.
@@ -447,6 +448,12 @@ func (e *Engine) ReplayJournal(from int64) (int64, error) {
 	tail, err := store.Tail(from)
 	if err != nil {
 		return 0, err
+	}
+	if fresh {
+		// The stream watermark the skipped prefix reached, as Open raises
+		// it: a query registered after the replay judges stragglers late
+		// against the whole stream, not only its tail.
+		e.sched.Watermark(tail.Before)
 	}
 	return e.replayTail(tail)
 }

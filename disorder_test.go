@@ -615,3 +615,61 @@ func TestDisorderedRecoveryHammer(t *testing.T) {
 		}
 	}
 }
+
+// TestReplayJournalWatermark: ReplayJournal(from) on a never-started engine
+// raises the stream watermark to what the skipped prefix reached, as Open
+// does for its snapshot's prefix. The prefix runs to 100 s and the tail only
+// to 30 s, so a query registered after the replay must count the
+// stragglers at 60–65 s late on both ways in.
+func TestReplayJournalWatermark(t *testing.T) {
+	// journaled writes a journal whose checkpoint, taken with no query
+	// registered, covers a prefix running to 100 s; the tail after it is
+	// older.
+	journaled := func() (dir string, from int64) {
+		dir = t.TempDir()
+		store, err := OpenStore(dir, StoreOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := newProbe(t, 0, WithJournal(store))
+		p.feed(probeSpan(0, 100, "a.exe"))
+		info, err := p.eng.Checkpoint(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.feed(probeSpan(20, 30, "b.exe"))
+		if err := p.eng.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return dir, info.Offset
+	}
+	finish := func(p *probeEngine) ([]string, map[string]QueryStats) {
+		p.register("late")
+		p.feed(lateBurst(60, 120))
+		return p.finish("late")
+	}
+
+	dir, from := journaled()
+	opened := newProbe(t, 0)
+	var info *RestoreInfo
+	var err error
+	if opened.eng, info, err = Open(dir, WithRestoreEngineOptions(opened.options()...), WithoutStart()); err != nil {
+		t.Fatal(err)
+	}
+	if info.Offset != from || info.Replayed != 3 {
+		t.Fatalf("Open = %+v, want offset %d and the 3 tail events replayed", info, from)
+	}
+	want, wantStats := finish(opened)
+
+	dir, _ = journaled()
+	store, err := OpenStore(dir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayed := newProbe(t, 0, WithJournal(store))
+	if n, err := replayed.eng.ReplayJournal(from); err != nil || n != 3 {
+		t.Fatalf("ReplayJournal(%d) = %d, %v; want the 3 tail events", from, n, err)
+	}
+	got, gotStats := finish(replayed)
+	compareProbe(t, "ReplayJournal", "Open", got, want, gotStats, wantStats, 6)
+}

@@ -39,7 +39,7 @@ import (
 )
 
 func init() {
-	Register("auditd", func(opts Options) Decoder { return newAuditdDecoder(opts) })
+	Register("auditd", func(opts Options) Decoder { return newAuditdDecoder(opts) }, false)
 }
 
 // maxPendingGroups bounds the reassembly buffer. auditd emits a group's
@@ -56,7 +56,7 @@ type auditdDecoder struct {
 }
 
 func newAuditdDecoder(opts Options) *auditdDecoder {
-	return &auditdDecoder{opts: opts, tab: internTable{stats: opts.Intern}, pending: map[string]*auditGroup{}}
+	return &auditdDecoder{opts: opts, tab: internTable{stats: opts.Intern, shared: opts.Table}, pending: map[string]*auditGroup{}}
 }
 
 // auditGroup accumulates the records of one audit event ID.

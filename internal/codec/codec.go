@@ -14,7 +14,13 @@
 //     serialization of event.Event for loss-free interchange.
 //
 // A Decoder is stateful (auditd buffers partial record groups) and therefore
-// not safe for concurrent use; create one Decoder per stream.
+// not safe for concurrent use; create one Decoder per decode worker. A
+// format registers whether its lines are line-local — each line decodes on
+// its own, so the lines of one stream may be split among several decoders
+// and their events put back in line order ("ndjson", "sysmon") — or not, in
+// which case one decoder sees the whole stream ("auditd", whose record
+// groups span lines). LineLocal reports it; internal/source sizes its decode
+// pool by it.
 package codec
 
 import (
@@ -36,6 +42,10 @@ type Options struct {
 	// statistics scoped to their own streams rather than the process-global
 	// dictionary totals.
 	Intern *InternStats
+	// Table, when non-nil, is the intern table this decoder shares with
+	// every other decoder given the same one (the decode workers of one
+	// stream). Nil gives the decoder a table of its own.
+	Table *InternTable
 }
 
 // Decoder consumes one raw log line at a time and emits zero or more
@@ -62,20 +72,28 @@ type Decoder interface {
 // Factory creates a fresh Decoder.
 type Factory func(Options) Decoder
 
+// format is one registered format.
+type format struct {
+	factory   Factory
+	lineLocal bool
+}
+
 var (
 	regMu    sync.RWMutex
-	registry = map[string]Factory{}
+	registry = map[string]format{}
 )
 
-// Register makes a decoder factory available under name. It panics on a
-// duplicate name, mirroring database/sql.Register.
-func Register(name string, f Factory) {
+// Register makes a decoder factory available under name; lineLocal declares
+// that the format's lines decode independently of each other (no event
+// spans lines). It panics on a duplicate name, mirroring
+// database/sql.Register.
+func Register(name string, f Factory, lineLocal bool) {
 	regMu.Lock()
 	defer regMu.Unlock()
 	if _, dup := registry[name]; dup {
 		panic(fmt.Sprintf("codec: Register called twice for %q", name))
 	}
-	registry[name] = f
+	registry[name] = format{factory: f, lineLocal: lineLocal}
 }
 
 // New creates a decoder for the named format.
@@ -86,7 +104,16 @@ func New(name string, opts Options) (Decoder, error) {
 	if !ok {
 		return nil, fmt.Errorf("codec: unknown format %q (have %v)", name, Formats())
 	}
-	return f(opts), nil
+	return f.factory(opts), nil
+}
+
+// LineLocal reports whether the named format's lines decode independently,
+// so one stream may be decoded by many decoders at once, each taking any
+// subset of its lines. It is false for an unknown format.
+func LineLocal(name string) bool {
+	regMu.RLock()
+	defer regMu.RUnlock()
+	return registry[name].lineLocal
 }
 
 // Formats lists the registered format names, sorted.

@@ -1,36 +1,54 @@
 package codec
 
 import (
+	"sync"
 	"sync/atomic"
 
 	"saql/internal/event"
 	"saql/internal/symtab"
 )
 
-// InternStats counts one consumer's intern-table activity. The decoder
-// goroutine writes and any goroutine may read concurrently (engine stats
-// snapshots), hence the atomics. Hits and Misses count the lookups of the
-// streams that share this sink; Entries counts distinct values cached across
-// those streams.
+// InternStats counts one consumer's intern-table activity. Decoders write
+// and any goroutine may read concurrently (engine stats snapshots), hence
+// the atomics. Hits and Misses count the lookups of the decoders that share
+// this sink; Entries counts the distinct values cached by their tables.
 type InternStats struct {
 	Hits    atomic.Int64
 	Misses  atomic.Int64
 	Entries atomic.Int64
 }
 
+// InternTable is one intern table several decoders share (Options.Table):
+// the decode workers of one stream. A value is a miss once per table,
+// whichever decoder looks it up first, so the counters of decoders sharing
+// one equal those of a single decoder with a table of its own over the same
+// lines, however the lines are split among them, while the table holds
+// fewer than internMaxEntries values.
+type InternTable struct {
+	mu sync.Mutex
+	m  map[string]internEntry // written under mu until it holds internMaxEntries values, never after
+}
+
 // internTable deduplicates the low-cardinality attribute strings a stream
 // repeats on nearly every line — executable names, agent/host IDs, user
 // names, IP addresses, transport protocols — so the millions of retained
 // copies in window state, match partials, and checkpoint snapshots share one
-// backing allocation per distinct value instead of one per event. Decoders
-// are per-stream and single-goroutine, so the table needs no locking.
+// backing allocation per distinct value instead of one per event. Each
+// decoder holds one, single-goroutine and unlocked.
+//
+// Without a shared InternTable it is the decoder's table. With one it is a
+// cache in front of it: a repeat resolves from the cache, only a value the
+// decoder has not seen yet takes the shared table's lock, and only a value
+// the shared table has not seen yet is a miss. Once the shared table is full
+// it never changes again, so a decoder that finds it full reads it in place
+// of its cache, without the lock.
 //
 // Alongside the canonical copy, each entry caches the value's symbol ID from
 // the process-global dictionary (internal/symtab), so decoded events carry
 // small-int symbols for their hot attributes and compiled equality
 // predicates compare one uint32 instead of case-folding strings. The global
-// dictionary is consulted once per distinct string per stream; every repeat
-// resolves from this local table.
+// dictionary is consulted once per distinct string per table; every repeat
+// resolves from the tables.
 //
 // High-cardinality attributes (file paths, command lines) are deliberately
 // not interned: they rarely repeat, and caching them would only grow the
@@ -39,8 +57,10 @@ type InternStats struct {
 // values have been cached, new ones pass through uncached (symbol-less)
 // while existing entries keep deduplicating.
 type internTable struct {
-	m     map[string]internEntry
-	stats *InternStats // optional per-consumer counters (nil: not counted)
+	m      map[string]internEntry // the table, or this decoder's cache of shared
+	shared *InternTable           // nil: m is the table
+	full   bool                   // shared is full and m is shared's map
+	stats  *InternStats           // optional per-consumer counters (nil: not counted)
 
 	// Lookups since the last publish. The consumer's counters are atomics
 	// other goroutines read, so they are bumped once per decoded line, not
@@ -95,9 +115,13 @@ func (t *internTable) bytes(b []byte) (string, uint32) {
 	return t.add(string(b))
 }
 
-// add caches a first-sight value (unless the table is full) and returns it
-// with its symbol ID.
+// add resolves a value this decoder has not cached and returns it with its
+// symbol ID. Without a shared table it caches a first-sight value (unless
+// the table is full).
 func (t *internTable) add(s string) (string, uint32) {
+	if t.shared != nil {
+		return t.fetch(s)
+	}
 	t.misses++
 	if len(t.m) >= internMaxEntries {
 		return s, 0
@@ -110,6 +134,44 @@ func (t *internTable) add(s string) (string, uint32) {
 	if t.stats != nil {
 		t.stats.Entries.Add(1)
 	}
+	return e.s, e.sym
+}
+
+// fetch is add through the shared table: a value it holds is a hit and is
+// cached, one it does not is a miss and is added (unless the table is full).
+func (t *internTable) fetch(s string) (string, uint32) {
+	if t.full {
+		t.misses++ // m is the whole table, and s is not in it
+		return s, 0
+	}
+	sh := t.shared
+	sh.mu.Lock()
+	e, ok := sh.m[s]
+	switch {
+	case ok:
+		t.hits++
+	case len(sh.m) >= internMaxEntries:
+		// Nothing writes a full table: read it from now on, unlocked.
+		t.m, t.full = sh.m, true
+		sh.mu.Unlock()
+		t.misses++
+		return s, 0
+	default:
+		t.misses++
+		if sh.m == nil {
+			sh.m = make(map[string]internEntry)
+		}
+		e = internEntry{s: s, sym: symtab.Intern(s)}
+		sh.m[s] = e
+		if t.stats != nil {
+			t.stats.Entries.Add(1)
+		}
+	}
+	sh.mu.Unlock()
+	if t.m == nil {
+		t.m = make(map[string]internEntry)
+	}
+	t.m[e.s] = e
 	return e.s, e.sym
 }
 

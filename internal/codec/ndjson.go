@@ -51,7 +51,9 @@ import (
 )
 
 func init() {
-	Register("ndjson", func(opts Options) Decoder { return &ndjsonDecoder{opts: opts, tab: internTable{stats: opts.Intern}} })
+	Register("ndjson", func(opts Options) Decoder {
+		return &ndjsonDecoder{opts: opts, tab: internTable{stats: opts.Intern, shared: opts.Table}}
+	}, true)
 }
 
 // maxJSONDepth is encoding/json's nesting limit; a line nested deeper is

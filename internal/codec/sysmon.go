@@ -33,7 +33,9 @@ import (
 )
 
 func init() {
-	Register("sysmon", func(opts Options) Decoder { return &sysmonDecoder{opts: opts, tab: internTable{stats: opts.Intern}} })
+	Register("sysmon", func(opts Options) Decoder {
+		return &sysmonDecoder{opts: opts, tab: internTable{stats: opts.Intern, shared: opts.Table}}
+	}, true)
 }
 
 type sysmonDecoder struct {

@@ -2,11 +2,8 @@ package source
 
 import (
 	"context"
-	"io"
 	"os"
 	"time"
-
-	"saql/internal/codec"
 )
 
 // followPollInterval is how often a follow-mode source re-checks the file
@@ -15,7 +12,9 @@ const followPollInterval = 100 * time.Millisecond
 
 // FromFile builds a source over a log file. Without Config.Follow, Run ends
 // at EOF; with it, Run keeps polling for appended data (tail -f) until ctx
-// is cancelled. The path "-" reads standard input.
+// is cancelled, flushing the pending batch at each EOF and holding back a
+// trailing partial line until its newline arrives. The path "-" reads
+// standard input.
 func FromFile(path string, cfg Config) (*Source, error) {
 	cfg = cfg.withDefaults()
 	if path == "-" {
@@ -26,58 +25,22 @@ func FromFile(path string, cfg Config) (*Source, error) {
 		return nil, err
 	}
 	s := &Source{cfg: cfg, desc: "file:" + path}
-	dec, err := s.newDecoder()
+	decs, err := s.newDecoders(s.decodeWorkers())
 	if err != nil {
 		f.Close()
 		return nil, err
 	}
 	s.run = func(ctx context.Context, b *batcher) error {
 		defer f.Close()
-		if !cfg.Follow {
-			if err := pump(ctx, f, dec, b, &s.ctr, cfg.OnError); err != nil {
-				return err
-			}
-			return drain(dec, b)
-		}
-		return s.follow(ctx, f, dec, b)
-	}
-	return s, nil
-}
-
-// follow tails the file: it consumes complete lines as they appear, holding
-// back a trailing partial line until its newline arrives (a half-written
-// record must not reach the codec). At each EOF the pending batch is
-// flushed, so follow-mode latency is bounded by the poll interval; the file
-// is then re-polled until ctx is cancelled.
-func (s *Source) follow(ctx context.Context, f *os.File, dec codec.Decoder, b *batcher) error {
-	lf := &lineFeeder{dec: dec, b: b, ctr: &s.ctr, onErr: s.cfg.OnError}
-	page := make([]byte, 64*1024)
-	ticker := time.NewTicker(followPollInterval) //saql:wallclock tail-follow polling cadence, not stream time
-	defer ticker.Stop()
-	for {
-		n, err := f.Read(page)
-		if n > 0 {
-			if ferr := lf.feed(page[:n]); ferr != nil {
-				return ferr
-			}
-			continue
-		}
-		if err != nil && err != io.EOF {
+		err := s.pump(ctx, f, decs, b, cfg.Follow)
+		if err != nil && !(cfg.Follow && err == ctx.Err()) {
 			return err
 		}
-		// EOF: bound latency, then wait for appended data or cancellation.
-		if ferr := b.flush(); ferr != nil {
-			return ferr
+		// A cancelled follow drains only the decoders' completed state.
+		if derr := drain(decs, b); derr != nil {
+			return derr
 		}
-		select {
-		case <-ctx.Done():
-			// The trailing partial line (if any) stays undecoded: it may be
-			// half-written. Only the decoder's completed state drains.
-			if berr := b.add(dec.Flush()); berr != nil {
-				return berr
-			}
-			return ctx.Err()
-		case <-ticker.C:
-		}
+		return err
 	}
+	return s, nil
 }

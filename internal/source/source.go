@@ -16,6 +16,16 @@
 // reordered into place, so it is either submitted late anyway (default) or
 // dropped when Config.StrictOrder is set. Both outcomes are counted.
 //
+// Decoding does not reorder anything. A line-decoding source reads its
+// stream on one goroutine and cuts it into chunks of whole lines; a decode
+// pool — one worker per core for a format whose lines decode independently
+// (codec.LineLocal: ndjson, sysmon), one for auditd and for each TCP
+// connection, each worker with its own decoder — decodes the chunks; and one in-order stage takes them back in
+// the order they were read and hands each chunk's events to the batcher. So
+// the batcher sees the events in line order, and every batch is what one
+// decoder reading line by line would have produced, whatever the worker
+// count and however the reads cut the stream.
+//
 // # Accounting
 //
 // A Source keeps per-source counters (lines read, events decoded, decode
@@ -24,12 +34,12 @@
 package source
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
 	"net"
-	"sort"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -74,7 +84,8 @@ type Config struct {
 	// Follow keeps a file source alive at EOF, polling for appended data
 	// (tail -f). Ignored by reader and TCP sources.
 	Follow bool
-	// OnError, when set, observes every per-line decode error. Decode
+	// OnError, when set, observes every per-line decode error, a stream's
+	// in line order and from one goroutine at a time per stream. Decode
 	// errors never stop the source; they are counted and skipped.
 	OnError func(error)
 	// Tenant attributes this source's events to one tenant for quota
@@ -102,11 +113,13 @@ type Stats struct {
 	Late         int64 // events older than the watermark, submitted anyway
 	Dropped      int64 // events older than the watermark, dropped (StrictOrder)
 	Batches      int64 // batches submitted to the engine
-	// Symbol interning, scoped to this source's decoder (not the
-	// process-global dictionary).
-	SymbolHits    int64 // intern-table lookups served from the local table
+	// Symbol interning, scoped to this source's intern tables (not the
+	// process-global dictionary): one per stream, which all the stream's
+	// decode workers share. Below a table's bound the three are the same
+	// for any number of decode workers.
+	SymbolHits    int64 // intern-table lookups served from a stream's table
 	SymbolMisses  int64 // first-sight values (global dictionary consulted)
-	SymbolEntries int64 // distinct values cached by this source's decoder
+	SymbolEntries int64 // distinct values cached by this source's tables
 }
 
 // Add folds o's counters into s, field by field. Engines use it to keep
@@ -149,7 +162,7 @@ func (c *counters) snapshot() Stats {
 type Source struct {
 	cfg  Config
 	ctr  counters
-	sym  codec.InternStats // decoder intern-table counters for this source
+	sym  codec.InternStats // symbol counters of all this source's decoders
 	run  func(ctx context.Context, b *batcher) error
 	desc string
 	addr net.Addr // bound address for TCP sources
@@ -181,7 +194,10 @@ func (s *Source) String() string { return s.desc }
 // until ctx is cancelled), submitting decoded events to dst. It returns nil
 // on a clean end of input, ctx.Err() on cancellation, and the first
 // submission or I/O error otherwise. Decode errors are counted, reported to
-// Config.OnError, and skipped.
+// Config.OnError, and skipped. Cancellation, and with several decode
+// workers a submission error too, reach the reader between reads: over a
+// reader that blocks with no input (an idle pipe), Run returns once the
+// pending Read does.
 func (s *Source) Run(ctx context.Context, dst Submitter) error {
 	if s.started.Swap(true) {
 		return fmt.Errorf("source: %s already running", s.desc)
@@ -197,13 +213,34 @@ func (s *Source) Run(ctx context.Context, dst Submitter) error {
 	return err
 }
 
-// newDecoder builds the configured codec decoder, wiring its intern-table
-// counters to this source.
-func (s *Source) newDecoder() (codec.Decoder, error) {
+// decodeWorkers sizes the decode pool of a file or reader stream: one worker
+// per core for a format whose lines decode independently, one otherwise.
+func (s *Source) decodeWorkers() int {
+	if codec.LineLocal(s.cfg.Format) {
+		return runtime.GOMAXPROCS(0)
+	}
+	return 1
+}
+
+// newDecoders builds the n decoders of one stream's decode pool. Several
+// share one intern table; one has a table of its own.
+func (s *Source) newDecoders(n int) ([]codec.Decoder, error) {
 	if s.cfg.Format == "" {
 		return nil, fmt.Errorf("source: no format configured")
 	}
-	return codec.New(s.cfg.Format, codec.Options{DefaultAgent: s.cfg.Agent, Intern: &s.sym})
+	opts := codec.Options{DefaultAgent: s.cfg.Agent, Intern: &s.sym}
+	if n > 1 {
+		opts.Table = new(codec.InternTable)
+	}
+	decs := make([]codec.Decoder, n)
+	for i := range decs {
+		dec, err := codec.New(s.cfg.Format, opts)
+		if err != nil {
+			return nil, err
+		}
+		decs[i] = dec
+	}
+	return decs, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -224,9 +261,13 @@ type batcher struct {
 
 	mu        sync.Mutex
 	pending   []*event.Event
+	before    []*event.Event // an unsorted batch's arrival order, to count Reordered
 	watermark time.Time
 	err       error // first submission error; every later submit returns it
 }
+
+// byTime orders events by event time.
+func byTime(a, b *event.Event) int { return a.Time.Compare(b.Time) }
 
 // add folds decoded events in, submitting full batches as they form.
 func (b *batcher) add(evs []*event.Event) error {
@@ -288,16 +329,16 @@ func (b *batcher) submit(batch []*event.Event) error {
 	if b.err != nil {
 		return b.err
 	}
-	if !sort.SliceIsSorted(batch, func(i, j int) bool { return batch[i].Time.Before(batch[j].Time) }) {
-		before := make([]*event.Event, len(batch))
-		copy(before, batch)
-		sort.SliceStable(batch, func(i, j int) bool { return batch[i].Time.Before(batch[j].Time) })
+	if !slices.IsSortedFunc(batch, byTime) {
+		b.before = append(b.before[:0], batch...)
+		slices.SortStableFunc(batch, byTime)
 		moved := int64(0)
 		for i := range batch {
-			if batch[i] != before[i] {
+			if batch[i] != b.before[i] {
 				moved++
 			}
 		}
+		clear(b.before) // do not pin the submitted events
 		b.ctr.reordered.Add(moved)
 	}
 	if !b.watermark.IsZero() {
@@ -326,131 +367,6 @@ func (b *batcher) submit(batch []*event.Event) error {
 }
 
 // ---------------------------------------------------------------------------
-// Line pump: one decoder over one byte stream
-// ---------------------------------------------------------------------------
-
-// lineFeeder splits a byte stream into lines, decodes them, and feeds the
-// batcher one read page at a time: the events of every line a page completes
-// reach the batcher in a single add. A line longer than maxLineBytes is
-// discarded (counted as one decode error) rather than terminating the
-// source, honouring the contract that bad input never stops ingestion.
-type lineFeeder struct {
-	dec       codec.Decoder
-	b         *batcher
-	ctr       *counters
-	onErr     func(error)
-	tail      []byte         // partial line awaiting its newline
-	discardTo bool           // inside an over-long line, dropping until newline
-	evs       []*event.Event // events of the page being fed
-	lines     int64          // lines of the page being fed
-}
-
-// line hands one complete line to the codec, collecting what it emits.
-func (lf *lineFeeder) line(line []byte) {
-	lf.lines++
-	if len(line) > maxLineBytes {
-		lf.decodeError(errLineTooLong)
-		return
-	}
-	evs, err := lf.dec.Decode(bytes.TrimSuffix(line, []byte("\r")))
-	if err != nil {
-		lf.decodeError(err)
-	}
-	// Decode's slice is only good until the next call; the events are ours.
-	lf.evs = append(lf.evs, evs...)
-}
-
-var errLineTooLong = fmt.Errorf("source: line exceeds %d bytes, discarded", maxLineBytes)
-
-func (lf *lineFeeder) decodeError(err error) {
-	lf.ctr.decodeErrors.Add(1)
-	if lf.onErr != nil {
-		lf.onErr(err)
-	}
-}
-
-// submit passes the page's events and line count on.
-func (lf *lineFeeder) submit() error {
-	lf.ctr.lines.Add(lf.lines)
-	err := lf.b.add(lf.evs)
-	clear(lf.evs) // the batcher copied them; do not pin them until the next page
-	lf.evs, lf.lines = lf.evs[:0], 0
-	return err
-}
-
-// feed consumes one page of raw bytes, emitting every line it completes.
-// Lines are decoded where they sit in the page; only a line that straddles
-// pages is assembled in tail.
-func (lf *lineFeeder) feed(page []byte) error {
-	for {
-		i := bytes.IndexByte(page, '\n')
-		if i < 0 {
-			break
-		}
-		line := page[:i]
-		page = page[i+1:]
-		switch {
-		case lf.discardTo:
-			lf.discardTo = false // the over-long line this ends is already counted
-		case len(lf.tail) > 0:
-			lf.tail = append(lf.tail, line...)
-			lf.line(lf.tail)
-			lf.tail = lf.tail[:0]
-		default:
-			lf.line(line)
-		}
-	}
-	if !lf.discardTo {
-		lf.tail = append(lf.tail, page...)
-		if len(lf.tail) > maxLineBytes {
-			lf.lines++
-			lf.decodeError(errLineTooLong)
-			lf.discardTo = true
-			lf.tail = nil
-		}
-	}
-	return lf.submit()
-}
-
-// finish handles end of stream: a trailing unterminated line is decoded.
-func (lf *lineFeeder) finish() error {
-	if len(lf.tail) == 0 {
-		return nil
-	}
-	lf.line(lf.tail)
-	lf.tail = nil
-	return lf.submit()
-}
-
-// pump reads r line by line through dec into b until EOF or ctx is done.
-func pump(ctx context.Context, r io.Reader, dec codec.Decoder, b *batcher, ctr *counters, onErr func(error)) error {
-	lf := &lineFeeder{dec: dec, b: b, ctr: ctr, onErr: onErr}
-	page := make([]byte, 64*1024)
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		n, err := r.Read(page)
-		if n > 0 {
-			if ferr := lf.feed(page[:n]); ferr != nil {
-				return ferr
-			}
-		}
-		if err == io.EOF {
-			return lf.finish()
-		}
-		if err != nil {
-			return err
-		}
-	}
-}
-
-// drain flushes the decoder's buffered state (end of one stream).
-func drain(dec codec.Decoder, b *batcher) error {
-	return b.add(dec.Flush())
-}
-
-// ---------------------------------------------------------------------------
 // Reader source
 // ---------------------------------------------------------------------------
 
@@ -459,15 +375,15 @@ func drain(dec codec.Decoder, b *batcher) error {
 func FromReader(r io.Reader, cfg Config) (*Source, error) {
 	cfg = cfg.withDefaults()
 	s := &Source{cfg: cfg, desc: "reader:" + cfg.Format}
-	dec, err := s.newDecoder()
+	decs, err := s.newDecoders(s.decodeWorkers())
 	if err != nil {
 		return nil, err
 	}
 	s.run = func(ctx context.Context, b *batcher) error {
-		if err := pump(ctx, r, dec, b, &s.ctr, cfg.OnError); err != nil {
+		if err := s.pump(ctx, r, decs, b, false); err != nil {
 			return err
 		}
-		return drain(dec, b)
+		return drain(decs, b)
 	}
 	return s, nil
 }

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -379,17 +380,18 @@ func TestMaxLineBytesBoundsCompleteLines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dec, err := src.newDecoder()
+		decs, err := src.newDecoders(src.decodeWorkers())
 		if err != nil {
 			t.Fatal(err)
 		}
 		var dst sink
 		b := &batcher{cfg: src.cfg, ctr: &src.ctr, dst: &dst}
-		lf := &lineFeeder{dec: dec, b: b, ctr: &src.ctr, onErr: func(e error) { errs = append(errs, e) }}
-		if err := lf.feed([]byte(input)); err != nil {
-			t.Fatal(err)
+		p := startPool(decs, b, &src.ctr, func(e error) { errs = append(errs, e) })
+		if !p.cut([]byte(input)) {
+			t.Fatal("the in-order stage stopped")
 		}
-		if err := lf.finish(); err != nil {
+		p.finish()
+		if err := p.stop(); err != nil {
 			t.Fatal(err)
 		}
 		if err := b.flush(); err != nil {
@@ -618,4 +620,37 @@ func waitFor(t *testing.T, cond func() bool, what string) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatalf("timed out waiting for %s", what)
+}
+
+// TestBatcherSubmitAllocs: the batcher is the serial part of a source, so
+// submitting a batch allocates nothing, sorted or not.
+func TestBatcherSubmitAllocs(t *testing.T) {
+	ordered := make([]*event.Event, 256)
+	for i := range ordered {
+		ordered[i] = &event.Event{Time: time.Unix(int64(i), 0)}
+	}
+	shuffled := slices.Clone(ordered)
+	for i := 0; i+1 < len(shuffled); i += 3 {
+		shuffled[i], shuffled[i+1] = shuffled[i+1], shuffled[i]
+	}
+	var ctr counters
+	b := &batcher{cfg: Config{}.withDefaults(), ctr: &ctr, dst: submitFn(func([]*event.Event) error { return nil })}
+	batch := make([]*event.Event, len(ordered))
+	for _, tc := range []struct {
+		name string
+		in   []*event.Event
+	}{{"sorted", ordered}, {"unsorted", shuffled}} {
+		allocs := testing.AllocsPerRun(100, func() {
+			copy(batch, tc.in)
+			if err := b.submit(batch); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s batch: %v allocs per submit, want 0", tc.name, allocs)
+		}
+	}
+	if ctr.reordered.Load() == 0 {
+		t.Fatal("the unsorted batch was not reordered")
+	}
 }

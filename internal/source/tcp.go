@@ -10,14 +10,14 @@ import (
 // Listen builds a source that accepts TCP connections on addr and decodes
 // each connection as an independent stream of the configured format (every
 // connection gets its own decoder, since formats like auditd are stateful
-// per stream). Events from all connections merge into one time-ordered
-// batcher. The listener is bound immediately — Addr reports the bound
+// per stream; connections decode in parallel with each other, so each has
+// one). Events from all connections merge into one time-ordered batcher. The listener is bound immediately — Addr reports the bound
 // address, so addr may use port 0 — and Run serves until ctx is cancelled.
 func Listen(addr string, cfg Config) (*Source, error) {
 	cfg = cfg.withDefaults()
 	s := &Source{cfg: cfg}
 	// Validate the format before binding, not on first connection.
-	if _, err := s.newDecoder(); err != nil {
+	if _, err := s.newDecoders(1); err != nil {
 		return nil, err
 	}
 	ln, err := net.Listen("tcp", addr)
@@ -93,7 +93,7 @@ func (s *Source) serve(ctx context.Context, ln net.Listener, b *batcher) error {
 			fail(err)
 			break
 		}
-		dec, err := s.newDecoder()
+		decs, err := s.newDecoders(1)
 		if err != nil {
 			conn.Close()
 			fail(err)
@@ -107,12 +107,12 @@ func (s *Source) serve(ctx context.Context, ln net.Listener, b *batcher) error {
 			defer conns.Done()
 			defer untrack(conn)
 			defer conn.Close()
-			err := pump(ctx, conn, dec, b, &s.ctr, s.cfg.OnError)
+			err := s.pump(ctx, conn, decs, b, false)
 			if err != nil && ctx.Err() == nil && !errors.Is(err, net.ErrClosed) {
 				fail(err)
 				return
 			}
-			if err := drain(dec, b); err != nil {
+			if err := drain(decs, b); err != nil {
 				fail(err)
 			}
 		}()
