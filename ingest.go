@@ -6,8 +6,10 @@ import (
 	"io"
 	"net"
 	"sync/atomic"
+	"time"
 
 	"saql/internal/codec"
+	"saql/internal/scheduler"
 	"saql/internal/source"
 )
 
@@ -19,7 +21,8 @@ import (
 // "Ingestion pipeline".
 
 // SourceStats are per-source ingestion counters (lines read, events
-// decoded, decode errors, reordering/drop accounting, batches submitted).
+// decoded, lines skipped by the engine's prefilter, decode errors,
+// reordering/drop accounting, batches submitted).
 type SourceStats = source.Stats
 
 // Source streams one input — a log file, an io.Reader, a TCP listener, or
@@ -166,6 +169,12 @@ func NewReplaySource(rep *Replayer, sel ReplayOptions, opts ...SourceOption) *So
 // source names (WithSourceTenant) is metered against that engine's quotas.
 // Any other Submitter — a cluster coordinator, a serial adapter — just
 // receives the batches.
+//
+// Into an *Engine, an "ndjson" source skips the lines no registered query
+// can match: each is scanned and checked, so decode errors are the same, but
+// no event is built for it, and the engine counts it as an event that hit
+// nothing (SourceStats.Skipped). A source that names a tenant, a journaled
+// engine, and the "auditd" and "sysmon" formats build every line.
 func (s *Source) Run(ctx context.Context, dst Submitter) error {
 	eng, _ := dst.(*Engine)
 	if eng != nil {
@@ -180,7 +189,10 @@ func (s *Source) Run(ctx context.Context, dst Submitter) error {
 		eng.attachSource(s.inner)
 		defer eng.detachSource(s.inner)
 		if ten := s.inner.Tenant(); ten != "" {
+			// The ingest-rate meter needs every line's time, in order.
 			dst = &tenantSubmitter{eng: eng, tenant: ten}
+		} else {
+			dst = engineSubmitter{eng: eng}
 		}
 	}
 	return s.inner.Run(ctx, dst)
@@ -200,6 +212,32 @@ func (t *tenantSubmitter) SubmitBatch(evs []*Event) error {
 		return nil
 	}
 	return t.eng.SubmitBatch(kept)
+}
+
+// engineSubmitter is how a source without a tenant runs into an engine: its
+// decoders consult the runtime's prefilter table (runtime.Prefilter) and its
+// batches carry the lines they skipped as a count (runtime.SubmitSkipping).
+type engineSubmitter struct{ eng *Engine }
+
+func (s engineSubmitter) SubmitBatch(evs []*Event) error { return s.eng.SubmitBatch(evs) }
+
+func (s engineSubmitter) Prefilter() (codec.Prefilter, uint64) {
+	t, gen := s.eng.rt.Load().Prefilter()
+	if s.eng.testAdmitAll {
+		return scheduler.AdmitAll(), gen
+	}
+	return t, gen
+}
+
+func (s engineSubmitter) SubmitSkipping(evs []*Event, skipped int64, last time.Time, gen uint64) (bool, error) {
+	if s.eng.testBeforeSkipping != nil {
+		s.eng.testBeforeSkipping()
+	}
+	rt, err := s.eng.running()
+	if err != nil {
+		return false, err
+	}
+	return rt.SubmitSkipping(evs, skipped, last, gen)
 }
 
 // Stats snapshots the source's counters; safe while Run is in flight.

@@ -5,7 +5,8 @@
 // partitioner's routeEvent with its emit helper, flushShard/flushAll/
 // processBatch and batch pool, the scheduler's one evaluator — EvaluateBatch
 // and serial Process's evaluateBatchLocked with its per-group sweep and the
-// agentid dispatch (agentKey, the batch's bucket pass) — the resolve step
+// agentid dispatch (agentKey, the batch's bucket pass, the agentid fold
+// foldAgent it shares with the prefilter's Admit) — the resolve step
 // resolveLocked and its ops (SetHits.FoldOp/HitsOp), HitSet.AssertLive and
 // the one fold: Apply/applySet, serial Process's foldLocked,
 // AdvanceAll/advanceLocked), engine.MatchBatch/HitKey and the key class memo, the

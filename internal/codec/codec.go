@@ -21,12 +21,20 @@
 // which case one decoder sees the whole stream ("auditd", whose record
 // groups span lines). LineLocal reports it; internal/source sizes its decode
 // pool by it.
+//
+// A decoder may also skip lines: one that implements Skipper, given a
+// Prefilter built from the queries the stream feeds, scans and checks every
+// line in full — so what is accepted and rejected does not change — but
+// builds no event for a line the prefilter does not admit, and reports only
+// that line's time. "ndjson" implements it; "auditd" and "sysmon" do not,
+// and their lines are always built.
 package codec
 
 import (
 	"fmt"
 	"sort"
 	"sync"
+	"time"
 
 	"saql/internal/event"
 )
@@ -67,6 +75,22 @@ type Decoder interface {
 	// Flush emits the events of any buffered partial state (end of stream).
 	// Groups too incomplete to build an event are discarded.
 	Flush() []*event.Event
+}
+
+// Prefilter tells, from a line's agentid and operation alone, whether any
+// query the stream feeds could match the line's event.
+type Prefilter interface {
+	Admit(agent []byte, op event.Op) bool
+}
+
+// Skipper is a Decoder that can skip the lines a Prefilter does not admit.
+type Skipper interface {
+	Decoder
+	// DecodeSkipping is Decode under pf. A line that decodes to one event
+	// pf does not admit yields no events and skip true, with t the event's
+	// time: it was scanned and checked like any other, so an undecodable
+	// line is still an error, but nothing was built, interned or copied.
+	DecodeSkipping(line []byte, pf Prefilter) (evs []*event.Event, t time.Time, skip bool, err error)
 }
 
 // Factory creates a fresh Decoder.

@@ -52,7 +52,14 @@ import (
 
 func init() {
 	Register("ndjson", func(opts Options) Decoder {
-		return &ndjsonDecoder{opts: opts, tab: internTable{stats: opts.Intern, shared: opts.Table}}
+		def := opts.DefaultAgent
+		if def == "" {
+			def = "ndjson"
+		}
+		return &ndjsonDecoder{
+			tab:          internTable{stats: opts.Intern, shared: opts.Table},
+			defaultAgent: def, defaultAgentBytes: []byte(def),
+		}
 	}, true)
 }
 
@@ -61,9 +68,12 @@ func init() {
 const maxJSONDepth = 10000
 
 type ndjsonDecoder struct {
-	opts Options
-	tab  internTable
-	out  [1]*event.Event // backs the slice Decode returns
+	tab internTable
+	// defaultAgent is the agentid of a line with neither "agent" nor "host":
+	// Options.DefaultAgent, else the format name.
+	defaultAgent      string
+	defaultAgentBytes []byte
+	out               [1]*event.Event // backs the slice Decode returns
 
 	rec     rawEvent
 	scratch []byte // unescaped strings of the current line; rec may point into it
@@ -111,18 +121,46 @@ const (
 )
 
 func (d *ndjsonDecoder) Decode(line []byte) ([]*event.Event, error) {
+	evs, _, _, err := d.DecodeSkipping(line, nil)
+	return evs, err
+}
+
+// DecodeSkipping is Decode under the prefilter pf (nil admits every line),
+// consulted between the scan and the fill with the agentid fill would
+// assign.
+func (d *ndjsonDecoder) DecodeSkipping(line []byte, pf Prefilter) ([]*event.Event, time.Time, bool, error) {
 	if isBlank(line) {
-		return nil, nil
+		return nil, time.Time{}, false, nil
 	}
 	if err := d.scan(line); err != nil {
-		return nil, err
+		return nil, time.Time{}, false, err
+	}
+	if pf != nil {
+		agent := d.rec.agentID()
+		if len(agent) == 0 {
+			agent = d.defaultAgentBytes
+		}
+		if !pf.Admit(agent, d.rec.opv) {
+			return nil, d.rec.ts, true, nil
+		}
 	}
 	// The line's one allocation besides path/cmdline copies; made only now,
-	// so a rejected line costs none.
+	// so a rejected or skipped line costs none.
 	ev := &event.Event{}
 	d.fill(ev)
 	d.out[0] = ev
-	return d.out[:], nil
+	return d.out[:], time.Time{}, false, nil
+}
+
+// agentID is the line's agentid: "agent", else "host", else empty for the
+// decoder's default.
+//
+//saql:hotpath
+func (r *rawEvent) agentID() []byte {
+	if len(r.agent) > 0 {
+		return r.agent
+	}
+	return r.host
 }
 
 func (d *ndjsonDecoder) Flush() []*event.Event { return nil }
@@ -205,15 +243,10 @@ func (d *ndjsonDecoder) fill(ev *event.Event) {
 	ev.Time = r.ts
 	ev.Op = r.opv
 	ev.Amount = r.amount
-	switch {
-	case len(r.agent) > 0:
-		ev.AgentID, ev.AgentSym = t.bytes(r.agent)
-	case len(r.host) > 0:
-		ev.AgentID, ev.AgentSym = t.bytes(r.host)
-	case d.opts.DefaultAgent != "":
-		ev.AgentID, ev.AgentSym = t.val(d.opts.DefaultAgent)
-	default:
-		ev.AgentID, ev.AgentSym = t.val("ndjson")
+	if agent := r.agentID(); len(agent) > 0 {
+		ev.AgentID, ev.AgentSym = t.bytes(agent)
+	} else {
+		ev.AgentID, ev.AgentSym = t.val(d.defaultAgent)
 	}
 
 	s := &ev.Subject

@@ -227,7 +227,8 @@ var benchLines = [][]byte{
 
 // TestNDJSONDecodeAllocsGate holds steady-state decoding to the event itself
 // plus its un-interned path or cmdline: at most two allocations per line once
-// the intern table has seen the stream's hot values.
+// the intern table has seen the stream's hot values. A line the prefilter
+// does not admit is scanned and checked, and costs no allocation at all.
 func TestNDJSONDecodeAllocsGate(t *testing.T) {
 	dec, err := New("ndjson", Options{Intern: new(InternStats)})
 	if err != nil {
@@ -246,25 +247,108 @@ func TestNDJSONDecodeAllocsGate(t *testing.T) {
 	if perLine > 2 {
 		t.Fatalf("ndjson decode allocates %.2f/line, gate is 2/line", perLine)
 	}
+
+	sk := dec.(Skipper)
+	const rounds = 1000
+	skipAll := func() {
+		for range rounds {
+			for _, line := range benchLines {
+				if evs, _, skip, err := sk.DecodeSkipping(line, admitNone); err != nil || !skip || len(evs) != 0 {
+					t.Fatalf("DecodeSkipping(%s): %d events, skip %v, err %v", line, len(evs), skip, err)
+				}
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(1, skipAll); n != 0 {
+		t.Fatalf("ndjson skips %d lines with %v allocations, gate is 0", rounds*len(benchLines), n)
+	}
 }
+
+// admitFn is a Prefilter of a function.
+type admitFn func(agent []byte, op event.Op) bool
+
+func (f admitFn) Admit(agent []byte, op event.Op) bool { return f(agent, op) }
+
+var (
+	admitAll  = admitFn(func([]byte, event.Op) bool { return true })
+	admitNone = admitFn(func([]byte, event.Op) bool { return false })
+)
 
 var benchSink []*event.Event
 
-func BenchmarkDecodeNDJSON(b *testing.B) {
-	dec, err := New("ndjson", Options{Intern: new(InternStats)})
-	if err != nil {
-		b.Fatal(err)
+// BenchmarkNDJSONDecode decodes the bench lines with no prefilter, under a
+// prefilter that admits every line (what a fleet-wide query set costs: it
+// must be within noise of none) and under one that admits none (the skipped
+// line: scan and check only).
+func BenchmarkNDJSONDecode(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		pf   Prefilter
+	}{{"no-table", nil}, {"admit-all", admitAll}, {"admit-none", admitNone}} {
+		b.Run(bc.name, func(b *testing.B) {
+			dec, err := New("ndjson", Options{Intern: new(InternStats)})
+			if err != nil {
+				b.Fatal(err)
+			}
+			sk := dec.(Skipper)
+			var size int
+			for _, line := range benchLines {
+				size += len(line)
+			}
+			b.SetBytes(int64(size / len(benchLines)))
+			b.ReportAllocs()
+			for i := 0; b.Loop(); i++ {
+				line := benchLines[i%len(benchLines)]
+				if bc.pf == nil {
+					benchSink, err = dec.Decode(line)
+				} else {
+					benchSink, _, _, err = sk.DecodeSkipping(line, bc.pf)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
-	var size int
-	for _, line := range benchLines {
-		size += len(line)
+}
+
+// TestNDJSONSkipSeesFilledAgent: the prefilter is asked about the agentid
+// and operation the event would be built with — "agent", else "host", else
+// the decoder's default, else the format name — and a line it admits
+// decodes to exactly what Decode builds.
+func TestNDJSONSkipSeesFilledAgent(t *testing.T) {
+	const body = `"subject":{"exe":"a","pid":1},"op":"exec","object":{"type":"file","path":"/x"}`
+	lines := []string{
+		`{"ts":1,"agent":"Db-1","host":"h",` + body + `}`,
+		`{"ts":1,"host":"web-2",` + body + `}`,
+		`{"ts":1,"agent":"","host":"",` + body + `}`,
+		`{"ts":1,` + body + `}`,
 	}
-	b.SetBytes(int64(size / len(benchLines)))
-	b.ReportAllocs()
-	for i := 0; b.Loop(); i++ {
-		benchSink, err = dec.Decode(benchLines[i%len(benchLines)])
+	for _, def := range []string{"", "fallback-host"} {
+		full, err := New("ndjson", Options{DefaultAgent: def})
 		if err != nil {
-			b.Fatal(err)
+			t.Fatal(err)
+		}
+		skipping, _ := New("ndjson", Options{DefaultAgent: def})
+		sk := skipping.(Skipper)
+		for _, line := range lines {
+			want, err := full.Decode([]byte(line))
+			if err != nil || len(want) != 1 {
+				t.Fatalf("Decode(%s): %d events, err %v", line, len(want), err)
+			}
+			var agent string
+			var op event.Op
+			seen := admitFn(func(a []byte, o event.Op) bool { agent, op = string(a), o; return true })
+			got, _, skip, err := sk.DecodeSkipping([]byte(line), seen)
+			if err != nil || skip || len(got) != 1 {
+				t.Fatalf("DecodeSkipping(%s): %d events, skip %v, err %v", line, len(got), skip, err)
+			}
+			if agent != want[0].AgentID || op != want[0].Op {
+				t.Errorf("default %q, %s: prefilter asked about (%q, %v), the event is (%q, %v)", def, line, agent, op, want[0].AgentID, want[0].Op)
+			}
+			if *got[0] != *want[0] {
+				t.Errorf("default %q, %s: admitted line decodes to %+v, Decode to %+v", def, line, *got[0], *want[0])
+			}
 		}
 	}
 }

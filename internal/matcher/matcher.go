@@ -47,6 +47,10 @@ func Compile(idx int, p *ast.EventPattern, fb *atomic.Int64) *Pattern {
 	}
 }
 
+// Ops is the pattern's operation set, bit event.Op: an event whose operation
+// is not in it never matches.
+func (p *Pattern) Ops() uint32 { return p.opsMask }
+
 // Matches reports whether ev satisfies the pattern's operation set and both
 // entity predicates.
 //

@@ -69,6 +69,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"saql/internal/engine"
 	"saql/internal/event"
@@ -130,8 +131,15 @@ type Runtime struct {
 
 	// submitMu lets Close erect a barrier against in-flight Submits: once
 	// Close holds the write side, no submitter can still be mid-enqueue,
-	// so the final drain provably sees every accepted event.
+	// so the final drain provably sees every accepted event. Add, Swap and
+	// Remove hold it too while they publish the next prefilter table and
+	// enqueue their control, so every submission is ordered before or after
+	// the change.
 	submitMu sync.RWMutex
+
+	// table is the prefilter table of the registered queries and its
+	// generation (Prefilter), replaced whole under submitMu's write side.
+	table atomic.Pointer[prefilterGen]
 
 	events atomic.Int64 // events accepted into the queue
 
@@ -180,6 +188,18 @@ type envelope struct {
 	evs   []*event.Event
 	ctl   *control
 	batch *shardBatch
+	// skipped counts the lines of a submitted batch that a source's
+	// prefilter kept from being built (SubmitSkipping); last is the batch's
+	// latest event time, theirs included.
+	skipped int64
+	last    time.Time
+}
+
+// prefilterGen is one published prefilter table: the table of the
+// registered queries after the gen-th registry change.
+type prefilterGen struct {
+	table *scheduler.Prefilter
+	gen   uint64
 }
 
 type ctlKind uint8
@@ -231,6 +251,9 @@ type queryInfo struct {
 	name      string
 	placement engine.Placement
 	replicas  []*engine.Query // indexed by shard; nil where absent
+	// eval is the evaluation scheduler's replica; its compiled programs,
+	// which never change, are what the prefilter table is built from.
+	eval *engine.Query
 }
 
 // Start spins up the runtime: a router at stream watermark wm, and workers.
@@ -262,6 +285,7 @@ func Start(cfg Config, wm event.Watermark) *Runtime {
 		r.shards = append(r.shards, s)
 	}
 	r.part = newPartitioner(r, wm)
+	r.table.Store(&prefilterGen{table: r.prefilterLocked(nil)})
 	for _, s := range r.shards {
 		r.workersDone.Add(1)
 		go r.worker(s)
@@ -340,6 +364,63 @@ func (r *Runtime) submitBatch(evs []*event.Event, journal bool) error {
 	}
 }
 
+// SubmitSkipping is SubmitBatch for a batch from a source that prefilters
+// its lines with the table of generation gen (Prefilter): evs are the events
+// it built, skipped counts the lines it decoded but did not build because
+// the table admitted none of them, and last is the batch's latest event
+// time, the skipped lines' included. evs must be time-ordered and no later
+// than last. The skipped lines count as accepted events that no query hits.
+// A registry change since gen may admit lines the old table did not: then
+// nothing is enqueued and stale is true, and the caller builds the batch in
+// full and submits it with SubmitBatch.
+//
+//saql:ctlpath
+func (r *Runtime) SubmitSkipping(evs []*event.Event, skipped int64, last time.Time, gen uint64) (stale bool, err error) {
+	r.submitMu.RLock()
+	defer r.submitMu.RUnlock()
+	if r.closed.Load() {
+		return false, ErrClosed
+	}
+	if r.table.Load().gen != gen {
+		return true, nil
+	}
+	select {
+	case r.ingest <- envelope{evs: evs, skipped: skipped, last: last}:
+		r.events.Add(int64(len(evs)) + skipped)
+		return false, nil
+	case <-r.quit:
+		return false, ErrClosed
+	}
+}
+
+// Prefilter returns the current prefilter table of the registered queries
+// and its generation, for the decoders of a source that runs into this
+// runtime (SubmitSkipping). A journaled runtime's table admits every line:
+// the journal records every event.
+func (r *Runtime) Prefilter() (*scheduler.Prefilter, uint64) {
+	t := r.table.Load()
+	return t.table, t.gen
+}
+
+// prefilterLocked builds the prefilter table of the registered queries with
+// c applied: c's query added or swapped in, or removed (nil: the registry as
+// it is). The caller holds r.mu.
+func (r *Runtime) prefilterLocked(c *control) *scheduler.Prefilter {
+	if r.cfg.Journal != nil {
+		return scheduler.AdmitAll()
+	}
+	qs := make([]*engine.Query, 0, len(r.queries)+1)
+	for name, qi := range r.queries {
+		if c == nil || name != c.name {
+			qs = append(qs, qi.eval)
+		}
+	}
+	if c != nil && c.eval != nil {
+		qs = append(qs, c.eval)
+	}
+	return scheduler.NewPrefilter(qs)
+}
+
 // Events reports how many events have been accepted into the queue.
 func (r *Runtime) Events() int64 { return r.events.Load() }
 
@@ -399,12 +480,21 @@ func (r *Runtime) route(env envelope) {
 		r.broadcast(env)
 		return
 	}
-	r.routed += int64(len(env.evs))
+	r.routed += int64(len(env.evs)) + env.skipped
 	// The hit sets live in the evaluation scheduler's scratch until its next
 	// batch: they are resolved into ops here and go no further.
 	hits := r.evalSched.EvaluateBatch(env.evs)
 	for i, ev := range env.evs {
 		r.part.routeEvent(ev, hits[i])
+	}
+	if env.skipped > 0 {
+		// Skipped lines are events no query hits, and such an event's one
+		// effect here is on the stream watermark. The batch is time-ordered,
+		// so none of them is later than a built event that follows it: the
+		// watermark through each built event is what it would have been with
+		// them, and after the batch it is through last.
+		r.evalSched.Skip(env.skipped)
+		r.part.wm.Through(env.last)
 	}
 }
 
@@ -515,10 +605,8 @@ func (r *Runtime) control(c *control) ([]ctlResult, error) {
 		return nil, ErrClosed
 	}
 	c.ack = make(chan ctlResult, len(r.shards))
-	select {
-	case r.ingest <- envelope{ctl: c}:
-	case <-r.quit:
-		return nil, ErrClosed
+	if err := r.enqueueControl(c); err != nil {
+		return nil, err
 	}
 	results := make([]ctlResult, 0, len(r.shards))
 	for range r.shards {
@@ -526,6 +614,27 @@ func (r *Runtime) control(c *control) ([]ctlResult, error) {
 	}
 	sort.Slice(results, func(i, j int) bool { return results[i].shard < results[j].shard })
 	return results, nil
+}
+
+// enqueueControl puts c on the ingest queue. A registry change (add, swap,
+// remove) first publishes the prefilter table it leads to, under the write
+// side of submitMu: a skip-carrying submission checks its table's generation
+// under the read side, so it is either enqueued before c, or stale once c
+// has been published. Caller holds r.mu.
+//
+//saql:ctlpath
+func (r *Runtime) enqueueControl(c *control) error {
+	if c.kind == ctlAdd || c.kind == ctlSwap || c.kind == ctlRemove {
+		r.submitMu.Lock()
+		defer r.submitMu.Unlock()
+		r.table.Store(&prefilterGen{table: r.prefilterLocked(c), gen: r.table.Load().gen + 1})
+	}
+	select {
+	case r.ingest <- envelope{ctl: c}:
+		return nil
+	case <-r.quit:
+		return ErrClosed
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -691,7 +800,7 @@ func (r *Runtime) install(kind ctlKind, primary *engine.Query, clone func() (*en
 			return res.err
 		}
 	}
-	r.queries[name] = &queryInfo{name: name, placement: primary.Placement(), replicas: replicas}
+	r.queries[name] = &queryInfo{name: name, placement: primary.Placement(), replicas: replicas, eval: evalQ}
 	return nil
 }
 

@@ -1053,25 +1053,15 @@ const agentFoldLen = 64
 
 // agentKey returns the key id of an event's agentid in agents, the layout's
 // agentid index, or -1 when no master is pinned to it. The agentid is folded
-// the way pcode.EventProg.AgentEq folds a constant: ASCII byte by byte on
-// the stack, anything else by strings.ToLower.
+// the way pcode.EventProg.AgentEq folds a constant (foldAgent), anything
+// foldAgent does not take by strings.ToLower.
 //
 //saql:hotpath
 func agentKey(agents map[string]int32, agent string) int32 {
 	var buf [agentFoldLen]byte
-	n := 0
-	if len(agent) <= len(buf) {
-		for ; n < len(agent) && agent[n] < utf8.RuneSelf; n++ {
-			c := agent[n]
-			if 'A' <= c && c <= 'Z' {
-				c += 'a' - 'A'
-			}
-			buf[n] = c
-		}
-	}
 	var k int32
 	var ok bool
-	if n == len(agent) {
+	if n, ascii := foldAgent(&buf, agent); ascii {
 		k, ok = agents[string(buf[:n])]
 	} else {
 		k, ok = agents[strings.ToLower(agent)] //saql:coldpath a non-ASCII or over-long agentid
@@ -1080,6 +1070,30 @@ func agentKey(agents map[string]int32, agent string) int32 {
 		return -1
 	}
 	return k
+}
+
+// foldAgent folds an agentid as pcode.EventProg.AgentEq folds a constant,
+// ASCII byte by byte into buf, and returns its length; ascii is false for an
+// agentid that is not ASCII or is longer than buf, which foldAgent leaves to
+// strings.ToLower. The dispatch index (agentKey) and the prefilter
+// (Prefilter.Admit) look agentids up with this one fold.
+//
+//saql:hotpath
+func foldAgent[T string | []byte](buf *[agentFoldLen]byte, agent T) (n int, ascii bool) {
+	if len(agent) > len(buf) {
+		return 0, false
+	}
+	for ; n < len(agent); n++ {
+		c := agent[n]
+		if c >= utf8.RuneSelf {
+			return 0, false
+		}
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		buf[n] = c
+	}
+	return n, true
 }
 
 // pos is the batch position of the k-th event a sweep visits: at[k], or k
@@ -1138,6 +1152,23 @@ func (s *Scheduler) EvaluateBatch(evs []*event.Event) []*HitSet {
 	}
 	res.out, res.sets = out, sets
 	return out
+}
+
+// Skip counts n events that reached this evaluating scheduler only as
+// skipped lines: a decoder's prefilter (Prefilter) found that no registered
+// query can match them, so they were never built. They count as evaluated
+// events that hit nothing — in Events, and so in every query's events
+// offered, and in the sharing counters at the evaluation plan's per-event
+// rates — except in PatternEvals, since no predicate ran on them.
+func (s *Scheduler) Skip(n int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.layoutLocked()
+	p := &s.plan
+	s.stats.Events += n
+	s.stats.StreamCopies += p.copies * n
+	s.stats.NaiveCopies += p.naiveCopies * n
+	s.stats.NaivePatternEvals += p.naiveEvals * n
 }
 
 // hitTableChunk is how many events' slot tables the first allocation of

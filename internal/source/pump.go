@@ -42,10 +42,19 @@ type chunk struct {
 	flush    bool   // follow-mode EOF: flush the batcher once this chunk is in
 
 	// Decoded by a worker.
-	evs   []*event.Event
+	evs   []*event.Event // a nil one stands for the next of skips
+	skips []skipLine     // lines the prefilter of generation gen did not admit, in line order
+	gen   uint64
 	errs  []error // decode errors, in line order
 	lines int64
 	done  chan struct{} // a worker signals the in-order stage
+}
+
+// skipLine is a line a decoder scanned and checked but did not build: its
+// event's time and the line itself, a sub-slice of the chunk's buf.
+type skipLine struct {
+	t    time.Time
+	line []byte
 }
 
 // decodePool runs one stream's decode workers and in-order stage. At most
@@ -112,13 +121,19 @@ func (p *decodePool) stop() error {
 func (p *decodePool) decode(dec codec.Decoder) {
 	defer p.wg.Done()
 	for c := range p.work {
-		decodeChunk(dec, c)
+		p.decodeChunk(dec, c)
 		c.done <- struct{}{}
 	}
 }
 
-// decodeChunk decodes c's lines with dec.
-func decodeChunk(dec codec.Decoder, c *chunk) {
+// decodeChunk decodes c's lines with dec, under the destination's current
+// prefilter table when dec can skip lines (codec.Skipper).
+func (p *decodePool) decodeChunk(dec codec.Decoder, c *chunk) {
+	var pf codec.Prefilter
+	sk, _ := dec.(codec.Skipper)
+	if sk != nil && p.b.skip != nil {
+		pf, c.gen = p.b.skip.Prefilter()
+	}
 	buf := c.buf
 	for len(buf) > 0 {
 		line := buf
@@ -132,7 +147,22 @@ func decodeChunk(dec codec.Decoder, c *chunk) {
 			c.errs = append(c.errs, errLineTooLong)
 			continue
 		}
-		evs, err := dec.Decode(bytes.TrimSuffix(line, []byte("\r")))
+		line = bytes.TrimSuffix(line, []byte("\r"))
+		var (
+			evs []*event.Event
+			err error
+		)
+		if pf != nil {
+			var t time.Time
+			var skip bool
+			if evs, t, skip, err = sk.DecodeSkipping(line, pf); skip {
+				c.skips = append(c.skips, skipLine{t: t, line: line})
+				c.evs = append(c.evs, nil)
+				continue
+			}
+		} else {
+			evs, err = dec.Decode(line)
+		}
 		if err != nil {
 			c.errs = append(c.errs, err)
 		}
@@ -165,7 +195,8 @@ func (p *decodePool) settle(c *chunk) {
 	}
 	clear(c.evs) // the batcher copied them; do not pin them until reuse
 	clear(c.errs)
-	c.buf, c.evs, c.errs = c.buf[:0], c.evs[:0], c.errs[:0]
+	clear(c.skips)
+	c.buf, c.evs, c.errs, c.skips = c.buf[:0], c.evs[:0], c.errs[:0], c.skips[:0]
 	c.lines, c.overLong, c.flush = 0, false, false
 	p.free <- c
 }
@@ -181,7 +212,7 @@ func (p *decodePool) emit(c *chunk) error {
 			}
 		}
 	}
-	if err := p.b.add(c.evs); err != nil {
+	if err := p.b.addLines(c.evs, c.skips, c.gen); err != nil {
 		return err
 	}
 	if c.flush {
@@ -216,7 +247,7 @@ func (p *decodePool) send() {
 	c := p.cur
 	p.cur = nil
 	if p.inline != nil {
-		decodeChunk(p.inline, c)
+		p.decodeChunk(p.inline, c)
 		p.settle(c)
 		return
 	}

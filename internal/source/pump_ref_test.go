@@ -336,6 +336,53 @@ func TestSourceDecodePoolNoLeak(t *testing.T) {
 		}
 	})
 
+	t.Run("submit error over an idle pipe", func(t *testing.T) {
+		leakcheck.Check(t)
+		boom := errors.New("engine closed")
+		pr, pw := io.Pipe()
+		src, err := FromReader(pr, Config{Format: "ndjson", BatchSize: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		failed := make(chan struct{})
+		n := 0
+		dst := submitFn(func([]*event.Event) error {
+			if n++; n == 4 {
+				close(failed)
+			}
+			if n > 3 {
+				return boom
+			}
+			return nil
+		})
+		// The writer stops writing once the submitter has failed, and the
+		// pipe stays open: the reader is left in a Read that nothing ends.
+		wrote := make(chan struct{})
+		go func() {
+			defer close(wrote)
+			for {
+				select {
+				case <-failed:
+					return
+				default:
+				}
+				if _, err := pw.Write([]byte(endlessData)); err != nil {
+					return
+				}
+			}
+		}()
+		done := make(chan error, 1)
+		go func() { done <- src.Run(context.Background(), dst) }()
+		<-failed
+		// Ending the pending Read — here by closing the pipe — lets Run
+		// return the submitter's error.
+		pw.Close()
+		if err := <-done; !errors.Is(err, boom) {
+			t.Fatalf("Run = %v, want the submitter's error", err)
+		}
+		<-wrote
+	})
+
 	t.Run("follow cancel", func(t *testing.T) {
 		leakcheck.Check(t)
 		path := filepath.Join(t.TempDir(), "events.ndjson")

@@ -26,17 +26,29 @@
 // decoder reading line by line would have produced, whatever the worker
 // count and however the reads cut the stream.
 //
+// Into a destination that prefilters (package saql's adapter for a running
+// engine), a decoder that can skip lines (codec.Skipper) builds no event for
+// a line the destination's current table does not admit. The line enters the
+// batcher as a skip record — its time, its bytes and the table's generation
+// — which takes part in batching, the sort, the late/drop policy and the
+// watermark exactly as its event would, so batch boundaries and those
+// counters do not change. A batch goes out as its built events plus the
+// count and latest time of its skipped lines; if a registry change has
+// replaced the table since they were skipped, the batch is built in full and
+// submitted as events.
+//
 // # Accounting
 //
-// A Source keeps per-source counters (lines read, events decoded, decode
-// errors, reordered/late/dropped events, batches submitted) retrievable with
-// Stats at any time, including while Run is in flight.
+// A Source keeps per-source counters (lines read, events decoded, lines
+// skipped, decode errors, reordered/late/dropped events, batches submitted)
+// retrievable with Stats at any time, including while Run is in flight.
 package source
 
 import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"runtime"
 	"slices"
@@ -56,6 +68,18 @@ const maxLineBytes = 1 << 20
 // Submitter accepts decoded event batches; *saql.Engine satisfies it.
 type Submitter interface {
 	SubmitBatch(evs []*event.Event) error
+}
+
+// skipSubmitter is a Submitter that lets a source skip the lines no query it
+// feeds can match: package saql's adapter for a running engine. Prefilter is
+// the current table of those queries and its generation; SubmitSkipping
+// takes a batch as the events built, the count of the lines skipped under
+// the table of generation gen, and the batch's latest time, or reports the
+// generation stale and takes nothing.
+type skipSubmitter interface {
+	Submitter
+	Prefilter() (codec.Prefilter, uint64)
+	SubmitSkipping(evs []*event.Event, skipped int64, last time.Time, gen uint64) (stale bool, err error)
 }
 
 // Producer generates a source's events itself instead of decoding them from
@@ -107,12 +131,16 @@ func (c Config) withDefaults() Config {
 // Stats are the per-source counters. All fields are cumulative.
 type Stats struct {
 	Lines        int64 // raw lines consumed (including undecodable ones)
-	Events       int64 // events decoded and handed to the batcher
+	Events       int64 // events decoded and handed to the batcher, Skipped included
 	DecodeErrors int64 // lines the codec rejected
 	Reordered    int64 // events moved by the in-batch time sort
 	Late         int64 // events older than the watermark, submitted anyway
 	Dropped      int64 // events older than the watermark, dropped (StrictOrder)
 	Batches      int64 // batches submitted to the engine
+	// Skipped counts the lines decoded but never built: the engine's
+	// prefilter found that no registered query could match them. They are in
+	// Events too, since the engine counts them as events that hit nothing.
+	Skipped int64
 	// Symbol interning, scoped to this source's intern tables (not the
 	// process-global dictionary): one per stream, which all the stream's
 	// decode workers share. Below a table's bound the three are the same
@@ -132,6 +160,7 @@ func (s *Stats) Add(o Stats) {
 	s.Late += o.Late
 	s.Dropped += o.Dropped
 	s.Batches += o.Batches
+	s.Skipped += o.Skipped
 	s.SymbolHits += o.SymbolHits
 	s.SymbolMisses += o.SymbolMisses
 	s.SymbolEntries += o.SymbolEntries
@@ -141,7 +170,7 @@ func (s *Stats) Add(o Stats) {
 type counters struct {
 	lines, events, decodeErrors atomic.Int64
 	reordered, late, dropped    atomic.Int64
-	batches                     atomic.Int64
+	batches, skipped            atomic.Int64
 }
 
 func (c *counters) snapshot() Stats {
@@ -153,6 +182,7 @@ func (c *counters) snapshot() Stats {
 		Late:         c.late.Load(),
 		Dropped:      c.dropped.Load(),
 		Batches:      c.batches.Load(),
+		Skipped:      c.skipped.Load(),
 	}
 }
 
@@ -202,7 +232,8 @@ func (s *Source) Run(ctx context.Context, dst Submitter) error {
 	if s.started.Swap(true) {
 		return fmt.Errorf("source: %s already running", s.desc)
 	}
-	b := &batcher{cfg: s.cfg, ctr: &s.ctr, dst: dst}
+	b := &batcher{cfg: s.cfg, ctr: &s.ctr, dst: dst, sym: &s.sym}
+	b.skip, _ = dst.(skipSubmitter)
 	if s.live {
 		defer b.flushEvery(s.cfg.FlushInterval)()
 	}
@@ -254,30 +285,101 @@ func (s *Source) newDecoders(n int) ([]codec.Decoder, error) {
 // consumes it asynchronously, so a slice handed to dst.SubmitBatch is never
 // touched again — the pending buffer is re-sliced past it (full batches) or
 // dropped entirely (flush), never rewound over it.
+//
+// Skip records: into a destination that prefilters (skipSubmitter), a line
+// the decoder skipped enters pending as a stand-in event — the batcher's own,
+// holding the line's time, the line and the table generation it was skipped
+// under — so it counts toward the batch size and is sorted, judged late and
+// moves the watermark exactly as its event would. A batch holding stand-ins
+// goes out as its other events, collected in kept (re-sliced past each
+// submitted batch, as pending is), and the stand-ins' count; they return to
+// free once it is submitted.
 type batcher struct {
 	cfg Config
 	ctr *counters
 	dst Submitter
+
+	skip skipSubmitter      // dst when it prefilters; nil otherwise
+	sym  *codec.InternStats // the source's symbol counters, for full
 
 	mu        sync.Mutex
 	pending   []*event.Event
 	before    []*event.Event // an unsorted batch's arrival order, to count Reordered
 	watermark time.Time
 	err       error // first submission error; every later submit returns it
+
+	recs []*skipRec     // every stand-in made, by index (its event's ID)
+	free []*skipRec     // the stand-ins not in pending
+	kept []*event.Event // the built events of the batches with stand-ins
+	// full builds the skipped lines of a batch whose table went stale; made
+	// at the first such batch.
+	full codec.Decoder
+}
+
+// skipRec is a skip record: ev stands for the line in pending.
+type skipRec struct {
+	ev   event.Event // Time: the line's event time; ID: the record's index in batcher.recs
+	line []byte
+	gen  uint64
+}
+
+// keptBatches is how many batches' worth of built events one kept buffer
+// holds before the next is made.
+const keptBatches = 8
+
+// record returns the skip record ev stands for, nil when ev is an event.
+//
+//saql:hotpath
+func (b *batcher) record(ev *event.Event) *skipRec {
+	if i := ev.ID; i < uint64(len(b.recs)) && &b.recs[i].ev == ev {
+		return b.recs[i]
+	}
+	return nil
+}
+
+// standIn takes a free skip record for the line sl, skipped under the table
+// of generation gen, and returns its stand-in event. Caller holds b.mu.
+//
+//saql:hotpath
+func (b *batcher) standIn(sl skipLine, gen uint64) *event.Event {
+	var r *skipRec
+	if n := len(b.free); n > 0 {
+		r, b.free = b.free[n-1], b.free[:n-1]
+	} else {
+		r = new(skipRec) //saql:coldpath records are reused: made only while pending grows
+		r.ev.ID = uint64(len(b.recs))
+		b.recs = append(b.recs, r)
+	}
+	r.ev.Time, r.line, r.gen = sl.t, append(r.line[:0], sl.line...), gen
+	return &r.ev
 }
 
 // byTime orders events by event time.
 func byTime(a, b *event.Event) int { return a.Time.Compare(b.Time) }
 
 // add folds decoded events in, submitting full batches as they form.
-func (b *batcher) add(evs []*event.Event) error {
+func (b *batcher) add(evs []*event.Event) error { return b.addLines(evs, nil, 0) }
+
+// addLines is add for a decoded chunk: a nil among evs stands for the next
+// of skips, lines the prefilter of generation gen did not admit.
+func (b *batcher) addLines(evs []*event.Event, skips []skipLine, gen uint64) error {
 	if len(evs) == 0 {
 		return nil
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.ctr.events.Add(int64(len(evs)))
-	b.pending = append(b.pending, evs...)
+	if len(skips) == 0 {
+		b.pending = append(b.pending, evs...)
+	} else {
+		for _, ev := range evs {
+			if ev == nil {
+				ev = b.standIn(skips[0], gen)
+				skips = skips[1:]
+			}
+			b.pending = append(b.pending, ev)
+		}
+	}
 	for len(b.pending) >= b.cfg.BatchSize {
 		// The full cap limits keep later appends to b.pending out of the
 		// submitted batch's backing array.
@@ -349,6 +451,7 @@ func (b *batcher) submit(batch []*event.Event) error {
 		if late > 0 {
 			if b.cfg.StrictOrder {
 				b.ctr.dropped.Add(int64(late))
+				b.release(batch[:late])
 				batch = batch[late:]
 			} else {
 				b.ctr.late.Add(int64(late))
@@ -362,8 +465,82 @@ func (b *batcher) submit(batch []*event.Event) error {
 		b.watermark = last
 	}
 	b.ctr.batches.Add(1)
-	b.err = b.dst.SubmitBatch(batch)
+	if len(b.recs) == 0 { // no line was ever skipped
+		b.err = b.dst.SubmitBatch(batch)
+	} else {
+		b.err = b.submitSkipping(batch)
+	}
 	return b.err
+}
+
+// release returns the skip records batch's stand-ins stand for to the free
+// list.
+func (b *batcher) release(batch []*event.Event) {
+	for _, ev := range batch {
+		if r := b.record(ev); r != nil {
+			b.free = append(b.free, r)
+		}
+	}
+}
+
+// submitSkipping submits a sorted batch that may hold stand-ins: its built
+// events, collected in kept, the stand-ins' count, its latest time and the
+// oldest table generation a stand-in was skipped under. If a registry change
+// has made that table stale, the skipped lines are built after all and the
+// whole batch goes out as events. Caller holds b.mu.
+func (b *batcher) submitSkipping(batch []*event.Event) error {
+	if cap(b.kept) < len(batch) {
+		b.kept = make([]*event.Event, 0, keptBatches*max(b.cfg.BatchSize, len(batch)))
+	}
+	kept := b.kept[:0]
+	skipped, gen := int64(0), uint64(math.MaxUint64)
+	for _, ev := range batch {
+		if r := b.record(ev); r != nil {
+			skipped++
+			gen = min(gen, r.gen)
+			b.free = append(b.free, r) // its line stays as it is until the next add
+		} else {
+			kept = append(kept, ev)
+		}
+	}
+	if skipped == 0 {
+		return b.dst.SubmitBatch(batch)
+	}
+	stale, err := b.skip.SubmitSkipping(kept[:len(kept):len(kept)], skipped, batch[len(batch)-1].Time, gen)
+	if err != nil || !stale {
+		if err == nil {
+			b.ctr.skipped.Add(skipped)
+			b.kept = b.kept[len(kept):len(kept)]
+		}
+		return err
+	}
+	for i, ev := range batch {
+		if r := b.record(ev); r != nil {
+			if batch[i], err = b.build(r.line); err != nil {
+				return err
+			}
+		}
+	}
+	return b.dst.SubmitBatch(batch)
+}
+
+// build decodes a skipped line into its event, with a decoder that skips
+// nothing.
+func (b *batcher) build(line []byte) (*event.Event, error) {
+	if b.full == nil {
+		var err error
+		if b.full, err = codec.New(b.cfg.Format, codec.Options{DefaultAgent: b.cfg.Agent, Intern: b.sym}); err != nil {
+			return nil, err
+		}
+	}
+	evs, err := b.full.Decode(line)
+	if err == nil && len(evs) != 1 {
+		err = fmt.Errorf("source: a skipped line decodes to %d events", len(evs))
+	}
+	if err != nil {
+		return nil, err
+	}
+	return evs[0], nil
 }
 
 // ---------------------------------------------------------------------------

@@ -144,9 +144,14 @@ type Stats struct {
 	// and detached.
 	Sources       int   // sources currently attached
 	SourceLines   int64 // raw log lines consumed
-	SourceEvents  int64 // events decoded and batched
+	SourceEvents  int64 // events decoded and batched, SourceSkipped included
 	DecodeErrors  int64 // log lines the codecs rejected
 	SourceDropped int64 // out-of-order events dropped by WithStrictOrder
+	// SourceSkipped counts the lines decoded but never built, because no
+	// registered query could match them (SourceStats.Skipped). Events counts
+	// them as accepted events that hit nothing; PatternEvals does not, since
+	// no predicate ran on them.
+	SourceSkipped int64
 }
 
 // Option configures an Engine.
@@ -272,6 +277,13 @@ type Engine struct {
 	// (see journalBase / pinBaseOffset).
 	baseMu       sync.Mutex
 	baseResolved bool
+
+	// testAdmitAll and testBeforeSkipping, when set before a source runs
+	// into the engine, are seen by its prefilter adapter (engineSubmitter):
+	// the first hands the source a table that admits every line, the second
+	// runs before every skip-carrying submission. Never set in production.
+	testAdmitAll       bool
+	testBeforeSkipping func()
 
 	// ckptMu serialises whole checkpoints (barrier capture + snapshot
 	// install) against each other, while the engine lock is held only for
@@ -738,6 +750,7 @@ func (e *Engine) Stats() Stats {
 	out.SourceEvents = agg.Events
 	out.DecodeErrors = agg.DecodeErrors
 	out.SourceDropped = agg.Dropped
+	out.SourceSkipped = agg.Skipped
 	out.SymbolHits = agg.SymbolHits
 	out.SymbolMisses = agg.SymbolMisses
 	out.SymbolEntries = int(agg.SymbolEntries)
