@@ -1,8 +1,8 @@
 package saql
 
 // Durable engine state: checkpoint and restore. Checkpoint captures one
-// consistent cut of the engine — the registry (query sources, compile
-// options, pause flags, labels) plus every query's runtime state (open
+// consistent cut of the engine — the registry (query sources, pause and
+// management flags, labels) plus every query's runtime state (open
 // windows, aggregator accumulators, history rings, invariant training,
 // partial multievent matches, distinct-suppression tables) — at a runtime
 // control-queue barrier, so the cut rides the same total order as events,
@@ -16,10 +16,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"time"
 
-	"saql/internal/engine"
 	"saql/internal/snapshot"
 	"saql/internal/storage"
 )
@@ -31,9 +31,10 @@ var (
 	ErrNoCheckpoint = snapshot.ErrNoSnapshot
 )
 
-// SnapshotVersionError reports a snapshot written by a format version this
-// build cannot read. Restore never guesses at an unknown layout: an
-// unmigratable version fails with this error instead of corrupting state.
+// SnapshotVersionError reports a snapshot this build cannot read: a format
+// version, section or section version it does not know, or a version-3
+// query with per-query compile options. Restore never guesses at an unknown
+// layout: it fails with this error instead of corrupting state.
 type SnapshotVersionError = snapshot.VersionError
 
 // SnapshotCorruptError reports a snapshot that failed structural validation
@@ -161,17 +162,11 @@ func (e *Engine) captureSnapshot() (*snapshot.Snapshot, error) {
 		}
 	}
 
-	names := make([]string, 0, len(e.reg))
-	for name := range e.reg {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range slices.Sorted(maps.Keys(e.reg)) {
 		rec := e.reg[name]
 		snap.Queries = append(snap.Queries, snapshot.Query{
 			Name:    name,
 			Src:     rec.src,
-			Compile: rec.compile,
 			Paused:  rec.paused,
 			Managed: rec.managed,
 			Labels:  rec.handle.labels,
@@ -184,27 +179,9 @@ func (e *Engine) captureSnapshot() (*snapshot.Snapshot, error) {
 	// mid-window alert budget instead of granting a fresh one. (Lock order:
 	// e.mu, then e.tenMu — same as everywhere else.)
 	e.tenMu.Lock()
-	tenNames := make([]string, 0, len(e.tenants))
-	for name := range e.tenants {
-		tenNames = append(tenNames, name)
-	}
-	sort.Strings(tenNames)
-	for _, name := range tenNames {
+	for _, name := range slices.Sorted(maps.Keys(e.tenants)) {
 		ts := e.tenants[name]
-		snap.Tenants = append(snap.Tenants, snapshot.Tenant{
-			Name:          name,
-			MaxQueries:    ts.quotas.MaxQueries,
-			MaxStateBytes: ts.quotas.MaxStateBytes,
-			AlertBudget:   ts.quotas.AlertBudget,
-			AlertWindow:   ts.quotas.AlertWindow,
-			IngestRate:    ts.quotas.IngestRate,
-			WinStart:      ts.winStart,
-			WinCount:      ts.winCount,
-			Delivered:     ts.delivered,
-			Suppressed:    ts.suppressed,
-			SrcEvents:     ts.srcEvents,
-			Throttled:     ts.throttled,
-		})
+		snap.Tenants = append(snap.Tenants, snapshot.Tenant{Name: name, Quotas: snapshot.Quotas(ts.quotas), Account: ts.Account})
 	}
 	e.tenMu.Unlock()
 	return snap, nil
@@ -267,13 +244,13 @@ type RestoreInfo struct {
 // Open is the one way into a durable directory: it rebuilds the engine dir
 // describes and leaves it journaling new events there, so the next
 // Checkpoint is incremental in the same coordinate space. The snapshot's
-// queries are re-registered — each with its recorded source, compile
-// options, labels, pause flag, and management flag, under a fresh,
-// pointer-stable QueryHandle — their captured runtime state is folded back
-// in before any event flows (RestoreStateBlobs, then Start, which re-splits
-// it over the shards), and the journaled event tail past the snapshot's
-// offset is replayed, so the engine resumes alert-for-alert exactly where an
-// uninterrupted run would be.
+// queries are re-registered — each with its recorded source, labels, pause
+// flag, and management flag, under a fresh, pointer-stable QueryHandle —
+// their captured runtime state is folded back in before any event flows
+// (RestoreStateBlobs, then Start, which re-splits it over the shards), and
+// the journaled event tail past the snapshot's offset is replayed, so the
+// engine resumes alert-for-alert exactly where an uninterrupted run would
+// be.
 //
 // A directory without a snapshot is a snapshot at offset 0 holding no
 // queries, through the same code: an empty directory yields a fresh engine,
@@ -330,18 +307,6 @@ func open(dir string, needSnapshot bool, opts []RestoreOption) (*Engine, *Restor
 		_ = store.Close()
 		return nil, nil, err
 	}
-	// On any failure past this point, close the engine (which seals the
-	// journal store) so a retrying supervisor does not leak a store handle
-	// per attempt.
-	fail := func(eng *Engine, err error) (*Engine, *RestoreInfo, error) {
-		if eng != nil {
-			_ = eng.Close()
-		} else {
-			_ = store.Close()
-		}
-		return nil, nil, err
-	}
-
 	engOpts := append([]Option{}, cfg.engineOpts...)
 	engOpts = append(engOpts, func(c *config) {
 		c.journal = store
@@ -349,24 +314,28 @@ func open(dir string, needSnapshot bool, opts []RestoreOption) (*Engine, *Restor
 		c.baseOffsetSet = true
 	})
 	eng := New(engOpts...)
+	// On any failure past this point, close the engine (which seals the
+	// journal store) so a retrying supervisor does not leak a store handle
+	// per attempt.
+	fail := func(err error) (*Engine, *RestoreInfo, error) {
+		_ = eng.Close()
+		return nil, nil, err
+	}
 
 	// Re-register the registry. Sources were compiled by the capturing
 	// engine, so failures here mean a build-incompatible language change —
 	// surfaced, never ignored.
+	states := make(map[string][][]byte, len(snap.Queries))
 	eng.mu.Lock()
 	for _, qs := range snap.Queries {
-		// The snapshot codec never persists the per-engine fallback sink (a
-		// pointer); stamp the restoring engine's own counter so restored
-		// queries attribute string fallbacks to it.
-		qs.Compile.Fallbacks = &eng.fallbacks
-		q, err := engine.Compile(qs.Name, qs.Src, qs.Compile)
+		states[qs.Name] = qs.States
+		q, err := eng.compile(qs.Name, qs.Src)
+		if err == nil {
+			_, err = eng.registerLocked(qs.Name, qs.Src, q, qs.Labels, qs.Managed)
+		}
 		if err != nil {
 			eng.mu.Unlock()
-			return fail(eng, fmt.Errorf("saql: restore query %q: %w", qs.Name, err))
-		}
-		if _, err := eng.registerLocked(qs.Name, qs.Src, q, queryConfig{labels: qs.Labels, compile: qs.Compile}, qs.Managed); err != nil {
-			eng.mu.Unlock()
-			return fail(eng, fmt.Errorf("saql: restore query %q: %w", qs.Name, err))
+			return fail(fmt.Errorf("saql: restore query %q: %w", qs.Name, err))
 		}
 		if qs.Paused {
 			eng.reg[qs.Name].paused = true
@@ -381,44 +350,29 @@ func open(dir string, needSnapshot bool, opts []RestoreOption) (*Engine, *Restor
 	eng.tenMu.Lock()
 	for _, t := range snap.Tenants {
 		ts := eng.tenantLocked(t.Name)
-		ts.quotas = TenantQuotas{
-			MaxQueries:    t.MaxQueries,
-			MaxStateBytes: t.MaxStateBytes,
-			AlertBudget:   t.AlertBudget,
-			AlertWindow:   t.AlertWindow,
-			IngestRate:    t.IngestRate,
-		}
-		ts.winStart = t.WinStart
-		ts.winCount = t.WinCount
-		ts.delivered = t.Delivered
-		ts.suppressed = t.Suppressed
-		ts.srcEvents = t.SrcEvents
-		ts.throttled = t.Throttled
+		ts.quotas = TenantQuotas(t.Quotas)
+		ts.Account = t.Account
 	}
 	eng.tenMu.Unlock()
 
 	// Fold the captured state into the registered queries; Start hands it to
 	// the shards as it hands over any warm query.
-	states := make(map[string][][]byte, len(snap.Queries))
-	for _, qs := range snap.Queries {
-		states[qs.Name] = qs.States
-	}
 	if err := eng.RestoreStateBlobs(states); err != nil {
-		return fail(eng, err)
+		return fail(err)
 	}
 	// The stream watermark the snapshot's prefix reached, which a query
 	// resumed or registered from here on starts at; Start hands it on.
 	eng.sched.Watermark(tail.Before)
 	if cfg.start {
 		if err := eng.Start(context.Background()); err != nil {
-			return fail(eng, err)
+			return fail(err)
 		}
 	}
 
 	info := &RestoreInfo{TakenAt: snap.TakenAt, Offset: snap.Offset, Queries: len(snap.Queries)}
 	if cfg.replay {
 		if info.Replayed, err = eng.replayTail(tail); err != nil {
-			return fail(eng, err)
+			return fail(err)
 		}
 	}
 	return eng, info, nil

@@ -1,24 +1,152 @@
 package saql
 
-// Golden fence for the checkpoint format: testdata/midwindow-v3.ckpt is a
-// real checkpoint file, written mid-window by the commit that preceded the
-// state maintainer's rewrite (slot-indexed group bindings, field-ordered
-// snapshots). The current encoder must reproduce it byte for byte from the
-// same stream prefix, and the current decoder must restore it and finish the
-// stream alert-for-alert with an uninterrupted run.
+// Golden fences for the checkpoint format. Each fence is a pair of real
+// checkpoint files of one stream prefix: a version-3 file written by an
+// earlier build, whose bytes never change, and the version-4 file of the
+// same cut. This build's checkpoint of the prefix must reproduce the v4 file
+// byte for byte (the capture timestamp aside); the v3 file must decode to
+// the same snapshot and re-encode as the v4 file; and each file must restore
+// and finish the stream alert-for-alert with an uninterrupted run.
 
 import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
 	"saql/internal/snapshot"
 )
 
-const checkpointGoldenPath = "testdata/midwindow-v3.ckpt"
+// fenceGoldenCheckpoint checkpoints events[:cut] through a journaled engine
+// set up by register, holds the checkpoint and the two golden files to each
+// other, then restores each golden file over the prefix's journal and
+// requires the rest of the stream to raise want. SAQL_UPDATE_GOLDEN=1 (as for
+// cmd/saql's golden alerts) rewrites the v4 file from this build's encoder:
+// only for a deliberate format change. The v3 file is never rewritten.
+func fenceGoldenCheckpoint(t *testing.T, events []*Event, cut int, register func(*Engine), v3Path, v4Path string, want []*Alert) {
+	t.Helper()
+	// This build's checkpoint of the prefix.
+	dir := t.TempDir()
+	store, err := OpenStore(dir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e1 := New(WithJournal(store))
+	register(e1)
+	for _, ev := range events[:cut] {
+		e1.Process(ev)
+	}
+	if _, err := e1.Checkpoint(dir); err != nil {
+		t.Fatal(err)
+	}
+	written, err := os.ReadFile(snapshot.Path(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if os.Getenv("SAQL_UPDATE_GOLDEN") == "1" {
+		if err := os.WriteFile(v4Path, written, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	v3, err := os.ReadFile(v3Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v4, err := os.ReadFile(v4Path)
+	if err != nil {
+		t.Fatal(err)
+	}
 
+	// Byte identity with the v4 file, the capture timestamp aside.
+	v4Snap, err := snapshot.Decode(v4)
+	if err != nil {
+		t.Fatalf("%s does not decode: %v", v4Path, err)
+	}
+	gotSnap, err := snapshot.Decode(written)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotSnap.TakenAt = v4Snap.TakenAt
+	if !bytes.Equal(snapshot.Encode(gotSnap), v4) {
+		for i, q := range v4Snap.Queries {
+			if i < len(gotSnap.Queries) && !bytes.Equal(q.States[0], gotSnap.Queries[i].States[0]) {
+				t.Errorf("query %q: state blob differs from the golden checkpoint (%d vs %d bytes)",
+					q.Name, len(gotSnap.Queries[i].States[0]), len(q.States[0]))
+			}
+		}
+		t.Fatal("checkpoint bytes differ from " + v4Path)
+	}
+
+	// The v3 file upgrades: it decodes, and re-encoded it is the v4 file and
+	// decodes to an equal snapshot.
+	v3Snap, err := snapshot.Decode(v3)
+	if err != nil {
+		t.Fatalf("%s does not decode: %v", v3Path, err)
+	}
+	v3Snap.TakenAt = v4Snap.TakenAt
+	upgraded := snapshot.Encode(v3Snap)
+	again, err := snapshot.Decode(upgraded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(again, v3Snap) {
+		t.Errorf("%s re-encoded as v4 decodes to a different snapshot", v3Path)
+	}
+	if !bytes.Equal(upgraded, v4) {
+		t.Errorf("%s re-encoded as v4 differs from %s", v3Path, v4Path)
+	}
+
+	// Restore each file over its own copy of the prefix's journal (a
+	// restored engine journals the events it goes on to process) and finish
+	// the stream.
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, golden := range []struct {
+		path string
+		data []byte
+	}{{v3Path, v3}, {v4Path, v4}} {
+		rdir := t.TempDir()
+		for _, ent := range entries {
+			data, err := os.ReadFile(filepath.Join(dir, ent.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(rdir, ent.Name()), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := os.WriteFile(snapshot.Path(rdir), golden.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		e2, info, err := Restore(rdir, WithoutStart())
+		if err != nil {
+			t.Fatalf("restore %s: %v", golden.path, err)
+		}
+		if info.Offset != int64(cut) || info.Replayed != 0 {
+			t.Fatalf("restore %s: info = offset %d replayed %d, want offset %d replayed 0", golden.path, info.Offset, info.Replayed, cut)
+		}
+		var got []*Alert
+		for _, ev := range events[cut:] {
+			got = append(got, e2.Process(ev)...)
+		}
+		got = append(got, e2.Flush()...)
+		if err := e2.Close(); err != nil {
+			t.Fatal(err)
+		}
+		diffAlertSets(t, "restored "+golden.path, sortedIdentities(want), sortedIdentities(got))
+	}
+}
+
+// TestGoldenMidWindowCheckpoint is the golden fence for the state
+// maintainer's window state: testdata/midwindow-v3.ckpt is a checkpoint cut
+// mid-window, written by the commit that preceded the state maintainer's
+// rewrite (slot-indexed group bindings, field-ordered snapshots), and
+// testdata/midwindow-v4.ckpt the same cut in the sectioned format, with the
+// same state blobs.
 func TestGoldenMidWindowCheckpoint(t *testing.T) {
 	events, _ := buildDemoStream(t, 3*time.Minute, time.Minute)
 	// Cut inside the 10 s, 30 s, 1 min and 10 min windows at once.
@@ -60,88 +188,17 @@ func TestGoldenMidWindowCheckpoint(t *testing.T) {
 		t.Fatal("reference run raised no alerts after the cut")
 	}
 
-	// This build's checkpoint of the same prefix.
-	dir := t.TempDir()
-	store, err := OpenStore(dir, StoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e1 := New(WithJournal(store))
-	register(e1)
-	for _, ev := range events[:cut] {
-		e1.Process(ev)
-	}
-	if _, err := e1.Checkpoint(dir); err != nil {
-		t.Fatal(err)
-	}
-	written, err := os.ReadFile(snapshot.Path(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// SAQL_UPDATE_GOLDEN=1 (as for cmd/saql's golden alerts) rewrites the file
-	// from this build's encoder: only for a deliberate format change.
-	if os.Getenv("SAQL_UPDATE_GOLDEN") == "1" {
-		if err := os.MkdirAll(filepath.Dir(checkpointGoldenPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(checkpointGoldenPath, written, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	golden, err := os.ReadFile(checkpointGoldenPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Byte identity, the capture timestamp aside.
-	wantSnap, err := snapshot.Decode(golden)
-	if err != nil {
-		t.Fatalf("golden checkpoint does not decode: %v", err)
-	}
-	gotSnap, err := snapshot.Decode(written)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotSnap.TakenAt = wantSnap.TakenAt
-	if !bytes.Equal(snapshot.Encode(gotSnap), golden) {
-		for i, q := range wantSnap.Queries {
-			if i < len(gotSnap.Queries) && !bytes.Equal(q.States[0], gotSnap.Queries[i].States[0]) {
-				t.Errorf("query %q: state blob differs from the golden checkpoint (%d vs %d bytes)",
-					q.Name, len(gotSnap.Queries[i].States[0]), len(q.States[0]))
-			}
-		}
-		t.Fatal("checkpoint bytes differ from testdata/midwindow-v3.ckpt")
-	}
-
-	// Restore the golden file over the journal e1 wrote and finish the stream.
-	if err := os.WriteFile(snapshot.Path(dir), golden, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	e2, info, err := Restore(dir, WithoutStart())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Offset != int64(cut) || info.Replayed != 0 {
-		t.Fatalf("restore info = offset %d replayed %d, want offset %d replayed 0", info.Offset, info.Replayed, cut)
-	}
-	var got []*Alert
-	for _, ev := range events[cut:] {
-		got = append(got, e2.Process(ev)...)
-	}
-	got = append(got, e2.Flush()...)
-	diffAlertSets(t, "golden mid-window checkpoint", sortedIdentities(want), sortedIdentities(got))
+	fenceGoldenCheckpoint(t, events, cut, register, "testdata/midwindow-v3.ckpt", "testdata/midwindow-v4.ckpt", want)
 }
-
-const partialsGoldenPath = "testdata/partials-v3.ckpt"
 
 // TestGoldenPartialsCheckpoint is the golden fence for the multievent
 // matcher's state: testdata/partials-v3.ckpt is a real checkpoint of the
 // corpus's multievent queries, cut while they hold live partial matches,
 // written by the commit that preceded partials becoming their events alone
 // (the checkpoint then wrote each partial's name-keyed map of entity keys;
-// now it derives the same pairs from the events). The current encoder must
-// reproduce it byte for byte, and the current decoder must restore it and
-// finish the stream alert-for-alert with an uninterrupted run.
+// now it derives the same pairs from the events), and
+// testdata/partials-v4.ckpt the same cut in the sectioned format, with the
+// same state blobs.
 func TestGoldenPartialsCheckpoint(t *testing.T) {
 	events, _ := buildDemoStream(t, time.Minute, 40*time.Second)
 	cutAt := demoStart.Add(30 * time.Second)
@@ -190,70 +247,6 @@ func TestGoldenPartialsCheckpoint(t *testing.T) {
 		t.Fatalf("none of the %d alerts after the cut completes a partial match live at the cut", len(want))
 	}
 
-	// This build's checkpoint of the same prefix.
-	dir := t.TempDir()
-	store, err := OpenStore(dir, StoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e1 := New(WithJournal(store))
-	register(e1)
-	for _, ev := range events[:cut] {
-		e1.Process(ev)
-	}
-	if _, err := e1.Checkpoint(dir); err != nil {
-		t.Fatal(err)
-	}
-	written, err := os.ReadFile(snapshot.Path(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if os.Getenv("SAQL_UPDATE_GOLDEN") == "1" {
-		if err := os.WriteFile(partialsGoldenPath, written, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	golden, err := os.ReadFile(partialsGoldenPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Byte identity, the capture timestamp aside.
-	wantSnap, err := snapshot.Decode(golden)
-	if err != nil {
-		t.Fatalf("golden checkpoint does not decode: %v", err)
-	}
-	gotSnap, err := snapshot.Decode(written)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotSnap.TakenAt = wantSnap.TakenAt
-	if !bytes.Equal(snapshot.Encode(gotSnap), golden) {
-		for i, q := range wantSnap.Queries {
-			if i < len(gotSnap.Queries) && !bytes.Equal(q.States[0], gotSnap.Queries[i].States[0]) {
-				t.Errorf("query %q: state blob differs from the golden checkpoint (%d vs %d bytes)",
-					q.Name, len(gotSnap.Queries[i].States[0]), len(q.States[0]))
-			}
-		}
-		t.Fatal("checkpoint bytes differ from " + partialsGoldenPath)
-	}
-
-	// Restore the golden file over the journal e1 wrote and finish the stream.
-	if err := os.WriteFile(snapshot.Path(dir), golden, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	e2, info, err := Restore(dir, WithoutStart())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Offset != int64(cut) || info.Replayed != 0 {
-		t.Fatalf("restore info = offset %d replayed %d, want offset %d replayed 0", info.Offset, info.Replayed, cut)
-	}
-	var got []*Alert
-	for _, ev := range events[cut:] {
-		got = append(got, e2.Process(ev)...)
-	}
-	got = append(got, e2.Flush()...)
-	diffAlertSets(t, "golden partials checkpoint", sortedIdentities(want), sortedIdentities(got))
-	t.Logf("%d alerts after the cut, %d completing a match begun before it; checkpoint %d bytes", len(want), spans, len(golden))
+	fenceGoldenCheckpoint(t, events, cut, register, "testdata/partials-v3.ckpt", "testdata/partials-v4.ckpt", want)
+	t.Logf("%d alerts after the cut, %d completing a match begun before it", len(want), spans)
 }

@@ -259,7 +259,7 @@ func TestCheckpointRestoreShardedReplay(t *testing.T) {
 }
 
 // TestRestoreRegistryFidelity checks the registry round trip: labels,
-// compile options, pause flags, managed flags, and handle identity.
+// pause flags, managed flags, and handle identity.
 func TestRestoreRegistryFidelity(t *testing.T) {
 	dir := t.TempDir()
 	store, err := OpenStore(dir, StoreOptions{})
@@ -269,8 +269,7 @@ func TestRestoreRegistryFidelity(t *testing.T) {
 	eng := New(WithJournal(store))
 	h, err := eng.Register("labelled", `proc p write ip i as e
 alert e.amount > 10
-return p, e.amount`, WithLabel("team", "secops"), WithLabel("severity", "high"),
-		WithQueryCompileOptions(CompileOptions{MaxDistinct: 99, MatchHorizon: 90 * time.Second}))
+return p, e.amount`, WithLabel("team", "secops"), WithLabel("severity", "high"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,9 @@ package agg
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 
 	"saql/internal/value"
@@ -91,14 +93,7 @@ func New(name string, params []value.Value) (Aggregator, error) {
 }
 
 // Names returns the sorted list of registered aggregation function names.
-func Names() []string {
-	out := make([]string, 0, len(registry))
-	for n := range registry {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
+func Names() []string { return slices.Sorted(maps.Keys(registry)) }
 
 // --------------------------------------------------------------------------
 

@@ -38,10 +38,6 @@ import (
 	"saql/internal/event"
 )
 
-func init() {
-	Register("auditd", func(opts Options) Decoder { return newAuditdDecoder(opts) }, false)
-}
-
 // maxPendingGroups bounds the reassembly buffer. auditd emits a group's
 // records back to back, so anything still open this many groups later is
 // truncated; the oldest group is force-completed (and emits an error from

@@ -1,7 +1,8 @@
 // Package codec turns raw monitoring-log lines into the normalized
 // ⟨subject, operation, object⟩ events of internal/event. Each supported log
-// format is a Decoder registered under a short name; internal/source drives
-// a Decoder line by line and submits the events it emits to the engine.
+// format is a Decoder under a short name in one static table;
+// internal/source drives a Decoder line by line and submits the events it
+// emits to the engine.
 //
 // Three production codecs ship with the package:
 //
@@ -15,12 +16,12 @@
 //
 // A Decoder is stateful (auditd buffers partial record groups) and therefore
 // not safe for concurrent use; create one Decoder per decode worker. A
-// format registers whether its lines are line-local — each line decodes on
-// its own, so the lines of one stream may be split among several decoders
-// and their events put back in line order ("ndjson", "sysmon") — or not, in
-// which case one decoder sees the whole stream ("auditd", whose record
-// groups span lines). LineLocal reports it; internal/source sizes its decode
-// pool by it.
+// format's table entry says whether its lines are line-local — each line
+// decodes on its own, so the lines of one stream may be split among several
+// decoders and their events put back in line order ("ndjson", "sysmon") — or
+// not, in which case one decoder sees the whole stream ("auditd", whose
+// record groups span lines). LineLocal reports it; internal/source sizes
+// its decode pool by it.
 //
 // A decoder may also skip lines: one that implements Skipper, given a
 // Prefilter built from the queries the stream feeds, scans and checks every
@@ -32,8 +33,8 @@ package codec
 
 import (
 	"fmt"
-	"sort"
-	"sync"
+	"maps"
+	"slices"
 	"time"
 
 	"saql/internal/event"
@@ -93,38 +94,23 @@ type Skipper interface {
 	DecodeSkipping(line []byte, pf Prefilter) (evs []*event.Event, t time.Time, skip bool, err error)
 }
 
-// Factory creates a fresh Decoder.
-type Factory func(Options) Decoder
-
-// format is one registered format.
+// format is one supported format: its decoder constructor and whether its
+// lines are line-local.
 type format struct {
-	factory   Factory
+	factory   func(Options) Decoder
 	lineLocal bool
 }
 
-var (
-	regMu    sync.RWMutex
-	registry = map[string]format{}
-)
-
-// Register makes a decoder factory available under name; lineLocal declares
-// that the format's lines decode independently of each other (no event
-// spans lines). It panics on a duplicate name, mirroring
-// database/sql.Register.
-func Register(name string, f Factory, lineLocal bool) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("codec: Register called twice for %q", name))
-	}
-	registry[name] = format{factory: f, lineLocal: lineLocal}
+// registry is the static table of supported formats.
+var registry = map[string]format{
+	"auditd": {func(opts Options) Decoder { return newAuditdDecoder(opts) }, false},
+	"ndjson": {newNDJSONDecoder, true},
+	"sysmon": {newSysmonDecoder, true},
 }
 
 // New creates a decoder for the named format.
 func New(name string, opts Options) (Decoder, error) {
-	regMu.RLock()
 	f, ok := registry[name]
-	regMu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("codec: unknown format %q (have %v)", name, Formats())
 	}
@@ -135,22 +121,11 @@ func New(name string, opts Options) (Decoder, error) {
 // so one stream may be decoded by many decoders at once, each taking any
 // subset of its lines. It is false for an unknown format.
 func LineLocal(name string) bool {
-	regMu.RLock()
-	defer regMu.RUnlock()
 	return registry[name].lineLocal
 }
 
-// Formats lists the registered format names, sorted.
-func Formats() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	names := make([]string, 0, len(registry))
-	for name := range registry {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
+// Formats lists the supported format names, sorted.
+func Formats() []string { return slices.Sorted(maps.Keys(registry)) }
 
 // baseName returns the path's final element under either separator, so
 // Windows executables from Sysmon and Unix paths from auditd both normalize

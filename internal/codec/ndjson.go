@@ -50,17 +50,15 @@ import (
 	"saql/internal/event"
 )
 
-func init() {
-	Register("ndjson", func(opts Options) Decoder {
-		def := opts.DefaultAgent
-		if def == "" {
-			def = "ndjson"
-		}
-		return &ndjsonDecoder{
-			tab:          internTable{stats: opts.Intern, shared: opts.Table},
-			defaultAgent: def, defaultAgentBytes: []byte(def),
-		}
-	}, true)
+func newNDJSONDecoder(opts Options) Decoder {
+	def := opts.DefaultAgent
+	if def == "" {
+		def = "ndjson"
+	}
+	return &ndjsonDecoder{
+		tab:          internTable{stats: opts.Intern, shared: opts.Table},
+		defaultAgent: def, defaultAgentBytes: []byte(def),
+	}
 }
 
 // maxJSONDepth is encoding/json's nesting limit; a line nested deeper is

@@ -32,10 +32,8 @@ import (
 	"saql/internal/event"
 )
 
-func init() {
-	Register("sysmon", func(opts Options) Decoder {
-		return &sysmonDecoder{opts: opts, tab: internTable{stats: opts.Intern, shared: opts.Table}}
-	}, true)
+func newSysmonDecoder(opts Options) Decoder {
+	return &sysmonDecoder{opts: opts, tab: internTable{stats: opts.Intern, shared: opts.Table}}
 }
 
 type sysmonDecoder struct {

@@ -32,9 +32,7 @@ type CompileOptions struct {
 	GroupIdleWindows int
 	// Fallbacks, when non-nil, receives this query's string-fallback
 	// comparison counts, so each engine attributes fallbacks to its own
-	// queries (nil: the counts go nowhere anyone reads). Engine-internal
-	// plumbing: the snapshot codec serialises CompileOptions field by field
-	// and deliberately omits this pointer.
+	// queries (nil: the counts go nowhere anyone reads).
 	Fallbacks *atomic.Int64
 }
 

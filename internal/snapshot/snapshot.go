@@ -1,25 +1,29 @@
 // Package snapshot implements the durable checkpoint file format: a
-// versioned, CRC-checked container holding one consistent cut of an engine —
-// the registry (each query's source text, compile options, pause flag,
-// management flag, and handle labels), the stream offset of the barrier the
-// cut was taken at, and every query's encoded runtime state blobs (one per
-// shard replica that held state). Snapshots are written atomically
-// (temp file + rename) next to the event store's segments, so a checkpoint
-// directory is self-contained: the snapshot names an offset, and the
-// segments hold the journaled tail to replay from it.
+// versioned, CRC-checked container holding one consistent cut of an engine,
+// written atomically (temp file + rename) next to the event store's
+// segments, so a checkpoint directory is self-contained: the snapshot names
+// a stream offset, and the segments hold the journaled tail to replay.
 //
 // # File layout
 //
 //	magic   [8]byte  "SAQLSNAP"
 //	version uint16   little-endian (see Version)
 //	length  uvarint  payload byte count
-//	payload []byte   wire-encoded body
+//	payload []byte   TakenAt (0: none), Offset, Shards, then sections
 //	crc     uint32   little-endian CRC-32 (IEEE) of payload
 //
-// Decoding is strict: bad magic, an unsupported version, a truncated
-// payload, a CRC mismatch, or trailing bytes each fail with a typed error
-// (*VersionError or *CorruptError) — a snapshot is never partially applied
-// and never silently misread.
+// A section is a tag, a section version (uvarints) and a length-prefixed
+// body: tag 1 "queries" (v1: per query its name, source, flags, labels and
+// state blobs in shard order), tag 2 "tenants" (v1: quotas and accounting),
+// written in tag order. The reader takes each known tag at most once and an
+// absent one as empty; an unknown tag, or a known one at a version it does
+// not read, is a *VersionError naming the section, never skipped. So a
+// format change adds a section, or bumps one section's version.
+//
+// Version 3 opens through one upgrade reader (readV3). Anything else fails
+// with a *VersionError; bad magic, truncation, a CRC mismatch, a duplicate
+// section or trailing bytes with a *CorruptError: a snapshot is never
+// partially applied or silently misread.
 package snapshot
 
 import (
@@ -27,24 +31,31 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"time"
 
-	"saql/internal/engine"
 	"saql/internal/wire"
 )
 
 // Magic identifies a snapshot file.
 const Magic = "SAQLSNAP"
 
-// Version is the current snapshot format version. Version 1 was the
-// pre-release prototype (single state blob per query, no per-shard framing);
-// version 2 predates tenant metadata. Neither can be migrated to the current
-// layout and both are rejected with a *VersionError, as is any version newer
-// than this build understands.
-const Version = 3
+// Version is the format version this build writes; it also reads versionV3.
+// Versions 1 (the pre-release prototype) and 2 (before tenant metadata)
+// cannot be migrated.
+const Version = 4
+
+// The last unsectioned version, the section tags in write order, and the
+// one section version this build writes and reads.
+const (
+	versionV3      = 3
+	tagQueries     = 1
+	tagTenants     = 2
+	sectionVersion = 1
+)
 
 // FileName is the snapshot's name inside a checkpoint directory. Writes go
 // through a temp file and an atomic rename, so the name always refers to a
@@ -54,17 +65,25 @@ const FileName = "checkpoint.ckpt"
 // ErrNoSnapshot reports that a checkpoint directory holds no snapshot file.
 var ErrNoSnapshot = errors.New("snapshot: no checkpoint found")
 
-// VersionError reports a snapshot whose format version this build cannot
-// read. Older versions have no migration path (the v1 prototype predates
-// barrier-consistent capture); newer versions come from a newer build.
+// VersionError reports a snapshot this build cannot read: a file version it
+// does not know (Section empty), a section at a version it does not read
+// (Supported 0 for an unknown tag, named "tag N"), or a version-3 Query
+// registered with per-query compile options.
 type VersionError struct {
-	Got       uint16
-	Supported uint16
+	Got       uint64
+	Supported uint64
+	Section   string
+	Query     string
 }
 
 func (e *VersionError) Error() string {
-	return fmt.Sprintf("snapshot: format version %d not supported (this build reads version %d; older formats cannot be migrated)",
-		e.Got, e.Supported)
+	switch {
+	case e.Query != "":
+		return fmt.Sprintf("snapshot: version 3 query %q has per-query compile options, which this build no longer reads", e.Query)
+	case e.Section != "":
+		return fmt.Sprintf("snapshot: section %s version %d not supported (this build reads version %d of it, 0 if none)", e.Section, e.Got, e.Supported)
+	}
+	return fmt.Sprintf("snapshot: format version %d not supported (this build reads versions %d and %d; older formats cannot be migrated)", e.Got, versionV3, e.Supported)
 }
 
 // CorruptError reports a snapshot file that failed structural validation:
@@ -104,34 +123,39 @@ type Snapshot struct {
 	Tenants []Tenant
 }
 
-// Tenant is one tenant's quotas and accounting counters at the barrier.
+// Tenant is one tenant's quotas and accounting at the barrier.
 type Tenant struct {
 	Name string
+	Quotas
+	Account
+}
 
-	// Quotas (zero = unlimited).
+// Quotas are a tenant's limits (zero = unlimited), field for field the
+// root package's TenantQuotas, which converts to and from it.
+type Quotas struct {
 	MaxQueries    int64
 	MaxStateBytes int64
 	AlertBudget   int64
 	AlertWindow   time.Duration
 	IngestRate    int64
+}
 
-	// Alert-budget window accounting (stream time). WinStart is zero when no
-	// window has opened yet.
-	WinStart time.Time
-	WinCount int64
-
-	// Cumulative counters.
-	Delivered  int64
-	Suppressed int64
-	SrcEvents  int64
-	Throttled  int64
+// Account is the part of a tenant's engine-side state a restart keeps: the
+// alert-budget window on stream time (WinStart zero before one opens, and
+// WinCount the alerts delivered in it) and the cumulative counters.
+type Account struct {
+	WinStart   time.Time
+	WinCount   int64
+	Delivered  int64 // alerts delivered (all windows)
+	Suppressed int64 // alerts dropped over budget
+	SrcEvents  int64 // events accepted from the tenant's sources
+	Throttled  int64 // events dropped by the rate quota
 }
 
 // Query is one registered query's registry entry plus its captured state.
 type Query struct {
 	Name    string
 	Src     string
-	Compile engine.CompileOptions
 	Paused  bool
 	Managed bool
 	Labels  map[string]string
@@ -140,53 +164,11 @@ type Query struct {
 	States [][]byte
 }
 
-// Encode serialises the snapshot into the file format.
+// Encode serialises the snapshot into the current file format.
 func Encode(s *Snapshot) []byte {
-	var p []byte
-	p = wire.AppendVarint(p, s.TakenAt.UnixNano())
-	p = wire.AppendVarint(p, s.Offset)
-	p = wire.AppendVarint(p, int64(s.Shards))
-	p = wire.AppendUvarint(p, uint64(len(s.Queries)))
-	for _, q := range s.Queries {
-		p = wire.AppendString(p, q.Name)
-		p = wire.AppendString(p, q.Src)
-		p = wire.AppendVarint(p, int64(q.Compile.MatchHorizon))
-		p = wire.AppendVarint(p, int64(q.Compile.MaxPartials))
-		p = wire.AppendVarint(p, int64(q.Compile.MaxDistinct))
-		p = wire.AppendVarint(p, int64(q.Compile.GroupIdleWindows))
-		p = wire.AppendBool(p, q.Paused)
-		p = wire.AppendBool(p, q.Managed)
-		p = wire.AppendUvarint(p, uint64(len(q.Labels)))
-		for _, k := range sortedKeys(q.Labels) {
-			p = wire.AppendString(p, k)
-			p = wire.AppendString(p, q.Labels[k])
-		}
-		p = wire.AppendUvarint(p, uint64(len(q.States)))
-		for _, blob := range q.States {
-			p = wire.AppendBytes(p, blob)
-		}
-	}
-	p = wire.AppendUvarint(p, uint64(len(s.Tenants)))
-	for _, t := range s.Tenants {
-		p = wire.AppendString(p, t.Name)
-		p = wire.AppendVarint(p, t.MaxQueries)
-		p = wire.AppendVarint(p, t.MaxStateBytes)
-		p = wire.AppendVarint(p, t.AlertBudget)
-		p = wire.AppendVarint(p, int64(t.AlertWindow))
-		p = wire.AppendVarint(p, t.IngestRate)
-		// A zero WinStart (no window opened yet) is encoded as 0, not the
-		// zero time's huge negative UnixNano.
-		var winNS int64
-		if !t.WinStart.IsZero() {
-			winNS = t.WinStart.UnixNano()
-		}
-		p = wire.AppendVarint(p, winNS)
-		p = wire.AppendVarint(p, t.WinCount)
-		p = wire.AppendVarint(p, t.Delivered)
-		p = wire.AppendVarint(p, t.Suppressed)
-		p = wire.AppendVarint(p, t.SrcEvents)
-		p = wire.AppendVarint(p, t.Throttled)
-	}
+	p := appendPrefix(nil, s)
+	p = appendSection(p, tagQueries, appendQueries(nil, s.Queries))
+	p = appendSection(p, tagTenants, appendTenants(nil, s.Tenants))
 
 	out := make([]byte, 0, len(Magic)+2+len(p)+16)
 	out = append(out, Magic...)
@@ -197,7 +179,9 @@ func Encode(s *Snapshot) []byte {
 	return out
 }
 
-// Decode parses and validates a snapshot file image.
+// Decode parses and validates a snapshot file image of version 3 or 4.
+//
+//saql:codecpair-ignore version dispatcher, not a codec half: the framing is held by FuzzSnapshotDecode, the prefix, section frame and section bodies are paired individually
 func Decode(data []byte) (*Snapshot, error) {
 	if len(data) < len(Magic)+2 {
 		return nil, corrupt("file shorter than header", nil)
@@ -206,8 +190,8 @@ func Decode(data []byte) (*Snapshot, error) {
 		return nil, corrupt("bad magic", nil)
 	}
 	ver := binary.LittleEndian.Uint16(data[len(Magic):])
-	if ver != Version {
-		return nil, &VersionError{Got: ver, Supported: Version}
+	if ver != Version && ver != versionV3 {
+		return nil, &VersionError{Got: uint64(ver), Supported: Version}
 	}
 	rest := data[len(Magic)+2:]
 	plen, n := binary.Uvarint(rest)
@@ -228,26 +212,140 @@ func Decode(data []byte) (*Snapshot, error) {
 		return nil, corrupt("trailing bytes after CRC", nil)
 	}
 
-	r := wire.NewReader(payload)
-	s := &Snapshot{
-		TakenAt: r.Time(),
-		Offset:  r.Varint(),
-		Shards:  int(r.Varint()),
+	read := readSections
+	if ver == versionV3 {
+		read = readV3
 	}
-	nQueries := r.Count(8)
-	for i := 0; i < nQueries && r.Err() == nil; i++ {
-		q := Query{
-			Name: r.String(),
-			Src:  r.String(),
-			Compile: engine.CompileOptions{
-				MatchHorizon:     time.Duration(r.Varint()),
-				MaxPartials:      int(r.Varint()),
-				MaxDistinct:      int(r.Varint()),
-				GroupIdleWindows: int(r.Varint()),
-			},
-			Paused:  r.Bool(),
-			Managed: r.Bool(),
+	r := wire.NewReader(payload)
+	s := readPrefix(r)
+	if err := read(r, s); err != nil {
+		return nil, err
+	}
+	switch {
+	case r.Err() != nil:
+		return nil, corrupt("malformed payload", r.Err())
+	case r.Len() != 0:
+		return nil, corrupt("trailing bytes in payload", nil)
+	case s.Offset < 0:
+		return nil, corrupt("negative stream offset", nil)
+	}
+	return s, nil
+}
+
+// readV3 is the one upgrade reader. After the prefix a version-3 payload
+// holds the queries body, with four compile varints after each source, and
+// the tenants body, unframed. Queries now compile under their engine's
+// defaults, so a non-zero compile varint is a *VersionError naming the query.
+//
+//saql:codecpair-ignore version-3 upgrade reader with no encode half: no build writes version 3 any more; the bodies it reads are paired individually
+func readV3(r *wire.Reader, s *Snapshot) (err error) {
+	s.Queries, err = readQueries(r, true)
+	s.Tenants = readTenants(r)
+	return err
+}
+
+// readSections reads a version-4 payload's sections.
+//
+//saql:codecpair-ignore section dispatcher, not a codec half: the section frame and each section body are paired individually
+func readSections(r *wire.Reader, s *Snapshot) error {
+	seen := map[uint64]bool{}
+	for r.Len() > 0 && r.Err() == nil {
+		tag, ver, body := readSection(r)
+		name := map[uint64]string{tagQueries: "queries", tagTenants: "tenants"}[tag]
+		switch {
+		case r.Err() != nil:
+			return nil // Decode reports the malformed payload
+		case name == "":
+			return &VersionError{Got: ver, Section: fmt.Sprintf("tag %d", tag)}
+		case ver != sectionVersion:
+			return &VersionError{Got: ver, Supported: sectionVersion, Section: name}
+		case seen[tag]:
+			return corrupt("duplicate section "+name, nil)
 		}
+		seen[tag] = true
+		br := wire.NewReader(body)
+		var err error
+		if tag == tagQueries {
+			s.Queries, err = readQueries(br, false)
+		} else {
+			s.Tenants = readTenants(br)
+		}
+		switch {
+		case err != nil:
+			return err
+		case br.Err() != nil:
+			return corrupt("malformed section "+name, br.Err())
+		case br.Len() != 0:
+			return corrupt("trailing bytes in section "+name, nil)
+		}
+	}
+	return nil
+}
+
+// appendPrefix writes the payload's fixed prefix; a zero TakenAt is 0, not
+// the zero time's huge negative UnixNano.
+func appendPrefix(p []byte, s *Snapshot) []byte {
+	var takenNS int64
+	if !s.TakenAt.IsZero() {
+		takenNS = s.TakenAt.UnixNano()
+	}
+	p = wire.AppendVarint(p, takenNS)
+	p = wire.AppendVarint(p, s.Offset)
+	return wire.AppendVarint(p, int64(s.Shards))
+}
+
+func readPrefix(r *wire.Reader) *Snapshot {
+	s := &Snapshot{}
+	if takenNS := r.Varint(); takenNS != 0 {
+		s.TakenAt = time.Unix(0, takenNS)
+	}
+	s.Offset = r.Varint()
+	s.Shards = int(r.Varint())
+	return s
+}
+
+func appendSection(p []byte, tag uint64, body []byte) []byte {
+	p = wire.AppendUvarint(p, tag)
+	p = wire.AppendUvarint(p, sectionVersion)
+	return wire.AppendBytes(p, body)
+}
+
+func readSection(r *wire.Reader) (tag, ver uint64, body []byte) {
+	return r.Uvarint(), r.Uvarint(), r.Bytes()
+}
+
+func appendQueries(p []byte, qs []Query) []byte {
+	p = wire.AppendUvarint(p, uint64(len(qs)))
+	for _, q := range qs {
+		p = wire.AppendString(p, q.Name)
+		p = wire.AppendString(p, q.Src)
+		p = wire.AppendBool(p, q.Paused)
+		p = wire.AppendBool(p, q.Managed)
+		p = wire.AppendUvarint(p, uint64(len(q.Labels)))
+		for _, k := range slices.Sorted(maps.Keys(q.Labels)) {
+			p = wire.AppendString(p, k)
+			p = wire.AppendString(p, q.Labels[k])
+		}
+		p = wire.AppendUvarint(p, uint64(len(q.States)))
+		for _, blob := range q.States {
+			p = wire.AppendBytes(p, blob)
+		}
+	}
+	return p
+}
+
+// readQueries reads a queries body; v3 also consumes each entry's compile
+// varints.
+func readQueries(r *wire.Reader, v3 bool) ([]Query, error) {
+	var qs []Query
+	n := r.Count(6)
+	for i := 0; i < n && r.Err() == nil; i++ {
+		q := Query{Name: r.String(), Src: r.String()}
+		if v3 && v3CompileSet(r) {
+			return nil, &VersionError{Got: versionV3, Supported: Version, Query: q.Name}
+		}
+		q.Paused = r.Bool()
+		q.Managed = r.Bool()
 		nLabels := r.Count(2)
 		if nLabels > 0 {
 			q.Labels = make(map[string]string, nLabels)
@@ -258,21 +356,55 @@ func Decode(data []byte) (*Snapshot, error) {
 		}
 		nStates := r.Count(1)
 		for j := 0; j < nStates && r.Err() == nil; j++ {
-			blob := r.Bytes()
-			q.States = append(q.States, append([]byte(nil), blob...))
+			q.States = append(q.States, append([]byte(nil), r.Bytes()...))
 		}
-		s.Queries = append(s.Queries, q)
+		qs = append(qs, q)
 	}
-	nTenants := r.Count(12)
-	for i := 0; i < nTenants && r.Err() == nil; i++ {
-		t := Tenant{
-			Name:          r.String(),
-			MaxQueries:    r.Varint(),
-			MaxStateBytes: r.Varint(),
-			AlertBudget:   r.Varint(),
-			AlertWindow:   time.Duration(r.Varint()),
-			IngestRate:    r.Varint(),
+	return qs, nil
+}
+
+// v3CompileSet consumes a version-3 entry's four compile varints and reports
+// whether any is set. No section holds them, so no encoder writes them.
+func v3CompileSet(r *wire.Reader) bool {
+	return r.Varint()|r.Varint()|r.Varint()|r.Varint() != 0
+}
+
+func appendTenants(p []byte, ts []Tenant) []byte {
+	p = wire.AppendUvarint(p, uint64(len(ts)))
+	for _, t := range ts {
+		p = wire.AppendString(p, t.Name)
+		p = wire.AppendVarint(p, t.MaxQueries)
+		p = wire.AppendVarint(p, t.MaxStateBytes)
+		p = wire.AppendVarint(p, t.AlertBudget)
+		p = wire.AppendVarint(p, int64(t.AlertWindow))
+		p = wire.AppendVarint(p, t.IngestRate)
+		// A zero WinStart (no window opened yet) is encoded as 0, not the
+		// zero time's huge negative UnixNano.
+		var winNS int64
+		if !t.WinStart.IsZero() {
+			winNS = t.WinStart.UnixNano()
 		}
+		p = wire.AppendVarint(p, winNS)
+		p = wire.AppendVarint(p, t.WinCount)
+		p = wire.AppendVarint(p, t.Delivered)
+		p = wire.AppendVarint(p, t.Suppressed)
+		p = wire.AppendVarint(p, t.SrcEvents)
+		p = wire.AppendVarint(p, t.Throttled)
+	}
+	return p
+}
+
+func readTenants(r *wire.Reader) []Tenant {
+	var ts []Tenant
+	n := r.Count(12)
+	for i := 0; i < n && r.Err() == nil; i++ {
+		var t Tenant
+		t.Name = r.String()
+		t.MaxQueries = r.Varint()
+		t.MaxStateBytes = r.Varint()
+		t.AlertBudget = r.Varint()
+		t.AlertWindow = time.Duration(r.Varint())
+		t.IngestRate = r.Varint()
 		if winNS := r.Varint(); winNS != 0 {
 			t.WinStart = time.Unix(0, winNS)
 		}
@@ -281,18 +413,9 @@ func Decode(data []byte) (*Snapshot, error) {
 		t.Suppressed = r.Varint()
 		t.SrcEvents = r.Varint()
 		t.Throttled = r.Varint()
-		s.Tenants = append(s.Tenants, t)
+		ts = append(ts, t)
 	}
-	if r.Err() != nil {
-		return nil, corrupt("malformed payload", r.Err())
-	}
-	if r.Len() != 0 {
-		return nil, corrupt("trailing bytes in payload", nil)
-	}
-	if s.Offset < 0 {
-		return nil, corrupt("negative stream offset", nil)
-	}
-	return s, nil
+	return ts
 }
 
 // Path returns the snapshot file path inside a checkpoint directory.
@@ -347,13 +470,4 @@ func Read(dir string) (*Snapshot, error) {
 		return nil, fmt.Errorf("snapshot: %w", err)
 	}
 	return Decode(data)
-}
-
-func sortedKeys(m map[string]string) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

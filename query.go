@@ -37,8 +37,7 @@ var (
 type QueryOption func(*queryConfig)
 
 type queryConfig struct {
-	labels  map[string]string
-	compile CompileOptions
+	labels map[string]string
 }
 
 // WithLabel attaches an informational key/value label to the query's handle
@@ -51,13 +50,6 @@ func WithLabel(key, value string) QueryOption {
 		}
 		c.labels[key] = value
 	}
-}
-
-// WithQueryCompileOptions overrides the default compile options (resource
-// bounds) for this query. Updates through the handle keep using these
-// options, and a checkpoint records them.
-func WithQueryCompileOptions(opts CompileOptions) QueryOption {
-	return func(c *queryConfig) { c.compile = opts }
 }
 
 // UpdateOption configures a hot-swap performed by QueryHandle.Update.
@@ -234,18 +226,18 @@ func (h *QueryHandle) setPaused(p bool) error {
 	return nil
 }
 
-// Update hot-swaps the query's source: the replacement is compiled with the
-// handle's compile options and atomically substituted on the owning
-// shard(s) at one consistent point of the event stream — alert-for-alert
-// equivalent to Close then Register executed between two events, with the
-// name, handle, labels, and pause state preserved. A pinned query keeps its
-// home shard. By default the replacement starts with fresh state; pass
-// CarryWindowState to adopt the old query's sliding-window state when the
-// window/state layer is unchanged. Master–dependent scheduler groups are
-// recomputed: the replacement joins whichever group its constraints now
-// place it in. On a compile error the old query keeps running untouched. A
-// fresh replacement starts at the stream watermark, as a query registered
-// mid-stream does (Engine.Register).
+// Update hot-swaps the query's source: the replacement is compiled and
+// atomically substituted on the owning shard(s) at one consistent point of
+// the event stream — alert-for-alert equivalent to Close then Register
+// executed between two events, with the name, handle, labels, and pause
+// state preserved. A pinned query keeps its home shard. By default the
+// replacement starts with fresh state; pass CarryWindowState to adopt the
+// old query's sliding-window state when the window/state layer is
+// unchanged. Master–dependent scheduler groups are recomputed: the
+// replacement joins whichever group its constraints now place it in. On a
+// compile error the old query keeps running untouched. A fresh replacement
+// starts at the stream watermark, as a query registered mid-stream does
+// (Engine.Register).
 func (h *QueryHandle) Update(src string, opts ...UpdateOption) error {
 	var uc updateConfig
 	for _, o := range opts {
@@ -261,7 +253,7 @@ func (h *QueryHandle) Update(src string, opts ...UpdateOption) error {
 	if engineState(e.state.Load()) == stateClosed {
 		return ErrClosed
 	}
-	newQ, err := engine.Compile(h.name, src, rec.compile)
+	newQ, err := e.compile(h.name, src)
 	if err != nil {
 		return err
 	}
@@ -282,9 +274,9 @@ func (e *Engine) updateLocked(rec *queryRecord, src string, newQ *engine.Query, 
 	if rec.paused {
 		newQ.SetPaused(true)
 	}
-	next := &queryRecord{name: rec.name, src: src, compile: rec.compile, paused: rec.paused}
+	next := &queryRecord{name: rec.name, src: src, paused: rec.paused}
 	if rt := e.rt.Load(); rt != nil {
-		if err := rt.Swap(newQ, cloneFor(next), carry); err != nil {
+		if err := rt.Swap(newQ, e.cloneFor(next), carry); err != nil {
 			return err
 		}
 	} else if err := e.sched.Swap(rec.name, newQ, carry); err != nil {
@@ -379,24 +371,21 @@ func (e *Engine) closeLocked(rec *queryRecord) ([]*AlertSubscription, error) {
 // alike — so a hit older than a window the stream has already passed counts
 // in QueryStats.LateHits.
 func (e *Engine) Register(name, src string, opts ...QueryOption) (*QueryHandle, error) {
-	qc := queryConfig{compile: e.cfg.compile}
+	var qc queryConfig
 	for _, o := range opts {
 		o(&qc)
 	}
-	// Per-query compile overrides still charge string fallbacks to this
-	// engine's counter.
-	qc.compile.Fallbacks = &e.fallbacks
-	q, err := engine.Compile(name, src, qc.compile)
+	q, err := e.compile(name, src)
 	if err != nil {
 		return nil, err
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.registerLocked(name, src, q, qc, false)
+	return e.registerLocked(name, src, q, qc.labels, false)
 }
 
 // registerLocked installs a compiled query. Caller holds e.mu.
-func (e *Engine) registerLocked(name, src string, q *engine.Query, qc queryConfig, managed bool) (*QueryHandle, error) {
+func (e *Engine) registerLocked(name, src string, q *engine.Query, labels map[string]string, managed bool) (*QueryHandle, error) {
 	if engineState(e.state.Load()) == stateClosed {
 		return nil, ErrClosed
 	}
@@ -419,10 +408,10 @@ func (e *Engine) registerLocked(name, src string, q *engine.Query, qc queryConfi
 			return nil, err
 		}
 	}
-	rec := &queryRecord{name: name, src: src, compile: qc.compile, q: q, managed: managed}
-	rec.handle = &QueryHandle{eng: e, name: name, labels: qc.labels}
+	rec := &queryRecord{name: name, src: src, q: q, managed: managed}
+	rec.handle = &QueryHandle{eng: e, name: name, labels: labels}
 	if rt := e.rt.Load(); rt != nil {
-		if _, err := rt.Add(q, cloneFor(rec)); err != nil {
+		if _, err := rt.Add(q, e.cloneFor(rec)); err != nil {
 			return nil, err
 		}
 	} else if err := e.sched.Add(q); err != nil {
@@ -700,23 +689,19 @@ func (e *Engine) Apply(ctx context.Context, set *QuerySet) (*ChangeReport, error
 		}
 		inSet[ent.name] = true
 		rec := e.reg[ent.name]
-		switch {
-		case rec == nil:
-			q, err := engine.Compile(ent.name, ent.src, e.cfg.compile)
-			if err != nil {
-				e.mu.Unlock()
-				return nil, fmt.Errorf("apply %q: %w", ent.name, err)
-			}
-			adds = append(adds, addOp{ent.name, ent.src, q})
-		case rec.src != ent.src:
-			q, err := engine.Compile(ent.name, ent.src, rec.compile)
-			if err != nil {
-				e.mu.Unlock()
-				return nil, fmt.Errorf("apply %q: %w", ent.name, err)
-			}
-			upds = append(upds, updOp{rec, ent.src, q})
-		default:
+		if rec != nil && rec.src == ent.src {
 			unchanged = append(unchanged, rec)
+			continue
+		}
+		q, err := e.compile(ent.name, ent.src)
+		if err != nil {
+			e.mu.Unlock()
+			return nil, fmt.Errorf("apply %q: %w", ent.name, err)
+		}
+		if rec == nil {
+			adds = append(adds, addOp{ent.name, ent.src, q})
+		} else {
+			upds = append(upds, updOp{rec, ent.src, q})
 		}
 	}
 	// Install the document's tenant quota declarations before enforcement,
@@ -795,7 +780,7 @@ func (e *Engine) Apply(ctx context.Context, set *QuerySet) (*ChangeReport, error
 	}
 	if firstErr == nil {
 		for _, op := range adds {
-			if _, err := e.registerLocked(op.name, op.src, op.q, queryConfig{compile: e.cfg.compile}, true); err != nil {
+			if _, err := e.registerLocked(op.name, op.src, op.q, nil, true); err != nil {
 				firstErr = fmt.Errorf("apply %q: %w", op.name, err)
 				break
 			}

@@ -4,8 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	goruntime "runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -44,10 +45,6 @@ type QueryError = engine.QueryError
 // QueryStats are the per-query runtime counters (see Engine.QueryStats and
 // QueryHandle.Stats).
 type QueryStats = engine.QueryStats
-
-// CompileOptions tune a query's resource bounds (match horizon, partial
-// and distinct table caps, group idle eviction).
-type CompileOptions = engine.CompileOptions
 
 // AlertSubscription is a push-based alert stream returned by Subscribe.
 type AlertSubscription = runtime.AlertSubscription
@@ -158,10 +155,7 @@ type Stats struct {
 type Option func(*config)
 
 type config struct {
-	sharing bool
-	// compile is what a query registered without WithQueryCompileOptions
-	// compiles under: the defaults, charging string fallbacks to this engine.
-	compile   engine.CompileOptions
+	sharing   bool
 	onAlert   func(*Alert)
 	onError   func(*QueryError)
 	errDepth  int
@@ -258,7 +252,7 @@ type Engine struct {
 	srcTotals source.Stats
 
 	// fallbacks receives the string-fallback counts of every query this
-	// engine compiles (CompileOptions.Fallbacks points here).
+	// engine compiles (see compile).
 	fallbacks atomic.Int64
 
 	// Tenant control plane (tenant.go): per-tenant quota and accounting
@@ -338,12 +332,11 @@ func (e *Engine) pinBaseOffset(off int64) error {
 }
 
 // queryRecord is the engine-side state behind one registered query: its
-// source, compile options, live compiled form (its first shard replica on a
-// running engine), owning handle, and control-plane flags.
+// source, live compiled form (its first shard replica on a running engine),
+// owning handle, and control-plane flags.
 type queryRecord struct {
 	name    string
 	src     string
-	compile engine.CompileOptions
 	q       *engine.Query
 	handle  *QueryHandle
 	paused  bool
@@ -379,9 +372,6 @@ func New(opts ...Option) *Engine {
 	}
 	e.reporter = engine.NewErrorReporter(cfg.errDepth, onError)
 	e.sched = scheduler.New(e.reporter, cfg.sharing)
-	// Every query compiled through this engine's options charges its string
-	// fallbacks here.
-	e.cfg.compile.Fallbacks = &e.fallbacks
 	// Tenant alert budgets gate delivery at the single fan-out choke point,
 	// on both the serial and sharded paths. Installed before any publishing
 	// goroutine can exist.
@@ -435,15 +425,11 @@ func (e *Engine) Start(ctx context.Context) error {
 	// Distribute the already-registered queries in name order so pinned
 	// home-shard assignment is deterministic. The primary replicas carry
 	// their pause flags; cloneFor stamps them onto the extra replicas.
-	names := make([]string, 0, len(e.reg))
-	for name := range e.reg {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+	names := slices.Sorted(maps.Keys(e.reg))
 	installed := make([]*engine.Query, len(names))
 	for i, name := range names {
 		rec := e.reg[name]
-		q, err := rt.Add(rec.q, cloneFor(rec))
+		q, err := rt.Add(rec.q, e.cloneFor(rec))
 		if err != nil {
 			rt.Close()
 			return err
@@ -507,14 +493,20 @@ func (e *Engine) Close() error {
 // Query management (the handle-based API lives in query.go)
 // ---------------------------------------------------------------------------
 
+// compile compiles a query under the engine's one compile config: the
+// default resource bounds, charging string fallbacks to this engine.
+func (e *Engine) compile(name, src string) (*engine.Query, error) {
+	return engine.Compile(name, src, engine.CompileOptions{Fallbacks: &e.fallbacks})
+}
+
 // cloneFor builds the replica factory for a query record: the sharded
 // runtime invokes it once per extra shard a distributed placement needs.
 // Values are captured eagerly so the clone is consistent with the record at
 // the moment the control operation was planned.
-func cloneFor(rec *queryRecord) func() (*engine.Query, error) {
-	name, src, compile, paused := rec.name, rec.src, rec.compile, rec.paused
+func (e *Engine) cloneFor(rec *queryRecord) func() (*engine.Query, error) {
+	name, src, paused := rec.name, rec.src, rec.paused
 	return func() (*engine.Query, error) {
-		q, err := engine.Compile(name, src, compile)
+		q, err := e.compile(name, src)
 		if err == nil && paused {
 			q.SetPaused(true)
 		}
@@ -731,7 +723,7 @@ func (e *Engine) Stats() Stats {
 	out.Queries = nQueries
 	e.tenMu.Lock()
 	for _, ts := range e.tenants {
-		out.Dropped += ts.throttled
+		out.Dropped += ts.Throttled
 	}
 	e.tenMu.Unlock()
 	// Symbol and source counters are engine-scoped and live even after

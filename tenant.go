@@ -5,6 +5,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"saql/internal/snapshot"
 )
 
 // Tenancy groups queries into named namespaces with per-tenant quotas — the
@@ -146,21 +148,13 @@ func (r *alertRing) sum(now time.Time, window time.Duration) int64 {
 // guarded by Engine.tenMu.
 type tenantState struct {
 	quotas TenantQuotas
-
-	// Alert budget, on stream time: winStart opens the current accounting
-	// window, winCount counts alerts delivered in it.
-	winStart time.Time
-	winCount int64
-
-	delivered  int64 // alerts delivered (all windows)
-	suppressed int64 // alerts dropped over budget
+	// The alert budget's window and the counters, as a checkpoint holds them.
+	snapshot.Account
 
 	// Ingest rate, on stream time: rlSec is the current one-second bucket,
 	// rlUsed its consumed allowance.
-	rlSec     time.Time
-	rlUsed    int64
-	srcEvents int64 // events accepted from this tenant's sources
-	throttled int64 // events dropped by the rate quota
+	rlSec  time.Time
+	rlUsed int64
 
 	perQ map[string]*alertRing // per-query recent-alert rings
 }
@@ -241,17 +235,17 @@ func (e *Engine) admitAlert(a *Alert) bool {
 		if w <= 0 {
 			w = time.Hour
 		}
-		if ts.winStart.IsZero() || !a.EventTime.Before(ts.winStart.Add(w)) {
-			ts.winStart = a.EventTime.Truncate(w)
-			ts.winCount = 0
+		if ts.WinStart.IsZero() || !a.EventTime.Before(ts.WinStart.Add(w)) {
+			ts.WinStart = a.EventTime.Truncate(w)
+			ts.WinCount = 0
 		}
-		if ts.winCount >= budget {
-			ts.suppressed++
+		if ts.WinCount >= budget {
+			ts.Suppressed++
 			return false
 		}
-		ts.winCount++
+		ts.WinCount++
 	}
-	ts.delivered++
+	ts.Delivered++
 	ring := ts.perQ[a.Query]
 	if ring == nil {
 		ring = &alertRing{}
@@ -274,7 +268,7 @@ func (e *Engine) admitEvents(tenant string, evs []*Event) []*Event {
 	ts := e.tenantLocked(tenant)
 	rate := ts.quotas.IngestRate
 	if rate <= 0 {
-		ts.srcEvents += int64(len(evs))
+		ts.SrcEvents += int64(len(evs))
 		return evs
 	}
 	kept := evs[:0]
@@ -285,13 +279,13 @@ func (e *Engine) admitEvents(tenant string, evs []*Event) []*Event {
 			ts.rlUsed = 0
 		}
 		if ts.rlUsed >= rate {
-			ts.throttled++
+			ts.Throttled++
 			continue
 		}
 		ts.rlUsed++
 		kept = append(kept, ev)
 	}
-	ts.srcEvents += int64(len(kept))
+	ts.SrcEvents += int64(len(kept))
 	return kept
 }
 
@@ -392,10 +386,10 @@ func (e *Engine) Tenants() []TenantStats {
 	for name, ts := range e.tenants {
 		st := TenantStats{
 			Name:            name,
-			Alerts:          ts.delivered,
-			Suppressed:      ts.suppressed,
-			SourceEvents:    ts.srcEvents,
-			EventsThrottled: ts.throttled,
+			Alerts:          ts.Delivered,
+			Suppressed:      ts.Suppressed,
+			SourceEvents:    ts.SrcEvents,
+			EventsThrottled: ts.Throttled,
 			StateBytes:      stateBytes[name],
 			PartialsExpired: expired[name],
 			PartialsDropped: dropped[name],
@@ -404,7 +398,7 @@ func (e *Engine) Tenants() []TenantStats {
 		if stream[name] > 0 {
 			st.SharingRatio = naive[name] / stream[name]
 		}
-		if b := ts.quotas.AlertBudget; b > 0 && ts.winCount >= b {
+		if b := ts.quotas.AlertBudget; b > 0 && ts.WinCount >= b {
 			st.Degraded = append(st.Degraded, "alert_budget")
 		}
 		if r := ts.quotas.IngestRate; r > 0 && ts.rlUsed >= r {
