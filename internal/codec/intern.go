@@ -36,12 +36,12 @@ type InternTable struct {
 // backing allocation per distinct value instead of one per event. Each
 // decoder holds one, single-goroutine and unlocked.
 //
-// Without a shared InternTable it is the decoder's table. With one it is a
-// cache in front of it: a repeat resolves from the cache, only a value the
-// decoder has not seen yet takes the shared table's lock, and only a value
-// the shared table has not seen yet is a miss. Once the shared table is full
-// it never changes again, so a decoder that finds it full reads it in place
-// of its cache, without the lock.
+// It is a cache in front of an InternTable: the one the decoder was given
+// (Options.Table), or one of its own, made at its first miss. A repeat
+// resolves from the cache, only a value the decoder has not seen yet takes
+// the table's lock, and only a value the table has not seen yet is a miss.
+// Once the table is full it never changes again, so a decoder that finds it
+// full reads it in place of its cache, without the lock.
 //
 // Alongside the canonical copy, each entry caches the value's symbol ID from
 // the process-global dictionary (internal/symtab), so decoded events carry
@@ -57,8 +57,8 @@ type InternTable struct {
 // values have been cached, new ones pass through uncached (symbol-less)
 // while existing entries keep deduplicating.
 type internTable struct {
-	m      map[string]internEntry // the table, or this decoder's cache of shared
-	shared *InternTable           // nil: m is the table
+	m      map[string]internEntry // this decoder's cache of shared
+	shared *InternTable           // nil until the first miss of a decoder given none
 	full   bool                   // shared is full and m is shared's map
 	stats  *InternStats           // optional per-consumer counters (nil: not counted)
 
@@ -115,31 +115,13 @@ func (t *internTable) bytes(b []byte) (string, uint32) {
 	return t.add(string(b))
 }
 
-// add resolves a value this decoder has not cached and returns it with its
-// symbol ID. Without a shared table it caches a first-sight value (unless
-// the table is full).
+// add resolves a value this decoder has not cached through the table: a
+// value the table holds is a hit and is cached, one it does not is a miss and
+// is added (unless the table is full).
 func (t *internTable) add(s string) (string, uint32) {
-	if t.shared != nil {
-		return t.fetch(s)
+	if t.shared == nil {
+		t.shared = new(InternTable)
 	}
-	t.misses++
-	if len(t.m) >= internMaxEntries {
-		return s, 0
-	}
-	if t.m == nil {
-		t.m = make(map[string]internEntry)
-	}
-	e := internEntry{s: s, sym: symtab.Intern(s)}
-	t.m[s] = e
-	if t.stats != nil {
-		t.stats.Entries.Add(1)
-	}
-	return e.s, e.sym
-}
-
-// fetch is add through the shared table: a value it holds is a hit and is
-// cached, one it does not is a miss and is added (unless the table is full).
-func (t *internTable) fetch(s string) (string, uint32) {
 	if t.full {
 		t.misses++ // m is the whole table, and s is not in it
 		return s, 0

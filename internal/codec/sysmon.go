@@ -1,7 +1,8 @@
 // The "sysmon" codec: Sysmon operational-log records rendered as ECS-style
 // JSON lines, the shape winlogbeat and compatible shippers emit. Both nested
 // objects ({"process":{"pid":1}}) and dotted keys ({"process.pid":1}) are
-// accepted, since both occur in the wild.
+// accepted, since both occur in the wild; a field one line spells both ways
+// takes the dotted spelling's value, whatever the order of the line's keys.
 //
 // The Sysmon event ID (winlog.event_id, or its string form in event.code)
 // selects the mapping into the ⟨subject, operation, object⟩ model:
@@ -25,6 +26,8 @@ package codec
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -136,18 +139,20 @@ func (d *sysmonDecoder) Flush() []*event.Event { return nil }
 
 // flattenECS folds nested JSON objects into dotted keys, leaving values
 // already keyed with dots untouched, so {"process":{"pid":1}} and
-// {"process.pid":1} read identically.
+// {"process.pid":1} read identically. Keys are visited in sorted order, and a
+// nested object's key is a prefix of a dotted spelling of the same field, so
+// the dotted spelling is written last and wins.
 func flattenECS(prefix string, src map[string]any, dst ecsDoc) {
-	for k, v := range src {
+	for _, k := range slices.Sorted(maps.Keys(src)) {
 		key := k
 		if prefix != "" {
 			key = prefix + "." + k
 		}
-		if m, ok := v.(map[string]any); ok {
+		if m, ok := src[k].(map[string]any); ok {
 			flattenECS(key, m, dst)
 			continue
 		}
-		dst[key] = v
+		dst[key] = src[k]
 	}
 }
 

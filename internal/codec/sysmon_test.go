@@ -78,6 +78,42 @@ func TestSysmonDottedKeysAndActionFallback(t *testing.T) {
 	}
 }
 
+// TestSysmonMixedSpellingsDecodeOneWay: a line that gives fields both nested
+// and dotted decodes to the dotted values every time, in either key order —
+// Go's map iteration order must not reach the event.
+func TestSysmonMixedSpellingsDecodeOneWay(t *testing.T) {
+	nested := `"host":{"name":"h1"},"process":{"pid":1,"name":"a.exe"}`
+	dotted := `"host.name":"h2","process.pid":2`
+	tail := `"@timestamp":"2020-02-27T09:00:00Z","winlog":{"event_id":5}`
+	for _, order := range []struct{ name, line string }{
+		{"nested-first", "{" + nested + "," + dotted + "," + tail + "}"},
+		{"dotted-first", "{" + dotted + "," + nested + "," + tail + "}"},
+	} {
+		t.Run(order.name, func(t *testing.T) {
+			dec, err := New("sysmon", Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			seen := map[string]int{}
+			for range 100 {
+				evs, err := dec.Decode([]byte(order.line))
+				if err != nil || len(evs) != 1 {
+					t.Fatalf("decoded %d events, err %v", len(evs), err)
+				}
+				seen[evs[0].String()]++
+			}
+			if len(seen) != 1 {
+				t.Fatalf("one line decoded %d ways: %v", len(seen), seen)
+			}
+			for ev := range seen {
+				if !strings.Contains(ev, "h2") || !strings.Contains(ev, "pid=2") {
+					t.Fatalf("decoded %s; the dotted spelling (host h2, pid 2) must win", ev)
+				}
+			}
+		})
+	}
+}
+
 func TestSysmonUnmappedAndMalformed(t *testing.T) {
 	dec, _ := New("sysmon", Options{})
 

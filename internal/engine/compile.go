@@ -36,19 +36,33 @@ type CompileOptions struct {
 	Fallbacks *atomic.Int64
 }
 
-func (o CompileOptions) withDefaults() CompileOptions {
-	if o.MaxPartials <= 0 {
-		o.MaxPartials = 4096
-	}
-	if o.MaxDistinct <= 0 {
-		o.MaxDistinct = 1 << 16
-	}
-	return o
+// Query is one replica of a compiled SAQL query: its program, immutable once
+// CompileAST returns and shared by every Replica, and its own state. A replica
+// is not safe for concurrent use (its scheduler or shard serialises delivery
+// to it); replicas of one program may run on different goroutines at once.
+type Query struct {
+	*program
+	seq      *matcher.SeqMatcher // rule queries: the partial matches
+	winMgr   *window.Manager     // stateful queries: open windows, watermark
+	groups   map[string]*groupRuntime
+	distinct map[string]struct{} // `return distinct`'s suppression table
+	// log is the slice log the query's hits wait in until they fold: its
+	// variant set's in the scheduler that holds it. Everything that reads or
+	// hands over the query's state settles it first (settle).
+	log *SliceLog
+	// Every program of the query runs against frame on progStack.
+	frame     pcode.Frame
+	progStack []value.Value
+	// paused gates event ingestion (see SetPaused). It is mutated only at
+	// consistent stream points, under the owning scheduler's lock.
+	paused bool
+	stats  QueryStats
+	now    func() time.Time
 }
 
-// Query is a compiled, executable SAQL query. A Query is not safe for
-// concurrent use; the engine serialises event delivery per query.
-type Query struct {
+// program is what CompileAST builds: everything a replica reads and nothing it
+// writes.
+type program struct {
 	Name string
 	AST  *ast.Query
 	Info *sema.Info
@@ -59,31 +73,23 @@ type Query struct {
 	// Pattern matching.
 	patterns []*matcher.Pattern
 	global   *pcode.EventProg
-	seq      *matcher.SeqMatcher // nil for stateful queries
+	emptySeq *matcher.SeqMatcher // rule queries: each replica's matcher is its Empty twin
+	emptyMgr *window.Manager     // stateful queries: each replica's manager is its Empty twin
 
 	// Stateful execution.
 	stateful bool
-	winMgr   *window.Manager
 	groupBy  []ast.Expr
 	// keyProgs[pattern][item] and argProgs[pattern][field] are the group-by
 	// items and aggregation arguments compiled against one pattern's
 	// bindings: a hit reads its key and its arguments straight off the event.
 	keyProgs [][]*pcode.Prog
 	argProgs [][]*pcode.Prog
-	// Every program of the query — those above and the close-time ones below
-	// — runs against frame on progStack, sized for the deepest of them.
-	frame     pcode.Frame
-	progStack []value.Value
+	depth    int // the operand stack the deepest of all its programs needs
 	// slots[pattern] are the window manager's binding slots a hit of that
 	// pattern writes into its group (see assignSlots).
 	slots      []patternSlots
 	historyLen int
 	idleLimit  int
-	groups     map[string]*groupRuntime
-	// log is the slice log the query's hits wait in until they fold: its
-	// variant set's in the scheduler that holds it. Everything that reads or
-	// hands over the query's state settles it first (settle).
-	log *SliceLog
 
 	// Invariant model: the variables' initial values by declaration index,
 	// and the update statements compiled with the variable each assigns.
@@ -103,14 +109,6 @@ type Query struct {
 	// (close.go), compiled in the close scope.
 	alertProgs []*pcode.Prog
 	returns    []returnItem
-	distinct   map[string]struct{}
-
-	// paused gates event ingestion (see SetPaused). It is mutated only at
-	// consistent stream points, under the owning scheduler's lock.
-	paused bool
-
-	stats QueryStats
-	now   func() time.Time
 }
 
 // QueryStats counts a query's runtime activity.
@@ -182,19 +180,16 @@ func CompileAST(name string, q *ast.Query, opts CompileOptions) (*Query, error) 
 	if err != nil {
 		return nil, err
 	}
-	opts = opts.withDefaults()
+	if opts.MaxDistinct <= 0 {
+		opts.MaxDistinct = 1 << 16
+	}
 
-	cq := &Query{
+	cq := &program{
 		Name:   name,
 		AST:    q,
 		Info:   info,
 		opts:   opts,
 		global: pcode.CompileGlobals(q.Globals, opts.Fallbacks),
-		now:    time.Now, //saql:wallclock injectable clock default; feeds Alert.Detected only, never evaluation
-		groups: map[string]*groupRuntime{},
-	}
-	if q.Return != nil && q.Return.Distinct {
-		cq.distinct = map[string]struct{}{}
 	}
 
 	// Compile patterns.
@@ -222,14 +217,14 @@ func CompileAST(name string, q *ast.Query, opts CompileOptions) (*Query, error) 
 		if err != nil {
 			return nil, err
 		}
-		cq.seq = seq
+		cq.emptySeq = seq
 		cq.Kind = KindRule
 		// A completed match binds entity variables at the matcher's slots and
 		// each alias's event at its pattern's index.
 		cq.compileClose(
 			func(name string) int { return slices.Index(seq.Vars(), name) },
 			func(alias string) int { return info.Aliases[alias] })
-		return cq, nil
+		return cq.replica(false), nil
 	}
 
 	// Stateful query: window manager and aggregation plumbing.
@@ -247,7 +242,7 @@ func CompileAST(name string, q *ast.Query, opts CompileOptions) (*Query, error) 
 	if err != nil {
 		return nil, err
 	}
-	cq.winMgr = mgr
+	cq.emptyMgr = mgr
 	cq.assignSlots()
 	cq.groupBy = q.State.GroupBy
 	// One scope per pattern serves its group-by items and its arguments.
@@ -310,26 +305,50 @@ func CompileAST(name string, q *ast.Query, opts CompileOptions) (*Query, error) 
 	default:
 		cq.Kind = KindStateful
 	}
-	return cq, nil
+	return cq.replica(false), nil
+}
+
+// Replica returns a query over q's compiled program, without compiling: it is
+// paused as q is, holds none of q's state and keeps no reference to q.
+func (q *Query) Replica() *Query { return q.program.replica(q.paused) }
+
+// replica builds fresh state over p.
+func (p *program) replica(paused bool) *Query {
+	q := &Query{
+		program:   p,
+		paused:    paused,
+		groups:    map[string]*groupRuntime{},
+		progStack: make([]value.Value, p.depth),
+		now:       time.Now, //saql:wallclock injectable clock default; feeds Alert.Detected only, never evaluation
+	}
+	if p.stateful {
+		q.winMgr = p.emptyMgr.Empty()
+	} else {
+		q.seq = p.emptySeq.Empty()
+	}
+	if p.AST.Return != nil && p.AST.Return.Distinct {
+		q.distinct = map[string]struct{}{}
+	}
+	return q
 }
 
 // assignSlots resolves every pattern's variable names to the window
 // manager's binding slots, so the fold path indexes a group's bindings
 // instead of probing them by name. Patterns sharing a name share its slot.
-func (q *Query) assignSlots() {
-	q.slots = make([]patternSlots, len(q.patterns))
-	for i, p := range q.patterns {
+func (p *program) assignSlots() {
+	p.slots = make([]patternSlots, len(p.patterns))
+	for i, pat := range p.patterns {
 		s := patternSlots{subj: -1, obj: -1, alias: -1}
-		if p.SubjVar != "" {
-			s.subj = q.winMgr.EntitySlot(p.SubjVar)
+		if pat.SubjVar != "" {
+			s.subj = p.emptyMgr.EntitySlot(pat.SubjVar)
 		}
-		if p.ObjVar != "" {
-			s.obj = q.winMgr.EntitySlot(p.ObjVar)
+		if pat.ObjVar != "" {
+			s.obj = p.emptyMgr.EntitySlot(pat.ObjVar)
 		}
-		if p.Alias != "" {
-			s.alias = q.winMgr.EventSlot(p.Alias)
+		if pat.Alias != "" {
+			s.alias = p.emptyMgr.EventSlot(pat.Alias)
 		}
-		q.slots[i] = s
+		p.slots[i] = s
 	}
 }
 
@@ -337,46 +356,44 @@ func (q *Query) assignSlots() {
 // (close.go) in the close scope: entity variables and event aliases at the
 // binding slots the matcher or the window manager gives them and, for a
 // stateful query, window state, invariant variables and the clustering outcome.
-func (q *Query) compileClose(entitySlot, eventSlot func(string) int) {
-	scope := &pcode.Scope{Vars: q.Info.InvariantVars, Cluster: q.hasCluster}
-	for name, typ := range q.Info.EntityVars {
+func (p *program) compileClose(entitySlot, eventSlot func(string) int) {
+	scope := &pcode.Scope{Vars: p.Info.InvariantVars, Cluster: p.hasCluster}
+	for name, typ := range p.Info.EntityVars {
 		scope.Entities = append(scope.Entities, pcode.EntityVar{Name: name, Type: typ, Slot: entitySlot(name)})
 	}
-	for alias := range q.Info.Aliases {
+	for alias := range p.Info.Aliases {
 		scope.Events = append(scope.Events, pcode.EventVar{Name: alias, Slot: eventSlot(alias)})
 	}
-	if q.stateful {
-		scope.State, scope.Fields = q.AST.State.Name, q.Info.StateFields
+	if p.stateful {
+		scope.State, scope.Fields = p.AST.State.Name, p.Info.StateFields
 	}
-	for _, a := range q.AST.Alerts {
-		q.alertProgs = append(q.alertProgs, q.compile(a, scope))
+	for _, a := range p.AST.Alerts {
+		p.alertProgs = append(p.alertProgs, p.compile(a, scope))
 	}
-	if q.AST.Return != nil {
-		for _, item := range q.AST.Return.Items {
+	if p.AST.Return != nil {
+		for _, item := range p.AST.Return.Items {
 			name := item.Alias
 			if name == "" {
 				name = item.Expr.String()
 			}
-			q.returns = append(q.returns, returnItem{name: name, prog: q.compile(item.Expr, scope)})
+			p.returns = append(p.returns, returnItem{name: name, prog: p.compile(item.Expr, scope)})
 		}
 	}
-	if q.hasCluster {
-		q.pointProg = q.compile(q.AST.Cluster.Points, scope)
+	if p.hasCluster {
+		p.pointProg = p.compile(p.AST.Cluster.Points, scope)
 	}
-	if q.hasInv {
-		for _, st := range q.AST.Invariant.Updates {
-			slot := slices.Index(q.Info.InvariantVars, st.Var) // declared: sema
-			q.invUpdates = append(q.invUpdates, invUpdate{slot: slot, prog: q.compile(st.Expr, scope)})
+	if p.hasInv {
+		for _, st := range p.AST.Invariant.Updates {
+			slot := slices.Index(p.Info.InvariantVars, st.Var) // declared: sema
+			p.invUpdates = append(p.invUpdates, invUpdate{slot: slot, prog: p.compile(st.Expr, scope)})
 		}
 	}
 }
 
-// compile compiles e in scope and grows progStack to fit the program.
-func (q *Query) compile(e ast.Expr, scope *pcode.Scope) *pcode.Prog {
+// compile compiles e in scope and deepens the operand stack to fit it.
+func (p *program) compile(e ast.Expr, scope *pcode.Scope) *pcode.Prog {
 	prog := pcode.CompileExpr(e, scope)
-	if prog.Depth() > len(q.progStack) {
-		q.progStack = make([]value.Value, prog.Depth())
-	}
+	p.depth = max(p.depth, prog.Depth())
 	return prog
 }
 
@@ -391,19 +408,19 @@ func aggArgs(q *ast.Query, info *sema.Info) []ast.Expr {
 
 // compilePerPattern compiles each expression in each pattern's per-event
 // scope: out[pattern][expression].
-func (q *Query) compilePerPattern(exprs []ast.Expr) [][]*pcode.Prog {
-	out := make([][]*pcode.Prog, len(q.AST.Patterns))
-	for pi, p := range q.AST.Patterns {
+func (p *program) compilePerPattern(exprs []ast.Expr) [][]*pcode.Prog {
+	out := make([][]*pcode.Prog, len(p.AST.Patterns))
+	for pi, pat := range p.AST.Patterns {
 		scope := pcode.Binding{
-			SubjVar:  p.Subject.Var,
-			ObjVar:   p.Object.Var,
-			Alias:    p.Alias,
-			SubjType: p.Subject.Type,
-			ObjType:  p.Object.Type,
+			SubjVar:  pat.Subject.Var,
+			ObjVar:   pat.Object.Var,
+			Alias:    pat.Alias,
+			SubjType: pat.Subject.Type,
+			ObjType:  pat.Object.Type,
 		}.Scope()
 		out[pi] = make([]*pcode.Prog, len(exprs))
 		for i, e := range exprs {
-			out[pi][i] = q.compile(e, scope)
+			out[pi][i] = p.compile(e, scope)
 		}
 	}
 	return out

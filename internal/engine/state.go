@@ -4,7 +4,7 @@ package engine
 // — counters, the multievent partial-match table, open windows with their
 // aggregator accumulators, per-group history rings, invariant training
 // state, and the `return distinct` suppression table — into one opaque wire
-// blob, and restores it into a freshly compiled query of the same source.
+// blob, and restores it into a fresh replica or compile of the same query.
 //
 // This is the state half of the evaluate/ingest split: EncodeState touches
 // exactly the structures Ingest mutates, nothing the (stateless) evaluation
@@ -97,8 +97,8 @@ func (q *Query) EncodeState() ([]byte, error) {
 	return b, nil
 }
 
-// RestoreState folds one encoded state blob into q (freshly compiled from
-// the same source the blob was captured under). disjoint selects whether
+// RestoreState folds one encoded state blob into q (a fresh replica or
+// compile of the query the blob was captured under). disjoint selects whether
 // this replica also absorbs the blob's single-owner state: the disjoint
 // counters, the distinct table, the partial-match table, and the late-event
 // count. Group-keyed state is kept only for the group-by keys keep accepts

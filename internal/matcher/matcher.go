@@ -149,6 +149,15 @@ func NewSeqMatcher(patterns []*Pattern, temporalOrder []int, cfg Config) (*SeqMa
 	return m, nil
 }
 
+// Empty returns a matcher sharing m's patterns, variables, order and bounds,
+// all fixed once NewSeqMatcher returns, and none of its partials or counts.
+func (m *SeqMatcher) Empty() *SeqMatcher {
+	return &SeqMatcher{
+		patterns: m.patterns, vars: m.vars, slots: m.slots,
+		orderPos: m.orderPos, horizon: m.horizon, maxPart: m.maxPart,
+	}
+}
+
 // slot returns name's slot, assigning the next free one at first sight.
 func (m *SeqMatcher) slot(name string) int {
 	if name == "" {

@@ -183,13 +183,13 @@ func (o *observer) hook(shard int, b *shardBatch, e *routedEntry) {
 	}
 }
 
-func compileRouting(t *testing.T, name, src string) (*engine.Query, func() (*engine.Query, error)) {
+func compileRouting(t *testing.T, name, src string) *engine.Query {
 	t.Helper()
 	q, err := engine.Compile(name, src, engine.CompileOptions{})
 	if err != nil {
 		t.Fatalf("compile %s: %v", name, err)
 	}
-	return q, func() (*engine.Query, error) { return engine.Compile(name, src, engine.CompileOptions{}) }
+	return q
 }
 
 // routingWorkload builds a random stream: mostly write events (hit the write
@@ -287,7 +287,7 @@ func serialStats(t *testing.T, evs []*event.Event) map[string]engine.QueryStats 
 	t.Helper()
 	s := scheduler.New(nil, true)
 	for _, qs := range routingQueries {
-		q, _ := compileRouting(t, qs.name, qs.src)
+		q := compileRouting(t, qs.name, qs.src)
 		if err := s.Add(q); err != nil {
 			t.Fatal(err)
 		}
@@ -316,8 +316,8 @@ func runRoutingCase(t *testing.T, seed int64, shards int, owns func(uint32) bool
 	homes := map[string][]int{}   // pinned set -> its members' home shards
 	placed := map[string][]bool{} // query -> shard -> holds a replica
 	for _, qs := range routingQueries {
-		primary, clone := compileRouting(t, qs.name, qs.src)
-		if _, err := r.Add(primary, clone); err != nil {
+		primary := compileRouting(t, qs.name, qs.src)
+		if _, err := r.Add(primary); err != nil {
 			t.Fatalf("add %s: %v", qs.name, err)
 		}
 		placed[qs.name] = make([]bool, shards)

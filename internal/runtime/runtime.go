@@ -643,11 +643,11 @@ func (r *Runtime) enqueueControl(c *control) error {
 
 // buildReplicas lays a query out across the shards: one home shard for
 // pinned placements (pinnedHome, or round-robin when negative), a filtered
-// replica per shard otherwise. warm says the primary has counted events: a
-// serial warm-up, or checkpoint state folded in before Start (a query holds
-// state only once events were offered to it, and its blob carries the
-// count). The caller holds r.mu.
-func (r *Runtime) buildReplicas(primary *engine.Query, clone func() (*engine.Query, error), pinnedHome int, warm bool) ([]*engine.Query, error) {
+// replica per shard otherwise, each extra one a primary.Replica(). warm says
+// the primary has counted events: a serial warm-up, or checkpoint state
+// folded in before Start (a query holds state only once events were offered
+// to it, and its blob carries the count). The caller holds r.mu.
+func (r *Runtime) buildReplicas(primary *engine.Query, pinnedHome int, warm bool) ([]*engine.Query, error) {
 	n := len(r.shards)
 	placement := primary.Placement()
 	replicas := make([]*engine.Query, n)
@@ -667,12 +667,11 @@ func (r *Runtime) buildReplicas(primary *engine.Query, clone func() (*engine.Que
 		}
 		replicas[home] = primary
 	case engine.PlaceByGroup, engine.PlaceByEvent:
-		// A warm primary's state is handed to every replica: the one way state
-		// reaches a shard. A by-group primary holds groups every shard owns,
-		// so every replica is a fresh clone keeping the groups its shard owns,
-		// the first one also taking the single-owner part. A
-		// by-event primary stays the first replica, and the others take the
-		// shared counters.
+		// A warm primary's state is handed to every replica, each an empty
+		// Replica of it: the one way state reaches a shard. A by-group
+		// replica keeps the groups its shard owns (by-event state has no
+		// groups to split), and the first also takes the single-owner part.
+		// A cold primary is the first replica itself.
 		var state []byte
 		if warm {
 			var err error
@@ -682,14 +681,10 @@ func (r *Runtime) buildReplicas(primary *engine.Query, clone func() (*engine.Que
 		}
 		for i := 0; i < n; i++ {
 			q := primary
-			if i > 0 || (state != nil && placement == engine.PlaceByGroup) {
-				var err error
-				if q, err = clone(); err != nil {
-					return nil, err
-				}
+			if i > 0 || state != nil {
+				q = primary.Replica()
 			}
-			if state != nil && q != primary {
-				// By-event state has no groups to split.
+			if state != nil {
 				var keep func(string) bool
 				if placement == engine.PlaceByGroup {
 					own := composeOwner(ownerFilter(i, n), owns)
@@ -714,19 +709,19 @@ func composeOwner(shard, owns func(uint32) bool) func(uint32) bool {
 	return func(h uint32) bool { return owns(h) && shard(h) }
 }
 
-// Add registers a compiled query across the shards. clone compiles an
-// identical fresh replica for each additional shard a distributed placement
-// needs, one for the router's evaluation scheduler, and one in primary's
-// place when primary hands warm state over (buildReplicas). Add returns the
-// query that stands for the registration: its first replica, primary unless
-// primary handed its state over, so the caller can let go of it.
-func (r *Runtime) Add(primary *engine.Query, clone func() (*engine.Query, error)) (*engine.Query, error) {
+// Add registers a compiled query across the shards. Every other replica it
+// needs — per additional shard of a distributed placement, for the router's
+// evaluation scheduler, and in primary's place when primary hands warm state
+// over (buildReplicas) — is a primary.Replica(). Add returns the query that
+// stands for the registration: its first replica, primary unless primary
+// handed its state over, so the caller can let go of it.
+func (r *Runtime) Add(primary *engine.Query) (*engine.Query, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, dup := r.queries[primary.Name]; dup {
 		return nil, fmt.Errorf("saql: duplicate query name %q", primary.Name)
 	}
-	if err := r.install(ctlAdd, primary, clone, -1, false); err != nil {
+	if err := r.install(ctlAdd, primary, -1, false); err != nil {
 		return nil, err
 	}
 	for _, q := range r.queries[primary.Name].replicas {
@@ -746,7 +741,7 @@ func (r *Runtime) Add(primary *engine.Query, clone func() (*engine.Query, error)
 // ownership is deterministic, so carried state lands on the shard that owns
 // it). The replacement's counters start fresh, exactly like a serial
 // remove+add, unless carry hands them over with the rest of the state.
-func (r *Runtime) Swap(primary *engine.Query, clone func() (*engine.Query, error), carry bool) error {
+func (r *Runtime) Swap(primary *engine.Query, carry bool) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	qi, ok := r.queries[primary.Name]
@@ -761,29 +756,26 @@ func (r *Runtime) Swap(primary *engine.Query, clone func() (*engine.Query, error
 			}
 		}
 	}
-	return r.install(ctlSwap, primary, clone, pinnedHome, carry)
+	return r.install(ctlSwap, primary, pinnedHome, carry)
 }
 
 // install lays primary out across the shards, sends the add or swap control,
 // and records the replica set in the registry. The caller holds r.mu.
-func (r *Runtime) install(kind ctlKind, primary *engine.Query, clone func() (*engine.Query, error), pinnedHome int, carry bool) error {
+func (r *Runtime) install(kind ctlKind, primary *engine.Query, pinnedHome int, carry bool) error {
 	name := primary.Name
 	// Read before the control hands primary to its shard worker. A primary
 	// that already counted events (a serial warm-up or a restored snapshot)
 	// is warm, and its events-offered counter resumes there — reading them
 	// folds what its serial slice log still holds.
 	counted := primary.Stats().Events
-	replicas, err := r.buildReplicas(primary, clone, pinnedHome, counted > 0)
+	replicas, err := r.buildReplicas(primary, pinnedHome, counted > 0)
 	if err != nil {
 		return err
 	}
 	// The router's evaluation scheduler needs its own replica: shard
 	// replicas carry ownership filters and are worker-confined. It is the
 	// one that counts the events offered to the query, from counted on.
-	evalQ, err := clone()
-	if err != nil {
-		return err
-	}
+	evalQ := primary.Replica()
 	evalQ.SetEventsOffered(counted)
 	c := &control{kind: kind, name: name, replicas: replicas, eval: evalQ, carry: carry}
 	results, err := r.control(c)

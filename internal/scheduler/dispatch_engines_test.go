@@ -22,11 +22,9 @@ func TestPinnedDispatchEnginesMatchProcess(t *testing.T) {
 	for _, sd := range scheduler.DispatchSeeds(t) {
 		t.Run(sd.Label, func(t *testing.T) {
 			c := scheduler.NewDispatchCase(sd.Seed)
-			compile := func(name, src string) func() (*engine.Query, error) {
-				return func() (*engine.Query, error) { return engine.Compile(name, src, engine.CompileOptions{}) }
-			}
-			must := func(q *engine.Query, err error) *engine.Query {
+			compile := func(name, src string) *engine.Query {
 				t.Helper()
+				q, err := engine.Compile(name, src, engine.CompileOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -35,7 +33,7 @@ func TestPinnedDispatchEnginesMatchProcess(t *testing.T) {
 
 			serial := scheduler.New(nil, c.Sharing)
 			for _, q := range c.Queries {
-				if err := serial.Add(must(compile(q.Name, q.Src)())); err != nil {
+				if err := serial.Add(compile(q.Name, q.Src)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -52,7 +50,7 @@ func TestPinnedDispatchEnginesMatchProcess(t *testing.T) {
 					case "pause", "resume":
 						serial.SetPaused(st.Name, st.Kind == "pause")
 					case "swap":
-						if err := serial.Swap(st.Name, must(compile(st.Name, st.Src)()), false); err != nil {
+						if err := serial.Swap(st.Name, compile(st.Name, st.Src), false); err != nil {
 							t.Fatal(err)
 						}
 					case "remove":
@@ -78,7 +76,7 @@ func TestPinnedDispatchEnginesMatchProcess(t *testing.T) {
 				})
 				r := runtime.Start(runtime.Config{Shards: shards, Sharing: c.Sharing, Fan: fan}, event.Watermark{})
 				for _, q := range c.Queries {
-					if _, err := r.Add(must(compile(q.Name, q.Src)()), compile(q.Name, q.Src)); err != nil {
+					if _, err := r.Add(compile(q.Name, q.Src)); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -91,7 +89,7 @@ func TestPinnedDispatchEnginesMatchProcess(t *testing.T) {
 						case "pause", "resume":
 							_, err = r.Pause(st.Name, st.Kind == "pause")
 						case "swap":
-							err = r.Swap(must(compile(st.Name, st.Src)()), compile(st.Name, st.Src), false)
+							err = r.Swap(compile(st.Name, st.Src), false)
 						case "remove":
 							_, err = r.Remove(st.Name)
 						}

@@ -253,16 +253,13 @@ func (s *Source) decodeWorkers() int {
 	return 1
 }
 
-// newDecoders builds the n decoders of one stream's decode pool. Several
-// share one intern table; one has a table of its own.
+// newDecoders builds the n decoders of one stream's decode pool, sharing one
+// intern table.
 func (s *Source) newDecoders(n int) ([]codec.Decoder, error) {
 	if s.cfg.Format == "" {
 		return nil, fmt.Errorf("source: no format configured")
 	}
-	opts := codec.Options{DefaultAgent: s.cfg.Agent, Intern: &s.sym}
-	if n > 1 {
-		opts.Table = new(codec.InternTable)
-	}
+	opts := codec.Options{DefaultAgent: s.cfg.Agent, Intern: &s.sym, Table: new(codec.InternTable)}
 	decs := make([]codec.Decoder, n)
 	for i := range decs {
 		dec, err := codec.New(s.cfg.Format, opts)

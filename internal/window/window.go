@@ -232,6 +232,15 @@ func NewManager(spec Spec, fields []FieldSpec) (*Manager, error) {
 	return m, nil
 }
 
+// Empty returns a manager with m's spec, fields and binding slots and none of
+// its state. The slot tables are copies: a restore may grow them (readEntities).
+func (m *Manager) Empty() *Manager {
+	return &Manager{
+		spec: m.spec, fields: m.fields, factories: m.factories, emptyFields: m.emptyFields, fieldOrder: m.fieldOrder,
+		entities: m.entities.clone(), events: m.events.clone(), deadline: math.MaxInt64,
+	}
+}
+
 // sortedOrder returns the indices of names in ascending name order.
 func sortedOrder(names []string) []int {
 	order := make([]int, len(names))
@@ -250,6 +259,11 @@ func (m *Manager) Spec() Spec { return m.spec }
 type slotTable struct {
 	names []string
 	order []int
+}
+
+// clone returns a copy of t that grows apart from it.
+func (t slotTable) clone() slotTable {
+	return slotTable{names: slices.Clone(t.names), order: slices.Clone(t.order)}
 }
 
 // slot returns name's slot, assigning the next free one at first sight.

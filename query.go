@@ -274,9 +274,8 @@ func (e *Engine) updateLocked(rec *queryRecord, src string, newQ *engine.Query, 
 	if rec.paused {
 		newQ.SetPaused(true)
 	}
-	next := &queryRecord{name: rec.name, src: src, paused: rec.paused}
 	if rt := e.rt.Load(); rt != nil {
-		if err := rt.Swap(newQ, e.cloneFor(next), carry); err != nil {
+		if err := rt.Swap(newQ, carry); err != nil {
 			return err
 		}
 	} else if err := e.sched.Swap(rec.name, newQ, carry); err != nil {
@@ -411,7 +410,7 @@ func (e *Engine) registerLocked(name, src string, q *engine.Query, labels map[st
 	rec := &queryRecord{name: name, src: src, q: q, managed: managed}
 	rec.handle = &QueryHandle{eng: e, name: name, labels: labels}
 	if rt := e.rt.Load(); rt != nil {
-		if _, err := rt.Add(q, e.cloneFor(rec)); err != nil {
+		if _, err := rt.Add(q); err != nil {
 			return nil, err
 		}
 	} else if err := e.sched.Add(q); err != nil {

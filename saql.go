@@ -423,13 +423,12 @@ func (e *Engine) Start(ctx context.Context) error {
 	// warm primary hands its count on to the runtime.
 	e.sched.EventsOffered()
 	// Distribute the already-registered queries in name order so pinned
-	// home-shard assignment is deterministic. The primary replicas carry
-	// their pause flags; cloneFor stamps them onto the extra replicas.
+	// home-shard assignment is deterministic. Each query's extra replicas are
+	// Replicas of it, carrying its program and pause flag: Start compiles nothing.
 	names := slices.Sorted(maps.Keys(e.reg))
 	installed := make([]*engine.Query, len(names))
 	for i, name := range names {
-		rec := e.reg[name]
-		q, err := rt.Add(rec.q, e.cloneFor(rec))
+		q, err := rt.Add(e.reg[name].q)
 		if err != nil {
 			rt.Close()
 			return err
@@ -497,21 +496,6 @@ func (e *Engine) Close() error {
 // default resource bounds, charging string fallbacks to this engine.
 func (e *Engine) compile(name, src string) (*engine.Query, error) {
 	return engine.Compile(name, src, engine.CompileOptions{Fallbacks: &e.fallbacks})
-}
-
-// cloneFor builds the replica factory for a query record: the sharded
-// runtime invokes it once per extra shard a distributed placement needs.
-// Values are captured eagerly so the clone is consistent with the record at
-// the moment the control operation was planned.
-func (e *Engine) cloneFor(rec *queryRecord) func() (*engine.Query, error) {
-	name, src, paused := rec.name, rec.src, rec.paused
-	return func() (*engine.Query, error) {
-		q, err := e.compile(name, src)
-		if err == nil && paused {
-			q.SetPaused(true)
-		}
-		return q, err
-	}
 }
 
 // ---------------------------------------------------------------------------
