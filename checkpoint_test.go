@@ -25,18 +25,18 @@ import (
 	"saql/internal/snapshot"
 )
 
-// checkpointAlertIdentity is the comparison key for recovery equivalence.
-// Event times compare by instant (UnixNano), not rendered zone: replayed
-// events decoded from the journal carry the same instants as the originals
-// but in the local zone.
-func checkpointAlertIdentity(a *Alert) string {
+// alertIdentity is the comparison key of every equivalence test: everything
+// but the detection time (wall clock) and delivery order. Event times compare
+// by instant (UnixNano), not rendered zone: replayed events decoded from the
+// journal carry the same instants as the originals but in the local zone.
+func alertIdentity(a *Alert) string {
 	return strconv.FormatInt(a.EventTime.UnixNano(), 10) + "|" + alertCountKey(a)
 }
 
 func sortedIdentities(alerts []*Alert) []string {
 	out := make([]string, 0, len(alerts))
 	for _, a := range alerts {
-		out = append(out, checkpointAlertIdentity(a))
+		out = append(out, alertIdentity(a))
 	}
 	sort.Strings(out)
 	return out

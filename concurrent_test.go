@@ -15,6 +15,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"saql/internal/conformance"
 )
 
 func TestLifecycleErrors(t *testing.T) {
@@ -194,31 +196,11 @@ return p`); err != nil {
 	}
 }
 
-// concurrencyWorkload builds an order-tolerant event set: every event falls
+// concurrencyWorkload is the ordered fleet (conformance.Fleet): every event
 // inside one long window, so aggregation is commutative and the serial
 // baseline is comparable no matter how concurrent submitters interleave.
-// It spreads activity over many processes (group-by keys) so every shard
-// owns work.
 func concurrencyWorkload(procs, eventsPerProc int) []*Event {
-	var evs []*Event
-	for p := 0; p < procs; p++ {
-		proc := Process(fmt.Sprintf("worker-%03d.exe", p), int32(1000+p))
-		for k := 0; k < eventsPerProc; k++ {
-			amount := float64(100 + p*10 + k)
-			if p%7 == 0 {
-				amount += 1e6 // the noisy groups that must alert
-			}
-			evs = append(evs, &Event{
-				Time:    demoStart.Add(time.Duration(p*eventsPerProc+k) * time.Millisecond),
-				AgentID: "db-1",
-				Subject: proc,
-				Op:      OpWrite,
-				Object:  NetConn("10.0.0.2", 1433, fmt.Sprintf("10.1.%d.%d", p/200, p%200), 443),
-				Amount:  amount,
-			})
-		}
-	}
-	return evs
+	return conformance.Fleet(demoStart, procs, eventsPerProc)
 }
 
 var concurrencyQueries = []struct{ name, src string }{
@@ -365,13 +347,6 @@ func TestConcurrentSubmitMatchesSerial(t *testing.T) {
 			}
 		}
 	}
-}
-
-// alertIdentity is the full-fidelity comparison key used by the kill-chain
-// equivalence test: everything except Detected (wall clock) and delivery
-// order must match the serial engine exactly.
-func alertIdentity(a *Alert) string {
-	return a.EventTime.Format(time.RFC3339Nano) + "|" + alertCountKey(a)
 }
 
 // TestShardedKillChainMatchesSerial is the end-to-end acceptance check:

@@ -8,11 +8,8 @@ package saql
 import (
 	"context"
 	"fmt"
-	"math/rand"
-	"os"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -224,223 +221,6 @@ return p, e.amount`,
 		if wantIDs[i] != gotIDs[i] {
 			t.Fatalf("alert sets diverge at #%d:\n  lifecycle: %s\n  restart:   %s", i, gotIDs[i], wantIDs[i])
 		}
-	}
-}
-
-// TestLifecycleHammerMatchesSerial is the conformance hammer for the
-// shared-evaluation router: one deterministic random script of Pause /
-// Resume / Update operations (thresholds tweaked, carry and fresh-state
-// swaps mixed) interleaved with event blocks, applied identically to a
-// never-started serial engine and to sharded engines at 1, 2, 8, and 96
-// shards. Every configuration must emit exactly the same alerts: control
-// operations ride the ingest queue in total order, so they land at the
-// same stream point everywhere, and the router's pre-evaluated hit sets
-// must stay consistent across every layout change the script provokes.
-// Each query's events-offered counter must agree too, at every shard count:
-// a paused span counts for nothing, a fresh-state Update restarts it and a
-// state-carrying one keeps it.
-//
-// Sharded engines receive each block in randomly sized sub-batches (from
-// single events up to a few dozen), so the partitioned router's per-shard
-// ring buffers sit in assorted partial-fill states whenever a control
-// operation forces a flush. The script and the batch chopping derive from
-// one seed, logged on every run; set SAQL_CONFORMANCE_SEED to reproduce.
-func TestLifecycleHammerMatchesSerial(t *testing.T) {
-	seed := int64(7)
-	if s := os.Getenv("SAQL_CONFORMANCE_SEED"); s != "" {
-		v, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			t.Fatalf("bad SAQL_CONFORMANCE_SEED %q: %v", s, err)
-		}
-		seed = v
-	}
-	t.Logf("lifecycle seed = %d (set SAQL_CONFORMANCE_SEED=%d to reproduce)", seed, seed)
-	const procs, perProc, blocks = 96, 25, 24
-	events := concurrencyWorkload(procs, perProc)
-
-	names := []string{"grouped-sum", "big-write", "global-volume"}
-	variant := func(name string, k int) string {
-		switch name {
-		case "grouped-sum":
-			return fmt.Sprintf(`proc p write ip i as e #time(1 h)
-state ss { amt := sum(e.amount)
-           n := count(e) } group by p
-alert ss.amt > %d
-return p, ss.amt, ss.n`, 1000000+k*1000)
-		case "big-write":
-			return fmt.Sprintf(`proc p write ip i as e
-alert e.amount > %d
-return p, e.amount`, 1000000+k*500)
-		case "global-volume":
-			return fmt.Sprintf(`proc p write ip i as e #time(1 h)
-state ss { total := sum(e.amount) }
-alert ss.total > %d
-return ss.total`, 5000000+k*10000)
-		}
-		t.Fatalf("unknown query %q", name)
-		return ""
-	}
-
-	// Generate the op script once; every engine replays it verbatim.
-	type step struct {
-		op    string // submit | pause | resume | update
-		block int
-		name  string
-		src   string
-		carry bool
-	}
-	rng := rand.New(rand.NewSource(seed))
-	var script []step
-	paused := map[string]bool{}
-	version := map[string]int{}
-	for b := 0; b < blocks; b++ {
-		script = append(script, step{op: "submit", block: b})
-		for i := 0; i < 1+rng.Intn(2); i++ {
-			name := names[rng.Intn(len(names))]
-			switch rng.Intn(3) {
-			case 0:
-				if paused[name] {
-					script = append(script, step{op: "resume", name: name})
-					paused[name] = false
-				} else {
-					script = append(script, step{op: "pause", name: name})
-					paused[name] = true
-				}
-			case 1:
-				version[name]++
-				// Carry only where the state layer allows it (stateful
-				// queries); the rule query always swaps fresh.
-				carry := name != "big-write" && rng.Intn(2) == 0
-				script = append(script, step{op: "update", name: name, src: variant(name, version[name]), carry: carry})
-			case 2:
-				// No-op: vary the spacing between control operations.
-			}
-		}
-	}
-
-	run := func(t *testing.T, shards int) ([]string, map[string]int64) {
-		t.Helper()
-		// Sub-batch chopping is deterministic per configuration; it changes
-		// envelope boundaries (and so ring-buffer fill at each flush), never
-		// the event order, so alert equality must be unaffected.
-		chop := rand.New(rand.NewSource(seed + int64(shards)*1000003))
-		var eng *Engine
-		if shards == 0 {
-			eng = New()
-		} else {
-			eng = New(WithShards(shards), WithIngestQueue(64))
-		}
-		handles := map[string]*QueryHandle{}
-		for _, name := range names {
-			h, err := eng.Register(name, variant(name, 0))
-			if err != nil {
-				t.Fatalf("Register(%s): %v", name, err)
-			}
-			handles[name] = h
-		}
-		var got []*Alert
-		var consumer sync.WaitGroup
-		if shards > 0 {
-			if err := eng.Start(context.Background()); err != nil {
-				t.Fatal(err)
-			}
-			sub := eng.Subscribe(8192, Block)
-			consumer.Add(1)
-			go func() {
-				defer consumer.Done()
-				for a := range sub.C {
-					got = append(got, a)
-				}
-			}()
-		}
-		blockSize := len(events) / blocks
-		for _, st := range script {
-			switch st.op {
-			case "submit":
-				from, to := st.block*blockSize, (st.block+1)*blockSize
-				if st.block == blocks-1 {
-					to = len(events)
-				}
-				if shards == 0 {
-					for _, ev := range events[from:to] {
-						got = append(got, eng.Process(ev)...)
-					}
-				} else {
-					for lo := from; lo < to; {
-						hi := lo + 1 + chop.Intn(48)
-						if hi > to {
-							hi = to
-						}
-						if err := eng.SubmitBatch(events[lo:hi]); err != nil {
-							t.Fatal(err)
-						}
-						lo = hi
-					}
-				}
-			case "pause":
-				if err := handles[st.name].Pause(); err != nil {
-					t.Fatalf("pause %s: %v", st.name, err)
-				}
-			case "resume":
-				if err := handles[st.name].Resume(); err != nil {
-					t.Fatalf("resume %s: %v", st.name, err)
-				}
-			case "update":
-				var opts []UpdateOption
-				if st.carry {
-					opts = append(opts, CarryWindowState())
-				}
-				if err := handles[st.name].Update(st.src, opts...); err != nil {
-					t.Fatalf("update %s: %v", st.name, err)
-				}
-			}
-		}
-		offered := map[string]int64{}
-		for _, name := range names {
-			qs, ok := eng.QueryStats(name)
-			if !ok {
-				t.Fatalf("QueryStats(%s) missing", name)
-			}
-			offered[name] = qs.Events
-		}
-		if shards == 0 {
-			got = append(got, eng.Flush()...)
-		} else {
-			if err := eng.Close(); err != nil {
-				t.Fatal(err)
-			}
-			consumer.Wait()
-		}
-		ids := make([]string, 0, len(got))
-		for _, a := range got {
-			ids = append(ids, alertIdentity(a))
-		}
-		sort.Strings(ids)
-		return ids, offered
-	}
-
-	want, wantOffered := run(t, 0)
-	if len(want) == 0 {
-		t.Fatal("serial hammer run produced no alerts")
-	}
-	for _, shards := range []int{1, 2, 8, 96} {
-		shards := shards
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			got, offered := run(t, shards)
-			for _, name := range names {
-				if offered[name] != wantOffered[name] {
-					t.Errorf("%s: events offered: sharded=%d serial=%d", name, offered[name], wantOffered[name])
-				}
-			}
-			if len(got) != len(want) {
-				t.Errorf("alert count: sharded=%d serial=%d", len(got), len(want))
-			}
-			for i := 0; i < len(want) && i < len(got); i++ {
-				if got[i] != want[i] {
-					t.Fatalf("alert sets diverge at #%d:\n  sharded: %s\n  serial:  %s", i, got[i], want[i])
-				}
-			}
-		})
 	}
 }
 
@@ -761,310 +541,6 @@ return p, ss.amt`, 1000000+i*1000)
 	}
 	if serial.Alerts == 0 {
 		t.Error("workload produced no alerts")
-	}
-}
-
-// TestCheckpointRestoreMatchesUninterrupted is the recovery conformance
-// hammer: one randomized script of event blocks interleaved with Pause /
-// Resume / Update operations runs against a durable engine that is
-// checkpointed at a random block boundary and killed at a random later
-// point; the engine is then restored from the snapshot (onto the same shard
-// count) and the script re-driven from the checkpoint position. The
-// pre-checkpoint alerts plus the restored engine's output must equal,
-// alert for alert, a serial engine that ran the whole script uninterrupted
-// — no lost, duplicated, or reordered detections — at 1, 2, and 8 shards,
-// and every query's events-offered counter must read what the uninterrupted
-// run's does: a restored engine resumes counting, it does not restart.
-//
-// The script, checkpoint block, and kill block derive from one seed, logged
-// on every run; set SAQL_CONFORMANCE_SEED to reproduce a failure.
-func TestCheckpointRestoreMatchesUninterrupted(t *testing.T) {
-	seed := time.Now().UnixNano()
-	if s := os.Getenv("SAQL_CONFORMANCE_SEED"); s != "" {
-		v, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			t.Fatalf("bad SAQL_CONFORMANCE_SEED %q: %v", s, err)
-		}
-		seed = v
-	}
-	t.Logf("conformance seed = %d (set SAQL_CONFORMANCE_SEED=%d to reproduce)", seed, seed)
-	rng := rand.New(rand.NewSource(seed))
-
-	const procs, perProc, blocks = 96, 25, 24
-	events := concurrencyWorkload(procs, perProc)
-	blockSize := len(events) / blocks
-
-	// Six queries covering every stateful layer a checkpoint must carry:
-	// open-window aggregators across all three placements, history rings,
-	// invariant training, and window clustering — plus a variant set of three
-	// sub-second window lengths, whose slice logs hold hits wherever a barrier
-	// lands. Update variants tune only thresholds, so carry stays legal where
-	// the script requests it.
-	names := []string{"grouped-sum", "big-write", "global-volume", "ts-history", "inv-dsts", "outlier-amt", "win-300", "win-400", "win-700"}
-	variant := func(name string, k int) string {
-		switch name {
-		case "win-300", "win-400", "win-700":
-			return fmt.Sprintf(`proc p write ip i as e #time(%s ms)
-state ss { amt := sum(e.amount) } group by p
-alert ss.amt > %d
-return p, ss.amt`, strings.TrimPrefix(name, "win-"), 2000+k*100)
-		case "grouped-sum":
-			return fmt.Sprintf(`proc p write ip i as e #time(1 h)
-state ss { amt := sum(e.amount)
-           n := count(e) } group by p
-alert ss.amt > %d
-return p, ss.amt, ss.n`, 1000000+k*1000)
-		case "big-write":
-			return fmt.Sprintf(`proc p write ip i as e
-alert e.amount > %d
-return p, e.amount`, 1000000+k*500)
-		case "global-volume":
-			return fmt.Sprintf(`proc p write ip i as e #time(1 h)
-state ss { total := sum(e.amount) }
-alert ss.total > %d
-return ss.total`, 5000000+k*10000)
-		case "ts-history":
-			return fmt.Sprintf(`proc p write ip i as e #time(500 ms)
-state[3] ss { amt := sum(e.amount) } group by p
-alert ss[0].amt > ss[1].amt + %d && ss[0].amt > 100
-return p, ss[0].amt, ss[1].amt`, 50+k*10)
-		case "inv-dsts":
-			// Grouped by agent id so the group recurs in every window:
-			// training completes mid-stream and detection windows (with
-			// their fresh destination sets) straddle the checkpoint.
-			return fmt.Sprintf(`proc p write ip i as e #time(600 ms)
-state ss { dsts := set(i.dstip) } group by e.agentid
-invariant[2] {
-  known := empty_set
-  known = known union ss.dsts
-}
-alert |ss.dsts diff known| >= %d
-return ss.dsts`, 1-k%2)
-		case "outlier-amt":
-			return fmt.Sprintf(`proc p write ip i as e #time(700 ms)
-state ss { amt := sum(e.amount) } group by i.dstip
-cluster(points=all(ss.amt), distance="ed", method="DBSCAN(%d, 3)")
-alert cluster.outlier && ss.amt > 1000
-return i.dstip, ss.amt`, 100000+k*5000)
-		}
-		t.Fatalf("unknown query %q", name)
-		return ""
-	}
-
-	// Generate the script once; the reference and every recovery run replay
-	// it verbatim.
-	type step struct {
-		op    string // submit | pause | resume | update
-		block int
-		name  string
-		src   string
-		carry bool
-	}
-	var script []step
-	cpStep, killStep := -1, -1
-	cpBlock := blocks/3 + rng.Intn(blocks/3)
-	killBlock := cpBlock + rng.Intn(blocks-cpBlock+1)
-	cpEvents := cpBlock * blockSize
-	paused := map[string]bool{}
-	version := map[string]int{}
-	for b := 0; b < blocks; b++ {
-		if b == cpBlock {
-			cpStep = len(script)
-		}
-		if b == killBlock {
-			killStep = len(script)
-		}
-		script = append(script, step{op: "submit", block: b})
-		for i := 0; i < 1+rng.Intn(2); i++ {
-			name := names[rng.Intn(len(names))]
-			switch rng.Intn(3) {
-			case 0:
-				if paused[name] {
-					script = append(script, step{op: "resume", name: name})
-					paused[name] = false
-				} else {
-					script = append(script, step{op: "pause", name: name})
-					paused[name] = true
-				}
-			case 1:
-				version[name]++
-				carry := name != "big-write" && rng.Intn(2) == 0
-				script = append(script, step{op: "update", name: name, src: variant(name, version[name]), carry: carry})
-			case 2:
-				// Spacing no-op.
-			}
-		}
-	}
-	if cpStep < 0 {
-		cpStep = len(script)
-	}
-	if killStep < 0 {
-		killStep = len(script)
-	}
-	t.Logf("checkpoint at block %d (event %d), kill at block %d, %d script steps", cpBlock, cpEvents, killBlock, len(script))
-
-	// drive executes script[from:to] against eng (serial engines process
-	// inline and their alerts are returned; running engines deliver through
-	// their handler). Running engines receive each block in randomly sized
-	// sub-batches — deterministic in (seed, from) — so the partitioned
-	// router's ring buffers are partially drained when the checkpoint
-	// barrier (and the kill) land; batch boundaries must never affect what a
-	// snapshot captures or what recovery replays.
-	drive := func(t *testing.T, eng *Engine, from, to int, serial bool) []*Alert {
-		t.Helper()
-		chop := rand.New(rand.NewSource(seed + int64(from)*7919))
-		var out []*Alert
-		for _, st := range script[from:to] {
-			switch st.op {
-			case "submit":
-				lo, hi := st.block*blockSize, (st.block+1)*blockSize
-				if st.block == blocks-1 {
-					hi = len(events)
-				}
-				if serial {
-					for _, ev := range events[lo:hi] {
-						out = append(out, eng.Process(ev)...)
-					}
-				} else {
-					for l := lo; l < hi; {
-						h := l + 1 + chop.Intn(48)
-						if h > hi {
-							h = hi
-						}
-						if err := eng.SubmitBatch(events[l:h]); err != nil {
-							t.Fatal(err)
-						}
-						l = h
-					}
-				}
-			case "pause", "resume":
-				h, ok := eng.Query(st.name)
-				if !ok {
-					t.Fatalf("%s: no handle for %q", st.op, st.name)
-				}
-				var err error
-				if st.op == "pause" {
-					err = h.Pause()
-				} else {
-					err = h.Resume()
-				}
-				if err != nil {
-					t.Fatalf("%s %s: %v", st.op, st.name, err)
-				}
-			case "update":
-				h, ok := eng.Query(st.name)
-				if !ok {
-					t.Fatalf("update: no handle for %q", st.name)
-				}
-				var opts []UpdateOption
-				if st.carry {
-					opts = append(opts, CarryWindowState())
-				}
-				if err := h.Update(st.src, opts...); err != nil {
-					t.Fatalf("update %s: %v", st.name, err)
-				}
-			}
-		}
-		return out
-	}
-	register := func(t *testing.T, eng *Engine) {
-		t.Helper()
-		for _, name := range names {
-			if _, err := eng.Register(name, variant(name, 0)); err != nil {
-				t.Fatalf("Register(%s): %v", name, err)
-			}
-		}
-	}
-
-	// Uninterrupted serial reference.
-	ref := New()
-	register(t, ref)
-	want := drive(t, ref, 0, len(script), true)
-	want = append(want, ref.Flush()...)
-	if len(want) == 0 {
-		t.Fatal("reference run produced no alerts")
-	}
-	wantIDs := sortedIdentities(want)
-	wantOffered := map[string]int64{}
-	for _, name := range names {
-		qs, _ := ref.QueryStats(name)
-		wantOffered[name] = qs.Events
-	}
-
-	for _, shards := range []int{1, 2, 8} {
-		shards := shards
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			dir := t.TempDir()
-			store, err := OpenStore(dir, StoreOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var mu sync.Mutex
-			var pre, discard, post []*Alert
-			sink := &pre
-			collect := func(a *Alert) {
-				mu.Lock()
-				*sink = append(*sink, a)
-				mu.Unlock()
-			}
-			e1 := New(WithShards(shards), WithJournal(store), WithAlertHandler(collect))
-			register(t, e1)
-			if err := e1.Start(context.Background()); err != nil {
-				t.Fatal(err)
-			}
-			drive(t, e1, 0, cpStep, false)
-			info, err := e1.Checkpoint(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if info.Offset != int64(cpEvents) {
-				t.Errorf("checkpoint offset = %d, want %d", info.Offset, cpEvents)
-			}
-			// Everything the handler saw so far is pre-barrier output; the
-			// barrier guarantees it is complete and exact.
-			mu.Lock()
-			sink = &discard
-			mu.Unlock()
-			// The doomed run keeps going past the checkpoint; its output and
-			// control operations die with it.
-			drive(t, e1, cpStep, killStep, false)
-			if err := e1.Close(); err != nil {
-				t.Fatal(err)
-			}
-
-			// Restore on the same shard count and re-drive the script from
-			// the checkpoint position (the recovery plane re-applies the
-			// lost control operations at their recorded stream positions).
-			e2, rinfo, err := Restore(dir,
-				WithoutReplay(),
-				WithRestoreEngineOptions(WithShards(shards), WithAlertHandler(func(a *Alert) {
-					mu.Lock()
-					post = append(post, a)
-					mu.Unlock()
-				})),
-			)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rinfo.Offset != int64(cpEvents) {
-				t.Errorf("restore offset = %d, want %d", rinfo.Offset, cpEvents)
-			}
-			drive(t, e2, cpStep, len(script), false)
-			for _, name := range names {
-				if qs, ok := e2.QueryStats(name); !ok || qs.Events != wantOffered[name] {
-					t.Errorf("seed %d shards %d: %s: events offered after restore = %d (found %v), uninterrupted = %d",
-						seed, shards, name, qs.Events, ok, wantOffered[name])
-				}
-			}
-			if err := e2.Close(); err != nil {
-				t.Fatal(err)
-			}
-
-			mu.Lock()
-			got := append(append([]*Alert{}, pre...), post...)
-			mu.Unlock()
-			diffAlertSets(t, fmt.Sprintf("seed %d shards %d", seed, shards), wantIDs, sortedIdentities(got))
-		})
 	}
 }
 

@@ -10,11 +10,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
 	"slices"
-	"strconv"
 	"testing"
-	"time"
+
+	"saql/internal/conformance"
 )
 
 var diffMetrics = []struct {
@@ -96,18 +95,10 @@ func TestDBSCANMatchesReference(t *testing.T) {
 	}
 
 	// Seeded random inputs: integer grids (many ties and exact-eps pairs) and
-	// clustered reals, in one and two dimensions. One fixed seed and one
-	// fresh one per run, logged; SAQL_CONFORMANCE_SEED reproduces a failure.
-	seeds := []int64{15, time.Now().UnixNano()}
-	if s := os.Getenv("SAQL_CONFORMANCE_SEED"); s != "" {
-		v, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			t.Fatalf("bad SAQL_CONFORMANCE_SEED %q: %v", s, err)
-		}
-		seeds = []int64{v}
-	}
-	for _, seed := range seeds {
-		t.Logf("random inputs seed = %d (set SAQL_CONFORMANCE_SEED=%d to reproduce)", seed, seed)
+	// clustered reals, in one and two dimensions, at a fixed seed and the
+	// fresh one.
+	for _, sd := range conformance.Seeds(t, 15) {
+		seed := sd.Value
 		rng := rand.New(rand.NewSource(seed))
 		for round := 0; round < 400; round++ {
 			n := 1 + rng.Intn(60)

@@ -1,8 +1,16 @@
-// Package conformance holds the inputs shared by the conformance suites of
-// several packages (the root package's language and lifecycle suites, the
-// engine's compiled-versus-oracle differential, the cluster hammer): the
-// language corpus, the extraction of the docs' fenced query blocks and a
-// seed-driven disordered stream (Disorder). Only tests import it.
+// Package conformance holds what the conformance suites of several packages
+// share:
+//   - the language corpus and the extraction of the docs' fenced query
+//     blocks;
+//   - the seeded simulation that checks the serial contract: the ordered
+//     fleet stream (Fleet) and the disordered one (Disorder), one table of
+//     query shapes, one step type and the script a seed derives (NewSim),
+//     played by the runners of the root package and of internal/dist;
+//   - the one seed rule every seeded suite follows (Seeds).
+//
+// It imports internal/event and package testing, never saql, so the root
+// package's in-package tests can use it; only tests import it, which CI
+// checks on the build graph.
 package conformance
 
 import (

@@ -8,6 +8,36 @@ import (
 	"saql/internal/event"
 )
 
+// Epoch is when the simulation's streams begin.
+var Epoch = time.Date(2020, 2, 27, 9, 0, 0, 0, time.UTC)
+
+// Fleet is an ordered stream of network writes: procs processes write
+// perProc times each, one millisecond apart from start, every process to its
+// own destination, so every event falls inside one long window and group
+// keys spread over every shard; one process in seven writes a million more
+// per event, so threshold queries have something to find.
+func Fleet(start time.Time, procs, perProc int) []*event.Event {
+	evs := make([]*event.Event, 0, procs*perProc)
+	for p := 0; p < procs; p++ {
+		proc := event.Process(fmt.Sprintf("worker-%03d.exe", p), int32(1000+p))
+		for k := 0; k < perProc; k++ {
+			amount := float64(100 + p*10 + k)
+			if p%7 == 0 {
+				amount += 1e6
+			}
+			evs = append(evs, &event.Event{
+				Time:    start.Add(time.Duration(p*perProc+k) * time.Millisecond),
+				AgentID: "db-1",
+				Subject: proc,
+				Op:      event.OpWrite,
+				Object:  event.NetConn("10.0.0.2", 1433, fmt.Sprintf("10.1.%d.%d", p/200, p%200), 443),
+				Amount:  amount,
+			})
+		}
+	}
+	return evs
+}
+
 // Disorder shapes a seed-driven disordered stream: network writes by a dozen
 // processes spread over four hosts, as a feed merged from those hosts shows
 // them. The nominal clock advances Window/16 per event, and:

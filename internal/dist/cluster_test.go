@@ -10,12 +10,11 @@ package dist_test
 
 import (
 	"fmt"
-	"math/rand"
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
-	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -26,94 +25,9 @@ import (
 	"saql/internal/leakcheck"
 )
 
-var clusterStart = time.Date(2020, 2, 27, 9, 0, 0, 0, time.UTC)
-
-// clusterWorkload mirrors the root package's concurrency workload: many
-// process groups inside one long window, with p%7==0 groups noisy enough to
-// alert, so every worker's key ranges own real work.
-func clusterWorkload(procs, perProc int) []*saql.Event {
-	var evs []*saql.Event
-	for p := 0; p < procs; p++ {
-		proc := saql.Process(fmt.Sprintf("worker-%03d.exe", p), int32(1000+p))
-		for k := 0; k < perProc; k++ {
-			amount := float64(100 + p*10 + k)
-			if p%7 == 0 {
-				amount += 1e6
-			}
-			evs = append(evs, &saql.Event{
-				Time:    clusterStart.Add(time.Duration(p*perProc+k) * time.Millisecond),
-				AgentID: "db-1",
-				Subject: proc,
-				Op:      saql.OpWrite,
-				Object:  saql.NetConn("10.0.0.2", 1433, fmt.Sprintf("10.1.%d.%d", p/200, p%200), 443),
-				Amount:  amount,
-			})
-		}
-	}
-	return evs
-}
-
-// clusterQueryNames covers every placement a cluster splits: by-group and
-// by-event queries partitioned by key range, a pinned global aggregate, a
-// pinned history ring, an invariant, and a pinned clustering query.
-var clusterQueryNames = []string{
-	"grouped-sum", "big-write", "global-volume", "ts-history", "inv-dsts", "outlier-amt",
-}
-
-func clusterVariant(t *testing.T, name string, k int) string {
-	switch name {
-	case "grouped-sum":
-		return fmt.Sprintf(`proc p write ip i as e #time(1 h)
-state ss { amt := sum(e.amount)
-           n := count(e) } group by p
-alert ss.amt > %d
-return p, ss.amt, ss.n`, 1000000+k*1000)
-	case "big-write":
-		return fmt.Sprintf(`proc p write ip i as e
-alert e.amount > %d
-return p, e.amount`, 1000000+k*500)
-	case "global-volume":
-		return fmt.Sprintf(`proc p write ip i as e #time(1 h)
-state ss { total := sum(e.amount) }
-alert ss.total > %d
-return ss.total`, 5000000+k*10000)
-	case "ts-history":
-		return fmt.Sprintf(`proc p write ip i as e #time(500 ms)
-state[3] ss { amt := sum(e.amount) } group by p
-alert ss[0].amt > ss[1].amt + %d && ss[0].amt > 100
-return p, ss[0].amt, ss[1].amt`, 50+k*10)
-	case "inv-dsts":
-		return fmt.Sprintf(`proc p write ip i as e #time(600 ms)
-state ss { dsts := set(i.dstip) } group by e.agentid
-invariant[2] {
-  known := empty_set
-  known = known union ss.dsts
-}
-alert |ss.dsts diff known| >= %d
-return ss.dsts`, 1-k%2)
-	case "outlier-amt":
-		return fmt.Sprintf(`proc p write ip i as e #time(700 ms)
-state ss { amt := sum(e.amount) } group by i.dstip
-cluster(points=all(ss.amt), distance="ed", method="DBSCAN(%d, 3)")
-alert cluster.outlier && ss.amt > 1000
-return i.dstip, ss.amt`, 100000+k*5000)
-	}
-	t.Fatalf("unknown query %q", name)
-	return ""
-}
-
-func conformanceSeed(t *testing.T) int64 {
-	seed := time.Now().UnixNano()
-	if s := os.Getenv("SAQL_CONFORMANCE_SEED"); s != "" {
-		v, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			t.Fatalf("bad SAQL_CONFORMANCE_SEED %q: %v", s, err)
-		}
-		seed = v
-	}
-	t.Logf("conformance seed = %d (set SAQL_CONFORMANCE_SEED=%d to reproduce)", seed, seed)
-	return seed
-}
+// groupedSum is the small cluster tests' query: a per-process sum over one
+// long window, which the fleet's noisy processes cross.
+var groupedSum = conformance.Src("sum-count-by-p", "1 h", 1000000)
 
 func sortedClusterIdentities(alerts []*saql.Alert) []string {
 	out := make([]string, 0, len(alerts))
@@ -136,184 +50,100 @@ func diffIdentitySets(t *testing.T, label string, want, got []string) {
 	}
 }
 
-// scriptStep is one shared step: both the serial reference and the cluster
-// apply it; fault injections are cluster-only.
-type scriptStep struct {
-	op    string // submit | pause | resume | update
-	block int
-	name  string
-	src   string
-	carry bool
-}
-
-// clusterFault is one cluster-only action injected AFTER a script step.
-type clusterFault struct {
-	kind   string // kill | replace | migrate | barrier
-	worker int    // kill
-	from   int    // migrate
-	to     int    // migrate
-}
-
-// TestClusterMatchesSerial is the distributed recovery-equivalence hammer
-// (the PR's acceptance test). Three in-process workers — each a real
-// engine journaling and checkpointing its own directory — run a randomized
-// queryset-lifecycle script against a randomized fault plan with at least
-// one worker kill (with mid-epoch events before the replacement arrives)
-// and at least one live key-range migration. The delivered alert multiset
-// must equal the uninterrupted serial run's, alert for alert.
+// TestClusterMatchesSerial is the distributed recovery-equivalence hammer.
+// Three in-process workers — each a real engine journaling and checkpointing
+// its own directory — play conformance.Sim's script over the ordered fleet,
+// queryset operations and cluster faults alike: at least one worker kill
+// (with events submitted before the replacement arrives) and at least one
+// live key-range migration. The delivered alert multiset must equal the
+// uninterrupted serial run's, alert for alert.
 func TestClusterMatchesSerial(t *testing.T) {
 	leakcheck.Check(t)
-	clusterMatchesSerial(t, conformanceSeed(t), clusterWorkload(96, 25), true)
+	clusterMatchesSerial(t, conformance.Ordered)
 }
 
-// TestClusterMatchesSerialDisordered runs the same hammer — kills,
-// replacements, barriers and migrations included — over a disordered stream
-// (conformance.Disorder: late by up to three windows, one host's clock
-// jumping back), with no queryset control operations.
+// TestClusterMatchesSerialDisordered runs the same hammer over the disordered
+// stream (conformance.Disorder: late by up to three windows, one host's clock
+// jumping back).
 func TestClusterMatchesSerialDisordered(t *testing.T) {
 	leakcheck.Check(t)
-	seed := conformanceSeed(t)
-	events := conformance.Disorder{Seed: seed, Start: clusterStart, Events: 2400, Window: time.Second, Late: 3, Jump: 4 * time.Second}.Stream()
-	clusterMatchesSerial(t, seed, events, false)
+	clusterMatchesSerial(t, conformance.Disordered)
 }
 
-// clusterMatchesSerial is the hammer: events in 24 blocks, with queryset
-// control operations between them when controls is set.
-func clusterMatchesSerial(t *testing.T, seed int64, events []*saql.Event, controls bool) {
-	rng := rand.New(rand.NewSource(seed))
-
-	const workers, blocks = 3, 24
-	blockSize := len(events) / blocks
-
-	// Shared script: event blocks interleaved with queryset control ops.
-	var script []scriptStep
-	paused := map[string]bool{}
-	version := map[string]int{}
-	for b := 0; b < blocks; b++ {
-		script = append(script, scriptStep{op: "submit", block: b})
-		for i := 0; controls && i < 1+rng.Intn(2); i++ {
-			name := clusterQueryNames[rng.Intn(len(clusterQueryNames))]
-			switch rng.Intn(3) {
-			case 0:
-				if paused[name] {
-					script = append(script, scriptStep{op: "resume", name: name})
-					paused[name] = false
-				} else {
-					script = append(script, scriptStep{op: "pause", name: name})
-					paused[name] = true
-				}
-			case 1:
-				version[name]++
-				carry := name != "big-write" && rng.Intn(2) == 0
-				script = append(script, scriptStep{op: "update", name: name, src: clusterVariant(t, name, version[name]), carry: carry})
-			case 2:
-				// Spacing no-op.
+func clusterMatchesSerial(t *testing.T, stream conformance.Stream) {
+	for _, s := range conformance.Seeds(t) {
+		t.Run(s.Label, func(t *testing.T) {
+			sim := conformance.NewSim(s.Value, stream)
+			want := serialRun(t, sim)
+			if len(want) == 0 {
+				t.Fatal("serial reference produced no alerts")
 			}
-		}
+			diffIdentitySets(t, fmt.Sprintf("seed %d", s.Value), want, clusterRun(t, sim))
+		})
 	}
+}
 
-	// Cluster-only fault plan, keyed by script-step index. One kill (left
-	// dead across at least the following submit, so the replacement needs
-	// the retained epoch) and one migration are guaranteed; extras are
-	// random. Kills land only after submit steps so death interrupts the
-	// event stream, never a half-acked control op.
-	var submitSteps []int
-	for i, st := range script {
-		if st.op == "submit" {
-			submitSteps = append(submitSteps, i)
+// serialRun plays sim's queryset operations on a never-started engine, the
+// contract's reference, and returns its sorted alert identities.
+func serialRun(t *testing.T, sim *conformance.Sim) []string {
+	eng := saql.New()
+	for _, q := range sim.Queries {
+		if _, err := eng.Register(q.Name, q.Src); err != nil {
+			t.Fatal(err)
 		}
 	}
-	faults := map[int][]clusterFault{}
-	addFault := func(step int, f clusterFault) { faults[step] = append(faults[step], f) }
-	mustKill := submitSteps[len(submitSteps)/4+rng.Intn(len(submitSteps)/4)]
-	addFault(mustKill, clusterFault{kind: "kill", worker: rng.Intn(workers)})
-	mustMigrate := submitSteps[len(submitSteps)/2+rng.Intn(len(submitSteps)/4)]
-	from := rng.Intn(workers)
-	addFault(mustMigrate, clusterFault{kind: "migrate", from: from, to: (from + 1 + rng.Intn(workers-1)) % workers})
-	for _, step := range submitSteps {
-		if len(faults[step]) > 0 {
-			continue
-		}
-		switch rng.Intn(10) {
-		case 0:
-			addFault(step, clusterFault{kind: "kill", worker: rng.Intn(workers)})
-		case 1:
-			f := rng.Intn(workers)
-			addFault(step, clusterFault{kind: "migrate", from: f, to: (f + 1 + rng.Intn(workers-1)) % workers})
-		case 2:
-			addFault(step, clusterFault{kind: "barrier"})
-		case 3:
-			addFault(step, clusterFault{kind: "replace"})
-		}
-	}
-	t.Logf("script: %d steps, guaranteed kill after step %d, guaranteed migration after step %d, %d fault points",
-		len(script), mustKill, mustMigrate, len(faults))
-
-	register := func(eng *saql.Engine) error {
-		for _, name := range clusterQueryNames {
-			if _, err := eng.Register(name, clusterVariant(t, name, 0)); err != nil {
-				return err
+	var alerts []*saql.Alert
+	sim.Run(func(st conformance.Step) {
+		var err error
+		switch st.Op {
+		case conformance.Submit:
+			for _, ev := range sim.Events[st.From:st.To] {
+				alerts = append(alerts, eng.Process(ev)...)
 			}
-		}
-		return nil
-	}
-
-	// Uninterrupted serial reference.
-	ref := saql.New()
-	if err := register(ref); err != nil {
-		t.Fatal(err)
-	}
-	var want []*saql.Alert
-	for _, st := range script {
-		switch st.op {
-		case "submit":
-			lo, hi := st.block*blockSize, (st.block+1)*blockSize
-			if st.block == blocks-1 {
-				hi = len(events)
-			}
-			for _, ev := range events[lo:hi] {
-				want = append(want, ref.Process(ev)...)
-			}
-		case "pause", "resume":
-			h, ok := ref.Query(st.name)
+		case conformance.Register:
+			_, err = eng.Register(st.Name, st.Src)
+		case conformance.Pause, conformance.Resume, conformance.Update, conformance.Remove:
+			h, ok := eng.Query(st.Name)
 			if !ok {
-				t.Fatalf("no handle for %q", st.name)
+				t.Fatalf("%s: no query %q", st.Op, st.Name)
 			}
-			var err error
-			if st.op == "pause" {
+			switch st.Op {
+			case conformance.Pause:
 				err = h.Pause()
-			} else {
+			case conformance.Resume:
 				err = h.Resume()
+			case conformance.Remove:
+				err = h.Close()
+			default:
+				var carry []saql.UpdateOption
+				if st.Carry {
+					carry = append(carry, saql.CarryWindowState())
+				}
+				err = h.Update(st.Src, carry...)
 			}
-			if err != nil {
-				t.Fatalf("%s %s: %v", st.op, st.name, err)
-			}
-		case "update":
-			h, ok := ref.Query(st.name)
-			if !ok {
-				t.Fatalf("no handle for %q", st.name)
-			}
-			var opts []saql.UpdateOption
-			if st.carry {
-				opts = append(opts, saql.CarryWindowState())
-			}
-			if err := h.Update(st.src, opts...); err != nil {
-				t.Fatalf("update %s: %v", st.name, err)
-			}
+		case conformance.Stats, conformance.Kill, conformance.Replace, conformance.Migrate, conformance.Barrier:
+			// The cluster reads no counters, and one engine has no workers to fail.
+		default:
+			t.Fatalf("no serial runner for step %q", st.Op)
 		}
-	}
-	want = append(want, ref.Flush()...)
-	if len(want) == 0 {
-		t.Fatal("serial reference produced no alerts")
-	}
-	wantIDs := sortedClusterIdentities(want)
+		if err != nil {
+			t.Fatalf("%s %s: %v", st.Op, st.Name, err)
+		}
+	})
+	return sortedClusterIdentities(append(alerts, eng.Flush()...))
+}
 
-	// The cluster. Workers run in-process over synchronous pipes; each has
-	// its own journal/checkpoint directory — a kill leaves the directory
-	// behind for the replacement.
-	ids := make([]string, workers)
-	dirs := make([]string, workers)
-	live := make([]*dist.Worker, workers)
+// clusterRun plays sim on three workers behind one coordinator and returns
+// the sorted identities of the alerts it delivered. Workers run in-process
+// over synchronous pipes, each with its own journal and checkpoint directory,
+// which a kill leaves behind for the replacement. At most one worker is dead
+// at a time, replaced lazily — so the epoch catch-up path runs — but always
+// before the next operation that needs every worker; a run in which no
+// submit found a worker dead fails.
+func clusterRun(t *testing.T, sim *conformance.Sim) []string {
+	ids := make([]string, conformance.Workers)
+	dirs := make([]string, conformance.Workers)
+	live := make([]*dist.Worker, conformance.Workers)
 	for i := range ids {
 		ids[i] = fmt.Sprintf("w%d", i)
 		dirs[i] = t.TempDir()
@@ -332,71 +162,77 @@ func clusterMatchesSerial(t *testing.T, seed int64, events []*saql.Event, contro
 		AckTimeout: time.Minute,
 		Logf:       t.Logf,
 	})
-	ranges := dist.SplitRanges(workers)
+	ranges := dist.SplitRanges(conformance.Workers)
 	for i := range ids {
 		if err := coord.AddWorker(ids[i], spawn(i), ranges[i]); err != nil {
 			t.Fatalf("AddWorker(%s): %v", ids[i], err)
 		}
 	}
-	for _, name := range clusterQueryNames {
-		if err := coord.Register(name, clusterVariant(t, name, 0)); err != nil {
-			t.Fatalf("Register(%s): %v", name, err)
+	for _, q := range sim.Queries {
+		if err := coord.Register(q.Name, q.Src); err != nil {
+			t.Fatalf("Register(%s): %v", q.Name, err)
 		}
 	}
 
-	// Fault-plan driver state: at most one worker dead at a time, replaced
-	// lazily so the epoch-catch-up path is exercised, but always before the
-	// next control op or fault that needs full membership.
-	pendingDead := -1
+	dead := -1
 	waitDead := func(i int) {
 		deadline := time.Now().Add(10 * time.Second)
-		for {
-			for _, id := range coord.DeadWorkers() {
-				if id == ids[i] {
-					return
-				}
-			}
+		for !slices.Contains(coord.DeadWorkers(), ids[i]) {
 			if time.Now().After(deadline) {
 				t.Fatalf("worker %s never marked dead", ids[i])
 			}
 			time.Sleep(2 * time.Millisecond)
 		}
 	}
-	replacePending := func() {
-		if pendingDead < 0 {
+	replace := func() {
+		if dead < 0 {
 			return
 		}
-		i := pendingDead
-		pendingDead = -1
+		i := dead
+		dead = -1
 		waitDead(i)
 		if err := coord.ReplaceWorker(ids[i], spawn(i)); err != nil {
 			t.Fatalf("ReplaceWorker(%s): %v", ids[i], err)
 		}
 	}
-	kills, migrations := 0, 0
-	runFault := func(f clusterFault) {
-		switch f.kind {
-		case "kill":
-			replacePending() // one dead worker at a time
-			live[f.worker].Kill()
-			waitDead(f.worker)
-			pendingDead = f.worker
+	kills, migrations, deadSubmits := 0, 0, 0
+	sim.Run(func(st conformance.Step) {
+		if st.Op == conformance.Stats {
+			return
+		}
+		if st.Op != conformance.Submit {
+			replace()
+		}
+		var err error
+		switch st.Op {
+		case conformance.Submit:
+			if dead >= 0 {
+				deadSubmits++
+			}
+			err = coord.SubmitBatch(sim.Events[st.From:st.To])
+		case conformance.Pause:
+			err = coord.Pause(st.Name)
+		case conformance.Resume:
+			err = coord.Resume(st.Name)
+		case conformance.Update:
+			err = coord.Update(st.Name, st.Src, st.Carry)
+		case conformance.Register:
+			err = coord.Register(st.Name, st.Src)
+		case conformance.Remove:
+			err = coord.Remove(st.Name)
+		case conformance.Kill:
+			live[st.From].Kill()
+			waitDead(st.From)
+			dead = st.From
 			kills++
-		case "replace":
-			replacePending()
-		case "barrier":
-			replacePending()
-			if err := coord.Checkpoint(); err != nil {
-				t.Fatalf("checkpoint: %v", err)
-			}
-		case "migrate":
-			replacePending()
-			fromID, toID := ids[f.from], ids[f.to]
-			rs := coord.Workers()[fromID]
-			if len(rs) == 0 {
-				t.Fatalf("worker %s owns no ranges", fromID)
-			}
+		case conformance.Barrier, conformance.Checkpoint:
+			err = coord.Checkpoint()
+		case conformance.Migrate:
 			// Move the upper half of the source's widest range.
+			rs := coord.Workers()[ids[st.From]]
+			if len(rs) == 0 {
+				t.Fatalf("worker %s owns no ranges", ids[st.From])
+			}
 			widest := rs[0]
 			for _, r := range rs[1:] {
 				if r.Hi-r.Lo > widest.Hi-widest.Lo {
@@ -407,57 +243,26 @@ func clusterMatchesSerial(t *testing.T, seed int64, events []*saql.Event, contro
 				return // nothing meaningful left to split
 			}
 			mid := widest.Lo + (widest.Hi-widest.Lo)/2
-			mig := []saql.KeyRange{{Lo: mid + 1, Hi: widest.Hi}}
-			if err := coord.Migrate(fromID, toID, mig); err != nil {
-				t.Fatalf("migrate %s->%s %v: %v", fromID, toID, mig, err)
-			}
+			err = coord.Migrate(ids[st.From], ids[st.To], []saql.KeyRange{{Lo: mid + 1, Hi: widest.Hi}})
 			migrations++
+		case conformance.Flush, conformance.Start, conformance.Crash:
+			t.Fatalf("a cluster has no %s step", st.Op)
 		}
-	}
-
-	for i, st := range script {
-		switch st.op {
-		case "submit":
-			lo, hi := st.block*blockSize, (st.block+1)*blockSize
-			if st.block == blocks-1 {
-				hi = len(events)
-			}
-			if err := coord.SubmitBatch(events[lo:hi]); err != nil {
-				t.Fatal(err)
-			}
-		case "pause":
-			replacePending()
-			if err := coord.Pause(st.name); err != nil {
-				t.Fatalf("pause %s: %v", st.name, err)
-			}
-		case "resume":
-			replacePending()
-			if err := coord.Resume(st.name); err != nil {
-				t.Fatalf("resume %s: %v", st.name, err)
-			}
-		case "update":
-			replacePending()
-			if err := coord.Update(st.name, st.src, st.carry); err != nil {
-				t.Fatalf("update %s: %v", st.name, err)
-			}
+		if err != nil {
+			t.Fatalf("%s %s: %v", st.Op, st.Name, err)
 		}
-		for _, f := range faults[i] {
-			runFault(f)
-		}
-	}
-	replacePending()
+	})
+	replace()
 	if err := coord.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	if kills == 0 || migrations == 0 {
-		t.Fatalf("fault plan executed %d kills and %d migrations; both must be >= 1", kills, migrations)
+	if kills == 0 || migrations == 0 || deadSubmits == 0 {
+		t.Fatalf("the fault plan executed %d kills, %d migrations and %d submits with a worker dead; each must be >= 1", kills, migrations, deadSubmits)
 	}
-	t.Logf("fault plan executed: %d kills, %d migrations", kills, migrations)
-
+	t.Logf("%d steps; the fault plan executed %d kills, %d migrations and %d submits with a worker dead", len(sim.Script), kills, migrations, deadSubmits)
 	gmu.Lock()
-	gotIDs := sortedClusterIdentities(got)
-	gmu.Unlock()
-	diffIdentitySets(t, fmt.Sprintf("seed %d", seed), wantIDs, gotIDs)
+	defer gmu.Unlock()
+	return sortedClusterIdentities(got)
 }
 
 // TestClusterOverTCP is the wire smoke test: the same coordinator/worker
@@ -466,8 +271,8 @@ func clusterMatchesSerial(t *testing.T, seed int64, events []*saql.Event, contro
 func TestClusterOverTCP(t *testing.T) {
 	leakcheck.Check(t)
 	const workers = 2
-	events := clusterWorkload(28, 10)
-	src := clusterVariant(t, "grouped-sum", 0)
+	events := conformance.Fleet(conformance.Epoch, 28, 10)
+	src := groupedSum
 
 	ref := saql.New()
 	if _, err := ref.Register("grouped-sum", src); err != nil {
@@ -542,8 +347,8 @@ func TestClusterOverTCP(t *testing.T) {
 // re-dialing the same address after a kill.
 func TestClusterInProcTransport(t *testing.T) {
 	leakcheck.Check(t)
-	events := clusterWorkload(21, 8)
-	src := clusterVariant(t, "grouped-sum", 0)
+	events := conformance.Fleet(conformance.Epoch, 21, 8)
+	src := groupedSum
 
 	ref := saql.New()
 	if _, err := ref.Register("grouped-sum", src); err != nil {
@@ -669,7 +474,7 @@ func TestHeartbeatLease(t *testing.T) {
 // neither its engine's shards nor the serve loop.
 func TestWorkerShutdownJoinsGoroutines(t *testing.T) {
 	leakcheck.Check(t)
-	events := clusterWorkload(14, 6)
+	events := conformance.Fleet(conformance.Epoch, 14, 6)
 	var gmu sync.Mutex
 	n := 0
 	coord := dist.NewCoordinator(dist.Config{
@@ -681,7 +486,7 @@ func TestWorkerShutdownJoinsGoroutines(t *testing.T) {
 	if err := coord.AddWorker("w0", client, dist.SplitRanges(1)[0]); err != nil {
 		t.Fatal(err)
 	}
-	if err := coord.Register("grouped-sum", clusterVariant(t, "grouped-sum", 0)); err != nil {
+	if err := coord.Register("grouped-sum", groupedSum); err != nil {
 		t.Fatal(err)
 	}
 	if err := coord.SubmitBatch(events); err != nil {
@@ -704,9 +509,9 @@ func TestWorkerShutdownJoinsGoroutines(t *testing.T) {
 // handshake on the torn bytes.
 func TestWorkerRejoinsOverTornOrphanJournal(t *testing.T) {
 	leakcheck.Check(t)
-	events := clusterWorkload(21, 8)
+	events := conformance.Fleet(conformance.Epoch, 21, 8)
 	cut := len(events) / 2
-	src := clusterVariant(t, "grouped-sum", 0)
+	src := groupedSum
 
 	// The query arrives after the first half of the stream, so that half
 	// (journaled, orphaned, replayed into an engine with no queries) raises

@@ -9,8 +9,6 @@ package engine
 
 import (
 	"fmt"
-	"os"
-	"strconv"
 	"testing"
 	"time"
 
@@ -91,29 +89,9 @@ alert cluster.size >= 0
 return i.dstip, ss.amt, cluster.outlier, cluster.cluster_id, cluster.size`},
 }
 
-// closeSeed is one background workload the differential runs over, named
-// for its subtests.
-type closeSeed struct {
-	label string
-	seed  int64
-}
-
-// closeSeeds are the demo stream's own seed, a pinned second one, and one
-// fresh per run unless SAQL_CONFORMANCE_SEED pins it. The fresh seed's
-// subtests are labelled "seed=fresh", so the suite's test names do not
-// change from run to run.
-func closeSeeds(t *testing.T) []closeSeed {
-	seed := time.Now().UnixNano() % 1_000_000
-	if s := os.Getenv("SAQL_CONFORMANCE_SEED"); s != "" {
-		v, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			t.Fatalf("bad SAQL_CONFORMANCE_SEED %q: %v", s, err)
-		}
-		seed = v
-	}
-	t.Logf("close differential fresh seed = %d (set SAQL_CONFORMANCE_SEED=%d to reproduce)", seed, seed)
-	return []closeSeed{{"seed=42", 42}, {"seed=540010", 540010}, {"seed=fresh", seed}}
-}
+// closeSeeds are the demo stream's own seed, a pinned second one and the
+// fresh one.
+func closeSeeds(t *testing.T) []conformance.Seed { return conformance.Seeds(t, 42, 540010) }
 
 // renderAlert spells out every field the two sides must agree on: the return
 // items' names and order, the values with their kinds, the group key, the
@@ -145,9 +123,9 @@ func TestCloseMatchesOracle(t *testing.T) {
 	clock := func() time.Time { return t0 }
 	cases := append(foldCases(), closeDiffShapes...)
 	for _, s := range closeSeeds(t) {
-		events := demoStreamSeeded(t, s.seed)
+		events := demoStreamSeeded(t, s.Value)
 		for _, c := range cases {
-			t.Run(c.Name+"/"+s.label, func(t *testing.T) {
+			t.Run(c.Name+"/"+s.Label, func(t *testing.T) {
 				// A small partial-match table keeps the multievent joins of the
 				// corpus cheap; what a completed match evaluates is the same.
 				opts := CompileOptions{MaxPartials: 64}

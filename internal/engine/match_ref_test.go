@@ -60,9 +60,9 @@ return p`},
 func TestMatchBatchMatchesPerEventHits(t *testing.T) {
 	cases := append(foldCases(), matchShapes...)
 	for _, sd := range closeSeeds(t) {
-		t.Run(sd.label, func(t *testing.T) {
-			events := demoStreamSeeded(t, sd.seed)
-			rng := rand.New(rand.NewSource(sd.seed))
+		t.Run(sd.Label, func(t *testing.T) {
+			events := demoStreamSeeded(t, sd.Value)
+			rng := rand.New(rand.NewSource(sd.Value))
 			for _, c := range cases {
 				q := compile(t, c.Name, c.Src)
 				hits := 0

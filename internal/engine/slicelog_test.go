@@ -11,12 +11,11 @@ package engine
 import (
 	"fmt"
 	"math/rand"
-	"os"
 	"slices"
-	"strconv"
 	"testing"
 	"time"
 
+	"saql/internal/conformance"
 	"saql/internal/event"
 	"saql/internal/parser"
 	"saql/internal/window"
@@ -54,22 +53,10 @@ func sliceLogMember(t *testing.T, name string, length, hop int) *Query {
 	return q
 }
 
-// sliceLogSeeds are the pinned seeds and one fresh per run, labelled
-// "seed=fresh" (its value is logged) so the suite's test names do not change.
-func sliceLogSeeds(t *testing.T) []closeSeed {
-	var seeds []closeSeed
-	for _, s := range []int64{1, 2, 3, 4, 5, 6, 7, 8} {
-		seeds = append(seeds, closeSeed{fmt.Sprintf("seed=%d", s), s})
-	}
-	seeds = append(seeds, closeSeed{"seed=fresh", time.Now().UnixNano()})
-	if s := os.Getenv("SAQL_CONFORMANCE_SEED"); s != "" {
-		v, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			t.Fatalf("bad SAQL_CONFORMANCE_SEED %q: %v", s, err)
-		}
-		seeds = []closeSeed{{fmt.Sprintf("seed=%d", v), v}}
-	}
-	return seeds
+// sliceLogSeeds are the slice log and carry suites' pinned seeds and the
+// fresh one.
+func sliceLogSeeds(t *testing.T) []conformance.Seed {
+	return conformance.Seeds(t, 1, 2, 3, 4, 5, 6, 7, 8)
 }
 
 func TestSliceLogMatchesPerEventFold(t *testing.T) {
@@ -79,9 +66,8 @@ func TestSliceLogMatchesPerEventFold(t *testing.T) {
 			if routed {
 				path = "routed"
 			}
-			t.Run(s.label+"/"+path, func(t *testing.T) {
-				t.Logf("slice log seed = %d (set SAQL_CONFORMANCE_SEED=%d to reproduce)", s.seed, s.seed)
-				runSliceLogScript(t, s.seed, routed)
+			t.Run(s.Label+"/"+path, func(t *testing.T) {
+				runSliceLogScript(t, s.Value, routed)
 			})
 		}
 	}

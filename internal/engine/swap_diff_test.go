@@ -169,9 +169,8 @@ func TestCarryMatchesReference(t *testing.T) {
 	var swapped [3]int
 	alerts := 0
 	for _, s := range sliceLogSeeds(t) {
-		t.Run(s.label, func(t *testing.T) {
-			t.Logf("carry seed = %d (set SAQL_CONFORMANCE_SEED=%d to reproduce)", s.seed, s.seed)
-			rng := rand.New(rand.NewSource(s.seed))
+		t.Run(s.Label, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(s.Value))
 			events := carryStream(rng, 3000)
 			for run := 0; run < 20; run++ {
 				mode := rng.Intn(3)

@@ -4,12 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"os"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"saql/internal/conformance"
 	"saql/internal/event"
 	"saql/internal/pcode"
 	"saql/internal/wire"
@@ -243,26 +243,9 @@ func runMatcherCase(t *testing.T, rng *rand.Rand, c matcherCase, events int) {
 // labelled "seed=fresh" with its value logged; SAQL_CONFORMANCE_SEED
 // reproduces one.
 func TestSeqMatcherMatchesReference(t *testing.T) {
-	type labelled struct {
-		label string
-		seed  int64
-	}
-	var seeds []labelled
-	for _, s := range []int64{1, 2, 3, 4, 5, 29} {
-		seeds = append(seeds, labelled{fmt.Sprintf("seed=%d", s), s})
-	}
-	seeds = append(seeds, labelled{"seed=fresh", time.Now().UnixNano()})
-	if s := os.Getenv("SAQL_CONFORMANCE_SEED"); s != "" {
-		v, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			t.Fatalf("bad SAQL_CONFORMANCE_SEED %q: %v", s, err)
-		}
-		seeds = []labelled{{fmt.Sprintf("seed=%d", v), v}}
-	}
-	for _, s := range seeds {
-		t.Run(s.label, func(t *testing.T) {
-			t.Logf("matcher differential seed = %d (set SAQL_CONFORMANCE_SEED=%d to reproduce)", s.seed, s.seed)
-			rng := rand.New(rand.NewSource(s.seed))
+	for _, s := range conformance.Seeds(t, 1, 2, 3, 4, 5, 29) {
+		t.Run(s.Label, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(s.Value))
 			for i := range 60 {
 				c := randomMatcherCase(t, rng)
 				t.Run(strconv.Itoa(i), func(t *testing.T) {

@@ -21,7 +21,7 @@ import (
 func TestPinnedDispatchEnginesMatchProcess(t *testing.T) {
 	for _, sd := range scheduler.DispatchSeeds(t) {
 		t.Run(sd.Label, func(t *testing.T) {
-			c := scheduler.NewDispatchCase(sd.Seed)
+			c := scheduler.NewDispatchCase(sd.Value)
 			compile := func(name, src string) *engine.Query {
 				t.Helper()
 				q, err := engine.Compile(name, src, engine.CompileOptions{})
@@ -80,7 +80,7 @@ func TestPinnedDispatchEnginesMatchProcess(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				rng := rand.New(rand.NewSource(sd.Seed))
+				rng := rand.New(rand.NewSource(sd.Value))
 				script := c.Script
 				for i := 0; i < len(c.Events); {
 					for ; len(script) > 0 && script[0].At <= i; script = script[1:] {

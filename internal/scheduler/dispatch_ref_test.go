@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
-	"os"
 	"slices"
 	"strconv"
 	"strings"
@@ -23,6 +22,7 @@ import (
 	"unicode"
 
 	"saql/internal/codec"
+	"saql/internal/conformance"
 	"saql/internal/event"
 )
 
@@ -297,27 +297,8 @@ func decodeNDJSON(dec codec.Decoder, ev *event.Event) *event.Event {
 	return evs[0]
 }
 
-// DispatchSeeds are the fence's pinned seeds and one fresh per run, unless
-// SAQL_CONFORMANCE_SEED pins it. The fresh one is labelled "seed=fresh", so
-// the suite's test names do not change from run to run; its value is logged.
-func DispatchSeeds(t testing.TB) []struct {
-	Label string
-	Seed  int64
-} {
-	seed := time.Now().UnixNano() % 1_000_000
-	if s := os.Getenv("SAQL_CONFORMANCE_SEED"); s != "" {
-		v, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			t.Fatalf("bad SAQL_CONFORMANCE_SEED %q: %v", s, err)
-		}
-		seed = v
-	}
-	t.Logf("dispatch fence fresh seed = %d (set SAQL_CONFORMANCE_SEED=%d to reproduce)", seed, seed)
-	return []struct {
-		Label string
-		Seed  int64
-	}{{"seed=1", 1}, {"seed=2", 2}, {"seed=3", 3}, {"seed=26", 26}, {"seed=fresh", seed}}
-}
+// DispatchSeeds are the fence's pinned seeds and the fresh one.
+func DispatchSeeds(t testing.TB) []conformance.Seed { return conformance.Seeds(t, 1, 2, 3, 26) }
 
 // apply runs one script step against a scheduler.
 func (st DispatchStep) apply(t *testing.T, s *Scheduler) {
@@ -345,8 +326,8 @@ func (st DispatchStep) apply(t *testing.T, s *Scheduler) {
 func TestPinnedDispatchMatchesSweep(t *testing.T) {
 	for _, sd := range DispatchSeeds(t) {
 		t.Run(sd.Label, func(t *testing.T) {
-			c := NewDispatchCase(sd.Seed)
-			rng := rand.New(rand.NewSource(sd.Seed))
+			c := NewDispatchCase(sd.Value)
+			rng := rand.New(rand.NewSource(sd.Value))
 			serial, batch := New(nil, c.Sharing), New(nil, c.Sharing)
 			for _, q := range c.Queries {
 				for _, s := range []*Scheduler{serial, batch} {

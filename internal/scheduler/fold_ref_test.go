@@ -175,8 +175,8 @@ var foldRefQueries = []DispatchQuery{
 func TestFoldMatchesSerialOracle(t *testing.T) {
 	for _, sd := range DispatchSeeds(t) {
 		t.Run(sd.Label, func(t *testing.T) {
-			c := NewDispatchCase(sd.Seed)
-			rng := rand.New(rand.NewSource(sd.Seed))
+			c := NewDispatchCase(sd.Value)
+			rng := rand.New(rand.NewSource(sd.Value))
 			c.Queries = append(c.Queries, foldRefQueries...)
 			n := len(c.Events)
 			late := map[int]bool{} // the events right after a resume, which arrive late
@@ -281,7 +281,7 @@ func TestFoldMatchesSerialOracle(t *testing.T) {
 			checkQueries("end")
 			st := ref.s.Stats()
 			t.Logf("seed %d: %d queries, %d events, %d alerts, %d keys evaluated (%d failed)",
-				sd.Seed, len(c.Queries), n, st.Alerts, ref.keyEvals, ref.failedKeys)
+				sd.Value, len(c.Queries), n, st.Alerts, ref.keyEvals, ref.failedKeys)
 			if st.Alerts == 0 || ref.failedKeys == 0 {
 				t.Fatalf("the case exercised too little: %d alerts, %d failing keys", st.Alerts, ref.failedKeys)
 			}

@@ -176,7 +176,7 @@ func TestPrefilterSound(t *testing.T) {
 	t.Run("dispatch", func(t *testing.T) {
 		for _, sd := range DispatchSeeds(t) {
 			t.Run(sd.Label, func(t *testing.T) {
-				c := NewDispatchCase(sd.Seed)
+				c := NewDispatchCase(sd.Value)
 				srcs := map[string]string{}
 				for _, q := range c.Queries {
 					srcs[q.Name] = q.Src

@@ -13,27 +13,12 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"strconv"
 	"testing"
 	"time"
 
+	"saql/internal/conformance"
 	"saql/internal/event"
 )
-
-// diffSeeds is one fixed seed and one fresh one per run, logged;
-// SAQL_CONFORMANCE_SEED reproduces a failure.
-func diffSeeds(t *testing.T) []int64 {
-	t.Helper()
-	seeds := []int64{17, time.Now().UnixNano()}
-	if s := os.Getenv("SAQL_CONFORMANCE_SEED"); s != "" {
-		v, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			t.Fatalf("bad SAQL_CONFORMANCE_SEED %q: %v", s, err)
-		}
-		seeds = []int64{v}
-	}
-	return seeds
-}
 
 // journalEvent is a random event of any entity types, with an ID that
 // makes order observable and a host and time a Selection can cut on.
@@ -113,8 +98,8 @@ func sameIDs(a, b []uint64) bool {
 // ScanFrom and Tail.Each then see the same records for random offsets and
 // selections. Without the repair both sides refuse the torn journal.
 func TestWalkMatchesReference(t *testing.T) {
-	for _, seed := range diffSeeds(t) {
-		t.Logf("journal seed = %d (set SAQL_CONFORMANCE_SEED=%d to reproduce)", seed, seed)
+	for _, sd := range conformance.Seeds(t, 17) {
+		seed := sd.Value
 		rng := rand.New(rand.NewSource(seed))
 		for round := 0; round < 120; round++ {
 			walkRound(t, rng, fmt.Sprintf("seed %d round %d", seed, round))
@@ -391,8 +376,8 @@ func TestAppendBytesMatchReference(t *testing.T) {
 		t.Fatalf("golden segment reads back %d events, %v; want %d", len(all), err, len(evs))
 	}
 
-	for _, seed := range diffSeeds(t) {
-		t.Logf("append seed = %d (set SAQL_CONFORMANCE_SEED=%d to reproduce)", seed, seed)
+	for _, sd := range conformance.Seeds(t, 17) {
+		seed := sd.Value
 		rng := rand.New(rand.NewSource(seed))
 		dir := t.TempDir()
 		s, err := Open(dir, Options{MaxSegmentSize: int64(512 + rng.Intn(8192))})

@@ -15,14 +15,13 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"os"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"saql/internal/conformance"
 	"saql/internal/event"
 	"saql/internal/value"
 	"saql/internal/wire"
@@ -381,22 +380,7 @@ func runManagerScript(t *testing.T, spec Spec, seed int64, steps int) {
 // fresh one's subtests are labelled "seed=fresh" (its value is logged), so
 // the suite's test names do not change from run to run.
 func TestManagerMatchesReference(t *testing.T) {
-	type labelled struct {
-		label string
-		seed  int64
-	}
-	var seeds []labelled
-	for _, s := range []int64{1, 2, 3, 4, 5, 6, 1792039904120696966} {
-		seeds = append(seeds, labelled{fmt.Sprintf("seed=%d", s), s})
-	}
-	seeds = append(seeds, labelled{"seed=fresh", time.Now().UnixNano()})
-	if s := os.Getenv("SAQL_CONFORMANCE_SEED"); s != "" {
-		v, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			t.Fatalf("bad SAQL_CONFORMANCE_SEED %q: %v", s, err)
-		}
-		seeds = []labelled{{fmt.Sprintf("seed=%d", v), v}}
-	}
+	seeds := conformance.Seeds(t, 1, 2, 3, 4, 5, 6, 1792039904120696966)
 	specs := []struct {
 		name string
 		spec Spec
@@ -407,9 +391,8 @@ func TestManagerMatchesReference(t *testing.T) {
 	}
 	for _, sc := range specs {
 		for _, s := range seeds {
-			t.Run(sc.name+"/"+s.label, func(t *testing.T) {
-				t.Logf("manager script seed = %d (set SAQL_CONFORMANCE_SEED=%d to reproduce)", s.seed, s.seed)
-				runManagerScript(t, sc.spec, s.seed, 1500)
+			t.Run(sc.name+"/"+s.Label, func(t *testing.T) {
+				runManagerScript(t, sc.spec, s.Value, 1500)
 			})
 		}
 	}
