@@ -22,13 +22,17 @@
 //
 // Decoding is one pass over the line's bytes with no reflection and no
 // intermediate document. The walk dispatches on each key, records where the
-// value sits (a string value is a sub-slice of the line; only a value with a
-// backslash or malformed UTF-8 is rewritten, into a scratch buffer the
-// decoder owns), and syntax-checks everything it skips. Once the whole line
-// has proved well-formed the one event.Event is allocated and filled: the
-// hot attributes resolve through the intern table straight from those bytes,
-// so a repeated value costs no allocation, and only path/cmdline and
-// first-sight values are copied.
+// value sits (a string value is a sub-slice of the line, scanned eight bytes
+// at a time; only a value with a backslash or malformed UTF-8 is rewritten,
+// into a scratch buffer the decoder owns; an "amount" stays its bytes), and
+// checks the grammar and every range of everything, skipped values too.
+// Once the whole line has proved well-formed and the prefilter admits it,
+// the one event.Event is allocated and filled: the amount is converted, the
+// hot attributes resolve through the intern table straight from those
+// bytes, so a repeated value costs no allocation, and only path/cmdline and
+// first-sight values are copied. A line the prefilter does not admit costs
+// the check and its timestamp (the skip record's time feeds the watermark):
+// a malformed one still fails, and nothing is converted.
 //
 // What is accepted, rejected, merged or coerced is exactly what the
 // encoding/json decoder this replaced did (kept as the test oracle in
@@ -40,7 +44,9 @@
 package codec
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"strconv"
 	"time"
 	"unicode"
@@ -84,7 +90,7 @@ type rawEvent struct {
 	ts              time.Time
 	tsErr           error // the last "ts" was unusable (a later, good one clears it)
 	hasTS           bool
-	amount          float64
+	amount          []byte // checked by floatValue, converted by fill
 	agent, host, op []byte
 	subj, obj       rawEntity
 
@@ -240,7 +246,9 @@ func (d *ndjsonDecoder) fill(ev *event.Event) {
 	r, t := &d.rec, &d.tab
 	ev.Time = r.ts
 	ev.Op = r.opv
-	ev.Amount = r.amount
+	if len(r.amount) > 0 {
+		ev.Amount, _ = strconv.ParseFloat(string(r.amount), 64) // in range: floatValue checked it
+	}
 	if agent := r.agentID(); len(agent) > 0 {
 		ev.AgentID, ev.AgentSym = t.bytes(agent)
 	} else {
@@ -479,17 +487,31 @@ func (d *ndjsonDecoder) int32Value(b []byte, i int, dst *int32) int {
 	return j
 }
 
+// floatValue consumes a number for a float64 member and keeps its bytes for
+// fill to convert. One with no exponent and at most 308 integer digits is
+// below 10^308, in range; only another is converted here, to check it.
+//
 //saql:hotpath
-func (d *ndjsonDecoder) floatValue(b []byte, i int, dst *float64) int {
+func (d *ndjsonDecoder) floatValue(b []byte, i int, dst *[]byte) int {
 	end := number(b, i)
 	if end < 0 {
 		return d.nullOr(b, i, "want a number")
 	}
-	v, err := strconv.ParseFloat(string(b[i:end]), 64)
-	if err != nil {
-		return d.fail(i, "number out of range")
+	v, j := b[:end], i
+	if v[j] == '-' {
+		j++
 	}
-	*dst = v
+	ints := skipDigits(v, j)
+	exp := ints // where an exponent would start
+	if exp < end && v[exp] == '.' {
+		exp = skipDigits(v, exp+1)
+	}
+	if ints-j > 308 || exp < end {
+		if _, err := strconv.ParseFloat(string(v[i:]), 64); err != nil {
+			return d.fail(i, "number out of range")
+		}
+	}
+	*dst = v[i:]
 	return end
 }
 
@@ -655,10 +677,7 @@ func skipSpace(b []byte, i int) int {
 //saql:hotpath
 func (d *ndjsonDecoder) str(b []byte, i int) (val []byte, next int) {
 	// Nearly every string is printable ASCII to its closing quote.
-	j := i + 1
-	for j < len(b) && !notPlain[b[j]] {
-		j++
-	}
+	j := plainRun(b, i+1)
 	if j < len(b) && b[j] == '"' {
 		return b[i+1 : j], j + 1
 	}
@@ -674,12 +693,34 @@ var notPlain = func() (t [256]bool) {
 	return t
 }()
 
+// plainRun returns the index of the first byte from b[j] on that notPlain
+// marks, or len(b), testing eight at a time. In a little-endian word w a
+// plain byte borrows from none of w-0x20, (w^'"')-1 and (w^'\\')-1 and sets
+// the high bit of none, any other byte sets it in one: the lowest high bit
+// set is the first byte that ends the run.
+//
+//saql:hotpath
+func plainRun(b []byte, j int) int {
+	const lows, highs = 0x0101010101010101, 0x8080808080808080
+	for ; j+8 <= len(b); j += 8 {
+		w := binary.LittleEndian.Uint64(b[j:])
+		m := ((w - ' '*lows) | ((w ^ '"'*lows) - lows) | ((w ^ '\\'*lows) - lows)) & highs
+		if m != 0 {
+			return j + bits.TrailingZeros64(m)>>3
+		}
+	}
+	for j < len(b) && !notPlain[b[j]] {
+		j++
+	}
+	return j
+}
+
 // strSlow is str for the string whose contents start at b[start] and stop
 // being plain at b[i]: it checks every escape up to the closing quote and
 // rewrites the contents if they need it.
 func (d *ndjsonDecoder) strSlow(b []byte, start, i int) (val []byte, next int) {
 	rewrite, ascii := false, true
-	for ; i < len(b); i++ {
+	for ; i < len(b); i = plainRun(b, i+1) {
 		switch c := b[i]; {
 		case c == '"':
 			val = b[start:i]

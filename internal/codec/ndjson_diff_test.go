@@ -34,7 +34,7 @@ func ndjsonEdgeLines() []edgeLine {
 	deep := func(n int) string {
 		return `{"x":` + strings.Repeat("[", n) + strings.Repeat("]", n) + `,` + edgeTS + `,` + edgeRest + `}`
 	}
-	return []edgeLine{
+	lines := []edgeLine{
 		// Strings: escapes, \u, surrogates, malformed UTF-8.
 		{"escapes in exe and path", `{` + edgeTS + `,"subject":{"exe":"a\"b\\c\/d\b\f\n\r\t.exe","pid":1},"op":"write","object":{"type":"file","path":"C:\\db\\\u00e9\u4e16.dmp"}}`, true},
 		{"surrogate pair", `{` + edgeTS + `,"subject":{"exe":"\ud83d\ude00.exe"},"op":"read","object":{"type":"file","path":"/\uD83D\uDE00"}}`, true},
@@ -115,6 +115,16 @@ func ndjsonEdgeLines() []edgeLine {
 		{"amount -", `{` + edgeTS + `,` + edgeRest + `,"amount":-}`, false},
 		{"amount 0x10", `{` + edgeTS + `,` + edgeRest + `,"amount":0x10}`, false},
 		{"amount NaN", `{` + edgeTS + `,` + edgeRest + `,"amount":NaN}`, false},
+		// An amount without an exponent is range-checked by its integer digits.
+		{"amount of 308 nines", `{` + edgeTS + `,` + edgeRest + `,"amount":` + strings.Repeat("9", 308) + `.5}`, true},
+		{"amount of -308 nines", `{` + edgeTS + `,` + edgeRest + `,"amount":-` + strings.Repeat("9", 308) + `}`, true},
+		{"amount 10^308 in 309 digits", `{` + edgeTS + `,` + edgeRest + `,"amount":1` + strings.Repeat("0", 308) + `}`, true},
+		{"amount of 309 nines", `{` + edgeTS + `,` + edgeRest + `,"amount":` + strings.Repeat("9", 309) + `}`, false},
+		{"amount of 400 digits", `{` + edgeTS + `,` + edgeRest + `,"amount":1` + strings.Repeat("0", 399) + `}`, false},
+		{"amount max float64", `{` + edgeTS + `,` + edgeRest + `,"amount":1.7976931348623157e308}`, true},
+		{"amount 1.8e308", `{` + edgeTS + `,` + edgeRest + `,"amount":1.8e308}`, false},
+		{"amount smallest subnormal", `{` + edgeTS + `,` + edgeRest + `,"amount":4.9e-324}`, true},
+		{"amount -0.0e0", `{` + edgeTS + `,` + edgeRest + `,"amount":-0.0e0}`, true},
 		{"ignored bad number", `{"x":[1,2,03],` + edgeTS + `,` + edgeRest + `}`, false},
 
 		// Timestamps.
@@ -198,11 +208,51 @@ func ndjsonEdgeLines() []edgeLine {
 		{"every op spelling", `{` + edgeTS + `,` + edgeSubj + `,"op":"terminate","object":{"type":"process","exe":"b","pid":2,"user":"u","cmdline":"b -x"}}`, true},
 		{"ip aliases and default proto", `{` + edgeTS + `,` + edgeSubj + `,"op":"recv","object":{"type":"netconn","src_ip":"10.0.0.1"}}`, true},
 		{"proc object without exe", `{` + edgeTS + `,` + edgeSubj + `,"op":"start","object":{"type":"proc","pid":2}}`, false},
+		{"escaped Windows path", `{` + edgeTS + `,` + edgeSubj + `,"op":"read","object":{"type":"file","path":"C:\\Windows\\System32\\winevt\\Logs\\Security.evtx"},"amount":4823.1234567890123}`, true},
 	}
+	return append(lines, stringTerminatorLines()...)
+}
+
+// stringTerminatorLines puts each kind of byte that ends a run of plain
+// string contents at each offset 0–17 of the subject's exe and of the
+// object's path, the line's last value, so it lands on every byte of a
+// word, in the word loop and in the tail after it. The plain bytes before
+// it are the neighbours of the terminators (and DEL).
+func stringTerminatorLines() []edgeLine {
+	const filler = "!#[]~ \x7f"
+	classes := []struct {
+		name, term string
+		ok         bool
+	}{
+		{"quote", ``, true},
+		{"escape", `\\\"x`, true},
+		{"NUL", "\x00", false},
+		{"0x1f", "\x1f", false},
+		{"0x80", "\x80", true},
+		{"0xff", "\xff", true},
+		{"2-byte UTF-8", "é", true},
+		{"4-byte UTF-8", "😀", true},
+	}
+	var lines []edgeLine
+	for _, c := range classes {
+		for off := 0; off <= 17; off++ {
+			s := strings.Repeat(filler, 3)[:off] + c.term
+			lines = append(lines, edgeLine{
+				fmt.Sprintf("string %s at offset %d", c.name, off),
+				`{` + edgeTS + `,"subject":{"exe":"` + s + `"},"op":"read","object":{"type":"file","path":"` + s + `"}}`,
+				c.ok && s != "", // an empty exe is missing
+			})
+		}
+	}
+	return lines
 }
 
 // sameDecode runs one input through the scanner and the oracle, each on a
-// fresh decoder, and fails on any difference.
+// fresh decoder, and fails on any difference. The scanner's skipping path
+// runs too, on decoders of its own: under a prefilter that admits nothing
+// it must reach the oracle's verdict and, on success, skip the line at the
+// event's time; under one that admits everything it must build the
+// oracle's event.
 func sameDecode(t *testing.T, data []byte) (err error) {
 	t.Helper()
 	opts := Options{DefaultAgent: "fallback"}
@@ -211,6 +261,9 @@ func sameDecode(t *testing.T, data []byte) (err error) {
 	dec, _ := New("ndjson", opts)
 	opts.Intern = &wantStats
 	ref := newRefNDJSON(opts)
+	opts.Intern = nil
+	none, _ := New("ndjson", opts)
+	all, _ := New("ndjson", opts)
 
 	// Twice through each, so the second pass resolves from a warm intern
 	// table and still has to agree.
@@ -234,19 +287,51 @@ func sameDecode(t *testing.T, data []byte) (err error) {
 		if g, w := gotStats.Misses.Load(), wantStats.Misses.Load(); g != w {
 			t.Fatalf("pass %d: intern misses %d, oracle %d\ninput: %q", pass, g, w, data)
 		}
+
+		evs, ts, skip, noneErr := none.(Skipper).DecodeSkipping(data, admitNone)
+		if (noneErr == nil) != (wantErr == nil) {
+			t.Fatalf("admit-none err = %v, oracle err = %v\ninput: %q", noneErr, wantErr, data)
+		}
+		if len(evs) != 0 || skip != (len(want) == 1) {
+			t.Fatalf("admit-none: %d events, skip %v; oracle %d events\ninput: %q", len(evs), skip, len(want), data)
+		}
+		if skip {
+			if diff := timeDiff(ts, want[0].Time); diff != "" {
+				t.Fatalf("pass %d: admit-none skip %s\ninput: %q", pass, diff, data)
+			}
+		}
+		evs, _, skip, allErr := all.(Skipper).DecodeSkipping(data, admitAll)
+		if (allErr == nil) != (wantErr == nil) || skip || len(evs) != len(want) {
+			t.Fatalf("admit-all: %d events, skip %v, err %v; oracle %d events, err %v\ninput: %q", len(evs), skip, allErr, len(want), wantErr, data)
+		}
+		for i := range evs {
+			if diff := eventDiff(evs[i], want[i]); diff != "" {
+				t.Fatalf("pass %d: admit-all %s\nscanner: %+v\noracle:  %+v\ninput: %q", pass, diff, *evs[i], *want[i], data)
+			}
+		}
 		err = gotErr
 	}
 	return err
 }
 
-// eventDiff names the first field two events differ in, "" when none do.
-// Times must agree on the instant and on the location they carry.
-func eventDiff(a, b *event.Event) string {
+// timeDiff says how two times differ, "" when they agree on the instant
+// and on the location they carry.
+func timeDiff(a, b time.Time) string {
 	switch {
-	case !a.Time.Equal(b.Time):
-		return fmt.Sprintf("Time %v != %v", a.Time, b.Time)
-	case (a.Time.Location() == time.UTC) != (b.Time.Location() == time.UTC), a.Time.String() != b.Time.String():
-		return fmt.Sprintf("Time location %v != %v", a.Time.Location(), b.Time.Location())
+	case !a.Equal(b):
+		return fmt.Sprintf("Time %v != %v", a, b)
+	case (a.Location() == time.UTC) != (b.Location() == time.UTC), a.String() != b.String():
+		return fmt.Sprintf("Time location %v != %v", a.Location(), b.Location())
+	}
+	return ""
+}
+
+// eventDiff names the first field two events differ in, "" when none do.
+func eventDiff(a, b *event.Event) string {
+	if diff := timeDiff(a.Time, b.Time); diff != "" {
+		return diff
+	}
+	switch {
 	case a.ID != b.ID, a.AgentID != b.AgentID, a.AgentSym != b.AgentSym, a.Op != b.Op:
 		return "ID/AgentID/AgentSym/Op"
 	case math.Float64bits(a.Amount) != math.Float64bits(b.Amount):

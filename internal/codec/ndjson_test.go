@@ -218,11 +218,14 @@ func TestNDJSONMalformedLines(t *testing.T) {
 }
 
 // benchLines is one line per object kind, shaped like a collector's output:
-// every hot attribute repeats, path and cmdline do not.
+// every hot attribute repeats, path and cmdline do not. The last is shaped
+// like the benchmark's corpus: a 17-significant-digit amount (no fast path
+// in ParseFloat) and an escaped Windows path.
 var benchLines = [][]byte{
 	[]byte(`{"ts":"2020-02-27T09:00:00.123456789Z","agent":"ws-07","subject":{"exe":"explorer.exe","pid":4120,"user":"alice"},"op":"start","object":{"type":"proc","exe":"cmd.exe","pid":4121,"cmdline":"cmd /c whoami"},"amount":0}`),
 	[]byte(`{"ts":"2020-02-27T09:00:00.223456789Z","agent":"db-01","subject":{"exe":"sqlservr.exe","pid":1680},"op":"write","object":{"type":"file","path":"C:\\db\\backup1.dmp"},"amount":52428800}`),
 	[]byte(`{"ts":"2020-02-27T09:00:00.323456789Z","agent":"web-03","subject":{"exe":"nginx","pid":811},"op":"send","object":{"type":"ip","src_ip":"10.10.0.5","src_port":49233,"dst_ip":"172.16.0.129","dst_port":443,"proto":"tcp"},"amount":1500}`),
+	[]byte(`{"ts":"2020-02-27T09:00:00.423456789Z","agent":"fs-02","subject":{"exe":"svchost.exe","pid":1044},"op":"read","object":{"type":"file","path":"C:\\Windows\\System32\\winevt\\Logs\\Security.evtx"},"amount":4823.1234567890123}`),
 }
 
 // TestNDJSONDecodeAllocsGate holds steady-state decoding to the event itself

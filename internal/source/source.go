@@ -484,7 +484,9 @@ func (b *batcher) release(batch []*event.Event) {
 // events, collected in kept, the stand-ins' count, its latest time and the
 // oldest table generation a stand-in was skipped under. If a registry change
 // has made that table stale, the skipped lines are built after all and the
-// whole batch goes out as events. Caller holds b.mu.
+// whole batch goes out as events. Either way a line longer than a page is
+// then let go, so a few long lines do not pin their size in every record
+// for the source's life. Caller holds b.mu.
 func (b *batcher) submitSkipping(batch []*event.Event) error {
 	if cap(b.kept) < len(batch) {
 		b.kept = make([]*event.Event, 0, keptBatches*max(b.cfg.BatchSize, len(batch)))
@@ -504,21 +506,28 @@ func (b *batcher) submitSkipping(batch []*event.Event) error {
 		return b.dst.SubmitBatch(batch)
 	}
 	stale, err := b.skip.SubmitSkipping(kept[:len(kept):len(kept)], skipped, batch[len(batch)-1].Time, gen)
-	if err != nil || !stale {
-		if err == nil {
-			b.ctr.skipped.Add(skipped)
-			b.kept = b.kept[len(kept):len(kept)]
-		}
+	switch {
+	case err != nil:
 		return err
-	}
-	for i, ev := range batch {
-		if r := b.record(ev); r != nil {
-			if batch[i], err = b.build(r.line); err != nil {
-				return err
+	case stale:
+		for i, ev := range batch {
+			if r := b.record(ev); r != nil {
+				if batch[i], err = b.build(r.line); err != nil {
+					return err
+				}
 			}
 		}
+		err = b.dst.SubmitBatch(batch)
+	default:
+		b.ctr.skipped.Add(skipped)
+		b.kept = b.kept[len(kept):len(kept)]
 	}
-	return b.dst.SubmitBatch(batch)
+	for _, r := range b.free[len(b.free)-int(skipped):] { // the batch's records
+		if cap(r.line) > pageBytes {
+			r.line = nil
+		}
+	}
+	return err
 }
 
 // build decodes a skipped line into its event, with a decoder that skips

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"saql/internal/codec"
 	"saql/internal/event"
 )
 
@@ -652,5 +653,67 @@ func TestBatcherSubmitAllocs(t *testing.T) {
 	}
 	if ctr.reordered.Load() == 0 {
 		t.Fatal("the unsorted batch was not reordered")
+	}
+}
+
+// skipAll is a destination that prefilters with a table admitting no line;
+// with stale set it reports every table stale, so each batch is built.
+type skipAll struct {
+	sink
+	stale   bool
+	skipped int64
+}
+
+func (s *skipAll) Prefilter() (codec.Prefilter, uint64) { return admitNothing{}, 1 }
+
+func (s *skipAll) SubmitSkipping(evs []*event.Event, skipped int64, _ time.Time, _ uint64) (bool, error) {
+	if s.stale {
+		return true, nil
+	}
+	s.skipped += skipped
+	return false, s.SubmitBatch(evs)
+}
+
+type admitNothing struct{}
+
+func (admitNothing) Admit([]byte, event.Op) bool { return false }
+
+// TestSkipRecordsLetGoOfLongLines: a skip record reused for short lines
+// does not keep the size of the longest line it once held. A few skipped
+// lines longer than a page, then many short ones, leave the records
+// holding about what the short lines need, on the fresh and the stale path.
+func TestSkipRecordsLetGoOfLongLines(t *testing.T) {
+	var in strings.Builder
+	for i := range 20 {
+		in.WriteString(ndLine(float64(i), "a", 1, strings.Repeat("p", 4*pageBytes)) + "\n")
+	}
+	for i := range 5000 {
+		in.WriteString(ndLine(float64(20+i), "a", 1, "/short") + "\n")
+	}
+	for _, stale := range []bool{false, true} {
+		t.Run(fmt.Sprintf("stale=%v", stale), func(t *testing.T) {
+			src, err := FromReader(strings.NewReader(in.String()), Config{Format: "ndjson"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			dst := &skipAll{stale: stale}
+			b := &batcher{cfg: src.cfg, ctr: &src.ctr, dst: dst, skip: dst, sym: &src.sym}
+			if err := src.run(context.Background(), b); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.flush(); err != nil {
+				t.Fatal(err)
+			}
+			if n := int64(len(dst.events())) + dst.skipped; n != 5020 {
+				t.Fatalf("%d lines reached the destination, want 5020", n)
+			}
+			held := 0
+			for _, r := range b.recs {
+				held += cap(r.line)
+			}
+			if len(b.recs) == 0 || held > len(b.recs)*1024 {
+				t.Fatalf("%d skip records hold %d bytes, want at most 1 KiB each on average", len(b.recs), held)
+			}
+		})
 	}
 }
