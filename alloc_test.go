@@ -80,7 +80,7 @@ return p, ss.amt`, 1+v)
 				t.Fatal(err)
 			}
 		}
-		// The stats control rides the queue behind every submitted batch, so
+		// The stats capture rides the queue behind every submitted batch, so
 		// its round trip is a full processing barrier: every allocation the
 		// pass causes lands before it returns.
 		if _, ok := eng.QueryStats("grouped-sum-0"); !ok {

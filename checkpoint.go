@@ -147,7 +147,7 @@ func (e *Engine) captureSnapshot() (*snapshot.Snapshot, error) {
 		snap.Shards = rt.Shards()
 		states = cs.States
 	} else {
-		m, events, err := e.sched.CaptureStates()
+		m, events, err := e.sched.CaptureStates(slices.Collect(maps.Keys(e.reg))...)
 		if err != nil {
 			return nil, err
 		}

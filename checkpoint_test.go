@@ -550,7 +550,7 @@ func TestQueryStateReencodeIdempotent(t *testing.T) {
 			for _, ev := range events {
 				s.Process(ev)
 			}
-			states, _, err := s.CaptureStates()
+			states, _, err := s.CaptureStates(c.Name)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -650,9 +650,9 @@ func TestCheckpointWhileStreaming(t *testing.T) {
 // queries, Start hands it over — so after the journal tail replays every query
 // must report the counters of the run that was never interrupted (the
 // events-offered counter resuming where the capture left it, not at zero),
-// and the tail must raise the same alerts every way in. StateBytes sums each
-// replica's encoding, so it is compared between the two ways in at one shard
-// count.
+// and the tail must raise the same alerts every way in. Every field is
+// compared, StateBytes included: a started engine reads a query's replicas
+// folded into one, so its footprint does not depend on the shard count.
 func TestRestoreMatchesAcrossShardCounts(t *testing.T) {
 	queries := append([]struct{ name, src string }{
 		{"ts-history", `proc p write ip i as e #time(500 ms)
@@ -764,7 +764,6 @@ return ss.dsts`},
 
 	var ref []string
 	for _, shards := range []int{1, 2, 8} {
-		var opened result
 		for _, startLater := range []bool{false, true} {
 			name := fmt.Sprintf("shards=%d/open", shards)
 			if startLater {
@@ -777,17 +776,9 @@ return ss.dsts`},
 						t.Fatal("the replayed tail raised no alerts")
 					}
 				}
-				if !startLater {
-					opened = got
-				}
 				for _, q := range queries {
-					g, w := got.stats[q.name], want[q.name]
-					if g.Events != w.Events || g.WindowsClosed != w.WindowsClosed ||
-						g.PatternHits != w.PatternHits || g.Alerts != w.Alerts {
+					if g, w := got.stats[q.name], want[q.name]; g != w {
 						t.Errorf("%s: stats %+v, want %+v as the uninterrupted run", q.name, g, w)
-					}
-					if sb := opened.stats[q.name].StateBytes; g.StateBytes != sb {
-						t.Errorf("%s: StateBytes %d, want %d as opened started", q.name, g.StateBytes, sb)
 					}
 				}
 				diffAlertSets(t, name, ref, got.alerts)

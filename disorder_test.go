@@ -294,18 +294,15 @@ func compareProbe(t *testing.T, label, ref string, got, want []string, gotStats,
 }
 
 // compareRuns fails unless two runs raised the same alerts and agree on
-// every stats field of every query but StateBytes, which sums the encoded
-// state of a query's replicas and so grows by a header per extra replica.
+// every stats field of every query.
 func compareRuns(t *testing.T, label, ref string, got, want []string, gotStats, wantStats map[string]QueryStats) {
 	t.Helper()
 	if !slices.Equal(got, want) {
 		diffAlertSets(t, fmt.Sprintf("%s against %s", label, ref), want, got)
 	}
 	for name, st := range wantStats {
-		g := gotStats[name]
-		g.StateBytes, st.StateBytes = 0, 0
-		if g != st {
-			t.Errorf("%s: %s stats %+v, %s %+v", label, name, gotStats[name], ref, st)
+		if g := gotStats[name]; g != st {
+			t.Errorf("%s: %s stats %+v, %s %+v", label, name, g, ref, st)
 		}
 	}
 }

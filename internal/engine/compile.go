@@ -120,7 +120,7 @@ type QueryStats struct {
 	Alerts        int64
 	Suppressed    int64 // alerts dropped by `return distinct`
 	EvalErrors    int64
-	StateBytes    int64 // serialized live-state estimate (see Query.StateBytes)
+	StateBytes    int64 // length of the encoded live state (see Query.StateBytes)
 	// LateHits counts pattern hits that folded into nothing because a
 	// window containing them had already closed: the stream's disorder
 	// exceeded what the window tolerates, and that state is lost.
@@ -468,11 +468,11 @@ func (q *Query) Stateful() bool { return q.stateful }
 // GroupCount reports how many groups currently hold state (stateful queries).
 func (q *Query) GroupCount() int { return len(q.groups) }
 
-// StateBytes estimates the query's live state footprint as the length of its
-// serialized checkpoint state (EncodeState). It is an estimate — the codec's
-// framing is compact but not the in-memory layout — yet it moves with the
-// real state (partial matches, window history, distinct tables), which is
-// what quota enforcement needs. Returns 0 when encoding fails.
+// StateBytes measures the query's live state footprint as the length of its
+// serialized checkpoint state (EncodeState): not the in-memory layout, but it
+// moves with the real state (partial matches, window history, distinct
+// tables), which is what quota enforcement needs. Returns 0 when encoding
+// fails.
 func (q *Query) StateBytes() int64 {
 	blob, err := q.EncodeState()
 	if err != nil {

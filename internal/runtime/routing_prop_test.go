@@ -32,6 +32,7 @@ package runtime
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -345,8 +346,12 @@ func runRoutingCase(t *testing.T, seed int64, shards int, owns func(uint32) bool
 	}
 	serial := serialStats(t, evs)
 	got := map[string]engine.QueryStats{}
+	all, err := r.QueryStats(slices.Collect(maps.Keys(serial))...)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, qs := range routingQueries {
-		st, ok := r.QueryStats(qs.name)
+		st, ok := all[qs.name]
 		if !ok && !slices.Contains(placed[qs.name], true) {
 			continue // a pinned query whose name another worker owns: registered, no replica here
 		} else if !ok {

@@ -58,7 +58,7 @@
 //
 // Deliveries accumulate into per-shard batch buffers flushed on size
 // threshold, queue idleness, and before every control envelope. Control
-// operations (add/remove query, flush, stats snapshots, checkpoints) ride
+// operations (add/remove query, flush, checkpoint captures) ride
 // the same queue as events and are broadcast behind a full buffer flush, so
 // they take effect at a consistent point of the stream on every shard.
 package runtime
@@ -208,7 +208,6 @@ const (
 	ctlAdd ctlKind = iota
 	ctlRemove
 	ctlFlush
-	ctlStats
 	ctlPause
 	ctlSwap
 	ctlCheckpoint
@@ -227,12 +226,13 @@ type control struct {
 	// collecting the acks, so the write happens-before the read. For
 	// ctlCheckpoint it is the barrier's journal position.
 	offset int64
-	// ctlStats, ctlCheckpoint: every query's events-offered counter at this
-	// control, read off the evaluation scheduler by the router
-	// (scheduler.EventsOffered). At a checkpoint the shards stamp it onto
-	// their replicas before encoding them, so a snapshot carries the count the
-	// serial engine's per-query counter would hold at the barrier.
+	// ctlCheckpoint: every query's events-offered counter at this control,
+	// read off the evaluation scheduler by the router
+	// (scheduler.EventsOffered). The shards stamp it onto their replicas
+	// before encoding them, so a capture carries the count the serial
+	// engine's per-query counter would hold at the barrier.
 	offered map[string]int64
+	names   []string // ctlCheckpoint: the queries to capture
 
 	ack chan ctlResult
 }
@@ -242,7 +242,6 @@ type ctlResult struct {
 	err     error
 	removed bool
 	alerts  []*engine.Alert
-	stats   engine.QueryStats
 	found   bool
 	states  map[string][]byte // ctlCheckpoint: this shard's per-query state
 }
@@ -518,7 +517,7 @@ func (r *Runtime) applyEval(c *control) {
 		// group stops being evaluated (and counted) at the same stream
 		// point where the shards stop ingesting it.
 		r.evalSched.SetPaused(c.name, c.paused)
-	case ctlStats, ctlCheckpoint:
+	case ctlCheckpoint:
 		// No replica is offered every event: the evaluation scheduler counts
 		// the events offered to each query, read at this stream point.
 		c.offered = r.evalSched.EventsOffered()
@@ -576,22 +575,17 @@ func (s *shard) apply(c *control, fan *AlertFanout) {
 	case ctlFlush:
 		res.alerts = s.sched.Flush()
 		fan.Publish(res.alerts)
-	case ctlStats:
-		// Query stats are worker-confined; snapshotting them here is what
-		// makes Runtime.QueryStats race-free. StateBytes is computed at the
-		// same consistent point (it serialises the replica's live state).
-		res.stats, res.found = s.sched.QueryStats(c.name)
 	case ctlCheckpoint:
 		// The barrier: every event routed before this envelope has been
 		// fully folded into this shard's state, nothing after it has been
 		// touched. Encoding is the deep copy — the shard resumes mutating
 		// its state the moment the ack is sent.
-		for name, n := range c.offered {
+		for _, name := range c.names {
 			if q, ok := s.sched.Query(name); ok {
-				q.SetEventsOffered(n)
+				q.SetEventsOffered(c.offered[name])
 			}
 		}
-		res.states, _, res.err = s.sched.CaptureStates()
+		res.states, _, res.err = s.sched.CaptureStates(c.names...)
 	}
 	c.ack <- res
 }
@@ -845,71 +839,6 @@ func (r *Runtime) Placement(name string) (engine.Placement, bool) {
 		return 0, false
 	}
 	return qi.placement, true
-}
-
-// QueryStats aggregates a query's runtime counters across its replicas.
-// Windows closed aggregates by max (replicas observe identical window
-// cadence); disjoint counters (hits, matches, alerts) sum. No replica is
-// offered every event, so events-offered is the evaluation scheduler's count
-// at the same stream point (scheduler.EventsOffered) rather than any
-// replica's. It keeps working after Close (counters freeze at their final
-// values).
-func (r *Runtime) QueryStats(name string) (engine.QueryStats, bool) {
-	r.mu.Lock()
-	qi, ok := r.queries[name]
-	if !ok {
-		r.mu.Unlock()
-		return engine.QueryStats{}, false
-	}
-	c := &control{kind: ctlStats, name: name}
-	results, err := r.control(c)
-	offered := c.offered
-	r.mu.Unlock()
-	if err != nil {
-		// Runtime closed: once the drain finishes the workers and the
-		// routing goroutine are gone, so the worker-confined replicas and the
-		// evaluation scheduler can be read directly. Close takes r.mu, so the
-		// wait runs without it; the reads take it again, because reading a
-		// replica settles its slice log and concurrent readers must not share
-		// that.
-		<-r.done
-		r.mu.Lock()
-		offered = r.evalSched.EventsOffered()
-		results = results[:0]
-		for i, q := range qi.replicas {
-			if q != nil {
-				st := q.Stats()
-				st.StateBytes = q.StateBytes()
-				results = append(results, ctlResult{shard: i, stats: st, found: true})
-			}
-		}
-		r.mu.Unlock()
-	}
-	var out engine.QueryStats
-	found := false
-	for _, res := range results {
-		if !res.found {
-			continue
-		}
-		found = true
-		s := res.stats
-		if s.WindowsClosed > out.WindowsClosed {
-			out.WindowsClosed = s.WindowsClosed
-		}
-		out.PatternHits += s.PatternHits
-		out.Matches += s.Matches
-		out.Alerts += s.Alerts
-		out.Suppressed += s.Suppressed
-		out.EvalErrors += s.EvalErrors
-		out.LateHits += s.LateHits
-		out.PartialsExpired += s.PartialsExpired
-		out.PartialsDropped += s.PartialsDropped
-		out.StateBytes += s.StateBytes
-	}
-	if found {
-		out.Events = offered[name]
-	}
-	return out, found
 }
 
 // Flush closes all open windows on every shard at a consistent point of the

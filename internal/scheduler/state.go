@@ -10,18 +10,22 @@ package scheduler
 
 import "fmt"
 
-// CaptureStates encodes the runtime state of every registered query, keyed
-// by query name, and reports how many events this scheduler had processed at
-// the cut. It runs under the scheduler lock: the capture is a consistent cut
-// between two events — each query settles its slice log as it encodes, so it
-// is byte for byte what folding hit by hit would have left, and carries its
-// events-offered counter brought up to the cut — and the event count is exact
-// for that cut (the serial engine's stream offset).
-func (s *Scheduler) CaptureStates() (map[string][]byte, int64, error) {
+// CaptureStates encodes the runtime state of the named queries registered
+// here, keyed by query name, and reports how many events this scheduler had
+// processed at the cut. It runs under the scheduler lock: the capture is a
+// consistent cut between two events — each query settles its slice log as it
+// encodes, so it is byte for byte what folding hit by hit would have left,
+// and carries its events-offered counter brought up to the cut — and the
+// event count is exact for that cut (the serial engine's stream offset).
+func (s *Scheduler) CaptureStates(names ...string) (map[string][]byte, int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make(map[string][]byte, len(s.queries))
-	for name, q := range s.queries {
+	out := make(map[string][]byte, len(names))
+	for _, name := range names {
+		q, ok := s.queries[name]
+		if !ok {
+			continue
+		}
 		s.offeredLocked(q)
 		blob, err := q.EncodeState()
 		if err != nil {

@@ -165,8 +165,8 @@ func (h *QueryHandle) Paused() bool {
 	return rec.paused
 }
 
-// Stats returns the query's runtime counters, aggregated across shard
-// replicas on a running engine. After Close it returns ErrQueryClosed.
+// Stats returns the query's runtime counters (Engine.QueryStats), serial's
+// at every shard count. After Close it returns ErrQueryClosed.
 func (h *QueryHandle) Stats() (QueryStats, error) {
 	e := h.eng
 	e.mu.Lock()
@@ -175,8 +175,8 @@ func (h *QueryHandle) Stats() (QueryStats, error) {
 	if err != nil {
 		return QueryStats{}, err
 	}
-	// QueryStats runs without e.mu (on a running engine it is a control
-	// round-trip); a Close racing in between surfaces as not-found.
+	// QueryStats runs without e.mu (on a running engine it is a capture at a
+	// control barrier); a Close racing in between surfaces as not-found.
 	st, ok := e.QueryStats(h.name)
 	if !ok {
 		return QueryStats{}, ErrQueryClosed
@@ -736,24 +736,28 @@ func (e *Engine) Apply(ctx context.Context, set *QuerySet) (*ChangeReport, error
 	for _, op := range adds {
 		finalCount[TenantOf(op.name)]++
 	}
+	var gated []string // the kept queries of tenants with a state quota
+	for name := range e.reg {
+		if !removedNames[name] && e.TenantQuotas(TenantOf(name)).MaxStateBytes > 0 {
+			gated = append(gated, name)
+		}
+	}
+	stats, err := e.queryStats(true, gated...)
+	live := map[string]int64{}
+	for name, st := range stats {
+		live[TenantOf(name)] += st.StateBytes
+	}
 	for ten, n := range finalCount {
-		if err := e.checkQueryQuota(ten, n, 0); err != nil {
-			e.mu.Unlock()
-			return nil, err
+		if err == nil {
+			err = e.checkQueryQuota(ten, n, 0)
 		}
-		if e.TenantQuotas(ten).MaxStateBytes <= 0 {
-			continue
+		if err == nil {
+			err = e.checkStateQuota(ten, live[ten])
 		}
-		var live int64
-		for name := range e.reg {
-			if TenantOf(name) == ten && !removedNames[name] {
-				live += e.queryStateBytesLocked(name)
-			}
-		}
-		if err := e.checkStateQuota(ten, live); err != nil {
-			e.mu.Unlock()
-			return nil, err
-		}
+	}
+	if err != nil {
+		e.mu.Unlock()
+		return nil, err
 	}
 
 	// The plan passed compilation and quota checks: only now may the set

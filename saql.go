@@ -656,18 +656,34 @@ func (e *Engine) settleErrors() {
 }
 
 // QueryStats returns the per-query runtime counters. On a running engine
-// the counters are aggregated across the query's shard replicas at a
-// consistent point of the stream; after Close, at the end of the stream.
+// they are its shard replicas' states captured at one point of the stream
+// and folded as a restore folds them: serial's at every shard count. After
+// Close, at the end of the stream.
 func (e *Engine) QueryStats(name string) (QueryStats, bool) {
+	m, _ := e.queryStats(false, name)
+	st, ok := m[name]
+	return st, ok
+}
+
+// queryStats reads the named queries' counters, leaving out the names not
+// registered: a running engine's off one runtime capture (one control
+// barrier whatever their number), which takes no e.mu, a never-started
+// one's under e.mu, which the caller holds when locked is set.
+func (e *Engine) queryStats(locked bool, names ...string) (map[string]QueryStats, error) {
 	if rt := e.rt.Load(); rt != nil {
-		return rt.QueryStats(name)
+		return rt.QueryStats(names...)
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if _, ok := e.reg[name]; !ok {
-		return QueryStats{}, false
+	if !locked {
+		e.mu.Lock()
+		defer e.mu.Unlock()
 	}
-	return e.sched.QueryStats(name)
+	out := make(map[string]QueryStats, len(names))
+	for _, name := range names {
+		if st, ok := e.sched.QueryStats(name); ok {
+			out[name] = st
+		}
+	}
+	return out, nil
 }
 
 // groups reports the master–dependent grouping: the serial scheduler's, or on

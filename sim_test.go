@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sort"
 	"strings"
@@ -20,11 +21,15 @@ import (
 )
 
 // simRun is what one run of a script saw: the sorted alert identities, every
-// query's counters at each stats step, and at the end.
+// query's counters and every tenant's at each stats step, every query's
+// counters at the end, and again once the engine has closed (the serial one
+// flushed first, as Close flushes a started one).
 type simRun struct {
-	alerts []string
-	stats  []map[string]QueryStats
-	final  map[string]QueryStats
+	alerts  []string
+	stats   []map[string]QueryStats
+	tenants [][]TenantStats
+	final   map[string]QueryStats
+	closed  map[string]QueryStats
 }
 
 // lateHits is the late hits the run's queries counted.
@@ -129,9 +134,7 @@ func runSim(t *testing.T, sim *conformance.Sim, shards int) simRun {
 			_, err = eng.Register(st.Name, st.Src)
 		case conformance.Stats:
 			run.stats = append(run.stats, simStats(t, eng))
-			if len(eng.Tenants()) == 0 {
-				t.Fatal("no tenant stats")
-			}
+			run.tenants = append(run.tenants, eng.Tenants())
 		case conformance.Flush:
 			eng.Flush()
 		case conformance.Start:
@@ -160,7 +163,7 @@ func runSim(t *testing.T, sim *conformance.Sim, shards int) simRun {
 			mu.Lock()
 			alerts = alerts[:mark] // the dead engine's output dies with it
 			mu.Unlock()
-			run.stats, offset = run.stats[:reads], cpOffset
+			run.stats, run.tenants, offset = run.stats[:reads], run.tenants[:reads], cpOffset
 		case conformance.Kill, conformance.Replace, conformance.Migrate, conformance.Barrier:
 			// Cluster faults: one engine has no workers to fail.
 		default:
@@ -176,6 +179,14 @@ func runSim(t *testing.T, sim *conformance.Sim, shards int) simRun {
 	}
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
+	}
+	run.closed = map[string]QueryStats{}
+	for name := range run.final {
+		st, ok := eng.QueryStats(name)
+		if !ok {
+			t.Fatalf("no stats for %s after Close", name)
+		}
+		run.closed[name] = st
 	}
 	if errs := eng.Errors(); len(errs) != 0 {
 		t.Fatalf("runtime reported errors: %v", errs)
@@ -205,17 +216,17 @@ func simStats(t *testing.T, eng *Engine) map[string]QueryStats {
 }
 
 // compareSim fails unless got raised the reference's alerts and read its
-// counters at every stats step and at the end. StateBytes is left out: a
-// started engine sums its replicas' encodings, a header per extra replica,
-// the meter gap of ROADMAP item 2.
+// counters, every field of every query's and every tenant's, at every stats
+// step, at the end and after Close.
 func compareSim(t *testing.T, got, want simRun) {
 	t.Helper()
 	if !slices.Equal(got.alerts, want.alerts) {
 		diffAlertSets(t, "against serial", want.alerts, got.alerts)
 	}
-	gs, ws := append(slices.Clip(got.stats), got.final), append(slices.Clip(want.stats), want.final)
+	gs := append(slices.Clip(got.stats), got.final, got.closed)
+	ws := append(slices.Clip(want.stats), want.final, want.closed)
 	if len(gs) != len(ws) {
-		t.Fatalf("%d stats steps, serial %d", len(gs)-1, len(ws)-1)
+		t.Fatalf("%d stats steps, serial %d", len(gs)-2, len(ws)-2)
 	}
 	for i, ref := range ws {
 		st := gs[i]
@@ -223,11 +234,14 @@ func compareSim(t *testing.T, got, want simRun) {
 			t.Errorf("stats step %d: %d queries, serial %d", i, len(st), len(ref))
 		}
 		for name, w := range ref {
-			g := st[name]
-			g.StateBytes, w.StateBytes = 0, 0
-			if g != w {
+			if g := st[name]; g != w {
 				t.Errorf("stats step %d: %s %+v, serial %+v", i, name, g, w)
 			}
+		}
+	}
+	for i, ref := range want.tenants {
+		if !reflect.DeepEqual(got.tenants[i], ref) {
+			t.Errorf("stats step %d: tenants %+v, serial %+v", i, got.tenants[i], ref)
 		}
 	}
 }

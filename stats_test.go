@@ -223,3 +223,32 @@ return p`); err != nil {
 		t.Errorf("idle engine reports %d fallbacks it never performed", n)
 	}
 }
+
+// TestStatsAfterCloseMatchSerial: engines started at 1, 2 and 8 shards and
+// closed without a stats read must report after Close every counter a serial
+// engine flushed and closed over the same stream reports, StateBytes
+// included: the capture after Close stamps the router's events-offered
+// counts onto the replicas, as a barrier does.
+func TestStatsAfterCloseMatchSerial(t *testing.T) {
+	events := concurrencyWorkload(48, 20)
+	closed := func(shards int) map[string]QueryStats {
+		eng := fedEngine(t, shards, events)
+		if shards == 0 {
+			eng.Flush()
+		}
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]QueryStats{}
+		for _, q := range concurrencyQueries {
+			out[q.name], _ = eng.QueryStats("acme/" + q.name)
+		}
+		return out
+	}
+	want := closed(0)
+	for _, shards := range []int{1, 2, 8} {
+		if got := closed(shards); !reflect.DeepEqual(got, want) {
+			t.Errorf("shards=%d: after Close %+v, serial %+v", shards, got, want)
+		}
+	}
+}

@@ -2,6 +2,8 @@ package saql
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -40,8 +42,8 @@ type TenantQuotas struct {
 	// Register and Apply fail with *QuotaError beyond it.
 	MaxQueries int64
 	// MaxStateBytes caps the tenant's live state footprint (the serialized
-	// size of its queries' window/match state); Apply fails with
-	// *QuotaError when the tenant is already over it.
+	// size of its queries' window/match state, TenantStats.StateBytes);
+	// Apply fails with *QuotaError when the tenant is already over it.
 	MaxStateBytes int64
 	// AlertBudget caps alerts delivered per AlertWindow of stream time.
 	// Over-budget alerts are suppressed and counted
@@ -69,7 +71,8 @@ type TenantStats struct {
 	SourceEvents    int64
 	EventsThrottled int64
 	// StateBytes is the serialized live-state footprint of the tenant's
-	// queries.
+	// queries: the sum of their QueryStats.StateBytes, the serial engine's
+	// at every shard count.
 	StateBytes int64
 	// PartialsExpired and PartialsDropped sum QueryStats.PartialsExpired and
 	// PartialsDropped over the tenant's queries: partial multievent matches
@@ -176,22 +179,6 @@ func (e *Engine) touchTenant(name string) {
 	e.tenMu.Lock()
 	e.tenantLocked(name)
 	e.tenMu.Unlock()
-}
-
-// queryStateBytesLocked reports one query's live serialized-state size.
-// Caller holds e.mu (the runtime round-trip does not re-enter it).
-func (e *Engine) queryStateBytesLocked(name string) int64 {
-	if rt := e.rt.Load(); rt != nil {
-		if qs, ok := rt.QueryStats(name); ok {
-			return qs.StateBytes
-		}
-		return 0
-	}
-	if e.reg[name] != nil {
-		qs, _ := e.sched.QueryStats(name)
-		return qs.StateBytes
-	}
-	return 0
 }
 
 // SetTenantQuotas installs (or hot-updates) a tenant's quotas. Raising a
@@ -321,8 +308,8 @@ func (e *Engine) TenantStats(tenant string) (TenantStats, bool) {
 // tenant exists once it has a query, a source, or quotas.
 func (e *Engine) Tenants() []TenantStats {
 	// Registry snapshot first (own lock), then evaluation-group structure
-	// and per-query state sizes (runtime control round-trips), then the
-	// tenant counters — never more than one lock at a time.
+	// and every query's counters (one runtime capture on a running engine),
+	// then the tenant counters — never more than one lock at a time.
 	type qinfo struct {
 		tenant string
 		paused bool
@@ -370,12 +357,11 @@ func (e *Engine) Tenants() []TenantStats {
 	}
 
 	stateBytes, expired, dropped := map[string]int64{}, map[string]int64{}, map[string]int64{}
-	for name, qi := range queries {
-		if qs, ok := e.QueryStats(name); ok {
-			stateBytes[qi.tenant] += qs.StateBytes
-			expired[qi.tenant] += qs.PartialsExpired
-			dropped[qi.tenant] += qs.PartialsDropped
-		}
+	stats, _ := e.queryStats(false, slices.Collect(maps.Keys(queries))...)
+	for name, qs := range stats {
+		stateBytes[TenantOf(name)] += qs.StateBytes
+		expired[TenantOf(name)] += qs.PartialsExpired
+		dropped[TenantOf(name)] += qs.PartialsDropped
 	}
 
 	e.tenMu.Lock()

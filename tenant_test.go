@@ -9,6 +9,7 @@ package saql
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -447,5 +448,68 @@ func TestCheckpointRestoresTenantMetadata(t *testing.T) {
 	ts, _ = e2.TenantStats("acme")
 	if ts.Suppressed != 2 {
 		t.Errorf("restored suppressed = %d, want 2", ts.Suppressed)
+	}
+}
+
+// fedEngine registers concurrencyQueries under tenant "acme" and feeds events
+// through a serial engine (shards 0) or one started at shards.
+func fedEngine(t *testing.T, shards int, events []*Event) *Engine {
+	t.Helper()
+	var opts []Option
+	if shards > 0 {
+		opts = append(opts, WithShards(shards))
+	}
+	eng := New(opts...)
+	for _, q := range concurrencyQueries {
+		if _, err := eng.Register("acme/"+q.name, q.src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if shards == 0 {
+		for _, ev := range events {
+			eng.Process(ev)
+		}
+		return eng
+	}
+	if err := eng.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.SubmitBatch(events); err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
+// TestStateQuotaSameAtEveryShardCount: one stream through a serial engine and
+// through engines started at 1, 2 and 8 shards, then an Apply adding a query
+// to a tenant whose MaxStateBytes is the serial engine's live state bytes.
+// Every engine reads the tenant's footprint as serial does, so every one
+// refuses the set one byte below it and admits it at it.
+func TestStateQuotaSameAtEveryShardCount(t *testing.T) {
+	events := concurrencyWorkload(48, 20)
+	serial := fedEngine(t, 0, events)
+	live, _ := serial.TenantStats("acme")
+	serial.Close()
+	if live.StateBytes == 0 {
+		t.Fatal("the serial run holds no state")
+	}
+	set := NewQuerySet()
+	if err := set.Add("acme/extra", perWriteAlertSrc); err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{0, 1, 2, 8} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			eng := fedEngine(t, shards, events)
+			defer eng.Close()
+			eng.SetTenantQuotas("acme", TenantQuotas{MaxStateBytes: live.StateBytes - 1})
+			var qe *QuotaError
+			if _, err := eng.Apply(context.Background(), set); !errors.As(err, &qe) || qe.Need != live.StateBytes {
+				t.Fatalf("Apply under a quota of %d bytes = %v, want a *QuotaError needing %d", live.StateBytes-1, err, live.StateBytes)
+			}
+			eng.SetTenantQuotas("acme", TenantQuotas{MaxStateBytes: live.StateBytes})
+			if _, err := eng.Apply(context.Background(), set); err != nil {
+				t.Fatalf("Apply under a quota of the serial engine's %d bytes: %v", live.StateBytes, err)
+			}
+		})
 	}
 }
