@@ -178,7 +178,9 @@ func (sh foldShape) window(w, n, groups int) []*Event {
 // it — a time-series average, a DBSCAN outlier model, an invariant over a set,
 // and a count threshold — plus the two shapes that built an environment per
 // hit while the compiled fold was partial: a query with no group-by, and an
-// aggregation argument that calls a scalar function.
+// aggregation argument that calls a scalar function; and a set whose members
+// differ in one state field, so that a variant set's program table is wider
+// than any member's arguments.
 var foldShapes = []foldShape{
 	{"ts-avg", `proc p write ip i as evt #time(10 s)
 state[3] ss { avg_amount := avg(evt.amount) } group by p
@@ -209,6 +211,11 @@ return ss.total`, OpWrite, func(k int) Entity { return NetConn("10.0.0.2", 1433,
 state ss { amt := sum(abs(evt.amount)) } group by p
 alert ss.amt > 1000000000000
 return p, ss.amt`, OpWrite, func(k int) Entity { return NetConn("10.0.0.2", 1433, fmt.Sprintf("10.1.0.%d", k%200), 443) }},
+	{"mixed-fields", `proc p write ip i as evt #time(10 s)
+state ss { amt := sum(evt.amount)
+           top := max(evt.amount) } group by p
+alert ss.amt > 1000000000000
+return p, ss.amt, ss.top`, OpWrite, func(k int) Entity { return NetConn("10.0.0.2", 1433, fmt.Sprintf("10.1.0.%d", k%200), 443) }},
 }
 
 // TestStatefulFoldAllocsGate holds the state maintainer to its allocation
@@ -564,8 +571,8 @@ func BenchmarkPinnedDispatch(b *testing.B) {
 // groups that already exist in an open window — key, group probe, the slice
 // log, bindings, argument programs, aggregator Add, watermark advance — for
 // each qs-hot shape, as a lone query and as a variant set of eight window
-// lengths (10–17 s, as qs-hot keeps them), where a hit is logged once and
-// folded into every member. Every event is one hit: ns/hit is the cost of a
+// lengths (10–17 s, as qs-hot keeps them), where a hit is logged once, each
+// distinct argument program runs once on it, and every member folds it. Every event is one hit: ns/hit is the cost of a
 // hit to the whole set. Window closes are not in the loop; BenchmarkDBSCAN
 // covers the part of a close that grows with the window.
 func BenchmarkStatefulFold(b *testing.B) {
@@ -575,6 +582,11 @@ func BenchmarkStatefulFold(b *testing.B) {
 				eng := New()
 				for w := 10; w < 10+variants; w++ {
 					src := strings.Replace(sh.src, "#time(10 s)", fmt.Sprintf("#time(%d s)", w), 1)
+					if sh.name == "mixed-fields" && w%2 == 1 {
+						// Members differ in top's argument: the set's table
+						// holds two programs, and the even members read one.
+						src = strings.Replace(src, "max(evt.amount)", "min(abs(evt.amount))", 1)
+					}
 					if _, err := eng.Register(fmt.Sprintf("%s-%ds", sh.name, w), src); err != nil {
 						b.Fatal(err)
 					}

@@ -2,7 +2,8 @@
 // state blocks: avg, sum, count, min, max, set, distinct (count), stddev,
 // variance, median, percentile, first, and last. The state maintainer creates
 // one aggregator per state field per group per window and streams matched
-// event attribute values into it; Result is taken when the window closes.
+// event attribute values into it, a run of them at a time; Result is taken
+// when the window closes.
 package agg
 
 import (
@@ -17,9 +18,13 @@ import (
 
 // Aggregator accumulates values for one state field within one window.
 type Aggregator interface {
-	// Add folds one value into the aggregate. Non-numeric values are an
-	// error for numeric aggregators; set aggregators stringify.
-	Add(v value.Value) error
+	// AddAll folds vs into the aggregate in order, as far as the first value
+	// it cannot take, and returns how many it folded: len(vs), or the index
+	// of that value, which it leaves out, with its error. Non-numeric values
+	// are an error for numeric aggregators; set aggregators stringify. A
+	// caller folds the rest from vs[n+1:], so one call per value and one per
+	// run fold the same values into the same state.
+	AddAll(vs []value.Value) (n int, err error)
 	// Result returns the aggregate for the closing window.
 	Result() value.Value
 	// Reset clears the aggregator for reuse in the next window.
@@ -102,14 +107,17 @@ type meanAgg struct {
 	n   int
 }
 
-func (a *meanAgg) Add(v value.Value) error {
-	f, ok := v.AsFloat()
-	if !ok {
-		return fmt.Errorf("agg: avg requires numeric input, got %s", v.Kind())
+//saql:hotpath
+func (a *meanAgg) AddAll(vs []value.Value) (int, error) {
+	for i := range vs {
+		f, ok := vs[i].AsFloat()
+		if !ok {
+			return i, fmt.Errorf("agg: avg requires numeric input, got %s", vs[i].Kind())
+		}
+		a.sum += f
+		a.n++
 	}
-	a.sum += f
-	a.n++
-	return nil
+	return len(vs), nil
 }
 
 func (a *meanAgg) Result() value.Value {
@@ -123,13 +131,16 @@ func (a *meanAgg) Reset() { a.sum, a.n = 0, 0 }
 
 type sumAgg struct{ sum float64 }
 
-func (a *sumAgg) Add(v value.Value) error {
-	f, ok := v.AsFloat()
-	if !ok {
-		return fmt.Errorf("agg: sum requires numeric input, got %s", v.Kind())
+//saql:hotpath
+func (a *sumAgg) AddAll(vs []value.Value) (int, error) {
+	for i := range vs {
+		f, ok := vs[i].AsFloat()
+		if !ok {
+			return i, fmt.Errorf("agg: sum requires numeric input, got %s", vs[i].Kind())
+		}
+		a.sum += f
 	}
-	a.sum += f
-	return nil
+	return len(vs), nil
 }
 
 func (a *sumAgg) Result() value.Value { return value.Float(a.sum) }
@@ -137,9 +148,14 @@ func (a *sumAgg) Reset()              { a.sum = 0 }
 
 type countAgg struct{ n int64 }
 
-func (a *countAgg) Add(value.Value) error { a.n++; return nil }
-func (a *countAgg) Result() value.Value   { return value.Int(a.n) }
-func (a *countAgg) Reset()                { a.n = 0 }
+//saql:hotpath
+func (a *countAgg) AddAll(vs []value.Value) (int, error) {
+	a.n += int64(len(vs))
+	return len(vs), nil
+}
+
+func (a *countAgg) Result() value.Value { return value.Int(a.n) }
+func (a *countAgg) Reset()              { a.n = 0 }
 
 type minMaxAgg struct {
 	isMin bool
@@ -147,19 +163,18 @@ type minMaxAgg struct {
 	seen  bool
 }
 
-func (a *minMaxAgg) Add(v value.Value) error {
-	f, ok := v.AsFloat()
-	if !ok {
-		return fmt.Errorf("agg: min/max requires numeric input, got %s", v.Kind())
+//saql:hotpath
+func (a *minMaxAgg) AddAll(vs []value.Value) (int, error) {
+	for i := range vs {
+		f, ok := vs[i].AsFloat()
+		if !ok {
+			return i, fmt.Errorf("agg: min/max requires numeric input, got %s", vs[i].Kind())
+		}
+		if !a.seen || (a.isMin && f < a.cur) || (!a.isMin && f > a.cur) {
+			a.cur, a.seen = f, true
+		}
 	}
-	if !a.seen {
-		a.cur, a.seen = f, true
-		return nil
-	}
-	if (a.isMin && f < a.cur) || (!a.isMin && f > a.cur) {
-		a.cur = f
-	}
-	return nil
+	return len(vs), nil
 }
 
 func (a *minMaxAgg) Result() value.Value {
@@ -175,9 +190,12 @@ type setAgg struct{ members map[string]struct{} }
 
 func newSetAgg() *setAgg { return &setAgg{members: map[string]struct{}{}} }
 
-func (a *setAgg) Add(v value.Value) error {
-	a.members[v.String()] = struct{}{}
-	return nil
+//saql:hotpath
+func (a *setAgg) AddAll(vs []value.Value) (int, error) {
+	for i := range vs {
+		a.members[vs[i].String()] = struct{}{}
+	}
+	return len(vs), nil
 }
 
 func (a *setAgg) Result() value.Value {
@@ -192,9 +210,11 @@ func (a *setAgg) Reset() { a.members = map[string]struct{}{} }
 
 type distinctAgg struct{ set *setAgg }
 
-func (a *distinctAgg) Add(v value.Value) error { return a.set.Add(v) }
-func (a *distinctAgg) Result() value.Value     { return value.Int(int64(len(a.set.members))) }
-func (a *distinctAgg) Reset()                  { a.set.Reset() }
+//saql:hotpath
+func (a *distinctAgg) AddAll(vs []value.Value) (int, error) { return a.set.AddAll(vs) }
+
+func (a *distinctAgg) Result() value.Value { return value.Int(int64(len(a.set.members))) }
+func (a *distinctAgg) Reset()              { a.set.Reset() }
 
 // varianceAgg implements Welford's online algorithm for numeric stability.
 type varianceAgg struct {
@@ -205,16 +225,19 @@ type varianceAgg struct {
 	m2     float64
 }
 
-func (a *varianceAgg) Add(v value.Value) error {
-	f, ok := v.AsFloat()
-	if !ok {
-		return fmt.Errorf("agg: stddev/variance requires numeric input, got %s", v.Kind())
+//saql:hotpath
+func (a *varianceAgg) AddAll(vs []value.Value) (int, error) {
+	for i := range vs {
+		f, ok := vs[i].AsFloat()
+		if !ok {
+			return i, fmt.Errorf("agg: stddev/variance requires numeric input, got %s", vs[i].Kind())
+		}
+		a.n++
+		d := f - a.mean
+		a.mean += d / float64(a.n)
+		a.m2 += d * (f - a.mean)
 	}
-	a.n++
-	d := f - a.mean
-	a.mean += d / float64(a.n)
-	a.m2 += d * (f - a.mean)
-	return nil
+	return len(vs), nil
 }
 
 func (a *varianceAgg) Result() value.Value {
@@ -239,13 +262,16 @@ type percentileAgg struct {
 	vals []float64
 }
 
-func (a *percentileAgg) Add(v value.Value) error {
-	f, ok := v.AsFloat()
-	if !ok {
-		return fmt.Errorf("agg: percentile/median requires numeric input, got %s", v.Kind())
+//saql:hotpath
+func (a *percentileAgg) AddAll(vs []value.Value) (int, error) {
+	for i := range vs {
+		f, ok := vs[i].AsFloat()
+		if !ok {
+			return i, fmt.Errorf("agg: percentile/median requires numeric input, got %s", vs[i].Kind())
+		}
+		a.vals = append(a.vals, f)
 	}
-	a.vals = append(a.vals, f)
-	return nil
+	return len(vs), nil
 }
 
 func (a *percentileAgg) Result() value.Value {
@@ -274,12 +300,16 @@ type firstLastAgg struct {
 	seen  bool
 }
 
-func (a *firstLastAgg) Add(v value.Value) error {
-	if a.first && a.seen {
-		return nil
+//saql:hotpath
+func (a *firstLastAgg) AddAll(vs []value.Value) (int, error) {
+	switch {
+	case len(vs) == 0 || a.first && a.seen:
+	case a.first:
+		a.val, a.seen = vs[0], true
+	default:
+		a.val, a.seen = vs[len(vs)-1], true
 	}
-	a.val, a.seen = v, true
-	return nil
+	return len(vs), nil
 }
 
 func (a *firstLastAgg) Result() value.Value {

@@ -18,10 +18,16 @@ func mustNew(t *testing.T, name string, params ...value.Value) Aggregator {
 	return a
 }
 
+// add folds one value, as a caller folding value by value does.
+func add(a Aggregator, v value.Value) error {
+	_, err := a.AddAll([]value.Value{v})
+	return err
+}
+
 func addFloats(t *testing.T, a Aggregator, vals ...float64) {
 	t.Helper()
 	for _, v := range vals {
-		if err := a.Add(value.Float(v)); err != nil {
+		if err := add(a, value.Float(v)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -56,9 +62,9 @@ func TestSumAndCount(t *testing.T) {
 	}
 	c := mustNew(t, "count")
 	// count accepts any value kind.
-	_ = c.Add(value.String("x"))
-	_ = c.Add(value.Int(1))
-	_ = c.Add(value.Null)
+	_ = add(c, value.String("x"))
+	_ = add(c, value.Int(1))
+	_ = add(c, value.Null)
 	if got := c.Result().IntVal(); got != 3 {
 		t.Errorf("count = %v", got)
 	}
@@ -84,7 +90,7 @@ func TestMinMax(t *testing.T) {
 func TestSetAndDistinct(t *testing.T) {
 	s := mustNew(t, "set")
 	for _, v := range []string{"a", "b", "a", "c"} {
-		_ = s.Add(value.String(v))
+		_ = add(s, value.String(v))
 	}
 	res := s.Result()
 	if res.SetLen() != 3 || !res.SetContains("b") {
@@ -92,7 +98,7 @@ func TestSetAndDistinct(t *testing.T) {
 	}
 	d := mustNew(t, "distinct")
 	for _, v := range []string{"a", "b", "a"} {
-		_ = d.Add(value.String(v))
+		_ = add(d, value.String(v))
 	}
 	if got := d.Result().IntVal(); got != 2 {
 		t.Errorf("distinct = %v", got)
@@ -143,8 +149,8 @@ func TestFirstLast(t *testing.T) {
 	f := mustNew(t, "first")
 	l := mustNew(t, "last")
 	for _, v := range []string{"a", "b", "c"} {
-		_ = f.Add(value.String(v))
-		_ = l.Add(value.String(v))
+		_ = add(f, value.String(v))
+		_ = add(l, value.String(v))
 	}
 	if f.Result().Str() != "a" || l.Result().Str() != "c" {
 		t.Errorf("first/last = %v/%v", f.Result(), l.Result())
@@ -154,7 +160,7 @@ func TestFirstLast(t *testing.T) {
 func TestNumericAggRejectsStrings(t *testing.T) {
 	for _, name := range []string{"avg", "sum", "min", "max", "stddev", "variance", "median"} {
 		a := mustNew(t, name)
-		if err := a.Add(value.String("x")); err == nil {
+		if err := add(a, value.String("x")); err == nil {
 			t.Errorf("%s should reject string input", name)
 		}
 	}
@@ -187,9 +193,9 @@ func TestAvgBoundsProperty(t *testing.T) {
 		mx := mustNewQuick("max")
 		for _, r := range raw {
 			v := value.Float(float64(r))
-			_ = a.Add(v)
-			_ = mn.Add(v)
-			_ = mx.Add(v)
+			_ = add(a, v)
+			_ = add(mn, v)
+			_ = add(mx, v)
 		}
 		av, _ := a.Result().AsFloat()
 		lo, _ := mn.Result().AsFloat()
@@ -209,9 +215,9 @@ func TestSumAvgCountConsistency(t *testing.T) {
 		c := mustNewQuick("count")
 		for _, r := range raw {
 			v := value.Float(float64(r))
-			_ = s.Add(v)
-			_ = a.Add(v)
-			_ = c.Add(v)
+			_ = add(s, v)
+			_ = add(a, v)
+			_ = add(c, v)
 		}
 		sv, _ := s.Result().AsFloat()
 		av, _ := a.Result().AsFloat()
@@ -229,7 +235,7 @@ func TestSetCardinalityProperty(t *testing.T) {
 		s := mustNewQuick("set")
 		uniq := map[string]bool{}
 		for _, r := range raw {
-			_ = s.Add(value.String(r))
+			_ = add(s, value.String(r))
 			uniq[value.String(r).String()] = true
 		}
 		return s.Result().SetLen() == len(uniq)

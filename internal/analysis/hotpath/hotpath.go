@@ -19,8 +19,10 @@
 // the RFC 3339 fast parser — backing TestNDJSONDecodeAllocsGate: ≤2
 // allocs/line), the wire.Reader decode loop, window assignment, the history
 // ring, the stateful fold (the slice log's Add/Touch/Advance, its
-// seal's bucketing pass and the per-member foldRun/foldInto, and the
-// evaluator's ResidualHits; window.Directory.Resolve and window.Manager's
+// seal's bucketing pass, its one evaluation of the set's argument programs
+// per hit and each member's column fold foldColumns/foldStretch/addColumn,
+// every aggregator's AddAll, and the evaluator's ResidualHits;
+// window.Directory.Resolve and window.Manager's
 // id-indexed GroupFor/Touch/Advance and open-window lookup — backing
 // TestStatefulFoldAllocsGate: 0 allocs per hit folded into an existing
 // group), DBSCAN's labelling passes

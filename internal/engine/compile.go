@@ -50,6 +50,9 @@ type Query struct {
 	// variant set's in the scheduler that holds it. Everything that reads or
 	// hands over the query's state settles it first (settle).
 	log *SliceLog
+	// argCols[pattern][field] is the column of its log's program table that
+	// holds the field's argument (SliceLog.tabulate).
+	argCols [][]int32
 	// Every program of the query runs against frame on progStack.
 	frame     pcode.Frame
 	progStack []value.Value

@@ -11,8 +11,10 @@ import (
 	"slices"
 	"strings"
 
+	"saql/internal/agg"
 	"saql/internal/event"
 	"saql/internal/pcode"
+	"saql/internal/value"
 	"saql/internal/window"
 )
 
@@ -119,42 +121,45 @@ func (q *Query) settle() {
 	}
 }
 
-// foldRun folds a run of logged hits — hits[i] for each i of run: one
-// group's, whose key holds id in directory d, in arrival order — into the
-// query's windows, when a slice log seals. It evaluates no key and asks no ownership
-// question: the log's class resolved each key once for every member, and a
-// replica is handed exactly the folds it owns. The hits inside the slice
-// [start, end) share one window assignment, made once for the run; any other
-// hit takes its own, which also decides whether it is late. The errors the
-// arguments raise go to errs, each with its hit's index, for the log to report
-// in arrival order.
+// foldColumns folds one chunk of a sealing slice log — its hits in run order
+// with their argument values, c — into the query's windows. It evaluates no
+// key and no argument and asks no ownership question: the log's class resolved
+// each key once for every member, the log ran each distinct argument program
+// once per hit, and a replica is handed exactly the folds it owns. A group's
+// in-slice hits in the chunk share one window assignment, made at the first
+// of them (any instant of the slice assigns the same windows, so a run a chunk
+// edge cuts folds the same); any other hit takes its own, which also decides
+// whether it is late. A stretch of one group's in-slice hits of one pattern
+// folds at once (foldStretch). The errors go to errs, each with its hit's
+// index, for the log to report in arrival order.
 //
 //saql:hotpath
-func (q *Query) foldRun(hits []sliceHit, run []int32, d *window.Directory, id int32, start, end int64, errs *[]foldErr) {
+func (q *Query) foldColumns(c *columns, d *window.Directory, errs *[]foldErr) {
+	q.stats.PatternHits += int64(len(c.rows))
 	var groups []*window.Group
-	shared := false
-	for _, i := range run {
-		h := &hits[i]
-		if t := h.ev.Time.UnixNano(); t < start || t >= end {
-			groups, shared = q.winMgr.GroupFor(h.ev.Time, d, id), false
-		} else if !shared {
-			groups, shared = q.winMgr.GroupFor(h.ev.Time, d, id), true
+	shared := false // groups is the assignment of the run's in-slice hits
+	for lo := 0; lo < len(c.rows); lo = int(c.rows[lo].end) {
+		r := &c.rows[lo]
+		if !shared || !r.in || c.rows[lo-1].id != r.id {
+			groups = q.winMgr.GroupFor(r.ev.Time, d, r.id)
 		}
-		q.foldInto(groups, h.ev, int(h.pat), i, errs)
+		shared = r.in
+		q.foldStretch(groups, c, lo, int(r.end), errs)
 	}
 }
 
-// foldInto folds ev, the hit of pattern hi at index at of its log, into
-// groups — its group in each window containing it: slot-indexed first-writer
-// bindings, the compiled argument programs, one Add per field.
+// foldStretch folds rows [lo, hi) of c — hits of one pattern into one group —
+// into groups, its group in each window containing them: the stretch's length
+// onto Count, slot-indexed first-writer bindings (every hit of the pattern
+// binds the same slots, so the first one's stand), and one AddAll per field
+// over the stretch of the field's column.
 //
 //saql:hotpath
-func (q *Query) foldInto(groups []*window.Group, ev *event.Event, hi int, at int32, errs *[]foldErr) {
-	q.stats.PatternHits++
-	q.frame.Event = ev
-	slots, args := q.slots[hi], q.argProgs[hi]
+func (q *Query) foldStretch(groups []*window.Group, c *columns, lo, hi int, errs *[]foldErr) {
+	ev := c.rows[lo].ev
+	slots, cols := q.slots[c.rows[lo].pat], q.argCols[c.rows[lo].pat]
 	for _, g := range groups {
-		g.Count++
+		g.Count += hi - lo
 		// Remember representative bindings for alert/return output: the
 		// first event to bind a slot keeps it, and the object is offered
 		// first because it shadows a subject of the same name.
@@ -167,14 +172,42 @@ func (q *Query) foldInto(groups []*window.Group, ev *event.Event, hi int, at int
 		if slots.alias >= 0 && g.Events[slots.alias] == nil {
 			g.Events[slots.alias] = ev
 		}
-		for i, arg := range args {
-			err := arg.Run(&q.frame, q.progStack)
-			if err == nil {
-				err = g.Aggs[i].Add(q.progStack[0])
+		for i, k := range cols {
+			at := int(k) * foldChunk
+			var failed []error
+			if c.bad[k] {
+				failed = c.errs[at+lo : at+hi]
 			}
-			if err != nil {
-				*errs = append(*errs, foldErr{at: at, err: err})
+			addColumn(g.Aggs[i], c.vals[at+lo:at+hi], failed, c.rows[lo:hi], errs)
+		}
+	}
+}
+
+// addColumn folds vs, the values of rows, into a in order: one AddAll up to
+// each value that failed to evaluate (failed, nil when none did) or that a
+// refuses, whose error it files under its hit, and on after it.
+//
+//saql:hotpath
+func addColumn(a agg.Aggregator, vs []value.Value, failed []error, rows []foldRow, errs *[]foldErr) {
+	for len(vs) > 0 {
+		m := len(vs)
+		if failed != nil {
+			m = slices.IndexFunc(failed, func(err error) bool { return err != nil })
+			if m < 0 {
+				m = len(vs)
 			}
+		}
+		n, err := a.AddAll(vs[:m])
+		if err == nil {
+			if m == len(vs) {
+				return
+			}
+			err = failed[m]
+		}
+		*errs = append(*errs, foldErr{at: rows[n].at, err: err})
+		vs, rows = vs[n+1:], rows[n+1:]
+		if failed != nil {
+			failed = failed[n+1:]
 		}
 	}
 }

@@ -21,6 +21,7 @@ import (
 	"saql/internal/event"
 	"saql/internal/expr"
 	"saql/internal/matcher"
+	"saql/internal/value"
 	"saql/internal/window"
 )
 
@@ -51,7 +52,8 @@ func (q *Query) refFold(ev *event.Event, hits []int, d *window.Directory, report
 
 // refFoldGroup folds ev, a hit of pattern hi, into the group whose key holds
 // id in directory d: its own window assignment, then first-writer bindings,
-// the argument programs and one Add per field in each containing window.
+// the argument programs and one AddAll of one value per field in each
+// containing window.
 func (q *Query) refFoldGroup(ev *event.Event, hi int, d *window.Directory, id int32, report func(error)) {
 	q.stats.PatternHits++
 	q.frame.Event = ev
@@ -70,7 +72,7 @@ func (q *Query) refFoldGroup(ev *event.Event, hi int, d *window.Directory, id in
 		for i, arg := range args {
 			err := arg.Run(&q.frame, q.progStack)
 			if err == nil {
-				err = g.Aggs[i].Add(q.progStack[0])
+				_, err = g.Aggs[i].AddAll(q.progStack[:1])
 			}
 			if err != nil {
 				q.fail(report, err)
@@ -167,7 +169,7 @@ func (q *Query) refIngest(ev *event.Event, hits []int, report func(error)) []*Al
 					q.fail(report, err)
 					continue
 				}
-				if err := g.Aggs[i].Add(v); err != nil {
+				if _, err := g.Aggs[i].AddAll([]value.Value{v}); err != nil {
 					q.fail(report, err)
 				}
 			}

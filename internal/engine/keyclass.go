@@ -39,6 +39,9 @@ type KeyClass struct {
 	runOf []int32
 	runs  []hitRun
 	order []int32
+	// A seal's columns (SliceLog.fold): one chunk of its hits in run order
+	// and its program table's values on them.
+	cols columns
 
 	// KeyEvals counts the failed keys' re-derivations (Failed) and Probes the
 	// directory probes: both exact, and at most one per event per pattern.

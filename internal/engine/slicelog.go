@@ -6,24 +6,39 @@ package engine
 // edges of any member (a slice, window.Spec.SliceAt) every hit falls in the same
 // windows of every member, and no member's window closes. So a set logs its
 // hits once — event, pattern, group id — and when the watermark reaches the
-// end of the slice it seals the log: the hits are bucketed by group id, and
-// each member folds a group's run of hits, in arrival order, under one window
-// assignment, before its watermark advances and its windows close as they
-// would have hit by hit.
+// end of the slice it seals the log: the hits are bucketed by group id, in
+// arrival order within each group's run, and each member folds them before its
+// watermark advances and its windows close as they would have hit by hit.
 //
-// Why it is exact: each member's group sees the same Adds in the same order as
-// per-event folding, because groups are independent accumulators and a run
-// keeps arrival order; it opens the same windows; and it makes the same late
-// decisions, because no member's watermark crosses a window edge inside the
-// log — the first observation at or past the set's due point (due) seals
-// first. So a seal is legal between any two events, which is what every
-// control point relies on: each member points to its log (Query.log), and
-// every reader of a member's state — stats, a checkpoint, a pause, a hand-over
-// — seals it before it looks; a log never holds more than sliceLogCap hits.
+// A seal evaluates each hit once for the whole set. The log's program table
+// holds the distinct aggregation-argument programs of its members
+// (pcode.Prog.Equal), per pattern; a seal runs each of them once per hit and
+// writes the values, their errors and each hit's in-slice flag into columns
+// laid out in run order (key-class scratch, foldChunk hits at a time). Every
+// member then folds the columns: a stretch of one group's in-slice hits of one
+// pattern shares one window assignment, adds its length to Count once, binds
+// its first hit's entities, and makes one AddAll per field per window over its
+// stretch of the field's column.
+//
+// Why it is exact: each member's aggregator sees the same values in the same
+// order as per-event folding — a program is a pure function of the event, so
+// one evaluation serves every member whose argument compiles to it; groups are
+// independent accumulators; a run keeps arrival order, and a column folds its
+// stretch in that order, stopping at a failed value and going on after it,
+// which is what one Add per hit did. A member opens the same windows, and it
+// makes the same late decisions, because no member's watermark crosses a
+// window edge inside the log — the first observation at or past the set's due
+// point (due) seals first. So a seal is legal between any two events, which is
+// what every control point relies on: each member points to its log
+// (Query.log), and every reader of a member's state — stats, a checkpoint, a
+// pause, a hand-over — seals it before it looks; a log never holds more than
+// sliceLogCap hits.
 //
 // What does move is when an aggregation argument's error is reported: at the
 // seal that folds its hit, not as the hit arrives. A member reports its errors
-// in the order of the hits that raised them, as hit by hit.
+// in the order of the hits that raised them — and for one hit by window, then
+// field — as hit by hit; an argument that fails is counted once per window
+// containing its hit, as hit by hit.
 
 import (
 	"cmp"
@@ -32,6 +47,8 @@ import (
 	"time"
 
 	"saql/internal/event"
+	"saql/internal/pcode"
+	"saql/internal/value"
 	"saql/internal/window"
 )
 
@@ -39,6 +56,11 @@ import (
 // (the slice goes on), so a long window keeps no more hits alive than a short
 // one.
 const sliceLogCap = 4096
+
+// foldChunk is how many of a seal's hits, in run order, its columns hold: the
+// columns are scratch of a fixed size, and every member folds one chunk
+// before the next is evaluated.
+const foldChunk = 256
 
 // sliceHit is one logged hit: ev matched pattern pat, whose key holds id in the
 // key class directory. 16 bytes.
@@ -53,6 +75,38 @@ type sliceHit struct {
 type hitRun struct {
 	id       int32
 	first, n int32
+}
+
+// argProg is a program of a log's table and the member whose frame and
+// operand stack run it.
+type argProg struct {
+	prog *pcode.Prog
+	q    *Query
+}
+
+// foldRow is a logged hit as a seal's columns hold it: the hit at index at of
+// the log, and whether its time lies inside the log's slice. A row that
+// starts a stretch — the longest run of one group's in-slice hits of one
+// pattern, or a hit outside the slice on its own — holds the index of the
+// row after the stretch in end.
+type foldRow struct {
+	ev  *event.Event
+	at  int32
+	id  int32
+	end int32
+	pat uint8
+	in  bool
+}
+
+// columns is one chunk of a sealing log's hits in run order, as every active
+// member folds it. Column k of the log's program table holds, for row p, the
+// value and the evaluation error of the table's k-th program of the row's
+// pattern at k*foldChunk+p; bad[k] says whether any row's failed.
+type columns struct {
+	rows []foldRow
+	vals []value.Value
+	errs []error
+	bad  []bool
 }
 
 // foldErr is an error a member's fold raised on the hit at index at of the
@@ -72,6 +126,11 @@ type SliceLog struct {
 	specs   []window.Spec
 	kc      *KeyClass
 	report  func(error)
+	// progs[pattern] are the distinct argument programs of the members' hits
+	// of that pattern: each member's field reads the column its Query.argCols
+	// names. width is the longest list.
+	progs [][]argProg
+	width int
 
 	hits []sliceHit
 	// [start, end) is the slice holding the furthest member watermark: its
@@ -85,9 +144,8 @@ type SliceLog struct {
 	// instant of the slice opens the same windows.
 	touchAt time.Time
 	touched bool
-	// errs holds the fold errors of the member folding, until they are
-	// reported.
-	errs []foldErr
+	// errs holds each active member's fold errors until they are reported.
+	errs [][]foldErr
 }
 
 // NewSliceLog returns the empty log of a variant set whose members fold
@@ -101,9 +159,31 @@ func NewSliceLog(members []*Query, kc *KeyClass, report func(error)) *SliceLog {
 		if spec := q.winMgr.Spec(); !slices.Contains(l.specs, spec) {
 			l.specs = append(l.specs, spec)
 		}
+		l.tabulate(q)
 	}
 	l.reset()
 	return l
+}
+
+// tabulate enters member q's argument programs in the log's table, each
+// program once however many members compile an argument to it, and points
+// q's fields at their columns.
+func (l *SliceLog) tabulate(q *Query) {
+	q.argCols = make([][]int32, len(q.argProgs))
+	for pat, args := range q.argProgs {
+		if pat == len(l.progs) {
+			l.progs = append(l.progs, nil)
+		}
+		for _, p := range args {
+			k := slices.IndexFunc(l.progs[pat], func(a argProg) bool { return a.prog.Equal(p) })
+			if k < 0 {
+				k = len(l.progs[pat])
+				l.progs[pat] = append(l.progs[pat], argProg{prog: p, q: q})
+				l.width = max(l.width, k+1)
+			}
+			q.argCols[pat] = append(q.argCols[pat], int32(k))
+		}
+	}
 }
 
 // Idle reports whether every member is paused: the set takes no hits and
@@ -228,23 +308,33 @@ func (l *SliceLog) seal() []*Alert {
 }
 
 // fold replays the logged hits into every active member — bucketed by group
-// id, one run per group in arrival order — and the slice's touch, and empties
-// the log. It neither advances a watermark nor closes a window, so it may run
-// at any point between two events.
+// id, one run per group in arrival order, evaluated into columns a chunk at a
+// time — and the slice's touch, and empties the log. It neither advances a
+// watermark nor closes a window, so it may run at any point between two
+// events.
+//
+//saql:hotpath
 func (l *SliceLog) fold() {
 	if len(l.hits) > 0 {
-		runs, order := l.kc.bucket(l.hits)
-		d := &l.kc.dir
-		for _, q := range l.active {
-			for _, r := range runs {
-				q.foldRun(l.hits, order[r.first:r.first+r.n], d, r.id, l.start, l.end, &l.errs)
-			}
-			if len(l.errs) > 0 {
-				l.reportErrs(q)
+		order := l.kc.bucket(l.hits)
+		c := l.kc.columns(l.width)
+		for len(l.errs) < len(l.active) {
+			l.errs = append(l.errs, nil)
+		}
+		for lo := 0; lo < len(order); lo += foldChunk {
+			l.evaluate(c, order[lo:min(lo+foldChunk, len(order))])
+			for i, q := range l.active {
+				q.foldColumns(c, &l.kc.dir, &l.errs[i])
 			}
 		}
-		clear(l.hits) // the events are the members' now, or nobody's
+		clear(c.rows) // the events are the members' now, or nobody's
+		clear(l.hits)
 		l.hits = l.hits[:0]
+		for i, q := range l.active {
+			if len(l.errs[i]) > 0 {
+				l.reportErrs(q, &l.errs[i])
+			}
+		}
 	}
 	if l.touched {
 		for _, q := range l.active {
@@ -254,31 +344,65 @@ func (l *SliceLog) fold() {
 	}
 }
 
+// evaluate fills c with the logged hits order lists, in that order: a row per
+// hit, the stretches they form, and every program of the table for the hit's
+// pattern run once on it.
+//
+//saql:hotpath
+func (l *SliceLog) evaluate(c *columns, order []int32) {
+	c.rows = c.rows[:len(order)]
+	clear(c.bad)
+	stretch := 0
+	for p, i := range order {
+		h := &l.hits[i]
+		t := h.ev.Time.UnixNano()
+		r := &c.rows[p]
+		*r = foldRow{ev: h.ev, at: i, id: h.id, pat: h.pat, in: l.start <= t && t < l.end}
+		if p > 0 {
+			if prev := &c.rows[p-1]; !r.in || !prev.in || r.id != prev.id || r.pat != prev.pat {
+				c.rows[stretch].end, stretch = int32(p), p
+			}
+		}
+		for k, a := range l.progs[h.pat] {
+			a.q.frame.Event = h.ev
+			err := a.prog.Run(&a.q.frame, a.q.progStack)
+			at := k*foldChunk + p
+			c.vals[at], c.errs[at] = a.q.progStack[0], err
+			if err != nil {
+				c.bad[k] = true
+			}
+		}
+	}
+	if len(order) > 0 {
+		c.rows[stretch].end = int32(len(order))
+	}
+}
+
 // reportErrs reports member q's fold errors in the order of the hits that
-// raised them — the order folding hit by hit reports them in; the runs left
-// them group by group — and forgets them.
-func (l *SliceLog) reportErrs(q *Query) {
-	slices.SortStableFunc(l.errs, func(a, b foldErr) int { return cmp.Compare(a.at, b.at) })
-	for _, e := range l.errs {
+// raised them — the order folding hit by hit reports them in; the columns
+// left them group by group — and forgets them.
+func (l *SliceLog) reportErrs(q *Query, errs *[]foldErr) {
+	slices.SortStableFunc(*errs, func(a, b foldErr) int { return cmp.Compare(a.at, b.at) })
+	for _, e := range *errs {
 		q.fail(l.report, e.err)
 	}
-	clear(l.errs)
-	l.errs = l.errs[:0]
+	clear(*errs)
+	*errs = (*errs)[:0]
 }
 
 // bucket orders hits by group id, stably, with one counting pass over the
-// directory's dense ids: order lists the hits' indexes run by run, and the
-// runs come in order of their groups' first hits. Both results are scratch of
-// the class, good until its next bucket.
+// directory's dense ids: order lists the hits' indexes run by run — a group's
+// hits together, in arrival order — and the runs come in order of their
+// groups' first hits. It is scratch of the class, good until its next bucket.
 //
 //saql:hotpath
-func (c *KeyClass) bucket(hits []sliceHit) (runs []hitRun, order []int32) {
+func (c *KeyClass) bucket(hits []sliceHit) (order []int32) {
 	if n := c.dir.Len(); len(c.runOf) < n {
 		// Grown with room to spare, like the directory: past len the array
 		// has only ever held zeros.
 		c.runOf = slices.Grow(c.runOf, n-len(c.runOf))[:n]
 	}
-	runs = c.runs[:0]
+	runs := c.runs[:0]
 	for i := range hits {
 		r := c.runOf[hits[i].id]
 		if r == 0 {
@@ -306,5 +430,21 @@ func (c *KeyClass) bucket(hits []sliceHit) (runs []hitRun, order []int32) {
 		c.runOf[r.id] = 0
 	}
 	c.runs = runs
-	return runs, order
+	return order
+}
+
+// columns returns the class's column scratch, with room for a chunk of a log
+// whose program table is width programs wide: grown at a log's first seal,
+// then reused.
+func (c *KeyClass) columns(width int) *columns {
+	if cap(c.cols.rows) == 0 || cap(c.cols.bad) < width {
+		c.cols = columns{
+			rows: make([]foldRow, 0, foldChunk),
+			vals: make([]value.Value, width*foldChunk),
+			errs: make([]error, width*foldChunk),
+			bad:  make([]bool, width),
+		}
+	}
+	c.cols.bad = c.cols.bad[:width]
+	return &c.cols
 }

@@ -6,12 +6,15 @@ package engine
 // log while twins of the same queries fold it hit by hit, and after every seal
 // the two sides agree on the alerts raised so far, on every QueryStats field
 // (LateHits is the managers' LateEvents), on the state bytes and, member by
-// member and in order, on the errors reported.
+// member and in order, on the errors reported. Its mixed-fields sets give the
+// members different state fields over the same patterns and key, so that the
+// log's program table holds programs some members read and others do not.
 
 import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -23,24 +26,50 @@ import (
 
 // sliceLogSrc is a member of the differential's variant sets: two patterns
 // (so a log carries more than one), a key that fails for one process in seven,
-// arguments that fail on the other pattern's hits, and one that fails on about
-// half of its own with an error naming the hit's amount (so that errors in the
-// wrong order show), an alert on the count.
+// the state fields, and an alert on the count.
 const sliceLogSrc = `proc p write ip i as e1
 proc p read file f as e2 #time(%d ms)
-state ss { n := count(e1)
-           amt := sum(e1.amount)
-           root := sum(sqrt(e1.amount - 500))
-           files := set(f.name) } group by p, 100 / (p.pid %% 7)
+state ss { %s } group by p, 100 / (p.pid %% 7)
 alert ss.n > 2
 return p, ss.n, ss.amt`
 
-// sliceLogMember compiles one member with window length and hop in
-// milliseconds; a hop longer than the window (gapped) is set on the parsed
-// query, since the language does not write one.
-func sliceLogMember(t *testing.T, name string, length, hop int) *Query {
+// sliceLogFields are every member's state fields in the differential's plain
+// sets: arguments that fail on the other pattern's hits, and one that fails on
+// about half of its own with an error naming the hit's amount (so that errors
+// in the wrong order show).
+const sliceLogFields = `n := count(e1)
+           amt := sum(e1.amount)
+           root := sum(sqrt(e1.amount - 500))
+           files := set(f.name)`
+
+// mixedFields are member i's state fields in a mixed-fields set: n and amt,
+// which every member has; root, which half of them have; top, which only
+// member 0 has; and names, one program that member 0 sums — every hit fails
+// there, and only there — while the others collect it in a set. Every third
+// member declares them in reverse, so that field and column orders differ.
+func mixedFields(i int) string {
+	fields := []string{"n := count(e1)", "amt := sum(e1.amount)"}
+	if i%2 == 0 {
+		fields = append(fields, "root := sum(sqrt(e1.amount - 500))")
+	}
+	if i == 0 {
+		fields = append(fields, "top := max(e1.amount * 2)", "names := sum(p.exe_name)")
+	} else {
+		fields = append(fields, "names := set(p.exe_name)")
+	}
+	fields = append(fields, "files := set(f.name)")
+	if i%3 == 1 {
+		slices.Reverse(fields)
+	}
+	return strings.Join(fields, "\n           ")
+}
+
+// sliceLogMember compiles one member with the given state fields, window
+// length and hop in milliseconds; a hop longer than the window (gapped) is set
+// on the parsed query, since the language does not write one.
+func sliceLogMember(t *testing.T, name, fields string, length, hop int) *Query {
 	t.Helper()
-	ast, err := parser.Parse(fmt.Sprintf(sliceLogSrc, length))
+	ast, err := parser.Parse(fmt.Sprintf(sliceLogSrc, length, fields))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,15 +89,20 @@ func sliceLogSeeds(t *testing.T) []conformance.Seed {
 }
 
 func TestSliceLogMatchesPerEventFold(t *testing.T) {
-	for _, s := range sliceLogSeeds(t) {
-		for _, routed := range []bool{false, true} {
-			path := "serial"
-			if routed {
-				path = "routed"
+	for _, mixed := range []bool{false, true} {
+		for _, s := range sliceLogSeeds(t) {
+			for _, routed := range []bool{false, true} {
+				name := s.Label + "/serial"
+				if routed {
+					name = s.Label + "/routed"
+				}
+				if mixed {
+					name = "mixed-fields/" + name
+				}
+				t.Run(name, func(t *testing.T) {
+					runSliceLogScript(t, s.Value, routed, mixed)
+				})
 			}
-			t.Run(s.Label+"/"+path, func(t *testing.T) {
-				runSliceLogScript(t, s.Value, routed)
-			})
 		}
 	}
 	t.Run("own-log/flush-report", testOwnLogFlushReport)
@@ -89,10 +123,14 @@ func errorsByQuery() (func(error), map[string][]string) {
 // (refIngestKeyed); the routed path replays what a shard is handed — the
 // stream watermark, then per hit a fold, a touch (another shard owns the key)
 // or a key failure, then the event's time, and now and then a batch watermark
-// — and each twin brackets the same ops with refAdvance.
-func runSliceLogScript(t *testing.T, seed int64, routed bool) {
+// — and each twin brackets the same ops with refAdvance. A mixed set has two
+// to eight members, each with its mixedFields.
+func runSliceLogScript(t *testing.T, seed int64, routed, mixed bool) {
 	rng := rand.New(rand.NewSource(seed))
 	n := 1 + rng.Intn(8)
+	if mixed {
+		n = max(n, 2)
+	}
 	var members, twins []*Query
 	var dirs []*window.Directory
 	var specs []string
@@ -105,9 +143,12 @@ func runSliceLogScript(t *testing.T, seed int64, routed bool) {
 		case 2: // gapped
 			hop = length + 250*(1+rng.Intn(6))
 		}
-		name := fmt.Sprintf("m%d", i)
-		members = append(members, sliceLogMember(t, name, length, hop))
-		twins = append(twins, sliceLogMember(t, name, length, hop))
+		name, fields := fmt.Sprintf("m%d", i), sliceLogFields
+		if mixed {
+			fields = mixedFields(i)
+		}
+		members = append(members, sliceLogMember(t, name, fields, length, hop))
+		twins = append(twins, sliceLogMember(t, name, fields, length, hop))
 		dirs = append(dirs, new(window.Directory))
 		specs = append(specs, fmt.Sprintf("%d/%d ms", length, hop))
 	}
@@ -305,6 +346,19 @@ func runSliceLogScript(t *testing.T, seed int64, routed bool) {
 	if len(got) == 0 || seals < 10 || late == 0 || capFolds == 0 || errs == 0 {
 		t.Fatalf("the script exercised too little: %d alerts, %d seals, %d late hits, %d cap folds, %d errors", len(got), seals, late, capFolds, errs)
 	}
+	if mixed {
+		// The table shares names's program; only member 0's sum refuses it.
+		for i, q := range members {
+			if refused := slices.ContainsFunc(gotErrs[q.Name], func(e string) bool {
+				return strings.Contains(e, "sum requires numeric input, got string")
+			}); refused != (i == 0) {
+				t.Fatalf("%s: refused a string in sum: %v, want %v", q.Name, refused, i == 0)
+			}
+		}
+		if w := log.width; w <= len(members[1].argProgs[0]) {
+			t.Fatalf("the program table is %d wide, no wider than member 1's %d arguments", w, len(members[1].argProgs[0]))
+		}
+	}
 }
 
 // testOwnLogFlushReport: a query used on its own folds its last slice at
@@ -312,7 +366,7 @@ func runSliceLogScript(t *testing.T, seed int64, routed bool) {
 // slice's arguments raise, and the two reports together hold the per-event
 // fold's errors in order.
 func testOwnLogFlushReport(t *testing.T) {
-	q, twin := sliceLogMember(t, "own", 2000, 0), sliceLogMember(t, "own", 2000, 0)
+	q, twin := sliceLogMember(t, "own", sliceLogFields, 2000, 0), sliceLogMember(t, "own", sliceLogFields, 2000, 0)
 	d := new(window.Directory)
 	var ingestErrs, flushErrs, want []string
 	ingestReport := func(err error) { ingestErrs = append(ingestErrs, err.Error()) }

@@ -135,7 +135,7 @@ func (p *diffPair) fold(ev *event.Event, key string, pi int) {
 				g.Events[s.alias] = ev
 			}
 			for i, v := range vals {
-				if err := g.Aggs[i].Add(v); err != nil {
+				if _, err := g.Aggs[i].AddAll([]value.Value{v}); err != nil {
 					p.t.Fatal(err)
 				}
 			}
@@ -159,7 +159,7 @@ func (p *diffPair) fold(ev *event.Event, key string, pi int) {
 			}
 		}
 		for i, v := range vals {
-			if err := w.Aggs[i].Add(v); err != nil {
+			if _, err := w.Aggs[i].AddAll([]value.Value{v}); err != nil {
 				p.t.Fatal(err)
 			}
 		}

@@ -220,8 +220,8 @@ func TestManagerLifecycle(t *testing.T) {
 		t.Fatalf("groups = %d", len(groups))
 	}
 	g := groups[0]
-	_ = g.Aggs[0].Add(value.Float(100))
-	_ = g.Aggs[1].Add(value.Int(1))
+	_, _ = g.Aggs[0].AddAll([]value.Value{value.Float(100)})
+	_, _ = g.Aggs[1].AddAll([]value.Value{value.Int(1)})
 
 	if closed := m.Advance(base.Add(30 * time.Second)); len(closed) != 0 {
 		t.Errorf("window closed early: %v", closed)
@@ -267,7 +267,7 @@ func TestManagerMultipleGroupsAndWindows(t *testing.T) {
 		at := base.Add(time.Duration(i*30) * time.Second)
 		for _, key := range []string{"a", "b"} {
 			for _, g := range keyed(m, at, key) {
-				_ = g.Aggs[0].Add(value.Float(1))
+				_, _ = g.Aggs[0].AddAll([]value.Value{value.Float(1)})
 			}
 		}
 	}
