@@ -190,6 +190,11 @@ func (l *SliceLog) tabulate(q *Query) {
 // observes no time.
 func (l *SliceLog) Idle() bool { return len(l.active) == 0 }
 
+// Due is the point, in Unix nanoseconds, at which an observed watermark seals
+// the log: Advance below it only records the watermark. It moves only when the
+// log seals.
+func (l *SliceLog) Due() int64 { return l.due }
+
 // slice returns the slice of the members' specs holding t.
 func (l *SliceLog) slice(t int64) (start, end int64) {
 	start, end = math.MinInt64, math.MaxInt64

@@ -103,7 +103,7 @@ func processHits(s *Scheduler, ev *event.Event) map[string][]int {
 	s.stats.Events++
 	h := s.evaluateBatchLocked([]*event.Event{ev})[0]
 	out := byName(s.layout, h)
-	s.foldLocked(ev, s.resolveLocked(ev, h))
+	s.foldLocked(ev, s.resolveLocked(ev, 0))
 	return out
 }
 
@@ -120,7 +120,8 @@ type DispatchCase struct {
 type DispatchQuery struct{ Name, Src string }
 
 // DispatchStep is a control applied before Events[At]: "pause" or "resume"
-// Name, "swap" Name for Src, or "remove" Name.
+// Name, "swap" Name for Src, "add" Name compiled from Src, "remove" Name, or
+// "stats", which changes nothing: the fences read every query there.
 type DispatchStep struct {
 	At        int
 	Kind      string
@@ -271,6 +272,21 @@ func NewDispatchCase(seed int64) DispatchCase {
 	return c
 }
 
+// checkSetOrder fails unless hs resolves its sets in the order of their first
+// slot with hits: the order of a scan over the whole slot table.
+func checkSetOrder(t *testing.T, at int, hs *HitSet) {
+	t.Helper()
+	last := -1
+	for _, sh := range hs.Sets {
+		slots := hs.Layout.Sets[sh.Set].Slots
+		first := slots[slices.IndexFunc(slots, func(slot int) bool { return len(hs.Hits[slot]) > 0 })]
+		if first <= last {
+			t.Fatalf("event %d: set %d (first slot with hits %d) resolved after a set whose first is %d", at, sh.Set, first, last)
+		}
+		last = first
+	}
+}
+
 // decodeNDJSON renders ev as an ndjson line and decodes it back.
 func decodeNDJSON(dec codec.Decoder, ev *event.Event) *event.Event {
 	obj := map[string]any{}
@@ -309,6 +325,8 @@ func (st DispatchStep) apply(t *testing.T, s *Scheduler) {
 		ok = s.SetPaused(st.Name, st.Kind == "pause")
 	case "swap":
 		ok = s.Swap(st.Name, compile(t, st.Name, st.Src), false) == nil
+	case "add":
+		ok = s.Add(compile(t, st.Name, st.Src)) == nil
 	case "remove":
 		ok = s.Remove(st.Name)
 	}
@@ -320,9 +338,11 @@ func (st DispatchStep) apply(t *testing.T, s *Scheduler) {
 // TestPinnedDispatchMatchesSweep holds the evaluator to the un-indexed sweep
 // on both of its paths: on every event of a random case, each query's hit set
 // is the same from EvaluateBatch (over random batches), from Process (a batch
-// of one) and from the oracle; the logical counters (StreamCopies, NaiveCopies,
-// NaivePatternEvals) are the oracle's, and PatternEvals — the masters
-// actually run — is at most the oracle's and the same on both paths.
+// of one) and from the oracle; EvaluateBatch resolves the sets in the order
+// of their first slot with hits, pinned and unpinned groups alike; the
+// logical counters (StreamCopies, NaiveCopies, NaivePatternEvals) are the
+// oracle's, and PatternEvals — the masters actually run — is at most the
+// oracle's and the same on both paths.
 func TestPinnedDispatchMatchesSweep(t *testing.T) {
 	for _, sd := range DispatchSeeds(t) {
 		t.Run(sd.Label, func(t *testing.T) {
@@ -365,6 +385,7 @@ func TestPinnedDispatchMatchesSweep(t *testing.T) {
 					got := map[string][]int{}
 					if hs[k] != nil {
 						got = byName(hs[k].Layout, hs[k].Hits)
+						checkSetOrder(t, i+k, hs[k])
 					}
 					if !maps.EqualFunc(got, ref, slices.Equal) {
 						t.Fatalf("event %d (agent %q): EvaluateBatch hits %v, sweep %v", i+k, ev.AgentID, got, ref)

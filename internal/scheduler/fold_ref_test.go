@@ -12,7 +12,9 @@ package scheduler
 // evaluator, so the fold is all that differs from Process.
 
 import (
+	"bytes"
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"testing"
@@ -149,43 +151,59 @@ func (r *refFold) apply(t *testing.T, st DispatchStep) {
 	}
 }
 
-// foldRefQueries join each dispatch case in the oracle's fence: two window
+// foldRefQueries join each dispatch case in the oracle's fence: window
 // lengths of one stateful detection — one variant set — whose group key
 // divides by the subject's pid modulo 3, and so fails for one process in
-// three.
+// three. The first two are registered before the stream, the third a third
+// of the way in.
 var foldRefQueries = []DispatchQuery{
-	{"kf5", "proc p write ip i as e #time(5 s)\nstate ss { n := count(e)\namt := sum(e.amount) } group by p, 1000 / (p.pid % 3)\nalert ss.n > 1\nreturn p, ss.n, ss.amt"},
-	{"kf7", "proc p write ip i as e #time(7 s)\nstate ss { n := count(e)\namt := sum(e.amount) } group by p, 1000 / (p.pid % 3)\nalert ss.n > 1\nreturn p, ss.n, ss.amt"},
+	{"kf5", foldRefQuery(5)},
+	{"kf7", foldRefQuery(7)},
+	{"kf9", foldRefQuery(9)},
+}
+
+func foldRefQuery(seconds int) string {
+	return fmt.Sprintf("proc p write ip i as e #time(%d s)\nstate ss { n := count(e)\namt := sum(e.amount) } group by p, 1000 / (p.pid %% 3)\nalert ss.n > 1\nreturn p, ss.n, ss.amt", seconds)
 }
 
 // TestFoldMatchesSerialOracle holds the one fold driver to the serial fold it
 // replaced. Each dispatch case — random query sets and their pause, swap and
 // remove script — gains the failing-key variant set above, paused and
-// resumed member by member three times, and a stream with a quarter of its
-// events moved up to three seconds back and the ten after each resume two to
-// four seconds back: a set's watermark is not every event's time, and a
-// resumed member's jumps to the stream's.
+// resumed member by member three times, a third member registered mid-stream,
+// and a stream with a quarter of its events moved up to three seconds back
+// and the ten after each resume two to four seconds back: a set's watermark
+// is not every event's time, and a resumed member's jumps to the stream's.
 // Serial Process, EvaluateBatch over random batches + ProcessWithHits, and
-// the oracle then raise the same alert multiset on every event. Process and
-// the oracle agree on Stats after every event, and the batch side after every
-// batch: GroupProbes and Alerts exactly, KeyEvals up to the fold's one
-// re-derivation of each failing key. Every query's QueryStats agree on all
-// three at every script step, at one event in 32 between them, and at the
-// end.
+// the oracle, which visits every set at every event, then raise the same
+// alert multiset on every event, and so does a second serial Process that is
+// read only at the "stats" steps. Both Processes and the oracle agree on
+// Stats after every event, and the batch side after every batch: GroupProbes
+// and Alerts exactly, KeyEvals up to the fold's one re-derivation of each
+// failing key. Every query's QueryStats and CaptureStates bytes agree with
+// the oracle's at every script step, at one event in 32 between them, and at
+// the end; the quiet Process is read at the "stats" steps — two events after
+// each resume and after the registration, inside the sets' slices, where it
+// has visited no set since the control — and at the end.
 func TestFoldMatchesSerialOracle(t *testing.T) {
 	for _, sd := range DispatchSeeds(t) {
 		t.Run(sd.Label, func(t *testing.T) {
 			c := NewDispatchCase(sd.Value)
 			rng := rand.New(rand.NewSource(sd.Value))
-			c.Queries = append(c.Queries, foldRefQueries...)
+			c.Queries = append(c.Queries, foldRefQueries[:2]...)
 			n := len(c.Events)
+			kf9 := foldRefQueries[2]
+			c.Script = append(c.Script,
+				DispatchStep{At: n / 3, Kind: "add", Name: kf9.Name, Src: kf9.Src},
+				DispatchStep{At: n/3 + 2, Kind: "stats"})
 			late := map[int]bool{} // the events right after a resume, which arrive late
 			for _, at := range []int{n / 4, n / 2, 3 * n / 4} {
 				c.Script = append(c.Script,
 					DispatchStep{At: at, Kind: "pause", Name: "kf5"},
 					DispatchStep{At: at + 5, Kind: "pause", Name: "kf7"},
 					DispatchStep{At: at + 40, Kind: "resume", Name: "kf7"},
-					DispatchStep{At: at + 45, Kind: "resume", Name: "kf5"})
+					DispatchStep{At: at + 42, Kind: "stats"},
+					DispatchStep{At: at + 45, Kind: "resume", Name: "kf5"},
+					DispatchStep{At: at + 47, Kind: "stats"})
 				for i := at + 40; i < at+50; i++ {
 					late[i] = true
 				}
@@ -202,10 +220,16 @@ func TestFoldMatchesSerialOracle(t *testing.T) {
 				events[i] = &e
 			}
 
-			serial, evalSide, foldSide := New(nil, c.Sharing), New(nil, c.Sharing), New(nil, c.Sharing)
+			// quiet is serial Process read only at the "stats" steps and at the
+			// end. A read right after a control resets the bound on the sets
+			// Process visits (advanceLocked), and so would hide a control that
+			// leaves it unreset.
+			serial, quiet, evalSide, foldSide := New(nil, c.Sharing), New(nil, c.Sharing), New(nil, c.Sharing), New(nil, c.Sharing)
+			loud := map[string]*Scheduler{"Process": serial, "ProcessWithHits": foldSide}
+			every := map[string]*Scheduler{"Process": serial, "quiet Process": quiet, "ProcessWithHits": foldSide}
 			ref := newRefFold(c.Sharing)
 			for _, q := range c.Queries {
-				for _, s := range []*Scheduler{serial, evalSide, foldSide, ref.s} {
+				for _, s := range []*Scheduler{serial, quiet, evalSide, foldSide, ref.s} {
 					if err := s.Add(compile(t, q.Name, q.Src)); err != nil {
 						t.Fatal(err)
 					}
@@ -219,13 +243,29 @@ func TestFoldMatchesSerialOracle(t *testing.T) {
 				slices.Sort(out)
 				return out
 			}
-			checkQueries := func(when string) {
+			checkQueries := func(when string, sides map[string]*Scheduler) {
 				t.Helper()
-				for name := range serial.queries {
+				names := slices.Sorted(maps.Keys(serial.queries))
+				for _, name := range names {
 					want := ref.queryStats(name)
-					for side, s := range map[string]*Scheduler{"Process": serial, "ProcessWithHits": foldSide} {
+					for side, s := range sides {
 						if got, _ := s.QueryStats(name); got != want {
 							t.Fatalf("%s: %s: %s stats %+v, oracle %+v", when, side, name, got, want)
+						}
+					}
+				}
+				want, _, err := ref.s.CaptureStates(names...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for side, s := range sides {
+					got, _, err := s.CaptureStates(names...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, name := range names {
+						if !bytes.Equal(got[name], want[name]) {
+							t.Fatalf("%s: %s: %s captures %d bytes %x, oracle %d bytes %x", when, side, name, len(got[name]), got[name], len(want[name]), want[name])
 						}
 					}
 				}
@@ -241,11 +281,15 @@ func TestFoldMatchesSerialOracle(t *testing.T) {
 			script := c.Script
 			for i := 0; i < n; {
 				for len(script) > 0 && script[0].At <= i {
-					for _, s := range []*Scheduler{serial, evalSide, foldSide} {
+					for _, s := range []*Scheduler{serial, quiet, evalSide, foldSide} {
 						script[0].apply(t, s)
 					}
 					ref.apply(t, script[0])
-					checkQueries(fmt.Sprintf("event %d, after %s %s", i, script[0].Kind, script[0].Name))
+					sides := loud
+					if script[0].Kind == "stats" {
+						sides = every
+					}
+					checkQueries(fmt.Sprintf("event %d, after %s %s", i, script[0].Kind, script[0].Name), sides)
 					script = script[1:]
 				}
 				j := min(i+1+rng.Intn(64), n)
@@ -259,12 +303,16 @@ func TestFoldMatchesSerialOracle(t *testing.T) {
 					if got := render(serial.Process(ev)); !slices.Equal(got, want) {
 						t.Fatalf("%s: Process raised %v, oracle %v", when, got, want)
 					}
+					if got := render(quiet.Process(ev)); !slices.Equal(got, want) {
+						t.Fatalf("%s: quiet Process raised %v, oracle %v", when, got, want)
+					}
 					if got := render(foldSide.ProcessWithHits(ev, hs[k])); !slices.Equal(got, want) {
 						t.Fatalf("%s: ProcessWithHits raised %v, oracle %v", when, got, want)
 					}
 					checkStats(when, "Process", serial.Stats())
+					checkStats(when, "quiet Process", quiet.Stats())
 					if rng.Intn(32) == 0 {
-						checkQueries(when)
+						checkQueries(when, loud)
 					}
 				}
 				es, fs := evalSide.Stats(), foldSide.Stats()
@@ -273,12 +321,12 @@ func TestFoldMatchesSerialOracle(t *testing.T) {
 				i = j
 			}
 			want := render(ref.s.Flush())
-			for side, s := range map[string]*Scheduler{"Process": serial, "ProcessWithHits": foldSide} {
+			for side, s := range every {
 				if got := render(s.Flush()); !slices.Equal(got, want) {
 					t.Fatalf("%s: Flush raised %v, oracle %v", side, got, want)
 				}
 			}
-			checkQueries("end")
+			checkQueries("end", every)
 			st := ref.s.Stats()
 			t.Logf("seed %d: %d queries, %d events, %d alerts, %d keys evaluated (%d failed)",
 				sd.Value, len(c.Queries), n, st.Alerts, ref.keyEvals, ref.failedKeys)

@@ -12,6 +12,7 @@ package scheduler
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sort"
 	"strings"
@@ -403,6 +404,15 @@ type Scheduler struct {
 	report func(error)
 	// wm is the serial fold's stream watermark; a shard's come from the router.
 	wm event.Watermark
+	// due bounds what an advance visits (advanceLocked): the smallest due
+	// point (engine.SliceLog.Due) among the active slice logs as the last walk
+	// over them left them, lowered by every log applySet advances, and
+	// math.MinInt64 — walk them all — after a control point (syncLocked).
+	// observed is the last stamp, in Unix nanoseconds, an advance below it
+	// recorded without visiting a set, and behind says no walk has delivered
+	// it since.
+	due, observed int64
+	behind        bool
 }
 
 // New creates a scheduler. reporter may be nil. sharing enables the
@@ -416,6 +426,7 @@ func New(reporter *engine.ErrorReporter, sharing bool) *Scheduler {
 		offered:  map[string]counted{},
 		reporter: reporter,
 		sharing:  sharing,
+		due:      math.MinInt64,
 	}
 	s.report = s.reportFn()
 	return s
@@ -430,6 +441,7 @@ func (s *Scheduler) Add(q *engine.Query) error {
 	if _, dup := s.queries[q.Name]; dup {
 		return fmt.Errorf("scheduler: duplicate query name %q", q.Name)
 	}
+	s.syncLocked()
 	s.registerLocked(q)
 	return nil
 }
@@ -507,6 +519,7 @@ func (s *Scheduler) memberOfLocked(id int32, name string) *engine.Query {
 func (s *Scheduler) Remove(name string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.syncLocked()
 	ok := s.removeLocked(name)
 	if ok {
 		s.invalidateLayoutLocked()
@@ -599,6 +612,7 @@ func (s *Scheduler) addLocked(q *engine.Query) {
 func (s *Scheduler) Swap(name string, q *engine.Query, carry bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.syncLocked()
 	if old := s.queries[name]; old != nil {
 		if carry {
 			s.offeredLocked(old)
@@ -647,7 +661,31 @@ func (s *Scheduler) settleLocked() {
 func (s *Scheduler) Settle() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.syncLocked()
 	s.settleLocked()
+}
+
+// syncLocked starts every control point — anything that reads, seals, pauses,
+// restores or regroups a query between two events. It brings each active
+// slice log to where visiting every set at every advance would have left it:
+// an advance that visited no set (advanceLocked) recorded its stamp, which
+// lies below every log's due point, so observing it seals nothing. And it has
+// the next advance visit every set, since the control point may move any
+// log's due point. The caller holds s.mu.
+func (s *Scheduler) syncLocked() {
+	if s.behind {
+		t := time.Unix(0, s.observed)
+		for i := range s.sets {
+			if l := s.sets[i].log; l != nil && !l.Idle() {
+				if s.observed >= l.Due() {
+					panic("scheduler: an advance passed a slice log's due point without visiting it")
+				}
+				l.Advance(t)
+			}
+		}
+		s.behind = false
+	}
+	s.due = math.MinInt64
 }
 
 // layoutLocked returns the layout of the current registry, deriving the slot
@@ -716,11 +754,14 @@ func (s *Scheduler) layoutLocked() *Layout {
 // never per event. The old sets' logs are settled first: their hits are
 // folded and their members' watermarks brought up to what they observed. A
 // class the new layout still names keeps its state — its directory, and with
-// it every member's id index — across the change.
+// it every member's id index — across the change. Only a scheduler resolving
+// against its own layout evaluates, so only it gets the key classes' resolve
+// memos: a shard folds what its router resolved.
 func (s *Scheduler) resolveSlotsLocked(target *Layout) {
 	if s.resolved && s.resolvedFor == target {
 		return
 	}
+	s.syncLocked()
 	s.settleLocked()
 	var n int
 	var sets []VariantSet
@@ -750,6 +791,7 @@ func (s *Scheduler) resolveSlotsLocked(target *Layout) {
 	var order []int32 // classes in first-set order
 	logs := map[int32][]*engine.SliceLog{}
 	memos := map[int32][]memoKey{}
+	evaluating := target != nil && target == s.layout
 	for i, vs := range sets {
 		ls := &s.sets[i]
 		for _, slot := range vs.Slots {
@@ -768,7 +810,9 @@ func (s *Scheduler) resolveSlotsLocked(target *Layout) {
 				kc = engine.NewKeyClass()
 			}
 			keyed[vs.Class] = kc
-			memos[vs.Class] = make([]memoKey, len(ls.members[0].Patterns()))
+			if evaluating {
+				memos[vs.Class] = make([]memoKey, len(ls.members[0].Patterns()))
+			}
 			order = append(order, vs.Class)
 		}
 		ls.kc, ls.log, ls.memo = kc, engine.NewSliceLog(ls.members, kc, s.report), memos[vs.Class]
@@ -810,6 +854,7 @@ func (s *Scheduler) SetPaused(name string, paused bool) bool {
 	if !ok {
 		return false
 	}
+	s.syncLocked()
 	s.offeredLocked(q)
 	q.SetPaused(paused)
 	if s.layout != nil {
@@ -840,6 +885,7 @@ func (s *Scheduler) Groups() map[string][]string {
 func (s *Scheduler) Query(name string) (*engine.Query, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.syncLocked()
 	q, ok := s.queries[name]
 	return q, ok
 }
@@ -855,6 +901,7 @@ func (s *Scheduler) QueryStats(name string) (engine.QueryStats, bool) {
 	if !ok {
 		return engine.QueryStats{}, false
 	}
+	s.syncLocked()
 	s.offeredLocked(q)
 	st := q.Stats()
 	st.StateBytes = q.StateBytes()
@@ -869,6 +916,7 @@ func (s *Scheduler) QueryStats(name string) (engine.QueryStats, bool) {
 func (s *Scheduler) EventsOffered() map[string]int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.syncLocked()
 	out := make(map[string]int64, len(s.queries))
 	for name, q := range s.queries {
 		out[name] = s.offeredLocked(q)
@@ -925,7 +973,8 @@ func (s *Scheduler) Process(ev *event.Event) []*engine.Alert {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.stats.Events++
-	return s.foldLocked(ev, s.resolveLocked(ev, s.evaluateBatchLocked([]*event.Event{ev})[0]))
+	s.evaluateBatchLocked([]*event.Event{ev})
+	return s.foldLocked(ev, s.resolveLocked(ev, 0))
 }
 
 // batchScratch is the evaluator's memory, reused by the next evaluation: a
@@ -948,7 +997,17 @@ type batchScratch struct {
 	nSlots int       // the length of a slot table
 	tbl    [][]int   // the slot tables, carved nSlots at a time
 	free   [][]int   // what this evaluation has not carved of tbl
-	hits   []int     // every hit set of the batch, back to back
+	// ranges is per event the slot ranges of the groups whose master it hit,
+	// in the order they were swept, carved from rtbl beside the table
+	// (nGroups at a time): every slot the event's table holds hits in lies in
+	// one of them. The resolve step visits them, and the next evaluation
+	// clears them, instead of the whole table, so every slot of tbl is nil
+	// outside the tables of the evaluation that wrote it.
+	ranges  [][]slotRange
+	rtbl    []slotRange
+	rfree   []slotRange
+	nGroups int
+	hits    []int // every hit set of the batch, back to back
 	// The resolve step's product (resolveLocked): every event's resolved sets
 	// and their keys, back to back, and the number of the event the key
 	// memos were last stamped for.
@@ -970,6 +1029,10 @@ type batchScratch struct {
 // span is one agentid key's bucket of a batch: its events' positions are
 // batchScratch.at[lo:hi].
 type span struct{ key, lo, hi int32 }
+
+// slotRange is a group's slots in a slot table, [lo, hi): its master's and
+// its dependents', which the layout numbers consecutively.
+type slotRange struct{ lo, hi int32 }
 
 // bucket sorts the batch's positions by agentid key (agentKey): one span per
 // key the batch holds, in order of the key's first event, positions ascending
@@ -1030,21 +1093,40 @@ func (b *batchScratch) put(i, slot int, h []int) {
 	t[slot] = h
 }
 
-// carve hands event i a cleared slot table, from tbl's uncarved rest.
+// carve hands event i a slot table from tbl's uncarved rest, and the list of
+// its hit groups beside it. The table is clear: the evaluation that last
+// wrote it cleared its hit groups' slots (unwrite), or nothing ever has.
 //
 //saql:hotpath
 func (b *batchScratch) carve(i int) [][]int {
-	if len(b.free) < b.nSlots {
-		// Tables already carved keep the old array alive for this evaluation;
-		// the next one carves from the larger one.
+	if len(b.free) < b.nSlots || len(b.rfree) < b.nGroups {
+		// Tables already carved keep the old arrays alive for this
+		// evaluation; the next one carves from the larger ones.
 		b.tbl = make([][]int, max(2*len(b.tbl), hitTableChunk*b.nSlots))
-		b.free = b.tbl
+		b.rtbl = make([]slotRange, max(2*len(b.rtbl), hitTableChunk*b.nGroups))
+		b.free, b.rfree = b.tbl, b.rtbl
 	}
 	t := b.free[:b.nSlots:b.nSlots]
 	b.free = b.free[b.nSlots:]
-	clear(t) // an earlier evaluation's hits
-	b.tables[i] = t
+	b.tables[i], b.ranges[i] = t, b.rfree[:0:b.nGroups]
+	b.rfree = b.rfree[b.nGroups:]
 	return t
+}
+
+// unwrite clears the slots of the last evaluation's hit groups, table by
+// table, and forgets its tables.
+//
+//saql:hotpath
+func (b *batchScratch) unwrite() {
+	for i, t := range b.tables {
+		if t == nil {
+			continue
+		}
+		for _, r := range b.ranges[i] {
+			clear(t[r.lo:r.hi])
+		}
+		b.tables[i], b.ranges[i] = nil, nil
+	}
 }
 
 // agentFoldLen is the longest agentid an event folds on the stack to look
@@ -1146,7 +1228,7 @@ func (s *Scheduler) EvaluateBatch(evs []*event.Event) []*HitSet {
 	for i, t := range tables {
 		out[i] = nil
 		if t != nil {
-			sets = append(sets, HitSet{Layout: s.layout, Hits: t, Sets: s.resolveLocked(evs[i], t), gen: gen, cur: &b.gen})
+			sets = append(sets, HitSet{Layout: s.layout, Hits: t, Sets: s.resolveLocked(evs[i], i), gen: gen, cur: &b.gen})
 			out[i] = &sets[len(sets)-1]
 		}
 	}
@@ -1211,9 +1293,10 @@ func (s *Scheduler) evaluateBatchLocked(evs []*event.Event) [][][]int {
 		b.gen.Add(1) // whatever EvaluateBatch handed out is stale from here
 		b.handed = false
 	}
-	b.tables = grown(b.tables, n)
-	clear(b.tables)
-	b.nSlots, b.free, b.hits = len(s.layout.Slots), b.tbl, b.hits[:0]
+	b.unwrite()
+	b.tables, b.ranges = grown(b.tables, n), grown(b.ranges, n)
+	b.nSlots, b.nGroups = len(s.layout.Slots), len(s.groups)
+	b.free, b.rfree, b.hits = b.tbl, b.rtbl, b.hits[:0]
 	b.sets, b.setKeys = b.sets[:0], b.setKeys[:0]
 	b.master = grown(b.master, n)
 	b.masks = grown(b.masks, n)
@@ -1270,6 +1353,7 @@ func (s *Scheduler) sweepLocked(g *group, evs []*event.Event, at []int32) int64 
 		master[k] = mh
 		if len(mh) > 0 {
 			b.put(i, g.slot, mh)
+			b.ranges[i] = append(b.ranges[i], slotRange{int32(g.slot), int32(g.slot + 1 + len(g.dependents))})
 			hit = true
 		}
 	}
@@ -1328,61 +1412,74 @@ func (s *Scheduler) ProcessWithHits(ev *event.Event, hs *HitSet) []*engine.Alert
 	return s.foldLocked(ev, hs.Sets)
 }
 
-// resolveLocked is the resolve step of an evaluated event — t, its slot
-// table, nil where nothing matched — for every consumer alike: the router
-// routes what it returns by ownership, and serial Process and ProcessWithHits
-// fold it (foldLocked). For each variant set with an active hit, at the
-// first of its slots that holds hits, it gives the set's hit list — its
-// first active member's: the evaluation leaves a paused dependent's empty —
-// and, for a stateful set, each hit pattern's key, hash
+// resolveLocked is the resolve step of the evaluated event at position e of
+// the batch — its slot table, nil where nothing matched — for every consumer
+// alike: the router routes what it returns by ownership, and serial Process
+// and ProcessWithHits fold it (foldLocked). For each variant set with an
+// active hit, at the first of its slots that holds hits, it gives the set's
+// hit list — its first active member's: the evaluation leaves a paused
+// dependent's empty — and, for a stateful set, each hit pattern's key, hash
 // and failure, evaluated once per event per pattern per key class on a
 // member's key programs, through the class's memo, and counted in KeyEvals.
+// It visits only the slots of the groups that hit the event, in ascending
+// order, so the sets come in order of their first slot with hits whatever
+// the table's size.
 // The result is carved from s.batch like the slot table, and dies with it.
 // The caller holds s.mu and has evaluated under the current layout.
 //
 //saql:hotpath
-func (s *Scheduler) resolveLocked(ev *event.Event, t [][]int) []SetHits {
+func (s *Scheduler) resolveLocked(ev *event.Event, e int) []SetHits {
+	b := &s.batch
+	t, ranges := b.tables[e], b.ranges[e]
 	if t == nil {
 		return nil
 	}
-	b := &s.batch
+	// The sweeps visit the free groups, then the pinned ones: two runs in
+	// slot order, which one insertion pass merges.
+	for k := 1; k < len(ranges); k++ {
+		for j := k; j > 0 && ranges[j-1].lo > ranges[j].lo; j-- {
+			ranges[j-1], ranges[j] = ranges[j], ranges[j-1]
+		}
+	}
 	b.seq++
 	start := len(b.sets)
-	for slot, h := range t {
-		if len(h) == 0 {
-			continue
-		}
-		i := s.setOf[slot]
-		if s.resolvedAt[i] == b.seq {
-			continue // resolved at an earlier member's slot
-		}
-		s.resolvedAt[i] = b.seq
-		ls := &s.sets[i]
-		h = nil
-		for k, q := range ls.members {
-			if !q.Paused() {
-				h = t[ls.slots[k]]
-				break
+	for _, r := range ranges {
+		for slot := r.lo; slot < r.hi; slot++ {
+			if len(t[slot]) == 0 {
+				continue
 			}
-		}
-		if len(h) == 0 {
-			continue
-		}
-		sh := SetHits{Set: i, Hits: h}
-		if ls.memo != nil {
-			first := len(b.setKeys)
-			for _, hi := range h {
-				m := &ls.memo[hi]
-				if m.seq != b.seq {
-					key, err := ls.members[0].HitKey(hi, ev)
-					*m = memoKey{seq: b.seq, key: Key{Key: key, Hash: window.HashKey(key), Failed: err != nil}}
-					s.stats.KeyEvals++
+			i := s.setOf[slot]
+			if s.resolvedAt[i] == b.seq {
+				continue // resolved at an earlier member's slot
+			}
+			s.resolvedAt[i] = b.seq
+			ls := &s.sets[i]
+			var h []int
+			for k, q := range ls.members {
+				if !q.Paused() {
+					h = t[ls.slots[k]]
+					break
 				}
-				b.setKeys = append(b.setKeys, m.key)
 			}
-			sh.Keys = b.setKeys[first:len(b.setKeys):len(b.setKeys)]
+			if len(h) == 0 {
+				continue
+			}
+			sh := SetHits{Set: i, Hits: h}
+			if ls.kc != nil {
+				first := len(b.setKeys)
+				for _, hi := range h {
+					m := &ls.memo[hi]
+					if m.seq != b.seq {
+						key, err := ls.members[0].HitKey(hi, ev)
+						*m = memoKey{seq: b.seq, key: Key{Key: key, Hash: window.HashKey(key), Failed: err != nil}}
+						s.stats.KeyEvals++
+					}
+					b.setKeys = append(b.setKeys, m.key)
+				}
+				sh.Keys = b.setKeys[first:len(b.setKeys):len(b.setKeys)]
+			}
+			b.sets = append(b.sets, sh)
 		}
-		b.sets = append(b.sets, sh)
 	}
 	if len(b.sets) == start {
 		return nil
@@ -1480,6 +1577,7 @@ func (s *Scheduler) applySet(ls *localSet, ev *event.Event, wm time.Time, ops []
 		return alerts
 	}
 	alerts = append(alerts, l.Advance(wm)...)
+	s.due = min(s.due, l.Due())
 	for k := range ops {
 		switch op := &ops[k]; op.Kind {
 		case OpFold:
@@ -1495,9 +1593,12 @@ func (s *Scheduler) applySet(ls *localSet, ev *event.Event, wm time.Time, ops []
 
 // AdvanceAll has every stateful set observe wm, sealing the logs it brings to
 // the end of their slice and closing the windows their members then finish:
-// the batch-boundary watermark broadcast of the partitioned router. Sets whose
-// members are all paused are skipped — their watermarks freeze exactly as they
-// do in the serial engine, which stops offering them events entirely.
+// the batch-boundary watermark broadcast of the partitioned router. Like
+// serial Process it visits the sets only once wm reaches the smallest of
+// their due points (advanceLocked), so a batch that ends inside every set's
+// slice costs one comparison. Sets whose members are all paused are skipped —
+// their watermarks freeze exactly as they do in the serial engine, which
+// stops offering them events entirely.
 //
 //saql:hotpath
 func (s *Scheduler) AdvanceAll(wm time.Time) []*engine.Alert {
@@ -1520,16 +1621,29 @@ func (s *Scheduler) Watermark(w event.Watermark) event.Watermark {
 }
 
 // advanceLocked has every active stateful set observe t, appending and counting
-// the alerts of the windows their members then close. The caller holds s.mu.
+// the alerts of the windows their members then close. Below the smallest due
+// point among the sets (s.due) no log seals, so it visits none: it records t,
+// which every log observes at the next walk or control point (syncLocked).
+// At or past it, it walks every active set in set order — the alerts come in
+// the order a walk at every event gives them — and takes the bound afresh. So
+// a set is visited once per due point the stream crosses, not once per event.
+// The caller holds s.mu.
 //
 //saql:hotpath
 func (s *Scheduler) advanceLocked(t time.Time, alerts []*engine.Alert) []*engine.Alert {
+	if ns := t.UnixNano(); ns < s.due {
+		s.observed, s.behind = ns, true
+		return alerts
+	}
 	n := len(alerts)
+	due := int64(math.MaxInt64)
 	for i := range s.sets {
 		if l := s.sets[i].log; l != nil && !l.Idle() {
 			alerts = append(alerts, l.Advance(t)...)
+			due = min(due, l.Due())
 		}
 	}
+	s.due, s.behind = due, false
 	s.stats.Alerts += int64(len(alerts) - n)
 	return alerts
 }
@@ -1538,6 +1652,7 @@ func (s *Scheduler) advanceLocked(t time.Time, alerts []*engine.Alert) []*engine
 func (s *Scheduler) Flush() []*engine.Alert {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.syncLocked()
 	var alerts []*engine.Alert
 	for _, g := range s.groups {
 		alerts = append(alerts, g.master.Flush(s.report)...)

@@ -20,6 +20,7 @@ import "fmt"
 func (s *Scheduler) CaptureStates(names ...string) (map[string][]byte, int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.syncLocked()
 	out := make(map[string][]byte, len(names))
 	for _, name := range names {
 		q, ok := s.queries[name]
