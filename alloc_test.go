@@ -12,6 +12,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"strings"
 	"testing"
@@ -540,27 +541,35 @@ func TestPinnedDispatchAllocsGate(t *testing.T) {
 }
 
 // BenchmarkPinnedDispatch times serial Process over a 60-host fleet stream
-// with 1, 16 and 64 host-pinned queries: every event is looked up once in
-// the agentid index and runs only the masters pinned to its host, so
-// patevals/ev grows with the queries per host, not with the queries. The
-// rules family registers registerPinned's rule queries, the stateful family
-// as many `#time(10 s)` counts by process of one host's connections each
-// (registerPinnedCounts): a variant set apiece, with a slice log. The stream
-// spans six seconds, inside one window, so no window closes in the loop:
-// ns/event is the cost of an event between two due points. Medians of ten
-// runs of each side, alternated (2-core container, 200,000 iterations;
-// single runs spread by about ±30%), ns/event at 1/16/64 queries: while
-// serial Process visited every set at every event and resolved every slot,
-// rules 154/367/929 and stateful 106/277/898 — the stateful family grew
-// with the queries; since it visits a set only at its due point and
-// resolves only the groups an event hit, rules 110/289/915 and stateful
-// 107/140/320.
+// with 1, 16 and 64 queries. In the rules and stateful families the queries
+// are host-pinned: every event is looked up once in the agentid index and
+// runs only the masters pinned to its host, so patevals/ev grows with the
+// queries per host, not with the queries. The rules family registers
+// registerPinned's rule queries, the stateful family as many `#time(10 s)`
+// counts by process of one host's connections each (registerPinnedCounts): a
+// variant set apiece, with a slice log. The ops family registers unpinned
+// rule queries over distinct operation sets (registerOpSets), a group each:
+// it shows what an event pays for the groups its operation cannot reach,
+// which patevals/ev counts as if they had run. The stream spans six seconds,
+// inside one window, so no window closes in the loop: ns/event is the cost
+// of an event between two due points. Medians of ten runs of each side,
+// alternated (2-core container, 200,000 iterations; single runs spread by
+// about ±30%), ns/event at 1/16/64 queries: while serial Process visited
+// every set at every event and resolved every slot, rules 154/367/929 and
+// stateful 106/277/898 — the stateful family grew with the queries; since it
+// visits a set only at its due point and resolves only the groups an event
+// hit, rules 110/289/915 and stateful 107/140/320. Medians of six runs of
+// each side, alternated, while a batch of one still went through the
+// counting sort and swept every group → since it looks its agentid up
+// directly and sweeps only the groups whose operation set holds its event's
+// operation: rules 171/375/995 → 153/351/1007, stateful 136/171/338 →
+// 109/148/269, ops 121/983/3648 → 106/461/1984.
 func BenchmarkPinnedDispatch(b *testing.B) {
 	const hosts = 60
 	for _, family := range []struct {
 		name     string
 		register func(testing.TB, *Engine, int, int)
-	}{{"rules", registerPinned}, {"stateful", registerPinnedCounts}} {
+	}{{"rules", registerPinned}, {"stateful", registerPinnedCounts}, {"ops", registerOpSets}} {
 		for _, n := range []int{1, 16, 64} {
 			b.Run(fmt.Sprintf("%s/queries=%d", family.name, n), func(b *testing.B) {
 				eng := New()
@@ -580,6 +589,37 @@ func BenchmarkPinnedDispatch(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/event")
 				b.ReportMetric(float64(st.PatternEvals-before.PatternEvals)/float64(st.Events-before.Events), "patevals/ev")
 			})
+		}
+	}
+}
+
+// registerOpSets registers n unpinned rule queries, query k over the k-th
+// non-empty set of operations in order of size (the nine single operations,
+// then the pairs, then the triples), so no two share a signature or a group.
+// Their subject matches no process of fleetStream: an event whose operation
+// is in a query's set fails at the subject, any other at the operation.
+func registerOpSets(tb testing.TB, eng *Engine, n, _ int) {
+	tb.Helper()
+	ops := []string{"read", "write", "execute", "start", "end", "delete", "rename", "connect", "accept"}
+	var sets []string
+	for size := 1; len(sets) < n; size++ {
+		for m := uint(1); m < 1<<len(ops); m++ {
+			if bits.OnesCount(m) != size {
+				continue
+			}
+			var set []string
+			for i, op := range ops {
+				if m&(1<<i) != 0 {
+					set = append(set, op)
+				}
+			}
+			sets = append(sets, strings.Join(set, " || "))
+		}
+	}
+	for k := range n {
+		src := fmt.Sprintf("proc p[\"%%ops.exe\"] %s file f as evt\nreturn p, f", sets[k])
+		if _, err := eng.Register(fmt.Sprintf("ops-%d", k), src); err != nil {
+			tb.Fatal(err)
 		}
 	}
 }

@@ -244,7 +244,9 @@ func NewDispatchCase(seed int64) DispatchCase {
 		}
 		switch o.obj {
 		case "proc":
-			ev.Object = event.Process(exes[rng.Intn(len(exes))], int32(200+rng.Intn(4)))
+			// Half the children take a subject's pid, so the two-step chain
+			// completes: a process started, then that process writing.
+			ev.Object = event.Process(exes[rng.Intn(len(exes))], int32(100+rng.Intn(8)))
 		case "ip":
 			ev.Object = event.NetConn("10.0.0.1", 5000, "10.0.0.9", 443)
 		default:

@@ -33,10 +33,7 @@ func AdmitAll() *Prefilter { return admitAll }
 func NewPrefilter(qs []*engine.Query) *Prefilter {
 	t := &Prefilter{pinned: map[string]uint32{}}
 	for _, q := range qs {
-		var ops uint32
-		for _, p := range q.Patterns() {
-			ops |= p.Ops()
-		}
+		ops := opSet(q)
 		if agent, ok := q.AgentEq(); ok {
 			t.pinned[agent] |= ops
 		} else {
@@ -44,6 +41,16 @@ func NewPrefilter(qs []*engine.Query) *Prefilter {
 		}
 	}
 	return t
+}
+
+// opSet is the union of q's patterns' operation sets: every operation one of
+// its patterns can hit.
+func opSet(q *engine.Query) uint32 {
+	var ops uint32
+	for _, p := range q.Patterns() {
+		ops |= p.Ops()
+	}
+	return ops
 }
 
 // Admit reports whether some query of the table could match an event of

@@ -249,6 +249,11 @@ type group struct {
 	// pin is the key id (Scheduler.agents) of the one agentid the master's
 	// global constraints admit, -1 when they admit any; set with the layout.
 	pin int32
+	// ops is the union of the master's patterns' operation sets, set with
+	// the plan (planLocked): an event whose operation is outside it hits no
+	// pattern of the master, and so none of a dependent's, which only refines
+	// the master's hits.
+	ops uint32
 }
 
 // active counts the group's unpaused queries and the pattern evaluations
@@ -270,8 +275,10 @@ func (g *group) active() (n int, naivePatterns int64) {
 }
 
 // evalPlan is what an evaluation visits, derived with the layout and again at
-// every SetPaused: the groups with an active query, split by their pin, and
-// the sharing counters they add per event.
+// every SetPaused: the groups with an active query, split by their pin, each
+// with its operation set (group.ops), and the sharing counters they add per
+// event. A batch of one sweeps only the groups whose set holds its event's
+// operation (evaluateBatchLocked).
 type evalPlan struct {
 	// Per event: one stream copy per such group, one naive copy per active
 	// query, and the patterns per-query execution would evaluate.
@@ -280,8 +287,9 @@ type evalPlan struct {
 	pinned                          [][]*group // by agentid key, in group order; nil when none
 }
 
-// planLocked derives s.plan from the groups, their pins and the paused flags.
-// The caller holds s.mu.
+// planLocked derives s.plan from the groups, their pins and the paused flags,
+// and gives every planned group its master's operation set (opSet), which
+// bounds every dependent's hits too. The caller holds s.mu.
 func (s *Scheduler) planLocked() {
 	p := evalPlan{}
 	for _, g := range s.groups {
@@ -289,6 +297,7 @@ func (s *Scheduler) planLocked() {
 		if active == 0 {
 			continue
 		}
+		g.ops = opSet(g.master)
 		p.copies++
 		p.naiveCopies += int64(active)
 		p.naiveEvals += naive
@@ -1274,12 +1283,20 @@ func grown[T any](buf []T, n int) []T {
 // call. It visits only the groups of the evaluation plan (evalPlan): every
 // active group no agentid pins sweeps the whole batch, and a pinned one only
 // its agentid's bucket (bucket), so a query set with no pinned master looks
-// nothing up. Slot tables exist only for events with hits — most events of a
-// fleet-wide stream match no host-pinned query — and all of it is carved from
-// s.batch. The sharing counters are the plan's per-event constants multiplied
-// by the batch length, plus the predicates actually run, so stats are
-// bit-identical however a stream is cut into batches. The caller holds s.mu
-// and has already counted Events.
+// nothing up. A batch of one — serial Process — sorts nothing: it looks its
+// agentid up once (agentKey) and sweeps only the free groups and its key's
+// pinned groups whose operation set (group.ops) holds its event's operation.
+// A longer batch keeps its whole-batch column sweeps, where
+// matcher.Pattern.Matches pays the operation test per event for less than
+// splitting the batch by operation would cost. A group skipped by operation
+// counts its master's patterns in PatternEvals, as a sweep that failed each
+// at its operation test does, so the counters are the same on both paths.
+// Slot tables exist only for events with hits — most events of a fleet-wide
+// stream match no host-pinned query — and all of it is carved from s.batch.
+// The sharing counters are the plan's per-event constants multiplied by the
+// batch length, plus the predicates actually run, so stats are bit-identical
+// however a stream is cut into batches. The caller holds s.mu and has already
+// counted Events.
 //
 //saql:hotpath
 func (s *Scheduler) evaluateBatchLocked(evs []*event.Event) [][][]int {
@@ -1307,6 +1324,21 @@ func (s *Scheduler) evaluateBatchLocked(evs []*event.Event) [][][]int {
 	s.stats.NaiveCopies += p.naiveCopies * int64(n)
 	s.stats.NaivePatternEvals += p.naiveEvals * int64(n)
 	var evals int64
+	if n == 1 {
+		op := uint32(1) << evs[0].Op
+		for _, g := range p.free {
+			evals += s.sweepOneLocked(g, evs, op)
+		}
+		if p.pinned != nil {
+			if k := agentKey(s.agents, evs[0].AgentID); k >= 0 {
+				for _, g := range p.pinned[k] {
+					evals += s.sweepOneLocked(g, evs, op)
+				}
+			}
+		}
+		s.stats.PatternEvals += evals
+		return b.tables
+	}
 	for _, g := range p.free {
 		evals += s.sweepLocked(g, evs, nil)
 	}
@@ -1321,6 +1353,19 @@ func (s *Scheduler) evaluateBatchLocked(evs []*event.Event) [][][]int {
 	}
 	s.stats.PatternEvals += evals
 	return b.tables
+}
+
+// sweepOneLocked sweeps group g over a batch of one whose event's operation
+// is the bit op, unless no pattern of the master accepts it: then it counts
+// the master's patterns, each of which a sweep would have failed at its
+// operation test. The caller holds s.mu.
+//
+//saql:hotpath
+func (s *Scheduler) sweepOneLocked(g *group, evs []*event.Event, op uint32) int64 {
+	if g.ops&op == 0 {
+		return int64(len(g.master.Patterns()))
+	}
+	return s.sweepLocked(g, evs, nil)
 }
 
 // sweepLocked runs group g over the batch positions at of evs, every event

@@ -234,3 +234,81 @@ func TestCodecProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestSelectionOnSegmentEdges puts the bounds of a Selection exactly on the
+// first and last events of sealed segments — From is inclusive, To exclusive
+// — and holds ReadAll and ScanFrom at several offsets to the events
+// sel.matches admits from the appended stream itself, so a sidecar time-range
+// skip that drops a segment whose last event sits on From (or keeps one whose
+// first sits on To and then yields it) fails here.
+func TestSelectionOnSegmentEdges(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Three sealed segments of three events each, at seconds 0–2, 3–5 and
+	// 6–8, then an active one at 9–10; host-b holds every third event, the
+	// first of each segment.
+	all := sampleEvents(11)
+	for _, seg := range [][]*event.Event{all[0:3], all[3:6], all[6:9], all[9:]} {
+		if err := s.AppendAll(seg); err != nil {
+			t.Fatal(err)
+		}
+		if len(seg) == 3 {
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if idx, _ := filepath.Glob(filepath.Join(dir, "*.idx")); len(idx) != 3 {
+		t.Fatalf("%d sealed segments, want 3", len(idx))
+	}
+	at := func(sec int) time.Time { return base.Add(time.Duration(sec) * time.Second) }
+	for _, c := range []struct {
+		name string
+		sel  Selection
+	}{
+		{"from-last-of-first", Selection{From: at(2)}},
+		{"to-first-of-second", Selection{To: at(3)}},
+		{"last-of-first-only", Selection{From: at(2), To: at(3)}},
+		{"exactly-second", Selection{From: at(3), To: at(6)}},
+		{"last-of-second-to-first-of-third", Selection{From: at(5), To: at(6)}},
+		{"from-last-of-third", Selection{From: at(8)}},
+		{"from-first-of-active", Selection{From: at(9)}},
+		{"to-first-of-active", Selection{From: at(8), To: at(9)}},
+		{"empty-on-an-edge", Selection{From: at(6), To: at(6)}},
+		{"host-on-edges", Selection{Hosts: []string{"host-b"}, From: at(3), To: at(9)}},
+	} {
+		hosts := c.sel.hostSet()
+		for _, offset := range []int{0, 2, 3, 5, 9} {
+			var want []uint64
+			for _, ev := range all[offset:] {
+				if c.sel.matches(ev, hosts) {
+					want = append(want, ev.ID)
+				}
+			}
+			var got []uint64
+			if err := s.ScanFrom(int64(offset), c.sel, collectIDs(&got)); err != nil {
+				t.Fatalf("%s: ScanFrom(%d): %v", c.name, offset, err)
+			}
+			if !sameIDs(got, want) {
+				t.Errorf("%s: ScanFrom(%d) yields %v, the selection admits %v", c.name, offset, got, want)
+			}
+			if offset > 0 {
+				continue
+			}
+			evs, err := s.ReadAll(c.sel)
+			if err != nil {
+				t.Fatalf("%s: ReadAll: %v", c.name, err)
+			}
+			got = got[:0]
+			for _, ev := range evs {
+				got = append(got, ev.ID)
+			}
+			if !sameIDs(got, want) {
+				t.Errorf("%s: ReadAll reads %v, the selection admits %v", c.name, got, want)
+			}
+		}
+	}
+}
