@@ -1,9 +1,10 @@
 // Package agg implements the aggregation functions available inside SAQL
 // state blocks: avg, sum, count, min, max, set, distinct (count), stddev,
-// variance, median, percentile, first, and last. The state maintainer creates
-// one aggregator per state field per group per window and streams matched
-// event attribute values into it, a run of them at a time; Result is taken
-// when the window closes.
+// variance, median, percentile, first, and last. The state maintainer keeps
+// one aggregator per state field per group of an open window and streams
+// matched event attribute values into it, a run of them at a time; Result is
+// taken when the window closes, and Reset readies the aggregator for a group
+// of a later window.
 package agg
 
 import (
@@ -25,9 +26,12 @@ type Aggregator interface {
 	// caller folds the rest from vs[n+1:], so one call per value and one per
 	// run fold the same values into the same state.
 	AddAll(vs []value.Value) (n int, err error)
-	// Result returns the aggregate for the closing window.
+	// Result returns the aggregate for the closing window. The value shares
+	// no storage with the aggregator: it stays as it is through a Reset and
+	// the folds after it.
 	Result() value.Value
-	// Reset clears the aggregator for reuse in the next window.
+	// Reset clears the aggregator for reuse in a later window, keeping the
+	// storage it grew.
 	Reset()
 }
 
@@ -206,7 +210,7 @@ func (a *setAgg) Result() value.Value {
 	return value.SetOf(out...)
 }
 
-func (a *setAgg) Reset() { a.members = map[string]struct{}{} }
+func (a *setAgg) Reset() { clear(a.members) }
 
 type distinctAgg struct{ set *setAgg }
 

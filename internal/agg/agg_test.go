@@ -252,3 +252,46 @@ func mustNewQuick(name string) Aggregator {
 	}
 	return a
 }
+
+// The state maintainer resets a closed window's aggregators and reuses them
+// for a later window's groups: a reset aggregator is a fresh one (same result,
+// same checkpoint bytes), and a result taken before the reset stays as it was
+// through the reset and the folds after it.
+func TestResetReusesWithoutAliasing(t *testing.T) {
+	for _, name := range Names() {
+		t.Run(name, func(t *testing.T) {
+			var params []value.Value
+			if name == "percentile" {
+				params = []value.Value{value.Int(90)}
+			}
+			a := mustNew(t, name, params...)
+			if _, err := a.AddAll([]value.Value{value.Int(3), value.Int(1), value.Int(2)}); err != nil {
+				t.Fatal(err)
+			}
+			before := a.Result()
+			rendered := before.String()
+			a.Reset()
+			fresh := mustNew(t, name, params...)
+			if got, want := a.Result().String(), fresh.Result().String(); got != want {
+				t.Errorf("reset result %s, a fresh aggregator's %s", got, want)
+			}
+			got, err := AppendState(nil, a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := AppendState(nil, fresh)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != string(want) {
+				t.Errorf("reset state %x, a fresh aggregator's %x", got, want)
+			}
+			if _, err := a.AddAll([]value.Value{value.Int(7), value.Int(9)}); err != nil {
+				t.Fatal(err)
+			}
+			if before.String() != rendered {
+				t.Errorf("a result taken before Reset changed to %s, was %s", before, rendered)
+			}
+		})
+	}
+}

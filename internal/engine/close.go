@@ -74,12 +74,15 @@ func (q *Query) notBoolean(i int) error {
 	return fmt.Errorf("expr: condition %s is %s, not boolean", q.AST.Alerts[i], q.progStack[0].Kind())
 }
 
-// closeAll runs closeWindow over the windows one Advance or Flush closed.
+// closeAll runs closeWindow over the windows one Advance or Flush closed,
+// then hands them back to the manager: what a close hands out — alerts,
+// history snapshots — holds copies, never a closed group's storage.
 func (q *Query) closeAll(closed []window.Closed, report func(error)) []*Alert {
 	var alerts []*Alert
 	for _, c := range closed {
 		alerts = append(alerts, q.closeWindow(c, report)...)
 	}
+	q.winMgr.Recycle(closed)
 	return alerts
 }
 
@@ -88,7 +91,8 @@ func (q *Query) closeAll(closed []window.Closed, report func(error)) []*Alert {
 var notClustered = pcode.Cluster{ID: -1}
 
 // closing is one present group's share of a window close, parallel to the
-// closed window's (key-ordered) groups.
+// closed window's (key-ordered) groups. snap is the newest snapshot of the
+// group's history, valid until the history's next push.
 type closing struct {
 	rt   *groupRuntime
 	snap *window.Snapshot
@@ -99,7 +103,9 @@ type closing struct {
 // clusters them, and evaluates invariants and alerts group by group in
 // ascending key order. Its cost is O(n log n) in the window's groups (the
 // manager's key sort and the clustering index) plus one pass over the known
-// groups, and it allocates in proportion to them.
+// groups. In steady state — every group known, every history slot grown — it
+// allocates only for what it hands out (alerts, set-valued results), for
+// invariant updates and for clustering.
 func (q *Query) closeWindow(closed window.Closed, report func(error)) []*Alert {
 	present := q.pushSnapshots(closed)
 
@@ -115,6 +121,7 @@ func (q *Query) closeWindow(closed window.Closed, report func(error)) []*Alert {
 			alerts = append(alerts, al)
 		}
 	}
+	clear(present) // pins no evicted group's runtime until the next close
 	return alerts
 }
 
@@ -122,18 +129,20 @@ func (q *Query) closeWindow(closed window.Closed, report func(error)) []*Alert {
 // present group into its history — creating the runtime of a group seen for
 // the first time — and pushes the window's one shared empty snapshot onto
 // every known group the window did not see, evicting those idle too long. It
-// returns the present groups' shares, parallel to closed.Groups.
+// returns the present groups' shares, parallel to closed.Groups, in the
+// query's scratch: valid until the next close.
 func (q *Query) pushSnapshots(closed window.Closed) []closing {
 	q.stats.WindowsClosed++
 	seq := q.stats.WindowsClosed
 
 	// Snapshot groups present in this window; push the window's one
 	// shared empty snapshot for known-but-quiet groups so ss[k] history
-	// stays contiguous.
-	present := make([]closing, len(closed.Groups))
+	// stays contiguous. A push copies what it freezes into the history's
+	// own slot.
+	present := slices.Grow(q.closing[:0], len(closed.Groups))[:len(closed.Groups)]
+	q.closing = present
 	var empty *window.Snapshot
 	for i, g := range closed.Groups {
-		snap := q.winMgr.SnapshotGroup(closed.ID, g)
 		rt, ok := q.groups[g.Key]
 		if !ok {
 			rt = &groupRuntime{key: g.Key, history: q.winMgr.NewHistory(q.historyLen)}
@@ -159,10 +168,10 @@ func (q *Query) pushSnapshots(closed window.Closed) []closing {
 			}
 			q.groups[g.Key] = rt
 		}
-		rt.history.Push(snap)
+		rt.history.PushGroup(closed.ID, g)
 		rt.idleWindows = 0
 		rt.closedSeq = seq
-		present[i] = closing{rt: rt, snap: snap, view: notClustered}
+		present[i] = closing{rt: rt, snap: rt.history.At(0), view: notClustered}
 	}
 	if len(q.groups) > len(present) {
 		for key, rt := range q.groups {

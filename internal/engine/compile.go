@@ -56,6 +56,8 @@ type Query struct {
 	// Every program of the query runs against frame on progStack.
 	frame     pcode.Frame
 	progStack []value.Value
+	// closing is a window close's per-group scratch (pushSnapshots).
+	closing []closing
 	// paused gates event ingestion (see SetPaused). It is mutated only at
 	// consistent stream points, under the owning scheduler's lock.
 	paused bool

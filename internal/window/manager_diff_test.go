@@ -182,12 +182,20 @@ func renderGroup(key string, count int, fields map[string]value.Value, ents map[
 	return fmt.Sprintf("%q#%d{%s}", key, count, strings.Join(parts, " "))
 }
 
-// closeAll runs one close operation on all three managers and compares what
-// each closed with the reference.
+// closeAll runs one close operation on all three managers, compares what
+// each closed with the reference and recycles the closed windows, as the
+// engine does once a close is evaluated: the windows that open next reuse
+// their groups, so a group that leaks state into its next life shows there.
 func (p *diffPair) closeAll(op string, close func(m *Manager) []Closed, want []refClosed) {
 	p.t.Helper()
-	p.sameClosed(op+" (by key)", p.keyed, close(p.keyed), want)
-	p.sameClosed(op, p.got, close(p.got), want)
+	for _, m := range []struct {
+		op string
+		*Manager
+	}{{op + " (by key)", p.keyed}, {op, p.got}} {
+		closed := close(m.Manager)
+		p.sameClosed(m.op, m.Manager, closed, want)
+		m.Recycle(closed)
+	}
 }
 
 // sameClosed compares two closed-window sequences.
@@ -212,7 +220,9 @@ func (p *diffPair) sameClosed(op string, m *Manager, got []Closed, want []refClo
 			if !ok {
 				p.t.Fatalf("%s window %d: group %q unknown to the reference", op, g.ID, grp.Key)
 			}
-			snap := m.SnapshotGroup(g.ID, grp)
+			h := m.NewHistory(1)
+			h.PushGroup(g.ID, grp)
+			snap := h.At(0)
 			fields := map[string]value.Value{}
 			for fi, f := range diffFields {
 				fields[f.Name] = snap.Fields[fi]

@@ -36,7 +36,8 @@ func (m *Manager) AppendState(b []byte) ([]byte, error) {
 	for _, w := range m.open {
 		b = wire.AppendVarint(b, int64(w.id))
 		b = wire.AppendUvarint(b, uint64(len(w.groups)))
-		for _, g := range sortedGroups(w.groups) {
+		w.sorted = appendSorted(w.sorted[:0], w.groups)
+		for _, g := range w.sorted {
 			var err error
 			if b, err = m.appendGroup(b, g); err != nil {
 				return b, err
@@ -101,20 +102,8 @@ func (m *Manager) ReadState(r *wire.Reader, keep func(string) bool, disjoint boo
 }
 
 func (m *Manager) readGroup(r *wire.Reader) (*Group, error) {
-	g := &Group{
-		Key:      r.String(),
-		Count:    int(r.Varint()),
-		Entities: m.readEntities(r),
-		Events:   m.readEvents(r),
-	}
-	// Groups are always as wide as the slot tables (the fold path indexes
-	// them unchecked); the decoders return only as many slots as were bound.
-	for len(g.Entities) < len(m.entities.names) {
-		g.Entities = append(g.Entities, nil)
-	}
-	for len(g.Events) < len(m.events.names) {
-		g.Events = append(g.Events, nil)
-	}
+	key, count := r.String(), int(r.Varint())
+	ents, evs := m.readEntities(r), m.readEvents(r)
 	nAggs := r.Count(1)
 	if r.Err() != nil {
 		return nil, r.Err()
@@ -122,16 +111,17 @@ func (m *Manager) readGroup(r *wire.Reader) (*Group, error) {
 	if nAggs != len(m.fields) {
 		return nil, fmt.Errorf("window: snapshot has %d aggregators, manager has %d state fields", nAggs, len(m.fields))
 	}
-	g.Aggs = make([]agg.Aggregator, nAggs)
-	for i, f := range m.fields {
-		a, err := m.factories[i](f.AggParams)
-		if err != nil {
-			return nil, err // tried in NewManager; unreachable
-		}
+	// Groups are always as wide as the slot tables (the fold path indexes
+	// them unchecked), which the decoders have grown to every name read; they
+	// return only as many slots as were bound.
+	g := m.newGroup(key)
+	g.Count = count
+	copy(g.Entities, ents)
+	copy(g.Events, evs)
+	for _, a := range g.Aggs {
 		if err := agg.ReadState(r, a); err != nil {
 			return nil, err
 		}
-		g.Aggs[i] = a
 	}
 	return g, r.Err()
 }
@@ -146,7 +136,7 @@ func (m *Manager) appendSnapshot(b []byte, s *Snapshot) []byte {
 	b = wire.AppendVarint(b, int64(s.WindowID))
 	b = wire.AppendVarint(b, int64(s.Count))
 	order := m.fieldOrder
-	if s.Fields == nil {
+	if len(s.Fields) == 0 {
 		order = nil // a snapshot decoded from no fields encodes none
 	}
 	b = wire.AppendUvarint(b, uint64(len(order)))

@@ -115,7 +115,10 @@ type FieldSpec struct {
 // Group accumulates one group's aggregators within one window, along with
 // representative entity/event bindings used later to evaluate alert and
 // return expressions for the group (SAQL returns the attributes of the
-// group's matched events, e.g. `return p, ss[0].avg_amount`).
+// group's matched events, e.g. `return p, ss[0].avg_amount`). A Group is its
+// manager's: it lives in one open window, is handed out in that window's
+// Closed, and once the Closed goes back (Recycle) it is reset and becomes a
+// group of a later window, aggregators and binding slices included.
 type Group struct {
 	Key   string
 	Aggs  []agg.Aggregator
@@ -128,14 +131,17 @@ type Group struct {
 	Events   []*event.Event
 }
 
-// Snapshot is the frozen state of one group for one closed window.
+// Snapshot is the frozen state of one group for one closed window. A History
+// holds its snapshots in its own ring slots, which a Push overwrites in place:
+// a snapshot shares no slice with a Group or with another snapshot.
 type Snapshot struct {
 	WindowID ID
-	// Fields holds the state fields' results in declaration order.
+	// Fields holds the state fields' results in declaration order; it is
+	// empty for a snapshot decoded from a blob that carried no fields.
 	Fields []value.Value
-	// Entities and Events are the group's slot-indexed bindings (shared with
-	// the closed Group); both are nil for a window the group sat out, and
-	// either may be shorter than the manager's slot table.
+	// Entities and Events are the group's slot-indexed bindings; both are
+	// empty for a window the group sat out, and either may be shorter than
+	// the manager's slot table.
 	Entities []*event.Entity
 	Events   []*event.Event
 	Count    int
@@ -144,20 +150,26 @@ type Snapshot struct {
 // openWindow is one in-flight window. groups, by key, is the window's group
 // table; byID indexes the same groups by the directory id of their key
 // (Manager.index names the directory), nil where the window has not yet seen
-// the id since the index was last dropped.
+// the id since the index was last dropped. sorted is the close's key-ordered
+// list of the groups (Closed.Groups). A recycled window keeps all three's
+// storage for the next window to open.
 type openWindow struct {
 	id     ID
 	end    int64 // exclusive end, unix nanoseconds
 	groups map[string]*Group
 	byID   []*Group
+	sorted []*Group
 }
 
-// Closed describes one closed window delivered by Advance.
+// Closed describes one closed window delivered by Advance or Flush. Its
+// groups are still the manager's: hand the Closed back with Recycle once
+// they have been read, and the next windows to open reuse them.
 type Closed struct {
 	ID  ID
 	End time.Time
 	// Groups lists the window's groups in ascending key order.
 	Groups []*Group
+	w      *openWindow // the closed window, until it is recycled
 }
 
 // Manager assigns events to windows and closes windows as the watermark
@@ -189,11 +201,16 @@ type Manager struct {
 
 	// index and indexEpoch name the directory assignment the open windows'
 	// byID slices were built against; a fold under any other drops them all
-	// (see GroupFor). spareIDs holds closed windows' cleared byID slices for
-	// the next windows to open.
+	// (see GroupFor).
 	index      *Directory
 	indexEpoch uint32
-	spareIDs   [][]*Group
+	// spareWins and spareGroups hold recycled windows (cleared key tables,
+	// id indexes and close lists) and reset groups for the next windows to
+	// open: at most ⌈Length/Hop⌉ windows, and at most spareLimit groups, the
+	// most any one recycled window held.
+	spareWins   []*openWindow
+	spareGroups []*Group
+	spareLimit  int
 
 	// idScratch and groupScratch are reused across GroupFor calls so
 	// per-event window assignment never allocates on the hot path (a
@@ -323,12 +340,17 @@ func (m *Manager) window(id ID) *openWindow {
 }
 
 // openAt inserts a new window for id at position i of the ID-ordered open
-// list.
+// list, reusing a recycled window if there is one.
 func (m *Manager) openAt(i int, id ID) *openWindow {
-	w := &openWindow{id: id, end: int64(id) + m.spec.Length.Nanoseconds(), groups: map[string]*Group{}}
-	if n := len(m.spareIDs); n > 0 {
-		w.byID, m.spareIDs = m.spareIDs[n-1], m.spareIDs[:n-1]
+	var w *openWindow
+	if n := len(m.spareWins); n > 0 {
+		w = m.spareWins[n-1]
+		m.spareWins[n-1] = nil
+		m.spareWins = m.spareWins[:n-1]
+	} else {
+		w = &openWindow{groups: map[string]*Group{}}
 	}
+	w.id, w.end = id, int64(id)+m.spec.Length.Nanoseconds()
 	m.open = append(m.open, nil)
 	copy(m.open[i+1:], m.open[i:])
 	m.open[i] = w
@@ -431,8 +453,18 @@ func (m *Manager) OpenGroups() int {
 	return n
 }
 
-// newGroup creates an empty accumulator for key.
+// newGroup returns an empty accumulator for key: a recycled group if there is
+// one, its binding slices widened to the slot tables, else a new one.
 func (m *Manager) newGroup(key string) *Group {
+	if n := len(m.spareGroups); n > 0 {
+		g := m.spareGroups[n-1]
+		m.spareGroups[n-1] = nil
+		m.spareGroups = m.spareGroups[:n-1]
+		g.Key = key
+		g.Entities = widen(g.Entities, len(m.entities.names))
+		g.Events = widen(g.Events, len(m.events.names))
+		return g
+	}
 	g := &Group{
 		Key:      key,
 		Aggs:     make([]agg.Aggregator, len(m.fields)),
@@ -447,6 +479,15 @@ func (m *Manager) newGroup(key string) *Group {
 		g.Aggs[i] = a
 	}
 	return g
+}
+
+// widen returns s, a recycled group's binding slice, at length n. Recycle
+// cleared it, and past its length a binding slice is never written.
+func widen[T any](s []*T, n int) []*T {
+	if cap(s) < n {
+		return make([]*T, n)
+	}
+	return s[:n]
 }
 
 // Touch opens the windows containing t without folding any group state.
@@ -500,9 +541,10 @@ func (m *Manager) closeFirst(n int) []Closed {
 	}
 	closed := make([]Closed, n)
 	for i, w := range m.open[:n] {
-		closed[i] = Closed{ID: w.id, End: time.Unix(0, w.end), Groups: sortedGroups(w.groups)}
+		w.sorted = appendSorted(w.sorted[:0], w.groups)
+		closed[i] = Closed{ID: w.id, End: time.Unix(0, w.end), Groups: w.sorted, w: w}
 		clear(w.byID)
-		m.spareIDs = append(m.spareIDs, w.byID[:0])
+		w.byID = w.byID[:0]
 	}
 	rest := copy(m.open, m.open[n:])
 	clear(m.open[rest:])
@@ -514,49 +556,89 @@ func (m *Manager) closeFirst(n int) []Closed {
 	return closed
 }
 
-// sortedGroups lists a window's groups in ascending key order: the one order
-// that is the same on every run, every shard and after every restore.
-func sortedGroups(groups map[string]*Group) []*Group {
-	out := make([]*Group, 0, len(groups))
+// appendSorted appends a window's groups to dst in ascending key order: the
+// one order that is the same on every run, every shard and after every
+// restore.
+func appendSorted(dst []*Group, groups map[string]*Group) []*Group {
+	n := len(dst)
 	for _, g := range groups {
-		out = append(out, g)
+		dst = append(dst, g)
 	}
-	slices.SortFunc(out, func(a, b *Group) int { return strings.Compare(a.Key, b.Key) })
-	return out
+	slices.SortFunc(dst[n:], func(a, b *Group) int { return strings.Compare(a.Key, b.Key) })
+	return dst
+}
+
+// Recycle hands closed windows back once their groups have been read — into
+// histories (History.PushGroup) and by whatever evaluated them — and nothing
+// holds a group any more: each group is reset (count, aggregators, bindings)
+// and, with its window's key table, id index and close list, reused by the
+// windows that open next. Recycling a Closed empties it, so a second Recycle
+// of the same slice does nothing; a Closed never recycled is left to the
+// garbage collector.
+func (m *Manager) Recycle(closed []Closed) {
+	for i := range closed {
+		c := &closed[i]
+		w := c.w
+		if w == nil {
+			continue
+		}
+		m.spareLimit = max(m.spareLimit, len(c.Groups))
+		for _, g := range c.Groups {
+			g.Key, g.Count = "", 0
+			for _, a := range g.Aggs {
+				a.Reset()
+			}
+			clear(g.Entities)
+			clear(g.Events)
+			m.spareGroups = append(m.spareGroups, g)
+		}
+		clear(w.groups)
+		clear(w.sorted)
+		w.sorted = w.sorted[:0]
+		if len(m.spareWins) < m.maxOpen() {
+			m.spareWins = append(m.spareWins, w)
+		}
+		*c = Closed{ID: c.ID, End: c.End}
+	}
+	if n := m.spareLimit; len(m.spareGroups) > n {
+		clear(m.spareGroups[n:])
+		m.spareGroups = m.spareGroups[:n]
+	}
+}
+
+// maxOpen is how many windows the spec keeps open at once on an in-order
+// stream: ⌈Length/Hop⌉, at least one.
+func (m *Manager) maxOpen() int {
+	hop := m.spec.EffectiveHop()
+	return max(1, int((m.spec.Length+hop-1)/hop))
 }
 
 // OpenWindows reports how many windows are currently open.
 func (m *Manager) OpenWindows() int { return len(m.open) }
 
-// SnapshotGroup freezes g's aggregates for closed window id.
-func (m *Manager) SnapshotGroup(id ID, g *Group) *Snapshot {
-	fields := make([]value.Value, len(g.Aggs))
-	for i, a := range g.Aggs {
-		fields[i] = a.Result()
-	}
-	return &Snapshot{WindowID: id, Fields: fields, Entities: g.Entities, Events: g.Events, Count: g.Count}
-}
-
 // EmptySnapshot produces the snapshot a group has for a window with no
 // matched events (avg/sum 0, empty set, ...): used to keep state history
 // contiguous for groups that temporarily go quiet. Its Fields are shared
 // with every other empty snapshot and must not be written; one EmptySnapshot
-// per closed window serves all of that window's quiet groups.
+// per closed window serves all of that window's quiet groups, since Push
+// copies it.
 func (m *Manager) EmptySnapshot(id ID) *Snapshot {
 	return &Snapshot{WindowID: id, Fields: m.emptyFields}
 }
 
 // History is a fixed-depth ring of a group's most recent snapshots.
-// Index 0 is the most recently closed window. Push runs in O(1) with zero
-// allocations after the ring storage exists: one window close per group
-// per window makes this a hot path at high group cardinality.
+// Index 0 is the most recently closed window. The ring owns its snapshots:
+// a push overwrites the slot it evicts, reusing that slot's slices, so it
+// runs in O(1) with zero allocations once every slot has grown to the
+// group's width — one window close per group per window makes this a hot
+// path at high group cardinality.
 type History struct {
 	m     *Manager // names the snapshots' fields and binding slots
 	depth int
-	buf   []*Snapshot // ring storage, allocated on first Push
-	head  int         // index of the newest snapshot in buf
-	n     int         // retained count (<= depth)
-	total int         // total snapshots ever pushed (training counters)
+	buf   []Snapshot // ring storage, allocated on first push
+	head  int        // index of the newest snapshot in buf
+	n     int        // retained count (<= depth)
+	total int        // total snapshots ever pushed (training counters)
 }
 
 // NewHistory creates a history ring of the manager's snapshots with the
@@ -568,26 +650,54 @@ func (m *Manager) NewHistory(depth int) *History {
 	return &History{m: m, depth: depth}
 }
 
-// Push adds the newest snapshot, evicting the oldest beyond depth.
+// Push adds a copy of s as the newest snapshot, evicting the oldest beyond
+// depth. The history keeps none of s's slices.
 //
 //saql:hotpath
 func (h *History) Push(s *Snapshot) {
+	slot := h.next()
+	slot.WindowID, slot.Count = s.WindowID, s.Count
+	slot.Fields = append(slot.Fields[:0], s.Fields...)
+	slot.Entities = append(slot.Entities[:0], s.Entities...)
+	slot.Events = append(slot.Events[:0], s.Events...)
+}
+
+// PushGroup freezes g, a group of closed window id, as the newest snapshot:
+// its aggregators' results and its bindings, copied into the evicted slot,
+// so g may be recycled once it returns.
+//
+//saql:hotpath
+func (h *History) PushGroup(id ID, g *Group) {
+	slot := h.next()
+	slot.WindowID, slot.Count = id, g.Count
+	slot.Fields = slot.Fields[:0]
+	for _, a := range g.Aggs {
+		slot.Fields = append(slot.Fields, a.Result())
+	}
+	slot.Entities = append(slot.Entities[:0], g.Entities...)
+	slot.Events = append(slot.Events[:0], g.Events...)
+}
+
+// next advances the ring and returns the slot of the newest snapshot, for the
+// caller to overwrite.
+func (h *History) next() *Snapshot {
 	if h.buf == nil {
-		h.buf = make([]*Snapshot, h.depth)
+		h.buf = make([]Snapshot, h.depth)
 		h.head = h.depth - 1 // first advance lands on index 0
 	}
 	h.head++
 	if h.head == h.depth {
 		h.head = 0
 	}
-	h.buf[h.head] = s
 	if h.n < h.depth {
 		h.n++
 	}
 	h.total++
+	return &h.buf[h.head]
 }
 
-// At returns the k-th most recent snapshot (0 = newest), or nil.
+// At returns the k-th most recent snapshot (0 = newest), or nil. The snapshot
+// is the ring's: the push that evicts it overwrites it.
 func (h *History) At(k int) *Snapshot {
 	if k < 0 || k >= h.n {
 		return nil
@@ -596,7 +706,7 @@ func (h *History) At(k int) *Snapshot {
 	if i < 0 {
 		i += h.depth
 	}
-	return h.buf[i]
+	return &h.buf[i]
 }
 
 // Len returns the number of retained snapshots.

@@ -3,10 +3,12 @@ package window
 import (
 	"fmt"
 	"hash/fnv"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"saql/internal/event"
 	"saql/internal/value"
 )
 
@@ -233,7 +235,9 @@ func TestManagerLifecycle(t *testing.T) {
 	if len(closed[0].Groups) != 1 || closed[0].Groups[0].Key != "g1" {
 		t.Fatalf("closed groups = %v, want [g1]", closed[0].Groups)
 	}
-	snap := m.SnapshotGroup(closed[0].ID, closed[0].Groups[0])
+	h := m.NewHistory(1)
+	h.PushGroup(closed[0].ID, closed[0].Groups[0])
+	snap := h.At(0)
 	if got, _ := snap.Fields[0].AsFloat(); got != 100 {
 		t.Errorf("total = %v", snap.Fields[0])
 	}
@@ -350,6 +354,79 @@ func TestHistoryRing(t *testing.T) {
 	}
 	if v := h.Field(0, 1); !v.IsNull() {
 		t.Errorf("missing field = %v", v)
+	}
+}
+
+// A closed window handed back with Recycle gives its groups to the windows
+// that open next, aggregators and binding slices included: each reused group
+// starts empty, and the snapshots histories froze from the groups own their
+// storage and stay as they were.
+func TestRecycleLeavesSnapshotsAlone(t *testing.T) {
+	m, err := NewManager(Spec{Length: time.Minute}, []FieldSpec{
+		{Name: "total", AggName: "sum"},
+		{Name: "keys", AggName: "set"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pSlot, eSlot := m.EntitySlot("p"), m.EventSlot("e")
+	fold := func(at time.Time, key string, id uint64) {
+		ev := &event.Event{ID: id, Time: at, Subject: event.Process(key+".exe", int32(id))}
+		for _, g := range keyed(m, at, key) {
+			g.Count++
+			if g.Entities[pSlot] == nil {
+				g.Entities[pSlot] = &ev.Subject
+			}
+			if g.Events[eSlot] == nil {
+				g.Events[eSlot] = ev
+			}
+			_, _ = g.Aggs[0].AddAll([]value.Value{value.Float(float64(id))})
+			_, _ = g.Aggs[1].AddAll([]value.Value{value.String(key)})
+		}
+	}
+	render := func(s *Snapshot) string {
+		return fmt.Sprintf("%d #%d %v %s %d", s.WindowID, s.Count, s.Fields, s.Entities[pSlot].ExeName, s.Events[eSlot].ID)
+	}
+
+	for i, key := range []string{"a", "b", "c"} {
+		fold(base.Add(time.Duration(i)*time.Second), key, uint64(10+i))
+	}
+	closed := m.Advance(base.Add(time.Minute))
+	if len(closed) != 1 {
+		t.Fatalf("closed %d windows, want 1", len(closed))
+	}
+	histories, want := map[string]*History{}, map[string]string{}
+	first := map[*Group]bool{}
+	for _, g := range closed[0].Groups {
+		h := m.NewHistory(2)
+		h.PushGroup(closed[0].ID, g)
+		histories[g.Key], want[g.Key] = h, render(h.At(0))
+		first[g] = true
+	}
+	m.Recycle(closed)
+	m.Recycle(closed) // a second hand-back of the same windows does nothing
+	if closed[0].Groups != nil {
+		t.Error("a recycled Closed still lists its groups")
+	}
+
+	for i, key := range []string{"x", "y", "z"} {
+		fold(base.Add(time.Minute+time.Duration(i)*time.Second), key, uint64(20+i))
+	}
+	next := m.Flush()
+	for _, g := range next[0].Groups {
+		if !first[g] {
+			t.Errorf("group %q is new: the recycled groups were not reused", g.Key)
+		}
+		h := m.NewHistory(1)
+		h.PushGroup(next[0].ID, g)
+		if got, want := render(h.At(0)), fmt.Sprintf("%d #1 [%d {%s}] %s.exe %d", next[0].ID, 20+strings.Index("xyz", g.Key), g.Key, g.Key, 20+strings.Index("xyz", g.Key)); got != want {
+			t.Errorf("reused group %q: %s, want %s", g.Key, got, want)
+		}
+	}
+	for key, h := range histories {
+		if got := render(h.At(0)); got != want[key] {
+			t.Errorf("snapshot of %q changed when its group was reused: %s, want %s", key, got, want[key])
+		}
 	}
 }
 
