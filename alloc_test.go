@@ -236,7 +236,7 @@ func TestStatefulFoldAllocsGate(t *testing.T) {
 	const (
 		groups              = 200
 		eventsPerWindow     = 2000
-		closeAllocsPerGroup = 4
+		closeAllocsPerGroup = 3
 		closeAllocsFixed    = 64
 		// sliceLogCap is the engine's bound on a slice log: the hit that
 		// reaches it folds the log mid-slice.

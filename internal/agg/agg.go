@@ -202,13 +202,7 @@ func (a *setAgg) AddAll(vs []value.Value) (int, error) {
 	return len(vs), nil
 }
 
-func (a *setAgg) Result() value.Value {
-	out := make([]string, 0, len(a.members))
-	for m := range a.members {
-		out = append(out, m)
-	}
-	return value.SetOf(out...)
-}
+func (a *setAgg) Result() value.Value { return value.SetCopy(a.members) }
 
 func (a *setAgg) Reset() { clear(a.members) }
 

@@ -470,6 +470,10 @@ func (q *Query) Patterns() []*matcher.Pattern { return q.patterns }
 // rule query completing matches per event).
 func (q *Query) Stateful() bool { return q.stateful }
 
+// WindowSpec is a stateful query's window: its slices are where a hit opens
+// the same windows as every other instant of the slice (window.Slice).
+func (q *Query) WindowSpec() window.Spec { return q.winMgr.Spec() }
+
 // GroupCount reports how many groups currently hold state (stateful queries).
 func (q *Query) GroupCount() int { return len(q.groups) }
 

@@ -35,10 +35,11 @@ type KeyClass struct {
 	limit int // directory size at which boundDirectory next runs
 
 	// A seal's bucketing scratch (bucket): run index + 1 by group id, the
-	// runs, and the hits' indexes in run order.
+	// runs, and the hits' indexes and event times in run order.
 	runOf []int32
 	runs  []hitRun
 	order []int32
+	times []int64
 	// A seal's columns (SliceLog.fold): one chunk of its hits in run order
 	// and its program table's values on them.
 	cols columns

@@ -14,11 +14,15 @@ package engine
 // holds the distinct aggregation-argument programs of its members
 // (pcode.Prog.Equal), per pattern; a seal runs each of them once per hit and
 // writes the values, their errors and each hit's in-slice flag into columns
-// laid out in run order (key-class scratch, foldChunk hits at a time). Every
-// member then folds the columns: a stretch of one group's in-slice hits of one
-// pattern shares one window assignment, adds its length to Count once, binds
-// its first hit's entities, and makes one AddAll per field per window over its
-// stretch of the field's column.
+// laid out in run order (key-class scratch, foldChunk hits at a time). The
+// seal reads the logged events in arrival order first: bucketing the hits, it
+// reads each event's time and scatters it into run order beside the hit's
+// index, so that the first touch of every event walks memory in the order the
+// events were made, not group by group. Every member then folds the columns:
+// a stretch of one group's in-slice hits of one pattern shares one window
+// assignment, adds its length to Count once, binds its first hit's entities,
+// and makes one AddAll per field per window over its stretch of the field's
+// column.
 //
 // Why it is exact: each member's aggregator sees the same values in the same
 // order as per-event folding — a program is a pure function of the event, so
@@ -156,7 +160,7 @@ func NewSliceLog(members []*Query, kc *KeyClass, report func(error)) *SliceLog {
 	l := &SliceLog{members: members, kc: kc, report: report}
 	for _, q := range members {
 		q.log = l
-		if spec := q.winMgr.Spec(); !slices.Contains(l.specs, spec) {
+		if spec := q.WindowSpec(); !slices.Contains(l.specs, spec) {
 			l.specs = append(l.specs, spec)
 		}
 		l.tabulate(q)
@@ -195,16 +199,6 @@ func (l *SliceLog) Idle() bool { return len(l.active) == 0 }
 // log seals.
 func (l *SliceLog) Due() int64 { return l.due }
 
-// slice returns the slice of the members' specs holding t.
-func (l *SliceLog) slice(t int64) (start, end int64) {
-	start, end = math.MinInt64, math.MaxInt64
-	for _, s := range l.specs {
-		a, b := s.SliceAt(t)
-		start, end = max(start, a), min(end, b)
-	}
-	return start, end
-}
-
 // reset starts the next slice from the active members' watermarks. A member
 // seals the log at the next edge past its watermark, or — holding windows a
 // restore merged in behind it — at its first advance at all; one with no
@@ -224,14 +218,14 @@ func (l *SliceLog) reset() {
 			l.due = math.MinInt64
 			continue
 		}
-		_, next := l.slice(wm)
+		_, next := window.Slice(l.specs, wm)
 		l.due = min(l.due, next, max(q.winMgr.Deadline(), wm+1))
 		if !seen || wm > ahead {
 			ahead, seen = wm, true
 		}
 	}
 	if seen {
-		l.start, l.end = l.slice(ahead)
+		l.start, l.end = window.Slice(l.specs, ahead)
 	}
 }
 
@@ -321,13 +315,14 @@ func (l *SliceLog) seal() []*Alert {
 //saql:hotpath
 func (l *SliceLog) fold() {
 	if len(l.hits) > 0 {
-		order := l.kc.bucket(l.hits)
+		order, times := l.kc.bucket(l.hits)
 		c := l.kc.columns(l.width)
 		for len(l.errs) < len(l.active) {
 			l.errs = append(l.errs, nil)
 		}
 		for lo := 0; lo < len(order); lo += foldChunk {
-			l.evaluate(c, order[lo:min(lo+foldChunk, len(order))])
+			hi := min(lo+foldChunk, len(order))
+			l.evaluate(c, order[lo:hi], times[lo:hi])
 			for i, q := range l.active {
 				q.foldColumns(c, &l.kc.dir, &l.errs[i])
 			}
@@ -349,18 +344,18 @@ func (l *SliceLog) fold() {
 	}
 }
 
-// evaluate fills c with the logged hits order lists, in that order: a row per
-// hit, the stretches they form, and every program of the table for the hit's
-// pattern run once on it.
+// evaluate fills c with the logged hits order lists, in that order, at the
+// event times bucket read for them: a row per hit, the stretches they form,
+// and every program of the table for the hit's pattern run once on it.
 //
 //saql:hotpath
-func (l *SliceLog) evaluate(c *columns, order []int32) {
+func (l *SliceLog) evaluate(c *columns, order []int32, times []int64) {
 	c.rows = c.rows[:len(order)]
 	clear(c.bad)
 	stretch := 0
 	for p, i := range order {
 		h := &l.hits[i]
-		t := h.ev.Time.UnixNano()
+		t := times[p]
 		r := &c.rows[p]
 		*r = foldRow{ev: h.ev, at: i, id: h.id, pat: h.pat, in: l.start <= t && t < l.end}
 		if p > 0 {
@@ -398,10 +393,13 @@ func (l *SliceLog) reportErrs(q *Query, errs *[]foldErr) {
 // bucket orders hits by group id, stably, with one counting pass over the
 // directory's dense ids: order lists the hits' indexes run by run — a group's
 // hits together, in arrival order — and the runs come in order of their
-// groups' first hits. It is scratch of the class, good until its next bucket.
+// groups' first hits. times[p] is the event time of hit order[p]: the seal's
+// first read of each logged event, made here in arrival order — the order
+// the events were made in, so memory serves it sequentially — rather than
+// in run order. Both are scratch of the class, good until its next bucket.
 //
 //saql:hotpath
-func (c *KeyClass) bucket(hits []sliceHit) (order []int32) {
+func (c *KeyClass) bucket(hits []sliceHit) (order []int32, times []int64) {
 	if n := c.dir.Len(); len(c.runOf) < n {
 		// Grown with room to spare, like the directory: past len the array
 		// has only ever held zeros.
@@ -423,19 +421,20 @@ func (c *KeyClass) bucket(hits []sliceHit) (order []int32) {
 		runs[i].n = 0
 	}
 	if cap(c.order) < len(hits) {
-		c.order = make([]int32, len(hits))
+		c.order, c.times = make([]int32, len(hits)), make([]int64, len(hits))
 	}
-	order = c.order[:len(hits)]
+	order, times = c.order[:len(hits)], c.times[:len(hits)]
 	for i := range hits {
 		r := &runs[c.runOf[hits[i].id]-1]
 		order[r.first+r.n] = int32(i)
+		times[r.first+r.n] = hits[i].ev.Time.UnixNano()
 		r.n++
 	}
 	for _, r := range runs {
 		c.runOf[r.id] = 0
 	}
 	c.runs = runs
-	return order
+	return order, times
 }
 
 // columns returns the class's column scratch, with room for a chunk of a log

@@ -106,6 +106,59 @@ func TestSliceLogMatchesPerEventFold(t *testing.T) {
 		}
 	}
 	t.Run("own-log/flush-report", testOwnLogFlushReport)
+	t.Run("arrival-order-errors", testArrivalOrderErrors)
+}
+
+// testArrivalOrderErrors: hits of two groups, alternating inside one slice,
+// each with an argument that fails, fold run by run — one group's, then the
+// other's — but every member reports their errors in the order the hits
+// arrived, as folding hit by hit does.
+func testArrivalOrderErrors(t *testing.T) {
+	var members, twins []*Query
+	var dirs []*window.Directory
+	for i, spec := range [][2]int{{2000, 0}, {3000, 1000}} {
+		name := fmt.Sprintf("m%d", i)
+		members = append(members, sliceLogMember(t, name, sliceLogFields, spec[0], spec[1]))
+		twins = append(twins, sliceLogMember(t, name, sliceLogFields, spec[0], spec[1]))
+		dirs = append(dirs, new(window.Directory))
+	}
+	gotReport, gotErrs := errorsByQuery()
+	wantReport, wantErrs := errorsByQuery()
+	kc := NewKeyClass()
+	log := NewSliceLog(members, kc, gotReport)
+	kc.SetLogs([]*SliceLog{log})
+	// sqrt(e1.amount - 500) fails on every one of them, naming the amount.
+	hits := []struct {
+		pid    int32
+		amount float64
+	}{{1, 100}, {2, 200}, {1, 300}, {2, 50}, {1, 499}, {2, 7}}
+	for k, h := range hits {
+		ev := &event.Event{
+			Time:    t0.Add(time.Duration(k+1) * time.Millisecond),
+			AgentID: "h",
+			Subject: event.Process(fmt.Sprintf("p%d.exe", h.pid), h.pid),
+			Op:      event.OpWrite,
+			Object:  event.NetConn("10.0.0.1", 1, "10.0.0.9", 443),
+			Amount:  h.amount,
+		}
+		hits := members[0].Hits(ev)
+		offer(log, uint64(k+1), ev, hits)
+		for i, q := range twins {
+			q.refIngestKeyed(ev, hits, dirs[i], wantReport)
+		}
+	}
+	// The first hit sealed at once (no member had a watermark); the rest are
+	// logged, and run order is not arrival order.
+	if order, _ := kc.bucket(log.hits); len(order) != len(hits)-1 || slices.IsSorted(order) {
+		t.Fatalf("run order %v: want the %d logged hits out of arrival order", order, len(hits)-1)
+	}
+	log.Settle()
+	for _, q := range members {
+		got, want := gotErrs[q.Name], wantErrs[q.Name]
+		if len(want) < len(hits) || !slices.Equal(got, want) {
+			t.Fatalf("%s: error reports\n  log:       %v\n  per event: %v", q.Name, got, want)
+		}
+	}
 }
 
 // errorsByQuery returns a report that files each error under its query, and

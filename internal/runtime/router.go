@@ -33,9 +33,14 @@ package runtime
 //     touch(set): window existence and close cadence must be identical on all
 //     replicas (alert history backfill and checkpoint re-split depend on it),
 //     and a replica that folds nothing would otherwise never open the window.
-//     On the shard a touch is a flag on the set's slice: every instant of a
-//     slice opens the same windows, so the members open them once, at the
-//     seal.
+//     Every instant of a slice of the set's window specs (window.Slice) opens
+//     the same windows, so a shard needs one fold, key error or touch of the
+//     set per slice: the router remembers the slice of the last one it sent
+//     each shard (partitioner.cover) and touches only for a hit outside it,
+//     and forgets at every control and layout change, where a member may
+//     have been paused, resumed, added or swapped in. On the shard a touch is
+//     a flag on the set's log slice, and the members open the windows once,
+//     at the seal.
 //   - a rule set's hits become hits(set, pattern set) on each home shard
 //     holding a member (pinned) or on the shard owning the event's subject
 //     entity (by-event).
@@ -65,14 +70,15 @@ import (
 	"saql/internal/engine"
 	"saql/internal/event"
 	"saql/internal/scheduler"
+	"saql/internal/window"
 )
 
 // flushThreshold and opsThreshold cap how many entries and ops a per-shard
 // buffer accumulates before it is flushed regardless of queue pressure,
 // bounding both batch latency and buffer memory under sustained load. With
-// one op per variant set, an entry carries one or two ops (a qs-hot slab
-// flushes full at 256 entries and ≈ 320 ops), so a slab is made with room for
-// opsThreshold and almost never grows.
+// one op per variant set and a touch per slice, an entry carries one or two
+// ops (a qs-hot slab flushes full at 256 entries and ≈ 300 ops), so a slab is
+// made with room for opsThreshold and almost never grows.
 const (
 	flushThreshold = 256
 	opsThreshold   = 3 * flushThreshold / 2
@@ -150,8 +156,19 @@ type partitioner struct {
 	seq    uint64   // events routed with hits: stamps open entries
 	mark   uint64   // by-group sets routed: stamps folded
 	folded []uint64 // folded[i] == mark: shard i folds for the set being routed
-	pool   sync.Pool
+	// cover[set*n+i] is the slice of a by-group set's specs (window.Slice) in
+	// which shard i last got a fold, a key error or a touch of the set: every
+	// instant of it opens the windows that op opened, so a hit inside it needs
+	// no touch there. Forgotten at every control and layout change.
+	cover []slice
+	pool  sync.Pool
 }
+
+// slice is [start, end) in Unix nanoseconds; the zero slice holds no instant.
+type slice struct{ start, end int64 }
+
+//saql:hotpath
+func (s slice) holds(t int64) bool { return s.start <= t && t < s.end }
 
 func newPartitioner(r *Runtime, wm event.Watermark) *partitioner {
 	p := &partitioner{
@@ -221,7 +238,10 @@ func (p *partitioner) applyCtl(c *control) {
 	case ctlRemove:
 		delete(p.routes, c.name)
 	}
-	p.setsFor = nil // registry changed: re-resolve against the next layout
+	// Re-resolve against the next layout, forgetting every touch cover: a
+	// member paused, resumed, added or swapped here has not seen the ops
+	// before it.
+	p.setsFor = nil
 }
 
 // resolveSets refreshes the set cache for a hit-set layout. The variant sets
@@ -254,6 +274,7 @@ func (p *partitioner) resolveSets(layout *scheduler.Layout) {
 		}
 		slices.Sort(rs.homes)
 	}
+	p.cover = make([]slice, len(layout.Sets)*p.n)
 	p.setsFor = layout
 }
 
@@ -297,6 +318,9 @@ func (p *partitioner) routeEvent(ev *event.Event, hs *scheduler.HitSet) {
 		switch rs := &p.sets[sh.Set]; rs.kind {
 		case routeGroupFold:
 			p.mark++
+			t := ev.Time.UnixNano()
+			cover := p.cover[int(sh.Set)*p.n:][:p.n]
+			var sl slice // t's slice, once a shard's cover needs it
 			for j := range sh.Hits {
 				// A key the cluster-level Owns filter gives to another worker
 				// folds on no local shard; the local replicas still touch.
@@ -304,11 +328,17 @@ func (p *partitioner) routeEvent(ev *event.Event, hs *scheduler.HitSet) {
 					i := int(h % uint32(p.n))
 					p.emit(i, ev, wm, sh.FoldOp(j))
 					p.folded[i] = p.mark
+					if !cover[i].holds(t) {
+						sl = p.sliceOf(sl, sh.Set, t)
+						cover[i] = sl
+					}
 				}
 			}
 			for i := range p.folded {
-				if p.folded[i] != p.mark {
+				if p.folded[i] != p.mark && !cover[i].holds(t) {
 					p.emit(i, ev, wm, scheduler.Op{Kind: scheduler.OpTouch, Set: sh.Set})
+					sl = p.sliceOf(sl, sh.Set, t)
+					cover[i] = sl
 				}
 			}
 		case routeHomeFold:
@@ -335,6 +365,19 @@ func (p *partitioner) routeEvent(ev *event.Event, hs *scheduler.HitSet) {
 			}
 		}
 	}
+}
+
+// sliceOf returns sl when it holds t, else the slice of set's specs holding
+// t: the one slice the hit of a by-group set computes, and only when a
+// shard's cover lies elsewhere.
+//
+//saql:hotpath
+func (p *partitioner) sliceOf(sl slice, set int32, t int64) slice {
+	if sl.holds(t) {
+		return sl
+	}
+	sl.start, sl.end = window.Slice(p.setsFor.Sets[set].Specs, t)
+	return sl
 }
 
 // flushShard seals shard i's buffer with the running stream watermark and

@@ -10,8 +10,13 @@ package runtime
 //   - one fold op per (event, set, pattern), on exactly the one shard
 //     hash(key) mod n names — or none, when Owns gives the key to another
 //     worker;
-//   - every other shard holding the set's replicas gets exactly one touch for
-//     it per event;
+//   - every other shard holding the set's replicas gets one touch for it if
+//     and only if its last fold, key error or touch of that set since the
+//     last control was for an event outside this event's slice — the slice
+//     of the set's window specs, intersected from window.Spec.SliceAt here —
+//     or there was none: every instant of a slice opens the same windows, so
+//     one op per slice and shard opens them all, and a control (which may
+//     pause, resume, add or swap a member) starts the memory afresh;
 //   - a pinned set gets one op per home shard holding a member, and its
 //     members, spread over those shards, count what the serial engine counts;
 //   - Σ over shards of fold ops × the set's members placed on that shard = the
@@ -33,6 +38,7 @@ package runtime
 import (
 	"fmt"
 	"maps"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -46,6 +52,7 @@ import (
 	"saql/internal/engine"
 	"saql/internal/event"
 	"saql/internal/scheduler"
+	"saql/internal/window"
 )
 
 // routingQueries covers every placement mode and every kind of group key,
@@ -195,14 +202,15 @@ func compileRouting(t *testing.T, name, src string) *engine.Query {
 
 // routingWorkload builds a random stream: mostly write events (hit the write
 // queries), some read events (hit the two computed-key queries), and some
-// connect events that hit nothing at all.
+// connect events that hit nothing at all. Events are 37 s apart, so the
+// stream crosses a slice edge of every by-group set every 30 minutes.
 func routingWorkload(rng *rand.Rand, n int) []*event.Event {
 	base := time.Date(2026, 3, 1, 0, 0, 0, 0, time.UTC)
 	exes := []string{"nginx", "sshd", "osql.exe", "cmd.exe", "postgres", "redis-server", "curl"}
 	evs := make([]*event.Event, 0, n)
 	for i := 0; i < n; i++ {
 		ev := &event.Event{
-			Time:    base.Add(time.Duration(i) * 37 * time.Millisecond), // monotone
+			Time:    base.Add(time.Duration(i) * 37 * time.Second), // monotone
 			AgentID: "host-1",
 			Subject: event.Entity{
 				Type:    event.EntityProcess,
@@ -227,10 +235,32 @@ func routingWorkload(rng *rand.Rand, n int) []*event.Event {
 	return evs
 }
 
+// refSlice is a slice of a set's window specs, [start, end) in unix
+// nanoseconds.
+type refSlice struct{ start, end int64 }
+
+// touchRef is the reference's touch memory: each by-group set's window specs
+// and, per set and shard, the slice of the last fold, key error or touch the
+// shard was handed since the last control.
+type touchRef struct {
+	specs map[string][]window.Spec
+	last  map[string]map[int]refSlice
+}
+
+// sliceAt intersects the slices of set's specs holding t.
+func (r *touchRef) sliceAt(set string, t time.Time) refSlice {
+	sl := refSlice{math.MinInt64, math.MaxInt64}
+	for _, spec := range r.specs[set] {
+		a, b := spec.SliceAt(t.UnixNano())
+		sl = refSlice{max(sl.start, a), min(sl.end, b)}
+	}
+	return sl
+}
+
 // expectedOps computes, from the placement rules alone, the ops every shard
 // must be handed for one event: shard -> ops (unordered). homes lists each
-// pinned set's home shards.
-func expectedOps(ev *event.Event, n int, owns func(uint32) bool, homes map[string][]int) map[int][]obsOp {
+// pinned set's home shards; ref is the touch memory, which it updates.
+func expectedOps(ev *event.Event, n int, owns func(uint32) bool, homes map[string][]int, ref *touchRef) map[int][]obsOp {
 	out := map[int][]obsOp{}
 	owned := func(h uint32) bool { return owns == nil || owns(h) }
 	// byGroup places one by-group set's hit: pattern -> key ("" and failed
@@ -242,6 +272,10 @@ func expectedOps(ev *event.Event, n int, owns func(uint32) bool, homes map[strin
 	}
 	byGroup := func(set string, hits ...hit) {
 		folds := map[int]bool{}
+		sl := ref.sliceAt(set, ev.Time)
+		if ref.last[set] == nil {
+			ref.last[set] = map[int]refSlice{}
+		}
 		for _, h := range hits {
 			hash := hashString(h.key)
 			if !owned(hash) {
@@ -249,6 +283,7 @@ func expectedOps(ev *event.Event, n int, owns func(uint32) bool, homes map[strin
 			}
 			i := int(hash % uint32(n))
 			folds[i] = true
+			ref.last[set][i] = sl
 			if h.failed {
 				out[i] = append(out[i], obsOp{set: set, kind: scheduler.OpKeyErr, pat: h.pat})
 			} else {
@@ -256,8 +291,11 @@ func expectedOps(ev *event.Event, n int, owns func(uint32) bool, homes map[strin
 			}
 		}
 		for i := 0; i < n; i++ {
-			if !folds[i] { // every replica that folds nothing is touched, once per set
+			// A replica that folds nothing is touched, once per set, unless
+			// its last op of the set since the last control was in sl.
+			if last, ok := ref.last[set][i]; !folds[i] && (!ok || last != sl) {
 				out[i] = append(out[i], obsOp{set: set, kind: scheduler.OpTouch})
+				ref.last[set][i] = sl
 			}
 		}
 	}
@@ -316,8 +354,12 @@ func runRoutingCase(t *testing.T, seed int64, shards int, owns func(uint32) bool
 
 	homes := map[string][]int{}   // pinned set -> its members' home shards
 	placed := map[string][]bool{} // query -> shard -> holds a replica
+	ref := &touchRef{specs: map[string][]window.Spec{}, last: map[string]map[int]refSlice{}}
 	for _, qs := range routingQueries {
 		primary := compileRouting(t, qs.name, qs.src)
+		if primary.Placement() == engine.PlaceByGroup {
+			ref.specs[qs.set] = append(ref.specs[qs.set], primary.WindowSpec())
+		}
 		if _, err := r.Add(primary); err != nil {
 			t.Fatalf("add %s: %v", qs.name, err)
 		}
@@ -333,8 +375,16 @@ func runRoutingCase(t *testing.T, seed int64, shards int, owns func(uint32) bool
 		t.Fatalf("the pinned set's members share one home (%v): the battery wants it spread", homes["pinned-global"])
 	}
 	// Random submission batch sizes keep the per-shard slabs in assorted fill
-	// states across flushes.
+	// states across flushes. A stats read mid-stream is a control: the touch
+	// memory starts afresh behind it.
+	ctlAt, resetAt := rng.Intn(len(evs)), -1
 	for i := 0; i < len(evs); {
+		if resetAt < 0 && i >= ctlAt {
+			if _, err := r.QueryStats("grp-fast"); err != nil {
+				t.Fatal(err)
+			}
+			resetAt = i
+		}
 		j := min(i+1+rng.Intn(16), len(evs))
 		if err := r.SubmitBatch(evs[i:j]); err != nil {
 			t.Fatalf("submit: %v", err)
@@ -373,8 +423,11 @@ func runRoutingCase(t *testing.T, seed int64, shards int, owns func(uint32) bool
 	members := setMembers()
 	folds, hitPats := map[string]int64{}, map[string]int64{}
 	var keyErrs, probeBound int64
-	for _, ev := range evs {
-		want := expectedOps(ev, shards, owns, homes)
+	for k, ev := range evs {
+		if k == resetAt {
+			clear(ref.last)
+		}
+		want := expectedOps(ev, shards, owns, homes, ref)
 		have := obs.ops[ev]
 		for i := 0; i < shards; i++ {
 			w, h := want[i], have[i]

@@ -46,8 +46,9 @@
 //
 //   - by-group queries (stateful, group-by, no clustering, no distinct)
 //     replicate onto every shard, and each group-by key is owned by exactly
-//     one shard (FNV hash of the key); non-owning replicas receive
-//     one-word touch ops so window cadence stays identical;
+//     one shard (FNV hash of the key); a non-owning replica receives a touch
+//     op once per slice of its variant set's window specs, so window cadence
+//     stays identical;
 //   - by-event queries (stateless single-pattern rules) replicate onto
 //     every shard, and each event is owned by exactly one shard (hash of
 //     the subject entity);

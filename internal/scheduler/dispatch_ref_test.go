@@ -190,11 +190,14 @@ var dispatchShapes = []string{
 	"proc p start proc c as e1\nproc c write file f as e2\nwith e1 -> e2\nreturn p, c, f",
 }
 
-// NewDispatchCase draws a case from seed. Every case holds three fixed
+// NewDispatchCase draws a case from seed. Every case holds four fixed
 // families beside its random extras, on operations no extra uses so their
 // grouping is known: a pinned master with an active stateful dependent,
 // paused and resumed mid-stream; a pinned query swapped for an unpinned one;
-// and a pinned master removed so that its dependents regroup.
+// a pinned master removed so that its dependents regroup; and an unpinned
+// master whose equal and residual dependents alternate — two variant sets of
+// equal ones, the second's slots not consecutive — with an equal dependent
+// paused and resumed mid-stream.
 func NewDispatchCase(seed int64) DispatchCase {
 	rng := rand.New(rand.NewSource(seed))
 	c := DispatchCase{Sharing: rng.Intn(4) != 0}
@@ -210,6 +213,7 @@ func NewDispatchCase(seed int64) DispatchCase {
 		{"rd2", rm + "proc p delete file f as e\nreturn f"},
 		{"sw", sw + "proc p rename file f as e\nreturn p, f"},
 	}
+	c.Queries = append(c.Queries, dispatchInterleaved...)
 	for k := range 4 + rng.Intn(8) {
 		c.Queries = append(c.Queries, DispatchQuery{fmt.Sprintf("x%d", k), randomGlobals(rng) + dispatchShapes[rng.Intn(len(dispatchShapes))]})
 	}
@@ -225,6 +229,10 @@ func NewDispatchCase(seed int64) DispatchCase {
 		{event.OpExecute, "file"}, {event.OpDelete, "file"}, {event.OpRename, "file"},
 	}
 	paths := []string{"/tmp/a.tmp", "/var/log/b.log"}
+	ops = append(ops, struct {
+		op  event.Op
+		obj string
+	}{event.OpConnect, "ip"})
 	dec, err := codec.New("ndjson", codec.Options{})
 	if err != nil {
 		panic(err)
@@ -260,13 +268,15 @@ func NewDispatchCase(seed int64) DispatchCase {
 	}
 
 	c.Script = []DispatchStep{
+		{At: n / 3, Kind: "pause", Name: "ee2"},
+		{At: 2 * n / 3, Kind: "resume", Name: "ee2"},
 		{At: n / 4, Kind: "pause", Name: "pm"},
 		{At: n / 2, Kind: "swap", Name: "sw", Src: strings.Replace(sw, "=", "!=", 1) + "proc p rename file f as e\nreturn p, f"},
 		{At: 5 * n / 8, Kind: "remove", Name: "rm"},
 		{At: 3 * n / 4, Kind: "resume", Name: "pm"},
 	}
 	for range rng.Intn(3) {
-		x := fmt.Sprintf("x%d", rng.Intn(len(c.Queries)-6))
+		x := fmt.Sprintf("x%d", rng.Intn(len(c.Queries)-6-len(dispatchInterleaved)))
 		at := rng.Intn(n)
 		c.Script = append(c.Script, DispatchStep{At: at, Kind: "pause", Name: x}, DispatchStep{At: at + rng.Intn(n-at), Kind: "resume", Name: x})
 	}
@@ -274,11 +284,26 @@ func NewDispatchCase(seed int64) DispatchCase {
 	return c
 }
 
+// dispatchInterleaved is the fixed family whose master's equal dependents
+// (ee*) and residual ones (er*) alternate: the master and ee1 (rules) are one
+// variant set, ee2 and ee3 (one key class) another at slots two apart.
+var dispatchInterleaved = []DispatchQuery{
+	{"em", "proc p connect ip i as e\nreturn p, i"},
+	{"ee1", "proc p connect ip i as e\nreturn i"},
+	{"er1", "proc p[\"%cmd.exe\"] connect ip i as e\nreturn p, i"},
+	{"ee2", "proc p connect ip i as e #time(5 s)\nstate ss { n := count(e) } group by p\nalert ss.n > 1\nreturn p, ss.n"},
+	{"er2", "proc p[\"%osql.exe\"] connect ip i as e #time(5 s)\nstate ss { n := count(e) } group by p\nalert ss.n > 0\nreturn p, ss.n"},
+	{"ee3", "proc p connect ip i as e #time(7 s)\nstate ss { n := count(e) } group by p\nalert ss.n > 2\nreturn p, ss.n"},
+}
+
 // checkSetOrder fails unless hs resolves its sets in the order of their first
-// slot with hits: the order of a scan over the whole slot table.
-func checkSetOrder(t *testing.T, at int, hs *HitSet) {
+// slot with hits — the order of a scan over the whole slot table — and
+// resolves exactly the sets whose first active member (paused names the
+// paused queries' slots) has hits, each once, with that member's hits.
+func checkSetOrder(t *testing.T, at int, hs *HitSet, paused map[int]bool) {
 	t.Helper()
 	last := -1
+	resolved := map[int32]bool{}
 	for _, sh := range hs.Sets {
 		slots := hs.Layout.Sets[sh.Set].Slots
 		first := slots[slices.IndexFunc(slots, func(slot int) bool { return len(hs.Hits[slot]) > 0 })]
@@ -286,7 +311,38 @@ func checkSetOrder(t *testing.T, at int, hs *HitSet) {
 			t.Fatalf("event %d: set %d (first slot with hits %d) resolved after a set whose first is %d", at, sh.Set, first, last)
 		}
 		last = first
+		if resolved[sh.Set] {
+			t.Fatalf("event %d: set %d resolved twice", at, sh.Set)
+		}
+		resolved[sh.Set] = true
 	}
+	for i, vs := range hs.Layout.Sets {
+		var want []int
+		if k := slices.IndexFunc(vs.Slots, func(slot int) bool { return !paused[slot] }); k >= 0 {
+			want = hs.Hits[vs.Slots[k]]
+		}
+		k := slices.IndexFunc(hs.Sets, func(sh SetHits) bool { return sh.Set == int32(i) })
+		var got []int
+		if k >= 0 {
+			got = hs.Sets[k].Hits
+		}
+		if !slices.Equal(got, want) || (k >= 0) != (len(want) > 0) {
+			t.Fatalf("event %d: set %d (slots %v) resolved to %v, its first active member's hits are %v", at, i, vs.Slots, got, want)
+		}
+	}
+}
+
+// pausedSlots is the slots of s's paused queries in its own layout.
+func pausedSlots(s *Scheduler) map[int]bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := map[int]bool{}
+	for name, slot := range s.layoutLocked().Slots {
+		if s.queries[name].Paused() {
+			out[slot] = true
+		}
+	}
+	return out
 }
 
 // decodeNDJSON renders ev as an ndjson line and decodes it back.
@@ -359,9 +415,10 @@ func TestPinnedDispatchMatchesSweep(t *testing.T) {
 				}
 			}
 			if c.Sharing {
-				if g := serial.Groups(); len(g["pm"]) != 1 || len(g["rm"]) != 2 {
-					t.Fatalf("groups %v: want pm over pd and rm over rd, rd2", g)
+				if g := serial.Groups(); len(g["pm"]) != 1 || len(g["rm"]) != 2 || len(g["em"]) != 5 {
+					t.Fatalf("groups %v: want pm over pd, rm over rd, rd2 and em over ee1, er1, ee2, er2, ee3", g)
 				}
+				checkInterleaved(t, batch)
 			}
 			var want Stats
 			pinnedSkips := false
@@ -378,6 +435,7 @@ func TestPinnedDispatchMatchesSweep(t *testing.T) {
 				}
 				chunk := c.Events[i:j]
 				hs := batch.EvaluateBatch(chunk)
+				paused := pausedSlots(batch)
 				for k, ev := range chunk {
 					ref, st := refEvaluate(serial, ev)
 					want.StreamCopies += st.StreamCopies
@@ -387,7 +445,7 @@ func TestPinnedDispatchMatchesSweep(t *testing.T) {
 					got := map[string][]int{}
 					if hs[k] != nil {
 						got = byName(hs[k].Layout, hs[k].Hits)
-						checkSetOrder(t, i+k, hs[k])
+						checkSetOrder(t, i+k, hs[k], paused)
 					}
 					if !maps.EqualFunc(got, ref, slices.Equal) {
 						t.Fatalf("event %d (agent %q): EvaluateBatch hits %v, sweep %v", i+k, ev.AgentID, got, ref)
@@ -417,6 +475,25 @@ func TestPinnedDispatchMatchesSweep(t *testing.T) {
 			}
 		})
 	}
+}
+
+// checkInterleaved fails unless the interleaved family's layout is what the
+// fence wants: ee2 and ee3 one variant set whose slots are not consecutive.
+func checkInterleaved(t *testing.T, s *Scheduler) {
+	t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	l := s.layoutLocked()
+	ee2, ee3 := l.Slots["ee2"], l.Slots["ee3"]
+	for _, vs := range l.Sets {
+		if slices.Contains(vs.Slots, ee2) {
+			if !slices.Equal(vs.Slots, []int{ee2, ee3}) || ee3 == ee2+1 {
+				t.Fatalf("ee2's variant set has slots %v (ee3 at %d): want ee2 and ee3 with er2 between them", vs.Slots, ee3)
+			}
+			return
+		}
+	}
+	t.Fatal("ee2 is in no variant set")
 }
 
 // TestBucketSpans: over random batches and key counts, bucket's spans

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -97,6 +98,9 @@ type VariantSet struct {
 	// never reused, shared with every consumer of the layout; -1 for rule
 	// queries.
 	Class int32
+	// Specs are a stateful set's distinct window specs: within one slice of
+	// them (window.Slice) every hit opens the same windows of every member.
+	Specs []window.Spec
 }
 
 // slot reports name's index in l, or -1 when absent.
@@ -199,9 +203,11 @@ const (
 	// report it. Nothing folds; the windows open.
 	OpKeyErr
 	// OpTouch: the set was hit but this replica owns none of the hit's
-	// groups. Nothing folds; the windows open, so that window cadence is the
-	// same on every replica. A touch inside the set's slice is a flag on the
-	// slice: every instant of it opens the same windows.
+	// groups, and has had no fold, key error or touch of the set in the
+	// hit's slice since the last control. Nothing folds; the windows open,
+	// so that window cadence is the same on every replica. A touch inside
+	// the set's log slice is a flag on the slice: every instant of it opens
+	// the same windows.
 	OpTouch
 	// OpHits feeds the hit patterns in Op.Arg (bit p = pattern p) to the
 	// members' matchers: the pinned replicas, or the by-event replicas on the
@@ -254,6 +260,9 @@ type group struct {
 	// pattern of the master, and so none of a dependent's, which only refines
 	// the master's hits.
 	ops uint32
+	// equal are the slots of the active equal dependents, set with the plan:
+	// the master's sweep writes its hits into them in the same pass.
+	equal []int
 }
 
 // active counts the group's unpaused queries and the pattern evaluations
@@ -289,7 +298,8 @@ type evalPlan struct {
 
 // planLocked derives s.plan from the groups, their pins and the paused flags,
 // and gives every planned group its master's operation set (opSet), which
-// bounds every dependent's hits too. The caller holds s.mu.
+// bounds every dependent's hits too, and the layout slots of its active equal
+// dependents. The caller holds s.mu, and s.layout is current.
 func (s *Scheduler) planLocked() {
 	p := evalPlan{}
 	for _, g := range s.groups {
@@ -298,6 +308,12 @@ func (s *Scheduler) planLocked() {
 			continue
 		}
 		g.ops = opSet(g.master)
+		g.equal = g.equal[:0]
+		for _, d := range g.dependents {
+			if d.equal && !d.q.Paused() {
+				g.equal = append(g.equal, s.layout.Slots[d.q.Name])
+			}
+		}
 		p.copies++
 		p.naiveCopies += int64(active)
 		p.naiveEvals += naive
@@ -389,11 +405,12 @@ type Scheduler struct {
 	sets    []localSet
 	keyed   map[int32]*engine.KeyClass
 	retired Stats
-	// setOf maps a slot of the resolved layout to its set's index, and
+	// setOf maps a slot of the resolved layout to its set's index, runEnd to
+	// the end of the run of consecutive slots of that set holding it, and
 	// resolvedAt[set] is the resolve step's number of the last event it
 	// resolved the set for.
-	setOf      []int32
-	resolvedAt []uint64
+	setOf, runEnd []int32
+	resolvedAt    []uint64
 	// seq numbers the events this scheduler folds: a key class memo is
 	// current for the event whose number it holds.
 	seq uint64
@@ -735,16 +752,24 @@ func (s *Scheduler) layoutLocked() *Layout {
 			if !ok {
 				class = -1
 			}
-			if equal {
-				for k, i := range shared {
-					if sets[i].Class == class && founders[k].Placement() == q.Placement() {
-						sets[i].Slots = append(sets[i].Slots, slot)
-						return
-					}
+			vs := -1
+			for k, i := range shared {
+				if equal && sets[i].Class == class && founders[k].Placement() == q.Placement() {
+					vs = i
+					break
 				}
-				shared, founders = append(shared, len(sets)), append(founders, q)
 			}
-			sets = append(sets, VariantSet{Slots: []int{slot}, Class: class})
+			if vs < 0 {
+				if equal {
+					shared, founders = append(shared, len(sets)), append(founders, q)
+				}
+				vs = len(sets)
+				sets = append(sets, VariantSet{Class: class})
+			}
+			sets[vs].Slots = append(sets[vs].Slots, slot)
+			if class >= 0 && !slices.Contains(sets[vs].Specs, q.WindowSpec()) {
+				sets[vs].Specs = append(sets[vs].Specs, q.WindowSpec())
+			}
 		}
 		place(g.master, true)
 		for _, d := range g.dependents {
@@ -826,6 +851,13 @@ func (s *Scheduler) resolveSlotsLocked(target *Layout) {
 		}
 		ls.kc, ls.log, ls.memo = kc, engine.NewSliceLog(ls.members, kc, s.report), memos[vs.Class]
 		logs[vs.Class] = append(logs[vs.Class], ls.log)
+	}
+	s.runEnd = make([]int32, n)
+	for slot := n - 1; slot >= 0; slot-- {
+		s.runEnd[slot] = int32(slot + 1)
+		if slot+1 < n && s.setOf[slot+1] == s.setOf[slot] {
+			s.runEnd[slot] = s.runEnd[slot+1]
+		}
 	}
 	for _, id := range order {
 		keyed[id].SetLogs(logs[id])
@@ -1089,17 +1121,16 @@ func (b *batchScratch) bucket(evs []*event.Event, agents map[string]int32) {
 	b.keys, b.spans, b.at = keys, spans, at
 }
 
-// put records h, a non-empty hit set, as slot's of event i, carving the
-// event's slot table at its first hit. The evaluator's own layout names every
-// registered query, so slot is never -1 here.
+// table returns event i's slot table, carving it at the event's first hit.
+// The evaluator's own layout names every registered query, so no slot it
+// writes is -1.
 //
 //saql:hotpath
-func (b *batchScratch) put(i, slot int, h []int) {
-	t := b.tables[i]
-	if t == nil {
-		t = b.carve(i)
+func (b *batchScratch) table(i int) [][]int {
+	if t := b.tables[i]; t != nil {
+		return t
 	}
-	t[slot] = h
+	return b.carve(i)
 }
 
 // carve hands event i a slot table from tbl's uncarved rest, and the list of
@@ -1372,9 +1403,11 @@ func (s *Scheduler) sweepOneLocked(g *group, evs []*event.Event, op uint32) int6
 // when at is nil, and returns the pattern predicates it evaluated. The
 // master's patterns sweep the positions column by column (engine.MatchBatch
 // writes per-event hit bitmasks, materialised into index slices in the
-// batch's hit buffer), then each active dependent refines the master's hits.
-// A paused master still evaluates its patterns when an active dependent needs
-// the shared hits. The caller holds s.mu.
+// batch's hit buffer, and written for the master and every active equal
+// dependent in that one pass: their hits are the master's), then each active
+// residual dependent refines the master's hits. A paused master still
+// evaluates its patterns when an active dependent needs the shared hits. The
+// caller holds s.mu.
 //
 //saql:hotpath
 func (s *Scheduler) sweepLocked(g *group, evs []*event.Event, at []int32) int64 {
@@ -1397,17 +1430,21 @@ func (s *Scheduler) sweepLocked(g *group, evs []*event.Event, at []int32) int64 
 		mh := buf[start:len(buf):len(buf)]
 		master[k] = mh
 		if len(mh) > 0 {
-			b.put(i, g.slot, mh)
+			t := b.table(i)
+			t[g.slot] = mh
+			for _, slot := range g.equal {
+				t[slot] = mh
+			}
 			b.ranges[i] = append(b.ranges[i], slotRange{int32(g.slot), int32(g.slot + 1 + len(g.dependents))})
 			hit = true
 		}
 	}
 	b.hits = buf
-	if !hit {
+	if !hit || len(g.equal) == len(g.dependents) {
 		return evals // nothing for the dependents to refine
 	}
 	for _, d := range g.dependents {
-		if d.q.Paused() {
+		if d.equal || d.q.Paused() {
 			continue
 		}
 		for k, mh := range master {
@@ -1415,17 +1452,11 @@ func (s *Scheduler) sweepLocked(g *group, evs []*event.Event, at []int32) int64 
 				continue
 			}
 			i := pos(at, k)
-			if d.equal {
-				// Equal constraint sets: the master's hits are exactly this
-				// dependent's, no residual re-examination needed.
-				b.put(i, d.slot, mh)
-				continue
-			}
 			start, e := len(buf), 0
 			buf, e = d.q.ResidualHits(buf, evs[i], mh)
 			evals += int64(e)
 			if len(buf) > start {
-				b.put(i, d.slot, buf[start:len(buf):len(buf)])
+				b.table(i)[d.slot] = buf[start:len(buf):len(buf)]
 			}
 		}
 	}
@@ -1467,8 +1498,9 @@ func (s *Scheduler) ProcessWithHits(ev *event.Event, hs *HitSet) []*engine.Alert
 // and failure, evaluated once per event per pattern per key class on a
 // member's key programs, through the class's memo, and counted in KeyEvals.
 // It visits only the slots of the groups that hit the event, in ascending
-// order, so the sets come in order of their first slot with hits whatever
-// the table's size.
+// order, and once a set is resolved steps over the rest of its run of
+// consecutive slots, so the sets come in order of their first slot with hits
+// whatever the table's size.
 // The result is carved from s.batch like the slot table, and dies with it.
 // The caller holds s.mu and has evaluated under the current layout.
 //
@@ -1494,8 +1526,11 @@ func (s *Scheduler) resolveLocked(ev *event.Event, e int) []SetHits {
 				continue
 			}
 			i := s.setOf[slot]
-			if s.resolvedAt[i] == b.seq {
-				continue // resolved at an earlier member's slot
+			resolved := s.resolvedAt[i] == b.seq // at an earlier member's slot
+			// Either way the set is done: step over the rest of its run.
+			slot = s.runEnd[slot] - 1
+			if resolved {
+				continue
 			}
 			s.resolvedAt[i] = b.seq
 			ls := &s.sets[i]

@@ -77,6 +77,16 @@ func Bool(b bool) Value { return Value{kind: KindBool, b: b} }
 // EmptySet constructs an empty string-set value (SAQL's empty_set literal).
 func EmptySet() Value { return Value{kind: KindSet, set: map[string]struct{}{}} }
 
+// SetCopy constructs a set value holding a copy of the members of m, sized
+// to them: the caller keeps m.
+func SetCopy(m map[string]struct{}) Value {
+	out := make(map[string]struct{}, len(m))
+	for s := range m {
+		out[s] = struct{}{}
+	}
+	return Value{kind: KindSet, set: out}
+}
+
 // SetOf constructs a set value holding the given members.
 func SetOf(members ...string) Value {
 	m := make(map[string]struct{}, len(members))

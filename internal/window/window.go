@@ -104,6 +104,22 @@ func (s Spec) SliceAt(t int64) (start, end int64) {
 	return max(opened, closed), min(opened, closed) + hop
 }
 
+// Slice returns the slice of specs holding t: the intersection of each
+// spec's SliceAt, every instant of which lies in the same windows of every
+// spec. It is the one definition of a variant set's slice, for the log that
+// folds the set's hits and for the router that decides which replicas a hit
+// must touch.
+//
+//saql:hotpath
+func Slice(specs []Spec, t int64) (start, end int64) {
+	start, end = math.MinInt64, math.MaxInt64
+	for _, s := range specs {
+		a, b := s.SliceAt(t)
+		start, end = max(start, a), min(end, b)
+	}
+	return start, end
+}
+
 // FieldSpec declares one state field: its name and an aggregator factory
 // invocation (name + literal params).
 type FieldSpec struct {

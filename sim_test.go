@@ -9,6 +9,7 @@ package saql
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -18,18 +19,30 @@ import (
 	"testing"
 
 	"saql/internal/conformance"
+	"saql/internal/engine"
 )
 
 // simRun is what one run of a script saw: the sorted alert identities, every
 // query's counters and every tenant's at each stats step, every query's
 // counters at the end, and again once the engine has closed (the serial one
-// flushed first, as Close flushes a started one).
+// flushed first, as Close flushes a started one). states, when the run was
+// asked for them (simOpts), is every query's encoded state at each stats step
+// and at the end.
 type simRun struct {
 	alerts  []string
 	stats   []map[string]QueryStats
 	tenants [][]TenantStats
 	final   map[string]QueryStats
 	closed  map[string]QueryStats
+	states  []map[string]string
+}
+
+// simOpts are what a run does beyond the script: capture every query's state
+// bytes at each stats step and at the end (captureStates), and compile the queries registered before
+// the first step with compile instead of from their source.
+type simOpts struct {
+	states  bool
+	compile func(name, src string) (*engine.Query, error)
 }
 
 // lateHits is the late hits the run's queries counted.
@@ -50,6 +63,12 @@ func (r simRun) lateHits() int64 {
 // same shard count.
 func runSim(t *testing.T, sim *conformance.Sim, shards int) simRun {
 	t.Helper()
+	return playSim(t, sim, shards, simOpts{})
+}
+
+// playSim is runSim with opts.
+func playSim(t *testing.T, sim *conformance.Sim, shards int, opts simOpts) simRun {
+	t.Helper()
 	var (
 		mu     sync.Mutex
 		alerts []*Alert
@@ -57,26 +76,37 @@ func runSim(t *testing.T, sim *conformance.Sim, shards int) simRun {
 		reads  int // the stats steps before it
 		run    simRun
 	)
-	opts := []Option{WithAlertHandler(func(a *Alert) {
+	engOpts := []Option{WithAlertHandler(func(a *Alert) {
 		mu.Lock()
 		alerts = append(alerts, a)
 		mu.Unlock()
 	})}
 	if shards > 0 {
-		opts = append(opts, WithShards(shards), WithIngestQueue(64))
+		engOpts = append(engOpts, WithShards(shards), WithIngestQueue(64))
 	}
-	dir, journal := "", opts
+	dir, journal := "", engOpts
 	if slices.ContainsFunc(sim.Script, func(st conformance.Step) bool { return st.Op == conformance.Checkpoint }) {
 		dir = t.TempDir()
 		store, err := OpenStore(dir, StoreOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		journal = append(slices.Clip(opts), WithJournal(store))
+		journal = append(slices.Clip(engOpts), WithJournal(store))
 	}
 	eng := New(journal...)
 	for _, q := range sim.Queries {
-		if _, err := eng.Register(q.Name, q.Src); err != nil {
+		var err error
+		if opts.compile == nil {
+			_, err = eng.Register(q.Name, q.Src)
+		} else {
+			var cq *engine.Query
+			if cq, err = opts.compile(q.Name, q.Src); err == nil {
+				eng.mu.Lock()
+				_, err = eng.registerLocked(q.Name, q.Src, cq, nil, false)
+				eng.mu.Unlock()
+			}
+		}
+		if err != nil {
 			t.Fatalf("register %s: %v", q.Name, err)
 		}
 	}
@@ -135,6 +165,9 @@ func runSim(t *testing.T, sim *conformance.Sim, shards int) simRun {
 		case conformance.Stats:
 			run.stats = append(run.stats, simStats(t, eng))
 			run.tenants = append(run.tenants, eng.Tenants())
+			if opts.states {
+				run.states = append(run.states, captureStates(t, eng))
+			}
 		case conformance.Flush:
 			eng.Flush()
 		case conformance.Start:
@@ -152,7 +185,7 @@ func runSim(t *testing.T, sim *conformance.Sim, shards int) simRun {
 			if err = eng.Close(); err != nil {
 				break
 			}
-			restore := []RestoreOption{WithoutReplay(), WithRestoreEngineOptions(opts...)}
+			restore := []RestoreOption{WithoutReplay(), WithRestoreEngineOptions(engOpts...)}
 			if !started {
 				restore = append(restore, WithoutStart())
 			}
@@ -164,6 +197,9 @@ func runSim(t *testing.T, sim *conformance.Sim, shards int) simRun {
 			alerts = alerts[:mark] // the dead engine's output dies with it
 			mu.Unlock()
 			run.stats, run.tenants, offset = run.stats[:reads], run.tenants[:reads], cpOffset
+			if opts.states {
+				run.states = run.states[:reads]
+			}
 		case conformance.Kill, conformance.Replace, conformance.Migrate, conformance.Barrier:
 			// Cluster faults: one engine has no workers to fail.
 		default:
@@ -174,6 +210,9 @@ func runSim(t *testing.T, sim *conformance.Sim, shards int) simRun {
 		}
 	})
 	run.final = simStats(t, eng)
+	if opts.states {
+		run.states = append(run.states, captureStates(t, eng))
+	}
 	if !started {
 		eng.Flush()
 	}
@@ -199,6 +238,46 @@ func runSim(t *testing.T, sim *conformance.Sim, shards int) simRun {
 	}
 	sort.Strings(run.alerts)
 	return run
+}
+
+// captureStates encodes every registered query's state: a serial engine's
+// as its scheduler captures it, a started one's as its shards capture it at
+// one barrier, folded query by query into a fresh replica in shard order, as
+// a restore folds them.
+func captureStates(t *testing.T, eng *Engine) map[string]string {
+	t.Helper()
+	eng.mu.Lock()
+	defer eng.mu.Unlock()
+	out := map[string]string{}
+	rt := eng.rt.Load()
+	if rt == nil {
+		states, _, err := eng.sched.CaptureStates(slices.Collect(maps.Keys(eng.reg))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, blob := range states {
+			out[name] = string(blob)
+		}
+		return out
+	}
+	cs, err := rt.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, blobs := range cs.States {
+		q := eng.reg[name].q.Replica()
+		for _, blob := range blobs {
+			if err := q.RestoreState(blob, nil, true); err != nil {
+				t.Fatal(err)
+			}
+		}
+		blob, err := q.EncodeState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[name] = string(blob)
+	}
+	return out
 }
 
 // simStats reads every registered query's counters.
@@ -242,6 +321,19 @@ func compareSim(t *testing.T, got, want simRun) {
 	for i, ref := range want.tenants {
 		if !reflect.DeepEqual(got.tenants[i], ref) {
 			t.Errorf("stats step %d: tenants %+v, serial %+v", i, got.tenants[i], ref)
+		}
+	}
+	if len(got.states) != len(want.states) {
+		t.Fatalf("states captured at %d points, serial at %d", len(got.states), len(want.states))
+	}
+	for i, ref := range want.states {
+		if len(got.states[i]) != len(ref) {
+			t.Errorf("states step %d: %d queries, serial %d", i, len(got.states[i]), len(ref))
+		}
+		for name, w := range ref {
+			if g := got.states[i][name]; g != w {
+				t.Errorf("states step %d: %s state bytes differ from serial's (%d bytes, serial %d)", i, name, len(g), len(w))
+			}
 		}
 	}
 }
