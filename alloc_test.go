@@ -598,7 +598,12 @@ func TestPinnedDispatchAllocsGate(t *testing.T) {
 // counting sort and swept every group → since it looks its agentid up
 // directly and sweeps only the groups whose operation set holds its event's
 // operation: rules 171/375/995 → 153/351/1007, stateful 136/171/338 →
-// 109/148/269, ops 121/983/3648 → 106/461/1984.
+// 109/148/269, ops 121/983/3648 → 106/461/1984. Medians of ten runs of each
+// side, alternated, for the 392-byte event → the 368-byte hot-first one:
+// rules 103/269/820 → 142/300/834, stateful 81/113/207 → 90/121/240, ops
+// 92/415/1772 → 100/391/1524; a second series of eight at 1,000,000
+// iterations read rules/queries=1 121 → 108 and stateful/queries=64
+// 225 → 236, so both moves sit inside the runs' spread.
 func BenchmarkPinnedDispatch(b *testing.B) {
 	const hosts = 60
 	for _, family := range []struct {
@@ -683,7 +688,13 @@ func registerPinnedCounts(tb testing.TB, eng *Engine, n, hosts int) {
 // alternated runs of 20 000 hits on 2 cores, ns/hit before → after: ts-avg
 // 331 → 334, outlier-dst 319 → 302, inv-children 437 → 425, count-files
 // 272 → 286, global-sum 244 → 261, abs-arg 336 → 332, mixed-fields
-// 362 → 373 (inside the runs' spread), 0 allocs on both sides.
+// 362 → 373 (inside the runs' spread), 0 allocs on both sides. The
+// hot-first event layout (368 bytes, Amount beside Time) left it as it was
+// too, since the loop's events stay in cache: medians of six alternated
+// runs, ts-avg 296 → 309, outlier-dst 281 → 263, inv-children 385 → 394,
+// count-files 232 → 253, global-sum 214 → 222, abs-arg 289 → 311,
+// mixed-fields 393 → 358 (single runs spread up to ×2), 0 allocs on both
+// sides.
 func BenchmarkStatefulFold(b *testing.B) {
 	for _, sh := range foldShapes {
 		for _, variants := range []int{1, 8} {

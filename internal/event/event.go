@@ -159,26 +159,17 @@ func (t Type) String() string {
 
 // Entity is a system entity instance observed by a collection agent. The
 // populated fields depend on Type; unset fields are zero.
+//
+// The fields are laid out hot first and without holes: the scalars (type,
+// pid, symbol IDs, ports) fill the first 40 bytes, then the strings that
+// predicates and identities read (exe name, destination IP, path), and last
+// the rarely read ones (user, command line, source IP, protocol). Keep the
+// order, and write every Entity literal keyed: TestEventLayout holds both.
 type Entity struct {
 	Type EntityType
+	PID  int32
 
-	// Process attributes.
-	ExeName string // executable name, e.g. "osql.exe"
-	PID     int32
-	User    string
-	CmdLine string
-
-	// File attributes.
-	Path string // full path; the "name" attribute matches the base name too
-
-	// Network connection attributes.
-	SrcIP    string
-	DstIP    string
-	SrcPort  int32
-	DstPort  int32
-	Protocol string // "tcp" or "udp"
-
-	// Symbol IDs for the hot string attributes above, assigned by the codec
+	// Symbol IDs for the hot string attributes below, assigned by the codec
 	// intern tables from the process-global dictionary (internal/symtab).
 	// Zero means "no symbol" — the value was never interned (programmatic
 	// events, table overflow, non-ASCII) — and compiled predicates fall back
@@ -190,6 +181,20 @@ type Entity struct {
 	SrcIPSym uint32
 	DstIPSym uint32
 	ProtoSym uint32
+
+	// Network connection ports.
+	SrcPort int32
+	DstPort int32
+
+	ExeName string // process: executable name, e.g. "osql.exe"
+	DstIP   string // network connection: destination address
+	Path    string // file: full path; the "name" attribute matches the base name too
+
+	// Rarely read attributes.
+	User     string // process
+	CmdLine  string // process
+	SrcIP    string // network connection
+	Protocol string // network connection: "tcp" or "udp"
 }
 
 // Process constructs a process entity.
@@ -277,18 +282,25 @@ func (e *Entity) String() string {
 // Event is a single system monitoring record: subject performed Op on object
 // at Time on host AgentID. Amount carries the data size in bytes for
 // read/write events (file I/O and network transfer volume).
+//
+// The fields are laid out hot first and without holes: ID, Time, Op,
+// AgentSym, Amount and AgentID fill the first 64-byte cache line — what the
+// router's match, the resolve step and a shard's seal read of every event —
+// and the two entities follow. Keep the order, and write every Event literal
+// keyed: TestEventLayout holds both.
 type Event struct {
-	ID      uint64 // globally unique, assigned by the feed
-	Time    time.Time
-	AgentID string // host identifier
-	Subject Entity // always a process
-	Op      Op
-	Object  Entity
-	Amount  float64 // bytes moved, when applicable
+	ID   uint64 // globally unique, assigned by the feed
+	Time time.Time
+	Op   Op
 
 	// AgentSym is AgentID's process-local symbol ID (see Entity's symbol
 	// fields); zero means no symbol and is always valid.
 	AgentSym uint32
+
+	Amount  float64 // bytes moved, when applicable
+	AgentID string  // host identifier
+	Subject Entity  // always a process
+	Object  Entity
 }
 
 // EventType categorises the event by its object entity.

@@ -14,11 +14,13 @@
 // only of records it yields — seeking to an offset inside a segment costs a
 // CRC per skipped record, not a decode. A record that fails its length or
 // CRC check is what a torn write leaves: at the end of the final, unsealed
-// segment Tail trims it; anywhere else it is a *CorruptError. A record whose
-// CRC holds but whose payload does not decode was never written by
-// AppendAll: it is a *CorruptError when yielded and is never trimmed. A
-// sidecar's record count is trusted for segments a read skips and verified
-// for every segment it walks.
+// segment Tail trims it, and then seals the segment; anywhere else it is a
+// *CorruptError. A record whose CRC holds but whose payload does not decode
+// was never written by AppendAll: it is a *CorruptError when yielded and is
+// never trimmed. A sidecar's record count is trusted for segments a read
+// skips and verified for every segment it walks. The one other pass over a
+// segment's frames is the repair's seal (sealRepaired), over bytes walk has
+// just verified.
 package storage
 
 import (
@@ -186,7 +188,7 @@ func (s *Store) flush(staged []*event.Event) error {
 		return err
 	}
 	for _, ev := range staged {
-		s.foldMeta(ev)
+		s.activeMeta.fold(ev)
 	}
 	return nil
 }
@@ -226,18 +228,21 @@ func (s *Store) writeRecords(buf []byte) error {
 	return fmt.Errorf("storage: append: %w", err)
 }
 
-// foldMeta records one durably written event in the active segment's
-// sidecar metadata.
-func (s *Store) foldMeta(ev *event.Event) {
-	ts := ev.Time.UnixNano()
-	if s.activeMeta.Count == 0 || ts < s.activeMeta.MinTime {
-		s.activeMeta.MinTime = ts
+// fold records one durably written event in a segment's sidecar metadata.
+func (m *segMeta) fold(ev *event.Event) {
+	m.add(ev.Time.UnixNano())
+	m.Hosts[ev.AgentID] = true
+}
+
+// add counts one record, at time ts, into the metadata and its time range.
+func (m *segMeta) add(ts int64) {
+	if m.Count == 0 || ts < m.MinTime {
+		m.MinTime = ts
 	}
-	if s.activeMeta.Count == 0 || ts > s.activeMeta.MaxTime {
-		s.activeMeta.MaxTime = ts
+	if m.Count == 0 || ts > m.MaxTime {
+		m.MaxTime = ts
 	}
-	s.activeMeta.Count++
-	s.activeMeta.Hosts[ev.AgentID] = true
+	m.Count++
 }
 
 func (s *Store) openSegment() error {
@@ -254,29 +259,70 @@ func (s *Store) openSegment() error {
 	return nil
 }
 
-// seal fsyncs and closes the active segment and then writes its sidecar
-// index: a sidecar, however incomplete, implies its segment is durable.
+// seal seals the active segment, if there is one; the next append opens a
+// new segment.
 func (s *Store) seal() error {
 	f := s.active.Load()
 	if f == nil {
 		return nil
 	}
+	if err := sealSegment(f, s.metaPath(s.activeName), &s.activeMeta); err != nil {
+		return err
+	}
+	s.active.Store(nil)
+	s.activeName = ""
+	return nil
+}
+
+// sealSegment fsyncs and closes a segment file and then writes its sidecar
+// index to metaPath: a sidecar, however incomplete, implies its segment is
+// durable.
+func sealSegment(f *os.File, metaPath string, meta *segMeta) error {
 	if err := f.Sync(); err != nil {
 		return fmt.Errorf("storage: sync: %w", err)
 	}
 	if err := f.Close(); err != nil {
 		return fmt.Errorf("storage: close: %w", err)
 	}
-	meta, err := json.Marshal(s.activeMeta)
+	raw, err := json.Marshal(meta)
 	if err != nil {
 		return fmt.Errorf("storage: meta: %w", err)
 	}
-	if err := os.WriteFile(s.metaPath(s.activeName), meta, 0o644); err != nil {
+	if err := os.WriteFile(metaPath, raw, 0o644); err != nil {
 		return fmt.Errorf("storage: meta: %w", err)
 	}
-	s.active.Store(nil)
-	s.activeName = ""
 	return nil
+}
+
+// sealRepaired seals the final segment that a recovering Tail has verified
+// and, if it was torn, trimmed; data is its bytes. No append reaches it
+// again — Open numbers new segments past it, and Tail sealed this handle's
+// own — so without a sidecar every later read would walk it whole and no
+// selection could skip it by time. The metadata is read off each record's
+// head (wire.EventHead) without decoding it; a record whose head does not
+// read leaves the segment unsealed, and the read that yields the record
+// reports it.
+func (s *Store) sealRepaired(seg string, data []byte) error {
+	meta := segMeta{Hosts: map[string]bool{}}
+	for off := 0; off < len(data); {
+		// walk has checked every frame of data.
+		plen, k := binary.Uvarint(data[off:])
+		ns, agent, ok := wire.EventHead(data[off+k : off+k+int(plen)])
+		if !ok {
+			return nil
+		}
+		off += k + int(plen) + 4
+		meta.add(ns)
+		if !meta.Hosts[string(agent)] {
+			meta.Hosts[string(agent)] = true
+		}
+	}
+	f, err := os.OpenFile(filepath.Join(s.dir, seg), os.O_WRONLY, 0)
+	if err != nil {
+		return fmt.Errorf("storage: repair: %w", err)
+	}
+	defer f.Close() // for a failed fsync: sealSegment closes it otherwise
+	return sealSegment(f, s.metaPath(seg), &meta)
 }
 
 // Sync flushes the active segment's appended records to stable storage
@@ -372,7 +418,7 @@ type walked struct {
 	decoded int64 // payloads handed to the wire decoder
 	// latest is the latest event time among the first skip records, in unix
 	// nanoseconds (when seen), read off their payloads without decoding
-	// them (wire.EventTime).
+	// them (wire.EventHead).
 	latest int64
 	seen   bool
 }
@@ -408,7 +454,7 @@ func walk(seg string, data []byte, skip int64, yield func(*event.Event) error) (
 		w.n, w.end = w.n+1, off
 		if w.n <= skip {
 			w.tail = off
-			if ns, ok := wire.EventTime(payload); ok && (!w.seen || ns > w.latest) {
+			if ns, _, ok := wire.EventHead(payload); ok && (!w.seen || ns > w.latest) {
 				w.latest, w.seen = ns, true
 			}
 			continue
@@ -559,9 +605,9 @@ type tailSeg struct {
 // by a crash. It seals this handle's own active segment, trims a torn tail
 // from the final unsealed segment (what an unsynced append leaves after a
 // power loss; a frame failure in a sealed segment, whose records were
-// fsynced at seal time, is a *CorruptError and is never trimmed), counts the
-// journal — from the sidecar of every sealed segment, by a decode-free walk
-// of the others — and returns the part from the global record offset onward,
+// fsynced at seal time, is a *CorruptError and is never trimmed) and then
+// seals that segment (sealRepaired), counts the journal — from the sidecar
+// of every sealed segment, by a decode-free walk of the others — and returns the part from the global record offset onward,
 // still encoded. Record 0 is the first event ever appended, and offsets count
 // every record in storage order. An offset past Count yields an empty tail;
 // whether that is an error is the caller's call. Of the sealed segments Tail
@@ -593,12 +639,18 @@ func (s *Store) tail(offset int64, repair bool) (*Tail, error) {
 		case seg.meta != nil && seg.skip == 0:
 			n = seg.meta.Count
 		default: // no usable sidecar, or the offset inside the segment
-			data, w, _, err := s.load(name, seg.skip, repair && !sealed && i == len(names)-1)
+			final := repair && !sealed && i == len(names)-1
+			data, w, _, err := s.load(name, seg.skip, final)
 			if err != nil {
 				return nil, err
 			}
 			if seg.meta != nil && w.n != seg.meta.Count {
 				return nil, countMismatch(name, seg.meta, w)
+			}
+			if final {
+				if err := s.sealRepaired(name, data); err != nil {
+					return nil, err
+				}
 			}
 			if w.seen {
 				t.Before.Through(time.Unix(0, w.latest))

@@ -3,6 +3,7 @@ package storage
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -310,5 +311,93 @@ func TestSelectionOnSegmentEdges(t *testing.T) {
 				t.Errorf("%s: ReadAll reads %v, the selection admits %v", c.name, got, want)
 			}
 		}
+	}
+}
+
+// TestRepairedSegmentGetsSidecar crashes a journal mid-append — one sealed
+// segment, then a final one never sealed and ending in a torn record — and
+// recovers it with Tail, as Restore does. The repair trims the tear and
+// seals the segment, so a second Tail on the directory counts it by its
+// sidecar without reading it, and a selection outside its time range skips
+// it unread.
+func TestRepairedSegmentGetsSidecar(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := sampleEvents(10) // one a second; host-b holds seconds 0, 3, 6 and 9
+	if err := s.AppendAll(all[:4]); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AppendAll(all[4:]); err != nil {
+		t.Fatal(err)
+	}
+	const final = "events-000002.seg"
+	path := filepath.Join(dir, final)
+	whole, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The crash: the final segment is never sealed, and its last append
+	// was torn.
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := record(sampleEvents(11)[10])
+	if _, err := f.Write(rec[:len(rec)-3]); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if _, sealed := s.readMeta(final); sealed {
+		t.Fatal("the crashed segment already has a sidecar")
+	}
+
+	r, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail, err := r.Tail(4)
+	if err != nil || tail.Count != 10 {
+		t.Fatalf("Tail(4) = %+v, %v; want 10 records", tail, err)
+	}
+	var got []uint64
+	if err := tail.Each(collectIDs(&got)); err != nil || !sameIDs(got, []uint64{5, 6, 7, 8, 9, 10}) {
+		t.Fatalf("the repaired tail yields %v, %v; want IDs 5–10", got, err)
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Size() != whole.Size() {
+		t.Fatalf("the repaired segment holds %v bytes (%v), want the %d before the tear", fi.Size(), err, whole.Size())
+	}
+	at := func(sec int) time.Time { return base.Add(time.Duration(sec) * time.Second) }
+	want := segMeta{MinTime: at(4).UnixNano(), MaxTime: at(9).UnixNano(), Count: 6,
+		Hosts: map[string]bool{"host-a": true, "host-b": true}}
+	if meta, _ := r.readMeta(final); meta == nil || !reflect.DeepEqual(*meta, want) {
+		t.Fatalf("the repaired segment's sidecar reads %+v, want %+v", meta, want)
+	}
+
+	again, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail, err = again.Tail(10)
+	if err != nil || tail.Count != 10 {
+		t.Fatalf("second Tail(10) = %+v, %v; want 10 records", tail, err)
+	}
+	if again.segReads != 0 || again.decoded != 0 {
+		t.Fatalf("second Tail read %d segments and decoded %d records, want none: both are sealed", again.segReads, again.decoded)
+	}
+	if wm, ok := tail.Before.Time(); !ok || !wm.Equal(at(9)) {
+		t.Fatalf("second Tail.Before = %v (%v), want the last record's time %v", wm, ok, at(9))
+	}
+	got = got[:0]
+	if err := again.ScanFrom(0, Selection{To: at(4)}, collectIDs(&got)); err != nil || !sameIDs(got, []uint64{1, 2, 3, 4}) {
+		t.Fatalf("a selection before the repaired segment yields %v, %v; want IDs 1–4", got, err)
+	}
+	if again.segReads != 1 || again.decoded != 4 {
+		t.Fatalf("a selection before the repaired segment read %d segments and decoded %d records, want 1 and 4: the repaired one skipped", again.segReads, again.decoded)
 	}
 }

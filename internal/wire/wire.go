@@ -377,16 +377,26 @@ func AppendEvent(b []byte, ev *event.Event) []byte {
 	return b
 }
 
-// EventTime reads the time of an event payload, in unix nanoseconds, without
-// decoding the rest of it (AppendEvent writes the ID, then the time); false
-// where the payload does not start that way.
-func EventTime(payload []byte) (int64, bool) {
+// EventHead reads the time of an event payload, in unix nanoseconds, and its
+// agent id (a subslice of payload) without decoding the rest of it
+// (AppendEvent writes the ID, the time, then the agent); false where the
+// payload does not start that way.
+func EventHead(payload []byte) (ns int64, agent []byte, ok bool) {
 	_, n := binary.Uvarint(payload)
 	if n <= 0 {
-		return 0, false
+		return 0, nil, false
 	}
 	ns, m := binary.Varint(payload[n:])
-	return ns, m > 0
+	if m <= 0 {
+		return 0, nil, false
+	}
+	n += m
+	alen, k := binary.Uvarint(payload[n:])
+	if k <= 0 || alen > uint64(len(payload)-n-k) {
+		return 0, nil, false
+	}
+	n += k
+	return ns, payload[n : n+int(alen)], true
 }
 
 // ReadEvent decodes one event payload.
