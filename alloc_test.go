@@ -225,10 +225,13 @@ return p, ss.amt, ss.top`, OpWrite, func(k int) Entity { return NetConn("10.0.0.
 // bindings, the aggregator arguments or the watermark advance — closing
 // a window allocates in proportion to its groups, at most closeAllocsPerGroup
 // each plus a fixed part (a set field's result and what an alert over it
-// evaluates; the clustering index; none of it for a group's snapshot, per
-// known-but-quiet group or per event), and once a window has closed, opening
-// the groups of the next one allocates nothing: they are the closed window's,
-// handed back.
+// evaluates; none of it for a group's snapshot, per known-but-quiet group or
+// per event), a close that raises no alert and holds no set field allocates
+// nothing — not for the key order, the clustering or the closed-window list,
+// all kept from close to close (the outlier shape's close allocated 11 while
+// the clustering index and the key sort were made afresh at each close) —
+// and once a window has closed, opening the groups of the next one allocates
+// nothing: they are the closed window's, handed back.
 func TestStatefulFoldAllocsGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation gate needs full runs")
@@ -279,21 +282,33 @@ func TestStatefulFoldAllocsGate(t *testing.T) {
 				t.Errorf("folding into existing groups allocates %.4f/event, gate is 0", perEvent)
 			}
 
-			// The first event of window 5 closes window 4.
-			next := window(5)[0]
+			// The first event of window 5 closes window 4, and the first
+			// events of windows 6 and 7 below close windows 5 and 6. Each
+			// close is held to the budget; a quiet close — no alert raised,
+			// no set field, so nothing handed out or built — is held to 0
+			// by the least of the three, so that an object the runtime
+			// allocates for itself during one (a GC worker's) does not fail
+			// the gate.
+			budget := uint64(closeAllocsPerGroup*groups + closeAllocsFixed)
+			quiet := !strings.Contains(sh.src, ":= set(")
+			leastClose := uint64(math.MaxUint64)
 			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			eng.Process(next)
-			runtime.ReadMemStats(&after)
-			closed := after.Mallocs - before.Mallocs
+			closeWith := func(next *Event) {
+				runtime.ReadMemStats(&before)
+				alerts := eng.Process(next)
+				runtime.ReadMemStats(&after)
+				closed := after.Mallocs - before.Mallocs
+				t.Logf("close: %d allocs for %d groups, %d alerts (budget %d)", closed, groups, len(alerts), budget)
+				if closed > budget {
+					t.Errorf("closing a %d-group window allocates %d, gate is %d·groups + %d = %d",
+						groups, closed, closeAllocsPerGroup, closeAllocsFixed, budget)
+				}
+				quiet = quiet && len(alerts) == 0
+				leastClose = min(leastClose, closed)
+			}
+			closeWith(window(5)[0])
 			if st, _ := eng.QueryStats(sh.name); st.WindowsClosed != 5 {
 				t.Fatalf("windows closed = %d, want 5", st.WindowsClosed)
-			}
-			budget := uint64(closeAllocsPerGroup*groups + closeAllocsFixed)
-			t.Logf("close: %d allocs for %d groups (budget %d)", closed, groups, budget)
-			if closed > budget {
-				t.Errorf("closing a %d-group window allocates %d, gate is %d·groups + %d = %d",
-					groups, closed, closeAllocsPerGroup, closeAllocsFixed, budget)
 			}
 
 			// Then each of windows 5–7 opens its groups: its first
@@ -306,7 +321,7 @@ func TestStatefulFoldAllocsGate(t *testing.T) {
 			for w := 5; w < 8; w++ {
 				evs := sh.window(w, sliceLogCap+1, groups)
 				if w > 5 {
-					eng.Process(evs[0])
+					closeWith(evs[0])
 				}
 				runtime.ReadMemStats(&before)
 				for _, ev := range evs[1:] {
@@ -321,6 +336,9 @@ func TestStatefulFoldAllocsGate(t *testing.T) {
 			}
 			if st, _ := eng.QueryStats(sh.name); st.PatternHits != 11*eventsPerWindow+3*(sliceLogCap+1) || st.WindowsClosed != 7 {
 				t.Fatalf("stats %+v: windows 5–7 did not all fold", st)
+			}
+			if quiet && leastClose != 0 {
+				t.Errorf("a quiet close of %d groups allocates %d at least, gate is 0", groups, leastClose)
 			}
 			if errs := eng.Errors(); len(errs) != 0 {
 				t.Fatalf("runtime reported errors: %v", errs)

@@ -25,8 +25,8 @@
 // window.Directory.Resolve and window.Manager's
 // id-indexed GroupFor/Touch/Advance and open-window lookup — backing
 // TestStatefulFoldAllocsGate: 0 allocs per hit folded into an existing
-// group), DBSCAN's labelling passes
-// (dbscanLine/dbscanScan) — are
+// group), DBSCAN's line sort and labelling passes
+// (sortLine/dbscanLine/dbscanScan) — are
 // rejected if they contain the allocation shapes that have historically
 // crept into those paths:
 //

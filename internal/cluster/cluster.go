@@ -6,11 +6,9 @@
 package cluster
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"reflect"
-	"slices"
 )
 
 // Distance computes the distance between two points of equal dimension.
@@ -114,9 +112,38 @@ func (r *Result) Size(label int) int {
 	return 0
 }
 
+// Scratch is reusable storage for DBSCAN and Run: the labels, outlier flags
+// and cluster sizes of the Result they return, and the one-dimensional path's
+// sort order, sort keys, neighbourhood spans and cluster renumbering. A zero
+// Scratch is ready to use. The Result a Scratch returns is its own: valid
+// until the Scratch's next call, which overwrites it. A Scratch is not safe
+// for concurrent use.
+type Scratch struct {
+	res     Result
+	labels  []int
+	outlier []bool
+	sizes   []int
+	// order and keys hold the line path's points by coordinate: point
+	// indices and their sort keys (lineKey), each with the radix sort's
+	// second buffer.
+	order, orderTmp []int
+	keys, keysTmp   []uint64
+	span            []int // neighbourhood bounds by sorted position
+	number          []int // provisional cluster -> final number
+	nb, queue       []int // the scan's neighbour list and growth queue
+}
+
 // DBSCAN clusters points with parameters eps (neighbourhood radius) and
 // minPts (minimum neighbourhood size, inclusive of the point itself, to
-// form a core point). Points labelled Noise are outliers.
+// form a core point). Points labelled Noise are outliers. It runs on a fresh
+// Scratch; a caller clustering again and again keeps one and calls its
+// DBSCAN.
+func DBSCAN(points [][]float64, eps float64, minPts int, dist Distance) (*Result, error) {
+	return new(Scratch).DBSCAN(points, eps, minPts, dist)
+}
+
+// DBSCAN is the package's DBSCAN in s's storage: its Result is valid until
+// s's next call.
 //
 // The labelling is a function of the points' neighbour sets and input order
 // alone: the core points are those with at least minPts neighbours; clusters
@@ -125,11 +152,11 @@ func (r *Result) Size(label int) int {
 // belongs to the lowest-numbered cluster that has one there, and every other
 // point is Noise. How the neighbour sets are found depends on the input.
 // One-dimensional points under a metric that is |a−b| there (ed, md, cd)
-// with finite coordinates and radius are sorted once, which makes every
-// neighbourhood a contiguous run and every cluster an interval: O(n log n)
-// time, O(n) space. Anything else gets region growth over an O(n) scan per
-// point, O(n²) in all.
-func DBSCAN(points [][]float64, eps float64, minPts int, dist Distance) (*Result, error) {
+// with finite coordinates and radius are sorted once (a radix sort, O(n) for
+// a fixed key width), which makes every neighbourhood a contiguous run and
+// every cluster an interval: O(n) time and space after the sort. Anything
+// else gets region growth over an O(n) scan per point, O(n²) in all.
+func (s *Scratch) DBSCAN(points [][]float64, eps float64, minPts int, dist Distance) (*Result, error) {
 	if eps <= 0 {
 		return nil, fmt.Errorf("cluster: DBSCAN eps must be positive, got %g", eps)
 	}
@@ -142,14 +169,23 @@ func DBSCAN(points [][]float64, eps float64, minPts int, dist Distance) (*Result
 	if err := checkDims(points); err != nil {
 		return nil, err
 	}
-	labels := make([]int, len(points))
+	s.labels = resize(s.labels, len(points))
 	var clusters int
 	if eps < math.Inf(1) && orderedOnLine(dist) && finiteLine(points) {
-		clusters = dbscanLine(points, eps, minPts, dist, labels)
+		clusters = s.dbscanLine(points, eps, minPts, dist, s.labels)
 	} else {
-		clusters = dbscanScan(points, eps, minPts, dist, labels)
+		clusters = s.dbscanScan(points, eps, minPts, dist, s.labels)
 	}
-	return newResult(labels, clusters), nil
+	return s.result(s.labels, clusters), nil
+}
+
+// resize returns a slice of length n over buf's array when it is large
+// enough, else a new one: what it holds is the caller's to overwrite.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // finiteLine reports whether points are one-dimensional with no NaN or ±Inf
@@ -177,27 +213,77 @@ func orderedOnLine(dist Distance) bool {
 		p == reflect.ValueOf(Chebyshev).Pointer()
 }
 
+// lineKey maps a finite coordinate to a uint64 whose unsigned order is the
+// coordinate's: a non-negative float's bits with the sign bit set, a
+// negative one's bits all flipped. −0 sorts just before +0, which ties with
+// it; tie order cannot change the labels, since equal coordinates have equal
+// neighbourhoods.
+func lineKey(f float64) uint64 {
+	b := math.Float64bits(f)
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
+}
+
+// sortLine returns the indices of one-dimensional points in ascending
+// coordinate order: an LSD radix sort of their lineKeys a byte at a time,
+// skipping every byte that is the same for all points.
+//
+//saql:hotpath
+func (s *Scratch) sortLine(points [][]float64) []int {
+	n := len(points)
+	order, keys := resize(s.order, n), resize(s.keys, n)
+	tmpOrder, tmpKeys := resize(s.orderTmp, n), resize(s.keysTmp, n)
+	var varies uint64 // the bits in which some key differs from the first
+	for i, p := range points {
+		order[i], keys[i] = i, lineKey(p[0])
+		varies |= keys[i] ^ keys[0]
+	}
+	for shift := 0; shift < 64; shift += 8 {
+		if (varies>>shift)&0xff == 0 {
+			continue
+		}
+		var at [256]int
+		for _, k := range keys {
+			at[(k>>shift)&0xff]++
+		}
+		sum := 0
+		for d, c := range at {
+			at[d] = sum
+			sum += c
+		}
+		for i, k := range keys {
+			d := (k >> shift) & 0xff
+			tmpOrder[at[d]], tmpKeys[at[d]] = order[i], k
+			at[d]++
+		}
+		order, tmpOrder = tmpOrder, order
+		keys, tmpKeys = tmpKeys, keys
+	}
+	s.order, s.keys, s.orderTmp, s.keysTmp = order, keys, tmpOrder, tmpKeys
+	return order
+}
+
 // dbscanLine labels finite one-dimensional points under a metric ordered on
 // the line and a finite eps, and returns the cluster count. It calls dist itself
 // rather than subtracting coordinates, so overflow and underflow inside the
 // metric decide neighbourhoods exactly as they do for the scan.
 //
 //saql:hotpath
-func dbscanLine(points [][]float64, eps float64, minPts int, dist Distance, labels []int) int {
-	order := make([]int, len(points))
-	for i := range order {
-		order[i] = i
+func (s *Scratch) dbscanLine(points [][]float64, eps float64, minPts int, dist Distance, labels []int) int {
+	order := s.sortLine(points)
+	for i := range labels {
 		labels[i] = Noise
 	}
-	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(points[a][0], points[b][0]) })
 	m := len(order)
 	near := func(a, b int) bool { return dist(points[order[a]], points[order[b]]) <= eps }
 
 	// Neighbourhood of the k-th point in sorted order: positions [lo[k],
 	// hi[k]). dist is monotone along the line, so both ends only move right
 	// as k does, and k itself is always inside.
-	span := make([]int, 2*m)
-	lo, hi := span[:m], span[m:]
+	s.span = resize(s.span, 2*m)
+	lo, hi := s.span[:m], s.span[m:]
 	for k, l, h := 0, 0, 0; k < m; k++ {
 		for !near(k, l) {
 			l++
@@ -227,7 +313,8 @@ func dbscanLine(points [][]float64, eps float64, minPts int, dist Distance, labe
 		return 0
 	}
 	// Renumber by lowest-index core point (only core points are labelled).
-	number := make([]int, runs)
+	number := resize(s.number, runs)
+	s.number = number
 	for i := range number {
 		number[i] = Noise
 	}
@@ -269,12 +356,12 @@ func dbscanLine(points [][]float64, eps float64, minPts int, dist Distance, labe
 // it first joins a cluster, so the queue and the neighbour scratch are O(n).
 //
 //saql:hotpath
-func dbscanScan(points [][]float64, eps float64, minPts int, dist Distance, labels []int) int {
+func (s *Scratch) dbscanScan(points [][]float64, eps float64, minPts int, dist Distance, labels []int) int {
 	const unvisited = -2
 	for i := range labels {
 		labels[i] = unvisited
 	}
-	var nb, queue []int
+	nb, queue := s.nb[:0], s.queue[:0]
 	neighbours := func(i int) []int {
 		nb = nb[:0]
 		for j := range points {
@@ -318,15 +405,22 @@ func dbscanScan(points [][]float64, eps float64, minPts int, dist Distance, labe
 		}
 		clusters++
 	}
+	s.nb, s.queue = nb, queue
 	return clusters
 }
 
-// newResult wraps final labels, counting each cluster's points once.
-func newResult(labels []int, clusters int) *Result {
-	r := &Result{Labels: labels, Outlier: make([]bool, len(labels)), Clusters: clusters, sizes: make([]int, clusters)}
+// result wraps final labels in s's Result, counting each cluster's points
+// once. Every flag and size is written afresh, so nothing of a previous,
+// larger result survives into it.
+func (s *Scratch) result(labels []int, clusters int) *Result {
+	s.outlier = resize(s.outlier, len(labels))
+	s.sizes = resize(s.sizes, clusters)
+	clear(s.sizes)
+	s.res = Result{Labels: labels, Outlier: s.outlier, Clusters: clusters, sizes: s.sizes}
+	r := &s.res
 	for i, l := range labels {
+		r.Outlier[i] = l == Noise
 		if l == Noise {
-			r.Outlier[i] = true
 			r.noise++
 		} else {
 			r.sizes[l]++
@@ -434,7 +528,7 @@ func KMeans(points [][]float64, k int, dist Distance) (*Result, error) {
 	variance /= float64(n)
 	sd := math.Sqrt(variance)
 
-	out := newResult(labels, k)
+	out := new(Scratch).result(labels, k)
 	for i, d := range dists {
 		out.Outlier[i] = sd > 0 && d > mean+3*sd
 	}
@@ -442,14 +536,20 @@ func KMeans(points [][]float64, k int, dist Distance) (*Result, error) {
 }
 
 // Run dispatches by method name ("dbscan" or "kmeans") with the numeric
-// parameters from the SAQL cluster spec.
+// parameters from the SAQL cluster spec, on a fresh Scratch.
 func Run(method string, params []float64, points [][]float64, dist Distance) (*Result, error) {
+	return new(Scratch).Run(method, params, points, dist)
+}
+
+// Run is the package's Run with DBSCAN in s's storage: its Result is valid
+// until s's next call. KMeans, the ablation comparator, allocates its own.
+func (s *Scratch) Run(method string, params []float64, points [][]float64, dist Distance) (*Result, error) {
 	switch method {
 	case "dbscan":
 		if len(params) != 2 {
 			return nil, fmt.Errorf("cluster: DBSCAN requires (eps, minPts)")
 		}
-		return DBSCAN(points, params[0], int(params[1]), dist)
+		return s.DBSCAN(points, params[0], int(params[1]), dist)
 	case "kmeans":
 		if len(params) != 1 {
 			return nil, fmt.Errorf("cluster: KMEANS requires (k)")

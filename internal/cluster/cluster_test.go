@@ -249,10 +249,16 @@ func TestDistanceProperties(t *testing.T) {
 // BenchmarkDBSCAN clusters the shape Query 4 produces — one point per
 // destination, most in one dense cluster of ordinary transfer volumes, a few
 // percent scattered far above it — at window sizes from a small site to a
-// large one. The dense cluster is the worst case for neighbour-list growth:
-// nearly every point is within eps of nearly every other.
+// large one, 373 being the outlier query's close on the repo benchmark's
+// hot-state workload. The dense cluster is the worst case for neighbour-list
+// growth: nearly every point is within eps of nearly every other. Each size
+// runs through one reused Scratch, as a query's closes do, so it allocates
+// nothing. Medians of five alternated runs on 2 cores, µs, before → after the
+// line sort became a radix sort and the scratch began to be reused: 100
+// points 8.2 → 6.9, 373 36.6 → 21.2, 1k 144 → 54, 10k 2,161 → 645; allocs
+// 7 → 0.
 func BenchmarkDBSCAN(b *testing.B) {
-	for _, n := range []int{100, 1000, 10000} {
+	for _, n := range []int{100, 373, 1000, 10000} {
 		rng := rand.New(rand.NewSource(4))
 		points := make([][]float64, n)
 		for i := range points {
@@ -262,10 +268,11 @@ func BenchmarkDBSCAN(b *testing.B) {
 			}
 			points[i] = []float64{v}
 		}
-		b.Run(map[int]string{100: "100", 1000: "1k", 10000: "10k"}[n], func(b *testing.B) {
+		b.Run(map[int]string{100: "100", 373: "373", 1000: "1k", 10000: "10k"}[n], func(b *testing.B) {
+			var s Scratch
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := DBSCAN(points, 100000, 3, Euclidean); err != nil {
+				if _, err := s.DBSCAN(points, 100000, 3, Euclidean); err != nil {
 					b.Fatal(err)
 				}
 			}

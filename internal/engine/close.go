@@ -13,6 +13,7 @@ package engine
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"time"
 
 	"saql/internal/cluster"
@@ -90,34 +91,49 @@ func (q *Query) closeAll(closed []window.Closed, report func(error)) []*Alert {
 // clustering point, or too few of them).
 var notClustered = pcode.Cluster{ID: -1}
 
-// closing is one present group's share of a window close, parallel to the
-// closed window's (key-ordered) groups. snap is the newest snapshot of the
-// group's history, valid until the history's next push.
+// closing is one present group's share of a window close, in the close's key
+// order. snap is the newest snapshot of the group's history, valid until the
+// history's next push.
 type closing struct {
 	rt   *groupRuntime
 	snap *window.Snapshot
 	view pcode.Cluster
 }
 
+// closeScratch is the storage a query's closes reuse, behind one pointer so
+// that a query that never closes a window carries none of it: the present
+// groups' shares, the runtimes new to a close and the key-order merge's
+// output (swapped with Query.byKey), and the clustering input and state. What
+// it holds is valid until the query's next close.
+type closeScratch struct {
+	present []closing
+	fresh   []*groupRuntime
+	merged  []*groupRuntime
+	coords  []float64   // one backing array for all points
+	points  [][]float64 // one point per clustered group
+	owner   []int       // point -> index into present
+	cluster cluster.Scratch
+}
+
 // closeWindow snapshots the closed window's groups into their histories,
 // clusters them, and evaluates invariants and alerts group by group in
-// ascending key order. Its cost is O(n log n) in the window's groups (the
-// manager's key sort and the clustering index) plus one pass over the known
-// groups. In steady state — every group known, every history slot grown — it
-// allocates only for what it hands out (alerts, set-valued results), for
-// invariant updates and for clustering.
+// ascending key order. Its cost is one pass over the window's groups, a sort
+// of those new to the query, one merge walk over the known groups, and the
+// clustering's linear passes. In steady state — every group known, every
+// history slot grown — it allocates only for what it hands out (alerts,
+// set-valued results) and for invariant updates.
 func (q *Query) closeWindow(closed window.Closed, report func(error)) []*Alert {
 	present := q.pushSnapshots(closed)
 
 	// 2. Clustering over the groups present in this window, in key order.
 	if q.hasCluster && len(present) > 0 {
-		q.clusterGroups(closed.Groups, present, report)
+		q.clusterGroups(present, report)
 	}
 
 	// 3. Per present group: invariant update, then alert evaluation.
 	var alerts []*Alert
-	for i, g := range closed.Groups {
-		if al := q.detect(&present[i], g.Key, closed.End, report); al != nil {
+	for i := range present {
+		if al := q.detect(&present[i], closed.End, report); al != nil {
 			alerts = append(alerts, al)
 		}
 	}
@@ -129,20 +145,29 @@ func (q *Query) closeWindow(closed window.Closed, report func(error)) []*Alert {
 // present group into its history — creating the runtime of a group seen for
 // the first time — and pushes the window's one shared empty snapshot onto
 // every known group the window did not see, evicting those idle too long. It
-// returns the present groups' shares, parallel to closed.Groups, in the
-// query's scratch: valid until the next close.
+// returns the present groups' shares in ascending key order, in the query's
+// close scratch: valid until the next close.
+//
+// The order costs no sort of the known keys: the query keeps its runtimes in
+// key order (byKey), sorts only the runtimes this close creates, and one merge
+// walk over both lists the present groups, reaches the quiet ones and drops
+// the evicted.
 func (q *Query) pushSnapshots(closed window.Closed) []closing {
 	q.stats.WindowsClosed++
 	seq := q.stats.WindowsClosed
+	if q.scratch == nil {
+		q.scratch = &closeScratch{}
+	}
+	s := q.scratch
 
-	// Snapshot groups present in this window; push the window's one
-	// shared empty snapshot for known-but-quiet groups so ss[k] history
-	// stays contiguous. A push copies what it freezes into the history's
-	// own slot.
-	present := slices.Grow(q.closing[:0], len(closed.Groups))[:len(closed.Groups)]
-	q.closing = present
+	// Find (or create) the runtime of every group present in this window and
+	// stamp it with its group. The window lists its groups in the order they
+	// came; their snapshots are taken in the walk below, in key order, the
+	// order the histories were made in: in first-touch order the pushes took
+	// three times as long (serial hot-state profile).
 	var empty *window.Snapshot
-	for i, g := range closed.Groups {
+	fresh := s.fresh[:0]
+	for _, g := range closed.Groups {
 		rt, ok := q.groups[g.Key]
 		if !ok {
 			rt = &groupRuntime{key: g.Key, history: q.winMgr.NewHistory(q.historyLen)}
@@ -167,39 +192,77 @@ func (q *Query) pushSnapshots(closed window.Closed) []closing {
 				rt.history.Push(empty)
 			}
 			q.groups[g.Key] = rt
+			fresh = append(fresh, rt)
 		}
-		rt.history.PushGroup(closed.ID, g)
+		rt.group = g
 		rt.idleWindows = 0
 		rt.closedSeq = seq
-		present[i] = closing{rt: rt, snap: rt.history.At(0), view: notClustered}
 	}
-	if len(q.groups) > len(present) {
-		for key, rt := range q.groups {
-			if rt.closedSeq == seq {
-				continue
-			}
-			if empty == nil {
-				empty = q.winMgr.EmptySnapshot(closed.ID)
-			}
-			rt.history.Push(empty)
-			rt.idleWindows++
-			if rt.idleWindows > q.idleLimit {
-				delete(q.groups, key)
-			}
-		}
-	}
+	slices.SortFunc(fresh, keyOrder)
 
+	// Merge the new runtimes into the kept order. A present group is frozen
+	// into its history — a push copies it into the history's own slot — and
+	// gets its share; a quiet one gets the window's one shared empty
+	// snapshot, so ss[k] history stays contiguous, and eviction once idle
+	// too long.
+	kept := q.byKey
+	merged := slices.Grow(s.merged[:0], len(kept)+len(fresh))
+	present := slices.Grow(s.present[:0], len(closed.Groups))
+	for i, j := 0, 0; i < len(kept) || j < len(fresh); {
+		var rt *groupRuntime
+		if j == len(fresh) || i < len(kept) && kept[i].key < fresh[j].key {
+			rt, i = kept[i], i+1
+		} else {
+			rt, j = fresh[j], j+1
+		}
+		if rt.closedSeq == seq {
+			rt.history.PushGroup(closed.ID, rt.group)
+			rt.group = nil
+			present = append(present, closing{rt: rt, snap: rt.history.At(0), view: notClustered})
+			merged = append(merged, rt)
+			continue
+		}
+		if empty == nil {
+			empty = q.winMgr.EmptySnapshot(closed.ID)
+		}
+		rt.history.Push(empty)
+		rt.idleWindows++
+		if rt.idleWindows > q.idleLimit {
+			delete(q.groups, rt.key)
+			continue
+		}
+		merged = append(merged, rt)
+	}
+	clear(kept)
+	clear(fresh)
+	q.byKey, s.merged, s.fresh, s.present = merged, kept[:0], fresh[:0], present
 	return present
 }
+
+// sortGroups rebuilds byKey from the groups table, for a restore that folded
+// runtimes into it.
+func (q *Query) sortGroups() {
+	clear(q.byKey)
+	q.byKey = q.byKey[:0]
+	for _, rt := range q.groups {
+		q.byKey = append(q.byKey, rt)
+	}
+	slices.SortFunc(q.byKey, keyOrder)
+}
+
+// keyOrder orders group runtimes by key.
+func keyOrder(a, b *groupRuntime) int { return strings.Compare(a.key, b.key) }
 
 // clusterGroups evaluates one clustering point per present group and records
 // each group's outcome in its view. Points go to the algorithm in the
 // groups' key order: cluster numbering follows input order, and key order is
-// the one order every run, shard and restore agrees on.
-func (q *Query) clusterGroups(groups []*window.Group, present []closing, report func(error)) {
-	coords := make([]float64, 0, len(present)) // one backing array for all points
-	points := make([][]float64, 0, len(present))
-	owner := make([]int, 0, len(present)) // point -> index into present
+// the one order every run, shard and restore agrees on. The points, and the
+// algorithm's result, live in the close scratch.
+func (q *Query) clusterGroups(present []closing, report func(error)) {
+	s := q.scratch
+	coords := slices.Grow(s.coords[:0], len(present))
+	points := slices.Grow(s.points[:0], len(present))
+	owner := slices.Grow(s.owner[:0], len(present))
 	for i := range present {
 		q.frame = pcode.Frame{History: present[i].rt.history} // a point reads state only
 		if err := q.pointProg.Run(&q.frame, q.progStack); err != nil {
@@ -209,17 +272,18 @@ func (q *Query) clusterGroups(groups []*window.Group, present []closing, report 
 		v := q.progStack[0]
 		f, ok := v.AsFloat()
 		if !ok {
-			q.fail(report, fmt.Errorf("cluster point for group %q is %s, not numeric", groups[i].Key, v.Kind()))
+			q.fail(report, fmt.Errorf("cluster point for group %q is %s, not numeric", present[i].rt.key, v.Kind()))
 			continue
 		}
 		coords = append(coords, f)
 		points = append(points, coords[len(coords)-1:len(coords):len(coords)])
 		owner = append(owner, i)
 	}
+	s.coords, s.points, s.owner = coords, points, owner
 	if len(points) == 0 {
 		return
 	}
-	res, err := cluster.Run(q.clusterName, q.clusterArgs, points, q.clusterDist)
+	res, err := s.cluster.Run(q.clusterName, q.clusterArgs, points, q.clusterDist)
 	if err != nil {
 		q.fail(report, err)
 		return
@@ -235,7 +299,7 @@ func (q *Query) clusterGroups(groups []*window.Group, present []closing, report 
 
 // detect runs one present group's invariant update and alert evaluation for
 // a closing window and returns the alert raised, if any.
-func (q *Query) detect(c *closing, key string, end time.Time, report func(error)) *Alert {
+func (q *Query) detect(c *closing, end time.Time, report func(error)) *Alert {
 	f := &q.frame
 	f.Entities, f.Events, f.History, f.Cluster = c.snap.Entities, c.snap.Events, c.rt.history, c.view
 
@@ -268,7 +332,7 @@ func (q *Query) detect(c *closing, key string, end time.Time, report func(error)
 			Kind:      q.Kind,
 			EventTime: end,
 			Detected:  q.now(),
-			GroupKey:  key,
+			GroupKey:  c.rt.key,
 			Values:    q.evalReturn(report),
 		}
 		if q.admit(al) {

@@ -46,7 +46,11 @@ func closeWindowEvents(w, groups int) []*event.Event {
 // closed window's groups: state-only-quiet 1.26 → 1.02, binding-quiet
 // 1.36 → 1.16, firing 2.45 → 2.25; allocs/close 4,033 → 61 quiet and
 // 8,047 → 4,075 firing (the 61 are the first close's new histories, spread
-// over the 200).
+// over the 200). When a close began keeping its key order from the last
+// close instead of sorting every window's keys (medians of five alternated
+// runs of 200 closes on 2 cores): state-only-quiet 0.79 → 0.42,
+// binding-quiet 0.80 → 0.44, firing 1.62 → 1.18 ms; allocs/close 61 → 60
+// quiet and 4,075 → 4,074 firing (the closed-window list is reused).
 func BenchmarkWindowClose(b *testing.B) {
 	const groups = 2000
 	for _, sh := range closeShapes {

@@ -11,6 +11,7 @@ package engine
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"time"
 
 	"saql/internal/cluster"
@@ -133,9 +134,12 @@ type refClosing struct {
 }
 
 // refCloseWindow is closeWindow with steps 2 and 3 done the oracle's way; the
-// snapshots and histories of step 1 are the query's own.
+// snapshots and histories of step 1 are the query's own. It walks the closed
+// window's groups in key order, sorted here: the window lists them in no
+// order, and pushSnapshots returns the present groups in key order.
 func (q *Query) refCloseWindow(closed window.Closed, report func(error)) []*Alert {
 	pushed := q.pushSnapshots(closed)
+	closed.Groups = slices.SortedFunc(slices.Values(closed.Groups), func(a, b *window.Group) int { return strings.Compare(a.Key, b.Key) })
 	present := make([]refClosing, len(pushed))
 	for i, c := range pushed {
 		present[i].closing = c

@@ -46,6 +46,10 @@ type Query struct {
 	winMgr   *window.Manager     // stateful queries: open windows, watermark
 	groups   map[string]*groupRuntime
 	distinct map[string]struct{} // `return distinct`'s suppression table
+	// byKey lists the runtimes of groups in ascending key order: the order a
+	// close evaluates its groups in, kept from close to close (pushSnapshots)
+	// and rebuilt by a restore (sortGroups).
+	byKey []*groupRuntime
 	// log is the slice log the query's hits wait in until they fold: its
 	// variant set's in the scheduler that holds it. Everything that reads or
 	// hands over the query's state settles it first (settle).
@@ -56,8 +60,8 @@ type Query struct {
 	// Every program of the query runs against frame on progStack.
 	frame     pcode.Frame
 	progStack []value.Value
-	// closing is a window close's per-group scratch (pushSnapshots).
-	closing []closing
+	// scratch is a window close's reused storage, made at the first close.
+	scratch *closeScratch
 	// paused gates event ingestion (see SetPaused). It is mutated only at
 	// consistent stream points, under the owning scheduler's lock.
 	paused bool
@@ -148,6 +152,9 @@ type groupRuntime struct {
 	// group was present in: how a close tells present groups from quiet ones
 	// without a lookup per known group.
 	closedSeq int64
+	// group is the group of the window being closed, from the close's probe
+	// to its key-order walk (pushSnapshots); nil between closes.
+	group *window.Group
 }
 
 // The close-time clauses that carry more than a program: an invariant update

@@ -78,15 +78,9 @@ func (q *Query) EncodeState() ([]byte, error) {
 		return nil, err
 	}
 
-	keys := make([]string, 0, len(q.groups))
-	for k := range q.groups {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	b = wire.AppendUvarint(b, uint64(len(keys)))
-	for _, k := range keys {
-		rt := q.groups[k]
-		b = wire.AppendString(b, k)
+	b = wire.AppendUvarint(b, uint64(len(q.byKey)))
+	for _, rt := range q.byKey {
+		b = wire.AppendString(b, rt.key)
 		b = wire.AppendVarint(b, int64(rt.idleWindows))
 		b = rt.history.AppendState(b)
 		b = wire.AppendBool(b, rt.inv != nil)
@@ -109,6 +103,9 @@ func (q *Query) EncodeState() ([]byte, error) {
 func (q *Query) RestoreState(blob []byte, keep func(groupKey string) bool, disjoint bool) error {
 	q.settle()
 	err := q.restoreState(blob, keep, disjoint)
+	if q.stateful {
+		q.sortGroups() // the groups read, up to any error, join the key order
+	}
 	q.settle() // the restored watermark and windows cut the next slice
 	return err
 }

@@ -21,6 +21,7 @@ func (q *Query) refCarryStateFrom(old *Query) {
 	// old query did not bind get fresh slots).
 	q.assignSlots()
 	q.groups = old.groups
+	q.sortGroups() // the carried groups' key order, a list of q's own
 	q.stats = old.stats
 	if q.distinct != nil && old.distinct != nil &&
 		q.AST.Return.String() == old.AST.Return.String() {

@@ -19,7 +19,8 @@ import (
 )
 
 // groupForKey is the deadline-driven Manager's fold as it stood before group
-// ids: one string-keyed probe of each containing window's key table per call.
+// ids: one string-keyed probe of each containing window's key table per call,
+// a new group also entering the window's group list.
 // manager_diff_test.go drives it beside the id fold (GroupFor) and the
 // map-walking reference, so a dropped id index must leave all three agreeing.
 func (m *Manager) groupForKey(t time.Time, groupKey string) []*Group {
@@ -36,6 +37,7 @@ func (m *Manager) groupForKey(t time.Time, groupKey string) []*Group {
 		if !ok {
 			g = m.newGroup(groupKey)
 			w.groups[groupKey] = g
+			w.touched = append(w.touched, g) // the window's group list, as firstTouch keeps it
 		}
 		out = append(out, g)
 	}

@@ -12,6 +12,8 @@ package window
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"saql/internal/agg"
 	"saql/internal/event"
@@ -36,14 +38,17 @@ func (m *Manager) AppendState(b []byte) ([]byte, error) {
 	for _, w := range m.open {
 		b = wire.AppendVarint(b, int64(w.id))
 		b = wire.AppendUvarint(b, uint64(len(w.groups)))
-		w.sorted = appendSorted(w.sorted[:0], w.groups)
-		for _, g := range w.sorted {
+		// Sort a copy: the window's own list keeps its order.
+		m.sortScratch = append(m.sortScratch[:0], w.touched...)
+		slices.SortFunc(m.sortScratch, func(a, b *Group) int { return strings.Compare(a.Key, b.Key) })
+		for _, g := range m.sortScratch {
 			var err error
 			if b, err = m.appendGroup(b, g); err != nil {
 				return b, err
 			}
 		}
 	}
+	clear(m.sortScratch) // pins no group once its window is recycled
 	return b, nil
 }
 
@@ -81,8 +86,9 @@ func (m *Manager) ReadState(r *wire.Reader, keep func(string) bool, disjoint boo
 	if disjoint {
 		m.LateEvents += late
 	}
-	// Decoded groups enter (or replace groups in) the key tables only: the id
-	// indexes may name replaced groups, so the next fold rebuilds them.
+	// Decoded groups enter (or replace groups in) the key tables, and each
+	// decoded window's group list is rebuilt from its table: the id indexes
+	// may name replaced groups, so the next fold rebuilds them.
 	m.index = nil
 	nWin := r.Count(2)
 	for i := 0; i < nWin && r.Err() == nil; i++ {
@@ -96,6 +102,11 @@ func (m *Manager) ReadState(r *wire.Reader, keep func(string) bool, disjoint boo
 			if keep == nil || keep(g.Key) {
 				w.groups[g.Key] = g
 			}
+		}
+		clear(w.touched)
+		w.touched = w.touched[:0]
+		for _, g := range w.groups {
+			w.touched = append(w.touched, g)
 		}
 	}
 	return r.Err()

@@ -22,7 +22,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"strings"
 	"time"
 
 	"saql/internal/agg"
@@ -166,15 +165,16 @@ type Snapshot struct {
 // openWindow is one in-flight window. groups, by key, is the window's group
 // table; byID indexes the same groups by the directory id of their key
 // (Manager.index names the directory), nil where the window has not yet seen
-// the id since the index was last dropped. sorted is the close's key-ordered
-// list of the groups (Closed.Groups). A recycled window keeps all three's
+// the id since the index was last dropped. touched lists the table's groups
+// in the order they entered it (Closed.Groups): firstTouch appends to it and
+// ReadState rebuilds it from the table. A recycled window keeps all three's
 // storage for the next window to open.
 type openWindow struct {
-	id     ID
-	end    int64 // exclusive end, unix nanoseconds
-	groups map[string]*Group
-	byID   []*Group
-	sorted []*Group
+	id      ID
+	end     int64 // exclusive end, unix nanoseconds
+	groups  map[string]*Group
+	byID    []*Group
+	touched []*Group
 }
 
 // Closed describes one closed window delivered by Advance or Flush. Its
@@ -183,7 +183,10 @@ type openWindow struct {
 type Closed struct {
 	ID  ID
 	End time.Time
-	// Groups lists the window's groups in ascending key order.
+	// Groups lists each of the window's groups once, in no order a reader may
+	// rely on: the order they entered the window, or after a restore the key
+	// table's. A reader that needs an order sorts (the engine keeps its own
+	// key order across closes).
 	Groups []*Group
 	w      *openWindow // the closed window, until it is recycled
 }
@@ -221,7 +224,7 @@ type Manager struct {
 	index      *Directory
 	indexEpoch uint32
 	// spareWins and spareGroups hold recycled windows (cleared key tables,
-	// id indexes and close lists) and reset groups for the next windows to
+	// id indexes and group lists) and reset groups for the next windows to
 	// open: at most ⌈Length/Hop⌉ windows, and at most spareLimit groups, the
 	// most any one recycled window held.
 	spareWins   []*openWindow
@@ -233,7 +236,11 @@ type Manager struct {
 	// Manager is single-goroutine-confined).
 	idScratch    []ID
 	groupScratch []*Group
-	slotScratch  []int // the encoder's bound-slot list
+	slotScratch  []int    // the encoder's bound-slot list
+	sortScratch  []*Group // the encoder's key-ordered copy of a window's groups
+	// closed is what the last Advance or Flush returned, reused by the next:
+	// a close's windows are read and recycled before the stream moves on.
+	closed []Closed
 
 	// Stats.
 	LateEvents int64 // events older than an already-closed window
@@ -435,6 +442,7 @@ func (m *Manager) firstTouch(w *openWindow, d *Directory, id int32) *Group {
 	if !ok {
 		g = m.newGroup(key)
 		w.groups[key] = g
+		w.touched = append(w.touched, g)
 	}
 	if n := int(id) + 1; n > len(w.byID) {
 		if n > cap(w.byID) {
@@ -527,7 +535,8 @@ func (m *Manager) Touch(t time.Time) {
 
 // Advance moves the watermark to t and returns all windows whose end has
 // passed, in ascending end order. Below the earliest open window's end —
-// nearly every call — it is two compares.
+// nearly every call — it is two compares. The returned slice is reused by the
+// next Advance or Flush: read and Recycle it before calling either again.
 //
 //saql:hotpath
 func (m *Manager) Advance(t time.Time) []Closed {
@@ -547,18 +556,20 @@ func (m *Manager) Advance(t time.Time) []Closed {
 	return m.closeFirst(n)
 }
 
-// Flush closes all remaining open windows (end of stream), in order.
+// Flush closes all remaining open windows (end of stream), in order. Like
+// Advance's, its result lives until the next Advance or Flush.
 func (m *Manager) Flush() []Closed { return m.closeFirst(len(m.open)) }
 
-// closeFirst removes the n oldest open windows and returns them closed.
+// closeFirst removes the n oldest open windows and returns them closed, in the
+// manager's reused result slice.
 func (m *Manager) closeFirst(n int) []Closed {
 	if n == 0 {
 		return nil
 	}
-	closed := make([]Closed, n)
+	closed := slices.Grow(m.closed[:0], n)[:n]
+	m.closed = closed
 	for i, w := range m.open[:n] {
-		w.sorted = appendSorted(w.sorted[:0], w.groups)
-		closed[i] = Closed{ID: w.id, End: time.Unix(0, w.end), Groups: w.sorted, w: w}
+		closed[i] = Closed{ID: w.id, End: time.Unix(0, w.end), Groups: w.touched, w: w}
 		clear(w.byID)
 		w.byID = w.byID[:0]
 	}
@@ -572,22 +583,10 @@ func (m *Manager) closeFirst(n int) []Closed {
 	return closed
 }
 
-// appendSorted appends a window's groups to dst in ascending key order: the
-// one order that is the same on every run, every shard and after every
-// restore.
-func appendSorted(dst []*Group, groups map[string]*Group) []*Group {
-	n := len(dst)
-	for _, g := range groups {
-		dst = append(dst, g)
-	}
-	slices.SortFunc(dst[n:], func(a, b *Group) int { return strings.Compare(a.Key, b.Key) })
-	return dst
-}
-
 // Recycle hands closed windows back once their groups have been read — into
 // histories (History.PushGroup) and by whatever evaluated them — and nothing
 // holds a group any more: each group is reset (count, aggregators, bindings)
-// and, with its window's key table, id index and close list, reused by the
+// and, with its window's key table, id index and group list, reused by the
 // windows that open next. Recycling a Closed empties it, so a second Recycle
 // of the same slice does nothing; a Closed never recycled is left to the
 // garbage collector.
@@ -609,8 +608,8 @@ func (m *Manager) Recycle(closed []Closed) {
 			m.spareGroups = append(m.spareGroups, g)
 		}
 		clear(w.groups)
-		clear(w.sorted)
-		w.sorted = w.sorted[:0]
+		clear(w.touched)
+		w.touched = w.touched[:0]
 		if len(m.spareWins) < m.maxOpen() {
 			m.spareWins = append(m.spareWins, w)
 		}
